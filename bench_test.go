@@ -161,87 +161,66 @@ func BenchmarkNativePipeline(b *testing.B) {
 }
 
 // BenchmarkWindowClose runs the native pipeline with bundles sized so
-// every window closes over 16 sorted runs, once with the fused
-// range-partitioned merge-reduce (the default close) and once with the
-// pairwise merge tree + separate reduce baseline (Config.PairwiseClose).
-// The interesting deltas are B/rec (the per-level KPA materializations
-// the fused close deletes) and Mrec/s on multicore machines, where the
-// close path's one-pass structure frees bandwidth for ingest.
+// every window closes over 16 sorted runs through the fused
+// range-partitioned merge-reduce. B/rec is where a materializing close
+// would show (one KPA copy per merge level); the fused-vs-tree kernel
+// comparison itself lives in internal/kpa's BenchmarkMergeReduce.
 func BenchmarkWindowClose(b *testing.B) {
 	const records = 2e6
-	for _, mode := range []struct {
-		name     string
-		pairwise bool
-	}{{"fused", false}, {"pairwise", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := runtime.Plan{
-					Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-					Source: engine.SourceConfig{
-						Name: "close", Rate: records, BundleRecords: 62_500,
-						WindowRecords: 1_000_000, WatermarkEvery: 16,
-					},
-					Win:          wm.Fixed(1_000_000),
-					TotalRecords: int64(records),
-					TsCol:        2, KeyCol: 0, ValCol: 1,
-					NewAgg: ops.Sum(), Label: "close",
-				}
-				rep, err := runtime.Run(plan, runtime.Config{PairwiseClose: mode.pairwise})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-				b.ReportMetric(rep.AllocBytesPerRecord, "B/rec")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		plan := runtime.Plan{
+			Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
+			Source: engine.SourceConfig{
+				Name: "close", Rate: records, BundleRecords: 62_500,
+				WindowRecords: 1_000_000, WatermarkEvery: 16,
+			},
+			Win:          wm.Fixed(1_000_000),
+			TotalRecords: int64(records),
+			TsCol:        2, KeyCol: 0, ValCol: 1,
+			NewAgg: ops.Sum(), Label: "close",
+		}
+		rep, err := runtime.Run(plan, runtime.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
+		b.ReportMetric(rep.AllocBytesPerRecord, "B/rec")
 	}
 }
 
 // BenchmarkSlidingPipeline runs the native backend end to end on a
-// sliding-window workload at overlap Size/Slide = 8, once with the
-// default pane-based shared aggregation (each record extracted and
-// sorted once into a gcd(Size,Slide)-wide pane whose sorted run is
-// refcounted and shared by all 8 covering windows) and once with the
-// Config.DirectSliding duplicate-scatter baseline (every record staged
-// and sorted into all 8 windows). The interesting deltas: extract-side
-// Mpairs/s (logical (record,window) assignments per second of
-// extraction+run-formation worker time — panes deliver the same
-// assignments with 8× less staging and radix work) and state-B/rec
-// (peak live window-state bytes per record of one window — panes hold
-// one copy instead of 8).
+// sliding-window workload at overlap Size/Slide = 8: each record is
+// extracted and sorted once into a pane whose sorted run is refcounted
+// and shared by all 8 covering windows. extract-Mpairs/s is logical
+// (record, window) assignments per second of extraction+run-formation
+// worker time; state-B/rec is peak live window-state bytes per record
+// of one window — panes hold one copy, not 8.
 func BenchmarkSlidingPipeline(b *testing.B) {
 	const (
 		records       = 2e6
 		windowRecords = 1_000_000
 	)
-	for _, mode := range []struct {
-		name   string
-		direct bool
-	}{{"pane", false}, {"direct", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := runtime.Plan{
-					Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-					Source: engine.SourceConfig{
-						Name: "sliding", Rate: records, BundleRecords: 10_000,
-						WindowRecords: windowRecords, WatermarkEvery: 25,
-					},
-					Win:          wm.Sliding(1_000_000, 125_000), // overlap 8
-					TotalRecords: int64(records),
-					TsCol:        2, KeyCol: 0, ValCol: 1,
-					NewAgg: ops.Sum(), Label: "sliding",
-				}
-				rep, err := runtime.Run(plan, runtime.Config{DirectSliding: mode.direct})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-				if rep.ExtractNanos > 0 {
-					b.ReportMetric(float64(rep.ExtractedPairs)/float64(rep.ExtractNanos)*1e3, "extract-Mpairs/s")
-				}
-				b.ReportMetric(float64(rep.PeakWindowStateTotalBytes)/windowRecords, "state-B/rec")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		plan := runtime.Plan{
+			Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
+			Source: engine.SourceConfig{
+				Name: "sliding", Rate: records, BundleRecords: 10_000,
+				WindowRecords: windowRecords, WatermarkEvery: 25,
+			},
+			Win:          wm.Sliding(1_000_000, 125_000), // overlap 8
+			TotalRecords: int64(records),
+			TsCol:        2, KeyCol: 0, ValCol: 1,
+			NewAgg: ops.Sum(), Label: "sliding",
+		}
+		rep, err := runtime.Run(plan, runtime.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
+		if rep.ExtractNanos > 0 {
+			b.ReportMetric(float64(rep.ExtractedPairs)/float64(rep.ExtractNanos)*1e3, "extract-Mpairs/s")
+		}
+		b.ReportMetric(float64(rep.PeakWindowStateTotalBytes)/windowRecords, "state-B/rec")
 	}
 }
 

@@ -5,48 +5,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	goruntime "runtime"
-	"time"
 
 	streambox "streambox"
-	"streambox/internal/engine"
 	"streambox/internal/experiments"
-	"streambox/internal/ingress"
-	"streambox/internal/memsim"
-	"streambox/internal/ops"
-	"streambox/internal/runtime"
-	"streambox/internal/wm"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "figure to run: fig2|fig7|fig8|fig9|fig10|fig11|figmerge|figpanes|all, native, alloc, close, panes, or adaptive")
+	exp := flag.String("exp", "all", "figure to run: fig2|fig7|fig8|fig9|fig10|fig11|figmerge|figpanes|all, or native")
 	quick := flag.Bool("quick", false, "use the fast smoke-test scale")
 	records := flag.Float64("records", 10e6, "records per native measurement")
-	jsonPath := flag.String("json", "", "write -exp adaptive results to this file as JSON")
 	flag.Parse()
 
 	if *exp == "native" {
 		benchNative(*records, *quick)
-		return
-	}
-	if *exp == "adaptive" {
-		benchAdaptive(*records, *quick, *jsonPath)
-		return
-	}
-	if *exp == "alloc" {
-		benchAlloc(*records, *quick)
-		return
-	}
-	if *exp == "close" {
-		benchClose(*records, *quick)
-		return
-	}
-	if *exp == "panes" {
-		benchPanes(*records, *quick)
 		return
 	}
 
@@ -114,55 +89,6 @@ func main() {
 	})
 }
 
-// benchPanes is the sliding-window ablation: the native pipeline with
-// pane-based shared aggregation (default) versus the duplicate-scatter
-// baseline (Config.DirectSliding), swept across Size/Slide overlap
-// factors. Mrec/s is end-to-end wall-clock throughput; extract-Mpairs/s
-// is logical (record, window) assignments per second of extraction
-// worker time; B/rec is peak live window-state bytes per record of one
-// window. Isolates what sharing sorted pane runs buys.
-func benchPanes(records float64, quick bool) {
-	if quick {
-		records /= 10
-	}
-	const windowRecords = 1_000_000
-	size := wm.Time(1_000_000)
-	fmt.Println("Sliding-window ablation: pane-based shared runs vs direct duplicate scatter")
-	fmt.Printf("%-8s %-8s %10s %18s %12s %10s %12s\n",
-		"overlap", "mode", "Mrec/s", "extract-Mpairs/s", "state-B/rec", "paneruns", "sharedrefs")
-	for _, overlap := range []int{1, 2, 4, 8} {
-		for _, direct := range []bool{false, true} {
-			plan := runtime.Plan{
-				Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-				Source: engine.SourceConfig{
-					Name: "panes", Rate: records, BundleRecords: 10_000,
-					WindowRecords: windowRecords, WatermarkEvery: 25,
-				},
-				Win:          wm.Sliding(size, size/wm.Time(overlap)),
-				TotalRecords: int64(records),
-				TsCol:        2, KeyCol: 0, ValCol: 1,
-				NewAgg: ops.Sum(), Label: "panes",
-			}
-			rep, err := runtime.Run(plan, runtime.Config{DirectSliding: direct})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			mode := "pane"
-			if direct {
-				mode = "direct"
-			}
-			extract := 0.0
-			if rep.ExtractNanos > 0 {
-				extract = float64(rep.ExtractedPairs) / float64(rep.ExtractNanos) * 1e3
-			}
-			fmt.Printf("%-8d %-8s %10.1f %18.1f %12.1f %10d %12d\n",
-				overlap, mode, rep.Throughput/1e6, extract,
-				float64(rep.PeakWindowStateTotalBytes)/windowRecords, rep.PaneRuns, rep.SharedRunRefs)
-		}
-	}
-}
-
 // benchNative sweeps the native backend's worker count on the
 // quickstart workload (KV → Window → SumPerKey) and prints a real
 // records/second table.
@@ -193,243 +119,5 @@ func benchNative(records float64, quick bool) {
 			os.Exit(1)
 		}
 		fmt.Printf("%-10d %12d %12.1f %10d\n", w, rep.IngestedRecords, rep.Throughput/1e6, rep.WindowsClosed)
-	}
-}
-
-// benchClose is the window-close ablation: the native pipeline with
-// the fused range-partitioned merge-reduce (default) versus the
-// pairwise merge tree + separate reduce (Config.PairwiseClose), across
-// worker counts, with bundles sized so every window accumulates 16
-// sorted runs. Isolates what the fused close buys end to end.
-func benchClose(records float64, quick bool) {
-	if quick {
-		records /= 10
-	}
-	workerCounts := []int{1, 2, 4}
-	if n := goruntime.GOMAXPROCS(0); n > 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	fmt.Println("Window close ablation: fused k-way merge-reduce vs pairwise tree, 16 runs/window")
-	fmt.Printf("%-10s %-10s %10s %12s %12s %12s\n",
-		"workers", "close", "Mrec/s", "allocs/rec", "B/rec", "GCpause-ms")
-	for _, w := range workerCounts {
-		for _, pairwise := range []bool{false, true} {
-			plan := runtime.Plan{
-				Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-				Source: engine.SourceConfig{
-					Name: "close", Rate: records, BundleRecords: 62_500,
-					WindowRecords: 1_000_000, WatermarkEvery: 16,
-				},
-				Win:          wm.Fixed(1_000_000),
-				TotalRecords: int64(records),
-				TsCol:        2, KeyCol: 0, ValCol: 1,
-				NewAgg: ops.Sum(), Label: "close",
-			}
-			rep, err := runtime.Run(plan, runtime.Config{Workers: w, PairwiseClose: pairwise})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			mode := "fused"
-			if pairwise {
-				mode = "pairwise"
-			}
-			fmt.Printf("%-10d %-10s %10.1f %12.5f %12.1f %12.2f\n",
-				w, mode, rep.Throughput/1e6, rep.AllocsPerRecord,
-				rep.AllocBytesPerRecord, float64(rep.GCPauseNs)/1e6)
-		}
-	}
-}
-
-// benchAlloc is the allocator ablation: the native pipeline with the
-// mempool's slab recycling on (pooled) versus off (every KPA and
-// kernel scratch buffer a fresh Go-heap make), across worker counts.
-// The table isolates what the recycling allocator buys — throughput,
-// allocations per record, GC pause time — in the style of the paper's
-// figure scripts.
-func benchAlloc(records float64, quick bool) {
-	if quick {
-		records /= 10
-	}
-	workerCounts := []int{1, 2, 4}
-	if n := goruntime.GOMAXPROCS(0); n > 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	fmt.Println("Allocator ablation: KV -> Window -> SumPerKey, pooled slabs vs make")
-	fmt.Printf("%-10s %-8s %10s %12s %12s %12s %14s\n",
-		"workers", "alloc", "Mrec/s", "allocs/rec", "B/rec", "GCpause-ms", "slabs-recycled")
-	for _, w := range workerCounts {
-		for _, pooled := range []bool{true, false} {
-			// Mirrors benchNative's workload exactly (the streambox
-			// DefaultSource shape) but builds the runtime.Plan directly:
-			// the recycling toggle is a runtime.Config knob, deliberately
-			// not public API.
-			plan := runtime.Plan{
-				Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-				Source: engine.SourceConfig{
-					Name: "alloc", Rate: records, BundleRecords: 10_000,
-					WindowRecords: 1_000_000, WatermarkEvery: 100,
-				},
-				Win:          wm.Fixed(1_000_000),
-				TotalRecords: int64(records),
-				TsCol:        2, KeyCol: 0, ValCol: 1,
-				NewAgg: ops.Sum(), Label: "alloc",
-			}
-			rep, err := runtime.Run(plan, runtime.Config{Workers: w, NoRecycle: !pooled})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			mode := "pooled"
-			if !pooled {
-				mode = "make"
-			}
-			fmt.Printf("%-10d %-8s %10.1f %12.5f %12.1f %12.2f %14d\n",
-				w, mode, rep.Throughput/1e6, rep.AllocsPerRecord,
-				rep.AllocBytesPerRecord, float64(rep.GCPauseNs)/1e6, rep.SlabsRecycled)
-		}
-	}
-}
-
-// adaptiveLeg is one row of the -exp adaptive sweep, serialized into
-// the -json artifact (BENCH_adaptive.json in CI).
-type adaptiveLeg struct {
-	Name               string  `json:"name"`
-	KLow               float64 `json:"k_low"`
-	KHigh              float64 `json:"k_high"`
-	Spill              bool    `json:"spill"`
-	Error              string  `json:"error,omitempty"`
-	Records            int64   `json:"records"`
-	MRecSec            float64 `json:"mrec_per_sec"`
-	SpilledRuns        int64   `json:"spilled_runs"`
-	SpilledBytes       int64   `json:"spilled_bytes"`
-	SpillLoads         int64   `json:"spill_loads"`
-	SpillLoadFallbacks int64   `json:"spill_load_fallbacks"`
-	CtrlDecisions      int64   `json:"ctrl_decisions"`
-	CtrlEvictTicks     int64   `json:"ctrl_evict_ticks"`
-	CloseP99Ms         float64 `json:"close_p99_ms"`
-	PeakStateBytes     int64   `json:"peak_state_bytes"`
-	Overshoot          float64 `json:"overshoot"`
-}
-
-// benchAdaptive is the degradation-ladder sweep: a drifting workload
-// whose live window state overshoots a deliberately tiny HBM+DRAM
-// budget by ~2x (the watermark stalls for three windows at a time, so
-// sealed-but-unclosed state piles up, then drains), run under the
-// adaptive placement controller versus fixed {k_low, k_high} pins.
-// Pinned legs without a spill tier reproduce today's failure mode —
-// the pool exhausts and the run dies — while the controller absorbs
-// the same overshoot by shifting placement and evicting cold sealed
-// runs to the mmap'd spill file, finishing with zero dropped records
-// and bit-identical windows. Pinned legs with the spill tier attached
-// keep only the reactive exhaustion-path eviction, isolating what the
-// proactive control loop buys. -json writes the table as JSON for CI.
-func benchAdaptive(records float64, quick bool, jsonPath string) {
-	if quick {
-		records /= 2
-	}
-	// The budget is sized so the stalled windows' sorted pairs alone
-	// (16 B/record live, before counting their source bundles) are
-	// about twice HBM+DRAM at the watermark stall's deepest point.
-	const (
-		hbmCap        = int64(10) << 20
-		dramCap       = int64(22) << 20
-		reservedHBM   = int64(3) << 20
-		spillCap      = int64(512) << 20
-		windowRecords = 500_000
-		bundleRecords = 10_000
-		// Watermarks arrive every 450 bundles = 4.5e6 records: nine
-		// full windows seal and sit cold before each close volley, so
-		// live sorted-run state alone reaches ~2x the memory budget
-		// (4.5e6 x 16 B = 72 MiB against the 32 MiB budget).
-		watermarkEvery = 450
-	)
-	machine := memsim.KNLConfig()
-	machine.Tiers[memsim.HBM].Capacity = hbmCap
-	machine.Tiers[memsim.DRAM].Capacity = dramCap
-	budget := hbmCap + dramCap
-
-	legs := []struct {
-		name  string
-		knob  *[2]float64
-		spill bool
-	}{
-		{"adaptive", nil, true},
-		{"pinned-1.0-1.0", &[2]float64{1, 1}, true},
-		{"pinned-0.5-0.5", &[2]float64{0.5, 0.5}, true},
-		{"pinned-0.0-0.0", &[2]float64{0, 0}, true},
-		// One no-spill leg reproduces today's failure mode. {1, 1} is
-		// where the knob schedule starts, and it dies fast; all-DRAM
-		// pins instead limp for minutes on forced-watermark drains, so
-		// they are not worth a CI leg.
-		{"pinned-1.0-1.0-nospill", &[2]float64{1, 1}, false},
-	}
-	fmt.Printf("Degradation ladder: adaptive controller vs fixed knobs, %d MiB budget, ~2x overshoot\n",
-		budget>>20)
-	fmt.Printf("%-24s %10s %12s %12s %10s %12s %12s %s\n",
-		"mode", "Mrec/s", "spilledMiB", "spillloads", "ctrldec", "closeP99ms", "peakstate/b", "outcome")
-	results := make([]adaptiveLeg, 0, len(legs))
-	for _, leg := range legs {
-		plan := runtime.Plan{
-			Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-			Source: engine.SourceConfig{
-				Name: "adaptive", Rate: records, BundleRecords: bundleRecords,
-				WindowRecords: windowRecords, WatermarkEvery: watermarkEvery,
-			},
-			Win:          wm.Fixed(windowRecords),
-			TotalRecords: int64(records),
-			TsCol:        2, KeyCol: 0, ValCol: 1,
-			NewAgg: ops.Sum(), Label: "adaptive",
-		}
-		cfg := runtime.Config{
-			Machine:        machine,
-			ReservedHBM:    reservedHBM,
-			PinnedKnob:     leg.knob,
-			ExhaustTimeout: 750 * time.Millisecond,
-		}
-		if leg.spill {
-			cfg.SpillCapacity = spillCap
-		}
-		rep, err := runtime.Run(plan, cfg)
-		row := adaptiveLeg{
-			Name: leg.name, Spill: leg.spill,
-			KLow: rep.KLow, KHigh: rep.KHigh,
-			Records:            rep.IngestedRecords,
-			MRecSec:            rep.Throughput / 1e6,
-			SpilledRuns:        rep.SpilledRuns,
-			SpilledBytes:       rep.SpilledBytes,
-			SpillLoads:         rep.SpillLoads,
-			SpillLoadFallbacks: rep.SpillLoadFallbacks,
-			CtrlDecisions:      rep.CtrlDecisions,
-			CtrlEvictTicks:     rep.CtrlEvictTicks,
-			CloseP99Ms:         float64(rep.CloseP99Nanos) / 1e6,
-			PeakStateBytes:     rep.PeakWindowStateTotalBytes,
-			Overshoot:          float64(rep.PeakWindowStateTotalBytes) / float64(budget),
-		}
-		outcome := "ok"
-		if err != nil {
-			row.Error = err.Error()
-			outcome = "FAILED: " + err.Error()
-		}
-		fmt.Printf("%-24s %10.1f %12.1f %12d %10d %12.2f %12.2f %s\n",
-			leg.name, row.MRecSec, float64(row.SpilledBytes)/float64(1<<20),
-			row.SpillLoads, row.CtrlDecisions, row.CloseP99Ms, row.Overshoot, outcome)
-		results = append(results, row)
-	}
-	if jsonPath != "" {
-		out := struct {
-			BudgetBytes int64         `json:"budget_bytes"`
-			HBMBytes    int64         `json:"hbm_bytes"`
-			DRAMBytes   int64         `json:"dram_bytes"`
-			Legs        []adaptiveLeg `json:"legs"`
-		}{budget, hbmCap, dramCap, results}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "json:", err)
-			os.Exit(1)
-		}
 	}
 }

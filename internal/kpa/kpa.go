@@ -102,6 +102,9 @@ type KPA struct {
 	// resMu serializes residency transitions (Evict/EnsureResident):
 	// two closes sharing a spilled pane run may both demand a load.
 	resMu sync.Mutex
+	// loadErr is the allocation failure that left this spilled run to be
+	// read through its mmap view; once set the run is never relocated.
+	loadErr error
 }
 
 // SyntheticKey marks a KPA whose resident keys were computed (e.g. an

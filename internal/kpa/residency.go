@@ -167,16 +167,22 @@ func (k *KPA) Evict(pool *mempool.Pool, valCol int) (freed int64, err error) {
 // concurrent callers serialize on the KPA, so exactly one performs the
 // load. On allocation failure the run stays spilled and remains
 // readable through its mmap view — the caller may merge directly over
-// it (slower, never wrong).
+// it (slower, never wrong) — and it stays there for good: a later
+// caller sharing the run gets the same error rather than a load that
+// would free the view under the first caller's merge.
 func (k *KPA) EnsureResident(al Allocator) (loaded bool, err error) {
 	k.resMu.Lock()
 	defer k.resMu.Unlock()
 	if k.tier != memsim.Spill {
 		return false, nil
 	}
+	if k.loadErr != nil {
+		return false, k.loadErr
+	}
 	n := k.Len()
 	tier, alloc, err := al.AllocKPA(k.Bytes())
 	if err != nil {
+		k.loadErr = err
 		return false, err
 	}
 	var pairs []algo.Pair

@@ -192,7 +192,6 @@ type Pool struct {
 	// disabled. Set once by AttachSpill before concurrent use.
 	spill *spill.File
 
-	recycle  atomic.Bool
 	recycled atomic.Int64
 	shardRR  atomic.Uint32
 	free     [memsim.NumTiers][][slabShards]*slabList // [tier][class][shard]
@@ -228,7 +227,6 @@ func New(cfg memsim.Config, reservedHBM int64) *Pool {
 			}
 		}
 	}
-	p.recycle.Store(true)
 	return p
 }
 
@@ -251,31 +249,6 @@ func (p *Pool) Spill() *spill.File {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.spill
-}
-
-// SetRecycling toggles slab reuse; disabling it drops every cached slab
-// and makes Pairs/scratch requests hit the Go heap (the `-exp alloc`
-// baseline). Accounting is unaffected.
-func (p *Pool) SetRecycling(on bool) {
-	p.recycle.Store(on)
-	if !on {
-		for t := range p.free {
-			for c := range p.free[t] {
-				for s := range p.free[t][c] {
-					l := p.free[t][c][s]
-					l.mu.Lock()
-					l.slabs = nil
-					l.mu.Unlock()
-					cl := p.colFree[t][c][s]
-					cl.mu.Lock()
-					cl.slabs = nil
-					cl.mu.Unlock()
-				}
-			}
-		}
-		p.colCached.Store(0)
-		p.colCachedBytes.Store(0)
-	}
 }
 
 // classIndex returns the index of the smallest class >= n, or -1 for
@@ -332,7 +305,7 @@ func (p *Pool) TakeCol(t memsim.Tier, rows int) []uint64 {
 	}
 	bytes := int64(rows) * 8
 	class := classIndex(bytes)
-	if class >= 0 && p.recycle.Load() {
+	if class >= 0 {
 		start := p.shardRR.Add(1)
 		for i := uint32(0); i < slabShards; i++ {
 			l := p.colFree[t][class][(start+i)%slabShards]
@@ -369,9 +342,6 @@ func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
 		}
 		return
 	}
-	if !p.recycle.Load() {
-		return
-	}
 	class := classFloorIndex(int64(cap(col)) * 8)
 	if class < 0 {
 		return
@@ -390,7 +360,7 @@ func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
 // recycled when a class free-list shard has one, fresh otherwise. The
 // returned slice has full slab length.
 func (p *Pool) takeSlab(t memsim.Tier, class int, sizeBytes int64) []algo.Pair {
-	if class >= 0 && p.recycle.Load() {
+	if class >= 0 {
 		start := p.shardRR.Add(1)
 		for i := uint32(0); i < slabShards; i++ {
 			l := p.free[t][class][(start+i)%slabShards]
@@ -412,7 +382,7 @@ func (p *Pool) takeSlab(t memsim.Tier, class int, sizeBytes int64) []algo.Pair {
 // putSlab returns a class-sized slab to its free list (jumbos and
 // foreign capacities go back to the garbage collector).
 func (p *Pool) putSlab(t memsim.Tier, class int, slab []algo.Pair) {
-	if class < 0 || !p.recycle.Load() {
+	if class < 0 {
 		return
 	}
 	if int64(cap(slab))*memsim.PairBytes != sizeClasses[class] {

@@ -181,24 +181,6 @@ func TestScratchFeedsAllocations(t *testing.T) {
 	a.Free()
 }
 
-func TestSetRecyclingOff(t *testing.T) {
-	p := testPool()
-	a, _ := p.Alloc(memsim.DRAM, 4<<10)
-	first := a.Pairs(10)
-	a.Free()
-	p.SetRecycling(false)
-	b, _ := p.Alloc(memsim.DRAM, 4<<10)
-	if got := b.Pairs(10); &got[0] == &first[0] {
-		t.Error("recycling disabled must not reuse slabs")
-	}
-	b.Free()
-	c, _ := p.Alloc(memsim.DRAM, 4<<10)
-	if got := c.Pairs(10); p.Stats().Recycled != 0 && &got[0] == &first[0] {
-		t.Error("freed slab survived SetRecycling(false)")
-	}
-	c.Free()
-}
-
 // TestConcurrentRecycle hammers the sharded free lists from many
 // goroutines (run with -race): accounting must conserve and every
 // allocation's pairs view must be private to its owner.
@@ -277,12 +259,5 @@ func TestColSlabReuse(t *testing.T) {
 	p.PutCol(memsim.DRAM, make([]uint64, 10)) // below the smallest class
 	if n := p.Snapshot().ColSlabsCached; n != 0 {
 		t.Fatalf("sub-class slab cached (%d)", n)
-	}
-
-	// Disabling recycling empties the column lists too.
-	p.PutCol(memsim.DRAM, p.TakeCol(memsim.DRAM, 512))
-	p.SetRecycling(false)
-	if s := p.Snapshot(); s.ColSlabsCached != 0 || s.ColSlabBytesCache != 0 {
-		t.Fatalf("occupancy survived SetRecycling(false): %+v", s)
 	}
 }

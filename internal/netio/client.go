@@ -529,6 +529,17 @@ func (c *Client) pump() error {
 			}
 			continue
 		}
+		// Raise maxTx before the frame can reach the wire: creditLoop
+		// drops any ack beyond maxTx, and the ack for this frame can
+		// arrive the moment Flush returns. Raised after, an ack landing
+		// in the gap was lost — for the last frame, waitAcked then
+		// blocked forever.
+		c.mu.Lock()
+		first := fr.seq > c.maxTx
+		if first {
+			c.maxTx = fr.seq
+		}
+		c.mu.Unlock()
 		c.armWrite()
 		err := writeSeqFrame(c.bw, fr.seq, fr.payload)
 		if err == nil {
@@ -540,13 +551,9 @@ func (c *Client) pump() error {
 			}
 			continue
 		}
-		c.mu.Lock()
-		if fr.seq > c.maxTx {
-			c.maxTx = fr.seq
-		} else {
+		if !first {
 			c.replayed.Add(1)
 		}
-		c.mu.Unlock()
 		c.txSeq = fr.seq
 	}
 }

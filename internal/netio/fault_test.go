@@ -38,10 +38,9 @@ func genColumnarPayload(gen *RecordGen, lo, n int) []byte {
 	return parsefmt.EncodeColumnarFrame(cols)
 }
 
-// rawSessionDial runs the full version-3 session handshake by hand and
-// returns the raw connection plus the grant. A zero returned token
-// means the server refused the resume (unknown/expired session).
-func rawSessionDial(t *testing.T, addr string, token uint64) (conn net.Conn, credits int, gotToken, lastSeq uint64) {
+// rawSessionRequest runs the version-3 session handshake by hand up to
+// and including the resume request, leaving the grant unread.
+func rawSessionRequest(t *testing.T, addr string, token uint64) (conn net.Conn, credits int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -60,7 +59,16 @@ func rawSessionDial(t *testing.T, addr string, token uint64) (conn net.Conn, cre
 	if err := writeResume(conn, token); err != nil {
 		t.Fatal(err)
 	}
-	gotToken, lastSeq, err = readSessionGrant(conn)
+	return conn, credits
+}
+
+// rawSessionDial runs the full version-3 session handshake by hand and
+// returns the raw connection plus the grant. A zero returned token
+// means the server refused the resume (unknown/expired session).
+func rawSessionDial(t *testing.T, addr string, token uint64) (conn net.Conn, credits int, gotToken, lastSeq uint64) {
+	t.Helper()
+	conn, credits = rawSessionRequest(t, addr, token)
+	gotToken, lastSeq, err := readSessionGrant(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +387,71 @@ func TestSessionResumeDedupe(t *testing.T) {
 	<-done
 	if n := got.Load(); n != 30 {
 		t.Fatalf("ingested %d records, want exactly 30 (no loss, no duplication)", n)
+	}
+}
+
+// TestTakeoverWaitsForInFlightDelivery is the regression for the
+// exactly-once hole in session takeover. Connection A holds a fully
+// read, checksummed frame 2 and is blocked pushing it into a stalled
+// feed (queue full, no receiver) when connection B resumes the token.
+// The grant used to be written at once from lastSeq = 1; A then pushed
+// frame 2 anyway, the client replayed it to B as the grant asked, and
+// the frame was ingested twice. Now B's grant waits for A's delivery
+// and acknowledges frame 2, so the client has nothing to replay.
+func TestTakeoverWaitsForInFlightDelivery(t *testing.T) {
+	feed := NewFeed(WireSchema(), 1)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := RecordGen{Keys: 16, WindowRecords: 100}
+	addr := srv.Addr().String()
+
+	connA, _, token, _ := rawSessionDial(t, addr, 0)
+	defer connA.Close()
+	// Frame 1 fills the one-slot queue; frame 2 stalls in the push.
+	if err := writeSeqFrame(connA, 1, genColumnarPayload(&gen, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	awaitAck(t, connA, 1)
+	p2 := genColumnarPayload(&gen, 10, 10)
+	if err := writeSeqFrame(connA, 2, p2); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.sessions.lookup(token)
+	waitFor(t, 5*time.Second, func() bool {
+		if sess.dmu.TryLock() {
+			sess.dmu.Unlock()
+			return false
+		}
+		return true
+	}, "connection A to stall delivering frame 2")
+
+	connB, _ := rawSessionRequest(t, addr, token)
+	defer connB.Close()
+	waitFor(t, 5*time.Second, func() bool { return srv.Counters().SessionsResumed == 1 }, "connection B's resume")
+	connB.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if _, last, err := readSessionGrant(connB); err == nil {
+		t.Fatalf("grant (lastSeq %d) written while frame 2 was still being delivered", last)
+	}
+	connB.SetReadDeadline(time.Time{})
+
+	got, done := collect(feed) // resume the feed
+	tokenB, lastB, err := readSessionGrant(connB)
+	if err != nil || tokenB != token || lastB != 2 {
+		t.Fatalf("resume grant token=%d lastSeq=%d err=%v, want %d/2", tokenB, lastB, err, token)
+	}
+	if err := writeSeqFrame(connB, 3, genColumnarPayload(&gen, 20, 10)); err != nil {
+		t.Fatal(err)
+	}
+	awaitAck(t, connB, 3)
+	srv.Close()
+	<-done
+	if n := got.Load(); n != 30 {
+		t.Fatalf("ingested %d records, want exactly 30: frame 2 must be delivered once", n)
+	}
+	if n := srv.Counters().DuplicateFrames; n != 0 {
+		t.Fatalf("DuplicateFrames = %d, want 0", n)
 	}
 }
 

@@ -26,12 +26,15 @@ type Metrics struct {
 	ColSlabsRecycled  int64
 	// Per-tier live grouped window-state bytes (sorted runs + merge
 	// intermediates), indexed like the mempool tiers. Pane sharing is
-	// what keeps the sliding-window figure ~overlap× below the
-	// duplicate-scatter baseline.
+	// what keeps the sliding-window figure at one copy of each record
+	// rather than one per overlapping window.
 	WindowStateBytes [3]int64
 	// Pane-sharing counters: sorted pane runs built, and the extra
 	// window references taken on them.
 	PaneRuns, SharedRunRefs int64
+	// LateRecords counts records dropped behind the watermark: every
+	// window covering them was already sealed.
+	LateRecords int64
 	// Demand-balance knob probabilities.
 	KLow, KHigh float64
 	// Scheduler backlog per priority class (low, high, urgent).
@@ -100,6 +103,7 @@ func WriteMetrics(w io.Writer, m Metrics) {
 	}
 	gauge("streambox_pane_runs_total", "", m.PaneRuns)
 	gauge("streambox_shared_run_refs_total", "", m.SharedRunRefs)
+	gauge("streambox_late_records_total", "", m.LateRecords)
 	gauge("streambox_mempool_allocs_total", "", m.Allocs)
 	gauge("streambox_mempool_frees_total", "", m.Frees)
 	gauge("streambox_mempool_alloc_failures_total", "", m.AllocFailures)

@@ -235,7 +235,12 @@ type Server struct {
 	mu      sync.Mutex
 	conns   map[int64]*serverConn
 	pending map[net.Conn]struct{} // accepted, handshake not yet complete
-	nextID  int64
+	// admitted counts handshakes past admission control whose handler
+	// has not exited — Counters.ActiveConns. The MaxConns slot is taken
+	// before the OK ack goes out, not when the connection later joins
+	// conns, so a client that has its ack is already counted.
+	admitted int
+	nextID   int64
 
 	sessions *sessionTable
 	stopC    chan struct{} // closed when shutdown begins; stops the reaper
@@ -447,7 +452,7 @@ func (s *Server) Drain(grace time.Duration) {
 // Counters returns the aggregate ingest counters.
 func (s *Server) Counters() Counters {
 	s.mu.Lock()
-	active := int64(len(s.conns))
+	active := int64(s.admitted)
 	s.mu.Unlock()
 	_, parked := s.cfg.Feed.liveCursors()
 	c := Counters{
@@ -568,21 +573,25 @@ func (s *Server) readBufSize(f parsefmt.Format) int {
 	return size
 }
 
-// shouldShed is the admission-control decision for one completed hello:
-// shed when the connection count is at the cap or the pressure signal
-// says the engine is past its memory headroom. Established connections
-// are never shed — they are throttled through credit withholding
+// admit is the admission-control decision for one completed hello. It
+// sheds when the connection count is at the cap or the pressure signal
+// says the engine is past its memory headroom; otherwise it reserves
+// the connection's MaxConns slot — under the lock, before the OK ack is
+// written, so concurrent dials cannot both see the last free slot — and
+// the handler returns it when it exits. Established connections are
+// never shed — they are throttled through credit withholding
 // (Overloaded) instead.
-func (s *Server) shouldShed() bool {
-	if s.cfg.MaxConns > 0 {
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
-		if n >= s.cfg.MaxConns {
-			return true
-		}
+func (s *Server) admit() bool {
+	if s.cfg.ShedPressure != nil && s.cfg.ShedPressure() {
+		return false
 	}
-	return s.cfg.ShedPressure != nil && s.cfg.ShedPressure()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cfg.MaxConns > 0 && s.admitted >= s.cfg.MaxConns {
+		return false
+	}
+	s.admitted++
+	return true
 }
 
 // handle runs one connection: handshake (hello, admission, optional
@@ -612,11 +621,16 @@ func (s *Server) handle(conn net.Conn) {
 		writeAck(conn, version, status, 0)
 		return
 	}
-	if s.shouldShed() {
+	if !s.admit() {
 		s.shed.Add(1)
 		writeAck(conn, version, statusOverloaded, 0)
 		return
 	}
+	defer func() {
+		s.mu.Lock()
+		s.admitted--
+		s.mu.Unlock()
+	}()
 
 	if writeAck(conn, version, statusOK, uint16(s.cfg.FrameCredits)) != nil {
 		return
@@ -728,7 +742,9 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	if sess != nil {
-		if writeSessionGrant(conn, sess.token, sess.lastSeq.Load()) != nil {
+		// settledSeq waits out a frame the superseded connection is
+		// still delivering, so the grant never trails what is ingested.
+		if writeSessionGrant(conn, sess.token, sess.settledSeq()) != nil {
 			return
 		}
 	}
@@ -930,39 +946,67 @@ func (s *Server) serveColumnar(c *serverConn, br *bufio.Reader) {
 				}
 			}
 		}
-		if s.cfg.WAL != nil {
-			// Durability before delivery, delivery before ack: a session
-			// frame is fsynced here, pushed below, and only then reflected
-			// in lastSeq — so the client's replay buffer and the log
-			// together cover every frame across a crash, with no overlap
-			// the dedup line cannot absorb.
-			var tok uint64
-			if session {
-				tok = c.sess.token
-			}
-			if err := s.cfg.WAL.AppendFrame(tok, c.id, seq, maxTs, cols, ranges, session); err != nil {
-				// The frame's durability is unknown; sever without
-				// advancing the ack so a session client replays it.
-				s.cfg.Feed.Recycle(cols)
-				return
-			}
+		if !s.deliver(c, seq, maxTs, cols, ranges) {
+			return
 		}
-		n := int64(hdr.NRows)
-		if !s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
-			s.dropped.Add(n)
-			c.dropped.Add(n)
-			return // draining: the pipeline no longer accepts records
-		}
-		s.ingested.Add(n)
-		c.ingested.Add(n)
-		if session {
-			c.sess.lastSeq.Store(seq)
-			expect = seq + 1
-		}
+		expect = seq + 1
 		if !s.grantCredit(c) {
 			return
 		}
 	}
+}
+
+// deliver is the one place a received frame becomes ingested, for both
+// frame loops: write-ahead log append, feed push and — in session mode
+// — the cumulative-ack advance, in that order. Durability before
+// delivery, delivery before ack: a session frame is fsynced, pushed,
+// and only then reflected in lastSeq, so the client's replay buffer and
+// the log together cover every frame across a crash, with no overlap
+// the dedup line cannot absorb. (Row frames log their decoded columnar
+// form — replay re-enters the feed without the original encoding.)
+//
+// In session mode the whole section runs under the session's delivery
+// lock and only while c still owns the session. A connection that was
+// taken over after it read frame N must not push it: the successor's
+// grant already said N−1 and the client is about to replay N. cols is
+// nil for a row frame no record survived from. Returns false when the
+// connection must end: superseded, durability unknown, or draining.
+func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange) bool {
+	session := c.session()
+	var tok uint64
+	if session {
+		tok = c.sess.token
+		c.sess.dmu.Lock()
+		defer c.sess.dmu.Unlock()
+		if !c.sess.owns(c) {
+			if cols != nil {
+				s.cfg.Feed.Recycle(cols)
+			}
+			return false
+		}
+	}
+	if cols != nil {
+		if s.cfg.WAL != nil {
+			if err := s.cfg.WAL.AppendFrame(tok, c.id, seq, maxTs, cols, ranges, session); err != nil {
+				// The frame's durability is unknown; sever without
+				// advancing the ack so a session client replays it.
+				s.cfg.Feed.Recycle(cols)
+				return false
+			}
+		}
+		n := int64(len(cols[0]))
+		if !s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
+			s.dropped.Add(n)
+			c.dropped.Add(n)
+			return false // draining: the pipeline no longer accepts records
+		}
+		s.ingested.Add(n)
+		c.ingested.Add(n)
+	}
+	if session {
+		c.sess.lastSeq.Store(seq)
+	}
+	return true
 }
 
 // rowFrame is one received row-format frame riding the work channel to
@@ -1066,42 +1110,13 @@ func (s *Server) decodeRows(c *serverConn, work chan rowFrame, free chan []byte,
 		cols, maxTs := s.decodeFrame(c, fr.payload)
 		<-s.decodeSem
 		free <- fr.payload[:cap(fr.payload)]
-		if cols != nil {
-			if s.cfg.WAL != nil {
-				// Log the decoded columnar form — replay re-enters the
-				// feed without needing the original wire encoding. Same
-				// ordering contract as the columnar path: fsync (for
-				// sessions) before delivery, delivery before the ack.
-				var tok uint64
-				if c.session() {
-					tok = c.sess.token
-				}
-				if err := s.cfg.WAL.AppendFrame(tok, c.id, fr.seq, maxTs, cols, nil, c.session()); err != nil {
-					s.cfg.Feed.Recycle(cols)
-					fatal = true
-					c.conn.Close()
-					continue
-				}
-			}
-			n := int64(len(cols[0]))
-			if s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
-				s.ingested.Add(n)
-				c.ingested.Add(n)
-			} else {
-				// Draining: the pipeline no longer accepts records.
-				s.dropped.Add(n)
-				c.dropped.Add(n)
-				fatal = true
-				c.conn.Close()
-				continue
-			}
-		}
-		if c.session() {
-			// The frame is consumed — decoded, or counted as a decode
-			// error that a replay of the same bytes could not improve
-			// (row formats carry no checksum). Advance the cumulative
-			// ack so the client trims its replay buffer.
-			c.sess.lastSeq.Store(fr.seq)
+		// A frame with no surviving record is consumed all the same — a
+		// replay of the same bytes could not improve on it (row formats
+		// carry no checksum) — so deliver still advances the ack.
+		if !s.deliver(c, fr.seq, maxTs, cols, nil) {
+			fatal = true
+			c.conn.Close()
+			continue
 		}
 		if !s.grantCredit(c) {
 			fatal = true

@@ -23,6 +23,16 @@ type session struct {
 	// and the resume handshake.
 	lastSeq atomic.Uint64
 
+	// dmu is the delivery lock: Server.deliver holds it from the
+	// ownership check through the feed push to the lastSeq advance, and
+	// a takeover reads its grant through settledSeq, which takes it too.
+	// So a superseded connection either finishes delivering frame N
+	// before the successor's grant is written — which then says N — or
+	// finds it no longer owns the session and delivers nothing. It is
+	// separate from mu because the push can block on a full feed, and
+	// the reaper must not wait behind that. Lock order: dmu → mu → feed.
+	dmu sync.Mutex
+
 	mu         sync.Mutex
 	conn       *serverConn // attached connection, nil while detached
 	detachedAt time.Time
@@ -98,6 +108,16 @@ func (ss *session) owns(c *serverConn) bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return ss.conn == c
+}
+
+// settledSeq returns lastSeq once no delivery is in flight. Called by a
+// connection that has just attached: its predecessor can no longer
+// start a delivery, so the value is the session's dedup line until the
+// caller itself advances it.
+func (ss *session) settledSeq() uint64 {
+	ss.dmu.Lock()
+	defer ss.dmu.Unlock()
+	return ss.lastSeq.Load()
 }
 
 // sessionTable tracks the server's live sessions by token.

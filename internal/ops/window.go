@@ -77,20 +77,14 @@ func (o *WindowOp) emitFixed(ctx *engine.Ctx, k *kpa.KPA, win wm.Windowing, lo, 
 }
 
 // emitSliding replicates records into every window containing them
-// (each record belongs to Size/Slide windows). When the windowing
-// decomposes into coarse enough panes (wm.PaneSharing — the same
-// predicate the native backend gates its pane path on), the emitted
-// KPAs carry PaneShare so downstream grouping charges the pane-shared
-// demand (each record's one pane run is built and sorted once,
-// referenced by every covering window) rather than a full sort per
-// replica; shapes that fall back to direct scatter are charged in
-// full.
+// (each record belongs to Size/Slide windows). The emitted KPAs carry
+// PaneShare = Overlap so downstream grouping charges the pane-shared
+// demand — each record's one pane run is built and sorted once and
+// referenced by every covering window, as on the native backend —
+// rather than a full sort per replica.
 func (o *WindowOp) emitSliding(ctx *engine.Ctx, k *kpa.KPA, win wm.Windowing, lo, hi wm.Time, al kpa.Allocator) []engine.Emission {
 	first := win.WindowsOf(lo)[0]
-	share := 1
-	if win.PaneSharing() {
-		share = win.Overlap()
-	}
+	share := win.Overlap()
 	var out []engine.Emission
 	for _, start := range win.Boundaries(first, hi) {
 		s, e := start, win.End(start)

@@ -2,8 +2,8 @@ package runtime
 
 // controller.go is the degradation ladder's brain: a feedback
 // controller the monitor ticks on MonitorInterval whenever the spill
-// tier is attached (Config.SpillCapacity > 0, no PinnedKnob). It
-// replaces the paper's fixed-schedule knob updates with a control loop
+// tier is attached (Config.SpillCapacity > 0). It replaces the
+// paper's fixed-schedule knob updates with a control loop
 // over pool occupancy, DRAM bandwidth, scheduler queue depths and
 // per-tier window-state bytes, and decides when to walk sealed window
 // state out to the mmap'd spill file — so a working set beyond the
@@ -15,14 +15,14 @@ package runtime
 import "streambox/internal/memsim"
 
 const (
-	// defaultEvictHighWater/LowWater bound the eviction hysteresis over
-	// the worst memory-tier utilization: eviction engages above the high
-	// water mark and keeps going until occupancy drops below the low
-	// water mark. Both sit well under the backpressure (0.95) and shed
-	// (0.98) thresholds, so state leaves for the spill tier before
-	// ingest ever stalls or connections shed.
-	defaultEvictHighWater = 0.85
-	defaultEvictLowWater  = 0.70
+	// evictHigh/evictLow bound the eviction hysteresis over the worst
+	// memory-tier utilization: eviction engages above the high water
+	// mark and keeps going until occupancy drops below the low water
+	// mark. Both sit well under the backpressure (0.95) and shed (0.98)
+	// thresholds, so state leaves for the spill tier before ingest ever
+	// stalls or connections shed.
+	evictHigh = 0.85
+	evictLow  = 0.70
 	// ctrlSetpoint is the HBM occupancy the knob steers toward: high
 	// enough to keep the fast tier earning its capacity, low enough to
 	// leave headroom for urgent allocations and merge intermediates.
@@ -70,26 +70,15 @@ type ctrlAction struct {
 // is only touched from the monitor goroutine (and from tests); all
 // cross-goroutine effects flow through Knob.Set and exec.evictColdest.
 type placementController struct {
-	kLow, kHigh         float64
-	highWater, lowWater float64
+	kLow, kHigh float64
 	// evicting latches between the hysteresis bounds.
 	evicting bool
 }
 
 // newPlacementController returns the controller at the knob's initial
-// state k_low = k_high = 1, with eviction hysteresis bounds hi/lo
-// (0 picks the defaults 0.85/0.70).
-func newPlacementController(hi, lo float64) *placementController {
-	if hi <= 0 {
-		hi = defaultEvictHighWater
-	}
-	if lo <= 0 {
-		lo = defaultEvictLowWater
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return &placementController{kLow: 1, kHigh: 1, highWater: hi, lowWater: lo}
+// state k_low = k_high = 1.
+func newPlacementController() *placementController {
+	return &placementController{kLow: 1, kHigh: 1}
 }
 
 // step advances the control loop one tick. Proportional control steers
@@ -138,9 +127,9 @@ func (c *placementController) step(s ctrlSignals) ctrlAction {
 		worst = s.DRAMUtil
 	}
 	if c.evicting {
-		c.evicting = worst > c.lowWater
+		c.evicting = worst > evictLow
 	} else {
-		c.evicting = worst > c.highWater
+		c.evicting = worst > evictHigh
 	}
 
 	return ctrlAction{

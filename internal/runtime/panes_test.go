@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"streambox/internal/bundle"
+	"streambox/internal/engine"
 	"streambox/internal/kpa"
+	"streambox/internal/memsim"
 	"streambox/internal/wm"
 )
 
 // orderAgg is an order-sensitive aggregator: its result is a fold hash
 // of the values in visit order, so any reordering of equal-key pairs
-// between two runs of the pipeline changes the output. It pins that the
-// pane path presents every window's pairs in exactly the sequence the
-// direct duplicate-scatter path does.
+// changes the output. It pins that a window's close visits every key's
+// values in arrival order, whatever panes and runs they came through.
 type orderAgg struct{ h uint64 }
 
 func (a *orderAgg) Add(v uint64) { a.h = a.h*1099511628211 + v + 1 }
@@ -29,7 +30,8 @@ func orderSensitive() kpa.AggFactory { return func() kpa.Agg { return &orderAgg{
 // skewedGen is a deterministic generator with heavily skewed keys (the
 // minimum of two uniform draws) and timestamps that are non-decreasing
 // within a bundle — the arrival order real ingestion produces, and the
-// property both extraction paths' equal-key orderings agree under.
+// property under which a close's (bundle, pane, row) visit order is
+// arrival order.
 type skewedGen struct {
 	keys   uint64
 	rng    *rand.Rand
@@ -59,7 +61,63 @@ func (g *skewedGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
 	}
 }
 
-// paneTestPlan builds a sliding plan over the skewed stream with an
+// rec is one ingested record as the reference sees it.
+type rec struct{ key, val, ts uint64 }
+
+// recordingGen wraps a generator and keeps every record it produced, in
+// arrival order, for the reference to fold.
+type recordingGen struct {
+	inner engine.Generator
+	recs  []rec
+}
+
+func (g *recordingGen) Schema() bundle.Schema { return g.inner.Schema() }
+
+func (g *recordingGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
+	tmp, err := bundle.NewBuilder(0, g.Schema(), n, memsim.DRAM)
+	if err != nil {
+		panic(err)
+	}
+	g.inner.Fill(tmp, n, tsLo, tsHi)
+	b := tmp.Seal()
+	for i := 0; i < b.Rows(); i++ {
+		g.recs = append(g.recs, rec{b.At(i, 0), b.At(i, 1), b.At(i, 2)})
+	}
+	if err := bd.AppendColumnar(b.Col(0), b.Col(1), b.Col(2)); err != nil {
+		panic(err)
+	}
+}
+
+// reference is the single-threaded oracle: it folds each record, in
+// arrival order, into every window containing it (wm.WindowsOf steps
+// through them one by one) and counts the (record, window)
+// assignments. No panes, no runs, no merge.
+func reference(win wm.Windowing, newAgg kpa.AggFactory, recs []rec) (map[wm.Time]map[uint64]uint64, int64) {
+	aggs := make(map[wm.Time]map[uint64]kpa.Agg)
+	var pairs int64
+	for _, r := range recs {
+		for _, w := range win.WindowsOf(r.ts) {
+			if aggs[w] == nil {
+				aggs[w] = make(map[uint64]kpa.Agg)
+			}
+			if aggs[w][r.key] == nil {
+				aggs[w][r.key] = newAgg()
+			}
+			aggs[w][r.key].Add(r.val)
+			pairs++
+		}
+	}
+	out := make(map[wm.Time]map[uint64]uint64, len(aggs))
+	for w, keys := range aggs {
+		out[w] = make(map[uint64]uint64, len(keys))
+		for k, a := range keys {
+			out[w][k] = a.Result()
+		}
+	}
+	return out, pairs
+}
+
+// paneTestPlan builds a plan over the skewed stream with an
 // order-sensitive aggregator.
 func paneTestPlan(win wm.Windowing, seed int64) Plan {
 	plan := testPlan(newSkewedGen(13, seed), 24_000)
@@ -69,149 +127,120 @@ func paneTestPlan(win wm.Windowing, seed int64) Plan {
 	return plan
 }
 
-// TestPaneMatchesDirectSliding is the pane-path equivalence property:
-// across overlap factors 1, 2, 4, 7 and 16, a non-divisible
-// size/slide, skewed keys and an order-sensitive aggregator, the
-// pane-based shared path must reproduce the DirectSliding
-// duplicate-scatter baseline bit for bit — same windows, same keys,
-// same fold hashes. Run under -race in CI.
-func TestPaneMatchesDirectSliding(t *testing.T) {
+// runAgainstReference runs the plan with its generator recorded and
+// requires the captured rows to equal the reference bit for bit — same
+// windows, same keys, same fold hashes — and the logical pair count to
+// equal the reference's assignments.
+func runAgainstReference(t *testing.T, plan Plan) Report {
+	t.Helper()
+	gen := &recordingGen{inner: plan.Gen}
+	plan.Gen = gen
+	win := plan.Win
+	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	if err != nil {
+		t.Fatalf("size=%d slide=%d: %v", win.Size, win.Slide, err)
+	}
+	if rep.IngestedRecords != int64(len(gen.recs)) || rep.LateRecords != 0 {
+		t.Fatalf("size=%d slide=%d: ingested %d of %d generated, %d late",
+			win.Size, win.Slide, rep.IngestedRecords, len(gen.recs), rep.LateRecords)
+	}
+	want, pairs := reference(win, plan.NewAgg, gen.recs)
+	got := rowsByWindowKey(rep.Rows)
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("size=%d slide=%d: closed %d windows, reference has %d", win.Size, win.Slide, len(got), len(want))
+	}
+	for w, wk := range want {
+		gk, ok := got[w]
+		if !ok || len(gk) != len(wk) {
+			t.Fatalf("size=%d slide=%d window %d: %d keys, reference has %d (present=%v)",
+				win.Size, win.Slide, w, len(gk), len(wk), ok)
+		}
+		for k, v := range wk {
+			if gk[k] != v {
+				t.Fatalf("size=%d slide=%d window %d key %d: fold %x, reference %x — pairs dropped, duplicated or reordered",
+					win.Size, win.Slide, w, k, gk[k], v)
+			}
+		}
+	}
+	if rep.ExtractedPairs != pairs {
+		t.Fatalf("size=%d slide=%d: %d logical pairs, reference assigns %d",
+			win.Size, win.Slide, rep.ExtractedPairs, pairs)
+	}
+	return rep
+}
+
+// TestPaneMatchesReference is the extract/close equivalence property:
+// across overlap factors 1, 2, 4, 7 and 16, a non-divisible and a
+// near-coprime size/slide (paired panes of unequal width) and fixed
+// windows, with skewed keys and an order-sensitive aggregator, the one
+// pane path must reproduce the reference bit for bit. Run under -race
+// in CI.
+func TestPaneMatchesReference(t *testing.T) {
 	shapes := []wm.Windowing{
-		wm.Sliding(1_000_000, 1_000_000), // overlap 1 (degenerates to fixed)
+		wm.Sliding(1_000_000, 1_000_000), // overlap 1: a fixed window
 		wm.Sliding(1_000_000, 500_000),   // overlap 2
 		wm.Sliding(1_000_000, 250_000),   // overlap 4
 		wm.Sliding(700_000, 100_000),     // overlap 7
 		wm.Sliding(1_000_000, 62_500),    // overlap 16
-		wm.Sliding(700_000, 200_000),     // non-divisible: pane = gcd = 100_000
-		wm.Sliding(1_000_000, 333_333),   // near-coprime: gcd 1, panes fall back to direct
+		wm.Sliding(700_000, 200_000),     // non-divisible: panes of 100_000
+		wm.Sliding(1_000_000, 333_333),   // near-coprime: panes of 1 and 333_332
+		wm.Fixed(500_000),
 	}
 	for _, win := range shapes {
-		win := win
-		pane, err := Run(paneTestPlan(win, 42), Config{Workers: 4, Capture: true})
-		if err != nil {
-			t.Fatalf("size=%d slide=%d pane: %v", win.Size, win.Slide, err)
-		}
-		direct, err := Run(paneTestPlan(win, 42), Config{Workers: 4, Capture: true, DirectSliding: true})
-		if err != nil {
-			t.Fatalf("size=%d slide=%d direct: %v", win.Size, win.Slide, err)
-		}
-		if pane.IngestedRecords != direct.IngestedRecords {
-			t.Fatalf("size=%d slide=%d: ingested %d vs %d", win.Size, win.Slide,
-				pane.IngestedRecords, direct.IngestedRecords)
-		}
-		p, d := rowsByWindowKey(pane.Rows), rowsByWindowKey(direct.Rows)
-		if len(p) == 0 || len(p) != len(d) {
-			t.Fatalf("size=%d slide=%d: pane closed %d windows, direct %d",
-				win.Size, win.Slide, len(p), len(d))
-		}
-		for w, pk := range p {
-			dk, ok := d[w]
-			if !ok || len(pk) != len(dk) {
-				t.Fatalf("size=%d slide=%d window %d: pane %d keys, direct %d (present=%v)",
-					win.Size, win.Slide, w, len(pk), len(dk), ok)
+		rep := runAgainstReference(t, paneTestPlan(win, 42))
+		switch {
+		case win.IsFixed():
+			if rep.PaneRuns != 0 || rep.SharedRunRefs != 0 {
+				t.Fatalf("size=%d: fixed windows report pane sharing (%d runs, %d refs)",
+					win.Size, rep.PaneRuns, rep.SharedRunRefs)
 			}
-			for k, v := range pk {
-				if dk[k] != v {
-					t.Fatalf("size=%d slide=%d window %d key %d: pane fold %x, direct fold %x — pair order diverged",
-						win.Size, win.Slide, w, k, v, dk[k])
-				}
-			}
-		}
-		if eligible := win.PaneSharing(); eligible {
-			if pane.PaneRuns == 0 {
-				t.Fatalf("size=%d slide=%d: pane path reported no pane runs", win.Size, win.Slide)
-			}
-			if win.Overlap() > 1 && pane.SharedRunRefs == 0 {
-				t.Fatalf("size=%d slide=%d: overlapping windows took no shared references", win.Size, win.Slide)
-			}
-		} else if pane.PaneRuns != 0 {
-			t.Fatalf("size=%d slide=%d: ineligible shape must fall back to direct scatter", win.Size, win.Slide)
-		}
-		if direct.PaneRuns != 0 || direct.SharedRunRefs != 0 {
-			t.Fatalf("direct baseline must not report pane sharing (%d runs, %d refs)",
-				direct.PaneRuns, direct.SharedRunRefs)
+		case rep.PaneRuns == 0:
+			t.Fatalf("size=%d slide=%d: no pane runs reported", win.Size, win.Slide)
+		case rep.SharedRunRefs == 0:
+			t.Fatalf("size=%d slide=%d: overlapping windows took no shared references", win.Size, win.Slide)
 		}
 	}
 }
 
 // TestPaneStateSharing checks the observable effect the panes exist
-// for: at overlap 8 the pane path's peak window-state bytes sit far
-// below the duplicate-scatter baseline's, and extraction stages
-// overlap× fewer physical pairs for the same logical assignments.
+// for, as an absolute bound: at overlap 8 every record is staged and
+// sorted once, so live window state never exceeds one pair per
+// ingested record — scattering records into each of their 8 windows
+// would pass that bound as soon as an eighth of the stream were in
+// flight — while the logical (record, window) assignments still count
+// every covering window.
 func TestPaneStateSharing(t *testing.T) {
 	win := wm.Sliding(1_000_000, 125_000) // overlap 8
-	plan := paneTestPlan(win, 7)
-	pane, err := Run(plan, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	rep := runAgainstReference(t, paneTestPlan(win, 7))
+	peak := rep.PeakWindowStateTotalBytes
+	if peak == 0 {
+		t.Fatal("missing state accounting")
 	}
-	direct, err := Run(paneTestPlan(win, 7), Config{Workers: 4, DirectSliding: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	panePeak := pane.PeakWindowStateTotalBytes
-	directPeak := direct.PeakWindowStateTotalBytes
-	if panePeak == 0 || directPeak == 0 {
-		t.Fatalf("missing state accounting: pane %d, direct %d", panePeak, directPeak)
-	}
-	if pane.PeakWindowStateBytes[0]+pane.PeakWindowStateBytes[1] < panePeak {
+	if rep.PeakWindowStateBytes[0]+rep.PeakWindowStateBytes[1] < peak {
 		t.Fatal("per-tier peaks cannot sum below the combined peak")
 	}
-	if directPeak < 2*panePeak {
-		t.Fatalf("peak state: pane %d, direct %d — sharing should cut state by ~overlap (8x)",
-			panePeak, directPeak)
+	if bound := memsim.PairBytes * rep.IngestedRecords; peak > bound {
+		t.Fatalf("peak state %d B exceeds one pair per record (%d B): records were replicated per window", peak, bound)
 	}
-	if pane.ExtractedPairs != direct.ExtractedPairs {
-		t.Fatalf("logical pair accounting diverged: pane %d, direct %d",
-			pane.ExtractedPairs, direct.ExtractedPairs)
+	if rep.ExtractedPairs < 7*rep.IngestedRecords {
+		t.Fatalf("%d logical pairs for %d records at overlap 8", rep.ExtractedPairs, rep.IngestedRecords)
 	}
-	if pane.SharedRunRefs < pane.PaneRuns {
+	if rep.SharedRunRefs < rep.PaneRuns {
 		t.Fatalf("at overlap 8 every interior pane run is shared: %d refs for %d runs",
-			pane.SharedRunRefs, pane.PaneRuns)
+			rep.SharedRunRefs, rep.PaneRuns)
 	}
 }
 
-// TestPaneFanInClose drives the pane path past the merge fan-in cap:
-// tiny bundles at overlap 8 give every window far more shared pane
-// runs than one loser tree holds, so closes must compact shared runs
-// (releasing one reference each) before the fused merge-reduce, and
-// totals must still balance.
+// TestPaneFanInClose drives closes past the merge fan-in cap: tiny
+// bundles at overlap 8 give every window far more shared pane runs
+// than one loser tree holds, so closes must compact shared runs
+// (releasing one reference each) before the fused merge-reduce — and
+// still present every key's values in arrival order.
 func TestPaneFanInClose(t *testing.T) {
 	plan := testPlan(newSkewedGen(5, 3), 12_000)
 	plan.Win = wm.Sliding(1_000_000, 125_000)
+	plan.NewAgg = orderSensitive()
 	plan.Source.BundleRecords = 100 // 40 bundles per window of records
 	plan.Source.WatermarkEvery = 40
-	pane, err := Run(plan, Config{Workers: 4, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := func() (Report, error) {
-		plan := testPlan(newSkewedGen(5, 3), 12_000)
-		plan.Win = wm.Sliding(1_000_000, 125_000)
-		plan.Source.BundleRecords = 100
-		plan.Source.WatermarkEvery = 40
-		return Run(plan, Config{Workers: 4, Capture: true, DirectSliding: true})
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, d := rowsByWindowKey(pane.Rows), rowsByWindowKey(direct.Rows)
-	if len(p) == 0 || len(p) != len(d) {
-		t.Fatalf("pane closed %d windows, direct %d", len(p), len(d))
-	}
-	var paneSum, directSum uint64
-	for _, keys := range p {
-		for _, v := range keys {
-			paneSum += v
-		}
-	}
-	for _, keys := range d {
-		for _, v := range keys {
-			directSum += v
-		}
-	}
-	if paneSum != directSum {
-		t.Fatalf("sum over windows: pane %d, direct %d — a shared run was dropped or double-merged",
-			paneSum, directSum)
-	}
+	runAgainstReference(t, plan)
 }

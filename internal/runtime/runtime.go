@@ -2,57 +2,67 @@
 // declarative pipelines on real goroutines over real data, alongside
 // the discrete-event simulator (internal/engine + internal/memsim)
 // rather than replacing it. The structure mirrors the paper's runtime
-// (§3, §5): ingest builds DRAM record bundles, extraction creates Key
-// Pointer Arrays, radix run formation sorts one KPA per bundle per
-// window, and windows close through the paper's §4.3 parallel full-KPA
-// merge: the key space is range-partitioned once across all of a
-// window's sorted runs and each partition streams through a loser-tree
-// k-way merge fused with keyed reduction, dereferencing pointers back
-// into the DRAM bundles as pairs arrive — one sequential read of the
-// inputs, no intermediate KPA materialization, no separate reduce
-// sweep. Windows that accumulate more runs than the fan-in cap first
-// compact them in k-way batches (a single materialization, not a
-// log2(R) pairwise tree); the old pairwise merge tree plus separate
-// reduce survives as a benchmarking baseline behind
-// Config.PairwiseClose.
+// (§3, §5) and has exactly one grouping mechanism (§4, Table 2):
+// extract a Key Pointer Array, sort it into a run, merge runs at window
+// close.
 //
-// Sliding windows aggregate through shared panes: extraction scatters
-// each surviving record into exactly one non-overlapping pane of width
-// gcd(Size, Slide) and radix-sorts one pane run per bundle×pane, and
-// every sliding window references the sorted runs of the panes it
-// covers instead of holding a private copy of each record. Runs are
-// reference counted (one reference per covering window, kpa.Retain/
-// Destroy), so a pane's slab returns to the mempool exactly once, when
-// its last covering window closes — extract and sort work, window
-// state and DRAM traffic all drop by the Size/Slide overlap factor
-// relative to scattering every record into every window it belongs to.
-// The duplicate-scatter path survives as a benchmarking baseline
-// behind Config.DirectSliding. Everything is scheduled on a
-// work-stealing worker pool whose queues honor the Urgent/High/Low
-// performance-impact tags, with KPA placement drawn from the
-// demand-balance knob and ingestion backpressure driven by mempool
-// utilization.
+// Extract. Ingest builds DRAM record bundles; one task per bundle
+// scatters the surviving records into non-overlapping panes (paired
+// panes, wm.Panes: at most two per slide, every window an exact union
+// of them) and radix-sorts one KPA run per bundle×pane. A fixed window
+// is the sliding window whose single pane is the whole window, so there
+// is no second path. Runs are filed in the window table (windows.go)
+// under their pane and reference counted, one reference per covering
+// window still open (kpa.Retain/Destroy): each record is staged and
+// sorted once however many windows overlap it, and a run's slab returns
+// to the mempool exactly once, when its last covering window closes.
 //
-// With Config.SpillCapacity set, the two memory tiers grow a third:
-// an mmap'd cold spill file (internal/spill) attached to the mempool
-// as memsim.Spill, forming a degradation ladder — HBM for hot KPAs,
-// DRAM for bundles and overflow, the spill file for sealed runs that
-// lost their heat. An adaptive placement controller (controller.go)
-// then replaces the paper's static knob schedule: each monitor tick it
-// drives {k_low, k_high} from pool occupancy, queue depths and
-// per-tier window-state bytes, and when utilization crosses the
-// eviction high-water mark it walks the coldest sealed quiescent runs
-// out to the spill file (spillpath.go), materializing their values so
-// the DRAM bundles free too. The ingest loop takes the same ladder
-// synchronously on pool exhaustion — evict first, force a watermark
-// only if the spill file cannot absorb the overshoot — and window
-// close transparently loads spilled runs back (or merges straight
-// over the mmap view), bit-identical to the never-spilled run. The
-// result: working sets ~2x the memory budget degrade into slower
-// closes instead of ErrOverloaded/ErrExhausted.
+// Close. When the watermark seals a window and its last pending
+// extraction has landed, the window merges the runs of the panes it
+// covers with the paper's §4.3 parallel full-KPA merge: the key space
+// is range-partitioned once across all runs and each partition streams
+// through a loser-tree k-way merge fused with keyed reduction,
+// dereferencing pointers back into the DRAM bundles as pairs arrive —
+// one sequential read of the inputs, no intermediate KPA, no separate
+// reduce sweep. A window with more runs than one loser tree holds
+// (mergeFanIn) first compacts them in k-way batches, a single
+// materialization; the choice is made from the run count.
+//
+// Late data. A record is late for a window iff the target watermark had
+// reached the window's end when the record's bundle registered — both
+// happen on the ingest goroutine, so the outcome is a function of the
+// stream alone. Late windows are not re-opened: the record still joins
+// every covering window that is open, and a record with none left is
+// dropped and counted in Report.LateRecords. A window therefore
+// publishes exactly once and Execution.SealedWatermark never moves
+// backwards.
+//
+// Everything is scheduled on a work-stealing worker pool whose queues
+// honor the Urgent/High/Low performance-impact tags, with KPA placement
+// drawn from the demand-balance knob and ingestion backpressure driven
+// by mempool utilization.
+//
+// Memory. Without a spill tier the knob follows the paper's schedule
+// over HBM occupancy and DRAM bandwidth. With Config.SpillCapacity set,
+// the two memory tiers grow a third — an mmap'd cold spill file
+// (internal/spill) attached to the mempool as memsim.Spill — and the
+// adaptive placement controller (controller.go) takes the knob over:
+// each monitor tick it drives {k_low, k_high} from pool occupancy,
+// queue depths and per-tier window-state bytes, and above the eviction
+// high-water mark it walks the coldest quiescent runs out to the spill
+// file (spillpath.go), materializing their values so the DRAM bundles
+// free too. The ingest loop takes the same ladder synchronously on pool
+// exhaustion — evict first, force a watermark only if the spill file
+// cannot absorb the overshoot — and window close transparently loads
+// spilled runs back (or merges straight over the mmap view),
+// bit-identical to the never-spilled run. Working sets ~2x the memory
+// budget degrade into slower closes instead of
+// ErrOverloaded/ErrExhausted. Which policy runs is decided by whether a
+// spill tier is attached, not by an option.
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"sort"
@@ -223,18 +233,6 @@ type Config struct {
 	// It is called from worker goroutines and must be safe for
 	// concurrent use.
 	WindowSink func(start, end wm.Time, rows []Row)
-	// NoRecycle disables the mempool's slab recycling, so every KPA and
-	// kernel scratch buffer is a fresh Go-heap allocation. Benchmarking
-	// aid (cmd/sbx-bench -exp alloc): isolates what the recycling
-	// allocator buys over the garbage collector.
-	NoRecycle bool
-	// PairwiseClose closes windows with the old pairwise merge tree
-	// followed by a separate range-parallel reduce pass instead of the
-	// fused range-partitioned k-way merge-reduce. Benchmarking baseline
-	// (cmd/sbx-bench -exp close): results are identical; the pairwise
-	// path materializes a full KPA per merge level and re-streams the
-	// merged KPA to reduce it.
-	PairwiseClose bool
 	// SealedBefore suppresses externalization of windows already sealed
 	// and published before a crash: windows whose end is at or before it
 	// close normally but are neither delivered to WindowSink nor
@@ -242,21 +240,6 @@ type Config struct {
 	// feed path with SealedBefore set to the checkpoint's sealed
 	// watermark, so rebuilt pre-sealed windows do not publish twice.
 	SealedBefore wm.Time
-	// DirectSliding scatters every record of a sliding-window plan into
-	// all Size/Slide windows containing it instead of the default
-	// pane-based shared aggregation (each record extracted once into a
-	// non-overlapping pane, sorted pane runs refcounted and shared by
-	// every covering window). Benchmarking baseline (cmd/sbx-bench
-	// -exp panes): aggregates are identical — bit-for-bit even for
-	// order-sensitive aggregators when records within a bundle are
-	// time-ordered, which every generator produces (all built-in
-	// aggregators are order-insensitive, so unordered network batches
-	// still aggregate identically). The direct path multiplies staging,
-	// radix-sort work and window-state bytes by the overlap factor; it
-	// is also what near-coprime size/slide plans fall back to, where
-	// the gcd pane width would shatter windows into too many panes
-	// (see maxPanesPerOverlap).
-	DirectSliding bool
 	// SpillDir and SpillCapacity enable the mmap'd cold spill tier: a
 	// SpillCapacity-byte temp file created under SpillDir (the system
 	// temp dir when empty), mmap'd and immediately unlinked, attached to
@@ -267,22 +250,9 @@ type Config struct {
 	// coldest sealed runs to the spill file before utilization reaches
 	// the shed threshold, so overload degrades to slower closes instead
 	// of ErrOverloaded/ErrExhausted. SpillCapacity = 0 disables the tier
-	// (and the controller) entirely.
+	// and the knob follows the paper's schedule.
 	SpillDir      string
 	SpillCapacity int64
-	// PinnedKnob pins the demand-balance knob to a fixed
-	// {k_low, k_high} for the whole run and disables both the paper's
-	// knob schedule and the adaptive controller. Ablation aid
-	// (cmd/sbx-bench -exp adaptive): the fixed settings the controller
-	// is measured against.
-	PinnedKnob *[2]float64
-	// EvictHighWater/EvictLowWater bound the controller's eviction
-	// hysteresis over the worst memory-tier utilization: eviction starts
-	// above the high water mark and continues until utilization falls
-	// back below the low water mark (0 picks 0.85 and 0.70). Only
-	// meaningful with SpillCapacity > 0.
-	EvictHighWater float64
-	EvictLowWater  float64
 	// ShedUtilization overrides the pool pressure above which the ingest
 	// server sheds new connections (0 picks the ShedUtilization
 	// constant, 0.98).
@@ -337,24 +307,27 @@ type Report struct {
 	// SlabsRecycled counts pool allocations served from the slab free
 	// lists instead of the Go heap.
 	SlabsRecycled int64
-	// PaneRuns counts sorted pane runs built by pane-based sliding
-	// extraction, and SharedRunRefs the extra window references taken
-	// on them (covering windows minus one, per run). Both are 0 for
-	// fixed windows and under Config.DirectSliding.
+	// PaneRuns counts the sorted pane runs a sliding-window plan built,
+	// and SharedRunRefs the extra window references taken on them (open
+	// covering windows minus one, per run). Both are 0 for fixed
+	// windows, whose every run has exactly one owner.
 	PaneRuns, SharedRunRefs int64
+	// LateRecords counts records dropped because every window covering
+	// them was already sealed when their bundle arrived.
+	LateRecords int64
 	// ExtractedPairs counts logical (record, window) grouping
 	// assignments; ExtractNanos is worker time spent in the extraction
 	// + run-formation tasks producing them. Their ratio is the
-	// extract-side pair throughput that pane sharing multiplies by the
+	// extract-side pair throughput, which pane sharing multiplies by the
 	// window overlap (each pair is staged and sorted once per pane, not
 	// once per window).
 	ExtractedPairs int64
 	ExtractNanos   int64
 	// PeakWindowStateBytes is the high-water mark of live grouped
 	// window state (sorted runs plus merge intermediates) per tier,
-	// indexed by memsim.Tier. Pane sharing divides the sliding-window
-	// figure by ~overlap — the bytes that previously tipped the pool
-	// into DRAM exhaustion. The two marks are independent maxima;
+	// indexed by memsim.Tier. Pane sharing keeps the sliding-window
+	// figure at ~one copy of the records in flight rather than overlap
+	// copies. The two marks are independent maxima;
 	// PeakWindowStateTotalBytes is the true combined high-water mark
 	// (the figure to hold against pool capacity), which can be less
 	// than their sum when the knob shifts placement between tiers.
@@ -394,7 +367,10 @@ type exec struct {
 	// ping-pong) from the pool's slab free lists, per tier.
 	scratch [memsim.NumTiers]*algo.Scratch
 
-	targetWM  atomic.Uint64
+	// table is the window/pane registry; it owns the target watermark.
+	table *windowTable
+
+	late      atomic.Int64 // records dropped behind the watermark
 	dramBytes atomic.Int64 // traffic since last monitor tick
 	hbmKPAs   atomic.Int64
 	dramKPAs  atomic.Int64
@@ -432,52 +408,12 @@ type exec struct {
 	cmu        sync.Mutex
 	closeNanos []int64
 
-	// paneW is the pane width of the pane-based sliding path (0 when
-	// the plan is fixed-window or Config.DirectSliding asked for the
-	// duplicate-scatter baseline).
-	paneW wm.Time
-
-	wmu     sync.Mutex
-	windows map[wm.Time]*winEntry
-	panes   map[wm.Time]*paneEntry // pane-based sliding only
-	closed  int
-	// finishing holds windows removed from the map whose WindowSink
-	// publication has not returned yet, so SealedWatermark never claims
-	// a window sealed while its rows are still in flight to the sink.
-	finishing map[wm.Time]struct{}
-
 	rmu      sync.Mutex
 	rows     []Row
 	sinkRows map[wm.Time][]Row // per-window staging for WindowSink
 
 	emu  sync.Mutex
 	errs []error
-}
-
-// winEntry tracks the extraction tasks still due to contribute to one
-// window, and — on the fixed and DirectSliding paths — the sorted runs
-// the window owns outright. On the pane path the runs live in
-// paneEntry instead and the window merely references them. A close
-// requested by a watermark defers until the last pending extraction
-// lands.
-type winEntry struct {
-	runs           []*kpa.KPA
-	pending        int
-	closeRequested bool
-	closing        bool
-	// closeT0 stamps the close request for the close-latency samples.
-	closeT0 time.Time
-}
-
-// paneEntry holds one pane's sorted shared runs. Every run carries one
-// KPA reference per window covering the pane; refs counts the covering
-// windows that have not yet retired, and the entry is dropped when the
-// last one closes. Runs only accumulate while at least one covering
-// window still has a pending extraction (no late data), so a closing
-// window always sees the pane's complete run set.
-type paneEntry struct {
-	runs []*kpa.KPA
-	refs int
 }
 
 // Run executes the plan and blocks until every record is ingested and
@@ -519,35 +455,15 @@ func (e *Execution) Done() <-chan struct{} { return e.done }
 func (e *Execution) Ingested() int64 { return e.x.ingested.Load() }
 
 // WindowsClosed returns the windows closed so far.
-func (e *Execution) WindowsClosed() int {
-	e.x.wmu.Lock()
-	defer e.x.wmu.Unlock()
-	return e.x.closed
-}
+func (e *Execution) WindowsClosed() int { return e.x.table.closedWindows() }
 
 // SealedWatermark returns the conservative watermark through which
 // every window has fully externalized: the target watermark, held back
 // to just below the end of any window still open or still publishing
 // to the WindowSink. A checkpoint taken at this watermark together
 // with the sink's published results covers every record of every
-// window ending at or before it.
-func (e *Execution) SealedWatermark() wm.Time {
-	x := e.x
-	w := wm.Time(x.targetWM.Load())
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
-	for start := range x.windows {
-		if end := x.plan.Win.End(start); end <= w {
-			w = end - 1
-		}
-	}
-	for start := range x.finishing {
-		if end := x.plan.Win.End(start); end <= w {
-			w = end - 1
-		}
-	}
-	return w
-}
+// window ending at or before it. It never moves backwards.
+func (e *Execution) SealedWatermark() wm.Time { return e.x.table.sealedWatermark() }
 
 // MemSnapshot returns a consistent view of the mempool.
 func (e *Execution) MemSnapshot() mempool.Snapshot { return e.x.pool.Snapshot() }
@@ -579,6 +495,10 @@ func (e *Execution) MemPressure() float64 { return e.x.pool.Pressure() }
 func (e *Execution) PaneStats() (paneRuns, sharedRunRefs int64) {
 	return e.x.paneRuns.Load(), e.x.sharedRunRefs.Load()
 }
+
+// LateRecords returns the records dropped so far because every window
+// covering them was already sealed.
+func (e *Execution) LateRecords() int64 { return e.x.late.Load() }
 
 // WindowStateBytes returns the live grouped window-state bytes (sorted
 // runs plus merge intermediates) per tier, indexed by memsim.Tier —
@@ -645,22 +565,14 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	}
 
 	x := &exec{
-		plan:      plan,
-		cfg:       cfg,
-		sched:     NewScheduler(workers),
-		pool:      mempool.New(machine, reserved),
-		reg:       bundle.NewRegistry(),
-		knob:      engine.NewKnob(cfg.Seed + 1),
-		windows:   make(map[wm.Time]*winEntry),
-		sinkRows:  make(map[wm.Time][]Row),
-		finishing: make(map[wm.Time]struct{}),
-	}
-	if plan.Win.PaneSharing() && !cfg.DirectSliding {
-		x.paneW = plan.Win.PaneWidth()
-		x.panes = make(map[wm.Time]*paneEntry)
-	}
-	if cfg.NoRecycle {
-		x.pool.SetRecycling(false)
+		plan:     plan,
+		cfg:      cfg,
+		sched:    NewScheduler(workers),
+		pool:     mempool.New(machine, reserved),
+		reg:      bundle.NewRegistry(),
+		knob:     engine.NewKnob(cfg.Seed + 1),
+		table:    newWindowTable(plan.Win),
+		sinkRows: make(map[wm.Time][]Row),
 	}
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
 	x.scratch[memsim.DRAM] = x.pool.ScratchFor(memsim.DRAM)
@@ -668,9 +580,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	// DRAM scratch: transient kernel buffers never live in the arena.
 	x.scratch[memsim.Spill] = x.scratch[memsim.DRAM]
 
-	if cfg.PinnedKnob != nil {
-		x.knob.Set(cfg.PinnedKnob[0], cfg.PinnedKnob[1])
-	}
 	if cfg.SpillCapacity > 0 {
 		f, err := spill.Create(cfg.SpillDir, cfg.SpillCapacity)
 		if err != nil {
@@ -679,9 +588,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		}
 		x.spillFile = f
 		x.pool.AttachSpill(f)
-		if cfg.PinnedKnob == nil {
-			x.ctrl = newPlacementController(cfg.EvictHighWater, cfg.EvictLowWater)
-		}
+		x.ctrl = newPlacementController()
 	}
 
 	stopMonitor := x.startMonitor(machine)
@@ -713,7 +620,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		rep := Report{
 			IngestedRecords: ingested,
 			EmittedRecords:  x.emitted.Load(),
-			WindowsClosed:   x.closed,
+			WindowsClosed:   x.table.closedWindows(),
 			Elapsed:         elapsed,
 			Rows:            x.rows,
 			Sched:           x.sched.Stats(),
@@ -724,6 +631,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			SlabsRecycled:   x.pool.Stats().Recycled,
 			PaneRuns:        x.paneRuns.Load(),
 			SharedRunRefs:   x.sharedRunRefs.Load(),
+			LateRecords:     x.late.Load(),
 			ExtractedPairs:  x.extractPairs.Load(),
 			ExtractNanos:    x.extractNanos.Load(),
 			PeakWindowStateBytes: [memsim.NumTiers]int64{
@@ -784,49 +692,24 @@ func (x *exec) ingest() {
 	schema := x.plan.Gen.Schema()
 	n := x.plan.Source.BundleRecords
 	tsPerRecord := float64(x.plan.Win.Size) / float64(x.plan.Source.WindowRecords)
-	var exhaustedSince time.Time
 	for x.ingested.Load() < x.plan.TotalRecords {
 		if rest := x.plan.TotalRecords - x.ingested.Load(); int64(n) > rest {
 			n = int(rest)
 		}
-		x.stallIngest()
-		b, tsHi, err := x.buildBundle(schema, n, nextTs, tsPerRecord)
+		tsHi := nextTs + wm.Time(float64(n)*tsPerRecord)
+		if tsHi == nextTs {
+			tsHi = nextTs + 1
+		}
+		// Memory can only come back from windows behind the stream, so
+		// the forced watermark is this bundle's first timestamp.
+		b, err := x.ingestBundle(schema, n, func() wm.Time { return nextTs }, func(bd *bundle.Builder) error {
+			x.plan.Gen.Fill(bd, n, nextTs, tsHi)
+			return nil
+		})
 		if err != nil {
-			if ee, exhausted := err.(*mempool.ErrExhausted); exhausted {
-				// With the spill tier attached, first walk sealed state
-				// out to the mmap'd file synchronously — that frees
-				// memory now, without disturbing event time, and lets
-				// window state overshoot the memory budget instead of
-				// draining it early. Otherwise memory can only come
-				// back from window closure, and watermarks only advance
-				// here — force one so every window behind the stream
-				// drains, then retry. If the pool stays exhausted
-				// (pipeline state exceeds DRAM), fail the run instead
-				// of hanging.
-				// Evict down to the low-water mark, not just ee.Want:
-				// restoring real headroom keeps the ingest loop from
-				// re-entering this path once per allocation.
-				if x.spillFile != nil && x.evictColdest(max(ee.Want, x.evictTarget())) >= ee.Want {
-					exhaustedSince = time.Time{}
-					continue
-				}
-				x.watermark(nextTs)
-				if exhaustedSince.IsZero() {
-					exhaustedSince = time.Now()
-				} else if time.Since(exhaustedSince) > x.cfg.ExhaustTimeout {
-					x.recordError(fmt.Errorf("runtime: %s: DRAM exhausted for %v: pipeline state exceeds machine DRAM (%w)",
-						x.plan.Label, x.cfg.ExhaustTimeout, err))
-					break
-				}
-				t0 := time.Now()
-				time.Sleep(200 * time.Microsecond)
-				x.paused.Add(time.Since(t0).Nanoseconds())
-				continue
-			}
 			x.recordError(err)
 			break
 		}
-		exhaustedSince = time.Time{}
 		nextTs = tsHi
 		x.ingested.Add(int64(b.Rows()))
 		bundleCnt++
@@ -850,6 +733,8 @@ func (x *exec) ingestFeed() {
 	recycler, _ := feed.(BatchRecycler)
 	var bundleCnt int
 	for {
+		// Stall before taking a batch off the feed, so a backlog holds
+		// batches in the feed's bounded queue, not here.
 		x.stallIngest()
 		// The idle tick advances the watermark while connections are
 		// quiet, so a burst's trailing windows close (and become
@@ -878,60 +763,24 @@ func (x *exec) ingestFeed() {
 		// the exhaustion-path watermark clamp below and extraction
 		// registration (submitExtractRange), instead of rescanning the
 		// same column inside submitExtract.
-		ts := cols[x.plan.TsCol]
-		minTs, maxTs := ts[0], ts[0]
-		for _, v := range ts[1:] {
-			if v > maxTs {
-				maxTs = v
-			}
-			if v < minTs {
-				minTs = v
-			}
-		}
-		var exhaustedSince time.Time
-		for {
-			b, err := x.buildFeedBundle(schema, cols)
-			if err == nil {
-				x.ingested.Add(int64(b.Rows()))
-				x.submitExtractRange(b, maxTs, minTs, maxTs)
-				if recycler != nil {
-					// The bundle holds its own copy now; the column
-					// buffers go back to the feed's decoder.
-					recycler.Recycle(cols)
-				}
-				break
-			}
-			if _, exhausted := err.(*mempool.ErrExhausted); exhausted {
-				// Same recovery as the generator path: evict sealed
-				// state to the spill tier first; failing that, force a
-				// watermark so closable windows drain and their memory
-				// returns — clamped below this still-unregistered
-				// batch's earliest timestamp so no window it
-				// contributes to closes early (the feed's cursor
-				// already covers the batch).
-				if ee := err.(*mempool.ErrExhausted); x.spillFile != nil && x.evictColdest(max(ee.Want, x.evictTarget())) >= ee.Want {
-					exhaustedSince = time.Time{}
-					continue
-				}
-				w := feed.Watermark()
-				if w > minTs {
-					w = minTs
-				}
-				x.watermark(w)
-				if exhaustedSince.IsZero() {
-					exhaustedSince = time.Now()
-				} else if time.Since(exhaustedSince) > x.cfg.ExhaustTimeout {
-					x.recordError(fmt.Errorf("runtime: %s: DRAM exhausted for %v: pipeline state exceeds machine DRAM (%w)",
-						x.plan.Label, x.cfg.ExhaustTimeout, err))
-					return
-				}
-				t0 := time.Now()
-				time.Sleep(200 * time.Microsecond)
-				x.paused.Add(time.Since(t0).Nanoseconds())
-				continue
-			}
+		minTs, maxTs := minMax(cols[x.plan.TsCol])
+		// A forced watermark is clamped below this still-unregistered
+		// batch's earliest timestamp so no window it contributes to
+		// closes early (the feed's cursor already covers the batch).
+		forced := func() wm.Time { return min(feed.Watermark(), minTs) }
+		b, err := x.ingestBundle(schema, len(cols[0]), forced, func(bd *bundle.Builder) error {
+			return bd.AppendColumnar(cols...)
+		})
+		if err != nil {
 			x.recordError(err)
 			return
+		}
+		x.ingested.Add(int64(b.Rows()))
+		x.submitExtractRange(b, maxTs, minTs, maxTs)
+		if recycler != nil {
+			// The bundle holds its own copy now; the column buffers go
+			// back to the feed's decoder.
+			recycler.Recycle(cols)
 		}
 		bundleCnt++
 		if bundleCnt%x.plan.Source.WatermarkEvery == 0 {
@@ -942,53 +791,79 @@ func (x *exec) ingestFeed() {
 	}
 }
 
-// buildFeedBundle allocates and seals one bundle holding an external
-// batch, charging the DRAM pool exactly like generated ingress.
-func (x *exec) buildFeedBundle(schema bundle.Schema, cols [][]uint64) (*bundle.Bundle, error) {
-	n := len(cols[0])
+// ingestBundle builds one sealed n-record ingress bundle for either
+// driver loop, stalling on backpressure first and riding out an
+// exhausted DRAM pool. With the spill tier attached it first walks
+// sealed state out to the mmap'd file synchronously — that frees
+// memory now, without disturbing event time, and lets window state
+// overshoot the memory budget instead of draining it early — down to
+// the low-water mark, not just the failed request: restoring real
+// headroom keeps ingest from re-entering this path once per
+// allocation. Otherwise memory can only come back from window closure,
+// and watermarks only advance on the ingest goroutine — so it forces
+// one at forcedWM() to drain every window behind the stream, pauses and
+// retries. A pool that stays exhausted for Config.ExhaustTimeout
+// (pipeline state exceeds DRAM) fails the run instead of hanging.
+func (x *exec) ingestBundle(schema bundle.Schema, n int, forcedWM func() wm.Time, fill func(*bundle.Builder) error) (*bundle.Bundle, error) {
+	var exhaustedSince time.Time
+	for {
+		x.stallIngest()
+		b, err := x.buildBundle(schema, n, fill)
+		var ee *mempool.ErrExhausted
+		if !errors.As(err, &ee) {
+			return b, err
+		}
+		if x.spillFile != nil && x.evictColdest(max(ee.Want, x.evictTarget())) >= ee.Want {
+			exhaustedSince = time.Time{}
+			continue
+		}
+		x.watermark(forcedWM())
+		if exhaustedSince.IsZero() {
+			exhaustedSince = time.Now()
+		} else if time.Since(exhaustedSince) > x.cfg.ExhaustTimeout {
+			return nil, fmt.Errorf("runtime: %s: DRAM exhausted for %v: pipeline state exceeds machine DRAM (%w)",
+				x.plan.Label, x.cfg.ExhaustTimeout, err)
+		}
+		t0 := time.Now()
+		time.Sleep(200 * time.Microsecond)
+		x.paused.Add(time.Since(t0).Nanoseconds())
+	}
+}
+
+// buildBundle allocates an n-record bundle from the DRAM pool, fills it
+// and seals it. An exhausted pool surfaces as *mempool.ErrExhausted
+// before fill is called.
+func (x *exec) buildBundle(schema bundle.Schema, n int, fill func(*bundle.Builder) error) (*bundle.Bundle, error) {
 	alloc, err := x.pool.Alloc(memsim.DRAM, int64(n)*schema.RecordBytes())
 	if err != nil {
 		return nil, err
 	}
 	bd, err := x.reg.NewBuilder(schema, n, memsim.DRAM)
+	if err == nil {
+		err = bd.AttachAlloc(alloc)
+	}
+	if err == nil {
+		err = fill(bd)
+	}
 	if err != nil {
-		alloc.Free()
-		return nil, err
-	}
-	if err := bd.AttachAlloc(alloc); err != nil {
-		alloc.Free()
-		return nil, err
-	}
-	if err := bd.AppendColumnar(cols...); err != nil {
 		alloc.Free()
 		return nil, err
 	}
 	return bd.Seal(), nil
 }
 
-// buildBundle allocates, fills and seals one ingress bundle. An
-// exhausted DRAM pool surfaces as *mempool.ErrExhausted for the ingest
-// loop's backpressure handling.
-func (x *exec) buildBundle(schema bundle.Schema, n int, tsLo wm.Time, tsPerRecord float64) (*bundle.Bundle, wm.Time, error) {
-	alloc, err := x.pool.Alloc(memsim.DRAM, int64(n)*schema.RecordBytes())
-	if err != nil {
-		return nil, 0, err
+// minMax returns the smallest and largest value of a non-empty column.
+func minMax(ts []uint64) (lo, hi uint64) {
+	lo, hi = ts[0], ts[0]
+	for _, v := range ts[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
-	bd, err := x.reg.NewBuilder(schema, n, memsim.DRAM)
-	if err != nil {
-		alloc.Free()
-		return nil, 0, err
-	}
-	if err := bd.AttachAlloc(alloc); err != nil {
-		alloc.Free()
-		return nil, 0, err
-	}
-	tsHi := tsLo + wm.Time(float64(n)*tsPerRecord)
-	if tsHi == tsLo {
-		tsHi = tsLo + 1
-	}
-	x.plan.Gen.Fill(bd, n, tsLo, tsHi)
-	return bd.Seal(), tsHi, nil
+	return lo, hi
 }
 
 // submitExtract scans the bundle's window column for its timestamp
@@ -996,7 +871,7 @@ func (x *exec) buildBundle(schema bundle.Schema, n int, tsLo wm.Time, tsPerRecor
 // the plan's window column — which the Window stage chooses and need
 // not be the schema's timestamp column — so registration and
 // partitioning agree. Callers that already scanned the column (the
-// network feed needs min/max for its watermark clamp) use
+// network feed needs the minimum for its watermark clamp) use
 // submitExtractRange directly and skip the second full-column pass.
 func (x *exec) submitExtract(b *bundle.Bundle, tsHi wm.Time) {
 	ts := b.Col(x.plan.TsCol)
@@ -1007,64 +882,42 @@ func (x *exec) submitExtract(b *bundle.Bundle, tsHi wm.Time) {
 		b.Release()
 		return
 	}
-	minTs, maxTs := ts[0], ts[0]
-	for _, v := range ts[1:] {
-		if v < minTs {
-			minTs = v
-		}
-		if v > maxTs {
-			maxTs = v
-		}
-	}
+	minTs, maxTs := minMax(ts)
 	x.submitExtractRange(b, tsHi, minTs, maxTs)
 }
 
-// submitExtractRange registers every window the bundle may contribute
-// to before the extract+sort task runs, so a racing watermark defers
-// closure until extraction lands. minTs/maxTs must bound the bundle's
-// window-column values.
+// submitExtractRange registers the bundle with every open window it may
+// contribute to before the extract+sort task runs, so a racing
+// watermark defers their closure until extraction lands. minTs/maxTs
+// must bound the bundle's window-column values.
 func (x *exec) submitExtractRange(b *bundle.Bundle, tsHi, minTs, maxTs wm.Time) {
-	wins := windowsInRange(x.plan.Win, minTs, maxTs)
-	x.wmu.Lock()
-	for _, w := range wins {
-		e := x.windows[w]
-		if e == nil {
-			e = &winEntry{}
-			x.windows[w] = e
-		}
-		e.pending++
-	}
-	x.wmu.Unlock()
-
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), tsHi)
+	wins := x.table.register(minTs, maxTs)
 	x.sched.Submit(&Task{
 		Name: "extract:" + x.plan.Label,
-		Tag:  tag,
+		Tag:  x.tagFor(tsHi),
 		Run:  func() { x.extract(b, wins, minTs, maxTs) },
 	})
 }
 
-// extract is the native grouping front half: it partitions the
-// bundle's surviving rows — into fixed windows, into shared panes
-// (sliding default), or into every overlapping window (DirectSliding
-// baseline) — builds one KPA per partition (placed by the knob, pair
-// storage drawn from the slab recycler), sorts each with the LSD radix
-// kernel — first-level run formation, the paper's Table 2 split; the
-// merge above stays comparison-based — and files them as window state.
-// Every path runs as two counting/filling passes over pool-backed
-// staging, so the steady state allocates nothing per record.
+// tagFor classifies work on data at event time ts against the current
+// target watermark.
+func (x *exec) tagFor(ts wm.Time) engine.Tag {
+	return engine.TagFor(x.plan.Win, x.table.target.Load(), ts)
+}
+
+// extract is the native grouping front half, one task per bundle: sort
+// the bundle's rows into pane runs, file them as window state and start
+// any close that was waiting on this extraction. wins is what register
+// returned for the bundle; with none open the whole bundle is late.
 func (x *exec) extract(b *bundle.Bundle, wins []wm.Time, minTs, maxTs wm.Time) {
 	t0 := time.Now()
 	defer b.Release() // drop the producer reference; KPAs hold their own
-	switch {
-	case len(wins) == 0:
-		// No windows registered: nothing to file.
-	case x.plan.Win.IsFixed():
-		x.extractFixed(b, wins)
-	case x.paneW > 0:
-		x.extractPanes(b, wins, minTs, maxTs)
-	default:
-		x.extractSliding(b, wins)
+	if len(wins) == 0 {
+		x.late.Add(int64(b.Rows()))
+	} else {
+		for _, w := range x.table.fileRuns(wins, x.sortPanes(b, wins[0], minTs, maxTs)) {
+			x.submitClose(w)
+		}
 	}
 	x.addDRAMTraffic(b.Bytes())
 	x.extractNanos.Add(time.Since(t0).Nanoseconds())
@@ -1093,104 +946,55 @@ func getIntSlab(n int) *intSlab {
 
 func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 
-// extractFixed is the zero-alloc fast path: pass one counts surviving
-// rows per window, pass two scatters pairs into a pooled staging buffer
-// segmented by those counts, and each segment becomes one recycled-slab
-// KPA. Filters run twice; they are pure per-value predicates and far
-// cheaper than staging every row through the heap. The counts/cursor
-// scratch comes from a pooled int slab for the same reason.
-func (x *exec) extractFixed(b *bundle.Bundle, wins []wm.Time) {
+// sortPanes scatters each surviving row of the bundle into exactly one
+// pane and returns one sorted KPA run per non-empty pane. Pass one
+// counts rows per pane, pass two scatters pairs into a pooled staging
+// buffer segmented by those counts, and each segment becomes one
+// recycled-slab KPA (placed by the knob), sorted with the LSD radix
+// kernel — first-level run formation, the paper's Table 2 split; the
+// merge at close stays comparison-based. Filters run twice; they are
+// pure per-value predicates and far cheaper than staging every row
+// through the heap, so the steady state allocates nothing per record.
+//
+// Each run is shared: it takes one reference per open window covering
+// its pane, and every one of those windows merges it at close. Rows
+// before firstOpen — the start of the first window still open when the
+// bundle registered — have no open covering window: they are late, and
+// dropped ahead of the filters.
+func (x *exec) sortPanes(b *bundle.Bundle, firstOpen, minTs, maxTs wm.Time) []filedRun {
 	keys := b.Col(x.plan.KeyCol)
 	ts := b.Col(x.plan.TsCol)
 	id := uint32(b.ID())
-	slide := x.plan.Win.Size // fixed windows: starts step by the size
-	base := wins[0]
-
-	ints := getIntSlab(2 * len(wins))
-	defer putIntSlab(ints)
-	counts, cursor := ints.buf[:len(wins)], ints.buf[len(wins):]
-	total := 0
-rows:
-	for i := 0; i < b.Rows(); i++ {
-		for _, f := range x.plan.Filters {
-			if !f.Keep(b.At(i, f.Col)) {
-				continue rows
-			}
-		}
-		counts[(x.plan.Win.WindowOf(ts[i])-base)/slide]++
-		total++
-	}
-
-	scratch := x.scratch[memsim.DRAM]
-	staging := scratch.GetPairs(total)
-	defer scratch.PutPairs(staging)
-	// cursor[w] walks window w's segment: [offset[w], offset[w+1]).
-	off := 0
-	for w, c := range counts {
-		cursor[w] = off
-		off += c
-	}
-rows2:
-	for i := 0; i < b.Rows(); i++ {
-		for _, f := range x.plan.Filters {
-			if !f.Keep(b.At(i, f.Col)) {
-				continue rows2
-			}
-		}
-		w := (x.plan.Win.WindowOf(ts[i]) - base) / slide
-		staging[cursor[w]] = algo.Pair{Key: keys[i], Ptr: kpa.PackPtr(id, uint32(i))}
-		cursor[w]++
-	}
-
-	x.extractPairs.Add(int64(total))
-	seg := 0
-	for wi, w := range wins {
-		var k *kpa.KPA
-		if counts[wi] > 0 {
-			k = x.buildRun(staging[seg:seg+counts[wi]], b, w, algo.RunMeta{Origin: uint64(id), Lo: w})
-			seg += counts[wi]
-		}
-		x.extractDone(w, k)
-	}
-}
-
-// extractPanes is the sliding-window default: pane-based shared
-// aggregation. Each surviving row is scattered into exactly one
-// non-overlapping pane of width gcd(Size, Slide) — the same two-pass
-// counting/scatter structure as extractFixed, one pooled staging
-// buffer, zero heap traffic per record — and each non-empty pane
-// becomes one sorted, recycled-slab KPA run. The run is then *shared*:
-// it takes one reference per window covering the pane, and every one
-// of those windows merges it at close (the fused merge-reduce consumes
-// arbitrary sorted-run sets, so shared pane runs slot in unchanged).
-// Relative to the DirectSliding baseline this divides staging, radix
-// work and window-state bytes by the Size/Slide overlap.
-func (x *exec) extractPanes(b *bundle.Bundle, wins []wm.Time, minTs, maxTs wm.Time) {
-	keys := b.Col(x.plan.KeyCol)
-	ts := b.Col(x.plan.TsCol)
-	id := uint32(b.ID())
-	pw := x.paneW
-	base := minTs / pw * pw
-	nPanes := int(maxTs/pw-minTs/pw) + 1
+	panes := x.table.panes
+	base := panes.Index(max(minTs, firstOpen))
+	nPanes := int(panes.Index(maxTs)-base) + 1
 
 	ints := getIntSlab(2 * nPanes)
 	defer putIntSlab(ints)
 	counts, cursor := ints.buf[:nPanes], ints.buf[nPanes:]
-	total := 0
+	total, late := 0, 0
 rows:
 	for i := 0; i < b.Rows(); i++ {
+		if ts[i] < firstOpen {
+			late++
+			continue
+		}
 		for _, f := range x.plan.Filters {
 			if !f.Keep(b.At(i, f.Col)) {
 				continue rows
 			}
 		}
-		counts[(ts[i]-base)/pw]++
+		counts[panes.Index(ts[i])-base]++
 		total++
+	}
+	if late > 0 {
+		x.late.Add(int64(late))
 	}
 
 	scratch := x.scratch[memsim.DRAM]
 	staging := scratch.GetPairs(total)
 	defer scratch.PutPairs(staging)
+	// cursor[p] walks pane p's segment: [offset[p], offset[p+1]).
 	off := 0
 	for p, c := range counts {
 		cursor[p] = off
@@ -1198,214 +1002,67 @@ rows:
 	}
 rows2:
 	for i := 0; i < b.Rows(); i++ {
+		if ts[i] < firstOpen {
+			continue
+		}
 		for _, f := range x.plan.Filters {
 			if !f.Keep(b.At(i, f.Col)) {
 				continue rows2
 			}
 		}
-		p := (ts[i] - base) / pw
+		p := panes.Index(ts[i]) - base
 		staging[cursor[p]] = algo.Pair{Key: keys[i], Ptr: kpa.PackPtr(id, uint32(i))}
 		cursor[p]++
 	}
 
-	runs := make([]*kpa.KPA, 0, nPanes)
-	starts := make([]wm.Time, 0, nPanes)
+	sliding := !x.plan.Win.IsFixed()
+	runs := make([]filedRun, 0, nPanes)
 	seg := 0
-	for pi := 0; pi < nPanes; pi++ {
-		c := counts[pi]
+	for pi, c := range counts {
 		if c == 0 {
 			continue
 		}
-		p := base + wm.Time(pi)*pw
-		covering := x.plan.Win.CoveringWindows(p)
-		// Logical (record, window) assignments stay comparable with the
-		// direct path, which stages each of them physically.
-		x.extractPairs.Add(int64(c) * int64(covering))
-		k := x.buildRun(staging[seg:seg+c], b, p, algo.RunMeta{Origin: uint64(id), Lo: p})
+		pane := panes.Start(base + uint64(pi))
+		from, open := x.table.openCovering(pane, firstOpen)
+		// Logical (record, window) assignments: what scattering every
+		// record into every window would have staged physically.
+		x.extractPairs.Add(int64(c) * int64(open))
+		k := x.buildRun(staging[seg:seg+c], b, pane)
 		seg += c
 		if k == nil {
 			continue // allocation error already recorded
 		}
-		k.Retain(covering - 1) // one reference per covering window
-		x.paneRuns.Add(1)
-		x.sharedRunRefs.Add(int64(covering - 1))
-		runs = append(runs, k)
-		starts = append(starts, p)
+		k.Retain(open - 1) // one reference per open covering window
+		if sliding {
+			x.paneRuns.Add(1)
+			x.sharedRunRefs.Add(int64(open - 1))
+		}
+		runs = append(runs, filedRun{paneRun{k, from}, pane})
 	}
-	x.panesDone(wins, starts, runs)
+	return runs
 }
 
-// panesDone files freshly sorted pane runs into the pane registry and
-// retires this extraction from every window it was registered against,
-// starting deferred closes that were waiting on it.
-func (x *exec) panesDone(wins []wm.Time, starts []wm.Time, runs []*kpa.KPA) {
-	var toClose []wm.Time
-	x.wmu.Lock()
-	for i, p := range starts {
-		pe := x.panes[p]
-		if pe == nil {
-			pe = &paneEntry{refs: x.plan.Win.CoveringWindows(p)}
-			x.panes[p] = pe
-		}
-		pe.runs = append(pe.runs, runs[i])
-	}
-	for _, w := range wins {
-		e := x.windows[w]
-		e.pending--
-		if e.closeRequested && e.pending == 0 && !e.closing {
-			e.closing = true
-			toClose = append(toClose, w)
-		}
-	}
-	x.wmu.Unlock()
-	for _, w := range toClose {
-		x.submitClose(w)
-	}
-}
-
-// extractSliding is the DirectSliding baseline: overlapping windows
-// with the same counting/scatter structure as extractFixed. A row
-// lands in at most ceil(Size/Slide) windows, all enumerable in place,
-// so pass one counts each window's share, pass two scatters pairs into
-// per-window segments of one pooled staging buffer, and each segment
-// becomes one recycled-slab KPA — no per-row append, no per-window
-// map, nothing on the heap in steady state, but every record is staged
-// and sorted once per window it belongs to.
-func (x *exec) extractSliding(b *bundle.Bundle, wins []wm.Time) {
-	keys := b.Col(x.plan.KeyCol)
-	ts := b.Col(x.plan.TsCol)
-	id := uint32(b.ID())
-	size := x.plan.Win.Size
-	slide := x.plan.Win.Slide
-	if slide == 0 {
-		slide = size
-	}
-	base := wins[0]
-
-	ints := getIntSlab(2 * len(wins))
-	defer putIntSlab(ints)
-	counts, cursor := ints.buf[:len(wins)], ints.buf[len(wins):]
-	total := 0
-rows:
-	for i := 0; i < b.Rows(); i++ {
-		for _, f := range x.plan.Filters {
-			if !f.Keep(b.At(i, f.Col)) {
-				continue rows
-			}
-		}
-		// Enumerate the windows containing ts[i] without allocating:
-		// starts descend by slide from WindowOf(ts) while they still
-		// cover the timestamp. Every such start is >= base (a window
-		// covering ts also covers the bundle minimum or starts after
-		// it), so the index into wins is in range.
-		for w := x.plan.Win.WindowOf(ts[i]); w+size > ts[i]; w -= slide {
-			counts[(w-base)/slide]++
-			total++
-			if w < slide {
-				break // window 0 reached; unsigned underflow guard
-			}
-		}
-	}
-
-	scratch := x.scratch[memsim.DRAM]
-	staging := scratch.GetPairs(total)
-	defer scratch.PutPairs(staging)
-	off := 0
-	for w, c := range counts {
-		cursor[w] = off
-		off += c
-	}
-rows2:
-	for i := 0; i < b.Rows(); i++ {
-		for _, f := range x.plan.Filters {
-			if !f.Keep(b.At(i, f.Col)) {
-				continue rows2
-			}
-		}
-		p := algo.Pair{Key: keys[i], Ptr: kpa.PackPtr(id, uint32(i))}
-		for w := x.plan.Win.WindowOf(ts[i]); w+size > ts[i]; w -= slide {
-			wi := (w - base) / slide
-			staging[cursor[wi]] = p
-			cursor[wi]++
-			if w < slide {
-				break
-			}
-		}
-	}
-
-	x.extractPairs.Add(int64(total))
-	seg := 0
-	for wi, w := range wins {
-		var k *kpa.KPA
-		if counts[wi] > 0 {
-			k = x.buildRun(staging[seg:seg+counts[wi]], b, w, algo.RunMeta{Origin: uint64(id), Lo: w})
-			seg += counts[wi]
-		}
-		x.extractDone(w, k)
-	}
-}
-
-// buildRun turns one partition's staged pairs into a sorted KPA run:
-// slab storage from the knob-placed allocator, radix-sorted in place
-// with pooled scatter scratch, stamped with its provenance so closes
-// order runs deterministically. Returns nil after reporting an error.
-func (x *exec) buildRun(pairs []algo.Pair, b *bundle.Bundle, w wm.Time, meta algo.RunMeta) *kpa.KPA {
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), w)
-	k, err := kpa.FromPairs(pairs, x.plan.KeyCol, b, x.allocator(tag))
+// buildRun turns one pane's staged pairs into a sorted KPA run: slab
+// storage from the knob-placed allocator, radix-sorted in place with
+// pooled scatter scratch, stamped with its provenance (producing
+// bundle, pane) so closes order runs deterministically. Returns nil
+// after reporting an error.
+func (x *exec) buildRun(pairs []algo.Pair, b *bundle.Bundle, pane wm.Time) *kpa.KPA {
+	k, err := kpa.FromPairs(pairs, x.plan.KeyCol, b, x.allocator(x.tagFor(pane)))
 	if err != nil {
 		x.recordError(err)
 		return nil
 	}
 	kpa.SortRadix(k, 1, x.scratch[k.Tier()])
-	k.SetMeta(meta)
+	k.SetMeta(algo.RunMeta{Origin: b.ID(), Lo: pane})
 	x.noteKPA(k)
 	return k
 }
 
-// extractDone files a sorted run (nil when the bundle contributed no
-// surviving rows) and triggers a deferred close when this was the last
-// pending extraction of a close-requested window.
-func (x *exec) extractDone(w wm.Time, k *kpa.KPA) {
-	x.wmu.Lock()
-	e := x.windows[w]
-	if k != nil {
-		e.runs = append(e.runs, k)
-	}
-	e.pending--
-	start := e.closeRequested && e.pending == 0 && !e.closing
-	if start {
-		e.closing = true
-	}
-	x.wmu.Unlock()
-	if start {
-		x.submitClose(w)
-	}
-}
-
-// watermark advances the target watermark and requests closure of every
-// window now entirely behind it.
+// watermark advances the target watermark and starts the close of every
+// sealed window with no extraction pending.
 func (x *exec) watermark(w wm.Time) {
-	for {
-		cur := x.targetWM.Load()
-		if uint64(w) <= cur || x.targetWM.CompareAndSwap(cur, uint64(w)) {
-			break
-		}
-	}
-	var toClose []wm.Time
-	x.wmu.Lock()
-	for start, e := range x.windows {
-		if e.closeRequested || x.plan.Win.End(start) > w {
-			continue
-		}
-		e.closeRequested = true
-		e.closeT0 = time.Now()
-		if e.pending == 0 && !e.closing {
-			e.closing = true
-			toClose = append(toClose, start)
-		}
-	}
-	x.wmu.Unlock()
-	for _, start := range toClose {
+	for _, start := range x.table.advance(w) {
 		x.submitClose(start)
 	}
 }
@@ -1413,7 +1070,7 @@ func (x *exec) watermark(w wm.Time) {
 // mergeFanIn caps how many runs one loser-tree merge task streams.
 // Below the cap a window closes in a single fused merge-reduce pass;
 // above it, runs are first compacted in k-way batches of this size —
-// one materialization total, where the pairwise tree paid log2(R)
+// one materialization total, where a pairwise tree would pay log2(R)
 // materializing levels.
 const mergeFanIn = 32
 
@@ -1422,26 +1079,12 @@ const mergeFanIn = 32
 // per-task overhead for a few hundred pairs each.
 const minClosePartitionPairs = 8 << 10
 
-// submitClose collects a closing window's sorted runs and starts the
-// close. On the fixed and DirectSliding paths the window owns its runs
-// outright; on the pane path it gathers the shared runs of every pane
-// it covers — each close releases exactly one reference per run, and
-// the storage frees when the last covering window closes.
+// submitClose collects a closing window's sorted runs — the shared runs
+// of every pane it covers — and starts the close. Each close releases
+// exactly one reference per run, and the storage frees when the last
+// covering window closes.
 func (x *exec) submitClose(start wm.Time) {
-	var runs []*kpa.KPA
-	x.wmu.Lock()
-	if x.paneW > 0 {
-		for p := start; p < start+x.plan.Win.Size; p += x.paneW {
-			if pe := x.panes[p]; pe != nil {
-				runs = append(runs, pe.runs...)
-			}
-		}
-	} else {
-		e := x.windows[start]
-		runs = e.runs
-		e.runs = nil
-	}
-	x.wmu.Unlock()
+	runs := x.table.collect(start)
 	if x.spillFile != nil && len(runs) > 0 {
 		// With the spill tier enabled some runs may live in the mmap'd
 		// arena. Load them back on a worker task (off the watermark
@@ -1449,7 +1092,7 @@ func (x *exec) submitClose(start wm.Time) {
 		// on every run — a no-op for resident ones — because its lock is
 		// also the publication point for a load done by a concurrent
 		// close sharing these pane runs.
-		tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), start)
+		tag := x.tagFor(start)
 		x.sched.Submit(&Task{
 			Name: "load:" + x.plan.Label,
 			Tag:  tag,
@@ -1463,32 +1106,26 @@ func (x *exec) submitClose(start wm.Time) {
 	x.closeWindow(start, runs)
 }
 
-// closeWindow dispatches one close step: the fused range-partitioned
-// merge-reduce when the runs fit one loser tree, a k-way compaction
-// level when they don't, and the pairwise-tree baseline when the config
-// asks for it. Runs are first ordered by provenance (producing bundle,
-// then pane/window start) so the merge's equal-key tie-break — and with
-// it any order-sensitive aggregator — is deterministic, independent of
-// which extraction task finished first; when records within a bundle
-// are time-ordered (every generator; network batches in arrival order)
-// that sequence is also identical between the pane and direct paths.
+// closeWindow dispatches one close step on the run count: the fused
+// range-partitioned merge-reduce when the runs fit one loser tree, a
+// k-way compaction level when they don't. Runs are first ordered by
+// provenance (producing bundle, then pane start) so the merge's
+// equal-key tie-break — and with it any order-sensitive aggregator — is
+// deterministic, independent of which extraction task finished first;
+// when records within a bundle are time-ordered (every generator;
+// network batches in arrival order) that sequence is arrival order.
 func (x *exec) closeWindow(start wm.Time, runs []*kpa.KPA) {
 	sort.Slice(runs, func(i, j int) bool { return runs[i].Meta().Less(runs[j].Meta()) })
-	if len(runs) > 0 && (x.cfg.PairwiseClose || len(runs) > mergeFanIn) {
-		// The materializing merges (Merge, MergeK) copy pairs verbatim
-		// and so refuse mixed pointer/value-resident inputs; a close that
-		// fell back to merging over a spilled run's mmap view may hold a
-		// mix. The fused merge-reduce resolves per run and needs no
-		// conversion.
-		runs = x.homogenizeRuns(start, runs)
-	}
 	switch {
 	case len(runs) == 0:
 		x.finishWindow(start)
-	case x.cfg.PairwiseClose:
-		x.mergeLevel(start, runs)
 	case len(runs) > mergeFanIn:
-		x.mergeFanInLevel(start, runs)
+		// The materializing merge (MergeK) copies pairs verbatim and so
+		// refuses mixed pointer/value-resident inputs; a close that fell
+		// back to merging over a spilled run's mmap view may hold a mix.
+		// The fused merge-reduce resolves per run and needs no
+		// conversion.
+		x.mergeFanInLevel(start, x.homogenizeRuns(start, runs))
 	default:
 		x.submitMergeReduce(start, runs)
 	}
@@ -1497,10 +1134,9 @@ func (x *exec) closeWindow(start wm.Time, runs []*kpa.KPA) {
 // mergeFanInLevel compacts an over-wide run set in batches of
 // mergeFanIn: one k-way materializing merge task per batch, then back
 // to closeWindow with at most ceil(R/mergeFanIn) runs — a single
-// materialization for any realistic run count, against the pairwise
-// tree's log2(R) full copies.
+// materialization for any realistic run count.
 func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA) {
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), start)
+	tag := x.tagFor(start)
 	nBatches := (len(runs) + mergeFanIn - 1) / mergeFanIn
 	next := make([]*kpa.KPA, nBatches)
 	// A lone trailing run passes through. Its slot must be filled before
@@ -1556,7 +1192,7 @@ func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA) {
 // KPA is ever materialized. The last partition to finish destroys the
 // runs and retires the window.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), start)
+	tag := x.tagFor(start)
 	total := 0
 	for _, r := range runs {
 		total += r.Len()
@@ -1610,54 +1246,6 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	}
 }
 
-// mergeLevel pairwise-merges the window's sorted runs as parallel tasks
-// (the merge tree this backend shipped with, kept as the
-// Config.PairwiseClose benchmarking baseline); the countdown
-// continuation of each level schedules the next, and a single surviving
-// run proceeds to the separate reduction pass.
-func (x *exec) mergeLevel(start wm.Time, runs []*kpa.KPA) {
-	if len(runs) == 0 {
-		x.finishWindow(start)
-		return
-	}
-	if len(runs) == 1 {
-		x.submitReduce(start, runs[0])
-		return
-	}
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), start)
-	next := make([]*kpa.KPA, (len(runs)+1)/2)
-	if len(runs)%2 == 1 {
-		next[len(next)-1] = runs[len(runs)-1] // odd run passes through
-	}
-	var remaining atomic.Int32
-	remaining.Store(int32(len(runs) / 2))
-	for i := 0; i+1 < len(runs); i += 2 {
-		a, b, slot := runs[i], runs[i+1], i/2
-		x.sched.Submit(&Task{
-			Name: "merge:" + x.plan.Label,
-			Tag:  tag,
-			Run: func() {
-				merged, err := kpa.Merge(a, b, x.allocator(tag))
-				if err == nil {
-					merged.SetMeta(a.Meta())
-				}
-				x.destroyRun(a)
-				x.destroyRun(b)
-				if err != nil {
-					x.recordError(err)
-				} else {
-					x.noteKPA(merged)
-					x.addDRAMTraffic(merged.Bytes())
-					next[slot] = merged
-				}
-				if remaining.Add(-1) == 0 {
-					x.mergeLevel(start, compactRuns(next))
-				}
-			},
-		})
-	}
-}
-
 // compactRuns drops slots lost to merge errors.
 func compactRuns(runs []*kpa.KPA) []*kpa.KPA {
 	out := runs[:0]
@@ -1667,46 +1255,6 @@ func compactRuns(runs []*kpa.KPA) []*kpa.KPA {
 		}
 	}
 	return out
-}
-
-// submitReduce schedules the windowed keyed reduction over the merged
-// KPA: key-aligned ranges reduce in parallel, dereferencing pointers
-// into the DRAM bundles, and the last range finalizes the window.
-func (x *exec) submitReduce(start wm.Time, k *kpa.KPA) {
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), start)
-	cuts, err := kpa.KeyAlignedCuts(k, x.sched.Workers())
-	if err != nil || len(cuts) < 2 {
-		if err != nil {
-			x.recordError(err)
-		}
-		x.destroyRun(k)
-		x.finishWindow(start)
-		return
-	}
-	var remaining atomic.Int32
-	remaining.Store(int32(len(cuts) - 1))
-	for i := 0; i+1 < len(cuts); i++ {
-		lo, hi := cuts[i], cuts[i+1]
-		x.sched.Submit(&Task{
-			Name: "reduce:" + x.plan.Label,
-			Tag:  tag,
-			Run: func() {
-				var out []Row
-				err := kpa.ReduceByKeyRange(k, lo, hi, x.plan.ValCol, x.plan.NewAgg, func(key, res uint64) {
-					out = append(out, Row{Key: key, Val: res, Win: start})
-				})
-				if err != nil {
-					x.recordError(err)
-				}
-				x.emitRows(start, out)
-				x.addDRAMTraffic(int64(hi-lo) * 8)
-				if remaining.Add(-1) == 0 {
-					x.destroyRun(k)
-					x.finishWindow(start)
-				}
-			},
-		})
-	}
 }
 
 // emitRows records a batch of results for window start.
@@ -1729,32 +1277,9 @@ func (x *exec) emitRows(start wm.Time, rows []Row) {
 }
 
 // finishWindow retires a closed window and, when a WindowSink is
-// configured, publishes its result rows. On the pane path it also
-// releases the window's claim on each pane it covered: the pane entry
-// is dropped when its last covering window retires (the runs
-// themselves were already released, one reference each, by the close's
-// merge tasks).
+// configured, publishes its result rows.
 func (x *exec) finishWindow(start wm.Time) {
-	x.wmu.Lock()
-	var closeD time.Duration
-	if e := x.windows[start]; e != nil && !e.closeT0.IsZero() {
-		closeD = time.Since(e.closeT0)
-	}
-	if x.paneW > 0 {
-		for p := start; p < start+x.plan.Win.Size; p += x.paneW {
-			if pe := x.panes[p]; pe != nil {
-				pe.refs--
-				if pe.refs <= 0 {
-					delete(x.panes, p)
-				}
-			}
-		}
-	}
-	delete(x.windows, start)
-	x.closed++
-	x.finishing[start] = struct{}{}
-	x.wmu.Unlock()
-	x.recordCloseLatency(closeD)
+	x.recordCloseLatency(x.table.retire(start))
 	if x.cfg.WindowSink != nil && !x.sealedWindow(start) {
 		x.rmu.Lock()
 		rows := x.sinkRows[start]
@@ -1762,9 +1287,7 @@ func (x *exec) finishWindow(start wm.Time) {
 		x.rmu.Unlock()
 		x.cfg.WindowSink(start, x.plan.Win.End(start), rows)
 	}
-	x.wmu.Lock()
-	delete(x.finishing, start)
-	x.wmu.Unlock()
+	x.table.published(start)
 }
 
 // sealedWindow reports whether the window starting at start was already
@@ -1819,8 +1342,8 @@ func (a *knobAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation
 	if x.spillFile != nil && !a.noSpill {
 		// Last rung of the degradation ladder: both memory tiers are
 		// full, so close-time materializations (fan-in compaction,
-		// pairwise merges, shared-run clones) land in the mmap'd arena
-		// instead of failing the run.
+		// shared-run clones) land in the mmap'd arena instead of failing
+		// the run.
 		if sal, serr := x.pool.Alloc(memsim.Spill, nBytes); serr == nil {
 			return memsim.Spill, sal, nil
 		}
@@ -1890,9 +1413,8 @@ func (x *exec) startMonitor(machine memsim.Config) func() {
 			case <-ticker.C:
 				traffic := x.dramBytes.Swap(0)
 				dramBW := float64(traffic) / x.cfg.MonitorInterval.Seconds() / dramBWCap
-				switch {
-				case x.ctrl != nil:
-					// Degradation ladder: the adaptive placement
+				if x.ctrl != nil {
+					// Spill tier attached: the adaptive placement
 					// controller drives the knob and decides when to
 					// walk cold sealed state out to the spill tier.
 					act := x.ctrl.step(ctrlSignals{
@@ -1911,11 +1433,10 @@ func (x *exec) startMonitor(machine memsim.Config) func() {
 						x.ctrlEvictTicks.Add(1)
 						x.evictColdest(x.evictTarget())
 					}
-				case x.cfg.PinnedKnob != nil:
-					// Fixed-knob ablation: the knob stays pinned.
-				default:
-					// Headroom proxy: the pool keeps up with the offered
-					// backlog, so k_high may still shift placements to DRAM.
+				} else {
+					// The paper's schedule. Headroom proxy: the pool
+					// keeps up with the offered backlog, so k_high may
+					// still shift placements to DRAM.
 					headroom := x.sched.Queued() < x.sched.Workers()
 					x.knob.Update(x.pool.Utilization(memsim.HBM), dramBW, headroom)
 				}
@@ -1938,32 +1459,4 @@ func (x *exec) recordError(err error) {
 	x.emu.Lock()
 	x.errs = append(x.errs, err)
 	x.emu.Unlock()
-}
-
-// windowsInRange lists every window start overlapping [lo, hi],
-// ascending. Window starts are the multiples s of the slide with
-// s <= hi and s+Size > lo, computed in closed form rather than by
-// stepping from the windows of lo — stepping is only sound when lo's
-// own window set is non-empty and ends at WindowOf(lo), which the
-// closed form does not need to assume.
-func windowsInRange(w wm.Windowing, lo, hi wm.Time) []wm.Time {
-	slide := w.Slide
-	if slide == 0 {
-		slide = w.Size
-	}
-	// First overlapping start: the smallest multiple of slide whose
-	// window [s, s+Size) reaches past lo.
-	var first wm.Time
-	if lo >= w.Size {
-		first = (lo-w.Size)/slide*slide + slide
-	}
-	last := hi / slide * slide
-	if last < first {
-		return nil
-	}
-	out := make([]wm.Time, 0, (last-first)/slide+1)
-	for s := first; s <= last; s += slide {
-		out = append(out, s)
-	}
-	return out
 }

@@ -86,7 +86,7 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 // synthetic step loads and checks it walks the knob the right way,
 // settles inside the deadband, and latches eviction with hysteresis.
 func TestControllerConvergence(t *testing.T) {
-	c := newPlacementController(0, 0)
+	c := newPlacementController()
 	sig := func(hbm, dram, bw float64) ctrlSignals {
 		return ctrlSignals{HBMUtil: hbm, DRAMUtil: dram, DRAMBW: bw, Workers: 4}
 	}

@@ -7,14 +7,15 @@ package runtime
 // the gauge plumbing that keeps the per-tier window-state accounting
 // truthful as runs move. Decision logic lives in controller.go.
 //
-// Concurrency protocol: every eviction happens under x.wmu and only
-// touches runs of quiescent windows — no close requested, none in
-// flight — so no merge task can be reading the pairs it relocates.
-// Loads happen on the close path, after the closing window's runs were
-// collected under x.wmu, which orders them after any prior eviction of
-// those runs; two closes sharing a spilled pane run both call
-// EnsureResident, whose per-KPA lock makes the load happen exactly
-// once and publishes the loaded pairs to the second caller.
+// Concurrency protocol: every eviction happens inside the window
+// table's sweepEvictable — under its lock — and only touches runs of
+// quiescent panes — no covering window sealed — so no merge task can
+// be reading the pairs it relocates. Loads happen on the close path,
+// after the closing window's runs were collected under the same lock,
+// which orders them after any prior eviction of those runs; two
+// closes sharing a spilled pane run both call EnsureResident, whose
+// per-KPA lock makes the load happen exactly once and publishes the
+// loaded pairs to the second caller.
 
 import (
 	"sort"
@@ -34,36 +35,32 @@ const maxEvictRunsPerSweep = 128
 // evictTarget returns the bytes to free to bring every memory tier
 // back under the eviction low-water mark.
 func (x *exec) evictTarget() int64 {
-	low := defaultEvictLowWater
-	if x.ctrl != nil {
-		low = x.ctrl.lowWater
-	}
 	var target int64
 	for t := memsim.Tier(0); t < memsim.Tier(memsim.MemTiers); t++ {
 		capT := x.pool.Capacity(t)
 		if capT <= 0 {
 			continue
 		}
-		if used := x.pool.Used(t); used > int64(low*float64(capT)) {
-			target += used - int64(low*float64(capT))
+		if used := x.pool.Used(t); used > int64(evictLow*float64(capT)) {
+			target += used - int64(evictLow*float64(capT))
 		}
 	}
 	return target
 }
 
-// evictColdest relocates sealed runs of quiescent windows to the spill
-// tier, coldest (oldest window/pane start) first, until target bytes
-// have left the memory tiers, the per-sweep cap is reached, or the
-// spill file fills. It returns the bytes actually freed. Safe to call
-// from the monitor goroutine and from the ingest loop's exhaustion
-// path; x.wmu serializes sweeps against each other and against close
+// evictColdest relocates the runs of quiescent panes to the spill
+// tier, coldest (oldest pane) first, until target bytes have left the
+// memory tiers, the per-sweep cap is reached, or the spill file fills.
+// It returns the bytes actually freed. Safe to call from the monitor
+// goroutine and from the ingest loop's exhaustion path; the window
+// table's lock serializes sweeps against each other and against close
 // collection.
 func (x *exec) evictColdest(target int64) int64 {
 	if x.spillFile == nil || target <= 0 {
 		return 0
 	}
 	var freed, evicted int64
-	evictRun := func(r *kpa.KPA) bool {
+	x.table.sweepEvictable(func(r *kpa.KPA) bool {
 		if r.Len() == 0 || r.Spilled() || r.Tier() == memsim.Spill {
 			// Already out of the memory tiers — either evicted, or
 			// allocated straight into the arena by the ladder's last
@@ -85,58 +82,8 @@ func (x *exec) evictColdest(target int64) int64 {
 			evicted++
 		}
 		return freed < target && evicted < maxEvictRunsPerSweep
-	}
-
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
-	if x.paneW > 0 {
-		starts := make([]wm.Time, 0, len(x.panes))
-		for p := range x.panes {
-			starts = append(starts, p)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, p := range starts {
-			if !x.paneQuiescentLocked(p) {
-				continue
-			}
-			for _, r := range x.panes[p].runs {
-				if !evictRun(r) {
-					return freed
-				}
-			}
-		}
-		return freed
-	}
-	starts := make([]wm.Time, 0, len(x.windows))
-	for s, e := range x.windows {
-		if e.closeRequested || e.closing {
-			continue
-		}
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, s := range starts {
-		for _, r := range x.windows[s].runs {
-			if !evictRun(r) {
-				return freed
-			}
-		}
-	}
+	})
 	return freed
-}
-
-// paneQuiescentLocked reports whether no window covering pane p has a
-// close requested or in flight — i.e. none of p's runs can be under a
-// concurrent merge read. Covering windows absent from x.windows are
-// either future (no runs collected yet) or fully retired; both are
-// safe. Caller holds x.wmu.
-func (x *exec) paneQuiescentLocked(p wm.Time) bool {
-	for s, e := range x.windows {
-		if s <= p && p < s+x.plan.Win.Size && (e.closeRequested || e.closing) {
-			return false
-		}
-	}
-	return true
 }
 
 // loadRuns brings a closing window's spilled runs back into a memory
@@ -163,7 +110,7 @@ func (x *exec) loadRuns(runs []*kpa.KPA, tag engine.Tag) {
 }
 
 // homogenizeRuns converts a close's runs to one pointer/value mode so
-// the materializing merges (Merge, MergeK) can copy pairs verbatim.
+// the materializing merge (MergeK) can copy pairs verbatim.
 // Only mixed sets convert, and only the pointer runs: a run this close
 // owns outright materializes its values in place; a pane run shared
 // with other still-open windows is cloned (the clone joins the close,
@@ -181,8 +128,7 @@ func (x *exec) homogenizeRuns(start wm.Time, runs []*kpa.KPA) []*kpa.KPA {
 	if !vals || !ptrs {
 		return runs
 	}
-	tag := engine.TagFor(x.plan.Win, wm.Time(x.targetWM.Load()), start)
-	al := x.allocator(tag)
+	al := x.allocator(x.tagFor(start))
 	for i, r := range runs {
 		if r.ValuesResident() {
 			continue

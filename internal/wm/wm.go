@@ -80,65 +80,85 @@ func (w Windowing) WindowsOf(ts Time) []Time {
 // End returns the end (exclusive) of the window starting at start.
 func (w Windowing) End(start Time) Time { return start + w.Size }
 
-// PaneWidth returns the width of the non-overlapping panes sliding
-// windows decompose into: gcd(Size, Slide), so every window is an exact
-// union of whole panes (in practice the slide, since sizes are usually
-// slide multiples). Fixed windows are their own single pane.
-func (w Windowing) PaneWidth() Time {
-	a, b := w.Size, w.slide()
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// PanesPerWindow returns how many panes one window spans. When the
-// slide divides the size it equals Overlap; for near-coprime
-// size/slide combinations the gcd degenerates towards 1 and the count
-// blows up — the runtime compares it against Overlap to decide whether
-// pane sharing is worth engaging.
-func (w Windowing) PanesPerWindow() int { return int(w.Size / w.PaneWidth()) }
-
 // Overlap returns ceil(Size/Slide): how many windows an interior
-// timestamp (and so an interior pane) belongs to — the sharing factor
-// pane-based aggregation divides grouping work and state by.
+// timestamp belongs to — the sharing factor pane-based aggregation
+// divides grouping work and state by.
 func (w Windowing) Overlap() int {
 	s := w.slide()
 	return int((w.Size + s - 1) / s)
 }
 
-// MaxPanesPerOverlap bounds how fragmented the pane decomposition may
-// get before pane-based sharing stops paying: the pane width is
-// gcd(Size, Slide), so a near-coprime size/slide (say 1e6/333_333,
-// gcd 1) would shatter each window into ~Size panes — per-timestamp
-// runs and a pane probe per time unit at close. Divisible slides give
-// exactly Overlap panes per window; mildly non-divisible ones a small
-// multiple.
-const MaxPanesPerOverlap = 8
+// Panes is the decomposition of event time into the non-overlapping
+// panes windows are built from: paired panes (Krishnamurthy et al.,
+// "On-the-fly sharing for streamed aggregation", SIGMOD 2006). Pane
+// edges sit at every k·slide — where a window starts — and, when
+// rem = Size mod slide is nonzero, at every k·slide + rem — where a
+// window ends. Every window is therefore an exact union of whole
+// panes, and no shape has more than two panes per slide (so at most
+// 2·Overlap per window), however size and slide divide. When the slide
+// divides the size the panes are the slides; a fixed window is its own
+// single pane.
+type Panes struct {
+	size, slide, rem Time
+}
 
-// PaneSharing reports whether this windowing decomposes into coarse
-// enough panes for shared pane aggregation to win; shapes past the
-// bound run the direct duplicate-scatter path, whose cost is just
-// overlap×. Both execution backends key off this predicate, so the
-// native path and the simulator's demand model agree on when sharing
-// is in effect.
-func (w Windowing) PaneSharing() bool {
-	return !w.IsFixed() && w.PanesPerWindow() <= MaxPanesPerOverlap*w.Overlap()
+// Panes returns the windowing's pane decomposition.
+func (w Windowing) Panes() Panes {
+	s := w.slide()
+	return Panes{size: w.Size, slide: s, rem: w.Size % s}
+}
+
+// Index returns the ordinal of the pane containing ts; ordinals are
+// dense and ascend with event time.
+func (p Panes) Index(ts Time) uint64 {
+	q := ts / p.slide
+	switch {
+	case p.rem == 0:
+		return q
+	case ts-q*p.slide >= p.rem:
+		return 2*q + 1
+	}
+	return 2 * q
+}
+
+// Start returns the start of the pane with ordinal idx.
+func (p Panes) Start(idx uint64) Time {
+	if p.rem == 0 {
+		return idx * p.slide
+	}
+	return idx/2*p.slide + idx%2*p.rem
+}
+
+// End returns the end (exclusive) of the pane starting at pane, which
+// is also the start of the next pane.
+func (p Panes) End(pane Time) Time {
+	switch {
+	case p.rem == 0:
+		return pane + p.slide
+	case pane%p.slide == 0:
+		return pane + p.rem
+	}
+	return pane - p.rem + p.slide
+}
+
+// Covering returns the first and last starts of the windows containing
+// the pane starting at pane — the multiples s of the slide with
+// s <= pane and s+Size >= End(pane), clamped at window start 0. They
+// are contiguous: every slide multiple in [first, last] covers it.
+func (p Panes) Covering(pane Time) (first, last Time) {
+	last = pane / p.slide * p.slide
+	if end := p.End(pane); end > p.size {
+		first = (end - p.size + p.slide - 1) / p.slide * p.slide
+	}
+	return first, last
 }
 
 // CoveringWindows returns how many windows contain the pane starting at
-// pane — the multiples s of the slide with s <= pane and
-// s+Size >= pane+PaneWidth, clamped at window start 0. This is the
-// reference count a shared pane run carries: each covering window
-// releases one reference when it closes.
+// pane: the reference count a shared pane run carries when none of them
+// has closed yet.
 func (w Windowing) CoveringWindows(pane Time) int {
-	s := w.slide()
-	hi := pane / s // last covering start
-	var lo Time
-	if pane+w.PaneWidth() > w.Size {
-		lo = (pane + w.PaneWidth() - w.Size + s - 1) / s
-	}
-	return int(hi-lo) + 1
+	first, last := w.Panes().Covering(pane)
+	return int((last-first)/w.slide()) + 1
 }
 
 // Boundaries returns the window-start boundaries covering [lo, hi],

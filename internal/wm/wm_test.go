@@ -199,55 +199,120 @@ func TestPropClosedWindows(t *testing.T) {
 	}
 }
 
-// TestPaneGeometry pins the pane decomposition helpers on divisible and
-// non-divisible size/slide combinations.
+// panesOf walks the pane starts inside [lo, hi) with Panes.End.
+func panesOf(p Panes, lo, hi Time) []Time {
+	var out []Time
+	for pane := lo; pane < hi; pane = p.End(pane) {
+		out = append(out, pane)
+	}
+	return out
+}
+
+// TestPaneGeometry pins the paired-pane decomposition on divisible and
+// non-divisible size/slide combinations: the pane edges over the first
+// slides and the panes one window spans.
 func TestPaneGeometry(t *testing.T) {
 	cases := []struct {
 		win    Windowing
-		paneW  Time
+		edges  []Time // first pane starts
 		perWin int
 	}{
-		{Sliding(100, 50), 50, 2},
-		{Sliding(100, 25), 25, 4},
-		{Sliding(700, 200), 100, 7},
-		{Sliding(96, 7), 1, 96},
-		{Fixed(100), 100, 1},
+		{Sliding(100, 50), []Time{0, 50, 100, 150}, 2},
+		{Sliding(100, 25), []Time{0, 25, 50, 75}, 4},
+		{Sliding(700, 200), []Time{0, 100, 200, 300, 400}, 7},
+		{Sliding(96, 7), []Time{0, 5, 7, 12, 14, 19}, 27},
+		{Sliding(1_000_000, 333_333), []Time{0, 1, 333_333, 333_334, 666_666}, 7},
+		{Fixed(100), []Time{0, 100, 200}, 1},
 	}
 	for _, c := range cases {
-		if got := c.win.PaneWidth(); got != c.paneW {
-			t.Fatalf("%+v: pane width %d, want %d", c.win, got, c.paneW)
+		p := c.win.Panes()
+		for i, e := range c.edges {
+			if got := p.Start(uint64(i)); got != e {
+				t.Fatalf("%+v: pane %d starts at %d, want %d", c.win, i, got, e)
+			}
+			if got := p.Index(e); got != uint64(i) {
+				t.Fatalf("%+v: ts %d in pane %d, want %d", c.win, e, got, i)
+			}
+			if i+1 < len(c.edges) && p.End(e) != c.edges[i+1] {
+				t.Fatalf("%+v: pane %d ends at %d, want %d", c.win, e, p.End(e), c.edges[i+1])
+			}
 		}
-		if got := c.win.PanesPerWindow(); got != c.perWin {
+		start := 3 * c.win.slide()
+		if got := len(panesOf(p, start, c.win.End(start))); got != c.perWin {
 			t.Fatalf("%+v: panes/window %d, want %d", c.win, got, c.perWin)
-		}
-		// Windows must decompose into whole panes.
-		if c.win.Size%c.paneW != 0 || c.win.slide()%c.paneW != 0 {
-			t.Fatalf("%+v: pane width %d does not tile size/slide", c.win, c.paneW)
 		}
 	}
 }
 
+// coveringBrute counts the window starts s (multiples of the slide,
+// clamped at 0) whose [s, s+Size) fully contains [pane, end).
+func coveringBrute(win Windowing, pane, end Time) int {
+	n := 0
+	for s := Time(0); s <= pane; s += win.slide() {
+		if s+win.Size >= end {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCoveringWindowsProperty cross-checks CoveringWindows against
-// direct enumeration: the count of window starts s (multiples of the
-// slide, clamped at 0) whose [s, s+Size) fully contains the pane.
+// direct enumeration on the shapes the runtime tests use.
 func TestCoveringWindowsProperty(t *testing.T) {
 	for _, win := range []Windowing{
 		Sliding(100, 50), Sliding(100, 25), Sliding(700, 200),
 		Sliding(96, 7), Sliding(10, 1), Fixed(100),
 	} {
-		pw := win.PaneWidth()
-		slide := win.slide()
-		for pane := Time(0); pane < 5*win.Size; pane += pw {
-			want := 0
-			for s := Time(0); s <= pane; s += slide {
-				if s+win.Size >= pane+pw {
-					want++
-				}
-			}
-			if got := win.CoveringWindows(pane); got != want {
+		p := win.Panes()
+		for _, pane := range panesOf(p, 0, 5*win.Size) {
+			if got, want := win.CoveringWindows(pane), coveringBrute(win, pane, p.End(pane)); got != want {
 				t.Fatalf("%+v pane %d: covering %d, want %d", win, pane, got, want)
 			}
 		}
+	}
+}
+
+// TestPairedPanesProperty checks the decomposition over random
+// (Size, slide): panes tile event time (Index, Start and End agree on
+// every timestamp), every window is an exact union of whole panes and
+// spans at most 2·Overlap of them, and CoveringWindows equals a
+// brute-force count.
+func TestPairedPanesProperty(t *testing.T) {
+	f := func(rawSize, rawSlide uint8) bool {
+		size := Time(rawSize) + 1
+		win := Sliding(size, Time(rawSlide)%size+1)
+		p := win.Panes()
+		horizon := 4 * size
+		panes := panesOf(p, 0, horizon)
+		for i, pane := range panes {
+			end := p.End(pane)
+			if end <= pane || p.Start(uint64(i)) != pane {
+				return false
+			}
+			for ts := pane; ts < end; ts++ {
+				if p.Index(ts) != uint64(i) {
+					return false
+				}
+			}
+			if win.CoveringWindows(pane) != coveringBrute(win, pane, end) {
+				return false
+			}
+		}
+		for start := Time(0); win.End(start) <= horizon; start += win.slide() {
+			in := panesOf(p, start, win.End(start))
+			// Walking whole panes from the window start lands exactly on
+			// its end: the window is a union of panes.
+			if p.Start(p.Index(start)) != start || p.End(in[len(in)-1]) != win.End(start) {
+				return false
+			}
+			if len(in) > 2*win.Overlap() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -173,15 +173,6 @@ type RunConfig struct {
 	// simulated backend ignores them.
 	SpillDir      string
 	SpillCapacity int64
-	// PinnedKnob pins the demand-balance knob to a fixed
-	// {k_low, k_high} and disables the adaptive controller — the
-	// fixed-setting ablation the controller is benchmarked against
-	// (sbx-bench -exp adaptive). Native backend only.
-	PinnedKnob *[2]float64
-	// EvictHighWater/EvictLowWater bound the controller's eviction
-	// hysteresis (0 picks 0.85/0.70); see runtime.Config.
-	EvictHighWater float64
-	EvictLowWater  float64
 }
 
 // ServeConfig configures a network-serving execution (Serve): where to
@@ -332,6 +323,11 @@ type Report struct {
 	// private copy of every record. Both 0 for fixed windows and on the
 	// simulated backend.
 	PaneRuns, SharedRunRefs int64
+	// LateRecords counts records the native backend dropped because
+	// every window covering them had already been sealed by the
+	// watermark when they arrived (0 on the simulated backend). A
+	// sealed window is never re-opened or published twice.
+	LateRecords int64
 	// PeakWindowStateBytes is the native backend's high-water mark of
 	// live grouped window state per memory tier (0 HBM, 1 DRAM), and
 	// PeakWindowStateTotalBytes the combined high-water mark (the
@@ -730,15 +726,12 @@ func runNative(p *Pipeline, cfg RunConfig) (Report, error) {
 		return Report{}, err
 	}
 	rcfg := runtime.Config{
-		Workers:        cfg.Workers,
-		Machine:        cfg.Machine,
-		Seed:           cfg.Seed,
-		Capture:        capture != nil,
-		SpillDir:       cfg.SpillDir,
-		SpillCapacity:  cfg.SpillCapacity,
-		PinnedKnob:     cfg.PinnedKnob,
-		EvictHighWater: cfg.EvictHighWater,
-		EvictLowWater:  cfg.EvictLowWater,
+		Workers:       cfg.Workers,
+		Machine:       cfg.Machine,
+		Seed:          cfg.Seed,
+		Capture:       capture != nil,
+		SpillDir:      cfg.SpillDir,
+		SpillCapacity: cfg.SpillCapacity,
 	}
 	rep, err := runtime.Run(plan, rcfg)
 	if err != nil {
@@ -762,6 +755,7 @@ func runNative(p *Pipeline, cfg RunConfig) (Report, error) {
 		WindowsClosed:             rep.WindowsClosed,
 		PaneRuns:                  rep.PaneRuns,
 		SharedRunRefs:             rep.SharedRunRefs,
+		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,
 		SpilledRuns:               rep.SpilledRuns,
@@ -938,9 +932,6 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 		Capture:         capture != nil,
 		SpillDir:        cfg.SpillDir,
 		SpillCapacity:   cfg.SpillCapacity,
-		PinnedKnob:      cfg.PinnedKnob,
-		EvictHighWater:  cfg.EvictHighWater,
-		EvictLowWater:   cfg.EvictLowWater,
 		ShedUtilization: sc.ShedUtilization,
 		// Windows the checkpoint already sealed are rebuilt by replay
 		// but neither re-published nor re-captured — the checkpointed
@@ -1300,6 +1291,7 @@ func (s *Server) scrapeMetrics() netio.Metrics {
 	}
 	m.WindowStateBytes = s.exec.WindowStateBytes()
 	m.PaneRuns, m.SharedRunRefs = s.exec.PaneStats()
+	m.LateRecords = s.exec.LateRecords()
 	m.KLow, m.KHigh = s.exec.KnobState()
 	if s.exec.SpillEnabled() {
 		m.SpillEnabled = true
@@ -1409,6 +1401,7 @@ func (s *Server) Shutdown() (Report, error) {
 		WindowsClosed:             rep.WindowsClosed,
 		PaneRuns:                  rep.PaneRuns,
 		SharedRunRefs:             rep.SharedRunRefs,
+		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,
 		SpilledRuns:               rep.SpilledRuns,
