@@ -10,8 +10,9 @@
 //
 // With -wire columnar the generator fills column buffers directly and
 // streams column-major frames — no per-record encoding on either end.
-// Against a row-only (wire version 1) server the client falls back to
-// the PB record path automatically.
+// Every connection is a resumable session: a lost connection is
+// redialed up to -retries times and unacked frames are replayed, the
+// server deduplicating by sequence number.
 package main
 
 import (
@@ -31,7 +32,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "ingest server address")
 	conns := flag.Int("conns", 4, "parallel connections")
-	wire := flag.String("wire", "row", "wire mode: row (per-record -format payloads) | columnar (column-major v2 frames; ignores -format)")
+	wire := flag.String("wire", "row", "wire mode: row (per-record -format payloads) | columnar (column-major frames; ignores -format)")
 	formatName := flag.String("format", "pb", "row payload encoding: pb|json|text")
 	records := flag.Int64("records", 1_000_000, "total records to send (ignored with -duration)")
 	duration := flag.Float64("duration", 0, "send for this many seconds instead of a fixed record count")
@@ -42,8 +43,7 @@ func main() {
 	windowRecords := flag.Uint64("window-records", 100_000, "records per 1s window of event time")
 	random := flag.Bool("random", false, "random keys/values instead of round-robin")
 	seed := flag.Uint64("seed", 0, "random-mode seed")
-	resume := flag.Bool("resume", false, "resumable sessions: reconnect with backoff and replay unacked frames on connection loss (needs a wire v3 server)")
-	retries := flag.Int("retries", 8, "reconnect attempts per outage with -resume (negative = unlimited)")
+	retries := flag.Int("retries", 8, "redial attempts per outage, with backoff, resuming the session and replaying unacked frames (0 = never redial: a lost connection fails the run; negative = unlimited)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-frame write deadline (0 disables)")
 	chaosDrop := flag.Float64("chaos-drop", 0, "fault injection: probability of a connection reset per socket op")
 	chaosPartial := flag.Float64("chaos-partial", 0, "fault injection: probability of a partial write + reset per write")
@@ -86,8 +86,8 @@ func main() {
 			CorruptProb:      *chaosCorrupt,
 			Seed:             *chaosSeed,
 		})
-		if !*resume {
-			fmt.Fprintln(os.Stderr, "note: chaos flags without -resume will lose data on the first injected fault")
+		if *retries == 0 {
+			fmt.Fprintln(os.Stderr, "note: chaos flags with -retries 0 fail the run on the first injected fault")
 		}
 	}
 	ccfg := netio.ClientConfig{
@@ -96,7 +96,7 @@ func main() {
 		WriteTimeout: *writeTimeout,
 		Faults:       inj,
 	}
-	if *resume {
+	if *retries != 0 {
 		ccfg.Reconnect = &netio.ReconnectConfig{MaxRetries: *retries, Seed: *chaosSeed}
 	}
 
@@ -112,8 +112,6 @@ func main() {
 		}
 		clients[j] = c
 	}
-	// A columnar dial may have fallen back against a row-only server.
-	format = clients[0].Format()
 
 	var stop atomic.Bool
 	if *duration > 0 {
@@ -130,7 +128,7 @@ func main() {
 		go func(j int, c *netio.Client) {
 			defer wg.Done()
 			defer c.Close()
-			columnar := c.Format() == parsefmt.Columnar
+			columnar := format == parsefmt.Columnar
 			var buf []parsefmt.Record
 			var cols [][]uint64
 			if columnar {
@@ -213,7 +211,7 @@ func main() {
 	fmt.Printf("sent:       %d records in %d frames over %d conns (%s)\n", total, frames, *conns, format)
 	fmt.Printf("elapsed:    %.3f s\n", elapsed.Seconds())
 	fmt.Printf("throughput: %.1f k rec/s\n", float64(total)/elapsed.Seconds()/1e3)
-	if *resume || inj != nil {
+	if reconnects > 0 || inj != nil {
 		fc := inj.Counters()
 		fmt.Printf("faults:     %d reconnects, %d replayed frames (injected: %d resets, %d partial writes, %d corruptions)\n",
 			reconnects, replayed, fc.Resets, fc.PartialWrites, fc.Corruptions)

@@ -37,13 +37,12 @@ func main() {
 	duration := flag.Float64("duration", 0, "wall seconds to serve before draining (0 = until SIGINT)")
 	keep := flag.Int("keep", 16, "closed windows retained per sink for GET /windows")
 	k := flag.Int("k", 10, "k for -pipeline topk")
-	wire := flag.String("wire", "columnar", "newest wire capability to serve: columnar (version 2) | row (version 1 only; columnar clients fall back)")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "sever connections silent this long (0 disables)")
 	cursorGrace := flag.Duration("cursor-grace", 10*time.Second, "park a dead session's watermark cursor after this (windows close without it)")
 	sessionTimeout := flag.Duration("session-timeout", 2*time.Minute, "expire a dead session (no more resume) after this")
 	maxConns := flag.Int("max-conns", 0, "shed ingest handshakes past this many live connections (0 = unlimited)")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "SIGTERM: wait this long for clients to finish before severing")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: session frames are fsynced before they are acked (empty disables durability)")
+	walDir := flag.String("wal-dir", "", "write-ahead log directory: frames are fsynced before they are acked (empty disables durability)")
 	recoverDir := flag.String("recover-dir", "", "recover from this WAL directory before serving (implies -wal-dir into the same directory)")
 	ckInterval := flag.Duration("checkpoint-interval", time.Second, "recovery checkpoint cadence with a WAL attached")
 	crashAfter := flag.Int64("crash-after-bytes", 0, "fault injection: SIGKILL this process after reading this many ingest bytes (crash-recovery testing)")
@@ -54,16 +53,6 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "directory for the mmap'd cold spill tier's temp file (empty = system temp dir; only used with -spill-cap)")
 	spillCap := flag.Int64("spill-cap", 0, "spill-tier capacity in bytes: enables the adaptive placement controller and cold-run eviction (0 disables)")
 	flag.Parse()
-
-	wireVersion := 0 // newest
-	switch *wire {
-	case "columnar":
-	case "row":
-		wireVersion = 1
-	default:
-		fmt.Fprintf(os.Stderr, "unknown wire mode %q (row|columnar)\n", *wire)
-		os.Exit(2)
-	}
 
 	p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
 	s := p.NetworkSource(streambox.SourceConfig{Name: "net"}).
@@ -101,7 +90,6 @@ func main() {
 			IngestAddr:         *ingest,
 			HTTPAddr:           *httpAddr,
 			KeepWindows:        *keep,
-			WireVersion:        wireVersion,
 			IdleTimeout:        *idleTimeout,
 			CursorGrace:        *cursorGrace,
 			SessionTimeout:     *sessionTimeout,

@@ -18,19 +18,18 @@ import (
 // client and the feed's row-path column sizing.
 const defaultFrameRecords = 512
 
-// defaultReplayFrames bounds the session replay buffer: frames sent but
-// not yet cumulatively acked. It must exceed the server's credit window
+// defaultReplayFrames bounds the replay buffer: frames sent but not yet
+// cumulatively acked. It must exceed the server's credit window
 // (default 16) or the send path would stall waiting on acks it has no
 // credit to provoke.
 const defaultReplayFrames = 64
 
 // ReconnectConfig enables automatic reconnection with exponential
 // backoff and jitter. With it set, Dial retries handshake failures
-// (connection refused, server shedding with ErrOverloaded), and — when
-// the server speaks wire version 3 — the client runs a resumable
-// session: mid-stream connection losses trigger a transparent
-// reconnect, resume, and replay of unacked frames, with the server
-// deduplicating by frame sequence number.
+// (connection refused, server shedding with ErrOverloaded), and a
+// mid-stream connection loss triggers a transparent redial, session
+// resume, and replay of unacked frames, with the server deduplicating
+// by frame sequence number.
 type ReconnectConfig struct {
 	// MaxRetries caps the dial attempts per outage (0 picks 8; negative
 	// retries forever).
@@ -70,12 +69,11 @@ func (rc *ReconnectConfig) withDefaults() ReconnectConfig {
 // ClientConfig configures a Dial.
 type ClientConfig struct {
 	// Format selects the payload encoding (default JSON, the zero
-	// value; loadgen defaults to PB). Columnar needs a wire-version-2
-	// server; against an older one Dial falls back to PB on a fresh
-	// connection unless NoFallback is set.
+	// value; loadgen defaults to PB).
 	Format parsefmt.Format
-	// NoFallback makes Dial fail, rather than retry with PB, when the
-	// server rejects the columnar format.
+	// NoFallback is ignored: the columnar→PB fallback redial it used to
+	// suppress is gone. The field stays only because benchmark/ sets it
+	// and that directory is frozen between benchmark PRs.
 	NoFallback bool
 	// FrameRecords is the number of records per frame (0 picks 512).
 	FrameRecords int
@@ -83,15 +81,18 @@ type ClientConfig struct {
 	// (0 picks 10s).
 	DialTimeout time.Duration
 	// WriteTimeout bounds each frame write (and the end-of-stream
-	// marker); a stalled or half-open server surfaces as a *TimeoutError
-	// instead of blocking Send forever. In session mode a write timeout
-	// triggers a reconnect instead. Zero disables the deadline.
+	// marker); a stalled or half-open server triggers a redial, or
+	// without Reconnect surfaces as a *TimeoutError, instead of blocking
+	// Send forever. It is also Close's no-progress bound on the final
+	// ack drain. Zero disables the write deadline and leaves DialTimeout
+	// as the drain bound.
 	WriteTimeout time.Duration
-	// Reconnect enables automatic reconnection (and, against a wire
-	// version 3 server, exactly-once session resume). Nil disables both:
-	// any connection error surfaces to the caller.
+	// Reconnect enables automatic redial with exactly-once session
+	// resume. Nil means a session that does not redial: any connection
+	// error surfaces to the caller, and the server parks and expires the
+	// session as for any lost client.
 	Reconnect *ReconnectConfig
-	// ReplayFrames bounds the session replay buffer in frames (0 picks
+	// ReplayFrames bounds the replay buffer in frames (0 picks
 	// 64). Larger buffers ride out longer ack gaps; the buffer holds
 	// encoded payload copies, so memory is ReplayFrames × frame size.
 	ReplayFrames int
@@ -102,7 +103,7 @@ type ClientConfig struct {
 	Faults *faultinject.Injector
 }
 
-// replayFrame is one unacked frame parked in the session replay buffer.
+// replayFrame is one unacked frame parked in the replay buffer.
 type replayFrame struct {
 	seq     uint64
 	payload []byte
@@ -111,28 +112,22 @@ type replayFrame struct {
 // Client is one ingest stream: it frames and encodes records,
 // respecting the server's credit window — Send blocks while the server
 // withholds credits (engine backpressure). A columnar client builds
-// column-major frames directly; SendColumns streams column buffers to
-// the wire without materializing records at all.
+// column-major frames directly; SendColumns takes column buffers
+// without materializing records at all.
 //
-// With a ReconnectConfig against a version >= 3 server the client is a
-// resumable session rather than a single connection: every frame
+// The stream is a session rather than a single connection: every frame
 // carries a sequence number and is parked in a bounded replay buffer
-// until the server's cumulative ack covers it, and a lost connection is
-// replaced by redial + resume + replay without losing or duplicating a
-// record. Send and Close hide all of that; Reconnects and Replayed
-// expose how often it happened.
+// until the server's cumulative ack covers it, and — with a
+// ReconnectConfig — a lost connection is replaced by redial + resume +
+// replay without losing or duplicating a record. Send and Close hide
+// all of that; Reconnects and Replayed expose how often it happened.
 type Client struct {
-	cfg    ClientConfig
-	rc     ReconnectConfig // defaults applied; valid only when cfg.Reconnect != nil
-	addr   string
-	format parsefmt.Format
-	frame  int
+	cfg   ClientConfig
+	rc    ReconnectConfig // defaults applied; valid only when cfg.Reconnect != nil
+	addr  string
+	frame int
 
-	// session/token/version are fixed after Dial (the first handshake
-	// decides whether the server can run a session at all).
-	session bool
-	token   uint64
-	version byte
+	token uint64 // the session's resume token, fixed by the first handshake
 
 	conn net.Conn      // current connection; app goroutine + stale check
 	bw   *bufio.Writer // app goroutine only
@@ -163,24 +158,12 @@ type Client struct {
 	prng uint64 // jitter state
 }
 
-// Dial connects and handshakes with an ingest server. A columnar dial
-// rejected by a row-only (wire version 1) server is retried once with
-// the PB format unless cfg.NoFallback is set; check Format on the
-// returned client for the format actually negotiated. With
-// cfg.Reconnect set, dial-time failures (connection refused, shedding)
-// are retried with backoff before giving up.
+// Dial connects, handshakes and opens a fresh session with an ingest
+// server. With cfg.Reconnect set, dial-time failures (connection
+// refused, shedding) are retried with backoff before giving up.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	dial := func() (*Client, error) {
-		c, err := dialOnce(addr, cfg)
-		if err != nil && errors.Is(err, errFormatRejected) && cfg.Format == parsefmt.Columnar && !cfg.NoFallback {
-			fb := cfg
-			fb.Format = parsefmt.PB
-			return dialOnce(addr, fb)
-		}
-		return c, err
-	}
 	if cfg.Reconnect == nil {
-		return dial()
+		return dialOnce(addr, cfg)
 	}
 	rc := cfg.Reconnect.withDefaults()
 	prng := rc.Seed
@@ -190,7 +173,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		if attempt > 0 {
 			time.Sleep(jitteredDelay(&prng, &delay, rc))
 		}
-		c, err := dial()
+		c, err := dialOnce(addr, cfg)
 		if err == nil {
 			c.prng = prng
 			return c, nil
@@ -229,22 +212,18 @@ func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 		cfg.ReplayFrames = defaultReplayFrames
 	}
 	c := &Client{
-		cfg:    cfg,
-		addr:   addr,
-		format: cfg.Format,
-		frame:  cfg.FrameRecords,
+		cfg:   cfg,
+		addr:  addr,
+		frame: cfg.FrameRecords,
 	}
 	if cfg.Reconnect != nil {
 		c.rc = cfg.Reconnect.withDefaults()
 	}
 	c.cond = sync.NewCond(&c.mu)
-	conn, credits, version, token, lastSeq, err := c.handshake(0)
+	conn, credits, lastSeq, err := c.handshake()
 	if err != nil {
 		return nil, err
 	}
-	c.version = version
-	c.session = token != 0
-	c.token = token
 	c.acked = lastSeq
 	c.maxTx = lastSeq
 	c.txSeq = lastSeq
@@ -253,55 +232,51 @@ func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// handshake dials and runs the full exchange: hello, ack, and — when a
-// session is wanted — the resume request and session grant. token is
-// the session to resume (0 asks for a fresh one); the returned token is
-// 0 when no session was negotiated.
-func (c *Client) handshake(token uint64) (conn net.Conn, credits int, version byte, gotToken, lastSeq uint64, err error) {
-	cfg := c.cfg
-	wantSession := cfg.Reconnect != nil
-	conn, err = net.DialTimeout("tcp", c.addr, cfg.DialTimeout)
+// handshake dials and opens the session on the new socket: a fresh one
+// on the first call, a resume of c.token afterwards.
+func (c *Client) handshake() (conn net.Conn, credits int, lastSeq uint64, err error) {
+	conn, err = net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, 0, 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn.SetDeadline(time.Now().Add(cfg.DialTimeout))
-	var flags byte
-	if wantSession {
-		flags |= helloFlagSession
-	}
-	if err := writeHello(conn, cfg.Format, helloVersionFor(cfg.Format, wantSession), flags); err != nil {
-		conn.Close()
-		return nil, 0, 0, 0, 0, fmt.Errorf("netio: hello: %w", err)
-	}
-	credits, version, err = readAck(conn)
+	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	credits, lastSeq, err = c.openSession(conn)
 	if err != nil {
 		conn.Close()
-		return nil, 0, 0, 0, 0, err
-	}
-	if wantSession && version >= 3 {
-		if err := writeResume(conn, token); err != nil {
-			conn.Close()
-			return nil, 0, 0, 0, 0, fmt.Errorf("netio: resume request: %w", err)
-		}
-		gotToken, lastSeq, err = readSessionGrant(conn)
-		if err != nil {
-			conn.Close()
-			return nil, 0, 0, 0, 0, err
-		}
-		if gotToken == 0 {
-			conn.Close()
-			return nil, 0, 0, 0, 0, ErrSessionExpired
-		}
-		if token != 0 && gotToken != token {
-			conn.Close()
-			return nil, 0, 0, 0, 0, fmt.Errorf("netio: session grant token mismatch")
-		}
+		return nil, 0, 0, err
 	}
 	conn.SetDeadline(time.Time{})
-	return cfg.Faults.WrapConn(conn), credits, version, gotToken, lastSeq, nil
+	return c.cfg.Faults.WrapConn(conn), credits, lastSeq, nil
+}
+
+// openSession runs the exchange: hello, ack, resume request (token zero
+// asks for a fresh session) and session grant. The first grant fixes
+// c.token; later ones must echo it.
+func (c *Client) openSession(conn net.Conn) (credits int, lastSeq uint64, err error) {
+	if err := writeHello(conn, c.cfg.Format); err != nil {
+		return 0, 0, fmt.Errorf("netio: hello: %w", err)
+	}
+	if credits, err = readAck(conn); err != nil {
+		return 0, 0, err
+	}
+	if err := writeResume(conn, c.token); err != nil {
+		return 0, 0, fmt.Errorf("netio: resume request: %w", err)
+	}
+	token, lastSeq, err := readSessionGrant(conn)
+	if err != nil {
+		return 0, 0, err
+	}
+	if token == 0 {
+		return 0, 0, ErrSessionExpired
+	}
+	if c.token != 0 && token != c.token {
+		return 0, 0, fmt.Errorf("netio: session grant token mismatch")
+	}
+	c.token = token
+	return credits, lastSeq, nil
 }
 
 // install makes conn the client's live connection and starts its credit
@@ -334,12 +309,8 @@ func writeBufSize(cfg ClientConfig) int {
 	return size
 }
 
-// Format returns the payload format negotiated at dial time (PB when a
-// columnar dial fell back).
-func (c *Client) Format() parsefmt.Format { return c.format }
-
-// Session reports whether the client negotiated a resumable session.
-func (c *Client) Session() bool { return c.session }
+// Format returns the stream's payload format.
+func (c *Client) Format() parsefmt.Format { return c.cfg.Format }
 
 // Reconnects returns how many times the client successfully reconnected
 // and resumed mid-stream.
@@ -348,21 +319,14 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // Replayed returns how many frames were retransmitted after resumes.
 func (c *Client) Replayed() int64 { return c.replayed.Load() }
 
-// creditLoop consumes the server's credit grants for one connection; in
-// session mode each grant carries the cumulative ack that trims the
+// creditLoop consumes the server's acks for one connection: each
+// extends the send window and carries the cumulative ack that trims the
 // replay buffer. It exits — marking the connection dead for
 // takeCredit — when the read fails or the connection is superseded.
 func (c *Client) creditLoop(conn net.Conn, done chan struct{}) {
 	defer close(done)
 	for {
-		var n uint32
-		var last uint64
-		var err error
-		if c.session {
-			n, last, err = readCreditAck(conn)
-		} else {
-			n, err = readCredit(conn)
-		}
+		n, last, err := readCreditAck(conn)
 		c.mu.Lock()
 		if c.conn != conn {
 			c.mu.Unlock()
@@ -377,7 +341,7 @@ func (c *Client) creditLoop(conn net.Conn, done chan struct{}) {
 			return
 		}
 		c.credits += int(n)
-		if c.session && last > c.acked && last <= c.maxTx {
+		if last > c.acked && last <= c.maxTx {
 			// last <= maxTx guards against a corrupted ack claiming
 			// frames the client never sent; a real cumulative ack can
 			// only cover transmitted frames.
@@ -440,16 +404,21 @@ func (c *Client) mapWriteErr(op string, err error) error {
 
 // reconnect replaces a dead connection: backoff, redial, resume the
 // session, trim the replay buffer to the server's ack, and rewind txSeq
-// so pump retransmits everything unacked. Fatal errors (session
-// expired, retries exhausted) surface to the caller.
-func (c *Client) reconnect() error {
+// so pump retransmits everything unacked. cause is what killed the
+// connection; a client without a ReconnectConfig does not redial and
+// gets it straight back. Other fatal errors (session expired, retries
+// exhausted) surface to the caller.
+func (c *Client) reconnect(cause error) error {
+	if c.cfg.Reconnect == nil {
+		return cause
+	}
 	c.conn.Close()
 	<-c.done // the old credit loop owns readErr until it exits
 	delay := c.rc.BaseDelay
 	var lastErr error
 	for attempt := 0; c.rc.MaxRetries < 0 || attempt < c.rc.MaxRetries; attempt++ {
 		time.Sleep(jitteredDelay(&c.prng, &delay, c.rc))
-		conn, credits, _, token, lastSeq, err := c.handshake(c.token)
+		conn, credits, lastSeq, err := c.handshake()
 		if err != nil {
 			if errors.Is(err, ErrSessionExpired) {
 				return err
@@ -457,7 +426,6 @@ func (c *Client) reconnect() error {
 			lastErr = err
 			continue
 		}
-		_ = token
 		c.mu.Lock()
 		if lastSeq > c.acked && lastSeq <= c.maxTx {
 			c.acked = lastSeq
@@ -484,9 +452,9 @@ func (c *Client) appendReplay(seq uint64, payload []byte) error {
 			c.mu.Unlock()
 			return nil
 		}
-		if c.readErr != nil {
+		if err := c.readErr; err != nil {
 			c.mu.Unlock()
-			if err := c.reconnect(); err != nil {
+			if err := c.reconnect(err); err != nil {
 				return fmt.Errorf("%w: %v", ErrReplayOverflow, err)
 			}
 			if err := c.pump(); err != nil {
@@ -524,7 +492,7 @@ func (c *Client) pump() error {
 			return nil
 		}
 		if err := c.takeCredit(); err != nil {
-			if rerr := c.reconnect(); rerr != nil {
+			if rerr := c.reconnect(err); rerr != nil {
 				return rerr
 			}
 			continue
@@ -546,8 +514,9 @@ func (c *Client) pump() error {
 			err = c.bw.Flush()
 		}
 		if err != nil {
-			if rerr := c.reconnect(); rerr != nil {
-				return c.mapWriteErr("frame write", err)
+			err = c.mapWriteErr("frame write", err)
+			if c.reconnect(err) != nil {
+				return err
 			}
 			continue
 		}
@@ -558,10 +527,10 @@ func (c *Client) pump() error {
 	}
 }
 
-// sendSessionFrame assigns the next sequence number to payload (which
-// the replay buffer takes ownership of), parks it, and pumps the
+// sendFrame assigns the next sequence number to payload (which the
+// replay buffer takes ownership of), parks it, and pumps the
 // connection.
-func (c *Client) sendSessionFrame(payload []byte, records int) error {
+func (c *Client) sendFrame(payload []byte, records int) error {
 	seq := c.nextSeq
 	c.nextSeq++
 	if err := c.appendReplay(seq, payload); err != nil {
@@ -578,7 +547,7 @@ func (c *Client) sendSessionFrame(payload []byte, records int) error {
 // first; callers holding column data should prefer SendColumns, which
 // skips record materialization entirely.
 func (c *Client) Send(recs []parsefmt.Record) error {
-	if c.format == parsefmt.Columnar {
+	if c.cfg.Format == parsefmt.Columnar {
 		return c.SendColumns(c.scatterRecords(recs))
 	}
 	for len(recs) > 0 {
@@ -586,27 +555,9 @@ func (c *Client) Send(recs []parsefmt.Record) error {
 		if n > len(recs) {
 			n = len(recs)
 		}
-		payload := parsefmt.Encode(c.format, recs[:n])
-		if c.session {
-			if err := c.sendSessionFrame(payload, n); err != nil {
-				return err
-			}
-			recs = recs[n:]
-			continue
-		}
-		if err := c.takeCredit(); err != nil {
+		if err := c.sendFrame(parsefmt.Encode(c.cfg.Format, recs[:n]), n); err != nil {
 			return err
 		}
-		c.armWrite()
-		err := writeFrame(c.bw, payload)
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		if err != nil {
-			return fmt.Errorf("netio: send: %w", c.mapWriteErr("frame write", err))
-		}
-		c.sent.Add(int64(n))
-		c.frames.Add(1)
 		recs = recs[n:]
 	}
 	return nil
@@ -634,15 +585,14 @@ func (c *Client) scatterRecords(recs []parsefmt.Record) [][]uint64 {
 }
 
 // SendColumns frames and transmits a column-major batch over a columnar
-// connection, splitting the rows into frames of the configured size.
-// The column slices are written to the wire directly — on little-endian
-// hosts without any re-encoding. It blocks while the server withholds
-// credits. In session mode each frame's payload is materialized once
-// into the replay buffer instead (the price of being able to replay it
-// after a connection loss).
+// connection, splitting the rows into frames of the configured size. It
+// blocks while the server withholds credits. Each frame's payload is
+// encoded once, straight from the column slices, into the replay buffer
+// (the price of being able to replay it after a connection loss) and
+// written to the wire from there.
 func (c *Client) SendColumns(cols [][]uint64) error {
-	if c.format != parsefmt.Columnar {
-		return fmt.Errorf("netio: SendColumns on a %v connection", c.format)
+	if c.cfg.Format != parsefmt.Columnar {
+		return fmt.Errorf("netio: SendColumns on a %v connection", c.cfg.Format)
 	}
 	if len(cols) == 0 || len(cols[0]) == 0 {
 		return nil
@@ -665,25 +615,9 @@ func (c *Client) SendColumns(cols [][]uint64) error {
 		for i := range cols {
 			chunk[i] = cols[i][lo:hi]
 		}
-		if c.session {
-			if err := c.sendSessionFrame(parsefmt.EncodeColumnarFrame(chunk), hi-lo); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.takeCredit(); err != nil {
+		if err := c.sendFrame(parsefmt.EncodeColumnarFrame(chunk), hi-lo); err != nil {
 			return err
 		}
-		c.armWrite()
-		err := writeColumnarFrame(c.bw, chunk)
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		if err != nil {
-			return fmt.Errorf("netio: send: %w", c.mapWriteErr("frame write", err))
-		}
-		c.sent.Add(int64(hi - lo))
-		c.frames.Add(1)
 	}
 	return nil
 }
@@ -696,13 +630,17 @@ func (c *Client) Frames() int64 { return c.frames.Load() }
 
 // waitAcked blocks until every replay-buffered frame is covered by the
 // server's cumulative ack, reconnecting and replaying when the
-// connection dies while unacked frames remain. With a WriteTimeout
-// configured, the wait is progress-bounded: a server that holds the
-// connection open but stops acking (died mid-drain behind a proxy,
-// wedged disk) cannot park Close forever — once no ack arrives for a
-// full WriteTimeout the drain fails with a *TimeoutError.
+// connection dies while unacked frames remain. The wait is
+// progress-bounded: a server that holds the connection open but stops
+// acking (died mid-drain behind a proxy, wedged disk) cannot park Close
+// forever — once no ack arrives for a full WriteTimeout (DialTimeout
+// when no write deadline is configured) the drain fails with a
+// *TimeoutError.
 func (c *Client) waitAcked() error {
 	to := c.cfg.WriteTimeout
+	if to <= 0 {
+		to = c.cfg.DialTimeout
+	}
 	var deadline time.Time
 	lastAcked, armed := uint64(0), false
 	for {
@@ -711,9 +649,9 @@ func (c *Client) waitAcked() error {
 			c.mu.Unlock()
 			return nil
 		}
-		if c.readErr != nil {
+		if err := c.readErr; err != nil {
 			c.mu.Unlock()
-			if err := c.reconnect(); err != nil {
+			if err := c.reconnect(err); err != nil {
 				return err
 			}
 			if err := c.pump(); err != nil {
@@ -722,54 +660,40 @@ func (c *Client) waitAcked() error {
 			armed = false // the resume handshake was progress; re-arm
 			continue
 		}
-		if to > 0 {
-			if !armed || c.acked != lastAcked {
-				lastAcked, armed = c.acked, true
-				deadline = time.Now().Add(to)
-			} else if !time.Now().Before(deadline) {
-				c.mu.Unlock()
-				return &TimeoutError{Op: "ack drain", After: to}
-			}
-			// cond.Wait cannot time out on its own; a timer broadcast
-			// re-checks the deadline if no ack ever wakes us.
-			wake := time.AfterFunc(time.Until(deadline), c.cond.Broadcast)
-			c.cond.Wait()
-			wake.Stop()
-		} else {
-			c.cond.Wait()
+		if !armed || c.acked != lastAcked {
+			lastAcked, armed = c.acked, true
+			deadline = time.Now().Add(to)
+		} else if !time.Now().Before(deadline) {
+			c.mu.Unlock()
+			return &TimeoutError{Op: "ack drain", After: to}
 		}
+		// cond.Wait cannot time out on its own; a timer broadcast
+		// re-checks the deadline if no ack ever wakes us.
+		wake := time.AfterFunc(time.Until(deadline), c.cond.Broadcast)
+		c.cond.Wait()
+		wake.Stop()
 		c.mu.Unlock()
 	}
 }
 
-// Close sends the end-of-stream marker, waits briefly for the server to
-// finish the stream, and closes the connection. A session client first
-// waits for the cumulative ack to cover every sent frame (reconnecting
-// if needed), so Close returning nil means every record was ingested
+// Close waits for the cumulative ack to cover every sent frame
+// (reconnecting if needed), sends the end-of-stream marker, waits
+// briefly for the server to finish the stream, and closes the
+// connection. Close returning nil means every record was ingested
 // exactly once and the session is retired.
 func (c *Client) Close() error {
-	var err error
-	if c.session {
-		err = c.waitAcked()
-		if err != nil {
-			// Failed drain (timeout, reconnects exhausted): there is no
-			// ack left to wait for — tear the socket down immediately
-			// instead of riding the grace wait below.
-			c.conn.Close()
-			return err
-		}
-		if err == nil {
-			err = c.writeEOS()
-			if err != nil {
-				// One reconnect attempt so the clean end of stream (and
-				// the session retirement it triggers) still lands; every
-				// frame is already acked, so nothing needs replaying.
-				if rerr := c.reconnect(); rerr == nil {
-					err = c.writeEOS()
-				}
-			}
-		}
-	} else {
+	if err := c.waitAcked(); err != nil {
+		// Failed drain (timeout, connection lost for good): there is no
+		// ack left to wait for — tear the socket down immediately
+		// instead of riding the grace wait below.
+		c.conn.Close()
+		return err
+	}
+	err := c.writeEOS()
+	if err != nil && c.reconnect(err) == nil {
+		// One reconnect attempt so the clean end of stream (and the
+		// session retirement it triggers) still lands; every frame is
+		// already acked, so nothing needs replaying.
 		err = c.writeEOS()
 	}
 	if tc, ok := c.conn.(*net.TCPConn); ok && err == nil {
@@ -788,10 +712,10 @@ func (c *Client) Close() error {
 	return err
 }
 
-// writeEOS sends the zero-length end-of-stream marker.
+// writeEOS sends the end-of-stream marker.
 func (c *Client) writeEOS() error {
 	c.armWrite()
-	err := writeFrame(c.bw, nil)
+	err := writeEOS(c.bw)
 	if err == nil {
 		err = c.bw.Flush()
 	}

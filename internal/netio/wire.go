@@ -1,74 +1,75 @@
 // Package netio turns the native backend into a network server: an
-// ingest listener accepts TCP connections carrying length-prefixed
-// frames of parsefmt-encoded records (columnar, binary, JSON or CSV,
-// negotiated in a small handshake), decodes them, and hands sealed
-// batches to the runtime through its ExternalFeed seam. Row-format
-// payloads go through the streaming decoders on a per-connection decode
-// goroutine; columnar frames land their payload bytes directly in
+// ingest listener accepts TCP connections carrying length-prefixed,
+// sequence-numbered frames of parsefmt-encoded records (columnar,
+// binary, JSON or CSV, chosen in a small handshake), decodes them, and
+// hands sealed batches to the runtime through its ExternalFeed seam.
+// One frame loop serves every format; the format contributes only the
+// decode step. Columnar frames land their payload bytes directly in
 // mempool-backed column slabs — decode is validate + bounds-check +
-// endian-fix + pointer-cast, with zero per-record work. A credit-based
-// flow-control loop ties client send permission to the engine's mempool
-// backpressure signal, so an overloaded pipeline slows its clients
-// instead of buffering unboundedly (paper §7.4 treats ingestion as a
-// first-class bottleneck; the ROADMAP north-star is a server for live
-// traffic). The package also serves live query results (/windows) and
-// engine metrics (/metrics) over HTTP, and provides the client used by
+// endian-fix + pointer-cast, with zero per-record work; row-format
+// payloads are read into one per-connection buffer and run through the
+// streaming decoders inline. A credit-based flow-control loop ties
+// client send permission to the engine's mempool backpressure signal,
+// so an overloaded pipeline slows its clients instead of buffering
+// unboundedly (paper §7.4 treats ingestion as a first-class bottleneck;
+// the ROADMAP north-star is a server for live traffic). The package
+// also serves live query results (/windows) and engine metrics
+// (/metrics) over HTTP, and provides the client used by
 // cmd/sbx-loadgen.
 //
 // # Wire format
 //
+// There is one protocol: every stream is a resumable session.
 // Handshake and framing integers are big-endian. The client opens with
 // an 8-byte hello:
 //
 //	offset 0: magic "SBX1"
-//	offset 4: protocol version (1, 2 or 3)
+//	offset 4: protocol version (3)
 //	offset 5: payload format: 0 JSON, 1 binary (PB), 2 text (CSV),
-//	          3 columnar (version 2 and up)
-//	offset 6: flags: bit 0 requests a resumable session (version 3 and
-//	          up; reserved and zero before that)
+//	          3 columnar
+//	offset 6: flags: bit 0 (session) must be set
 //	offset 7: reserved (zero)
 //
 // The server answers with an 8-byte ack:
 //
 //	offset 0: magic "SBXA"
-//	offset 4: negotiated protocol version (min of the hello's and the
-//	          server's; a version-1 hello is always acked with 1, so
-//	          version-1 clients see bit-for-bit the version-1 exchange)
-//	offset 5: status: 0 OK, 1 bad magic/version, 2 bad format (also
-//	          returned for a columnar request the negotiated version
-//	          cannot carry — clients fall back to a row format on a
-//	          fresh connection), 3 overloaded (admission control shed
-//	          the handshake; back off and redial)
+//	offset 4: protocol version (3)
+//	offset 5: status: 0 OK, 1 bad magic/version/flags (including the
+//	          retired version-1 and version-2 hellos and a version-3
+//	          hello without the session flag), 2 unknown format,
+//	          3 overloaded (admission control shed the handshake; back
+//	          off and redial). Any status but OK is followed by a close.
 //	offset 6: initial credit grant, uint16 (frames the client may send)
 //
-// After the ack, the client sends data frames — a uint32 payload length
-// followed by that many bytes of records in the negotiated format; a
-// zero length marks a clean end of stream — and the server sends uint32
-// credit grants, each extending the client's send window by that many
-// frames. The client must keep one credit per in-flight frame. For the
-// columnar format, each frame payload is exactly one parsefmt columnar
-// frame (24-byte checksummed header + little-endian column-major data;
-// see parsefmt/columnar.go for the layout).
+// The client follows an OK ack with a 12-byte resume request — magic
+// "SBXR" then a uint64 session token, zero to open a fresh session —
+// and the server answers with a 20-byte session grant: magic "SBXT",
+// the uint64 session token (zero: the resumed session is unknown or
+// expired and the connection is useless), and the uint64 sequence
+// number of the last frame it fully ingested under that session.
 //
-// # Resumable sessions (version 3)
+// Then the client sends data frames — a uint32 payload length, a
+// uint64 frame sequence number, and that many bytes of records in the
+// hello's format; a bare zero length (no sequence number) marks a clean
+// end of stream and retires the session — and the server sends 12-byte
+// acks, each a uint32 credit count extending the client's send window
+// by that many frames followed by the uint64 cumulative last-ingested
+// sequence. The client must keep one credit per in-flight frame. For
+// the columnar format, each frame payload is exactly one parsefmt
+// columnar frame (24-byte checksummed header + little-endian
+// column-major data; see parsefmt/columnar.go for the layout).
 //
-// A client that set the session flag in its hello follows the OK ack
-// with a 12-byte resume request — magic "SBXR" then a uint64 session
-// token, zero to open a fresh session — and the server answers with a
-// 20-byte session grant: magic "SBXT", the uint64 session token (zero:
-// the resumed session is unknown or expired and the connection is
-// useless), and the uint64 sequence number of the last frame it fully
-// ingested under that session. On a session connection every data
-// frame carries a uint64 sequence number between the length prefix and
-// the payload (the end-of-stream marker stays a bare zero length), and
-// every credit grant widens to a 12-byte ack — the uint32 credit count
-// followed by the uint64 cumulative last-ingested sequence. Frames at
-// or below the acked sequence are discarded by the server (duplicate
-// replay after a resume), a gap above the expected sequence severs the
-// connection so the client replays from its send buffer, and a
-// columnar checksum or geometry failure severs WITHOUT advancing the
-// ack so the replay re-delivers the damaged frame. Version-1 and
-// version-2 exchanges are carried unchanged, bit for bit.
+// Frames at or below the acked sequence are discarded by the server
+// (duplicate replay after a resume), a gap above the expected sequence
+// severs the connection so the client replays from its send buffer,
+// and a columnar checksum or geometry failure severs WITHOUT advancing
+// the ack so the replay re-delivers the damaged frame. A row frame
+// that goes bad part-way keeps the records decoded before the damage
+// and is acked: row formats carry no checksum, so a replay of the same
+// bytes could not do better. A connection that ends without the
+// end-of-stream marker leaves its session resumable; the server parks
+// its watermark cursor after CursorGrace and expires it after
+// SessionTimeout.
 package netio
 
 import (
@@ -81,10 +82,10 @@ import (
 	"streambox/internal/parsefmt"
 )
 
-// Version is the highest wire protocol version this build speaks.
-// Version 1 carries the row formats; version 2 adds columnar frames;
-// version 3 adds resumable sessions (session tokens, per-frame sequence
-// numbers, cumulative acks riding the credit grants).
+// Version is the one wire protocol version this build speaks. The byte
+// stays in the hello and the ack so a future protocol can be told from
+// this one; versions 1 (row formats only) and 2 (plus columnar) are
+// retired and refused at the handshake.
 const Version = 3
 
 var (
@@ -102,15 +103,11 @@ const (
 	statusOverloaded = 3
 )
 
-// helloFlagSession, set in the hello's flags byte (offset 6, reserved
-// and zero before version 3), asks for a resumable session: sequenced
-// frames, cumulative acks, and the session-token exchange after the
-// ack. Only honored when the negotiated version is >= 3.
+// helloFlagSession is bit 0 of the hello's flags byte (offset 6). Every
+// stream is a resumable session — sequenced frames, cumulative acks,
+// the session-token exchange after the ack — so the bit must be set; a
+// hello without it comes from a retired protocol mode and is refused.
 const helloFlagSession = 1 << 0
-
-// errFormatRejected marks an ack rejecting the requested payload
-// format — the trigger for the client's columnar→row fallback redial.
-var errFormatRejected = errors.New("netio: server rejected payload format")
 
 // ErrOverloaded marks a handshake shed by the server's admission
 // control (too many connections, or memory pressure past the shedding
@@ -129,10 +126,10 @@ var ErrSessionExpired = errors.New("netio: session expired on server, cannot res
 // of every unacked frame.
 var ErrReplayOverflow = errors.New("netio: session replay buffer overflow")
 
-// TimeoutError is the typed error for a client-side write that missed
-// its configured deadline (ClientConfig.WriteTimeout): a stalled or
-// half-open server. It unwraps via errors.As and implements the
-// net.Error timeout contract.
+// TimeoutError is the typed error for a client-side wait that missed
+// its deadline: a frame write past ClientConfig.WriteTimeout, or
+// Close's ack drain making no progress. It unwraps via errors.As and
+// implements the net.Error timeout contract.
 type TimeoutError struct {
 	Op    string
 	After time.Duration
@@ -145,111 +142,75 @@ func (e *TimeoutError) Error() string {
 // Timeout implements the net.Error convention.
 func (e *TimeoutError) Timeout() bool { return true }
 
-// errFrameTooBig marks a frame whose declared payload exceeds the
-// server's limit; the server counts it as a decode error and severs the
-// connection rather than stream the excess.
-var errFrameTooBig = errors.New("netio: frame exceeds size limit")
-
 // DefaultMaxFrameBytes caps one frame's payload unless ServerConfig
 // overrides it.
 const DefaultMaxFrameBytes = 4 << 20
 
-// helloVersionFor picks the hello version a client sends for format f:
-// a session request needs version 3, columnar needs at least version 2,
-// and plain row formats stay on the version-1 exchange so they
-// interoperate bit-for-bit with version-1 servers.
-func helloVersionFor(f parsefmt.Format, session bool) byte {
-	if session {
-		return Version
-	}
-	if f == parsefmt.Columnar {
-		return Version
-	}
-	return 1
-}
-
 // writeHello sends the client's 8-byte hello.
-func writeHello(w io.Writer, f parsefmt.Format, version, flags byte) error {
+func writeHello(w io.Writer, f parsefmt.Format) error {
 	var h [8]byte
 	copy(h[:4], magicHello[:])
-	h[4] = version
+	h[4] = Version
 	h[5] = byte(f)
-	h[6] = flags
+	h[6] = helloFlagSession
 	_, err := w.Write(h[:])
 	return err
 }
 
-// readHello parses the client hello against the server's maximum
-// version, distinguishing protocol errors by ack status. The returned
-// version is the negotiated one (min of hello and maxVersion) and is
-// valid even on error, so the rejection ack echoes a version the peer
-// understands. flags carries the hello's flags byte (session request);
-// it is only honored by the caller when the negotiated version >= 3,
-// since older exchanges reserved the byte as zero.
-func readHello(r io.Reader, maxVersion byte) (f parsefmt.Format, version, flags byte, status byte, err error) {
-	version = 1
+// readHello parses the client hello, distinguishing protocol errors by
+// ack status: anything but a version-3 session hello (bad magic, a
+// retired or future version, the session flag missing) is
+// statusBadMagic; an unknown payload format is statusBadFormat.
+func readHello(r io.Reader) (f parsefmt.Format, status byte, err error) {
 	var h [8]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, version, 0, statusBadMagic, fmt.Errorf("netio: reading hello: %w", err)
+		return 0, statusBadMagic, fmt.Errorf("netio: reading hello: %w", err)
 	}
-	if [4]byte(h[:4]) != magicHello || h[4] < 1 || h[4] > Version {
-		return 0, version, 0, statusBadMagic, fmt.Errorf("netio: bad hello magic/version %q v%d", h[:4], h[4])
-	}
-	version = h[4]
-	if version > maxVersion {
-		version = maxVersion
+	if [4]byte(h[:4]) != magicHello || h[4] != Version || h[6]&helloFlagSession == 0 {
+		return 0, statusBadMagic, fmt.Errorf("netio: bad hello magic/version/flags %q v%d flags %#x", h[:4], h[4], h[6])
 	}
 	f = parsefmt.Format(h[5])
-	flags = h[6]
 	switch f {
-	case parsefmt.JSON, parsefmt.PB, parsefmt.Text:
-	case parsefmt.Columnar:
-		if version < 2 {
-			return 0, version, flags, statusBadFormat, fmt.Errorf("netio: columnar format needs wire version 2 (negotiated %d)", version)
-		}
+	case parsefmt.JSON, parsefmt.PB, parsefmt.Text, parsefmt.Columnar:
 	default:
-		return 0, version, flags, statusBadFormat, fmt.Errorf("netio: unknown payload format %d", h[5])
+		return 0, statusBadFormat, fmt.Errorf("netio: unknown payload format %d", h[5])
 	}
-	return f, version, flags, statusOK, nil
+	return f, statusOK, nil
 }
 
-// writeAck sends the server's 8-byte ack with the negotiated version
-// and the initial credit grant.
-func writeAck(w io.Writer, version, status byte, credits uint16) error {
+// writeAck sends the server's 8-byte ack with the initial credit grant.
+func writeAck(w io.Writer, status byte, credits uint16) error {
 	var a [8]byte
 	copy(a[:4], magicAck[:])
-	a[4] = version
+	a[4] = Version
 	a[5] = status
 	binary.BigEndian.PutUint16(a[6:], credits)
 	_, err := w.Write(a[:])
 	return err
 }
 
-// readAck parses the server ack, returning the initial credits and the
-// negotiated version.
-func readAck(r io.Reader) (credits int, version byte, err error) {
+// readAck parses the server ack, returning the initial credits.
+func readAck(r io.Reader) (credits int, err error) {
 	var a [8]byte
 	if _, err := io.ReadFull(r, a[:]); err != nil {
-		return 0, 0, fmt.Errorf("netio: reading ack: %w", err)
+		return 0, fmt.Errorf("netio: reading ack: %w", err)
 	}
-	if [4]byte(a[:4]) != magicAck || a[4] < 1 || a[4] > Version {
-		return 0, 0, fmt.Errorf("netio: bad ack magic/version %q v%d", a[:4], a[4])
+	if [4]byte(a[:4]) != magicAck || a[4] != Version {
+		return 0, fmt.Errorf("netio: bad ack magic/version %q v%d", a[:4], a[4])
 	}
 	switch a[5] {
 	case statusOK:
-		return int(binary.BigEndian.Uint16(a[6:])), a[4], nil
-	case statusBadFormat:
-		return 0, a[4], errFormatRejected
+		return int(binary.BigEndian.Uint16(a[6:])), nil
 	case statusOverloaded:
-		return 0, a[4], ErrOverloaded
+		return 0, ErrOverloaded
 	default:
-		return 0, a[4], fmt.Errorf("netio: server rejected handshake (status %d)", a[5])
+		return 0, fmt.Errorf("netio: server rejected handshake (status %d)", a[5])
 	}
 }
 
 // writeResume sends the client's 12-byte session request, directly
-// after a version >= 3 ack on a session-flagged hello: the token of the
-// session to resume, or zero to open a fresh one.
+// after the OK ack: the token of the session to resume, or zero to open
+// a fresh one.
 func writeResume(w io.Writer, token uint64) error {
 	var b [12]byte
 	copy(b[:4], magicResume[:])
@@ -296,25 +257,8 @@ func readSessionGrant(r io.Reader) (token, lastSeq uint64, err error) {
 	return binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:]), nil
 }
 
-// writeFrame sends one data frame; an empty payload is the end-of-stream
-// marker.
-func writeFrame(w io.Writer, payload []byte) error {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(payload)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// writeSeqFrame sends one sequenced data frame (session mode): the
-// uint32 payload length, the uint64 frame sequence number, then the
-// payload. The end-of-stream marker stays a bare zero length with no
-// sequence number.
+// writeSeqFrame sends one data frame: the uint32 payload length, the
+// uint64 frame sequence number, then the payload.
 func writeSeqFrame(w io.Writer, seq uint64, payload []byte) error {
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
@@ -326,10 +270,17 @@ func writeSeqFrame(w io.Writer, seq uint64, payload []byte) error {
 	return err
 }
 
-// readFrameHeader reads one frame's length prefix — and, in session
-// mode, the frame sequence number that follows it. eos is true for the
-// end-of-stream marker (which carries no sequence number).
-func readFrameHeader(r io.Reader, session bool) (size int64, seq uint64, eos bool, err error) {
+// writeEOS sends the end-of-stream marker: a bare zero length with no
+// sequence number.
+func writeEOS(w io.Writer) error {
+	_, err := w.Write([]byte{0, 0, 0, 0})
+	return err
+}
+
+// readFrameHeader reads one frame's length prefix and the frame
+// sequence number that follows it. eos is true for the end-of-stream
+// marker (which carries no sequence number).
+func readFrameHeader(r io.Reader) (size int64, seq uint64, eos bool, err error) {
 	var n [4]byte
 	if _, err := io.ReadFull(r, n[:]); err != nil {
 		return 0, 0, false, err
@@ -338,99 +289,16 @@ func readFrameHeader(r io.Reader, session bool) (size int64, seq uint64, eos boo
 	if size == 0 {
 		return 0, 0, true, nil
 	}
-	if session {
-		var s [8]byte
-		if _, err := io.ReadFull(r, s[:]); err != nil {
-			return 0, 0, false, fmt.Errorf("netio: truncated frame seq: %w", err)
-		}
-		seq = binary.BigEndian.Uint64(s[:])
+	var s [8]byte
+	if _, err := io.ReadFull(r, s[:]); err != nil {
+		return 0, 0, false, fmt.Errorf("netio: truncated frame seq: %w", err)
 	}
-	return size, seq, false, nil
+	return size, binary.BigEndian.Uint64(s[:]), false, nil
 }
 
-// writeColumnarFrame sends one columnar data frame holding cols without
-// materializing the payload: length prefix, then the checksummed
-// header, then each column's wire bytes straight from its backing
-// array (an alias, not a copy, on little-endian hosts).
-func writeColumnarFrame(w io.Writer, cols [][]uint64) error {
-	ncols, nrows := len(cols), len(cols[0])
-	var pre [4 + parsefmt.ColumnarHeaderBytes]byte
-	size := int64(parsefmt.ColumnarHeaderBytes) + parsefmt.ColumnarDataBytes(ncols, nrows)
-	binary.BigEndian.PutUint32(pre[:4], uint32(size))
-	parsefmt.PutColumnarHeader(pre[4:], ncols, nrows, parsefmt.ChecksumColumns(cols))
-	if _, err := w.Write(pre[:]); err != nil {
-		return err
-	}
-	for _, col := range cols {
-		if err := writeWireWords(w, col); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeWireWords writes one column in wire (little-endian) order.
-func writeWireWords(w io.Writer, col []uint64) error {
-	if parsefmt.HostIsLittleEndian() {
-		_, err := w.Write(parsefmt.ColumnBytes(col))
-		return err
-	}
-	var b [8]byte
-	for _, v := range col {
-		binary.LittleEndian.PutUint64(b[:], v)
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFrame reads one data frame into buf (grown as needed), bounding
-// the payload at max bytes. eos is true for the end-of-stream marker.
-func readFrame(r io.Reader, buf []byte, max int) (payload []byte, eos bool, err error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, false, err
-	}
-	size := binary.BigEndian.Uint32(n[:])
-	if size == 0 {
-		return nil, true, nil
-	}
-	if int64(size) > int64(max) {
-		return nil, false, fmt.Errorf("%w: %d bytes over the %d-byte limit", errFrameTooBig, size, max)
-	}
-	if cap(buf) < int(size) {
-		buf = make([]byte, size)
-	}
-	payload = buf[:size]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, false, fmt.Errorf("netio: truncated frame: %w", err)
-	}
-	return payload, false, nil
-}
-
-// writeCredit sends one credit grant extending the client's window by n
-// frames.
-func writeCredit(w io.Writer, n uint32) error {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], n)
-	_, err := w.Write(b[:])
-	return err
-}
-
-// readCredit reads one credit grant.
-func readCredit(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-// writeCreditAck sends a session-mode credit grant: the uint32 credit
-// extension plus the cumulative ack — the last frame sequence number
-// the server has fully ingested, which lets the client trim its replay
-// buffer.
+// writeCreditAck sends one ack: the uint32 credit extension plus the
+// cumulative ack — the last frame sequence number the server has fully
+// ingested, which lets the client trim its replay buffer.
 func writeCreditAck(w io.Writer, n uint32, lastSeq uint64) error {
 	var b [12]byte
 	binary.BigEndian.PutUint32(b[:4], n)
@@ -439,7 +307,7 @@ func writeCreditAck(w io.Writer, n uint32, lastSeq uint64) error {
 	return err
 }
 
-// readCreditAck reads a session-mode credit grant.
+// readCreditAck reads one ack.
 func readCreditAck(r io.Reader) (n uint32, lastSeq uint64, err error) {
 	var b [12]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {

@@ -19,8 +19,8 @@
 // A segment header is the magic "SBXW", a version byte, three reserved
 // zero bytes, and the uint64 segment index. Each record is a uint32
 // body length followed by the body: a kind byte (1 data frame,
-// 2 session end), uint64 session token (0 for sessionless
-// connections), uint64 feed cursor id, uint64 frame sequence number,
+// 2 session end), uint64 session token (never 0 in a log this build
+// writes), uint64 feed cursor id, uint64 frame sequence number,
 // uint64 max event timestamp, uint16 column count, uint32 row count,
 // two reserved zero bytes, the packed columns, and a trailing uint32
 // CRC-32C over the body before it.

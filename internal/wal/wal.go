@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,9 +22,9 @@ type Config struct {
 	// (default 64 MiB).
 	SegmentBytes int64
 	// SyncInterval is the background flush cadence for appends nobody
-	// is waiting on — sessionless frames ride it instead of paying a
-	// per-frame fsync (default 5ms). Durable appends are group-committed
-	// immediately regardless.
+	// is waiting on — session-end markers and non-durable frame appends
+	// (default 5ms). Durable appends are group-committed immediately
+	// regardless.
 	SyncInterval time.Duration
 }
 
@@ -171,21 +172,34 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
+// errShortSegHeader marks a segment file that ends inside its header.
+var errShortSegHeader = errors.New("short segment header")
+
 func segPath(dir string, idx uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016d.seg", idx))
 }
 
 // indexExisting scans segments left by a previous process: records each
 // one's valid prefix length and max timestamp. The scan stops a
-// segment's accounting at the first torn record (crash tail).
+// segment's accounting at the first torn record (crash tail), and drops
+// a newest segment the crash tore before its header was written.
 func (l *Log) indexExisting() error {
 	paths, err := filepath.Glob(filepath.Join(l.cfg.Dir, "wal-*.seg"))
 	if err != nil {
 		return err
 	}
 	sort.Strings(paths)
-	for _, p := range paths {
+	for i, p := range paths {
 		seg, err := scanSegment(p)
+		if errors.Is(err, errShortSegHeader) && i == len(paths)-1 {
+			// The crash landed between roll creating the newest segment
+			// and writing its header. Nothing was ever logged there: it
+			// is the torn tail of the log, not corruption.
+			if err := os.Remove(p); err != nil {
+				return err
+			}
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("wal: index %s: %w", p, err)
 		}
@@ -209,7 +223,7 @@ func scanSegment(path string) (*segment, error) {
 	var hdr [segHeaderBytes]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("short segment header: %w", err)
+		return nil, fmt.Errorf("%w: %v", errShortSegHeader, err)
 	}
 	idx, err := parseSegHeader(hdr[:])
 	if err != nil {
@@ -399,8 +413,9 @@ func (l *Log) Sync(lsn LSN) error {
 // each column's exact min/max so the packer skips its own scan (the
 // ingest path gets them for free from its checksum pass). When durable
 // is set the call blocks until the record is fsynced — the
-// precondition for advancing a session ack; sessionless frames return
-// after the buffered write and ride the background sync.
+// precondition for advancing a session ack, and what the ingest server
+// always asks for; otherwise it returns after the buffered write and
+// the record rides the background sync (the benchmark's append probe).
 func (l *Log) AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, durable bool) error {
 	nrows := 0
 	if len(cols) > 0 {
@@ -513,8 +528,8 @@ func (l *Log) observeFsync(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// tickLoop periodically asks for a background sync so sessionless
-// appends become durable within ~SyncInterval without anyone waiting.
+// tickLoop periodically asks for a background sync so appends nobody
+// waits on become durable within ~SyncInterval.
 func (l *Log) tickLoop() {
 	defer close(l.tickerDone)
 	t := time.NewTicker(l.cfg.SyncInterval)

@@ -115,6 +115,12 @@ func TestTornTailTruncates(t *testing.T) {
 	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// And a crash between creating the next segment and writing its
+	// header: a zero-length newest file is part of the torn tail too.
+	torn := segPath(dir, 99)
+	if err := os.WriteFile(torn, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	l2, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -131,6 +137,9 @@ func TestTornTailTruncates(t *testing.T) {
 	}
 	if n != 4 || len(seqs) != 4 || seqs[3] != 4 {
 		t.Fatalf("replay after torn tail: %d frames, seqs %v (want the 4 intact records)", n, seqs)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Fatalf("headerless newest segment still on disk (stat: %v)", err)
 	}
 }
 

@@ -176,7 +176,9 @@ type RunConfig struct {
 }
 
 // ServeConfig configures a network-serving execution (Serve): where to
-// listen for ingest traffic and for live queries.
+// listen for ingest traffic and for live queries. Ingest speaks the one
+// netio wire protocol: every client stream is a resumable session, in
+// whichever payload format its hello names.
 type ServeConfig struct {
 	// IngestAddr is the TCP ingest listener address, e.g. ":7077" or
 	// "127.0.0.1:0" (required).
@@ -192,25 +194,20 @@ type ServeConfig struct {
 	FrameCredits int
 	// MaxFrameBytes caps one ingest frame's payload (0 picks 4 MiB).
 	MaxFrameBytes int
-	// WireVersion caps the negotiated ingest wire version (0 picks the
-	// newest). Set 1 to serve row-format clients only; columnar dials
-	// then fall back to a row format.
-	WireVersion int
-	// DecodeWorkers bounds concurrent row-format frame decoding across
-	// all ingest connections (0 picks GOMAXPROCS).
-	DecodeWorkers int
 	// FeedBuffer is the decoded-batch buffer between the ingest server
 	// and the runtime, in batches (0 picks 64).
 	FeedBuffer int
-	// IdleTimeout severs connections silent past it in steady state
-	// (session cursors are then parked and expired by the grace
-	// deadlines below). Zero disables the deadline.
+	// IdleTimeout severs connections silent past it in steady state;
+	// the session is then parked and expired by the grace deadlines
+	// below, like that of any client lost without an end-of-stream
+	// marker. Zero disables the deadline.
 	IdleTimeout time.Duration
 	// CursorGrace is how long a disconnected session's watermark cursor
 	// keeps stalling window closes before it is parked (0 picks 10s,
-	// negative disables). SessionTimeout is how long the session stays
-	// resumable before it is expired outright (0 picks 120s, negative
-	// disables).
+	// negative disables) — so a client that vanishes without ending its
+	// stream holds every later window for that long. SessionTimeout is
+	// how long the session stays resumable before it is expired
+	// outright (0 picks 120s, negative disables).
 	CursorGrace    time.Duration
 	SessionTimeout time.Duration
 	// MaxConns caps concurrently served ingest connections; handshakes
@@ -226,7 +223,7 @@ type ServeConfig struct {
 	// fault injector (chaos testing only).
 	Faults *faultinject.Injector
 	// WALDir, when non-empty, enables the write-ahead frame log in that
-	// directory: every accepted session frame is persisted through a
+	// directory: every accepted frame is persisted through a
 	// group-commit fsync before its ack can advance, and periodic
 	// checkpoints of the recovery metadata (session table, watermark
 	// cursors, sealed result windows) land beside the segments. A clean
@@ -243,7 +240,7 @@ type ServeConfig struct {
 	RecoverDir string
 	// WALSegmentBytes caps one log segment before it rolls (0 picks
 	// 64 MiB); WALSyncInterval is the background fsync cadence covering
-	// frames that are not holding a session ack (0 picks 5ms).
+	// records no ack waits on — session-end markers (0 picks 5ms).
 	WALSegmentBytes int64
 	WALSyncInterval time.Duration
 	// CheckpointInterval is the recovery-checkpoint cadence (0 picks
@@ -995,8 +992,6 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 		Feed:            feed,
 		FrameCredits:    sc.FrameCredits,
 		MaxFrameBytes:   sc.MaxFrameBytes,
-		MaxVersion:      sc.WireVersion,
-		DecodeWorkers:   sc.DecodeWorkers,
 		IdleTimeout:     sc.IdleTimeout,
 		CursorGrace:     sc.CursorGrace,
 		SessionTimeout:  sc.SessionTimeout,
@@ -1085,7 +1080,6 @@ func recoverState(log *wal.Log, ck *wal.Checkpoint, feed *netio.Feed, store *net
 	byToken := make(map[uint64]*sessInfo)
 	ended := make(map[uint64]bool)
 	cursorSeen := make(map[int64]bool)
-	sessionless := make(map[int64]bool)
 	var sealedWM uint64
 	if ck != nil {
 		sealedWM = ck.SealedWM
@@ -1134,17 +1128,20 @@ func recoverState(log *wal.Log, ck *wal.Checkpoint, feed *netio.Feed, store *net
 		if rec.Conn > rs.nextID {
 			rs.nextID = rec.Conn
 		}
-		if rec.Token != 0 {
-			si := byToken[rec.Token]
-			if si == nil {
-				si = &sessInfo{conn: rec.Conn}
-				byToken[rec.Token] = si
-			}
-			if rec.Seq > si.lastSeq {
-				si.lastSeq = rec.Seq
-			}
-		} else {
-			sessionless[rec.Conn] = true
+		if rec.Token == 0 {
+			// Every stream is a session, so the server logs no such
+			// record; restoring one would need the retired sessionless
+			// rules (a cursor no client can resume). Refuse rather than
+			// mis-restore it as session 0.
+			return fmt.Errorf("frame record for connection %d carries session token 0: written by the retired sessionless wire mode, not recoverable", rec.Conn)
+		}
+		si := byToken[rec.Token]
+		if si == nil {
+			si = &sessInfo{conn: rec.Conn}
+			byToken[rec.Token] = si
+		}
+		if rec.Seq > si.lastSeq {
+			si.lastSeq = rec.Seq
 		}
 		// Every connection seen in the log gets a cursor even when its
 		// frames need no replay, so the watermark keeps waiting for a
@@ -1170,12 +1167,8 @@ func recoverState(log *wal.Log, ck *wal.Checkpoint, feed *netio.Feed, store *net
 	if err != nil {
 		return restoredState{}, fmt.Errorf("streambox: wal replay: %w", err)
 	}
-	// Cursors that can never see another byte: sessionless connections
-	// (their clients cannot resume) and sessions that ended for good.
-	// The retire sentinel rides the feed behind the replayed data.
-	for conn := range sessionless {
-		feed.Retire(conn)
-	}
+	// Sessions that ended for good can never see another byte: the
+	// retire sentinel rides the feed behind the replayed data.
 	for token := range ended {
 		if si := byToken[token]; si != nil {
 			feed.Retire(si.conn)

@@ -174,9 +174,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("conn %d: dial: %v", j, err)
 		}
-		if !c.Session() {
-			t.Fatalf("conn %d did not negotiate a resumable session", j)
-		}
 		clients[j] = c
 	}
 	var wg sync.WaitGroup

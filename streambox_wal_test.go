@@ -11,6 +11,7 @@ import (
 	streambox "streambox"
 	"streambox/internal/netio"
 	"streambox/internal/parsefmt"
+	"streambox/internal/wal"
 )
 
 // TestDrainShutdownSealsWAL pins the graceful-stop contract of the
@@ -53,9 +54,6 @@ func TestDrainShutdownSealsWAL(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("conn %d: dial: %v", j, err)
-		}
-		if !c.Session() {
-			t.Fatalf("conn %d did not negotiate a session", j)
 		}
 		clients[j] = c
 	}
@@ -120,5 +118,41 @@ func TestDrainShutdownSealsWAL(t *testing.T) {
 			t.Fatalf("goroutines still running after Shutdown: %v\n%s", leaked, stacks)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRecoveryRejectsSessionlessLog: a write-ahead log holding a frame
+// record with session token 0 was written by the retired sessionless
+// wire mode. Recovery used to restore it under a synthetic cursor;
+// there is no such mode to restore it into any more, so the start must
+// fail and say why rather than mis-restore the frame as session 0.
+func TestRecoveryRejectsSessionlessLog(t *testing.T) {
+	walDir := t.TempDir()
+	log, err := wal.Open(wal.Config{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([][]uint64, netio.WireSchema().NumCols)
+	for i := range cols {
+		cols[i] = []uint64{1, 2, 3}
+	}
+	if err := log.AppendFrame(0, 1, 0, 3, cols, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, _ := netPipeline()
+	srv, err := streambox.Serve(p, streambox.RunConfig{
+		Backend: streambox.Native,
+		Serve:   &streambox.ServeConfig{IngestAddr: "127.0.0.1:0", RecoverDir: walDir},
+	})
+	if err == nil {
+		srv.Shutdown()
+		t.Fatal("recovery accepted a log with a session-token-0 frame record")
+	}
+	if !strings.Contains(err.Error(), "sessionless") {
+		t.Fatalf("recovery error %q does not name the retired sessionless format", err)
 	}
 }
