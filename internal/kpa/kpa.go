@@ -99,6 +99,12 @@ type KPA struct {
 	// close mixes spilled with in-memory runs (merge inputs must agree
 	// on pointer semantics). See residency.go.
 	vals bool
+	// partial marks a sealed pane run: value-resident, one pair per
+	// distinct key, and each Ptr is a Combiner aggregator's result over
+	// the records the run replaced — to be folded with Combine, never
+	// Add. The flag lives on the KPA, so it survives Evict and
+	// EnsureResident; only MergeReduceRange consumes partial runs.
+	partial bool
 	// resMu serializes residency transitions (Evict/EnsureResident):
 	// two closes sharing a spilled pane run may both demand a load.
 	resMu sync.Mutex

@@ -15,7 +15,10 @@ import (
 // key order. Closing a window of R runs costs one sequential read of
 // the inputs — no per-level KPA materialization, no separate reduce
 // sweep. MergeK is the materializing fallback used to cap fan-in when a
-// window accumulates more runs than one loser tree should hold.
+// window accumulates more runs than one loser tree should hold, and
+// MergeReducePartial is the same fused pass writing its (key, result)
+// stream back out as a partial run — how a sliding window's pane is
+// sealed once for every window that covers it.
 
 // checkMergeInputs validates that runs are sorted and share a resident
 // column, returning that column.
@@ -60,6 +63,12 @@ func MergeCuts(runs []*KPA, p int) ([][]int, error) {
 // visit in the exact order the pairwise merge tree would produce
 // (ties by run index), so any aggregator — order-sensitive or not —
 // yields bit-identical results to merge-then-reduce.
+//
+// Value resolution is per run, so one merge may mix all three run modes:
+// pointer runs dereference, value-resident runs Add their Ptr, partial
+// runs Combine it (the factory's aggregator must then be a Combiner).
+// An aggregator that is a Resetter is reused across the task's keys
+// instead of asking the factory for one per distinct key.
 func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory, emit func(key, result uint64)) error {
 	if _, err := checkMergeInputs(runs); err != nil {
 		return err
@@ -85,24 +94,36 @@ func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory,
 	// Per-run single-entry deref cache: first-level runs reference one
 	// bundle, so the common case is an array hit instead of a map lookup
 	// per pair. Misses fall back to the owning run's source map.
-	// Value-resident runs (loaded back from the spill tier) carry their
-	// values in Ptr and skip dereferencing entirely; the merge may mix
-	// pointer and value runs freely because resolution is per run.
+	// Value-resident runs (loaded back from the spill tier) and partial
+	// runs carry their values in Ptr and skip dereferencing entirely.
 	cachedID := make([]uint32, len(runs))
 	cached := make([]*bundle.Bundle, len(runs))
-	valsRes := make([]bool, len(runs))
+	mode := make([]runMode, len(runs))
+	partials := false
 	for j, r := range runs {
-		valsRes[j] = r.vals
-		if !r.vals && lo[j] < hi[j] {
+		switch {
+		case r.partial:
+			mode[j] = modePartial
+			partials = true
+		case r.vals:
+			mode[j] = modeValue
+		case lo[j] < hi[j]:
 			p := r.pairs[lo[j]].Ptr
 			cached[j] = r.sources[PtrBundle(p)]
 			cachedID[j] = PtrBundle(p)
+		}
+	}
+	if partials {
+		if _, ok := factory().(Combiner); !ok {
+			return fmt.Errorf("kpa: merge-reduce of a partial run needs a Combiner aggregator")
 		}
 	}
 
 	var (
 		cur     uint64
 		agg     Agg
+		comb    Combiner
+		reuse   Resetter
 		started bool
 	)
 	algo.MultiMergeVisit(segs, func(run int, p algo.Pair) {
@@ -111,10 +132,20 @@ func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory,
 				emit(cur, agg.Result())
 			}
 			cur = p.Key
-			agg = factory()
+			if reuse != nil {
+				reuse.Reset()
+			} else {
+				agg = factory()
+				comb, _ = agg.(Combiner)
+				reuse, _ = agg.(Resetter)
+			}
 			started = true
 		}
-		if valsRes[run] {
+		switch mode[run] {
+		case modePartial:
+			comb.Combine(p.Ptr)
+			return
+		case modeValue:
 			agg.Add(p.Ptr)
 			return
 		}
@@ -135,6 +166,57 @@ func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory,
 	return nil
 }
 
+// runMode is how MergeReduceRange turns one run's pairs into aggregator
+// input.
+type runMode uint8
+
+const (
+	modePointer runMode = iota // Ptr references a bundle row: dereference, Add
+	modeValue                  // Ptr is the value: Add
+	modePartial                // Ptr is a partial aggregate: Combine
+)
+
+// MergeReducePartial seals the runs into one partial run: a single fused
+// merge-reduce over all of them — the only dereference their records
+// need — whose (key, result) stream becomes a new sorted,
+// value-resident KPA with one pair per distinct key and Partial set.
+// Merging that run in place of the inputs yields the same aggregates,
+// which is the Combiner contract; factory must build a Combiner. The
+// inputs may mix pointer, value-resident and partial runs and remain
+// valid (destroy them separately). The output is sized by the distinct
+// keys, staged through s.
+func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocator, s *algo.Scratch) (*KPA, error) {
+	resident, err := checkMergeInputs(runs)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := factory().(Combiner); !ok {
+		return nil, fmt.Errorf("kpa: sealing a partial run needs a Combiner aggregator")
+	}
+	lo, hi := make([]int, len(runs)), make([]int, len(runs))
+	total := 0
+	for j, r := range runs {
+		hi[j] = r.Len()
+		total += r.Len()
+	}
+	staged := s.GetPairs(total)
+	defer s.PutPairs(staged)
+	n := 0
+	if err := MergeReduceRange(runs, lo, hi, valCol, factory, func(key, res uint64) {
+		staged[n] = algo.Pair{Key: key, Ptr: res}
+		n++
+	}); err != nil {
+		return nil, err
+	}
+	out, err := newKPA(n, resident, al)
+	if err != nil {
+		return nil, err
+	}
+	out.pairs = append(out.pairs, staged[:n]...)
+	out.sorted, out.vals, out.partial = true, true, true
+	return out, nil
+}
+
 // MergeK merges k sorted KPAs into one sorted KPA with a single
 // loser-tree pass — the fan-in-capping fallback of the fused close: a
 // window with more runs than one merge task should stream is first
@@ -146,11 +228,16 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 		return nil, err
 	}
 	// Pairs are copied verbatim, so every input must agree on what Ptr
-	// means — all pointer runs or all value-resident runs. The runtime
-	// converts a close's runs to one mode before compacting.
+	// means — all pointer runs, all value-resident runs or all partial
+	// runs (a partial and a raw value fold differently). The runtime
+	// converts a close's raw runs to one mode before compacting and
+	// compacts run sets holding partials with MergeReducePartial.
 	for _, r := range runs {
 		if r.vals != runs[0].vals {
 			return nil, fmt.Errorf("kpa: k-way merge of mixed pointer/value-resident runs")
+		}
+		if r.partial != runs[0].partial {
+			return nil, fmt.Errorf("kpa: k-way merge of mixed partial/raw runs")
 		}
 	}
 	total := 0
@@ -170,6 +257,6 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 		out.inheritSources(r)
 	}
 	out.sorted = true
-	out.vals = runs[0].vals
+	out.vals, out.partial = runs[0].vals, runs[0].partial
 	return out, nil
 }

@@ -1,0 +1,213 @@
+package kpa_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"streambox/internal/bundle"
+	"streambox/internal/kpa"
+	"streambox/internal/memsim"
+	"streambox/internal/ops"
+)
+
+// foldAgg is neither a Combiner nor a Resetter.
+type foldAgg struct{ h uint64 }
+
+func (a *foldAgg) Add(v uint64)   { a.h = a.h*31 + v }
+func (a *foldAgg) Result() uint64 { return a.h }
+
+// TestMergeReducePartialRuns pins the Combiner contract end to end in
+// the kernel: a merge over pointer runs, value-resident runs and a
+// partial run sealed from a third group — and over a partial sealed
+// again together with a raw run — must equal the plain per-key fold of
+// every record, for all four combining aggregators. Count is the one
+// that fails if a partial is ever Added instead of Combined.
+func TestMergeReducePartialRuns(t *testing.T) {
+	reg := bundle.NewRegistry()
+	al := kpa.NoopAllocator{T: memsim.DRAM}
+	rng := rand.New(rand.NewSource(11))
+	aggs := map[string]kpa.AggFactory{"sum": ops.Sum(), "count": ops.Count(), "min": ops.Min(), "max": ops.Max()}
+
+	// Nine single-bundle sorted runs; the oracle folds their records
+	// key by key with one fresh aggregator each, no merge involved.
+	type kv struct{ key, val uint64 }
+	var recs []kv
+	runs := make([]*kpa.KPA, 9)
+	for j := range runs {
+		n := 50 + rng.Intn(200)
+		bd, err := reg.NewBuilder(bundle.Schema{NumCols: 3, TsCol: 2}, n, memsim.DRAM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			key := rng.Uint64() % 37
+			if rng.Intn(8) == 0 {
+				key = rng.Uint64()
+			}
+			val := rng.Uint64() % 1000
+			recs = append(recs, kv{key, val})
+			if err := bd.Append(key, val, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := bd.Seal()
+		k, err := kpa.Extract(b, 0, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		kpa.Sort(k)
+		runs[j] = k
+	}
+	want := make(map[string]map[uint64]uint64)
+	for name, factory := range aggs {
+		perKey := make(map[uint64]kpa.Agg)
+		for _, r := range recs {
+			if perKey[r.key] == nil {
+				perKey[r.key] = factory()
+			}
+			perKey[r.key].Add(r.val)
+		}
+		want[name] = make(map[uint64]uint64, len(perKey))
+		for k, a := range perKey {
+			want[name][k] = a.Result()
+		}
+	}
+
+	pointer, value, sealed := runs[:3], runs[3:6], runs[6:]
+	for _, r := range value {
+		if err := r.MaterializeValues(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reduce := func(name string, mixed []*kpa.KPA) {
+		t.Helper()
+		cuts, err := kpa.MergeCuts(mixed, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[uint64]uint64)
+		for i := 0; i+1 < len(cuts); i++ {
+			if err := kpa.MergeReduceRange(mixed, cuts[i], cuts[i+1], 1, aggs[name], func(k, v uint64) {
+				if _, dup := got[k]; dup {
+					t.Fatalf("%s: key %d emitted twice", name, k)
+				}
+				got[k] = v
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(got) != len(want[name]) {
+			t.Fatalf("%s: %d keys, oracle has %d", name, len(got), len(want[name]))
+		}
+		for k, v := range want[name] {
+			if got[k] != v {
+				t.Fatalf("%s key %d: %d, oracle %d", name, k, got[k], v)
+			}
+		}
+	}
+	for name, factory := range aggs {
+		partial, err := kpa.MergeReducePartial(sealed, 1, factory, al, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !partial.Partial() || !partial.ValuesResident() || !partial.Sorted() || partial.NumSources() != 0 {
+			t.Fatalf("%s: sealed run is not a sorted value-resident partial: %v", name, partial)
+		}
+		for i, p := range partial.Pairs() {
+			if i > 0 && p.Key <= partial.Pairs()[i-1].Key {
+				t.Fatalf("%s: partial run repeats key %d", name, p.Key)
+			}
+		}
+		mixed := append(append(append([]*kpa.KPA(nil), pointer...), value...), partial)
+		reduce(name, mixed)
+
+		// A partial sealed again beside a raw run is still a partial of
+		// the union.
+		resealed, err := kpa.MergeReducePartial([]*kpa.KPA{partial, pointer[0], value[0]}, 1, factory, al, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduce(name, []*kpa.KPA{pointer[1], pointer[2], value[1], value[2], resealed})
+
+		// Nothing may copy a partial and a raw run into one run verbatim.
+		if _, err := kpa.MergeK([]*kpa.KPA{partial, value[0]}, al); err == nil {
+			t.Fatalf("%s: MergeK accepted a partial/raw mix", name)
+		}
+		if _, err := kpa.Merge(partial, value[0], al); err == nil {
+			t.Fatalf("%s: Merge accepted a partial/raw mix", name)
+		}
+		both, err := kpa.MergeK([]*kpa.KPA{partial, resealed}, al)
+		if err != nil || !both.Partial() {
+			t.Fatalf("%s: MergeK of two partial runs: partial=%v err=%v", name, both != nil && both.Partial(), err)
+		}
+		// An aggregator that cannot combine must not be fed partials.
+		fold := func() kpa.Agg { return &foldAgg{} }
+		if err := kpa.MergeReduceRange([]*kpa.KPA{partial}, []int{0}, []int{partial.Len()}, 1, fold, func(uint64, uint64) {}); err == nil {
+			t.Fatalf("%s: merge-reduce fed a partial run to a non-Combiner", name)
+		}
+		if _, err := kpa.MergeReducePartial(pointer, 1, fold, al, nil); err == nil {
+			t.Fatalf("%s: sealed a partial run with a non-Combiner", name)
+		}
+		both.Destroy()
+		resealed.Destroy()
+		partial.Destroy()
+	}
+	for _, r := range runs {
+		r.Destroy()
+	}
+}
+
+// TestMergeReduceReusesResetter checks the per-key aggregator is reused
+// when it can be reset — same results as one fresh aggregator per key,
+// without the heap object per distinct key.
+func TestMergeReduceReusesResetter(t *testing.T) {
+	reg := bundle.NewRegistry()
+	al := kpa.NoopAllocator{T: memsim.DRAM}
+	const keys = 2000
+	bd, err := reg.NewBuilder(bundle.Schema{NumCols: 3, TsCol: 2}, 3*keys, memsim.DRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*keys; i++ {
+		if err := bd.Append(uint64(i%keys), uint64(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := bd.Seal()
+	run, err := kpa.Extract(b, 0, al)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	kpa.Sort(run)
+	defer run.Destroy()
+	runs, lo, hi := []*kpa.KPA{run}, []int{0}, []int{run.Len()}
+
+	for name, factory := range map[string]kpa.AggFactory{"avg": ops.Avg(), "min": ops.Min()} {
+		made := 0
+		counting := func() kpa.Agg { made++; return factory() }
+		if err := kpa.MergeReduceRange(runs, lo, hi, 1, counting, func(k, v uint64) {
+			// Key k holds values k, k+keys, k+2*keys.
+			want := k
+			if name == "avg" {
+				want = k + keys
+			}
+			if v != want {
+				t.Fatalf("%s key %d: %d, want %d", name, k, v, want)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if made != 1 {
+			t.Fatalf("%s: %d aggregators built for one merge task, want 1", name, made)
+		}
+	}
+	made := 0
+	if err := kpa.MergeReduceRange(runs, lo, hi, 1, func() kpa.Agg { made++; return &foldAgg{} }, func(uint64, uint64) {}); err != nil {
+		t.Fatal(err)
+	}
+	if made != keys {
+		t.Fatalf("%d aggregators built for %d keys without Reset", made, keys)
+	}
+}

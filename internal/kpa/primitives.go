@@ -215,8 +215,8 @@ func Merge(a, b *KPA, al Allocator) (*KPA, error) {
 	if a.resident != b.resident {
 		return nil, fmt.Errorf("kpa: merge of different resident columns (%d vs %d)", a.resident, b.resident)
 	}
-	if a.vals != b.vals {
-		return nil, fmt.Errorf("kpa: merge of mixed pointer/value-resident runs")
+	if a.vals != b.vals || a.partial != b.partial {
+		return nil, fmt.Errorf("kpa: merge of mixed pointer/value-resident/partial runs")
 	}
 	out, err := newKPA(a.Len()+b.Len(), a.resident, al)
 	if err != nil {
@@ -227,7 +227,7 @@ func Merge(a, b *KPA, al Allocator) (*KPA, error) {
 	out.inheritSources(a)
 	out.inheritSources(b)
 	out.sorted = true
-	out.vals = a.vals
+	out.vals, out.partial = a.vals, a.partial
 	return out, nil
 }
 

@@ -19,6 +19,27 @@ type Agg interface {
 // AggFactory creates a fresh aggregator per key (or per window).
 type AggFactory func() Agg
 
+// Combiner is an optional Agg capability: the aggregate of a multiset
+// is the fold of the aggregates of any partition of it, in any order.
+// Combine folds one such partial result — the Result of another
+// instance over a disjoint, non-empty part of the input — so that
+// Combine(r1), Combine(r2), ... followed by Result equals Add over the
+// union (for Count that is n += partial, not Add). The native runtime
+// seals a pane of a sliding window once into a partial run
+// (MergeReducePartial) only when the plan's aggregator is a Combiner;
+// every other aggregator keeps its raw runs.
+type Combiner interface {
+	Agg
+	Combine(partial uint64)
+}
+
+// Resetter is an optional Agg capability: Reset returns the aggregator
+// to its freshly constructed state, so one instance can serve every key
+// of a merge task instead of one heap object per distinct key.
+type Resetter interface {
+	Reset()
+}
+
 // ReduceByKey performs keyed reduction over a sorted KPA (paper Table 2,
 // "Keyed"): it scans the KPA sequentially, tracks contiguous key ranges,
 // dereferences each pointer to load the nonresident value column

@@ -33,6 +33,11 @@ import (
 // Ptr instead of bundle pointers.
 func (k *KPA) ValuesResident() bool { return k.vals }
 
+// Partial reports whether the pairs carry partial aggregates (see
+// MergeReducePartial): a value-resident run whose values fold with
+// Combiner.Combine instead of Agg.Add.
+func (k *KPA) Partial() bool { return k.partial }
+
 // Spilled reports whether the run currently lives on the spill tier.
 func (k *KPA) Spilled() bool { return k.tier == memsim.Spill }
 
@@ -94,6 +99,7 @@ func (k *KPA) CloneValues(valCol int, al Allocator) (*KPA, error) {
 	out.sorted = k.sorted
 	out.meta = k.meta
 	out.vals = true
+	out.partial = k.partial
 	return out, nil
 }
 

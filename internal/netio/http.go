@@ -32,6 +32,9 @@ type Metrics struct {
 	// Pane-sharing counters: sorted pane runs built, and the extra
 	// window references taken on them.
 	PaneRuns, SharedRunRefs int64
+	// Window-close counters: panes sealed into per-key partial runs, and
+	// pairs streamed through close's merges (seals included).
+	SealedPanes, ClosePairs int64
 	// LateRecords counts records dropped behind the watermark: every
 	// window covering them was already sealed.
 	LateRecords int64
@@ -103,6 +106,8 @@ func WriteMetrics(w io.Writer, m Metrics) {
 	}
 	gauge("streambox_pane_runs_total", "", m.PaneRuns)
 	gauge("streambox_shared_run_refs_total", "", m.SharedRunRefs)
+	gauge("streambox_sealed_panes_total", "", m.SealedPanes)
+	gauge("streambox_close_pairs_total", "", m.ClosePairs)
 	gauge("streambox_late_records_total", "", m.LateRecords)
 	gauge("streambox_mempool_allocs_total", "", m.Allocs)
 	gauge("streambox_mempool_frees_total", "", m.Frees)

@@ -638,6 +638,8 @@ func TestHTTPEndpoints(t *testing.T) {
 			MemCapacity:     [3]int64{4096, 8192, 0},
 			KLow:            0.5,
 			KHigh:           0.25,
+			SealedPanes:     5,
+			ClosePairs:      77,
 			QueueDepths:     [3]int{1, 2, 3},
 			IngestedRecords: 99,
 			Ingest:          Counters{Conns: 2, IngestedRecords: 99},
@@ -667,6 +669,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`streambox_mempool_used_bytes{tier="hbm"} 1024`,
 		`streambox_knob_k_low 0.5`,
+		`streambox_sealed_panes_total 5`,
+		`streambox_close_pairs_total 77`,
 		`streambox_sched_queue_depth{priority="urgent"} 3`,
 		`streambox_ingested_records_total 99`,
 		`streambox_conn_frames_total{conn="1"`,

@@ -14,6 +14,13 @@ import (
 )
 
 // --- Aggregators (the reduction side of Table 1's operators). -------------
+//
+// Sum, Count, Min and Max are kpa.Combiners: their result over a
+// multiset is the fold of their results over any partition of it, so
+// the native runtime may seal a pane into per-key partials once and
+// combine those per window. They and Avg are kpa.Resetters, reused
+// across the keys of one merge task. The order statistics and
+// UniqueCount are neither: they need every value.
 
 // SumAgg sums values.
 type SumAgg struct{ s uint64 }
@@ -23,6 +30,12 @@ func (a *SumAgg) Add(v uint64) { a.s += v }
 
 // Result implements kpa.Agg.
 func (a *SumAgg) Result() uint64 { return a.s }
+
+// Combine implements kpa.Combiner: partial sums add.
+func (a *SumAgg) Combine(partial uint64) { a.s += partial }
+
+// Reset implements kpa.Resetter.
+func (a *SumAgg) Reset() { *a = SumAgg{} }
 
 // Sum returns a factory for SumPerKey.
 func Sum() kpa.AggFactory { return func() kpa.Agg { return &SumAgg{} } }
@@ -35,6 +48,13 @@ func (a *CountAgg) Add(uint64) { a.n++ }
 
 // Result implements kpa.Agg.
 func (a *CountAgg) Result() uint64 { return a.n }
+
+// Combine implements kpa.Combiner: partial counts add — a partial
+// stands for that many records, where Add would count it as one.
+func (a *CountAgg) Combine(partial uint64) { a.n += partial }
+
+// Reset implements kpa.Resetter.
+func (a *CountAgg) Reset() { *a = CountAgg{} }
 
 // Count returns a factory for CountByKey.
 func Count() kpa.AggFactory { return func() kpa.Agg { return &CountAgg{} } }
@@ -57,6 +77,9 @@ func (a *AvgAgg) Result() uint64 {
 	return a.sum / a.n
 }
 
+// Reset implements kpa.Resetter.
+func (a *AvgAgg) Reset() { *a = AvgAgg{} }
+
 // Avg returns a factory for AveragePerKey.
 func Avg() kpa.AggFactory { return func() kpa.Agg { return &AvgAgg{} } }
 
@@ -72,6 +95,12 @@ func (a *MaxAgg) Add(v uint64) {
 
 // Result implements kpa.Agg.
 func (a *MaxAgg) Result() uint64 { return a.m }
+
+// Combine implements kpa.Combiner: the maximum of partial maxima.
+func (a *MaxAgg) Combine(partial uint64) { a.Add(partial) }
+
+// Reset implements kpa.Resetter.
+func (a *MaxAgg) Reset() { *a = MaxAgg{} }
 
 // Max returns a factory for MaxPerKey.
 func Max() kpa.AggFactory { return func() kpa.Agg { return &MaxAgg{} } }
@@ -92,6 +121,13 @@ func (a *MinAgg) Add(v uint64) {
 
 // Result implements kpa.Agg.
 func (a *MinAgg) Result() uint64 { return a.m }
+
+// Combine implements kpa.Combiner: the minimum of partial minima (a
+// partial always covers at least one record).
+func (a *MinAgg) Combine(partial uint64) { a.Add(partial) }
+
+// Reset implements kpa.Resetter.
+func (a *MinAgg) Reset() { *a = MinAgg{} }
 
 // Min returns a factory for MinPerKey.
 func Min() kpa.AggFactory { return func() kpa.Agg { return &MinAgg{} } }

@@ -3,8 +3,12 @@ package runtime
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"streambox/internal/algo"
+	"streambox/internal/bundle"
 	"streambox/internal/engine"
+	"streambox/internal/kpa"
 	"streambox/internal/memsim"
 	"streambox/internal/ops"
 	"streambox/internal/wm"
@@ -37,17 +41,29 @@ func span(lo, hi uint64, n int) []uint64 {
 // registers — so the test needs no waits. Fixed windows drop the whole
 // late batch; sliding windows drop only the records with no open
 // covering window and fold the rest into the windows still open.
+//
+// The sealed-pane case lands the late batch in a pane the first window
+// has already sealed into a partial run (the one wait in this test: the
+// seal runs on a worker) and that three windows still cover: the late
+// run stays beside the partial, the next window seals it in turn, and
+// every open window counts both — with Count, which would report 3 for
+// window 250k if the 100-record partial were Added as one record.
 func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 	cases := []struct {
 		name    string
 		win     wm.Windowing
+		agg     kpa.AggFactory
 		batches [][][]uint64
-		late    int64
-		want    map[wm.Time]uint64 // window start -> sum for key 1
+		// sealedBefore is the index of a batch held back until a pane has
+		// been sealed (0: none).
+		sealedBefore int
+		late         int64
+		want         map[wm.Time]uint64 // window start -> aggregate for key 1
 	}{
 		{
 			name: "fixed",
 			win:  wm.Fixed(1_000_000),
+			agg:  ops.Sum(),
 			batches: [][][]uint64{
 				batchAt(span(0, 1_000_000, 100)...),
 				batchAt(span(2_000_000, 2_100_000, 10)...), // watermark passes window 0
@@ -59,6 +75,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 		{
 			name: "sliding",
 			win:  wm.Sliding(1_000_000, 500_000),
+			agg:  ops.Sum(),
 			batches: [][][]uint64{
 				batchAt(span(600_000, 900_000, 100)...),     // windows 0 and 500k
 				batchAt(span(1_000_000, 1_200_000, 10)...),  // seals window 0; 500k stays open
@@ -66,6 +83,24 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 			},
 			late: 2,
 			want: map[wm.Time]uint64{0: 100, 500_000: 112, 1_000_000: 10},
+		},
+		{
+			name: "sealed-pane",
+			win:  wm.Sliding(1_000_000, 250_000),
+			agg:  ops.Count(),
+			batches: [][][]uint64{
+				batchAt(span(750_000, 1_000_000, 100)...),  // pane 750k: windows 0 to 750k
+				batchAt(span(1_000_000, 1_100_000, 10)...), // seals window 0, which seals pane 750k
+				batchAt(800_000, 900_000, 1_050_000),       // two into the sealed pane, for 250k to 750k
+				batchAt(span(1_100_000, 1_200_000, 10)...), // nothing new sealed
+				batchAt(span(1_300_000, 1_400_000, 10)...), // seals window 250k: partial + late run
+				batchAt(span(2_400_000, 2_500_000, 10)...), // seals the rest
+			},
+			sealedBefore: 2,
+			want: map[wm.Time]uint64{
+				0: 100, 250_000: 123, 500_000: 133, 750_000: 133, 1_000_000: 31,
+				1_250_000: 10, 1_500_000: 10, 1_750_000: 10, 2_000_000: 10, 2_250_000: 10,
+			},
 		},
 	}
 	for _, c := range cases {
@@ -78,8 +113,8 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 				Source: engine.SourceConfig{Name: "late", WatermarkEvery: 1},
 				Win:    c.win,
 				TsCol:  2, KeyCol: 0, ValCol: 1,
-				NewAgg: ops.Sum(),
-				Label:  "sum",
+				NewAgg: c.agg,
+				Label:  c.name,
 			}
 			e, err := Start(plan, Config{Workers: 2, Capture: true, WindowSink: func(start, _ wm.Time, _ []Row) {
 				mu.Lock()
@@ -90,7 +125,17 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sent int64
-			for _, b := range c.batches {
+			for i, b := range c.batches {
+				if i > 0 && i == c.sealedBefore {
+					for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+						if n, _ := e.CloseStats(); n > 0 {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatal("no pane sealed before the late batch")
+						}
+					}
+				}
 				sent += int64(len(b[0]))
 				feed.pushCols(b)
 			}
@@ -111,9 +156,9 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 			if len(got) != len(c.want) || len(published) != len(c.want) || rep.WindowsClosed != len(c.want) {
 				t.Fatalf("rows for %d windows, %d published, %d closed, want %d", len(got), len(published), rep.WindowsClosed, len(c.want))
 			}
-			for w, sum := range c.want {
-				if got[w][1] != sum {
-					t.Fatalf("window %d: sum %d, want %d", w, got[w][1], sum)
+			for w, agg := range c.want {
+				if got[w][1] != agg {
+					t.Fatalf("window %d: aggregate %d, want %d", w, got[w][1], agg)
 				}
 			}
 			// Balanced frees: every run reference was released exactly once.
@@ -134,7 +179,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 // later windows stays invisible to a sealed window that has not
 // collected yet, and the sealed watermark only moves forward.
 func TestWindowTableSealing(t *testing.T) {
-	tab := newWindowTable(wm.Sliding(100, 50))
+	tab := newWindowTable(wm.Sliding(100, 50), false)
 	sealed := tab.sealedWatermark()
 	check := func(when string) {
 		t.Helper()
@@ -164,17 +209,20 @@ func TestWindowTableSealing(t *testing.T) {
 	if from != 50 || open != 1 {
 		t.Fatalf("open covering of pane 50: from %d count %d, want 50 and 1", from, open)
 	}
-	if got := tab.fileRuns(b, []filedRun{{paneRun{nil, from}, 50}}); len(got) != 0 {
+	if got := tab.fileRuns(b, []filedRun{{paneRun{k: nil, from: from}, 50}}); len(got) != 0 {
 		t.Fatalf("close started early: %v", got)
 	}
 	if got := tab.register(0, 40); got != nil {
 		t.Fatalf("fully late bundle registered %v", got)
 	}
-	if got := tab.fileRuns(a, []filedRun{{paneRun{nil, 0}, 50}}); len(got) != 1 || got[0] != 0 {
+	if got := tab.fileRuns(a, []filedRun{{paneRun{k: nil, from: 0}, 50}}); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("last extraction must start window 0's close once: %v", got)
 	}
-	if got := tab.collect(0); len(got) != 1 {
-		t.Fatalf("window 0 collected %d runs, want the 1 filed for it", len(got))
+	if c, ok := tab.claim(0); !ok || !c.merge || len(c.runs) != 1 {
+		t.Fatalf("window 0 claimed=%v merge=%v with %d runs, want the 1 filed for it", ok, c.merge, len(c.runs))
+	}
+	if _, ok := tab.claim(0); ok {
+		t.Fatal("window 0's close was claimed twice")
 	}
 	if got := tab.advance(100); len(got) != 0 {
 		t.Fatalf("repeated watermark restarted a close: %v", got)
@@ -188,8 +236,8 @@ func TestWindowTableSealing(t *testing.T) {
 		t.Fatalf("window 50 should close at once: %v", got)
 	}
 	check("advance 150")
-	if got := tab.collect(50); len(got) != 2 {
-		t.Fatalf("window 50 collected %d runs, want both", len(got))
+	if c, ok := tab.claim(50); !ok || !c.merge || len(c.runs) != 2 {
+		t.Fatalf("window 50 claimed=%v merge=%v with %d runs, want both", ok, c.merge, len(c.runs))
 	}
 	tab.retire(50)
 	tab.published(50)
@@ -198,4 +246,97 @@ func TestWindowTableSealing(t *testing.T) {
 		t.Fatalf("sealed %d, closed %d, %d pane entries and %d windows left",
 			sealed, tab.closedWindows(), len(tab.entries), len(tab.windows))
 	}
+}
+
+// TestWindowTableSealOrder drives the registry of a plan whose closes
+// seal panes: windows that share a pane are offered and claimed oldest
+// first even when one watermark seals them all; a claim takes the raw
+// runs it will seal out of the table and the next window's claim does
+// not wait for that seal — only its merge does, and then finds the
+// partial run in the raw runs' place; a seal that could not allocate
+// puts the raw runs back; and a pane's last reader is handed its raw
+// runs unsealed.
+func TestWindowTableSealOrder(t *testing.T) {
+	bd, err := bundle.NewBuilder(1, bundle.Schema{NumCols: 3, TsCol: 2}, 2, memsim.DRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd.Append(7, 1, 60)
+	bd.Append(7, 1, 110)
+	b := bd.Seal()
+	rawRun := func(row uint32) *kpa.KPA {
+		k, err := kpa.FromPairs([]algo.Pair{{Key: 7, Ptr: kpa.PackPtr(1, row)}}, 0, b, kpa.NoopAllocator{T: memsim.DRAM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	rA, rB := rawRun(0), rawRun(1)
+
+	tab := newWindowTable(wm.Sliding(100, 50), true)
+	a := tab.register(60, 90)   // pane 50: windows 0 and 50
+	c := tab.register(110, 140) // pane 100: windows 50 and 100
+	tab.fileRuns(a, []filedRun{{paneRun{k: rA, from: 0}, 50}})
+	tab.fileRuns(c, []filedRun{{paneRun{k: rB, from: 50}, 100}})
+	if got := tab.advance(200); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("one watermark sealed three overlapping windows; offered %v, want the oldest only", got)
+	}
+	if _, ok := tab.claim(50); ok {
+		t.Fatal("window 50 claimed before window 0")
+	}
+	c0, ok := tab.claim(0)
+	if !ok || c0.merge || len(c0.seals) != 1 || c0.seals[0].pane != 50 ||
+		len(c0.seals[0].raw) != 1 || c0.seals[0].raw[0].k != rA ||
+		len(c0.seals[0].waiters) != 1 || c0.seals[0].waiters[0] != 50 ||
+		len(c0.next) != 1 || c0.next[0] != 50 {
+		t.Fatalf("window 0: %+v ok %v, want pane 50 to seal for window 50, which is next", c0, ok)
+	}
+	// Window 50 claims, and takes its own seal, while pane 50 is still
+	// sealing; it may not merge yet.
+	c50, ok := tab.claim(50)
+	if !ok || c50.merge || len(c50.seals) != 1 || c50.seals[0].pane != 100 || c50.seals[0].raw[0].k != rB ||
+		len(c50.next) != 1 || c50.next[0] != 100 {
+		t.Fatalf("window 50: %+v ok %v, want pane 100 to seal and no merge while pane 50 seals", c50, ok)
+	}
+	c100, ok := tab.claim(100)
+	if !ok || c100.merge || len(c100.seals) != 0 {
+		t.Fatalf("window 100: %+v ok %v, want a claim that waits on pane 100's seal", c100, ok)
+	}
+	if got := tab.gather(50); len(got) != 0 {
+		t.Fatalf("runs under seal still in the table: %v", got)
+	}
+	partial, err := kpa.MergeReducePartial([]*kpa.KPA{rA}, 1, ops.Sum(), kpa.NoopAllocator{T: memsim.DRAM}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.paneSealed(0, c0.seals[0], partial); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("pane 50 sealed: merge %v, want window 0 only (50 still owes pane 100)", got)
+	}
+	if got := tab.gather(0); len(got) != 1 || got[0] != partial {
+		t.Fatalf("window 0 gathered %v, want the partial of pane 50", got)
+	}
+	// The seal of pane 100 fails to allocate: the raw run goes back.
+	if got := tab.paneSealed(50, c50.seals[0], nil); len(got) != 2 || got[0] != 50 || got[1] != 100 {
+		t.Fatalf("pane 100 landed: merge %v, want windows 50 and 100", got)
+	}
+	if r := tab.entries[100].runs; len(r) != 1 || !r[0].pinned {
+		t.Fatalf("pane 100 after the failed seal: %+v, want its raw run back and pinned raw", r)
+	}
+	if got := tab.gather(50); len(got) != 2 || got[0] != partial || got[1] != rB {
+		t.Fatalf("window 50 gathered %v, want the partial of pane 50 and pane 100's raw run", got)
+	}
+	if got := tab.gather(100); len(got) != 1 || got[0] != rB {
+		t.Fatalf("window 100 gathered %v, want pane 100's raw run for its last reader", got)
+	}
+	for _, w := range []wm.Time{0, 50, 100} {
+		tab.retire(w)
+		tab.published(w)
+	}
+	if len(tab.entries) != 0 || len(tab.windows) != 0 || tab.sealedWatermark() != 200 {
+		t.Fatalf("%d pane entries and %d windows left, sealed %d", len(tab.entries), len(tab.windows), tab.sealedWatermark())
+	}
+	partial.Destroy()
+	rA.Destroy()
+	rB.Destroy()
+	b.Release()
 }

@@ -8,6 +8,7 @@ import (
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
+	"streambox/internal/ops"
 	"streambox/internal/wm"
 )
 
@@ -169,6 +170,23 @@ func runAgainstReference(t *testing.T, plan Plan) Report {
 	return rep
 }
 
+// paneShapes are the window geometries of the equivalence properties.
+var paneShapes = []wm.Windowing{
+	wm.Sliding(1_000_000, 1_000_000), // overlap 1: a fixed window
+	wm.Sliding(1_000_000, 500_000),   // overlap 2
+	wm.Sliding(1_000_000, 250_000),   // overlap 4
+	wm.Sliding(700_000, 100_000),     // overlap 7
+	wm.Sliding(1_000_000, 62_500),    // overlap 16
+	wm.Sliding(700_000, 200_000),     // non-divisible: panes of 100_000
+	wm.Sliding(1_000_000, 333_333),   // near-coprime: panes of 1 and 333_332
+	wm.Fixed(500_000),
+}
+
+// combiners are the aggregators whose panes seal.
+var combiners = map[string]kpa.AggFactory{
+	"sum": ops.Sum(), "count": ops.Count(), "min": ops.Min(), "max": ops.Max(),
+}
+
 // TestPaneMatchesReference is the extract/close equivalence property:
 // across overlap factors 1, 2, 4, 7 and 16, a non-divisible and a
 // near-coprime size/slide (paired panes of unequal width) and fixed
@@ -176,18 +194,12 @@ func runAgainstReference(t *testing.T, plan Plan) Report {
 // pane path must reproduce the reference bit for bit. Run under -race
 // in CI.
 func TestPaneMatchesReference(t *testing.T) {
-	shapes := []wm.Windowing{
-		wm.Sliding(1_000_000, 1_000_000), // overlap 1: a fixed window
-		wm.Sliding(1_000_000, 500_000),   // overlap 2
-		wm.Sliding(1_000_000, 250_000),   // overlap 4
-		wm.Sliding(700_000, 100_000),     // overlap 7
-		wm.Sliding(1_000_000, 62_500),    // overlap 16
-		wm.Sliding(700_000, 200_000),     // non-divisible: panes of 100_000
-		wm.Sliding(1_000_000, 333_333),   // near-coprime: panes of 1 and 333_332
-		wm.Fixed(500_000),
-	}
-	for _, win := range shapes {
+	for _, win := range paneShapes {
 		rep := runAgainstReference(t, paneTestPlan(win, 42))
+		if rep.SealedPanes != 0 {
+			t.Fatalf("size=%d slide=%d: %d panes sealed for an aggregator that cannot combine",
+				win.Size, win.Slide, rep.SealedPanes)
+		}
 		switch {
 		case win.IsFixed():
 			if rep.PaneRuns != 0 || rep.SharedRunRefs != 0 {
@@ -199,6 +211,52 @@ func TestPaneMatchesReference(t *testing.T) {
 		case rep.SharedRunRefs == 0:
 			t.Fatalf("size=%d slide=%d: overlapping windows took no shared references", win.Size, win.Slide)
 		}
+	}
+}
+
+// TestPaneSealMatchesReference is the same property for the aggregators
+// that combine, whose closes seal each pane once into a partial run and
+// merge partials: every shape must still reproduce the reference, which
+// knows no panes and no partials. Count is the aggregator that fails if
+// a partial is ever Added as if it were one record. Panes seal exactly
+// when windows overlap.
+func TestPaneSealMatchesReference(t *testing.T) {
+	for name, agg := range combiners {
+		for _, win := range paneShapes {
+			plan := paneTestPlan(win, 42)
+			plan.NewAgg, plan.Label = agg, name
+			rep := runAgainstReference(t, plan)
+			if overlaps := win.Slide > 0 && win.Slide < win.Size; (rep.SealedPanes > 0) != overlaps {
+				t.Fatalf("%s size=%d slide=%d: %d panes sealed", name, win.Size, win.Slide, rep.SealedPanes)
+			}
+		}
+	}
+}
+
+// TestPaneSealStreamsRecordsOnce checks what sealing is for, at overlap
+// 8 with 1 024 keys: window close streams each record through a merge
+// visitor about once — its pane's seal — plus the per-key partials of
+// 8 panes per window, where merging raw runs streams every record 8
+// times (16 past the fan-in cap); and raw runs free a slide after their
+// pane completes, so live state stays below one pair per record.
+func TestPaneSealStreamsRecordsOnce(t *testing.T) {
+	plan := testPlan(newSkewedGen(1024, 5), 800_000)
+	plan.Win = wm.Sliding(1_000_000, 125_000)
+	plan.Source.BundleRecords = 5_000
+	plan.Source.WindowRecords = 400_000
+	plan.Source.WatermarkEvery = 10 // one slide
+	plan.NewAgg, plan.Label = ops.Count(), "count"
+	rep := runAgainstReference(t, plan)
+	if rep.SealedPanes == 0 {
+		t.Fatal("no pane sealed at overlap 8")
+	}
+	if limit := rep.IngestedRecords * 5 / 4; rep.ClosePairs > limit {
+		t.Fatalf("close streamed %d pairs for %d records, want at most %d",
+			rep.ClosePairs, rep.IngestedRecords, limit)
+	}
+	if bound := memsim.PairBytes * rep.IngestedRecords; rep.PeakWindowStateTotalBytes >= bound {
+		t.Fatalf("peak state %d B is not below one pair per record (%d B)",
+			rep.PeakWindowStateTotalBytes, bound)
 	}
 }
 
@@ -236,6 +294,11 @@ func TestPaneStateSharing(t *testing.T) {
 // than one loser tree holds, so closes must compact shared runs
 // (releasing one reference each) before the fused merge-reduce — and
 // still present every key's values in arrival order.
+//
+// With an aggregator that combines, at overlap 40 and one bundle per
+// pane, every window holds more partial runs than the cap — beside the
+// raw runs of panes it is the last reader of — so the compaction level
+// meets partials and must reduce them, not copy them.
 func TestPaneFanInClose(t *testing.T) {
 	plan := testPlan(newSkewedGen(5, 3), 12_000)
 	plan.Win = wm.Sliding(1_000_000, 125_000)
@@ -243,4 +306,12 @@ func TestPaneFanInClose(t *testing.T) {
 	plan.Source.BundleRecords = 100 // 40 bundles per window of records
 	plan.Source.WatermarkEvery = 40
 	runAgainstReference(t, plan)
+
+	for name, agg := range map[string]kpa.AggFactory{"sum": ops.Sum(), "count": ops.Count()} {
+		plan.Win = wm.Sliding(1_000_000, 25_000)
+		plan.NewAgg, plan.Label = agg, name
+		if rep := runAgainstReference(t, plan); rep.SealedPanes == 0 {
+			t.Fatalf("%s: no pane sealed at overlap 40", name)
+		}
+	}
 }

@@ -15,18 +15,29 @@
 // under their pane and reference counted, one reference per covering
 // window still open (kpa.Retain/Destroy): each record is staged and
 // sorted once however many windows overlap it, and a run's slab returns
-// to the mempool exactly once, when its last covering window closes.
+// to the mempool exactly once, when its last reader lets go.
 //
 // Close. When the watermark seals a window and its last pending
-// extraction has landed, the window merges the runs of the panes it
-// covers with the paper's §4.3 parallel full-KPA merge: the key space
-// is range-partitioned once across all runs and each partition streams
+// extraction has landed, the window first seals each pane a later
+// window will read again, when the aggregator is a kpa.Combiner (sum,
+// count, min, max): one fused merge-reduce over the pane's raw runs —
+// the only dereference those records ever get — writes a partial run,
+// one pair per distinct key, which replaces the raw runs in the window
+// table for every later covering window, and the raw runs and the
+// bundles behind them free after one slide instead of one window size.
+// A pane with no later reader (every pane of a fixed window) and every
+// other aggregator keep their raw runs; the choice is made from the
+// aggregator and the window geometry, not by an option. The window then
+// merges the runs of the panes it covers, partial and raw alike, with
+// the paper's §4.3 parallel full-KPA merge: the key space is
+// range-partitioned once across all runs and each partition streams
 // through a loser-tree k-way merge fused with keyed reduction,
 // dereferencing pointers back into the DRAM bundles as pairs arrive —
 // one sequential read of the inputs, no intermediate KPA, no separate
 // reduce sweep. A window with more runs than one loser tree holds
 // (mergeFanIn) first compacts them in k-way batches, a single
-// materialization; the choice is made from the run count.
+// materialization (a reduction, when partial runs are among them); the
+// choice is made from the run count.
 //
 // Late data. A record is late for a window iff the target watermark had
 // reached the window's end when the record's bundle registered — both
@@ -65,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -312,6 +324,14 @@ type Report struct {
 	// covering windows minus one, per run). Both are 0 for fixed
 	// windows, whose every run has exactly one owner.
 	PaneRuns, SharedRunRefs int64
+	// SealedPanes counts pane seals: a closing window reducing a pane's
+	// raw runs to one partial run for the later windows covering it. 0
+	// for fixed windows and for aggregators that are not kpa.Combiners.
+	// ClosePairs counts the pairs window close streamed through a merge
+	// visitor — pane seals, fan-in compaction and the final merge-reduce
+	// together. Without sealing it is about overlap (twice that past the
+	// fan-in cap) times the records; with it, about once.
+	SealedPanes, ClosePairs int64
 	// LateRecords counts records dropped because every window covering
 	// them was already sealed when their bundle arrived.
 	LateRecords int64
@@ -385,6 +405,8 @@ type exec struct {
 	extractNanos  atomic.Int64
 	paneRuns      atomic.Int64
 	sharedRunRefs atomic.Int64
+	sealedPanes   atomic.Int64
+	closePairs    atomic.Int64
 	stateBytes    [memsim.NumTiers]atomic.Int64
 	peakState     [memsim.NumTiers]atomic.Int64
 	stateTotal    atomic.Int64
@@ -496,6 +518,12 @@ func (e *Execution) PaneStats() (paneRuns, sharedRunRefs int64) {
 	return e.x.paneRuns.Load(), e.x.sharedRunRefs.Load()
 }
 
+// CloseStats returns the window-close counters so far: panes sealed
+// into partial runs and pairs streamed through close's merge visitors.
+func (e *Execution) CloseStats() (sealedPanes, closePairs int64) {
+	return e.x.sealedPanes.Load(), e.x.closePairs.Load()
+}
+
 // LateRecords returns the records dropped so far because every window
 // covering them was already sealed.
 func (e *Execution) LateRecords() int64 { return e.x.late.Load() }
@@ -571,9 +599,12 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		pool:     mempool.New(machine, reserved),
 		reg:      bundle.NewRegistry(),
 		knob:     engine.NewKnob(cfg.Seed + 1),
-		table:    newWindowTable(plan.Win),
 		sinkRows: make(map[wm.Time][]Row),
 	}
+	// Closes seal panes that later windows read again when the plan's
+	// aggregator can combine partial results.
+	_, combines := plan.NewAgg().(kpa.Combiner)
+	x.table = newWindowTable(plan.Win, combines)
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
 	x.scratch[memsim.DRAM] = x.pool.ScratchFor(memsim.DRAM)
 	// Spill-resident runs (the ladder's last rung) sort and merge with
@@ -631,6 +662,8 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			SlabsRecycled:   x.pool.Stats().Recycled,
 			PaneRuns:        x.paneRuns.Load(),
 			SharedRunRefs:   x.sharedRunRefs.Load(),
+			SealedPanes:     x.sealedPanes.Load(),
+			ClosePairs:      x.closePairs.Load(),
 			LateRecords:     x.late.Load(),
 			ExtractedPairs:  x.extractPairs.Load(),
 			ExtractNanos:    x.extractNanos.Load(),
@@ -1037,7 +1070,7 @@ rows2:
 			x.paneRuns.Add(1)
 			x.sharedRunRefs.Add(int64(open - 1))
 		}
-		runs = append(runs, filedRun{paneRun{k, from}, pane})
+		runs = append(runs, filedRun{paneRun{k: k, from: from}, pane})
 	}
 	return runs
 }
@@ -1079,12 +1112,70 @@ const mergeFanIn = 32
 // per-task overhead for a few hundred pairs each.
 const minClosePartitionPairs = 8 << 10
 
-// submitClose collects a closing window's sorted runs — the shared runs
-// of every pane it covers — and starts the close. Each close releases
-// exactly one reference per run, and the storage frees when the last
-// covering window closes.
+// submitClose offers a window's close: if the window is ready it claims
+// it, starts one task per pane it must seal, starts its merge when it
+// owes no seal, and offers the later windows the claim made ready.
 func (x *exec) submitClose(start wm.Time) {
-	runs := x.table.collect(start)
+	c, ok := x.table.claim(start)
+	if !ok {
+		return
+	}
+	tag := x.tagFor(start)
+	for _, s := range c.seals {
+		x.sched.Submit(&Task{
+			Name: "seal:" + x.plan.Label,
+			Tag:  tag,
+			Run:  func() { x.sealPane(start, s, tag) },
+		})
+	}
+	if c.merge {
+		x.mergeWindow(start, c.runs)
+	}
+	for _, w := range c.next {
+		x.submitClose(w)
+	}
+}
+
+// sealPane reduces a pane's raw runs to one partial run — the only pass
+// that dereferences their records — lands it in the window table for
+// the sealing window and the later covering windows, drops every
+// reference they held on the raw runs, so their slabs and bundles free
+// now, and starts the merge of each window that owed only this seal.
+// When the pool cannot host a partial the raw runs go back as they were
+// and nobody's references move.
+func (x *exec) sealPane(start wm.Time, s paneSeal, tag engine.Tag) {
+	raw := make([]*kpa.KPA, len(s.raw))
+	for i, r := range s.raw {
+		raw[i] = r.k
+	}
+	if x.spillFile != nil {
+		x.loadRuns(raw, tag)
+	}
+	partial, err := x.reduceRuns(raw, x.allocator(tag))
+	if err != nil {
+		partial = nil
+	} else {
+		partial.Retain(len(s.waiters))
+	}
+	toMerge := x.table.paneSealed(start, s, partial)
+	if partial != nil {
+		x.sealedPanes.Add(1)
+		for _, r := range raw {
+			for i := 0; i <= len(s.waiters); i++ {
+				x.destroyRun(r)
+			}
+		}
+	}
+	for _, w := range toMerge {
+		x.mergeWindow(w, x.table.gather(w))
+	}
+}
+
+// mergeWindow starts the merge of a claimed window over its gathered
+// runs — the shared runs of every pane it covers. Each close releases
+// exactly one reference per run it merges, and the storage frees when
+// the last reader lets go.
+func (x *exec) mergeWindow(start wm.Time, runs []*kpa.KPA) {
 	if x.spillFile != nil && len(runs) > 0 {
 		// With the spill tier enabled some runs may live in the mmap'd
 		// arena. Load them back on a worker task (off the watermark
@@ -1106,6 +1197,24 @@ func (x *exec) submitClose(start wm.Time) {
 	x.closeWindow(start, runs)
 }
 
+// reduceRuns is the sealing kernel: one fused merge-reduce over the runs
+// (raw and partial alike) into a new partial run, noted as window state.
+// The inputs stay valid.
+func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
+	partial, err := kpa.MergeReducePartial(runs, x.plan.ValCol, x.plan.NewAgg, al, x.scratch[memsim.DRAM])
+	if err != nil {
+		return nil, err
+	}
+	x.noteKPA(partial)
+	for _, r := range runs {
+		x.closePairs.Add(int64(r.Len()))
+		// One streaming read of the pairs plus the value gather.
+		x.addDRAMTraffic(int64(r.Len()) * (memsim.PairBytes + 8))
+	}
+	x.addDRAMTraffic(partial.Bytes())
+	return partial, nil
+}
+
 // closeWindow dispatches one close step on the run count: the fused
 // range-partitioned merge-reduce when the runs fit one loser tree, a
 // k-way compaction level when they don't. Runs are first ordered by
@@ -1119,23 +1228,29 @@ func (x *exec) closeWindow(start wm.Time, runs []*kpa.KPA) {
 	switch {
 	case len(runs) == 0:
 		x.finishWindow(start)
+	case len(runs) > mergeFanIn && slices.ContainsFunc(runs, (*kpa.KPA).Partial):
+		// Partial runs compact by reduction: a partial and a raw value
+		// fold differently, so nothing may copy them into one run
+		// verbatim, and the fused merge-reduce resolves per run.
+		x.mergeFanInLevel(start, runs, x.reduceRuns)
 	case len(runs) > mergeFanIn:
 		// The materializing merge (MergeK) copies pairs verbatim and so
 		// refuses mixed pointer/value-resident inputs; a close that fell
 		// back to merging over a spilled run's mmap view may hold a mix.
 		// The fused merge-reduce resolves per run and needs no
 		// conversion.
-		x.mergeFanInLevel(start, x.homogenizeRuns(start, runs))
+		x.mergeFanInLevel(start, x.homogenizeRuns(start, runs), x.mergeRuns)
 	default:
 		x.submitMergeReduce(start, runs)
 	}
 }
 
 // mergeFanInLevel compacts an over-wide run set in batches of
-// mergeFanIn: one k-way materializing merge task per batch, then back
-// to closeWindow with at most ceil(R/mergeFanIn) runs — a single
+// mergeFanIn: one k-way compact task per batch — mergeRuns, or
+// reduceRuns when partial runs are among them — then back to
+// closeWindow with at most ceil(R/mergeFanIn) runs — a single
 // materialization for any realistic run count.
-func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA) {
+func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA, compact func([]*kpa.KPA, kpa.Allocator) (*kpa.KPA, error)) {
 	tag := x.tagFor(start)
 	nBatches := (len(runs) + mergeFanIn - 1) / mergeFanIn
 	next := make([]*kpa.KPA, nBatches)
@@ -1160,7 +1275,7 @@ func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA) {
 			Name: "merge:" + x.plan.Label,
 			Tag:  tag,
 			Run: func() {
-				merged, err := kpa.MergeK(batch, x.allocator(tag))
+				merged, err := compact(batch, x.allocator(tag))
 				if err == nil {
 					// Batches are contiguous in provenance order, so the
 					// first input's metadata keeps the compacted run's
@@ -1173,8 +1288,6 @@ func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA) {
 				if err != nil {
 					x.recordError(err)
 				} else {
-					x.noteKPA(merged)
-					x.addDRAMTraffic(merged.Bytes())
 					next[slot] = merged
 				}
 				if remaining.Add(-1) == 0 {
@@ -1183,6 +1296,20 @@ func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA) {
 			},
 		})
 	}
+}
+
+// mergeRuns is the verbatim compaction kernel: one materializing k-way
+// merge of same-mode raw runs, noted as window state. The inputs stay
+// valid.
+func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
+	merged, err := kpa.MergeK(runs, al)
+	if err != nil {
+		return nil, err
+	}
+	x.noteKPA(merged)
+	x.closePairs.Add(int64(merged.Len()))
+	x.addDRAMTraffic(merged.Bytes())
+	return merged, nil
 }
 
 // submitMergeReduce closes a window in one streaming pass: the key
@@ -1232,6 +1359,7 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 					x.recordError(err)
 				}
 				x.emitRows(start, out)
+				x.closePairs.Add(width)
 				// One streaming read of the pairs plus the value gather;
 				// nothing is written back.
 				x.addDRAMTraffic(width * (memsim.PairBytes + 8))

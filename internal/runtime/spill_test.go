@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"streambox/internal/kpa"
 	"streambox/internal/memsim"
+	"streambox/internal/ops"
 	"streambox/internal/wm"
 )
 
@@ -25,57 +27,70 @@ func tinyMachine(hbm, dram int64) memsim.Config {
 // runs must be evicted to the spill tier and loaded back (or merged in
 // place from the mmap), and run unconstrained with no spill tier, must
 // produce bit-identical windows: same window starts, same keys, same
-// fold hashes. Run under -race in CI.
+// fold hashes. The sum and count legs seal their panes, so the runs that
+// sit out the stalled watermark — and get evicted and reloaded, or fail
+// to allocate and leave the raw runs in place — are partial runs. Run
+// under -race in CI.
 func TestSpillMatchesNeverSpill(t *testing.T) {
 	for _, win := range []wm.Windowing{
 		wm.Fixed(1_000_000),
 		wm.Sliding(1_000_000, 250_000), // overlap 4: shared pane runs spill
 	} {
-		plan := paneTestPlan(win, 7)
-		// Stall the watermark so sealed state piles up ~4 windows deep
-		// against a budget sized for less than one.
-		plan.Source.WatermarkEvery = 16
-		baseline, err := Run(paneTestPlan(win, 7), Config{Workers: 4, Capture: true})
-		if err != nil {
-			t.Fatalf("size=%d slide=%d baseline: %v", win.Size, win.Slide, err)
-		}
-		spilled, err := Run(plan, Config{
-			Workers:         4,
-			Capture:         true,
-			Machine:         tinyMachine(64<<10, 128<<10),
-			ReservedHBM:     32 << 10,
-			SpillCapacity:   32 << 20,
-			MonitorInterval: time.Millisecond,
-			ExhaustTimeout:  2 * time.Second,
-		})
-		if err != nil {
-			t.Fatalf("size=%d slide=%d spilled: %v", win.Size, win.Slide, err)
-		}
-		if spilled.SpilledRuns == 0 {
-			t.Fatalf("size=%d slide=%d: constrained run evicted nothing — the property was not exercised", win.Size, win.Slide)
-		}
-		if spilled.SpillLoads == 0 && spilled.SpillLoadFallbacks == 0 {
-			t.Fatalf("size=%d slide=%d: no spilled run was read back at close", win.Size, win.Slide)
-		}
-		if spilled.IngestedRecords != baseline.IngestedRecords {
-			t.Fatalf("size=%d slide=%d: ingested %d vs %d", win.Size, win.Slide,
-				spilled.IngestedRecords, baseline.IngestedRecords)
-		}
-		b, s := rowsByWindowKey(baseline.Rows), rowsByWindowKey(spilled.Rows)
-		if len(b) == 0 || len(b) != len(s) {
-			t.Fatalf("size=%d slide=%d: baseline closed %d windows, spilled %d",
-				win.Size, win.Slide, len(b), len(s))
-		}
-		for w, bk := range b {
-			sk, ok := s[w]
-			if !ok || len(bk) != len(sk) {
-				t.Fatalf("size=%d slide=%d window %d: baseline %d keys, spilled %d (present=%v)",
-					win.Size, win.Slide, w, len(bk), len(sk), ok)
+		for name, agg := range map[string]kpa.AggFactory{
+			"fold": orderSensitive(), "sum": ops.Sum(), "count": ops.Count(),
+		} {
+			plan := paneTestPlan(win, 7)
+			// Stall the watermark so sealed state piles up ~4 windows deep
+			// against a budget sized for less than one.
+			plan.Source.WatermarkEvery = 16
+			base := paneTestPlan(win, 7)
+			plan.NewAgg, base.NewAgg = agg, agg
+			baseline, err := Run(base, Config{Workers: 4, Capture: true})
+			if err != nil {
+				t.Fatalf("%s size=%d slide=%d baseline: %v", name, win.Size, win.Slide, err)
 			}
-			for k, v := range bk {
-				if sk[k] != v {
-					t.Fatalf("size=%d slide=%d window %d key %d: baseline fold %x, spilled fold %x — evict/load reordered pairs",
-						win.Size, win.Slide, w, k, v, sk[k])
+			spilled, err := Run(plan, Config{
+				Workers:         4,
+				Capture:         true,
+				Machine:         tinyMachine(64<<10, 128<<10),
+				ReservedHBM:     32 << 10,
+				SpillCapacity:   32 << 20,
+				MonitorInterval: time.Millisecond,
+				ExhaustTimeout:  2 * time.Second,
+			})
+			if err != nil {
+				t.Fatalf("%s size=%d slide=%d spilled: %v", name, win.Size, win.Slide, err)
+			}
+			if spilled.SpilledRuns == 0 {
+				t.Fatalf("%s size=%d slide=%d: constrained run evicted nothing — the property was not exercised", name, win.Size, win.Slide)
+			}
+			if spilled.SpillLoads == 0 && spilled.SpillLoadFallbacks == 0 {
+				t.Fatalf("%s size=%d slide=%d: no spilled run was read back at close", name, win.Size, win.Slide)
+			}
+			if seals := name != "fold" && !win.IsFixed(); (spilled.SealedPanes > 0) != seals || (baseline.SealedPanes > 0) != seals {
+				t.Fatalf("%s size=%d slide=%d: %d panes sealed under pressure, %d without", name, win.Size, win.Slide,
+					spilled.SealedPanes, baseline.SealedPanes)
+			}
+			if spilled.IngestedRecords != baseline.IngestedRecords {
+				t.Fatalf("%s size=%d slide=%d: ingested %d vs %d", name, win.Size, win.Slide,
+					spilled.IngestedRecords, baseline.IngestedRecords)
+			}
+			b, s := rowsByWindowKey(baseline.Rows), rowsByWindowKey(spilled.Rows)
+			if len(b) == 0 || len(b) != len(s) {
+				t.Fatalf("%s size=%d slide=%d: baseline closed %d windows, spilled %d",
+					name, win.Size, win.Slide, len(b), len(s))
+			}
+			for w, bk := range b {
+				sk, ok := s[w]
+				if !ok || len(bk) != len(sk) {
+					t.Fatalf("%s size=%d slide=%d window %d: baseline %d keys, spilled %d (present=%v)",
+						name, win.Size, win.Slide, w, len(bk), len(sk), ok)
+				}
+				for k, v := range bk {
+					if sk[k] != v {
+						t.Fatalf("%s size=%d slide=%d window %d key %d: baseline %x, spilled %x — evict/load reordered or refolded pairs",
+							name, win.Size, win.Slide, w, k, v, sk[k])
+					}
 				}
 			}
 		}

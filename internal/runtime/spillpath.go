@@ -11,11 +11,15 @@ package runtime
 // table's sweepEvictable — under its lock — and only touches runs of
 // quiescent panes — no covering window sealed — so no merge task can
 // be reading the pairs it relocates. Loads happen on the close path,
-// after the closing window's runs were collected under the same lock,
+// after the closing window's runs were gathered under the same lock,
 // which orders them after any prior eviction of those runs; two
 // closes sharing a spilled pane run both call EnsureResident, whose
 // per-KPA lock makes the load happen exactly once and publishes the
-// loaded pairs to the second caller.
+// loaded pairs to the second caller. A pane seal reads raw runs its
+// window's claim took out of the table under that lock, where the sweep
+// cannot reach them, and passes them through EnsureResident first like
+// any close; the partial run it lands is ordinary window state — swept,
+// evicted and loaded like a raw run, its partial flag on the KPA.
 
 import (
 	"sort"

@@ -320,6 +320,15 @@ type Report struct {
 	// private copy of every record. Both 0 for fixed windows and on the
 	// simulated backend.
 	PaneRuns, SharedRunRefs int64
+	// SealedPanes counts the panes a closing sliding window reduced once
+	// to a per-key partial run for the later windows covering them —
+	// done when the aggregation combines (sum, count, min, max), so those
+	// windows merge partials instead of every record again — and
+	// ClosePairs the pairs window close streamed through its merges,
+	// seals included: about once per record with sealing, overlap times
+	// without. SealedPanes is 0 for fixed windows; both are 0 on the
+	// simulated backend.
+	SealedPanes, ClosePairs int64
 	// LateRecords counts records the native backend dropped because
 	// every window covering them had already been sealed by the
 	// watermark when they arrived (0 on the simulated backend). A
@@ -752,6 +761,8 @@ func runNative(p *Pipeline, cfg RunConfig) (Report, error) {
 		WindowsClosed:             rep.WindowsClosed,
 		PaneRuns:                  rep.PaneRuns,
 		SharedRunRefs:             rep.SharedRunRefs,
+		SealedPanes:               rep.SealedPanes,
+		ClosePairs:                rep.ClosePairs,
 		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,
@@ -1284,6 +1295,7 @@ func (s *Server) scrapeMetrics() netio.Metrics {
 	}
 	m.WindowStateBytes = s.exec.WindowStateBytes()
 	m.PaneRuns, m.SharedRunRefs = s.exec.PaneStats()
+	m.SealedPanes, m.ClosePairs = s.exec.CloseStats()
 	m.LateRecords = s.exec.LateRecords()
 	m.KLow, m.KHigh = s.exec.KnobState()
 	if s.exec.SpillEnabled() {
@@ -1394,6 +1406,8 @@ func (s *Server) Shutdown() (Report, error) {
 		WindowsClosed:             rep.WindowsClosed,
 		PaneRuns:                  rep.PaneRuns,
 		SharedRunRefs:             rep.SharedRunRefs,
+		SealedPanes:               rep.SealedPanes,
+		ClosePairs:                rep.ClosePairs,
 		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,

@@ -102,6 +102,10 @@ func TestNativeBackendPublicAPI(t *testing.T) {
 	if rep.WindowsClosed != 10 {
 		t.Fatalf("closed %d windows, want 10", rep.WindowsClosed)
 	}
+	if rep.SealedPanes != 0 || rep.ClosePairs != rep.IngestedRecords {
+		t.Fatalf("fixed windows: %d panes sealed, close streamed %d pairs for %d records",
+			rep.SealedPanes, rep.ClosePairs, rep.IngestedRecords)
+	}
 	if rep.Throughput <= 0 || rep.WallSeconds <= 0 {
 		t.Fatalf("native report must carry real throughput and wall time, got %f rec/s in %fs",
 			rep.Throughput, rep.WallSeconds)
@@ -113,6 +117,41 @@ func TestNativeBackendPublicAPI(t *testing.T) {
 		if r.Val != 4000/8 {
 			t.Fatalf("sum = %d, want %d", r.Val, 4000/8)
 		}
+	}
+}
+
+// TestNativeSlidingSealsPanes runs overlapping windows natively through
+// the public API with an aggregation that combines: panes are sealed
+// (the report says so), close streams each record about once instead of
+// once per covering window, and interior windows still count every
+// record — a partial taken for one record would make them 4 or 5.
+func TestNativeSlidingSealsPanes(t *testing.T) {
+	p := streambox.NewPipeline(streambox.SlidingWindow(streambox.Second, streambox.Second/4))
+	res := p.Source(streambox.RoundRobinKV(4, 1), smallSource(2e6)).
+		Window(2).
+		CountPerKey(0).
+		Capture()
+	rep, err := streambox.Run(p, streambox.RunConfig{Backend: streambox.Native, Duration: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SealedPanes == 0 || rep.PaneRuns == 0 {
+		t.Fatalf("overlap 4 count: %d panes sealed of %d pane runs", rep.SealedPanes, rep.PaneRuns)
+	}
+	if rep.ClosePairs == 0 || rep.ClosePairs > 2*rep.IngestedRecords {
+		t.Fatalf("close streamed %d pairs for %d records at overlap 4", rep.ClosePairs, rep.IngestedRecords)
+	}
+	full := 0
+	for _, r := range res.Rows {
+		if r.Val > 4000/4 {
+			t.Fatalf("window %d key %d counts %d records, more than a window holds", r.Win, r.Key, r.Val)
+		}
+		if r.Val == 4000/4 {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no interior sliding window had full counts")
 	}
 }
 
