@@ -5,6 +5,7 @@
 package streambox_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -161,31 +162,44 @@ func BenchmarkNativePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowClose runs the native pipeline with bundles sized so
-// every window closes over 16 sorted runs through the fused
-// range-partitioned merge-reduce. B/rec is where a materializing close
-// would show (one KPA copy per merge level); the fused-vs-tree kernel
-// comparison itself lives in internal/kpa's BenchmarkMergeReduce.
+// BenchmarkWindowClose runs the native pipeline on fixed windows of 1 Mi
+// records over 1 024 keys, with bundles sized for two run counts per
+// window. runs=16: every window closes over 16 sorted runs through the
+// fused range-partitioned merge-reduce; B/rec is where a materializing
+// close would show (one KPA copy per merge level). runs=246: the shape a
+// network window has (one run per 4 096-record frame) — every 32 runs
+// seal into a per-key partial run while the window fills, so close
+// merges 7 partials and the 22 runs left over, and close-pairs/rec reads
+// about 1 where compacting 246 runs at close read 2. The kernel
+// comparisons live in internal/kpa: BenchmarkMergeReduce (fused vs
+// tree) and BenchmarkSealVsCompact.
 func BenchmarkWindowClose(b *testing.B) {
-	const records = 2e6
-	for i := 0; i < b.N; i++ {
-		plan := runtime.Plan{
-			Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-			Source: engine.SourceConfig{
-				Name: "close", Rate: records, BundleRecords: 62_500,
-				WindowRecords: 1_000_000, WatermarkEvery: 16,
-			},
-			Win:          wm.Fixed(1_000_000),
-			TotalRecords: int64(records),
-			TsCol:        2, KeyCol: 0, ValCol: 1,
-			NewAgg: ops.Sum(), Label: "close",
-		}
-		rep, err := runtime.Run(plan, runtime.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-		b.ReportMetric(rep.AllocBytesPerRecord, "B/rec")
+	const windowRecords = 1 << 20
+	for _, runs := range []int{16, 246} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			bundleRecords := (windowRecords + runs - 1) / runs
+			for i := 0; i < b.N; i++ {
+				plan := runtime.Plan{
+					Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
+					Source: engine.SourceConfig{
+						Name: "close", Rate: 2 * windowRecords, BundleRecords: bundleRecords,
+						WindowRecords: windowRecords, WatermarkEvery: runs,
+					},
+					Win:          wm.Fixed(1_000_000),
+					TotalRecords: 2 * windowRecords,
+					TsCol:        2, KeyCol: 0, ValCol: 1,
+					NewAgg: ops.Sum(), Label: "close",
+				}
+				rep, err := runtime.Run(plan, runtime.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
+				b.ReportMetric(rep.AllocBytesPerRecord, "B/rec")
+				b.ReportMetric(float64(rep.ClosePairs)/float64(rep.IngestedRecords), "close-pairs/rec")
+				b.ReportMetric(float64(rep.CloseP99Nanos)/1e6, "close-p99-ms")
+			}
+		})
 	}
 }
 

@@ -96,8 +96,8 @@ type KPA struct {
 	// and sources is empty. Runs become value-resident when evicted to
 	// the spill tier (a spill record must be self-contained, and
 	// dropping the bundle links is what actually frees DRAM) or when a
-	// close mixes spilled with in-memory runs (merge inputs must agree
-	// on pointer semantics). See residency.go.
+	// verbatim seal mixes spilled with in-memory runs (MergeK's inputs
+	// must agree on what Ptr holds). See residency.go.
 	vals bool
 	// partial marks a sealed pane run: value-resident, one pair per
 	// distinct key, and each Ptr is a Combiner aggregator's result over

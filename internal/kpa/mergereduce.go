@@ -14,11 +14,13 @@ import (
 // (MergeReduceRange), dereferencing bundle pointers as pairs arrive in
 // key order. Closing a window of R runs costs one sequential read of
 // the inputs — no per-level KPA materialization, no separate reduce
-// sweep. MergeK is the materializing fallback used to cap fan-in when a
-// window accumulates more runs than one loser tree should hold, and
-// MergeReducePartial is the same fused pass writing its (key, result)
-// stream back out as a partial run — how a sliding window's pane is
-// sealed once for every window that covers it.
+// sweep. The other two kernels seal a group of a pane's runs into one
+// while the pane still fills, so that close never meets more runs than
+// one loser tree should hold and panes shared by sliding windows are
+// merged once for all of them: MergeReducePartial is the same fused
+// pass writing its (key, result) stream back out as a partial run, for
+// aggregators that combine; MergeK copies the pairs verbatim, for those
+// that need every value in order.
 
 // checkMergeInputs validates that runs are sorted and share a resident
 // column, returning that column.
@@ -218,10 +220,10 @@ func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocato
 }
 
 // MergeK merges k sorted KPAs into one sorted KPA with a single
-// loser-tree pass — the fan-in-capping fallback of the fused close: a
-// window with more runs than one merge task should stream is first
-// compacted in batches of k, one materialization total instead of a
-// log2(R)-level tree. Inputs remain valid (destroy them separately).
+// loser-tree pass, ties by run index — the seal of a group of runs
+// whose aggregator cannot combine partial results: every pair is kept,
+// in the order a merge over the inputs themselves would visit them.
+// Inputs remain valid (destroy them separately).
 func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 	resident, err := checkMergeInputs(runs)
 	if err != nil {
@@ -230,8 +232,8 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 	// Pairs are copied verbatim, so every input must agree on what Ptr
 	// means — all pointer runs, all value-resident runs or all partial
 	// runs (a partial and a raw value fold differently). The runtime
-	// converts a close's raw runs to one mode before compacting and
-	// compacts run sets holding partials with MergeReducePartial.
+	// brings a seal's raw runs to one mode first, and seals with
+	// MergeReducePartial whenever partials can exist.
 	for _, r := range runs {
 		if r.vals != runs[0].vals {
 			return nil, fmt.Errorf("kpa: k-way merge of mixed pointer/value-resident runs")

@@ -211,3 +211,136 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 		t.Fatalf("%d aggregators built for %d keys without Reset", made, keys)
 	}
 }
+
+// BenchmarkSealVsCompact prices the two ways a window with more sorted
+// runs than one seal takes can reach its result, on the run shapes of
+// four benchmark workloads, single-threaded, in ns per pair of the
+// window: "compact-at-close" merges the runs verbatim in batches of 32
+// (MergeK, again while more than 32 are left) and then merge-reduces the
+// compacted runs — every pair copied once and dereferenced after that;
+// "seal-while-filling" reduces every full group of 32 to a partial run
+// (MergeReducePartial, groups of 32 partials likewise) and merge-reduces
+// the partials with the runs left over — every pair read once. Few keys
+// per window make the partials vanish (net_narrow, net_row); with about
+// as many keys as pairs (inproc_wide) a partial is nearly as long as its
+// group and only the copy is saved.
+func BenchmarkSealVsCompact(b *testing.B) {
+	const fanIn = 32
+	shapes := []struct {
+		name         string
+		runs, runLen int
+		keys         uint64
+		hashed       bool
+	}{
+		{"net_narrow/246x4096/1Ki-keys", 246, 4096, 1 << 10, false},
+		{"net_row/1954x512/1Ki-keys", 1954, 512, 1 << 10, false},
+		{"inproc_wide/100x10000/1Mi-hashed-keys", 100, 10_000, 1 << 20, true},
+		{"inproc_spill/50x10000/1Ki-keys", 50, 10_000, 1 << 10, false},
+	}
+	al := kpa.NoopAllocator{T: memsim.HBM}
+	finish := func(b *testing.B, runs []*kpa.KPA) uint64 {
+		cuts, err := kpa.MergeCuts(runs, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sink uint64
+		if err := kpa.MergeReduceRange(runs, cuts[0], cuts[1], 1, ops.Sum(), func(k, v uint64) { sink += k ^ v }); err != nil {
+			b.Fatal(err)
+		}
+		return sink
+	}
+	// compactAtClose is the close of a window whose runs were left as they
+	// were filed: verbatim k-way merges in batches until one loser tree
+	// takes what is left (a lone trailing run passes through).
+	compactAtClose := func(b *testing.B, runs []*kpa.KPA) uint64 {
+		var made []*kpa.KPA
+		for len(runs) > fanIn {
+			var next []*kpa.KPA
+			for lo := 0; lo < len(runs); lo += fanIn {
+				batch := runs[lo:min(lo+fanIn, len(runs))]
+				if len(batch) == 1 {
+					next = append(next, batch[0])
+					continue
+				}
+				out, err := kpa.MergeK(batch, al)
+				if err != nil {
+					b.Fatal(err)
+				}
+				made, next = append(made, out), append(next, out)
+			}
+			runs = next
+		}
+		sink := finish(b, runs)
+		for _, k := range made {
+			k.Destroy()
+		}
+		return sink
+	}
+	// sealWhileFilling is the same window with every full group sealed as
+	// it filled, level by level; close takes what no group took.
+	sealWhileFilling := func(b *testing.B, runs []*kpa.KPA) uint64 {
+		var made, rest []*kpa.KPA
+		for level := runs; len(level) > 0; {
+			var up []*kpa.KPA
+			for ; len(level) >= fanIn; level = level[fanIn:] {
+				out, err := kpa.MergeReducePartial(level[:fanIn], 1, ops.Sum(), al, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				made, up = append(made, out), append(up, out)
+			}
+			rest = append(rest, level...)
+			level = up
+		}
+		sink := finish(b, rest)
+		for _, k := range made {
+			k.Destroy()
+		}
+		return sink
+	}
+	for _, sh := range shapes {
+		rng := rand.New(rand.NewSource(3))
+		reg := bundle.NewRegistry()
+		runs := make([]*kpa.KPA, sh.runs)
+		for j := range runs {
+			bd, err := reg.NewBuilder(bundle.Schema{NumCols: 3, TsCol: 2}, sh.runLen, memsim.DRAM)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < sh.runLen; i++ {
+				key := rng.Uint64() % sh.keys
+				if sh.hashed {
+					key *= 0x9E3779B97F4A7C15
+				}
+				if err := bd.Append(key, rng.Uint64()%1000, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			bb := bd.Seal()
+			k, err := kpa.Extract(bb, 0, al)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bb.Release()
+			kpa.SortRadix(k, 1, nil)
+			runs[j] = k
+		}
+		pairs := float64(sh.runs * sh.runLen)
+		var sink uint64
+		for _, way := range []struct {
+			name        string
+			closeWindow func(*testing.B, []*kpa.KPA) uint64
+		}{{"compact-at-close", compactAtClose}, {"seal-while-filling", sealWhileFilling}} {
+			b.Run(sh.name+"/"+way.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sink += way.closeWindow(b, runs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+			})
+		}
+		_ = sink
+		for _, k := range runs {
+			k.Destroy()
+		}
+	}
+}

@@ -25,9 +25,9 @@ type AggFactory func() Agg
 // instance over a disjoint, non-empty part of the input — so that
 // Combine(r1), Combine(r2), ... followed by Result equals Add over the
 // union (for Count that is n += partial, not Add). The native runtime
-// seals a pane of a sliding window once into a partial run
-// (MergeReducePartial) only when the plan's aggregator is a Combiner;
-// every other aggregator keeps its raw runs.
+// seals groups of a pane's runs into partial runs (MergeReducePartial)
+// only when the plan's aggregator is a Combiner; for every other
+// aggregator a seal copies the pairs verbatim (MergeK).
 type Combiner interface {
 	Agg
 	Combine(partial uint64)

@@ -61,9 +61,9 @@ func (k *KPA) valueOf(p algo.Pair, valCol int) uint64 {
 
 // MaterializeValues converts the run to value-resident in place:
 // pointers become values of valCol and the source-bundle links drop.
-// The caller must hold the only reference (Refs()==1) or otherwise
-// guarantee no concurrent reader — sharers still expect pointers. Use
-// CloneValues for shared runs.
+// The caller must guarantee no concurrent reader — a sharer mid-merge
+// still expects pointers. The runtime calls it on the runs of a seal,
+// which are out of the window table and the sealing task's alone.
 func (k *KPA) MaterializeValues(valCol int) error {
 	if k.vals {
 		return nil
@@ -78,29 +78,6 @@ func (k *KPA) MaterializeValues(valCol int) error {
 	k.dropSources()
 	k.vals = true
 	return nil
-}
-
-// CloneValues returns a new value-resident run with the same pairs,
-// metadata and sort state, allocated via al. The receiver is left
-// untouched — this is the shared-run variant of MaterializeValues,
-// safe while other windows concurrently read the original.
-func (k *KPA) CloneValues(valCol int, al Allocator) (*KPA, error) {
-	if err := k.checkValCol(valCol); err != nil {
-		return nil, err
-	}
-	out, err := newKPA(k.Len(), k.resident, al)
-	if err != nil {
-		return nil, err
-	}
-	out.pairs = out.pairs[:k.Len()]
-	for i, p := range k.pairs {
-		out.pairs[i] = algo.Pair{Key: p.Key, Ptr: k.valueOf(p, valCol)}
-	}
-	out.sorted = k.sorted
-	out.meta = k.meta
-	out.vals = true
-	out.partial = k.partial
-	return out, nil
 }
 
 // checkValCol validates valCol against every source bundle's schema

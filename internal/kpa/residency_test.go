@@ -193,35 +193,6 @@ func TestMergeHomogeneity(t *testing.T) {
 	b.Destroy()
 }
 
-// TestCloneValuesLeavesSharedRunIntact: the shared-run conversion path
-// copies; the original keeps its pointers and sources.
-func TestCloneValuesLeavesSharedRunIntact(t *testing.T) {
-	al, _ := poolAllocator(t, memsim.DRAM)
-	reg := bundle.NewRegistry()
-	k := sortedKPA(t, reg, al, []uint64{9, 1, 5, 1})
-	c, err := k.CloneValues(1, al)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.ValuesResident() || k.NumSources() == 0 {
-		t.Fatal("CloneValues mutated the original")
-	}
-	if !c.ValuesResident() || c.NumSources() != 0 {
-		t.Fatal("clone is not value-resident")
-	}
-	if c.Len() != k.Len() || c.Sorted() != k.Sorted() || c.Meta() != k.Meta() {
-		t.Fatal("clone shape mismatch")
-	}
-	for i, p := range k.Pairs() {
-		b, row := k.Deref(p.Ptr)
-		if c.Pairs()[i].Key != p.Key || c.Pairs()[i].Ptr != b.At(row, 1) {
-			t.Fatalf("clone pair %d mismatch", i)
-		}
-	}
-	c.Destroy()
-	k.Destroy()
-}
-
 // TestConcurrentEnsureResident: many closes demanding the same spilled
 // pane run load it exactly once.
 func TestConcurrentEnsureResident(t *testing.T) {

@@ -32,8 +32,9 @@ type Metrics struct {
 	// Pane-sharing counters: sorted pane runs built, and the extra
 	// window references taken on them.
 	PaneRuns, SharedRunRefs int64
-	// Window-close counters: panes sealed into per-key partial runs, and
-	// pairs streamed through close's merges (seals included).
+	// Window-close counters: pane seals (groups of runs merged into one,
+	// while a pane fills and at its first window's close), and pairs
+	// streamed through those merges and the closing windows' own.
 	SealedPanes, ClosePairs int64
 	// LateRecords counts records dropped behind the watermark: every
 	// window covering them was already sealed.

@@ -1,12 +1,11 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"streambox/internal/algo"
-	"streambox/internal/bundle"
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
@@ -174,12 +173,23 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 	}
 }
 
+// emptyRun is a run with no pairs: all the window table looks at is
+// its identity and all a test needs is its reference count.
+func emptyRun(t *testing.T) *kpa.KPA {
+	t.Helper()
+	k, err := kpa.FromPairs(nil, 0, nil, kpa.NoopAllocator{T: memsim.DRAM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // TestWindowTableSealing drives the registry directly: a sealed window
 // admits nothing more, its close starts exactly once, a run filed for
 // later windows stays invisible to a sealed window that has not
-// collected yet, and the sealed watermark only moves forward.
+// gathered yet, and the sealed watermark only moves forward.
 func TestWindowTableSealing(t *testing.T) {
-	tab := newWindowTable(wm.Sliding(100, 50), false)
+	tab := newWindowTable(wm.Sliding(100, 50))
 	sealed := tab.sealedWatermark()
 	check := func(when string) {
 		t.Helper()
@@ -191,41 +201,55 @@ func TestWindowTableSealing(t *testing.T) {
 	}
 
 	a := tab.register(60, 90) // windows 0 and 50
-	if len(a) != 2 || a[0] != 0 || a[1] != 50 {
-		t.Fatalf("registered %v, want [0 50]", a)
+	if len(a.wins) != 2 || a.wins[0] != 0 || a.wins[1] != 50 || len(a.groups) != 1 {
+		t.Fatalf("registered %+v, want windows [0 50] and one pane", a)
 	}
 	if got := tab.advance(100); len(got) != 0 {
 		t.Fatalf("window 0 closed with an extraction pending: %v", got)
 	}
 	check("advance")
 
-	// Window 0 is sealed but has not collected: a later bundle on the
-	// same pane registers with window 50 only.
+	// Window 0 is sealed but has not claimed: a later bundle on the same
+	// pane registers with window 50 only, and starts a group of its own.
 	b := tab.register(60, 90)
-	if len(b) != 1 || b[0] != 50 {
-		t.Fatalf("late registration got %v, want [50]", b)
+	if len(b.wins) != 1 || b.wins[0] != 50 || b.groups[0] == a.groups[0] {
+		t.Fatalf("late registration got %+v, want window [50] and a new group", b)
 	}
-	from, open := tab.openCovering(50, b[0])
+	from, open := tab.openCovering(50, b.wins[0])
 	if from != 50 || open != 1 {
 		t.Fatalf("open covering of pane 50: from %d count %d, want 50 and 1", from, open)
 	}
-	if got := tab.fileRuns(b, []filedRun{{paneRun{k: nil, from: from}, 50}}); len(got) != 0 {
-		t.Fatalf("close started early: %v", got)
+	late := emptyRun(t)
+	if seals, got := tab.fileRuns(b, []filedRun{{paneRun{k: late, from: from, group: b.groups[0]}, 50}}); len(got) != 0 || len(seals) != 0 {
+		t.Fatalf("close started early: %v, seals %v", got, seals)
 	}
-	if got := tab.register(0, 40); got != nil {
-		t.Fatalf("fully late bundle registered %v", got)
+	if got := tab.register(0, 40); got.wins != nil || got.groups != nil {
+		t.Fatalf("fully late bundle registered %+v", got)
 	}
-	if got := tab.fileRuns(a, []filedRun{{paneRun{k: nil, from: 0}, 50}}); len(got) != 1 || got[0] != 0 {
+	first := emptyRun(t)
+	first.Retain(1) // windows 0 and 50
+	if _, got := tab.fileRuns(a, []filedRun{{paneRun{k: first, from: 0, group: a.groups[0]}, 50}}); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("last extraction must start window 0's close once: %v", got)
 	}
-	if c, ok := tab.claim(0); !ok || !c.merge || len(c.runs) != 1 {
-		t.Fatalf("window 0 claimed=%v merge=%v with %d runs, want the 1 filed for it", ok, c.merge, len(c.runs))
+	// Window 50 reads pane 50 again, so window 0's claim seals the one
+	// run filed for it and gathers once that lands.
+	c, ok := tab.claim(0)
+	if !ok || c.merge || len(c.seals) != 1 || len(c.seals[0].raw) != 1 || c.seals[0].raw[0].k != first {
+		t.Fatalf("window 0: %+v ok %v, want a claim sealing the run filed for it", c, ok)
 	}
 	if _, ok := tab.claim(0); ok {
 		t.Fatal("window 0's close was claimed twice")
 	}
 	if got := tab.advance(100); len(got) != 0 {
 		t.Fatalf("repeated watermark restarted a close: %v", got)
+	}
+	merged := emptyRun(t)
+	merged.Retain(1)
+	if more, got := tab.paneSealed(c.seals[0], merged); len(more) != 0 || len(got) != 1 || got[0] != 0 {
+		t.Fatalf("seal landed: more %v, merge %v, want window 0", more, got)
+	}
+	if got := tab.gather(0); len(got) != 1 || got[0] != merged {
+		t.Fatalf("window 0 gathered %v, want the sealed run only", got)
 	}
 	tab.retire(0)
 	check("retire")
@@ -236,8 +260,8 @@ func TestWindowTableSealing(t *testing.T) {
 		t.Fatalf("window 50 should close at once: %v", got)
 	}
 	check("advance 150")
-	if c, ok := tab.claim(50); !ok || !c.merge || len(c.runs) != 2 {
-		t.Fatalf("window 50 claimed=%v merge=%v with %d runs, want both", ok, c.merge, len(c.runs))
+	if c, ok := tab.claim(50); !ok || !c.merge || len(c.seals) != 0 || len(c.runs) != 2 {
+		t.Fatalf("window 50: %+v ok %v, want a merge over both runs, its pane's last reader", c, ok)
 	}
 	tab.retire(50)
 	tab.published(50)
@@ -248,36 +272,21 @@ func TestWindowTableSealing(t *testing.T) {
 	}
 }
 
-// TestWindowTableSealOrder drives the registry of a plan whose closes
-// seal panes: windows that share a pane are offered and claimed oldest
-// first even when one watermark seals them all; a claim takes the raw
+// TestWindowTableSealOrder drives the registry through claim-time
+// seals: windows that share a pane are offered and claimed oldest first
+// even when one watermark seals them all; a claim takes the level-0
 // runs it will seal out of the table and the next window's claim does
 // not wait for that seal — only its merge does, and then finds the
-// partial run in the raw runs' place; a seal that could not allocate
-// puts the raw runs back; and a pane's last reader is handed its raw
+// sealed run in their place; a seal that could not allocate puts the
+// runs back, outside any group; and a pane's last reader is handed its
 // runs unsealed.
 func TestWindowTableSealOrder(t *testing.T) {
-	bd, err := bundle.NewBuilder(1, bundle.Schema{NumCols: 3, TsCol: 2}, 2, memsim.DRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd.Append(7, 1, 60)
-	bd.Append(7, 1, 110)
-	b := bd.Seal()
-	rawRun := func(row uint32) *kpa.KPA {
-		k, err := kpa.FromPairs([]algo.Pair{{Key: 7, Ptr: kpa.PackPtr(1, row)}}, 0, b, kpa.NoopAllocator{T: memsim.DRAM})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	rA, rB := rawRun(0), rawRun(1)
-
-	tab := newWindowTable(wm.Sliding(100, 50), true)
+	rA, rB := emptyRun(t), emptyRun(t)
+	tab := newWindowTable(wm.Sliding(100, 50))
 	a := tab.register(60, 90)   // pane 50: windows 0 and 50
 	c := tab.register(110, 140) // pane 100: windows 50 and 100
-	tab.fileRuns(a, []filedRun{{paneRun{k: rA, from: 0}, 50}})
-	tab.fileRuns(c, []filedRun{{paneRun{k: rB, from: 50}, 100}})
+	tab.fileRuns(a, []filedRun{{paneRun{k: rA, from: 0, group: a.groups[0]}, 50}})
+	tab.fileRuns(c, []filedRun{{paneRun{k: rB, from: 50, group: c.groups[0]}, 100}})
 	if got := tab.advance(200); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("one watermark sealed three overlapping windows; offered %v, want the oldest only", got)
 	}
@@ -287,9 +296,9 @@ func TestWindowTableSealOrder(t *testing.T) {
 	c0, ok := tab.claim(0)
 	if !ok || c0.merge || len(c0.seals) != 1 || c0.seals[0].pane != 50 ||
 		len(c0.seals[0].raw) != 1 || c0.seals[0].raw[0].k != rA ||
-		len(c0.seals[0].waiters) != 1 || c0.seals[0].waiters[0] != 50 ||
+		!slices.Equal(c0.seals[0].owers, []wm.Time{0, 50}) ||
 		len(c0.next) != 1 || c0.next[0] != 50 {
-		t.Fatalf("window 0: %+v ok %v, want pane 50 to seal for window 50, which is next", c0, ok)
+		t.Fatalf("window 0: %+v ok %v, want pane 50 to seal for windows 0 and 50, which is next", c0, ok)
 	}
 	// Window 50 claims, and takes its own seal, while pane 50 is still
 	// sealing; it may not merge yet.
@@ -305,25 +314,22 @@ func TestWindowTableSealOrder(t *testing.T) {
 	if got := tab.gather(50); len(got) != 0 {
 		t.Fatalf("runs under seal still in the table: %v", got)
 	}
-	partial, err := kpa.MergeReducePartial([]*kpa.KPA{rA}, 1, ops.Sum(), kpa.NoopAllocator{T: memsim.DRAM}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.paneSealed(0, c0.seals[0], partial); len(got) != 1 || got[0] != 0 {
+	merged := emptyRun(t)
+	if _, got := tab.paneSealed(c0.seals[0], merged); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("pane 50 sealed: merge %v, want window 0 only (50 still owes pane 100)", got)
 	}
-	if got := tab.gather(0); len(got) != 1 || got[0] != partial {
-		t.Fatalf("window 0 gathered %v, want the partial of pane 50", got)
+	if got := tab.gather(0); len(got) != 1 || got[0] != merged {
+		t.Fatalf("window 0 gathered %v, want the sealed run of pane 50", got)
 	}
 	// The seal of pane 100 fails to allocate: the raw run goes back.
-	if got := tab.paneSealed(50, c50.seals[0], nil); len(got) != 2 || got[0] != 50 || got[1] != 100 {
+	if _, got := tab.paneSealed(c50.seals[0], nil); len(got) != 2 || got[0] != 50 || got[1] != 100 {
 		t.Fatalf("pane 100 landed: merge %v, want windows 50 and 100", got)
 	}
-	if r := tab.entries[100].runs; len(r) != 1 || !r[0].pinned {
-		t.Fatalf("pane 100 after the failed seal: %+v, want its raw run back and pinned raw", r)
+	if r := tab.entries[100].runs; len(r) != 1 || r[0].k != rB || r[0].group != nil {
+		t.Fatalf("pane 100 after the failed seal: %+v, want its raw run back outside any group", r)
 	}
-	if got := tab.gather(50); len(got) != 2 || got[0] != partial || got[1] != rB {
-		t.Fatalf("window 50 gathered %v, want the partial of pane 50 and pane 100's raw run", got)
+	if got := tab.gather(50); len(got) != 2 || got[0] != merged || got[1] != rB {
+		t.Fatalf("window 50 gathered %v, want the sealed run of pane 50 and pane 100's raw run", got)
 	}
 	if got := tab.gather(100); len(got) != 1 || got[0] != rB {
 		t.Fatalf("window 100 gathered %v, want pane 100's raw run for its last reader", got)
@@ -335,8 +341,65 @@ func TestWindowTableSealOrder(t *testing.T) {
 	if len(tab.entries) != 0 || len(tab.windows) != 0 || tab.sealedWatermark() != 200 {
 		t.Fatalf("%d pane entries and %d windows left, sealed %d", len(tab.entries), len(tab.windows), tab.sealedWatermark())
 	}
-	partial.Destroy()
-	rA.Destroy()
-	rB.Destroy()
-	b.Release()
+}
+
+// TestWindowTableGroups drives the eager half: the bundles of a pane
+// take consecutive slots, the last member of a group to file — in any
+// order, run or no run — takes the group's runs out of the table as a
+// seal every open covering window owes, the sealed run lands one level
+// up, and a bundle that is late for more windows starts a new group.
+func TestWindowTableGroups(t *testing.T) {
+	tab := newWindowTable(wm.Fixed(100))
+	regs := make([]registration, mergeFanIn+1)
+	for i := range regs {
+		regs[i] = tab.register(10, 20)
+	}
+	g := regs[0].groups[0]
+	if regs[mergeFanIn-1].groups[0] != g || regs[mergeFanIn].groups[0] == g || g.parent == nil || g.parent.level != 1 {
+		t.Fatalf("the first %d bundles must share a group with a slot one level up, the next starts another", mergeFanIn)
+	}
+	var runs []*kpa.KPA
+	// File in reverse, the last bundle of the group first; bundle 3 files
+	// nothing for the pane.
+	for i := mergeFanIn; i >= 0; i-- {
+		var filed []filedRun
+		if i != 3 {
+			k := emptyRun(t)
+			runs = append(runs, k)
+			filed = []filedRun{{paneRun{k: k, from: 0, group: regs[i].groups[0]}, 0}}
+		}
+		seals, toClose := tab.fileRuns(regs[i], filed)
+		if len(toClose) != 0 {
+			t.Fatalf("bundle %d: close offered before any watermark: %v", i, toClose)
+		}
+		if i > 0 {
+			if len(seals) != 0 {
+				t.Fatalf("bundle %d: group sealed with members still to file", i)
+			}
+			continue
+		}
+		if len(seals) != 1 || len(seals[0].raw) != mergeFanIn-1 || seals[0].into != g.parent ||
+			!slices.Equal(seals[0].owers, []wm.Time{0}) {
+			t.Fatalf("last member filed: seals %+v, want the group's %d runs owed by window 0", seals, mergeFanIn-1)
+		}
+		if got := tab.advance(100); len(got) != 1 {
+			t.Fatalf("window 0 not offered: %v", got)
+		}
+		// A window claiming while the eager seal is in flight waits for it.
+		c, ok := tab.claim(0)
+		if !ok || c.merge || len(c.seals) != 0 {
+			t.Fatalf("window 0: %+v ok %v, want a claim that owes the eager seal", c, ok)
+		}
+		merged := emptyRun(t)
+		if more, got := tab.paneSealed(seals[0], merged); len(more) != 0 || len(got) != 1 || got[0] != 0 {
+			t.Fatalf("eager seal landed: more %v merge %v", more, got)
+		}
+		got := tab.gather(0)
+		if len(got) != 2 || got[0] != runs[0] || got[1] != merged {
+			t.Fatalf("window 0 gathered %v, want the second group's run and the sealed run", got)
+		}
+		if r := tab.entries[0].runs[1]; r.group != g.parent || g.parent.landed != 1 {
+			t.Fatalf("sealed run %+v, want it in the level-1 group with one member landed", r)
+		}
+	}
 }

@@ -128,16 +128,21 @@ func paneTestPlan(win wm.Windowing, seed int64) Plan {
 	return plan
 }
 
-// runAgainstReference runs the plan with its generator recorded and
-// requires the captured rows to equal the reference bit for bit — same
-// windows, same keys, same fold hashes — and the logical pair count to
-// equal the reference's assignments.
+// runAgainstReference runs the plan on four workers with its generator
+// recorded and requires the captured rows to equal the reference bit
+// for bit — same windows, same keys, same fold hashes — and the logical
+// pair count to equal the reference's assignments.
 func runAgainstReference(t *testing.T, plan Plan) Report {
+	t.Helper()
+	return runAgainstReferenceOn(t, plan, 4)
+}
+
+func runAgainstReferenceOn(t *testing.T, plan Plan, workers int) Report {
 	t.Helper()
 	gen := &recordingGen{inner: plan.Gen}
 	plan.Gen = gen
 	win := plan.Win
-	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	rep, err := Run(plan, Config{Workers: workers, Capture: true})
 	if err != nil {
 		t.Fatalf("size=%d slide=%d: %v", win.Size, win.Slide, err)
 	}
@@ -182,7 +187,7 @@ var paneShapes = []wm.Windowing{
 	wm.Fixed(500_000),
 }
 
-// combiners are the aggregators whose panes seal.
+// combiners are the aggregators whose panes seal into partial runs.
 var combiners = map[string]kpa.AggFactory{
 	"sum": ops.Sum(), "count": ops.Count(), "min": ops.Min(), "max": ops.Max(),
 }
@@ -191,14 +196,14 @@ var combiners = map[string]kpa.AggFactory{
 // across overlap factors 1, 2, 4, 7 and 16, a non-divisible and a
 // near-coprime size/slide (paired panes of unequal width) and fixed
 // windows, with skewed keys and an order-sensitive aggregator, the one
-// pane path must reproduce the reference bit for bit. Run under -race
-// in CI.
+// pane path must reproduce the reference bit for bit — through the
+// verbatim seal of every pane a later window reads again, which must
+// not reorder a key's values. Run under -race in CI.
 func TestPaneMatchesReference(t *testing.T) {
 	for _, win := range paneShapes {
 		rep := runAgainstReference(t, paneTestPlan(win, 42))
-		if rep.SealedPanes != 0 {
-			t.Fatalf("size=%d slide=%d: %d panes sealed for an aggregator that cannot combine",
-				win.Size, win.Slide, rep.SealedPanes)
+		if overlaps := win.Slide > 0 && win.Slide < win.Size; (rep.SealedPanes > 0) != overlaps {
+			t.Fatalf("size=%d slide=%d: %d panes sealed", win.Size, win.Slide, rep.SealedPanes)
 		}
 		switch {
 		case win.IsFixed():
@@ -218,8 +223,8 @@ func TestPaneMatchesReference(t *testing.T) {
 // that combine, whose closes seal each pane once into a partial run and
 // merge partials: every shape must still reproduce the reference, which
 // knows no panes and no partials. Count is the aggregator that fails if
-// a partial is ever Added as if it were one record. Panes seal exactly
-// when windows overlap.
+// a partial is ever Added as if it were one record. With four bundles to
+// a window no group fills, so panes seal exactly when windows overlap.
 func TestPaneSealMatchesReference(t *testing.T) {
 	for name, agg := range combiners {
 		for _, win := range paneShapes {
@@ -289,24 +294,59 @@ func TestPaneStateSharing(t *testing.T) {
 	}
 }
 
-// TestPaneFanInClose drives closes past the merge fan-in cap: tiny
-// bundles at overlap 8 give every window far more shared pane runs
-// than one loser tree holds, so closes must compact shared runs
-// (releasing one reference each) before the fused merge-reduce — and
-// still present every key's values in arrival order.
+// TestPaneFanInClose gives panes and windows more runs than one seal
+// takes, with an order-sensitive aggregator against the oracle: tiny
+// bundles at overlap 8 (40 runs a window, 5 a pane: every pane seals
+// once, at its first window's claim, and a window merges 8 sealed runs
+// where it used to compact 40); at overlap 2 with 40 bundles a pane, so
+// a group fills and seals while the pane does and the claim seals the
+// 8 runs left over; and fixed windows of 80 runs on 2 and on 8 workers,
+// whose groups of 32 must seal without reordering a key's values
+// whichever task finishes first. The seal and pair counts are functions
+// of the stream: they repeat exactly.
 //
 // With an aggregator that combines, at overlap 40 and one bundle per
-// pane, every window holds more partial runs than the cap — beside the
-// raw runs of panes it is the last reader of — so the compaction level
-// meets partials and must reduce them, not copy them.
+// pane, every window merges more partial runs than a group holds in one
+// pass.
 func TestPaneFanInClose(t *testing.T) {
 	plan := testPlan(newSkewedGen(5, 3), 12_000)
 	plan.Win = wm.Sliding(1_000_000, 125_000)
 	plan.NewAgg = orderSensitive()
 	plan.Source.BundleRecords = 100 // 40 bundles per window of records
 	plan.Source.WatermarkEvery = 40
-	runAgainstReference(t, plan)
+	rep := runAgainstReference(t, plan)
+	// 24 panes of 500 records, all but the last read again: each record
+	// streams through its pane's seal once and through 8 windows' merges
+	// (fewer at the start of the stream).
+	if rep.SealedPanes != 23 || rep.ClosePairs > 9*rep.IngestedRecords {
+		t.Fatalf("overlap 8: %d panes sealed, %d pairs streamed for %d records; want 23 and at most 9 per record",
+			rep.SealedPanes, rep.ClosePairs, rep.IngestedRecords)
+	}
+	if again := runAgainstReference(t, plan); again.SealedPanes != rep.SealedPanes || again.ClosePairs != rep.ClosePairs {
+		t.Fatalf("overlap 8 repeated: %d seals %d pairs, then %d and %d",
+			rep.SealedPanes, rep.ClosePairs, again.SealedPanes, again.ClosePairs)
+	}
 
+	// Twice the records per window: 80 bundles of 100 (runs of 64 pairs
+	// or fewer sort unstably and have no row order to keep).
+	plan.TotalRecords, plan.Source.WindowRecords = 24_000, 8_000
+	plan.Win = wm.Sliding(1_000_000, 500_000) // 40 bundles a pane
+	plan.Source.WatermarkEvery = 80
+	// 6 panes: one group of 32 each, and the 8 runs left over sealed at
+	// the claim of every pane but the last.
+	if rep := runAgainstReference(t, plan); rep.SealedPanes != 6+5 {
+		t.Fatalf("overlap 2: %d panes sealed, want 11", rep.SealedPanes)
+	}
+
+	plan.Win = wm.Fixed(1_000_000) // 80 runs a window: two groups and 16 left over
+	two, eight := runAgainstReferenceOn(t, plan, 2), runAgainstReferenceOn(t, plan, 8)
+	if two.SealedPanes != 2*3 || eight.SealedPanes != two.SealedPanes || eight.ClosePairs != two.ClosePairs {
+		t.Fatalf("fixed: %d seals %d pairs on 2 workers, %d and %d on 8; want 6 seals both times",
+			two.SealedPanes, two.ClosePairs, eight.SealedPanes, eight.ClosePairs)
+	}
+
+	plan.TotalRecords, plan.Source.WindowRecords = 12_000, 4_000
+	plan.Source.WatermarkEvery = 40
 	for name, agg := range map[string]kpa.AggFactory{"sum": ops.Sum(), "count": ops.Count()} {
 		plan.Win = wm.Sliding(1_000_000, 25_000)
 		plan.NewAgg, plan.Label = agg, name

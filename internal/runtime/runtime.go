@@ -3,8 +3,8 @@
 // the discrete-event simulator (internal/engine + internal/memsim)
 // rather than replacing it. The structure mirrors the paper's runtime
 // (§3, §5) and has exactly one grouping mechanism (§4, Table 2):
-// extract a Key Pointer Array, sort it into a run, merge runs at window
-// close.
+// extract a Key Pointer Array, sort it into a run, seal runs into fewer
+// as they accumulate, merge what is left at window close.
 //
 // Extract. Ingest builds DRAM record bundles; one task per bundle
 // scatters the surviving records into non-overlapping panes (paired
@@ -17,27 +17,35 @@
 // sorted once however many windows overlap it, and a run's slab returns
 // to the mempool exactly once, when its last reader lets go.
 //
+// Seal. Runs are compacted while their pane fills, not when the
+// watermark arrives — the paper's rule (§4, Table 2: stream sequentially
+// over compact KPAs, dereference full records as rarely as possible)
+// applied before the watermark instead of after. Registration gives
+// each bundle a slot in its pane's current group of mergeFanIn
+// consecutive bundles; when the last member files, one task merges the
+// group's runs into one, which takes their place one level up, where
+// mergeFanIn such runs seal again. When the aggregator is a
+// kpa.Combiner (sum, count, min, max) the merge is one fused
+// merge-reduce — the only dereference those records ever get — into a
+// partial run, one pair per distinct key, and the raw runs and their
+// bundles free after mergeFanIn bundles instead of one window; for any
+// other aggregator it is a verbatim k-way merge, ties by run index, so
+// order-sensitive folds see the same sequence. The aggregator decides,
+// not an option; and since groups are assigned on the ingest goroutine,
+// every result is a function of the stream alone, whatever the workers.
+//
 // Close. When the watermark seals a window and its last pending
-// extraction has landed, the window first seals each pane a later
-// window will read again, when the aggregator is a kpa.Combiner (sum,
-// count, min, max): one fused merge-reduce over the pane's raw runs —
-// the only dereference those records ever get — writes a partial run,
-// one pair per distinct key, which replaces the raw runs in the window
-// table for every later covering window, and the raw runs and the
-// bundles behind them free after one slide instead of one window size.
-// A pane with no later reader (every pane of a fixed window) and every
-// other aggregator keep their raw runs; the choice is made from the
-// aggregator and the window geometry, not by an option. The window then
-// merges the runs of the panes it covers, partial and raw alike, with
-// the paper's §4.3 parallel full-KPA merge: the key space is
-// range-partitioned once across all runs and each partition streams
-// through a loser-tree k-way merge fused with keyed reduction,
-// dereferencing pointers back into the DRAM bundles as pairs arrive —
-// one sequential read of the inputs, no intermediate KPA, no separate
-// reduce sweep. A window with more runs than one loser tree holds
-// (mergeFanIn) first compacts them in k-way batches, a single
-// materialization (a reduction, when partial runs are among them); the
-// choice is made from the run count.
+// extraction has landed, the window claims its close: in each pane a
+// later window will read again it seals the runs no group took, so
+// those windows merge one run instead of the raw ones again. Once every
+// seal it owes has landed it merges what its panes hold — fewer than
+// mergeFanIn runs per level, sealed and raw alike — with the paper's
+// §4.3 parallel full-KPA merge: the key space is range-partitioned once
+// across all runs and each partition streams through a loser-tree k-way
+// merge fused with keyed reduction, dereferencing pointers back into the
+// DRAM bundles as pairs arrive — one sequential read of the inputs, no
+// intermediate KPA, no separate reduce sweep, nothing that depends on
+// the run count.
 //
 // Late data. A record is late for a window iff the target watermark had
 // reached the window's end when the record's bundle registered — both
@@ -73,11 +81,11 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	goruntime "runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -324,13 +332,15 @@ type Report struct {
 	// covering windows minus one, per run). Both are 0 for fixed
 	// windows, whose every run has exactly one owner.
 	PaneRuns, SharedRunRefs int64
-	// SealedPanes counts pane seals: a closing window reducing a pane's
-	// raw runs to one partial run for the later windows covering it. 0
-	// for fixed windows and for aggregators that are not kpa.Combiners.
-	// ClosePairs counts the pairs window close streamed through a merge
-	// visitor — pane seals, fan-in compaction and the final merge-reduce
-	// together. Without sealing it is about overlap (twice that past the
-	// fan-in cap) times the records; with it, about once.
+	// SealedPanes counts seals: a group of mergeFanIn runs of one pane
+	// merged into one while the pane fills, or the runs no group took
+	// merged at a window's claim for the later windows covering the
+	// pane — into a partial run when the aggregator is a kpa.Combiner,
+	// verbatim when it is not. ClosePairs counts the pairs streamed
+	// through a merge visitor — seals and the closing windows' final
+	// merge-reduce together: about once per record when seals write
+	// partials, about the overlap plus one when they copy verbatim. Both
+	// are functions of the stream alone and repeat exactly.
 	SealedPanes, ClosePairs int64
 	// LateRecords counts records dropped because every window covering
 	// them was already sealed when their bundle arrived.
@@ -389,6 +399,8 @@ type exec struct {
 
 	// table is the window/pane registry; it owns the target watermark.
 	table *windowTable
+	// compact is the kernel that seals a group of runs into one.
+	compact func([]*kpa.KPA, kpa.Allocator) (*kpa.KPA, error)
 
 	late      atomic.Int64 // records dropped behind the watermark
 	dramBytes atomic.Int64 // traffic since last monitor tick
@@ -425,10 +437,12 @@ type exec struct {
 	ctrlDecisions      atomic.Int64
 	ctrlEvictTicks     atomic.Int64
 
-	// cmu guards the per-window close-latency samples (request to
-	// retirement, nanoseconds) feeding the report's p99.
+	// cmu guards the close-latency samples (request to retirement,
+	// nanoseconds) feeding the report's p99: a ring of the most recent
+	// closeSamples, closeCount windows having closed in all.
 	cmu        sync.Mutex
-	closeNanos []int64
+	closeNanos [closeSamples]int64
+	closeCount int
 
 	rmu      sync.Mutex
 	rows     []Row
@@ -518,8 +532,8 @@ func (e *Execution) PaneStats() (paneRuns, sharedRunRefs int64) {
 	return e.x.paneRuns.Load(), e.x.sharedRunRefs.Load()
 }
 
-// CloseStats returns the window-close counters so far: panes sealed
-// into partial runs and pairs streamed through close's merge visitors.
+// CloseStats returns the window-close counters so far: seals run and
+// pairs streamed through the seals' and closes' merge visitors.
 func (e *Execution) CloseStats() (sealedPanes, closePairs int64) {
 	return e.x.sealedPanes.Load(), e.x.closePairs.Load()
 }
@@ -601,10 +615,13 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		knob:     engine.NewKnob(cfg.Seed + 1),
 		sinkRows: make(map[wm.Time][]Row),
 	}
-	// Closes seal panes that later windows read again when the plan's
-	// aggregator can combine partial results.
-	_, combines := plan.NewAgg().(kpa.Combiner)
-	x.table = newWindowTable(plan.Win, combines)
+	x.table = newWindowTable(plan.Win)
+	// Seals reduce to a partial run when the plan's aggregator can
+	// combine partial results, and copy verbatim when it cannot.
+	x.compact = x.mergeRuns
+	if _, combines := plan.NewAgg().(kpa.Combiner); combines {
+		x.compact = x.reduceRuns
+	}
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
 	x.scratch[memsim.DRAM] = x.pool.ScratchFor(memsim.DRAM)
 	// Spill-resident runs (the ladder's last rung) sort and merge with
@@ -924,11 +941,11 @@ func (x *exec) submitExtract(b *bundle.Bundle, tsHi wm.Time) {
 // watermark defers their closure until extraction lands. minTs/maxTs
 // must bound the bundle's window-column values.
 func (x *exec) submitExtractRange(b *bundle.Bundle, tsHi, minTs, maxTs wm.Time) {
-	wins := x.table.register(minTs, maxTs)
+	reg := x.table.register(minTs, maxTs)
 	x.sched.Submit(&Task{
 		Name: "extract:" + x.plan.Label,
 		Tag:  x.tagFor(tsHi),
-		Run:  func() { x.extract(b, wins, minTs, maxTs) },
+		Run:  func() { x.extract(b, reg, minTs, maxTs) },
 	})
 }
 
@@ -939,21 +956,29 @@ func (x *exec) tagFor(ts wm.Time) engine.Tag {
 }
 
 // extract is the native grouping front half, one task per bundle: sort
-// the bundle's rows into pane runs, file them as window state and start
-// any close that was waiting on this extraction. wins is what register
-// returned for the bundle; with none open the whole bundle is late.
-func (x *exec) extract(b *bundle.Bundle, wins []wm.Time, minTs, maxTs wm.Time) {
+// the bundle's rows into pane runs and file them as window state; then
+// start the seal of any group this bundle completed and any close that
+// waited on it — after ExtractNanos stops: a close sorts and cuts its
+// runs inline. reg is what register returned for the bundle; with no
+// window open the whole bundle is late.
+func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time) {
 	t0 := time.Now()
-	defer b.Release() // drop the producer reference; KPAs hold their own
-	if len(wins) == 0 {
+	var seals []paneSeal
+	var toClose []wm.Time
+	if len(reg.wins) == 0 {
 		x.late.Add(int64(b.Rows()))
 	} else {
-		for _, w := range x.table.fileRuns(wins, x.sortPanes(b, wins[0], minTs, maxTs)) {
-			x.submitClose(w)
-		}
+		seals, toClose = x.table.fileRuns(reg, x.sortPanes(b, reg, minTs, maxTs))
 	}
 	x.addDRAMTraffic(b.Bytes())
+	b.Release() // drop the producer reference; KPAs hold their own
 	x.extractNanos.Add(time.Since(t0).Nanoseconds())
+	for _, s := range seals {
+		x.submitSeal(s)
+	}
+	for _, w := range toClose {
+		x.submitClose(w)
+	}
 }
 
 // intSlab is a pooled []int scratch buffer for the per-bundle
@@ -990,11 +1015,13 @@ func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 // through the heap, so the steady state allocates nothing per record.
 //
 // Each run is shared: it takes one reference per open window covering
-// its pane, and every one of those windows merges it at close. Rows
-// before firstOpen — the start of the first window still open when the
-// bundle registered — have no open covering window: they are late, and
+// its pane, every one of those windows merges it (or the run it is
+// sealed into) at close, and it joins the group register assigned the
+// bundle in that pane. Rows before the first window still open when the
+// bundle registered have no open covering window: they are late, and
 // dropped ahead of the filters.
-func (x *exec) sortPanes(b *bundle.Bundle, firstOpen, minTs, maxTs wm.Time) []filedRun {
+func (x *exec) sortPanes(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time) []filedRun {
+	firstOpen := reg.wins[0]
 	keys := b.Col(x.plan.KeyCol)
 	ts := b.Col(x.plan.TsCol)
 	id := uint32(b.ID())
@@ -1070,7 +1097,7 @@ rows2:
 			x.paneRuns.Add(1)
 			x.sharedRunRefs.Add(int64(open - 1))
 		}
-		runs = append(runs, filedRun{paneRun{k: k, from: from}, pane})
+		runs = append(runs, filedRun{paneRun{k: k, from: from, group: reg.groups[pi]}, pane})
 	}
 	return runs
 }
@@ -1100,11 +1127,10 @@ func (x *exec) watermark(w wm.Time) {
 	}
 }
 
-// mergeFanIn caps how many runs one loser-tree merge task streams.
-// Below the cap a window closes in a single fused merge-reduce pass;
-// above it, runs are first compacted in k-way batches of this size —
-// one materialization total, where a pairwise tree would pay log2(R)
-// materializing levels.
+// mergeFanIn is how many runs seal into one: a pane's group size, at
+// every level. A window therefore never meets close with mergeFanIn or
+// more runs of one level in a pane, and closes in a single fused
+// merge-reduce pass.
 const mergeFanIn = 32
 
 // minClosePartitionPairs is the smallest merge-reduce partition worth
@@ -1120,13 +1146,8 @@ func (x *exec) submitClose(start wm.Time) {
 	if !ok {
 		return
 	}
-	tag := x.tagFor(start)
 	for _, s := range c.seals {
-		x.sched.Submit(&Task{
-			Name: "seal:" + x.plan.Label,
-			Tag:  tag,
-			Run:  func() { x.sealPane(start, s, tag) },
-		})
+		x.submitSeal(s)
 	}
 	if c.merge {
 		x.mergeWindow(start, c.runs)
@@ -1136,39 +1157,70 @@ func (x *exec) submitClose(start wm.Time) {
 	}
 }
 
-// sealPane reduces a pane's raw runs to one partial run — the only pass
-// that dereferences their records — lands it in the window table for
-// the sealing window and the later covering windows, drops every
-// reference they held on the raw runs, so their slabs and bundles free
-// now, and starts the merge of each window that owed only this seal.
-// When the pool cannot host a partial the raw runs go back as they were
-// and nobody's references move.
-func (x *exec) sealPane(start wm.Time, s paneSeal, tag engine.Tag) {
-	raw := make([]*kpa.KPA, len(s.raw))
+// submitSeal starts the task that merges a seal's runs into one. It
+// carries the tag of the data it compacts, like the extraction that
+// filed them.
+func (x *exec) submitSeal(s paneSeal) {
+	tag := x.tagFor(s.pane)
+	x.sched.Submit(&Task{
+		Name: "seal:" + x.plan.Label,
+		Tag:  tag,
+		Run:  func() { x.sealPane(s, tag) },
+	})
+}
+
+// sealPane merges a seal's runs into one, in provenance order — the
+// merged run takes the first one's place in it — lands it in the window
+// table for every window that owed the seal, drops every reference they
+// held on the sealed runs, so their slabs (and, behind a partial, their
+// bundles) free now, and starts the seal of the group the merged run
+// completed and the merge of each window that owed only this seal. When
+// the pool cannot host the merged run the runs go back as they were and
+// nobody's references move.
+func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
+	runs := make([]*kpa.KPA, len(s.raw))
 	for i, r := range s.raw {
-		raw[i] = r.k
+		runs[i] = r.k
 	}
+	sortByProvenance(runs)
 	if x.spillFile != nil {
-		x.loadRuns(raw, tag)
+		x.loadRuns(runs, tag)
 	}
-	partial, err := x.reduceRuns(raw, x.allocator(tag))
+	merged, err := x.compact(runs, x.allocator(tag))
 	if err != nil {
-		partial = nil
+		merged = nil
 	} else {
-		partial.Retain(len(s.waiters))
+		merged.SetMeta(runs[0].Meta())
+		merged.Retain(len(s.owers) - 1)
 	}
-	toMerge := x.table.paneSealed(start, s, partial)
-	if partial != nil {
+	seals, toMerge := x.table.paneSealed(s, merged)
+	if merged != nil {
 		x.sealedPanes.Add(1)
-		for _, r := range raw {
-			for i := 0; i <= len(s.waiters); i++ {
+		for _, r := range runs {
+			for range s.owers {
 				x.destroyRun(r)
 			}
 		}
 	}
+	for _, next := range seals {
+		x.submitSeal(next)
+	}
 	for _, w := range toMerge {
 		x.mergeWindow(w, x.table.gather(w))
 	}
+}
+
+// sortByProvenance orders runs by pane, then producing bundle, so a
+// merge's equal-key tie-break — and with it any order-sensitive
+// aggregator — is independent of which task finished first, and of
+// which groups sealed: a group is consecutive bundles of one pane. A
+// key's values fold in (pane, bundle, row) order, which is arrival order
+// when bundles arrive in event-time order with time-ordered records
+// (every generator; a connection sending in order).
+func sortByProvenance(runs []*kpa.KPA) {
+	slices.SortFunc(runs, func(a, b *kpa.KPA) int {
+		return cmp.Or(cmp.Compare(a.Meta().Lo, b.Meta().Lo), cmp.Compare(a.Meta().Origin, b.Meta().Origin))
+	})
 }
 
 // mergeWindow starts the merge of a claimed window over its gathered
@@ -1177,29 +1229,25 @@ func (x *exec) sealPane(start wm.Time, s paneSeal, tag engine.Tag) {
 // the last reader lets go.
 func (x *exec) mergeWindow(start wm.Time, runs []*kpa.KPA) {
 	if x.spillFile != nil && len(runs) > 0 {
-		// With the spill tier enabled some runs may live in the mmap'd
-		// arena. Load them back on a worker task (off the watermark
-		// caller's goroutine) before the merge; EnsureResident is called
-		// on every run — a no-op for resident ones — because its lock is
-		// also the publication point for a load done by a concurrent
-		// close sharing these pane runs.
+		// Some runs may live in the mmap'd arena: load them back first,
+		// on a worker task, off the watermark caller's goroutine.
 		tag := x.tagFor(start)
 		x.sched.Submit(&Task{
 			Name: "load:" + x.plan.Label,
 			Tag:  tag,
 			Run: func() {
 				x.loadRuns(runs, tag)
-				x.closeWindow(start, runs)
+				x.submitMergeReduce(start, runs)
 			},
 		})
 		return
 	}
-	x.closeWindow(start, runs)
+	x.submitMergeReduce(start, runs)
 }
 
-// reduceRuns is the sealing kernel: one fused merge-reduce over the runs
-// (raw and partial alike) into a new partial run, noted as window state.
-// The inputs stay valid.
+// reduceRuns is the sealing kernel of an aggregator that combines: one
+// fused merge-reduce over the runs (raw and partial alike) into a new
+// partial run, noted as window state. The inputs stay valid.
 func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 	partial, err := kpa.MergeReducePartial(runs, x.plan.ValCol, x.plan.NewAgg, al, x.scratch[memsim.DRAM])
 	if err != nil {
@@ -1215,93 +1263,20 @@ func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 	return partial, nil
 }
 
-// closeWindow dispatches one close step on the run count: the fused
-// range-partitioned merge-reduce when the runs fit one loser tree, a
-// k-way compaction level when they don't. Runs are first ordered by
-// provenance (producing bundle, then pane start) so the merge's
-// equal-key tie-break — and with it any order-sensitive aggregator — is
-// deterministic, independent of which extraction task finished first;
-// when records within a bundle are time-ordered (every generator;
-// network batches in arrival order) that sequence is arrival order.
-func (x *exec) closeWindow(start wm.Time, runs []*kpa.KPA) {
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Meta().Less(runs[j].Meta()) })
-	switch {
-	case len(runs) == 0:
-		x.finishWindow(start)
-	case len(runs) > mergeFanIn && slices.ContainsFunc(runs, (*kpa.KPA).Partial):
-		// Partial runs compact by reduction: a partial and a raw value
-		// fold differently, so nothing may copy them into one run
-		// verbatim, and the fused merge-reduce resolves per run.
-		x.mergeFanInLevel(start, runs, x.reduceRuns)
-	case len(runs) > mergeFanIn:
-		// The materializing merge (MergeK) copies pairs verbatim and so
-		// refuses mixed pointer/value-resident inputs; a close that fell
-		// back to merging over a spilled run's mmap view may hold a mix.
-		// The fused merge-reduce resolves per run and needs no
-		// conversion.
-		x.mergeFanInLevel(start, x.homogenizeRuns(start, runs), x.mergeRuns)
-	default:
-		x.submitMergeReduce(start, runs)
-	}
-}
-
-// mergeFanInLevel compacts an over-wide run set in batches of
-// mergeFanIn: one k-way compact task per batch — mergeRuns, or
-// reduceRuns when partial runs are among them — then back to
-// closeWindow with at most ceil(R/mergeFanIn) runs — a single
-// materialization for any realistic run count.
-func (x *exec) mergeFanInLevel(start wm.Time, runs []*kpa.KPA, compact func([]*kpa.KPA, kpa.Allocator) (*kpa.KPA, error)) {
-	tag := x.tagFor(start)
-	nBatches := (len(runs) + mergeFanIn - 1) / mergeFanIn
-	next := make([]*kpa.KPA, nBatches)
-	// A lone trailing run passes through. Its slot must be filled before
-	// any merge task is submitted: the last task to finish reads all of
-	// next, and may do so before this goroutine's loop reaches the
-	// trailing batch.
-	tasks := nBatches
-	if len(runs)%mergeFanIn == 1 {
-		next[nBatches-1] = runs[len(runs)-1]
-		tasks--
-	}
-	var remaining atomic.Int32
-	remaining.Store(int32(tasks))
-	for i := 0; i < tasks; i++ {
-		batch := runs[i*mergeFanIn:]
-		if len(batch) > mergeFanIn {
-			batch = batch[:mergeFanIn]
-		}
-		batch, slot := batch, i
-		x.sched.Submit(&Task{
-			Name: "merge:" + x.plan.Label,
-			Tag:  tag,
-			Run: func() {
-				merged, err := compact(batch, x.allocator(tag))
-				if err == nil {
-					// Batches are contiguous in provenance order, so the
-					// first input's metadata keeps the compacted run's
-					// position deterministic at the next level.
-					merged.SetMeta(batch[0].Meta())
-				}
-				for _, r := range batch {
-					x.destroyRun(r)
-				}
-				if err != nil {
-					x.recordError(err)
-				} else {
-					next[slot] = merged
-				}
-				if remaining.Add(-1) == 0 {
-					x.closeWindow(start, compactRuns(next))
-				}
-			},
-		})
-	}
-}
-
-// mergeRuns is the verbatim compaction kernel: one materializing k-way
-// merge of same-mode raw runs, noted as window state. The inputs stay
-// valid.
+// mergeRuns is the sealing kernel of every other aggregator: one k-way
+// merge that copies the pairs verbatim, ties by run index, noted as
+// window state. The runs must agree on what a pair holds: when spilled
+// runs came back value-resident among pointer runs, those materialize
+// their values first — in place, since a seal has its runs to itself.
+// The inputs stay valid.
 func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
+	if slices.ContainsFunc(runs, (*kpa.KPA).ValuesResident) {
+		for _, r := range runs {
+			if err := r.MaterializeValues(x.plan.ValCol); err != nil {
+				return nil, err
+			}
+		}
+	}
 	merged, err := kpa.MergeK(runs, al)
 	if err != nil {
 		return nil, err
@@ -1317,8 +1292,14 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 // and each partition runs a fused loser-tree merge + keyed reduction
 // task that dereferences bundle pointers as pairs arrive — no merged
 // KPA is ever materialized. The last partition to finish destroys the
-// runs and retires the window.
+// runs and retires the window. A pane holds fewer than mergeFanIn runs
+// per level by now, so one loser tree takes them all.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
+	if len(runs) == 0 {
+		x.finishWindow(start)
+		return
+	}
+	sortByProvenance(runs)
 	tag := x.tagFor(start)
 	total := 0
 	for _, r := range runs {
@@ -1372,17 +1353,6 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 			},
 		})
 	}
-}
-
-// compactRuns drops slots lost to merge errors.
-func compactRuns(runs []*kpa.KPA) []*kpa.KPA {
-	out := runs[:0]
-	for _, r := range runs {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // emitRows records a batch of results for window start.

@@ -311,9 +311,9 @@ func TestNativeMergeTree(t *testing.T) {
 	}
 }
 
-// TestNativeFanInClose pushes a window past the fan-in cap (40 runs >
-// mergeFanIn) so closing exercises the k-way compaction level before
-// the fused merge-reduce.
+// TestNativeFanInClose gives a fixed window more runs than one seal
+// takes (40 > mergeFanIn): the first 32 seal into a partial run while
+// the window fills, and the window closes over that run and the 8 left.
 func TestNativeFanInClose(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 12_000)
 	plan.Source.BundleRecords = 100 // 40 runs per window
@@ -333,13 +333,17 @@ func TestNativeFanInClose(t *testing.T) {
 			t.Fatalf("window %d key %d: sum %d, want 1000", r.Win, r.Key, r.Val)
 		}
 	}
+	// Per window: 3 200 pairs through the seal, then its 4 partials and
+	// the other 800 pairs through the merge.
+	if rep.SealedPanes != 3 || rep.ClosePairs != 3*(3_200+4+800) {
+		t.Fatalf("%d groups sealed, %d pairs streamed; want 3 and %d", rep.SealedPanes, rep.ClosePairs, 3*(3_200+4+800))
+	}
 }
 
 // TestNativeFanInCloseLoneTrailingRun covers R % mergeFanIn == 1 (33
-// runs): the lone trailing run passes through the compaction level
-// without a task, and its slot must be filled before any merge task can
-// finish — a drop here loses one bundle's worth of every window's
-// aggregates.
+// runs): one full group and one run left over, which closes beside the
+// group's partial run — a drop here loses one bundle's worth of every
+// window's aggregates.
 func TestNativeFanInCloseLoneTrailingRun(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 9_900)
 	plan.Source.WindowRecords = 3_300 // 33 bundles of 100 per window
@@ -358,6 +362,54 @@ func TestNativeFanInCloseLoneTrailingRun(t *testing.T) {
 	}
 	if want := uint64(9_900); total != want {
 		t.Fatalf("summed %d across windows, want %d — the trailing run was dropped", total, want)
+	}
+	if rep.SealedPanes != 3 || rep.ClosePairs != 3*(3_200+4+100) {
+		t.Fatalf("%d groups sealed, %d pairs streamed; want 3 and %d", rep.SealedPanes, rep.ClosePairs, 3*(3_200+4+100))
+	}
+}
+
+// TestFixedWindowSealsWhileFilling is the shape of a network window — a
+// fixed window of 246 sorted runs over 1 024 keys — at a quarter of the
+// frame size: every full group of 32 runs must seal while the window
+// fills, exactly ⌊246/32⌋ of them a window, so close streams each
+// record about once — its group's seal, or the merge for the 22 runs
+// left over — plus 7 partial runs of 1 024 pairs, where compacting the
+// whole window at close streamed every record twice. Both counts are
+// functions of the stream: a second run repeats them exactly.
+func TestFixedWindowSealsWhileFilling(t *testing.T) {
+	const runsPerWindow, bundleRecords, windows = 246, 1024, 3
+	run := func() Report {
+		plan := testPlan(ingress.NewRoundRobinKV(1024, 1), windows*runsPerWindow*bundleRecords)
+		plan.Source.BundleRecords = bundleRecords
+		plan.Source.WindowRecords = runsPerWindow * bundleRecords
+		plan.Source.WatermarkEvery = runsPerWindow
+		rep, err := Run(plan, Config{Workers: 4, Capture: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.WindowsClosed != windows || rep.EmittedRecords != windows*1024 {
+			t.Fatalf("closed %d windows with %d rows, want %d and %d", rep.WindowsClosed, rep.EmittedRecords, windows, windows*1024)
+		}
+		var total int64
+		for _, r := range rep.Rows {
+			total += int64(r.Val)
+		}
+		if total != rep.IngestedRecords {
+			t.Fatalf("summed %d across windows for %d records of value 1", total, rep.IngestedRecords)
+		}
+		return rep
+	}
+	rep := run()
+	if want := int64(windows * (runsPerWindow / mergeFanIn)); rep.SealedPanes != want {
+		t.Fatalf("%d groups sealed, want %d", rep.SealedPanes, want)
+	}
+	if ratio := float64(rep.ClosePairs) / float64(rep.IngestedRecords); ratio > 1.05 {
+		t.Fatalf("close streamed %d pairs for %d records (%.3f per record), want at most 1.05",
+			rep.ClosePairs, rep.IngestedRecords, ratio)
+	}
+	if again := run(); again.SealedPanes != rep.SealedPanes || again.ClosePairs != rep.ClosePairs {
+		t.Fatalf("%d seals and %d pairs, then %d and %d: the counts must repeat",
+			rep.SealedPanes, rep.ClosePairs, again.SealedPanes, again.ClosePairs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
 	"streambox/internal/ops"
@@ -27,10 +28,10 @@ func tinyMachine(hbm, dram int64) memsim.Config {
 // runs must be evicted to the spill tier and loaded back (or merged in
 // place from the mmap), and run unconstrained with no spill tier, must
 // produce bit-identical windows: same window starts, same keys, same
-// fold hashes. The sum and count legs seal their panes, so the runs that
-// sit out the stalled watermark — and get evicted and reloaded, or fail
-// to allocate and leave the raw runs in place — are partial runs. Run
-// under -race in CI.
+// fold hashes. Overlapping windows seal their panes, so the runs that sit
+// out the stalled watermark — and get evicted and reloaded, or fail to
+// allocate and leave the raw runs in place — are sealed runs: partial
+// ones on the sum and count legs. Run under -race in CI.
 func TestSpillMatchesNeverSpill(t *testing.T) {
 	for _, win := range []wm.Windowing{
 		wm.Fixed(1_000_000),
@@ -67,7 +68,7 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			if spilled.SpillLoads == 0 && spilled.SpillLoadFallbacks == 0 {
 				t.Fatalf("%s size=%d slide=%d: no spilled run was read back at close", name, win.Size, win.Slide)
 			}
-			if seals := name != "fold" && !win.IsFixed(); (spilled.SealedPanes > 0) != seals || (baseline.SealedPanes > 0) != seals {
+			if seals := !win.IsFixed(); (spilled.SealedPanes > 0) != seals || (baseline.SealedPanes > 0) != seals {
 				t.Fatalf("%s size=%d slide=%d: %d panes sealed under pressure, %d without", name, win.Size, win.Slide,
 					spilled.SealedPanes, baseline.SealedPanes)
 			}
@@ -91,6 +92,107 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 						t.Fatalf("%s size=%d slide=%d window %d key %d: baseline %x, spilled %x — evict/load reordered or refolded pairs",
 							name, win.Size, win.Slide, w, k, v, sk[k])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpillMatchesNeverSpillMidGroup lands evictions between a group's
+// filings: 31 batches of one fixed window fill the tiny machine until
+// the controller has walked some of their runs out to the spill tier,
+// and only then does the 32nd arrive and complete the group. Its seal —
+// no window has closed, so every load is the seal's — must bring the
+// evicted members back, value-resident now beside the pointer runs that
+// stayed, and still produce the windows of the run that never spilled:
+// the order-sensitive fold through the verbatim merge, which has to
+// bring its inputs to one form first, and a sum through the fused one.
+func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
+	const perBatch = 200
+	batch := func(i int) [][]uint64 {
+		cols := batchAt(span(uint64(i)*10_000, uint64(i+1)*10_000, perBatch)...)
+		for r := range cols[0] {
+			cols[0][r], cols[1][r] = uint64(r%7), uint64(i*perBatch+r)
+		}
+		return cols
+	}
+	// 32 batches complete window 0's first group, 8 more stay beside it,
+	// and window 2 pushes the watermark past both.
+	late := []int{32, 33, 34, 35, 36, 37, 38, 39, 250}
+	for name, agg := range map[string]kpa.AggFactory{"fold": orderSensitive(), "sum": ops.Sum()} {
+		run := func(cfg Config, midGroup, sealed func(e *Execution)) Report {
+			feed := newTestFeed(1)
+			plan := Plan{
+				Feed:   feed,
+				Source: engine.SourceConfig{Name: "midgroup", WatermarkEvery: 1},
+				Win:    wm.Fixed(1_000_000),
+				TsCol:  2, KeyCol: 0, ValCol: 1,
+				NewAgg: agg,
+				Label:  name,
+			}
+			cfg.Workers, cfg.Capture = 2, true
+			e, err := Start(plan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < mergeFanIn-1; i++ {
+				feed.pushCols(batch(i))
+			}
+			midGroup(e)
+			feed.pushCols(batch(mergeFanIn - 1))
+			sealed(e)
+			for _, i := range late {
+				feed.pushCols(batch(i))
+			}
+			feed.Close()
+			rep, err := e.Wait()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return rep
+		}
+		await := func(what string, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %s", name, what)
+				}
+			}
+		}
+		baseline := run(Config{}, func(*Execution) {}, func(*Execution) {})
+		spilled := run(Config{
+			Machine:         tinyMachine(64<<10, 128<<10),
+			ReservedHBM:     32 << 10,
+			SpillCapacity:   32 << 20,
+			MonitorInterval: time.Millisecond,
+			ExhaustTimeout:  2 * time.Second,
+		}, func(e *Execution) {
+			await("31 runs never filed, or none of them was evicted", func() bool {
+				return e.x.hbmKPAs.Load()+e.x.dramKPAs.Load() == mergeFanIn-1 && e.x.evictions.Load() > 0
+			})
+			if n, _ := e.CloseStats(); n != 0 || e.x.spillLoads.Load()+e.x.spillLoadFallbacks.Load() != 0 {
+				t.Fatalf("%s: a seal or a load before the group was complete", name)
+			}
+		}, func(e *Execution) {
+			await("the completed group never sealed", func() bool {
+				n, _ := e.CloseStats()
+				return n == 1
+			})
+			if e.WindowsClosed() != 0 || e.x.spillLoads.Load()+e.x.spillLoadFallbacks.Load() == 0 {
+				t.Fatalf("%s: the seal read no evicted member back (%d windows closed)", name, e.WindowsClosed())
+			}
+		})
+		if spilled.SealedPanes != 1 || baseline.SealedPanes != 1 {
+			t.Fatalf("%s: %d groups sealed under pressure, %d without, want 1", name, spilled.SealedPanes, baseline.SealedPanes)
+		}
+		b, s := rowsByWindowKey(baseline.Rows), rowsByWindowKey(spilled.Rows)
+		if len(b) != 2 || len(s) != 2 {
+			t.Fatalf("%s: baseline closed %d windows, spilled %d, want 2", name, len(b), len(s))
+		}
+		for w, bk := range b {
+			for k, v := range bk {
+				if len(s[w]) != len(bk) || s[w][k] != v {
+					t.Fatalf("%s window %d key %d: baseline %x, spilled %x (%d keys vs %d)", name, w, k, v, s[w][k], len(bk), len(s[w]))
 				}
 			}
 		}

@@ -15,20 +15,23 @@ package runtime
 // which orders them after any prior eviction of those runs; two
 // closes sharing a spilled pane run both call EnsureResident, whose
 // per-KPA lock makes the load happen exactly once and publishes the
-// loaded pairs to the second caller. A pane seal reads raw runs its
-// window's claim took out of the table under that lock, where the sweep
-// cannot reach them, and passes them through EnsureResident first like
-// any close; the partial run it lands is ordinary window state — swept,
-// evicted and loaded like a raw run, its partial flag on the KPA.
+// loaded pairs to the second caller. A seal reads runs that left the
+// table under that lock — when their group's last member landed, or at
+// a window's claim — where the sweep cannot reach them, and passes them
+// through EnsureResident first like any close; runs evicted between a
+// group's filings therefore come back value-resident beside pointer
+// runs, which the fused merge-reduce resolves per run and the verbatim
+// merge evens out first (mergeRuns). The run a seal lands is ordinary
+// window state — swept, evicted and loaded like a raw run, its partial
+// flag on the KPA.
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
-	"streambox/internal/wm"
 )
 
 // maxEvictRunsPerSweep bounds how many runs one sweep relocates while
@@ -113,48 +116,6 @@ func (x *exec) loadRuns(runs []*kpa.KPA, tag engine.Tag) {
 	}
 }
 
-// homogenizeRuns converts a close's runs to one pointer/value mode so
-// the materializing merge (MergeK) can copy pairs verbatim.
-// Only mixed sets convert, and only the pointer runs: a run this close
-// owns outright materializes its values in place; a pane run shared
-// with other still-open windows is cloned (the clone joins the close,
-// the original keeps its pointers and sources for the other windows,
-// and this close's reference moves to the clone).
-func (x *exec) homogenizeRuns(start wm.Time, runs []*kpa.KPA) []*kpa.KPA {
-	var vals, ptrs bool
-	for _, r := range runs {
-		if r.ValuesResident() {
-			vals = true
-		} else {
-			ptrs = true
-		}
-	}
-	if !vals || !ptrs {
-		return runs
-	}
-	al := x.allocator(x.tagFor(start))
-	for i, r := range runs {
-		if r.ValuesResident() {
-			continue
-		}
-		if r.Refs() == 1 {
-			if err := r.MaterializeValues(x.plan.ValCol); err != nil {
-				x.recordError(err)
-			}
-			continue
-		}
-		c, err := r.CloneValues(x.plan.ValCol, al)
-		if err != nil {
-			x.recordError(err)
-			continue
-		}
-		x.noteKPA(c)
-		x.destroyRun(r)
-		runs[i] = c
-	}
-	return runs
-}
-
 // moveStateBytes shifts n live window-state bytes between tier gauges
 // as a run relocates, maintaining the destination's high-water mark.
 // The combined total is unchanged.
@@ -172,28 +133,31 @@ func (x *exec) moveStateBytes(from, to memsim.Tier, n int64) {
 	}
 }
 
-// recordCloseLatency appends one close-request-to-retirement sample.
+// closeSamples is how many of the most recent close latencies feed the
+// report's p99: a serving process closes windows for as long as it lives.
+const closeSamples = 1024
+
+// recordCloseLatency keeps one close-request-to-retirement sample,
+// overwriting the oldest once closeSamples are held.
 func (x *exec) recordCloseLatency(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	x.cmu.Lock()
-	x.closeNanos = append(x.closeNanos, d.Nanoseconds())
+	x.closeNanos[x.closeCount%closeSamples] = d.Nanoseconds()
+	x.closeCount++
 	x.cmu.Unlock()
 }
 
-// closeP99 returns the 99th-percentile close latency in nanoseconds.
+// closeP99 returns the 99th-percentile close latency in nanoseconds
+// over the samples held.
 func (x *exec) closeP99() int64 {
 	x.cmu.Lock()
-	defer x.cmu.Unlock()
-	if len(x.closeNanos) == 0 {
+	s := slices.Clone(x.closeNanos[:min(x.closeCount, closeSamples)])
+	x.cmu.Unlock()
+	if len(s) == 0 {
 		return 0
 	}
-	s := append([]int64(nil), x.closeNanos...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := len(s) * 99 / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	slices.Sort(s)
+	return s[min(len(s)*99/100, len(s)-1)]
 }

@@ -19,19 +19,32 @@ package runtime
 //     reference for each that has not released it; a sealed window that
 //     has not claimed yet never sees a run filed by a bundle that
 //     arrived too late for it.
-//   - When closes seal panes (seals), windows that share a pane claim
-//     in ascending order: a window is not ready while an earlier window
-//     overlapping it has yet to claim. So when a window claims, no
-//     earlier window can still want the raw runs it sees and every later
-//     covering window will read what it leaves: it takes those raw runs
-//     out of the table to seal them, and it and the later windows each
-//     owe one seal (sealsDue) until paneSealed puts the partial run in
-//     their place. A window gathers the runs it merges only once it has
-//     claimed and owes no seal, so no window ever sees a pane half
-//     swapped, while a later window's claim — and its own seals — need
-//     not wait for an earlier window's seal to land. The sealing task
-//     drops the raw runs' references for its window and every waiter,
-//     exactly once.
+//   - Panes compact while they fill. register gives each bundle×pane
+//     the next slot in the pane's current group: mergeFanIn consecutive
+//     bundles that share a `from`. When the last member of a group files
+//     — a bundle that filed nothing for the pane counts — the group's
+//     runs leave the table as a seal: a task merges them into one run
+//     (sealPane) and paneSealed puts it in their place, one level up,
+//     where mergeFanIn such runs form a group in turn. So a pane at rest
+//     holds fewer than mergeFanIn runs per level and `from`, and no pair
+//     is re-read more than log(runs)/log(mergeFanIn) times. Slots are
+//     handed out on the ingest goroutine, so what merges with what is a
+//     function of the stream alone.
+//   - Windows that share a pane claim in ascending order: a window is
+//     not ready while an earlier window overlapping it has yet to claim.
+//     So when a window claims, no earlier window can still want the
+//     level-0 runs it sees — the pane's last, unfilled group — and every
+//     later covering window will read what it leaves: they leave the
+//     table as a seal too.
+//   - Every open window covering the pane from the seal's `from` owes
+//     the seal (sealsDue) until paneSealed lands it, and gathers the
+//     runs it merges only once it has claimed and owes none: no window
+//     sees a pane half swapped, yet no claim waits for a seal. None of
+//     them can have gathered already — each was registered by the
+//     group's members and owed the seal of the member that completed it
+//     — so the sealing task drops the sealed runs' references for every
+//     ower, exactly once. A seal that could not allocate puts its runs
+//     back outside any group, as they were (and strands the group above).
 //   - The sealed watermark is monotone: windows ending at or before the
 //     target can only leave the table.
 //
@@ -66,14 +79,28 @@ type winEntry struct {
 
 // paneRun is one sorted run filed under a pane, shared by every
 // covering window from `from` onward: a raw run from an extraction, or
-// the partial run a window sealed the pane's raw runs into (k.Partial).
+// the run a seal merged others into. group is the group it will be
+// sealed with; nil for a run no seal takes again — the output of a
+// claim's seal, or a run whose seal could not allocate (a window that
+// claimed before the seal failed gathers later, and must still find it).
 type paneRun struct {
-	k    *kpa.KPA
-	from wm.Time
-	// pinned marks a raw run whose seal could not allocate: it stays raw
-	// for every window it is visible to. A window that claimed before
-	// the seal failed gathers later, and must still find it.
-	pinned bool
+	k     *kpa.KPA
+	from  wm.Time
+	group *runGroup
+}
+
+// runGroup is up to mergeFanIn consecutive members of one pane that
+// share a `from` and seal into one run: bundles at level 0, sealed
+// groups of the level below above that. register hands out the slots;
+// a member lands when its bundle files (level 0) or its seal does. A
+// group that fills gets its own slot one level up (parent), and seals
+// when all mergeFanIn members have landed.
+type runGroup struct {
+	pane, from wm.Time
+	level      int
+	slots      int
+	landed     int
+	parent     *runGroup
 }
 
 // paneEntry holds one pane's sorted shared runs. refs counts the
@@ -81,11 +108,21 @@ type paneRun struct {
 // is dropped when the last one does. Entries are created at
 // registration, so `from` is the first window that was open when the
 // pane first received a bundle — later bundles can only be late for
-// more windows, never fewer.
+// more windows, never fewer. filling is the group taking new members at
+// each level.
 type paneEntry struct {
-	runs []paneRun
-	from wm.Time
-	refs int
+	runs    []paneRun
+	from    wm.Time
+	refs    int
+	filling []*runGroup
+}
+
+// registration is what register hands a bundle's extraction: the open
+// windows it contributes to, ascending, and its group in each pane it
+// can reach, ascending from the pane of its first row that is not late.
+type registration struct {
+	wins   []wm.Time
+	groups []*runGroup
 }
 
 // filedRun is a freshly sorted pane run on its way into the table.
@@ -94,14 +131,17 @@ type filedRun struct {
 	pane wm.Time
 }
 
-// paneSeal is one pane a claiming window seals: the raw runs it reduces
-// to a partial run, out of the table until paneSealed, and the later
-// covering windows that will read the partial. The claiming window and
-// each waiter owe the seal until it lands.
+// paneSeal is a set of one pane's runs, out of the table until
+// paneSealed, on their way to becoming one run: a group whose last
+// member landed, or the level-0 runs a claiming window found. owers are
+// the open windows covering the pane from `from` on, ascending — each
+// holds one reference on every run — and into is the group the merged
+// run joins (nil after a claim's seal).
 type paneSeal struct {
-	pane    wm.Time
-	raw     []paneRun
-	waiters []wm.Time
+	pane, from wm.Time
+	raw        []paneRun
+	owers      []wm.Time
+	into       *runGroup
 }
 
 // claim is what a window's close is handed when it is claimed: the pane
@@ -118,9 +158,6 @@ type windowTable struct {
 	win   wm.Windowing
 	panes wm.Panes
 	slide wm.Time
-	// seals says closes reduce a pane's raw runs to a partial run for
-	// the later windows covering it: the plan's aggregator combines.
-	seals bool
 
 	// target is the target watermark. advance raises it under wmu;
 	// task tagging reads it lock-free.
@@ -136,7 +173,7 @@ type windowTable struct {
 	closed    int
 }
 
-func newWindowTable(win wm.Windowing, seals bool) *windowTable {
+func newWindowTable(win wm.Windowing) *windowTable {
 	slide := win.Slide
 	if slide == 0 {
 		slide = win.Size
@@ -145,7 +182,6 @@ func newWindowTable(win wm.Windowing, seals bool) *windowTable {
 		win:       win,
 		panes:     win.Panes(),
 		slide:     slide,
-		seals:     seals,
 		windows:   make(map[wm.Time]*winEntry),
 		entries:   make(map[wm.Time]*paneEntry),
 		finishing: make(map[wm.Time]struct{}),
@@ -155,11 +191,11 @@ func newWindowTable(win wm.Windowing, seals bool) *windowTable {
 // register admits a bundle whose window-column values span
 // [minTs, maxTs]: every still-open window overlapping the range gains
 // a pending extraction, so a racing watermark defers its close until
-// fileRuns, and every pane the bundle can reach gets its entry. It
-// returns the open windows, ascending; windows the target watermark has
-// already sealed are left out, and rows before the first returned
-// window (all rows, when none is returned) are late.
-func (t *windowTable) register(minTs, maxTs wm.Time) []wm.Time {
+// fileRuns, and the bundle takes a slot in the filling group of every
+// pane it can reach. Windows the target watermark has already sealed
+// are left out, and rows before the first open window (all rows, when
+// there is none) are late.
+func (t *windowTable) register(minTs, maxTs wm.Time) (reg registration) {
 	wins := windowsInRange(t.win, minTs, maxTs)
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
@@ -168,8 +204,9 @@ func (t *windowTable) register(minTs, maxTs wm.Time) []wm.Time {
 		wins = wins[1:]
 	}
 	if len(wins) == 0 {
-		return nil
+		return reg
 	}
+	reg.wins = wins
 	for _, w := range wins {
 		e := t.windows[w]
 		if e == nil {
@@ -179,12 +216,34 @@ func (t *windowTable) register(minTs, maxTs wm.Time) []wm.Time {
 		e.pending++
 	}
 	for p := t.panes.Start(t.panes.Index(max(minTs, wins[0]))); p <= maxTs; p = t.panes.End(p) {
-		if t.entries[p] == nil {
-			from, n := t.openCovering(p, wins[0])
-			t.entries[p] = &paneEntry{from: from, refs: n}
+		from, n := t.openCovering(p, wins[0])
+		pe := t.entries[p]
+		if pe == nil {
+			pe = &paneEntry{from: from, refs: n}
+			t.entries[p] = pe
 		}
+		reg.groups = append(reg.groups, pe.slot(p, from, 0))
 	}
-	return wins
+	return reg
+}
+
+// slot takes the next slot of the pane's filling group at level: a new
+// group when there is none, it is full, or `from` has moved on since it
+// began (a bundle late for more windows starts over). The member that
+// fills a group takes the group's slot one level up.
+func (pe *paneEntry) slot(pane, from wm.Time, level int) *runGroup {
+	if level == len(pe.filling) {
+		pe.filling = append(pe.filling, nil)
+	}
+	g := pe.filling[level]
+	if g == nil || g.from != from || g.slots == mergeFanIn {
+		g = &runGroup{pane: pane, from: from, level: level}
+		pe.filling[level] = g
+	}
+	if g.slots++; g.slots == mergeFanIn {
+		g.parent = pe.slot(pane, from, level+1)
+	}
+	return g
 }
 
 // openCovering returns the first window covering pane that is at or
@@ -196,35 +255,83 @@ func (t *windowTable) openCovering(pane, firstOpen wm.Time) (from wm.Time, n int
 	return from, int((last-from)/t.slide) + 1
 }
 
-// fileRuns files an extraction's sorted pane runs and retires the
-// extraction from the windows register returned for it. It returns the
-// windows whose deferred close can now start, ascending (wins is).
-func (t *windowTable) fileRuns(wins []wm.Time, runs []filedRun) (toClose []wm.Time) {
+// fileRuns files an extraction's sorted pane runs, lands the bundle in
+// each of its groups and retires the extraction from its windows. It
+// returns the seals of the groups this completed and the windows whose
+// deferred close can now start, ascending.
+func (t *windowTable) fileRuns(reg registration, runs []filedRun) (seals []paneSeal, toClose []wm.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	for _, r := range runs {
 		pe := t.entries[r.pane]
 		pe.runs = append(pe.runs, r.paneRun)
 	}
-	for _, w := range wins {
+	// Groups land before pending falls: every window from a group's
+	// `from` still waits on this bundle, so none of them has claimed.
+	for _, g := range reg.groups {
+		seals = append(seals, t.landed(g)...)
+	}
+	for _, w := range reg.wins {
 		e := t.windows[w]
 		e.pending--
 		if t.ready(w, e) {
 			toClose = append(toClose, w)
 		}
 	}
-	return toClose
+	return seals, toClose
+}
+
+// landed counts one more member of g in. The member that completes g
+// takes g's runs out of the table as a seal (at most one is returned);
+// a complete group with no run to its name (its bundles filed nothing)
+// lands in its parent at once. Caller holds wmu.
+func (t *windowTable) landed(g *runGroup) []paneSeal {
+	for ; g != nil; g = g.parent {
+		if g.landed++; g.landed < mergeFanIn {
+			return nil
+		}
+		if raw := t.take(g.pane, func(r paneRun) bool { return r.group == g }); len(raw) > 0 {
+			return []paneSeal{t.owe(paneSeal{pane: g.pane, from: g.from, raw: raw, into: g.parent})}
+		}
+	}
+	return nil
+}
+
+// take removes the pane's runs that match and returns them. Caller
+// holds wmu.
+func (t *windowTable) take(pane wm.Time, match func(paneRun) bool) (taken []paneRun) {
+	pe := t.entries[pane]
+	pe.runs = slices.DeleteFunc(pe.runs, func(r paneRun) bool {
+		if !match(r) {
+			return false
+		}
+		taken = append(taken, r)
+		return true
+	})
+	return taken
+}
+
+// owe makes every open window covering the seal's pane from its `from`
+// on owe the seal. Caller holds wmu.
+func (t *windowTable) owe(s paneSeal) paneSeal {
+	_, last := t.panes.Covering(s.pane)
+	for w := s.from; w <= last; w += t.slide {
+		if e := t.windows[w]; e != nil {
+			e.sealsDue++
+			s.owers = append(s.owers, w)
+		}
+	}
+	return s
 }
 
 // ready reports whether window w's close can be claimed: sealed,
-// nothing pending, not claimed yet and — when closes seal panes — no
-// earlier window sharing a pane with it still to claim. Caller holds
-// wmu.
+// nothing pending, not claimed yet and no earlier window sharing a pane
+// with it still to claim. Caller holds wmu.
 func (t *windowTable) ready(w wm.Time, e *winEntry) bool {
 	if !e.closeRequested || e.pending > 0 || e.claimed {
 		return false
 	}
-	for s := w; t.seals && s >= t.slide && s-t.slide+t.win.Size > w; {
+	for s := w; s >= t.slide && s-t.slide+t.win.Size > w; {
 		s -= t.slide
 		if x := t.windows[s]; x != nil && !x.claimed {
 			return false
@@ -264,11 +371,11 @@ func (t *windowTable) advance(w wm.Time) (toClose []wm.Time) {
 // nothing to take — the window is not ready (the event that makes it
 // ready offers it again), or a concurrent offer already claimed it.
 //
-// When closes seal panes, the raw runs the window sees in each pane a
-// later window also covers leave the table as seals: the close reduces
-// each to a partial run and hands it to paneSealed. A window that owes
-// no seal — always, when closes do not seal — gathers its runs in the
-// same critical section.
+// In each pane a later window also covers, the level-0 runs the window
+// sees — the pane's last group, which will never fill now — leave the
+// table as a seal, so the later windows read one run in their place. A
+// window that owes no seal gathers its runs in the same critical
+// section.
 func (t *windowTable) claim(start wm.Time) (c claim, ok bool) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
@@ -277,30 +384,18 @@ func (t *windowTable) claim(start wm.Time) (c claim, ok bool) {
 		return claim{}, false
 	}
 	e.claimed = true
-	for p := start; t.seals && p < t.win.End(start); p = t.panes.End(p) {
-		pe := t.entries[p]
-		waiters := t.laterCovering(p, start)
-		if pe == nil || len(waiters) == 0 {
+	for p := start; p < t.win.End(start); p = t.panes.End(p) {
+		if _, last := t.panes.Covering(p); t.entries[p] == nil || last == start {
 			continue
 		}
-		var raw []paneRun
-		pe.runs = slices.DeleteFunc(pe.runs, func(r paneRun) bool {
-			if r.from > start || r.pinned || r.k.Partial() {
-				return false
-			}
-			raw = append(raw, r)
-			return true
+		raw := t.take(p, func(r paneRun) bool {
+			return r.from <= start && r.group != nil && r.group.level == 0
 		})
-		if len(raw) == 0 {
-			continue
+		if len(raw) > 0 {
+			c.seals = append(c.seals, t.owe(paneSeal{pane: p, from: start, raw: raw}))
 		}
-		e.sealsDue++
-		for _, w := range waiters {
-			t.windows[w].sealsDue++
-		}
-		c.seals = append(c.seals, paneSeal{p, raw, waiters})
 	}
-	for w := start + t.slide; t.seals && w < t.win.End(start); w += t.slide {
+	for w := start + t.slide; w < t.win.End(start); w += t.slide {
 		if x := t.windows[w]; x != nil && t.ready(w, x) {
 			c.next = append(c.next, w)
 		}
@@ -311,46 +406,33 @@ func (t *windowTable) claim(start wm.Time) (c claim, ok bool) {
 	return c, true
 }
 
-// laterCovering returns the open windows covering pane after start —
-// the readers a partial run sealed by start is for; none when start is
-// the pane's last reader. They have all yet to claim, because start
-// claims before any later window it shares a pane with. Caller holds
-// wmu.
-func (t *windowTable) laterCovering(pane, start wm.Time) (later []wm.Time) {
-	_, last := t.panes.Covering(pane)
-	for s := start + t.slide; s <= last; s += t.slide {
-		if t.windows[s] != nil {
-			later = append(later, s)
-		}
-	}
-	return later
-}
-
-// paneSealed lands a seal taken by window start's claim: partial — or,
-// when the seal could not allocate one (nil), the raw runs themselves,
-// pinned — goes into the pane's entry, and start and the waiters each
-// owe one seal less. It returns the claimed windows that now owe none, start
-// first, for the caller to gather and merge, and then to release the
-// raw runs' references when a partial replaced them.
-func (t *windowTable) paneSealed(start wm.Time, s paneSeal, partial *kpa.KPA) (toMerge []wm.Time) {
+// paneSealed lands a seal: merged — or, when the seal could not allocate
+// it (nil), the runs themselves, outside any group — goes into the
+// pane's entry, and the owers each owe one less. It returns the seal of
+// the group merged completed, if it did, and the claimed windows that
+// now owe none, ascending, for the caller to gather and merge — and
+// then to release the sealed runs' references when merged replaced them.
+func (t *windowTable) paneSealed(s paneSeal, merged *kpa.KPA) (seals []paneSeal, toMerge []wm.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	pe := t.entries[s.pane]
-	if partial != nil {
-		pe.runs = append(pe.runs, paneRun{k: partial, from: start})
+	if merged != nil {
+		pe.runs = append(pe.runs, paneRun{k: merged, from: s.from, group: s.into})
+		// Before the owers owe less: a window that owes cannot gather.
+		seals = t.landed(s.into)
 	} else {
 		for _, r := range s.raw {
-			r.pinned = true
+			r.group = nil
 			pe.runs = append(pe.runs, r)
 		}
 	}
-	for _, w := range append([]wm.Time{start}, s.waiters...) {
+	for _, w := range s.owers {
 		e := t.windows[w]
 		if e.sealsDue--; e.claimed && e.sealsDue == 0 {
 			toMerge = append(toMerge, w)
 		}
 	}
-	return toMerge
+	return seals, toMerge
 }
 
 // gather returns the runs a claimed window that owes no seal merges:

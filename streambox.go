@@ -320,14 +320,16 @@ type Report struct {
 	// private copy of every record. Both 0 for fixed windows and on the
 	// simulated backend.
 	PaneRuns, SharedRunRefs int64
-	// SealedPanes counts the panes a closing sliding window reduced once
-	// to a per-key partial run for the later windows covering them —
-	// done when the aggregation combines (sum, count, min, max), so those
-	// windows merge partials instead of every record again — and
-	// ClosePairs the pairs window close streamed through its merges,
-	// seals included: about once per record with sealing, overlap times
-	// without. SealedPanes is 0 for fixed windows; both are 0 on the
-	// simulated backend.
+	// SealedPanes counts pane seals on the native backend: a group of 32
+	// sorted runs of one pane merged into one while the pane still fills,
+	// and the runs left over merged when the first window covering the
+	// pane closes, for the later windows covering it — into a per-key
+	// partial run when the aggregation combines (sum, count, min, max),
+	// verbatim when it does not. ClosePairs counts the pairs streamed
+	// through those merges and the closing windows' own: about once per
+	// record when seals write partials, overlap times (plus once) when
+	// they cannot. Both are functions of the stream, not of scheduling,
+	// and 0 on the simulated backend.
 	SealedPanes, ClosePairs int64
 	// LateRecords counts records the native backend dropped because
 	// every window covering them had already been sealed by the
