@@ -23,11 +23,13 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"streambox/internal/algo"
 	"streambox/internal/memsim"
+	"streambox/internal/metrics"
 	"streambox/internal/spill"
 )
 
@@ -192,14 +194,18 @@ type Pool struct {
 	// disabled. Set once by AttachSpill before concurrent use.
 	spill *spill.File
 
-	recycled atomic.Int64
-	shardRR  atomic.Uint32
-	free     [memsim.NumTiers][][slabShards]*slabList // [tier][class][shard]
+	shardRR atomic.Uint32
+	free    [memsim.NumTiers][][slabShards]*slabList // [tier][class][shard]
+	colFree [memsim.NumTiers][][slabShards]*colList  // [tier][class][shard]
 
-	colFree        [memsim.NumTiers][][slabShards]*colList // [tier][class][shard]
-	colCached      atomic.Int64                            // column slabs sitting in free lists
-	colCachedBytes atomic.Int64                            // their total capacity in bytes
-	colRecycled    atomic.Int64                            // column requests served from a free list
+	// set is the pool's /metrics series: everything guarded by mu comes
+	// from one Snapshot per scrape, the free-list counters are declared
+	// in New.
+	set            metrics.Set
+	recycled       *metrics.Counter // slab requests served from a free list
+	colCached      *metrics.Counter // column slabs sitting in free lists
+	colCachedBytes *metrics.Counter // their total capacity in bytes
+	colRecycled    *metrics.Counter // column requests served from a free list
 }
 
 // New creates a pool with tier capacities from cfg. reservedHBM bytes of
@@ -216,6 +222,28 @@ func New(cfg memsim.Config, reservedHBM int64) *Pool {
 	p := &Pool{reserved: reservedHBM}
 	p.cap[memsim.HBM] = hbm - reservedHBM
 	p.cap[memsim.DRAM] = cfg.Tier(memsim.DRAM).Capacity
+	var used, capacity, utilization [memsim.NumTiers]string
+	for t := range used {
+		tier := `{tier="` + strings.ToLower(memsim.Tier(t).String()) + `"}`
+		used[t] = "streambox_mempool_used_bytes" + tier
+		capacity[t] = "streambox_mempool_capacity_bytes" + tier
+		utilization[t] = "streambox_mempool_utilization" + tier
+	}
+	p.set.Collect(func(e *metrics.Emitter) {
+		snap := p.Snapshot() // every tier under one lock acquisition
+		for t, tier := range snap.Tiers {
+			e.Int(used[t], tier.Used)
+			e.Int(capacity[t], tier.Capacity)
+			e.Float(utilization[t], tier.Utilization)
+		}
+		e.Int("streambox_mempool_allocs_total", snap.Allocs)
+		e.Int("streambox_mempool_frees_total", snap.Frees)
+		e.Int("streambox_mempool_alloc_failures_total", snap.Failures)
+	})
+	p.recycled = p.set.Counter("streambox_mempool_slabs_recycled_total")
+	p.colCached = p.set.Counter("streambox_mempool_colslabs_cached")
+	p.colCachedBytes = p.set.Counter("streambox_mempool_colslab_cached_bytes")
+	p.colRecycled = p.set.Counter("streambox_mempool_colslabs_recycled_total")
 	// Spill capacity stays zero until AttachSpill hands over a file.
 	for t := 0; t < memsim.NumTiers; t++ {
 		p.free[t] = make([][slabShards]*slabList, len(sizeClasses))
@@ -229,6 +257,9 @@ func New(cfg memsim.Config, reservedHBM int64) *Pool {
 	}
 	return p
 }
+
+// Metrics returns the pool's series for /metrics.
+func (p *Pool) Metrics() *metrics.Set { return &p.set }
 
 // AttachSpill connects an mmap'd spill arena as the cold tier. Must be
 // called before the pool sees concurrent use (the runtime attaches it
@@ -580,8 +611,7 @@ type Snapshot struct {
 	ColSlabsRecycled  int64
 }
 
-// Snapshot returns a consistent view of capacities, usage and counters
-// for the /metrics endpoint.
+// Snapshot returns a consistent view of capacities, usage and counters.
 func (p *Pool) Snapshot() Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -83,9 +83,10 @@ type ClientConfig struct {
 	// WriteTimeout bounds each frame write (and the end-of-stream
 	// marker); a stalled or half-open server triggers a redial, or
 	// without Reconnect surfaces as a *TimeoutError, instead of blocking
-	// Send forever. It is also Close's no-progress bound on the final
-	// ack drain. Zero disables the write deadline and leaves DialTimeout
-	// as the drain bound.
+	// Send forever. It is also the no-progress bound on the two waits for
+	// the server's ack: Close's final drain and Send's wait on a full
+	// replay buffer. Zero disables the write deadline and leaves
+	// DialTimeout as their bound.
 	WriteTimeout time.Duration
 	// Reconnect enables automatic redial with exactly-once session
 	// resume. Nil means a session that does not redial: any connection
@@ -441,10 +442,49 @@ func (c *Client) reconnect(cause error) error {
 	return fmt.Errorf("netio: reconnect retries exhausted: %w", lastErr)
 }
 
+// ackWait is the no-progress timer of the two waits on the server's
+// cumulative ack (a full replay buffer, Close's drain): a server that
+// holds the connection open but stops acking — died behind a proxy,
+// wedged disk — must not park either forever. The bound is WriteTimeout,
+// or DialTimeout when no write deadline is configured, and re-arms
+// whenever the ack advances.
+type ackWait struct {
+	to       time.Duration
+	deadline time.Time
+	last     uint64
+	armed    bool
+}
+
+func (c *Client) newAckWait() ackWait {
+	if c.cfg.WriteTimeout > 0 {
+		return ackWait{to: c.cfg.WriteTimeout}
+	}
+	return ackWait{to: c.cfg.DialTimeout}
+}
+
+// wait blocks on c.cond, c.mu held, until something wakes it; it returns
+// false instead once no ack has arrived for w.to.
+func (w *ackWait) wait(c *Client) bool {
+	if !w.armed || c.acked != w.last {
+		w.last, w.armed = c.acked, true
+		w.deadline = time.Now().Add(w.to)
+	} else if !time.Now().Before(w.deadline) {
+		return false
+	}
+	// cond.Wait cannot time out on its own; a timer broadcast re-checks
+	// the deadline if no ack ever wakes us.
+	wake := time.AfterFunc(time.Until(w.deadline), c.cond.Broadcast)
+	c.cond.Wait()
+	wake.Stop()
+	return true
+}
+
 // appendReplay parks one frame in the replay buffer, blocking while the
 // buffer is full of unacked frames. A dead connection cannot produce
-// acks, so a full buffer triggers the reconnect that will.
+// acks — and one that has produced none for a full ack wait is as good
+// as dead — so a full buffer triggers the reconnect that will.
 func (c *Client) appendReplay(seq uint64, payload []byte) error {
+	w := c.newAckWait()
 	for {
 		c.mu.Lock()
 		if len(c.replay) < c.cfg.ReplayFrames {
@@ -452,18 +492,21 @@ func (c *Client) appendReplay(seq uint64, payload []byte) error {
 			c.mu.Unlock()
 			return nil
 		}
-		if err := c.readErr; err != nil {
-			c.mu.Unlock()
-			if err := c.reconnect(err); err != nil {
-				return fmt.Errorf("%w: %v", ErrReplayOverflow, err)
-			}
-			if err := c.pump(); err != nil {
-				return err
-			}
+		err := c.readErr
+		if err == nil && !w.wait(c) {
+			err = &TimeoutError{Op: "replay-buffer ack wait", After: w.to}
+		}
+		c.mu.Unlock()
+		if err == nil {
 			continue
 		}
-		c.cond.Wait()
-		c.mu.Unlock()
+		if err := c.reconnect(err); err != nil {
+			return fmt.Errorf("%w: %w", ErrReplayOverflow, err)
+		}
+		if err := c.pump(); err != nil {
+			return err
+		}
+		w.armed = false // the resume handshake was progress; re-arm
 	}
 }
 
@@ -631,18 +674,10 @@ func (c *Client) Frames() int64 { return c.frames.Load() }
 // waitAcked blocks until every replay-buffered frame is covered by the
 // server's cumulative ack, reconnecting and replaying when the
 // connection dies while unacked frames remain. The wait is
-// progress-bounded: a server that holds the connection open but stops
-// acking (died mid-drain behind a proxy, wedged disk) cannot park Close
-// forever — once no ack arrives for a full WriteTimeout (DialTimeout
-// when no write deadline is configured) the drain fails with a
+// progress-bounded (ackWait): once it expires the drain fails with a
 // *TimeoutError.
 func (c *Client) waitAcked() error {
-	to := c.cfg.WriteTimeout
-	if to <= 0 {
-		to = c.cfg.DialTimeout
-	}
-	var deadline time.Time
-	lastAcked, armed := uint64(0), false
+	w := c.newAckWait()
 	for {
 		c.mu.Lock()
 		if len(c.replay) == 0 {
@@ -657,22 +692,14 @@ func (c *Client) waitAcked() error {
 			if err := c.pump(); err != nil {
 				return err
 			}
-			armed = false // the resume handshake was progress; re-arm
+			w.armed = false // the resume handshake was progress; re-arm
 			continue
 		}
-		if !armed || c.acked != lastAcked {
-			lastAcked, armed = c.acked, true
-			deadline = time.Now().Add(to)
-		} else if !time.Now().Before(deadline) {
-			c.mu.Unlock()
-			return &TimeoutError{Op: "ack drain", After: to}
-		}
-		// cond.Wait cannot time out on its own; a timer broadcast
-		// re-checks the deadline if no ack ever wakes us.
-		wake := time.AfterFunc(time.Until(deadline), c.cond.Broadcast)
-		c.cond.Wait()
-		wake.Stop()
+		ok := w.wait(c)
 		c.mu.Unlock()
+		if !ok {
+			return &TimeoutError{Op: "ack drain", After: w.to}
+		}
 	}
 }
 

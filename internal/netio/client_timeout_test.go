@@ -99,3 +99,108 @@ func TestCloseAckDrainTimeout(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayBufferFullTimeout pins the bounded replay-buffer wait: a
+// server that takes the hello, reads frames and never acks used to park
+// Send forever once ReplayFrames unacked frames were buffered. The wait
+// now expires after WriteTimeout (DialTimeout without one) and the
+// connection is treated as dead: without Reconnect Send fails with
+// ErrReplayOverflow wrapping a *TimeoutError; with it the client redials,
+// resumes and replays, and Send completes.
+func TestReplayBufferFullTimeout(t *testing.T) {
+	gen := RecordGen{Keys: 8, WindowRecords: 1024}
+	send := func(t *testing.T, c *Client) error {
+		t.Helper()
+		sent := make(chan error, 1)
+		go func() { sent <- c.Send(gen.Records(0, 64)) }() // 4 frames, 2 buffered
+		select {
+		case err := <-sent:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("Send still blocked on a full replay buffer after 5s against a server that never acks")
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name                      string
+		writeTimeout, dialTimeout time.Duration
+		bound                     time.Duration
+	}{
+		{"WriteTimeout", 150 * time.Millisecond, 0, 150 * time.Millisecond},
+		{"DialTimeout", 0, 50 * time.Millisecond, 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln := startMuteServer(t)
+			defer ln.Close()
+			c, err := Dial(ln.Addr().String(), ClientConfig{
+				Format: parsefmt.Columnar, FrameRecords: 16, ReplayFrames: 2,
+				WriteTimeout: tc.writeTimeout, DialTimeout: tc.dialTimeout,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.conn.Close()
+			err = send(t, c)
+			var te *TimeoutError
+			if !errors.Is(err, ErrReplayOverflow) || !errors.As(err, &te) || te.After != tc.bound {
+				t.Fatalf("Send = %v, want ErrReplayOverflow wrapping a *TimeoutError after %s", err, tc.bound)
+			}
+		})
+	}
+
+	t.Run("Reconnect", func(t *testing.T) {
+		// The first connection is mute; every later one resumes the
+		// session at what the client already sent and acks each frame.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for n := 0; ; n++ {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					if _, _, err := readHello(conn); err != nil || writeAck(conn, statusOK, 64) != nil {
+						return
+					}
+					if _, err := readResume(conn); err != nil || writeSessionGrant(conn, 42, 0) != nil {
+						return
+					}
+					for {
+						size, seq, eos, err := readFrameHeader(conn)
+						if err != nil || eos {
+							return
+						}
+						if _, err := io.CopyN(io.Discard, conn, size); err != nil {
+							return
+						}
+						if n > 0 && writeCreditAck(conn, 1, seq) != nil {
+							return
+						}
+					}
+				}()
+			}
+		}()
+		c, err := Dial(ln.Addr().String(), ClientConfig{
+			Format: parsefmt.Columnar, FrameRecords: 16, ReplayFrames: 2,
+			WriteTimeout: 100 * time.Millisecond,
+			Reconnect:    &ReconnectConfig{MaxRetries: 3, BaseDelay: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := send(t, c); err != nil {
+			t.Fatalf("Send across the silent connection: %v", err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if c.Reconnects() != 1 || c.Replayed() != 2 {
+			t.Fatalf("%d reconnects, %d frames replayed, want 1 and 2", c.Reconnects(), c.Replayed())
+		}
+	})
+}

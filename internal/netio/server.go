@@ -15,16 +15,23 @@ import (
 	"time"
 
 	"streambox/internal/faultinject"
+	"streambox/internal/metrics"
 	"streambox/internal/parsefmt"
+)
+
+const (
+	// acceptShards is the number of acceptor goroutines sharing the
+	// listener.
+	acceptShards = 2
+	// handshakeTimeout bounds the wait for a client's hello and resume
+	// request.
+	handshakeTimeout = 10 * time.Second
 )
 
 // ServerConfig configures an ingest listener.
 type ServerConfig struct {
 	// Feed receives decoded batches (required).
 	Feed *Feed
-	// AcceptShards is the number of concurrent acceptor goroutines
-	// sharing the listener (0 picks 2).
-	AcceptShards int
 	// FrameCredits is the per-connection flow-control window in frames
 	// (0 picks 16).
 	FrameCredits int
@@ -36,8 +43,6 @@ type ServerConfig struct {
 	// wires this to mempool DRAM utilization crossing the runtime's
 	// backpressure threshold.
 	Overloaded func() bool
-	// HandshakeTimeout bounds the wait for a client hello (0 picks 10s).
-	HandshakeTimeout time.Duration
 	// IdleTimeout bounds the steady-state wait for the next frame from a
 	// connected client; a connection silent past it is severed and its
 	// session left for the reaper to park and expire. Zero disables the
@@ -223,18 +228,23 @@ type Server struct {
 	closing atomic.Bool
 	closed  sync.Once
 
-	accepted    atomic.Int64
-	frames      atomic.Int64
-	framesByFmt [4]atomic.Int64
-	ingested    atomic.Int64
-	dropped     atomic.Int64
-	decErrs     atomic.Int64
-	chkErrs     atomic.Int64
-	resumed     atomic.Int64
-	dups        atomic.Int64
-	shed        atomic.Int64
-	expired     atomic.Int64
-	idleTOs     atomic.Int64
+	// set is the server's /metrics series: counters declared in Listen,
+	// and one Collect for what needs a lock or changes shape at run time
+	// (live connections and sessions, parked cursors, the per-connection
+	// family). Counters loads the same counters.
+	set         metrics.Set
+	accepted    *metrics.Counter
+	frames      *metrics.Counter
+	framesByFmt [4]*metrics.Counter
+	ingested    *metrics.Counter
+	dropped     *metrics.Counter
+	decErrs     *metrics.Counter
+	chkErrs     *metrics.Counter
+	resumed     *metrics.Counter
+	dups        *metrics.Counter
+	shed        *metrics.Counter
+	expired     *metrics.Counter
+	idleTOs     *metrics.Counter
 
 	// frameLog2 tracks, per format, the log2 of the largest frame seen —
 	// a one-word histogram summary that sizes new connections' buffered
@@ -251,9 +261,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if got, want := cfg.Feed.Schema().NumCols, WireSchema().NumCols; got != want {
 		return nil, fmt.Errorf("netio: feed schema has %d columns, the wire format carries %d", got, want)
 	}
-	if cfg.AcceptShards <= 0 {
-		cfg.AcceptShards = 2
-	}
 	if cfg.FrameCredits <= 0 {
 		cfg.FrameCredits = 16
 	}
@@ -262,9 +269,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
 	}
 	if cfg.CursorGrace == 0 {
 		cfg.CursorGrace = 10 * time.Second
@@ -284,6 +288,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		sessions: newSessionTable(),
 		stopC:    make(chan struct{}),
 	}
+	s.declareMetrics()
 	if cfg.NextConnID > s.nextID {
 		s.nextID = cfg.NextConnID
 	}
@@ -293,7 +298,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			s.nextID = rs.Conn
 		}
 	}
-	for i := 0; i < cfg.AcceptShards; i++ {
+	for i := 0; i < acceptShards; i++ {
 		s.wg.Add(1)
 		go s.acceptLoop()
 	}
@@ -301,6 +306,43 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	go s.reaper()
 	return s, nil
 }
+
+// declareMetrics names every series the server produces.
+func (s *Server) declareMetrics() {
+	m := &s.set
+	s.accepted = m.Counter("streambox_ingest_connections_total")
+	s.frames = m.Counter("streambox_ingest_frames_total")
+	s.ingested = m.Counter("streambox_ingest_records_total")
+	s.dropped = m.Counter("streambox_ingest_dropped_records_total")
+	s.decErrs = m.Counter("streambox_ingest_decode_errors_total")
+	s.chkErrs = m.Counter("streambox_ingest_checksum_errors_total")
+	s.resumed = m.Counter("streambox_ingest_sessions_resumed_total")
+	s.expired = m.Counter("streambox_ingest_sessions_expired_total")
+	s.dups = m.Counter("streambox_ingest_duplicate_frames_total")
+	s.shed = m.Counter("streambox_ingest_shed_connections_total")
+	s.idleTOs = m.Counter("streambox_ingest_idle_timeouts_total")
+	for f, label := range formatLabel {
+		s.framesByFmt[f] = m.Counter(`streambox_ingest_format_frames_total{format="` + label + `"}`)
+	}
+	m.Collect(func(e *metrics.Emitter) {
+		c := s.Counters()
+		e.Int("streambox_ingest_connections_active", c.ActiveConns)
+		e.Int("streambox_ingest_sessions_active", c.ActiveSessions)
+		e.Int("streambox_ingest_parked_cursors", c.ParkedCursors)
+		for _, pc := range s.ConnCounters() {
+			l := fmt.Sprintf(`{conn="%d",remote=%q,format=%q}`, pc.ID, pc.Remote, pc.Format)
+			e.Int("streambox_conn_frames_total"+l, pc.Frames)
+			e.Int("streambox_conn_records_total"+l, pc.IngestedRecords)
+			e.Int("streambox_conn_dropped_records_total"+l, pc.DroppedRecords)
+			e.Int("streambox_conn_decode_errors_total"+l, pc.DecodeErrors)
+			e.Int("streambox_conn_checksum_errors_total"+l, pc.ChecksumErrors)
+			e.Int("streambox_conn_credit_window"+l, pc.CreditWindow)
+		}
+	})
+}
+
+// Metrics returns the server's series for /metrics.
+func (s *Server) Metrics() *metrics.Set { return &s.set }
 
 // reapInterval picks how often the reaper scans detached sessions: the
 // configured override when set, else a quarter of the shortest enabled
@@ -578,7 +620,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.pending[conn] = struct{}{}
 	s.mu.Unlock()
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	format, status, err := readHello(conn)
 	s.mu.Lock()
 	delete(s.pending, conn)

@@ -3,7 +3,8 @@ package netio
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"streambox/internal/metrics"
 )
 
 // ResultRow is one (key, aggregate) pair of a closed window.
@@ -26,10 +27,12 @@ type WindowResult struct {
 // hook), and GET /windows snapshots the most recent ones per sink while
 // the pipeline runs.
 type ResultStore struct {
-	mu        sync.Mutex
-	keep      int
-	bySink    map[string][]WindowResult // ascending by Start
-	published atomic.Int64
+	mu     sync.Mutex
+	keep   int
+	bySink map[string][]WindowResult // ascending by Start
+
+	set       metrics.Set
+	published *metrics.Counter
 }
 
 // NewResultStore creates a store retaining the most recent keep windows
@@ -38,8 +41,13 @@ func NewResultStore(keep int) *ResultStore {
 	if keep <= 0 {
 		keep = 16
 	}
-	return &ResultStore{keep: keep, bySink: make(map[string][]WindowResult)}
+	st := &ResultStore{keep: keep, bySink: make(map[string][]WindowResult)}
+	st.published = st.set.Counter("streambox_windows_published_total")
+	return st
 }
+
+// Metrics returns the store's series for /metrics.
+func (st *ResultStore) Metrics() *metrics.Set { return &st.set }
 
 // Publish files one closed window. A duplicate Start for the same sink
 // (late network data re-opening a window at final drain) merges rows

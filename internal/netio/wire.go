@@ -127,8 +127,9 @@ var ErrSessionExpired = errors.New("netio: session expired on server, cannot res
 var ErrReplayOverflow = errors.New("netio: session replay buffer overflow")
 
 // TimeoutError is the typed error for a client-side wait that missed
-// its deadline: a frame write past ClientConfig.WriteTimeout, or
-// Close's ack drain making no progress. It unwraps via errors.As and
+// its deadline: a frame write past ClientConfig.WriteTimeout, or a wait
+// for the server's ack (Close's drain, a full replay buffer) making no
+// progress. It unwraps via errors.As and
 // implements the net.Error timeout contract.
 type TimeoutError struct {
 	Op    string

@@ -127,7 +127,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 			for i, b := range c.batches {
 				if i > 0 && i == c.sealedBefore {
 					for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-						if n, _ := e.CloseStats(); n > 0 {
+						if e.x.m.sealedPanes.Load() > 0 {
 							break
 						}
 						if time.Now().After(deadline) {
@@ -143,7 +143,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.IngestedRecords != sent || rep.LateRecords != c.late || e.LateRecords() != c.late {
+			if rep.IngestedRecords != sent || rep.LateRecords != c.late || e.x.m.late.Load() != c.late {
 				t.Fatalf("ingested %d of %d, late %d, want %d late", rep.IngestedRecords, sent, rep.LateRecords, c.late)
 			}
 			for w, n := range published {
@@ -166,7 +166,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 				t.Fatalf("pool not drained: %d allocs, %d frees, %d B HBM, %d B DRAM in use",
 					snap.Allocs, snap.Frees, snap.Tiers[memsim.HBM].Used, snap.Tiers[memsim.DRAM].Used)
 			}
-			if live := e.WindowStateBytes(); live != [memsim.NumTiers]int64{} {
+			if live := e.x.m.liveState(); live != [memsim.NumTiers]int64{} {
 				t.Fatalf("window state still accounted after the run: %v", live)
 			}
 		})

@@ -96,6 +96,7 @@ import (
 	"streambox/internal/kpa"
 	"streambox/internal/mempool"
 	"streambox/internal/memsim"
+	"streambox/internal/metrics"
 	"streambox/internal/spill"
 	"streambox/internal/wm"
 )
@@ -402,47 +403,15 @@ type exec struct {
 	// compact is the kernel that seals a group of runs into one.
 	compact func([]*kpa.KPA, kpa.Allocator) (*kpa.KPA, error)
 
-	late      atomic.Int64 // records dropped behind the watermark
-	dramBytes atomic.Int64 // traffic since last monitor tick
-	hbmKPAs   atomic.Int64
-	dramKPAs  atomic.Int64
-	emitted   atomic.Int64
-	ingested  atomic.Int64
-	paused    atomic.Int64 // nanoseconds ingest spent blocked
-
-	// Grouping-front-half observability: logical (record, window)
-	// assignments, worker time spent extracting/sorting them, pane runs
-	// shared across windows, and live/peak window-state bytes per tier.
-	extractPairs  atomic.Int64
-	extractNanos  atomic.Int64
-	paneRuns      atomic.Int64
-	sharedRunRefs atomic.Int64
-	sealedPanes   atomic.Int64
-	closePairs    atomic.Int64
-	stateBytes    [memsim.NumTiers]atomic.Int64
-	peakState     [memsim.NumTiers]atomic.Int64
-	stateTotal    atomic.Int64
-	peakTotal     atomic.Int64
+	// m is the run's instrumentation: every counter, gauge and histogram
+	// the report and /metrics read (stats.go).
+	m *stats
 
 	// Degradation ladder (Config.SpillCapacity > 0): the mmap'd spill
-	// arena, the placement controller the monitor ticks, and its
-	// counters. spillFile and ctrl are nil when the ladder is off.
-	spillFile          *spill.File
-	ctrl               *placementController
-	evictions          atomic.Int64
-	evictedBytes       atomic.Int64
-	spillLoads         atomic.Int64
-	spillLoadNanos     atomic.Int64
-	spillLoadFallbacks atomic.Int64
-	ctrlDecisions      atomic.Int64
-	ctrlEvictTicks     atomic.Int64
-
-	// cmu guards the close-latency samples (request to retirement,
-	// nanoseconds) feeding the report's p99: a ring of the most recent
-	// closeSamples, closeCount windows having closed in all.
-	cmu        sync.Mutex
-	closeNanos [closeSamples]int64
-	closeCount int
+	// arena and the placement controller the monitor ticks; both nil when
+	// the ladder is off.
+	spillFile *spill.File
+	ctrl      *placementController
 
 	rmu      sync.Mutex
 	rows     []Row
@@ -462,11 +431,10 @@ func Run(plan Plan, cfg Config) (Report, error) {
 	return e.Wait()
 }
 
-// Execution is a live native run started with Start. It exposes the
-// engine state the serving layer scrapes for /metrics — pool usage,
-// queue depths, knob probabilities — while the run is in flight, and
-// Wait delivers the final report after the source (generator or
-// network feed) is exhausted and every window has closed.
+// Execution is a live native run started with Start. Metrics exposes the
+// engine state the serving layer serves on /metrics while the run is in
+// flight, and Wait delivers the final report after the source
+// (generator or network feed) is exhausted and every window has closed.
 type Execution struct {
 	x    *exec
 	done chan struct{}
@@ -487,11 +455,9 @@ func (e *Execution) Wait() (Report, error) {
 // accepting traffic for a dead pipeline.
 func (e *Execution) Done() <-chan struct{} { return e.done }
 
-// Ingested returns the records ingested so far.
-func (e *Execution) Ingested() int64 { return e.x.ingested.Load() }
-
-// WindowsClosed returns the windows closed so far.
-func (e *Execution) WindowsClosed() int { return e.x.table.closedWindows() }
+// Metrics returns the run's series for /metrics; the report is filled
+// from the same counters. The mempool's are MemPool().Metrics().
+func (e *Execution) Metrics() *metrics.Set { return &e.x.m.set }
 
 // SealedWatermark returns the conservative watermark through which
 // every window has fully externalized: the target watermark, held back
@@ -510,12 +476,6 @@ func (e *Execution) MemSnapshot() mempool.Snapshot { return e.x.pool.Snapshot() 
 // owner for all column memory, with /metrics occupancy to match.
 func (e *Execution) MemPool() *mempool.Pool { return e.x.pool }
 
-// QueueDepths returns the scheduler backlog per priority class.
-func (e *Execution) QueueDepths() [numPriorities]int { return e.x.sched.QueuedByPriority() }
-
-// KnobState returns the demand-balance knob's current probabilities.
-func (e *Execution) KnobState() (kLow, kHigh float64) { return e.x.knob.Snapshot() }
-
 // DRAMUtilization returns the DRAM pool utilization in [0,1] — the
 // signal the ingest server's credit policy compares against
 // BackpressureUtilization.
@@ -525,58 +485,6 @@ func (e *Execution) DRAMUtilization() float64 { return e.x.pool.Utilization(mems
 // signal the ingest server's admission control compares against
 // ShedUtilization.
 func (e *Execution) MemPressure() float64 { return e.x.pool.Pressure() }
-
-// PaneStats returns the pane-sharing counters so far: sorted pane runs
-// built and the extra window references taken on them.
-func (e *Execution) PaneStats() (paneRuns, sharedRunRefs int64) {
-	return e.x.paneRuns.Load(), e.x.sharedRunRefs.Load()
-}
-
-// CloseStats returns the window-close counters so far: seals run and
-// pairs streamed through the seals' and closes' merge visitors.
-func (e *Execution) CloseStats() (sealedPanes, closePairs int64) {
-	return e.x.sealedPanes.Load(), e.x.closePairs.Load()
-}
-
-// LateRecords returns the records dropped so far because every window
-// covering them was already sealed.
-func (e *Execution) LateRecords() int64 { return e.x.late.Load() }
-
-// WindowStateBytes returns the live grouped window-state bytes (sorted
-// runs plus merge intermediates) per tier, indexed by memsim.Tier —
-// including state evicted to the spill tier.
-func (e *Execution) WindowStateBytes() [memsim.NumTiers]int64 {
-	return e.x.windowStateBytes()
-}
-
-func (x *exec) windowStateBytes() [memsim.NumTiers]int64 {
-	var out [memsim.NumTiers]int64
-	for t := range out {
-		out[t] = x.stateBytes[t].Load()
-	}
-	return out
-}
-
-// SpillStats returns the degradation-ladder counters so far: runs and
-// bytes evicted to the spill tier, loads back at close, and the
-// adaptive controller's knob decisions. All zero when spilling is
-// disabled.
-func (e *Execution) SpillStats() (spilledRuns, spilledBytes, loads, ctrlDecisions int64) {
-	return e.x.evictions.Load(), e.x.evictedBytes.Load(),
-		e.x.spillLoads.Load(), e.x.ctrlDecisions.Load()
-}
-
-// SpillEnabled reports whether the run has the mmap'd spill tier
-// attached.
-func (e *Execution) SpillEnabled() bool { return e.x.spillFile != nil }
-
-// SpillUsed returns the spill-file bytes currently in use.
-func (e *Execution) SpillUsed() int64 {
-	if e.x.spillFile == nil {
-		return 0
-	}
-	return e.x.spillFile.Used()
-}
 
 // Start launches the plan on the worker pool and returns immediately;
 // use Wait for the final report.
@@ -616,6 +524,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		sinkRows: make(map[wm.Time][]Row),
 	}
 	x.table = newWindowTable(plan.Win)
+	x.m = newStats(x)
 	// Seals reduce to a partial run when the plan's aggregator can
 	// combine partial results, and copy verbatim when it cannot.
 	x.compact = x.mergeRuns
@@ -664,38 +573,39 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		var ms1 goruntime.MemStats
 		goruntime.ReadMemStats(&ms1)
 
-		ingested := x.ingested.Load()
+		m := x.m
+		ingested := m.ingested.Load()
 		rep := Report{
 			IngestedRecords: ingested,
-			EmittedRecords:  x.emitted.Load(),
+			EmittedRecords:  m.emitted.Load(),
 			WindowsClosed:   x.table.closedWindows(),
 			Elapsed:         elapsed,
 			Rows:            x.rows,
 			Sched:           x.sched.Stats(),
-			HBMKPAs:         x.hbmKPAs.Load(),
-			DRAMKPAs:        x.dramKPAs.Load(),
-			PausedNanos:     x.paused.Load(),
+			HBMKPAs:         m.hbmKPAs.Load(),
+			DRAMKPAs:        m.dramKPAs.Load(),
+			PausedNanos:     m.paused.Load(),
 			GCPauseNs:       int64(ms1.PauseTotalNs - ms0.PauseTotalNs),
 			SlabsRecycled:   x.pool.Stats().Recycled,
-			PaneRuns:        x.paneRuns.Load(),
-			SharedRunRefs:   x.sharedRunRefs.Load(),
-			SealedPanes:     x.sealedPanes.Load(),
-			ClosePairs:      x.closePairs.Load(),
-			LateRecords:     x.late.Load(),
-			ExtractedPairs:  x.extractPairs.Load(),
-			ExtractNanos:    x.extractNanos.Load(),
+			PaneRuns:        m.paneRuns.Load(),
+			SharedRunRefs:   m.sharedRunRefs.Load(),
+			SealedPanes:     m.sealedPanes.Load(),
+			ClosePairs:      m.closePairs.Load(),
+			LateRecords:     m.late.Load(),
+			ExtractedPairs:  m.extractPairs.Load(),
+			ExtractNanos:    m.extractNanos.Load(),
 			PeakWindowStateBytes: [memsim.NumTiers]int64{
-				x.peakState[0].Load(), x.peakState[1].Load(), x.peakState[2].Load(),
+				m.peakState[0].Load(), m.peakState[1].Load(), m.peakState[2].Load(),
 			},
-			PeakWindowStateTotalBytes: x.peakTotal.Load(),
-			SpilledRuns:               x.evictions.Load(),
-			SpilledBytes:              x.evictedBytes.Load(),
-			SpillLoads:                x.spillLoads.Load(),
-			SpillLoadNanos:            x.spillLoadNanos.Load(),
-			SpillLoadFallbacks:        x.spillLoadFallbacks.Load(),
-			CtrlDecisions:             x.ctrlDecisions.Load(),
-			CtrlEvictTicks:            x.ctrlEvictTicks.Load(),
-			CloseP99Nanos:             x.closeP99(),
+			PeakWindowStateTotalBytes: m.peakTotal.Load(),
+			SpilledRuns:               m.evictions.Load(),
+			SpilledBytes:              m.evictedBytes.Load(),
+			SpillLoads:                m.spillLoads.Load(),
+			SpillLoadNanos:            m.spillLoadNanos.Load(),
+			SpillLoadFallbacks:        m.spillLoadFallbacks.Load(),
+			CtrlDecisions:             m.ctrlDecisions.Load(),
+			CtrlEvictTicks:            m.ctrlEvictTicks.Load(),
+			CloseP99Nanos:             m.closeLatency.Quantile(0.99),
 		}
 		if ingested > 0 {
 			rep.AllocsPerRecord = float64(ms1.Mallocs-ms0.Mallocs) / float64(ingested)
@@ -728,7 +638,7 @@ func (x *exec) stallIngest() {
 	for x.pool.Utilization(memsim.DRAM) > BackpressureUtilization && time.Since(t0) < time.Second {
 		time.Sleep(200 * time.Microsecond)
 	}
-	x.paused.Add(time.Since(t0).Nanoseconds())
+	x.m.paused.Add(time.Since(t0).Nanoseconds())
 }
 
 // ingest is the generator driver loop: it builds bundles as fast as
@@ -742,8 +652,8 @@ func (x *exec) ingest() {
 	schema := x.plan.Gen.Schema()
 	n := x.plan.Source.BundleRecords
 	tsPerRecord := float64(x.plan.Win.Size) / float64(x.plan.Source.WindowRecords)
-	for x.ingested.Load() < x.plan.TotalRecords {
-		if rest := x.plan.TotalRecords - x.ingested.Load(); int64(n) > rest {
+	for x.m.ingested.Load() < x.plan.TotalRecords {
+		if rest := x.plan.TotalRecords - x.m.ingested.Load(); int64(n) > rest {
 			n = int(rest)
 		}
 		tsHi := nextTs + wm.Time(float64(n)*tsPerRecord)
@@ -761,7 +671,7 @@ func (x *exec) ingest() {
 			break
 		}
 		nextTs = tsHi
-		x.ingested.Add(int64(b.Rows()))
+		x.m.ingested.Add(int64(b.Rows()))
 		bundleCnt++
 		x.submitExtract(b, tsHi)
 		if bundleCnt%x.plan.Source.WatermarkEvery == 0 {
@@ -825,7 +735,7 @@ func (x *exec) ingestFeed() {
 			x.recordError(err)
 			return
 		}
-		x.ingested.Add(int64(b.Rows()))
+		x.m.ingested.Add(int64(b.Rows()))
 		x.submitExtractRange(b, maxTs, minTs, maxTs)
 		if recycler != nil {
 			// The bundle holds its own copy now; the column buffers go
@@ -876,7 +786,7 @@ func (x *exec) ingestBundle(schema bundle.Schema, n int, forcedWM func() wm.Time
 		}
 		t0 := time.Now()
 		time.Sleep(200 * time.Microsecond)
-		x.paused.Add(time.Since(t0).Nanoseconds())
+		x.m.paused.Add(time.Since(t0).Nanoseconds())
 	}
 }
 
@@ -966,13 +876,13 @@ func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time)
 	var seals []paneSeal
 	var toClose []wm.Time
 	if len(reg.wins) == 0 {
-		x.late.Add(int64(b.Rows()))
+		x.m.late.Add(int64(b.Rows()))
 	} else {
 		seals, toClose = x.table.fileRuns(reg, x.sortPanes(b, reg, minTs, maxTs))
 	}
 	x.addDRAMTraffic(b.Bytes())
 	b.Release() // drop the producer reference; KPAs hold their own
-	x.extractNanos.Add(time.Since(t0).Nanoseconds())
+	x.m.extractNanos.Add(time.Since(t0).Nanoseconds())
 	for _, s := range seals {
 		x.submitSeal(s)
 	}
@@ -1048,7 +958,7 @@ rows:
 		total++
 	}
 	if late > 0 {
-		x.late.Add(int64(late))
+		x.m.late.Add(int64(late))
 	}
 
 	scratch := x.scratch[memsim.DRAM]
@@ -1086,7 +996,7 @@ rows2:
 		from, open := x.table.openCovering(pane, firstOpen)
 		// Logical (record, window) assignments: what scattering every
 		// record into every window would have staged physically.
-		x.extractPairs.Add(int64(c) * int64(open))
+		x.m.extractPairs.Add(int64(c) * int64(open))
 		k := x.buildRun(staging[seg:seg+c], b, pane)
 		seg += c
 		if k == nil {
@@ -1094,8 +1004,8 @@ rows2:
 		}
 		k.Retain(open - 1) // one reference per open covering window
 		if sliding {
-			x.paneRuns.Add(1)
-			x.sharedRunRefs.Add(int64(open - 1))
+			x.m.paneRuns.Add(1)
+			x.m.sharedRunRefs.Add(int64(open - 1))
 		}
 		runs = append(runs, filedRun{paneRun{k: k, from: from, group: reg.groups[pi]}, pane})
 	}
@@ -1195,7 +1105,7 @@ func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 	}
 	seals, toMerge := x.table.paneSealed(s, merged)
 	if merged != nil {
-		x.sealedPanes.Add(1)
+		x.m.sealedPanes.Add(1)
 		for _, r := range runs {
 			for range s.owers {
 				x.destroyRun(r)
@@ -1255,7 +1165,7 @@ func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 	}
 	x.noteKPA(partial)
 	for _, r := range runs {
-		x.closePairs.Add(int64(r.Len()))
+		x.m.closePairs.Add(int64(r.Len()))
 		// One streaming read of the pairs plus the value gather.
 		x.addDRAMTraffic(int64(r.Len()) * (memsim.PairBytes + 8))
 	}
@@ -1282,7 +1192,7 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 		return nil, err
 	}
 	x.noteKPA(merged)
-	x.closePairs.Add(int64(merged.Len()))
+	x.m.closePairs.Add(int64(merged.Len()))
 	x.addDRAMTraffic(merged.Bytes())
 	return merged, nil
 }
@@ -1340,7 +1250,7 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 					x.recordError(err)
 				}
 				x.emitRows(start, out)
-				x.closePairs.Add(width)
+				x.m.closePairs.Add(width)
 				// One streaming read of the pairs plus the value gather;
 				// nothing is written back.
 				x.addDRAMTraffic(width * (memsim.PairBytes + 8))
@@ -1357,7 +1267,7 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 
 // emitRows records a batch of results for window start.
 func (x *exec) emitRows(start wm.Time, rows []Row) {
-	x.emitted.Add(int64(len(rows)))
+	x.m.emitted.Add(int64(len(rows)))
 	if !x.cfg.Capture && x.cfg.WindowSink == nil {
 		return
 	}
@@ -1377,7 +1287,9 @@ func (x *exec) emitRows(start wm.Time, rows []Row) {
 // finishWindow retires a closed window and, when a WindowSink is
 // configured, publishes its result rows.
 func (x *exec) finishWindow(start wm.Time) {
-	x.recordCloseLatency(x.table.retire(start))
+	if d := x.table.retire(start); d > 0 {
+		x.m.closeLatency.Observe(d.Nanoseconds())
+	}
 	if x.cfg.WindowSink != nil && !x.sealedWindow(start) {
 		x.rmu.Lock()
 		rows := x.sinkRows[start]
@@ -1455,24 +1367,11 @@ func (a *knobAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation
 func (x *exec) noteKPA(k *kpa.KPA) {
 	t := k.Tier()
 	if t == memsim.HBM {
-		x.hbmKPAs.Add(1)
+		x.m.hbmKPAs.Add(1)
 	} else {
-		x.dramKPAs.Add(1)
+		x.m.dramKPAs.Add(1)
 	}
-	cur := x.stateBytes[t].Add(k.Bytes())
-	for {
-		peak := x.peakState[t].Load()
-		if cur <= peak || x.peakState[t].CompareAndSwap(peak, cur) {
-			break
-		}
-	}
-	total := x.stateTotal.Add(k.Bytes())
-	for {
-		peak := x.peakTotal.Load()
-		if total <= peak || x.peakTotal.CompareAndSwap(peak, total) {
-			break
-		}
-	}
+	x.m.addState(t, k.Bytes())
 }
 
 // destroyRun releases one reference to a window-state run, crediting
@@ -1483,14 +1382,14 @@ func (x *exec) noteKPA(k *kpa.KPA) {
 func (x *exec) destroyRun(k *kpa.KPA) {
 	t, n := k.Tier(), k.Bytes()
 	if k.Destroy() {
-		x.stateBytes[t].Add(-n)
-		x.stateTotal.Add(-n)
+		x.m.stateBytes[t].Add(-n)
+		x.m.stateTotal.Add(-n)
 	}
 }
 
 // addDRAMTraffic accumulates observed DRAM traffic for the monitor's
 // bandwidth estimate.
-func (x *exec) addDRAMTraffic(n int64) { x.dramBytes.Add(n) }
+func (x *exec) addDRAMTraffic(n int64) { x.m.dramTraffic.Add(n) }
 
 // startMonitor refreshes the demand-balance knob on a real-time cadence
 // from measured pool utilization and DRAM traffic; it returns a stop
@@ -1504,13 +1403,15 @@ func (x *exec) startMonitor(machine memsim.Config) func() {
 		ticker := time.NewTicker(x.cfg.MonitorInterval)
 		defer ticker.Stop()
 		dramBWCap := machine.Tier(memsim.DRAM).Bandwidth
+		var lastTraffic int64
 		for {
 			select {
 			case <-done:
 				return
 			case <-ticker.C:
-				traffic := x.dramBytes.Swap(0)
-				dramBW := float64(traffic) / x.cfg.MonitorInterval.Seconds() / dramBWCap
+				traffic := x.m.dramTraffic.Load()
+				dramBW := float64(traffic-lastTraffic) / x.cfg.MonitorInterval.Seconds() / dramBWCap
+				lastTraffic = traffic
 				if x.ctrl != nil {
 					// Spill tier attached: the adaptive placement
 					// controller drives the knob and decides when to
@@ -1521,14 +1422,14 @@ func (x *exec) startMonitor(machine memsim.Config) func() {
 						DRAMBW:      dramBW,
 						QueueDepths: x.sched.QueuedByPriority(),
 						Workers:     x.sched.Workers(),
-						StateBytes:  x.windowStateBytes(),
+						StateBytes:  x.m.liveState(),
 					})
 					if act.changed {
-						x.ctrlDecisions.Add(1)
+						x.m.ctrlDecisions.Add(1)
 					}
 					x.knob.Set(act.KLow, act.KHigh)
 					if act.Evict {
-						x.ctrlEvictTicks.Add(1)
+						x.m.ctrlEvictTicks.Add(1)
 						x.evictColdest(x.evictTarget())
 					}
 				} else {

@@ -168,18 +168,15 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			ExhaustTimeout:  2 * time.Second,
 		}, func(e *Execution) {
 			await("31 runs never filed, or none of them was evicted", func() bool {
-				return e.x.hbmKPAs.Load()+e.x.dramKPAs.Load() == mergeFanIn-1 && e.x.evictions.Load() > 0
+				return e.x.m.hbmKPAs.Load()+e.x.m.dramKPAs.Load() == mergeFanIn-1 && e.x.m.evictions.Load() > 0
 			})
-			if n, _ := e.CloseStats(); n != 0 || e.x.spillLoads.Load()+e.x.spillLoadFallbacks.Load() != 0 {
+			if e.x.m.sealedPanes.Load() != 0 || e.x.m.spillLoads.Load()+e.x.m.spillLoadFallbacks.Load() != 0 {
 				t.Fatalf("%s: a seal or a load before the group was complete", name)
 			}
 		}, func(e *Execution) {
-			await("the completed group never sealed", func() bool {
-				n, _ := e.CloseStats()
-				return n == 1
-			})
-			if e.WindowsClosed() != 0 || e.x.spillLoads.Load()+e.x.spillLoadFallbacks.Load() == 0 {
-				t.Fatalf("%s: the seal read no evicted member back (%d windows closed)", name, e.WindowsClosed())
+			await("the completed group never sealed", func() bool { return e.x.m.sealedPanes.Load() == 1 })
+			if e.x.table.closedWindows() != 0 || e.x.m.spillLoads.Load()+e.x.m.spillLoadFallbacks.Load() == 0 {
+				t.Fatalf("%s: the seal read no evicted member back (%d windows closed)", name, e.x.table.closedWindows())
 			}
 		})
 		if spilled.SealedPanes != 1 || baseline.SealedPanes != 1 {

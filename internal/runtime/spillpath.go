@@ -26,7 +26,6 @@ package runtime
 // flag on the KPA.
 
 import (
-	"slices"
 	"time"
 
 	"streambox/internal/engine"
@@ -82,9 +81,9 @@ func (x *exec) evictColdest(target int64) int64 {
 			return false
 		}
 		if n > 0 {
-			x.moveStateBytes(from, memsim.Spill, n)
-			x.evictions.Add(1)
-			x.evictedBytes.Add(n)
+			x.m.moveState(from, memsim.Spill, n)
+			x.m.evictions.Add(1)
+			x.m.evictedBytes.Add(n)
 			freed += n
 			evicted++
 		}
@@ -107,57 +106,11 @@ func (x *exec) loadRuns(runs []*kpa.KPA, tag engine.Tag) {
 		loaded, err := r.EnsureResident(al)
 		switch {
 		case loaded:
-			x.spillLoads.Add(1)
-			x.spillLoadNanos.Add(time.Since(t0).Nanoseconds())
-			x.moveStateBytes(memsim.Spill, r.Tier(), r.Bytes())
+			x.m.spillLoads.Add(1)
+			x.m.spillLoadNanos.Add(time.Since(t0).Nanoseconds())
+			x.m.moveState(memsim.Spill, r.Tier(), r.Bytes())
 		case err != nil:
-			x.spillLoadFallbacks.Add(1)
+			x.m.spillLoadFallbacks.Add(1)
 		}
 	}
-}
-
-// moveStateBytes shifts n live window-state bytes between tier gauges
-// as a run relocates, maintaining the destination's high-water mark.
-// The combined total is unchanged.
-func (x *exec) moveStateBytes(from, to memsim.Tier, n int64) {
-	if n <= 0 || from == to {
-		return
-	}
-	x.stateBytes[from].Add(-n)
-	cur := x.stateBytes[to].Add(n)
-	for {
-		peak := x.peakState[to].Load()
-		if cur <= peak || x.peakState[to].CompareAndSwap(peak, cur) {
-			break
-		}
-	}
-}
-
-// closeSamples is how many of the most recent close latencies feed the
-// report's p99: a serving process closes windows for as long as it lives.
-const closeSamples = 1024
-
-// recordCloseLatency keeps one close-request-to-retirement sample,
-// overwriting the oldest once closeSamples are held.
-func (x *exec) recordCloseLatency(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	x.cmu.Lock()
-	x.closeNanos[x.closeCount%closeSamples] = d.Nanoseconds()
-	x.closeCount++
-	x.cmu.Unlock()
-}
-
-// closeP99 returns the 99th-percentile close latency in nanoseconds
-// over the samples held.
-func (x *exec) closeP99() int64 {
-	x.cmu.Lock()
-	s := slices.Clone(x.closeNanos[:min(x.closeCount, closeSamples)])
-	x.cmu.Unlock()
-	if len(s) == 0 {
-		return 0
-	}
-	slices.Sort(s)
-	return s[min(len(s)*99/100, len(s)-1)]
 }

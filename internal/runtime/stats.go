@@ -1,0 +1,138 @@
+package runtime
+
+import (
+	"strings"
+
+	"streambox/internal/engine"
+	"streambox/internal/memsim"
+	"streambox/internal/metrics"
+)
+
+// stats is one run's instrumentation: every series the runtime serves
+// on /metrics, each declared once in newStats, next to the counter the
+// pipeline adds to and the report loads. exec keeps no counters of its
+// own.
+type stats struct {
+	set metrics.Set
+
+	ingested *metrics.Counter
+	emitted  *metrics.Counter
+	late     *metrics.Counter // records dropped behind the watermark
+	paused   *metrics.Counter // nanoseconds ingest spent blocked
+	// dramTraffic is cumulative; the monitor turns its growth per tick
+	// into the knob's DRAM bandwidth signal.
+	dramTraffic *metrics.Counter
+	hbmKPAs     *metrics.Counter
+	dramKPAs    *metrics.Counter
+
+	// Grouping front half: logical (record, window) assignments, worker
+	// time spent extracting/sorting them, pane runs shared across windows.
+	extractPairs  *metrics.Counter
+	extractNanos  *metrics.Counter
+	paneRuns      *metrics.Counter
+	sharedRunRefs *metrics.Counter
+	sealedPanes   *metrics.Counter
+	closePairs    *metrics.Counter
+
+	// Live grouped window state per tier and combined, with high-water
+	// marks; the marks are independent maxima.
+	stateBytes [memsim.NumTiers]*metrics.Counter
+	peakState  [memsim.NumTiers]*metrics.Counter
+	stateTotal *metrics.Counter
+	peakTotal  *metrics.Counter
+
+	// Degradation ladder; all stay zero without a spill tier.
+	evictions          *metrics.Counter
+	evictedBytes       *metrics.Counter
+	spillLoads         *metrics.Counter
+	spillLoadNanos     *metrics.Counter
+	spillLoadFallbacks *metrics.Counter
+	ctrlDecisions      *metrics.Counter
+	ctrlEvictTicks     *metrics.Counter
+
+	// closeLatency is every window's close latency, request to retirement.
+	closeLatency *metrics.Histogram
+}
+
+// newStats declares the runtime's series. The scrape-time values — what
+// sits behind the window table's, the scheduler's and the knob's locks —
+// read x.
+func newStats(x *exec) *stats {
+	s := new(stats)
+	m := &s.set
+	s.ingested = m.Counter("streambox_ingested_records_total")
+	s.emitted = m.Counter("streambox_emitted_records_total")
+	s.late = m.Counter("streambox_late_records_total")
+	s.paused = m.Counter("streambox_ingest_paused_ns_total")
+	s.dramTraffic = m.Counter("streambox_dram_traffic_bytes_total")
+	s.hbmKPAs = m.Counter(`streambox_kpa_placements_total{tier="hbm"}`)
+	s.dramKPAs = m.Counter(`streambox_kpa_placements_total{tier="dram"}`)
+	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
+	s.extractNanos = m.Counter("streambox_extract_ns_total")
+	s.paneRuns = m.Counter("streambox_pane_runs_total")
+	s.sharedRunRefs = m.Counter("streambox_shared_run_refs_total")
+	s.sealedPanes = m.Counter("streambox_sealed_panes_total")
+	s.closePairs = m.Counter("streambox_close_pairs_total")
+	for t := range s.stateBytes {
+		tier := `{tier="` + strings.ToLower(memsim.Tier(t).String()) + `"}`
+		s.stateBytes[t] = m.Counter("streambox_window_state_bytes" + tier)
+		s.peakState[t] = m.Counter("streambox_window_state_peak_bytes" + tier)
+	}
+	s.stateTotal = m.Counter("streambox_window_state_total_bytes")
+	s.peakTotal = m.Counter("streambox_window_state_peak_total_bytes")
+	s.evictions = m.Counter("streambox_spill_evicted_runs_total")
+	s.evictedBytes = m.Counter("streambox_spill_evicted_bytes_total")
+	s.spillLoads = m.Counter("streambox_spill_loads_total")
+	s.spillLoadNanos = m.Counter("streambox_spill_load_ns_total")
+	s.spillLoadFallbacks = m.Counter("streambox_spill_load_fallbacks_total")
+	s.ctrlDecisions = m.Counter("streambox_ctrl_decisions_total")
+	s.ctrlEvictTicks = m.Counter("streambox_ctrl_evict_ticks_total")
+	s.closeLatency = m.Histogram("streambox_window_close_ns")
+
+	var depth [numPriorities]string
+	for p := range depth {
+		depth[p] = `streambox_sched_queue_depth{priority="` + strings.ToLower(engine.Tag(p).String()) + `"}`
+	}
+	m.Collect(func(e *metrics.Emitter) {
+		e.Int("streambox_windows_closed_total", int64(x.table.closedWindows()))
+		kLow, kHigh := x.knob.Snapshot()
+		e.Float("streambox_knob_k_low", kLow)
+		e.Float("streambox_knob_k_high", kHigh)
+		for p, n := range x.sched.QueuedByPriority() {
+			e.Int(depth[p], int64(n))
+		}
+		var spillUsed int64
+		if x.spillFile != nil {
+			spillUsed = x.spillFile.Used()
+		}
+		e.Int("streambox_spill_used_bytes", spillUsed)
+		e.Int("streambox_spill_capacity_bytes", x.pool.Capacity(memsim.Spill))
+	})
+	return s
+}
+
+// addState charges n bytes of window state to tier t and the combined
+// gauge, raising both high-water marks.
+func (s *stats) addState(t memsim.Tier, n int64) {
+	s.peakState[t].Max(s.stateBytes[t].Add(n))
+	s.peakTotal.Max(s.stateTotal.Add(n))
+}
+
+// moveState shifts n live window-state bytes between tier gauges as a
+// run relocates, raising the destination's high-water mark. The
+// combined total is unchanged.
+func (s *stats) moveState(from, to memsim.Tier, n int64) {
+	if n <= 0 || from == to {
+		return
+	}
+	s.stateBytes[from].Add(-n)
+	s.peakState[to].Max(s.stateBytes[to].Add(n))
+}
+
+// liveState returns the live window-state bytes per tier, spill included.
+func (s *stats) liveState() (out [memsim.NumTiers]int64) {
+	for t := range out {
+		out[t] = s.stateBytes[t].Load()
+	}
+	return out
+}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"streambox/internal/metrics"
 	"streambox/internal/parsefmt"
 )
 
@@ -32,30 +33,12 @@ type Config struct {
 // record at or below it is on stable storage.
 type LSN uint64
 
-// fsyncBuckets is the number of fsync latency histogram buckets.
-const fsyncBuckets = 12
-
-// FsyncBucketsNs are the upper bounds (inclusive, nanoseconds) of the
-// fsync latency histogram; the last bucket is unbounded.
-var FsyncBucketsNs = [fsyncBuckets]int64{
-	50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000,
-	25_000_000, 50_000_000, 100_000_000, int64(^uint64(0) >> 1),
-}
-
-// Bucket is one fsync-latency histogram bucket (non-cumulative count).
-type Bucket struct {
-	LeNs  int64
-	Count int64
-}
-
 // Stats is a point-in-time snapshot of the log's counters.
 type Stats struct {
 	AppendedFrames  int64
 	AppendedBytes   int64
 	Syncs           int64
 	FsyncP99Ns      int64
-	Fsync           []Bucket
 	SegmentsActive  int64
 	SegmentsRetired int64
 }
@@ -104,11 +87,13 @@ type Log struct {
 	// the writer syncs them after the drain that carries their bytes.
 	sealedPending []*segment
 
-	frames   int64
-	bytes    int64
-	syncs    int64
-	retired  int64
-	fsyncCnt [fsyncBuckets]int64
+	// set is the log's /metrics series, declared in Open; Stats loads
+	// the same counters. Syncs is the fsync histogram's count.
+	set     metrics.Set
+	frames  *metrics.Counter
+	bytes   *metrics.Counter
+	retired *metrics.Counter
+	fsync   *metrics.Histogram
 
 	writerDone chan struct{}
 	tickerStop chan struct{}
@@ -157,6 +142,16 @@ func Open(cfg Config) (*Log, error) {
 		tickerStop: make(chan struct{}),
 		tickerDone: make(chan struct{}),
 	}
+	l.frames = l.set.Counter("streambox_wal_appended_frames_total")
+	l.bytes = l.set.Counter("streambox_wal_appended_bytes_total")
+	l.retired = l.set.Counter("streambox_wal_segments_retired_total")
+	l.set.Collect(func(e *metrics.Emitter) {
+		st := l.Stats()
+		e.Int("streambox_wal_syncs_total", st.Syncs)
+		e.Int("streambox_wal_fsync_p99_ns", st.FsyncP99Ns)
+		e.Int("streambox_wal_segments_active", st.SegmentsActive)
+	})
+	l.fsync = l.set.Histogram("streambox_wal_fsync_ns")
 	l.appendCnd = sync.NewCond(&l.mu)
 	l.syncedCnd = sync.NewCond(&l.mu)
 	l.drainedCnd = sync.NewCond(&l.mu)
@@ -370,9 +365,9 @@ func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, col
 		if maxTs > l.active.maxTs {
 			l.active.maxTs = maxTs
 		}
-		l.frames++
+		l.frames.Add(1)
 	}
-	l.bytes += int64(n)
+	l.bytes.Add(int64(n))
 	l.appendLSN++
 	lsn := l.appendLSN
 	if l.active.bytes >= l.cfg.SegmentBytes {
@@ -495,7 +490,7 @@ func (l *Log) writeLoop() {
 		if err == nil && syncActive {
 			start := time.Now()
 			err = tail.f.Sync()
-			l.observeFsync(time.Since(start))
+			l.fsync.Observe(time.Since(start).Nanoseconds())
 		}
 
 		l.mu.Lock()
@@ -514,18 +509,6 @@ func (l *Log) writeLoop() {
 		l.drainedCnd.Broadcast()
 		l.mu.Unlock()
 	}
-}
-
-func (l *Log) observeFsync(d time.Duration) {
-	ns := d.Nanoseconds()
-	i := 0
-	for i < fsyncBuckets-1 && ns > FsyncBucketsNs[i] {
-		i++
-	}
-	l.mu.Lock()
-	l.fsyncCnt[i]++
-	l.syncs++
-	l.mu.Unlock()
 }
 
 // tickLoop periodically asks for a background sync so appends nobody
@@ -572,39 +555,30 @@ func (l *Log) RetireThrough(tsBound uint64) (int, error) {
 		kept = append(kept, s)
 	}
 	l.completed = kept
-	l.retired += int64(n)
+	l.retired.Add(int64(n))
 	return n, firstErr
 }
 
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
+	st := Stats{
+		AppendedFrames:  l.frames.Load(),
+		AppendedBytes:   l.bytes.Load(),
+		Syncs:           l.fsync.Count(),
+		FsyncP99Ns:      l.fsync.Quantile(0.99),
+		SegmentsRetired: l.retired.Load(),
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{
-		AppendedFrames:  l.frames,
-		AppendedBytes:   l.bytes,
-		Syncs:           l.syncs,
-		SegmentsActive:  int64(len(l.completed)) + 1,
-		SegmentsRetired: l.retired,
-		Fsync:           make([]Bucket, fsyncBuckets),
-	}
-	if l.active == nil {
-		st.SegmentsActive--
-	}
-	var total, cum int64
-	for i := 0; i < fsyncBuckets; i++ {
-		st.Fsync[i] = Bucket{LeNs: FsyncBucketsNs[i], Count: l.fsyncCnt[i]}
-		total += l.fsyncCnt[i]
-	}
-	for i := 0; i < fsyncBuckets; i++ {
-		cum += l.fsyncCnt[i]
-		if total > 0 && cum*100 >= total*99 {
-			st.FsyncP99Ns = FsyncBucketsNs[i]
-			break
-		}
+	st.SegmentsActive = int64(len(l.completed))
+	if l.active != nil {
+		st.SegmentsActive++
 	}
 	return st
 }
+
+// Metrics returns the log's series for /metrics.
+func (l *Log) Metrics() *metrics.Set { return &l.set }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.cfg.Dir }

@@ -29,6 +29,7 @@ import (
 	"streambox/internal/ingress"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
+	"streambox/internal/metrics"
 	"streambox/internal/netio"
 	"streambox/internal/ops"
 	"streambox/internal/runtime"
@@ -194,9 +195,6 @@ type ServeConfig struct {
 	FrameCredits int
 	// MaxFrameBytes caps one ingest frame's payload (0 picks 4 MiB).
 	MaxFrameBytes int
-	// FeedBuffer is the decoded-batch buffer between the ingest server
-	// and the runtime, in batches (0 picks 64).
-	FeedBuffer int
 	// IdleTimeout severs connections silent past it in steady state;
 	// the session is then parked and expired by the grace deadlines
 	// below, like that of any client lost without an end-of-stream
@@ -239,10 +237,8 @@ type ServeConfig struct {
 	// fresh state.
 	RecoverDir string
 	// WALSegmentBytes caps one log segment before it rolls (0 picks
-	// 64 MiB); WALSyncInterval is the background fsync cadence covering
-	// records no ack waits on — session-end markers (0 picks 5ms).
+	// 64 MiB).
 	WALSegmentBytes int64
-	WALSyncInterval time.Duration
 	// CheckpointInterval is the recovery-checkpoint cadence (0 picks
 	// 1s). Log segments are deleted only once a durable checkpoint
 	// seals every window they feed.
@@ -752,6 +748,12 @@ func runNative(p *Pipeline, cfg RunConfig) (Report, error) {
 		}
 		capture.Records = int64(len(capture.Rows))
 	}
+	return nativeReport(rep), nil
+}
+
+// nativeReport is the public report of a native run; Shutdown adds the
+// ingest, durability and recovery fields of a serving one.
+func nativeReport(rep runtime.Report) Report {
 	return Report{
 		Backend:                   Native,
 		IngestedRecords:           rep.IngestedRecords,
@@ -773,7 +775,7 @@ func runNative(p *Pipeline, cfg RunConfig) (Report, error) {
 		SpillLoads:                rep.SpillLoads,
 		CtrlDecisions:             rep.CtrlDecisions,
 		CloseP99Ns:                rep.CloseP99Nanos,
-	}, nil
+	}
 }
 
 // nativePlan walks the pipeline graph and extracts the linear
@@ -872,9 +874,11 @@ type Server struct {
 	ckDone  chan struct{}
 	ckOnce  sync.Once
 
-	// Recovery facts frozen at startup (RecoverDir only).
-	recoveredSessions int64
-	replayedFrames    int64
+	// Recovery facts, frozen before the listener opens (zero without
+	// RecoverDir). The two counters are /metrics series.
+	recovery          metrics.Set
+	recoveredSessions *metrics.Counter
+	replayedFrames    *metrics.Counter
 	recoveryNs        int64
 }
 
@@ -920,7 +924,6 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 		walLog, err = wal.Open(wal.Config{
 			Dir:          walDir,
 			SegmentBytes: sc.WALSegmentBytes,
-			SyncInterval: sc.WALSyncInterval,
 		})
 		if err != nil {
 			return nil, err
@@ -931,7 +934,7 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 		sealedWM = wm.Time(ck.SealedWM)
 	}
 
-	feed := netio.NewFeed(netio.WireSchema(), sc.FeedBuffer)
+	feed := netio.NewFeed(netio.WireSchema(), 0)
 	plan.Feed = feed
 
 	store := netio.NewResultStore(sc.KeepWindows)
@@ -975,6 +978,8 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 		wal:     walLog,
 		winSize: plan.Win.Size,
 	}
+	s.recoveredSessions = s.recovery.Counter("streambox_recovered_sessions")
+	s.replayedFrames = s.recovery.Counter("streambox_replayed_frames_total")
 
 	// Recovery proper: restore the checkpoint, replay unsealed frames
 	// through the normal feed path, and rebuild the session table —
@@ -991,8 +996,8 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 			return nil, err
 		}
 		s.recoveryNs = time.Since(t0).Nanoseconds()
-		s.recoveredSessions = int64(len(restored.sessions))
-		s.replayedFrames = restored.replayed
+		s.recoveredSessions.Add(int64(len(restored.sessions)))
+		s.replayedFrames.Add(restored.replayed)
 	}
 
 	// A typed-nil *wal.Log must not reach the interface field, or the
@@ -1062,7 +1067,7 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 			return nil, err
 		}
 		s.httpLn = ln
-		s.httpSrv = &http.Server{Handler: netio.NewHandler(store, s.scrapeMetrics)}
+		s.httpSrv = &http.Server{Handler: netio.NewHandler(store, s.metricSets()...)}
 		go s.httpSrv.Serve(ln)
 	}
 	return s, nil
@@ -1271,61 +1276,14 @@ func (s *Server) stopCheckpointer() {
 	<-s.ckDone
 }
 
-// scrapeMetrics gathers one /metrics view from the live execution and
-// the ingest server.
-func (s *Server) scrapeMetrics() netio.Metrics {
-	mem := s.exec.MemSnapshot()
-	depths := s.exec.QueueDepths()
-	m := netio.Metrics{
-		Allocs:            mem.Allocs,
-		Frees:             mem.Frees,
-		AllocFailures:     mem.Failures,
-		ColSlabsCached:    mem.ColSlabsCached,
-		ColSlabBytesCache: mem.ColSlabBytesCache,
-		ColSlabsRecycled:  mem.ColSlabsRecycled,
-		QueueDepths:       depths,
-		IngestedRecords:   s.exec.Ingested(),
-		WindowsClosed:     int64(s.exec.WindowsClosed()),
-		Ingest:            s.ingest.Counters(),
-		PerConn:           s.ingest.ConnCounters(),
-		WindowsPublished:  s.store.Published(),
-	}
-	for t := 0; t < memsim.NumTiers; t++ {
-		m.MemUsed[t] = mem.Tiers[t].Used
-		m.MemCapacity[t] = mem.Tiers[t].Capacity
-		m.MemUtilization[t] = mem.Tiers[t].Utilization
-	}
-	m.WindowStateBytes = s.exec.WindowStateBytes()
-	m.PaneRuns, m.SharedRunRefs = s.exec.PaneStats()
-	m.SealedPanes, m.ClosePairs = s.exec.CloseStats()
-	m.LateRecords = s.exec.LateRecords()
-	m.KLow, m.KHigh = s.exec.KnobState()
-	if s.exec.SpillEnabled() {
-		m.SpillEnabled = true
-		m.SpilledRuns, m.SpilledBytes, m.SpillLoads, m.CtrlDecisions = s.exec.SpillStats()
-		m.SpillUsedBytes = s.exec.SpillUsed()
-		m.SpillCapacityBytes = mem.Tiers[memsim.Spill].Capacity
-	}
+// metricSets lists what /metrics serves, each layer's own series in
+// turn; the durability family only with a write-ahead log.
+func (s *Server) metricSets() []*metrics.Set {
+	sets := []*metrics.Set{s.exec.MemPool().Metrics(), s.exec.Metrics(), s.store.Metrics(), s.ingest.Metrics()}
 	if s.wal != nil {
-		ws := s.wal.Stats()
-		m.WALEnabled = true
-		m.WALAppendedFrames = ws.AppendedFrames
-		m.WALAppendedBytes = ws.AppendedBytes
-		m.WALSyncs = ws.Syncs
-		m.WALFsyncP99Ns = ws.FsyncP99Ns
-		m.WALSegmentsActive = ws.SegmentsActive
-		m.WALSegmentsRetired = ws.SegmentsRetired
-		for _, b := range ws.Fsync {
-			le := b.LeNs
-			if le == int64(^uint64(0)>>1) {
-				le = -1 // netio renders -1 as the +Inf bucket
-			}
-			m.WALFsync = append(m.WALFsync, netio.FsyncBucket{LeNs: le, Count: b.Count})
-		}
-		m.RecoveredSessions = s.recoveredSessions
-		m.ReplayedFrames = s.replayedFrames
+		sets = append(sets, s.wal.Metrics(), &s.recovery)
 	}
-	return m
+	return sets
 }
 
 // IngestAddr returns the ingest listener address (useful with ":0").
@@ -1349,11 +1307,11 @@ func (s *Server) Results() []netio.WindowResult { return s.store.Snapshot() }
 
 // RecoveredSessions reports how many resumable sessions recovery
 // restored (0 without ServeConfig.RecoverDir).
-func (s *Server) RecoveredSessions() int64 { return s.recoveredSessions }
+func (s *Server) RecoveredSessions() int64 { return s.recoveredSessions.Load() }
 
 // ReplayedFrames reports how many logged frames recovery replayed
 // through the pipeline.
-func (s *Server) ReplayedFrames() int64 { return s.replayedFrames }
+func (s *Server) ReplayedFrames() int64 { return s.replayedFrames.Load() }
 
 // RecoveryNs reports how long recovery took before the listener
 // opened, in nanoseconds.
@@ -1377,8 +1335,8 @@ func (s *Server) Shutdown() (Report, error) {
 		// checkpoint alone.
 		s.stopCheckpointer()
 		ckErr := s.writeCheckpoint()
-		walStats = s.wal.Stats()
 		s.wal.Close()
+		walStats = s.wal.Stats() // after Close: its final fsync counts
 		if ckErr == nil {
 			if purgeErr := wal.PurgeSegments(s.wal.Dir()); purgeErr == nil {
 				walStats.SegmentsActive = 0
@@ -1397,44 +1355,23 @@ func (s *Server) Shutdown() (Report, error) {
 		s.capture.Records = int64(len(s.capture.Rows))
 	}
 	ctr := s.ingest.Counters()
-	out := Report{
-		Backend:                   Native,
-		IngestedRecords:           rep.IngestedRecords,
-		Throughput:                rep.Throughput,
-		WallSeconds:               rep.Elapsed.Seconds(),
-		GCPauseNs:                 rep.GCPauseNs,
-		AllocsPerRecord:           rep.AllocsPerRecord,
-		EmittedRecords:            rep.EmittedRecords,
-		WindowsClosed:             rep.WindowsClosed,
-		PaneRuns:                  rep.PaneRuns,
-		SharedRunRefs:             rep.SharedRunRefs,
-		SealedPanes:               rep.SealedPanes,
-		ClosePairs:                rep.ClosePairs,
-		LateRecords:               rep.LateRecords,
-		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
-		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,
-		SpilledRuns:               rep.SpilledRuns,
-		SpilledBytes:              rep.SpilledBytes,
-		SpillLoads:                rep.SpillLoads,
-		CtrlDecisions:             rep.CtrlDecisions,
-		CloseP99Ns:                rep.CloseP99Nanos,
-		DroppedRecords:            ctr.DroppedRecords,
-		DecodeErrors:              ctr.DecodeErrors,
-		ChecksumErrors:            ctr.ChecksumErrors,
-		SessionsResumed:           ctr.SessionsResumed,
-		DuplicateFrames:           ctr.DuplicateFrames,
-		ShedConns:                 ctr.ShedConns,
-		ExpiredSessions:           ctr.ExpiredSessions,
-		IdleTimeouts:              ctr.IdleTimeouts,
-	}
+	out := nativeReport(rep)
+	out.DroppedRecords = ctr.DroppedRecords
+	out.DecodeErrors = ctr.DecodeErrors
+	out.ChecksumErrors = ctr.ChecksumErrors
+	out.SessionsResumed = ctr.SessionsResumed
+	out.DuplicateFrames = ctr.DuplicateFrames
+	out.ShedConns = ctr.ShedConns
+	out.ExpiredSessions = ctr.ExpiredSessions
+	out.IdleTimeouts = ctr.IdleTimeouts
 	if s.wal != nil {
 		out.WALAppendedFrames = walStats.AppendedFrames
 		out.WALSyncs = walStats.Syncs
 		out.WALFsyncP99Ns = walStats.FsyncP99Ns
 		out.WALSegmentsActive = walStats.SegmentsActive
 		out.WALSegmentsRetired = walStats.SegmentsRetired
-		out.RecoveredSessions = s.recoveredSessions
-		out.ReplayedFrames = s.replayedFrames
+		out.RecoveredSessions = s.recoveredSessions.Load()
+		out.ReplayedFrames = s.replayedFrames.Load()
 		out.RecoveryNs = s.recoveryNs
 	}
 	return out, err
