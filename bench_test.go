@@ -5,21 +5,13 @@
 package streambox_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
-	streambox "streambox"
 	"streambox/internal/algo"
-	"streambox/internal/bundle"
-	"streambox/internal/engine"
 	"streambox/internal/experiments"
-	"streambox/internal/ingress"
-	"streambox/internal/ops"
 	"streambox/internal/parsefmt"
-	"streambox/internal/runtime"
-	"streambox/internal/wm"
 )
 
 // benchScale keeps the figure benchmarks to seconds of wall time.
@@ -109,168 +101,6 @@ func BenchmarkFig11Parsing(b *testing.B) {
 				b.ReportMetric(r.MRecSec, "json-Mrec/s")
 			}
 		}
-	}
-}
-
-// BenchmarkNativeBackend measures the native multicore backend end to
-// end on the quickstart workload (KV → Window → SumPerKey): ingest,
-// KPA extraction, parallel sort, merge tree and windowed reduction on
-// real goroutines. The Mrec/s metric is real wall-clock throughput.
-func BenchmarkNativeBackend(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
-		p.Source(streambox.KV(streambox.KVConfig{Keys: 1 << 10, Seed: 1}),
-			streambox.DefaultSource(20e6)).
-			Window(2).
-			SumPerKey(0, 1).
-			Sink("out")
-		rep, err := streambox.Run(p, streambox.RunConfig{
-			Backend:  streambox.Native,
-			Duration: 0.1, // 2M records
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-	}
-}
-
-// BenchmarkNativePipeline runs the native backend end to end and
-// reports the allocator-focused metrics alongside throughput: heap
-// allocations per ingested record and accumulated GC pause time. These
-// are the figures the mempool slab recycler drives down; run with
-// GOGC=off (see ci.yml) to isolate allocator wins from collector
-// scheduling. One iteration ingests 2M records.
-func BenchmarkNativePipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
-		p.Source(streambox.KV(streambox.KVConfig{Keys: 1 << 10, Seed: 1}),
-			streambox.DefaultSource(20e6)).
-			Window(2).
-			SumPerKey(0, 1).
-			Sink("out")
-		rep, err := streambox.Run(p, streambox.RunConfig{
-			Backend:  streambox.Native,
-			Duration: 0.1, // 2M records
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-		b.ReportMetric(rep.AllocsPerRecord, "allocs/rec")
-		b.ReportMetric(float64(rep.GCPauseNs)/1e6, "GCpause-ms")
-	}
-}
-
-// BenchmarkWindowClose runs the native pipeline on fixed windows of 1 Mi
-// records over 1 024 keys, with bundles sized for two run counts per
-// window. runs=16: every window closes over 16 sorted runs through the
-// fused range-partitioned merge-reduce; B/rec is where a materializing
-// close would show (one KPA copy per merge level). runs=246: the shape a
-// network window has (one run per 4 096-record frame) — every 32 runs
-// seal into a per-key partial run while the window fills, so close
-// merges 7 partials and the 22 runs left over, and close-pairs/rec reads
-// about 1 where compacting 246 runs at close read 2. The kernel
-// comparisons live in internal/kpa: BenchmarkMergeReduce (fused vs
-// tree) and BenchmarkSealVsCompact.
-func BenchmarkWindowClose(b *testing.B) {
-	const windowRecords = 1 << 20
-	for _, runs := range []int{16, 246} {
-		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
-			bundleRecords := (windowRecords + runs - 1) / runs
-			for i := 0; i < b.N; i++ {
-				plan := runtime.Plan{
-					Gen: ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}),
-					Source: engine.SourceConfig{
-						Name: "close", Rate: 2 * windowRecords, BundleRecords: bundleRecords,
-						WindowRecords: windowRecords, WatermarkEvery: runs,
-					},
-					Win:          wm.Fixed(1_000_000),
-					TotalRecords: 2 * windowRecords,
-					TsCol:        2, KeyCol: 0, ValCol: 1,
-					NewAgg: ops.Sum(), Label: "close",
-				}
-				rep, err := runtime.Run(plan, runtime.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-				b.ReportMetric(rep.AllocBytesPerRecord, "B/rec")
-				b.ReportMetric(float64(rep.ClosePairs)/float64(rep.IngestedRecords), "close-pairs/rec")
-				b.ReportMetric(float64(rep.CloseP99Nanos)/1e6, "close-p99-ms")
-			}
-		})
-	}
-}
-
-// hashedKV is a uniform KV stream over 2^20 keys spread across all 64
-// bits (an odd multiplier is a bijection), so run formation pays every
-// radix pass and a pane holds about as many distinct keys as records.
-type hashedKV struct{ rng *rand.Rand }
-
-func (hashedKV) Schema() bundle.Schema {
-	return bundle.Schema{NumCols: 3, TsCol: 2, Names: []string{"key", "value", "ts"}}
-}
-
-func (g hashedKV) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
-	span := tsHi - tsLo
-	for i := 0; i < n; i++ {
-		key := g.rng.Uint64() % (1 << 20) * 0x9E3779B97F4A7C15
-		bd.Append(key, g.rng.Uint64()%(1<<20), tsLo+wm.Time(i)*span/wm.Time(n))
-	}
-}
-
-// BenchmarkSlidingPipeline runs the native backend end to end on a
-// sliding-window workload at overlap Size/Slide = 8: each record is
-// extracted and sorted once into a pane, and each pane is sealed once
-// into per-key partials that its 8 covering windows merge. Two rows:
-// 1 024 keys, where partials are ~1 % of the pairs and close all but
-// disappears, and 2^20 hashed keys, where a partial run is about as
-// long as the raw runs it replaces and sealing still trades 8
-// dereferencing passes (and 8 fan-in compactions) for one plus 8
-// sequential ones. extract-Mpairs/s is logical (record, window)
-// assignments per second of extraction+run-formation worker time;
-// state-B/rec is peak live window-state bytes per record of one
-// window; close-pairs/rec is pairs streamed through close's merges per
-// record — ~1 with sealing, ~16 if every window merged raw runs.
-func BenchmarkSlidingPipeline(b *testing.B) {
-	const (
-		records       = 2e6
-		windowRecords = 1_000_000
-	)
-	rows := []struct {
-		name string
-		gen  func() engine.Generator
-	}{
-		{"keys=1024", func() engine.Generator { return ingress.NewKV(ingress.KVConfig{Keys: 1 << 10, Seed: 1}) }},
-		{"keys=1Mi-hashed", func() engine.Generator { return hashedKV{rand.New(rand.NewSource(1))} }},
-	}
-	for _, row := range rows {
-		b.Run(row.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := runtime.Plan{
-					Gen: row.gen(),
-					Source: engine.SourceConfig{
-						Name: "sliding", Rate: records, BundleRecords: 10_000,
-						WindowRecords: windowRecords, WatermarkEvery: 25,
-					},
-					Win:          wm.Sliding(1_000_000, 125_000), // overlap 8
-					TotalRecords: int64(records),
-					TsCol:        2, KeyCol: 0, ValCol: 1,
-					NewAgg: ops.Sum(), Label: "sliding",
-				}
-				rep, err := runtime.Run(plan, runtime.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.Throughput/1e6, "Mrec/s")
-				if rep.ExtractNanos > 0 {
-					b.ReportMetric(float64(rep.ExtractedPairs)/float64(rep.ExtractNanos)*1e3, "extract-Mpairs/s")
-				}
-				b.ReportMetric(float64(rep.PeakWindowStateTotalBytes)/windowRecords, "state-B/rec")
-				b.ReportMetric(float64(rep.ClosePairs)/float64(rep.IngestedRecords), "close-pairs/rec")
-			}
-		})
 	}
 }
 

@@ -1,29 +1,20 @@
 // Command sbx-bench regenerates the paper's evaluation figures on the
-// simulated hardware and prints one table per figure. With -exp native
-// it instead benchmarks the native multicore backend across worker
-// counts on the quickstart workload (real wall-clock throughput).
+// simulated hardware and prints one table per figure. (The native
+// backend's wall-clock numbers come from benchmark/run.sh.)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	goruntime "runtime"
 
-	streambox "streambox"
 	"streambox/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "figure to run: fig2|fig7|fig8|fig9|fig10|fig11|figmerge|figpanes|all, or native")
+	exp := flag.String("exp", "all", "figure to run: fig2|fig7|fig8|fig9|fig10|fig11|figmerge|figpanes|all")
 	quick := flag.Bool("quick", false, "use the fast smoke-test scale")
-	records := flag.Float64("records", 10e6, "records per native measurement")
 	flag.Parse()
-
-	if *exp == "native" {
-		benchNative(*records, *quick)
-		return
-	}
 
 	sc := experiments.PaperScale()
 	cores := experiments.PaperCores
@@ -87,37 +78,4 @@ func main() {
 		}
 		experiments.RenderFigPanes(out, experiments.FigPanes(cfg))
 	})
-}
-
-// benchNative sweeps the native backend's worker count on the
-// quickstart workload (KV → Window → SumPerKey) and prints a real
-// records/second table.
-func benchNative(records float64, quick bool) {
-	if quick {
-		records /= 10
-	}
-	workerCounts := []int{1, 2, 4}
-	if n := goruntime.GOMAXPROCS(0); n > 4 {
-		workerCounts = append(workerCounts, n)
-	}
-	fmt.Println("Native backend: KV -> Window -> SumPerKey, real wall-clock")
-	fmt.Printf("%-10s %12s %12s %10s\n", "workers", "records", "Mrec/s", "windows")
-	for _, w := range workerCounts {
-		p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
-		p.Source(streambox.KV(streambox.KVConfig{Keys: 1 << 10, Seed: 1}),
-			streambox.DefaultSource(records)).
-			Window(2).
-			SumPerKey(0, 1).
-			Sink("out")
-		rep, err := streambox.Run(p, streambox.RunConfig{
-			Backend:  streambox.Native,
-			Workers:  w,
-			Duration: 1, // rate*duration = records
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-10d %12d %12.1f %10d\n", w, rep.IngestedRecords, rep.Throughput/1e6, rep.WindowsClosed)
-	}
 }

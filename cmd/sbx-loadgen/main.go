@@ -6,10 +6,12 @@
 //
 //	sbx-loadgen -addr 127.0.0.1:7077 -conns 4 -records 1000000
 //	sbx-loadgen -addr 127.0.0.1:7077 -wire columnar -records 5000000
-//	sbx-loadgen -addr 127.0.0.1:7077 -rate 200000 -duration 10 -format json
+//	sbx-loadgen -addr 127.0.0.1:7077 -rate 200000 -duration 10
 //
-// With -wire columnar the generator fills column buffers directly and
-// streams column-major frames — no per-record encoding on either end.
+// With -wire row (the default) every frame carries protobuf-style
+// records and a CRC-32C trailer; with -wire columnar the generator fills
+// column buffers directly and streams checksummed column-major frames —
+// no per-record encoding on either end.
 // Every connection is a resumable session: a lost connection is
 // redialed up to -retries times and unacked frames are replayed, the
 // server deduplicating by sequence number.
@@ -32,8 +34,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "ingest server address")
 	conns := flag.Int("conns", 4, "parallel connections")
-	wire := flag.String("wire", "row", "wire mode: row (per-record -format payloads) | columnar (column-major frames; ignores -format)")
-	formatName := flag.String("format", "pb", "row payload encoding: pb|json|text")
+	wire := flag.String("wire", "row", "wire mode: row (protobuf-style records) | columnar (column-major frames)")
 	records := flag.Int64("records", 1_000_000, "total records to send (ignored with -duration)")
 	duration := flag.Float64("duration", 0, "send for this many seconds instead of a fixed record count")
 	rate := flag.Float64("rate", 0, "open-loop target rate, records/second total (0 = closed loop, as fast as credits allow)")
@@ -57,12 +58,7 @@ func main() {
 	case "columnar":
 		format = parsefmt.Columnar
 	case "row":
-		f, err := netio.ParseFormat(*formatName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		format = f
+		format = parsefmt.PB
 	default:
 		fmt.Fprintf(os.Stderr, "unknown wire mode %q (row|columnar)\n", *wire)
 		os.Exit(2)

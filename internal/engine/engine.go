@@ -332,15 +332,6 @@ func (e *Engine) transformDemand(d memsim.Demand) memsim.Demand {
 	return out
 }
 
-// elemBytes returns the width of one grouped element: a 16-byte
-// key/pointer pair with KPA, a full record without (NoKPA ablation).
-func (e *Engine) elemBytes(schema bundle.Schema) int64 {
-	if e.cfg.UseKPA {
-		return memsim.PairBytes
-	}
-	return schema.RecordBytes()
-}
-
 // NewBundleBuilder allocates a DRAM record bundle charged to the pool
 // (at virtual size under specimen scaling).
 func (e *Engine) NewBundleBuilder(schema bundle.Schema, capacity int) (*bundle.Builder, error) {

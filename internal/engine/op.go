@@ -25,9 +25,6 @@ type Input struct {
 	PaneShare int
 }
 
-// IsKPA reports whether the input carries a KPA.
-func (in Input) IsKPA() bool { return in.K != nil }
-
 // Rows returns the record/pair count of the input.
 func (in Input) Rows() int {
 	if in.K != nil {
@@ -103,9 +100,6 @@ func (c *Ctx) Now() float64 { return c.e.Sim.Now() }
 // Windowing returns the pipeline's window configuration.
 func (c *Ctx) Windowing() wm.Windowing { return c.e.Win }
 
-// TargetWatermark returns the engine's global target watermark.
-func (c *Ctx) TargetWatermark() wm.Time { return c.e.targetWM }
-
 // Tag classifies work on data with representative event time ts.
 func (c *Ctx) Tag(ts wm.Time) Tag { return tagFor(c.e.Win, c.e.targetWM, ts) }
 
@@ -153,11 +147,6 @@ func (c *Ctx) AllocTagged(tag Tag) kpa.Allocator {
 // decision in the task body, spilling to DRAM only under exhaustion.
 func (c *Ctx) PlanPlacement(ts wm.Time) (memsim.Tier, kpa.Allocator) {
 	return c.e.planPlacement(c.Tag(ts))
-}
-
-// PlanPlacementTagged is PlanPlacement with an explicit tag.
-func (c *Ctx) PlanPlacementTagged(tag Tag) (memsim.Tier, kpa.Allocator) {
-	return c.e.planPlacement(tag)
 }
 
 // NewBuilder starts a DRAM record bundle charged against the pool.

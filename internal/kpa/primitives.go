@@ -190,22 +190,6 @@ func SortDemand(k *KPA) memsim.Demand {
 	return memsim.SortDemand(k.Tier(), k.Len())
 }
 
-// SortParallel sorts the KPA by resident keys in place using up to p
-// real goroutines (algo.ParallelSortPairs). The native runtime uses it;
-// the simulator instead expresses the same structure as SortChunk and
-// Merge tasks so parallelism costs virtual time.
-func SortParallel(k *KPA, p int) {
-	algo.ParallelSortPairs(k.pairs, p)
-	k.sorted = true
-}
-
-// SortChunk sorts pairs [lo,hi) of the KPA, the per-thread piece of the
-// paper's parallel merge-sort. The engine schedules one SortChunk task
-// per chunk followed by MergePairs tasks.
-func SortChunk(k *KPA, lo, hi int) {
-	algo.SortPairs(k.pairs[lo:hi])
-}
-
 // Merge combines two sorted KPAs with the same resident column into a
 // new sorted KPA. Both inputs remain valid (destroy them separately).
 func Merge(a, b *KPA, al Allocator) (*KPA, error) {

@@ -207,17 +207,6 @@ func (c Config) PerCoreRandomBW(t Tier, mlp int) float64 {
 	return float64(c.CacheLine) * float64(mlp) / lat
 }
 
-// CPUSeconds converts a scalar-op count into seconds on one core.
-func (c Config) CPUSeconds(ops int64) float64 {
-	return float64(ops) / (c.ClockHz * c.IPC)
-}
-
-// VectorSeconds converts a vector-op count into seconds on one core,
-// standing in for the AVX-512 kernels of the paper.
-func (c Config) VectorSeconds(ops int64) float64 {
-	return float64(ops) / (c.ClockHz * c.VectorIPC)
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {

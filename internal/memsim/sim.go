@@ -410,18 +410,6 @@ func (s *Sim) IntervalBytes() [numTiers]float64 {
 	return out
 }
 
-// CurrentBW returns the instantaneous bandwidth demand on tier t.
-func (s *Sim) CurrentBW(t Tier) float64 {
-	s.recomputeRates()
-	var cur float64
-	for _, task := range s.running {
-		if p, ok := task.currentPhase(); ok && !p.isCPU() && p.Tier == t && !math.IsInf(task.rate, 1) {
-			cur += task.rate
-		}
-	}
-	return cur
-}
-
 // completePhases advances finished phases and retires finished tasks.
 func (s *Sim) completePhases() {
 	kept := s.running[:0]
@@ -461,15 +449,6 @@ func (s *Sim) fireTimers() {
 		tm.fn(s.now)
 	}
 }
-
-// RunningTasks returns the number of tasks currently occupying cores.
-func (s *Sim) RunningTasks() int { return len(s.running) }
-
-// ReadyTasks returns the number of tasks waiting for a core.
-func (s *Sim) ReadyTasks() int { return len(s.ready) }
-
-// FreeCores returns the number of unoccupied virtual cores.
-func (s *Sim) FreeCores() int { return s.free }
 
 // DebugRunning renders the running set for diagnostics.
 func (s *Sim) DebugRunning() string {

@@ -14,8 +14,7 @@ import (
 	"streambox/internal/parsefmt"
 )
 
-// defaultFrameRecords is the records-per-frame default shared by the
-// client and the feed's row-path column sizing.
+// defaultFrameRecords is the client's records-per-frame default.
 const defaultFrameRecords = 512
 
 // defaultReplayFrames bounds the replay buffer: frames sent but not yet
@@ -35,16 +34,20 @@ type ReconnectConfig struct {
 	// retries forever).
 	MaxRetries int
 	// BaseDelay is the first backoff delay (0 picks 50ms); each retry
-	// multiplies it by Multiplier (0 picks 2) up to MaxDelay (0 picks 2s).
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter is the random fraction added to each delay, in [0,1]
-	// (0 picks 0.2; negative disables jitter).
-	Jitter float64
+	// doubles it up to MaxDelay (0 picks 2s), and adds a random fraction
+	// of up to backoffJitter.
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// Seed drives the deterministic jitter sequence.
 	Seed uint64
 }
+
+// backoffMultiplier grows the delay between redials; backoffJitter is
+// the largest random fraction added to each delay.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.2
+)
 
 func (rc *ReconnectConfig) withDefaults() ReconnectConfig {
 	out := *rc
@@ -57,19 +60,14 @@ func (rc *ReconnectConfig) withDefaults() ReconnectConfig {
 	if out.MaxDelay <= 0 {
 		out.MaxDelay = 2 * time.Second
 	}
-	if out.Multiplier <= 1 {
-		out.Multiplier = 2
-	}
-	if out.Jitter == 0 {
-		out.Jitter = 0.2
-	}
 	return out
 }
 
 // ClientConfig configures a Dial.
 type ClientConfig struct {
-	// Format selects the payload encoding (default JSON, the zero
-	// value; loadgen defaults to PB).
+	// Format selects the payload encoding: parsefmt.PB or
+	// parsefmt.Columnar, the two formats a session carries (required;
+	// Dial refuses anything else before connecting).
 	Format parsefmt.Format
 	// NoFallback is ignored: the columnar→PB fallback redial it used to
 	// suppress is gone. The field stays only because benchmark/ sets it
@@ -163,6 +161,9 @@ type Client struct {
 // server. With cfg.Reconnect set, dial-time failures (connection
 // refused, shedding) are retried with backoff before giving up.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
+	if !isWireFormat(cfg.Format) {
+		return nil, fmt.Errorf("netio: %v is not a wire format (parsefmt.PB or parsefmt.Columnar)", cfg.Format)
+	}
 	if cfg.Reconnect == nil {
 		return dialOnce(addr, cfg)
 	}
@@ -188,13 +189,10 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 // the current delay plus its jitter fraction, with the base delay
 // growing geometrically toward rc.MaxDelay.
 func jitteredDelay(prng *uint64, delay *time.Duration, rc ReconnectConfig) time.Duration {
-	d := *delay
-	if rc.Jitter > 0 {
-		*prng = splitmix64(*prng + 1)
-		frac := float64(*prng>>11) / (1 << 53)
-		d += time.Duration(float64(d) * rc.Jitter * frac)
-	}
-	next := time.Duration(float64(*delay) * rc.Multiplier)
+	*prng = splitmix64(*prng + 1)
+	frac := float64(*prng>>11) / (1 << 53)
+	d := *delay + time.Duration(float64(*delay)*backoffJitter*frac)
+	next := *delay * backoffMultiplier
 	if next > rc.MaxDelay {
 		next = rc.MaxDelay
 	}
@@ -234,7 +232,7 @@ func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 // handshake dials and opens the session on the new socket: a fresh one
-// on the first call, a resume of c.token afterwards.
+// on the first call (c.token is zero), a resume of c.token afterwards.
 func (c *Client) handshake() (conn net.Conn, credits int, lastSeq uint64, err error) {
 	conn, err = net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
@@ -253,31 +251,21 @@ func (c *Client) handshake() (conn net.Conn, credits int, lastSeq uint64, err er
 	return c.cfg.Faults.WrapConn(conn), credits, lastSeq, nil
 }
 
-// openSession runs the exchange: hello, ack, resume request (token zero
-// asks for a fresh session) and session grant. The first grant fixes
-// c.token; later ones must echo it.
+// openSession runs the exchange — one hello out, one grant back — and
+// checks the grant: the first one fixes c.token, later ones must echo it.
 func (c *Client) openSession(conn net.Conn) (credits int, lastSeq uint64, err error) {
-	if err := writeHello(conn, c.cfg.Format); err != nil {
+	if err := writeHello(conn, c.cfg.Format, c.token); err != nil {
 		return 0, 0, fmt.Errorf("netio: hello: %w", err)
 	}
-	if credits, err = readAck(conn); err != nil {
-		return 0, 0, err
-	}
-	if err := writeResume(conn, c.token); err != nil {
-		return 0, 0, fmt.Errorf("netio: resume request: %w", err)
-	}
-	token, lastSeq, err := readSessionGrant(conn)
+	g, err := readGrant(conn)
 	if err != nil {
 		return 0, 0, err
 	}
-	if token == 0 {
-		return 0, 0, ErrSessionExpired
+	if g.token == 0 || c.token != 0 && g.token != c.token {
+		return 0, 0, fmt.Errorf("netio: grant names session %#x, want %#x", g.token, c.token)
 	}
-	if c.token != 0 && token != c.token {
-		return 0, 0, fmt.Errorf("netio: session grant token mismatch")
-	}
-	c.token = token
-	return credits, lastSeq, nil
+	c.token = g.token
+	return int(g.credits), g.lastSeq, nil
 }
 
 // install makes conn the client's live connection and starts its credit
@@ -585,8 +573,9 @@ func (c *Client) sendFrame(payload []byte, records int) error {
 }
 
 // Send frames and transmits records, splitting them into frames of the
-// configured size. It blocks while the server withholds credits. On a
-// columnar connection the records are scattered into column staging
+// configured size. It blocks while the server withholds credits. A PB
+// frame's payload is the encoded records plus their CRC-32C trailer. On
+// a columnar connection the records are scattered into column staging
 // first; callers holding column data should prefer SendColumns, which
 // skips record materialization entirely.
 func (c *Client) Send(recs []parsefmt.Record) error {
@@ -598,7 +587,7 @@ func (c *Client) Send(recs []parsefmt.Record) error {
 		if n > len(recs) {
 			n = len(recs)
 		}
-		if err := c.sendFrame(parsefmt.Encode(c.cfg.Format, recs[:n]), n); err != nil {
+		if err := c.sendFrame(appendCRC(parsefmt.EncodePB(recs[:n])), n); err != nil {
 			return err
 		}
 		recs = recs[n:]

@@ -11,8 +11,8 @@ import (
 )
 
 // startMuteServer runs a protocol-correct but mute server for one
-// connection: it completes the handshake and the session grant, then
-// swallows every data frame without ever writing an ack.
+// connection: it completes the handshake, then swallows every data
+// frame without ever writing an ack.
 func startMuteServer(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -25,16 +25,7 @@ func startMuteServer(t *testing.T) net.Listener {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := readHello(conn); err != nil {
-			return
-		}
-		if writeAck(conn, statusOK, 64) != nil {
-			return
-		}
-		if _, err := readResume(conn); err != nil {
-			return
-		}
-		if writeSessionGrant(conn, 42, 0) != nil {
+		if fakeGrant(conn, 64) != nil {
 			return
 		}
 		for {
@@ -164,10 +155,7 @@ func TestReplayBufferFullTimeout(t *testing.T) {
 				}
 				go func() {
 					defer conn.Close()
-					if _, _, err := readHello(conn); err != nil || writeAck(conn, statusOK, 64) != nil {
-						return
-					}
-					if _, err := readResume(conn); err != nil || writeSessionGrant(conn, 42, 0) != nil {
+					if fakeGrant(conn, 64) != nil {
 						return
 					}
 					for {

@@ -30,7 +30,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // [lo, lo+n) of gen.
 func genPayload(format parsefmt.Format, gen *RecordGen, lo, n int) []byte {
 	if format != parsefmt.Columnar {
-		return parsefmt.Encode(format, gen.Records(uint64(lo), uint64(lo+n)))
+		return appendCRC(parsefmt.EncodePB(gen.Records(uint64(lo), uint64(lo+n))))
 	}
 	cols := make([][]uint64, 7)
 	for i := lo; i < lo+n; i++ {
@@ -42,38 +42,44 @@ func genPayload(format parsefmt.Format, gen *RecordGen, lo, n int) []byte {
 	return parsefmt.EncodeColumnarFrame(cols)
 }
 
-// rawSessionRequest runs the handshake by hand up to and including the
-// resume request, leaving the grant unread.
-func rawSessionRequest(t *testing.T, addr string, format parsefmt.Format, token uint64) (conn net.Conn, credits int) {
+// rawSessionRequest sends a hello by hand — token zero asks for a fresh
+// session — and leaves the grant unread.
+func rawSessionRequest(t *testing.T, addr string, format parsefmt.Format, token uint64) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeHello(conn, format); err != nil {
+	if err := writeHello(conn, format, token); err != nil {
 		t.Fatal(err)
 	}
-	credits, err = readAck(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeResume(conn, token); err != nil {
-		t.Fatal(err)
-	}
-	return conn, credits
+	return conn
 }
 
-// rawSessionDial runs the full handshake by hand and returns the raw
+// rawSessionDial runs the handshake by hand and returns the raw
 // connection plus the grant. A zero returned token means the server
 // refused the resume (unknown/expired session).
 func rawSessionDial(t *testing.T, addr string, format parsefmt.Format, token uint64) (conn net.Conn, credits int, gotToken, lastSeq uint64) {
 	t.Helper()
-	conn, credits = rawSessionRequest(t, addr, format, token)
-	gotToken, lastSeq, err := readSessionGrant(conn)
+	conn = rawSessionRequest(t, addr, format, token)
+	g, err := readGrant(conn)
+	if errors.Is(err, ErrSessionExpired) {
+		return conn, 0, 0, 0
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return conn, credits, gotToken, lastSeq
+	return conn, int(g.credits), g.token, g.lastSeq
+}
+
+// fakeGrant plays the server's half of the handshake on conn: whatever
+// the hello asks, it is granted session 42 at sequence zero with the
+// given credits.
+func fakeGrant(conn net.Conn, credits uint16) error {
+	if _, _, _, err := readHello(conn); err != nil {
+		return err
+	}
+	return writeGrant(conn, grant{status: statusOK, credits: credits, token: 42})
 }
 
 // awaitAck reads credit acks off a raw session connection until the
@@ -154,6 +160,63 @@ func TestIdleTimeoutClosesSilentConn(t *testing.T) {
 	}
 }
 
+// TestAckWriteDeadlineSeversNonReadingClient pins the bound on the ack
+// write. A client that keeps sending frames but never reads its acks
+// fills the socket buffers; the handler used to block in that write
+// with no deadline — attached, so the reaper never parked its cursor and
+// every window stayed open behind it. The write is bounded by
+// IdleTimeout: past it the connection is severed, counted as an idle
+// timeout, and the session detaches and parks like any lost client's.
+// The connection is an in-memory pipe, the limit of a shrunken socket
+// buffer: nothing is buffered, so the first ack nobody reads blocks.
+// (Over loopback TCP the kernel's receive-queue collapsing lets an ack
+// through every ~40 ms for seconds before the buffers are really full,
+// and how long depends on the host.)
+func TestAckWriteDeadlineSeversNonReadingClient(t *testing.T) {
+	feed := NewFeed(WireSchema(), 8)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Feed:           feed,
+		IdleTimeout:    100 * time.Millisecond,
+		CursorGrace:    20 * time.Millisecond,
+		SessionTimeout: time.Minute,
+		ReapInterval:   5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, done := collect(feed)
+	gen := RecordGen{Keys: 16, WindowRecords: 100}
+
+	conn, served := net.Pipe()
+	defer conn.Close()
+	srv.wg.Add(1)
+	go srv.handle(served)
+	if err := writeHello(conn, parsefmt.Columnar, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readGrant(conn); err != nil {
+		t.Fatal(err)
+	}
+	// Frames go out for as long as the server takes them; no ack is
+	// ever read. The writes end when the server severs the connection.
+	payload := genPayload(parsefmt.Columnar, &gen, 0, 10)
+	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	for seq := uint64(1); writeSeqFrame(conn, seq, payload) == nil; seq++ {
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		ctr := srv.Counters()
+		return ctr.ActiveConns == 0 && ctr.ActiveSessions == 1 && ctr.ParkedCursors == 1
+	}, "the non-reading client to be severed, its session detached and its cursor parked")
+	if n := srv.Counters().IdleTimeouts; n != 1 {
+		t.Fatalf("IdleTimeouts = %d, want 1 (the expired ack write)", n)
+	}
+	srv.Close()
+	<-done
+	if n := got.Load(); n != 10 {
+		t.Fatalf("ingested %d records, want the 10 of the frame whose ack stalled", n)
+	}
+}
+
 // TestClientWriteTimeout pins the typed write-deadline error: against a
 // server that handshakes and then never reads, a client with a
 // WriteTimeout surfaces *TimeoutError instead of blocking forever.
@@ -174,16 +237,10 @@ func TestClientWriteTimeout(t *testing.T) {
 		}
 		// Handshake, grant a huge credit window, then go silent: never
 		// read a frame, never grant again.
-		if _, _, err := readHello(conn); err != nil {
+		if fakeGrant(conn, 0xFFFF) != nil {
 			conn.Close()
 			return
 		}
-		writeAck(conn, statusOK, 0xFFFF)
-		if _, err := readResume(conn); err != nil {
-			conn.Close()
-			return
-		}
-		writeSessionGrant(conn, 42, 0)
 		accepted <- conn
 	}()
 
@@ -310,18 +367,15 @@ func TestAbruptDisconnectMatrix(t *testing.T) {
 		}
 		conn.Write([]byte("SBX"))
 		conn.Close()
-		// Admitted (hello acked), gone before the resume request: the
-		// slot frees and no session was ever created.
+		// Gone inside the hello's second half, after the version was
+		// accepted: nothing was admitted and no session was created.
+		var hello bytes.Buffer
+		writeHello(&hello, parsefmt.Columnar, 0)
 		conn, err = net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeHello(conn, parsefmt.Columnar); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readAck(conn); err != nil {
-			t.Fatal(err)
-		}
+		conn.Write(hello.Bytes()[:helloBytes-3])
 		conn.Close()
 		settle(t)
 	})
@@ -349,8 +403,8 @@ func TestAbruptDisconnectMatrix(t *testing.T) {
 		t.Fatalf("feed delivered %d records, server counted %d", n, final.IngestedRecords)
 	}
 
-	// Abandoned sessions: one cut between the resume request and the
-	// grant, one cut mid-frame, neither ever resumed. Their cursors hold
+	// Abandoned sessions: one cut between the hello and the grant, one
+	// cut mid-frame, neither ever resumed. Their cursors hold
 	// the watermark for CursorGrace, are parked, and go with the sessions
 	// at SessionTimeout.
 	feed2 := NewFeed(WireSchema(), 64)
@@ -365,7 +419,7 @@ func TestAbruptDisconnectMatrix(t *testing.T) {
 	}
 	_, done2 := collect(feed2)
 	addr2 := srv2.Addr().String()
-	conn, _ := rawSessionRequest(t, addr2, parsefmt.Columnar, 0)
+	conn := rawSessionRequest(t, addr2, parsefmt.Columnar, 0)
 	conn.Close()
 	conn, _, token, _ := rawSessionDial(t, addr2, parsefmt.Columnar, 0)
 	conn.Write(wireFrame(1))
@@ -528,19 +582,19 @@ func testTakeoverWaitsForInFlightDelivery(t *testing.T, format parsefmt.Format) 
 		return true
 	}, "connection A to stall delivering frame 2")
 
-	connB, _ := rawSessionRequest(t, addr, format, token)
+	connB := rawSessionRequest(t, addr, format, token)
 	defer connB.Close()
 	waitFor(t, 5*time.Second, func() bool { return srv.Counters().SessionsResumed == 1 }, "connection B's resume")
 	connB.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-	if _, last, err := readSessionGrant(connB); err == nil {
-		t.Fatalf("grant (lastSeq %d) written while frame 2 was still being delivered", last)
+	if g, err := readGrant(connB); err == nil {
+		t.Fatalf("grant (lastSeq %d) written while frame 2 was still being delivered", g.lastSeq)
 	}
 	connB.SetReadDeadline(time.Time{})
 
 	got, done := collect(feed) // resume the feed
-	tokenB, lastB, err := readSessionGrant(connB)
-	if err != nil || tokenB != token || lastB != 2 {
-		t.Fatalf("resume grant token=%d lastSeq=%d err=%v, want %d/2", tokenB, lastB, err, token)
+	g, err := readGrant(connB)
+	if err != nil || g.token != token || g.lastSeq != 2 {
+		t.Fatalf("resume grant token=%d lastSeq=%d err=%v, want %d/2", g.token, g.lastSeq, err, token)
 	}
 	if err := writeSeqFrame(connB, 3, genPayload(format, &gen, 20, 10)); err != nil {
 		t.Fatal(err)
@@ -558,7 +612,7 @@ func testTakeoverWaitsForInFlightDelivery(t *testing.T, format parsefmt.Format) 
 
 // TestOverloadShedsNewConns pins admission control: handshakes past
 // MaxConns (or while ShedPressure holds) are refused with a
-// statusOverloaded ack that surfaces as ErrOverloaded.
+// statusOverloaded grant that surfaces as ErrOverloaded.
 func TestOverloadShedsNewConns(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, MaxConns: 1})

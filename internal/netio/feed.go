@@ -62,7 +62,7 @@ type Feed struct {
 
 	// pool owns the column slabs behind every batch. Until UsePool
 	// attaches one (standalone feeds in tests), columns fall back to
-	// plain make and Recycle keeps them on the header for append reuse.
+	// plain make and Recycle keeps them on the header for reuse.
 	pool atomic.Pointer[mempool.Pool]
 
 	// headers recycles the [][]uint64 batch headers only — never column
@@ -150,8 +150,8 @@ func (f *Feed) Inject(conn int64, cols [][]uint64, maxTs uint64) bool {
 	return f.push(batch{conn: conn, cols: cols, maxTs: maxTs})
 }
 
-// BorrowCols exposes the columnar receive path's slab borrowing for
-// recovery replay: exact-length columns the caller must fill entirely.
+// BorrowCols exposes the receive path's slab borrowing for recovery
+// replay: exact-length columns the caller must fill entirely.
 func (f *Feed) BorrowCols(rows int) [][]uint64 { return f.borrowCols(rows) }
 
 // Retire removes conn's cursor after any batches already injected for
@@ -292,8 +292,8 @@ func (f *Feed) Recv(maxWait time.Duration) ([][]uint64, bool, bool) {
 // Recycle implements runtime.BatchRecycler: the runtime hands back a
 // batch's column buffers after copying them into a bundle. Column slabs
 // return to the mempool's column free lists; the bare header joins the
-// header pool. Without an attached pool, columns stay on the header,
-// truncated, for append reuse.
+// header pool. Without an attached pool, columns stay on the header for
+// borrowCols to reslice.
 func (f *Feed) Recycle(cols [][]uint64) {
 	if len(cols) != f.schema.NumCols {
 		return
@@ -303,40 +303,15 @@ func (f *Feed) Recycle(cols [][]uint64) {
 			p.PutCol(colTier, cols[i])
 			cols[i] = nil
 		}
-	} else {
-		for i := range cols {
-			cols[i] = cols[i][:0]
-		}
 	}
 	f.headers.Put(&cols)
 }
 
-// getCols returns an empty column-major batch for the row-format append
-// decoder: a recycled header whose columns have length zero and room
-// for rows records — the connection's largest frame so far. With a pool
-// attached each column is a pooled slab of that size's class, the class
-// Recycle files it back under, so steady-state appends stay within
-// recycled capacity instead of growing slabs into a class nobody draws.
-func (f *Feed) getCols(rows int) [][]uint64 {
-	cols := f.getHeader()
-	p := f.pool.Load()
-	for i := range cols {
-		if cols[i] == nil {
-			if p != nil {
-				cols[i] = p.TakeCol(colTier, rows)
-			} else {
-				cols[i] = make([]uint64, 0, rows)
-			}
-		}
-		cols[i] = cols[i][:0]
-	}
-	return cols
-}
-
-// borrowCols returns a batch of exact-length columns for the columnar
-// receive path: frame payload bytes are read straight into these slabs.
+// borrowCols returns a batch of exact-length columns, the one way a
+// decode step gets storage: columnar frames read their payload bytes
+// straight into these slabs, PB frames are transposed into them.
 // Recycled slabs hold stale contents; the caller overwrites every
-// element (io.ReadFull fills each column completely).
+// element.
 func (f *Feed) borrowCols(rows int) [][]uint64 {
 	cols := f.getHeader()
 	p := f.pool.Load()

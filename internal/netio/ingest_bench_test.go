@@ -90,12 +90,9 @@ func benchIngest(b *testing.B, format parsefmt.Format, log FrameLog) {
 	b.ReportMetric(float64(drained.Load())/b.Elapsed().Seconds(), "rec/s")
 }
 
-// BenchmarkIngest compares the ingest formats end to end; CSV is the
-// Text wire format under its benchmark-table name.
+// BenchmarkIngest compares the two wire formats end to end.
 func BenchmarkIngest(b *testing.B) {
-	b.Run("JSON", func(b *testing.B) { benchIngest(b, parsefmt.JSON, nil) })
 	b.Run("PB", func(b *testing.B) { benchIngest(b, parsefmt.PB, nil) })
-	b.Run("CSV", func(b *testing.B) { benchIngest(b, parsefmt.Text, nil) })
 	b.Run("Columnar", func(b *testing.B) { benchIngest(b, parsefmt.Columnar, nil) })
 }
 

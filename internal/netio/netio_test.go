@@ -23,22 +23,25 @@ import (
 
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeHello(&buf, parsefmt.Columnar); err != nil {
+	if err := writeHello(&buf, parsefmt.Columnar, 0xA1B2C3D4E5F60718); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.Bytes(), []byte("SBX1\x03\x03\x01\x00"); !bytes.Equal(got, want) {
+	if got, want := buf.Bytes(), []byte("SBX1\x04\x03\x00\x00\xA1\xB2\xC3\xD4\xE5\xF6\x07\x18"); !bytes.Equal(got, want) {
 		t.Fatalf("hello bytes % x, want % x", got, want)
 	}
-	f, status, err := readHello(&buf)
-	if err != nil || status != statusOK || f != parsefmt.Columnar {
-		t.Fatalf("hello round trip: %v %d %v", f, status, err)
+	f, token, status, err := readHello(&buf)
+	if err != nil || status != statusOK || f != parsefmt.Columnar || token != 0xA1B2C3D4E5F60718 {
+		t.Fatalf("hello round trip: %v %#x %d %v", f, token, status, err)
 	}
 
 	buf.Reset()
-	writeAck(&buf, statusOK, 37)
-	credits, err := readAck(&buf)
-	if err != nil || credits != 37 {
-		t.Fatalf("ack round trip: %d %v", credits, err)
+	want := grant{status: statusOK, credits: 37, token: 42, lastSeq: 9}
+	writeGrant(&buf, want)
+	if buf.Len() != grantBytes {
+		t.Fatalf("grant is %d bytes, want %d", buf.Len(), grantBytes)
+	}
+	if g, err := readGrant(&buf); err != nil || g != want {
+		t.Fatalf("grant round trip: %+v %v", g, err)
 	}
 
 	buf.Reset()
@@ -58,34 +61,78 @@ func TestWireRoundTrip(t *testing.T) {
 	if n, last, err := readCreditAck(&buf); err != nil || n != 5 || last != 9 {
 		t.Fatalf("credit ack round trip: %d %d %v", n, last, err)
 	}
+
+	// The PB trailer: any one-bit flip, in the records or in the trailer
+	// itself, fails verification; so does a payload too short to carry it.
+	framed := appendCRC(bytes.Clone(payload))
+	if body, ok := splitCRC(framed); !ok || !bytes.Equal(body, payload) {
+		t.Fatalf("CRC trailer round trip: %q %v", body, ok)
+	}
+	for bit := 0; bit < len(framed)*8; bit++ {
+		framed[bit/8] ^= 1 << (bit % 8)
+		if _, ok := splitCRC(framed); ok {
+			t.Fatalf("bit %d flipped and the trailer still verified", bit)
+		}
+		framed[bit/8] ^= 1 << (bit % 8)
+	}
+	if _, ok := splitCRC(framed[:crcBytes-1]); ok {
+		t.Fatal("a payload shorter than its trailer verified")
+	}
+}
+
+// retiredHellos are the 8-byte hellos of the protocols this build
+// refuses: version 1 (row formats), version 2 (plus columnar), version 3
+// (sessions, opened by a four-message exchange).
+var retiredHellos = []struct{ name, hello string }{
+	{"v1 row", "SBX1\x01\x01\x00\x00"},
+	{"v2 columnar", "SBX1\x02\x03\x00\x00"},
+	{"v3 session", "SBX1\x03\x03\x01\x00"},
+}
+
+// v4Hello is a version-4 hello for a fresh session with the given
+// format code.
+func v4Hello(format byte) string {
+	return "SBX1\x04" + string(format) + "\x00\x00" + strings.Repeat("\x00", 8)
 }
 
 func TestWireRejectsBadHandshake(t *testing.T) {
-	for _, tc := range []struct {
+	type tc struct {
 		name, hello string
 		status      byte
-	}{
-		{"bad magic", "XXXX\x03\x00\x01\x00", statusBadMagic},
-		{"future version", "SBX1\x09\x00\x01\x00", statusBadMagic},
-		{"retired version 1", "SBX1\x01\x01\x00\x00", statusBadMagic},
-		{"retired version 2", "SBX1\x02\x03\x00\x00", statusBadMagic},
-		{"no session flag", "SBX1\x03\x03\x00\x00", statusBadMagic},
-		{"unknown format", "SBX1\x03\x09\x01\x00", statusBadFormat},
-	} {
-		if _, status, err := readHello(strings.NewReader(tc.hello)); err == nil || status != tc.status {
+	}
+	cases := []tc{
+		{"bad magic", "XXXX\x04\x03\x00\x00", statusBadMagic},
+		{"future version", "SBX1\x09\x03\x00\x00", statusBadMagic},
+		{"JSON code", v4Hello(byte(parsefmt.JSON)), statusBadFormat},
+		{"text code", v4Hello(byte(parsefmt.Text)), statusBadFormat},
+		{"unknown format", v4Hello(9), statusBadFormat},
+		{"cut inside the token", v4Hello(byte(parsefmt.PB))[:helloBytes-1], statusBadMagic},
+	}
+	for _, r := range retiredHellos {
+		// Refused on the eight bytes those protocols send: nothing after
+		// them is waited for.
+		cases = append(cases, tc{r.name, r.hello, statusBadMagic})
+	}
+	for _, tc := range cases {
+		if _, _, status, err := readHello(strings.NewReader(tc.hello)); err == nil || status != tc.status {
 			t.Fatalf("%s: status %d err %v, want status %d and an error", tc.name, status, err, tc.status)
 		}
 	}
-	var buf bytes.Buffer
-	writeAck(&buf, statusOverloaded, 0)
-	if _, err := readAck(&buf); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("overloaded ack: %v, want ErrOverloaded", err)
-	}
-	for _, status := range []byte{statusBadMagic, statusBadFormat} {
-		buf.Reset()
-		writeAck(&buf, status, 0)
-		if _, err := readAck(&buf); err == nil || errors.Is(err, ErrOverloaded) {
-			t.Fatalf("status-%d ack: %v, want a rejection error", status, err)
+	for _, tc := range []struct {
+		status byte
+		want   error // nil: some other rejection error
+	}{
+		{statusOverloaded, ErrOverloaded},
+		{statusExpired, ErrSessionExpired},
+		{statusBadMagic, nil},
+		{statusBadFormat, nil},
+	} {
+		var buf bytes.Buffer
+		writeGrant(&buf, grant{status: tc.status})
+		_, err := readGrant(&buf)
+		if err == nil || tc.want != nil && !errors.Is(err, tc.want) ||
+			tc.want == nil && (errors.Is(err, ErrOverloaded) || errors.Is(err, ErrSessionExpired)) {
+			t.Fatalf("status-%d grant: %v, want %v", tc.status, err, tc.want)
 		}
 	}
 }
@@ -148,7 +195,7 @@ func collect(f *Feed) (*atomic.Int64, chan struct{}) {
 }
 
 func TestServerClientLoopback(t *testing.T) {
-	for _, format := range []parsefmt.Format{parsefmt.JSON, parsefmt.PB, parsefmt.Text, parsefmt.Columnar} {
+	for _, format := range sessionFormats {
 		feed := NewFeed(WireSchema(), 8)
 		srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
 		if err != nil {
@@ -451,29 +498,31 @@ func TestConnCountersExposeCreditWindow(t *testing.T) {
 	<-done
 }
 
-// rawHelloAck writes hello bytes to a fresh socket and returns the
-// server's ack plus whether the server then closed the socket.
-func rawHelloAck(t *testing.T, addr string, hello []byte) (ack [8]byte, closed bool) {
+// rawHelloGrant writes hello bytes to a fresh socket and returns the
+// server's grant plus whether the server then closed the socket.
+func rawHelloGrant(t *testing.T, addr string, hello string) (g [grantBytes]byte, closed bool) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(hello); err != nil {
+	if _, err := conn.Write([]byte(hello)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+	if _, err := io.ReadFull(conn, g[:]); err != nil {
 		t.Fatal(err)
 	}
 	_, err = conn.Read(make([]byte, 1))
-	return ack, err == io.EOF
+	return g, err == io.EOF
 }
 
-// TestHelloAckOverWire exercises the rejection acks end to end: bad
-// magic and bad format both come back as explicit statuses on the
-// socket, not just dropped connections.
+// TestHelloAckOverWire exercises the refusals end to end: bad magic, a
+// format no session carries (JSON and text among them) and a resume
+// token naming no session each come back as an explicit status on the
+// socket, not just a dropped connection — and the client refuses the
+// non-wire formats itself, before it connects.
 func TestHelloAckOverWire(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
@@ -481,19 +530,113 @@ func TestHelloAckOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	addr := srv.Addr().String()
 
-	if ack, _ := rawHelloAck(t, srv.Addr().String(), []byte("XXXX\x03\x00\x01\x00")); ack[5] != statusBadMagic {
-		t.Fatalf("bad magic acked with status %d, want %d", ack[5], statusBadMagic)
+	for _, tc := range []struct {
+		name, hello string
+		status      byte
+	}{
+		{"bad magic", "XXXX\x04\x03\x00\x00", statusBadMagic},
+		{"JSON code", v4Hello(byte(parsefmt.JSON)), statusBadFormat},
+		{"text code", v4Hello(byte(parsefmt.Text)), statusBadFormat},
+		{"unknown format", v4Hello(9), statusBadFormat},
+		{"unknown token", v4Hello(byte(parsefmt.PB))[:8] + "\x00\x00\x00\x00\x00\x00\x12\x34", statusExpired},
+	} {
+		g, closed := rawHelloGrant(t, addr, tc.hello)
+		if [4]byte(g[:4]) != magicGrant || g[4] != Version || g[5] != tc.status || !closed {
+			t.Fatalf("%s answered % x (closed %v), want status %d and a close", tc.name, g, closed, tc.status)
+		}
 	}
-	if ack, _ := rawHelloAck(t, srv.Addr().String(), []byte("SBX1\x03\x09\x01\x00")); ack[5] != statusBadFormat {
-		t.Fatalf("bad format acked with status %d, want %d", ack[5], statusBadFormat)
+	// The same unknown token through the client's half of the exchange.
+	c := &Client{cfg: ClientConfig{Format: parsefmt.PB}, token: 0x1234}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, _, err := c.openSession(conn); !errors.Is(err, ErrSessionExpired) {
+		t.Fatalf("resume of an unknown token: %v, want ErrSessionExpired", err)
+	}
+
+	before := srv.Counters().Conns
+	for _, f := range []parsefmt.Format{parsefmt.JSON, parsefmt.Text, parsefmt.Format(9)} {
+		if _, err := Dial(addr, ClientConfig{Format: f}); err == nil {
+			t.Fatalf("Dial accepted format %d", f)
+		}
+	}
+	if n := srv.Counters().Conns; n != before {
+		t.Fatalf("Dial connected %d times before refusing a non-wire format", n-before)
+	}
+	if n := srv.Counters().ActiveSessions; n != 0 {
+		t.Fatalf("ActiveSessions = %d after refused hellos, want 0", n)
 	}
 }
 
-// TestHelloRejectsLegacyModes: the retired protocol modes — a version-1
-// hello, a version-2 columnar hello, and a version-3 hello without the
-// session flag — are each refused with statusBadMagic and a close, and
-// leave nothing behind on the server.
+// countingConn counts the calls and bytes of each direction.
+type countingConn struct {
+	net.Conn
+	reads, writes, readBytes, writtenBytes int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads++
+	c.readBytes += n
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.writes++
+	c.writtenBytes += n
+	return n, err
+}
+
+// TestHandshakeIsOneExchange: opening a session — fresh or resumed — is
+// one client write and one client read, after which the connection
+// carries frames.
+func TestHandshakeIsOneExchange(t *testing.T) {
+	feed := NewFeed(WireSchema(), 8)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, FrameCredits: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, done := collect(feed)
+	gen := RecordGen{Keys: 16, WindowRecords: 100}
+
+	c := &Client{cfg: ClientConfig{Format: parsefmt.PB}}
+	for round, wantLast := range []uint64{0, 1} {
+		raw, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := &countingConn{Conn: raw}
+		credits, last, err := c.openSession(conn)
+		if err != nil || credits != 5 || last != wantLast || c.token == 0 {
+			t.Fatalf("round %d: credits %d lastSeq %d token %#x err %v", round, credits, last, c.token, err)
+		}
+		if conn.writes != 1 || conn.writtenBytes != helloBytes || conn.reads != 1 || conn.readBytes != grantBytes {
+			t.Fatalf("round %d: %d writes (%d B), %d reads (%d B); want one %d-byte hello and one %d-byte grant",
+				round, conn.writes, conn.writtenBytes, conn.reads, conn.readBytes, helloBytes, grantBytes)
+		}
+		seq := wantLast + 1
+		if err := writeSeqFrame(conn, seq, genPayload(parsefmt.PB, &gen, int(wantLast)*10, 10)); err != nil {
+			t.Fatal(err)
+		}
+		awaitAck(t, conn, seq)
+		raw.Close() // abrupt: the second round resumes the session
+	}
+	srv.Close()
+	<-done
+	if n := got.Load(); n != 20 {
+		t.Fatalf("ingested %d records, want 20", n)
+	}
+}
+
+// TestHelloRejectsLegacyModes: the retired protocols' hellos — version
+// 1, version 2 columnar, version 3 sessions — are each refused with
+// statusBadMagic and a close, on the eight bytes they send, and leave
+// nothing behind on the server.
 func TestHelloRejectsLegacyModes(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
@@ -502,14 +645,10 @@ func TestHelloRejectsLegacyModes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for _, tc := range []struct{ name, hello string }{
-		{"v1 row", "SBX1\x01\x01\x00\x00"},
-		{"v2 columnar", "SBX1\x02\x03\x00\x00"},
-		{"v3 sessionless", "SBX1\x03\x03\x00\x00"},
-	} {
-		ack, closed := rawHelloAck(t, srv.Addr().String(), []byte(tc.hello))
-		if [4]byte(ack[:4]) != magicAck || ack[4] != Version || ack[5] != statusBadMagic {
-			t.Fatalf("%s hello acked % x, want status %d at version %d", tc.name, ack, statusBadMagic, Version)
+	for _, tc := range retiredHellos {
+		g, closed := rawHelloGrant(t, srv.Addr().String(), tc.hello)
+		if [4]byte(g[:4]) != magicGrant || g[4] != Version || g[5] != statusBadMagic {
+			t.Fatalf("%s hello answered % x, want status %d at version %d", tc.name, g, statusBadMagic, Version)
 		}
 		if !closed {
 			t.Fatalf("%s hello: socket left open after the rejection", tc.name)
@@ -524,9 +663,13 @@ func TestHelloRejectsLegacyModes(t *testing.T) {
 	}
 }
 
-// TestServerCountsDecodeErrors: a row frame that goes bad part-way keeps
-// its good records, counts one decode error, and is consumed — the ack
-// advances and the stream carries on.
+// TestServerCountsDecodeErrors pins the two ways a PB frame goes wrong.
+// One that passes its CRC and does not parse is the sender's bug: one
+// decode error, dropped whole — the good records ahead of the damage
+// included — and consumed, so the ack advances and the stream carries
+// on. One that fails its CRC was damaged in flight: one checksum error,
+// the connection severed without the ack advancing, and the replay of
+// the same sequence number is what gets ingested.
 func TestServerCountsDecodeErrors(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
@@ -534,15 +677,32 @@ func TestServerCountsDecodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, done := collect(feed)
+	addr := srv.Addr().String()
 
-	conn, _, _, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.Text, 0)
-	// A frame whose payload goes bad after two valid records.
-	payload := append(parsefmt.EncodeText(RecordGen{}.Records(0, 2)), []byte("not,a,record\n")...)
-	if err := writeSeqFrame(conn, 1, payload); err != nil {
+	conn, _, token, _ := rawSessionDial(t, addr, parsefmt.PB, 0)
+	// Two valid records, then a record with field number 9.
+	misencoded := appendCRC(append(parsefmt.EncodePB(RecordGen{}.Records(0, 2)), 0x02, 0x48, 0x01))
+	if err := writeSeqFrame(conn, 1, misencoded); err != nil {
 		t.Fatal(err)
 	}
 	awaitAck(t, conn, 1)
-	if err := writeSeqFrame(conn, 2, parsefmt.EncodeText(RecordGen{}.Records(2, 4))); err != nil {
+	good := appendCRC(parsefmt.EncodePB(RecordGen{}.Records(2, 4)))
+	damaged := bytes.Clone(good)
+	damaged[3] ^= 0x10
+	if err := writeSeqFrame(conn, 2, damaged); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, last, err := readCreditAck(conn); err == nil {
+		t.Fatalf("damaged frame acked (cumulative ack %d); want the connection severed", last)
+	}
+	conn.Close()
+
+	conn, _, _, last := rawSessionDial(t, addr, parsefmt.PB, token)
+	if last != 1 {
+		t.Fatalf("resume grant says %d, want 1: the misencoded frame consumed, the damaged one not", last)
+	}
+	if err := writeSeqFrame(conn, 2, good); err != nil { // the replay, intact
 		t.Fatal(err)
 	}
 	awaitAck(t, conn, 2)
@@ -555,11 +715,11 @@ func TestServerCountsDecodeErrors(t *testing.T) {
 	<-done
 
 	ctr := srv.Counters()
-	if ctr.DecodeErrors != 1 {
-		t.Fatalf("decode errors %d, want 1", ctr.DecodeErrors)
+	if ctr.DecodeErrors != 1 || ctr.ChecksumErrors != 1 || ctr.DuplicateFrames != 0 {
+		t.Fatalf("decode errors %d, checksum errors %d, duplicates %d; want 1, 1, 0", ctr.DecodeErrors, ctr.ChecksumErrors, ctr.DuplicateFrames)
 	}
-	if got.Load() != 4 || ctr.IngestedRecords != 4 {
-		t.Fatalf("ingested %d/%d, want 4 (valid records around the bad frame)", got.Load(), ctr.IngestedRecords)
+	if got.Load() != 2 || ctr.IngestedRecords != 2 {
+		t.Fatalf("ingested %d/%d, want the 2 records of the replayed frame", got.Load(), ctr.IngestedRecords)
 	}
 }
 

@@ -2,7 +2,6 @@ package netio
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -23,8 +22,9 @@ const (
 	// acceptShards is the number of acceptor goroutines sharing the
 	// listener.
 	acceptShards = 2
-	// handshakeTimeout bounds the wait for a client's hello and resume
-	// request.
+	// handshakeTimeout bounds the handshake — reading the client's hello
+	// and writing the grant — and, when no IdleTimeout is configured,
+	// each ack write.
 	handshakeTimeout = 10 * time.Second
 )
 
@@ -46,7 +46,8 @@ type ServerConfig struct {
 	// IdleTimeout bounds the steady-state wait for the next frame from a
 	// connected client; a connection silent past it is severed and its
 	// session left for the reaper to park and expire. Zero disables the
-	// deadline.
+	// deadline. It also bounds each ack write (10s when zero): a client
+	// that sends but never reads its acks is severed the same way.
 	IdleTimeout time.Duration
 	// CursorGrace is how long a detached session's watermark cursor keeps
 	// holding window closes before it is parked (excluded from the
@@ -57,7 +58,7 @@ type ServerConfig struct {
 	// negative disables expiry.
 	SessionTimeout time.Duration
 	// MaxConns caps concurrently served connections; a handshake past
-	// the cap is shed with a statusOverloaded ack. Zero means unlimited.
+	// the cap is shed with a statusOverloaded grant. Zero means unlimited.
 	MaxConns int
 	// ShedPressure, when non-nil, sheds *new* handshakes while it
 	// returns true (wired to mempool pressure past the shedding
@@ -126,7 +127,8 @@ type Counters struct {
 	// number still open.
 	Conns, ActiveConns int64
 	// Frames counts data frames received; FramesByFormat splits the
-	// count by wire format code.
+	// count by wire format code (parsefmt.PB and parsefmt.Columnar; the
+	// other entries stay zero).
 	Frames         int64
 	FramesByFormat [4]int64
 	// IngestedRecords counts records decoded and delivered to the feed.
@@ -136,8 +138,8 @@ type Counters struct {
 	DroppedRecords int64
 	// DecodeErrors counts frames whose payload failed to decode
 	// (malformed bytes, bad columnar geometry, oversized frames);
-	// ChecksumErrors separately counts columnar frames whose payload
-	// parsed but failed checksum verification — corruption in transit
+	// ChecksumErrors separately counts frames of either format whose
+	// payload failed checksum verification — corruption in transit
 	// rather than a confused or hostile sender.
 	DecodeErrors   int64
 	ChecksumErrors int64
@@ -151,7 +153,7 @@ type Counters struct {
 	// first copy was lost with the connection.
 	DuplicateFrames int64
 	// ShedConns counts handshakes refused by admission control (MaxConns
-	// or ShedPressure) with a statusOverloaded ack.
+	// or ShedPressure) with a statusOverloaded grant.
 	ShedConns int64
 	// ExpiredSessions counts detached sessions reaped past
 	// SessionTimeout; ParkedCursors is the current number of watermark
@@ -159,7 +161,8 @@ type Counters struct {
 	ExpiredSessions int64
 	ParkedCursors   int64
 	// IdleTimeouts counts connections severed by the steady-state
-	// IdleTimeout read deadline.
+	// deadlines: no frame arrived, or an ack could not be written, for
+	// IdleTimeout.
 	IdleTimeouts int64
 }
 
@@ -216,8 +219,8 @@ type Server struct {
 	pending map[net.Conn]struct{} // accepted, handshake not yet complete
 	// admitted counts handshakes past admission control whose handler
 	// has not exited — Counters.ActiveConns. The MaxConns slot is taken
-	// before the OK ack goes out, not when the connection later joins
-	// conns, so a client that has its ack is already counted.
+	// before the grant goes out, not when the connection joins conns, so
+	// a client that has its grant is already counted.
 	admitted int
 	nextID   int64
 
@@ -265,7 +268,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		cfg.FrameCredits = 16
 	}
 	if cfg.FrameCredits > 0xFFFF {
-		cfg.FrameCredits = 0xFFFF // the ack carries the grant as uint16
+		cfg.FrameCredits = 0xFFFF // the grant carries the credits as uint16
 	}
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrameBytes
@@ -322,7 +325,9 @@ func (s *Server) declareMetrics() {
 	s.shed = m.Counter("streambox_ingest_shed_connections_total")
 	s.idleTOs = m.Counter("streambox_ingest_idle_timeouts_total")
 	for f, label := range formatLabel {
-		s.framesByFmt[f] = m.Counter(`streambox_ingest_format_frames_total{format="` + label + `"}`)
+		if label != "" {
+			s.framesByFmt[f] = m.Counter(`streambox_ingest_format_frames_total{format="` + label + `"}`)
+		}
 	}
 	m.Collect(func(e *metrics.Emitter) {
 		c := s.Counters()
@@ -480,8 +485,10 @@ func (s *Server) Counters() Counters {
 		ParkedCursors:   int64(parked),
 		IdleTimeouts:    s.idleTOs.Load(),
 	}
-	for i := range c.FramesByFormat {
-		c.FramesByFormat[i] = s.framesByFmt[i].Load()
+	for i, ctr := range s.framesByFmt {
+		if ctr != nil {
+			c.FramesByFormat[i] = ctr.Load()
+		}
 	}
 	return c
 }
@@ -584,7 +591,7 @@ func (s *Server) readBufSize(f parsefmt.Format) int {
 // admit is the admission-control decision for one completed hello. It
 // sheds when the connection count is at the cap or the pressure signal
 // says the engine is past its memory headroom; otherwise it reserves
-// the connection's MaxConns slot — under the lock, before the OK ack is
+// the connection's MaxConns slot — under the lock, before the grant is
 // written, so concurrent dials cannot both see the last free slot — and
 // the handler returns it when it exits. Established connections are
 // never shed — they are throttled through credit withholding
@@ -602,8 +609,9 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// handle runs one connection: handshake (hello, admission, session open
-// or resume), then the frame loop.
+// handle runs one connection: the handshake — read the hello, admit or
+// shed, open or resume the session, answer with the grant, all under one
+// deadline — then the frame loop.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -620,18 +628,18 @@ func (s *Server) handle(conn net.Conn) {
 	s.pending[conn] = struct{}{}
 	s.mu.Unlock()
 
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	format, status, err := readHello(conn)
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	format, token, status, err := readHello(conn)
 	s.mu.Lock()
 	delete(s.pending, conn)
 	s.mu.Unlock()
 	if err != nil {
-		writeAck(conn, status, 0)
+		writeGrant(conn, grant{status: status})
 		return
 	}
 	if !s.admit() {
 		s.shed.Add(1)
-		writeAck(conn, statusOverloaded, 0)
+		writeGrant(conn, grant{status: statusOverloaded})
 		return
 	}
 	defer func() {
@@ -640,16 +648,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	if writeAck(conn, statusOK, uint16(s.cfg.FrameCredits)) != nil {
-		return
-	}
-
-	// Session phase, still under the handshake deadline: the client
-	// names the session to resume, or zero to open a fresh one.
-	token, err := readResume(conn)
-	if err != nil {
-		return
-	}
 	fresh := token == 0
 	var sess *session
 	if fresh {
@@ -668,12 +666,11 @@ func (s *Server) handle(conn net.Conn) {
 		if sess == nil {
 			// Unknown or expired: the client cannot resume
 			// exactly-once; tell it so and close.
-			writeSessionGrant(conn, 0, 0)
+			writeGrant(conn, grant{status: statusExpired})
 			return
 		}
 		s.resumed.Add(1)
 	}
-	conn.SetReadDeadline(time.Time{})
 
 	s.mu.Lock()
 	if s.closing.Load() {
@@ -698,7 +695,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, c.key)
 		s.mu.Unlock()
-		writeSessionGrant(conn, 0, 0)
+		writeGrant(conn, grant{status: statusExpired})
 		return
 	}
 	if old != nil {
@@ -733,9 +730,11 @@ func (s *Server) handle(conn net.Conn) {
 
 	// settledSeq waits out a frame the superseded connection is still
 	// delivering, so the grant never trails what is ingested.
-	if writeSessionGrant(conn, sess.token, sess.settledSeq()) != nil {
+	g := grant{status: statusOK, credits: uint16(s.cfg.FrameCredits), token: sess.token, lastSeq: sess.settledSeq()}
+	if writeGrant(conn, g) != nil {
 		return
 	}
+	conn.SetDeadline(time.Time{})
 	s.serveFrames(c, bufio.NewReaderSize(conn, s.readBufSize(format)))
 }
 
@@ -743,8 +742,12 @@ func (s *Server) handle(conn net.Conn) {
 // backpressure clears. Clients block on their send window, so pipeline
 // overload propagates to the traffic sources instead of filling server
 // memory. The grant doubles as the cumulative ack: lastSeq lets the
-// client trim its replay buffer. Returns false when the connection
-// should end.
+// client trim its replay buffer. The write is bounded: a client that
+// keeps sending but never reads its acks fills the socket buffers, and a
+// handler parked in that write would stay attached — never parked by the
+// reaper, its cursor holding every window open. Past the deadline the
+// connection is dead like any idle one. Returns false when the
+// connection should end.
 func (s *Server) grantCredit(c *serverConn) bool {
 	for s.cfg.Overloaded != nil && s.cfg.Overloaded() {
 		if s.closing.Load() {
@@ -752,7 +755,15 @@ func (s *Server) grantCredit(c *serverConn) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if writeCreditAck(c.conn, 1, c.sess.lastSeq.Load()) != nil {
+	timeout := s.cfg.IdleTimeout
+	if timeout <= 0 {
+		timeout = handshakeTimeout
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(timeout))
+	if err := writeCreditAck(c.conn, 1, c.sess.lastSeq.Load()); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.idleTOs.Add(1)
+		}
 		return false
 	}
 	c.granted.Add(1)
@@ -765,6 +776,12 @@ func (s *Server) countDecodeError(c *serverConn) {
 	c.decErrs.Add(1)
 }
 
+// countChecksumError attributes one frame damaged in transit.
+func (s *Server) countChecksumError(c *serverConn) {
+	s.chkErrs.Add(1)
+	c.chkErrs.Add(1)
+}
+
 // frameDecoder is one connection's decode-step state, touched only by
 // its frame loop.
 type frameDecoder struct {
@@ -772,14 +789,11 @@ type frameDecoder struct {
 	// per-column min/max the checksum pass fills for the log's packer.
 	hdr    [parsefmt.ColumnarHeaderBytes]byte
 	ranges []parsefmt.ColRange
-	// Row formats: the frame payload buffer, and the largest
-	// rows-per-frame seen so far, which sizes the next decode's column
-	// slabs so a steady stream appends within recycled capacity.
+	// PB: the frame payload buffer.
 	payload []byte
-	rows    int
 }
 
-// serveFrames is the one receive loop, for every format: arm the idle
+// serveFrames is the one receive loop, for both formats: arm the idle
 // deadline, read the frame header, end on the end-of-stream marker,
 // enforce the size cap, count, discard-and-credit a duplicate or sever
 // on a gap, decode, deliver, re-grant the credit. A single goroutine
@@ -787,7 +801,7 @@ type frameDecoder struct {
 // watermark cursors require. The format contributes only the decode
 // step.
 func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
-	d := &frameDecoder{rows: defaultFrameRecords}
+	d := &frameDecoder{}
 	if s.cfg.WAL != nil && c.format == parsefmt.Columnar {
 		d.ranges = make([]parsefmt.ColRange, s.cfg.Feed.Schema().NumCols)
 	}
@@ -893,8 +907,7 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 	}
 	if sum != hdr.Checksum {
 		s.cfg.Feed.Recycle(cols)
-		s.chkErrs.Add(1)
-		c.chkErrs.Add(1)
+		s.countChecksumError(c)
 		return nil, 0, false
 	}
 	if d.ranges != nil {
@@ -909,14 +922,15 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 	return cols, maxTs, true
 }
 
-// decodeRecords reads one row-format frame into the connection's
-// payload buffer and runs it through the streaming decoder (network
-// bytes are untrusted: errors are counted, never fatal to the server).
-// A payload that goes bad part-way keeps the records already decoded
-// and drops the rest; cols is nil when no record survives. Either way
-// the frame is consumed (ok true) — a replay of the same bytes could
-// not improve on it, row formats carry no checksum — so deliver still
-// advances the ack. ok is false only when the socket read fails.
+// decodeRecords reads one PB frame into the connection's payload buffer,
+// verifies its CRC-32C trailer and transposes the records into pooled
+// column slabs. A payload that fails its checksum was damaged in flight:
+// like a damaged columnar frame it returns ok false, which severs the
+// connection without advancing the ack, and the client's replay delivers
+// it intact. A payload that passes and still does not parse is the
+// sender's bug — a replay of the same bytes could not do better — so it
+// is counted, dropped whole and consumed: ok true with nil cols, as for a
+// frame of no records, and deliver advances the ack.
 func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader, size int64) (cols [][]uint64, maxTs uint64, ok bool) {
 	if int64(cap(d.payload)) < size {
 		d.payload = make([]byte, size)
@@ -925,34 +939,26 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, 0, false // truncated mid-frame: peer gone
 	}
-	schema := s.cfg.Feed.Schema()
-	cols = s.cfg.Feed.getCols(d.rows) // recycled via Feed.Recycle
-	dec := parsefmt.NewStreamDecoder(c.format, bytes.NewReader(payload))
-	n := 0
-	for {
-		rec, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.countDecodeError(c)
-			break
-		}
-		rc := rec.Cols()
-		for i := range cols {
-			cols[i] = append(cols[i], rc[i])
-		}
-		if rc[schema.TsCol] > maxTs {
-			maxTs = rc[schema.TsCol]
-		}
-		n++
+	body, intact := splitCRC(payload)
+	if !intact {
+		s.countChecksumError(c)
+		return nil, 0, false
 	}
-	if n == 0 {
-		s.cfg.Feed.Recycle(cols)
+	cols, err := parsefmt.DecodePBColumns(body, s.cfg.Feed.borrowCols)
+	if err != nil {
+		s.countDecodeError(c)
+		if cols != nil {
+			s.cfg.Feed.Recycle(cols)
+		}
 		return nil, 0, true
 	}
-	if n > d.rows {
-		d.rows = n
+	if cols == nil {
+		return nil, 0, true
+	}
+	for _, ts := range cols[s.cfg.Feed.Schema().TsCol] {
+		if ts > maxTs {
+			maxTs = ts
+		}
 	}
 	return cols, maxTs, true
 }
@@ -962,16 +968,16 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 // that order. Durability before delivery, delivery before ack: a frame
 // is fsynced, pushed, and only then reflected in lastSeq, so the
 // client's replay buffer and the log together cover every frame across
-// a crash, with no overlap the dedup line cannot absorb. (Row frames log
+// a crash, with no overlap the dedup line cannot absorb. (PB frames log
 // their decoded columnar form — replay re-enters the feed without the
 // original encoding.)
 //
 // The whole section runs under the session's delivery lock and only
 // while c still owns the session. A connection that was taken over
 // after it read frame N must not push it: the successor's grant already
-// said N−1 and the client is about to replay N. cols is nil for a row
-// frame no record survived from. Returns false when the connection must
-// end: superseded, durability unknown, or draining.
+// said N−1 and the client is about to replay N. cols is nil for a PB
+// frame that held no record or did not parse. Returns false when the
+// connection must end: superseded, durability unknown, or draining.
 func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange) bool {
 	c.sess.dmu.Lock()
 	defer c.sess.dmu.Unlock()

@@ -1,74 +1,80 @@
 // Package netio turns the native backend into a network server: an
 // ingest listener accepts TCP connections carrying length-prefixed,
-// sequence-numbered frames of parsefmt-encoded records (columnar,
-// binary, JSON or CSV, chosen in a small handshake), decodes them, and
-// hands sealed batches to the runtime through its ExternalFeed seam.
-// One frame loop serves every format; the format contributes only the
-// decode step. Columnar frames land their payload bytes directly in
-// mempool-backed column slabs — decode is validate + bounds-check +
-// endian-fix + pointer-cast, with zero per-record work; row-format
-// payloads are read into one per-connection buffer and run through the
-// streaming decoders inline. A credit-based flow-control loop ties
-// client send permission to the engine's mempool backpressure signal,
-// so an overloaded pipeline slows its clients instead of buffering
-// unboundedly (paper §7.4 treats ingestion as a first-class bottleneck;
-// the ROADMAP north-star is a server for live traffic). The package
-// also serves live query results (/windows) and engine metrics
-// (/metrics) over HTTP, and provides the client used by
-// cmd/sbx-loadgen.
+// sequence-numbered frames — column-major batches or protobuf-style
+// records, chosen in the handshake — checks each frame's checksum,
+// decodes it, and hands sealed batches to the runtime through its
+// ExternalFeed seam. One frame loop serves both formats; the format
+// contributes only the decode step, and both steps land their values in
+// exact-length mempool-backed column slabs. Columnar frames read their
+// payload bytes straight from the socket into the slabs — decode is
+// validate + bounds-check + endian-fix + pointer-cast, with zero
+// per-record work; a row frame is read into one per-connection buffer
+// and transposed into the slabs by parsefmt.DecodePBColumns. A
+// credit-based flow-control loop ties client send permission to the
+// engine's mempool backpressure signal, so an overloaded pipeline slows
+// its clients instead of buffering unboundedly (paper §7.4 treats
+// ingestion as a first-class bottleneck; the ROADMAP north-star is a
+// server for live traffic). The package also serves live query results
+// (/windows) and engine metrics (/metrics) over HTTP, and provides the
+// client used by cmd/sbx-loadgen.
 //
 // # Wire format
 //
-// There is one protocol: every stream is a resumable session.
-// Handshake and framing integers are big-endian. The client opens with
-// an 8-byte hello:
+// There is one protocol, version 4: every stream is a resumable
+// session, opened by one message each way. Handshake and framing
+// integers are big-endian. The client opens with a 16-byte hello:
 //
 //	offset 0: magic "SBX1"
-//	offset 4: protocol version (3)
-//	offset 5: payload format: 0 JSON, 1 binary (PB), 2 text (CSV),
-//	          3 columnar
-//	offset 6: flags: bit 0 (session) must be set
-//	offset 7: reserved (zero)
+//	offset 4: protocol version (4)
+//	offset 5: payload format: 1 binary (PB) or 3 columnar
+//	offset 6: reserved (2 bytes, zero)
+//	offset 8: resume token, uint64: the session to resume, or zero to
+//	          open a fresh one
 //
-// The server answers with an 8-byte ack:
+// and the server answers with a 24-byte grant:
 //
-//	offset 0: magic "SBXA"
-//	offset 4: protocol version (3)
-//	offset 5: status: 0 OK, 1 bad magic/version/flags (including the
-//	          retired version-1 and version-2 hellos and a version-3
-//	          hello without the session flag), 2 unknown format,
-//	          3 overloaded (admission control shed the handshake; back
-//	          off and redial). Any status but OK is followed by a close.
-//	offset 6: initial credit grant, uint16 (frames the client may send)
-//
-// The client follows an OK ack with a 12-byte resume request — magic
-// "SBXR" then a uint64 session token, zero to open a fresh session —
-// and the server answers with a 20-byte session grant: magic "SBXT",
-// the uint64 session token (zero: the resumed session is unknown or
-// expired and the connection is useless), and the uint64 sequence
-// number of the last frame it fully ingested under that session.
+//	offset  0: magic "SBXA"
+//	offset  4: protocol version (4)
+//	offset  5: status: 0 OK; 1 bad magic or version (the retired
+//	           8-byte hellos of versions 1-3 are answered as soon as
+//	           their version byte is read); 2 not a wire format (the
+//	           codes of JSON and text, 0 and 2, included); 3 overloaded
+//	           (admission control shed the handshake; back off and
+//	           redial); 4 the resume token names no live session
+//	           (expired, or retired by a clean end of stream), so
+//	           exactly-once resume is impossible. Any status but OK is
+//	           followed by a close.
+//	offset  6: initial credit grant, uint16 (frames the client may send)
+//	offset  8: session token, uint64 (the one resumed, or freshly
+//	           assigned)
+//	offset 16: sequence number of the last frame fully ingested under
+//	           the session, uint64 — the client replays what follows it
 //
 // Then the client sends data frames — a uint32 payload length, a
-// uint64 frame sequence number, and that many bytes of records in the
-// hello's format; a bare zero length (no sequence number) marks a clean
-// end of stream and retires the session — and the server sends 12-byte
-// acks, each a uint32 credit count extending the client's send window
-// by that many frames followed by the uint64 cumulative last-ingested
-// sequence. The client must keep one credit per in-flight frame. For
-// the columnar format, each frame payload is exactly one parsefmt
-// columnar frame (24-byte checksummed header + little-endian
-// column-major data; see parsefmt/columnar.go for the layout).
+// uint64 frame sequence number, and that many payload bytes; a bare
+// zero length (no sequence number) marks a clean end of stream and
+// retires the session — and the server sends 12-byte acks, each a
+// uint32 credit count extending the client's send window by that many
+// frames followed by the uint64 cumulative last-ingested sequence. The
+// client must keep one credit per in-flight frame. A columnar payload
+// is exactly one parsefmt columnar frame (24-byte header carrying a
+// checksum of the values + little-endian column-major data; see
+// parsefmt/columnar.go for the layout). A PB payload is the records'
+// length-delimited messages followed by a 4-byte trailer: the CRC-32C
+// (Castagnoli) of the bytes before it.
 //
 // Frames at or below the acked sequence are discarded by the server
-// (duplicate replay after a resume), a gap above the expected sequence
-// severs the connection so the client replays from its send buffer,
-// and a columnar checksum or geometry failure severs WITHOUT advancing
-// the ack so the replay re-delivers the damaged frame. A row frame
-// that goes bad part-way keeps the records decoded before the damage
-// and is acked: row formats carry no checksum, so a replay of the same
-// bytes could not do better. A connection that ends without the
-// end-of-stream marker leaves its session resumable; the server parks
-// its watermark cursor after CursorGrace and expires it after
+// (duplicate replay after a resume) and a gap above the expected
+// sequence severs the connection so the client replays from its send
+// buffer. One integrity rule covers every frame: a payload that fails
+// its checksum (or, columnar, whose geometry does not match its
+// length) severs the connection WITHOUT advancing the ack, so the
+// replay re-delivers the damaged frame. A PB payload that passes its
+// CRC and still does not parse was encoded wrong by the sender, and a
+// replay of the same bytes could not do better: it is counted as a
+// decode error, dropped whole and acked. A connection that ends without
+// the end-of-stream marker leaves its session resumable; the server
+// parks its watermark cursor after CursorGrace and expires it after
 // SessionTimeout.
 package netio
 
@@ -76,6 +82,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"time"
 
@@ -83,16 +90,14 @@ import (
 )
 
 // Version is the one wire protocol version this build speaks. The byte
-// stays in the hello and the ack so a future protocol can be told from
-// this one; versions 1 (row formats only) and 2 (plus columnar) are
+// stays in the hello and the grant so a future protocol can be told from
+// this one; versions 1-3 (8-byte hello, a four-message exchange) are
 // retired and refused at the handshake.
-const Version = 3
+const Version = 4
 
 var (
-	magicHello   = [4]byte{'S', 'B', 'X', '1'}
-	magicAck     = [4]byte{'S', 'B', 'X', 'A'}
-	magicResume  = [4]byte{'S', 'B', 'X', 'R'}
-	magicSession = [4]byte{'S', 'B', 'X', 'T'}
+	magicHello = [4]byte{'S', 'B', 'X', '1'}
+	magicGrant = [4]byte{'S', 'B', 'X', 'A'}
 )
 
 // Handshake statuses.
@@ -101,13 +106,18 @@ const (
 	statusBadMagic   = 1
 	statusBadFormat  = 2
 	statusOverloaded = 3
+	statusExpired    = 4
 )
 
-// helloFlagSession is bit 0 of the hello's flags byte (offset 6). Every
-// stream is a resumable session — sequenced frames, cumulative acks,
-// the session-token exchange after the ack — so the bit must be set; a
-// hello without it comes from a retired protocol mode and is refused.
-const helloFlagSession = 1 << 0
+// isWireFormat reports whether a session may carry format f. The other
+// two codes (JSON, text) are Figure 11's batch codecs.
+func isWireFormat(f parsefmt.Format) bool {
+	return f == parsefmt.PB || f == parsefmt.Columnar
+}
+
+// formatLabel is the short metrics label of each wire format, indexed
+// by format code.
+var formatLabel = [4]string{parsefmt.PB: "pb", parsefmt.Columnar: "columnar"}
 
 // ErrOverloaded marks a handshake shed by the server's admission
 // control (too many connections, or memory pressure past the shedding
@@ -147,115 +157,121 @@ func (e *TimeoutError) Timeout() bool { return true }
 // overrides it.
 const DefaultMaxFrameBytes = 4 << 20
 
-// writeHello sends the client's 8-byte hello.
-func writeHello(w io.Writer, f parsefmt.Format) error {
-	var h [8]byte
+const (
+	helloBytes = 16
+	grantBytes = 24
+)
+
+// writeHello sends the client's 16-byte hello: the payload format and
+// the token of the session to resume, zero to open a fresh one.
+func writeHello(w io.Writer, f parsefmt.Format, token uint64) error {
+	var h [helloBytes]byte
 	copy(h[:4], magicHello[:])
 	h[4] = Version
 	h[5] = byte(f)
-	h[6] = helloFlagSession
+	binary.BigEndian.PutUint64(h[8:], token)
 	_, err := w.Write(h[:])
 	return err
 }
 
 // readHello parses the client hello, distinguishing protocol errors by
-// ack status: anything but a version-3 session hello (bad magic, a
-// retired or future version, the session flag missing) is
-// statusBadMagic; an unknown payload format is statusBadFormat.
-func readHello(r io.Reader) (f parsefmt.Format, status byte, err error) {
-	var h [8]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, statusBadMagic, fmt.Errorf("netio: reading hello: %w", err)
+// grant status: bad magic or any version but this one is statusBadMagic,
+// a format no session carries is statusBadFormat. The first half is
+// judged before the second is read: the retired protocols' hellos end
+// there, and their senders are waiting for an answer.
+func readHello(r io.Reader) (f parsefmt.Format, token uint64, status byte, err error) {
+	var h [helloBytes]byte
+	if _, err := io.ReadFull(r, h[:8]); err != nil {
+		return 0, 0, statusBadMagic, fmt.Errorf("netio: reading hello: %w", err)
 	}
-	if [4]byte(h[:4]) != magicHello || h[4] != Version || h[6]&helloFlagSession == 0 {
-		return 0, statusBadMagic, fmt.Errorf("netio: bad hello magic/version/flags %q v%d flags %#x", h[:4], h[4], h[6])
+	if [4]byte(h[:4]) != magicHello || h[4] != Version {
+		return 0, 0, statusBadMagic, fmt.Errorf("netio: bad hello magic/version %q v%d", h[:4], h[4])
+	}
+	if _, err := io.ReadFull(r, h[8:]); err != nil {
+		return 0, 0, statusBadMagic, fmt.Errorf("netio: reading hello: %w", err)
 	}
 	f = parsefmt.Format(h[5])
-	switch f {
-	case parsefmt.JSON, parsefmt.PB, parsefmt.Text, parsefmt.Columnar:
-	default:
-		return 0, statusBadFormat, fmt.Errorf("netio: unknown payload format %d", h[5])
+	if !isWireFormat(f) {
+		return 0, 0, statusBadFormat, fmt.Errorf("netio: payload format %d is not a wire format", h[5])
 	}
-	return f, statusOK, nil
+	return f, binary.BigEndian.Uint64(h[8:]), statusOK, nil
 }
 
-// writeAck sends the server's 8-byte ack with the initial credit grant.
-func writeAck(w io.Writer, status byte, credits uint16) error {
-	var a [8]byte
-	copy(a[:4], magicAck[:])
-	a[4] = Version
-	a[5] = status
-	binary.BigEndian.PutUint16(a[6:], credits)
-	_, err := w.Write(a[:])
+// grant is the server's answer to a hello. With statusOK it carries the
+// initial credits, the session token (the one requested, or freshly
+// assigned) and the last frame sequence number fully ingested under it —
+// the client replays everything after that from its replay buffer. Any
+// other status carries nothing else and is followed by a close.
+type grant struct {
+	status  byte
+	credits uint16
+	token   uint64
+	lastSeq uint64
+}
+
+// writeGrant sends the 24-byte grant.
+func writeGrant(w io.Writer, g grant) error {
+	var b [grantBytes]byte
+	copy(b[:4], magicGrant[:])
+	b[4] = Version
+	b[5] = g.status
+	binary.BigEndian.PutUint16(b[6:], g.credits)
+	binary.BigEndian.PutUint64(b[8:], g.token)
+	binary.BigEndian.PutUint64(b[16:], g.lastSeq)
+	_, err := w.Write(b[:])
 	return err
 }
 
-// readAck parses the server ack, returning the initial credits.
-func readAck(r io.Reader) (credits int, err error) {
-	var a [8]byte
-	if _, err := io.ReadFull(r, a[:]); err != nil {
-		return 0, fmt.Errorf("netio: reading ack: %w", err)
+// readGrant parses the grant; a status other than OK comes back as the
+// error the caller acts on (ErrOverloaded: back off and redial;
+// ErrSessionExpired: give up).
+func readGrant(r io.Reader) (grant, error) {
+	var b [grantBytes]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return grant{}, fmt.Errorf("netio: reading grant: %w", err)
 	}
-	if [4]byte(a[:4]) != magicAck || a[4] != Version {
-		return 0, fmt.Errorf("netio: bad ack magic/version %q v%d", a[:4], a[4])
+	if [4]byte(b[:4]) != magicGrant || b[4] != Version {
+		return grant{}, fmt.Errorf("netio: bad grant magic/version %q v%d", b[:4], b[4])
 	}
-	switch a[5] {
+	g := grant{
+		status:  b[5],
+		credits: binary.BigEndian.Uint16(b[6:]),
+		token:   binary.BigEndian.Uint64(b[8:]),
+		lastSeq: binary.BigEndian.Uint64(b[16:]),
+	}
+	switch g.status {
 	case statusOK:
-		return int(binary.BigEndian.Uint16(a[6:])), nil
+		return g, nil
 	case statusOverloaded:
-		return 0, ErrOverloaded
+		return g, ErrOverloaded
+	case statusExpired:
+		return g, ErrSessionExpired
 	default:
-		return 0, fmt.Errorf("netio: server rejected handshake (status %d)", a[5])
+		return g, fmt.Errorf("netio: server rejected handshake (status %d)", g.status)
 	}
 }
 
-// writeResume sends the client's 12-byte session request, directly
-// after the OK ack: the token of the session to resume, or zero to open
-// a fresh one.
-func writeResume(w io.Writer, token uint64) error {
-	var b [12]byte
-	copy(b[:4], magicResume[:])
-	binary.BigEndian.PutUint64(b[4:], token)
-	_, err := w.Write(b[:])
-	return err
+// castagnoli is the CRC-32C table (hardware-accelerated where the CPU
+// has the instruction).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crcBytes is the size of a PB payload's checksum trailer.
+const crcBytes = 4
+
+// appendCRC appends the payload's CRC-32C trailer.
+func appendCRC(payload []byte) []byte {
+	return binary.BigEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
 }
 
-// readResume parses the session request.
-func readResume(r io.Reader) (token uint64, err error) {
-	var b [12]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("netio: reading session request: %w", err)
+// splitCRC verifies a PB payload's trailer and returns the bytes it
+// covers; ok is false when the payload is too short to carry one or the
+// checksum does not match.
+func splitCRC(payload []byte) (body []byte, ok bool) {
+	if len(payload) < crcBytes {
+		return nil, false
 	}
-	if [4]byte(b[:4]) != magicResume {
-		return 0, fmt.Errorf("netio: bad session request magic %q", b[:4])
-	}
-	return binary.BigEndian.Uint64(b[4:]), nil
-}
-
-// writeSessionGrant sends the server's 20-byte session grant: the
-// session token (the one requested, or freshly assigned; zero means the
-// requested session is unknown/expired and the connection will close)
-// and the last frame sequence number fully ingested under it — the
-// client replays everything after that seq from its replay buffer.
-func writeSessionGrant(w io.Writer, token, lastSeq uint64) error {
-	var b [20]byte
-	copy(b[:4], magicSession[:])
-	binary.BigEndian.PutUint64(b[4:], token)
-	binary.BigEndian.PutUint64(b[12:], lastSeq)
-	_, err := w.Write(b[:])
-	return err
-}
-
-// readSessionGrant parses the session grant.
-func readSessionGrant(r io.Reader) (token, lastSeq uint64, err error) {
-	var b [20]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, 0, fmt.Errorf("netio: reading session grant: %w", err)
-	}
-	if [4]byte(b[:4]) != magicSession {
-		return 0, 0, fmt.Errorf("netio: bad session grant magic %q", b[:4])
-	}
-	return binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:]), nil
+	body = payload[:len(payload)-crcBytes]
+	return body, binary.BigEndian.Uint32(payload[len(body):]) == crc32.Checksum(body, castagnoli)
 }
 
 // writeSeqFrame sends one data frame: the uint32 payload length, the
@@ -316,22 +332,3 @@ func readCreditAck(r io.Reader) (n uint32, lastSeq uint64, err error) {
 	}
 	return binary.BigEndian.Uint32(b[:4]), binary.BigEndian.Uint64(b[4:]), nil
 }
-
-// ParseFormat maps a format flag string to a parsefmt.Format.
-func ParseFormat(s string) (parsefmt.Format, error) {
-	switch s {
-	case "json":
-		return parsefmt.JSON, nil
-	case "pb", "binary", "bin":
-		return parsefmt.PB, nil
-	case "text", "csv":
-		return parsefmt.Text, nil
-	case "columnar", "col":
-		return parsefmt.Columnar, nil
-	default:
-		return 0, fmt.Errorf("netio: unknown format %q (json|pb|text|columnar)", s)
-	}
-}
-
-// formatLabel is the short metrics label per wire format code.
-var formatLabel = [4]string{"json", "pb", "text", "columnar"}

@@ -73,14 +73,3 @@ func (s *CaptureSink) ByWindow() map[wm.Time][]CapturedRow {
 	}
 	return out
 }
-
-// KeyVals returns a key → value map for one window.
-func (s *CaptureSink) KeyVals(win wm.Time) map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	for _, r := range s.Rows {
-		if r.Win == win {
-			out[r.Key] = r.Val
-		}
-	}
-	return out
-}

@@ -115,32 +115,6 @@ func toKeyedKPA(ctx *engine.Ctx, in engine.Input, keyCol int, al kpa.Allocator, 
 	return k
 }
 
-// emitAggregates materializes (key, result, winStart) rows into a fresh
-// result bundle. Returns nil when there is nothing to emit.
-func emitAggregates(ctx *engine.Ctx, merged *kpa.KPA, valCol int, factory kpa.AggFactory, winStart wm.Time) *bundle.Bundle {
-	if merged.Len() == 0 {
-		return nil
-	}
-	type kv struct{ k, v uint64 }
-	var rows []kv
-	err := kpa.ReduceByKey(merged, valCol, factory, func(key, res uint64) {
-		rows = append(rows, kv{key, res})
-	})
-	if err != nil {
-		ctx.Errorf("reduce: %v", err)
-		return nil
-	}
-	bd, err := ctx.NewBuilder(ResultSchema, len(rows))
-	if err != nil {
-		ctx.Errorf("result bundle: %v", err)
-		return nil
-	}
-	for _, r := range rows {
-		bd.Append(r.k, r.v, winStart)
-	}
-	return bd.Seal()
-}
-
 // windowState tracks per-window sorted KPA runs for stateful operators
 // (the dashed-line boxes of Figure 4).
 type windowState struct {
@@ -173,16 +147,6 @@ func (s *windowState) closable(w wm.Windowing, watermark wm.Time) []wm.Time {
 	}
 	sortTimes(out)
 	return out
-}
-
-// destroyAll drops every stored run (shutdown/error path).
-func (s *windowState) destroyAll() {
-	for win, runs := range s.runs {
-		for _, k := range runs {
-			k.Destroy()
-		}
-		delete(s.runs, win)
-	}
 }
 
 func sortTimes(ts []wm.Time) {

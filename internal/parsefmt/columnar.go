@@ -28,17 +28,12 @@ package parsefmt
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 	"unsafe"
 )
 
 // ColumnarHeaderBytes is the fixed size of the columnar frame header.
 const ColumnarHeaderBytes = 24
-
-// maxColumnarStreamRows bounds one frame's rows in the record-oriented
-// stream decoder, where no outer frame length caps hostile input.
-const maxColumnarStreamRows = 1 << 20
 
 var columnarMagic = [4]byte{'S', 'B', 'X', 'C'}
 
@@ -48,10 +43,6 @@ var hostLittle = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
-
-// HostIsLittleEndian reports whether host order matches wire order, in
-// which case ColumnBytes views need no conversion in either direction.
-func HostIsLittleEndian() bool { return hostLittle }
 
 // ColumnarHeader is one parsed columnar frame header.
 type ColumnarHeader struct {
@@ -358,110 +349,4 @@ func DecodeColumnarFrame(payload []byte, takeCol func(rows int) []uint64) ([][]u
 		return nil, fmt.Errorf("parsefmt: columnar: checksum %#x, frame declares %#x", sum, hdr.Checksum)
 	}
 	return cols, nil
-}
-
-// --- Record bridge ----------------------------------------------------------
-
-// EncodeColumnarRecords scatters records into columns and renders one
-// frame — the compatibility path for record-oriented callers; the
-// network fast path builds frames from column buffers directly.
-func EncodeColumnarRecords(recs []Record) []byte {
-	if len(recs) == 0 {
-		return nil
-	}
-	cols := make([][]uint64, 7)
-	for i := range cols {
-		cols[i] = make([]uint64, len(recs))
-	}
-	for r, rec := range recs {
-		c := rec.Cols()
-		for i := range cols {
-			cols[i][r] = c[i]
-		}
-	}
-	return EncodeColumnarFrame(cols)
-}
-
-// DecodeColumnarRecords parses a concatenation of columnar frames
-// carrying the seven-column record schema back into records.
-func DecodeColumnarRecords(data []byte) ([]Record, error) {
-	var out []Record
-	for len(data) > 0 {
-		hdr, err := ParseColumnarHeader(data)
-		if err != nil {
-			return nil, err
-		}
-		frame := int64(ColumnarHeaderBytes) + ColumnarDataBytes(hdr.NCols, hdr.NRows)
-		if int64(len(data)) < frame {
-			return nil, fmt.Errorf("parsefmt: columnar: truncated frame")
-		}
-		cols, err := DecodeColumnarFrame(data[:frame], nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(cols) != 7 {
-			return nil, fmt.Errorf("parsefmt: columnar: %d columns, records carry 7", len(cols))
-		}
-		for r := 0; r < hdr.NRows; r++ {
-			out = append(out, fromCols([7]uint64{
-				cols[0][r], cols[1][r], cols[2][r], cols[3][r], cols[4][r], cols[5][r], cols[6][r],
-			}))
-		}
-		data = data[frame:]
-	}
-	return out, nil
-}
-
-// columnarStream adapts the frame format to the record-oriented
-// StreamDecoder interface (used by tests and generic tooling; the
-// server's columnar path reads frames straight into column slabs and
-// never goes through here).
-type columnarStream struct {
-	r    io.Reader
-	cols [][]uint64
-	row  int
-}
-
-func (d *columnarStream) Next() (Record, error) {
-	for d.cols == nil || d.row >= len(d.cols[0]) {
-		var hdr [ColumnarHeaderBytes]byte
-		if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return Record{}, io.EOF
-			}
-			return Record{}, fmt.Errorf("parsefmt: columnar: truncated header: %w", err)
-		}
-		h, err := ParseColumnarHeader(hdr[:])
-		if err != nil {
-			return Record{}, err
-		}
-		if h.NCols != 7 {
-			return Record{}, fmt.Errorf("parsefmt: columnar: %d columns, records carry 7", h.NCols)
-		}
-		if h.NRows > maxColumnarStreamRows {
-			return Record{}, fmt.Errorf("parsefmt: columnar: %d-row frame exceeds stream limit", h.NRows)
-		}
-		if d.cols == nil {
-			d.cols = make([][]uint64, h.NCols)
-		}
-		for i := range d.cols {
-			if cap(d.cols[i]) < h.NRows {
-				d.cols[i] = make([]uint64, h.NRows)
-			}
-			d.cols[i] = d.cols[i][:h.NRows]
-			if _, err := io.ReadFull(d.r, ColumnBytes(d.cols[i])); err != nil {
-				return Record{}, fmt.Errorf("parsefmt: columnar: truncated column %d: %w", i, err)
-			}
-			FixWireOrder(d.cols[i])
-		}
-		if sum := ChecksumColumns(d.cols); sum != h.Checksum {
-			return Record{}, fmt.Errorf("parsefmt: columnar: checksum %#x, frame declares %#x", sum, h.Checksum)
-		}
-		d.row = 0
-	}
-	r := d.row
-	d.row++
-	return fromCols([7]uint64{
-		d.cols[0][r], d.cols[1][r], d.cols[2][r], d.cols[3][r], d.cols[4][r], d.cols[5][r], d.cols[6][r],
-	}), nil
 }

@@ -2,7 +2,6 @@ package parsefmt
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 )
@@ -153,43 +152,5 @@ func TestSwapWordsIsWireOrderInverse(t *testing.T) {
 	swapWords(col)
 	if !bytes.Equal(ColumnBytes(col), want) {
 		t.Fatal("swapWords is not an involution")
-	}
-}
-
-func TestColumnarRecordsBridge(t *testing.T) {
-	recs := []Record{
-		{AdID: 1, AdType: 2, EventType: 3, UserID: 4, PageID: 5, IP: 6, EventTime: 7},
-		{AdID: ^uint64(0), EventTime: 1 << 62},
-		{UserID: 42},
-	}
-	data := Encode(Columnar, recs)
-	got, err := Decode(Columnar, data)
-	if err != nil || !reflect.DeepEqual(got, recs) {
-		t.Fatalf("record bridge round trip: %v", err)
-	}
-	// Two concatenated frames decode as one stream, batch and
-	// incremental alike.
-	both := append(bytes.Clone(data), EncodeColumnarRecords(recs)...)
-	got, err = DecodeColumnarRecords(both)
-	if err != nil || len(got) != 6 {
-		t.Fatalf("concatenated frames: %d records, %v", len(got), err)
-	}
-	var sgot []Record
-	d := NewStreamDecoder(Columnar, bytes.NewReader(both))
-	for {
-		r, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		sgot = append(sgot, r)
-	}
-	if !reflect.DeepEqual(sgot, got) {
-		t.Fatalf("stream decoded %d records, batch %d", len(sgot), len(got))
-	}
-	if Encode(Columnar, nil) != nil {
-		t.Fatal("empty record set must encode to no bytes")
 	}
 }

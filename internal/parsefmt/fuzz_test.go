@@ -2,55 +2,54 @@ package parsefmt
 
 import (
 	"bytes"
-	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// FuzzDecodePB throws arbitrary bytes at the binary decoders — network
-// bytes are untrusted, so they must return errors, never panic, and the
-// batch and incremental decoders must agree on valid input.
+// FuzzDecodePB throws arbitrary bytes at the strict column decoder the
+// server runs on untrusted network payloads. It must return an error
+// rather than panic or read past the payload; it must never borrow
+// storage for more rows than the payload has length prefixes (so never
+// more than its bytes); and on every input the tolerant library decoder
+// accepts too, the two must agree column for column.
 func FuzzDecodePB(f *testing.F) {
 	f.Add(EncodePB(sampleFuzzRecords()))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x09, 0x08, 0x01, 0x10, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{0x02, 0x48, 0x01})                   // field 9: strict refuses, library skips
+	f.Add([]byte{0x02, 0x09, 0x01})                   // field 1, wire type 1: both refuse
+	f.Add([]byte{0x04, 0x08, 0x01, 0x08, 0x02, 0x00}) // repeated field (last wins), then an empty record
+	f.Add([]byte{0x02, 0x08, 0x01, 0x03, 0x10})       // good record, then one that claims more than is left
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodePB(data) // must not panic
-		_, _ = DecodePBLibrary(data)
-
-		var sgot []Record
-		var serr error
-		d := NewStreamDecoder(PB, bytes.NewReader(data))
-		for serr == nil {
-			var r Record
-			r, serr = d.Next()
-			if serr == nil {
-				sgot = append(sgot, r)
-			}
+		var m makeCols
+		cols, err := DecodePBColumns(data, m.take) // must not panic
+		if m.takes > 1 || m.maxRows > len(data) {
+			t.Fatalf("%d takes, largest of %d rows, from a %d-byte payload", m.takes, m.maxRows, len(data))
 		}
+		lib, lerr := DecodePBLibrary(data)
 		if err != nil {
 			return
 		}
-		// Valid input: the incremental decoder must produce the same
-		// records and end cleanly.
-		if serr != io.EOF {
-			t.Fatalf("batch decoded %d records but stream failed: %v", len(recs), serr)
+		got := recordsOf(cols)
+		if len(got) != m.maxRows {
+			t.Fatalf("decoded %d records into %d borrowed rows", len(got), m.maxRows)
 		}
-		if !reflect.DeepEqual(sgot, recs) {
-			t.Fatalf("stream decoded %d records, batch %d", len(sgot), len(recs))
+		if lerr == nil && !slices.Equal(got, lib) {
+			t.Fatalf("column decoder and library decoder disagree:\n%v\n%v", got, lib)
 		}
 		// Decoded records must re-encode and decode to the same values.
-		again, err := DecodePB(EncodePB(recs))
-		if err != nil || !reflect.DeepEqual(again, recs) {
+		again, err := DecodePBColumns(EncodePB(got), m.take)
+		if err != nil || !slices.Equal(recordsOf(again), got) {
 			t.Fatalf("re-encode round trip failed: %v", err)
 		}
 	})
 }
 
-// FuzzDecodeJSON mirrors FuzzDecodePB for the JSON decoders: no panics,
-// batch/stream agreement on valid input, stable re-encode round trip.
+// FuzzDecodeJSON mirrors FuzzDecodePB for the JSON decoder: no panics,
+// stable re-encode round trip.
 func FuzzDecodeJSON(f *testing.F) {
 	f.Add(EncodeJSON(sampleFuzzRecords()))
 	f.Add([]byte{})
@@ -60,25 +59,8 @@ func FuzzDecodeJSON(f *testing.F) {
 	f.Add([]byte(`{"event_time":18446744073709551615}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeJSON(data) // must not panic
-
-		var sgot []Record
-		var serr error
-		d := NewStreamDecoder(JSON, bytes.NewReader(data))
-		for serr == nil {
-			var r Record
-			r, serr = d.Next()
-			if serr == nil {
-				sgot = append(sgot, r)
-			}
-		}
 		if err != nil {
 			return
-		}
-		if serr != io.EOF {
-			t.Fatalf("batch decoded %d records but stream failed: %v", len(recs), serr)
-		}
-		if !reflect.DeepEqual(sgot, recs) {
-			t.Fatalf("stream decoded %d records, batch %d", len(sgot), len(recs))
 		}
 		again, err := DecodeJSON(EncodeJSON(recs))
 		if err != nil || !reflect.DeepEqual(again, recs) {
@@ -87,7 +69,7 @@ func FuzzDecodeJSON(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCSV mirrors FuzzDecodePB for the text decoders.
+// FuzzDecodeCSV mirrors FuzzDecodePB for the text decoder.
 func FuzzDecodeCSV(f *testing.F) {
 	f.Add(EncodeText(sampleFuzzRecords()))
 	f.Add([]byte{})
@@ -97,25 +79,8 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Add([]byte("18446744073709551616,0,0,0,0,0,0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeText(data) // must not panic
-
-		var sgot []Record
-		var serr error
-		d := NewStreamDecoder(Text, bytes.NewReader(data))
-		for serr == nil {
-			var r Record
-			r, serr = d.Next()
-			if serr == nil {
-				sgot = append(sgot, r)
-			}
-		}
 		if err != nil {
 			return
-		}
-		if serr != io.EOF {
-			t.Fatalf("batch decoded %d records but stream failed: %v", len(recs), serr)
-		}
-		if !reflect.DeepEqual(sgot, recs) {
-			t.Fatalf("stream decoded %d records, batch %d", len(sgot), len(recs))
 		}
 		again, err := DecodeText(EncodeText(recs))
 		if err != nil || !reflect.DeepEqual(again, recs) {
@@ -129,7 +94,14 @@ func FuzzDecodeCSV(f *testing.F) {
 // or over-read, and whatever it accepts must re-encode to a frame it
 // accepts again with identical columns.
 func FuzzColumnarFrame(f *testing.F) {
-	good := EncodeColumnarRecords(sampleFuzzRecords())
+	recs := sampleFuzzRecords()
+	goodCols := make([][]uint64, 7)
+	for _, r := range recs {
+		for i, v := range r.Cols() {
+			goodCols[i] = append(goodCols[i], v)
+		}
+	}
+	good := EncodeColumnarFrame(goodCols)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("SBXC"))
@@ -149,13 +121,6 @@ func FuzzColumnarFrame(f *testing.F) {
 	f.Add(res)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cols, err := DecodeColumnarFrame(data, nil) // must not panic or over-read
-		_, _ = DecodeColumnarRecords(data)
-		var r Record
-		d := NewStreamDecoder(Columnar, bytes.NewReader(data))
-		for serr := error(nil); serr == nil; {
-			r, serr = d.Next()
-		}
-		_ = r
 		if err != nil {
 			return
 		}

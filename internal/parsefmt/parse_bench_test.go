@@ -21,11 +21,14 @@ func BenchmarkDecText(b *testing.B) {
 		DecodeText(data)
 	}
 }
-func BenchmarkDecPB(b *testing.B) {
+func BenchmarkDecPBColumns(b *testing.B) {
 	data := EncodePB(mkRecs(1000))
+	cols := new(makeCols).take(1000)
+	take := func(int) [][]uint64 { return cols }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DecodePB(data)
+		DecodePBColumns(data, take)
 	}
 }
 

@@ -88,47 +88,63 @@ func EncodePB(recs []Record) []byte {
 	return buf
 }
 
-// DecodePB parses the varint wire format.
-func DecodePB(data []byte) ([]Record, error) {
-	var out []Record
-	for len(data) > 0 {
-		msgLen, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < msgLen {
+// maxWireRecordBytes bounds one encoded record on the wire. A legitimate
+// record is well under 200 bytes; anything larger is a corrupt or
+// hostile stream.
+const maxWireRecordBytes = 1 << 16
+
+// DecodePBColumns is the strict decoder the network ingest path runs
+// (fields 1..7 only, wire type 0, records of at most maxWireRecordBytes):
+// it transposes the payload's records straight into column-major
+// storage, the layout the engine's bundles use. It walks the payload
+// twice — first the length prefixes alone, to count the records and
+// bound every one against the payload before anything is allocated, then
+// the fields, each value stored at its record's row of its column. take
+// supplies the seven columns at exactly that row count (the pooled-slab
+// seam; they may hold stale values, every element is overwritten) and is
+// not called for an empty payload, which decodes to nil. Network bytes
+// are untrusted: malformed input is an error, never a panic or a read
+// past the payload. A field error surfaces after take has run; cols is
+// then returned beside the error so the caller can give the storage back.
+func DecodePBColumns(payload []byte, take func(rows int) [][]uint64) (cols [][]uint64, err error) {
+	rows := 0
+	for rest := payload; len(rest) > 0; rows++ {
+		msgLen, n := binary.Uvarint(rest)
+		if n <= 0 || uint64(len(rest)-n) < msgLen {
 			return nil, fmt.Errorf("parsefmt: pb: truncated length prefix")
 		}
-		data = data[n:]
-		msg := data[:msgLen]
-		data = data[msgLen:]
-		r, err := decodePBRecord(msg)
-		if err != nil {
-			return nil, err
+		if msgLen > maxWireRecordBytes {
+			return nil, fmt.Errorf("parsefmt: pb: message of %d bytes exceeds limit", msgLen)
 		}
-		out = append(out, r)
+		rest = rest[n+int(msgLen):]
 	}
-	return out, nil
-}
-
-// decodePBRecord parses one length-delimited message body (the strict
-// hand-inlined configuration: fields 1..7 only, wire type 0).
-func decodePBRecord(msg []byte) (Record, error) {
-	if len(msg) > maxWireRecordBytes {
-		return Record{}, fmt.Errorf("parsefmt: pb: message of %d bytes exceeds limit", len(msg))
+	if rows == 0 {
+		return nil, nil
 	}
-	var cols [7]uint64
-	for len(msg) > 0 {
-		tag := msg[0]
-		field := int(tag >> 3)
-		if field < 1 || field > 7 {
-			return Record{}, fmt.Errorf("parsefmt: pb: bad field %d", field)
+	cols = take(rows)
+	for r := 0; r < rows; r++ {
+		msgLen, n := binary.Uvarint(payload)
+		msg := payload[n : n+int(msgLen)]
+		payload = payload[n+int(msgLen):]
+		var rec [7]uint64 // absent fields read zero, as in proto3
+		for len(msg) > 0 {
+			tag := msg[0]
+			field := int(tag>>3) - 1
+			if tag&7 != 0 || field < 0 || field >= len(rec) {
+				return cols, fmt.Errorf("parsefmt: pb: bad field tag %#x", tag)
+			}
+			v, vn := binary.Uvarint(msg[1:])
+			if vn <= 0 {
+				return cols, fmt.Errorf("parsefmt: pb: truncated varint")
+			}
+			rec[field] = v
+			msg = msg[1+vn:]
 		}
-		v, vn := binary.Uvarint(msg[1:])
-		if vn <= 0 {
-			return Record{}, fmt.Errorf("parsefmt: pb: truncated varint")
+		for i, v := range rec {
+			cols[i][r] = v
 		}
-		cols[field-1] = v
-		msg = msg[1+vn:]
 	}
-	return fromCols(cols), nil
+	return cols, nil
 }
 
 // fieldDescriptor drives the library-style decoder: one entry per
@@ -154,8 +170,8 @@ var recordDescriptor = []fieldDescriptor{
 // protobuf runtime does: one heap-allocated message per record,
 // descriptor-table dispatch per field, wire-type validation, and
 // tolerant skipping of unknown fields. This is the configuration the
-// paper measures ("Protocol Buffers (v3.6.0)", §7.4); DecodePB above is
-// the idealized hand-inlined codec.
+// paper measures ("Protocol Buffers (v3.6.0)", §7.4); DecodePBColumns
+// above is the strict hand-inlined codec the server runs.
 func DecodePBLibrary(data []byte) ([]Record, error) {
 	var out []Record
 	for len(data) > 0 {
@@ -306,33 +322,33 @@ func (f Format) String() string {
 	}
 }
 
-// Encode renders records in the given format.
+// Encode renders records in one of Figure 11's row formats. Columnar
+// carries columns, not records (EncodeColumnarFrame); asking for it here
+// is a programmer error.
 func Encode(f Format, recs []Record) []byte {
 	switch f {
 	case JSON:
 		return EncodeJSON(recs)
 	case PB:
 		return EncodePB(recs)
-	case Columnar:
-		return EncodeColumnarRecords(recs)
-	default:
+	case Text:
 		return EncodeText(recs)
 	}
+	panic(fmt.Sprintf("parsefmt: Encode: %v is not a row format", f))
 }
 
-// Decode parses records in the given format, using the library-style
-// protobuf decoder (the configuration the paper measures).
+// Decode parses records in one of Figure 11's row formats, using the
+// library-style protobuf decoder (the configuration the paper measures).
 func Decode(f Format, data []byte) ([]Record, error) {
 	switch f {
 	case JSON:
 		return DecodeJSON(data)
 	case PB:
 		return DecodePBLibrary(data)
-	case Columnar:
-		return DecodeColumnarRecords(data)
-	default:
+	case Text:
 		return DecodeText(data)
 	}
+	return nil, fmt.Errorf("parsefmt: Decode: %v is not a row format", f)
 }
 
 // Per-core parsing-speed projection factors relative to the host core

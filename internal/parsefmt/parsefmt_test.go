@@ -57,12 +57,15 @@ func TestFormatNames(t *testing.T) {
 }
 
 func TestPBErrors(t *testing.T) {
-	if _, err := DecodePB([]byte{0x05, 0x01}); err == nil {
+	var m makeCols
+	if _, err := DecodePBColumns([]byte{0x05, 0x01}, m.take); err == nil {
 		t.Error("truncated message must fail")
 	}
-	// Field 9 (tag 0x48) is invalid.
-	if _, err := DecodePB([]byte{0x02, 0x48, 0x01}); err == nil {
-		t.Error("bad field must fail")
+	// Field 9 (tag 0x48) is invalid, and so is field 1 with wire type 1.
+	for _, bad := range [][]byte{{0x02, 0x48, 0x01}, {0x02, 0x09, 0x01}} {
+		if cols, err := DecodePBColumns(bad, m.take); err == nil || cols == nil {
+			t.Errorf("bad tag %#x: err %v, cols %v; want an error beside the borrowed columns", bad[1], err, cols)
+		}
 	}
 }
 
@@ -103,7 +106,8 @@ func TestEncodingSizes(t *testing.T) {
 func TestPropPBRoundTrip(t *testing.T) {
 	f := func(cols [7]uint64) bool {
 		rec := fromCols(cols)
-		got, err := DecodePB(EncodePB([]Record{rec}))
+		dec, err := DecodePBColumns(EncodePB([]Record{rec}), new(makeCols).take)
+		got := recordsOf(dec)
 		return err == nil && len(got) == 1 && got[0] == rec
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -57,7 +57,6 @@ type Stats struct {
 type File struct {
 	mu    sync.Mutex
 	f     *os.File
-	path  string
 	data  []byte
 	used  int64
 	tail  int64
@@ -100,7 +99,6 @@ func Create(dir string, capBytes int64) (*File, error) {
 	os.Remove(path)
 	return &File{
 		f:    f,
-		path: path,
 		data: data,
 		free: make(map[int64][]int64),
 	}, nil
@@ -234,9 +232,6 @@ func (f *File) Stats() Stats {
 	defer f.mu.Unlock()
 	return f.stats
 }
-
-// Path returns the (already unlinked) backing file path, for reports.
-func (f *File) Path() string { return f.path }
 
 // Close unmaps and closes the arena. All outstanding views become
 // invalid. Safe to call once; the backing file was unlinked at Create.

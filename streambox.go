@@ -179,7 +179,7 @@ type RunConfig struct {
 // ServeConfig configures a network-serving execution (Serve): where to
 // listen for ingest traffic and for live queries. Ingest speaks the one
 // netio wire protocol: every client stream is a resumable session, in
-// whichever payload format its hello names.
+// whichever of the two payload formats (PB, columnar) its hello names.
 type ServeConfig struct {
 	// IngestAddr is the TCP ingest listener address, e.g. ":7077" or
 	// "127.0.0.1:0" (required).
@@ -270,8 +270,8 @@ type Report struct {
 	DroppedRecords int64
 	// DecodeErrors counts network frames whose payload failed to
 	// decode (0 for generator sources, whose records need no parsing);
-	// ChecksumErrors separately counts columnar frames that parsed but
-	// failed checksum verification.
+	// ChecksumErrors separately counts frames, of either wire format,
+	// that failed checksum verification and were replayed.
 	DecodeErrors   int64
 	ChecksumErrors int64
 	// Fault-tolerance counters of a network serve: sessions resumed

@@ -20,6 +20,32 @@ import (
 // The per-window results must still be bit-identical to the fault-free
 // in-process generator run: no record lost, none double-counted.
 func TestChaosLoopbackEquivalence(t *testing.T) {
+	chaosLoopback(t, parsefmt.Columnar, faultinject.Config{
+		ResetProb:        0.01,
+		PartialWriteProb: 0.005,
+		CorruptProb:      0.002,
+	})
+}
+
+// TestRowFrameCorruptionReplays is the one integrity rule on the row
+// wire: the injector flips one bit in a share of the PB frames, and
+// nothing else. Each damaged frame must fail its CRC-32C trailer at the
+// server — counted, connection severed, ack not advanced — and reach the
+// pipeline through the client's replay, so the record count and every
+// window equal the fault-free run. (Before the trailer a damaged row
+// frame was decoded as far as it parsed, acked and never replayed.)
+func TestRowFrameCorruptionReplays(t *testing.T) {
+	rep := chaosLoopback(t, parsefmt.PB, faultinject.Config{CorruptProb: 0.02})
+	if rep.ChecksumErrors == 0 {
+		t.Fatal("no frame failed its checksum: the corruption went undetected")
+	}
+}
+
+// chaosLoopback streams the loopback-equivalence workload in format over
+// three sessions, each behind its own injector seeded from faults, and
+// checks the drained run against the fault-free generator run.
+func chaosLoopback(t *testing.T, format parsefmt.Format, faults faultinject.Config) streambox.Report {
+	t.Helper()
 	const (
 		total = 200_000
 		conns = 3
@@ -42,20 +68,14 @@ func TestChaosLoopbackEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Columnar clients only: the columnar frame checksum is what turns
-	// injected corruption into a detectable, replayable severance. Each
-	// connection gets its own deterministic injector.
+	// Each connection gets its own deterministic injector.
 	injectors := make([]*faultinject.Injector, conns)
 	clients := make([]*netio.Client, conns)
 	for j := range clients {
-		injectors[j] = faultinject.New(faultinject.Config{
-			ResetProb:        0.01,
-			PartialWriteProb: 0.005,
-			CorruptProb:      0.002,
-			Seed:             uint64(j + 1),
-		})
+		faults.Seed = uint64(j + 1)
+		injectors[j] = faultinject.New(faults)
 		c, err := netio.Dial(srv.IngestAddr(), netio.ClientConfig{
-			Format:       parsefmt.Columnar,
+			Format:       format,
 			FrameRecords: 256,
 			Faults:       injectors[j],
 			Reconnect: &netio.ReconnectConfig{
@@ -140,6 +160,7 @@ func TestChaosLoopbackEquivalence(t *testing.T) {
 	if len(got) != 10*50 {
 		t.Fatalf("row count %d, want 10 windows × 50 keys", len(got))
 	}
+	return rep
 }
 
 // TestHungClientCursorExpiry pins the liveness guarantee end to end: a

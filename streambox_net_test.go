@@ -87,7 +87,7 @@ func TestServeLoopbackEquivalence(t *testing.T) {
 	// Dial every connection before any sender streams: each Dial
 	// registers a watermark cursor, so no window can close before all
 	// partitions have passed it.
-	formats := []parsefmt.Format{parsefmt.PB, parsefmt.JSON, parsefmt.Text}
+	formats := []parsefmt.Format{parsefmt.PB, parsefmt.Columnar}
 	clients := make([]*netio.Client, conns)
 	for j := range clients {
 		c, err := netio.Dial(srv.IngestAddr(), netio.ClientConfig{Format: formats[j%len(formats)], FrameRecords: 256})
