@@ -173,9 +173,6 @@ func TestJoinSorted(t *testing.T) {
 	if len(got) != 6 {
 		t.Fatalf("join rows = %d, want 6", len(got))
 	}
-	if CountJoinSorted(a, b) != 6 {
-		t.Fatal("CountJoinSorted disagrees")
-	}
 	for _, r := range got {
 		if r.k != 2 && r.k != 5 {
 			t.Fatalf("unexpected join key %d", r.k)
@@ -183,22 +180,19 @@ func TestJoinSorted(t *testing.T) {
 	}
 }
 
-func TestJoinSortedDisjoint(t *testing.T) {
-	if CountJoinSorted(keyedPairs(1, 3), keyedPairs(2, 4)) != 0 {
-		t.Fatal("disjoint join must be empty")
-	}
-	if CountJoinSorted(nil, keyedPairs(1)) != 0 {
-		t.Fatal("empty side join must be empty")
-	}
+// joinCount counts the rows JoinSorted emits.
+func joinCount(a, b []Pair) int {
+	n := 0
+	JoinSorted(a, b, func(uint64, uint64, uint64) { n++ })
+	return n
 }
 
-func TestPartitionPoints(t *testing.T) {
-	s := keyedPairs(1, 2, 5, 5, 9, 12)
-	cuts := PartitionPoints(s, []uint64{5, 10})
-	// bucket 0: keys < 5 -> [0,2); bucket 1: 5..9 -> [2,5); bucket 2: rest.
-	want := []int{2, 5, 6}
-	if !reflect.DeepEqual(cuts, want) {
-		t.Fatalf("cuts = %v, want %v", cuts, want)
+func TestJoinSortedDisjoint(t *testing.T) {
+	if joinCount(keyedPairs(1, 3), keyedPairs(2, 4)) != 0 {
+		t.Fatal("disjoint join must be empty")
+	}
+	if joinCount(nil, keyedPairs(1)) != 0 {
+		t.Fatal("empty side join must be empty")
 	}
 }
 
@@ -227,16 +221,6 @@ func TestSelectPairs(t *testing.T) {
 	}
 	if len(SelectPairs(nil, func(uint64) bool { return true })) != 0 {
 		t.Fatal("empty select")
-	}
-}
-
-func TestMinMaxKey(t *testing.T) {
-	if _, _, ok := MinMaxKey(nil); ok {
-		t.Fatal("empty input must report !ok")
-	}
-	min, max, ok := MinMaxKey(keyedPairs(5, 1, 9, 3))
-	if !ok || min != 1 || max != 9 {
-		t.Fatalf("min=%d max=%d", min, max)
 	}
 }
 
@@ -319,17 +303,6 @@ func TestHashGroup(t *testing.T) {
 	}
 	if h.Len() != 3 {
 		t.Fatalf("groups = %d", h.Len())
-	}
-}
-
-func TestHashGroupCollect(t *testing.T) {
-	p := []Pair{{1, 100}, {2, 200}, {1, 101}}
-	g := HashGroupCollect(p)
-	if !reflect.DeepEqual(g[1], []uint64{100, 101}) {
-		t.Fatalf("group 1 = %v", g[1])
-	}
-	if !reflect.DeepEqual(g[2], []uint64{200}) {
-		t.Fatalf("group 2 = %v", g[2])
 	}
 }
 
@@ -447,7 +420,7 @@ func TestPropJoinMatchesNestedLoop(t *testing.T) {
 				}
 			}
 		}
-		return CountJoinSorted(a, b) == want
+		return joinCount(a, b) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

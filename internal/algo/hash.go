@@ -152,13 +152,3 @@ func HashGroup(pairs []Pair) *HashTable {
 	}
 	return h
 }
-
-// HashGroupCollect groups pairs by key, collecting the pointer payloads
-// per key (hash-based equivalent of sort+scan grouping).
-func HashGroupCollect(pairs []Pair) map[uint64][]uint64 {
-	out := make(map[uint64][]uint64)
-	for _, p := range pairs {
-		out[p.Key] = append(out[p.Key], p.Ptr)
-	}
-	return out
-}

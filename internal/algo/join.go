@@ -31,31 +31,6 @@ func JoinSorted(a, b []Pair, emit func(key uint64, pa, pb uint64)) {
 	}
 }
 
-// CountJoinSorted returns the number of output records JoinSorted would
-// emit, without emitting them (used to size output allocations).
-func CountJoinSorted(a, b []Pair) int {
-	total := 0
-	JoinSorted(a, b, func(uint64, uint64, uint64) { total++ })
-	return total
-}
-
-// PartitionPoints returns, for the sorted input, slice boundaries such
-// that keys in [boundaries[i], boundaries[i+1]) fall into bucket i of
-// the given right-open key ranges. ranges must be ascending; keys below
-// ranges[0] go to bucket 0 and keys >= ranges[len-1] to the last bucket.
-func PartitionPoints(sorted []Pair, ranges []uint64) []int {
-	cuts := make([]int, len(ranges)+1)
-	idx := 0
-	for r, bound := range ranges {
-		for idx < len(sorted) && sorted[idx].Key < bound {
-			idx++
-		}
-		cuts[r] = idx
-	}
-	cuts[len(ranges)] = len(sorted)
-	return cuts
-}
-
 // PartitionByKeyRange splits pairs (not necessarily sorted) into
 // len(boundaries)+1 buckets: bucket i holds keys in
 // [boundaries[i-1], boundaries[i]), with open ends. boundaries must be

@@ -40,20 +40,3 @@ func Keys(pairs []Pair) []uint64 {
 	}
 	return out
 }
-
-// MinMaxKey returns the key range; ok is false for empty input.
-func MinMaxKey(pairs []Pair) (min, max uint64, ok bool) {
-	if len(pairs) == 0 {
-		return 0, 0, false
-	}
-	min, max = pairs[0].Key, pairs[0].Key
-	for _, p := range pairs[1:] {
-		if p.Key < min {
-			min = p.Key
-		}
-		if p.Key > max {
-			max = p.Key
-		}
-	}
-	return min, max, true
-}

@@ -476,47 +476,6 @@ type sumAgg struct{ s uint64 }
 func (a *sumAgg) Add(v uint64)   { a.s += v }
 func (a *sumAgg) Result() uint64 { return a.s }
 
-func TestReduceByKeyResident(t *testing.T) {
-	e := newEnv()
-	b := e.bundleOf(t, [3]uint64{2, 0, 1}, [3]uint64{2, 0, 2}, [3]uint64{5, 0, 3})
-	k, _ := Extract(b, 0, e.al)
-	Sort(k)
-	counts := map[uint64]uint64{}
-	err := ReduceByKeyResident(k, func() Agg { return &countAgg{} }, func(key, res uint64) { counts[key] = res })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[2] != 2 || counts[5] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	k2, _ := Extract(b, 0, e.al)
-	if err := ReduceByKeyResident(k2, func() Agg { return &countAgg{} }, nil); err == nil {
-		t.Fatal("unsorted must fail")
-	}
-}
-
-type countAgg struct{ n uint64 }
-
-func (a *countAgg) Add(uint64)     { a.n++ }
-func (a *countAgg) Result() uint64 { return a.n }
-
-func TestGroupScan(t *testing.T) {
-	e := newEnv()
-	b := e.bundleOf(t, [3]uint64{1, 0, 1}, [3]uint64{1, 0, 2}, [3]uint64{3, 0, 3})
-	k, _ := Extract(b, 0, e.al)
-	Sort(k)
-	var groups [][3]int
-	GroupScan(k, func(key uint64, lo, hi int) { groups = append(groups, [3]int{int(key), lo, hi}) })
-	want := [][3]int{{1, 0, 2}, {3, 2, 3}}
-	if !reflect.DeepEqual(groups, want) {
-		t.Fatalf("groups = %v", groups)
-	}
-	k2, _ := Extract(b, 0, e.al)
-	if err := GroupScan(k2, nil); err == nil {
-		t.Fatal("unsorted must fail")
-	}
-}
-
 func TestReduceAll(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{1, 10, 1}, [3]uint64{2, 20, 2})

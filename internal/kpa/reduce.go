@@ -19,6 +19,15 @@ type Agg interface {
 // AggFactory creates a fresh aggregator per key (or per window).
 type AggFactory func() Agg
 
+// Row is one keyed reduction result — the (key, aggregate) pair the emit
+// callbacks below deliver — and the native path's one result-row type:
+// the slice the runtime hands its window sink is the slice the result
+// store retains and /windows and the checkpoint encode, by these names.
+type Row struct {
+	Key uint64 `json:"key"`
+	Val uint64 `json:"val"`
+}
+
 // Combiner is an optional Agg capability: the aggregate of a multiset
 // is the fold of the aggregates of any partition of it, in any order.
 // Combine folds one such partial result — the Result of another
@@ -65,44 +74,6 @@ func ReduceByKey(k *KPA, valCol int, factory AggFactory, emit func(key, result u
 			i++
 		}
 		emit(key, agg.Result())
-	}
-	return nil
-}
-
-// ReduceByKeyResident reduces over the resident keys themselves grouped
-// by key — used when the value is the resident column (e.g. counting).
-func ReduceByKeyResident(k *KPA, factory AggFactory, emit func(key, result uint64)) error {
-	if !k.sorted {
-		return fmt.Errorf("kpa: keyed reduction requires a sorted KPA")
-	}
-	n := k.Len()
-	for i := 0; i < n; {
-		key := k.pairs[i].Key
-		agg := factory()
-		for i < n && k.pairs[i].Key == key {
-			agg.Add(key)
-			i++
-		}
-		emit(key, agg.Result())
-	}
-	return nil
-}
-
-// GroupScan calls fn once per contiguous key group of a sorted KPA with
-// the half-open pair index range [lo, hi) of the group.
-func GroupScan(k *KPA, fn func(key uint64, lo, hi int)) error {
-	if !k.sorted {
-		return fmt.Errorf("kpa: group scan requires a sorted KPA")
-	}
-	n := k.Len()
-	for i := 0; i < n; {
-		key := k.pairs[i].Key
-		j := i
-		for j < n && k.pairs[j].Key == key {
-			j++
-		}
-		fn(key, i, j)
-		i = j
 	}
 	return nil
 }

@@ -162,18 +162,41 @@ type Stats struct {
 	PeakUsed    [memsim.NumTiers]int64
 }
 
-// slabList is one shard of a (tier, class) free list.
-type slabList struct {
+// freeList is one tier's free lists for slabs of one element type — pair
+// slabs behind KPAs and kernel scratch, []uint64 column slabs behind
+// ingest batches (the wire→engine zero-copy path) — one stack per
+// (size class, shard).
+type freeList[T any] [][slabShards]freeShard[T]
+
+type freeShard[T any] struct {
 	mu    sync.Mutex
-	slabs [][]algo.Pair
+	slabs [][]T
 }
 
-// colList is one shard of a (tier, class) column free list: []uint64
-// slabs backing ingest column batches (the wire→engine zero-copy path),
-// recycled through the same size classes as the pair slabs.
-type colList struct {
-	mu    sync.Mutex
-	slabs [][]uint64
+// take pops a slab of the class from the first non-empty shard, walking
+// the shards from start.
+func (l freeList[T]) take(class int, start uint32) ([]T, bool) {
+	for i := uint32(0); i < slabShards; i++ {
+		sh := &l[class][(start+i)%slabShards]
+		sh.mu.Lock()
+		if k := len(sh.slabs); k > 0 {
+			slab := sh.slabs[k-1]
+			sh.slabs[k-1] = nil
+			sh.slabs = sh.slabs[:k-1]
+			sh.mu.Unlock()
+			return slab, true
+		}
+		sh.mu.Unlock()
+	}
+	return nil, false
+}
+
+// put pushes a slab of the class onto one shard.
+func (l freeList[T]) put(class int, shard uint32, slab []T) {
+	sh := &l[class][shard%slabShards]
+	sh.mu.Lock()
+	sh.slabs = append(sh.slabs, slab)
+	sh.mu.Unlock()
 }
 
 // Pool is a tiered slab allocator with capacity accounting and
@@ -195,8 +218,8 @@ type Pool struct {
 	spill *spill.File
 
 	shardRR atomic.Uint32
-	free    [memsim.NumTiers][][slabShards]*slabList // [tier][class][shard]
-	colFree [memsim.NumTiers][][slabShards]*colList  // [tier][class][shard]
+	free    [memsim.NumTiers]freeList[algo.Pair]
+	colFree [memsim.NumTiers]freeList[uint64]
 
 	// set is the pool's /metrics series: everything guarded by mu comes
 	// from one Snapshot per scrape, the free-list counters are declared
@@ -246,14 +269,8 @@ func New(cfg memsim.Config, reservedHBM int64) *Pool {
 	p.colRecycled = p.set.Counter("streambox_mempool_colslabs_recycled_total")
 	// Spill capacity stays zero until AttachSpill hands over a file.
 	for t := 0; t < memsim.NumTiers; t++ {
-		p.free[t] = make([][slabShards]*slabList, len(sizeClasses))
-		p.colFree[t] = make([][slabShards]*colList, len(sizeClasses))
-		for c := range p.free[t] {
-			for s := 0; s < slabShards; s++ {
-				p.free[t][c][s] = &slabList{}
-				p.colFree[t][c][s] = &colList{}
-			}
-		}
+		p.free[t] = make(freeList[algo.Pair], len(sizeClasses))
+		p.colFree[t] = make(freeList[uint64], len(sizeClasses))
 	}
 	return p
 }
@@ -337,21 +354,11 @@ func (p *Pool) TakeCol(t memsim.Tier, rows int) []uint64 {
 	bytes := int64(rows) * 8
 	class := classIndex(bytes)
 	if class >= 0 {
-		start := p.shardRR.Add(1)
-		for i := uint32(0); i < slabShards; i++ {
-			l := p.colFree[t][class][(start+i)%slabShards]
-			l.mu.Lock()
-			if k := len(l.slabs); k > 0 {
-				slab := l.slabs[k-1]
-				l.slabs[k-1] = nil
-				l.slabs = l.slabs[:k-1]
-				l.mu.Unlock()
-				p.colRecycled.Add(1)
-				p.colCached.Add(-1)
-				p.colCachedBytes.Add(-int64(cap(slab)) * 8)
-				return slab[:rows]
-			}
-			l.mu.Unlock()
+		if slab, ok := p.colFree[t].take(class, p.shardRR.Add(1)); ok {
+			p.colRecycled.Add(1)
+			p.colCached.Add(-1)
+			p.colCachedBytes.Add(-int64(cap(slab)) * 8)
+			return slab[:rows]
 		}
 	}
 	words := int64(rows)
@@ -378,11 +385,7 @@ func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
 		return
 	}
 	words := sizeClasses[class] / 8
-	col = col[:0:words]
-	l := p.colFree[t][class][p.shardRR.Add(1)%slabShards]
-	l.mu.Lock()
-	l.slabs = append(l.slabs, col)
-	l.mu.Unlock()
+	p.colFree[t].put(class, p.shardRR.Add(1), col[:0:words])
 	p.colCached.Add(1)
 	p.colCachedBytes.Add(words * 8)
 }
@@ -392,19 +395,9 @@ func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
 // returned slice has full slab length.
 func (p *Pool) takeSlab(t memsim.Tier, class int, sizeBytes int64) []algo.Pair {
 	if class >= 0 {
-		start := p.shardRR.Add(1)
-		for i := uint32(0); i < slabShards; i++ {
-			l := p.free[t][class][(start+i)%slabShards]
-			l.mu.Lock()
-			if k := len(l.slabs); k > 0 {
-				slab := l.slabs[k-1]
-				l.slabs[k-1] = nil
-				l.slabs = l.slabs[:k-1]
-				l.mu.Unlock()
-				p.recycled.Add(1)
-				return slab
-			}
-			l.mu.Unlock()
+		if slab, ok := p.free[t].take(class, p.shardRR.Add(1)); ok {
+			p.recycled.Add(1)
+			return slab
 		}
 	}
 	return make([]algo.Pair, (sizeBytes+memsim.PairBytes-1)/memsim.PairBytes)
@@ -419,11 +412,7 @@ func (p *Pool) putSlab(t memsim.Tier, class int, slab []algo.Pair) {
 	if int64(cap(slab))*memsim.PairBytes != sizeClasses[class] {
 		return // not a slab this class owns
 	}
-	slab = slab[:cap(slab)]
-	l := p.free[t][class][p.shardRR.Add(1)%slabShards]
-	l.mu.Lock()
-	l.slabs = append(l.slabs, slab)
-	l.mu.Unlock()
+	p.free[t].put(class, p.shardRR.Add(1), slab[:cap(slab)])
 }
 
 // ScratchFor returns an algo.Scratch drawing transient kernel buffers
@@ -640,11 +629,4 @@ func (p *Pool) Snapshot() Snapshot {
 	s.ColSlabBytesCache = p.colCachedBytes.Load()
 	s.ColSlabsRecycled = p.colRecycled.Load()
 	return s
-}
-
-// SizeClasses exposes the slab classes (for tests and documentation).
-func SizeClasses() []int64 {
-	out := make([]int64, len(sizeClasses))
-	copy(out, sizeClasses)
-	return out
 }

@@ -11,7 +11,7 @@ import (
 func testPool() *Pool { return New(memsim.KNLConfig(), 256<<20) }
 
 func TestSizeClasses(t *testing.T) {
-	cs := SizeClasses()
+	cs := sizeClasses
 	if cs[0] != 4<<10 {
 		t.Errorf("smallest class = %d, want 4 KiB", cs[0])
 	}

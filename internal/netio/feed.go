@@ -121,13 +121,13 @@ func (f *Feed) unpark(conn int64) {
 	f.mu.Unlock()
 }
 
-// RestoreCursor re-registers a connection's watermark cursor at a
-// recovered timestamp — recovery seeds each checkpointed session's
-// cursor (and a fresh one per session first seen in the log) before
-// replaying the log through Inject.
-func (f *Feed) RestoreCursor(conn int64, ts uint64, parked bool) {
+// Restore re-registers a recovered session's watermark cursor as st
+// says — recovery restores every checkpointed session (and a fresh
+// state per session first seen in the log) before replaying the log
+// through Inject.
+func (f *Feed) Restore(st SessionState) {
 	f.mu.Lock()
-	f.cursors[conn] = &feedCursor{ts: ts, parked: parked}
+	f.cursors[st.Conn] = &feedCursor{ts: st.CursorTs, parked: st.Parked}
 	f.mu.Unlock()
 }
 
@@ -163,22 +163,16 @@ func (f *Feed) Retire(conn int64) {
 	}
 }
 
-// CursorState is one watermark cursor's checkpointable state.
-type CursorState struct {
-	Conn   int64
-	Ts     uint64
-	Parked bool
-}
-
-// Cursors snapshots the live cursors (checkpointing).
-func (f *Feed) Cursors() []CursorState {
+// fillCursors completes session states with their cursors' half:
+// CursorTs and Parked, left zero for a session whose cursor is gone.
+func (f *Feed) fillCursors(states []SessionState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]CursorState, 0, len(f.cursors))
-	for id, c := range f.cursors {
-		out = append(out, CursorState{Conn: id, Ts: c.ts, Parked: c.parked})
+	for i := range states {
+		if c, ok := f.cursors[states[i].Conn]; ok {
+			states[i].CursorTs, states[i].Parked = c.ts, c.parked
+		}
 	}
-	return out
 }
 
 // HighTs returns the highest delivered timestamp (checkpointing).

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -787,6 +788,82 @@ func TestResultStoreRetainsAndMerges(t *testing.T) {
 	}
 	if st.Published() != 4 {
 		t.Fatalf("published %d, want 4", st.Published())
+	}
+}
+
+// TestResultStoreSharesRowsCopyOnMerge pins the store's ownership rule
+// under -race: Snapshot hands out the published slices themselves (two
+// snapshots of a window see one backing array), and that is safe
+// because nothing writes a published slice — a re-publish merges into a
+// fresh one, so a reader iterating an older snapshot keeps seeing the
+// rows it was handed while publishers, re-publishers and other readers
+// run beside it.
+func TestResultStoreSharesRowsCopyOnMerge(t *testing.T) {
+	const windows, rowsPer = 64, 32
+	st := NewResultStore(windows)
+	rows := func(val uint64) []ResultRow {
+		out := make([]ResultRow, rowsPer)
+		for i := range out {
+			out[i] = ResultRow{Key: uint64(i), Val: val}
+		}
+		return out
+	}
+	// check walks one snapshot: a window holds its first publish (Val =
+	// start) and, once re-published, the second (Val = start+1) after it.
+	check := func(wins []WindowResult) {
+		for _, w := range wins {
+			if w.Records != len(w.Rows) || (len(w.Rows) != rowsPer && len(w.Rows) != 2*rowsPer) {
+				t.Errorf("window %d: %d records, %d rows", w.Start, w.Records, len(w.Rows))
+				return
+			}
+			for i, r := range w.Rows {
+				if want := w.Start + uint64(i/rowsPer); r.Key != uint64(i%rowsPer) || r.Val != want {
+					t.Errorf("window %d row %d: (%d, %d), want (%d, %d)", w.Start, i, r.Key, r.Val, i%rowsPer, want)
+					return
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	published := make(chan uint64, windows)
+	wg.Add(1)
+	go func() { // publisher
+		defer wg.Done()
+		defer close(published)
+		for w := uint64(0); w < windows; w++ {
+			st.Publish("out", w*10, w*10+10, rows(w*10))
+			published <- w
+		}
+	}()
+	wg.Add(1)
+	go func() { // re-publisher, one window behind
+		defer wg.Done()
+		for w := range published {
+			held := st.Snapshot()
+			st.Publish("out", w*10, w*10+10, rows(w*10+1))
+			check(held) // what it held before the merge is what it still holds
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() { // readers
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				check(st.Snapshot())
+			}
+		}()
+	}
+	wg.Wait()
+
+	a, b := st.Snapshot(), st.Snapshot()
+	check(a)
+	if len(a) != windows || len(a[0].Rows) != 2*rowsPer {
+		t.Fatalf("%d windows, %d rows in the first, want %d and %d", len(a), len(a[0].Rows), windows, 2*rowsPer)
+	}
+	for i := range a {
+		if &a[i].Rows[0] != &b[i].Rows[0] {
+			t.Fatalf("window %d: two snapshots hold different copies of its rows", a[i].Start)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ type ServerConfig struct {
 	// before the listener accepts: each entry re-arms a resume token at
 	// its durable ack, detached as of startup (the reaper's grace and
 	// expiry clocks start now).
-	RestoreSessions []RestoredSession
+	RestoreSessions []SessionState
 	// NextConnID, when positive, is the highest connection/cursor id
 	// already in use — recovery passes the highest id seen in the
 	// checkpoint and log so newly minted ids cannot collide with
@@ -108,17 +108,23 @@ type FrameLog interface {
 	AppendSessionEnd(token uint64, conn int64) error
 }
 
-// RestoredSession is one recovered resumable session: its resume token,
-// its stable feed-cursor id, and the durable cumulative ack clients
-// resume above.
-type RestoredSession struct {
-	Token   uint64
-	Conn    int64
-	LastSeq uint64
-	// Parked mirrors the checkpointed cursor state, so a session whose
-	// cursor had already been parked pre-crash is restored parked and a
-	// later resume unparks both session and cursor together.
-	Parked bool
+// SessionState is a resumable session as it is checkpointed and
+// recovered — the one declaration of it: Server.SessionSnapshot produces
+// it, the recovery checkpoint stores it under these JSON names, recovery
+// folds log records into it, and Feed.Restore and
+// ServerConfig.RestoreSessions consume it.
+type SessionState struct {
+	// Token is the resume token and Conn the session's feed-cursor id,
+	// stable across its connections.
+	Token uint64 `json:"token"`
+	Conn  int64  `json:"conn"`
+	// LastSeq is the durable cumulative ack clients resume above.
+	LastSeq uint64 `json:"last_seq"`
+	// CursorTs and Parked are the session's watermark cursor. A session
+	// whose cursor was parked before a crash is restored parked, and a
+	// later resume unparks session and cursor together.
+	CursorTs uint64 `json:"cursor_ts"`
+	Parked   bool   `json:"parked"`
 }
 
 // Counters is one scrape of the server's aggregate ingest counters.
@@ -296,7 +302,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		s.nextID = cfg.NextConnID
 	}
 	for _, rs := range cfg.RestoreSessions {
-		s.sessions.restore(rs.Token, rs.Conn, rs.LastSeq, rs.Parked)
+		s.sessions.restore(rs)
 		if rs.Conn > s.nextID {
 			s.nextID = rs.Conn
 		}
@@ -493,15 +499,16 @@ func (s *Server) Counters() Counters {
 	return c
 }
 
-// SessionSnapshot returns every live session's resume token, cursor id,
-// and cumulative ack, for checkpointing. lastSeq is safe to persist:
-// with a WAL attached it only advances after the frame is fsynced.
-func (s *Server) SessionSnapshot() []RestoredSession {
+// SessionSnapshot returns every live session's state, joined with its
+// feed cursor, for checkpointing. LastSeq is safe to persist: with a
+// WAL attached it only advances after the frame is fsynced.
+func (s *Server) SessionSnapshot() []SessionState {
 	live := s.sessions.snapshot()
-	out := make([]RestoredSession, 0, len(live))
-	for _, ss := range live {
-		out = append(out, RestoredSession{Token: ss.token, Conn: ss.id, LastSeq: ss.lastSeq.Load()})
+	out := make([]SessionState, len(live))
+	for i, ss := range live {
+		out[i] = SessionState{Token: ss.token, Conn: ss.id, LastSeq: ss.lastSeq.Load()}
 	}
+	s.cfg.Feed.fillCursors(out)
 	return out
 }
 

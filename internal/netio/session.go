@@ -161,11 +161,11 @@ func (t *sessionTable) create(id int64) *session {
 // cursor id, with lastSeq at the checkpointed durable ack. The session
 // starts detached as of now: the reaper's grace and expiry clocks give
 // the client the usual window to reconnect after the restart.
-func (t *sessionTable) restore(token uint64, id int64, lastSeq uint64, parked bool) *session {
-	ss := &session{token: token, id: id, detachedAt: time.Now(), parked: parked}
-	ss.lastSeq.Store(lastSeq)
+func (t *sessionTable) restore(st SessionState) *session {
+	ss := &session{token: st.Token, id: st.Conn, detachedAt: time.Now(), parked: st.Parked}
+	ss.lastSeq.Store(st.LastSeq)
 	t.mu.Lock()
-	t.m[token] = ss
+	t.m[st.Token] = ss
 	t.mu.Unlock()
 	return ss
 }

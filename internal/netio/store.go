@@ -4,16 +4,18 @@ import (
 	"sort"
 	"sync"
 
+	"streambox/internal/kpa"
 	"streambox/internal/metrics"
 )
 
-// ResultRow is one (key, aggregate) pair of a closed window.
-type ResultRow struct {
-	Key uint64 `json:"key"`
-	Val uint64 `json:"val"`
-}
+// ResultRow is one (key, aggregate) pair of a closed window, exactly as
+// the runtime's window sink delivers it.
+type ResultRow = kpa.Row
 
-// WindowResult is one closed window's results for /windows.
+// WindowResult is one closed window's results, as GET /windows serves
+// it and as the recovery checkpoint stores a sealed window. Rows are
+// ascending by key as the runtime delivered them and immutable once
+// published: every snapshot shares the slice.
 type WindowResult struct {
 	Sink    string      `json:"sink"`
 	Start   uint64      `json:"start"`
@@ -49,9 +51,12 @@ func NewResultStore(keep int) *ResultStore {
 // Metrics returns the store's series for /metrics.
 func (st *ResultStore) Metrics() *metrics.Set { return &st.set }
 
-// Publish files one closed window. A duplicate Start for the same sink
-// (late network data re-opening a window at final drain) merges rows
-// into the existing entry.
+// Publish files one closed window and takes ownership of rows: the
+// store retains the slice itself and every Snapshot shares it, so the
+// caller must not write to it again. A duplicate Start for the same
+// sink merges by copy — a fresh slice of the old rows then the new,
+// never an append into one a snapshot may hold — so a window published
+// twice shows doubled rows.
 func (st *ResultStore) Publish(sink string, start, end uint64, rows []ResultRow) {
 	st.published.Add(1)
 	st.mu.Lock()
@@ -59,7 +64,8 @@ func (st *ResultStore) Publish(sink string, start, end uint64, rows []ResultRow)
 	ws := st.bySink[sink]
 	i := sort.Search(len(ws), func(i int) bool { return ws[i].Start >= start })
 	if i < len(ws) && ws[i].Start == start {
-		ws[i].Rows = append(ws[i].Rows, rows...)
+		merged := make([]ResultRow, 0, len(ws[i].Rows)+len(rows))
+		ws[i].Rows = append(append(merged, ws[i].Rows...), rows...)
 		ws[i].Records = len(ws[i].Rows)
 		return
 	}
@@ -73,8 +79,9 @@ func (st *ResultStore) Publish(sink string, start, end uint64, rows []ResultRow)
 	st.bySink[sink] = ws
 }
 
-// Snapshot returns a copy of the retained windows, every sink ascending
-// by window start.
+// Snapshot returns the retained windows, every sink ascending by window
+// start. The window list is the caller's; each window's Rows is shared
+// with the store and every other snapshot, and must not be written.
 func (st *ResultStore) Snapshot() []WindowResult {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -85,11 +92,7 @@ func (st *ResultStore) Snapshot() []WindowResult {
 	sort.Strings(sinks)
 	var out []WindowResult
 	for _, s := range sinks {
-		for _, w := range st.bySink[s] {
-			cp := w
-			cp.Rows = append([]ResultRow(nil), w.Rows...)
-			out = append(out, cp)
-		}
+		out = append(out, st.bySink[s]...)
 	}
 	return out
 }

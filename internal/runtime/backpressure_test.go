@@ -41,10 +41,9 @@ func TestOverloadedSourceEngagesBackpressure(t *testing.T) {
 		NewAgg:       ops.Sum(),
 		Label:        "sum",
 	}
-	rep, err := Run(plan, Config{
+	rep, err := runCaptured(plan, Config{
 		Workers:        1,
 		MaxQueuedTasks: 1, // ingest stalls whenever even one task waits
-		Capture:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,8 @@ func TestFeedOverloadBackpressure(t *testing.T) {
 		NewAgg: ops.Sum(),
 		Label:  "sum",
 	}
-	e, err := Start(plan, Config{Workers: 1, MaxQueuedTasks: 1, Capture: true})
+	var got rowCollector
+	e, err := Start(plan, got.tap(Config{Workers: 1, MaxQueuedTasks: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestFeedOverloadBackpressure(t *testing.T) {
 	if rep.WindowsClosed != wantWindows {
 		t.Fatalf("closed %d windows, want %d", rep.WindowsClosed, wantWindows)
 	}
-	if len(rep.Rows) != wantWindows*keys {
-		t.Fatalf("captured %d rows, want %d", len(rep.Rows), wantWindows*keys)
+	if len(got.rows) != wantWindows*keys {
+		t.Fatalf("captured %d rows, want %d", len(got.rows), wantWindows*keys)
 	}
-	for _, r := range rep.Rows {
+	for _, r := range got.rows {
 		if r.Val != windowRecords/keys {
 			t.Fatalf("window %d key %d sum %d, want %d", r.Win, r.Key, r.Val, windowRecords/keys)
 		}

@@ -115,11 +115,12 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 				NewAgg: c.agg,
 				Label:  c.name,
 			}
-			e, err := Start(plan, Config{Workers: 2, Capture: true, WindowSink: func(start, _ wm.Time, _ []Row) {
+			var rows rowCollector
+			e, err := Start(plan, rows.tap(Config{Workers: 2, WindowSink: func(start, _ wm.Time, _ []Row) {
 				mu.Lock()
 				published[start]++
 				mu.Unlock()
-			}})
+			}}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +152,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 					t.Fatalf("window %d published %d times", w, n)
 				}
 			}
-			got := rowsByWindowKey(rep.Rows)
+			got := rowsByWindowKey(rows.rows)
 			if len(got) != len(c.want) || len(published) != len(c.want) || rep.WindowsClosed != len(c.want) {
 				t.Fatalf("rows for %d windows, %d published, %d closed, want %d", len(got), len(published), rep.WindowsClosed, len(c.want))
 			}

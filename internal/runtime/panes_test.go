@@ -142,7 +142,7 @@ func runAgainstReferenceOn(t *testing.T, plan Plan, workers int) Report {
 	gen := &recordingGen{inner: plan.Gen}
 	plan.Gen = gen
 	win := plan.Win
-	rep, err := Run(plan, Config{Workers: workers, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: workers})
 	if err != nil {
 		t.Fatalf("size=%d slide=%d: %v", win.Size, win.Slide, err)
 	}
@@ -172,7 +172,7 @@ func runAgainstReferenceOn(t *testing.T, plan Plan, workers int) Report {
 		t.Fatalf("size=%d slide=%d: %d logical pairs, reference assigns %d",
 			win.Size, win.Slide, rep.ExtractedPairs, pairs)
 	}
-	return rep
+	return rep.Report
 }
 
 // paneShapes are the window geometries of the equivalence properties.

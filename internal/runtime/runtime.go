@@ -237,8 +237,6 @@ type Config struct {
 	ReservedHBM int64
 	// Seed drives the knob's placement randomness.
 	Seed int64
-	// Capture retains result rows in the report.
-	Capture bool
 	// MonitorInterval is the knob/backpressure refresh period
 	// (0 picks the paper's 10 ms, in real time).
 	MonitorInterval time.Duration
@@ -250,16 +248,18 @@ type Config struct {
 	// (0 picks 5 s).
 	ExhaustTimeout time.Duration
 	// WindowSink, when non-nil, receives every closed window's result
-	// rows as it closes — the live-query feed for netio's result store.
-	// It is called from worker goroutines and must be safe for
-	// concurrent use.
+	// rows as it closes, once per window — the runtime's only output, and
+	// the live-query feed for netio's result store. rows is ascending by
+	// key, built once and handed over: the sink owns it and the runtime
+	// never touches it again. It is called from worker goroutines and
+	// must be safe for concurrent use.
 	WindowSink func(start, end wm.Time, rows []Row)
 	// SealedBefore suppresses externalization of windows already sealed
 	// and published before a crash: windows whose end is at or before it
-	// close normally but are neither delivered to WindowSink nor
-	// captured. Recovery replays the write-ahead log through the normal
-	// feed path with SealedBefore set to the checkpoint's sealed
-	// watermark, so rebuilt pre-sealed windows do not publish twice.
+	// close normally but are not delivered to WindowSink. Recovery
+	// replays the write-ahead log through the normal feed path with
+	// SealedBefore set to the checkpoint's sealed watermark, so rebuilt
+	// pre-sealed windows do not publish twice.
 	SealedBefore wm.Time
 	// SpillDir and SpillCapacity enable the mmap'd cold spill tier: a
 	// SpillCapacity-byte temp file created under SpillDir (the system
@@ -290,12 +290,9 @@ func (c Config) ShedThreshold() float64 {
 	return ShedUtilization
 }
 
-// Row is one keyed result: (key, aggregate, window start).
-type Row struct {
-	Key uint64
-	Val uint64
-	Win wm.Time
-}
+// Row is one keyed result of a closed window, (key, aggregate); the
+// window is the sink call's start argument.
+type Row = kpa.Row
 
 // Report summarises one native run with real (wall-clock) figures.
 type Report struct {
@@ -305,8 +302,6 @@ type Report struct {
 	// Elapsed is real time; Throughput is real records/second.
 	Elapsed    time.Duration
 	Throughput float64
-	// Rows holds the results when Config.Capture is set.
-	Rows []Row
 	// Sched reports worker-pool activity.
 	Sched SchedStats
 	// HBMKPAs/DRAMKPAs count KPA placements per tier.
@@ -413,10 +408,6 @@ type exec struct {
 	spillFile *spill.File
 	ctrl      *placementController
 
-	rmu      sync.Mutex
-	rows     []Row
-	sinkRows map[wm.Time][]Row // per-window staging for WindowSink
-
 	emu  sync.Mutex
 	errs []error
 }
@@ -473,18 +464,11 @@ func (e *Execution) MemSnapshot() mempool.Snapshot { return e.x.pool.Snapshot() 
 // MemPool exposes the execution's slab allocator. The serving layer
 // wires it into the ingest feed so wire-side column batches draw from
 // the same recycling allocator as every other engine buffer — one
-// owner for all column memory, with /metrics occupancy to match.
+// owner for all column memory, with /metrics occupancy to match — and
+// reads its ingest policy's signals off it: DRAM utilization against
+// BackpressureUtilization for credits, Pressure against ShedUtilization
+// for admission.
 func (e *Execution) MemPool() *mempool.Pool { return e.x.pool }
-
-// DRAMUtilization returns the DRAM pool utilization in [0,1] — the
-// signal the ingest server's credit policy compares against
-// BackpressureUtilization.
-func (e *Execution) DRAMUtilization() float64 { return e.x.pool.Utilization(memsim.DRAM) }
-
-// MemPressure returns the pool's worst-tier utilization in [0,1] — the
-// signal the ingest server's admission control compares against
-// ShedUtilization.
-func (e *Execution) MemPressure() float64 { return e.x.pool.Pressure() }
 
 // Start launches the plan on the worker pool and returns immediately;
 // use Wait for the final report.
@@ -515,13 +499,12 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	}
 
 	x := &exec{
-		plan:     plan,
-		cfg:      cfg,
-		sched:    NewScheduler(workers),
-		pool:     mempool.New(machine, reserved),
-		reg:      bundle.NewRegistry(),
-		knob:     engine.NewKnob(cfg.Seed + 1),
-		sinkRows: make(map[wm.Time][]Row),
+		plan:  plan,
+		cfg:   cfg,
+		sched: NewScheduler(workers),
+		pool:  mempool.New(machine, reserved),
+		reg:   bundle.NewRegistry(),
+		knob:  engine.NewKnob(cfg.Seed + 1),
 	}
 	x.table = newWindowTable(plan.Win)
 	x.m = newStats(x)
@@ -580,7 +563,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			EmittedRecords:  m.emitted.Load(),
 			WindowsClosed:   x.table.closedWindows(),
 			Elapsed:         elapsed,
-			Rows:            x.rows,
 			Sched:           x.sched.Stats(),
 			HBMKPAs:         m.hbmKPAs.Load(),
 			DRAMKPAs:        m.dramKPAs.Load(),
@@ -1201,12 +1183,14 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 // space is partitioned across the runs with balanced key-aligned cuts,
 // and each partition runs a fused loser-tree merge + keyed reduction
 // task that dereferences bundle pointers as pairs arrive — no merged
-// KPA is ever materialized. The last partition to finish destroys the
-// runs and retires the window. A pane holds fewer than mergeFanIn runs
-// per level by now, so one loser tree takes them all.
+// KPA is ever materialized — and fills its own slice of result rows.
+// The last partition to finish destroys the runs and retires the window
+// with its rows: the partitions' slices in partition order, which is key
+// order. A pane holds fewer than mergeFanIn runs per level by now, so
+// one loser tree takes them all.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	if len(runs) == 0 {
-		x.finishWindow(start)
+		x.finishWindow(start, nil)
 		return
 	}
 	sortByProvenance(runs)
@@ -1227,29 +1211,37 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 		for _, r := range runs {
 			x.destroyRun(r)
 		}
-		x.finishWindow(start)
+		x.finishWindow(start, nil)
 		return
 	}
+	// Rows nobody will read are counted, not built.
+	keep := x.cfg.WindowSink != nil && !x.sealedWindow(start)
+	parts := make([][]Row, len(cuts)-1)
 	var remaining atomic.Int32
-	remaining.Store(int32(len(cuts) - 1))
-	for i := 0; i+1 < len(cuts); i++ {
+	remaining.Store(int32(len(parts)))
+	for i := range parts {
 		lo, hi := cuts[i], cuts[i+1]
 		x.sched.Submit(&Task{
 			Name: "close:" + x.plan.Label,
 			Tag:  tag,
 			Run: func() {
-				var out []Row
 				width := int64(0)
 				for j := range lo {
 					width += int64(hi[j] - lo[j])
 				}
+				var out []Row
+				emitted := int64(0)
 				err := kpa.MergeReduceRange(runs, lo, hi, x.plan.ValCol, x.plan.NewAgg, func(key, res uint64) {
-					out = append(out, Row{Key: key, Val: res, Win: start})
+					emitted++
+					if keep {
+						out = append(out, Row{Key: key, Val: res})
+					}
 				})
 				if err != nil {
 					x.recordError(err)
 				}
-				x.emitRows(start, out)
+				parts[i] = out
+				x.m.emitted.Add(emitted)
 				x.m.closePairs.Add(width)
 				// One streaming read of the pairs plus the value gather;
 				// nothing is written back.
@@ -1258,43 +1250,24 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 					for _, r := range runs {
 						x.destroyRun(r)
 					}
-					x.finishWindow(start)
+					rows := parts[0]
+					if len(parts) > 1 {
+						rows = slices.Concat(parts...)
+					}
+					x.finishWindow(start, rows)
 				}
 			},
 		})
 	}
 }
 
-// emitRows records a batch of results for window start.
-func (x *exec) emitRows(start wm.Time, rows []Row) {
-	x.m.emitted.Add(int64(len(rows)))
-	if !x.cfg.Capture && x.cfg.WindowSink == nil {
-		return
-	}
-	if x.sealedWindow(start) {
-		return
-	}
-	x.rmu.Lock()
-	if x.cfg.Capture {
-		x.rows = append(x.rows, rows...)
-	}
-	if x.cfg.WindowSink != nil {
-		x.sinkRows[start] = append(x.sinkRows[start], rows...)
-	}
-	x.rmu.Unlock()
-}
-
-// finishWindow retires a closed window and, when a WindowSink is
-// configured, publishes its result rows.
-func (x *exec) finishWindow(start wm.Time) {
+// finishWindow retires a closed window and hands its result rows to the
+// WindowSink, unless a checkpoint had already sealed it.
+func (x *exec) finishWindow(start wm.Time, rows []Row) {
 	if d := x.table.retire(start); d > 0 {
 		x.m.closeLatency.Observe(d.Nanoseconds())
 	}
 	if x.cfg.WindowSink != nil && !x.sealedWindow(start) {
-		x.rmu.Lock()
-		rows := x.sinkRows[start]
-		delete(x.sinkRows, start)
-		x.rmu.Unlock()
 		x.cfg.WindowSink(start, x.plan.Win.End(start), rows)
 	}
 	x.table.published(start)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +118,7 @@ func testPlan(gen engine.Generator, total int64) Plan {
 // WindowRecords/keys per key.
 func TestNativeExactSums(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(8, 1), 40_000)
-	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestNativeExactSums(t *testing.T) {
 func TestNativeFilter(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(8, 1), 8_000)
 	plan.Filters = []Filter{{Col: 0, Keep: func(v uint64) bool { return v < 4 }}}
-	rep, err := Run(plan, Config{Workers: 2, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestNativeFilter(t *testing.T) {
 func TestNativeSlidingWindows(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 20_000)
 	plan.Win = wm.Sliding(1_000_000, 500_000)
-	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestNativeBackpressure(t *testing.T) {
 	machine.Tiers[memsim.HBM].Capacity = 1 << 20   // 1 MiB HBM
 	machine.Tiers[memsim.DRAM].Capacity = 12 << 20 // 12 MiB DRAM
 	plan := testPlan(ingress.NewRoundRobinKV(8, 1), 40_000)
-	rep, err := Run(plan, Config{Workers: 2, Machine: machine, ReservedHBM: 256 << 10, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 2, Machine: machine, ReservedHBM: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestNativeWindowColumnNotSchemaTs(t *testing.T) {
 	// nothing about column 1: no watermark before the end of the stream,
 	// or the constant-5 records would be late for window 0.
 	plan.Source.WatermarkEvery = 1 << 20
-	rep, err := Run(plan, Config{Workers: 2, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestNativeMergeTree(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 12_000)
 	plan.Source.BundleRecords = 250 // 16 runs per window
 	plan.Source.WatermarkEvery = 16
-	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestNativeFanInClose(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 12_000)
 	plan.Source.BundleRecords = 100 // 40 runs per window
 	plan.Source.WatermarkEvery = 40
-	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestNativeFanInCloseLoneTrailingRun(t *testing.T) {
 	plan.Source.WindowRecords = 3_300 // 33 bundles of 100 per window
 	plan.Source.BundleRecords = 100
 	plan.Source.WatermarkEvery = 33
-	rep, err := Run(plan, Config{Workers: 4, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestFixedWindowSealsWhileFilling(t *testing.T) {
 		plan.Source.BundleRecords = bundleRecords
 		plan.Source.WindowRecords = runsPerWindow * bundleRecords
 		plan.Source.WatermarkEvery = runsPerWindow
-		rep, err := Run(plan, Config{Workers: 4, Capture: true})
+		rep, err := runCaptured(plan, Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +398,7 @@ func TestFixedWindowSealsWhileFilling(t *testing.T) {
 		if total != rep.IngestedRecords {
 			t.Fatalf("summed %d across windows for %d records of value 1", total, rep.IngestedRecords)
 		}
-		return rep
+		return rep.Report
 	}
 	rep := run()
 	if want := int64(windows * (runsPerWindow / mergeFanIn)); rep.SealedPanes != want {
@@ -413,8 +414,102 @@ func TestFixedWindowSealsWhileFilling(t *testing.T) {
 	}
 }
 
+// winRow is a result row with the start of the window it closed in.
+type winRow struct {
+	Key, Val uint64
+	Win      wm.Time
+}
+
+// rowCollector is the sink tests read results through: it keeps every
+// row of every window delivered.
+type rowCollector struct {
+	mu   sync.Mutex
+	rows []winRow
+}
+
+// tap returns cfg with the collector as its WindowSink, ahead of the
+// sink cfg already had, if any.
+func (c *rowCollector) tap(cfg Config) Config {
+	next := cfg.WindowSink
+	cfg.WindowSink = func(start, end wm.Time, rows []Row) {
+		c.mu.Lock()
+		for _, r := range rows {
+			c.rows = append(c.rows, winRow{r.Key, r.Val, start})
+		}
+		c.mu.Unlock()
+		if next != nil {
+			next(start, end, rows)
+		}
+	}
+	return cfg
+}
+
+// captured is a finished run: its report and every row its sink saw.
+type captured struct {
+	Report
+	Rows []winRow
+}
+
+// runCaptured is Run behind a rowCollector.
+func runCaptured(plan Plan, cfg Config) (captured, error) {
+	var c rowCollector
+	rep, err := Run(plan, c.tap(cfg))
+	return captured{rep, c.rows}, err
+}
+
+// TestWindowRowsAscendByKey pins what a sink is handed: one slice per
+// window, strictly ascending by key — a close cut into key-range
+// partitions still delivers them in partition order — and, being a
+// function of the stream alone, the same slice whatever the worker
+// count. Windows are wide enough (40 000 pairs over 20 000 keys) that
+// four workers close each in several partitions.
+func TestWindowRowsAscendByKey(t *testing.T) {
+	for _, win := range []wm.Windowing{wm.Fixed(1_000_000), wm.Sliding(1_000_000, 250_000)} {
+		deliveries := func(workers int) map[wm.Time][]Row {
+			plan := testPlan(ingress.NewRoundRobinKV(20_000, 1), 200_000)
+			plan.Source.WindowRecords = 40_000
+			plan.Win = win
+			var mu sync.Mutex
+			got := make(map[wm.Time][]Row)
+			_, err := Run(plan, Config{Workers: workers, WindowSink: func(start, _ wm.Time, rows []Row) {
+				mu.Lock()
+				defer mu.Unlock()
+				if _, twice := got[start]; twice {
+					t.Errorf("slide=%d workers=%d: window %d delivered twice", win.Slide, workers, start)
+				}
+				got[start] = rows
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for start, rows := range got {
+				for i := 1; i < len(rows); i++ {
+					if rows[i-1].Key >= rows[i].Key {
+						t.Fatalf("slide=%d workers=%d window %d: key %d at row %d follows key %d",
+							win.Slide, workers, start, rows[i].Key, i, rows[i-1].Key)
+					}
+				}
+			}
+			return got
+		}
+		one, four := deliveries(1), deliveries(4)
+		if len(one) < 5 || len(one[0]) != 20_000 {
+			t.Fatalf("slide=%d: %d windows, %d rows in the first: too small to cut into partitions", win.Slide, len(one), len(one[0]))
+		}
+		if len(four) != len(one) {
+			t.Fatalf("slide=%d: %d windows on four workers, %d on one", win.Slide, len(four), len(one))
+		}
+		for start, rows := range one {
+			if !slices.Equal(rows, four[start]) {
+				t.Fatalf("slide=%d window %d: one worker delivered %d rows, four delivered %d, or their values differ",
+					win.Slide, start, len(rows), len(four[start]))
+			}
+		}
+	}
+}
+
 // rowsByWindowKey indexes captured rows for comparison.
-func rowsByWindowKey(rows []Row) map[wm.Time]map[uint64]uint64 {
+func rowsByWindowKey(rows []winRow) map[wm.Time]map[uint64]uint64 {
 	out := make(map[wm.Time]map[uint64]uint64)
 	for _, r := range rows {
 		m := out[r.Win]
@@ -545,7 +640,7 @@ func TestWindowsInRangeProperty(t *testing.T) {
 func TestNativeSlidingMidSlideBundle(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 16_000)
 	plan.Win = wm.Sliding(1_000_000, 250_000)
-	rep, err := Run(plan, Config{Workers: 2, Capture: true})
+	rep, err := runCaptured(plan, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +663,7 @@ func TestNativeAggFamily(t *testing.T) {
 	count := testPlan(ingress.NewRoundRobinKV(8, 3), 8_000)
 	count.NewAgg = ops.Count()
 	count.Label = "count"
-	rep, err := Run(count, Config{Workers: 2, Capture: true})
+	rep, err := runCaptured(count, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +675,7 @@ func TestNativeAggFamily(t *testing.T) {
 	avg := testPlan(ingress.NewRoundRobinKV(8, 3), 8_000)
 	avg.NewAgg = ops.Avg()
 	avg.Label = "avg"
-	rep, err = Run(avg, Config{Workers: 2, Capture: true})
+	rep, err = runCaptured(avg, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

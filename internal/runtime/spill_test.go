@@ -46,13 +46,12 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			plan.Source.WatermarkEvery = 16
 			base := paneTestPlan(win, 7)
 			plan.NewAgg, base.NewAgg = agg, agg
-			baseline, err := Run(base, Config{Workers: 4, Capture: true})
+			baseline, err := runCaptured(base, Config{Workers: 4})
 			if err != nil {
 				t.Fatalf("%s size=%d slide=%d baseline: %v", name, win.Size, win.Slide, err)
 			}
-			spilled, err := Run(plan, Config{
+			spilled, err := runCaptured(plan, Config{
 				Workers:         4,
-				Capture:         true,
 				Machine:         tinyMachine(64<<10, 128<<10),
 				ReservedHBM:     32 << 10,
 				SpillCapacity:   32 << 20,
@@ -120,7 +119,7 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	// and window 2 pushes the watermark past both.
 	late := []int{32, 33, 34, 35, 36, 37, 38, 39, 250}
 	for name, agg := range map[string]kpa.AggFactory{"fold": orderSensitive(), "sum": ops.Sum()} {
-		run := func(cfg Config, midGroup, sealed func(e *Execution)) Report {
+		run := func(cfg Config, midGroup, sealed func(e *Execution)) captured {
 			feed := newTestFeed(1)
 			plan := Plan{
 				Feed:   feed,
@@ -130,8 +129,9 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 				NewAgg: agg,
 				Label:  name,
 			}
-			cfg.Workers, cfg.Capture = 2, true
-			e, err := Start(plan, cfg)
+			cfg.Workers = 2
+			var rows rowCollector
+			e, err := Start(plan, rows.tap(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			return rep
+			return captured{rep, rows.rows}
 		}
 		await := func(what string, cond func() bool) {
 			t.Helper()

@@ -1,0 +1,151 @@
+package serve
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	goruntime "runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"streambox/internal/engine"
+	"streambox/internal/netio"
+	"streambox/internal/ops"
+	"streambox/internal/runtime"
+	"streambox/internal/wal"
+	"streambox/internal/wm"
+)
+
+// testPlan is the served shape of the root package's network tests:
+// fixed one-second windows summing column 3 per key of column 0.
+func testPlan() runtime.Plan {
+	return runtime.Plan{
+		Source: engine.SourceConfig{Name: "net", WatermarkEvery: 4},
+		Win:    wm.Fixed(netio.WindowTicks),
+		TsCol:  6, KeyCol: 0, ValCol: 3,
+		NewAgg: ops.Sum(),
+		Label:  "sum",
+	}
+}
+
+// TestCheckpointParentFormatRecovers pins the checkpoint's on-disk
+// format against the commit before its types moved: the bytes are
+// spelled out here — the SBXK version-1 frame around JSON with the
+// field names internal/wal's structs used to carry, windows without a
+// "records" member — not produced by today's writer. Recovery must
+// restore each session (token, cursor id, durable ack, parked bit, and
+// the cursor floored at the sealed watermark) and each sealed window.
+func TestCheckpointParentFormatRecovers(t *testing.T) {
+	payload := []byte(`{"sealed_wm":2000000,"high_ts":2400000,"next_conn_id":9,` +
+		`"sessions":[{"token":11,"conn":3,"last_seq":40,"cursor_ts":2300000,"parked":false},` +
+		`{"token":12,"conn":4,"last_seq":7,"cursor_ts":900000,"parked":true}],` +
+		`"windows":[{"sink":"capture","start":0,"end":1000000,"rows":[{"key":1,"val":10},{"key":2,"val":20}]},` +
+		`{"sink":"capture","start":1000000,"end":2000000,"rows":[{"key":1,"val":11}]}]}`)
+	frame := []byte("SBXK\x01\x00\x00\x00")
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = append(frame, payload...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.CheckpointFile), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{
+		IngestAddr: "127.0.0.1:0", RecoverDir: dir,
+		// Neither restored session may be parked or expired under the test.
+		CursorGrace: time.Minute, SessionTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := srv.ingest.SessionSnapshot()
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].Token < sessions[j].Token })
+	wantSessions := []netio.SessionState{
+		{Token: 11, Conn: 3, LastSeq: 40, CursorTs: 2_000_000}, // 2.3M, floored at the sealed watermark
+		{Token: 12, Conn: 4, LastSeq: 7, CursorTs: 900_000, Parked: true},
+	}
+	if !reflect.DeepEqual(sessions, wantSessions) || srv.RecoveredSessions() != 2 {
+		t.Errorf("restored %d sessions %+v, want %+v", srv.RecoveredSessions(), sessions, wantSessions)
+	}
+	if id := srv.ingest.NextID(); id < 9 {
+		t.Errorf("next connection id %d could collide with a checkpointed cursor (ids through 9 are taken)", id)
+	}
+	wantWindows := []netio.WindowResult{
+		{Sink: "capture", Start: 0, End: 1_000_000, Records: 2, Rows: []netio.ResultRow{{Key: 1, Val: 10}, {Key: 2, Val: 20}}},
+		{Sink: "capture", Start: 1_000_000, End: 2_000_000, Records: 1, Rows: []netio.ResultRow{{Key: 1, Val: 11}}},
+	}
+	if got := srv.Results(); !reflect.DeepEqual(got, wantWindows) {
+		t.Errorf("restored windows %+v, want %+v", got, wantWindows)
+	}
+
+	// The sealing drain writes the checkpoint back: what today's writer
+	// produces, today's reader restores to the same windows.
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := readCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ck.Windows, wantWindows) || ck.SealedWM < 2_000_000 || len(ck.Sessions) != 0 {
+		t.Errorf("final checkpoint %+v: want the two sealed windows, no live session", ck)
+	}
+
+	// Damage is an error, never a fresh start.
+	frame[len(frame)-9] ^= 1
+	if err := os.WriteFile(filepath.Join(dir, wal.CheckpointFile), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{IngestAddr: "127.0.0.1:0", RecoverDir: dir}); err == nil {
+		srv.Shutdown(0)
+		t.Error("recovery started from a checkpoint that fails its checksum")
+	}
+}
+
+// TestServeStartupFailureReleasesEverything takes Serve's last failure
+// exit — the HTTP address is already bound, so by then the log is open,
+// the engine is running, the ingest listener accepts and the checkpoint
+// loop ticks. Serve must return the error having stopped all of it: no
+// goroutine outlives the call, and the same WAL directory serves again.
+func TestServeStartupFailureReleasesEverything(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	cfg := Config{
+		IngestAddr:         "127.0.0.1:0",
+		HTTPAddr:           busy.Addr().String(),
+		WALDir:             t.TempDir(),
+		CheckpointInterval: time.Millisecond,
+	}
+	before := goruntime.NumGoroutine()
+	if srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", cfg); err == nil {
+		srv.Shutdown(0)
+		t.Fatalf("Serve bound HTTP address %s twice", cfg.HTTPAddr)
+	}
+	// The watcher that closes ingestion when the engine dies may be a few
+	// instructions from returning; everything else was waited for.
+	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before the failed Serve, %d after:\n%s", before, goruntime.NumGoroutine(), buf[:goruntime.Stack(buf, true)])
+		}
+	}
+
+	cfg.HTTPAddr = "127.0.0.1:0"
+	srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", cfg)
+	if err != nil {
+		t.Fatalf("second Serve on the same WAL directory: %v", err)
+	}
+	if srv.HTTPAddr() == "" {
+		t.Error("second Serve has no HTTP endpoint")
+	}
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,52 +17,13 @@ const (
 	ckptVersion = 1
 )
 
-// SessionState is one resumable session's recovery record: enough to
-// re-grant the client's token at the durable ack and put its watermark
-// cursor back where the checkpoint saw it.
-type SessionState struct {
-	Token    uint64 `json:"token"`
-	Conn     int64  `json:"conn"`
-	LastSeq  uint64 `json:"last_seq"`
-	CursorTs uint64 `json:"cursor_ts"`
-	Parked   bool   `json:"parked"`
-}
-
-// RowState is one aggregated result row of a sealed window.
-type RowState struct {
-	Key uint64 `json:"key"`
-	Val uint64 `json:"val"`
-}
-
-// WindowState is one sealed, published window result.
-type WindowState struct {
-	Sink  string     `json:"sink"`
-	Start uint64     `json:"start"`
-	End   uint64     `json:"end"`
-	Rows  []RowState `json:"rows"`
-}
-
-// Checkpoint is the recovery metadata persisted alongside the segments.
-// SealedWM is the watermark through which every window has been
-// published and is captured in Windows; on recovery the runtime
-// suppresses re-publication of anything sealed at or before it, and
-// frames feeding only sealed windows are skipped during replay.
-type Checkpoint struct {
-	SealedWM   uint64         `json:"sealed_wm"`
-	HighTs     uint64         `json:"high_ts"`
-	NextConnID int64          `json:"next_conn_id"`
-	Sessions   []SessionState `json:"sessions,omitempty"`
-	Windows    []WindowState  `json:"windows,omitempty"`
-}
-
-// WriteCheckpoint atomically replaces dir's checkpoint: serialize to a
-// temp file, fsync it, rename over the old one, fsync the directory. A
-// crash mid-write leaves the previous checkpoint intact.
-func WriteCheckpoint(dir string, ck *Checkpoint) error {
-	payload, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
+// WriteCheckpoint atomically replaces dir's checkpoint with payload —
+// opaque to the log: the serving layer declares and encodes what a
+// checkpoint holds (internal/serve), this file frames it (magic,
+// version, length, CRC-32C) and makes it durable: write a temp file,
+// fsync it, rename over the old one, fsync the directory. A crash
+// mid-write leaves the previous checkpoint intact.
+func WriteCheckpoint(dir string, payload []byte) error {
 	buf := make([]byte, 0, 12+len(payload)+4)
 	buf = append(buf, ckptMagic...)
 	buf = append(buf, ckptVersion, 0, 0, 0)
@@ -101,11 +61,12 @@ func WriteCheckpoint(dir string, ck *Checkpoint) error {
 	return nil
 }
 
-// ReadCheckpoint loads dir's checkpoint. A missing file returns
-// (nil, nil) — recovery then rebuilds everything from the segments
-// alone. A corrupt checkpoint is an error: silently ignoring it could
-// double-publish sealed windows.
-func ReadCheckpoint(dir string) (*Checkpoint, error) {
+// ReadCheckpoint returns the payload of dir's checkpoint, verified
+// against its frame. A missing file returns (nil, nil) — recovery then
+// rebuilds everything from the segments alone. A corrupt or truncated
+// checkpoint is an error: silently ignoring it could double-publish
+// sealed windows.
+func ReadCheckpoint(dir string) ([]byte, error) {
 	b, err := os.ReadFile(filepath.Join(dir, CheckpointFile))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -128,18 +89,5 @@ func ReadCheckpoint(dir string) (*Checkpoint, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, fmt.Errorf("wal: checkpoint checksum %08x, want %08x", got, want)
 	}
-	var ck Checkpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return nil, fmt.Errorf("wal: checkpoint decode: %v", err)
-	}
-	return &ck, nil
-}
-
-// RemoveCheckpoint deletes dir's checkpoint if present.
-func RemoveCheckpoint(dir string) error {
-	err := os.Remove(filepath.Join(dir, CheckpointFile))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
+	return payload, nil
 }

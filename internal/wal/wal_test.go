@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,17 +229,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if ck, err := ReadCheckpoint(dir); err != nil || ck != nil {
 		t.Fatalf("missing checkpoint: got %v, %v", ck, err)
 	}
-	want := &Checkpoint{
-		SealedWM:   123456,
-		HighTs:     999999,
-		NextConnID: 42,
-		Sessions: []SessionState{
-			{Token: 0xdeadbeef, Conn: 3, LastSeq: 77, CursorTs: 5000, Parked: true},
-		},
-		Windows: []WindowState{
-			{Sink: "out", Start: 0, End: 1000, Rows: []RowState{{Key: 1, Val: 10}, {Key: 2, Val: 20}}},
-		},
-	}
+	want := []byte(`{"sealed_wm":123456,"sessions":[{"token":3735928559}]}`)
 	if err := WriteCheckpoint(dir, want); err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +237,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpoint round trip:\n got %+v\nwant %+v", got, want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint round trip:\n got %s\nwant %s", got, want)
 	}
 
-	// A corrupt checkpoint must be an error, not silently nil.
+	// A corrupt or truncated checkpoint must be an error, not silently
+	// nil.
 	path := filepath.Join(dir, CheckpointFile)
 	b, _ := os.ReadFile(path)
 	b[len(b)-7] ^= 1
@@ -256,11 +250,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := ReadCheckpoint(dir); err == nil {
 		t.Fatal("corrupt checkpoint read back without error")
 	}
-	if err := RemoveCheckpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	if ck, err := ReadCheckpoint(dir); err != nil || ck != nil {
-		t.Fatalf("after remove: got %v, %v", ck, err)
+	b[len(b)-7] ^= 1
+	os.WriteFile(path, b[:len(b)-5], 0o644)
+	if _, err := ReadCheckpoint(dir); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated checkpoint: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -18,22 +18,19 @@ package streambox
 
 import (
 	"fmt"
-	"net"
-	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"streambox/internal/algo"
 	"streambox/internal/engine"
-	"streambox/internal/faultinject"
 	"streambox/internal/ingress"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
-	"streambox/internal/metrics"
 	"streambox/internal/netio"
 	"streambox/internal/ops"
 	"streambox/internal/runtime"
-	"streambox/internal/wal"
+	"streambox/internal/serve"
 	"streambox/internal/wm"
 )
 
@@ -177,77 +174,9 @@ type RunConfig struct {
 }
 
 // ServeConfig configures a network-serving execution (Serve): where to
-// listen for ingest traffic and for live queries. Ingest speaks the one
-// netio wire protocol: every client stream is a resumable session, in
-// whichever of the two payload formats (PB, columnar) its hello names.
-type ServeConfig struct {
-	// IngestAddr is the TCP ingest listener address, e.g. ":7077" or
-	// "127.0.0.1:0" (required).
-	IngestAddr string
-	// HTTPAddr is the query/metrics listener address; empty disables
-	// the HTTP endpoint.
-	HTTPAddr string
-	// KeepWindows is the number of recent closed windows retained per
-	// sink for GET /windows (0 picks 16).
-	KeepWindows int
-	// FrameCredits is the per-connection flow-control window in frames
-	// (0 picks 16).
-	FrameCredits int
-	// MaxFrameBytes caps one ingest frame's payload (0 picks 4 MiB).
-	MaxFrameBytes int
-	// IdleTimeout severs connections silent past it in steady state;
-	// the session is then parked and expired by the grace deadlines
-	// below, like that of any client lost without an end-of-stream
-	// marker. Zero disables the deadline.
-	IdleTimeout time.Duration
-	// CursorGrace is how long a disconnected session's watermark cursor
-	// keeps stalling window closes before it is parked (0 picks 10s,
-	// negative disables) — so a client that vanishes without ending its
-	// stream holds every later window for that long. SessionTimeout is
-	// how long the session stays resumable before it is expired
-	// outright (0 picks 120s, negative disables).
-	CursorGrace    time.Duration
-	SessionTimeout time.Duration
-	// MaxConns caps concurrently served ingest connections; handshakes
-	// past the cap are shed with an overloaded ack. Zero = unlimited.
-	// Independently of the cap, new connections are shed while mempool
-	// pressure exceeds ShedUtilization.
-	MaxConns int
-	// ShedUtilization is the mempool pressure (worst memory-tier
-	// utilization) above which new connections are shed at the
-	// handshake (0 picks runtime.ShedUtilization, 0.98).
-	ShedUtilization float64
-	// Faults, when non-nil, wraps accepted ingest connections with the
-	// fault injector (chaos testing only).
-	Faults *faultinject.Injector
-	// WALDir, when non-empty, enables the write-ahead frame log in that
-	// directory: every accepted frame is persisted through a
-	// group-commit fsync before its ack can advance, and periodic
-	// checkpoints of the recovery metadata (session table, watermark
-	// cursors, sealed result windows) land beside the segments. A clean
-	// Shutdown seals everything, writes a final checkpoint and deletes
-	// the segments.
-	WALDir string
-	// RecoverDir starts the server by recovering from an existing WAL
-	// directory: the checkpoint is restored, unsealed frames are
-	// replayed through the normal ingest path, resumable sessions are
-	// re-armed at their durable acks, and only then does the listener
-	// accept connections. Implies WALDir (logging continues into the
-	// same directory). A missing or empty directory recovers to a
-	// fresh state.
-	RecoverDir string
-	// WALSegmentBytes caps one log segment before it rolls (0 picks
-	// 64 MiB).
-	WALSegmentBytes int64
-	// CheckpointInterval is the recovery-checkpoint cadence (0 picks
-	// 1s). Log segments are deleted only once a durable checkpoint
-	// seals every window they feed.
-	CheckpointInterval time.Duration
-	// ReapInterval overrides the session reaper's scan tick (see
-	// netio.ServerConfig.ReapInterval); zero keeps the automatic
-	// derivation from CursorGrace/SessionTimeout.
-	ReapInterval time.Duration
-}
+// listen for ingest traffic and for live queries, session deadlines,
+// admission control, and the write-ahead log and recovery directories.
+type ServeConfig = serve.Config
 
 // KNL returns the paper's Knights Landing machine (Table 3).
 func KNL() memsim.Config { return memsim.KNLConfig() }
@@ -424,13 +353,34 @@ type Stream struct {
 	stage *stageDecl
 }
 
-// Captured receives a sink's results after Run.
+// Captured receives a sink's results: after Run, or window by window
+// while a Serve is live — read it once Shutdown has returned.
 type Captured struct {
 	sink *ops.CaptureSink
+	mu   sync.Mutex // the native backend's workers append concurrently
 	// Rows holds (key, value, window) result triples.
 	Rows []ops.CapturedRow
 	// Records counts result records.
 	Records int64
+}
+
+// windowSink is the capture as a consumer of the native backend's
+// window sink (nil without one): each closed window's rows join Rows
+// under their window start.
+func (c *Captured) windowSink() func(start, end wm.Time, rows []runtime.Row) {
+	if c == nil {
+		return nil
+	}
+	c.Rows, c.Records = c.Rows[:0], 0
+	return func(start, _ wm.Time, rows []runtime.Row) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.Rows = slices.Grow(c.Rows, len(rows))
+		for _, r := range rows {
+			c.Rows = append(c.Rows, ops.CapturedRow{Key: r.Key, Val: r.Val, Win: start})
+		}
+		c.Records = int64(len(c.Rows))
+	}
 }
 
 // NewPipeline starts an empty pipeline with the given windowing.
@@ -729,26 +679,25 @@ func runNative(p *Pipeline, cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rcfg := runtime.Config{
-		Workers:       cfg.Workers,
-		Machine:       cfg.Machine,
-		Seed:          cfg.Seed,
-		Capture:       capture != nil,
-		SpillDir:      cfg.SpillDir,
-		SpillCapacity: cfg.SpillCapacity,
-	}
-	rep, err := runtime.Run(plan, rcfg)
+	rep, err := runtime.Run(plan, nativeConfig(cfg, capture))
 	if err != nil {
 		return Report{}, err
 	}
-	if capture != nil {
-		capture.Rows = capture.Rows[:0]
-		for _, r := range rep.Rows {
-			capture.Rows = append(capture.Rows, ops.CapturedRow{Key: r.Key, Val: r.Val, Win: r.Win})
-		}
-		capture.Records = int64(len(capture.Rows))
-	}
 	return nativeReport(rep), nil
+}
+
+// nativeConfig is the engine configuration of a native run or serve:
+// the run's sizing, and the capture — if the pipeline ends in one — as
+// the window sink.
+func nativeConfig(cfg RunConfig, capture *Captured) runtime.Config {
+	return runtime.Config{
+		Workers:       cfg.Workers,
+		Machine:       cfg.Machine,
+		Seed:          cfg.Seed,
+		SpillDir:      cfg.SpillDir,
+		SpillCapacity: cfg.SpillCapacity,
+		WindowSink:    capture.windowSink(),
+	}
 }
 
 // nativeReport is the public report of a native run; Shutdown adds the
@@ -857,30 +806,10 @@ func nativePlan(p *Pipeline, cfg RunConfig) (runtime.Plan, *Captured, string, er
 // Server is a pipeline running as a long-lived network service: records
 // stream in over the netio wire protocol, windows close as client
 // watermarks advance, and live results and metrics are queryable over
-// HTTP while the run is in flight.
-type Server struct {
-	exec    *runtime.Execution
-	ingest  *netio.Server
-	store   *netio.ResultStore
-	capture *Captured
-	feed    *netio.Feed
-	httpLn  net.Listener
-	httpSrv *http.Server
-
-	// Durability state (nil/zero without ServeConfig.WALDir).
-	wal     *wal.Log
-	winSize wm.Time
-	ckStop  chan struct{}
-	ckDone  chan struct{}
-	ckOnce  sync.Once
-
-	// Recovery facts, frozen before the listener opens (zero without
-	// RecoverDir). The two counters are /metrics series.
-	recovery          metrics.Set
-	recoveredSessions *metrics.Counter
-	replayedFrames    *metrics.Counter
-	recoveryNs        int64
-}
+// HTTP while the run is in flight. The serving machinery — and the
+// accessors IngestAddr, HTTPAddr, Results, RecoveredSessions,
+// ReplayedFrames and RecoveryNs — are internal/serve's.
+type Server struct{ *serve.Server }
 
 // Serve starts the pipeline as a network server on the native backend.
 // The pipeline must have exactly one NetworkSource, and cfg.Serve must
@@ -900,490 +829,47 @@ func Serve(p *Pipeline, cfg RunConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Durability setup: RecoverDir means "this directory holds a
-	// previous incarnation's log and checkpoint — restore it first",
-	// and implies logging continues into the same directory.
-	sc := cfg.Serve
-	walDir := sc.WALDir
-	recovering := false
-	if sc.RecoverDir != "" {
-		walDir = sc.RecoverDir
-		recovering = true
-	}
-	var (
-		walLog *wal.Log
-		ck     *wal.Checkpoint
-	)
-	if walDir != "" {
-		if recovering {
-			if ck, err = wal.ReadCheckpoint(walDir); err != nil {
-				return nil, err
-			}
-		}
-		walLog, err = wal.Open(wal.Config{
-			Dir:          walDir,
-			SegmentBytes: sc.WALSegmentBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var sealedWM wm.Time
-	if ck != nil {
-		sealedWM = wm.Time(ck.SealedWM)
-	}
-
-	feed := netio.NewFeed(netio.WireSchema(), 0)
-	plan.Feed = feed
-
-	store := netio.NewResultStore(sc.KeepWindows)
-	rcfg := runtime.Config{
-		Workers:         cfg.Workers,
-		Machine:         cfg.Machine,
-		Seed:            cfg.Seed,
-		Capture:         capture != nil,
-		SpillDir:        cfg.SpillDir,
-		SpillCapacity:   cfg.SpillCapacity,
-		ShedUtilization: sc.ShedUtilization,
-		// Windows the checkpoint already sealed are rebuilt by replay
-		// but neither re-published nor re-captured — the checkpointed
-		// snapshot is the single durable copy.
-		SealedBefore: sealedWM,
-		WindowSink: func(start, end wm.Time, rows []runtime.Row) {
-			out := make([]netio.ResultRow, len(rows))
-			for i, r := range rows {
-				out[i] = netio.ResultRow{Key: r.Key, Val: r.Val}
-			}
-			store.Publish(sink, start, end, out)
-		},
-	}
-	exec, err := runtime.Start(plan, rcfg)
+	srv, err := serve.Serve(plan, nativeConfig(cfg, capture), sink, *cfg.Serve)
 	if err != nil {
-		if walLog != nil {
-			walLog.Close()
-		}
 		return nil, err
 	}
-	// One owner for all column memory: wire-side batches draw from the
-	// engine's slab allocator, so /metrics occupancy covers them and
-	// recycled slabs cycle between the socket and the bundle copier.
-	feed.UsePool(exec.MemPool())
-
-	s := &Server{
-		exec:    exec,
-		store:   store,
-		capture: capture,
-		feed:    feed,
-		wal:     walLog,
-		winSize: plan.Win.Size,
-	}
-	s.recoveredSessions = s.recovery.Counter("streambox_recovered_sessions")
-	s.replayedFrames = s.recovery.Counter("streambox_replayed_frames_total")
-
-	// Recovery proper: restore the checkpoint, replay unsealed frames
-	// through the normal feed path, and rebuild the session table —
-	// all before the listener opens, so a reconnecting client can only
-	// ever observe the fully restored state.
-	var restored restoredState
-	if recovering {
-		t0 := time.Now()
-		restored, err = recoverState(walLog, ck, feed, store, plan.Win)
-		if err != nil {
-			feed.Close()
-			exec.Wait()
-			walLog.Close()
-			return nil, err
-		}
-		s.recoveryNs = time.Since(t0).Nanoseconds()
-		s.recoveredSessions.Add(int64(len(restored.sessions)))
-		s.replayedFrames.Add(restored.replayed)
-	}
-
-	// A typed-nil *wal.Log must not reach the interface field, or the
-	// server's nil checks would pass and appends would panic.
-	var frameLog netio.FrameLog
-	if walLog != nil {
-		frameLog = walLog
-	}
-	ingest, err := netio.Listen(sc.IngestAddr, netio.ServerConfig{
-		Feed:            feed,
-		FrameCredits:    sc.FrameCredits,
-		MaxFrameBytes:   sc.MaxFrameBytes,
-		IdleTimeout:     sc.IdleTimeout,
-		CursorGrace:     sc.CursorGrace,
-		SessionTimeout:  sc.SessionTimeout,
-		MaxConns:        sc.MaxConns,
-		Faults:          sc.Faults,
-		WAL:             frameLog,
-		ReapInterval:    sc.ReapInterval,
-		RestoreSessions: restored.sessions,
-		NextConnID:      restored.nextID,
-		Overloaded: func() bool {
-			return exec.DRAMUtilization() > runtime.BackpressureUtilization
-		},
-		ShedPressure: func() bool {
-			return exec.MemPressure() > rcfg.ShedThreshold()
-		},
-	})
-	if err != nil {
-		feed.Close()
-		exec.Wait()
-		if walLog != nil {
-			walLog.Close()
-		}
-		return nil, err
-	}
-	s.ingest = ingest
-
-	// If the pipeline dies (e.g. fatal DRAM exhaustion), close the
-	// ingest listener so clients see the connection drop instead of
-	// hanging on withheld credits against a dead pipeline. Close is
-	// idempotent, so the normal Shutdown path is unaffected.
-	go func() {
-		<-exec.Done()
-		ingest.Close()
-	}()
-
-	if walLog != nil {
-		s.ckStop = make(chan struct{})
-		s.ckDone = make(chan struct{})
-		interval := sc.CheckpointInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go s.checkpointLoop(interval)
-	}
-
-	if sc.HTTPAddr != "" {
-		ln, err := net.Listen("tcp", sc.HTTPAddr)
-		if err != nil {
-			s.ingest.Close()
-			s.exec.Wait()
-			s.stopCheckpointer()
-			if walLog != nil {
-				walLog.Close()
-			}
-			return nil, err
-		}
-		s.httpLn = ln
-		s.httpSrv = &http.Server{Handler: netio.NewHandler(store, s.metricSets()...)}
-		go s.httpSrv.Serve(ln)
-	}
-	return s, nil
-}
-
-// restoredState is what recovery hands the ingest listener.
-type restoredState struct {
-	sessions []netio.RestoredSession
-	nextID   int64
-	replayed int64
-}
-
-// recoverState rebuilds the serving state a crash interrupted: the
-// checkpoint seeds the result store, the feed's high-water mark and
-// every checkpointed session's watermark cursor; then the write-ahead
-// log replays every frame feeding a still-unsealed window through the
-// normal ingest path. Sessions are reconstructed as the join of the
-// checkpoint and the log — a session's durable ack is the max of its
-// checkpointed ack and the newest logged frame, and sessions that
-// ended for good (clean EOS, expiry) stay ended.
-func recoverState(log *wal.Log, ck *wal.Checkpoint, feed *netio.Feed, store *netio.ResultStore, win wm.Windowing) (restoredState, error) {
-	var rs restoredState
-	type sessInfo struct {
-		conn    int64
-		lastSeq uint64
-		parked  bool
-	}
-	byToken := make(map[uint64]*sessInfo)
-	ended := make(map[uint64]bool)
-	cursorSeen := make(map[int64]bool)
-	var sealedWM uint64
-	if ck != nil {
-		sealedWM = ck.SealedWM
-		rs.nextID = ck.NextConnID
-		for _, w := range ck.Windows {
-			rows := make([]netio.ResultRow, len(w.Rows))
-			for i, r := range w.Rows {
-				rows[i] = netio.ResultRow{Key: r.Key, Val: r.Val}
-			}
-			store.Publish(w.Sink, wm.Time(w.Start), wm.Time(w.End), rows)
-		}
-		feed.SeedHighTs(ck.HighTs)
-		for i := range ck.Sessions {
-			cs := &ck.Sessions[i]
-			// Floor the restored cursor at the sealed watermark. The
-			// checkpointed cursor can sit past the end of a window that
-			// was still open (unsealed) at checkpoint time; restoring it
-			// verbatim would let the watermark close that window the
-			// moment replay delivers its first batch, splitting its
-			// aggregate across one partial publish per redelivered
-			// frame. Capped at SealedWM, unsealed windows stay open
-			// until replay and resumed clients genuinely re-deliver
-			// past them, while every window the cap could close early
-			// is sealed — suppressed from sink and capture anyway.
-			ts := cs.CursorTs
-			if ts > ck.SealedWM {
-				ts = ck.SealedWM
-			}
-			feed.RestoreCursor(cs.Conn, ts, cs.Parked)
-			cursorSeen[cs.Conn] = true
-			byToken[cs.Token] = &sessInfo{conn: cs.Conn, lastSeq: cs.LastSeq, parked: cs.Parked}
-			if cs.Conn > rs.nextID {
-				rs.nextID = cs.Conn
-			}
-		}
-	}
-	_, err := log.ReplayExisting(func(rec *wal.Record) error {
-		switch rec.Kind {
-		case wal.KindSessionEnd:
-			ended[rec.Token] = true
-			return nil
-		case wal.KindFrame:
-		default:
-			return nil
-		}
-		if rec.Conn > rs.nextID {
-			rs.nextID = rec.Conn
-		}
-		if rec.Token == 0 {
-			// Every stream is a session, so the server logs no such
-			// record; restoring one would need the retired sessionless
-			// rules (a cursor no client can resume). Refuse rather than
-			// mis-restore it as session 0.
-			return fmt.Errorf("frame record for connection %d carries session token 0: written by the retired sessionless wire mode, not recoverable", rec.Conn)
-		}
-		si := byToken[rec.Token]
-		if si == nil {
-			si = &sessInfo{conn: rec.Conn}
-			byToken[rec.Token] = si
-		}
-		if rec.Seq > si.lastSeq {
-			si.lastSeq = rec.Seq
-		}
-		// Every connection seen in the log gets a cursor even when its
-		// frames need no replay, so the watermark keeps waiting for a
-		// resumable session's late data.
-		if !cursorSeen[rec.Conn] {
-			cursorSeen[rec.Conn] = true
-			feed.RestoreCursor(rec.Conn, 0, false)
-		}
-		// A frame only feeds windows ending by MaxTs+Size; when the
-		// checkpoint sealed all of them, the frame's effects are
-		// already durable in the result snapshot.
-		if rec.MaxTs+uint64(win.Size) <= sealedWM {
-			return nil
-		}
-		cols := feed.BorrowCols(rec.NRows)
-		rec.CopyCols(cols)
-		if !feed.Inject(rec.Conn, cols, rec.MaxTs) {
-			return fmt.Errorf("feed shut down during replay")
-		}
-		rs.replayed++
-		return nil
-	})
-	if err != nil {
-		return restoredState{}, fmt.Errorf("streambox: wal replay: %w", err)
-	}
-	// Sessions that ended for good can never see another byte: the
-	// retire sentinel rides the feed behind the replayed data.
-	for token := range ended {
-		if si := byToken[token]; si != nil {
-			feed.Retire(si.conn)
-			delete(byToken, token)
-		}
-	}
-	for token, si := range byToken {
-		rs.sessions = append(rs.sessions, netio.RestoredSession{
-			Token:   token,
-			Conn:    si.conn,
-			LastSeq: si.lastSeq,
-			Parked:  si.parked,
-		})
-	}
-	return rs, nil
-}
-
-// checkpointLoop periodically persists the recovery metadata and
-// retires log segments the latest checkpoint makes redundant.
-func (s *Server) checkpointLoop(interval time.Duration) {
-	defer close(s.ckDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ckStop:
-			return
-		case <-t.C:
-			s.writeCheckpoint()
-		}
-	}
-}
-
-// writeCheckpoint persists one recovery checkpoint: the sealed
-// watermark, the session table joined with its watermark cursors, and
-// the sealed result windows. Only after the checkpoint is durable does
-// it retire the log segments whose every window it seals.
-func (s *Server) writeCheckpoint() error {
-	sealedWM := s.exec.SealedWatermark()
-	cursors := make(map[int64]netio.CursorState)
-	for _, c := range s.feed.Cursors() {
-		cursors[c.Conn] = c
-	}
-	ck := &wal.Checkpoint{
-		SealedWM:   uint64(sealedWM),
-		HighTs:     s.feed.HighTs(),
-		NextConnID: s.ingest.NextID(),
-	}
-	for _, sess := range s.ingest.SessionSnapshot() {
-		st := wal.SessionState{Token: sess.Token, Conn: sess.Conn, LastSeq: sess.LastSeq}
-		if c, ok := cursors[sess.Conn]; ok {
-			st.CursorTs, st.Parked = c.Ts, c.Parked
-		}
-		ck.Sessions = append(ck.Sessions, st)
-	}
-	// Persist sealed windows only: anything newer will be rebuilt from
-	// the log on recovery, and persisting it here would double-publish
-	// rows when the rebuilt window merges into the restored store.
-	for _, w := range s.store.Snapshot() {
-		if w.End > sealedWM {
-			continue
-		}
-		ws := wal.WindowState{Sink: w.Sink, Start: uint64(w.Start), End: uint64(w.End)}
-		for _, r := range w.Rows {
-			ws.Rows = append(ws.Rows, wal.RowState{Key: r.Key, Val: r.Val})
-		}
-		ck.Windows = append(ck.Windows, ws)
-	}
-	if err := wal.WriteCheckpoint(s.wal.Dir(), ck); err != nil {
-		return err
-	}
-	if uint64(sealedWM) > uint64(s.winSize) {
-		if _, err := s.wal.RetireThrough(uint64(sealedWM) - uint64(s.winSize)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stopCheckpointer stops the checkpoint loop and waits it out; safe to
-// call repeatedly and without a WAL.
-func (s *Server) stopCheckpointer() {
-	if s.ckStop == nil {
-		return
-	}
-	s.ckOnce.Do(func() { close(s.ckStop) })
-	<-s.ckDone
-}
-
-// metricSets lists what /metrics serves, each layer's own series in
-// turn; the durability family only with a write-ahead log.
-func (s *Server) metricSets() []*metrics.Set {
-	sets := []*metrics.Set{s.exec.MemPool().Metrics(), s.exec.Metrics(), s.store.Metrics(), s.ingest.Metrics()}
-	if s.wal != nil {
-		sets = append(sets, s.wal.Metrics(), &s.recovery)
-	}
-	return sets
-}
-
-// IngestAddr returns the ingest listener address (useful with ":0").
-func (s *Server) IngestAddr() string { return s.ingest.Addr().String() }
-
-// HTTPAddr returns the HTTP listener address, or "" when disabled.
-func (s *Server) HTTPAddr() string {
-	if s.httpLn == nil {
-		return ""
-	}
-	return s.httpLn.Addr().String()
+	return &Server{srv}, nil
 }
 
 // WindowResult is one closed window's published results, as served by
-// GET /windows and returned by Server.Results.
+// GET /windows and returned by Server.Results: rows ascending by key,
+// shared with the live store — read them, do not write them.
 type WindowResult = netio.WindowResult
-
-// Results returns the live result store (the same data GET /windows
-// serves).
-func (s *Server) Results() []netio.WindowResult { return s.store.Snapshot() }
-
-// RecoveredSessions reports how many resumable sessions recovery
-// restored (0 without ServeConfig.RecoverDir).
-func (s *Server) RecoveredSessions() int64 { return s.recoveredSessions.Load() }
-
-// ReplayedFrames reports how many logged frames recovery replayed
-// through the pipeline.
-func (s *Server) ReplayedFrames() int64 { return s.replayedFrames.Load() }
-
-// RecoveryNs reports how long recovery took before the listener
-// opened, in nanoseconds.
-func (s *Server) RecoveryNs() int64 { return s.recoveryNs }
 
 // Shutdown gracefully stops the server: the ingest listener closes,
 // open connections are severed, buffered batches drain through the
 // pipeline, every remaining window closes, and the final report —
-// including network ingest counters — is returned. Safe to call once.
-func (s *Server) Shutdown() (Report, error) {
-	s.ingest.Close()
-	rep, err := s.exec.Wait()
-	if s.httpSrv != nil {
-		s.httpSrv.Close()
-	}
-	var walStats wal.Stats
-	if s.wal != nil {
-		// The drain pushed the watermark past every window: one final
-		// checkpoint seals the complete run, after which the log
-		// segments are redundant and a restart recovers from the
-		// checkpoint alone.
-		s.stopCheckpointer()
-		ckErr := s.writeCheckpoint()
-		s.wal.Close()
-		walStats = s.wal.Stats() // after Close: its final fsync counts
-		if ckErr == nil {
-			if purgeErr := wal.PurgeSegments(s.wal.Dir()); purgeErr == nil {
-				walStats.SegmentsActive = 0
-			} else if err == nil {
-				err = purgeErr
-			}
-		} else if err == nil {
-			err = ckErr
-		}
-	}
-	if s.capture != nil {
-		s.capture.Rows = s.capture.Rows[:0]
-		for _, r := range rep.Rows {
-			s.capture.Rows = append(s.capture.Rows, ops.CapturedRow{Key: r.Key, Val: r.Val, Win: r.Win})
-		}
-		s.capture.Records = int64(len(s.capture.Rows))
-	}
-	ctr := s.ingest.Counters()
-	out := nativeReport(rep)
-	out.DroppedRecords = ctr.DroppedRecords
-	out.DecodeErrors = ctr.DecodeErrors
-	out.ChecksumErrors = ctr.ChecksumErrors
-	out.SessionsResumed = ctr.SessionsResumed
-	out.DuplicateFrames = ctr.DuplicateFrames
-	out.ShedConns = ctr.ShedConns
-	out.ExpiredSessions = ctr.ExpiredSessions
-	out.IdleTimeouts = ctr.IdleTimeouts
-	if s.wal != nil {
-		out.WALAppendedFrames = walStats.AppendedFrames
-		out.WALSyncs = walStats.Syncs
-		out.WALFsyncP99Ns = walStats.FsyncP99Ns
-		out.WALSegmentsActive = walStats.SegmentsActive
-		out.WALSegmentsRetired = walStats.SegmentsRetired
-		out.RecoveredSessions = s.recoveredSessions.Load()
-		out.ReplayedFrames = s.replayedFrames.Load()
-		out.RecoveryNs = s.recoveryNs
-	}
-	return out, err
-}
+// including network ingest, durability and recovery counters — is
+// returned. Safe to call once.
+func (s *Server) Shutdown() (Report, error) { return s.DrainShutdown(0) }
 
 // DrainShutdown is the ordered graceful stop: the ingest listener
 // closes immediately (no new connections), in-flight streams get up to
-// grace to finish cleanly, then the remaining connections are severed,
-// buffered frames drain through the pipeline, every remaining window
-// closes, and the final report is returned — the SIGTERM path of
-// cmd/sbx-serve.
+// grace to finish cleanly, then Shutdown's sequence runs — the SIGTERM
+// path of cmd/sbx-serve.
 func (s *Server) DrainShutdown(grace time.Duration) (Report, error) {
-	s.ingest.Drain(grace)
-	return s.Shutdown()
+	fin, err := s.Server.Shutdown(grace)
+	out := nativeReport(fin.Run)
+	out.DroppedRecords = fin.Ingest.DroppedRecords
+	out.DecodeErrors = fin.Ingest.DecodeErrors
+	out.ChecksumErrors = fin.Ingest.ChecksumErrors
+	out.SessionsResumed = fin.Ingest.SessionsResumed
+	out.DuplicateFrames = fin.Ingest.DuplicateFrames
+	out.ShedConns = fin.Ingest.ShedConns
+	out.ExpiredSessions = fin.Ingest.ExpiredSessions
+	out.IdleTimeouts = fin.Ingest.IdleTimeouts
+	out.WALAppendedFrames = fin.WAL.AppendedFrames
+	out.WALSyncs = fin.WAL.Syncs
+	out.WALFsyncP99Ns = fin.WAL.FsyncP99Ns
+	out.WALSegmentsActive = fin.WAL.SegmentsActive
+	out.WALSegmentsRetired = fin.WAL.SegmentsRetired
+	out.RecoveredSessions = s.RecoveredSessions()
+	out.ReplayedFrames = s.ReplayedFrames()
+	out.RecoveryNs = s.RecoveryNs()
+	return out, err
 }

@@ -115,7 +115,7 @@ func TestMetricsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := metrics.WriteText(&buf, srv.metricSets()...); err != nil {
+	if err := metrics.WriteText(&buf, srv.MetricSets()...); err != nil {
 		t.Fatal(err)
 	}
 	vals, _ := parseMetrics(t, buf.String())

@@ -99,7 +99,7 @@ func TestDrainShutdownSealsWAL(t *testing.T) {
 		"netio.(*Server).reaper",
 		"wal.(*Log).writeLoop",
 		"wal.(*Log).tickLoop",
-		"streambox.(*Server).checkpointLoop",
+		"serve.(*Server).checkpointLoop",
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
