@@ -4,6 +4,12 @@
 // columns, one of which is the event timestamp. Bundles live in DRAM at
 // ingress, are never modified after sealing (paper §5.1), and are
 // reclaimed by reference counting when no KPA points into them.
+//
+// Column storage has one lifetime rule: whoever supplies the columns
+// (Registry.NewBuilderOver — the native runtime's pooled slabs) gets
+// them back through its release hook at the bundle's last Release, and
+// nothing reads them afterwards. NewBuilder is the same constructor
+// over garbage-collected columns of its own making.
 package bundle
 
 import (
@@ -63,6 +69,9 @@ type Bundle struct {
 	alloc interface{ Free() }
 	// onFree hooks run after the bundle is reclaimed.
 	onFree []func(*Bundle)
+	// release takes the column storage back once the bundle is
+	// reclaimed; nil leaves it to the garbage collector.
+	release func(cols [][]uint64)
 }
 
 // Builder assembles a bundle row by row, then seals it.
@@ -71,7 +80,8 @@ type Builder struct {
 	reg *Registry
 }
 
-// NewBuilder starts a bundle of up to capacity records on tier t.
+// NewBuilder starts a bundle of up to capacity records on tier t, in
+// heap columns of its own.
 func NewBuilder(id uint64, schema Schema, capacity int, tier memsim.Tier) (*Builder, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -83,7 +93,25 @@ func NewBuilder(id uint64, schema Schema, capacity int, tier memsim.Tier) (*Buil
 	for i := range cols {
 		cols[i] = make([]uint64, 0, capacity)
 	}
-	return &Builder{b: &Bundle{id: id, schema: schema, cols: cols, tier: tier}}, nil
+	return newBuilderOver(id, schema, cols, tier, nil)
+}
+
+// newBuilderOver is the one constructor; Registry.NewBuilderOver
+// documents it.
+func newBuilderOver(id uint64, schema Schema, cols [][]uint64, tier memsim.Tier, release func(cols [][]uint64)) (*Builder, error) {
+	if err := schema.Validate(); err != nil {
+		return nil, err
+	}
+	if len(cols) != schema.NumCols {
+		return nil, fmt.Errorf("bundle %d: %d columns for %d-column schema", id, len(cols), schema.NumCols)
+	}
+	n := len(cols[0])
+	for _, c := range cols[1:] {
+		if len(c) != n {
+			return nil, fmt.Errorf("bundle %d: ragged columns (%d vs %d)", id, len(c), n)
+		}
+	}
+	return &Builder{b: &Bundle{id: id, schema: schema, cols: cols, n: n, tier: tier, release: release}}, nil
 }
 
 // Append adds one record; vals must have one value per column.
@@ -201,7 +229,9 @@ func (b *Bundle) Retain() {
 }
 
 // Release decrements the reference count and reclaims the bundle when it
-// reaches zero, freeing the slab allocation (paper §5.1).
+// reaches zero: the slab allocation is freed (paper §5.1) and the column
+// storage goes back to whoever supplied it, so a read through a stale
+// *Bundle fails instead of seeing another bundle's rows.
 func (b *Bundle) Release() {
 	n := b.rc.Add(-1)
 	if n < 0 {
@@ -214,6 +244,10 @@ func (b *Bundle) Release() {
 		}
 		for _, fn := range b.onFree {
 			fn(b)
+		}
+		if cols := b.cols; b.release != nil {
+			b.cols = nil
+			b.release(cols)
 		}
 	}
 }

@@ -159,12 +159,16 @@ type Stats struct {
 	Recycled int64
 	// ColRecycled counts column-slab requests served from a free list.
 	ColRecycled int64
-	PeakUsed    [memsim.NumTiers]int64
+	// ColsOut is the column slabs taken and not yet put back: the
+	// ownership ledger, zero whenever no batch, bundle or decoder holds
+	// one.
+	ColsOut  int64
+	PeakUsed [memsim.NumTiers]int64
 }
 
 // freeList is one tier's free lists for slabs of one element type — pair
 // slabs behind KPAs and kernel scratch, []uint64 column slabs behind
-// ingest batches (the wire→engine zero-copy path) — one stack per
+// ingest batches and the bundles that adopt them — one stack per
 // (size class, shard).
 type freeList[T any] [][slabShards]freeShard[T]
 
@@ -229,6 +233,7 @@ type Pool struct {
 	colCached      *metrics.Counter // column slabs sitting in free lists
 	colCachedBytes *metrics.Counter // their total capacity in bytes
 	colRecycled    *metrics.Counter // column requests served from a free list
+	colsOut        *metrics.Counter // column slabs taken and not yet put back
 }
 
 // New creates a pool with tier capacities from cfg. reservedHBM bytes of
@@ -267,6 +272,7 @@ func New(cfg memsim.Config, reservedHBM int64) *Pool {
 	p.colCached = p.set.Counter("streambox_mempool_colslabs_cached")
 	p.colCachedBytes = p.set.Counter("streambox_mempool_colslab_cached_bytes")
 	p.colRecycled = p.set.Counter("streambox_mempool_colslabs_recycled_total")
+	p.colsOut = p.set.Counter("streambox_mempool_colslabs_out")
 	// Spill capacity stays zero until AttachSpill hands over a file.
 	for t := 0; t < memsim.NumTiers; t++ {
 		p.free[t] = make(freeList[algo.Pair], len(sizeClasses))
@@ -332,17 +338,37 @@ func classFloorIndex(n int64) int {
 	return idx
 }
 
+// PoisonCols is a test mode: PutCol overwrites every slab it takes back,
+// so a bundle or batch read after its columns were returned yields
+// poison — a digest mismatch — instead of rows that happen to be intact
+// still. Tests set it from TestMain, before any pool exists.
+var PoisonCols atomic.Bool
+
+// colPoison is what a poisoned slab holds: as a timestamp it lies far
+// past any window, as a key it matches no generated one.
+const colPoison = 0xDEAD_C015_DEAD_C015
+
 // TakeCol returns a []uint64 column slab of length rows for tier t,
 // recycled from the column free lists when a slab of the right class is
 // available, freshly allocated otherwise. Capacity is class-rounded so
-// the slab can be trimmed and reused across frame sizes. Like scratch
-// buffers, column slabs bypass capacity accounting: the batch is
-// charged when the runtime copies it into a bundle, and charging the
-// transient wire-side staging too would double-count every record into
-// spurious backpressure. Recycled slabs hold stale contents — the
-// ingest path overwrites every element before reading (columnar frames
-// by io.ReadFull, row decoders by append).
+// the slab can be trimmed and reused across frame sizes. The taker owns
+// the slab until it — or the bundle it hands the slab to — calls PutCol;
+// ColsOut counts the slabs in between. Like scratch buffers, column
+// slabs bypass capacity accounting on their own: a batch queued on the
+// wire side is transient staging, and the runtime charges it (Alloc,
+// records x record bytes) when a bundle adopts it — charging the staging
+// too would double-count every record into spurious backpressure.
+// That charge is the rows, not the slab: the class rounding is resident
+// but uncharged (a 10 000-row column is 80 KB in a 128 KiB slab, so up
+// to 2x the charged bytes just past a class boundary), and the column
+// free lists have no cap — they keep the high-water mark of slabs for
+// the life of the pool (streambox_mempool_colslab_cached_bytes) where
+// heap columns would have been garbage-collected.
+// Recycled slabs hold stale contents — the taker overwrites every
+// element before reading (columnar frames by io.ReadFull, row decoders
+// and generators by append).
 func (p *Pool) TakeCol(t memsim.Tier, rows int) []uint64 {
+	p.colsOut.Add(1)
 	if t == memsim.Spill {
 		if f := p.Spill(); f != nil {
 			if col, err := f.TakeCol(rows); err == nil {
@@ -374,6 +400,13 @@ func (p *Pool) TakeCol(t memsim.Tier, rows int) []uint64 {
 // being thrown away); capacities below the smallest class go back to
 // the garbage collector.
 func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
+	p.colsOut.Add(-1)
+	if PoisonCols.Load() {
+		col = col[:cap(col)]
+		for i := range col {
+			col[i] = colPoison
+		}
+	}
 	if t == memsim.Spill {
 		if f := p.Spill(); f != nil {
 			f.PutCol(col)
@@ -574,6 +607,7 @@ func (p *Pool) Stats() Stats {
 		Failures:    p.failures,
 		Recycled:    p.recycled.Load(),
 		ColRecycled: p.colRecycled.Load(),
+		ColsOut:     p.colsOut.Load(),
 		PeakUsed:    p.peak,
 	}
 }

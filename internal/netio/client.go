@@ -1,7 +1,6 @@
 package netio
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -93,7 +92,8 @@ type ClientConfig struct {
 	Reconnect *ReconnectConfig
 	// ReplayFrames bounds the replay buffer in frames (0 picks
 	// 64). Larger buffers ride out longer ack gaps; the buffer holds
-	// encoded payload copies, so memory is ReplayFrames × frame size.
+	// encoded payload copies in recycled buffers, so memory is at most
+	// ReplayFrames × frame size — and in practice the frames in flight.
 	ReplayFrames int
 	// Faults, when non-nil and enabled, wraps the connection with the
 	// fault injector after each successful handshake — chaos tests
@@ -102,10 +102,11 @@ type ClientConfig struct {
 	Faults *faultinject.Injector
 }
 
-// replayFrame is one unacked frame parked in the replay buffer.
+// replayFrame is one unacked frame parked in the replay buffer: its
+// bytes as they go on the wire, header and payload.
 type replayFrame struct {
-	seq     uint64
-	payload []byte
+	seq   uint64
+	frame []byte
 }
 
 // Client is one ingest stream: it frames and encodes records,
@@ -120,6 +121,18 @@ type replayFrame struct {
 // ReconnectConfig — a lost connection is replaced by redial + resume +
 // replay without losing or duplicating a record. Send and Close hide
 // all of that; Reconnects and Replayed expose how often it happened.
+//
+// The replay buffer is a ring of recycled frame buffers: the ack that
+// trims a frame moves its buffer to a free list, the next frame is
+// encoded into one from there — behind room for its header — and the
+// socket write takes the buffer as it is, so a steady stream allocates
+// nothing per frame and the encode is the client's one copy. A buffer is
+// never rewritten while it may still be transmitted:
+// only the sending goroutine encodes and writes frames, one after the
+// other; a buffer reaches the free list only once an ack at or below
+// maxTx covers its frame, which no connection — the current one or,
+// after a rewind to that ack, a later one — sends again; and a reconnect
+// waits out the old credit loop before it rewinds.
 type Client struct {
 	cfg   ClientConfig
 	rc    ReconnectConfig // defaults applied; valid only when cfg.Reconnect != nil
@@ -128,8 +141,7 @@ type Client struct {
 
 	token uint64 // the session's resume token, fixed by the first handshake
 
-	conn net.Conn      // current connection; app goroutine + stale check
-	bw   *bufio.Writer // app goroutine only
+	conn net.Conn // current connection; app goroutine + stale check
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -139,6 +151,10 @@ type Client struct {
 	acked   uint64        // server's cumulative ack
 	maxTx   uint64        // highest seq ever written to any connection
 	replay  []replayFrame
+	// free holds the buffers of trimmed frames for the next frames to be
+	// encoded into; with replay, never more than ReplayFrames buffers
+	// between them.
+	free [][]byte
 
 	txSeq   uint64 // highest seq written to the *current* connection
 	nextSeq uint64 // seq assigned to the next new frame
@@ -278,24 +294,7 @@ func (c *Client) install(conn net.Conn, credits int) {
 	c.readErr = nil
 	c.done = done
 	c.mu.Unlock()
-	c.bw = bufio.NewWriterSize(conn, writeBufSize(c.cfg))
 	go c.creditLoop(conn, done)
-}
-
-// writeBufSize sizes the send buffer: row formats batch fine at 64 KiB;
-// columnar sizes to roughly one frame so a frame flushes in few writes.
-func writeBufSize(cfg ClientConfig) int {
-	size := 64 << 10
-	if cfg.Format == parsefmt.Columnar {
-		size = cfg.FrameRecords*7*8 + 64
-	}
-	if size < 64<<10 {
-		size = 64 << 10
-	}
-	if size > 1<<20 {
-		size = 1 << 20
-	}
-	return size
 }
 
 // Format returns the stream's payload format.
@@ -342,12 +341,13 @@ func (c *Client) creditLoop(conn net.Conn, done chan struct{}) {
 	}
 }
 
-// trimReplayLocked drops the acked prefix of the replay buffer. Caller
-// holds c.mu.
+// trimReplayLocked drops the acked prefix of the replay buffer, its
+// frame buffers going to the free list. Caller holds c.mu.
 func (c *Client) trimReplayLocked() {
 	k := 0
 	for k < len(c.replay) && c.replay[k].seq <= c.acked {
-		c.replay[k].payload = nil
+		c.free = append(c.free, c.replay[k].frame)
+		c.replay[k].frame = nil
 		k++
 	}
 	if k > 0 {
@@ -467,18 +467,31 @@ func (w *ackWait) wait(c *Client) bool {
 	return true
 }
 
-// appendReplay parks one frame in the replay buffer, blocking while the
-// buffer is full of unacked frames. A dead connection cannot produce
-// acks — and one that has produced none for a full ack wait is as good
-// as dead — so a full buffer triggers the reconnect that will.
-func (c *Client) appendReplay(seq uint64, payload []byte) error {
+// frameBuf waits for room in the replay buffer — blocking while it is
+// full of unacked frames — and returns the buffer to encode the next
+// frame's payload into, appending: frameHeaderBytes long, the room its
+// header takes. It is the most recently freed buffer, still warm, or a
+// fresh one with capacity for a size-byte payload while the ring is
+// still growing. A dead connection cannot
+// produce acks — and one that has produced none for a full ack wait is
+// as good as dead — so a full buffer triggers the reconnect that will.
+// Only the sending goroutine parks frames, so the room is still there
+// when sendFrame parks the frame encoded into the buffer.
+func (c *Client) frameBuf(size int) ([]byte, error) {
 	w := c.newAckWait()
 	for {
 		c.mu.Lock()
 		if len(c.replay) < c.cfg.ReplayFrames {
-			c.replay = append(c.replay, replayFrame{seq: seq, payload: payload})
+			k := len(c.free) - 1
+			if k < 0 {
+				c.mu.Unlock()
+				return make([]byte, frameHeaderBytes, frameHeaderBytes+size), nil
+			}
+			buf := c.free[k]
+			c.free[k] = nil
+			c.free = c.free[:k]
 			c.mu.Unlock()
-			return nil
+			return buf[:frameHeaderBytes], nil
 		}
 		err := c.readErr
 		if err == nil && !w.wait(c) {
@@ -489,10 +502,10 @@ func (c *Client) appendReplay(seq uint64, payload []byte) error {
 			continue
 		}
 		if err := c.reconnect(err); err != nil {
-			return fmt.Errorf("%w: %w", ErrReplayOverflow, err)
+			return nil, fmt.Errorf("%w: %w", ErrReplayOverflow, err)
 		}
 		if err := c.pump(); err != nil {
-			return err
+			return nil, err
 		}
 		w.armed = false // the resume handshake was progress; re-arm
 	}
@@ -540,11 +553,7 @@ func (c *Client) pump() error {
 		}
 		c.mu.Unlock()
 		c.armWrite()
-		err := writeSeqFrame(c.bw, fr.seq, fr.payload)
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		if err != nil {
+		if _, err := c.conn.Write(fr.frame); err != nil {
 			err = c.mapWriteErr("frame write", err)
 			if c.reconnect(err) != nil {
 				return err
@@ -558,15 +567,17 @@ func (c *Client) pump() error {
 	}
 }
 
-// sendFrame assigns the next sequence number to payload (which the
-// replay buffer takes ownership of), parks it, and pumps the
+// sendFrame assigns the next sequence number to frame — the buffer
+// frameBuf just returned with the payload encoded behind the header
+// room, which the replay buffer takes back — parks it, and pumps the
 // connection.
-func (c *Client) sendFrame(payload []byte, records int) error {
+func (c *Client) sendFrame(frame []byte, records int) error {
 	seq := c.nextSeq
 	c.nextSeq++
-	if err := c.appendReplay(seq, payload); err != nil {
-		return err
-	}
+	putFrameHeader(frame, seq)
+	c.mu.Lock()
+	c.replay = append(c.replay, replayFrame{seq: seq, frame: frame})
+	c.mu.Unlock()
 	c.sent.Add(int64(records))
 	c.frames.Add(1)
 	return c.pump()
@@ -587,7 +598,11 @@ func (c *Client) Send(recs []parsefmt.Record) error {
 		if n > len(recs) {
 			n = len(recs)
 		}
-		if err := c.sendFrame(appendCRC(parsefmt.EncodePB(recs[:n])), n); err != nil {
+		buf, err := c.frameBuf(0) // a record's encoded size varies: append sizes the first buffers
+		if err != nil {
+			return err
+		}
+		if err := c.sendFrame(appendCRC(parsefmt.AppendPB(buf, recs[:n]), frameHeaderBytes), n); err != nil {
 			return err
 		}
 		recs = recs[n:]
@@ -619,9 +634,10 @@ func (c *Client) scatterRecords(recs []parsefmt.Record) [][]uint64 {
 // SendColumns frames and transmits a column-major batch over a columnar
 // connection, splitting the rows into frames of the configured size. It
 // blocks while the server withholds credits. Each frame's payload is
-// encoded once, straight from the column slices, into the replay buffer
-// (the price of being able to replay it after a connection loss) and
-// written to the wire from there.
+// encoded once, straight from the column slices, into a recycled buffer
+// of the replay ring — the one copy the client makes, the price of being
+// able to replay the frame after a connection loss — and written to the
+// wire from there. cols are the caller's again when SendColumns returns.
 func (c *Client) SendColumns(cols [][]uint64) error {
 	if c.cfg.Format != parsefmt.Columnar {
 		return fmt.Errorf("netio: SendColumns on a %v connection", c.cfg.Format)
@@ -647,7 +663,11 @@ func (c *Client) SendColumns(cols [][]uint64) error {
 		for i := range cols {
 			chunk[i] = cols[i][lo:hi]
 		}
-		if err := c.sendFrame(parsefmt.EncodeColumnarFrame(chunk), hi-lo); err != nil {
+		buf, err := c.frameBuf(parsefmt.ColumnarHeaderBytes + int(parsefmt.ColumnarDataBytes(len(chunk), hi-lo)))
+		if err != nil {
+			return err
+		}
+		if err := c.sendFrame(parsefmt.AppendColumnarFrame(buf, chunk), hi-lo); err != nil {
 			return err
 		}
 	}
@@ -731,9 +751,5 @@ func (c *Client) Close() error {
 // writeEOS sends the end-of-stream marker.
 func (c *Client) writeEOS() error {
 	c.armWrite()
-	err := writeEOS(c.bw)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	return c.mapWriteErr("end-of-stream write", err)
+	return c.mapWriteErr("end-of-stream write", writeEOS(c.conn))
 }

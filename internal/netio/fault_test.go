@@ -30,7 +30,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // [lo, lo+n) of gen.
 func genPayload(format parsefmt.Format, gen *RecordGen, lo, n int) []byte {
 	if format != parsefmt.Columnar {
-		return appendCRC(parsefmt.EncodePB(gen.Records(uint64(lo), uint64(lo+n))))
+		return appendCRC(parsefmt.EncodePB(gen.Records(uint64(lo), uint64(lo+n))), 0)
 	}
 	cols := make([][]uint64, 7)
 	for i := lo; i < lo+n; i++ {
@@ -40,6 +40,14 @@ func genPayload(format parsefmt.Format, gen *RecordGen, lo, n int) []byte {
 		}
 	}
 	return parsefmt.EncodeColumnarFrame(cols)
+}
+
+// writeSeqFrame sends one data frame by hand: header, then payload.
+func writeSeqFrame(w io.Writer, seq uint64, payload []byte) error {
+	frame := append(make([]byte, frameHeaderBytes, frameHeaderBytes+len(payload)), payload...)
+	putFrameHeader(frame, seq)
+	_, err := w.Write(frame)
+	return err
 }
 
 // rawSessionRequest sends a hello by hand — token zero asks for a fresh
@@ -80,6 +88,17 @@ func fakeGrant(conn net.Conn, credits uint16) error {
 		return err
 	}
 	return writeGrant(conn, grant{status: statusOK, credits: credits, token: 42})
+}
+
+// delivering reports whether a connection of the session is inside
+// deliver — which holds the session's delivery lock while it waits for
+// room in the feed.
+func (ss *session) delivering() bool {
+	if ss.dmu.TryLock() {
+		ss.dmu.Unlock()
+		return false
+	}
+	return true
 }
 
 // awaitAck reads credit acks off a raw session connection until the
@@ -573,14 +592,7 @@ func testTakeoverWaitsForInFlightDelivery(t *testing.T, format parsefmt.Format) 
 	if err := writeSeqFrame(connA, 2, genPayload(format, &gen, 10, 10)); err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.sessions.lookup(token)
-	waitFor(t, 5*time.Second, func() bool {
-		if sess.dmu.TryLock() {
-			sess.dmu.Unlock()
-			return false
-		}
-		return true
-	}, "connection A to stall delivering frame 2")
+	waitFor(t, 5*time.Second, srv.sessions.lookup(token).delivering, "connection A to stall delivering frame 2")
 
 	connB := rawSessionRequest(t, addr, format, token)
 	defer connB.Close()

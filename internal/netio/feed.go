@@ -10,9 +10,9 @@ import (
 	"streambox/internal/memsim"
 )
 
-// colTier is the memory tier ingest column batches stage through. Wire
-// batches are DRAM-resident until the runtime copies them into bundles;
-// HBM stays dedicated to the compute-side KPAs.
+// colTier is the memory tier ingest column batches live on, queued and
+// adopted by a bundle alike; HBM stays dedicated to the compute-side
+// KPAs.
 const colTier = memsim.DRAM
 
 // batch is one decoded frame flowing from a connection handler to the
@@ -46,11 +46,17 @@ type feedCursor struct {
 // runs produce exactly the results of the equivalent single-generator
 // run.
 //
-// Column memory has one owner: the engine's mempool (attached via
-// UsePool). Handlers borrow column slabs here, the runtime returns them
-// through Recycle, and /metrics reports the pool's column-slab
-// occupancy alongside every other engine buffer. Only the [][]uint64
-// headers cycle through a sync.Pool.
+// Column memory comes from the engine's mempool (attached via UsePool)
+// and every slab has one holder at a time: the handler that borrowed it
+// (borrowCols) until deliver pushes the batch; the feed while the batch
+// is queued — uncharged, the queue is bounded; then the bundle the
+// runtime seals over the batch, never copying it — charged to the DRAM
+// tier at that adoption — until the bundle's last Release calls
+// Recycle. Whoever drops a batch instead (a damaged frame, a superseded
+// connection, a push refused by shutdown, a batch the runtime rejects)
+// calls Recycle itself, so the pool's ColsOut returns to zero whenever
+// nothing is in flight. Only the [][]uint64 headers cycle through a
+// sync.Pool.
 type Feed struct {
 	schema bundle.Schema
 	ch     chan batch
@@ -144,8 +150,8 @@ func (f *Feed) SeedHighTs(ts uint64) {
 
 // Inject delivers a recovered batch under conn's cursor through the
 // normal delivery path (blocking on feed backpressure); it reports
-// false once shutdown has begun. cols must come from BorrowCols so
-// recycling returns them to the pool.
+// false once shutdown has begun, having recycled the batch. cols must
+// come from BorrowCols so recycling returns them to the pool.
 func (f *Feed) Inject(conn int64, cols [][]uint64, maxTs uint64) bool {
 	return f.push(batch{conn: conn, cols: cols, maxTs: maxTs})
 }
@@ -196,19 +202,22 @@ func (f *Feed) liveCursors() (total, parked int) {
 }
 
 // push delivers a batch, blocking while the buffer is full. It returns
-// false — and drops the batch — once shutdown has begun.
+// false — and drops the batch, its columns recycled — once shutdown has
+// begun.
 func (f *Feed) push(b batch) bool {
 	select {
 	case <-f.stop:
-		return false
 	default:
+		select {
+		case f.ch <- b:
+			return true
+		case <-f.stop:
+		}
 	}
-	select {
-	case f.ch <- b:
-		return true
-	case <-f.stop:
-		return false
+	if b.cols != nil {
+		f.Recycle(b.cols)
 	}
+	return false
 }
 
 // retire removes a connection's cursor directly, for handlers whose
@@ -234,6 +243,20 @@ func (f *Feed) beginShutdown() { close(f.stop) }
 // closeSend closes the batch channel. Only the server may call it, after
 // every connection handler has exited (no concurrent pushers).
 func (f *Feed) closeSend() { close(f.ch) }
+
+// Reclaim recycles every batch still queued. The runtime normally
+// drains the closed feed itself; a run that died early leaves batches
+// behind, and whoever waited for it to exit calls Reclaim so their slabs
+// go back to the pool. Call only after the feed is closed and its
+// consumer gone: before that, queued batches are acked data the runtime
+// has yet to ingest.
+func (f *Feed) Reclaim() {
+	for b := range f.ch {
+		if b.cols != nil {
+			f.Recycle(b.cols)
+		}
+	}
+}
 
 // Close shuts down a feed no server owns (error paths before Listen
 // succeeds), releasing a runtime blocked in Recv. With a server
@@ -283,11 +306,13 @@ func (f *Feed) Recv(maxWait time.Duration) ([][]uint64, bool, bool) {
 	}
 }
 
-// Recycle implements runtime.BatchRecycler: the runtime hands back a
-// batch's column buffers after copying them into a bundle. Column slabs
-// return to the mempool's column free lists; the bare header joins the
-// header pool. Without an attached pool, columns stay on the header for
-// borrowCols to reslice.
+// Recycle implements runtime.BatchRecycler: it ends a batch's life —
+// the release hook of the bundle sealed over it, called from whichever
+// goroutine drops that bundle's last reference, and the one call every
+// path that drops a batch short of a bundle makes. Nothing may read cols
+// afterwards. Column slabs return to the mempool's column free lists;
+// the bare header joins the header pool. Without an attached pool,
+// columns stay on the header for borrowCols to reslice.
 func (f *Feed) Recycle(cols [][]uint64) {
 	if len(cols) != f.schema.NumCols {
 		return
@@ -312,9 +337,8 @@ func (f *Feed) borrowCols(rows int) [][]uint64 {
 	for i := range cols {
 		switch {
 		case p != nil:
-			if cols[i] != nil {
-				p.PutCol(colTier, cols[i])
-			}
+			// A column left on the header predates the pool: never
+			// taken from it, so it is the garbage collector's.
 			cols[i] = p.TakeCol(colTier, rows)
 		case cap(cols[i]) >= rows:
 			cols[i] = cols[i][:rows]

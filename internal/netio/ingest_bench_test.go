@@ -98,7 +98,9 @@ func BenchmarkIngest(b *testing.B) {
 
 // BenchmarkColumnarIngest is the zero-copy receive pin on its own name:
 // loopback columnar ingest, records/second and allocations per record
-// (the bytes per record are the client's replay-buffer copy).
+// (the bytes per record are the replay ring and the slab free lists
+// warming up, spread over b.N; TestIngestSteadyStateAllocs holds the
+// steady state).
 func BenchmarkColumnarIngest(b *testing.B) {
 	benchIngest(b, parsefmt.Columnar, nil)
 }

@@ -65,7 +65,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 	// The PB trailer: any one-bit flip, in the records or in the trailer
 	// itself, fails verification; so does a payload too short to carry it.
-	framed := appendCRC(bytes.Clone(payload))
+	framed := appendCRC(bytes.Clone(payload), 0)
 	if body, ok := splitCRC(framed); !ok || !bytes.Equal(body, payload) {
 		t.Fatalf("CRC trailer round trip: %q %v", body, ok)
 	}
@@ -381,10 +381,9 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		if err := c.takeCredit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeSeqFrame(c.bw, 1, make([]byte, 4096)); err != nil {
+		if err := writeSeqFrame(c.conn, 1, make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
-		c.bw.Flush()
 		c.Close()
 		srv.Close()
 		<-done
@@ -682,12 +681,12 @@ func TestServerCountsDecodeErrors(t *testing.T) {
 
 	conn, _, token, _ := rawSessionDial(t, addr, parsefmt.PB, 0)
 	// Two valid records, then a record with field number 9.
-	misencoded := appendCRC(append(parsefmt.EncodePB(RecordGen{}.Records(0, 2)), 0x02, 0x48, 0x01))
+	misencoded := appendCRC(append(parsefmt.EncodePB(RecordGen{}.Records(0, 2)), 0x02, 0x48, 0x01), 0)
 	if err := writeSeqFrame(conn, 1, misencoded); err != nil {
 		t.Fatal(err)
 	}
 	awaitAck(t, conn, 1)
-	good := appendCRC(parsefmt.EncodePB(RecordGen{}.Records(2, 4)))
+	good := appendCRC(parsefmt.EncodePB(RecordGen{}.Records(2, 4)), 0)
 	damaged := bytes.Clone(good)
 	damaged[3] ^= 0x10
 	if err := writeSeqFrame(conn, 2, damaged); err != nil {

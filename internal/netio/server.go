@@ -1005,6 +1005,7 @@ func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, rang
 		}
 		n := int64(len(cols[0]))
 		if !s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
+			// Draining: push recycled the batch.
 			s.dropped.Add(n)
 			c.dropped.Add(n)
 			return false // draining: the pipeline no longer accepts records

@@ -258,9 +258,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // crcBytes is the size of a PB payload's checksum trailer.
 const crcBytes = 4
 
-// appendCRC appends the payload's CRC-32C trailer.
-func appendCRC(payload []byte) []byte {
-	return binary.BigEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
+// appendCRC appends the CRC-32C trailer of the payload buf[from:] —
+// what precedes it is the sender's room for the frame header.
+func appendCRC(buf []byte, from int) []byte {
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[from:], castagnoli))
 }
 
 // splitCRC verifies a PB payload's trailer and returns the bytes it
@@ -274,17 +275,15 @@ func splitCRC(payload []byte) (body []byte, ok bool) {
 	return body, binary.BigEndian.Uint32(payload[len(body):]) == crc32.Checksum(body, castagnoli)
 }
 
-// writeSeqFrame sends one data frame: the uint32 payload length, the
-// uint64 frame sequence number, then the payload.
-func writeSeqFrame(w io.Writer, seq uint64, payload []byte) error {
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(hdr[4:], seq)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHeaderBytes is what precedes a data frame's payload on the wire:
+// the uint32 payload length and the uint64 frame sequence number.
+const frameHeaderBytes = 12
+
+// putFrameHeader fills in the header of the data frame held in frame —
+// frameHeaderBytes of room, then the payload.
+func putFrameHeader(frame []byte, seq uint64) {
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-frameHeaderBytes))
+	binary.BigEndian.PutUint64(frame[4:frameHeaderBytes], seq)
 }
 
 // writeEOS sends the end-of-stream marker: a bare zero length with no

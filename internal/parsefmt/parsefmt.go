@@ -70,22 +70,25 @@ func DecodeJSON(data []byte) ([]Record, error) {
 // with fields 1..7, implemented from scratch.
 
 // EncodePB renders records in the varint wire format.
-func EncodePB(recs []Record) []byte {
-	var buf []byte
-	var body []byte
-	var tmp [binary.MaxVarintLen64]byte
+func EncodePB(recs []Record) []byte { return AppendPB(nil, recs) }
+
+// AppendPB appends the records' varint wire form to dst and returns the
+// extended slice — EncodePB into a buffer the caller reuses.
+func AppendPB(dst []byte, recs []Record) []byte {
 	for _, r := range recs {
-		body = body[:0]
+		// Reserve the length byte, encode the fields behind it, then
+		// fill it in: no staging buffer, no second copy.
+		at := len(dst)
+		dst = append(dst, 0)
 		for i, v := range r.Cols() {
-			body = append(body, byte((i+1)<<3)) // field tag, wire type 0
-			n := binary.PutUvarint(tmp[:], v)
-			body = append(body, tmp[:n]...)
+			dst = append(dst, byte((i+1)<<3)) // field tag, wire type 0
+			dst = binary.AppendUvarint(dst, v)
 		}
-		n := binary.PutUvarint(tmp[:], uint64(len(body)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, body...)
+		// 7 fields of a tag byte and at most a 10-byte varint: under 128,
+		// so the length is a one-byte uvarint.
+		dst[at] = byte(len(dst) - at - 1)
 	}
-	return buf
+	return dst
 }
 
 // maxWireRecordBytes bounds one encoded record on the wire. A legitimate

@@ -140,10 +140,13 @@ type ExternalFeed interface {
 	Watermark() wm.Time
 }
 
-// BatchRecycler is optionally implemented by an ExternalFeed: once the
-// runtime has copied a received batch into a bundle, it hands the
-// column buffers back through Recycle so the feed's decoder can refill
-// them instead of allocating fresh ones per frame.
+// BatchRecycler is optionally implemented by an ExternalFeed whose
+// batches are borrowed storage. The runtime never copies a batch: the
+// bundle it seals over the columns owns them from Recv on, and Recycle
+// is that bundle's release hook — called once per received batch, from
+// whichever goroutine drops the bundle's last reference, or at once for
+// a batch the runtime cannot ingest. A feed without it hands out
+// garbage-collected batches.
 type BatchRecycler interface {
 	Recycle(cols [][]uint64)
 }
@@ -632,6 +635,7 @@ func (x *exec) ingest() {
 		nextTs    wm.Time
 	)
 	schema := x.plan.Gen.Schema()
+	putCols := x.putCols // one method value, not one per bundle
 	n := x.plan.Source.BundleRecords
 	tsPerRecord := float64(x.plan.Win.Size) / float64(x.plan.Source.WindowRecords)
 	for x.m.ingested.Load() < x.plan.TotalRecords {
@@ -644,9 +648,8 @@ func (x *exec) ingest() {
 		}
 		// Memory can only come back from windows behind the stream, so
 		// the forced watermark is this bundle's first timestamp.
-		b, err := x.ingestBundle(schema, n, func() wm.Time { return nextTs }, func(bd *bundle.Builder) error {
+		b, err := x.ingestBundle(schema, x.takeCols(schema, n), n, putCols, func() wm.Time { return nextTs }, func(bd *bundle.Builder) {
 			x.plan.Gen.Fill(bd, n, nextTs, tsHi)
-			return nil
 		})
 		if err != nil {
 			x.recordError(err)
@@ -663,16 +666,28 @@ func (x *exec) ingest() {
 }
 
 // ingestFeed is the external-source driver loop: batches arrive pushed
-// from the network feed instead of being generated in-process. The
-// same backpressure gates apply — and because the serving layer wires
-// DRAMUtilization into the ingest server's credit policy, a stall here
-// propagates to clients as withheld credits rather than unbounded
+// from the network feed instead of being generated in-process, and each
+// becomes a bundle as it is — sealed over the columns the feed
+// delivered, which go back through the feed's Recycle when the bundle's
+// last reference drops (or here, for a batch that never becomes one).
+// The same backpressure gates apply — and because the serving layer
+// wires DRAMUtilization into the ingest server's credit policy, a stall
+// here propagates to clients as withheld credits rather than unbounded
 // buffering. The loop exits when the feed closes (listener shutdown)
 // and the caller's final watermark drains every open window.
 func (x *exec) ingestFeed() {
 	feed := x.plan.Feed
 	schema := feed.Schema()
-	recycler, _ := feed.(BatchRecycler)
+	var recycle func(cols [][]uint64)
+	if r, ok := feed.(BatchRecycler); ok {
+		recycle = r.Recycle
+	}
+	reject := func(cols [][]uint64, err error) {
+		x.recordError(err)
+		if recycle != nil && len(cols) > 0 {
+			recycle(cols)
+		}
+	}
 	var bundleCnt int
 	for {
 		// Stall before taking a batch off the feed, so a backlog holds
@@ -694,11 +709,11 @@ func (x *exec) ingestFeed() {
 			return
 		}
 		if len(cols) != schema.NumCols || len(cols) == 0 || len(cols[0]) == 0 {
-			x.recordError(fmt.Errorf("runtime: feed batch has %d columns, schema wants %d", len(cols), schema.NumCols))
+			reject(cols, fmt.Errorf("runtime: feed batch has %d columns, schema wants %d", len(cols), schema.NumCols))
 			continue
 		}
 		if len(cols[x.plan.TsCol]) == 0 {
-			x.recordError(fmt.Errorf("runtime: feed batch window column %d is empty (%d-row batch)", x.plan.TsCol, len(cols[0])))
+			reject(cols, fmt.Errorf("runtime: feed batch window column %d is empty (%d-row batch)", x.plan.TsCol, len(cols[0])))
 			continue
 		}
 		// One min/max pass over the batch's window column serves both
@@ -710,20 +725,13 @@ func (x *exec) ingestFeed() {
 		// batch's earliest timestamp so no window it contributes to
 		// closes early (the feed's cursor already covers the batch).
 		forced := func() wm.Time { return min(feed.Watermark(), minTs) }
-		b, err := x.ingestBundle(schema, len(cols[0]), forced, func(bd *bundle.Builder) error {
-			return bd.AppendColumnar(cols...)
-		})
+		b, err := x.ingestBundle(schema, cols, len(cols[0]), recycle, forced, nil)
 		if err != nil {
 			x.recordError(err)
 			return
 		}
 		x.m.ingested.Add(int64(b.Rows()))
 		x.submitExtractRange(b, maxTs, minTs, maxTs)
-		if recycler != nil {
-			// The bundle holds its own copy now; the column buffers go
-			// back to the feed's decoder.
-			recycler.Recycle(cols)
-		}
 		bundleCnt++
 		if bundleCnt%x.plan.Source.WatermarkEvery == 0 {
 			if w := feed.Watermark(); w > 0 {
@@ -733,24 +741,50 @@ func (x *exec) ingestFeed() {
 	}
 }
 
-// ingestBundle builds one sealed n-record ingress bundle for either
-// driver loop, stalling on backpressure first and riding out an
-// exhausted DRAM pool. With the spill tier attached it first walks
-// sealed state out to the mmap'd file synchronously — that frees
-// memory now, without disturbing event time, and lets window state
-// overshoot the memory budget instead of draining it early — down to
-// the low-water mark, not just the failed request: restoring real
-// headroom keeps ingest from re-entering this path once per
-// allocation. Otherwise memory can only come back from window closure,
-// and watermarks only advance on the ingest goroutine — so it forces
-// one at forcedWM() to drain every window behind the stream, pauses and
-// retries. A pool that stays exhausted for Config.ExhaustTimeout
-// (pipeline state exceeds DRAM) fails the run instead of hanging.
-func (x *exec) ingestBundle(schema bundle.Schema, n int, forcedWM func() wm.Time, fill func(*bundle.Builder) error) (*bundle.Bundle, error) {
+// takeCols borrows an empty n-record batch of pooled column slabs for
+// the generator to fill; putCols is the release hook that returns it.
+func (x *exec) takeCols(schema bundle.Schema, n int) [][]uint64 {
+	cols := make([][]uint64, schema.NumCols)
+	for i := range cols {
+		cols[i] = x.pool.TakeCol(memsim.DRAM, n)[:0]
+	}
+	return cols
+}
+
+func (x *exec) putCols(cols [][]uint64) {
+	for _, c := range cols {
+		x.pool.PutCol(memsim.DRAM, c)
+	}
+}
+
+// ingestBundle seals one n-record ingress bundle over cols for either
+// driver loop — the feed's batch as it arrived, or empty pooled slabs
+// that fill (the generator) appends into — charged to the DRAM pool
+// first, stalling on backpressure and riding out an exhausted pool.
+// cols are the bundle's from here on: release takes them back when the
+// bundle is reclaimed, or now if no bundle comes of them.
+//
+// With the spill tier attached an exhausted pool first walks sealed
+// state out to the mmap'd file synchronously — that frees memory now,
+// without disturbing event time, and lets window state overshoot the
+// memory budget instead of draining it early — down to the low-water
+// mark, not just the failed request: restoring real headroom keeps
+// ingest from re-entering this path once per allocation. Otherwise
+// memory can only come back from window closure, and watermarks only
+// advance on the ingest goroutine — so it forces one at forcedWM() to
+// drain every window behind the stream, pauses and retries. A pool that
+// stays exhausted for Config.ExhaustTimeout (pipeline state exceeds
+// DRAM) fails the run instead of hanging.
+func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, n int, release func([][]uint64), forcedWM func() wm.Time, fill func(*bundle.Builder)) (b *bundle.Bundle, err error) {
+	defer func() {
+		if err != nil && release != nil {
+			release(cols)
+		}
+	}()
 	var exhaustedSince time.Time
 	for {
 		x.stallIngest()
-		b, err := x.buildBundle(schema, n, fill)
+		b, err = x.buildBundle(schema, cols, n, release, fill)
 		var ee *mempool.ErrExhausted
 		if !errors.As(err, &ee) {
 			return b, err
@@ -772,24 +806,24 @@ func (x *exec) ingestBundle(schema bundle.Schema, n int, forcedWM func() wm.Time
 	}
 }
 
-// buildBundle allocates an n-record bundle from the DRAM pool, fills it
-// and seals it. An exhausted pool surfaces as *mempool.ErrExhausted
-// before fill is called.
-func (x *exec) buildBundle(schema bundle.Schema, n int, fill func(*bundle.Builder) error) (*bundle.Bundle, error) {
+// buildBundle charges an n-record bundle to the DRAM pool, then builds
+// it over cols, fills it and seals it. An exhausted pool surfaces as
+// *mempool.ErrExhausted before cols are touched.
+func (x *exec) buildBundle(schema bundle.Schema, cols [][]uint64, n int, release func([][]uint64), fill func(*bundle.Builder)) (*bundle.Bundle, error) {
 	alloc, err := x.pool.Alloc(memsim.DRAM, int64(n)*schema.RecordBytes())
 	if err != nil {
 		return nil, err
 	}
-	bd, err := x.reg.NewBuilder(schema, n, memsim.DRAM)
+	bd, err := x.reg.NewBuilderOver(schema, cols, memsim.DRAM, release)
 	if err == nil {
 		err = bd.AttachAlloc(alloc)
-	}
-	if err == nil {
-		err = fill(bd)
 	}
 	if err != nil {
 		alloc.Free()
 		return nil, err
+	}
+	if fill != nil {
+		fill(bd)
 	}
 	return bd.Seal(), nil
 }

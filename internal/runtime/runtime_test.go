@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,6 +12,7 @@ import (
 	"streambox/internal/engine"
 	"streambox/internal/ingress"
 	"streambox/internal/kpa"
+	"streambox/internal/mempool"
 	"streambox/internal/memsim"
 	"streambox/internal/ops"
 	"streambox/internal/wm"
@@ -453,8 +456,31 @@ type captured struct {
 // runCaptured is Run behind a rowCollector.
 func runCaptured(plan Plan, cfg Config) (captured, error) {
 	var c rowCollector
-	rep, err := Run(plan, c.tap(cfg))
+	e, err := Start(plan, c.tap(cfg))
+	if err != nil {
+		return captured{}, err
+	}
+	rep, err := e.Wait()
+	// Every test that runs a plan through here also audits the slab
+	// ledger: with the run drained, each bundle has given its columns
+	// back and is no longer charged.
+	if pool := e.MemPool(); err == nil {
+		if out := pool.Stats().ColsOut; out != 0 {
+			err = fmt.Errorf("%d column slabs still out of the pool after the run", out)
+		} else if used := pool.Used(memsim.DRAM); used != 0 {
+			err = fmt.Errorf("%d B still charged to DRAM after the run", used)
+		}
+	}
 	return captured{rep, c.rows}, err
+}
+
+// TestMain runs the package under the pool's poison mode: a column slab
+// is overwritten the moment it goes back, so a bundle read after its
+// last Release turns every equivalence test here into a mismatch
+// instead of a read of rows that happened to survive.
+func TestMain(m *testing.M) {
+	mempool.PoisonCols.Store(true)
+	os.Exit(m.Run())
 }
 
 // TestWindowRowsAscendByKey pins what a sink is handed: one slice per

@@ -181,9 +181,9 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 	if s.exec, err = runtime.Start(plan, rcfg); err != nil {
 		return nil, err
 	}
-	// One owner for all column memory: wire-side batches draw from the
-	// engine's slab allocator, so /metrics occupancy covers them and
-	// recycled slabs cycle between the socket and the bundle copier.
+	// One source for all column memory: wire-side batches draw from the
+	// engine's slab allocator, so /metrics occupancy covers them and a
+	// slab cycles socket read → bundle → free list, never copied.
 	pool := s.exec.MemPool()
 	feed.UsePool(pool)
 
@@ -273,6 +273,8 @@ func (s *Server) stop(grace time.Duration) (runtime.Report, error) {
 	}
 	if s.exec != nil {
 		rep, err = s.exec.Wait()
+		// A run that died early left its feed undrained.
+		s.feed.Reclaim()
 	}
 	if s.httpSrv != nil {
 		s.httpSrv.Close()

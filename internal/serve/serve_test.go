@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"streambox/internal/engine"
+	"streambox/internal/mempool"
+	"streambox/internal/memsim"
 	"streambox/internal/netio"
 	"streambox/internal/ops"
 	"streambox/internal/runtime"
@@ -147,5 +149,80 @@ func TestServeStartupFailureReleasesEverything(t *testing.T) {
 	}
 	if _, err := srv.Shutdown(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMain runs the package under the pool's poison mode, so a bundle
+// read after its columns went back to the pool breaks the results below
+// instead of passing on rows that happened to survive.
+func TestMain(m *testing.M) {
+	mempool.PoisonCols.Store(true)
+	os.Exit(m.Run())
+}
+
+// TestRecoveryReturnsEverySlab is the recovery leg of the slab ledger
+// (netio's TestSlabOwnershipSumsToZero has the live ones): frames found
+// in the log re-enter through BorrowCols and Inject, end as bundles like
+// any received batch, and after the drain the pool has every column slab
+// back and nothing charged — with the replayed windows exact.
+func TestRecoveryReturnsEverySlab(t *testing.T) {
+	const frames, rows = 24, 500 // three windows
+	gen := netio.RecordGen{Keys: 32, ValueRange: 1000, WindowRecords: 4000, Random: true, Seed: 4}
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint64]map[uint64]uint64) // window start → key → sum
+	for f := uint64(0); f < frames; f++ {
+		cols := make([][]uint64, 7)
+		for i := f * rows; i < (f+1)*rows; i++ {
+			c := gen.ColsAt(i)
+			for k := range cols {
+				cols[k] = append(cols[k], c[k])
+			}
+			start := c[6] / netio.WindowTicks * netio.WindowTicks
+			if want[start] == nil {
+				want[start] = make(map[uint64]uint64)
+			}
+			want[start][c[0]] += c[3]
+		}
+		if err := log.AppendFrame(7, 1, f+1, cols[6][rows-1], cols, nil, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{
+		IngestAddr: "127.0.0.1:0", RecoverDir: dir,
+		CursorGrace: time.Minute, SessionTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.ReplayedFrames(); n != frames {
+		t.Errorf("%d frames replayed, want %d", n, frames)
+	}
+	pool := srv.exec.MemPool()
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+	if out := pool.Stats().ColsOut; out != 0 {
+		t.Errorf("%d column slabs still out of the pool after the drain", out)
+	}
+	if used := pool.Used(memsim.DRAM); used != 0 {
+		t.Errorf("%d B still charged to DRAM after the drain", used)
+	}
+	got := make(map[uint64]map[uint64]uint64)
+	for _, w := range srv.Results() {
+		got[w.Start] = make(map[uint64]uint64, len(w.Rows))
+		for _, r := range w.Rows {
+			got[w.Start][r.Key] = r.Val
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed windows differ from the logged stream:\n got %v\nwant %v", got, want)
 	}
 }
