@@ -1,6 +1,9 @@
 package algo
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Range-partitioned k-way merging (paper §4.3, "Parallel Full KPA
 // Merge"): instead of combining R sorted runs through log2(R) pairwise
@@ -108,37 +111,33 @@ func cutsEqual(a, b []int) bool {
 // runs resolve by run index (lowest first), the same order the
 // levelwise pairwise merge tree produces, so a fused consumer sees the
 // exact pair sequence the materializing path would. The k cursors
-// advance through a loser tree: one comparison per level per emitted
-// pair, and the replayed path touches only tree nodes, not run data.
+// advance through a loser tree whose nodes carry their run's current
+// key: replaying a path compares node to node — one comparison per level
+// per emitted pair — and run data is touched once per pair, to visit it
+// and to fetch the key that follows it.
 func MultiMergeVisit(runs [][]Pair, visit func(run int, p Pair)) {
 	// Fast paths for the fan-ins that need no tree.
-	live := 0
-	single := -1
+	live, total := 0, 0
+	a, b := -1, -1
 	for j, r := range runs {
 		if len(r) > 0 {
-			live++
-			single = j
+			if live++; a < 0 {
+				a = j
+			} else {
+				b = j
+			}
+			total += len(r)
 		}
 	}
 	switch live {
 	case 0:
 		return
 	case 1:
-		for _, p := range runs[single] {
-			visit(single, p)
+		for _, p := range runs[a] {
+			visit(a, p)
 		}
 		return
 	case 2:
-		a, b := -1, -1
-		for j, r := range runs {
-			if len(r) > 0 {
-				if a < 0 {
-					a = j
-				} else {
-					b = j
-				}
-			}
-		}
 		mergeVisit2(a, runs[a], b, runs[b], visit)
 		return
 	}
@@ -148,57 +147,70 @@ func MultiMergeVisit(runs [][]Pair, visit func(run int, p Pair)) {
 	for m < k {
 		m *= 2
 	}
-	// head[j] is run j's cursor; -1 in the tree marks an exhausted (or
-	// absent) leaf, which loses to every live run.
-	head := make([]int, k)
-	loser := make([]int, m) // internal nodes 1..m-1 hold match losers
-	win := make([]int, 2*m) // scratch winners for the initial build
+	// An exhausted (or absent) leaf i is (MaxUint64, k+i): it loses every
+	// tie to a live run — a live key of MaxUint64 still wins — so the loop
+	// needs no sentinel test and ends by count.
+	loser := make([]treeNode, m) // internal nodes 1..m-1 hold match losers
+	win := make([]treeNode, 2*m) // scratch winners for the initial build
 	for i := 0; i < m; i++ {
 		if i < k && len(runs[i]) > 0 {
-			win[m+i] = i
+			win[m+i] = treeNode{runs[i][0].Key, uint64(i)}
 		} else {
-			win[m+i] = -1
+			win[m+i] = treeNode{^uint64(0), uint64(k + i)}
 		}
-	}
-	beats := func(a, b int) bool {
-		if b < 0 {
-			return true
-		}
-		if a < 0 {
-			return false
-		}
-		ka, kb := runs[a][head[a]].Key, runs[b][head[b]].Key
-		if ka != kb {
-			return ka < kb
-		}
-		return a < b
 	}
 	for n := m - 1; n >= 1; n-- {
-		a, b := win[2*n], win[2*n+1]
-		if beats(a, b) {
-			win[n], loser[n] = a, b
+		if l, r := win[2*n], win[2*n+1]; l.beats(r) {
+			win[n], loser[n] = l, r
 		} else {
-			win[n], loser[n] = b, a
+			win[n], loser[n] = r, l
 		}
 	}
-	winner := win[1]
-	for winner >= 0 {
-		r := winner
-		visit(r, runs[r][head[r]])
-		head[r]++
-		w := r
-		if head[r] == len(runs[r]) {
-			w = -1
+	w := win[1]
+	rest := make([][]Pair, k) // rest[j] is what run j has yet to emit
+	copy(rest, runs)
+	for ; total > 0; total-- {
+		r := int(w.run)
+		run := rest[r]
+		visit(r, run[0])
+		run = run[1:]
+		rest[r] = run
+		if len(run) == 0 {
+			w = treeNode{^uint64(0), uint64(k + r)}
+		} else if run[0].Key != w.key {
+			w.key = run[0].Key
+		} else {
+			// The winner follows itself: what beat every other run
+			// still does.
+			continue
 		}
 		// Replay the leaf-to-root path: the new cursor competes against
-		// the stored losers; the surviving run is the next winner.
+		// the stored losers; the surviving node is the next winner.
 		for n := (m + r) / 2; n >= 1; n /= 2 {
-			if beats(loser[n], w) {
-				loser[n], w = w, loser[n]
-			}
+			l := loser[n]
+			// swap is all ones when l beats w: the 128-bit subtraction
+			// (l.key:l.run) - (w.key:w.run) borrows. Which of the two
+			// wins is a coin toss on real data, so the exchange is
+			// arithmetic rather than a branch.
+			_, borrow := bits.Sub64(l.run, w.run, 0)
+			_, borrow = bits.Sub64(l.key, w.key, borrow)
+			swap := -borrow
+			dk, dr := (l.key^w.key)&swap, (l.run^w.run)&swap
+			loser[n] = treeNode{l.key ^ dk, l.run ^ dr}
+			w = treeNode{w.key ^ dk, w.run ^ dr}
 		}
-		winner = w
 	}
+}
+
+// treeNode is one contender of MultiMergeVisit's loser tree: a run and
+// the key at its cursor.
+type treeNode struct {
+	key, run uint64
+}
+
+// beats orders contenders by key, ties by run index.
+func (a treeNode) beats(b treeNode) bool {
+	return a.key < b.key || (a.key == b.key && a.run < b.run)
 }
 
 // mergeVisit2 is the two-cursor fast path of MultiMergeVisit; ia < ib

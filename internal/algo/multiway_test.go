@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -80,6 +81,68 @@ func TestMultiMergeVisitMatchesPairwise(t *testing.T) {
 				t.Fatalf("k=%d: pair %d = %+v, pairwise merge has %+v", k, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestMultiMergeVisitLoserTree aims at what the key-carrying tree could
+// get wrong, against the pairwise reference with the run of every pair
+// checked: an exhausted leaf is encoded as the key MaxUint64, so live
+// pairs that hold that very key must still all come out, in run order;
+// runs that are empty from the start or run dry long before the others
+// leave their leaf exhausted for most of the merge; a tiny key domain
+// makes nearly every comparison a tie; and the fan-ins straddle the
+// powers of two, where the tree pads with absent leaves.
+func TestMultiMergeVisitLoserTree(t *testing.T) {
+	const maxKey = ^uint64(0)
+	r := rand.New(rand.NewSource(29))
+	for _, k := range []int{3, 5, 31, 32, 33, 100} {
+		for _, domain := range []uint64{1, 2, 7, 1 << 40} {
+			runs := make([][]Pair, k)
+			for j := range runs {
+				n := r.Intn(400)
+				switch {
+				case j%7 == 3:
+					n = 0 // empty from the start
+				case j%5 == 1:
+					n = 1 + r.Intn(3) // exhausted early
+				}
+				run := make([]Pair, n)
+				for i := range run {
+					key := r.Uint64() % domain
+					if r.Intn(6) == 0 {
+						key = maxKey - uint64(r.Intn(2))
+					}
+					// Ptr names the run, so a pair visited under the wrong
+					// run index shows up.
+					run[i] = Pair{Key: key, Ptr: uint64(j)<<32 | uint64(i)}
+				}
+				SortPairs(run)
+				runs[j] = run
+			}
+			want := MultiMerge(runs)
+			got := make([]Pair, 0, len(want))
+			MultiMergeVisit(runs, func(run int, p Pair) {
+				if uint64(run) != p.Ptr>>32 {
+					t.Fatalf("k=%d domain=%d: pair of run %d visited as run %d", k, domain, p.Ptr>>32, run)
+				}
+				got = append(got, p)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("k=%d domain=%d: visited %d pairs, want %d", k, domain, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d domain=%d: pair %d = %+v, pairwise merge has %+v", k, domain, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	// Every live pair holds the sentinel key.
+	runs := [][]Pair{keyedPairs(maxKey, maxKey), nil, keyedPairs(maxKey), keyedPairs(maxKey, maxKey, maxKey), nil}
+	var order []int
+	MultiMergeVisit(runs, func(run int, _ Pair) { order = append(order, run) })
+	if want := []int{0, 0, 2, 3, 3, 3}; !slices.Equal(order, want) {
+		t.Fatalf("all-MaxUint64 runs visited in run order %v, want %v", order, want)
 	}
 }
 

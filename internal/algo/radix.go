@@ -23,15 +23,17 @@ const (
 // (common when keys occupy a bounded domain) are skipped, so sorting
 // 32-bit-valued keys costs four passes, not eight. With workers > 1 the
 // histogram and scatter of each pass are computed in parallel over
-// contiguous segments. The sort is not stable between equal keys across
-// segments; key order is all the grouping primitives rely on.
+// contiguous segments. The sort is stable — every scatter pass is, as
+// LSD needs, and so is the tiny-run path: the native runtime stages a
+// bundle's pairs in row order, and an order-sensitive aggregator must
+// see a key's values in that order.
 func RadixSortPairs(pairs []Pair, workers int, s *Scratch) {
 	n := len(pairs)
 	if n <= 1 {
 		return
 	}
 	if n <= 64 {
-		sortRun(pairs) // insertion/stdlib sort beats 8 passes on tiny runs
+		insertionSort(pairs) // beats 8 passes on tiny runs
 		return
 	}
 

@@ -59,6 +59,29 @@ func TestRadixSortPairs(t *testing.T) {
 	}
 }
 
+// TestRadixSortStable pins that equal keys keep their input order at
+// every size class: the insertion-sorted tiny runs (up to 64 pairs — the
+// 25 to 64 range went through an unstable sort once), the serial
+// scatter, and the parallel one.
+func TestRadixSortStable(t *testing.T) {
+	for _, n := range []int{2, 24, 25, 40, 64, 65, 1000, 70_000} {
+		for _, workers := range []int{1, 4} {
+			pairs := randomPairs(n, int64(n), 0x0f0f)
+			for i := range pairs {
+				pairs[i].Ptr = uint64(i)
+			}
+			RadixSortPairs(pairs, workers, nil)
+			for i := 1; i < n; i++ {
+				a, b := pairs[i-1], pairs[i]
+				if a.Key > b.Key || (a.Key == b.Key && a.Ptr > b.Ptr) {
+					t.Fatalf("n=%d workers=%d: pair %d (key %d, input position %d) follows (key %d, position %d)",
+						n, workers, i, b.Key, b.Ptr, a.Key, a.Ptr)
+				}
+			}
+		}
+	}
+}
+
 func TestRadixSortAllEqualKeys(t *testing.T) {
 	pairs := make([]Pair, 500)
 	for i := range pairs {

@@ -62,18 +62,23 @@ func SortPairsScratch(pairs []Pair, s *Scratch) {
 // defeating stdlib sort otherwise).
 func sortRun(run []Pair) {
 	if len(run) <= 24 {
-		for i := 1; i < len(run); i++ {
-			p := run[i]
-			j := i - 1
-			for j >= 0 && run[j].Key > p.Key {
-				run[j+1] = run[j]
-				j--
-			}
-			run[j+1] = p
-		}
+		insertionSort(run)
 		return
 	}
 	sort.Slice(run, func(i, j int) bool { return run[i].Key < run[j].Key })
+}
+
+// insertionSort sorts a tiny run by key; equal keys keep their order.
+func insertionSort(run []Pair) {
+	for i := 1; i < len(run); i++ {
+		p := run[i]
+		j := i - 1
+		for j >= 0 && run[j].Key > p.Key {
+			run[j+1] = run[j]
+			j--
+		}
+		run[j+1] = p
+	}
 }
 
 // mergeRuns merges sorted a and b into dst; len(dst) == len(a)+len(b).

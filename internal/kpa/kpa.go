@@ -4,6 +4,12 @@
 // full records, pointers reference rows of record bundles in DRAM. The
 // package provides the ten streaming primitives of paper Table 2.
 //
+// Pointer runs are what the simulator (internal/ops, internal/engine)
+// and the benchmark's replay build. The native runtime's pairs hold the
+// record's aggregation value in the second word instead (FromValues):
+// its plans aggregate one value column, so the value is everything a
+// pointer would ever be followed for.
+//
 // Ownership: a KPA is reference counted. Most KPAs live their whole
 // life with the single reference they are born with — create, use,
 // Destroy. Sorted pane runs under the native runtime's pane-based
@@ -92,12 +98,11 @@ type KPA struct {
 	refs atomic.Int32
 
 	// vals marks a value-resident KPA: each pair's Ptr field holds the
-	// aggregation value itself, materialized from the source bundles,
-	// and sources is empty. Runs become value-resident when evicted to
-	// the spill tier (a spill record must be self-contained, and
-	// dropping the bundle links is what actually frees DRAM) or when a
-	// verbatim seal mixes spilled with in-memory runs (MergeK's inputs
-	// must agree on what Ptr holds). See residency.go.
+	// aggregation value itself and sources is empty. The native runtime's
+	// runs are born that way (FromValues); a pointer run becomes
+	// value-resident when evicted to the spill tier (a spill record must
+	// be self-contained, and dropping the bundle links is what frees the
+	// bundles) or through MaterializeValues. See residency.go.
 	vals bool
 	// partial marks a sealed pane run: value-resident, one pair per
 	// distinct key, and each Ptr is a Combiner aggregator's result over

@@ -11,8 +11,9 @@ import (
 // Full KPA Merge"): a closing window's sorted runs are partitioned once
 // across the key space (MergeCuts), and each partition streams through
 // a loser-tree merge whose visitor folds the keyed aggregator inline
-// (MergeReduceRange), dereferencing bundle pointers as pairs arrive in
-// key order. Closing a window of R runs costs one sequential read of
+// (MergeReduceRange) as pairs arrive in key order — the value a
+// value-resident pair carries, or the one a pointer pair's bundle row
+// holds. Closing a window of R runs costs one sequential read of
 // the inputs — no per-level KPA materialization, no separate reduce
 // sweep. The other two kernels seal a group of a pane's runs into one
 // while the pane still fills, so that close never meets more runs than
@@ -179,8 +180,8 @@ const (
 )
 
 // MergeReducePartial seals the runs into one partial run: a single fused
-// merge-reduce over all of them — the only dereference their records
-// need — whose (key, result) stream becomes a new sorted,
+// merge-reduce over all of them — the only dereference a pointer run's
+// records need — whose (key, result) stream becomes a new sorted,
 // value-resident KPA with one pair per distinct key and Partial set.
 // Merging that run in place of the inputs yields the same aggregates,
 // which is the Combiner contract; factory must build a Combiner. The
@@ -231,8 +232,8 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 	}
 	// Pairs are copied verbatim, so every input must agree on what Ptr
 	// means — all pointer runs, all value-resident runs or all partial
-	// runs (a partial and a raw value fold differently). The runtime
-	// brings a seal's raw runs to one mode first, and seals with
+	// runs (a partial and a raw value fold differently). The runtime's
+	// runs are value-resident from birth, and it seals with
 	// MergeReducePartial whenever partials can exist.
 	for _, r := range runs {
 		if r.vals != runs[0].vals {

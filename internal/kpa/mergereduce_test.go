@@ -2,6 +2,7 @@ package kpa
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -195,6 +196,105 @@ func TestMergeKEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestValueBornRunsMatchPointerRuns builds every run twice from the same
+// bundle, the way the simulator does (Extract: pairs point at rows) and
+// the way the native runtime does (FromValues: the value staged beside
+// the key in row order, then the same stable radix sort), and pins the
+// second to the first: every kernel the runtime runs over its runs —
+// the fused merge-reduce at several partition counts, with an
+// order-sensitive aggregator; the verbatim k-way merge; the seal into a
+// partial run — yields what the pointer runs yield, pair for pair, while
+// linking no bundle at any stage.
+func TestValueBornRunsMatchPointerRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	al := NoopAllocator{T: memsim.HBM}
+	for _, nRuns := range []int{3, 33} {
+		reg := bundle.NewRegistry()
+		pointer, born := make([]*KPA, nRuns), make([]*KPA, nRuns)
+		for j := range pointer {
+			n := 1 + r.Intn(2000)
+			bd, err := reg.NewBuilder(bundle.Schema{NumCols: 3, TsCol: 2}, n, memsim.DRAM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := make([]algo.Pair, n)
+			for i := range staged {
+				key := r.Uint64() % 37
+				if r.Intn(8) == 0 {
+					key = r.Uint64()
+				}
+				staged[i] = algo.Pair{Key: key, Ptr: r.Uint64() % 1000}
+				if err := bd.Append(key, staged[i].Ptr, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := bd.Seal()
+			if pointer[j], err = Extract(b, 0, al); err != nil {
+				t.Fatal(err)
+			}
+			b.Release()
+			if born[j], err = FromValues(staged, 0, al); err != nil {
+				t.Fatal(err)
+			}
+			SortRadix(pointer[j], 1, nil)
+			SortRadix(born[j], 1, nil)
+			if !born[j].ValuesResident() || born[j].NumSources() != 0 || born[j].Partial() {
+				t.Fatalf("value-born run is not a plain value-resident run: %v", born[j])
+			}
+		}
+
+		for _, factory := range []AggFactory{newSumAgg, newOrderAgg} {
+			for _, p := range []int{1, 3, 8} {
+				want, got := fusedReduce(t, pointer, p, 1, factory), fusedReduce(t, born, p, 1, factory)
+				if !slices.Equal(got, want) {
+					t.Fatalf("runs=%d p=%d: merge-reduce over value-born runs differs from pointer runs", nRuns, p)
+				}
+			}
+		}
+
+		wantK, err := MergeK(pointer, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotK, err := MergeK(born, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gotK.ValuesResident() || gotK.NumSources() != 0 || gotK.Len() != wantK.Len() {
+			t.Fatalf("runs=%d: merged value-born runs: %v, want %d value-resident pairs", nRuns, gotK, wantK.Len())
+		}
+		for i, p := range wantK.Pairs() {
+			if g := gotK.Pairs()[i]; g.Key != p.Key || g.Ptr != wantK.valueOf(p, 1) {
+				t.Fatalf("runs=%d: merged pair %d = %+v, pointer merge has key %d value %d", nRuns, i, g, p.Key, wantK.valueOf(p, 1))
+			}
+		}
+
+		wantP, err := MergeReducePartial(pointer, 1, newCombSum, al, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotP, err := MergeReducePartial(born, 1, newCombSum, al, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotP.Pairs(), wantP.Pairs()) {
+			t.Fatalf("runs=%d: partial sealed from value-born runs differs from pointer runs", nRuns)
+		}
+		for _, k := range slices.Concat(pointer, born, []*KPA{wantK, gotK, wantP, gotP}) {
+			k.Destroy()
+		}
+		if live := reg.Live(); live != 0 {
+			t.Fatalf("runs=%d: %d bundles still live", nRuns, live)
+		}
+	}
+}
+
+// combSum is a sum that combines, so it can seal partial runs.
+type combSum struct{ sumAgg }
+
+func (a *combSum) Combine(partial uint64) { a.s += partial }
+func newCombSum() Agg                     { return &combSum{} }
 
 // TestMergeReduceValidation covers the error paths: unsorted input,
 // mismatched cut vectors, out-of-range value column.

@@ -2,8 +2,10 @@ package kpa_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"streambox/internal/algo"
 	"streambox/internal/bundle"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
@@ -223,7 +225,11 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 // the partials with the runs left over — every pair read once. Few keys
 // per window make the partials vanish (net_narrow, net_row); with about
 // as many keys as pairs (inproc_wide) a partial is nearly as long as its
-// group and only the copy is saved.
+// group and only the copy is saved. Both of those run over pointer runs,
+// as the simulator builds them; "seal-while-filling-value-born" is the
+// second way over the native runtime's runs (FromValues: the value where
+// the pointer was), which is what the runtime's seals and closes cost —
+// the same merges without the gather through 32 bundles' pointers.
 func BenchmarkSealVsCompact(b *testing.B) {
 	const fanIn = 32
 	shapes := []struct {
@@ -301,7 +307,8 @@ func BenchmarkSealVsCompact(b *testing.B) {
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(3))
 		reg := bundle.NewRegistry()
-		runs := make([]*kpa.KPA, sh.runs)
+		runs, born := make([]*kpa.KPA, sh.runs), make([]*kpa.KPA, sh.runs)
+		staged := make([]algo.Pair, sh.runLen)
 		for j := range runs {
 			bd, err := reg.NewBuilder(bundle.Schema{NumCols: 3, TsCol: 2}, sh.runLen, memsim.DRAM)
 			if err != nil {
@@ -312,7 +319,8 @@ func BenchmarkSealVsCompact(b *testing.B) {
 				if sh.hashed {
 					key *= 0x9E3779B97F4A7C15
 				}
-				if err := bd.Append(key, rng.Uint64()%1000, uint64(i)); err != nil {
+				staged[i] = algo.Pair{Key: key, Ptr: rng.Uint64() % 1000}
+				if err := bd.Append(key, staged[i].Ptr, uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -324,22 +332,33 @@ func BenchmarkSealVsCompact(b *testing.B) {
 			bb.Release()
 			kpa.SortRadix(k, 1, nil)
 			runs[j] = k
+			if born[j], err = kpa.FromValues(staged, 0, al); err != nil {
+				b.Fatal(err)
+			}
+			kpa.SortRadix(born[j], 1, nil)
 		}
 		pairs := float64(sh.runs * sh.runLen)
-		var sink uint64
+		// Every way sums the same records, so every way must agree.
+		want := compactAtClose(b, runs)
 		for _, way := range []struct {
 			name        string
 			closeWindow func(*testing.B, []*kpa.KPA) uint64
-		}{{"compact-at-close", compactAtClose}, {"seal-while-filling", sealWhileFilling}} {
+			runs        []*kpa.KPA
+		}{
+			{"compact-at-close", compactAtClose, runs},
+			{"seal-while-filling", sealWhileFilling, runs},
+			{"seal-while-filling-value-born", sealWhileFilling, born},
+		} {
 			b.Run(sh.name+"/"+way.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sink += way.closeWindow(b, runs)
+					if got := way.closeWindow(b, way.runs); got != want {
+						b.Fatalf("window digest %#x, compact-at-close has %#x", got, want)
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 			})
 		}
-		_ = sink
-		for _, k := range runs {
+		for _, k := range slices.Concat(runs, born) {
 			k.Destroy()
 		}
 	}

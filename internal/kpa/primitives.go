@@ -38,21 +38,23 @@ func ExtractDemand(b *bundle.Bundle, to memsim.Tier) memsim.Demand {
 	return memsim.ExtractDemand(b.Tier(), to, b.Rows(), 8)
 }
 
-// FromPairs creates a KPA from externally prepared key/pointer pairs
-// whose pointers all reference rows of source bundle b. The native
-// runtime uses it to fuse filtering and window partitioning into a
-// single extraction pass over a bundle. The pairs are copied into the
-// KPA's own storage.
-func FromPairs(pairs []algo.Pair, resident int, b *bundle.Bundle, al Allocator) (*KPA, error) {
+// FromValues creates a value-resident KPA from externally prepared
+// (key, value) pairs: each Ptr holds the record's aggregation value
+// itself, not a pointer, so the run links no bundle — the mode a run
+// loaded back from the spill tier is in (see residency.go). The native
+// runtime builds every first-level run this way, staging the value
+// beside the key while the extraction scan has the bundle's columns hot:
+// the pair is the same 16 bytes in the fast tier, the merge that folds
+// it never goes back to DRAM, and the bundle frees when its extraction
+// ends. The pairs are copied into the KPA's own storage.
+func FromValues(pairs []algo.Pair, resident int, al Allocator) (*KPA, error) {
 	k, err := newKPA(len(pairs), resident, al)
 	if err != nil {
 		return nil, err
 	}
 	k.pairs = append(k.pairs, pairs...)
-	if len(pairs) > 0 {
-		k.addSource(b)
-	}
 	k.sorted = len(pairs) <= 1
+	k.vals = true
 	return k, nil
 }
 

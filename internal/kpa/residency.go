@@ -13,12 +13,11 @@ import (
 //
 // A sealed, sorted run can be evicted to the spill tier (Evict) and
 // transparently brought back before its window closes (EnsureResident).
-// Eviction materializes values: every pair's bundle pointer is
-// dereferenced once and replaced by the value itself, the bundle links
-// drop, and the pairs land in one self-contained spill record. That is
-// what makes eviction actually relieve memory pressure — the pair slab
-// is only 16 B/record, the bundles behind it are the bulk, and they
-// free as soon as the last KPA link releases them.
+// A spill record is self-contained: a value-resident run — every run of
+// the native runtime — is copied as it is; a pointer run materializes
+// its values on the way, every pair's bundle pointer dereferenced once
+// and replaced by the value itself, and its bundle links drop, so the
+// bundles behind it free with the last KPA link that releases them.
 //
 // Concurrency contract: Evict may only be called while the run is
 // quiescent — no merge reads it and no covering window is closing; the
@@ -59,11 +58,10 @@ func (k *KPA) valueOf(p algo.Pair, valCol int) uint64 {
 	return b.At(row, valCol)
 }
 
-// MaterializeValues converts the run to value-resident in place:
+// MaterializeValues converts a pointer run to value-resident in place:
 // pointers become values of valCol and the source-bundle links drop.
 // The caller must guarantee no concurrent reader — a sharer mid-merge
-// still expects pointers. The runtime calls it on the runs of a seal,
-// which are out of the window table and the sealing task's alone.
+// still expects pointers.
 func (k *KPA) MaterializeValues(valCol int) error {
 	if k.vals {
 		return nil

@@ -178,7 +178,7 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 // its identity and all a test needs is its reference count.
 func emptyRun(t *testing.T) *kpa.KPA {
 	t.Helper()
-	k, err := kpa.FromPairs(nil, 0, nil, kpa.NoopAllocator{T: memsim.DRAM})
+	k, err := kpa.FromValues(nil, 0, kpa.NoopAllocator{T: memsim.DRAM})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,26 +9,32 @@
 // Extract. Ingest builds DRAM record bundles; one task per bundle
 // scatters the surviving records into non-overlapping panes (paired
 // panes, wm.Panes: at most two per slide, every window an exact union
-// of them) and radix-sorts one KPA run per bundle×pane. A fixed window
-// is the sliding window whose single pane is the whole window, so there
-// is no second path. Runs are filed in the window table (windows.go)
-// under their pane and reference counted, one reference per covering
-// window still open (kpa.Retain/Destroy): each record is staged and
-// sorted once however many windows overlap it, and a run's slab returns
-// to the mempool exactly once, when its last reader lets go.
+// of them) and radix-sorts one KPA run per bundle×pane. A pair is (key,
+// value): a plan aggregates one value column, so the extraction scan —
+// the one pass that has the bundle's columns hot — stages the value
+// where the paper's pair has a pointer, the same 16 bytes in the fast
+// tier. That is the only time a record is read: the runs link no bundle,
+// nothing downstream goes back to DRAM for a value, and the bundle (and
+// the feed slab it adopted) is released when its extract task ends. A
+// fixed window is the sliding window whose single pane is the whole
+// window, so there is no second path. Runs are filed in the window
+// table (windows.go) under their pane and reference counted, one
+// reference per covering window still open (kpa.Retain/Destroy): each
+// record is staged and sorted once however many windows overlap it, and
+// a run's slab returns to the mempool exactly once, when its last reader
+// lets go.
 //
 // Seal. Runs are compacted while their pane fills, not when the
 // watermark arrives — the paper's rule (§4, Table 2: stream sequentially
-// over compact KPAs, dereference full records as rarely as possible)
-// applied before the watermark instead of after. Registration gives
-// each bundle a slot in its pane's current group of mergeFanIn
-// consecutive bundles; when the last member files, one task merges the
-// group's runs into one, which takes their place one level up, where
-// mergeFanIn such runs seal again. When the aggregator is a
-// kpa.Combiner (sum, count, min, max) the merge is one fused
-// merge-reduce — the only dereference those records ever get — into a
-// partial run, one pair per distinct key, and the raw runs and their
-// bundles free after mergeFanIn bundles instead of one window; for any
+// over compact KPAs, dereference full records as rarely as possible —
+// here never, after extraction) applied before the watermark instead of
+// after. Registration gives each bundle a slot in its pane's current
+// group of mergeFanIn consecutive bundles; when the last member files,
+// one task merges the group's runs into one, which takes their place one
+// level up, where mergeFanIn such runs seal again. When the aggregator
+// is a kpa.Combiner (sum, count, min, max) the merge is one fused
+// merge-reduce into a partial run, one pair per distinct key, and the
+// raw runs free after mergeFanIn bundles instead of one window; for any
 // other aggregator it is a verbatim k-way merge, ties by run index, so
 // order-sensitive folds see the same sequence. The aggregator decides,
 // not an option; and since groups are assigned on the ingest goroutine,
@@ -42,10 +48,9 @@
 // mergeFanIn runs per level, sealed and raw alike — with the paper's
 // §4.3 parallel full-KPA merge: the key space is range-partitioned once
 // across all runs and each partition streams through a loser-tree k-way
-// merge fused with keyed reduction, dereferencing pointers back into the
-// DRAM bundles as pairs arrive — one sequential read of the inputs, no
-// intermediate KPA, no separate reduce sweep, nothing that depends on
-// the run count.
+// merge fused with keyed reduction, folding the value each pair carries
+// as it arrives — one sequential read of the inputs, no intermediate
+// KPA, no separate reduce sweep, nothing that depends on the run count.
 //
 // Late data. A record is late for a window iff the target watermark had
 // reached the window's end when the record's bundle registered — both
@@ -69,13 +74,12 @@
 // each monitor tick it drives {k_low, k_high} from pool occupancy,
 // queue depths and per-tier window-state bytes, and above the eviction
 // high-water mark it walks the coldest quiescent runs out to the spill
-// file (spillpath.go), materializing their values so the DRAM bundles
-// free too. The ingest loop takes the same ladder synchronously on pool
-// exhaustion — evict first, force a watermark only if the spill file
-// cannot absorb the overshoot — and window close transparently loads
-// spilled runs back (or merges straight over the mmap view),
-// bit-identical to the never-spilled run. Working sets ~2x the memory
-// budget degrade into slower closes instead of
+// file (spillpath.go), self-contained as they are. The ingest loop takes
+// the same ladder synchronously on pool exhaustion — evict first, force
+// a watermark only if the spill file cannot absorb the overshoot — and
+// window close transparently loads spilled runs back (or merges straight
+// over the mmap view), bit-identical to the never-spilled run. Working
+// sets ~2x the memory budget degrade into slower closes instead of
 // ErrOverloaded/ErrExhausted. Which policy runs is decided by whether a
 // spill tier is attached, not by an option.
 package runtime
@@ -897,7 +901,7 @@ func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time)
 		seals, toClose = x.table.fileRuns(reg, x.sortPanes(b, reg, minTs, maxTs))
 	}
 	x.addDRAMTraffic(b.Bytes())
-	b.Release() // drop the producer reference; KPAs hold their own
+	b.Release() // the runs hold values, not pointers: the bundle frees here
 	x.m.extractNanos.Add(time.Since(t0).Nanoseconds())
 	for _, s := range seals {
 		x.submitSeal(s)
@@ -932,13 +936,19 @@ func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 
 // sortPanes scatters each surviving row of the bundle into exactly one
 // pane and returns one sorted KPA run per non-empty pane. Pass one
-// counts rows per pane, pass two scatters pairs into a pooled staging
-// buffer segmented by those counts, and each segment becomes one
-// recycled-slab KPA (placed by the knob), sorted with the LSD radix
-// kernel — first-level run formation, the paper's Table 2 split; the
-// merge at close stays comparison-based. Filters run twice; they are
-// pure per-value predicates and far cheaper than staging every row
-// through the heap, so the steady state allocates nothing per record.
+// counts rows per pane, pass two scatters (key, value) pairs into a
+// pooled staging buffer segmented by those counts, and each segment
+// becomes one recycled-slab KPA (placed by the knob), sorted with the
+// LSD radix kernel — first-level run formation, the paper's Table 2
+// split; the merge at close stays comparison-based. Filters run twice;
+// they are pure per-value predicates and far cheaper than staging every
+// row through the heap, so the steady state allocates nothing per record.
+//
+// A pair's second word is the record's value, not a pointer to it: the
+// value column is read here, once and sequentially, while this scan has
+// the bundle's columns hot, instead of through 32 bundles' worth of
+// pointers when the group seals. The runs link no bundle, so the bundle
+// — and the feed slab under it — is released when this task ends.
 //
 // Each run is shared: it takes one reference per open window covering
 // its pane, every one of those windows merges it (or the run it is
@@ -949,8 +959,8 @@ func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 func (x *exec) sortPanes(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time) []filedRun {
 	firstOpen := reg.wins[0]
 	keys := b.Col(x.plan.KeyCol)
+	vals := b.Col(x.plan.ValCol)
 	ts := b.Col(x.plan.TsCol)
-	id := uint32(b.ID())
 	panes := x.table.panes
 	base := panes.Index(max(minTs, firstOpen))
 	nPanes := int(panes.Index(maxTs)-base) + 1
@@ -997,7 +1007,7 @@ rows2:
 			}
 		}
 		p := panes.Index(ts[i]) - base
-		staging[cursor[p]] = algo.Pair{Key: keys[i], Ptr: kpa.PackPtr(id, uint32(i))}
+		staging[cursor[p]] = algo.Pair{Key: keys[i], Ptr: vals[i]}
 		cursor[p]++
 	}
 
@@ -1028,13 +1038,14 @@ rows2:
 	return runs
 }
 
-// buildRun turns one pane's staged pairs into a sorted KPA run: slab
-// storage from the knob-placed allocator, radix-sorted in place with
-// pooled scatter scratch, stamped with its provenance (producing
-// bundle, pane) so closes order runs deterministically. Returns nil
-// after reporting an error.
+// buildRun turns one pane's staged (key, value) pairs into a sorted
+// value-resident KPA run: slab storage from the knob-placed allocator,
+// radix-sorted in place with pooled scatter scratch — the sort is
+// stable, so equal keys keep their row order — stamped with its
+// provenance (producing bundle, pane) so closes order runs
+// deterministically. Returns nil after reporting an error.
 func (x *exec) buildRun(pairs []algo.Pair, b *bundle.Bundle, pane wm.Time) *kpa.KPA {
-	k, err := kpa.FromPairs(pairs, x.plan.KeyCol, b, x.allocator(x.tagFor(pane)))
+	k, err := kpa.FromValues(pairs, x.plan.KeyCol, x.allocator(x.tagFor(pane)))
 	if err != nil {
 		x.recordError(err)
 		return nil
@@ -1098,11 +1109,10 @@ func (x *exec) submitSeal(s paneSeal) {
 // sealPane merges a seal's runs into one, in provenance order — the
 // merged run takes the first one's place in it — lands it in the window
 // table for every window that owed the seal, drops every reference they
-// held on the sealed runs, so their slabs (and, behind a partial, their
-// bundles) free now, and starts the seal of the group the merged run
-// completed and the merge of each window that owed only this seal. When
-// the pool cannot host the merged run the runs go back as they were and
-// nobody's references move.
+// held on the sealed runs, so their slabs free now, and starts the seal
+// of the group the merged run completed and the merge of each window
+// that owed only this seal. When the pool cannot host the merged run the
+// runs go back as they were and nobody's references move.
 func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 	runs := make([]*kpa.KPA, len(s.raw))
 	for i, r := range s.raw {
@@ -1182,8 +1192,8 @@ func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 	x.noteKPA(partial)
 	for _, r := range runs {
 		x.m.closePairs.Add(int64(r.Len()))
-		// One streaming read of the pairs plus the value gather.
-		x.addDRAMTraffic(int64(r.Len()) * (memsim.PairBytes + 8))
+		// One streaming read of the pairs, which carry their values.
+		x.addDRAMTraffic(r.Bytes())
 	}
 	x.addDRAMTraffic(partial.Bytes())
 	return partial, nil
@@ -1191,18 +1201,8 @@ func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 
 // mergeRuns is the sealing kernel of every other aggregator: one k-way
 // merge that copies the pairs verbatim, ties by run index, noted as
-// window state. The runs must agree on what a pair holds: when spilled
-// runs came back value-resident among pointer runs, those materialize
-// their values first — in place, since a seal has its runs to itself.
-// The inputs stay valid.
+// window state. The inputs stay valid.
 func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
-	if slices.ContainsFunc(runs, (*kpa.KPA).ValuesResident) {
-		for _, r := range runs {
-			if err := r.MaterializeValues(x.plan.ValCol); err != nil {
-				return nil, err
-			}
-		}
-	}
 	merged, err := kpa.MergeK(runs, al)
 	if err != nil {
 		return nil, err
@@ -1216,12 +1216,14 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 // submitMergeReduce closes a window in one streaming pass: the key
 // space is partitioned across the runs with balanced key-aligned cuts,
 // and each partition runs a fused loser-tree merge + keyed reduction
-// task that dereferences bundle pointers as pairs arrive — no merged
-// KPA is ever materialized — and fills its own slice of result rows.
-// The last partition to finish destroys the runs and retires the window
-// with its rows: the partitions' slices in partition order, which is key
-// order. A pane holds fewer than mergeFanIn runs per level by now, so
-// one loser tree takes them all.
+// task over the pairs and the values they carry — no merged KPA is ever
+// materialized. The window's rows are one slab sized by the pairs it
+// merges: a partition emits at most one row per pair, so each fills the
+// sub-range that starts where its pairs do, disjoint from the others'
+// and already in key order. The last partition to finish destroys the
+// runs, closes the gaps between the sub-ranges and retires the window
+// with its rows. A pane holds fewer than mergeFanIn runs per level by
+// now, so one loser tree takes them all.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	if len(runs) == 0 {
 		x.finishWindow(start, nil)
@@ -1249,50 +1251,76 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 		return
 	}
 	// Rows nobody will read are counted, not built.
-	keep := x.cfg.WindowSink != nil && !x.sealedWindow(start)
-	parts := make([][]Row, len(cuts)-1)
+	var rows []Row
+	if x.cfg.WindowSink != nil && !x.sealedWindow(start) {
+		rows = make([]Row, total)
+	}
+	// Partition i's pairs, and so its rows, start at offs[i] (offs[i+1]
+	// is where they end); it emits counts[i] rows.
+	offs := make([]int, len(cuts))
+	for i, cut := range cuts {
+		for _, c := range cut {
+			offs[i] += c
+		}
+	}
+	counts := make([]int, len(cuts)-1)
 	var remaining atomic.Int32
-	remaining.Store(int32(len(parts)))
-	for i := range parts {
+	remaining.Store(int32(len(counts)))
+	for i := range counts {
 		lo, hi := cuts[i], cuts[i+1]
 		x.sched.Submit(&Task{
 			Name: "close:" + x.plan.Label,
 			Tag:  tag,
 			Run: func() {
-				width := int64(0)
-				for j := range lo {
-					width += int64(hi[j] - lo[j])
-				}
 				var out []Row
-				emitted := int64(0)
+				if rows != nil {
+					out = rows[offs[i]:offs[i+1]]
+				}
+				n := 0
 				err := kpa.MergeReduceRange(runs, lo, hi, x.plan.ValCol, x.plan.NewAgg, func(key, res uint64) {
-					emitted++
-					if keep {
-						out = append(out, Row{Key: key, Val: res})
+					if out != nil {
+						out[n] = Row{Key: key, Val: res}
 					}
+					n++
 				})
 				if err != nil {
 					x.recordError(err)
 				}
-				parts[i] = out
-				x.m.emitted.Add(emitted)
+				counts[i] = n
+				width := int64(offs[i+1] - offs[i])
+				x.m.emitted.Add(int64(n))
 				x.m.closePairs.Add(width)
-				// One streaming read of the pairs plus the value gather;
-				// nothing is written back.
-				x.addDRAMTraffic(width * (memsim.PairBytes + 8))
+				// One streaming read of the pairs, which carry their
+				// values; nothing is written back.
+				x.addDRAMTraffic(width * memsim.PairBytes)
 				if remaining.Add(-1) == 0 {
 					for _, r := range runs {
 						x.destroyRun(r)
 					}
-					rows := parts[0]
-					if len(parts) > 1 {
-						rows = slices.Concat(parts...)
-					}
-					x.finishWindow(start, rows)
+					x.finishWindow(start, packRows(rows, offs, counts))
 				}
 			},
 		})
 	}
+}
+
+// packRows closes the gaps in a window's row slab: partition i left
+// counts[i] rows at offs[i], and they move down, in partition order —
+// key order — until the rows are contiguous from 0. The sink keeps what
+// it is handed, so when the slab's slack would pin more than twice the
+// rows, the rows move to a slice of their own instead.
+func packRows(rows []Row, offs, counts []int) []Row {
+	if rows == nil {
+		return nil
+	}
+	n := counts[0]
+	for i := 1; i < len(counts); i++ {
+		n += copy(rows[n:], rows[offs[i]:offs[i]+counts[i]])
+	}
+	if len(rows) > 2*n {
+		return slices.Clone(rows[:n])
+	}
+	return rows[:n]
 }
 
 // finishWindow retires a closed window and hands its result rows to the

@@ -22,11 +22,14 @@ import (
 
 // TestSchedulerPriorityOrder blocks the single worker behind a gate
 // task, queues Low before Urgent, and checks the Urgent task runs
-// first — the per-priority queues must honor the dispatch order.
+// first — the per-priority queues must honor the dispatch order. The
+// four tasks are queued only once the gate task is running: a worker
+// that first looked at its queue mid-way would serve it newest first and
+// run a Low task before the gate, ahead of an Urgent one not yet queued.
 func TestSchedulerPriorityOrder(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()
-	gate := make(chan struct{})
+	gate, started := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	var order []engine.Tag
 	note := func(tag engine.Tag) func() {
@@ -36,7 +39,11 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	s.Submit(&Task{Name: "gate", Tag: engine.Low, Run: func() { <-gate }})
+	s.Submit(&Task{Name: "gate", Tag: engine.Low, Run: func() {
+		close(started)
+		<-gate
+	}})
+	<-started
 	for _, tag := range []engine.Tag{engine.Low, engine.Low, engine.High, engine.Urgent} {
 		s.Submit(&Task{Name: tag.String(), Tag: tag, Run: note(tag)})
 	}

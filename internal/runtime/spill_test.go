@@ -46,6 +46,11 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			plan.Source.WatermarkEvery = 16
 			base := paneTestPlan(win, 7)
 			plan.NewAgg, base.NewAgg = agg, agg
+			// Bundles free at extract, so they no longer pin DRAM until
+			// ingest's exhaustion path evicts on the spot: what evicts is
+			// the controller's tick, and the stream is long enough (seven
+			// stalled watermarks) that some tick finds the runs piled up.
+			plan.TotalRecords, base.TotalRecords = 120_000, 120_000
 			baseline, err := runCaptured(base, Config{Workers: 4})
 			if err != nil {
 				t.Fatalf("%s size=%d slide=%d baseline: %v", name, win.Size, win.Slide, err)
@@ -102,10 +107,9 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 // the controller has walked some of their runs out to the spill tier,
 // and only then does the 32nd arrive and complete the group. Its seal —
 // no window has closed, so every load is the seal's — must bring the
-// evicted members back, value-resident now beside the pointer runs that
-// stayed, and still produce the windows of the run that never spilled:
-// the order-sensitive fold through the verbatim merge, which has to
-// bring its inputs to one form first, and a sum through the fused one.
+// evicted members back beside the runs that stayed, and still produce
+// the windows of the run that never spilled: the order-sensitive fold
+// through the verbatim merge, and a sum through the fused one.
 func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	const perBatch = 200
 	batch := func(i int) [][]uint64 {

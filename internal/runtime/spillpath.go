@@ -19,11 +19,10 @@ package runtime
 // table under that lock — when their group's last member landed, or at
 // a window's claim — where the sweep cannot reach them, and passes them
 // through EnsureResident first like any close; runs evicted between a
-// group's filings therefore come back value-resident beside pointer
-// runs, which the fused merge-reduce resolves per run and the verbatim
-// merge evens out first (mergeRuns). The run a seal lands is ordinary
-// window state — swept, evicted and loaded like a raw run, its partial
-// flag on the KPA.
+// group's filings come back as they left — every run is value-resident
+// from birth, so a seal never meets two kinds of pair. The run a seal
+// lands is ordinary window state — swept, evicted and loaded like a raw
+// run, its partial flag on the KPA.
 
 import (
 	"time"
