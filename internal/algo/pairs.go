@@ -4,11 +4,13 @@
 // baseline and as the external-join side table.
 //
 // Grouping splits across two sort kernels, the paper's Table 2 split:
-// LSD radix sort (RadixSortPairs) forms first-level sorted runs with a
-// fixed number of streaming passes, and the comparison merge kernels
-// (SortPairs, ParallelSortPairs, MergeInto, MultiMerge) combine runs
-// level by level. Scratch buffers for both come from an *Scratch so a
-// recycling allocator (internal/mempool) can back the hot path.
+// radix sort (RadixSortPairs) forms first-level sorted runs with
+// streaming scatter passes — one per key digit that varies, at most as
+// many as spread the run thin, the rest finished by insertion — and the
+// comparison merge kernels (SortPairs, ParallelSortPairs, MergeInto,
+// MultiMerge) combine runs level by level. Scratch buffers for both
+// come from an *Scratch so a recycling allocator (internal/mempool) can
+// back the hot path.
 //
 // All kernels are real implementations operating on real data; the
 // engine charges their virtual cost through memsim demand profiles.

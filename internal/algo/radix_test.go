@@ -1,7 +1,11 @@
 package algo
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -164,15 +168,153 @@ func TestMultiMergeInto(t *testing.T) {
 	MultiMergeInto(dst[:total-1], runs, nil)
 }
 
+type keyShape struct {
+	name string
+	key  func(r *rand.Rand, i, n int) uint64
+}
+
+// keyShapes are the key distributions that could break a kernel that
+// adapts to its keys, each as a generator of the i-th of n keys.
+var keyShapes = []keyShape{
+	{"all-equal", func(*rand.Rand, int, int) uint64 { return 0xdead_beef_0042 }},
+	{"one-bit", func(r *rand.Rand, _, _ int) uint64 { return 0x1100 | uint64(r.Intn(2))<<37 }},
+	{"zero-and-max", func(r *rand.Rand, _, _ int) uint64 { return -uint64(r.Intn(2)) }},
+	// All but ten keys share their top 16 bits: the top two digits vary,
+	// separate almost nothing, and the big segment is finished recursively.
+	{"clustered-prefix", func(r *rand.Rand, i, n int) uint64 {
+		if i%(n/10+1) == 0 {
+			return r.Uint64()
+		}
+		return 0xabcd<<48 | r.Uint64()>>16
+	}},
+	{"three-tops", func(r *rand.Rand, _, _ int) uint64 {
+		return [3]uint64{0x0100 << 48, 0x7fff << 48, 0xff00 << 48}[r.Intn(3)] | r.Uint64()&0xffff
+	}},
+	{"hashed", func(r *rand.Rand, _, _ int) uint64 { return r.Uint64() }},
+	{"dense-1024", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1024)) }},
+	// The adaptive kernel's worst case: every digit varies, but each
+	// pair of digits splits off only a few outliers, so every level of
+	// the finish recurses on nearly the whole run — eight scatter passes
+	// plus a scan and a segment walk per level.
+	{"layered-prefix", func(r *rand.Rand, i, n int) uint64 {
+		k := r.Uint64()
+		switch i % 1000 {
+		case 1:
+			return k
+		case 2:
+			return 0xabcd<<48 | k>>16
+		case 3:
+			return 0xabcd_abcd<<32 | k>>32
+		}
+		return 0xabcd_abcd_abcd<<16 | k>>48
+	}},
+}
+
+// shapedPairs draws n pairs of the named shape, Ptr = input index.
+func shapedPairs(shape string, n int, seed int64) []Pair {
+	i := slices.IndexFunc(keyShapes, func(s keyShape) bool { return s.name == shape })
+	r := rand.New(rand.NewSource(seed))
+	out := make([]Pair, n)
+	for j := range out {
+		out[j] = Pair{Key: keyShapes[i].key(r, j, n), Ptr: uint64(j)}
+	}
+	return out
+}
+
+// assertStableSortOf holds got against the library's stable sort over
+// orig (slices.SortStableFunc, sort.SliceStable without the reflection:
+// the race legs sort 200 000 pairs a few dozen times): the same keys in
+// the same order, and — Ptr being the input index — equal keys in input
+// order.
+func assertStableSortOf(t *testing.T, got, orig []Pair) {
+	t.Helper()
+	want := slices.Clone(orig)
+	slices.SortStableFunc(want, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	if len(got) != len(want) {
+		t.Fatalf("length changed: %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("position %d: got (key %#x, input %d), want (key %#x, input %d)",
+				i, got[i].Key, got[i].Ptr, want[i].Key, want[i].Ptr)
+		}
+	}
+}
+
+// TestRadixSortShapes is the property the runtime relies on — the order
+// a stable comparison sort yields, exactly — on every shape at the
+// lengths where the kernel changes strategy: the insertion threshold,
+// one digit's and two digits' worth of pairs, and the run sizes the
+// workloads sort.
+func TestRadixSortShapes(t *testing.T) {
+	lengths := []int{2, 64, 65, 256, 257, 4096, 10_000, 65_537, 200_000}
+	if testing.Short() {
+		lengths = lengths[:7]
+	}
+	for si, shape := range keyShapes {
+		for _, n := range lengths {
+			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
+				orig := shapedPairs(shape.name, n, int64(n)*31+int64(si))
+				got := append([]Pair(nil), orig...)
+				RadixSortPairs(got, 1, nil)
+				assertStableSortOf(t, got, orig)
+			})
+		}
+	}
+}
+
+// FuzzRadixSortPairs reads its input as little-endian keys; the seeds
+// are the shapes above, long enough to leave the insertion path.
+func FuzzRadixSortPairs(f *testing.F) {
+	for si, shape := range keyShapes {
+		var seed []byte
+		for _, p := range shapedPairs(shape.name, 300, int64(si)) {
+			seed = binary.LittleEndian.AppendUint64(seed, p.Key)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := make([]Pair, len(data)/8)
+		for i := range orig {
+			orig[i] = Pair{Key: binary.LittleEndian.Uint64(data[8*i:]), Ptr: uint64(i)}
+		}
+		got := append([]Pair(nil), orig...)
+		RadixSortPairs(got, 1, nil)
+		assertStableSortOf(t, got, orig)
+	})
+}
+
+// BenchmarkRadixSortPairs prices the kernel on the run shapes the six
+// benchmark workloads sort — a 10 000-record in-process bundle or a
+// 4 096-record frame of 1 024 keys, a bundle of hashed 64-bit keys — and
+// where the finish recurses, so its trajectory reads without the
+// end-to-end harness. clustered-prefix must stay well inside the cost of
+// a fixed eight-pass LSD sort (35–45 ns/pair on the 2-vCPU host the
+// README's tables come from) and layered-prefix, which is built to make
+// every level of the recursion a waste, near it.
 func BenchmarkRadixSortPairs(b *testing.B) {
-	src := randomPairs(1<<20, 7, ^uint64(0))
-	buf := make([]Pair, len(src))
-	scratch := make([]Pair, len(src))
-	s := &Scratch{Get: func(n int) []Pair { return scratch[:n] }, Put: func([]Pair) {}}
-	b.SetBytes(int64(len(src)) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		RadixSortPairs(buf, 1, s)
+	for _, c := range []struct {
+		shape string
+		n     int
+	}{
+		{"dense-1024", 10_000},
+		{"dense-1024", 4096},
+		{"hashed", 10_000},
+		{"clustered-prefix", 10_000},
+		{"layered-prefix", 10_000},
+		{"hashed", 1 << 20},
+	} {
+		b.Run(fmt.Sprintf("%s/%d", c.shape, c.n), func(b *testing.B) {
+			src := shapedPairs(c.shape, c.n, 7)
+			buf := make([]Pair, c.n)
+			scratch := make([]Pair, c.n)
+			s := &Scratch{Get: func(n int) []Pair { return scratch[:n] }, Put: func([]Pair) {}}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, src)
+				RadixSortPairs(buf, 1, s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/pair")
+		})
 	}
 }

@@ -6,7 +6,7 @@
 //
 // Pointer runs are what the simulator (internal/ops, internal/engine)
 // and the benchmark's replay build. The native runtime's pairs hold the
-// record's aggregation value in the second word instead (FromValues):
+// record's aggregation value in the second word instead (NewValues):
 // its plans aggregate one value column, so the value is everything a
 // pointer would ever be followed for.
 //
@@ -99,7 +99,7 @@ type KPA struct {
 
 	// vals marks a value-resident KPA: each pair's Ptr field holds the
 	// aggregation value itself and sources is empty. The native runtime's
-	// runs are born that way (FromValues); a pointer run becomes
+	// runs are born that way (NewValues); a pointer run becomes
 	// value-resident when evicted to the spill tier (a spill record must
 	// be self-contained, and dropping the bundle links is what frees the
 	// bundles) or through MaterializeValues. See residency.go.

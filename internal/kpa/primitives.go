@@ -38,23 +38,36 @@ func ExtractDemand(b *bundle.Bundle, to memsim.Tier) memsim.Demand {
 	return memsim.ExtractDemand(b.Tier(), to, b.Rows(), 8)
 }
 
-// FromValues creates a value-resident KPA from externally prepared
-// (key, value) pairs: each Ptr holds the record's aggregation value
-// itself, not a pointer, so the run links no bundle — the mode a run
-// loaded back from the spill tier is in (see residency.go). The native
-// runtime builds every first-level run this way, staging the value
-// beside the key while the extraction scan has the bundle's columns hot:
-// the pair is the same 16 bytes in the fast tier, the merge that folds
-// it never goes back to DRAM, and the bundle frees when its extraction
-// ends. The pairs are copied into the KPA's own storage.
+// NewValues creates a value-resident KPA of n pairs and hands out its
+// slab for the caller to fill: each Ptr is to hold the record's
+// aggregation value itself, not a pointer, so the run links no bundle —
+// the mode a run loaded back from the spill tier is in (see
+// residency.go). The native runtime builds every first-level run this
+// way, writing the value beside the key while the extraction scan has
+// the bundle's columns hot, straight into the run's own storage: the
+// pair is the same 16 bytes in the fast tier, the merge that folds it
+// never goes back to DRAM, and the bundle frees when its extraction
+// ends. The slab is recycled memory holding stale pairs; the caller
+// writes all n before anything reads the run.
+func NewValues(n, resident int, al Allocator) (*KPA, []algo.Pair, error) {
+	k, err := newKPA(n, resident, al)
+	if err != nil {
+		return nil, nil, err
+	}
+	k.pairs = k.pairs[:n]
+	k.sorted = n <= 1
+	k.vals = true
+	return k, k.pairs, nil
+}
+
+// FromValues is NewValues filled with a copy of externally prepared
+// (key, value) pairs.
 func FromValues(pairs []algo.Pair, resident int, al Allocator) (*KPA, error) {
-	k, err := newKPA(len(pairs), resident, al)
+	k, fill, err := NewValues(len(pairs), resident, al)
 	if err != nil {
 		return nil, err
 	}
-	k.pairs = append(k.pairs, pairs...)
-	k.sorted = len(pairs) <= 1
-	k.vals = true
+	copy(fill, pairs)
 	return k, nil
 }
 
@@ -177,11 +190,15 @@ func Sort(k *KPA) {
 	k.sorted = true
 }
 
-// SortRadix sorts the KPA by resident keys in place with the LSD radix
+// SortRadix sorts the KPA by resident keys in place with the radix
 // kernel (algo.RadixSortPairs), drawing scatter scratch from s. The
 // native runtime uses it for first-level run formation — bundle-sized
 // KPAs right after extraction — and keeps the comparison merge kernels
-// for the tree above (paper Table 2's partition/merge split).
+// for the tree above (paper Table 2's partition/merge split). workers
+// is unused: the kernel is serial, the runtime's parallelism is one
+// extract task per bundle, and the parameter stays only because
+// benchmark/replay.go compiles against this signature (ROADMAP item
+// 1(e) drops it).
 func SortRadix(k *KPA, workers int, s *algo.Scratch) {
 	algo.RadixSortPairs(k.pairs, workers, s)
 	k.sorted = true

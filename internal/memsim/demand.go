@@ -192,7 +192,12 @@ const (
 
 // RadixSortDemand models first-level run formation over n pairs on
 // tier t with the LSD radix kernel: a fixed number of streaming
-// scatter passes instead of merge sort's data-dependent pass count.
+// scatter passes instead of merge sort's data-dependent pass count. It
+// prices the paper's kernel — eight passes whatever the keys — because
+// the simulator's figures are the paper's; the native kernel
+// (algo.RadixSortPairs) adapts to its keys and scatters a run of hashed
+// keys twice, so this demand is an upper bound on what the native
+// runtime executes, not a model of it (ROADMAP item 6(a)).
 func RadixSortDemand(t Tier, n int) Demand {
 	if n <= 0 {
 		return Demand{}

@@ -911,38 +911,41 @@ func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time)
 	}
 }
 
-// intSlab is a pooled []int scratch buffer for the per-bundle
-// counts/cursor arrays of the extraction passes. Pooling the wrapper
-// struct (not the slice) keeps the steady-state path free of the two
-// heap allocations the counting/scatter passes would otherwise pay per
-// bundle.
+// intSlab is a pooled []int scratch buffer for the per-bundle pane
+// counts, cursors and row tags of a straddling extraction. Pooling the
+// wrapper struct (not the slice) keeps the steady-state path free of the
+// heap allocations those arrays would otherwise cost per bundle.
 type intSlab struct{ buf []int }
 
 var intSlabs = sync.Pool{New: func() any { return new(intSlab) }}
 
-// getIntSlab returns a zeroed []int scratch of length n inside its
-// pooled wrapper; return it with putIntSlab.
+// getIntSlab returns a []int scratch of length n, contents stale, inside
+// its pooled wrapper; return it with putIntSlab.
 func getIntSlab(n int) *intSlab {
 	s := intSlabs.Get().(*intSlab)
 	if cap(s.buf) < n {
 		s.buf = make([]int, n)
 	}
 	s.buf = s.buf[:n]
-	clear(s.buf)
 	return s
 }
 
 func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 
-// sortPanes scatters each surviving row of the bundle into exactly one
-// pane and returns one sorted KPA run per non-empty pane. Pass one
-// counts rows per pane, pass two scatters (key, value) pairs into a
-// pooled staging buffer segmented by those counts, and each segment
-// becomes one recycled-slab KPA (placed by the knob), sorted with the
-// LSD radix kernel — first-level run formation, the paper's Table 2
-// split; the merge at close stays comparison-based. Filters run twice;
-// they are pure per-value predicates and far cheaper than staging every
-// row through the heap, so the steady state allocates nothing per record.
+// sortPanes puts each surviving row of the bundle into exactly one pane
+// and returns one sorted KPA run per non-empty pane — first-level run
+// formation, the paper's Table 2 split: the runs are sorted with the
+// radix kernel, the merge at close stays comparison-based. Every
+// (key, value) pair is written once, straight into the recycled slab
+// (placed by the knob) of the run it belongs to.
+//
+// Most bundles lie inside one pane, with no filter to apply and nothing
+// late: the run is the bundle, zipped in one pass. Otherwise pass one
+// tags each row with its pane (or as dropped) and counts the panes, and
+// pass two scatters by tag, so filters — pure per-value predicates — and
+// the pane lookup run once per row. Rows mostly ascend in time, so a row
+// is first held against the bounds of the previous row's pane and only a
+// row outside them pays the division that finds a pane from scratch.
 //
 // A pair's second word is the record's value, not a pointer to it: the
 // value column is read here, once and sequentially, while this scan has
@@ -963,15 +966,35 @@ func (x *exec) sortPanes(b *bundle.Bundle, reg registration, minTs, maxTs wm.Tim
 	ts := b.Col(x.plan.TsCol)
 	panes := x.table.panes
 	base := panes.Index(max(minTs, firstOpen))
-	nPanes := int(panes.Index(maxTs)-base) + 1
+	nPanes := len(reg.groups) // register walked the panes base..Index(maxTs)
+	runs := make([]filedRun, 0, nPanes)
 
-	ints := getIntSlab(2 * nPanes)
+	if nPanes == 1 && minTs >= firstOpen && len(x.plan.Filters) == 0 {
+		r, fill := x.newRun(b, reg.groups[0], panes.Start(base), firstOpen, len(keys))
+		if fill == nil {
+			return runs
+		}
+		keys, vals = keys[:len(fill)], vals[:len(fill)]
+		for i := range fill {
+			fill[i] = algo.Pair{Key: keys[i], Ptr: vals[i]}
+		}
+		kpa.SortRadix(r.k, 1, x.scratch[r.k.Tier()])
+		return append(runs, r)
+	}
+
+	ints := getIntSlab(2*nPanes + len(ts))
 	defer putIntSlab(ints)
-	counts, cursor := ints.buf[:nPanes], ints.buf[nPanes:]
-	total, late := 0, 0
+	counts, cursor, tag := ints.buf[:nPanes], ints.buf[nPanes:2*nPanes], ints.buf[2*nPanes:]
+	clear(ints.buf[:2*nPanes])
+	late := 0
+	// [lo, hi) is pane p, the last kept row's; empty to begin with, so
+	// the first row looks its pane up.
+	var lo, hi wm.Time
+	p := 0
 rows:
-	for i := 0; i < b.Rows(); i++ {
-		if ts[i] < firstOpen {
+	for i, t := range ts {
+		tag[i] = -1
+		if t < firstOpen {
 			late++
 			continue
 		}
@@ -980,80 +1003,69 @@ rows:
 				continue rows
 			}
 		}
-		counts[panes.Index(ts[i])-base]++
-		total++
+		if t-lo >= hi-lo { // unsigned, so t < lo lands here too
+			p = int(panes.Index(t) - base)
+			lo = panes.Start(base + uint64(p))
+			hi = panes.End(lo)
+		}
+		tag[i] = p
+		counts[p]++
 	}
 	if late > 0 {
 		x.m.late.Add(int64(late))
 	}
 
-	scratch := x.scratch[memsim.DRAM]
-	staging := scratch.GetPairs(total)
-	defer scratch.PutPairs(staging)
-	// cursor[p] walks pane p's segment: [offset[p], offset[p+1]).
-	off := 0
-	for p, c := range counts {
-		cursor[p] = off
-		off += c
-	}
-rows2:
-	for i := 0; i < b.Rows(); i++ {
-		if ts[i] < firstOpen {
-			continue
-		}
-		for _, f := range x.plan.Filters {
-			if !f.Keep(b.At(i, f.Col)) {
-				continue rows2
-			}
-		}
-		p := panes.Index(ts[i]) - base
-		staging[cursor[p]] = algo.Pair{Key: keys[i], Ptr: vals[i]}
-		cursor[p]++
-	}
-
-	sliding := !x.plan.Win.IsFixed()
-	runs := make([]filedRun, 0, nPanes)
-	seg := 0
+	fills := make([][]algo.Pair, nPanes)
 	for pi, c := range counts {
 		if c == 0 {
 			continue
 		}
-		pane := panes.Start(base + uint64(pi))
-		from, open := x.table.openCovering(pane, firstOpen)
-		// Logical (record, window) assignments: what scattering every
-		// record into every window would have staged physically.
-		x.m.extractPairs.Add(int64(c) * int64(open))
-		k := x.buildRun(staging[seg:seg+c], b, pane)
-		seg += c
-		if k == nil {
-			continue // allocation error already recorded
+		r, fill := x.newRun(b, reg.groups[pi], panes.Start(base+uint64(pi)), firstOpen, c)
+		if fill == nil {
+			continue // the pane's rows are dropped with the error
 		}
-		k.Retain(open - 1) // one reference per open covering window
-		if sliding {
-			x.m.paneRuns.Add(1)
-			x.m.sharedRunRefs.Add(int64(open - 1))
+		fills[pi] = fill
+		runs = append(runs, r)
+	}
+	for i, p := range tag {
+		if p < 0 || fills[p] == nil {
+			continue
 		}
-		runs = append(runs, filedRun{paneRun{k: k, from: from, group: reg.groups[pi]}, pane})
+		fills[p][cursor[p]] = algo.Pair{Key: keys[i], Ptr: vals[i]}
+		cursor[p]++
+	}
+	for _, r := range runs {
+		kpa.SortRadix(r.k, 1, x.scratch[r.k.Tier()])
 	}
 	return runs
 }
 
-// buildRun turns one pane's staged (key, value) pairs into a sorted
-// value-resident KPA run: slab storage from the knob-placed allocator,
-// radix-sorted in place with pooled scatter scratch — the sort is
-// stable, so equal keys keep their row order — stamped with its
+// newRun starts the run of n of bundle b's rows in one pane: a
+// value-resident KPA whose slab — from the knob-placed allocator — the
+// caller fills in row order and then radix-sorts in place (the sort is
+// stable, so equal keys keep that order). The run is stamped with its
 // provenance (producing bundle, pane) so closes order runs
-// deterministically. Returns nil after reporting an error.
-func (x *exec) buildRun(pairs []algo.Pair, b *bundle.Bundle, pane wm.Time) *kpa.KPA {
-	k, err := kpa.FromValues(pairs, x.plan.KeyCol, x.allocator(x.tagFor(pane)))
+// deterministically, holds one reference per open window covering the
+// pane, and is bound for g, the group register gave the bundle there.
+// The slab is nil after an allocation error, which is recorded.
+func (x *exec) newRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, n int) (filedRun, []algo.Pair) {
+	from, open := x.table.openCovering(pane, firstOpen)
+	// Logical (record, window) assignments: what scattering every
+	// record into every window would have staged physically.
+	x.m.extractPairs.Add(int64(n) * int64(open))
+	k, fill, err := kpa.NewValues(n, x.plan.KeyCol, x.allocator(x.tagFor(pane)))
 	if err != nil {
 		x.recordError(err)
-		return nil
+		return filedRun{}, nil
 	}
-	kpa.SortRadix(k, 1, x.scratch[k.Tier()])
 	k.SetMeta(algo.RunMeta{Origin: b.ID(), Lo: pane})
 	x.noteKPA(k)
-	return k
+	k.Retain(open - 1)
+	if !x.plan.Win.IsFixed() {
+		x.m.paneRuns.Add(1)
+		x.m.sharedRunRefs.Add(int64(open - 1))
+	}
+	return filedRun{paneRun{k: k, from: from, group: g}, pane}, fill
 }
 
 // watermark advances the target watermark and starts the close of every
