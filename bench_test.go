@@ -151,46 +151,6 @@ func BenchmarkSortPairs(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSortPairs measures the parallel merge-sort kernel
-// (the paper's chunk-sort + pairwise-merge structure, real goroutines).
-func BenchmarkParallelSortPairs(b *testing.B) {
-	src := benchPairs(1 << 22)
-	buf := make([]algo.Pair, len(src))
-	b.SetBytes(int64(len(src)) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		algo.ParallelSortPairs(buf, 8)
-	}
-}
-
-// BenchmarkMergePairs measures the two-way merge kernel.
-func BenchmarkMergePairs(b *testing.B) {
-	a := benchPairs(1 << 19)
-	c := benchPairs(1 << 19)
-	algo.SortPairs(a)
-	algo.SortPairs(c)
-	b.SetBytes(int64(len(a)+len(c)) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo.MergePairs(a, c)
-	}
-}
-
-// BenchmarkHashGroup measures the open-addressing hash-grouping
-// baseline kernel.
-func BenchmarkHashGroup(b *testing.B) {
-	pairs := benchPairs(1 << 20)
-	for i := range pairs {
-		pairs[i].Key %= 1 << 14
-	}
-	b.SetBytes(int64(len(pairs)) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo.HashGroup(pairs)
-	}
-}
-
 // BenchmarkKPAWidth is the ablation for the "one resident column"
 // design choice (paper §4.1): grouping 16-byte key/pointer pairs versus
 // moving full-width records, measured on the real sort kernel.

@@ -87,42 +87,6 @@ func TestSortMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestParallelSortPairs(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-		p := randPairs(8*blockPairs+13, int64(workers))
-		want := Keys(p)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		ParallelSortPairs(p, workers)
-		if !reflect.DeepEqual(Keys(p), want) {
-			t.Fatalf("workers=%d: wrong result", workers)
-		}
-	}
-}
-
-func TestParallelSortSmallInputFallsBack(t *testing.T) {
-	p := randPairs(100, 3)
-	ParallelSortPairs(p, 8)
-	if !PairsSorted(p) {
-		t.Fatal("not sorted")
-	}
-}
-
-func TestMergePairs(t *testing.T) {
-	a := keyedPairs(1, 3, 5)
-	b := keyedPairs(2, 3, 6)
-	m := MergePairs(a, b)
-	want := []uint64{1, 2, 3, 3, 5, 6}
-	if !reflect.DeepEqual(Keys(m), want) {
-		t.Fatalf("merged = %v", Keys(m))
-	}
-	if len(MergePairs(nil, nil)) != 0 {
-		t.Fatal("empty merge")
-	}
-	if !reflect.DeepEqual(Keys(MergePairs(a, nil)), []uint64{1, 3, 5}) {
-		t.Fatal("one-sided merge")
-	}
-}
-
 func TestMergeIntoWrongSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -292,20 +256,6 @@ func TestHashTableRange(t *testing.T) {
 	}
 }
 
-func TestHashGroup(t *testing.T) {
-	p := keyedPairs(1, 2, 1, 3, 1, 2)
-	h := HashGroup(p)
-	if v, _ := h.Get(1); v != 3 {
-		t.Fatalf("count(1) = %d", v)
-	}
-	if v, _ := h.Get(2); v != 2 {
-		t.Fatalf("count(2) = %d", v)
-	}
-	if h.Len() != 3 {
-		t.Fatalf("groups = %d", h.Len())
-	}
-}
-
 // --- Property-based tests (testing/quick). -------------------------------
 
 func TestPropSortIsPermutationAndSorted(t *testing.T) {
@@ -348,7 +298,8 @@ func TestPropMergePreservesMultiset(t *testing.T) {
 		}
 		SortPairs(a)
 		SortPairs(b)
-		m := MergePairs(a, b)
+		m := make([]Pair, len(a)+len(b))
+		MergeInto(m, a, b)
 		if !PairsSorted(m) {
 			return false
 		}

@@ -142,13 +142,3 @@ func (h *HashTable) grow() {
 func (h *HashTable) String() string {
 	return fmt.Sprintf("hashtable(n=%d cap=%d)", h.n, len(h.keys))
 }
-
-// HashGroup groups pairs by key using the hash table, returning the
-// per-key pair counts. This is the baseline GroupBy of Figure 2.
-func HashGroup(pairs []Pair) *HashTable {
-	h := NewHashTable(len(pairs)/64 + 16)
-	for _, p := range pairs {
-		h.Add(p.Key, 1)
-	}
-	return h
-}

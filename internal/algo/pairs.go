@@ -7,8 +7,8 @@
 // radix sort (RadixSortPairs) forms first-level sorted runs with
 // streaming scatter passes — one per key digit that varies, at most as
 // many as spread the run thin, the rest finished by insertion — and the
-// comparison merge kernels (SortPairs, ParallelSortPairs, MergeInto,
-// MultiMerge) combine runs level by level. Scratch buffers for both
+// comparison merge kernels (SortPairs, MergeInto, MultiMerge) combine
+// runs level by level. Scratch buffers for both
 // come from an *Scratch so a recycling allocator (internal/mempool) can
 // back the hot path.
 //

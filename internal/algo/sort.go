@@ -1,9 +1,6 @@
 package algo
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // blockPairs is the run length sorted in cache before merging, standing
 // in for the paper's 64-element AVX-512 bitonic blocks (scaled up for a
@@ -98,80 +95,6 @@ func mergeRuns(dst, a, b []Pair) {
 	copy(dst[k+len(a)-i:], b[j:])
 }
 
-// ParallelSortPairs sorts pairs in place using up to workers goroutines:
-// the input is split into chunks sorted concurrently, which are then
-// pairwise-merged, the paper's §4.2 structure. It is used by the real-
-// parallel kernel benchmarks and the examples; inside the simulator the
-// engine instead expresses the same structure as separate tasks.
-func ParallelSortPairs(pairs []Pair, workers int) {
-	ParallelSortPairsScratch(pairs, workers, nil)
-}
-
-// ParallelSortPairsScratch is ParallelSortPairs with the merge
-// ping-pong buffer drawn from s instead of the Go heap.
-func ParallelSortPairsScratch(pairs []Pair, workers int, s *Scratch) {
-	n := len(pairs)
-	if workers <= 1 || n <= 2*blockPairs {
-		SortPairsScratch(pairs, s)
-		return
-	}
-	chunks := workers
-	if chunks > (n+blockPairs-1)/blockPairs {
-		chunks = (n + blockPairs - 1) / blockPairs
-	}
-	bounds := make([]int, chunks+1)
-	for i := 0; i <= chunks; i++ {
-		bounds[i] = i * n / chunks
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < chunks; i++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			SortPairs(pairs[lo:hi])
-		}(bounds[i], bounds[i+1])
-	}
-	wg.Wait()
-
-	// Pairwise parallel merges until one run remains.
-	scratch := s.GetPairs(n)
-	defer s.PutPairs(scratch)
-	src, dst := pairs, scratch
-	runs := bounds
-	for len(runs) > 2 {
-		next := []int{0}
-		var mg sync.WaitGroup
-		for i := 0; i+2 < len(runs); i += 2 {
-			lo, mid, hi := runs[i], runs[i+1], runs[i+2]
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
-			}(lo, mid, hi)
-			next = append(next, hi)
-		}
-		if (len(runs)-1)%2 == 1 { // odd run left over: copy through
-			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
-			copy(dst[lo:hi], src[lo:hi])
-			next = append(next, hi)
-		}
-		mg.Wait()
-		src, dst = dst, src
-		runs = next
-	}
-	if &src[0] != &pairs[0] {
-		copy(pairs, src)
-	}
-}
-
-// MergePairs merges two sorted pair slices into a newly allocated sorted
-// slice.
-func MergePairs(a, b []Pair) []Pair {
-	out := make([]Pair, len(a)+len(b))
-	mergeRuns(out, a, b)
-	return out
-}
-
 // MergeInto merges sorted a and b into dst, which must have length
 // len(a)+len(b).
 func MergeInto(dst, a, b []Pair) {
@@ -183,9 +106,9 @@ func MergeInto(dst, a, b []Pair) {
 
 // MultiMerge merges k sorted runs into one sorted slice by levelwise
 // pairwise merging (the shape the engine schedules as parallel tasks).
-// All levels merge between two ping-pong buffers, like
-// ParallelSortPairs, so the whole k-way merge costs two buffers of the
-// total size instead of a fresh slice per pairwise merge per level.
+// All levels merge between two ping-pong buffers, so the whole k-way
+// merge costs two buffers of the total size instead of a fresh slice per
+// pairwise merge per level.
 func MultiMerge(runs [][]Pair) []Pair {
 	n := 0
 	for _, r := range runs {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // Knob is the demand-balance knob (paper §5): a vector {k_low, k_high}
 // of probabilities for allocating new KPAs on HBM for Low- and High-
@@ -11,18 +8,15 @@ import (
 // pool. The knob moves in increments of Delta as the monitor observes
 // HBM capacity and DRAM bandwidth pressure.
 //
-// The knob is shared between the monitor (Update) and every task that
-// plans a KPA placement (WantHBM). Under the simulator those calls all
-// happen on the single event-loop goroutine, but the native runtime
-// calls WantHBM from worker goroutines, so WantHBM and Update
-// synchronize on a mutex. KLow/KHigh stay plain fields — tests and
-// stats readers access them only while no concurrent Update runs; racy
-// readers use Snapshot.
+// The knob is the simulator's: the monitor (Update) and every task that
+// plans a KPA placement (WantHBM) run on the single event-loop
+// goroutine, so nothing here synchronizes. The native runtime places by
+// occupancy alone (runtime.placement) — its two memory tiers are the
+// same DIMMs, and there is no bandwidth to trade.
 type Knob struct {
 	KLow  float64
 	KHigh float64
 
-	mu  sync.Mutex
 	rng *rand.Rand
 }
 
@@ -45,33 +39,11 @@ func NewKnob(seed int64) *Knob {
 	return &Knob{KLow: 1, KHigh: 1, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Snapshot returns the current (k_low, k_high) pair atomically with
-// respect to Update.
-func (k *Knob) Snapshot() (kLow, kHigh float64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.KLow, k.KHigh
-}
-
-// Set pins the knob to an explicit (k_low, k_high) pair, clamped to
-// [0,1]. The native runtime's adaptive placement controller drives the
-// knob through Set from its own control loop; fixed-knob ablations pin
-// it once at start and never call Update.
-func (k *Knob) Set(kLow, kHigh float64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.KLow = clamp01(kLow)
-	k.KHigh = clamp01(kHigh)
-}
-
 // WantHBM draws the placement decision for a new KPA with the given tag.
-// It is safe to call from concurrent worker goroutines.
 func (k *Knob) WantHBM(tag Tag) bool {
 	if tag == Urgent {
 		return true
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if tag == High {
 		return k.rng.Float64() < k.KHigh
 	}
@@ -88,8 +60,6 @@ func (k *Knob) WantHBM(tag Tag) bool {
 // k_high follows only at k_low's extremes, and only downward while the
 // output delay has headroom.
 func (k *Knob) Update(hbmCap, dramBW float64, delayHeadroom bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	switch {
 	case hbmCap >= hbmHighWater && hbmCap >= dramBW:
 		// Zone 2: HBM capacity is the pressed resource.

@@ -100,9 +100,9 @@ type KPA struct {
 	// vals marks a value-resident KPA: each pair's Ptr field holds the
 	// aggregation value itself and sources is empty. The native runtime's
 	// runs are born that way (NewValues); a pointer run becomes
-	// value-resident when evicted to the spill tier (a spill record must
-	// be self-contained, and dropping the bundle links is what frees the
-	// bundles) or through MaterializeValues. See residency.go.
+	// value-resident when evicted to the spill tier (an extent holds bare
+	// pairs, and dropping the bundle links is what frees the bundles) or
+	// through MaterializeValues. See residency.go.
 	vals bool
 	// partial marks a sealed pane run: value-resident, one pair per
 	// distinct key, and each Ptr is a Combiner aggregator's result over
@@ -110,12 +110,8 @@ type KPA struct {
 	// Add. The flag lives on the KPA, so it survives Evict and
 	// EnsureResident; only MergeReduceRange consumes partial runs.
 	partial bool
-	// resMu serializes residency transitions (Evict/EnsureResident):
-	// two closes sharing a spilled pane run may both demand a load.
+	// resMu serializes residency transitions (Evict/EnsureResident).
 	resMu sync.Mutex
-	// loadErr is the allocation failure that left this spilled run to be
-	// read through its mmap view; once set the run is never relocated.
-	loadErr error
 }
 
 // SyntheticKey marks a KPA whose resident keys were computed (e.g. an

@@ -351,10 +351,3 @@ func PartitionDemand(k *KPA) memsim.Demand {
 func PartitionDemandN(t memsim.Tier, n int) memsim.Demand {
 	return memsim.ScanDemand(t, 2*int64(n)*memsim.PairBytes, int64(n)*memsim.PartitionCycles)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -6,27 +6,28 @@ import (
 	"streambox/internal/algo"
 	"streambox/internal/mempool"
 	"streambox/internal/memsim"
-	"streambox/internal/spill"
 )
 
 // Run residency: the cold rung of the degradation ladder.
 //
-// A sealed, sorted run can be evicted to the spill tier (Evict) and
-// transparently brought back before its window closes (EnsureResident).
-// A spill record is self-contained: a value-resident run — every run of
-// the native runtime — is copied as it is; a pointer run materializes
-// its values on the way, every pair's bundle pointer dereferenced once
-// and replaced by the value itself, and its bundle links drop, so the
-// bundles behind it free with the last KPA link that releases them.
+// A sealed, sorted run can be evicted to the spill tier (Evict), where
+// it stays until its last Destroy: the extent holds the run's pairs and
+// nothing else, and every merge reads them through the mmap view like
+// any other pair slice. A value-resident run — every run of the native
+// runtime — is copied as it is; a pointer run materializes its values on
+// the way, every pair's bundle pointer dereferenced once and replaced by
+// the value itself, and its bundle links drop, so the bundles behind it
+// free with the last KPA link that releases them. EnsureResident copies
+// a spilled run back into a memory tier; the runtime never does (a load
+// re-takes pool memory at the moment the pool is short), the benchmark's
+// replay prices it.
 //
-// Concurrency contract: Evict may only be called while the run is
-// quiescent — no merge reads it and no covering window is closing; the
-// runtime guarantees this by evicting under its window-table lock.
-// EnsureResident is idempotent and serialized per KPA (resMu), so the
-// closes of two windows sharing a spilled pane run can both demand the
-// load; each close must call it (even when it no-ops) before reading
-// the pairs, because the lock handoff is what publishes the loaded
-// slab to that close's merge tasks.
+// Concurrency contract: Evict and EnsureResident relocate the pairs, so
+// both may only be called while the run is quiescent — no merge reads
+// it; the runtime guarantees this by evicting under its window-table
+// lock, only runs no closing window has gathered, and that lock orders
+// the relocation before any later reader. The two serialize per KPA
+// (resMu), so concurrent callers of EnsureResident see one load.
 
 // ValuesResident reports whether the pairs carry materialized values in
 // Ptr instead of bundle pointers.
@@ -92,14 +93,16 @@ func (k *KPA) checkValCol(valCol int) error {
 	return nil
 }
 
-// Evict moves a sealed, sorted run to the spill tier: values are
-// materialized from valCol straight into one spill record (header +
-// pair payload) in the pool's mmap'd arena, the bundle links and the
-// memory-tier slab free, and the KPA's pairs become a zero-copy view
-// of the record payload. Returns the bytes of pair slab released from
-// the run's former tier. Fails without side effects when the spill
-// tier is detached or full (mempool.ErrExhausted) — the caller stops
-// evicting and lets backpressure take over.
+// Evict moves a sealed, sorted run to the spill tier: the pairs are
+// copied, values materialized from valCol, into an extent of the pool's
+// mmap'd arena — bare pairs, nothing else: sorted, resident, partial and
+// meta stay on the KPA, and the unlinked file is never read by anyone
+// who does not hold it — the bundle links and the memory-tier slab free,
+// and the KPA's pairs become a view of the extent, which a merge reads
+// where it lies. Returns the bytes of pair slab released from the run's
+// former tier. Fails without side effects when the spill tier is
+// detached or full (mempool.ErrExhausted) — the caller stops evicting
+// and lets backpressure take over.
 //
 // The caller must guarantee quiescence: no concurrent reader of the
 // run (the runtime evicts only runs of non-closing windows, under the
@@ -116,18 +119,18 @@ func (k *KPA) Evict(pool *mempool.Pool, valCol int) (freed int64, err error) {
 	if err := k.checkValCol(valCol); err != nil {
 		return 0, err
 	}
-	n := k.Len()
-	alloc, err := pool.Alloc(memsim.Spill, int64(spill.RecordBytes(n)))
+	alloc, err := pool.Alloc(memsim.Spill, max(k.Bytes(), memsim.PairBytes))
 	if err != nil {
 		return 0, err
 	}
-	buf := alloc.Bytes()
-	payload := spill.PayloadView(buf, n)
-	for i, p := range k.pairs {
-		payload[i] = algo.Pair{Key: p.Key, Ptr: k.valueOf(p, valCol)}
+	extent := alloc.Pairs(k.Len())
+	if k.vals {
+		copy(extent, k.pairs)
+	} else {
+		for i, p := range k.pairs {
+			extent[i] = algo.Pair{Key: p.Key, Ptr: k.valueOf(p, valCol)}
+		}
 	}
-	rec := spill.Record{Sorted: true, Resident: k.resident, Meta: k.meta, Pairs: payload}
-	spill.EncodeInto(buf, &rec)
 
 	freed = k.Bytes()
 	k.dropSources()
@@ -135,35 +138,27 @@ func (k *KPA) Evict(pool *mempool.Pool, valCol int) (freed int64, err error) {
 		k.alloc.Free()
 	}
 	k.alloc = alloc
-	k.pairs = payload
+	k.pairs = extent
 	k.tier = memsim.Spill
 	k.vals = true
 	return freed, nil
 }
 
 // EnsureResident loads a spilled run back onto a memory tier chosen by
-// al, copying the record payload into a fresh pair slab and freeing
-// the spill extent; loaded reports whether this call performed the
-// load. Idempotent: a run already in memory returns immediately, and
-// concurrent callers serialize on the KPA, so exactly one performs the
-// load. On allocation failure the run stays spilled and remains
-// readable through its mmap view — the caller may merge directly over
-// it (slower, never wrong) — and it stays there for good: a later
-// caller sharing the run gets the same error rather than a load that
-// would free the view under the first caller's merge.
+// al, copying the extent into a fresh pair slab and freeing it; loaded
+// reports whether this call performed the load. Idempotent: a run
+// already in memory returns immediately, and concurrent callers
+// serialize on the KPA, so exactly one performs the load. On allocation
+// failure the run stays spilled and readable through its mmap view.
 func (k *KPA) EnsureResident(al Allocator) (loaded bool, err error) {
 	k.resMu.Lock()
 	defer k.resMu.Unlock()
 	if k.tier != memsim.Spill {
 		return false, nil
 	}
-	if k.loadErr != nil {
-		return false, k.loadErr
-	}
 	n := k.Len()
 	tier, alloc, err := al.AllocKPA(k.Bytes())
 	if err != nil {
-		k.loadErr = err
 		return false, err
 	}
 	var pairs []algo.Pair

@@ -6,10 +6,11 @@
 // small reserved HBM region for Urgent allocations. A third cold tier,
 // memsim.Spill, can be attached via AttachSpill: its allocations are
 // extents of an mmap'd file (internal/spill) behind the same
-// Allocation/TakeCol interfaces, giving the degradation ladder
-// HBM → DRAM → Spill a single allocator facade. The spill tier is
-// excluded from Pressure: a full spill file degrades latency, it must
-// never shed traffic.
+// Allocation/TakeCol interfaces, so a request can name the tiers it
+// accepts, in order, and be served by the first with room (AllocFirst) —
+// the degradation ladder is one call under one lock, and a failure is a
+// request no rung served. The spill tier is excluded from Pressure: a
+// full spill file degrades latency, it must never shed traffic.
 //
 // Beyond accounting, the pool is a real recycling allocator for the
 // engine's hottest object: the KPA pair array. Allocation.Pairs hands
@@ -21,7 +22,6 @@
 package mempool
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -102,20 +102,6 @@ func (a *Allocation) Pairs(n int) []algo.Pair {
 		a.pairs = a.pool.takeSlab(a.tier, a.class, a.size)
 	}
 	return a.pairs[:n]
-}
-
-// Bytes returns the raw extent of a spill-tier allocation as a view
-// into the mmap'd file — the surface the runtime encodes spill records
-// into (spill.EncodeInto) and decodes them from (spill.View). Panics
-// on memory-tier allocations, whose backing is typed pair slabs.
-func (a *Allocation) Bytes() []byte {
-	if a.freed {
-		panic("mempool: Bytes on freed allocation")
-	}
-	if a.tier != memsim.Spill {
-		panic("mempool: Bytes on memory-tier allocation")
-	}
-	return a.pool.spill.Bytes(a.spillOff, a.size)
 }
 
 // Free returns the allocation to its pool — both the capacity
@@ -472,75 +458,78 @@ func (p *Pool) ScratchFor(t memsim.Tier) *algo.Scratch {
 // Alloc carves size bytes from tier t: class-rounded slabs on the
 // memory tiers, extent-rounded mmap regions on the spill tier.
 func (p *Pool) Alloc(t memsim.Tier, size int64) (*Allocation, error) {
+	return p.AllocFirst(size, t)
+}
+
+// AllocFirst carves size bytes from the first tier of order that has
+// room, walking the rungs under one lock. A rung that is full — or, for
+// the spill tier, detached — is passed over, not failed: the request
+// fails only when no rung serves it, with one ErrExhausted naming the
+// first rung and one count in Stats.Failures.
+func (p *Pool) AllocFirst(size int64, order ...memsim.Tier) (*Allocation, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mempool: invalid allocation size %d", size)
 	}
-	if t == memsim.Spill {
-		return p.allocSpill(size)
-	}
-	n := roundUp(size)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.used[t]+n > p.cap[t] {
-		p.failures++
-		return nil, &ErrExhausted{Tier: t, Want: n, Free: p.cap[t] - p.used[t]}
-	}
-	p.used[t] += n
-	if p.used[t] > p.peak[t] {
-		p.peak[t] = p.used[t]
-	}
-	p.allocs++
-	return &Allocation{pool: p, tier: t, size: n, class: classIndex(size), Request: size}, nil
+	return p.walk(size, order)
 }
 
-// allocSpill carves an extent from the attached spill arena. Sizes are
-// rounded to the arena's 64-byte extent granularity rather than the
-// slab classes: spill records are variable-sized and class rounding
-// would waste up to half the file.
-func (p *Pool) allocSpill(size int64) (*Allocation, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.spill == nil {
-		p.failures++
-		return nil, &ErrExhausted{Tier: memsim.Spill, Want: size, Free: 0}
-	}
-	off, err := p.spill.Alloc(size)
-	if err != nil {
-		p.failures++
-		var full *spill.ErrFull
-		if errors.As(err, &full) {
-			return nil, &ErrExhausted{Tier: memsim.Spill, Want: full.Want, Free: full.Free}
-		}
-		return nil, err
-	}
-	n := spill.RoundUp(size)
-	p.used[memsim.Spill] += n
-	if p.used[memsim.Spill] > p.peak[memsim.Spill] {
-		p.peak[memsim.Spill] = p.used[memsim.Spill]
-	}
-	p.allocs++
-	return &Allocation{pool: p, tier: memsim.Spill, size: n, class: -1, spillOff: off, Request: size}, nil
-}
+// urgentOrder is where an Urgent request goes once the reserve is spent.
+var urgentOrder = []memsim.Tier{memsim.HBM, memsim.DRAM, memsim.Spill}
 
 // AllocUrgent carves from the reserved HBM region, falling back to the
-// general HBM pool, then DRAM, so Urgent work always gets memory.
+// general HBM pool, then DRAM, then the spill arena when one is
+// attached, so Urgent work always gets memory.
 func (p *Pool) AllocUrgent(size int64) (*Allocation, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mempool: invalid allocation size %d", size)
 	}
-	n := roundUp(size)
 	p.mu.Lock()
-	if p.usedReserved+n <= p.reserved {
+	defer p.mu.Unlock()
+	if n := roundUp(size); p.usedReserved+n <= p.reserved {
 		p.usedReserved += n
 		p.allocs++
-		p.mu.Unlock()
 		return &Allocation{pool: p, tier: memsim.HBM, size: n, class: classIndex(size), urgent: true, Request: size}, nil
 	}
-	p.mu.Unlock()
-	if a, err := p.Alloc(memsim.HBM, size); err == nil {
-		return a, nil
+	return p.walk(size, urgentOrder)
+}
+
+// walk serves one request from the first tier of order with room. The
+// caller holds mu.
+func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
+	slab, class := roundUp(size), classIndex(size)
+	// Extents are rounded to the arena's 64-byte granularity, not the slab
+	// classes: runs are variable-sized and class rounding would waste up
+	// to half the file.
+	extent := spill.RoundUp(size)
+	for _, t := range order {
+		n, cl, off := slab, class, int64(0)
+		if t == memsim.Spill {
+			if p.spill == nil {
+				continue
+			}
+			var err error
+			if off, err = p.spill.Alloc(size); err != nil {
+				continue
+			}
+			n, cl = extent, -1
+		} else if p.used[t]+n > p.cap[t] {
+			continue
+		}
+		p.used[t] += n
+		if p.used[t] > p.peak[t] {
+			p.peak[t] = p.used[t]
+		}
+		p.allocs++
+		return &Allocation{pool: p, tier: t, size: n, class: cl, spillOff: off, Request: size}, nil
 	}
-	return p.Alloc(memsim.DRAM, size)
+	p.failures++
+	t, want := order[0], slab
+	if t == memsim.Spill {
+		want = extent
+	}
+	return nil, &ErrExhausted{Tier: t, Want: want, Free: p.cap[t] - p.used[t]}
 }
 
 // Used returns the bytes in use on tier t (excluding the reserved pool).

@@ -291,3 +291,39 @@ func TestAccountingConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocFirstCountsRequestsNotRungs: a request served by a later rung
+// is no failure, and one no rung serves is exactly one — named after the
+// rung it preferred — whether it walked AllocFirst's order or
+// AllocUrgent's.
+func TestAllocFirstCountsRequestsNotRungs(t *testing.T) {
+	cfg := memsim.KNLConfig()
+	cfg.Tiers[memsim.HBM].Capacity = 8 << 10
+	cfg.Tiers[memsim.DRAM].Capacity = 4 << 10
+	p := New(cfg, 4<<10)
+	if _, err := p.Alloc(memsim.HBM, 4<<10); err != nil { // general HBM full
+		t.Fatal(err)
+	}
+	a, err := p.AllocFirst(4<<10, memsim.HBM, memsim.DRAM, memsim.Spill)
+	if err != nil || a.Tier() != memsim.DRAM {
+		t.Fatalf("second rung: %v, %v", a, err)
+	}
+	if _, err := p.AllocUrgent(4 << 10); err != nil { // the reserve
+		t.Fatal(err)
+	}
+	if got := p.Stats().Failures; got != 0 {
+		t.Fatalf("%d failures counted while every request was served", got)
+	}
+	// Everything is full and no arena is attached.
+	_, err = p.AllocFirst(4<<10, memsim.DRAM, memsim.HBM, memsim.Spill)
+	var ex *ErrExhausted
+	if !errors.As(err, &ex) || ex.Tier != memsim.DRAM || ex.Want != 4<<10 || ex.Free != 0 {
+		t.Fatalf("exhausted ladder: %v", err)
+	}
+	if _, err = p.AllocUrgent(4 << 10); !errors.As(err, &ex) || ex.Tier != memsim.HBM {
+		t.Fatalf("exhausted urgent: %v", err)
+	}
+	if got := p.Stats().Failures; got != 2 {
+		t.Fatalf("%d failures for two unserved requests", got)
+	}
+}

@@ -39,9 +39,6 @@ func TestSpillTierAlloc(t *testing.T) {
 	if a.Size() != spill.RoundUp(100) {
 		t.Fatalf("size %d, want extent-rounded %d", a.Size(), spill.RoundUp(100))
 	}
-	if got := len(a.Bytes()); int64(got) != a.Size() {
-		t.Fatalf("Bytes len %d, want %d", got, a.Size())
-	}
 	pairs := a.Pairs(4)
 	pairs[3].Key = 42
 	if again := a.Pairs(4); again[3].Key != 42 {

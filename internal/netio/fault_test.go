@@ -692,8 +692,10 @@ func TestOverloadShedsNewConns(t *testing.T) {
 func TestHungConnectionParksCursor(t *testing.T) {
 	feed := NewFeed(WireSchema(), 64)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
-		Feed:           feed,
-		CursorGrace:    80 * time.Millisecond,
+		Feed: feed,
+		// Long enough that B's whole stream lands inside it on a loaded
+		// two-CPU box: the first check below races this timer.
+		CursorGrace:    500 * time.Millisecond,
 		SessionTimeout: 10 * time.Second, // expiry out of the picture here
 	})
 	if err != nil {

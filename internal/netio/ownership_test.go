@@ -101,13 +101,17 @@ func (r *slabRig) open() { close(r.gate) }
 
 // settle closes the server, waits the engine out and reclaims what it
 // left queued, then holds the ledger to zero: no column slab still out
-// of the pool and no bundle still charged to it. It returns the
-// engine's error.
+// of the pool and no bundle still charged to it. Records dropped behind
+// the watermark are reported, so a short sum explains itself. It returns
+// the engine's error.
 func (r *slabRig) settle() error {
 	r.t.Helper()
 	r.srv.Close()
-	_, err := r.exec.Wait()
+	rep, err := r.exec.Wait()
 	r.feed.Reclaim()
+	if rep.LateRecords != 0 {
+		r.t.Logf("%d records arrived behind the watermark and were dropped, by policy", rep.LateRecords)
+	}
 	if out := r.pool.Stats().ColsOut; out != 0 {
 		r.t.Errorf("%d column slabs still out of the pool at rest", out)
 	}
@@ -185,12 +189,19 @@ func TestSlabOwnershipSumsToZero(t *testing.T) {
 	t.Run("two connections", func(t *testing.T) {
 		r := startSlabRig(t, 0, runtime.Config{Workers: 2}, ServerConfig{})
 		r.open()
-		var wg sync.WaitGroup
+		// Dial every client before any sends: a connection streaming alone
+		// holds the only cursor, so the watermark would pass whole windows
+		// and the other connection's copies of them be dropped as late.
+		var clients []*Client
 		for _, format := range sessionFormats {
 			c, err := Dial(r.srv.Addr().String(), ClientConfig{Format: format, FrameRecords: 500})
 			if err != nil {
 				t.Fatal(err)
 			}
+			clients = append(clients, c)
+		}
+		var wg sync.WaitGroup
+		for _, c := range clients {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

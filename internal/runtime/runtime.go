@@ -62,26 +62,28 @@
 // backwards.
 //
 // Everything is scheduled on a work-stealing worker pool whose queues
-// honor the Urgent/High/Low performance-impact tags, with KPA placement
-// drawn from the demand-balance knob and ingestion backpressure driven
-// by mempool utilization.
+// honor the Urgent/High/Low performance-impact tags, with ingestion
+// backpressure driven by mempool utilization.
 //
-// Memory. Without a spill tier the knob follows the paper's schedule
-// over HBM occupancy and DRAM bandwidth. With Config.SpillCapacity set,
-// the two memory tiers grow a third — an mmap'd cold spill file
-// (internal/spill) attached to the mempool as memsim.Spill — and the
-// adaptive placement controller (controller.go) takes the knob over:
-// each monitor tick it drives {k_low, k_high} from pool occupancy,
-// queue depths and per-tier window-state bytes, and above the eviction
-// high-water mark it walks the coldest quiescent runs out to the spill
-// file (spillpath.go), self-contained as they are. The ingest loop takes
-// the same ladder synchronously on pool exhaustion — evict first, force
-// a watermark only if the spill file cannot absorb the overshoot — and
-// window close transparently loads spilled runs back (or merges straight
-// over the mmap view), bit-identical to the never-spilled run. Working
-// sets ~2x the memory budget degrade into slower closes instead of
-// ErrOverloaded/ErrExhausted. Which policy runs is decided by whether a
-// spill tier is attached, not by an option.
+// Memory. A run's slab is placed by one rule: HBM while the tier is
+// under hbmSetpoint, else DRAM, else the other of the two, else the
+// spill arena; Urgent work takes the reserved pool first. On this kind
+// of host the two memory tiers are the same DIMMs, so they are budgets,
+// not speeds — the paper's demand-balance knob trades HBM capacity
+// against DRAM bandwidth and lives where a machine has both, in the
+// simulator (internal/engine, Figure 10). With Config.SpillCapacity set
+// the pool grows a third, physically distinct tier — an mmap'd cold
+// spill file (internal/spill) attached as memsim.Spill — and a monitor
+// ticks one latch (spillpath.go): above the eviction high-water mark it
+// walks the coldest quiescent runs out to the arena, bare pairs copied
+// into an extent, until occupancy is back under the low-water mark. The
+// ingest loop takes the same step synchronously on pool exhaustion —
+// evict first, force a watermark only if the spill file cannot absorb
+// the overshoot. A spilled run is never loaded back: seals and closes
+// merge it over the mmap view, bit-identical to the never-spilled run.
+// Working sets ~2x the memory budget degrade into slower closes instead
+// of ErrOverloaded/ErrExhausted. Without a spill tier there is no
+// monitor and nothing to tick.
 package runtime
 
 import (
@@ -237,15 +239,13 @@ type Config struct {
 	// Workers is the worker-pool size (0 = one per CPU, via GOMAXPROCS).
 	Workers int
 	// Machine bounds the mempool's tier capacities (zero value: KNL).
-	// Only capacities and the DRAM bandwidth ceiling are used — the
-	// native backend measures real time instead of simulating it.
+	// Only capacities are used — the native backend measures real time
+	// instead of simulating it.
 	Machine memsim.Config
 	// ReservedHBM is the Urgent allocation pool (0 picks 256 MiB).
 	ReservedHBM int64
-	// Seed drives the knob's placement randomness.
-	Seed int64
-	// MonitorInterval is the knob/backpressure refresh period
-	// (0 picks the paper's 10 ms, in real time).
+	// MonitorInterval is the eviction monitor's period and a tenth of the
+	// feed's idle tick (0 picks the paper's 10 ms, in real time).
 	MonitorInterval time.Duration
 	// MaxQueuedTasks caps the scheduler backlog before ingest blocks
 	// (0 picks 8 tasks per worker).
@@ -271,14 +271,11 @@ type Config struct {
 	// SpillDir and SpillCapacity enable the mmap'd cold spill tier: a
 	// SpillCapacity-byte temp file created under SpillDir (the system
 	// temp dir when empty), mmap'd and immediately unlinked, attached to
-	// the mempool as memsim.Spill. With the spill tier attached the
-	// adaptive placement controller replaces the paper's knob schedule:
-	// it drives {k_low, k_high} from a control loop over pool occupancy,
-	// queue depths and per-tier window-state bytes, and evicts the
-	// coldest sealed runs to the spill file before utilization reaches
-	// the shed threshold, so overload degrades to slower closes instead
-	// of ErrOverloaded/ErrExhausted. SpillCapacity = 0 disables the tier
-	// and the knob follows the paper's schedule.
+	// the mempool as memsim.Spill. With the spill tier attached a monitor
+	// evicts the coldest sealed runs to the spill file before utilization
+	// reaches the shed threshold, and allocations the memory tiers cannot
+	// serve land in it, so overload degrades to slower closes instead of
+	// ErrOverloaded/ErrExhausted. SpillCapacity = 0 disables the tier.
 	SpillDir      string
 	SpillCapacity int64
 	// ShedUtilization overrides the pool pressure above which the ingest
@@ -313,8 +310,6 @@ type Report struct {
 	Sched SchedStats
 	// HBMKPAs/DRAMKPAs count KPA placements per tier.
 	HBMKPAs, DRAMKPAs int64
-	// KLow/KHigh are the knob's final probabilities.
-	KLow, KHigh float64
 	// PausedNanos is time ingest spent blocked on backpressure.
 	PausedNanos int64
 	// GCPauseNs is the Go garbage collector's stop-the-world pause time
@@ -363,24 +358,23 @@ type Report struct {
 	// copies. The two marks are independent maxima;
 	// PeakWindowStateTotalBytes is the true combined high-water mark
 	// (the figure to hold against pool capacity), which can be less
-	// than their sum when the knob shifts placement between tiers.
+	// than their sum when placement shifts between tiers.
 	PeakWindowStateBytes      [memsim.NumTiers]int64
 	PeakWindowStateTotalBytes int64
 	// Degradation-ladder figures, all zero when Config.SpillCapacity is
 	// 0. SpilledRuns/SpilledBytes count sealed runs evicted to the mmap'd
-	// spill tier and the memory-tier bytes each eviction freed;
-	// SpillLoads/SpillLoadNanos count the loads bringing spilled runs
-	// back for window close and the worker time they took;
-	// SpillLoadFallbacks counts closes that merged straight over the
-	// mmap'd view because the pool could not host the load.
+	// spill tier and the memory-tier bytes each eviction freed. A spilled
+	// run is merged over its mmap view, never loaded back, so SpillLoads,
+	// SpillLoadNanos and SpillLoadFallbacks read 0; the fields stay while
+	// benchmark/ reads them.
 	SpilledRuns        int64
 	SpilledBytes       int64
 	SpillLoads         int64
 	SpillLoadNanos     int64
 	SpillLoadFallbacks int64
-	// CtrlDecisions counts the adaptive placement controller's knob
-	// adjustments; CtrlEvictTicks the monitor ticks on which it ran the
-	// evictor.
+	// CtrlDecisions counts the eviction latch's transitions (on above the
+	// high-water mark, off below the low); CtrlEvictTicks the monitor
+	// ticks on which the evictor ran.
 	CtrlDecisions  int64
 	CtrlEvictTicks int64
 	// CloseP99Nanos is the 99th-percentile window close latency
@@ -395,7 +389,6 @@ type exec struct {
 	sched *Scheduler
 	pool  *mempool.Pool
 	reg   *bundle.Registry
-	knob  *engine.Knob
 	// scratch draws transient kernel buffers (radix scatter, merge
 	// ping-pong) from the pool's slab free lists, per tier.
 	scratch [memsim.NumTiers]*algo.Scratch
@@ -409,11 +402,9 @@ type exec struct {
 	// the report and /metrics read (stats.go).
 	m *stats
 
-	// Degradation ladder (Config.SpillCapacity > 0): the mmap'd spill
-	// arena and the placement controller the monitor ticks; both nil when
-	// the ladder is off.
+	// spillFile is the mmap'd spill arena (Config.SpillCapacity > 0), nil
+	// when the ladder has no cold rung.
 	spillFile *spill.File
-	ctrl      *placementController
 
 	emu  sync.Mutex
 	errs []error
@@ -511,7 +502,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		sched: NewScheduler(workers),
 		pool:  mempool.New(machine, reserved),
 		reg:   bundle.NewRegistry(),
-		knob:  engine.NewKnob(cfg.Seed + 1),
 	}
 	x.table = newWindowTable(plan.Win)
 	x.m = newStats(x)
@@ -527,6 +517,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	// DRAM scratch: transient kernel buffers never live in the arena.
 	x.scratch[memsim.Spill] = x.scratch[memsim.DRAM]
 
+	stopMonitor := func() {}
 	if cfg.SpillCapacity > 0 {
 		f, err := spill.Create(cfg.SpillDir, cfg.SpillCapacity)
 		if err != nil {
@@ -535,10 +526,9 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		}
 		x.spillFile = f
 		x.pool.AttachSpill(f)
-		x.ctrl = newPlacementController()
+		stopMonitor = x.startMonitor()
 	}
 
-	stopMonitor := x.startMonitor(machine)
 	e := &Execution{x: x, done: make(chan struct{})}
 	go func() {
 		defer close(e.done)
@@ -589,9 +579,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			PeakWindowStateTotalBytes: m.peakTotal.Load(),
 			SpilledRuns:               m.evictions.Load(),
 			SpilledBytes:              m.evictedBytes.Load(),
-			SpillLoads:                m.spillLoads.Load(),
-			SpillLoadNanos:            m.spillLoadNanos.Load(),
-			SpillLoadFallbacks:        m.spillLoadFallbacks.Load(),
 			CtrlDecisions:             m.ctrlDecisions.Load(),
 			CtrlEvictTicks:            m.ctrlEvictTicks.Load(),
 			CloseP99Nanos:             m.closeLatency.Quantile(0.99),
@@ -600,7 +587,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			rep.AllocsPerRecord = float64(ms1.Mallocs-ms0.Mallocs) / float64(ingested)
 			rep.AllocBytesPerRecord = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(ingested)
 		}
-		rep.KLow, rep.KHigh = x.knob.Snapshot()
 		if sec := elapsed.Seconds(); sec > 0 {
 			rep.Throughput = float64(ingested) / sec
 		}
@@ -856,9 +842,6 @@ func minMax(ts []uint64) (lo, hi uint64) {
 func (x *exec) submitExtract(b *bundle.Bundle, tsHi wm.Time) {
 	ts := b.Col(x.plan.TsCol)
 	if len(ts) == 0 {
-		// Same accounting as the extract task's release path: the
-		// bundle was still built and streamed through DRAM.
-		x.addDRAMTraffic(b.Bytes())
 		b.Release()
 		return
 	}
@@ -900,7 +883,6 @@ func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time)
 	} else {
 		seals, toClose = x.table.fileRuns(reg, x.sortPanes(b, reg, minTs, maxTs))
 	}
-	x.addDRAMTraffic(b.Bytes())
 	b.Release() // the runs hold values, not pointers: the bundle frees here
 	x.m.extractNanos.Add(time.Since(t0).Nanoseconds())
 	for _, s := range seals {
@@ -937,7 +919,7 @@ func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 // formation, the paper's Table 2 split: the runs are sorted with the
 // radix kernel, the merge at close stays comparison-based. Every
 // (key, value) pair is written once, straight into the recycled slab
-// (placed by the knob) of the run it belongs to.
+// (placed by the allocator's one rule) of the run it belongs to.
 //
 // Most bundles lie inside one pane, with no filter to apply and nothing
 // late: the run is the bundle, zipped in one pass. Otherwise pass one
@@ -1041,7 +1023,7 @@ rows:
 }
 
 // newRun starts the run of n of bundle b's rows in one pane: a
-// value-resident KPA whose slab — from the knob-placed allocator — the
+// value-resident KPA whose slab — wherever the placement rule puts it — the
 // caller fills in row order and then radix-sorts in place (the sort is
 // stable, so equal keys keep that order). The run is stamped with its
 // provenance (producing bundle, pane) so closes order runs
@@ -1099,7 +1081,7 @@ func (x *exec) submitClose(start wm.Time) {
 		x.submitSeal(s)
 	}
 	if c.merge {
-		x.mergeWindow(start, c.runs)
+		x.submitMergeReduce(start, c.runs)
 	}
 	for _, w := range c.next {
 		x.submitClose(w)
@@ -1131,9 +1113,6 @@ func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 		runs[i] = r.k
 	}
 	sortByProvenance(runs)
-	if x.spillFile != nil {
-		x.loadRuns(runs, tag)
-	}
 	merged, err := x.compact(runs, x.allocator(tag))
 	if err != nil {
 		merged = nil
@@ -1154,7 +1133,7 @@ func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 		x.submitSeal(next)
 	}
 	for _, w := range toMerge {
-		x.mergeWindow(w, x.table.gather(w))
+		x.submitMergeReduce(w, x.table.gather(w))
 	}
 }
 
@@ -1171,28 +1150,6 @@ func sortByProvenance(runs []*kpa.KPA) {
 	})
 }
 
-// mergeWindow starts the merge of a claimed window over its gathered
-// runs — the shared runs of every pane it covers. Each close releases
-// exactly one reference per run it merges, and the storage frees when
-// the last reader lets go.
-func (x *exec) mergeWindow(start wm.Time, runs []*kpa.KPA) {
-	if x.spillFile != nil && len(runs) > 0 {
-		// Some runs may live in the mmap'd arena: load them back first,
-		// on a worker task, off the watermark caller's goroutine.
-		tag := x.tagFor(start)
-		x.sched.Submit(&Task{
-			Name: "load:" + x.plan.Label,
-			Tag:  tag,
-			Run: func() {
-				x.loadRuns(runs, tag)
-				x.submitMergeReduce(start, runs)
-			},
-		})
-		return
-	}
-	x.submitMergeReduce(start, runs)
-}
-
 // reduceRuns is the sealing kernel of an aggregator that combines: one
 // fused merge-reduce over the runs (raw and partial alike) into a new
 // partial run, noted as window state. The inputs stay valid.
@@ -1204,10 +1161,7 @@ func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 	x.noteKPA(partial)
 	for _, r := range runs {
 		x.m.closePairs.Add(int64(r.Len()))
-		// One streaming read of the pairs, which carry their values.
-		x.addDRAMTraffic(r.Bytes())
 	}
-	x.addDRAMTraffic(partial.Bytes())
 	return partial, nil
 }
 
@@ -1221,7 +1175,6 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 	}
 	x.noteKPA(merged)
 	x.m.closePairs.Add(int64(merged.Len()))
-	x.addDRAMTraffic(merged.Bytes())
 	return merged, nil
 }
 
@@ -1299,12 +1252,8 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 					x.recordError(err)
 				}
 				counts[i] = n
-				width := int64(offs[i+1] - offs[i])
 				x.m.emitted.Add(int64(n))
-				x.m.closePairs.Add(width)
-				// One streaming read of the pairs, which carry their
-				// values; nothing is written back.
-				x.addDRAMTraffic(width * memsim.PairBytes)
+				x.m.closePairs.Add(int64(offs[i+1] - offs[i]))
 				if remaining.Add(-1) == 0 {
 					for _, r := range runs {
 						x.destroyRun(r)
@@ -1353,59 +1302,46 @@ func (x *exec) sealedWindow(start wm.Time) bool {
 	return x.cfg.SealedBefore > 0 && x.plan.Win.End(start) <= x.cfg.SealedBefore
 }
 
-// allocator returns a knob-driven KPA allocator for the given tag:
-// Urgent from the reserved pool, High/Low by the knob's probabilities,
-// spilling to DRAM when HBM is full (paper §5).
+// hbmSetpoint is the HBM occupancy up to which new runs are placed
+// there: high enough to keep the tier earning its capacity, low enough
+// to leave headroom for urgent allocations and merge intermediates.
+const hbmSetpoint = 0.80
+
+// allocator returns the KPA allocator for work tagged tag.
 func (x *exec) allocator(tag engine.Tag) kpa.Allocator {
-	return &knobAllocator{x: x, tag: tag}
+	return placement{pool: x.pool, urgent: tag == engine.Urgent}
 }
 
-type knobAllocator struct {
-	x   *exec
-	tag engine.Tag
-	// noSpill excludes the spill-arena rung — set for spill loads,
-	// which would otherwise "load" a run from the arena to the arena.
-	noSpill bool
+// placement is the native placement rule, the whole of it: a run goes to
+// HBM while that tier is under hbmSetpoint, else to DRAM; when the
+// preferred tier is full it goes to the other, and when both are, into
+// the spill arena if one is attached — a merge output in the arena beats
+// failing the close. Urgent work draws on the reserved pool first (paper
+// §5) and walks the same rungs after it. One pool call serves a request,
+// so a miss on a rung is not a failure; a request no rung serves is.
+type placement struct {
+	pool   *mempool.Pool
+	urgent bool
 }
 
 // AllocKPA implements kpa.Allocator.
-func (a *knobAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, error) {
-	x := a.x
-	if a.tag == engine.Urgent {
-		al, err := x.pool.AllocUrgent(nBytes)
-		if err == nil {
-			return al.Tier(), al, nil
-		}
-		// Urgent close-path allocations ride the ladder too: with the
-		// reserved pool and both memory tiers full, a merge output in
-		// the arena beats failing the close.
-		if x.spillFile != nil && !a.noSpill {
-			if sal, serr := x.pool.Alloc(memsim.Spill, nBytes); serr == nil {
-				return memsim.Spill, sal, nil
-			}
-		}
+func (p placement) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, error) {
+	var (
+		al  *mempool.Allocation
+		err error
+	)
+	switch {
+	case p.urgent:
+		al, err = p.pool.AllocUrgent(nBytes)
+	case p.pool.Utilization(memsim.HBM) < hbmSetpoint:
+		al, err = p.pool.AllocFirst(nBytes, memsim.HBM, memsim.DRAM, memsim.Spill)
+	default:
+		al, err = p.pool.AllocFirst(nBytes, memsim.DRAM, memsim.HBM, memsim.Spill)
+	}
+	if err != nil {
 		return 0, nil, err
 	}
-	if x.knob.WantHBM(a.tag) {
-		if al, err := x.pool.Alloc(memsim.HBM, nBytes); err == nil {
-			return memsim.HBM, al, nil
-		}
-		// HBM full: spill.
-	}
-	al, err := x.pool.Alloc(memsim.DRAM, nBytes)
-	if err == nil {
-		return memsim.DRAM, al, nil
-	}
-	if x.spillFile != nil && !a.noSpill {
-		// Last rung of the degradation ladder: both memory tiers are
-		// full, so close-time materializations (fan-in compaction,
-		// shared-run clones) land in the mmap'd arena instead of failing
-		// the run.
-		if sal, serr := x.pool.Alloc(memsim.Spill, nBytes); serr == nil {
-			return memsim.Spill, sal, nil
-		}
-	}
-	return memsim.DRAM, nil, err
+	return al.Tier(), al, nil
 }
 
 // noteKPA counts a placement for the report and charges the run's
@@ -1431,67 +1367,6 @@ func (x *exec) destroyRun(k *kpa.KPA) {
 	if k.Destroy() {
 		x.m.stateBytes[t].Add(-n)
 		x.m.stateTotal.Add(-n)
-	}
-}
-
-// addDRAMTraffic accumulates observed DRAM traffic for the monitor's
-// bandwidth estimate.
-func (x *exec) addDRAMTraffic(n int64) { x.m.dramTraffic.Add(n) }
-
-// startMonitor refreshes the demand-balance knob on a real-time cadence
-// from measured pool utilization and DRAM traffic; it returns a stop
-// function.
-func (x *exec) startMonitor(machine memsim.Config) func() {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(x.cfg.MonitorInterval)
-		defer ticker.Stop()
-		dramBWCap := machine.Tier(memsim.DRAM).Bandwidth
-		var lastTraffic int64
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				traffic := x.m.dramTraffic.Load()
-				dramBW := float64(traffic-lastTraffic) / x.cfg.MonitorInterval.Seconds() / dramBWCap
-				lastTraffic = traffic
-				if x.ctrl != nil {
-					// Spill tier attached: the adaptive placement
-					// controller drives the knob and decides when to
-					// walk cold sealed state out to the spill tier.
-					act := x.ctrl.step(ctrlSignals{
-						HBMUtil:     x.pool.Utilization(memsim.HBM),
-						DRAMUtil:    x.pool.Utilization(memsim.DRAM),
-						DRAMBW:      dramBW,
-						QueueDepths: x.sched.QueuedByPriority(),
-						Workers:     x.sched.Workers(),
-						StateBytes:  x.m.liveState(),
-					})
-					if act.changed {
-						x.m.ctrlDecisions.Add(1)
-					}
-					x.knob.Set(act.KLow, act.KHigh)
-					if act.Evict {
-						x.m.ctrlEvictTicks.Add(1)
-						x.evictColdest(x.evictTarget())
-					}
-				} else {
-					// The paper's schedule. Headroom proxy: the pool
-					// keeps up with the offered backlog, so k_high may
-					// still shift placements to DRAM.
-					headroom := x.sched.Queued() < x.sched.Workers()
-					x.knob.Update(x.pool.Utilization(memsim.HBM), dramBW, headroom)
-				}
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
 	}
 }
 

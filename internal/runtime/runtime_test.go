@@ -281,9 +281,9 @@ func TestNativeExhaustionFailsInsteadOfHanging(t *testing.T) {
 	}
 }
 
-// TestNativeKnobPlacement checks that KPAs actually land on both tiers
-// under the default knob (k=1 sends High/Low draws to HBM) and that
-// the placement counters add up.
+// TestNativeKnobPlacement checks that KPAs are placed and counted, and
+// that a machine with room lands them on HBM (the tier is far under its
+// setpoint).
 func TestNativeKnobPlacement(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(16, 1), 40_000)
 	rep, err := Run(plan, Config{Workers: 4})
@@ -294,10 +294,7 @@ func TestNativeKnobPlacement(t *testing.T) {
 		t.Fatal("no KPAs were placed")
 	}
 	if rep.HBMKPAs == 0 {
-		t.Fatal("knob at k=1 must place KPAs on HBM")
-	}
-	if lo, hi := rep.KLow, rep.KHigh; lo < 0 || lo > 1 || hi < 0 || hi > 1 {
-		t.Fatalf("knob out of range: {%g, %g}", lo, hi)
+		t.Fatal("HBM under its setpoint must take KPAs")
 	}
 }
 
@@ -468,17 +465,34 @@ func runCaptured(plan Plan, cfg Config) (captured, error) {
 		return captured{}, err
 	}
 	rep, err := e.Wait()
-	// Every test that runs a plan through here also audits the slab
-	// ledger: with the run drained, each bundle has given its columns
-	// back and is no longer charged.
-	if pool := e.MemPool(); err == nil {
-		if out := pool.Stats().ColsOut; out != 0 {
-			err = fmt.Errorf("%d column slabs still out of the pool after the run", out)
-		} else if used := pool.Used(memsim.DRAM); used != 0 {
-			err = fmt.Errorf("%d B still charged to DRAM after the run", used)
-		}
+	if err == nil {
+		err = auditAtRest(e)
 	}
 	return captured{rep, c.rows}, err
+}
+
+// auditAtRest is the ledger audit every test that runs a plan through
+// runCaptured gets: with the run drained, each bundle has given its
+// columns back and is no longer charged, no window state is live on any
+// tier, and the spill arena is empty — an extent lives until its run's
+// last Destroy, so a leaked reference shows here.
+func auditAtRest(e *Execution) error {
+	pool := e.MemPool()
+	if out := pool.Stats().ColsOut; out != 0 {
+		return fmt.Errorf("%d column slabs still out of the pool after the run", out)
+	}
+	for _, t := range []memsim.Tier{memsim.DRAM, memsim.Spill} {
+		if used := pool.Used(t); used != 0 {
+			return fmt.Errorf("%d B still charged to %v after the run", used, t)
+		}
+	}
+	if f := pool.Spill(); f != nil && f.Used() != 0 {
+		return fmt.Errorf("%d B of the spill arena still allocated after the run", f.Used())
+	}
+	if live := e.x.m.liveState(); live != [memsim.NumTiers]int64{} {
+		return fmt.Errorf("live window state at rest: %v", live)
+	}
+	return nil
 }
 
 // TestMain runs the package under the pool's poison mode: a column slab
@@ -719,4 +733,4 @@ func TestNativeAggFamily(t *testing.T) {
 	}
 }
 
-var _ kpa.Allocator = (*knobAllocator)(nil)
+var _ kpa.Allocator = placement{}

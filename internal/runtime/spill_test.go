@@ -1,14 +1,17 @@
 package runtime
 
 import (
+	"errors"
 	goruntime "runtime"
 	"testing"
 	"time"
 
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
+	"streambox/internal/mempool"
 	"streambox/internal/memsim"
 	"streambox/internal/ops"
+	"streambox/internal/spill"
 	"streambox/internal/wm"
 )
 
@@ -25,13 +28,15 @@ func tinyMachine(hbm, dram int64) memsim.Config {
 // TestSpillMatchesNeverSpill is the degradation ladder's equivalence
 // property: the same plan — overlapping panes, skewed keys, an
 // order-sensitive aggregator — run on a machine so small that sealed
-// runs must be evicted to the spill tier and loaded back (or merged in
-// place from the mmap), and run unconstrained with no spill tier, must
-// produce bit-identical windows: same window starts, same keys, same
-// fold hashes. Overlapping windows seal their panes, so the runs that sit
-// out the stalled watermark — and get evicted and reloaded, or fail to
-// allocate and leave the raw runs in place — are sealed runs: partial
-// ones on the sum and count legs. Run under -race in CI.
+// runs must be evicted to the spill tier and merged in place over the
+// mmap view, and run unconstrained with no spill tier, must produce
+// bit-identical windows: same window starts, same keys, same fold
+// hashes. Overlapping windows seal their panes, so the runs that sit out
+// the stalled watermark — and get evicted, or are born in the arena when
+// no memory tier has room — are sealed runs: partial ones on the sum and
+// count legs. runCaptured audits the rest state: every extent freed with
+// its run's last reference, no window state live on any tier. Run under
+// -race in CI.
 func TestSpillMatchesNeverSpill(t *testing.T) {
 	for _, win := range []wm.Windowing{
 		wm.Fixed(1_000_000),
@@ -48,7 +53,7 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			plan.NewAgg, base.NewAgg = agg, agg
 			// Bundles free at extract, so they no longer pin DRAM until
 			// ingest's exhaustion path evicts on the spot: what evicts is
-			// the controller's tick, and the stream is long enough (seven
+			// the monitor's tick, and the stream is long enough (seven
 			// stalled watermarks) that some tick finds the runs piled up.
 			plan.TotalRecords, base.TotalRecords = 120_000, 120_000
 			baseline, err := runCaptured(base, Config{Workers: 4})
@@ -69,8 +74,9 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			if spilled.SpilledRuns == 0 {
 				t.Fatalf("%s size=%d slide=%d: constrained run evicted nothing — the property was not exercised", name, win.Size, win.Slide)
 			}
-			if spilled.SpillLoads == 0 && spilled.SpillLoadFallbacks == 0 {
-				t.Fatalf("%s size=%d slide=%d: no spilled run was read back at close", name, win.Size, win.Slide)
+			if spilled.SpillLoads != 0 || spilled.SpillLoadFallbacks != 0 {
+				t.Fatalf("%s size=%d slide=%d: %d loads, %d fallbacks — a spilled run is read where it lies", name, win.Size, win.Slide,
+					spilled.SpillLoads, spilled.SpillLoadFallbacks)
 			}
 			if seals := !win.IsFixed(); (spilled.SealedPanes > 0) != seals || (baseline.SealedPanes > 0) != seals {
 				t.Fatalf("%s size=%d slide=%d: %d panes sealed under pressure, %d without", name, win.Size, win.Slide,
@@ -93,7 +99,7 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 				}
 				for k, v := range bk {
 					if sk[k] != v {
-						t.Fatalf("%s size=%d slide=%d window %d key %d: baseline %x, spilled %x — evict/load reordered or refolded pairs",
+						t.Fatalf("%s size=%d slide=%d window %d key %d: baseline %x, spilled %x — eviction reordered or refolded pairs",
 							name, win.Size, win.Slide, w, k, v, sk[k])
 					}
 				}
@@ -104,12 +110,13 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 
 // TestSpillMatchesNeverSpillMidGroup lands evictions between a group's
 // filings: 31 batches of one fixed window fill the tiny machine until
-// the controller has walked some of their runs out to the spill tier,
-// and only then does the 32nd arrive and complete the group. Its seal —
-// no window has closed, so every load is the seal's — must bring the
-// evicted members back beside the runs that stayed, and still produce
-// the windows of the run that never spilled: the order-sensitive fold
-// through the verbatim merge, and a sum through the fused one.
+// the monitor has walked some of their runs out to the spill tier, and
+// only then does the 32nd arrive and complete the group. Its seal — the
+// group's members are the only runs there are, so some of what it
+// merges lies in the arena — must read the evicted members beside the
+// runs that stayed, and still produce the windows of the run that never
+// spilled: the order-sensitive fold through the verbatim merge, and a
+// sum through the fused one.
 func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	const perBatch = 200
 	batch := func(i int) [][]uint64 {
@@ -150,6 +157,9 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			}
 			feed.Close()
 			rep, err := e.Wait()
+			if err == nil {
+				err = auditAtRest(e)
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -174,15 +184,18 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			await("31 runs never filed, or none of them was evicted", func() bool {
 				return e.x.m.hbmKPAs.Load()+e.x.m.dramKPAs.Load() == mergeFanIn-1 && e.x.m.evictions.Load() > 0
 			})
-			if e.x.m.sealedPanes.Load() != 0 || e.x.m.spillLoads.Load()+e.x.m.spillLoadFallbacks.Load() != 0 {
-				t.Fatalf("%s: a seal or a load before the group was complete", name)
+			if e.x.m.sealedPanes.Load() != 0 {
+				t.Fatalf("%s: a seal before the group was complete", name)
 			}
 		}, func(e *Execution) {
 			await("the completed group never sealed", func() bool { return e.x.m.sealedPanes.Load() == 1 })
-			if e.x.table.closedWindows() != 0 || e.x.m.spillLoads.Load()+e.x.m.spillLoadFallbacks.Load() == 0 {
-				t.Fatalf("%s: the seal read no evicted member back (%d windows closed)", name, e.x.table.closedWindows())
+			if n := e.x.table.closedWindows(); n != 0 {
+				t.Fatalf("%s: %d windows closed before the seal", name, n)
 			}
 		})
+		if spilled.SpilledRuns == 0 || spilled.SpillLoads != 0 {
+			t.Fatalf("%s: %d runs spilled, %d loaded; want some and none", name, spilled.SpilledRuns, spilled.SpillLoads)
+		}
 		if spilled.SealedPanes != 1 || baseline.SealedPanes != 1 {
 			t.Fatalf("%s: %d groups sealed under pressure, %d without, want 1", name, spilled.SealedPanes, baseline.SealedPanes)
 		}
@@ -200,62 +213,100 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	}
 }
 
-// TestControllerConvergence steps the placement controller against
-// synthetic step loads and checks it walks the knob the right way,
-// settles inside the deadband, and latches eviction with hysteresis.
-func TestControllerConvergence(t *testing.T) {
-	c := newPlacementController()
-	sig := func(hbm, dram, bw float64) ctrlSignals {
-		return ctrlSignals{HBMUtil: hbm, DRAMUtil: dram, DRAMBW: bw, Workers: 4}
+// TestEvictLatch steps the eviction hysteresis through a rise and a
+// fall of pool pressure: it engages above the high-water mark, holds
+// between the marks, releases below the low one, and each flip — the
+// run's CtrlDecisions — is reported once.
+func TestEvictLatch(t *testing.T) {
+	var latch evictLatch
+	flips := 0
+	for _, step := range []struct {
+		pressure float64
+		on       bool
+	}{
+		{0.50, false},
+		{0.85, false}, // at the mark, not above it
+		{0.90, true},
+		{0.75, true}, // between the marks: holds
+		{0.70, false},
+		{0.80, false}, // between the marks again: stays off
+		{0.65, false},
+	} {
+		was := bool(latch)
+		if flipped := latch.step(step.pressure); flipped != (was != step.on) {
+			t.Fatalf("pressure %.2f: flipped = %v with the latch %v -> %v", step.pressure, flipped, was, bool(latch))
+		} else if flipped {
+			flips++
+		}
+		if bool(latch) != step.on {
+			t.Fatalf("pressure %.2f: latch %v, want %v", step.pressure, bool(latch), step.on)
+		}
 	}
-
-	// Step 1: HBM far above the setpoint. kLow must descend toward 0.
-	var act ctrlAction
-	for i := 0; i < 50; i++ {
-		act = c.step(sig(0.95, 0.3, 0.2))
-	}
-	if act.KLow > 0.05 {
-		t.Fatalf("overloaded HBM: kLow = %.2f, want ~0", act.KLow)
-	}
-	if act.KHigh == 1 && c.kLow > 0 {
-		t.Fatalf("kHigh moved before kLow bottomed out")
-	}
-
-	// Step 2: load releases. Both knobs must recover to 1 (kHigh first
-	// needs queue headroom, which the zero QueueDepths provide).
-	for i := 0; i < 100; i++ {
-		act = c.step(sig(0.30, 0.3, 0.2))
-	}
-	if act.KLow < 0.95 || act.KHigh < 0.95 {
-		t.Fatalf("recovered HBM: knob = {%.2f, %.2f}, want ~{1, 1}", act.KLow, act.KHigh)
-	}
-
-	// Step 3: inside the deadband nothing changes.
-	before := [2]float64{c.kLow, c.kHigh}
-	act = c.step(sig(ctrlSetpoint, 0.3, 0.2))
-	if c.kLow != before[0] || c.kHigh != before[1] {
-		t.Fatalf("deadband: knob moved {%.2f, %.2f} -> {%.2f, %.2f}",
-			before[0], before[1], c.kLow, c.kHigh)
-	}
-
-	// Step 4: eviction latches above the high water mark and holds
-	// until utilization falls below the low water mark.
-	if act = c.step(sig(0.5, 0.90, 0.2)); !act.Evict {
-		t.Fatal("worst util 0.90 must start eviction")
-	}
-	if act = c.step(sig(0.5, 0.75, 0.2)); !act.Evict {
-		t.Fatal("eviction must hold at 0.75 (hysteresis: above low water)")
-	}
-	if act = c.step(sig(0.5, 0.65, 0.2)); act.Evict {
-		t.Fatal("eviction must release below the low water mark")
-	}
-	if act = c.step(sig(0.5, 0.80, 0.2)); act.Evict {
-		t.Fatal("eviction must not restart below the high water mark")
+	if flips != 2 {
+		t.Fatalf("%d transitions, want 2 (on, off)", flips)
 	}
 }
 
-// TestSpillRunLeavesNoGoroutines pins the controller/monitor teardown:
-// a spill-enabled run (controller active, evictions taken) must leave
+// TestPlacementRule holds the allocator to its one rule on pools filled
+// to each rung: HBM while under the setpoint, DRAM over it, the other
+// memory tier when the preferred one is full, the arena when both are,
+// the reserve for Urgent — and a request that walked three rungs to be
+// served is no failure, while one no rung serves is exactly one.
+func TestPlacementRule(t *testing.T) {
+	const slab = 4 << 10
+	for _, c := range []struct {
+		name                string
+		machine             memsim.Config
+		reserved            int64
+		hbmUsed, dramUsed   int64
+		arena, urgent, fail bool
+		want                memsim.Tier
+	}{
+		{name: "HBM under the setpoint", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 32 << 10, want: memsim.HBM},
+		{name: "HBM over the setpoint", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, want: memsim.DRAM},
+		{name: "DRAM full, HBM over the setpoint", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, dramUsed: 64 << 10, want: memsim.HBM},
+		{name: "both full, arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 64 << 10, dramUsed: 64 << 10, arena: true, want: memsim.Spill},
+		{name: "both full, no arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 64 << 10, dramUsed: 64 << 10, fail: true},
+		{name: "urgent from the reserve", machine: tinyMachine(64<<10, 64<<10), reserved: 16 << 10, hbmUsed: 48 << 10, urgent: true, want: memsim.HBM},
+		{name: "urgent, everything full, arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 64 << 10, dramUsed: 64 << 10, arena: true, urgent: true, want: memsim.Spill},
+		{name: "no HBM (X56)", machine: memsim.X56Config(), want: memsim.DRAM},
+	} {
+		pool := mempool.New(c.machine, c.reserved)
+		if c.arena {
+			f, err := spill.Create(t.TempDir(), 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			pool.AttachSpill(f)
+		}
+		for tier, used := range map[memsim.Tier]int64{memsim.HBM: c.hbmUsed, memsim.DRAM: c.dramUsed} {
+			for ; used > 0; used -= slab {
+				if _, err := pool.Alloc(tier, slab); err != nil {
+					t.Fatalf("%s: filling %v: %v", c.name, tier, err)
+				}
+			}
+		}
+		dram := pool.Used(memsim.DRAM)
+		tier, al, err := placement{pool: pool, urgent: c.urgent}.AllocKPA(slab)
+		var ee *mempool.ErrExhausted
+		switch {
+		case c.fail:
+			if !errors.As(err, &ee) || pool.Stats().Failures != 1 {
+				t.Fatalf("%s: err %v with %d failures counted, want one ErrExhausted", c.name, err, pool.Stats().Failures)
+			}
+		case err != nil || tier != c.want || al.Tier() != c.want:
+			t.Fatalf("%s: placed on %v (err %v), want %v", c.name, tier, err, c.want)
+		case pool.Stats().Failures != 0:
+			t.Fatalf("%s: %d failures counted for a request that was served", c.name, pool.Stats().Failures)
+		case c.urgent && c.reserved > 0 && (pool.Used(memsim.DRAM) != dram || pool.Free(memsim.HBM) != c.reserved-slab):
+			t.Fatalf("%s: the reserve was not what served it (HBM free %d)", c.name, pool.Free(memsim.HBM))
+		}
+	}
+}
+
+// TestSpillRunLeavesNoGoroutines pins the monitor's teardown: a
+// spill-enabled run (latch ticking, evictions taken) must leave
 // no goroutines behind once Run returns.
 func TestSpillRunLeavesNoGoroutines(t *testing.T) {
 	before := goruntime.NumGoroutine()

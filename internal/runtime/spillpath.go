@@ -1,41 +1,99 @@
 package runtime
 
-// spillpath.go is the degradation ladder's muscle: the eviction sweep
-// that walks the coldest sealed runs out to the mmap'd spill tier, the
-// close-path load that brings them back (or falls back to merging
-// straight over the mmap view when the pool cannot host the load), and
-// the gauge plumbing that keeps the per-tier window-state accounting
-// truthful as runs move. Decision logic lives in controller.go.
+// spillpath.go is the cold rung of the degradation ladder, which runs
+// only with a spill tier attached (Config.SpillCapacity > 0): the latch
+// that decides when sealed window state leaves for the mmap'd arena, the
+// monitor that ticks it, and the sweep that walks the coldest runs out.
+// Nothing brings a run back: an evicted run stays in its extent until
+// its last reference drops, and every seal and close merges it through
+// the mmap view, where it lies — bit-identical to the run that never
+// spilled, and without re-taking pool memory at the moment the pool is
+// short.
 //
 // Concurrency protocol: every eviction happens inside the window
 // table's sweepEvictable — under its lock — and only touches runs of
 // quiescent panes — no covering window sealed — so no merge task can
-// be reading the pairs it relocates. Loads happen on the close path,
-// after the closing window's runs were gathered under the same lock,
-// which orders them after any prior eviction of those runs; two
-// closes sharing a spilled pane run both call EnsureResident, whose
-// per-KPA lock makes the load happen exactly once and publishes the
-// loaded pairs to the second caller. A seal reads runs that left the
-// table under that lock — when their group's last member landed, or at
-// a window's claim — where the sweep cannot reach them, and passes them
-// through EnsureResident first like any close; runs evicted between a
-// group's filings come back as they left — every run is value-resident
-// from birth, so a seal never meets two kinds of pair. The run a seal
-// lands is ordinary window state — swept, evicted and loaded like a raw
-// run, its partial flag on the KPA.
+// be reading the pairs it relocates. A close reads runs it gathered
+// under the same lock, which orders the read after any eviction of
+// them; a seal reads runs that left the table under that lock — when
+// their group's last member landed, or at a window's claim — where the
+// sweep cannot reach them. Runs evicted between a group's filings merge
+// beside the ones that stayed — every run is value-resident from birth,
+// so a seal never meets two kinds of pair. The run a seal lands is
+// ordinary window state — swept and evicted like a raw run, its partial
+// flag on the KPA.
 
 import (
+	"sync"
 	"time"
 
-	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
 )
 
-// maxEvictRunsPerSweep bounds how many runs one sweep relocates while
-// holding the window lock; the controller simply resumes on its next
-// tick if pressure persists.
-const maxEvictRunsPerSweep = 128
+const (
+	// evictHigh/evictLow bound the eviction hysteresis over the worst
+	// memory-tier utilization: eviction engages above the high water
+	// mark and keeps going until occupancy drops below the low water
+	// mark. Both sit well under the backpressure (0.95) and shed (0.98)
+	// thresholds, so state leaves for the spill tier before ingest ever
+	// stalls or connections shed.
+	evictHigh = 0.85
+	evictLow  = 0.70
+	// maxEvictRunsPerSweep bounds how many runs one sweep relocates while
+	// holding the window lock; the monitor simply resumes on its next
+	// tick if pressure persists.
+	maxEvictRunsPerSweep = 128
+)
+
+// evictLatch is the eviction hysteresis: on while sealed state should be
+// leaving for the spill tier.
+type evictLatch bool
+
+// step moves the latch on one reading of the pool's pressure and reports
+// whether it flipped.
+func (l *evictLatch) step(pressure float64) (flipped bool) {
+	was := *l
+	if was {
+		*l = pressure > evictLow
+	} else {
+		*l = pressure > evictHigh
+	}
+	return *l != was
+}
+
+// startMonitor ticks the eviction latch on Config.MonitorInterval and,
+// while it is on, walks cold sealed state out to the spill tier. It
+// returns a stop function.
+func (x *exec) startMonitor() func() {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(x.cfg.MonitorInterval)
+		defer ticker.Stop()
+		var evicting evictLatch
+		for {
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+				if evicting.step(x.pool.Pressure()) {
+					x.m.ctrlDecisions.Add(1)
+				}
+				if evicting {
+					x.m.ctrlEvictTicks.Add(1)
+					x.evictColdest(x.evictTarget())
+				}
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
 
 // evictTarget returns the bytes to free to bring every memory tier
 // back under the eviction low-water mark.
@@ -66,7 +124,7 @@ func (x *exec) evictColdest(target int64) int64 {
 	}
 	var freed, evicted int64
 	x.table.sweepEvictable(func(r *kpa.KPA) bool {
-		if r.Len() == 0 || r.Spilled() || r.Tier() == memsim.Spill {
+		if r.Len() == 0 || r.Spilled() {
 			// Already out of the memory tiers — either evicted, or
 			// allocated straight into the arena by the ladder's last
 			// allocation rung.
@@ -80,7 +138,7 @@ func (x *exec) evictColdest(target int64) int64 {
 			return false
 		}
 		if n > 0 {
-			x.m.moveState(from, memsim.Spill, n)
+			x.m.spillState(from, n)
 			x.m.evictions.Add(1)
 			x.m.evictedBytes.Add(n)
 			freed += n
@@ -89,27 +147,4 @@ func (x *exec) evictColdest(target int64) int64 {
 		return freed < target && evicted < maxEvictRunsPerSweep
 	})
 	return freed
-}
-
-// loadRuns brings a closing window's spilled runs back into a memory
-// tier before the merge. Every run passes through EnsureResident even
-// when resident — its per-KPA lock is the publication point for loads
-// done by a concurrent close sharing the same pane runs. A load the
-// pool cannot host is not an error: the run stays value-resident in
-// the mmap'd arena and the fused merge reads it there, bit-identical,
-// just slower.
-func (x *exec) loadRuns(runs []*kpa.KPA, tag engine.Tag) {
-	al := &knobAllocator{x: x, tag: tag, noSpill: true}
-	for _, r := range runs {
-		t0 := time.Now()
-		loaded, err := r.EnsureResident(al)
-		switch {
-		case loaded:
-			x.m.spillLoads.Add(1)
-			x.m.spillLoadNanos.Add(time.Since(t0).Nanoseconds())
-			x.m.moveState(memsim.Spill, r.Tier(), r.Bytes())
-		case err != nil:
-			x.m.spillLoadFallbacks.Add(1)
-		}
-	}
 }

@@ -19,11 +19,8 @@ type stats struct {
 	emitted  *metrics.Counter
 	late     *metrics.Counter // records dropped behind the watermark
 	paused   *metrics.Counter // nanoseconds ingest spent blocked
-	// dramTraffic is cumulative; the monitor turns its growth per tick
-	// into the knob's DRAM bandwidth signal.
-	dramTraffic *metrics.Counter
-	hbmKPAs     *metrics.Counter
-	dramKPAs    *metrics.Counter
+	hbmKPAs  *metrics.Counter
+	dramKPAs *metrics.Counter
 
 	// Grouping front half: logical (record, window) assignments, worker
 	// time spent extracting/sorting them, pane runs shared across windows.
@@ -42,21 +39,19 @@ type stats struct {
 	peakTotal  *metrics.Counter
 
 	// Degradation ladder; all stay zero without a spill tier.
-	evictions          *metrics.Counter
-	evictedBytes       *metrics.Counter
-	spillLoads         *metrics.Counter
-	spillLoadNanos     *metrics.Counter
-	spillLoadFallbacks *metrics.Counter
-	ctrlDecisions      *metrics.Counter
-	ctrlEvictTicks     *metrics.Counter
+	// ctrlDecisions counts the eviction latch's transitions, ctrlEvictTicks
+	// the monitor ticks on which the evictor ran.
+	evictions      *metrics.Counter
+	evictedBytes   *metrics.Counter
+	ctrlDecisions  *metrics.Counter
+	ctrlEvictTicks *metrics.Counter
 
 	// closeLatency is every window's close latency, request to retirement.
 	closeLatency *metrics.Histogram
 }
 
 // newStats declares the runtime's series. The scrape-time values — what
-// sits behind the window table's, the scheduler's and the knob's locks —
-// read x.
+// sits behind the window table's and the scheduler's locks — read x.
 func newStats(x *exec) *stats {
 	s := new(stats)
 	m := &s.set
@@ -64,7 +59,6 @@ func newStats(x *exec) *stats {
 	s.emitted = m.Counter("streambox_emitted_records_total")
 	s.late = m.Counter("streambox_late_records_total")
 	s.paused = m.Counter("streambox_ingest_paused_ns_total")
-	s.dramTraffic = m.Counter("streambox_dram_traffic_bytes_total")
 	s.hbmKPAs = m.Counter(`streambox_kpa_placements_total{tier="hbm"}`)
 	s.dramKPAs = m.Counter(`streambox_kpa_placements_total{tier="dram"}`)
 	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
@@ -82,9 +76,12 @@ func newStats(x *exec) *stats {
 	s.peakTotal = m.Counter("streambox_window_state_peak_total_bytes")
 	s.evictions = m.Counter("streambox_spill_evicted_runs_total")
 	s.evictedBytes = m.Counter("streambox_spill_evicted_bytes_total")
-	s.spillLoads = m.Counter("streambox_spill_loads_total")
-	s.spillLoadNanos = m.Counter("streambox_spill_load_ns_total")
-	s.spillLoadFallbacks = m.Counter("streambox_spill_load_fallbacks_total")
+	// A spilled run is read where it lies: the load series have no writer
+	// and read 0, like the Report fields, until benchmark/ stops reading
+	// those (ROADMAP item 9(b)).
+	m.Counter("streambox_spill_loads_total")
+	m.Counter("streambox_spill_load_ns_total")
+	m.Counter("streambox_spill_load_fallbacks_total")
 	s.ctrlDecisions = m.Counter("streambox_ctrl_decisions_total")
 	s.ctrlEvictTicks = m.Counter("streambox_ctrl_evict_ticks_total")
 	s.closeLatency = m.Histogram("streambox_window_close_ns")
@@ -95,9 +92,6 @@ func newStats(x *exec) *stats {
 	}
 	m.Collect(func(e *metrics.Emitter) {
 		e.Int("streambox_windows_closed_total", int64(x.table.closedWindows()))
-		kLow, kHigh := x.knob.Snapshot()
-		e.Float("streambox_knob_k_low", kLow)
-		e.Float("streambox_knob_k_high", kHigh)
 		for p, n := range x.sched.QueuedByPriority() {
 			e.Int(depth[p], int64(n))
 		}
@@ -118,15 +112,12 @@ func (s *stats) addState(t memsim.Tier, n int64) {
 	s.peakTotal.Max(s.stateTotal.Add(n))
 }
 
-// moveState shifts n live window-state bytes between tier gauges as a
-// run relocates, raising the destination's high-water mark. The
-// combined total is unchanged.
-func (s *stats) moveState(from, to memsim.Tier, n int64) {
-	if n <= 0 || from == to {
-		return
-	}
+// spillState moves n live window-state bytes from a memory tier's gauge
+// to the spill tier's as a run is evicted, raising the spill high-water
+// mark. The combined total is unchanged.
+func (s *stats) spillState(from memsim.Tier, n int64) {
 	s.stateBytes[from].Add(-n)
-	s.peakState[to].Max(s.stateBytes[to].Add(n))
+	s.peakState[memsim.Spill].Max(s.stateBytes[memsim.Spill].Add(n))
 }
 
 // liveState returns the live window-state bytes per tier, spill included.

@@ -8,13 +8,13 @@
 // tier is a pressure valve, not a durability mechanism (crash recovery
 // replays the WAL; spilled runs are reconstructible from it). Extents
 // are carved with a bump pointer plus per-size free lists; sizes are
-// rounded to 64 bytes so pair payloads stay alignment-safe for
-// zero-copy views.
+// rounded to 64 bytes so an extent is alignment-safe for a zero-copy
+// []algo.Pair view.
 //
-// Records written into extents use the canonical encoding in record.go.
-// Both the arena views and the record codec assume a little-endian
-// host: pair payloads are memcpy'd between []algo.Pair and the mapped
-// bytes.
+// An extent holds one run's pairs and nothing else — no header, no
+// checksum: the file is unlinked at creation and read only through the
+// views of the process that wrote it, and what describes the run (sorted,
+// resident column, provenance) stays on the KPA that holds the extent.
 package spill
 
 import (
@@ -28,13 +28,12 @@ import (
 )
 
 // extentAlign is the allocation granularity. 64 bytes keeps extents
-// cacheline-aligned and, since the header is 32 bytes, keeps record
-// payloads 8-aligned for zero-copy []algo.Pair views.
+// cacheline-aligned, and so 8-aligned for zero-copy []algo.Pair views.
 const extentAlign = 64
 
-// ErrFull reports that the spill file cannot satisfy an allocation.
-// The controller treats it as "ladder exhausted": eviction stops and
-// the existing backpressure/shed machinery takes over.
+// ErrFull reports that the spill file cannot satisfy an allocation. The
+// ladder is then exhausted: eviction stops and the existing
+// backpressure/shed machinery takes over.
 type ErrFull struct {
 	Want int64 // bytes requested (rounded)
 	Free int64 // bytes available
@@ -52,8 +51,8 @@ type Stats struct {
 }
 
 // File is an mmap'd spill arena. All methods are safe for concurrent
-// use; Bytes/Pairs return views into the mapping that stay valid until
-// Close.
+// use; Pairs and TakeCol return views into the mapping that stay valid
+// until Close.
 type File struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -158,13 +157,6 @@ func (f *File) Free(off, n int64) {
 	f.free[n] = append(f.free[n], off)
 	f.used -= n
 	f.stats.Frees++
-}
-
-// Bytes returns the n bytes starting at off as a view into the
-// mapping. The capacity is clamped so appends cannot scribble past the
-// extent.
-func (f *File) Bytes(off, n int64) []byte {
-	return f.data[off : off+n : off+n]
 }
 
 // Pairs returns the extent at off as a zero-copy []algo.Pair view of n

@@ -118,9 +118,8 @@ const (
 	Simulated Backend = iota
 	// Native executes on real goroutines over real data: a
 	// work-stealing worker pool runs ingest → KPA extraction → parallel
-	// merge-sort → merge → windowed reduction, with KPA placement drawn
-	// from the demand-balance knob and backpressure from pool
-	// utilization. Reported throughput is real records per wall-clock
+	// merge-sort → merge → windowed reduction, with KPA placement by one
+	// occupancy rule and backpressure from pool utilization. Reported throughput is real records per wall-clock
 	// second. The native backend supports single-source
 	// filter* → Window → <agg>PerKey pipelines; richer graphs run
 	// simulated.
@@ -157,18 +156,19 @@ type RunConfig struct {
 	NoKPA bool
 	// TargetDelay is the output-delay objective in seconds (default 1).
 	TargetDelay float64
-	// Seed drives placement randomness.
+	// Seed drives the simulated backend's placement randomness; native
+	// placement draws nothing.
 	Seed int64
 	// RecordSeries captures the monitor time series in the report.
 	RecordSeries bool
 	// Serve configures network serving for Serve; Run ignores it.
 	Serve *ServeConfig
 	// SpillDir and SpillCapacity enable the native backend's mmap'd
-	// cold spill tier and with it the adaptive placement controller:
-	// sealed window state beyond the HBM+DRAM budget degrades to the
-	// spill file instead of failing the run. SpillCapacity = 0 disables
-	// both; SpillDir empty uses the system temp directory. The
-	// simulated backend ignores them.
+	// cold spill tier: a SpillCapacity-byte arena of bare (key, value)
+	// pairs that sealed window state beyond the HBM+DRAM budget is
+	// evicted to — and merged from, in place — instead of failing the
+	// run. SpillCapacity = 0 disables it; SpillDir empty uses the system
+	// temp directory. The simulated backend ignores them.
 	SpillDir      string
 	SpillCapacity int64
 }
@@ -272,9 +272,9 @@ type Report struct {
 	PeakWindowStateTotalBytes int64
 	// Degradation-ladder figures of a native run with the spill tier
 	// enabled (all 0 otherwise): sealed runs and bytes evicted to the
-	// mmap'd spill file, loads bringing them back at window close, the
-	// adaptive placement controller's knob adjustments, and the
-	// 99th-percentile window close latency.
+	// mmap'd spill file, the eviction latch's transitions, and the
+	// 99th-percentile window close latency. SpillLoads reads 0: a
+	// spilled run is merged where it lies, never loaded back.
 	SpilledRuns   int64
 	SpilledBytes  int64
 	SpillLoads    int64
@@ -693,7 +693,6 @@ func nativeConfig(cfg RunConfig, capture *Captured) runtime.Config {
 	return runtime.Config{
 		Workers:       cfg.Workers,
 		Machine:       cfg.Machine,
-		Seed:          cfg.Seed,
 		SpillDir:      cfg.SpillDir,
 		SpillCapacity: cfg.SpillCapacity,
 		WindowSink:    capture.windowSink(),
