@@ -9,11 +9,11 @@ import (
 // Merge"): instead of combining R sorted runs through log2(R) pairwise
 // levels — each materializing a full copy of the data — the key space
 // is partitioned once across all runs (MultiWayCuts) and each partition
-// streams through a single loser-tree merge (MultiMergeVisit) on its
-// own core. The merge emits pairs through a visitor instead of an
-// output buffer, so a consumer (keyed reduction, materialization) can
-// fold them inline: closing a window costs one sequential read of the
-// inputs and zero intermediate allocations.
+// streams through a single loser-tree merge (MultiMergeFold) on its
+// own core. The merge folds as it goes — equal keys combined with a
+// word operation inside the tree loop, or every pair handed to a
+// visitor — so a keyed reduction never sees a merged intermediate:
+// closing a window costs one sequential read of the inputs.
 
 // MultiWayCuts partitions the merge of k sorted runs into up to p
 // key-aligned ranges of balanced total size. It returns a list of cut
@@ -105,58 +105,95 @@ func cutsEqual(a, b []int) bool {
 	return true
 }
 
-// MultiMergeVisit streams the merge of k sorted runs in ascending key
-// order, invoking visit once per pair with the index of the run it came
-// from — no output buffer, so consumers fold pairs inline. Ties between
-// runs resolve by run index (lowest first), the same order the
-// levelwise pairwise merge tree produces, so a fused consumer sees the
-// exact pair sequence the materializing path would. The k cursors
-// advance through a loser tree whose nodes carry their run's current
-// key: replaying a path compares node to node — one comparison per level
-// per emitted pair — and run data is touched once per pair, to visit it
-// and to fetch the key that follows it.
-func MultiMergeVisit(runs [][]Pair, visit func(run int, p Pair)) {
-	// Fast paths for the fan-ins that need no tree.
-	live, total := 0, 0
-	a, b := -1, -1
+// FoldOp is what a k-way merge writes for the pairs it emits: every pair
+// verbatim, or one pair per distinct key whose Ptr folds the key's values
+// with one word operation.
+type FoldOp uint8
+
+const (
+	FoldCopy FoldOp = iota // every pair, verbatim
+	FoldAdd                // one pair per key: the wrapping sum of its values
+	FoldMin                // one pair per key: its least value
+	FoldMax                // one pair per key: its greatest value
+)
+
+// Fold is the sink of one MultiMergeFold, chosen once per merge.
+type Fold struct {
+	// Visit, when set, receives every pair with the index of its run and
+	// nothing is written: the per-pair path, for consumers no word
+	// operation describes.
+	Visit func(run int, p Pair)
+	// Op is what is written when Visit is nil.
+	Op FoldOp
+	// Units marks the runs whose every pair adds 1 to a fold rather than
+	// its Ptr — a count over raw pairs, beside partial counts that add
+	// their value. Nil marks none.
+	Units []bool
+}
+
+// MultiMergeFold merges k sorted runs in ascending key order into the
+// sink f names, ties between runs by run index (lowest first) — the
+// order the levelwise pairwise merge tree produces, so a fused consumer
+// sees the exact pair sequence the materializing path would. With
+// f.Visit set it returns 0; otherwise it writes into out, which must
+// hold every pair, and returns how many pairs it wrote: all of them
+// (FoldCopy), or one per distinct key, in key order (the word folds).
+//
+// The cursors of the live runs advance through a loser tree whose nodes
+// carry their run's current key: replaying a path compares node to node
+// — one comparison per level per emitted pair — and run data is touched
+// once per pair, to emit it and to fetch the key that follows it. The
+// sink is a switch on a loop-invariant mode inside that one replay loop,
+// so a word fold costs no call per pair. A lone live run is copied or
+// visited without the tree; two make a tree of one level.
+func MultiMergeFold(runs [][]Pair, f Fold, out []Pair) int {
+	// Leaves are the live runs in run order, so a tie between leaves is a
+	// tie between runs.
+	live := make([]cursor, 0, len(runs))
+	total := 0
 	for j, r := range runs {
 		if len(r) > 0 {
-			if live++; a < 0 {
-				a = j
-			} else {
-				b = j
+			c := cursor{pairs: r, run: j}
+			if f.Units != nil && f.Units[j] {
+				c.unit = ^uint64(0)
 			}
+			live = append(live, c)
 			total += len(r)
 		}
 	}
-	switch live {
-	case 0:
-		return
-	case 1:
-		for _, p := range runs[a] {
-			visit(a, p)
+	if len(live) == 0 {
+		return 0
+	}
+	visit, op := f.Visit, f.Op
+	if visit == nil {
+		out = out[:total]
+	}
+	if len(live) == 1 {
+		switch c := live[0]; {
+		case visit != nil:
+			for _, p := range c.pairs {
+				visit(c.run, p)
+			}
+			return 0
+		case op == FoldCopy:
+			return copy(out, c.pairs)
 		}
-		return
-	case 2:
-		mergeVisit2(a, runs[a], b, runs[b], visit)
-		return
 	}
 
-	k := len(runs)
-	m := 1
+	k, m := uint64(len(live)), uint64(1)
 	for m < k {
 		m *= 2
 	}
-	// An exhausted (or absent) leaf i is (MaxUint64, k+i): it loses every
+	// An exhausted (or absent) leaf i is (MaxUint64, m+i): it loses every
 	// tie to a live run — a live key of MaxUint64 still wins — so the loop
 	// needs no sentinel test and ends by count.
 	loser := make([]treeNode, m) // internal nodes 1..m-1 hold match losers
 	win := make([]treeNode, 2*m) // scratch winners for the initial build
-	for i := 0; i < m; i++ {
-		if i < k && len(runs[i]) > 0 {
-			win[m+i] = treeNode{runs[i][0].Key, uint64(i)}
+	for i := uint64(0); i < m; i++ {
+		if i < k {
+			win[m+i] = treeNode{live[i].pairs[0].Key, i}
 		} else {
-			win[m+i] = treeNode{^uint64(0), uint64(k + i)}
+			win[m+i] = treeNode{^uint64(0), m + i}
 		}
 	}
 	for n := m - 1; n >= 1; n-- {
@@ -167,18 +204,41 @@ func MultiMergeVisit(runs [][]Pair, visit func(run int, p Pair)) {
 		}
 	}
 	w := win[1]
-	rest := make([][]Pair, k) // rest[j] is what run j has yet to emit
-	copy(rest, runs)
+	// A word fold holds the open key and its value so far; it starts on
+	// the first key at the operation's identity, so the first pair folds
+	// like every other.
+	n, cur, acc := 0, w.key, uint64(0)
+	if op == FoldMin {
+		acc = ^uint64(0)
+	}
 	for ; total > 0; total-- {
-		r := int(w.run)
-		run := rest[r]
-		visit(r, run[0])
-		run = run[1:]
-		rest[r] = run
-		if len(run) == 0 {
-			w = treeNode{^uint64(0), uint64(k + r)}
-		} else if run[0].Key != w.key {
-			w.key = run[0].Key
+		r := w.run
+		c := &live[r]
+		p := c.pairs[c.next]
+		switch {
+		case visit != nil:
+			visit(c.run, p)
+		case op == FoldCopy:
+			out[n] = p
+			n++
+		default:
+			v := p.Ptr&^c.unit | c.unit&1
+			if p.Key != cur {
+				out[n] = Pair{Key: cur, Ptr: acc}
+				n++
+				cur, acc = p.Key, v
+			} else if op == FoldAdd {
+				acc += v
+			} else if op == FoldMin {
+				acc = min(acc, v)
+			} else {
+				acc = max(acc, v)
+			}
+		}
+		if c.next++; c.next == len(c.pairs) {
+			w = treeNode{^uint64(0), m + r}
+		} else if key := c.pairs[c.next].Key; key != w.key {
+			w.key = key
 		} else {
 			// The winner follows itself: what beat every other run
 			// still does.
@@ -186,8 +246,8 @@ func MultiMergeVisit(runs [][]Pair, visit func(run int, p Pair)) {
 		}
 		// Replay the leaf-to-root path: the new cursor competes against
 		// the stored losers; the surviving node is the next winner.
-		for n := (m + r) / 2; n >= 1; n /= 2 {
-			l := loser[n]
+		for node := (m + r) / 2; node >= 1; node /= 2 {
+			l := loser[node]
 			// swap is all ones when l beats w: the 128-bit subtraction
 			// (l.key:l.run) - (w.key:w.run) borrows. Which of the two
 			// wins is a coin toss on real data, so the exchange is
@@ -196,40 +256,35 @@ func MultiMergeVisit(runs [][]Pair, visit func(run int, p Pair)) {
 			_, borrow = bits.Sub64(l.key, w.key, borrow)
 			swap := -borrow
 			dk, dr := (l.key^w.key)&swap, (l.run^w.run)&swap
-			loser[n] = treeNode{l.key ^ dk, l.run ^ dr}
+			loser[node] = treeNode{l.key ^ dk, l.run ^ dr}
 			w = treeNode{w.key ^ dk, w.run ^ dr}
 		}
 	}
+	if visit == nil && op != FoldCopy {
+		out[n] = Pair{Key: cur, Ptr: acc}
+		n++
+	}
+	return n
 }
 
-// treeNode is one contender of MultiMergeVisit's loser tree: a run and
+// cursor is one live run of MultiMergeFold: its pairs, the next one to
+// emit, its index in the caller's slice, and all ones when its pairs fold
+// as 1. The cursor is an index, not a re-sliced run, so advancing it
+// stores no pointer and costs no GC write barrier.
+type cursor struct {
+	pairs []Pair
+	next  int
+	run   int
+	unit  uint64
+}
+
+// treeNode is one contender of MultiMergeFold's loser tree: a leaf and
 // the key at its cursor.
 type treeNode struct {
 	key, run uint64
 }
 
-// beats orders contenders by key, ties by run index.
+// beats orders contenders by key, ties by leaf index.
 func (a treeNode) beats(b treeNode) bool {
 	return a.key < b.key || (a.key == b.key && a.run < b.run)
-}
-
-// mergeVisit2 is the two-cursor fast path of MultiMergeVisit; ia < ib
-// are the runs' indices in the caller's slice.
-func mergeVisit2(ia int, a []Pair, ib int, b []Pair, visit func(run int, p Pair)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Key <= b[j].Key {
-			visit(ia, a[i])
-			i++
-		} else {
-			visit(ib, b[j])
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		visit(ia, a[i])
-	}
-	for ; j < len(b); j++ {
-		visit(ib, b[j])
-	}
 }

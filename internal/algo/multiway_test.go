@@ -23,9 +23,34 @@ func randomRuns(r *rand.Rand, n, maxLen int, keyDomain uint64) [][]Pair {
 	return runs
 }
 
-// TestMultiMergeVisitOrder checks the visitor sequence is the full
-// sorted multiset of the inputs, with ties ordered by run index.
-func TestMultiMergeVisitOrder(t *testing.T) {
+// visitAll returns the merge's visitor sequence: every pair and the run
+// it was visited under.
+func visitAll(runs [][]Pair) (got []Pair, gotRun []int) {
+	MultiMergeFold(runs, Fold{Visit: func(run int, p Pair) {
+		got = append(got, p)
+		gotRun = append(gotRun, run)
+	}}, nil)
+	return got, gotRun
+}
+
+// copyAll returns what the merge's verbatim copy writes.
+func copyAll(t *testing.T, runs [][]Pair) []Pair {
+	t.Helper()
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	out := make([]Pair, total)
+	if n := MultiMergeFold(runs, Fold{Op: FoldCopy}, out); n != total {
+		t.Fatalf("copy wrote %d of %d pairs", n, total)
+	}
+	return out
+}
+
+// TestMultiMergeFoldOrder checks the visitor sequence is the full
+// sorted multiset of the inputs, with ties ordered by run index, and
+// that the verbatim copy writes the same sequence.
+func TestMultiMergeFoldOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, k := range []int{0, 1, 2, 3, 5, 16, 33} {
 		runs := randomRuns(r, k, 2000, 64)
@@ -33,12 +58,10 @@ func TestMultiMergeVisitOrder(t *testing.T) {
 		for _, run := range runs {
 			total += len(run)
 		}
-		var got []Pair
-		var gotRun []int
-		MultiMergeVisit(runs, func(run int, p Pair) {
-			got = append(got, p)
-			gotRun = append(gotRun, run)
-		})
+		got, gotRun := visitAll(runs)
+		if cp := copyAll(t, runs); !slices.Equal(cp, got) {
+			t.Fatalf("k=%d: the copy differs from the visitor sequence", k)
+		}
 		if len(got) != total {
 			t.Fatalf("k=%d: visited %d pairs, want %d", k, len(got), total)
 		}
@@ -63,16 +86,18 @@ func TestMultiMergeVisitOrder(t *testing.T) {
 	}
 }
 
-// TestMultiMergeVisitMatchesPairwise pins the visitor sequence
-// bit-for-bit against the levelwise pairwise merge (MultiMerge), the
-// order the old merge tree materialized.
-func TestMultiMergeVisitMatchesPairwise(t *testing.T) {
+// TestMultiMergeFoldMatchesPairwise pins the visitor sequence and the
+// verbatim copy bit-for-bit against the levelwise pairwise merge
+// (MultiMerge), the order the old merge tree materialized.
+func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		runs := randomRuns(r, k, 500, 16)
 		want := MultiMerge(runs)
-		var got []Pair
-		MultiMergeVisit(runs, func(_ int, p Pair) { got = append(got, p) })
+		got, _ := visitAll(runs)
+		if cp := copyAll(t, runs); !slices.Equal(cp, want) {
+			t.Fatalf("k=%d: the copy differs from the pairwise merge", k)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(want))
 		}
@@ -84,7 +109,7 @@ func TestMultiMergeVisitMatchesPairwise(t *testing.T) {
 	}
 }
 
-// TestMultiMergeVisitLoserTree aims at what the key-carrying tree could
+// TestMultiMergeFoldLoserTree aims at what the key-carrying tree could
 // get wrong, against the pairwise reference with the run of every pair
 // checked: an exhausted leaf is encoded as the key MaxUint64, so live
 // pairs that hold that very key must still all come out, in run order;
@@ -92,7 +117,7 @@ func TestMultiMergeVisitMatchesPairwise(t *testing.T) {
 // leave their leaf exhausted for most of the merge; a tiny key domain
 // makes nearly every comparison a tie; and the fan-ins straddle the
 // powers of two, where the tree pads with absent leaves.
-func TestMultiMergeVisitLoserTree(t *testing.T) {
+func TestMultiMergeFoldLoserTree(t *testing.T) {
 	const maxKey = ^uint64(0)
 	r := rand.New(rand.NewSource(29))
 	for _, k := range []int{3, 5, 31, 32, 33, 100} {
@@ -120,13 +145,15 @@ func TestMultiMergeVisitLoserTree(t *testing.T) {
 				runs[j] = run
 			}
 			want := MultiMerge(runs)
-			got := make([]Pair, 0, len(want))
-			MultiMergeVisit(runs, func(run int, p Pair) {
-				if uint64(run) != p.Ptr>>32 {
-					t.Fatalf("k=%d domain=%d: pair of run %d visited as run %d", k, domain, p.Ptr>>32, run)
+			got, gotRun := visitAll(runs)
+			for i, p := range got {
+				if uint64(gotRun[i]) != p.Ptr>>32 {
+					t.Fatalf("k=%d domain=%d: pair of run %d visited as run %d", k, domain, p.Ptr>>32, gotRun[i])
 				}
-				got = append(got, p)
-			})
+			}
+			if cp := copyAll(t, runs); !slices.Equal(cp, want) {
+				t.Fatalf("k=%d domain=%d: the copy differs from the pairwise merge", k, domain)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("k=%d domain=%d: visited %d pairs, want %d", k, domain, len(got), len(want))
 			}
@@ -139,10 +166,76 @@ func TestMultiMergeVisitLoserTree(t *testing.T) {
 	}
 	// Every live pair holds the sentinel key.
 	runs := [][]Pair{keyedPairs(maxKey, maxKey), nil, keyedPairs(maxKey), keyedPairs(maxKey, maxKey, maxKey), nil}
-	var order []int
-	MultiMergeVisit(runs, func(run int, _ Pair) { order = append(order, run) })
-	if want := []int{0, 0, 2, 3, 3, 3}; !slices.Equal(order, want) {
-		t.Fatalf("all-MaxUint64 runs visited in run order %v, want %v", order, want)
+	if _, order := visitAll(runs); !slices.Equal(order, []int{0, 0, 2, 3, 3, 3}) {
+		t.Fatalf("all-MaxUint64 runs visited in run order %v, want [0 0 2 3 3 3]", order)
+	}
+}
+
+// TestMultiMergeFoldWords holds each word fold to the visitor sequence
+// folded by hand: one pair per distinct key, in key order, its value
+// the key's values combined by the operation — with the runs Units
+// marks adding 1 per pair — across fan-ins that straddle the tree's
+// shapes (one live run, two, powers of two), empty runs, keys of
+// MaxUint64, values of 0 first in a key, and sums that wrap.
+func TestMultiMergeFoldWords(t *testing.T) {
+	const maxKey = ^uint64(0)
+	r := rand.New(rand.NewSource(31))
+	ops := []struct {
+		op   FoldOp
+		fold func(acc, v uint64) uint64
+	}{
+		{FoldAdd, func(acc, v uint64) uint64 { return acc + v }},
+		{FoldMin, func(acc, v uint64) uint64 { return min(acc, v) }},
+		{FoldMax, func(acc, v uint64) uint64 { return max(acc, v) }},
+	}
+	for _, k := range []int{1, 2, 3, 4, 33} {
+		for _, domain := range []uint64{1, 16, 1 << 40} {
+			runs := make([][]Pair, k)
+			units := make([]bool, k)
+			for j := range runs {
+				n := r.Intn(300)
+				if j%4 == 2 {
+					n = 0
+				}
+				run := make([]Pair, n)
+				for i := range run {
+					key := r.Uint64() % domain
+					if r.Intn(8) == 0 {
+						key = maxKey
+					}
+					val := r.Uint64() >> uint(r.Intn(64))
+					if r.Intn(4) == 0 {
+						val = 0
+					}
+					run[i] = Pair{Key: key, Ptr: val}
+				}
+				SortPairs(run)
+				runs[j] = run
+				units[j] = r.Intn(2) == 0
+			}
+			seq, from := visitAll(runs)
+			for _, o := range ops {
+				for _, u := range [][]bool{nil, units} {
+					var want []Pair
+					for i, p := range seq {
+						v := p.Ptr
+						if u != nil && u[from[i]] {
+							v = 1
+						}
+						if n := len(want); n > 0 && want[n-1].Key == p.Key {
+							want[n-1].Ptr = o.fold(want[n-1].Ptr, v)
+						} else {
+							want = append(want, Pair{Key: p.Key, Ptr: v})
+						}
+					}
+					out := make([]Pair, len(seq))
+					n := MultiMergeFold(runs, Fold{Op: o.op, Units: u}, out)
+					if !slices.Equal(out[:n], want) {
+						t.Fatalf("k=%d domain=%d op=%d units=%v: fold differs from the visitor sequence folded by hand", k, domain, o.op, u != nil)
+					}
+				}
+			}
+		}
 	}
 }
 

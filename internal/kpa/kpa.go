@@ -44,9 +44,10 @@ func PtrBundle(p Ptr) uint32 { return uint32(p >> 32) }
 // PtrRow extracts the row index of a pointer.
 func PtrRow(p Ptr) uint32 { return uint32(p) }
 
-// Allocator decides where a new KPA lives. The engine's implementation
+// Allocator decides where a new KPA lives. The simulator's engine
 // applies the demand-balance knob and performance-impact tags (paper
-// §5); tests use FixedAllocator.
+// §5); the native runtime's is runtime.placement, one occupancy rule
+// over the pool's tiers; tests use FixedAllocator or NoopAllocator.
 type Allocator interface {
 	// AllocKPA reserves nBytes for a new KPA and returns its placement.
 	AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, error)

@@ -2,6 +2,7 @@ package kpa
 
 import (
 	"fmt"
+	"unsafe"
 
 	"streambox/internal/algo"
 	"streambox/internal/bundle"
@@ -10,10 +11,12 @@ import (
 // Fused range-partitioned k-way merge-reduce (paper §4.3, "Parallel
 // Full KPA Merge"): a closing window's sorted runs are partitioned once
 // across the key space (MergeCuts), and each partition streams through
-// a loser-tree merge whose visitor folds the keyed aggregator inline
-// (MergeReduceRange) as pairs arrive in key order — the value a
-// value-resident pair carries, or the one a pointer pair's bundle row
-// holds. Closing a window of R runs costs one sequential read of
+// a loser-tree merge that folds the keyed aggregation inline
+// (MergeReduceRange, MergeReduceRows) as pairs arrive in key order —
+// with the aggregator's word operation inside the tree loop when it has
+// one (WordFolder: sum, count, min, max), else through a visitor that
+// feeds the value a value-resident pair carries, or the one a pointer
+// pair's bundle row holds. Closing a window of R runs costs one sequential read of
 // the inputs — no per-level KPA materialization, no separate reduce
 // sweep. The other two kernels seal a group of a pane's runs into one
 // while the pane still fills, so that close never meets more runs than
@@ -59,55 +62,121 @@ func MergeCuts(runs []*KPA, p int) ([][]int, error) {
 
 // MergeReduceRange merges one key-range partition of the runs — pairs
 // [lo[j], hi[j]) of run j, as produced by MergeCuts — and folds the
-// keyed aggregation inline: the loser-tree visitor dereferences each
-// pair's bundle pointer, loads value column valCol, and feeds the
-// current key's aggregator, emitting one (key, aggregate) when the key
-// changes. The runs are only read; no intermediate KPA exists. Pairs
-// visit in the exact order the pairwise merge tree would produce
-// (ties by run index), so any aggregator — order-sensitive or not —
-// yields bit-identical results to merge-then-reduce.
+// keyed aggregation inline, calling emit once per distinct key in key
+// order. The runs are only read; no intermediate KPA exists. Pairs
+// fold in the exact order the pairwise merge tree would produce (ties
+// by run index), so any aggregator — order-sensitive or not — yields
+// bit-identical results to merge-then-reduce.
 //
 // Value resolution is per run, so one merge may mix all three run modes:
-// pointer runs dereference, value-resident runs Add their Ptr, partial
-// runs Combine it (the factory's aggregator must then be a Combiner).
-// An aggregator that is a Resetter is reused across the task's keys
-// instead of asking the factory for one per distinct key.
+// pointer runs dereference value column valCol, value-resident runs Add
+// their Ptr, partial runs Combine it (the factory's aggregator must then
+// be a Combiner). A WordFolder over runs that hold their values folds
+// inside the merge loop; any other aggregator, or any pointer run, takes
+// the per-pair path, where an aggregator that is a Resetter is reused
+// across the task's keys instead of asking the factory for one per
+// distinct key.
 func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory, emit func(key, result uint64)) error {
+	_, err := mergeReduce(runs, lo, hi, valCol, factory(), factory, nil, emit)
+	return err
+}
+
+// MergeReduceRows is MergeReduceRange writing its (key, aggregate) rows
+// into out, from the front in key order, instead of calling emit; it
+// returns how many it wrote. out must hold the range's pairs — a key
+// group is at least one pair — so a window's close folds straight into
+// its row slab.
+func MergeReduceRows(runs []*KPA, lo, hi []int, valCol int, factory AggFactory, out []Row) (int, error) {
+	return mergeReduce(runs, lo, hi, valCol, factory(), factory, pairsOf(out), nil)
+}
+
+// pairsOf views rows as the pairs a merge writes: a Row is the same two
+// words as an algo.Pair, key first — the conversions below stop
+// compiling if either type changes shape.
+func pairsOf(rows []Row) []algo.Pair {
+	return unsafe.Slice((*algo.Pair)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows))
+}
+
+var (
+	_ = struct{ Key, Val uint64 }(Row{})
+	_ = struct{ Key, Ptr uint64 }(algo.Pair{})
+)
+
+// mergeReduce is the fused merge-reduce behind the three entry points.
+// agg is the factory's first aggregator: it decides the fold — the
+// word fold, or the per-pair path whose first key it serves — so the
+// factory is asked once for the capability probe and never again when a
+// Resetter or a WordFolder makes one instance enough. Results go to
+// emit when it is set, else into out; the word fold stages through out
+// either way, sized here when the caller gave none.
+func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFactory, out []algo.Pair, emit func(key, result uint64)) (int, error) {
 	if _, err := checkMergeInputs(runs); err != nil {
-		return err
+		return 0, err
 	}
 	if len(lo) != len(runs) || len(hi) != len(runs) {
-		return fmt.Errorf("kpa: merge-reduce cut vectors cover %d/%d runs, want %d", len(lo), len(hi), len(runs))
+		return 0, fmt.Errorf("kpa: merge-reduce cut vectors cover %d/%d runs, want %d", len(lo), len(hi), len(runs))
 	}
 	segs := make([][]algo.Pair, len(runs))
+	total := 0
+	pointers, partials := false, false
 	for j, r := range runs {
 		if lo[j] < 0 || hi[j] > r.Len() || lo[j] > hi[j] {
-			return fmt.Errorf("kpa: merge-reduce range [%d,%d) out of bounds for run %d (len %d)", lo[j], hi[j], j, r.Len())
+			return 0, fmt.Errorf("kpa: merge-reduce range [%d,%d) out of bounds for run %d (len %d)", lo[j], hi[j], j, r.Len())
 		}
 		segs[j] = r.pairs[lo[j]:hi[j]]
+		total += hi[j] - lo[j]
+		partials = partials || r.partial
+		pointers = pointers || !r.vals && lo[j] < hi[j]
 		// Hoist the value-column bounds check out of the per-pair loop:
 		// every source bundle's schema must hold valCol.
 		for _, b := range r.sources {
 			if valCol < 0 || valCol >= b.Schema().NumCols {
-				return fmt.Errorf("kpa: reduce value column %d out of range", valCol)
+				return 0, fmt.Errorf("kpa: reduce value column %d out of range", valCol)
 			}
 		}
 	}
+	comb, combines := agg.(Combiner)
+	if partials && !combines {
+		return 0, fmt.Errorf("kpa: merge-reduce of a partial run needs a Combiner aggregator")
+	}
 
-	// Per-run single-entry deref cache: first-level runs reference one
-	// bundle, so the common case is an array hit instead of a map lookup
-	// per pair. Misses fall back to the owning run's source map.
-	// Value-resident runs (loaded back from the spill tier) and partial
-	// runs carry their values in Ptr and skip dereferencing entirely.
+	if w, ok := agg.(WordFolder); ok && !pointers {
+		f := algo.Fold{Op: algo.FoldAdd}
+		switch w.WordOp() {
+		case WordMin:
+			f.Op = algo.FoldMin
+		case WordMax:
+			f.Op = algo.FoldMax
+		case WordCount:
+			f.Units = make([]bool, len(runs))
+			for j, r := range runs {
+				f.Units[j] = !r.partial
+			}
+		}
+		if out == nil {
+			out = make([]algo.Pair, total)
+		}
+		n := algo.MultiMergeFold(segs, f, out)
+		if emit != nil {
+			for _, p := range out[:n] {
+				emit(p.Key, p.Ptr)
+			}
+		}
+		return n, nil
+	}
+
+	// The per-pair path. A per-run single-entry deref cache serves
+	// pointer runs: first-level runs reference one bundle, so the common
+	// case is an array hit instead of a map lookup per pair. Misses fall
+	// back to the owning run's source map. Value-resident and partial runs
+	// carry their values in Ptr and skip dereferencing entirely.
 	cachedID := make([]uint32, len(runs))
 	cached := make([]*bundle.Bundle, len(runs))
 	mode := make([]runMode, len(runs))
-	partials := false
 	for j, r := range runs {
 		switch {
 		case r.partial:
 			mode[j] = modePartial
-			partials = true
 		case r.vals:
 			mode[j] = modeValue
 		case lo[j] < hi[j]:
@@ -116,33 +185,32 @@ func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory,
 			cachedID[j] = PtrBundle(p)
 		}
 	}
-	if partials {
-		if _, ok := factory().(Combiner); !ok {
-			return fmt.Errorf("kpa: merge-reduce of a partial run needs a Combiner aggregator")
+	n := 0
+	put := func(key, res uint64) {
+		if emit != nil {
+			emit(key, res)
+		} else {
+			out[n] = algo.Pair{Key: key, Ptr: res}
 		}
+		n++
 	}
-
 	var (
 		cur     uint64
-		agg     Agg
-		comb    Combiner
-		reuse   Resetter
 		started bool
 	)
-	algo.MultiMergeVisit(segs, func(run int, p algo.Pair) {
+	reuse, _ := agg.(Resetter)
+	algo.MultiMergeFold(segs, algo.Fold{Visit: func(run int, p algo.Pair) {
 		if !started || p.Key != cur {
 			if started {
-				emit(cur, agg.Result())
+				put(cur, agg.Result())
+				if reuse != nil {
+					reuse.Reset()
+				} else {
+					agg = factory()
+					comb, _ = agg.(Combiner)
+				}
 			}
-			cur = p.Key
-			if reuse != nil {
-				reuse.Reset()
-			} else {
-				agg = factory()
-				comb, _ = agg.(Combiner)
-				reuse, _ = agg.(Resetter)
-			}
-			started = true
+			cur, started = p.Key, true
 		}
 		switch mode[run] {
 		case modePartial:
@@ -162,11 +230,11 @@ func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory,
 			cached[run], cachedID[run] = b, id
 		}
 		agg.Add(b.At(int(PtrRow(p.Ptr)), valCol))
-	})
+	}}, nil)
 	if started {
-		emit(cur, agg.Result())
+		put(cur, agg.Result())
 	}
-	return nil
+	return n, nil
 }
 
 // runMode is how MergeReduceRange turns one run's pairs into aggregator
@@ -186,14 +254,15 @@ const (
 // Merging that run in place of the inputs yields the same aggregates,
 // which is the Combiner contract; factory must build a Combiner. The
 // inputs may mix pointer, value-resident and partial runs and remain
-// valid (destroy them separately). The output is sized by the distinct
-// keys, staged through s.
+// valid (destroy them separately). The merge folds straight into a
+// buffer staged through s; the output is sized by the distinct keys.
 func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocator, s *algo.Scratch) (*KPA, error) {
 	resident, err := checkMergeInputs(runs)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := factory().(Combiner); !ok {
+	agg := factory()
+	if _, ok := agg.(Combiner); !ok {
 		return nil, fmt.Errorf("kpa: sealing a partial run needs a Combiner aggregator")
 	}
 	lo, hi := make([]int, len(runs)), make([]int, len(runs))
@@ -204,11 +273,8 @@ func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocato
 	}
 	staged := s.GetPairs(total)
 	defer s.PutPairs(staged)
-	n := 0
-	if err := MergeReduceRange(runs, lo, hi, valCol, factory, func(key, res uint64) {
-		staged[n] = algo.Pair{Key: key, Ptr: res}
-		n++
-	}); err != nil {
+	n, err := mergeReduce(runs, lo, hi, valCol, agg, factory, staged, nil)
+	if err != nil {
 		return nil, err
 	}
 	out, err := newKPA(n, resident, al)
@@ -253,9 +319,8 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 	if err != nil {
 		return nil, err
 	}
-	algo.MultiMergeVisit(segs, func(_ int, p algo.Pair) {
-		out.pairs = append(out.pairs, p)
-	})
+	out.pairs = out.pairs[:total]
+	algo.MultiMergeFold(segs, algo.Fold{Op: algo.FoldCopy}, out.pairs)
 	for _, r := range runs {
 		out.inheritSources(r)
 	}

@@ -214,6 +214,168 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 	}
 }
 
+// perPair hides a combining aggregator's word operation: what it builds
+// is a Combiner and a Resetter and nothing else, so a merge takes the
+// per-pair path, reusing one instance as it did before word folds.
+func perPair(factory kpa.AggFactory) kpa.AggFactory {
+	return func() kpa.Agg {
+		a := factory()
+		return struct {
+			kpa.Combiner
+			kpa.Resetter
+		}{a.(kpa.Combiner), a.(kpa.Resetter)}
+	}
+}
+
+// TestMergeFoldMatchesVisit holds the word fold of Sum, Count, Min and
+// Max to the per-pair path it replaces, on both entry points a window
+// uses — the close (MergeReduceRange at several partition counts, and
+// MergeReduceRows into a row slab) and the seal (MergeReducePartial) —
+// over random mixes of raw value runs, partial runs and empty runs, at
+// 1, 2, 3 and 33 runs, with keys of MaxUint64 and values of 0; then the
+// two cases a word fold could get wrong by itself: a count over raw and
+// partial runs in one close (a raw pair adds 1, a partial its value),
+// and a minimum whose first value is 0.
+func TestMergeFoldMatchesVisit(t *testing.T) {
+	al := kpa.NoopAllocator{T: memsim.DRAM}
+	rng := rand.New(rand.NewSource(23))
+	run := func(pairs ...algo.Pair) *kpa.KPA {
+		t.Helper()
+		k, err := kpa.FromValues(pairs, 0, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kpa.SortRadix(k, 1, nil)
+		return k
+	}
+	randomRun := func(n int) *kpa.KPA {
+		pairs := make([]algo.Pair, n)
+		for i := range pairs {
+			key := rng.Uint64() % 50
+			switch rng.Intn(10) {
+			case 0:
+				key = ^uint64(0)
+			case 1:
+				key = rng.Uint64()
+			}
+			val := rng.Uint64() >> rng.Intn(64)
+			if rng.Intn(5) == 0 {
+				val = 0
+			}
+			pairs[i] = algo.Pair{Key: key, Ptr: val}
+		}
+		return run(pairs...)
+	}
+	seal := func(factory kpa.AggFactory, runs ...*kpa.KPA) *kpa.KPA {
+		t.Helper()
+		p, err := kpa.MergeReducePartial(runs, 1, factory, al, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// partialOf seals runs through the per-pair path and drops them.
+	partialOf := func(factory kpa.AggFactory, runs ...*kpa.KPA) *kpa.KPA {
+		t.Helper()
+		p := seal(perPair(factory), runs...)
+		for _, r := range runs {
+			r.Destroy()
+		}
+		return p
+	}
+	// closeRows returns the window's rows through MergeReduceRange over p
+	// partitions, checking MergeReduceRows writes the same rows.
+	closeRows := func(runs []*kpa.KPA, factory kpa.AggFactory, p int) []kpa.Row {
+		t.Helper()
+		cuts, err := kpa.MergeCuts(runs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows, into []kpa.Row
+		for i := 0; i+1 < len(cuts); i++ {
+			if err := kpa.MergeReduceRange(runs, cuts[i], cuts[i+1], 1, factory, func(k, v uint64) {
+				rows = append(rows, kpa.Row{Key: k, Val: v})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			width := 0
+			for j := range runs {
+				width += cuts[i+1][j] - cuts[i][j]
+			}
+			out := make([]kpa.Row, width)
+			n, err := kpa.MergeReduceRows(runs, cuts[i], cuts[i+1], 1, factory, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			into = append(into, out[:n]...)
+		}
+		if !slices.Equal(into, rows) {
+			t.Fatalf("MergeReduceRows wrote %d rows unlike MergeReduceRange's %d", len(into), len(rows))
+		}
+		return rows
+	}
+
+	aggs := []struct {
+		name    string
+		factory kpa.AggFactory
+	}{{"sum", ops.Sum()}, {"count", ops.Count()}, {"min", ops.Min()}, {"max", ops.Max()}}
+	for _, a := range aggs {
+		if _, ok := a.factory().(kpa.WordFolder); !ok {
+			t.Fatalf("%s is not a WordFolder", a.name)
+		}
+		visit := perPair(a.factory)
+		for _, nRuns := range []int{1, 2, 3, 33} {
+			for trial := 0; trial < 3; trial++ {
+				runs := make([]*kpa.KPA, nRuns)
+				for j := range runs {
+					switch rng.Intn(3) {
+					case 0:
+						runs[j] = run()
+					case 1:
+						runs[j] = randomRun(1 + rng.Intn(400))
+					default:
+						runs[j] = partialOf(a.factory, randomRun(1+rng.Intn(300)), randomRun(1+rng.Intn(300)))
+					}
+				}
+				for _, p := range []int{1, 3} {
+					if got, want := closeRows(runs, a.factory, p), closeRows(runs, visit, p); !slices.Equal(got, want) {
+						t.Fatalf("%s runs=%d p=%d: the word fold closes to %d rows unlike the per-pair path's %d", a.name, nRuns, p, len(got), len(want))
+					}
+				}
+				got, want := seal(a.factory, runs...), seal(visit, runs...)
+				if !slices.Equal(got.Pairs(), want.Pairs()) || !got.Partial() {
+					t.Fatalf("%s runs=%d: the word fold seals %d pairs unlike the per-pair path's %d", a.name, nRuns, got.Len(), want.Len())
+				}
+				for _, r := range append(runs, got, want) {
+					r.Destroy()
+				}
+			}
+		}
+	}
+
+	// Key 5: three raw pairs beside a partial of four; key 9: 0 first.
+	kv := func(k, v uint64) algo.Pair { return algo.Pair{Key: k, Ptr: v} }
+	for _, c := range []struct {
+		name    string
+		factory kpa.AggFactory
+		want    []kpa.Row
+	}{
+		{"count", ops.Count(), []kpa.Row{{Key: 5, Val: 7}, {Key: 9, Val: 3}}},
+		{"min", ops.Min(), []kpa.Row{{Key: 5, Val: 1}, {Key: 9, Val: 0}}},
+	} {
+		partial := partialOf(c.factory, run(kv(5, 4), kv(5, 5), kv(5, 6), kv(5, 7)))
+		runs := []*kpa.KPA{run(kv(9, 0), kv(5, 1), kv(5, 2), kv(5, 3)), partial, run(kv(9, 8), kv(9, 2))}
+		for _, factory := range []kpa.AggFactory{c.factory, perPair(c.factory)} {
+			if got := closeRows(runs, factory, 1); !slices.Equal(got, c.want) {
+				t.Fatalf("%s: closed to %v, want %v", c.name, got, c.want)
+			}
+		}
+		for _, r := range runs {
+			r.Destroy()
+		}
+	}
+}
+
 // BenchmarkSealVsCompact prices the two ways a window with more sorted
 // runs than one seal takes can reach its result, on the run shapes of
 // four benchmark workloads, single-threaded, in ns per pair of the
@@ -359,6 +521,85 @@ func BenchmarkSealVsCompact(b *testing.B) {
 			})
 		}
 		for _, k := range slices.Concat(runs, born) {
+			k.Destroy()
+		}
+	}
+}
+
+// BenchmarkMergeFold prices one merge-reduce of value-born runs with
+// Sum both ways, single-threaded, in ns per pair: "word" folds inside the
+// loser-tree loop, "per-pair" is the path every aggregator took before
+// (perPair: one reused aggregator, Add or Combine through interfaces per
+// pair). The shapes are the runtime's: a seal of 32 runs of 4 096 pairs
+// over 1 024 keys (net_narrow, inproc_spill) or of 10 000 hashed keys
+// (inproc_wide), staged through recycled scratch (MergeReducePartial),
+// and a close of 7 runs of 140 000 hashed keys into a row slab
+// (MergeReduceRows).
+func BenchmarkMergeFold(b *testing.B) {
+	var staged []algo.Pair
+	scratch := &algo.Scratch{
+		Get: func(n int) []algo.Pair {
+			if cap(staged) < n {
+				staged = make([]algo.Pair, n)
+			}
+			return staged[:n]
+		},
+		Put: func([]algo.Pair) {},
+	}
+	al := kpa.NoopAllocator{T: memsim.HBM}
+	for _, sh := range []struct {
+		name         string
+		seal         bool
+		runs, runLen int
+		keys         uint64
+	}{
+		{"seal/32x4096/1Ki-keys", true, 32, 4096, 1 << 10},
+		{"seal/32x10000/hashed-keys", true, 32, 10_000, 0},
+		{"close/7x140000/hashed-keys", false, 7, 140_000, 0},
+	} {
+		rng := rand.New(rand.NewSource(5))
+		runs := make([]*kpa.KPA, sh.runs)
+		staged := make([]algo.Pair, sh.runLen)
+		for j := range runs {
+			for i := range staged {
+				key := rng.Uint64()
+				if sh.keys > 0 {
+					key %= sh.keys
+				}
+				staged[i] = algo.Pair{Key: key, Ptr: rng.Uint64() % 1000}
+			}
+			var err error
+			if runs[j], err = kpa.FromValues(staged, 0, al); err != nil {
+				b.Fatal(err)
+			}
+			kpa.SortRadix(runs[j], 1, nil)
+		}
+		lo, hi := make([]int, len(runs)), make([]int, len(runs))
+		for j, r := range runs {
+			hi[j] = r.Len()
+		}
+		rows := make([]kpa.Row, sh.runs*sh.runLen)
+		pairs := float64(len(rows))
+		for _, way := range []struct {
+			name    string
+			factory kpa.AggFactory
+		}{{"word", ops.Sum()}, {"per-pair", perPair(ops.Sum())}} {
+			b.Run(sh.name+"/"+way.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if sh.seal {
+						out, err := kpa.MergeReducePartial(runs, 1, way.factory, al, scratch)
+						if err != nil {
+							b.Fatal(err)
+						}
+						out.Destroy()
+					} else if _, err := kpa.MergeReduceRows(runs, lo, hi, 1, way.factory, rows); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+			})
+		}
+		for _, k := range runs {
 			k.Destroy()
 		}
 	}

@@ -42,6 +42,30 @@ type Combiner interface {
 	Combine(partial uint64)
 }
 
+// WordOp is the one word operation a WordFolder's state folds its
+// inputs with.
+type WordOp uint8
+
+const (
+	WordAdd   WordOp = iota + 1 // state += value (sum)
+	WordCount                   // state += 1 per raw value, += a partial's value (count)
+	WordMin                     // state = min(state, value)
+	WordMax                     // state = max(state, value)
+)
+
+// WordFolder is an optional Combiner capability of an aggregator whose
+// whole state is one uint64: a key's result is its first input's
+// contribution folded with every later one by WordOp, raw values and
+// partials alike (only WordCount tells them apart). A merge over
+// value-resident and partial runs then folds equal keys inside the
+// loser-tree loop (algo.MultiMergeFold) — no call per pair, no
+// aggregator per key. The operation belongs to the aggregator's type,
+// not to an instance: WordOp always returns the same value.
+type WordFolder interface {
+	Combiner
+	WordOp() WordOp
+}
+
 // Resetter is an optional Agg capability: Reset returns the aggregator
 // to its freshly constructed state, so one instance can serve every key
 // of a merge task instead of one heap object per distinct key.

@@ -18,8 +18,10 @@ import (
 // Sum, Count, Min and Max are kpa.Combiners: their result over a
 // multiset is the fold of their results over any partition of it, so
 // the native runtime may seal a pane into per-key partials once and
-// combine those per window. They and Avg are kpa.Resetters, reused
-// across the keys of one merge task. The order statistics and
+// combine those per window. Their whole state is one word, so they are
+// kpa.WordFolders too: a merge folds them inside its loop, with no call
+// per value. They and Avg are kpa.Resetters, reused across the keys of
+// one merge task on the per-pair path. The order statistics and
 // UniqueCount are neither: they need every value.
 
 // SumAgg sums values.
@@ -36,6 +38,9 @@ func (a *SumAgg) Combine(partial uint64) { a.s += partial }
 
 // Reset implements kpa.Resetter.
 func (a *SumAgg) Reset() { *a = SumAgg{} }
+
+// WordOp implements kpa.WordFolder.
+func (*SumAgg) WordOp() kpa.WordOp { return kpa.WordAdd }
 
 // Sum returns a factory for SumPerKey.
 func Sum() kpa.AggFactory { return func() kpa.Agg { return &SumAgg{} } }
@@ -55,6 +60,9 @@ func (a *CountAgg) Combine(partial uint64) { a.n += partial }
 
 // Reset implements kpa.Resetter.
 func (a *CountAgg) Reset() { *a = CountAgg{} }
+
+// WordOp implements kpa.WordFolder.
+func (*CountAgg) WordOp() kpa.WordOp { return kpa.WordCount }
 
 // Count returns a factory for CountByKey.
 func Count() kpa.AggFactory { return func() kpa.Agg { return &CountAgg{} } }
@@ -102,6 +110,9 @@ func (a *MaxAgg) Combine(partial uint64) { a.Add(partial) }
 // Reset implements kpa.Resetter.
 func (a *MaxAgg) Reset() { *a = MaxAgg{} }
 
+// WordOp implements kpa.WordFolder.
+func (*MaxAgg) WordOp() kpa.WordOp { return kpa.WordMax }
+
 // Max returns a factory for MaxPerKey.
 func Max() kpa.AggFactory { return func() kpa.Agg { return &MaxAgg{} } }
 
@@ -128,6 +139,9 @@ func (a *MinAgg) Combine(partial uint64) { a.Add(partial) }
 
 // Reset implements kpa.Resetter.
 func (a *MinAgg) Reset() { *a = MinAgg{} }
+
+// WordOp implements kpa.WordFolder.
+func (*MinAgg) WordOp() kpa.WordOp { return kpa.WordMin }
 
 // Min returns a factory for MinPerKey.
 func Min() kpa.AggFactory { return func() kpa.Agg { return &MinAgg{} } }

@@ -49,7 +49,8 @@
 // §4.3 parallel full-KPA merge: the key space is range-partitioned once
 // across all runs and each partition streams through a loser-tree k-way
 // merge fused with keyed reduction, folding the value each pair carries
-// as it arrives — one sequential read of the inputs, no intermediate
+// as it arrives (for sum, count, min and max inside the tree loop, with
+// no call per pair) — one sequential read of the inputs, no intermediate
 // KPA, no separate reduce sweep, nothing that depends on the run count.
 //
 // Late data. A record is late for a window iff the target watermark had
@@ -1106,8 +1107,10 @@ func (x *exec) submitSeal(s paneSeal) {
 // held on the sealed runs, so their slabs free now, and starts the seal
 // of the group the merged run completed and the merge of each window
 // that owed only this seal. When the pool cannot host the merged run the
-// runs go back as they were and nobody's references move.
+// runs go back as they were and nobody's references move. Its time, up
+// to the tasks it starts, counts in streambox_seal_ns_total.
 func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
+	t0 := time.Now()
 	runs := make([]*kpa.KPA, len(s.raw))
 	for i, r := range s.raw {
 		runs[i] = r.k
@@ -1129,6 +1132,7 @@ func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 			}
 		}
 	}
+	x.m.sealNanos.Add(time.Since(t0).Nanoseconds())
 	for _, next := range seals {
 		x.submitSeal(next)
 	}
@@ -1188,7 +1192,8 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 // and already in key order. The last partition to finish destroys the
 // runs, closes the gaps between the sub-ranges and retires the window
 // with its rows. A pane holds fewer than mergeFanIn runs per level by
-// now, so one loser tree takes them all.
+// now, so one loser tree takes them all. Each partition's merge time
+// counts in streambox_merge_ns_total.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	if len(runs) == 0 {
 		x.finishWindow(start, nil)
@@ -1237,23 +1242,21 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 			Name: "close:" + x.plan.Label,
 			Tag:  tag,
 			Run: func() {
+				t0 := time.Now()
 				var out []Row
 				if rows != nil {
 					out = rows[offs[i]:offs[i+1]]
+				} else {
+					out = make([]Row, offs[i+1]-offs[i])
 				}
-				n := 0
-				err := kpa.MergeReduceRange(runs, lo, hi, x.plan.ValCol, x.plan.NewAgg, func(key, res uint64) {
-					if out != nil {
-						out[n] = Row{Key: key, Val: res}
-					}
-					n++
-				})
+				n, err := kpa.MergeReduceRows(runs, lo, hi, x.plan.ValCol, x.plan.NewAgg, out)
 				if err != nil {
 					x.recordError(err)
 				}
 				counts[i] = n
 				x.m.emitted.Add(int64(n))
 				x.m.closePairs.Add(int64(offs[i+1] - offs[i]))
+				x.m.mergeNanos.Add(time.Since(t0).Nanoseconds())
 				if remaining.Add(-1) == 0 {
 					for _, r := range runs {
 						x.destroyRun(r)

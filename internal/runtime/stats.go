@@ -22,10 +22,13 @@ type stats struct {
 	hbmKPAs  *metrics.Counter
 	dramKPAs *metrics.Counter
 
-	// Grouping front half: logical (record, window) assignments, worker
-	// time spent extracting/sorting them, pane runs shared across windows.
+	// Grouping: logical (record, window) assignments, worker time spent
+	// extracting/sorting them, in seal tasks and in close merges; pane
+	// runs shared across windows.
 	extractPairs  *metrics.Counter
 	extractNanos  *metrics.Counter
+	sealNanos     *metrics.Counter
+	mergeNanos    *metrics.Counter
 	paneRuns      *metrics.Counter
 	sharedRunRefs *metrics.Counter
 	sealedPanes   *metrics.Counter
@@ -63,6 +66,8 @@ func newStats(x *exec) *stats {
 	s.dramKPAs = m.Counter(`streambox_kpa_placements_total{tier="dram"}`)
 	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
 	s.extractNanos = m.Counter("streambox_extract_ns_total")
+	s.sealNanos = m.Counter("streambox_seal_ns_total")
+	s.mergeNanos = m.Counter("streambox_merge_ns_total")
 	s.paneRuns = m.Counter("streambox_pane_runs_total")
 	s.sharedRunRefs = m.Counter("streambox_shared_run_refs_total")
 	s.sealedPanes = m.Counter("streambox_sealed_panes_total")
