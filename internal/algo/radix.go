@@ -1,5 +1,7 @@
 package algo
 
+import mathbits "math/bits"
+
 // The engine splits grouping between two sort kernels (paper Table 2):
 // RadixSortPairs forms the first-level sorted runs — bundle-sized KPAs
 // whose keys it spreads with sequential-access scatter passes — and the
@@ -9,9 +11,11 @@ package algo
 // comparison-based so runs of any key distribution combine in one pass.
 //
 // A scatter pass is worth exactly the bits it separates, so the kernel
-// pays only for the digits a run's keys need: digits on which every key
-// agrees are never read, and once enough digits have been scattered to
-// spread the run thin the rest of the key is finished by insertion.
+// pays only for the bits a run's keys need: when they all fit in one
+// wide digit the run is sorted by one counting pass over just those
+// bits; otherwise 8-bit digits on which every key agrees are never read,
+// and once enough digits have been scattered to spread the run thin the
+// rest of the key is finished by insertion.
 
 const (
 	radixBits    = 8
@@ -20,29 +24,35 @@ const (
 	// insertionMax is the longest run, or segment of equal prefix, that
 	// is finished by insertion sort rather than scattered.
 	insertionMax = 64
+	// narrowBits is the widest span of varying key bits sorted by one
+	// counting pass: 2^11 32-bit counters are 8 KiB, well inside L1.
+	narrowBits    = 11
+	narrowBuckets = 1 << narrowBits
 )
 
-// RadixSortPairs sorts pairs in place by key, stably, with a radix sort
-// over 8-bit digits that ping-pongs between the input and one scratch
-// buffer drawn from s.
+// RadixSortPairs sorts pairs in place by key, stably, drawing one
+// scratch buffer from s.
 //
-// One OR/AND scan of the keys says which digits vary. With n pairs, t
-// digits spread them thin (256^t >= n). When no more than t digits vary
-// the sort is a plain LSD over exactly those: 1 024 dense keys cost two
-// passes, not eight. When more vary, LSD runs over the top t of them
-// only — two passes put almost every one of 10 000 hashed 64-bit keys in
-// its final place — and a walk over the segments of equal prefix
-// finishes each one: insertion sort up to insertionMax pairs, this same
-// routine above it (its scan then skips the digits the prefix fixed). A
-// pair is therefore never scattered more often than digits vary, eight
-// at most.
+// One OR/AND scan of the keys says which bits vary. When they span no
+// more than narrowBits — 1 024 dense keys span 10, whatever their common
+// high bits — one counting pass over exactly that span sorts the run
+// (narrowSpan has the small-run guard). Otherwise the sort is a radix
+// sort over 8-bit digits that ping-pongs between the input and the
+// scratch. With n pairs, t digits spread them thin (256^t >= n). When no
+// more than t digits vary the sort is a plain LSD over exactly those.
+// When more vary, LSD runs over the top t of them only — two passes put
+// almost every one of 10 000 hashed 64-bit keys in its final place — and
+// a walk over the segments of equal prefix finishes each one: insertion
+// sort up to insertionMax pairs, this same routine above it (its scan
+// then skips the digits the prefix fixed). A pair is therefore never
+// scattered more often than digits vary, eight at most.
 //
-// Every step is stable — each scatter pass, as LSD needs, the insertion
-// sort, and so the recursion: the native runtime stages a bundle's pairs
-// in row order, and an order-sensitive aggregator must see a key's
-// values in that order. The second argument is unused (it selected a
-// goroutine fan-out no caller wanted; ROADMAP item 1(e) drops it
-// together with kpa.SortRadix's).
+// Every step is stable — each scatter pass, as LSD needs, the counting
+// pass, the insertion sort, and so the recursion: the native runtime
+// stages a bundle's pairs in row order, and an order-sensitive
+// aggregator must see a key's values in that order. The second argument
+// is unused (it selected a goroutine fan-out no caller wanted; ROADMAP
+// item 1(c) drops it together with kpa.SortRadix's).
 func RadixSortPairs(pairs []Pair, _ int, s *Scratch) {
 	if len(pairs) <= insertionMax {
 		insertionSort(pairs)
@@ -54,9 +64,107 @@ func RadixSortPairs(pairs []Pair, _ int, s *Scratch) {
 		or |= k
 		and &= k
 	}
+	vary := or ^ and
+	if vary == 0 {
+		return // every key is equal: already in stable order
+	}
 	buf := s.GetPairs(len(pairs))
-	radixSort(pairs, buf, or^and)
+	if lo, bits, ok := narrowSpan(vary, len(pairs)); ok {
+		countingSort(buf, pairs, nil, nil, lo, bits)
+		copy(pairs, buf)
+	} else {
+		radixSort(pairs, buf, vary)
+	}
 	s.PutPairs(buf)
+}
+
+// RadixSortColumns writes the pairs (keys[i], vals[i]) into dst, which
+// has len(keys) slots, sorted by key, stably — RadixSortPairs for a run
+// whose keys and values are still two columns. Narrow keys take the
+// counting pass straight from the columns, so each pair is written once,
+// into its sorted slot, with no scratch and no copy back. Any other run
+// is zipped into dst and radix-sorted there, from the one scan of the
+// key column that found its varying bits.
+func RadixSortColumns(dst []Pair, keys, vals []uint64, s *Scratch) {
+	n := len(keys)
+	dst, vals = dst[:n], vals[:n]
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or |= k
+		and &= k
+	}
+	vary := or ^ and
+	if lo, bits, ok := narrowSpan(vary, n); ok && n > insertionMax {
+		countingSort(dst, nil, keys, vals, lo, bits)
+		return
+	}
+	for i, k := range keys {
+		dst[i] = Pair{Key: k, Ptr: vals[i]}
+	}
+	switch {
+	case n <= insertionMax:
+		insertionSort(dst)
+	case vary != 0:
+		buf := s.GetPairs(n)
+		radixSort(dst, buf, vary)
+		s.PutPairs(buf)
+	}
+}
+
+// narrowSpan reports whether n pairs whose keys differ in the bits of
+// vary sort in one counting pass, and over which bits: [lo, lo+bits).
+// The span must fit narrowBits, and the counters must not outnumber the
+// pairs more than 16 to 1: on a shorter run, summing 2^bits of them
+// costs more than the 8-bit passes they replace (measured on the 2-vCPU
+// reference host: 2^11 counters pay from 128 pairs, 2^10 from 96;
+// BenchmarkRadixSortPairs' dense-2048/128 sits on the edge).
+func narrowSpan(vary uint64, n int) (lo, bits uint, ok bool) {
+	lo = uint(mathbits.TrailingZeros64(vary))
+	bits = uint(64-mathbits.LeadingZeros64(vary)) - lo
+	return lo, bits, bits <= narrowBits && 1<<bits <= 16*n
+}
+
+// countingSort writes n pairs into dst (len n) ordered by key, stably,
+// in one counting pass — count, prefix-sum, scatter — over the key bits
+// [lo, lo+bits), bits <= narrowBits: every other bit must agree across
+// the keys. The pairs are src, or when src is nil the columns keys and
+// vals, zipped as they are scattered. Not inlined, like scatter.
+//
+//go:noinline
+func countingSort(dst, src []Pair, keys, vals []uint64, lo, bits uint) {
+	lo &= 63
+	// The second mask is the first's bound, in a form the compiler can
+	// read: no counter lookup carries a bounds check.
+	mask := (uint64(1)<<bits - 1) & (narrowBuckets - 1)
+	var c [narrowBuckets]uint32
+	if src != nil {
+		for i := range src {
+			c[src[i].Key>>lo&mask]++
+		}
+	} else {
+		for _, k := range keys {
+			c[k>>lo&mask]++
+		}
+	}
+	sum := uint32(0)
+	for b, n := range c[:mask+1] {
+		c[b] = sum
+		sum += n
+	}
+	if src != nil {
+		for i := range src {
+			b := src[i].Key >> lo & mask
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		return
+	}
+	vals = vals[:len(keys)]
+	for i, k := range keys {
+		b := k >> lo & mask
+		dst[c[b]] = Pair{Key: k, Ptr: vals[i]}
+		c[b]++
+	}
 }
 
 // radixSort sorts pairs, scattering through buf (same length). vary has

@@ -192,6 +192,13 @@ var keyShapes = []keyShape{
 	}},
 	{"hashed", func(r *rand.Rand, _, _ int) uint64 { return r.Uint64() }},
 	{"dense-1024", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1024)) }},
+	// The counting pass's edges: a span of exactly narrowBits, one bit
+	// over it (the radix path), a narrow span under shared high bits, and
+	// one above low bits that are all zero.
+	{"dense-2048", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(2048)) }},
+	{"dense-4096", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(4096)) }},
+	{"offset-dense", func(r *rand.Rand, _, _ int) uint64 { return 0xFFFF_FFFF_FFFF_F000 + uint64(r.Intn(1024)) }},
+	{"strided", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1024)) << 20 }},
 	// The adaptive kernel's worst case: every digit varies, but each
 	// pair of digits splits off only a few outliers, so every level of
 	// the finish recurses on nearly the whole run — eight scatter passes
@@ -221,15 +228,26 @@ func shapedPairs(shape string, n int, seed int64) []Pair {
 	return out
 }
 
-// assertStableSortOf holds got against the library's stable sort over
-// orig (slices.SortStableFunc, sort.SliceStable without the reflection:
-// the race legs sort 200 000 pairs a few dozen times): the same keys in
-// the same order, and — Ptr being the input index — equal keys in input
-// order.
+// assertStableSortOf holds got against the order a stable sort of orig
+// by key yields: the same keys in the same order, and equal keys in
+// input order. Each Ptr of orig must be its input index, so that order
+// is the library's sort by (key, Ptr) — slices.SortFunc, which takes
+// half the time SortStableFunc does under the race detector, where the
+// race legs sort 200 000 pairs a few dozen times.
 func assertStableSortOf(t *testing.T, got, orig []Pair) {
 	t.Helper()
+	for i, p := range orig {
+		if p.Ptr != uint64(i) {
+			t.Fatalf("input %d carries Ptr %d: Ptr must be the input index", i, p.Ptr)
+		}
+	}
 	want := slices.Clone(orig)
-	slices.SortStableFunc(want, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	slices.SortFunc(want, func(a, b Pair) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Ptr, b.Ptr)
+	})
 	if len(got) != len(want) {
 		t.Fatalf("length changed: %d vs %d", len(got), len(want))
 	}
@@ -263,8 +281,40 @@ func TestRadixSortShapes(t *testing.T) {
 	}
 }
 
-// FuzzRadixSortPairs reads its input as little-endian keys; the seeds
-// are the shapes above, long enough to leave the insertion path.
+// sortColumnsOf runs RadixSortColumns over the key and value columns of
+// orig into a destination of stale pairs.
+func sortColumnsOf(orig []Pair) []Pair {
+	keys, vals := make([]uint64, len(orig)), make([]uint64, len(orig))
+	for i, p := range orig {
+		keys[i], vals[i] = p.Key, p.Ptr
+	}
+	dst := make([]Pair, len(orig))
+	for i := range dst {
+		dst[i] = Pair{Key: ^uint64(i), Ptr: ^uint64(0)}
+	}
+	RadixSortColumns(dst, keys, vals, nil)
+	return dst
+}
+
+// TestRadixSortColumnsShapes holds the column entry — the counting pass
+// straight from the columns, or a zip and the radix path — to the same
+// property on the same shapes, at the lengths where it changes strategy:
+// empty, one pair, the insertion threshold and one past it, and the run
+// sizes the workloads form.
+func TestRadixSortColumnsShapes(t *testing.T) {
+	for si, shape := range keyShapes {
+		for _, n := range []int{0, 1, 64, 65, 512, 4096, 10_000} {
+			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
+				orig := shapedPairs(shape.name, n, int64(n)*37+int64(si))
+				assertStableSortOf(t, sortColumnsOf(orig), orig)
+			})
+		}
+	}
+}
+
+// FuzzRadixSortPairs reads its input as little-endian keys, sorted both
+// as pairs and as columns; the seeds are the shapes above, long enough
+// to leave the insertion path.
 func FuzzRadixSortPairs(f *testing.F) {
 	for si, shape := range keyShapes {
 		var seed []byte
@@ -281,6 +331,7 @@ func FuzzRadixSortPairs(f *testing.F) {
 		got := append([]Pair(nil), orig...)
 		RadixSortPairs(got, 1, nil)
 		assertStableSortOf(t, got, orig)
+		assertStableSortOf(t, sortColumnsOf(orig), orig)
 	})
 }
 
@@ -288,7 +339,9 @@ func FuzzRadixSortPairs(f *testing.F) {
 // benchmark workloads sort — a 10 000-record in-process bundle or a
 // 4 096-record frame of 1 024 keys, a bundle of hashed 64-bit keys — and
 // where the finish recurses, so its trajectory reads without the
-// end-to-end harness. clustered-prefix must stay well inside the cost of
+// end-to-end harness. The dense shapes at 512 and 128 pairs and at 2 048
+// keys price the counting pass near its length guard and at its widest
+// span. clustered-prefix must stay well inside the cost of
 // a fixed eight-pass LSD sort (35–45 ns/pair on the 2-vCPU host the
 // README's tables come from) and layered-prefix, which is built to make
 // every level of the recursion a waste, near it.
@@ -299,6 +352,9 @@ func BenchmarkRadixSortPairs(b *testing.B) {
 	}{
 		{"dense-1024", 10_000},
 		{"dense-1024", 4096},
+		{"dense-1024", 512},
+		{"dense-2048", 10_000},
+		{"dense-2048", 128},
 		{"hashed", 10_000},
 		{"clustered-prefix", 10_000},
 		{"layered-prefix", 10_000},

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"streambox/internal/algo"
 	"streambox/internal/bundle"
 	"streambox/internal/mempool"
 	"streambox/internal/memsim"
@@ -177,6 +178,49 @@ func TestSortAndKeys(t *testing.T) {
 			t.Fatal("pointer/key binding broken")
 		}
 	}
+}
+
+// TestSortColumnsBuildsSortedRun pins the column entry's contract: the
+// run NewValues made ends sorted and value-resident, pair for pair what
+// SortRadix makes of the zipped columns, on narrow keys (the counting
+// pass) and wide ones (zip and radix); a run of another length is a bug.
+func TestSortColumnsBuildsSortedRun(t *testing.T) {
+	e := newEnv()
+	r := rand.New(rand.NewSource(5))
+	for _, mask := range []uint64{1023, ^uint64(0)} {
+		keys, vals := make([]uint64, 3000), make([]uint64, 3000)
+		zipped := make([]algo.Pair, len(keys))
+		for i := range keys {
+			keys[i], vals[i] = r.Uint64()&mask, uint64(i)
+			zipped[i] = algo.Pair{Key: keys[i], Ptr: vals[i]}
+		}
+		want, err := FromValues(zipped, 0, e.al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SortRadix(want, 1, nil)
+		got, _, err := NewValues(len(keys), 0, e.al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SortColumns(got, keys, vals, nil)
+		if !got.Sorted() || !got.ValuesResident() || !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
+			t.Fatalf("mask %#x: SortColumns made %v, not SortRadix's run of the zipped columns", mask, got)
+		}
+		got.Destroy()
+		want.Destroy()
+	}
+	short, _, err := NewValues(2, 0, e.al)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer short.Destroy()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SortColumns of 3 keys into a 2-pair run must panic")
+		}
+	}()
+	SortColumns(short, []uint64{1, 2, 3}, []uint64{1, 2, 3}, nil)
 }
 
 func TestKeySwap(t *testing.T) {

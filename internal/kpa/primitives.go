@@ -198,9 +198,23 @@ func Sort(k *KPA) {
 // is unused: the kernel is serial, the runtime's parallelism is one
 // extract task per bundle, and the parameter stays only because
 // benchmark/replay.go compiles against this signature (ROADMAP item
-// 1(e) drops it).
+// 1(c) drops it).
 func SortRadix(k *KPA, workers int, s *algo.Scratch) {
 	algo.RadixSortPairs(k.pairs, workers, s)
+	k.sorted = true
+}
+
+// SortColumns fills k, a run NewValues made for len(keys) pairs, with
+// the pairs (keys[i], vals[i]) sorted by key, stably: SortRadix for a
+// run whose pairs are still a bundle's key and value columns, without
+// staging them first. Narrow keys are each written once, into their
+// sorted slot (algo.RadixSortColumns); s supplies the scatter buffer
+// any other run needs.
+func SortColumns(k *KPA, keys, vals []uint64, s *algo.Scratch) {
+	if !k.vals || k.Len() != len(keys) || len(vals) != len(keys) {
+		panic(fmt.Sprintf("kpa: SortColumns of %d keys and %d values into %v", len(keys), len(vals), k))
+	}
+	algo.RadixSortColumns(k.pairs, keys, vals, s)
 	k.sorted = true
 }
 

@@ -145,9 +145,15 @@ func xxhMerge(h, acc uint64) uint64 {
 }
 
 // ChecksumColumns computes the frame checksum: an xxHash64-derived
-// digest over the batch's words in column order. One multiply+rotate
-// per word keeps it far off the ingest critical path's bandwidth, and
-// operating on values (not bytes) makes it endian-independent.
+// digest over the batch's words in column order, word i feeding hash
+// lane i mod 4. One multiply+rotate per word keeps it far off the ingest
+// critical path's bandwidth, and operating on values (not bytes) makes
+// it endian-independent.
+//
+// The loop is ChecksumColumnsRanges' without the ranges: four words per
+// step, each slot keeping a fixed lane in a register of its own for the
+// whole column, where indexing the lanes by a variable would keep them
+// in memory.
 func ChecksumColumns(cols [][]uint64) uint64 {
 	acc := [4]uint64{xxhPrime1, xxhPrime2, 0, 0}
 	acc[0] += xxhPrime2 // wrapping variable arithmetic: these sums overflow as constants
@@ -155,11 +161,25 @@ func ChecksumColumns(cols [][]uint64) uint64 {
 	lane := 0
 	var words uint64
 	for _, col := range cols {
-		for _, w := range col {
-			acc[lane] = xxhRound(acc[lane], w)
-			lane = (lane + 1) & 3
-			words++
+		n := len(col)
+		i := 0
+		if n >= 4 {
+			l0, l1, l2, l3 := lane, (lane+1)&3, (lane+2)&3, (lane+3)&3
+			a0, a1, a2, a3 := acc[l0], acc[l1], acc[l2], acc[l3]
+			for ; i+4 <= n; i += 4 {
+				c := col[i : i+4 : i+4]
+				a0 = xxhRound(a0, c[0])
+				a1 = xxhRound(a1, c[1])
+				a2 = xxhRound(a2, c[2])
+				a3 = xxhRound(a3, c[3])
+			}
+			acc[l0], acc[l1], acc[l2], acc[l3] = a0, a1, a2, a3
 		}
+		for ; i < n; i++ {
+			acc[(lane+i)&3] = xxhRound(acc[(lane+i)&3], col[i])
+		}
+		lane = (lane + n) & 3
+		words += uint64(n)
 	}
 	return xxhFinal(acc, words)
 }

@@ -2,6 +2,7 @@ package parsefmt
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -143,6 +144,84 @@ func TestChecksumColumnsRangesMatches(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checksumColumnsRef is the frame checksum one word at a time, the lane
+// advancing per word: the definition both production loops unroll.
+func checksumColumnsRef(cols [][]uint64) uint64 {
+	acc := [4]uint64{xxhPrime1, xxhPrime2, 0, 0}
+	acc[0] += xxhPrime2
+	acc[3] -= xxhPrime1
+	lane := 0
+	var words uint64
+	for _, col := range cols {
+		for _, w := range col {
+			acc[lane] = xxhRound(acc[lane], w)
+			lane = (lane + 1) & 3
+			words++
+		}
+	}
+	return xxhFinal(acc, words)
+}
+
+// goldenFrames are the geometries TestChecksumColumnsGolden pins: 1, 3
+// and 7 columns of 1, 3, 5 and 4 097 rows — below, at and across the
+// four-word unroll — and a ragged frame whose lane offset shifts at
+// every column, an empty one among them.
+func goldenFrames() map[string][][]uint64 {
+	frames := make(map[string][][]uint64)
+	for _, ncols := range []int{1, 3, 7} {
+		for _, nrows := range []int{1, 3, 5, 4097} {
+			frames[fmt.Sprintf("%dx%d", ncols, nrows)] = sampleCols(ncols, nrows)
+		}
+	}
+	ragged := sampleCols(5, 4097)
+	ragged[1], ragged[2], ragged[3], ragged[4] = ragged[1][:3], ragged[2][:0], ragged[3][:6], ragged[4][:1]
+	frames["ragged"] = ragged
+	return frames
+}
+
+// TestChecksumColumnsGolden pins the wire bytes: the digests frames
+// carry, as literals taken before ChecksumColumns was unrolled, from the
+// reference loop and from both production loops. A frame encoded by
+// any earlier build must still verify.
+func TestChecksumColumnsGolden(t *testing.T) {
+	golden := map[string]uint64{
+		"1x1": 0xbe72d008b5d492ad, "1x3": 0x6592d938c59c91b5, "1x5": 0xf3f31d7caa5fc8c6, "1x4097": 0x966f1f734bf37ccd,
+		"3x1": 0x540ebc310f5db9dd, "3x3": 0x8c0d86178a3feb45, "3x5": 0x3e2805c61635137c, "3x4097": 0xb2a490b8f2889fb1,
+		"7x1": 0x12a95e8008bbc05a, "7x3": 0x791ad678c37c0259, "7x5": 0xbe8bf02641fb634a, "7x4097": 0x6d44fb360a931db7,
+		"ragged": 0xcd7dd59bda244908,
+	}
+	frames := goldenFrames()
+	if len(frames) != len(golden) {
+		t.Fatalf("%d frames for %d golden digests", len(frames), len(golden))
+	}
+	for name, cols := range frames {
+		want, ok := golden[name]
+		if !ok {
+			t.Fatalf("frame %s has no golden digest", name)
+		}
+		ranges := make([]ColRange, len(cols))
+		for loop, got := range map[string]uint64{
+			"reference":             checksumColumnsRef(cols),
+			"ChecksumColumns":       ChecksumColumns(cols),
+			"ChecksumColumnsRanges": ChecksumColumnsRanges(cols, ranges),
+		} {
+			if got != want {
+				t.Errorf("%s: %s digest %#x, golden %#x", name, loop, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkChecksumColumns prices the frame checksum over a 4 096-record
+// frame of seven columns, the net workloads' frame.
+func BenchmarkChecksumColumns(b *testing.B) {
+	cols := sampleCols(7, 4096)
+	for b.Loop() {
+		ChecksumColumns(cols)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(7*4096), "ns/word")
 }
 
 func TestSwapWordsIsWireOrderInverse(t *testing.T) {

@@ -349,9 +349,13 @@ type Report struct {
 	// + run-formation tasks producing them. Their ratio is the
 	// extract-side pair throughput, which pane sharing multiplies by the
 	// window overlap (each pair is staged and sorted once per pane, not
-	// once per window).
+	// once per window). SealNanos and MergeNanos are the worker time in
+	// seal tasks and in close merges, so the three say which grouping
+	// stage a run spent its CPU in.
 	ExtractedPairs int64
 	ExtractNanos   int64
+	SealNanos      int64
+	MergeNanos     int64
 	// PeakWindowStateBytes is the high-water mark of live grouped
 	// window state (sorted runs plus merge intermediates) per tier,
 	// indexed by memsim.Tier. Pane sharing keeps the sliding-window
@@ -574,6 +578,8 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			LateRecords:     m.late.Load(),
 			ExtractedPairs:  m.extractPairs.Load(),
 			ExtractNanos:    m.extractNanos.Load(),
+			SealNanos:       m.sealNanos.Load(),
+			MergeNanos:      m.mergeNanos.Load(),
 			PeakWindowStateBytes: [memsim.NumTiers]int64{
 				m.peakState[0].Load(), m.peakState[1].Load(), m.peakState[2].Load(),
 			},
@@ -923,7 +929,8 @@ func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 // (placed by the allocator's one rule) of the run it belongs to.
 //
 // Most bundles lie inside one pane, with no filter to apply and nothing
-// late: the run is the bundle, zipped in one pass. Otherwise pass one
+// late: the run is the bundle, sorted straight from its key and value
+// columns into the run's slab (kpa.SortColumns). Otherwise pass one
 // tags each row with its pane (or as dropped) and counts the panes, and
 // pass two scatters by tag, so filters — pure per-value predicates — and
 // the pane lookup run once per row. Rows mostly ascend in time, so a row
@@ -957,11 +964,7 @@ func (x *exec) sortPanes(b *bundle.Bundle, reg registration, minTs, maxTs wm.Tim
 		if fill == nil {
 			return runs
 		}
-		keys, vals = keys[:len(fill)], vals[:len(fill)]
-		for i := range fill {
-			fill[i] = algo.Pair{Key: keys[i], Ptr: vals[i]}
-		}
-		kpa.SortRadix(r.k, 1, x.scratch[r.k.Tier()])
+		kpa.SortColumns(r.k, keys, vals, x.scratch[r.k.Tier()])
 		return append(runs, r)
 	}
 
@@ -1025,8 +1028,9 @@ rows:
 
 // newRun starts the run of n of bundle b's rows in one pane: a
 // value-resident KPA whose slab — wherever the placement rule puts it — the
-// caller fills in row order and then radix-sorts in place (the sort is
-// stable, so equal keys keep that order). The run is stamped with its
+// caller fills in row order and then radix-sorts in place, or sorts
+// straight into from the columns (either sort is stable, so equal keys
+// keep row order). The run is stamped with its
 // provenance (producing bundle, pane) so closes order runs
 // deterministically, holds one reference per open window covering the
 // pane, and is bound for g, the group register gave the bundle there.

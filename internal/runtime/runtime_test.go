@@ -415,6 +415,10 @@ func TestFixedWindowSealsWhileFilling(t *testing.T) {
 		t.Fatalf("close streamed %d pairs for %d records (%.3f per record), want at most 1.05",
 			rep.ClosePairs, rep.IngestedRecords, ratio)
 	}
+	if rep.ExtractNanos <= 0 || rep.SealNanos <= 0 || rep.MergeNanos <= 0 {
+		t.Fatalf("stage times extract %d, seal %d, merge %d ns: a run that extracts, seals and merges must report all three",
+			rep.ExtractNanos, rep.SealNanos, rep.MergeNanos)
+	}
 	if again := run(); again.SealedPanes != rep.SealedPanes || again.ClosePairs != rep.ClosePairs {
 		t.Fatalf("%d seals and %d pairs, then %d and %d: the counts must repeat",
 			rep.SealedPanes, rep.ClosePairs, again.SealedPanes, again.ClosePairs)

@@ -25,7 +25,10 @@ import (
 // cut — count the same logical pairs, count late exactly the rows that
 // were planted, and leave nothing allocated. The sliding shape has a
 // remainder of 1, so every third pane is one time unit wide, and the
-// stream puts a record on each.
+// stream puts a record on each. The stream is keyed two ways, so the
+// single-pane run forms on both of its paths: 257 keys, which span 9
+// bits and take the counting pass straight from the columns, and the
+// same 257 hashed to 64 bits, which are zipped and radix-sorted.
 func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 	const (
 		nRecords  = 40_000
@@ -33,15 +36,21 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 		spacing   = 111         // divides 333_333: every 3003rd record sits on a slide edge
 		maxBundle = 700
 	)
-	type rec3 struct{ key, val, ts uint64 }
+	narrowKey := func(id uint64) uint64 { return id * 2654435761 % 257 }
+	hashedKey := func(id uint64) uint64 {
+		h := (narrowKey(id) + 1) * 0x9E3779B97F4A7C15
+		return h ^ h>>29
+	}
+	// id is what the record's key is derived from.
+	type rec3 struct{ id, val, ts uint64 }
 	stream := make([]rec3, nRecords)
 	for i := range stream {
-		stream[i] = rec3{uint64(i) * 2654435761 % 257, uint64(i + 1), firstTs + uint64(i)*spacing}
+		stream[i] = rec3{uint64(i), uint64(i + 1), firstTs + uint64(i)*spacing}
 	}
-	batch := func(recs []rec3) [][]uint64 {
+	batch := func(recs []rec3, keyOf func(uint64) uint64) [][]uint64 {
 		cols := [][]uint64{make([]uint64, len(recs)), make([]uint64, len(recs)), make([]uint64, len(recs))}
 		for i, r := range recs {
-			cols[0][i], cols[1][i], cols[2][i] = r.key, r.val, r.ts
+			cols[0][i], cols[1][i], cols[2][i] = keyOf(r.id), r.val, r.ts
 		}
 		return cols
 	}
@@ -59,7 +68,7 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 				cuts = append(cuts, i)
 			}
 		}
-		onePane := func(late bool) [][][]uint64 {
+		onePane := func(late bool, keyOf func(uint64) uint64) [][][]uint64 {
 			var out [][][]uint64
 			begin := 0
 			for bi, end := range cuts {
@@ -67,14 +76,14 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 				if late && bi > 0 {
 					// Mid-bundle, so the rows after it are scattered past a gap.
 					at := len(recs) / 2
-					recs = append(append(append([]rec3(nil), recs[:at]...), rec3{key: 1, val: 1 << 40, ts: 0}), recs[at:]...)
+					recs = append(append(append([]rec3(nil), recs[:at]...), rec3{id: 1, val: 1 << 40, ts: 0}), recs[at:]...)
 				}
-				out = append(out, batch(recs))
+				out = append(out, batch(recs, keyOf))
 				begin = end
 			}
 			return out
 		}
-		var straddling [][][]uint64
+		var straddling [][]rec3
 		crossed := 0
 		for begin, bi := 0, 0; begin < nRecords; bi++ {
 			end := nRecords
@@ -84,7 +93,7 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 			if panes.Index(stream[begin].ts) != panes.Index(stream[end-1].ts) {
 				crossed++
 			}
-			straddling = append(straddling, batch(stream[begin:end]))
+			straddling = append(straddling, stream[begin:end])
 			begin = end
 		}
 		if crossed < 4 {
@@ -92,9 +101,13 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 		}
 
 		for _, agg := range []struct {
-			name string
-			new  kpa.AggFactory
-		}{{"sum", ops.Sum()}, {"ordered", orderSensitive()}} {
+			name  string
+			new   kpa.AggFactory
+			keyOf func(uint64) uint64
+		}{
+			{"sum", ops.Sum(), narrowKey}, {"ordered", orderSensitive(), narrowKey},
+			{"sum hashed", ops.Sum(), hashedKey}, {"ordered hashed", orderSensitive(), hashedKey},
+		} {
 			type outcome struct {
 				rows         map[wm.Time]map[uint64]uint64
 				late, logic  int64
@@ -134,10 +147,14 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 			id := func(variant string) string {
 				return fmt.Sprintf("size=%d slide=%d %s %s", win.Size, win.Slide, agg.name, variant)
 			}
-			want := run(id("one-pane"), onePane(false), nil)
+			want := run(id("one-pane"), onePane(false, agg.keyOf), nil)
 			if want.late != 0 || want.windowsCount < 5 || want.logic < nRecords {
 				t.Fatalf("%s: %d late, %d windows, %d logical pairs: not the run the variants are held against",
 					id("one-pane"), want.late, want.windowsCount, want.logic)
+			}
+			var straddled [][][]uint64
+			for _, recs := range straddling {
+				straddled = append(straddled, batch(recs, agg.keyOf))
 			}
 			for _, v := range []struct {
 				name    string
@@ -145,9 +162,9 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 				filters []Filter
 				late    int64
 			}{
-				{"straddling", straddling, nil, 0},
-				{"filtered", onePane(false), []Filter{{Col: 1, Keep: func(uint64) bool { return true }}}, 0},
-				{"late-row", onePane(true), nil, int64(len(cuts) - 1)},
+				{"straddling", straddled, nil, 0},
+				{"filtered", onePane(false, agg.keyOf), []Filter{{Col: 1, Keep: func(uint64) bool { return true }}}, 0},
+				{"late-row", onePane(true, agg.keyOf), nil, int64(len(cuts) - 1)},
 			} {
 				got := run(id(v.name), v.batches, v.filters)
 				if got.late != v.late || got.logic != want.logic {
