@@ -51,7 +51,7 @@ func main() {
 	reportJSON := flag.String("report-json", "", "after shutdown, write the final report to this file as JSON")
 	shedUtil := flag.Float64("shed-util", 0, "mempool pressure above which new connections are shed at the handshake (0 = default 0.98)")
 	spillDir := flag.String("spill-dir", "", "directory for the mmap'd cold spill tier's temp file (empty = system temp dir; only used with -spill-cap)")
-	spillCap := flag.Int64("spill-cap", 0, "spill-tier capacity in bytes: an mmap'd arena that cold sealed runs are evicted to and merged from in place (0 disables)")
+	spillCap := flag.Int64("spill-cap", 0, "spill-tier capacity in bytes: an mmap'd arena where runs are born once HBM and DRAM are both over the placement setpoint, and merged from in place (0 disables)")
 	flag.Parse()
 
 	p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))

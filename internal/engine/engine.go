@@ -392,7 +392,7 @@ func (pa *plannedAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Alloca
 	}
 	if pa.tier == memsim.HBM {
 		if pa.tag == Urgent && e.cfg.Placement == PlacementManaged {
-			a, err := e.Pool.AllocUrgent(nBytes)
+			a, err := e.Pool.AllocUrgent(nBytes, memsim.HBM, memsim.DRAM)
 			if err != nil {
 				return 0, nil, err
 			}
@@ -431,7 +431,7 @@ func (pa *placementAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allo
 		return memsim.HBM, a, err
 	}
 	if pa.tag == Urgent {
-		a, err := e.Pool.AllocUrgent(nBytes)
+		a, err := e.Pool.AllocUrgent(nBytes, memsim.HBM, memsim.DRAM)
 		if err != nil {
 			return 0, nil, err
 		}

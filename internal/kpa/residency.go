@@ -10,24 +10,24 @@ import (
 
 // Run residency: the cold rung of the degradation ladder.
 //
-// A sealed, sorted run can be evicted to the spill tier (Evict), where
-// it stays until its last Destroy: the extent holds the run's pairs and
-// nothing else, and every merge reads them through the mmap view like
-// any other pair slice. A value-resident run — every run of the native
-// runtime — is copied as it is; a pointer run materializes its values on
+// The native runtime places a run once, at birth — in the spill arena
+// when its allocator says so — and never moves it: a spilled run stays
+// in its extent until its last Destroy, and every merge reads its pairs
+// through the mmap view like any other pair slice. Evict and
+// EnsureResident, which relocate a run after birth, are the benchmark
+// replay's alone: it prices an eviction and a load. Evict copies a
+// value-resident run as it is; a pointer run materializes its values on
 // the way, every pair's bundle pointer dereferenced once and replaced by
 // the value itself, and its bundle links drop, so the bundles behind it
 // free with the last KPA link that releases them. EnsureResident copies
-// a spilled run back into a memory tier; the runtime never does (a load
-// re-takes pool memory at the moment the pool is short), the benchmark's
-// replay prices it.
+// a spilled run back into a memory tier.
 //
 // Concurrency contract: Evict and EnsureResident relocate the pairs, so
 // both may only be called while the run is quiescent — no merge reads
-// it; the runtime guarantees this by evicting under its window-table
-// lock, only runs no closing window has gathered, and that lock orders
-// the relocation before any later reader. The two serialize per KPA
-// (resMu), so concurrent callers of EnsureResident see one load.
+// it. The runtime relocates no run, so its merges never race one; a
+// caller that does must order the relocation before any reader itself.
+// The two serialize per KPA (resMu), so concurrent callers of
+// EnsureResident see one load.
 
 // ValuesResident reports whether the pairs carry materialized values in
 // Ptr instead of bundle pointers.
@@ -37,9 +37,6 @@ func (k *KPA) ValuesResident() bool { return k.vals }
 // MergeReducePartial): a value-resident run whose values fold with
 // Combiner.Combine instead of Agg.Add.
 func (k *KPA) Partial() bool { return k.partial }
-
-// Spilled reports whether the run currently lives on the spill tier.
-func (k *KPA) Spilled() bool { return k.tier == memsim.Spill }
 
 // dropSources releases every source-bundle link.
 func (k *KPA) dropSources() {
@@ -101,12 +98,10 @@ func (k *KPA) checkValCol(valCol int) error {
 // and the KPA's pairs become a view of the extent, which a merge reads
 // where it lies. Returns the bytes of pair slab released from the run's
 // former tier. Fails without side effects when the spill tier is
-// detached or full (mempool.ErrExhausted) — the caller stops evicting
-// and lets backpressure take over.
+// detached or full (mempool.ErrExhausted).
 //
 // The caller must guarantee quiescence: no concurrent reader of the
-// run (the runtime evicts only runs of non-closing windows, under the
-// lock that close-collection takes).
+// run.
 func (k *KPA) Evict(pool *mempool.Pool, valCol int) (freed int64, err error) {
 	k.resMu.Lock()
 	defer k.resMu.Unlock()

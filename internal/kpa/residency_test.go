@@ -46,8 +46,8 @@ func TestEvictLoadRoundTrip(t *testing.T) {
 	if freed != int64(len(keys))*memsim.PairBytes {
 		t.Fatalf("freed %d bytes, want %d", freed, int64(len(keys))*memsim.PairBytes)
 	}
-	if !k.Spilled() || !k.ValuesResident() {
-		t.Fatalf("after evict: spilled=%v vals=%v", k.Spilled(), k.ValuesResident())
+	if k.Tier() != memsim.Spill || !k.ValuesResident() {
+		t.Fatalf("after evict: tier=%v vals=%v", k.Tier(), k.ValuesResident())
 	}
 	if k.NumSources() != 0 {
 		t.Fatalf("evicted run still links %d bundles", k.NumSources())
@@ -74,9 +74,6 @@ func TestEvictLoadRoundTrip(t *testing.T) {
 	}
 	if !loaded {
 		t.Fatal("EnsureResident reported no load for a spilled run")
-	}
-	if k.Spilled() {
-		t.Fatal("still spilled after EnsureResident")
 	}
 	if k.Tier() != memsim.HBM {
 		t.Fatalf("loaded to %v, want HBM", k.Tier())

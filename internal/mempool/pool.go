@@ -5,12 +5,13 @@
 // per tier, which feeds the runtime's resource monitor, and keeps a
 // small reserved HBM region for Urgent allocations. A third cold tier,
 // memsim.Spill, can be attached via AttachSpill: its allocations are
-// extents of an mmap'd file (internal/spill) behind the same
-// Allocation/TakeCol interfaces, so a request can name the tiers it
-// accepts, in order, and be served by the first with room (AllocFirst) —
-// the degradation ladder is one call under one lock, and a failure is a
-// request no rung served. The spill tier is excluded from Pressure: a
-// full spill file degrades latency, it must never shed traffic.
+// extents of an mmap'd file (internal/spill) behind the same Allocation
+// interface — runs only; column slabs stay on the memory tiers — so a
+// request can name the tiers it accepts, in order, and be served by the
+// first with room (AllocFirst) — the degradation ladder is one call
+// under one lock, and a failure is a request no rung served. The spill
+// tier is excluded from Pressure: a full spill file degrades latency, it
+// must never shed traffic.
 //
 // Beyond accounting, the pool is a real recycling allocator for the
 // engine's hottest object: the KPA pair array. Allocation.Pairs hands
@@ -355,14 +356,6 @@ const colPoison = 0xDEAD_C015_DEAD_C015
 // and generators by append).
 func (p *Pool) TakeCol(t memsim.Tier, rows int) []uint64 {
 	p.colsOut.Add(1)
-	if t == memsim.Spill {
-		if f := p.Spill(); f != nil {
-			if col, err := f.TakeCol(rows); err == nil {
-				return col
-			}
-		}
-		return make([]uint64, rows) // cold tier disabled or full
-	}
 	bytes := int64(rows) * 8
 	class := classIndex(bytes)
 	if class >= 0 {
@@ -392,12 +385,6 @@ func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
 		for i := range col {
 			col[i] = colPoison
 		}
-	}
-	if t == memsim.Spill {
-		if f := p.Spill(); f != nil {
-			f.PutCol(col)
-		}
-		return
 	}
 	class := classFloorIndex(int64(cap(col)) * 8)
 	if class < 0 {
@@ -475,13 +462,11 @@ func (p *Pool) AllocFirst(size int64, order ...memsim.Tier) (*Allocation, error)
 	return p.walk(size, order)
 }
 
-// urgentOrder is where an Urgent request goes once the reserve is spent.
-var urgentOrder = []memsim.Tier{memsim.HBM, memsim.DRAM, memsim.Spill}
-
-// AllocUrgent carves from the reserved HBM region, falling back to the
-// general HBM pool, then DRAM, then the spill arena when one is
-// attached, so Urgent work always gets memory.
-func (p *Pool) AllocUrgent(size int64) (*Allocation, error) {
+// AllocUrgent carves from the reserved HBM region and, once the reserve
+// is spent, from the first tier of order with room, as AllocFirst does
+// — all under one lock. A request nothing serves fails naming the
+// reserve's tier, HBM, when order is empty.
+func (p *Pool) AllocUrgent(size int64, order ...memsim.Tier) (*Allocation, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mempool: invalid allocation size %d", size)
 	}
@@ -492,7 +477,7 @@ func (p *Pool) AllocUrgent(size int64) (*Allocation, error) {
 		p.allocs++
 		return &Allocation{pool: p, tier: memsim.HBM, size: n, class: classIndex(size), urgent: true, Request: size}, nil
 	}
-	return p.walk(size, urgentOrder)
+	return p.walk(size, order)
 }
 
 // walk serves one request from the first tier of order with room. The
@@ -525,7 +510,10 @@ func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
 		return &Allocation{pool: p, tier: t, size: n, class: cl, spillOff: off, Request: size}, nil
 	}
 	p.failures++
-	t, want := order[0], slab
+	t, want := memsim.HBM, slab
+	if len(order) > 0 {
+		t = order[0]
+	}
 	if t == memsim.Spill {
 		want = extent
 	}

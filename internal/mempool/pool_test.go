@@ -154,7 +154,7 @@ func TestUrgentFallsBackToDRAM(t *testing.T) {
 	if _, err := p.Alloc(memsim.HBM, 4<<10); err != nil { // takes general
 		t.Fatal(err)
 	}
-	a, err := p.AllocUrgent(4 << 10) // both HBM regions full
+	a, err := p.AllocUrgent(4<<10, memsim.HBM, memsim.DRAM) // both HBM regions full
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestAccountingConservation(t *testing.T) {
 // TestAllocFirstCountsRequestsNotRungs: a request served by a later rung
 // is no failure, and one no rung serves is exactly one — named after the
 // rung it preferred — whether it walked AllocFirst's order or
-// AllocUrgent's.
+// AllocUrgent's, which the reserve heads.
 func TestAllocFirstCountsRequestsNotRungs(t *testing.T) {
 	cfg := memsim.KNLConfig()
 	cfg.Tiers[memsim.HBM].Capacity = 8 << 10
@@ -320,10 +320,14 @@ func TestAllocFirstCountsRequestsNotRungs(t *testing.T) {
 	if !errors.As(err, &ex) || ex.Tier != memsim.DRAM || ex.Want != 4<<10 || ex.Free != 0 {
 		t.Fatalf("exhausted ladder: %v", err)
 	}
-	if _, err = p.AllocUrgent(4 << 10); !errors.As(err, &ex) || ex.Tier != memsim.HBM {
+	if _, err = p.AllocUrgent(4<<10, memsim.HBM, memsim.DRAM, memsim.Spill); !errors.As(err, &ex) || ex.Tier != memsim.HBM {
 		t.Fatalf("exhausted urgent: %v", err)
 	}
-	if got := p.Stats().Failures; got != 2 {
-		t.Fatalf("%d failures for two unserved requests", got)
+	// With no order the reserve is the only rung, and it names HBM.
+	if _, err = p.AllocUrgent(4 << 10); !errors.As(err, &ex) || ex.Tier != memsim.HBM {
+		t.Fatalf("exhausted reserve: %v", err)
+	}
+	if got := p.Stats().Failures; got != 3 {
+		t.Fatalf("%d failures for three unserved requests", got)
 	}
 }

@@ -76,16 +76,11 @@ func TestSpillTierAlloc(t *testing.T) {
 	}
 }
 
+// TestSpillTierCols: the arena holds runs only. A column slab asked of
+// the spill tier is an ordinary pooled slab, attached arena or not, and
+// goes back to the free lists, not into an extent.
 func TestSpillTierCols(t *testing.T) {
 	p := New(memsim.KNLConfig(), 0)
-
-	// Detached: heap fallback still works.
-	col := p.TakeCol(memsim.Spill, 16)
-	if len(col) != 16 {
-		t.Fatalf("fallback col len %d", len(col))
-	}
-	p.PutCol(memsim.Spill, col)
-
 	f, err := spill.Create(t.TempDir(), 1<<16)
 	if err != nil {
 		t.Fatal(err)
@@ -93,18 +88,15 @@ func TestSpillTierCols(t *testing.T) {
 	defer f.Close()
 	p.AttachSpill(f)
 
-	col = p.TakeCol(memsim.Spill, 16)
+	col := p.TakeCol(memsim.Spill, 16)
 	if len(col) != 16 {
 		t.Fatalf("col len %d", len(col))
 	}
-	if f.Used() == 0 {
-		t.Fatal("spill col not arena-backed")
-	}
-	for i := range col {
-		col[i] = uint64(i)
+	if f.Used() != 0 {
+		t.Fatalf("a column slab took %d B of the arena", f.Used())
 	}
 	p.PutCol(memsim.Spill, col)
-	if f.Used() != 0 {
-		t.Fatalf("arena used after PutCol: %d", f.Used())
+	if out := p.Stats().ColsOut; out != 0 {
+		t.Fatalf("%d column slabs out after PutCol", out)
 	}
 }

@@ -19,8 +19,8 @@ const (
 	HBM Tier = iota
 	// DRAM is the commodity DDR4 tier: large capacity, limited bandwidth.
 	DRAM
-	// Spill is the cold tier: an mmap'd file holding evicted sealed
-	// window runs. It is not memory the machine model schedules traffic
+	// Spill is the cold tier: an mmap'd file holding the window runs
+	// born there while the memory tiers are full. It is not memory the machine model schedules traffic
 	// on — capacity comes from the attached spill file, not TierParams —
 	// but it indexes the same per-tier arrays (pool accounting, window
 	// state, metrics) so the degradation ladder HBM → DRAM → Spill reads

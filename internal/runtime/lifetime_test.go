@@ -130,7 +130,8 @@ func TestBundleFreesAtExtract(t *testing.T) {
 // is the highest timestamp of the batches before it — decided on the
 // ingest goroutine, so a function of the stream), orders each window's
 // rows by (pane, batch, row) and folds. The same stream runs again on a
-// machine small enough that runs are evicted and read back.
+// machine small enough that runs are born in the spill arena and merged
+// where they lie.
 func TestOrderedFoldWithLateRows(t *testing.T) {
 	const nBatches, perBatch, batchSpan = 450, 100, 10_000
 	type row struct {
@@ -205,12 +206,11 @@ func TestOrderedFoldWithLateRows(t *testing.T) {
 		for _, cfg := range []Config{
 			{Workers: 4},
 			{
-				Workers:         4,
-				Machine:         tinyMachine(64<<10, 128<<10),
-				ReservedHBM:     32 << 10,
-				SpillCapacity:   32 << 20,
-				MonitorInterval: time.Millisecond,
-				ExhaustTimeout:  2 * time.Second,
+				Workers:        4,
+				Machine:        tinyMachine(64<<10, 128<<10),
+				ReservedHBM:    32 << 10,
+				SpillCapacity:  32 << 20,
+				ExhaustTimeout: 2 * time.Second,
 			},
 		} {
 			spill := cfg.SpillCapacity > 0
@@ -235,7 +235,7 @@ func TestOrderedFoldWithLateRows(t *testing.T) {
 				t.Fatalf("size=%d slide=%d spill=%v: %d late records, reference has %d", win.Size, win.Slide, spill, rep.LateRecords, late)
 			}
 			if rep.SealedPanes == 0 || (rep.SpilledRuns > 0) != spill {
-				t.Fatalf("size=%d slide=%d spill=%v: %d seals, %d runs evicted: the property was not exercised",
+				t.Fatalf("size=%d slide=%d spill=%v: %d seals, %d runs born in the arena: the property was not exercised",
 					win.Size, win.Slide, spill, rep.SealedPanes, rep.SpilledRuns)
 			}
 			got := rowsByWindowKey(rep.Rows)

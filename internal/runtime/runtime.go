@@ -66,25 +66,21 @@
 // honor the Urgent/High/Low performance-impact tags, with ingestion
 // backpressure driven by mempool utilization.
 //
-// Memory. A run's slab is placed by one rule: HBM while the tier is
-// under hbmSetpoint, else DRAM, else the other of the two, else the
-// spill arena; Urgent work takes the reserved pool first. On this kind
-// of host the two memory tiers are the same DIMMs, so they are budgets,
-// not speeds — the paper's demand-balance knob trades HBM capacity
-// against DRAM bandwidth and lives where a machine has both, in the
-// simulator (internal/engine, Figure 10). With Config.SpillCapacity set
-// the pool grows a third, physically distinct tier — an mmap'd cold
-// spill file (internal/spill) attached as memsim.Spill — and a monitor
-// ticks one latch (spillpath.go): above the eviction high-water mark it
-// walks the coldest quiescent runs out to the arena, bare pairs copied
-// into an extent, until occupancy is back under the low-water mark. The
-// ingest loop takes the same step synchronously on pool exhaustion —
-// evict first, force a watermark only if the spill file cannot absorb
-// the overshoot. A spilled run is never loaded back: seals and closes
-// merge it over the mmap view, bit-identical to the never-spilled run.
-// Working sets ~2x the memory budget degrade into slower closes instead
-// of ErrOverloaded/ErrExhausted. Without a spill tier there is no
-// monitor and nothing to tick.
+// Memory. A run is placed once, when it is born, and never moves (the
+// paper's rule): its slab goes to the first memory tier, HBM then DRAM,
+// whose occupancy is under tierSetpoint; when neither is, to the spill
+// arena if one is attached; failing that, to any memory tier with room.
+// Urgent work takes the reserved pool first and then the same order. On
+// this kind of host the two memory tiers are the same DIMMs, so they are
+// budgets, not speeds — the paper's demand-balance knob trades HBM
+// capacity against DRAM bandwidth and lives where a machine has both, in
+// the simulator (internal/engine, Figure 10). With Config.SpillCapacity
+// set the pool grows a third, physically distinct tier — an mmap'd cold
+// spill file (internal/spill) attached as memsim.Spill — and the runs
+// born there are read where they lie: seals and closes merge them over
+// the mmap view, bit-identical to a run born in memory. Working sets ~2x
+// the memory budget degrade into slower closes instead of
+// ErrOverloaded/ErrExhausted.
 package runtime
 
 import (
@@ -245,9 +241,6 @@ type Config struct {
 	Machine memsim.Config
 	// ReservedHBM is the Urgent allocation pool (0 picks 256 MiB).
 	ReservedHBM int64
-	// MonitorInterval is the eviction monitor's period and a tenth of the
-	// feed's idle tick (0 picks the paper's 10 ms, in real time).
-	MonitorInterval time.Duration
 	// MaxQueuedTasks caps the scheduler backlog before ingest blocks
 	// (0 picks 8 tasks per worker).
 	MaxQueuedTasks int
@@ -272,11 +265,11 @@ type Config struct {
 	// SpillDir and SpillCapacity enable the mmap'd cold spill tier: a
 	// SpillCapacity-byte temp file created under SpillDir (the system
 	// temp dir when empty), mmap'd and immediately unlinked, attached to
-	// the mempool as memsim.Spill. With the spill tier attached a monitor
-	// evicts the coldest sealed runs to the spill file before utilization
-	// reaches the shed threshold, and allocations the memory tiers cannot
-	// serve land in it, so overload degrades to slower closes instead of
-	// ErrOverloaded/ErrExhausted. SpillCapacity = 0 disables the tier.
+	// the mempool as memsim.Spill. With the spill tier attached, runs
+	// born while both memory tiers are over the placement setpoint are
+	// born in the spill file and stay there, so overload degrades to
+	// slower closes instead of ErrOverloaded/ErrExhausted. SpillCapacity
+	// = 0 disables the tier.
 	SpillDir      string
 	SpillCapacity int64
 	// ShedUtilization overrides the pool pressure above which the ingest
@@ -309,7 +302,8 @@ type Report struct {
 	Throughput float64
 	// Sched reports worker-pool activity.
 	Sched SchedStats
-	// HBMKPAs/DRAMKPAs count KPA placements per tier.
+	// HBMKPAs/DRAMKPAs count KPA placements on the memory tiers;
+	// SpilledRuns counts those in the spill arena.
 	HBMKPAs, DRAMKPAs int64
 	// PausedNanos is time ingest spent blocked on backpressure.
 	PausedNanos int64
@@ -367,21 +361,17 @@ type Report struct {
 	PeakWindowStateBytes      [memsim.NumTiers]int64
 	PeakWindowStateTotalBytes int64
 	// Degradation-ladder figures, all zero when Config.SpillCapacity is
-	// 0. SpilledRuns/SpilledBytes count sealed runs evicted to the mmap'd
-	// spill tier and the memory-tier bytes each eviction freed. A spilled
-	// run is merged over its mmap view, never loaded back, so SpillLoads,
-	// SpillLoadNanos and SpillLoadFallbacks read 0; the fields stay while
-	// benchmark/ reads them.
+	// 0. SpilledRuns/SpilledBytes count the runs, and their bytes, born
+	// in the mmap'd spill arena. A spilled run is merged over its mmap
+	// view, never loaded back, and no controller moves runs after birth,
+	// so SpillLoads, SpillLoadNanos, SpillLoadFallbacks and CtrlDecisions
+	// read 0; the fields stay while benchmark/ reads them.
 	SpilledRuns        int64
 	SpilledBytes       int64
 	SpillLoads         int64
 	SpillLoadNanos     int64
 	SpillLoadFallbacks int64
-	// CtrlDecisions counts the eviction latch's transitions (on above the
-	// high-water mark, off below the low); CtrlEvictTicks the monitor
-	// ticks on which the evictor ran.
-	CtrlDecisions  int64
-	CtrlEvictTicks int64
+	CtrlDecisions      int64
 	// CloseP99Nanos is the 99th-percentile window close latency
 	// (close request to retirement), 0 when no window closed.
 	CloseP99Nanos int64
@@ -494,9 +484,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	if cfg.MaxQueuedTasks <= 0 {
 		cfg.MaxQueuedTasks = 8 * workers
 	}
-	if cfg.MonitorInterval <= 0 {
-		cfg.MonitorInterval = 10 * time.Millisecond
-	}
 	if cfg.ExhaustTimeout <= 0 {
 		cfg.ExhaustTimeout = 5 * time.Second
 	}
@@ -522,7 +509,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	// DRAM scratch: transient kernel buffers never live in the arena.
 	x.scratch[memsim.Spill] = x.scratch[memsim.DRAM]
 
-	stopMonitor := func() {}
 	if cfg.SpillCapacity > 0 {
 		f, err := spill.Create(cfg.SpillDir, cfg.SpillCapacity)
 		if err != nil {
@@ -531,7 +517,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		}
 		x.spillFile = f
 		x.pool.AttachSpill(f)
-		stopMonitor = x.startMonitor()
 	}
 
 	e := &Execution{x: x, done: make(chan struct{})}
@@ -550,7 +535,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		x.watermark(^wm.Time(0) - plan.Win.Size)
 		x.sched.Wait()
 		elapsed := time.Since(start)
-		stopMonitor()
 		x.sched.Close()
 		if x.spillFile != nil {
 			x.spillFile.Close()
@@ -566,8 +550,8 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			WindowsClosed:   x.table.closedWindows(),
 			Elapsed:         elapsed,
 			Sched:           x.sched.Stats(),
-			HBMKPAs:         m.hbmKPAs.Load(),
-			DRAMKPAs:        m.dramKPAs.Load(),
+			HBMKPAs:         m.placements[memsim.HBM].Load(),
+			DRAMKPAs:        m.placements[memsim.DRAM].Load(),
 			PausedNanos:     m.paused.Load(),
 			GCPauseNs:       int64(ms1.PauseTotalNs - ms0.PauseTotalNs),
 			SlabsRecycled:   x.pool.Stats().Recycled,
@@ -584,10 +568,8 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 				m.peakState[0].Load(), m.peakState[1].Load(), m.peakState[2].Load(),
 			},
 			PeakWindowStateTotalBytes: m.peakTotal.Load(),
-			SpilledRuns:               m.evictions.Load(),
-			SpilledBytes:              m.evictedBytes.Load(),
-			CtrlDecisions:             m.ctrlDecisions.Load(),
-			CtrlEvictTicks:            m.ctrlEvictTicks.Load(),
+			SpilledRuns:               m.placements[memsim.Spill].Load(),
+			SpilledBytes:              m.placedBytes[memsim.Spill].Load(),
 			CloseP99Nanos:             m.closeLatency.Quantile(0.99),
 		}
 		if ingested > 0 {
@@ -662,6 +644,10 @@ func (x *exec) ingest() {
 	}
 }
 
+// feedIdleTick is how long ingestFeed waits on a quiet feed before it
+// advances the watermark anyway.
+const feedIdleTick = 100 * time.Millisecond
+
 // ingestFeed is the external-source driver loop: batches arrive pushed
 // from the network feed instead of being generated in-process, and each
 // becomes a bundle as it is — sealed over the columns the feed
@@ -695,7 +681,7 @@ func (x *exec) ingestFeed() {
 		// queryable) without waiting for the next batch or a shutdown.
 		// Every batch delivered so far is registered, so the feed's
 		// watermark is safe to apply here.
-		cols, ok, idle := feed.Recv(10 * x.cfg.MonitorInterval)
+		cols, ok, idle := feed.Recv(feedIdleTick)
 		if idle {
 			if w := feed.Watermark(); w > 0 {
 				x.watermark(w)
@@ -761,17 +747,13 @@ func (x *exec) putCols(cols [][]uint64) {
 // cols are the bundle's from here on: release takes them back when the
 // bundle is reclaimed, or now if no bundle comes of them.
 //
-// With the spill tier attached an exhausted pool first walks sealed
-// state out to the mmap'd file synchronously — that frees memory now,
-// without disturbing event time, and lets window state overshoot the
-// memory budget instead of draining it early — down to the low-water
-// mark, not just the failed request: restoring real headroom keeps
-// ingest from re-entering this path once per allocation. Otherwise
-// memory can only come back from window closure, and watermarks only
-// advance on the ingest goroutine — so it forces one at forcedWM() to
-// drain every window behind the stream, pauses and retries. A pool that
-// stays exhausted for Config.ExhaustTimeout (pipeline state exceeds
-// DRAM) fails the run instead of hanging.
+// An exhausted pool can only get memory back from window closure — runs
+// never move once placed, and with a spill arena attached they are
+// already born there once both memory tiers pass the setpoint — and
+// watermarks only advance on the ingest goroutine: so it forces one at
+// forcedWM() to drain every window behind the stream, pauses and
+// retries. A pool that stays exhausted for Config.ExhaustTimeout
+// (pipeline state exceeds DRAM) fails the run instead of hanging.
 func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, n int, release func([][]uint64), forcedWM func() wm.Time, fill func(*bundle.Builder)) (b *bundle.Bundle, err error) {
 	defer func() {
 		if err != nil && release != nil {
@@ -785,10 +767,6 @@ func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, n int, releas
 		var ee *mempool.ErrExhausted
 		if !errors.As(err, &ee) {
 			return b, err
-		}
-		if x.spillFile != nil && x.evictColdest(max(ee.Want, x.evictTarget())) >= ee.Want {
-			exhaustedSince = time.Time{}
-			continue
 		}
 		x.watermark(forcedWM())
 		if exhaustedSince.IsZero() {
@@ -1309,23 +1287,25 @@ func (x *exec) sealedWindow(start wm.Time) bool {
 	return x.cfg.SealedBefore > 0 && x.plan.Win.End(start) <= x.cfg.SealedBefore
 }
 
-// hbmSetpoint is the HBM occupancy up to which new runs are placed
-// there: high enough to keep the tier earning its capacity, low enough
-// to leave headroom for urgent allocations and merge intermediates.
-const hbmSetpoint = 0.80
+// tierSetpoint is the occupancy up to which a memory tier takes new
+// runs: high enough to keep the tiers earning their capacity, low
+// enough to leave headroom for urgent allocations, merge intermediates
+// and the bundles ingest charges to DRAM below backpressure.
+const tierSetpoint = 0.80
 
 // allocator returns the KPA allocator for work tagged tag.
 func (x *exec) allocator(tag engine.Tag) kpa.Allocator {
 	return placement{pool: x.pool, urgent: tag == engine.Urgent}
 }
 
-// placement is the native placement rule, the whole of it: a run goes to
-// HBM while that tier is under hbmSetpoint, else to DRAM; when the
-// preferred tier is full it goes to the other, and when both are, into
-// the spill arena if one is attached — a merge output in the arena beats
-// failing the close. Urgent work draws on the reserved pool first (paper
-// §5) and walks the same rungs after it. One pool call serves a request,
-// so a miss on a rung is not a failure; a request no rung serves is.
+// placement is the native placement rule, the whole degradation ladder:
+// a run goes to the first memory tier, HBM then DRAM, under
+// tierSetpoint; when neither is, into the spill arena if one is
+// attached; failing that, to any memory tier with room — a merge output
+// over the setpoint beats failing the close. Urgent work draws on the
+// reserved pool first (paper §5) and walks the same order after it. A
+// run stays where it is born. One pool call serves a request, so a miss
+// on a rung is not a failure; a request no rung serves is.
 type placement struct {
 	pool   *mempool.Pool
 	urgent bool
@@ -1333,17 +1313,25 @@ type placement struct {
 
 // AllocKPA implements kpa.Allocator.
 func (p placement) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, error) {
+	// Tiers under the setpoint fill the order from the front, the others
+	// from the back; the arena takes the one slot left between them.
+	order := [memsim.NumTiers]memsim.Tier{memsim.Spill, memsim.Spill, memsim.Spill}
+	under, over := 0, len(order)-1
+	for _, t := range [...]memsim.Tier{memsim.HBM, memsim.DRAM} {
+		if p.pool.Utilization(t) < tierSetpoint {
+			order[under], under = t, under+1
+		} else {
+			order[over], over = t, over-1
+		}
+	}
 	var (
 		al  *mempool.Allocation
 		err error
 	)
-	switch {
-	case p.urgent:
-		al, err = p.pool.AllocUrgent(nBytes)
-	case p.pool.Utilization(memsim.HBM) < hbmSetpoint:
-		al, err = p.pool.AllocFirst(nBytes, memsim.HBM, memsim.DRAM, memsim.Spill)
-	default:
-		al, err = p.pool.AllocFirst(nBytes, memsim.DRAM, memsim.HBM, memsim.Spill)
+	if p.urgent {
+		al, err = p.pool.AllocUrgent(nBytes, order[:]...)
+	} else {
+		al, err = p.pool.AllocFirst(nBytes, order[:]...)
 	}
 	if err != nil {
 		return 0, nil, err
@@ -1351,17 +1339,14 @@ func (p placement) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, err
 	return al.Tier(), al, nil
 }
 
-// noteKPA counts a placement for the report and charges the run's
-// bytes to the live window-state gauge (and its per-tier high-water
-// mark). Every run noted here must retire through destroyRun.
+// noteKPA counts a placement on its tier for the report and charges the
+// run's bytes to the live window-state gauge (and its per-tier
+// high-water mark). Every run noted here must retire through destroyRun.
 func (x *exec) noteKPA(k *kpa.KPA) {
-	t := k.Tier()
-	if t == memsim.HBM {
-		x.m.hbmKPAs.Add(1)
-	} else {
-		x.m.dramKPAs.Add(1)
-	}
-	x.m.addState(t, k.Bytes())
+	t, n := k.Tier(), k.Bytes()
+	x.m.placements[t].Add(1)
+	x.m.placedBytes[t].Add(n)
+	x.m.addState(t, n)
 }
 
 // destroyRun releases one reference to a window-state run, crediting

@@ -27,16 +27,15 @@ func tinyMachine(hbm, dram int64) memsim.Config {
 
 // TestSpillMatchesNeverSpill is the degradation ladder's equivalence
 // property: the same plan — overlapping panes, skewed keys, an
-// order-sensitive aggregator — run on a machine so small that sealed
-// runs must be evicted to the spill tier and merged in place over the
-// mmap view, and run unconstrained with no spill tier, must produce
-// bit-identical windows: same window starts, same keys, same fold
-// hashes. Overlapping windows seal their panes, so the runs that sit out
-// the stalled watermark — and get evicted, or are born in the arena when
-// no memory tier has room — are sealed runs: partial ones on the sum and
-// count legs. runCaptured audits the rest state: every extent freed with
-// its run's last reference, no window state live on any tier. Run under
-// -race in CI.
+// order-sensitive aggregator — run on a machine so small that runs must
+// be born in the spill arena once both memory tiers pass the placement
+// setpoint, and merged in place over the mmap view, and run
+// unconstrained with no spill tier, must produce bit-identical windows:
+// same window starts, same keys, same fold hashes. Overlapping windows
+// seal their panes, so runs born in the arena include sealed ones:
+// partial runs on the sum and count legs. runCaptured audits the rest
+// state: every extent freed with its run's last reference, no window
+// state live on any tier. Run under -race in CI.
 func TestSpillMatchesNeverSpill(t *testing.T) {
 	for _, win := range []wm.Windowing{
 		wm.Fixed(1_000_000),
@@ -46,33 +45,28 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			"fold": orderSensitive(), "sum": ops.Sum(), "count": ops.Count(),
 		} {
 			plan := paneTestPlan(win, 7)
-			// Stall the watermark so sealed state piles up ~4 windows deep
+			// Stall the watermark so window state piles up ~4 windows deep
 			// against a budget sized for less than one.
 			plan.Source.WatermarkEvery = 16
 			base := paneTestPlan(win, 7)
 			plan.NewAgg, base.NewAgg = agg, agg
-			// Bundles free at extract, so they no longer pin DRAM until
-			// ingest's exhaustion path evicts on the spot: what evicts is
-			// the monitor's tick, and the stream is long enough (seven
-			// stalled watermarks) that some tick finds the runs piled up.
 			plan.TotalRecords, base.TotalRecords = 120_000, 120_000
 			baseline, err := runCaptured(base, Config{Workers: 4})
 			if err != nil {
 				t.Fatalf("%s size=%d slide=%d baseline: %v", name, win.Size, win.Slide, err)
 			}
 			spilled, err := runCaptured(plan, Config{
-				Workers:         4,
-				Machine:         tinyMachine(64<<10, 128<<10),
-				ReservedHBM:     32 << 10,
-				SpillCapacity:   32 << 20,
-				MonitorInterval: time.Millisecond,
-				ExhaustTimeout:  2 * time.Second,
+				Workers:        4,
+				Machine:        tinyMachine(64<<10, 128<<10),
+				ReservedHBM:    32 << 10,
+				SpillCapacity:  32 << 20,
+				ExhaustTimeout: 2 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("%s size=%d slide=%d spilled: %v", name, win.Size, win.Slide, err)
 			}
 			if spilled.SpilledRuns == 0 {
-				t.Fatalf("%s size=%d slide=%d: constrained run evicted nothing — the property was not exercised", name, win.Size, win.Slide)
+				t.Fatalf("%s size=%d slide=%d: constrained run placed nothing in the arena — the property was not exercised", name, win.Size, win.Slide)
 			}
 			if spilled.SpillLoads != 0 || spilled.SpillLoadFallbacks != 0 {
 				t.Fatalf("%s size=%d slide=%d: %d loads, %d fallbacks — a spilled run is read where it lies", name, win.Size, win.Slide,
@@ -99,7 +93,7 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 				}
 				for k, v := range bk {
 					if sk[k] != v {
-						t.Fatalf("%s size=%d slide=%d window %d key %d: baseline %x, spilled %x — eviction reordered or refolded pairs",
+						t.Fatalf("%s size=%d slide=%d window %d key %d: baseline %x, spilled %x — the arena reordered or refolded pairs",
 							name, win.Size, win.Slide, w, k, v, sk[k])
 					}
 				}
@@ -108,15 +102,16 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 	}
 }
 
-// TestSpillMatchesNeverSpillMidGroup lands evictions between a group's
-// filings: 31 batches of one fixed window fill the tiny machine until
-// the monitor has walked some of their runs out to the spill tier, and
-// only then does the 32nd arrive and complete the group. Its seal — the
-// group's members are the only runs there are, so some of what it
-// merges lies in the arena — must read the evicted members beside the
-// runs that stayed, and still produce the windows of the run that never
-// spilled: the order-sensitive fold through the verbatim merge, and a
-// sum through the fused one.
+// TestSpillMatchesNeverSpillMidGroup straddles one group across the
+// placement setpoint: on a machine with one 64 KiB memory tier, the
+// first members of window 0's first group are born in DRAM until it
+// passes the setpoint, and the rest in the spill arena. Batches go in
+// one at a time, each extracted before the next arrives, so where a
+// member is born is a function of the stream. The group's seal — its
+// members are the only runs there are — must merge the arena members
+// beside the memory ones, in provenance order, and still produce the
+// windows of the run that never spilled: the order-sensitive fold
+// through the verbatim merge, and a sum through the fused one.
 func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	const perBatch = 200
 	batch := func(i int) [][]uint64 {
@@ -130,7 +125,15 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	// and window 2 pushes the watermark past both.
 	late := []int{32, 33, 34, 35, 36, 37, 38, 39, 250}
 	for name, agg := range map[string]kpa.AggFactory{"fold": orderSensitive(), "sum": ops.Sum()} {
-		run := func(cfg Config, midGroup, sealed func(e *Execution)) captured {
+		await := func(what string, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %s", name, what)
+				}
+			}
+		}
+		run := func(cfg Config, midGroup func(e *Execution)) captured {
 			feed := newTestFeed(1)
 			plan := Plan{
 				Feed:   feed,
@@ -146,12 +149,29 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Until the group completes, every task is an extraction.
+			extracted := func(n int64) func() bool {
+				return func() bool {
+					var done int64
+					for _, c := range e.x.sched.Stats().Executed {
+						done += c
+					}
+					return done == n
+				}
+			}
 			for i := 0; i < mergeFanIn-1; i++ {
 				feed.pushCols(batch(i))
+				await("a batch was never extracted", extracted(int64(i+1)))
+			}
+			if e.x.m.sealedPanes.Load() != 0 {
+				t.Fatalf("%s: a seal before the group was complete", name)
 			}
 			midGroup(e)
 			feed.pushCols(batch(mergeFanIn - 1))
-			sealed(e)
+			await("the completed group never sealed", func() bool { return e.x.m.sealedPanes.Load() == 1 })
+			if n := e.x.table.closedWindows(); n != 0 {
+				t.Fatalf("%s: %d windows closed before the seal", name, n)
+			}
 			for _, i := range late {
 				feed.pushCols(batch(i))
 			}
@@ -165,32 +185,16 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			}
 			return captured{rep, rows.rows}
 		}
-		await := func(what string, cond func() bool) {
-			t.Helper()
-			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: %s", name, what)
-				}
-			}
-		}
-		baseline := run(Config{}, func(*Execution) {}, func(*Execution) {})
+		baseline := run(Config{}, func(*Execution) {})
 		spilled := run(Config{
-			Machine:         tinyMachine(64<<10, 128<<10),
-			ReservedHBM:     32 << 10,
-			SpillCapacity:   32 << 20,
-			MonitorInterval: time.Millisecond,
-			ExhaustTimeout:  2 * time.Second,
+			Machine:        tinyMachine(0, 64<<10),
+			SpillCapacity:  32 << 20,
+			ExhaustTimeout: 2 * time.Second,
 		}, func(e *Execution) {
-			await("31 runs never filed, or none of them was evicted", func() bool {
-				return e.x.m.hbmKPAs.Load()+e.x.m.dramKPAs.Load() == mergeFanIn-1 && e.x.m.evictions.Load() > 0
-			})
-			if e.x.m.sealedPanes.Load() != 0 {
-				t.Fatalf("%s: a seal before the group was complete", name)
-			}
-		}, func(e *Execution) {
-			await("the completed group never sealed", func() bool { return e.x.m.sealedPanes.Load() == 1 })
-			if n := e.x.table.closedWindows(); n != 0 {
-				t.Fatalf("%s: %d windows closed before the seal", name, n)
+			inMemory, inArena := e.x.m.placements[memsim.DRAM].Load(), e.x.m.placements[memsim.Spill].Load()
+			if inMemory == 0 || inArena == 0 || inMemory+inArena != mergeFanIn-1 {
+				t.Fatalf("%s: %d members born in DRAM, %d in the arena; want %d straddling the setpoint",
+					name, inMemory, inArena, mergeFanIn-1)
 			}
 		})
 		if spilled.SpilledRuns == 0 || spilled.SpillLoads != 0 {
@@ -213,81 +217,67 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	}
 }
 
-// TestEvictLatch steps the eviction hysteresis through a rise and a
-// fall of pool pressure: it engages above the high-water mark, holds
-// between the marks, releases below the low one, and each flip — the
-// run's CtrlDecisions — is reported once.
-func TestEvictLatch(t *testing.T) {
-	var latch evictLatch
-	flips := 0
-	for _, step := range []struct {
-		pressure float64
-		on       bool
-	}{
-		{0.50, false},
-		{0.85, false}, // at the mark, not above it
-		{0.90, true},
-		{0.75, true}, // between the marks: holds
-		{0.70, false},
-		{0.80, false}, // between the marks again: stays off
-		{0.65, false},
-	} {
-		was := bool(latch)
-		if flipped := latch.step(step.pressure); flipped != (was != step.on) {
-			t.Fatalf("pressure %.2f: flipped = %v with the latch %v -> %v", step.pressure, flipped, was, bool(latch))
-		} else if flipped {
-			flips++
-		}
-		if bool(latch) != step.on {
-			t.Fatalf("pressure %.2f: latch %v, want %v", step.pressure, bool(latch), step.on)
-		}
-	}
-	if flips != 2 {
-		t.Fatalf("%d transitions, want 2 (on, off)", flips)
-	}
-}
-
 // TestPlacementRule holds the allocator to its one rule on pools filled
-// to each rung: HBM while under the setpoint, DRAM over it, the other
-// memory tier when the preferred one is full, the arena when both are,
-// the reserve for Urgent — and a request that walked three rungs to be
-// served is no failure, while one no rung serves is exactly one.
+// to each rung: the first memory tier under the setpoint, HBM then DRAM;
+// the arena once both are over it, and memory again once one falls back
+// under; past the arena, any memory tier with room; the reserve first
+// for Urgent work, then the same order — and a request that walked three
+// rungs to be served is no failure, while one no rung serves is exactly
+// one.
 func TestPlacementRule(t *testing.T) {
 	const slab = 4 << 10
+	fill := func(pool *mempool.Pool, tier memsim.Tier, used int64) (als []*mempool.Allocation) {
+		for ; used > 0; used -= slab {
+			al, err := pool.Alloc(tier, slab)
+			if err != nil {
+				t.Fatalf("filling %v: %v", tier, err)
+			}
+			als = append(als, al)
+		}
+		return als
+	}
+	withArena := func(pool *mempool.Pool) {
+		f, err := spill.Create(t.TempDir(), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		pool.AttachSpill(f)
+	}
 	for _, c := range []struct {
-		name                string
-		machine             memsim.Config
-		reserved            int64
-		hbmUsed, dramUsed   int64
-		arena, urgent, fail bool
-		want                memsim.Tier
+		name                             string
+		machine                          memsim.Config
+		reserved, reserveUsed            int64
+		hbmUsed, dramUsed                int64
+		arena, urgent, fail, fromReserve bool
+		want                             memsim.Tier
 	}{
 		{name: "HBM under the setpoint", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 32 << 10, want: memsim.HBM},
 		{name: "HBM over the setpoint", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, want: memsim.DRAM},
-		{name: "DRAM full, HBM over the setpoint", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, dramUsed: 64 << 10, want: memsim.HBM},
+		{name: "HBM over the setpoint, arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, arena: true, want: memsim.DRAM},
+		{name: "both over the setpoint, arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, dramUsed: 56 << 10, arena: true, want: memsim.Spill},
+		{name: "both over the setpoint, no arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, dramUsed: 56 << 10, want: memsim.DRAM},
+		{name: "DRAM full, HBM over the setpoint, no arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 56 << 10, dramUsed: 64 << 10, want: memsim.HBM},
 		{name: "both full, arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 64 << 10, dramUsed: 64 << 10, arena: true, want: memsim.Spill},
 		{name: "both full, no arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 64 << 10, dramUsed: 64 << 10, fail: true},
-		{name: "urgent from the reserve", machine: tinyMachine(64<<10, 64<<10), reserved: 16 << 10, hbmUsed: 48 << 10, urgent: true, want: memsim.HBM},
+		{name: "urgent from the reserve", machine: tinyMachine(64<<10, 64<<10), reserved: 16 << 10, hbmUsed: 48 << 10, urgent: true, fromReserve: true, want: memsim.HBM},
+		{name: "urgent, reserve spent, HBM over the setpoint", machine: tinyMachine(64<<10, 64<<10), reserved: 16 << 10, reserveUsed: 16 << 10, hbmUsed: 40 << 10, urgent: true, want: memsim.DRAM},
+		{name: "urgent, reserve spent, both over the setpoint, arena", machine: tinyMachine(64<<10, 64<<10), reserved: 16 << 10, reserveUsed: 16 << 10, hbmUsed: 40 << 10, dramUsed: 56 << 10, arena: true, urgent: true, want: memsim.Spill},
 		{name: "urgent, everything full, arena", machine: tinyMachine(64<<10, 64<<10), hbmUsed: 64 << 10, dramUsed: 64 << 10, arena: true, urgent: true, want: memsim.Spill},
 		{name: "no HBM (X56)", machine: memsim.X56Config(), want: memsim.DRAM},
 	} {
 		pool := mempool.New(c.machine, c.reserved)
 		if c.arena {
-			f, err := spill.Create(t.TempDir(), 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { f.Close() })
-			pool.AttachSpill(f)
+			withArena(pool)
 		}
-		for tier, used := range map[memsim.Tier]int64{memsim.HBM: c.hbmUsed, memsim.DRAM: c.dramUsed} {
-			for ; used > 0; used -= slab {
-				if _, err := pool.Alloc(tier, slab); err != nil {
-					t.Fatalf("%s: filling %v: %v", c.name, tier, err)
-				}
+		for used := c.reserveUsed; used > 0; used -= slab {
+			if _, err := pool.AllocUrgent(slab); err != nil {
+				t.Fatalf("%s: filling the reserve: %v", c.name, err)
 			}
 		}
-		dram := pool.Used(memsim.DRAM)
+		fill(pool, memsim.HBM, c.hbmUsed)
+		fill(pool, memsim.DRAM, c.dramUsed)
+		reserve := pool.Snapshot().UsedReserved
 		tier, al, err := placement{pool: pool, urgent: c.urgent}.AllocKPA(slab)
 		var ee *mempool.ErrExhausted
 		switch {
@@ -299,28 +289,69 @@ func TestPlacementRule(t *testing.T) {
 			t.Fatalf("%s: placed on %v (err %v), want %v", c.name, tier, err, c.want)
 		case pool.Stats().Failures != 0:
 			t.Fatalf("%s: %d failures counted for a request that was served", c.name, pool.Stats().Failures)
-		case c.urgent && c.reserved > 0 && (pool.Used(memsim.DRAM) != dram || pool.Free(memsim.HBM) != c.reserved-slab):
-			t.Fatalf("%s: the reserve was not what served it (HBM free %d)", c.name, pool.Free(memsim.HBM))
+		case (pool.Snapshot().UsedReserved > reserve) != c.fromReserve:
+			t.Fatalf("%s: the reserve served it: %v, want %v", c.name, !c.fromReserve, c.fromReserve)
+		}
+	}
+
+	// The arena takes runs only while both memory tiers are over the
+	// setpoint: once DRAM falls back under it, runs are born there again.
+	pool := mempool.New(tinyMachine(64<<10, 64<<10), 0)
+	withArena(pool)
+	fill(pool, memsim.HBM, 56<<10)
+	dram := fill(pool, memsim.DRAM, 56<<10)
+	for _, step := range []struct {
+		free int
+		want memsim.Tier
+	}{{0, memsim.Spill}, {2, memsim.DRAM}} {
+		for _, al := range dram[:step.free] {
+			al.Free()
+		}
+		if tier, _, err := (placement{pool: pool}).AllocKPA(slab); err != nil || tier != step.want {
+			t.Fatalf("DRAM at %d B: placed on %v (err %v), want %v", pool.Used(memsim.DRAM), tier, err, step.want)
 		}
 	}
 }
 
-// TestSpillRunLeavesNoGoroutines pins the monitor's teardown: a
-// spill-enabled run (latch ticking, evictions taken) must leave
-// no goroutines behind once Run returns.
+// TestSpillRunLeavesNoGoroutines: the ladder runs no goroutine of its
+// own. While a spill-enabled run places runs in the arena, it has the
+// execution's goroutine and the scheduler's workers and nothing else,
+// and once Run returns it leaves no goroutine behind.
 func TestSpillRunLeavesNoGoroutines(t *testing.T) {
+	const workers = 2
 	before := goruntime.NumGoroutine()
 	plan := paneTestPlan(wm.Sliding(1_000_000, 250_000), 3)
 	plan.Source.WatermarkEvery = 16
-	if _, err := Run(plan, Config{
-		Workers:         2,
-		Machine:         tinyMachine(64<<10, 128<<10),
-		ReservedHBM:     32 << 10,
-		SpillCapacity:   32 << 20,
-		MonitorInterval: time.Millisecond,
-		ExhaustTimeout:  2 * time.Second,
-	}); err != nil {
+	plan.TotalRecords = 120_000 // long enough that some run is born in the arena on any schedule
+	e, err := Start(plan, Config{
+		Workers:        workers,
+		Machine:        tinyMachine(64<<10, 128<<10),
+		ReservedHBM:    32 << 10,
+		SpillCapacity:  32 << 20,
+		ExhaustTimeout: 2 * time.Second,
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	most := 0
+	for running := true; running; {
+		select {
+		case <-e.Done():
+			running = false
+		default:
+			most = max(most, goruntime.NumGoroutine()-before)
+			time.Sleep(time.Millisecond)
+		}
+	}
+	rep, err := e.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SpilledRuns == 0 {
+		t.Fatal("no run was born in the arena — the run did not exercise the ladder")
+	}
+	if most > workers+1 {
+		t.Fatalf("%d goroutines beside the test's during the run, want at most %d workers and the execution's", most, workers)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -19,8 +19,11 @@ type stats struct {
 	emitted  *metrics.Counter
 	late     *metrics.Counter // records dropped behind the watermark
 	paused   *metrics.Counter // nanoseconds ingest spent blocked
-	hbmKPAs  *metrics.Counter
-	dramKPAs *metrics.Counter
+
+	// Runs placed per tier, and their bytes: the spill tier's are the
+	// runs born in the arena, and stay zero without one.
+	placements  [memsim.NumTiers]*metrics.Counter
+	placedBytes [memsim.NumTiers]*metrics.Counter
 
 	// Grouping: logical (record, window) assignments, worker time spent
 	// extracting/sorting them, in seal tasks and in close merges; pane
@@ -41,14 +44,6 @@ type stats struct {
 	stateTotal *metrics.Counter
 	peakTotal  *metrics.Counter
 
-	// Degradation ladder; all stay zero without a spill tier.
-	// ctrlDecisions counts the eviction latch's transitions, ctrlEvictTicks
-	// the monitor ticks on which the evictor ran.
-	evictions      *metrics.Counter
-	evictedBytes   *metrics.Counter
-	ctrlDecisions  *metrics.Counter
-	ctrlEvictTicks *metrics.Counter
-
 	// closeLatency is every window's close latency, request to retirement.
 	closeLatency *metrics.Histogram
 }
@@ -62,8 +57,6 @@ func newStats(x *exec) *stats {
 	s.emitted = m.Counter("streambox_emitted_records_total")
 	s.late = m.Counter("streambox_late_records_total")
 	s.paused = m.Counter("streambox_ingest_paused_ns_total")
-	s.hbmKPAs = m.Counter(`streambox_kpa_placements_total{tier="hbm"}`)
-	s.dramKPAs = m.Counter(`streambox_kpa_placements_total{tier="dram"}`)
 	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
 	s.extractNanos = m.Counter("streambox_extract_ns_total")
 	s.sealNanos = m.Counter("streambox_seal_ns_total")
@@ -74,21 +67,19 @@ func newStats(x *exec) *stats {
 	s.closePairs = m.Counter("streambox_close_pairs_total")
 	for t := range s.stateBytes {
 		tier := `{tier="` + strings.ToLower(memsim.Tier(t).String()) + `"}`
+		s.placements[t] = m.Counter("streambox_kpa_placements_total" + tier)
+		s.placedBytes[t] = m.Counter("streambox_kpa_placed_bytes_total" + tier)
 		s.stateBytes[t] = m.Counter("streambox_window_state_bytes" + tier)
 		s.peakState[t] = m.Counter("streambox_window_state_peak_bytes" + tier)
 	}
 	s.stateTotal = m.Counter("streambox_window_state_total_bytes")
 	s.peakTotal = m.Counter("streambox_window_state_peak_total_bytes")
-	s.evictions = m.Counter("streambox_spill_evicted_runs_total")
-	s.evictedBytes = m.Counter("streambox_spill_evicted_bytes_total")
 	// A spilled run is read where it lies: the load series have no writer
 	// and read 0, like the Report fields, until benchmark/ stops reading
 	// those (ROADMAP item 9(b)).
 	m.Counter("streambox_spill_loads_total")
 	m.Counter("streambox_spill_load_ns_total")
 	m.Counter("streambox_spill_load_fallbacks_total")
-	s.ctrlDecisions = m.Counter("streambox_ctrl_decisions_total")
-	s.ctrlEvictTicks = m.Counter("streambox_ctrl_evict_ticks_total")
 	s.closeLatency = m.Histogram("streambox_window_close_ns")
 
 	var depth [numPriorities]string
@@ -115,14 +106,6 @@ func newStats(x *exec) *stats {
 func (s *stats) addState(t memsim.Tier, n int64) {
 	s.peakState[t].Max(s.stateBytes[t].Add(n))
 	s.peakTotal.Max(s.stateTotal.Add(n))
-}
-
-// spillState moves n live window-state bytes from a memory tier's gauge
-// to the spill tier's as a run is evicted, raising the spill high-water
-// mark. The combined total is unchanged.
-func (s *stats) spillState(from memsim.Tier, n int64) {
-	s.stateBytes[from].Add(-n)
-	s.peakState[memsim.Spill].Max(s.stateBytes[memsim.Spill].Add(n))
 }
 
 // liveState returns the live window-state bytes per tier, spill included.

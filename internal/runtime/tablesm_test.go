@@ -18,8 +18,8 @@ import (
 // operations are the table's whole surface: register (in order, behind
 // the stream, behind the watermark), fileRuns in any order and with
 // panes left empty, advance, claim of offered and of arbitrary windows,
-// paneSealed landing a seal or failing it, gather, retire, published
-// and sweepEvictable. What a window gathers is checked against the map
+// paneSealed landing a seal or failing it, gather, retire and
+// published. What a window gathers is checked against the map
 // oracle of panes_test.go: one record per filed run, folded into every
 // window containing it that was open when its bundle registered.
 //
@@ -185,7 +185,7 @@ func (m *tableSM) run() {
 }
 
 func (m *tableSM) step() {
-	switch n := m.rng.Intn(100); {
+	switch n := m.rng.Intn(96); {
 	case n < 34:
 		m.register()
 	case n < 64:
@@ -198,10 +198,8 @@ func (m *tableSM) step() {
 		m.land()
 	case n < 91:
 		m.retire()
-	case n < 96:
-		m.publish()
 	default:
-		m.sweep()
+		m.publish()
 	}
 }
 
@@ -448,15 +446,6 @@ func (m *tableSM) publish() {
 	m.retired = slices.Delete(m.retired, i, i+1)
 	m.tab.published(w)
 	m.published[w]++
-}
-
-func (m *tableSM) sweep() {
-	m.tab.sweepEvictable(func(k *kpa.KPA) bool {
-		if m.taken[k] || k.Destroyed() {
-			m.t.Fatalf("sweep reached run %v: in a seal %v, destroyed %v", m.ids[k], m.taken[k], k.Destroyed())
-		}
-		return m.rng.Intn(6) != 0
-	})
 }
 
 // check is the per-step invariant sweep.

@@ -53,7 +53,6 @@ package runtime
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -488,44 +487,6 @@ func (t *windowTable) published(start wm.Time) {
 	t.wmu.Lock()
 	delete(t.finishing, start)
 	t.wmu.Unlock()
-}
-
-// sweepEvictable calls evict on the runs of quiescent panes — no
-// covering window sealed, so no merge task can be reading them —
-// coldest (oldest pane) first, until evict returns false. The lock is
-// held throughout, which orders each relocation before any later
-// gather of the same run.
-func (t *windowTable) sweepEvictable(evict func(*kpa.KPA) bool) {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	starts := make([]wm.Time, 0, len(t.entries))
-	for p := range t.entries {
-		starts = append(starts, p)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, p := range starts {
-		if !t.quiescent(p) {
-			continue
-		}
-		for _, r := range t.entries[p].runs {
-			if !evict(r.k) {
-				return
-			}
-		}
-	}
-}
-
-// quiescent reports whether no window covering pane p is sealed.
-// Covering windows absent from the table are either future (nothing
-// gathered yet) or retired; both are safe. Caller holds wmu.
-func (t *windowTable) quiescent(p wm.Time) bool {
-	first, last := t.panes.Covering(p)
-	for s := first; s <= last; s += t.slide {
-		if e := t.windows[s]; e != nil && e.closeRequested {
-			return false
-		}
-	}
-	return true
 }
 
 // sealedWatermark returns the watermark through which every window has

@@ -1,6 +1,7 @@
 // Package spill implements the cold tier of the memory degradation
-// ladder: an mmap'd, file-backed arena that holds sealed window runs
-// evicted from the HBM/DRAM pools under pressure.
+// ladder: an mmap'd, file-backed arena that holds the window runs
+// placed there at birth, when neither the HBM nor the DRAM pool is under
+// the placement setpoint.
 //
 // The arena is deliberately simple. A temporary file is created,
 // truncated to the configured capacity, mapped MAP_SHARED and then
@@ -32,8 +33,8 @@ import (
 const extentAlign = 64
 
 // ErrFull reports that the spill file cannot satisfy an allocation. The
-// ladder is then exhausted: eviction stops and the existing
-// backpressure/shed machinery takes over.
+// ladder then falls back to any memory tier with room, and past that to
+// the backpressure/shed machinery.
 type ErrFull struct {
 	Want int64 // bytes requested (rounded)
 	Free int64 // bytes available
@@ -51,8 +52,7 @@ type Stats struct {
 }
 
 // File is an mmap'd spill arena. All methods are safe for concurrent
-// use; Pairs and TakeCol return views into the mapping that stay valid
-// until Close.
+// use; Pairs returns views into the mapping that stay valid until Close.
 type File struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -167,45 +167,6 @@ func (f *File) Pairs(off int64, n int) []algo.Pair {
 	}
 	b := f.data[off:]
 	return unsafe.Slice((*algo.Pair)(unsafe.Pointer(&b[0])), n)
-}
-
-// TakeCol returns a []uint64 column slab of length rows backed by the
-// arena, with capacity covering the whole extent. The slab must go
-// back via PutCol with its capacity intact (length-trimming is fine;
-// capacity-trimming would leak the extent's tail).
-func (f *File) TakeCol(rows int) ([]uint64, error) {
-	bytes := int64(rows) * 8
-	if bytes <= 0 {
-		bytes = extentAlign
-	}
-	off, err := f.Alloc(bytes)
-	if err != nil {
-		return nil, err
-	}
-	words := RoundUp(bytes) / 8
-	b := f.data[off:]
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), words)[:rows], nil
-}
-
-// PutCol returns a TakeCol slab to the arena. Slabs whose backing
-// storage lies outside the mapping (heap fallbacks, append-grown
-// copies) are ignored and left to the garbage collector.
-func (f *File) PutCol(col []uint64) {
-	if cap(col) == 0 {
-		return
-	}
-	base := uintptr(unsafe.Pointer(&col[:1][0]))
-	f.mu.Lock()
-	data := f.data
-	f.mu.Unlock()
-	if data == nil {
-		return
-	}
-	start := uintptr(unsafe.Pointer(&data[0]))
-	if base < start || base >= start+uintptr(len(data)) {
-		return
-	}
-	f.Free(int64(base-start), int64(cap(col))*8)
 }
 
 // Capacity returns the arena size in bytes.

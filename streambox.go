@@ -165,10 +165,10 @@ type RunConfig struct {
 	Serve *ServeConfig
 	// SpillDir and SpillCapacity enable the native backend's mmap'd
 	// cold spill tier: a SpillCapacity-byte arena of bare (key, value)
-	// pairs that sealed window state beyond the HBM+DRAM budget is
-	// evicted to — and merged from, in place — instead of failing the
-	// run. SpillCapacity = 0 disables it; SpillDir empty uses the system
-	// temp directory. The simulated backend ignores them.
+	// pairs where window runs are born once both HBM and DRAM are over
+	// the placement setpoint — and merged from, in place — instead of
+	// failing the run. SpillCapacity = 0 disables it; SpillDir empty uses
+	// the system temp directory. The simulated backend ignores them.
 	SpillDir      string
 	SpillCapacity int64
 }
@@ -271,10 +271,11 @@ type Report struct {
 	PeakWindowStateBytes      [3]int64
 	PeakWindowStateTotalBytes int64
 	// Degradation-ladder figures of a native run with the spill tier
-	// enabled (all 0 otherwise): sealed runs and bytes evicted to the
-	// mmap'd spill file, the eviction latch's transitions, and the
-	// 99th-percentile window close latency. SpillLoads reads 0: a
-	// spilled run is merged where it lies, never loaded back.
+	// enabled (all 0 otherwise): the runs and bytes born in the mmap'd
+	// spill file. SpillLoads and CtrlDecisions read 0: a spilled run is
+	// merged where it lies, never loaded back, and nothing moves a run
+	// after birth. CloseP99Ns is the native 99th-percentile window close
+	// latency.
 	SpilledRuns   int64
 	SpilledBytes  int64
 	SpillLoads    int64

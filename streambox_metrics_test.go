@@ -138,10 +138,9 @@ func TestMetricsSurface(t *testing.T) {
 		`streambox_window_state_peak_bytes{tier="dram"}`:          rep.PeakWindowStateBytes[1],
 		`streambox_window_state_peak_bytes{tier="spill"}`:         rep.PeakWindowStateBytes[2],
 		"streambox_window_state_peak_total_bytes":                 rep.PeakWindowStateTotalBytes,
-		"streambox_spill_evicted_runs_total":                      rep.SpilledRuns,
-		"streambox_spill_evicted_bytes_total":                     rep.SpilledBytes,
+		`streambox_kpa_placements_total{tier="spill"}`:            rep.SpilledRuns,
+		`streambox_kpa_placed_bytes_total{tier="spill"}`:          rep.SpilledBytes,
 		"streambox_spill_loads_total":                             rep.SpillLoads,
-		"streambox_ctrl_decisions_total":                          rep.CtrlDecisions,
 		"streambox_ingest_records_total":                          rep.IngestedRecords,
 		"streambox_ingest_dropped_records_total":                  rep.DroppedRecords,
 		"streambox_ingest_decode_errors_total":                    rep.DecodeErrors,
