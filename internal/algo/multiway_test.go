@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -171,15 +172,15 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 	}
 }
 
-// TestMultiMergeFoldWords holds each word fold to the visitor sequence
-// folded by hand: one pair per distinct key, in key order, its value
-// the key's values combined by the operation — with the runs Units
-// marks adding 1 per pair — across fan-ins that straddle the tree's
-// shapes (one live run, two, powers of two), empty runs, keys of
-// MaxUint64, values of 0 first in a key, and sums that wrap.
-func TestMultiMergeFoldWords(t *testing.T) {
-	const maxKey = ^uint64(0)
-	r := rand.New(rand.NewSource(31))
+// checkWordFolds holds each word fold of runs — alone, and with the runs
+// units marks adding 1 per pair — to the visitor sequence folded by hand:
+// one pair per distinct key, in key order, its value the key's values
+// combined by the operation. It checks MultiMergeFold, the loser tree
+// alone and, when denseRange admits the runs, the table alone, each into
+// an out of exactly one pair per distinct key, and returns whether the
+// table was admitted.
+func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (dense bool) {
+	t.Helper()
 	ops := []struct {
 		op   FoldOp
 		fold func(acc, v uint64) uint64
@@ -188,55 +189,174 @@ func TestMultiMergeFoldWords(t *testing.T) {
 		{FoldMin, func(acc, v uint64) uint64 { return min(acc, v) }},
 		{FoldMax, func(acc, v uint64) uint64 { return max(acc, v) }},
 	}
-	for _, k := range []int{1, 2, 3, 4, 33} {
-		for _, domain := range []uint64{1, 16, 1 << 40} {
-			runs := make([][]Pair, k)
-			units := make([]bool, k)
-			for j := range runs {
-				n := r.Intn(300)
-				if j%4 == 2 {
-					n = 0
+	seq, from := visitAll(runs)
+	for _, o := range ops {
+		for _, u := range [][]bool{nil, units} {
+			var want []Pair
+			for i, p := range seq {
+				v := p.Ptr
+				if u != nil && u[from[i]] {
+					v = 1
 				}
-				run := make([]Pair, n)
-				for i := range run {
-					key := r.Uint64() % domain
-					if r.Intn(8) == 0 {
-						key = maxKey
-					}
-					val := r.Uint64() >> uint(r.Intn(64))
-					if r.Intn(4) == 0 {
-						val = 0
-					}
-					run[i] = Pair{Key: key, Ptr: val}
+				if n := len(want); n > 0 && want[n-1].Key == p.Key {
+					want[n-1].Ptr = o.fold(want[n-1].Ptr, v)
+				} else {
+					want = append(want, Pair{Key: p.Key, Ptr: v})
 				}
-				SortPairs(run)
-				runs[j] = run
-				units[j] = r.Intn(2) == 0
 			}
-			seq, from := visitAll(runs)
-			for _, o := range ops {
-				for _, u := range [][]bool{nil, units} {
-					var want []Pair
-					for i, p := range seq {
-						v := p.Ptr
-						if u != nil && u[from[i]] {
-							v = 1
-						}
-						if n := len(want); n > 0 && want[n-1].Key == p.Key {
-							want[n-1].Ptr = o.fold(want[n-1].Ptr, v)
-						} else {
-							want = append(want, Pair{Key: p.Key, Ptr: v})
-						}
-					}
-					out := make([]Pair, len(seq))
-					n := MultiMergeFold(runs, Fold{Op: o.op, Units: u}, out)
-					if !slices.Equal(out[:n], want) {
-						t.Fatalf("k=%d domain=%d op=%d units=%v: fold differs from the visitor sequence folded by hand", k, domain, o.op, u != nil)
-					}
+			f := Fold{Op: o.op, Units: u}
+			ways := map[string]func(out []Pair) int{
+				"MultiMergeFold": func(out []Pair) int { return MultiMergeFold(runs, f, out) },
+				"tree": func(out []Pair) int {
+					live, total := liveRuns(runs, u)
+					return foldTree(live, total, f, out)
+				},
+			}
+			live, total := liveRuns(runs, u)
+			lo, span, ok := denseRange(live, total)
+			if dense = ok; ok {
+				ways["table"] = func(out []Pair) int { return foldTable(live, o.op, lo, span, out) }
+			}
+			for way, fold := range ways {
+				out := make([]Pair, len(want))
+				if n := fold(out); !slices.Equal(out[:n], want) {
+					t.Fatalf("%s op=%d units=%v: the %s fold writes %d pairs unlike the %d of the visitor sequence folded by hand",
+						name, o.op, u != nil, way, n, len(want))
 				}
 			}
 		}
 	}
+	return dense
+}
+
+// TestMultiMergeFoldWords holds each word fold, on the loser tree and on
+// the table, to the visitor sequence folded by hand (checkWordFolds),
+// across fan-ins that straddle the tree's shapes (one live run, two,
+// powers of two), empty runs, keys of MaxUint64, values of 0 first in a
+// key, and sums that wrap; then on runs of narrow keys, at offset 0 and
+// just below MaxUint64 (where lo + span must not wrap), with values of
+// MaxUint64 that a minimum keeps; and at the edges of the table's rule —
+// a span of one less than the pairs and of the pairs, of denseSpan − 1
+// and of denseSpan — where the path taken is pinned too.
+func TestMultiMergeFoldWords(t *testing.T) {
+	const maxKey = ^uint64(0)
+	r := rand.New(rand.NewSource(31))
+	// build makes k runs of up to maxLen pairs (every fourth one empty)
+	// whose keys key draws, and a random Units mix over them.
+	build := func(k, maxLen int, key func() uint64) ([][]Pair, []bool) {
+		runs := make([][]Pair, k)
+		units := make([]bool, k)
+		for j := range runs {
+			n := r.Intn(maxLen + 1)
+			if j%4 == 2 {
+				n = 0
+			}
+			run := make([]Pair, n)
+			for i := range run {
+				val := r.Uint64() >> uint(r.Intn(64))
+				switch r.Intn(6) {
+				case 0:
+					val = 0
+				case 1:
+					val = maxKey
+				}
+				run[i] = Pair{Key: key(), Ptr: val}
+			}
+			SortPairs(run)
+			runs[j] = run
+			units[j] = r.Intn(2) == 0
+		}
+		return runs, units
+	}
+	for _, k := range []int{1, 2, 3, 4, 33} {
+		for _, domain := range []uint64{1, 16, 1 << 40} {
+			runs, units := build(k, 300, func() uint64 {
+				if r.Intn(8) == 0 {
+					return maxKey
+				}
+				return r.Uint64() % domain
+			})
+			checkWordFolds(t, fmt.Sprintf("k=%d domain=%d", k, domain), runs, units)
+		}
+	}
+	for _, k := range []int{1, 4, 32} {
+		for _, base := range []uint64{0, maxKey - 1023} {
+			runs, units := build(k, 4096, func() uint64 { return base + r.Uint64()%1024 })
+			name := fmt.Sprintf("k=%d keys=[%d,+1024)", k, base)
+			if dense := checkWordFolds(t, name, runs, units); !dense && k > 1 {
+				t.Fatalf("%s: a 1 024-key span over %d runs took the tree", name, k)
+			}
+		}
+	}
+
+	// edge builds runs of exactly pairs pairs whose keys span exactly
+	// span, from lo: the first and last pairs hold the ends, the rest fall
+	// between, spread round-robin over three runs and an empty one.
+	edge := func(lo uint64, span, pairs int) ([][]Pair, []bool) {
+		runs := make([][]Pair, 4)
+		for i := 0; i < pairs; i++ {
+			key := lo + uint64(r.Intn(span+1))
+			switch i {
+			case 0:
+				key = lo
+			case pairs - 1:
+				key = lo + uint64(span)
+			}
+			j := i % 3
+			runs[j] = append(runs[j], Pair{Key: key, Ptr: r.Uint64() >> uint(r.Intn(64))})
+		}
+		for _, run := range runs {
+			SortPairs(run)
+		}
+		return runs, []bool{true, false, true, false}
+	}
+	for _, c := range []struct {
+		span, pairs int
+		dense       bool
+	}{
+		{99, 100, true},
+		{100, 100, false},
+		{denseSpan - 1, denseSpan + 50, true},
+		{denseSpan, denseSpan + 50, false},
+	} {
+		for _, lo := range []uint64{0, maxKey - uint64(c.span)} {
+			name := fmt.Sprintf("span=%d pairs=%d lo=%d", c.span, c.pairs, lo)
+			runs, units := edge(lo, c.span, c.pairs)
+			if dense := checkWordFolds(t, name, runs, units); dense != c.dense {
+				t.Fatalf("%s: the table was admitted %v, want %v", name, dense, c.dense)
+			}
+		}
+	}
+}
+
+// FuzzMultiMergeFold folds arbitrary runs both ways. Each three bytes of
+// data are a pair: the run it joins (of up to eight), its key's offset
+// from base (shifted into the top byte when wide), and its value; the
+// runs are sorted, then checkWordFolds holds the table and the tree to
+// the visitor sequence folded by hand. The seeds cover narrow spans at 0
+// and just below MaxUint64, and wide ones.
+func FuzzMultiMergeFold(f *testing.F) {
+	narrow := make([]byte, 3*600)
+	rand.New(rand.NewSource(1)).Read(narrow)
+	f.Add(narrow, uint64(0), false)
+	f.Add(narrow, ^uint64(0)-255, false)
+	f.Add(narrow, uint64(1)<<40, true)
+	f.Add([]byte{0, 0, 7, 1, 0, 9, 1, 255, 0}, uint64(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, base uint64, wide bool) {
+		runs := make([][]Pair, 8)
+		for ; len(data) >= 3; data = data[3:] {
+			off := uint64(data[1])
+			if wide {
+				off <<= 56
+			}
+			val := uint64(data[2]) * 0x0101010101010101
+			runs[data[0]%8] = append(runs[data[0]%8], Pair{Key: base + off, Ptr: val})
+		}
+		for _, run := range runs {
+			SortPairs(run)
+		}
+		checkWordFolds(t, "fuzz", runs, []bool{true, false, false, true, true, false, true, false})
+	})
 }
 
 // TestMultiWayCuts checks cut vectors are monotone, key-aligned and

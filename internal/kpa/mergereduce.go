@@ -11,13 +11,16 @@ import (
 // Fused range-partitioned k-way merge-reduce (paper §4.3, "Parallel
 // Full KPA Merge"): a closing window's sorted runs are partitioned once
 // across the key space (MergeCuts), and each partition streams through
-// a loser-tree merge that folds the keyed aggregation inline
-// (MergeReduceRange, MergeReduceRows) as pairs arrive in key order —
-// with the aggregator's word operation inside the tree loop when it has
-// one (WordFolder: sum, count, min, max), else through a visitor that
-// feeds the value a value-resident pair carries, or the one a pointer
-// pair's bundle row holds. Closing a window of R runs costs one sequential read of
-// the inputs — no per-level KPA materialization, no separate reduce
+// one merge that folds the keyed aggregation inline (MergeReduceRange,
+// MergeReduceRows). When the aggregator has a word operation
+// (WordFolder: sum, count, min, max) it folds without a call per pair:
+// in a table indexed by key when the partition's keys span fewer slots
+// than it has pairs (a 1 024-key window), else inside the loser-tree
+// loop as pairs arrive in key order. Any other aggregator gets every
+// pair, in key order, through a visitor that feeds the value a
+// value-resident pair carries, or the one a pointer pair's bundle row
+// holds. Closing a window of R runs costs one sequential read of the
+// inputs — no per-level KPA materialization, no separate reduce
 // sweep. The other two kernels seal a group of a pane's runs into one
 // while the pane still fills, so that close never meets more runs than
 // one loser tree should hold and panes shared by sliding windows are
@@ -83,11 +86,31 @@ func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory,
 
 // MergeReduceRows is MergeReduceRange writing its (key, aggregate) rows
 // into out, from the front in key order, instead of calling emit; it
-// returns how many it wrote. out must hold the range's pairs — a key
-// group is at least one pair — so a window's close folds straight into
-// its row slab.
+// returns how many it wrote. out must hold one row per distinct key of
+// the range — RowBound rows always do — so a window's close folds
+// straight into its row slab.
 func MergeReduceRows(runs []*KPA, lo, hi []int, valCol int, factory AggFactory, out []Row) (int, error) {
 	return mergeReduce(runs, lo, hi, valCol, factory(), factory, pairsOf(out), nil)
+}
+
+// RowBound returns the most rows a merge-reduce of pairs [lo[j], hi[j])
+// of each sorted run can emit: one per distinct key, so no more than the
+// range's pairs, nor than the keys from its least to its greatest. A
+// range of narrow keys is bounded by its key span, a range of hashed
+// keys by its pairs.
+func RowBound(runs []*KPA, lo, hi []int) int {
+	pairs := 0
+	first, last := ^uint64(0), uint64(0)
+	for j, r := range runs {
+		if lo[j] < hi[j] {
+			pairs += hi[j] - lo[j]
+			first, last = min(first, r.pairs[lo[j]].Key), max(last, r.pairs[hi[j]-1].Key)
+		}
+	}
+	if span := last - first; span < uint64(pairs) {
+		return int(span) + 1
+	}
+	return pairs
 }
 
 // pairsOf views rows as the pairs a merge writes: a Row is the same two
@@ -117,14 +140,12 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 		return 0, fmt.Errorf("kpa: merge-reduce cut vectors cover %d/%d runs, want %d", len(lo), len(hi), len(runs))
 	}
 	segs := make([][]algo.Pair, len(runs))
-	total := 0
 	pointers, partials := false, false
 	for j, r := range runs {
 		if lo[j] < 0 || hi[j] > r.Len() || lo[j] > hi[j] {
 			return 0, fmt.Errorf("kpa: merge-reduce range [%d,%d) out of bounds for run %d (len %d)", lo[j], hi[j], j, r.Len())
 		}
 		segs[j] = r.pairs[lo[j]:hi[j]]
-		total += hi[j] - lo[j]
 		partials = partials || r.partial
 		pointers = pointers || !r.vals && lo[j] < hi[j]
 		// Hoist the value-column bounds check out of the per-pair loop:
@@ -154,7 +175,7 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 			}
 		}
 		if out == nil {
-			out = make([]algo.Pair, total)
+			out = make([]algo.Pair, RowBound(runs, lo, hi))
 		}
 		n := algo.MultiMergeFold(segs, f, out)
 		if emit != nil {
@@ -266,12 +287,10 @@ func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocato
 		return nil, fmt.Errorf("kpa: sealing a partial run needs a Combiner aggregator")
 	}
 	lo, hi := make([]int, len(runs)), make([]int, len(runs))
-	total := 0
 	for j, r := range runs {
 		hi[j] = r.Len()
-		total += r.Len()
 	}
-	staged := s.GetPairs(total)
+	staged := s.GetPairs(RowBound(runs, lo, hi))
 	defer s.PutPairs(staged)
 	n, err := mergeReduce(runs, lo, hi, valCol, agg, factory, staged, nil)
 	if err != nil {

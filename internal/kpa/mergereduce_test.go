@@ -290,6 +290,60 @@ func TestValueBornRunsMatchPointerRuns(t *testing.T) {
 	}
 }
 
+// TestRowBound pins how a close sizes its row slab: a range of 1 024
+// keys is bounded by its key span however many pairs it holds, a range
+// of hashed keys by its pairs (today's sizing), keys just below
+// MaxUint64 do not wrap the span, and at every partition count the bound
+// holds the rows the range's merge-reduce emits.
+func TestRowBound(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	al := NoopAllocator{T: memsim.DRAM}
+	for _, c := range []struct {
+		name  string
+		key   func() uint64
+		bound func(pairs int) int
+	}{
+		{"1Ki-keys", func() uint64 { return r.Uint64() % 1024 }, func(int) int { return 1024 }},
+		{"1Ki-keys-below-max", func() uint64 { return ^uint64(0) - r.Uint64()%1024 }, func(int) int { return 1024 }},
+		{"hashed-keys", func() uint64 { return r.Uint64() }, func(pairs int) int { return pairs }},
+	} {
+		runs := make([]*KPA, 7)
+		lo, hi := make([]int, len(runs)), make([]int, len(runs))
+		pairs := 0
+		for j := range runs {
+			staged := make([]algo.Pair, 4096)
+			for i := range staged {
+				staged[i] = algo.Pair{Key: c.key(), Ptr: 1}
+			}
+			var err error
+			if runs[j], err = FromValues(staged, 0, al); err != nil {
+				t.Fatal(err)
+			}
+			SortRadix(runs[j], 1, nil)
+			hi[j] = runs[j].Len()
+			pairs += hi[j]
+		}
+		if got, want := RowBound(runs, lo, hi), c.bound(pairs); got != want {
+			t.Fatalf("%s: RowBound of %d pairs is %d rows, want %d", c.name, pairs, got, want)
+		}
+		for _, p := range []int{1, 2, 5} {
+			cuts, err := MergeCuts(runs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i+1 < len(cuts); i++ {
+				out := make([]Row, RowBound(runs, cuts[i], cuts[i+1]))
+				if _, err := MergeReduceRows(runs, cuts[i], cuts[i+1], 1, newCombSum, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, k := range runs {
+			k.Destroy()
+		}
+	}
+}
+
 // combSum is a sum that combines, so it can seal partial runs.
 type combSum struct{ sumAgg }
 

@@ -230,12 +230,14 @@ func perPair(factory kpa.AggFactory) kpa.AggFactory {
 // TestMergeFoldMatchesVisit holds the word fold of Sum, Count, Min and
 // Max to the per-pair path it replaces, on both entry points a window
 // uses — the close (MergeReduceRange at several partition counts, and
-// MergeReduceRows into a row slab) and the seal (MergeReducePartial) —
-// over random mixes of raw value runs, partial runs and empty runs, at
-// 1, 2, 3 and 33 runs, with keys of MaxUint64 and values of 0; then the
-// two cases a word fold could get wrong by itself: a count over raw and
-// partial runs in one close (a raw pair adds 1, a partial its value),
-// and a minimum whose first value is 0.
+// MergeReduceRows into a row slab of RowBound rows) and the seal
+// (MergeReducePartial) — over random mixes of raw value runs, partial
+// runs and empty runs, at 1, 2, 3 and 33 runs, on two key shapes: keys
+// of MaxUint64 and hashed keys among a few dozen (the loser tree), and
+// 1 024 keys (the table, wherever a merge has more pairs than its span);
+// then the two cases a word fold could get wrong by itself: a count over
+// raw and partial runs in one close (a raw pair adds 1, a partial its
+// value), and a minimum whose first value is 0.
 func TestMergeFoldMatchesVisit(t *testing.T) {
 	al := kpa.NoopAllocator{T: memsim.DRAM}
 	rng := rand.New(rand.NewSource(23))
@@ -248,21 +250,25 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		kpa.SortRadix(k, 1, nil)
 		return k
 	}
+	mixedKey := func() uint64 {
+		switch rng.Intn(10) {
+		case 0:
+			return ^uint64(0)
+		case 1:
+			return rng.Uint64()
+		}
+		return rng.Uint64() % 50
+	}
+	narrowKey := func() uint64 { return rng.Uint64() % 1024 }
+	key := mixedKey
 	randomRun := func(n int) *kpa.KPA {
 		pairs := make([]algo.Pair, n)
 		for i := range pairs {
-			key := rng.Uint64() % 50
-			switch rng.Intn(10) {
-			case 0:
-				key = ^uint64(0)
-			case 1:
-				key = rng.Uint64()
-			}
 			val := rng.Uint64() >> rng.Intn(64)
 			if rng.Intn(5) == 0 {
 				val = 0
 			}
-			pairs[i] = algo.Pair{Key: key, Ptr: val}
+			pairs[i] = algo.Pair{Key: key(), Ptr: val}
 		}
 		return run(pairs...)
 	}
@@ -302,7 +308,10 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 			for j := range runs {
 				width += cuts[i+1][j] - cuts[i][j]
 			}
-			out := make([]kpa.Row, width)
+			if bound := kpa.RowBound(runs, cuts[i], cuts[i+1]); bound > width {
+				t.Fatalf("RowBound is %d rows for %d pairs", bound, width)
+			}
+			out := make([]kpa.Row, kpa.RowBound(runs, cuts[i], cuts[i+1]))
 			n, err := kpa.MergeReduceRows(runs, cuts[i], cuts[i+1], 1, factory, out)
 			if err != nil {
 				t.Fatal(err)
@@ -325,7 +334,10 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		}
 		visit := perPair(a.factory)
 		for _, nRuns := range []int{1, 2, 3, 33} {
-			for trial := 0; trial < 3; trial++ {
+			for trial := 0; trial < 6; trial++ {
+				if key = mixedKey; trial%2 == 1 {
+					key = narrowKey
+				}
 				runs := make([]*kpa.KPA, nRuns)
 				for j := range runs {
 					switch rng.Intn(3) {
@@ -339,17 +351,52 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 				}
 				for _, p := range []int{1, 3} {
 					if got, want := closeRows(runs, a.factory, p), closeRows(runs, visit, p); !slices.Equal(got, want) {
-						t.Fatalf("%s runs=%d p=%d: the word fold closes to %d rows unlike the per-pair path's %d", a.name, nRuns, p, len(got), len(want))
+						t.Fatalf("%s runs=%d trial=%d p=%d: the word fold closes to %d rows unlike the per-pair path's %d", a.name, nRuns, trial, p, len(got), len(want))
 					}
 				}
 				got, want := seal(a.factory, runs...), seal(visit, runs...)
 				if !slices.Equal(got.Pairs(), want.Pairs()) || !got.Partial() {
-					t.Fatalf("%s runs=%d: the word fold seals %d pairs unlike the per-pair path's %d", a.name, nRuns, got.Len(), want.Len())
+					t.Fatalf("%s runs=%d trial=%d: the word fold seals %d pairs unlike the per-pair path's %d", a.name, nRuns, trial, got.Len(), want.Len())
 				}
 				for _, r := range append(runs, got, want) {
 					r.Destroy()
 				}
 			}
+		}
+	}
+
+	// The runtime's 1 024-key shapes, which take the table: a seal of 32
+	// raw runs of 4 096 pairs, and a close over 7 partial runs beside 22
+	// raw ones, where count adds 1 per raw pair and a partial's value in
+	// one merge.
+	key = narrowKey
+	for _, a := range aggs {
+		visit := perPair(a.factory)
+		runs := make([]*kpa.KPA, 32)
+		for j := range runs {
+			runs[j] = randomRun(4096)
+		}
+		got, want := seal(a.factory, runs...), seal(visit, runs...)
+		if !slices.Equal(got.Pairs(), want.Pairs()) || got.Len() != 1024 {
+			t.Fatalf("%s seal/32x4096/1Ki-keys: the word fold seals %d pairs unlike the per-pair path's %d", a.name, got.Len(), want.Len())
+		}
+		for _, r := range append(runs, got, want) {
+			r.Destroy()
+		}
+		runs = runs[:0]
+		for range 7 {
+			runs = append(runs, partialOf(a.factory, randomRun(4096), randomRun(4096)))
+		}
+		for range 22 {
+			runs = append(runs, randomRun(4096))
+		}
+		for _, p := range []int{1, 3} {
+			if got, want := closeRows(runs, a.factory, p), closeRows(runs, visit, p); !slices.Equal(got, want) || len(got) != 1024 {
+				t.Fatalf("%s close/7+22/1Ki-keys p=%d: the word fold closes to %d rows unlike the per-pair path's %d", a.name, p, len(got), len(want))
+			}
+		}
+		for _, r := range runs {
+			r.Destroy()
 		}
 	}
 
@@ -533,8 +580,9 @@ func BenchmarkSealVsCompact(b *testing.B) {
 // pair). The shapes are the runtime's: a seal of 32 runs of 4 096 pairs
 // over 1 024 keys (net_narrow, inproc_spill) or of 10 000 hashed keys
 // (inproc_wide), staged through recycled scratch (MergeReducePartial),
-// and a close of 7 runs of 140 000 hashed keys into a row slab
-// (MergeReduceRows).
+// and a close of 7 runs of 140 000 pairs into a row slab
+// (MergeReduceRows), over hashed keys or 1 024. Over 1 024 keys the word
+// fold takes the table, and the per-pair leg is the tree's visitor.
 func BenchmarkMergeFold(b *testing.B) {
 	var staged []algo.Pair
 	scratch := &algo.Scratch{
@@ -556,6 +604,7 @@ func BenchmarkMergeFold(b *testing.B) {
 		{"seal/32x4096/1Ki-keys", true, 32, 4096, 1 << 10},
 		{"seal/32x10000/hashed-keys", true, 32, 10_000, 0},
 		{"close/7x140000/hashed-keys", false, 7, 140_000, 0},
+		{"close/7x140000/1Ki-keys", false, 7, 140_000, 1 << 10},
 	} {
 		rng := rand.New(rand.NewSource(5))
 		runs := make([]*kpa.KPA, sh.runs)

@@ -47,11 +47,15 @@
 // seal it owes has landed it merges what its panes hold — fewer than
 // mergeFanIn runs per level, sealed and raw alike — with the paper's
 // §4.3 parallel full-KPA merge: the key space is range-partitioned once
-// across all runs and each partition streams through a loser-tree k-way
-// merge fused with keyed reduction, folding the value each pair carries
-// as it arrives (for sum, count, min and max inside the tree loop, with
-// no call per pair) — one sequential read of the inputs, no intermediate
-// KPA, no separate reduce sweep, nothing that depends on the run count.
+// across all runs and each partition streams through a k-way merge
+// fused with keyed reduction, folding the value each pair carries as it
+// arrives — one sequential read of the inputs, no intermediate KPA, no
+// separate reduce sweep, nothing that depends on the run count. Sum,
+// count, min and max fold with no call per pair: into a table indexed by
+// key when a partition's keys span fewer slots than it has pairs, else
+// inside a loser tree's loop; every other aggregator sees each pair in
+// key order. The window's rows fill one slab sized by what it can emit,
+// one row per distinct key, and are published in key order.
 //
 // Late data. A record is late for a window iff the target watermark had
 // reached the window's end when the record's bundle registered — both
@@ -344,12 +348,15 @@ type Report struct {
 	// extract-side pair throughput, which pane sharing multiplies by the
 	// window overlap (each pair is staged and sorted once per pane, not
 	// once per window). SealNanos and MergeNanos are the worker time in
-	// seal tasks and in close merges, so the three say which grouping
+	// seal tasks and in close merges, and PublishNanos the time spent
+	// handing closed windows' rows to the sink (packing the row slab,
+	// retiring the window, the WindowSink call), so the four say which
 	// stage a run spent its CPU in.
 	ExtractedPairs int64
 	ExtractNanos   int64
 	SealNanos      int64
 	MergeNanos     int64
+	PublishNanos   int64
 	// PeakWindowStateBytes is the high-water mark of live grouped
 	// window state (sorted runs plus merge intermediates) per tier,
 	// indexed by memsim.Tier. Pane sharing keeps the sliding-window
@@ -564,6 +571,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			ExtractNanos:    m.extractNanos.Load(),
 			SealNanos:       m.sealNanos.Load(),
 			MergeNanos:      m.mergeNanos.Load(),
+			PublishNanos:    m.publishNanos.Load(),
 			PeakWindowStateBytes: [memsim.NumTiers]int64{
 				m.peakState[0].Load(), m.peakState[1].Load(), m.peakState[2].Load(),
 			},
@@ -1166,19 +1174,18 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 
 // submitMergeReduce closes a window in one streaming pass: the key
 // space is partitioned across the runs with balanced key-aligned cuts,
-// and each partition runs a fused loser-tree merge + keyed reduction
-// task over the pairs and the values they carry — no merged KPA is ever
-// materialized. The window's rows are one slab sized by the pairs it
-// merges: a partition emits at most one row per pair, so each fills the
-// sub-range that starts where its pairs do, disjoint from the others'
-// and already in key order. The last partition to finish destroys the
-// runs, closes the gaps between the sub-ranges and retires the window
-// with its rows. A pane holds fewer than mergeFanIn runs per level by
-// now, so one loser tree takes them all. Each partition's merge time
-// counts in streambox_merge_ns_total.
+// and each partition runs a fused merge + keyed reduction task over the
+// pairs and the values they carry — no merged KPA is ever materialized.
+// The window's rows are one slab sized by what the partitions can emit:
+// one row per distinct key, so each partition gets a sub-range of
+// kpa.RowBound rows — its key span on narrow keys, its pairs on hashed
+// ones — disjoint from the others' and in key order. The last partition
+// to finish destroys the runs and publishes the window. A pane holds
+// fewer than mergeFanIn runs per level by now, so one merge takes them
+// all. Each partition's merge time counts in streambox_merge_ns_total.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	if len(runs) == 0 {
-		x.finishWindow(start, nil)
+		x.finishWindow(start, nil, nil, nil)
 		return
 	}
 	sortByProvenance(runs)
@@ -1199,21 +1206,19 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 		for _, r := range runs {
 			x.destroyRun(r)
 		}
-		x.finishWindow(start, nil)
+		x.finishWindow(start, nil, nil, nil)
 		return
+	}
+	// Partition i's rows start at offs[i] and may reach offs[i+1]; it
+	// emits counts[i] rows.
+	offs := make([]int, len(cuts))
+	for i := 1; i < len(cuts); i++ {
+		offs[i] = offs[i-1] + kpa.RowBound(runs, cuts[i-1], cuts[i])
 	}
 	// Rows nobody will read are counted, not built.
 	var rows []Row
 	if x.cfg.WindowSink != nil && !x.sealedWindow(start) {
-		rows = make([]Row, total)
-	}
-	// Partition i's pairs, and so its rows, start at offs[i] (offs[i+1]
-	// is where they end); it emits counts[i] rows.
-	offs := make([]int, len(cuts))
-	for i, cut := range cuts {
-		for _, c := range cut {
-			offs[i] += c
-		}
+		rows = make([]Row, offs[len(offs)-1])
 	}
 	counts := make([]int, len(cuts)-1)
 	var remaining atomic.Int32
@@ -1237,13 +1242,17 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 				}
 				counts[i] = n
 				x.m.emitted.Add(int64(n))
-				x.m.closePairs.Add(int64(offs[i+1] - offs[i]))
+				pairs := 0
+				for j := range lo {
+					pairs += hi[j] - lo[j]
+				}
+				x.m.closePairs.Add(int64(pairs))
 				x.m.mergeNanos.Add(time.Since(t0).Nanoseconds())
 				if remaining.Add(-1) == 0 {
 					for _, r := range runs {
 						x.destroyRun(r)
 					}
-					x.finishWindow(start, packRows(rows, offs, counts))
+					x.finishWindow(start, rows, offs, counts)
 				}
 			},
 		})
@@ -1269,9 +1278,13 @@ func packRows(rows []Row, offs, counts []int) []Row {
 	return rows[:n]
 }
 
-// finishWindow retires a closed window and hands its result rows to the
-// WindowSink, unless a checkpoint had already sealed it.
-func (x *exec) finishWindow(start wm.Time, rows []Row) {
+// finishWindow publishes a closed window: it packs the rows its
+// partitions left in the slab (packRows), retires the window and hands
+// the rows to the WindowSink, unless a checkpoint had already sealed it.
+// Its time counts in streambox_publish_ns_total.
+func (x *exec) finishWindow(start wm.Time, rows []Row, offs, counts []int) {
+	t0 := time.Now()
+	rows = packRows(rows, offs, counts)
 	if d := x.table.retire(start); d > 0 {
 		x.m.closeLatency.Observe(d.Nanoseconds())
 	}
@@ -1279,6 +1292,7 @@ func (x *exec) finishWindow(start wm.Time, rows []Row) {
 		x.cfg.WindowSink(start, x.plan.Win.End(start), rows)
 	}
 	x.table.published(start)
+	x.m.publishNanos.Add(time.Since(t0).Nanoseconds())
 }
 
 // sealedWindow reports whether the window starting at start was already

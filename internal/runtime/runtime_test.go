@@ -512,12 +512,22 @@ func TestMain(m *testing.M) {
 // window, strictly ascending by key — a close cut into key-range
 // partitions still delivers them in partition order — and, being a
 // function of the stream alone, the same slice whatever the worker
-// count. Windows are wide enough (40 000 pairs over 20 000 keys) that
-// four workers close each in several partitions.
+// count. Windows are wide enough (40 000 pairs over 20 000 or 1 024
+// keys) that four workers close each in several partitions. Every slice
+// holds at most twice its rows: the row slab is sized by the keys a
+// partition can emit, not by its pairs.
 func TestWindowRowsAscendByKey(t *testing.T) {
-	for _, win := range []wm.Windowing{wm.Fixed(1_000_000), wm.Sliding(1_000_000, 250_000)} {
+	for _, c := range []struct {
+		keys int
+		win  wm.Windowing
+	}{
+		{20_000, wm.Fixed(1_000_000)},
+		{20_000, wm.Sliding(1_000_000, 250_000)},
+		{1024, wm.Fixed(1_000_000)},
+	} {
+		win := c.win
 		deliveries := func(workers int) map[wm.Time][]Row {
-			plan := testPlan(ingress.NewRoundRobinKV(20_000, 1), 200_000)
+			plan := testPlan(ingress.NewRoundRobinKV(uint64(c.keys), 1), 200_000)
 			plan.Source.WindowRecords = 40_000
 			plan.Win = win
 			var mu sync.Mutex
@@ -527,6 +537,9 @@ func TestWindowRowsAscendByKey(t *testing.T) {
 				defer mu.Unlock()
 				if _, twice := got[start]; twice {
 					t.Errorf("slide=%d workers=%d: window %d delivered twice", win.Slide, workers, start)
+				}
+				if cap(rows) > 2*len(rows) {
+					t.Errorf("keys=%d workers=%d: window %d delivered %d rows in a slab of %d", c.keys, workers, start, len(rows), cap(rows))
 				}
 				got[start] = rows
 			}})
@@ -544,7 +557,7 @@ func TestWindowRowsAscendByKey(t *testing.T) {
 			return got
 		}
 		one, four := deliveries(1), deliveries(4)
-		if len(one) < 5 || len(one[0]) != 20_000 {
+		if len(one) < 5 || len(one[0]) != c.keys {
 			t.Fatalf("slide=%d: %d windows, %d rows in the first: too small to cut into partitions", win.Slide, len(one), len(one[0]))
 		}
 		if len(four) != len(one) {

@@ -26,12 +26,13 @@ type stats struct {
 	placedBytes [memsim.NumTiers]*metrics.Counter
 
 	// Grouping: logical (record, window) assignments, worker time spent
-	// extracting/sorting them, in seal tasks and in close merges; pane
-	// runs shared across windows.
+	// extracting/sorting them, in seal tasks, in close merges and
+	// publishing closed windows; pane runs shared across windows.
 	extractPairs  *metrics.Counter
 	extractNanos  *metrics.Counter
 	sealNanos     *metrics.Counter
 	mergeNanos    *metrics.Counter
+	publishNanos  *metrics.Counter
 	paneRuns      *metrics.Counter
 	sharedRunRefs *metrics.Counter
 	sealedPanes   *metrics.Counter
@@ -61,6 +62,7 @@ func newStats(x *exec) *stats {
 	s.extractNanos = m.Counter("streambox_extract_ns_total")
 	s.sealNanos = m.Counter("streambox_seal_ns_total")
 	s.mergeNanos = m.Counter("streambox_merge_ns_total")
+	s.publishNanos = m.Counter("streambox_publish_ns_total")
 	s.paneRuns = m.Counter("streambox_pane_runs_total")
 	s.sharedRunRefs = m.Counter("streambox_shared_run_refs_total")
 	s.sealedPanes = m.Counter("streambox_sealed_panes_total")

@@ -256,6 +256,11 @@ type Report struct {
 	// they cannot. Both are functions of the stream, not of scheduling,
 	// and 0 on the simulated backend.
 	SealedPanes, ClosePairs int64
+	// ExtractNs, SealNs, MergeNs and PublishNs are the native backend's
+	// worker nanoseconds per grouping stage: run formation, seals, close
+	// merges, and handing closed windows to their sinks (0 on the
+	// simulated backend).
+	ExtractNs, SealNs, MergeNs, PublishNs int64
 	// LateRecords counts records the native backend dropped because
 	// every window covering them had already been sealed by the
 	// watermark when they arrived (0 on the simulated backend). A
@@ -716,6 +721,10 @@ func nativeReport(rep runtime.Report) Report {
 		SharedRunRefs:             rep.SharedRunRefs,
 		SealedPanes:               rep.SealedPanes,
 		ClosePairs:                rep.ClosePairs,
+		ExtractNs:                 rep.ExtractNanos,
+		SealNs:                    rep.SealNanos,
+		MergeNs:                   rep.MergeNanos,
+		PublishNs:                 rep.PublishNanos,
 		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,

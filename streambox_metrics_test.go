@@ -119,7 +119,7 @@ func TestMetricsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals, _ := parseMetrics(t, buf.String())
-	if rep.IngestedRecords != 20_000 || rep.WindowsClosed != 5 || rep.SealedPanes == 0 || rep.WALAppendedFrames != 200 || rep.WALSyncs == 0 {
+	if rep.IngestedRecords != 20_000 || rep.WindowsClosed != 5 || rep.SealedPanes == 0 || rep.PublishNs == 0 || rep.WALAppendedFrames != 200 || rep.WALSyncs == 0 {
 		t.Fatalf("run too small to pin anything: %+v", rep)
 	}
 	// WALSegmentsActive is the one field with a series that Shutdown
@@ -133,6 +133,10 @@ func TestMetricsSurface(t *testing.T) {
 		"streambox_shared_run_refs_total":                         rep.SharedRunRefs,
 		"streambox_sealed_panes_total":                            rep.SealedPanes,
 		"streambox_close_pairs_total":                             rep.ClosePairs,
+		"streambox_extract_ns_total":                              rep.ExtractNs,
+		"streambox_seal_ns_total":                                 rep.SealNs,
+		"streambox_merge_ns_total":                                rep.MergeNs,
+		"streambox_publish_ns_total":                              rep.PublishNs,
 		"streambox_late_records_total":                            rep.LateRecords,
 		`streambox_window_state_peak_bytes{tier="hbm"}`:           rep.PeakWindowStateBytes[0],
 		`streambox_window_state_peak_bytes{tier="dram"}`:          rep.PeakWindowStateBytes[1],
