@@ -17,8 +17,9 @@
 // engine's hottest object: the KPA pair array. Allocation.Pairs hands
 // out backing []algo.Pair storage for an allocation, and Free returns
 // that slab to a per-tier, per-size-class, lock-sharded free list, so
-// the steady-state grouping path (extract → sort → merge tree → reduce)
-// reuses the same slabs instead of pressuring the Go garbage collector.
+// the steady-state grouping path (extract → radix sort → k-way
+// merge-reduce) reuses the same slabs instead of pressuring the Go
+// garbage collector.
 // The same free lists back transient kernel scratch via ScratchFor.
 package mempool
 
@@ -66,7 +67,7 @@ type Allocation struct {
 	pool     *Pool
 	tier     memsim.Tier
 	size     int64 // rounded class size actually charged
-	class    int   // size-class index, -1 for jumbo allocations
+	class    int   // size-class index of the slab Pairs took, -1 for jumbo
 	urgent   bool
 	freed    bool
 	pairs    []algo.Pair // backing slab, materialized by Pairs
@@ -81,10 +82,14 @@ func (a *Allocation) Tier() memsim.Tier { return a.tier }
 func (a *Allocation) Size() int64 { return a.size }
 
 // Pairs returns a view of n pairs over the allocation's backing slab,
-// materializing the slab on first call — recycled from the pool's free
-// list when one of the right class is available, freshly allocated
-// otherwise. The view's capacity is the full slab, so callers may
-// re-slice within the charged size. Recycled slabs hold stale contents:
+// materializing the slab on first call — the smallest class that holds n
+// pairs, recycled from the pool's free list when one is available,
+// freshly allocated otherwise. The slab is sized by n, not by the
+// charge: the simulator charges a pair for every virtual record a real
+// one stands for (engine.Config.RecordWeight), so its charges run ~100×
+// the pairs they hold, while natively the charge is exactly n pairs and
+// so is the slab. A later call may ask for no more pairs than the first.
+// Recycled slabs hold stale contents:
 // callers must write every element before reading it (the engine's
 // primitives fill before they read). Pairs and Free are not safe for
 // concurrent use on one Allocation; the engine's single-owner KPA
@@ -100,7 +105,7 @@ func (a *Allocation) Pairs(n int) []algo.Pair {
 		return a.pool.spill.Pairs(a.spillOff, n)
 	}
 	if a.pairs == nil {
-		a.pairs = a.pool.takeSlab(a.tier, a.class, a.size)
+		a.pairs, a.class = a.pool.takePairs(a.tier, n)
 	}
 	return a.pairs[:n]
 }
@@ -396,17 +401,21 @@ func (p *Pool) PutCol(t memsim.Tier, col []uint64) {
 	p.colCachedBytes.Add(words * 8)
 }
 
-// takeSlab returns a pair slab of sizeBytes capacity for (tier, class):
-// recycled when a class free-list shard has one, fresh otherwise. The
-// returned slice has full slab length.
-func (p *Pool) takeSlab(t memsim.Tier, class int, sizeBytes int64) []algo.Pair {
-	if class >= 0 {
-		if slab, ok := p.free[t].take(class, p.shardRR.Add(1)); ok {
-			p.recycled.Add(1)
-			return slab
-		}
+// takePairs returns a pair slab of tier t holding at least n pairs, and
+// its class: the smallest class that holds them, recycled when a
+// free-list shard of that class has one, fresh otherwise; beyond the
+// largest class (-1) exactly n pairs from the heap. The returned slice
+// has full slab length.
+func (p *Pool) takePairs(t memsim.Tier, n int) ([]algo.Pair, int) {
+	class := classIndex(int64(n) * memsim.PairBytes)
+	if class < 0 {
+		return make([]algo.Pair, n), class
 	}
-	return make([]algo.Pair, (sizeBytes+memsim.PairBytes-1)/memsim.PairBytes)
+	if slab, ok := p.free[t].take(class, p.shardRR.Add(1)); ok {
+		p.recycled.Add(1)
+		return slab, class
+	}
+	return make([]algo.Pair, sizeClasses[class]/memsim.PairBytes), class
 }
 
 // putSlab returns a class-sized slab to its free list (jumbos and
@@ -429,12 +438,8 @@ func (p *Pool) putSlab(t memsim.Tier, class int, slab []algo.Pair) {
 func (p *Pool) ScratchFor(t memsim.Tier) *algo.Scratch {
 	return &algo.Scratch{
 		Get: func(n int) []algo.Pair {
-			bytes := int64(n) * memsim.PairBytes
-			class := classIndex(bytes)
-			if class >= 0 {
-				bytes = sizeClasses[class]
-			}
-			return p.takeSlab(t, class, bytes)
+			slab, _ := p.takePairs(t, n)
+			return slab
 		},
 		Put: func(b []algo.Pair) {
 			p.putSlab(t, classIndex(int64(cap(b))*memsim.PairBytes), b)
@@ -475,7 +480,7 @@ func (p *Pool) AllocUrgent(size int64, order ...memsim.Tier) (*Allocation, error
 	if n := roundUp(size); p.usedReserved+n <= p.reserved {
 		p.usedReserved += n
 		p.allocs++
-		return &Allocation{pool: p, tier: memsim.HBM, size: n, class: classIndex(size), urgent: true, Request: size}, nil
+		return &Allocation{pool: p, tier: memsim.HBM, size: n, urgent: true, Request: size}, nil
 	}
 	return p.walk(size, order)
 }
@@ -483,13 +488,13 @@ func (p *Pool) AllocUrgent(size int64, order ...memsim.Tier) (*Allocation, error
 // walk serves one request from the first tier of order with room. The
 // caller holds mu.
 func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
-	slab, class := roundUp(size), classIndex(size)
+	slab := roundUp(size)
 	// Extents are rounded to the arena's 64-byte granularity, not the slab
 	// classes: runs are variable-sized and class rounding would waste up
 	// to half the file.
 	extent := spill.RoundUp(size)
 	for _, t := range order {
-		n, cl, off := slab, class, int64(0)
+		n, off := slab, int64(0)
 		if t == memsim.Spill {
 			if p.spill == nil {
 				continue
@@ -498,7 +503,7 @@ func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
 			if off, err = p.spill.Alloc(size); err != nil {
 				continue
 			}
-			n, cl = extent, -1
+			n = extent
 		} else if p.used[t]+n > p.cap[t] {
 			continue
 		}
@@ -507,7 +512,7 @@ func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
 			p.peak[t] = p.used[t]
 		}
 		p.allocs++
-		return &Allocation{pool: p, tier: t, size: n, class: cl, spillOff: off, Request: size}, nil
+		return &Allocation{pool: p, tier: t, size: n, spillOff: off, Request: size}, nil
 	}
 	p.failures++
 	t, want := memsim.HBM, slab

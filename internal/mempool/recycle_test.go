@@ -41,23 +41,23 @@ func TestSlabReuse(t *testing.T) {
 }
 
 // TestSlabReuseTierAndClassSeparation checks that free lists are keyed
-// by (tier, class): a freed DRAM slab must not satisfy an HBM request,
-// nor a different class.
+// by (tier, class of the pairs a slab holds): a freed DRAM slab must not
+// satisfy an HBM request, nor a request for another class of pairs.
 func TestSlabReuseTierAndClassSeparation(t *testing.T) {
 	p := testPool()
 	d, _ := p.Alloc(memsim.DRAM, 16<<10)
-	dp := d.Pairs(100)
+	dp := d.Pairs(1024) // the 16 KiB class
 	d.Free()
 
 	h, _ := p.Alloc(memsim.HBM, 16<<10)
-	hp := h.Pairs(100)
+	hp := h.Pairs(1024)
 	if &dp[0] == &hp[0] {
 		t.Error("HBM allocation reused a DRAM slab")
 	}
 	h.Free()
 
 	big, _ := p.Alloc(memsim.DRAM, 32<<10)
-	bp := big.Pairs(100)
+	bp := big.Pairs(2048)
 	if &bp[0] == &dp[0] {
 		t.Error("32 KiB class reused a 16 KiB slab")
 	}
@@ -65,10 +65,44 @@ func TestSlabReuseTierAndClassSeparation(t *testing.T) {
 
 	// Same tier, same class: now it must hit.
 	d2, _ := p.Alloc(memsim.DRAM, 16<<10)
-	if got := d2.Pairs(100); &got[0] != &dp[0] {
+	if got := d2.Pairs(1024); &got[0] != &dp[0] {
 		t.Error("same-class DRAM allocation should reuse the freed slab")
 	}
 	d2.Free()
+}
+
+// TestSlabSizedByPairs pins that a slab holds the pairs asked for, not
+// the charge: the simulator charges ~100x the bytes its runs hold. A
+// charge far above n pairs, a jumbo one included, gets a slab of n's
+// class that goes back to that class's free list and serves the next
+// allocation of as many pairs, whatever its charge; the charge itself is
+// accounted unchanged.
+func TestSlabSizedByPairs(t *testing.T) {
+	p := testPool()
+	const n = 1000 // 16 000 B: the 16 KiB class
+	for _, charge := range []int64{100 * n * memsim.PairBytes, 300 << 20} {
+		a, err := p.Alloc(memsim.DRAM, charge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Size() < charge {
+			t.Fatalf("charge %d accounted as %d", charge, a.Size())
+		}
+		first := a.Pairs(n)
+		if cap(first) != 1024 {
+			t.Fatalf("charge %d: slab of %d pairs, want the 1 024 of n's class", charge, cap(first))
+		}
+		a.Free()
+		recycled := p.Stats().Recycled
+		b, _ := p.Alloc(memsim.DRAM, 16<<10)
+		if got := b.Pairs(n); &got[0] != &first[0] || p.Stats().Recycled != recycled+1 {
+			t.Fatalf("charge %d: the slab did not recycle into a same-class allocation", charge)
+		}
+		b.Free()
+	}
+	if used := p.Used(memsim.DRAM); used != 0 {
+		t.Fatalf("%d bytes still charged", used)
+	}
 }
 
 func TestPairsSizing(t *testing.T) {
