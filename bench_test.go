@@ -5,8 +5,9 @@
 package streambox_test
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"streambox/internal/algo"
@@ -139,21 +140,10 @@ func benchPairs(n int) []algo.Pair {
 	return out
 }
 
-// BenchmarkSortPairs measures the single-threaded merge-sort kernel.
-func BenchmarkSortPairs(b *testing.B) {
-	src := benchPairs(1 << 20)
-	buf := make([]algo.Pair, len(src))
-	b.SetBytes(int64(len(src)) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		algo.SortPairs(buf)
-	}
-}
-
 // BenchmarkKPAWidth is the ablation for the "one resident column"
 // design choice (paper §4.1): grouping 16-byte key/pointer pairs versus
-// moving full-width records, measured on the real sort kernel.
+// moving full-width records. Both legs sort by key with the same library
+// sort, so they differ in width alone.
 func BenchmarkKPAWidth(b *testing.B) {
 	b.Run("pairs-16B", func(b *testing.B) {
 		src := benchPairs(1 << 19)
@@ -162,7 +152,7 @@ func BenchmarkKPAWidth(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(buf, src)
-			algo.SortPairs(buf)
+			slices.SortFunc(buf, func(x, y algo.Pair) int { return cmp.Compare(x.Key, y.Key) })
 		}
 	})
 	b.Run("records-56B", func(b *testing.B) {
@@ -176,7 +166,7 @@ func BenchmarkKPAWidth(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			copy(buf, src)
-			sort.Slice(buf, func(x, y int) bool { return buf[x].key < buf[y].key })
+			slices.SortFunc(buf, func(x, y wideRec) int { return cmp.Compare(x.key, y.key) })
 		}
 	})
 }

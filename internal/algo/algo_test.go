@@ -28,7 +28,7 @@ func keyedPairs(keys ...uint64) []Pair {
 
 func TestSortPairsSmall(t *testing.T) {
 	p := keyedPairs(5, 3, 9, 1, 1, 7)
-	SortPairs(p)
+	RadixSortPairs(p, 1, nil)
 	if !PairsSorted(p) {
 		t.Fatalf("not sorted: %v", Keys(p))
 	}
@@ -39,22 +39,23 @@ func TestSortPairsSmall(t *testing.T) {
 }
 
 func TestSortPairsEmptyAndSingle(t *testing.T) {
-	SortPairs(nil)
-	SortPairs([]Pair{})
+	RadixSortPairs(nil, 1, nil)
+	RadixSortPairs([]Pair{}, 1, nil)
 	one := keyedPairs(42)
-	SortPairs(one)
+	RadixSortPairs(one, 1, nil)
 	if one[0].Key != 42 {
 		t.Fatal("single element corrupted")
 	}
 }
 
 func TestSortPairsLarge(t *testing.T) {
-	p := randPairs(3*blockPairs+17, 1)
-	SortPairs(p)
+	const n = 3<<12 + 17
+	p := randPairs(n, 1)
+	RadixSortPairs(p, 1, nil)
 	if !PairsSorted(p) {
 		t.Fatal("large input not sorted")
 	}
-	if len(p) != 3*blockPairs+17 {
+	if len(p) != n {
 		t.Fatal("length changed")
 	}
 }
@@ -67,7 +68,7 @@ func TestSortPreservesPtrBinding(t *testing.T) {
 		k := r.Uint64() % 1000
 		p[i] = Pair{Key: k, Ptr: k * 2}
 	}
-	SortPairs(p)
+	RadixSortPairs(p, 1, nil)
 	for _, e := range p {
 		if e.Ptr != e.Key*2 {
 			t.Fatal("key/ptr binding broken by sort")
@@ -76,26 +77,20 @@ func TestSortPreservesPtrBinding(t *testing.T) {
 }
 
 func TestSortMatchesStdlib(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 23, 24, 25, 100, blockPairs, blockPairs + 1, 5 * blockPairs} {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 100, 4096, 4097, 5 * 4096} {
 		p := randPairs(n, int64(n))
 		want := Keys(p)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		SortPairs(p)
+		RadixSortPairs(p, 1, nil)
 		if !reflect.DeepEqual(Keys(p), want) {
 			t.Fatalf("n=%d: mismatch with stdlib sort", n)
 		}
 	}
 }
 
-func TestMergeIntoWrongSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MergeInto(make([]Pair, 1), keyedPairs(1), keyedPairs(2))
-}
-
+// TestMultiMerge holds the k-way merge's verbatim copy to the basics: the
+// sorted union of every run, nothing from no runs, and a lone run copied
+// into out, not aliased.
 func TestMultiMerge(t *testing.T) {
 	runs := [][]Pair{
 		keyedPairs(1, 5, 9),
@@ -104,26 +99,26 @@ func TestMultiMerge(t *testing.T) {
 		keyedPairs(4),
 		keyedPairs(8, 10, 12),
 	}
-	m := MultiMerge(runs)
+	m := copyAll(t, runs)
 	if !PairsSorted(m) {
 		t.Fatalf("not sorted: %v", Keys(m))
 	}
 	if len(m) != 13 {
 		t.Fatalf("len = %d, want 13", len(m))
 	}
-	if MultiMerge(nil) != nil {
-		t.Fatal("empty multimerge")
+	if n := MultiMergeFold(nil, Fold{Op: FoldCopy}, nil); n != 0 {
+		t.Fatalf("a merge of no runs wrote %d pairs", n)
 	}
-	single := MultiMerge([][]Pair{keyedPairs(4, 5)})
+	single := copyAll(t, [][]Pair{keyedPairs(4, 5)})
 	if !reflect.DeepEqual(Keys(single), []uint64{4, 5}) {
 		t.Fatal("single-run multimerge")
 	}
 	// Result must be a copy, not an alias.
 	src := keyedPairs(1, 2)
-	cp := MultiMerge([][]Pair{src})
+	cp := copyAll(t, [][]Pair{src})
 	cp[0].Key = 99
 	if src[0].Key != 1 {
-		t.Fatal("MultiMerge aliased its input")
+		t.Fatal("the merge aliased its input")
 	}
 }
 
@@ -264,7 +259,7 @@ func TestPropSortIsPermutationAndSorted(t *testing.T) {
 		for i, k := range keys {
 			p[i] = Pair{Key: k, Ptr: uint64(i)}
 		}
-		SortPairs(p)
+		RadixSortPairs(p, 1, nil)
 		if !PairsSorted(p) {
 			return false
 		}
@@ -296,10 +291,9 @@ func TestPropMergePreservesMultiset(t *testing.T) {
 		for i, k := range kb {
 			b[i] = Pair{Key: k}
 		}
-		SortPairs(a)
-		SortPairs(b)
-		m := make([]Pair, len(a)+len(b))
-		MergeInto(m, a, b)
+		RadixSortPairs(a, 1, nil)
+		RadixSortPairs(b, 1, nil)
+		m := copyAll(t, [][]Pair{a, b})
 		if !PairsSorted(m) {
 			return false
 		}
@@ -361,8 +355,8 @@ func TestPropJoinMatchesNestedLoop(t *testing.T) {
 		for i, k := range kb {
 			b[i] = Pair{Key: uint64(k % 16), Ptr: uint64(i)}
 		}
-		SortPairs(a)
-		SortPairs(b)
+		RadixSortPairs(a, 1, nil)
+		RadixSortPairs(b, 1, nil)
 		want := 0
 		for _, x := range a {
 			for _, y := range b {

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -18,10 +19,20 @@ func randomRuns(r *rand.Rand, n, maxLen int, keyDomain uint64) [][]Pair {
 			run[i] = Pair{Key: r.Uint64() % keyDomain, Ptr: ptr}
 			ptr++
 		}
-		SortPairs(run)
+		RadixSortPairs(run, 1, nil)
 		runs[j] = run
 	}
 	return runs
+}
+
+// mergeRef is the order a k-way merge of sorted runs must produce: the
+// runs concatenated in run order and sorted stably by key, so that equal
+// keys come by run index, then in run order — the order the levelwise
+// pairwise merge tree materialized, by definition.
+func mergeRef(runs [][]Pair) []Pair {
+	want := slices.Concat(runs...)
+	slices.SortStableFunc(want, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	return want
 }
 
 // visitAll returns the merge's visitor sequence: every pair and the run
@@ -88,13 +99,13 @@ func TestMultiMergeFoldOrder(t *testing.T) {
 }
 
 // TestMultiMergeFoldMatchesPairwise pins the visitor sequence and the
-// verbatim copy bit-for-bit against the levelwise pairwise merge
-// (MultiMerge), the order the old merge tree materialized.
+// verbatim copy bit-for-bit against the order the levelwise pairwise
+// merge tree materialized (mergeRef).
 func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		runs := randomRuns(r, k, 500, 16)
-		want := MultiMerge(runs)
+		want := mergeRef(runs)
 		got, _ := visitAll(runs)
 		if cp := copyAll(t, runs); !slices.Equal(cp, want) {
 			t.Fatalf("k=%d: the copy differs from the pairwise merge", k)
@@ -142,10 +153,10 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 					// run index shows up.
 					run[i] = Pair{Key: key, Ptr: uint64(j)<<32 | uint64(i)}
 				}
-				SortPairs(run)
+				RadixSortPairs(run, 1, nil)
 				runs[j] = run
 			}
-			want := MultiMerge(runs)
+			want := mergeRef(runs)
 			got, gotRun := visitAll(runs)
 			for i, p := range got {
 				if uint64(gotRun[i]) != p.Ptr>>32 {
@@ -262,7 +273,7 @@ func TestMultiMergeFoldWords(t *testing.T) {
 				}
 				run[i] = Pair{Key: key(), Ptr: val}
 			}
-			SortPairs(run)
+			RadixSortPairs(run, 1, nil)
 			runs[j] = run
 			units[j] = r.Intn(2) == 0
 		}
@@ -306,7 +317,7 @@ func TestMultiMergeFoldWords(t *testing.T) {
 			runs[j] = append(runs[j], Pair{Key: key, Ptr: r.Uint64() >> uint(r.Intn(64))})
 		}
 		for _, run := range runs {
-			SortPairs(run)
+			RadixSortPairs(run, 1, nil)
 		}
 		return runs, []bool{true, false, true, false}
 	}
@@ -353,7 +364,7 @@ func FuzzMultiMergeFold(f *testing.F) {
 			runs[data[0]%8] = append(runs[data[0]%8], Pair{Key: base + off, Ptr: val})
 		}
 		for _, run := range runs {
-			SortPairs(run)
+			RadixSortPairs(run, 1, nil)
 		}
 		checkWordFolds(t, "fuzz", runs, []bool{true, false, false, true, true, false, true, false})
 	})
@@ -453,5 +464,57 @@ func TestMultiWayCutsDegenerate(t *testing.T) {
 	cuts = MultiWayCuts([][]Pair{run}, 8)
 	if len(cuts) != 2 {
 		t.Fatalf("single-key input split into %d partitions, want 1", len(cuts)-1)
+	}
+}
+
+// BenchmarkFoldSpan is the sweep that fixes denseSpan: a sum over 32
+// sorted runs of uniform keys, folded through the loser tree and through
+// a table of span slots, in ns per pair, across key spans 2^8–2^16 and
+// pair counts 4 096–320 000 (the table also at spans above the pair
+// count, where MultiMergeFold never takes it). denseSpan must lie where
+// the table wins at every pair count above the span.
+func BenchmarkFoldSpan(b *testing.B) {
+	const k = 32
+	acc, seen := make([]uint64, 1<<16), make([]uint64, 1<<16/64)
+	for lg := 8; lg <= 16; lg += 2 {
+		span := 1 << lg
+		for _, total := range []int{4096, 32_768, 320_000} {
+			rng := rand.New(rand.NewSource(int64(lg*total + 1)))
+			runs := make([][]Pair, k)
+			for j := range runs {
+				runs[j] = make([]Pair, total/k)
+				for i := range runs[j] {
+					runs[j][i] = Pair{Key: uint64(rng.Intn(span)), Ptr: rng.Uint64() % 1000}
+				}
+				RadixSortPairs(runs[j], 1, nil)
+			}
+			live, n := liveRuns(runs, nil)
+			lo, hi := ^uint64(0), uint64(0)
+			for _, c := range live {
+				lo, hi = min(lo, c.pairs[0].Key), max(hi, c.pairs[len(c.pairs)-1].Key)
+			}
+			out := make([]Pair, n)
+			// The tree advances its cursors, so each fold starts from fresh ones.
+			for _, way := range []struct {
+				name string
+				fold func() int
+			}{
+				{"tree", func() int {
+					live, n := liveRuns(runs, nil)
+					return foldTree(live, n, Fold{Op: FoldAdd}, out)
+				}},
+				{"table", func() int {
+					live, _ := liveRuns(runs, nil)
+					return foldSlots(acc[:hi-lo+1], seen[:(hi-lo)/64+1], live, FoldAdd, lo, out)
+				}},
+			} {
+				b.Run(fmt.Sprintf("span-2^%d/pairs-%d/%s", lg, total, way.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						way.fold()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pair")
+				})
+			}
+		}
 	}
 }

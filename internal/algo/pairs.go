@@ -3,14 +3,14 @@
 // pairs, plus the open-addressing hash table used as the DRAM-era
 // baseline and as the external-join side table.
 //
-// Grouping splits across two sort kernels, the paper's Table 2 split:
-// radix sort (RadixSortPairs) forms first-level sorted runs with
-// streaming scatter passes — one per key digit that varies, at most as
-// many as spread the run thin, the rest finished by insertion — and the
-// comparison merge kernels (SortPairs, MergeInto, MultiMerge) combine
-// runs level by level. Scratch buffers for both
-// come from an *Scratch so a recycling allocator (internal/mempool) can
-// back the hot path.
+// Grouping has one kernel per step, the paper's Table 2 split: radix
+// sort (RadixSortPairs, RadixSortColumns) forms first-level sorted runs
+// with streaming scatter passes — one per key digit that varies, at most
+// as many as spread the run thin, the rest finished by insertion — and
+// one k-way merge (MultiMergeFold) combines sorted runs, over the
+// key-aligned ranges MultiWayCuts draws. Scratch buffers come from an
+// *Scratch so a recycling allocator (internal/mempool) can back the hot
+// path.
 //
 // All kernels are real implementations operating on real data; the
 // engine charges their virtual cost through memsim demand profiles.

@@ -2,13 +2,15 @@ package algo
 
 import mathbits "math/bits"
 
-// The engine splits grouping between two sort kernels (paper Table 2):
-// RadixSortPairs forms the first-level sorted runs — bundle-sized KPAs
-// whose keys it spreads with sequential-access scatter passes — and the
-// merge kernels in sort.go combine those runs level by level. Radix is
-// the bandwidth-friendly choice for run formation (it streams the data
-// a bounded number of times regardless of n), while merging stays
-// comparison-based so runs of any key distribution combine in one pass.
+// Grouping has one kernel per step (paper Table 2): RadixSortPairs (or
+// RadixSortColumns) forms the first-level sorted runs — bundle-sized KPAs
+// whose keys it spreads with sequential-access scatter passes — and
+// MultiMergeFold (multiway.go) combines sorted runs, copying, folding or
+// visiting their pairs in one loser-tree pass over key ranges that
+// MultiWayCuts draws. Radix is the bandwidth-friendly choice for run
+// formation (it streams the data a bounded number of times regardless of
+// n), while merging stays comparison-based so runs of any key
+// distribution combine in one pass.
 //
 // A scatter pass is worth exactly the bits it separates, so the kernel
 // pays only for the bits a run's keys need: when they all fit in one
@@ -256,5 +258,18 @@ func scatter(dst, src []Pair, sh uint) {
 		b := uint8(src[i].Key >> sh)
 		dst[c[b]] = src[i]
 		c[b]++
+	}
+}
+
+// insertionSort sorts a tiny run by key; equal keys keep their order.
+func insertionSort(run []Pair) {
+	for i := 1; i < len(run); i++ {
+		p := run[i]
+		j := i - 1
+		for j >= 0 && run[j].Key > p.Key {
+			run[j+1] = run[j]
+			j--
+		}
+		run[j+1] = p
 	}
 }

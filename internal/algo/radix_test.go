@@ -96,15 +96,20 @@ func TestRadixSortAllEqualKeys(t *testing.T) {
 	assertSortedPermutation(t, pairs, orig)
 }
 
+// TestRadixSortMatchesMergeSort holds the kernel to the library's stable
+// sort (an insertion-and-merge sort) pair for pair, on wide keys and on
+// keys narrow enough to repeat.
 func TestRadixSortMatchesMergeSort(t *testing.T) {
-	orig := randomPairs(10_000, 3, ^uint64(0))
-	a := append([]Pair(nil), orig...)
-	b := append([]Pair(nil), orig...)
-	RadixSortPairs(a, 3, nil)
-	SortPairs(b)
-	for i := range a {
-		if a[i].Key != b[i].Key {
-			t.Fatalf("key order diverges at %d: %d vs %d", i, a[i].Key, b[i].Key)
+	for _, mask := range []uint64{^uint64(0), 0xff} {
+		orig := randomPairs(10_000, 3, mask)
+		a := append([]Pair(nil), orig...)
+		b := append([]Pair(nil), orig...)
+		RadixSortPairs(a, 3, nil)
+		slices.SortStableFunc(b, func(x, y Pair) int { return cmp.Compare(x.Key, y.Key) })
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("mask %#x: order diverges at %d: %+v vs %+v", mask, i, a[i], b[i])
+			}
 		}
 	}
 }
@@ -137,35 +142,6 @@ func TestRadixSortScratchReuse(t *testing.T) {
 	if gets != 1 || puts != 1 {
 		t.Errorf("gets=%d puts=%d, want 1/1", gets, puts)
 	}
-}
-
-func TestMultiMergeInto(t *testing.T) {
-	var runs [][]Pair
-	total := 0
-	for i := 0; i < 7; i++ {
-		r := randomPairs(100+i*37, int64(i), 1<<20-1)
-		SortPairs(r)
-		runs = append(runs, r)
-		total += len(r)
-	}
-	dst := make([]Pair, total)
-	MultiMergeInto(dst, runs, nil)
-	if !PairsSorted(dst) {
-		t.Fatal("multi-merge output not sorted")
-	}
-	want := MultiMerge(runs)
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("MultiMergeInto diverges from MultiMerge at %d", i)
-		}
-	}
-	// Wrong destination length must panic, not corrupt.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short destination must panic")
-		}
-	}()
-	MultiMergeInto(dst[:total-1], runs, nil)
 }
 
 type keyShape struct {

@@ -1,8 +1,8 @@
 package algo
 
 // Scratch supplies reusable []Pair buffers to the sorting and merging
-// kernels so their scratch space (merge ping-pong buffers, radix
-// scatter targets) can come from a recycling allocator instead of the
+// kernels so their scratch space (radix scatter targets, staged merge
+// outputs) can come from a recycling allocator instead of the
 // Go heap. The mempool package provides pool-backed instances; a nil
 // *Scratch (or nil funcs) falls back to plain make, so every kernel
 // works without a pool.

@@ -164,7 +164,7 @@ func TestSortAndKeys(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{7, 70, 1}, [3]uint64{3, 30, 2}, [3]uint64{9, 90, 3})
 	k, _ := Extract(b, 0, e.al)
-	Sort(k)
+	SortRadix(k, 1, nil)
 	if !k.Sorted() {
 		t.Fatal("not marked sorted")
 	}
@@ -227,7 +227,7 @@ func TestKeySwap(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{7, 70, 1}, [3]uint64{3, 30, 2})
 	k, _ := Extract(b, 0, e.al)
-	Sort(k)
+	SortRadix(k, 1, nil)
 	if err := KeySwap(k, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestMaterialize(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{7, 70, 1}, [3]uint64{3, 30, 2}, [3]uint64{9, 90, 3})
 	k, _ := Extract(b, 0, e.al)
-	Sort(k)
+	SortRadix(k, 1, nil)
 	out, err := Materialize(k, e.newBuilder)
 	if err != nil {
 		t.Fatal(err)
@@ -320,9 +320,9 @@ func TestMerge(t *testing.T) {
 	b2 := e.bundleOf(t, [3]uint64{3, 30, 3}, [3]uint64{7, 70, 4})
 	k1, _ := Extract(b1, 0, e.al)
 	k2, _ := Extract(b2, 0, e.al)
-	Sort(k1)
-	Sort(k2)
-	m, err := Merge(k1, k2, e.al)
+	SortRadix(k1, 1, nil)
+	SortRadix(k2, 1, nil)
+	m, err := MergeK([]*KPA{k1, k2}, e.al)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,14 +355,14 @@ func TestMergeErrors(t *testing.T) {
 	b := e.bundleOf(t, [3]uint64{5, 50, 1}, [3]uint64{1, 10, 2})
 	k1, _ := Extract(b, 0, e.al)
 	k2, _ := Extract(b, 0, e.al)
-	if _, err := Merge(k1, k2, e.al); err == nil {
+	if _, err := MergeK([]*KPA{k1, k2}, e.al); err == nil {
 		t.Fatal("unsorted merge must fail")
 	}
-	Sort(k1)
-	Sort(k2)
+	SortRadix(k1, 1, nil)
+	SortRadix(k2, 1, nil)
 	KeySwap(k2, 1)
-	Sort(k2)
-	if _, err := Merge(k1, k2, e.al); err == nil {
+	SortRadix(k2, 1, nil)
+	if _, err := MergeK([]*KPA{k1, k2}, e.al); err == nil {
 		t.Fatal("mixed-resident merge must fail")
 	}
 }
@@ -373,8 +373,8 @@ func TestJoin(t *testing.T) {
 	b2 := e.bundleOf(t, [3]uint64{2, 200, 3}, [3]uint64{3, 300, 4})
 	k1, _ := Extract(b1, 0, e.al)
 	k2, _ := Extract(b2, 0, e.al)
-	Sort(k1)
-	Sort(k2)
+	SortRadix(k1, 1, nil)
+	SortRadix(k2, 1, nil)
 	var rows []JoinRow
 	if err := Join(k1, k2, func(r JoinRow) { rows = append(rows, r) }); err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func TestSelectFromKPA(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{1, 10, 1}, [3]uint64{2, 20, 2}, [3]uint64{4, 40, 3})
 	k, _ := Extract(b, 0, e.al)
-	Sort(k)
+	SortRadix(k, 1, nil)
 	out, err := Select(k, func(v uint64) bool { return v >= 2 }, e.al)
 	if err != nil {
 		t.Fatal(err)
@@ -490,28 +490,42 @@ func TestPartitionAllocFailureCleansUp(t *testing.T) {
 	}
 }
 
+// reduceRun is the keyed reduction of one whole sorted run: the
+// merge-reduce of a single run over its one range.
+func reduceRun(k *KPA, valCol int, factory AggFactory, emit func(key, result uint64)) error {
+	return MergeReduceRange([]*KPA{k}, []int{0}, []int{k.Len()}, valCol, factory, emit)
+}
+
+// TestReduceByKey reduces one sorted run by key, through its pointers
+// and again once its values are resident.
 func TestReduceByKey(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t,
 		[3]uint64{1, 10, 1}, [3]uint64{2, 20, 2}, [3]uint64{1, 30, 3}, [3]uint64{2, 5, 4})
 	k, _ := Extract(b, 0, e.al)
-	Sort(k)
-	got := map[uint64]uint64{}
-	err := ReduceByKey(k, 1, func() Agg { return &sumAgg{} }, func(key, res uint64) { got[key] = res })
-	if err != nil {
-		t.Fatal(err)
+	SortRadix(k, 1, nil)
+	// A value column the pointers cannot reach fails.
+	if err := reduceRun(k, 9, func() Agg { return &sumAgg{} }, func(uint64, uint64) {}); err == nil {
+		t.Fatal("bad column must fail")
 	}
-	if got[1] != 40 || got[2] != 25 {
-		t.Fatalf("sums = %v", got)
+	for _, mode := range []string{"pointer", "value-resident"} {
+		if mode == "value-resident" {
+			if err := k.MaterializeValues(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[uint64]uint64{}
+		if err := reduceRun(k, 1, func() Agg { return &sumAgg{} }, func(key, res uint64) { got[key] = res }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[1] != 40 || got[2] != 25 {
+			t.Fatalf("%s run: sums = %v", mode, got)
+		}
 	}
 	// Unsorted fails.
 	k2, _ := Extract(b, 0, e.al)
-	if err := ReduceByKey(k2, 1, func() Agg { return &sumAgg{} }, nil); err == nil {
+	if err := reduceRun(k2, 1, func() Agg { return &sumAgg{} }, nil); err == nil {
 		t.Fatal("unsorted reduce must fail")
-	}
-	// Bad column fails.
-	if err := ReduceByKey(k, 9, func() Agg { return &sumAgg{} }, func(uint64, uint64) {}); err == nil {
-		t.Fatal("bad column must fail")
 	}
 }
 
@@ -602,7 +616,7 @@ func TestPropExtractSortMaterialize(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		Sort(k)
+		SortRadix(k, 1, nil)
 		out, err := Materialize(k, e.newBuilder)
 		if err != nil {
 			return false
@@ -652,11 +666,11 @@ func TestPropMergeRefcountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			Sort(k)
+			SortRadix(k, 1, nil)
 			live = append(live, k)
 		}
 		for len(live) > 1 {
-			m, err := Merge(live[0], live[1], e.al)
+			m, err := MergeK(live[:2], e.al)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package kpa
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sync"
@@ -56,7 +57,7 @@ func buildRuns(t testing.TB, reg *bundle.Registry, al Allocator, r *rand.Rand, n
 			t.Fatal(err)
 		}
 		b.Release()
-		Sort(k)
+		SortRadix(k, 1, nil)
 		runs[j] = k
 	}
 	return runs
@@ -65,7 +66,7 @@ func buildRuns(t testing.TB, reg *bundle.Registry, al Allocator, r *rand.Rand, n
 // pairwiseTreeReduce is the old close path: levelwise pairwise merges
 // (odd run passing through at the end of each level, exactly as the
 // runtime's merge tree paired them) materializing a KPA per merge, then
-// one separate ReduceByKey sweep over the survivor.
+// one separate keyed-reduction sweep over the survivor.
 func pairwiseTreeReduce(t testing.TB, runs []*KPA, al Allocator, valCol int, factory AggFactory) []kv {
 	t.Helper()
 	cur := append([]*KPA(nil), runs...)
@@ -73,7 +74,7 @@ func pairwiseTreeReduce(t testing.TB, runs []*KPA, al Allocator, valCol int, fac
 	for len(cur) > 1 {
 		next := make([]*KPA, 0, (len(cur)+1)/2)
 		for i := 0; i+1 < len(cur); i += 2 {
-			m, err := Merge(cur[i], cur[i+1], al)
+			m, err := MergeK(cur[i:i+2], al)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func pairwiseTreeReduce(t testing.TB, runs []*KPA, al Allocator, valCol int, fac
 	}
 	var out []kv
 	if len(cur) == 1 {
-		if err := ReduceByKey(cur[0], valCol, factory, func(k, v uint64) {
+		if err := reduceRun(cur[0], valCol, factory, func(k, v uint64) {
 			out = append(out, kv{k, v})
 		}); err != nil {
 			t.Fatal(err)
@@ -162,7 +163,8 @@ func TestMergeReduceEquivalence(t *testing.T) {
 }
 
 // TestMergeKEquivalence checks the fan-in-capping materializer produces
-// the identical KPA the pairwise tree would.
+// the identical KPA the pairwise tree would: the runs concatenated in run
+// order and sorted stably by key.
 func TestMergeKEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	al := NoopAllocator{T: memsim.DRAM}
@@ -173,7 +175,8 @@ func TestMergeKEquivalence(t *testing.T) {
 		for j, k := range runs {
 			segs[j] = k.Pairs()
 		}
-		want := algo.MultiMerge(segs)
+		want := slices.Concat(segs...)
+		slices.SortStableFunc(want, func(a, b algo.Pair) int { return cmp.Compare(a.Key, b.Key) })
 		merged, err := MergeK(runs, al)
 		if err != nil {
 			t.Fatal(err)
@@ -410,7 +413,7 @@ func BenchmarkMergeReduce(b *testing.B) {
 			b.Fatal(err)
 		}
 		bb.Release()
-		Sort(k)
+		SortRadix(k, 1, nil)
 		runs[j] = k
 	}
 	total := float64(nRuns * runLen)

@@ -58,7 +58,7 @@ func TestMergeReducePartialRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Release()
-		kpa.Sort(k)
+		kpa.SortRadix(k, 1, nil)
 		runs[j] = k
 	}
 	want := make(map[string]map[uint64]uint64)
@@ -136,9 +136,6 @@ func TestMergeReducePartialRuns(t *testing.T) {
 		if _, err := kpa.MergeK([]*kpa.KPA{partial, value[0]}, al); err == nil {
 			t.Fatalf("%s: MergeK accepted a partial/raw mix", name)
 		}
-		if _, err := kpa.Merge(partial, value[0], al); err == nil {
-			t.Fatalf("%s: Merge accepted a partial/raw mix", name)
-		}
 		both, err := kpa.MergeK([]*kpa.KPA{partial, resealed}, al)
 		if err != nil || !both.Partial() {
 			t.Fatalf("%s: MergeK of two partial runs: partial=%v err=%v", name, both != nil && both.Partial(), err)
@@ -182,7 +179,7 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Release()
-	kpa.Sort(run)
+	kpa.SortRadix(run, 1, nil)
 	defer run.Destroy()
 	runs, lo, hi := []*kpa.KPA{run}, []int{0}, []int{run.Len()}
 

@@ -183,22 +183,16 @@ func UpdateKeysWriteBack(k *KPA, fn func(key uint64) uint64) error {
 
 // --- Grouping primitives (sequential access). ------------------------------
 
-// Sort sorts the KPA by resident keys in place with the comparison
-// merge-sort kernel.
-func Sort(k *KPA) {
-	algo.SortPairs(k.pairs)
-	k.sorted = true
-}
-
-// SortRadix sorts the KPA by resident keys in place with the radix
-// kernel (algo.RadixSortPairs), drawing scatter scratch from s. The
-// native runtime uses it for first-level run formation — bundle-sized
-// KPAs right after extraction — and keeps the comparison merge kernels
-// for the tree above (paper Table 2's partition/merge split). workers
-// is unused: the kernel is serial, the runtime's parallelism is one
-// extract task per bundle, and the parameter stays only because
-// benchmark/replay.go compiles against this signature (ROADMAP item
-// 1(c) drops it).
+// SortRadix sorts the KPA by resident keys in place, stably, with the
+// radix kernel (algo.RadixSortPairs), drawing scatter scratch from s. It
+// is the one way a KPA is sorted: the simulator's operators sort every
+// run they group with it, and the native runtime forms its first-level
+// runs with it or with SortColumns; sorted runs then combine through
+// MergeK, MergeReducePartial and the merge-reduce of a close (paper
+// Table 2's partition/merge split). workers is unused: the kernel is
+// serial, the runtime's parallelism is one extract task per bundle, and
+// the parameter stays only because benchmark/replay.go compiles against
+// this signature (ROADMAP item 1(c) drops it).
 func SortRadix(k *KPA, workers int, s *algo.Scratch) {
 	algo.RadixSortPairs(k.pairs, workers, s)
 	k.sorted = true
@@ -218,34 +212,10 @@ func SortColumns(k *KPA, keys, vals []uint64, s *algo.Scratch) {
 	k.sorted = true
 }
 
-// SortDemand returns the virtual cost of Sort.
+// SortDemand returns the virtual cost of sorting the KPA: the paper's
+// merge sort, which the simulator charges whatever kernel computes it.
 func SortDemand(k *KPA) memsim.Demand {
 	return memsim.SortDemand(k.Tier(), k.Len())
-}
-
-// Merge combines two sorted KPAs with the same resident column into a
-// new sorted KPA. Both inputs remain valid (destroy them separately).
-func Merge(a, b *KPA, al Allocator) (*KPA, error) {
-	if !a.sorted || !b.sorted {
-		return nil, fmt.Errorf("kpa: merge requires sorted inputs")
-	}
-	if a.resident != b.resident {
-		return nil, fmt.Errorf("kpa: merge of different resident columns (%d vs %d)", a.resident, b.resident)
-	}
-	if a.vals != b.vals || a.partial != b.partial {
-		return nil, fmt.Errorf("kpa: merge of mixed pointer/value-resident/partial runs")
-	}
-	out, err := newKPA(a.Len()+b.Len(), a.resident, al)
-	if err != nil {
-		return nil, err
-	}
-	out.pairs = out.pairs[:a.Len()+b.Len()]
-	algo.MergeInto(out.pairs, a.pairs, b.pairs)
-	out.inheritSources(a)
-	out.inheritSources(b)
-	out.sorted = true
-	out.vals, out.partial = a.vals, a.partial
-	return out, nil
 }
 
 // MergeDemand returns the virtual cost of merging a and b.

@@ -35,7 +35,7 @@ func sortedKPA(t *testing.T, reg *bundle.Registry, al Allocator, keys []uint64) 
 		t.Fatal(err)
 	}
 	b.Release()
-	Sort(k)
+	SortRadix(k, 1, nil)
 	return k
 }
 
@@ -65,7 +65,6 @@ func TestPooledKPAUsesSlab(t *testing.T) {
 	// Recycling must not leak stale pairs: contents are exactly the
 	// sorted keys, not leftovers.
 	want := append([]uint64(nil), keys...)
-	algo.SortPairs(k2.Pairs()) // already sorted; cheap no-op safety
 	got := k2.Keys()
 	seen := map[uint64]int{}
 	for _, k := range want {
@@ -113,7 +112,7 @@ func TestMergeTreeConcurrentDestroy(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, a, b *KPA) {
 				defer wg.Done()
-				m, err := Merge(a, b, al)
+				m, err := MergeK([]*KPA{a, b}, al)
 				a.Destroy()
 				b.Destroy()
 				if err != nil {

@@ -73,35 +73,6 @@ type Resetter interface {
 	Reset()
 }
 
-// ReduceByKey performs keyed reduction over a sorted KPA (paper Table 2,
-// "Keyed"): it scans the KPA sequentially, tracks contiguous key ranges,
-// dereferences each pointer to load the nonresident value column
-// (random access into DRAM), and emits one (key, aggregate) per key.
-func ReduceByKey(k *KPA, valCol int, factory AggFactory, emit func(key, result uint64)) error {
-	if !k.sorted {
-		return fmt.Errorf("kpa: keyed reduction requires a sorted KPA")
-	}
-	n := k.Len()
-	for i := 0; i < n; {
-		key := k.pairs[i].Key
-		agg := factory()
-		for i < n && k.pairs[i].Key == key {
-			if k.vals {
-				agg.Add(k.pairs[i].Ptr)
-			} else {
-				src, r := k.Deref(k.pairs[i].Ptr)
-				if valCol < 0 || valCol >= src.Schema().NumCols {
-					return fmt.Errorf("kpa: reduce value column %d out of range", valCol)
-				}
-				agg.Add(src.At(r, valCol))
-			}
-			i++
-		}
-		emit(key, agg.Result())
-	}
-	return nil
-}
-
 // ReduceAll performs unkeyed reduction across every record of the KPA,
 // loading value column valCol through the pointers.
 func ReduceAll(k *KPA, valCol int, agg Agg) error {

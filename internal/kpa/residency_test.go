@@ -151,8 +151,8 @@ func TestMergeReduceMixedResidency(t *testing.T) {
 	}
 }
 
-// TestMergeHomogeneity: materializing merges (MergeK, Merge) refuse
-// mixed pointer/value-resident inputs, and succeed once the inputs are
+// TestMergeHomogeneity: the materializing merge (MergeK) refuses mixed
+// pointer/value-resident inputs, and succeeds once the inputs are
 // converted to one mode.
 func TestMergeHomogeneity(t *testing.T) {
 	al, pool := poolAllocator(t, memsim.DRAM)
@@ -171,9 +171,6 @@ func TestMergeHomogeneity(t *testing.T) {
 	}
 	if _, err := MergeK([]*KPA{a, b}, al); err == nil {
 		t.Fatal("MergeK accepted mixed residency")
-	}
-	if _, err := Merge(a, b, al); err == nil {
-		t.Fatal("Merge accepted mixed residency")
 	}
 	if err := b.MaterializeValues(1); err != nil {
 		t.Fatal(err)

@@ -116,64 +116,9 @@ func NewMergeTarget(a, b *KPA, al Allocator) (*KPA, error) {
 }
 
 // MergeSegment merges one slice of a and b into out (safe to run from
-// distinct tasks on disjoint slices).
+// distinct tasks on disjoint slices): the verbatim k-way merge of the two
+// segments, ties to a.
 func MergeSegment(out, a, b *KPA, s MergeSlice) {
-	algo.MergeInto(out.pairs[s.OutLo:s.OutLo+s.Len()], a.pairs[s.ALo:s.AHi], b.pairs[s.BLo:s.BHi])
-}
-
-// KeyAlignedCuts returns up to p+1 ascending cut positions over a
-// sorted KPA such that no key group spans a cut — the slice points for
-// range-parallel keyed reduction.
-func KeyAlignedCuts(k *KPA, p int) ([]int, error) {
-	if !k.sorted {
-		return nil, fmt.Errorf("kpa: key-aligned cuts require a sorted KPA")
-	}
-	n := k.Len()
-	if p < 1 {
-		p = 1
-	}
-	cuts := []int{0}
-	for i := 1; i < p; i++ {
-		pos := i * n / p
-		// Advance past the current key group.
-		for pos > 0 && pos < n && k.pairs[pos].Key == k.pairs[pos-1].Key {
-			pos++
-		}
-		if pos > cuts[len(cuts)-1] && pos < n {
-			cuts = append(cuts, pos)
-		}
-	}
-	if n > 0 || len(cuts) == 1 {
-		cuts = append(cuts, n)
-	}
-	return cuts, nil
-}
-
-// ReduceByKeyRange performs keyed reduction over rows [lo,hi) of a
-// sorted KPA; the range must be key-aligned (see KeyAlignedCuts).
-func ReduceByKeyRange(k *KPA, lo, hi, valCol int, factory AggFactory, emit func(key, result uint64)) error {
-	if !k.sorted {
-		return fmt.Errorf("kpa: keyed reduction requires a sorted KPA")
-	}
-	if lo < 0 || hi > k.Len() || lo > hi {
-		return fmt.Errorf("kpa: reduce range [%d,%d) out of bounds", lo, hi)
-	}
-	for i := lo; i < hi; {
-		key := k.pairs[i].Key
-		agg := factory()
-		for i < hi && k.pairs[i].Key == key {
-			if k.vals {
-				agg.Add(k.pairs[i].Ptr)
-			} else {
-				src, r := k.Deref(k.pairs[i].Ptr)
-				if valCol < 0 || valCol >= src.Schema().NumCols {
-					return fmt.Errorf("kpa: reduce value column %d out of range", valCol)
-				}
-				agg.Add(src.At(r, valCol))
-			}
-			i++
-		}
-		emit(key, agg.Result())
-	}
-	return nil
+	segs := [][]algo.Pair{a.pairs[s.ALo:s.AHi], b.pairs[s.BLo:s.BHi]}
+	algo.MultiMergeFold(segs, algo.Fold{Op: algo.FoldCopy}, out.pairs[s.OutLo:s.OutLo+s.Len()])
 }

@@ -23,7 +23,7 @@ func buildSorted(t *testing.T, e *env, keys []uint64) *KPA {
 	if err != nil {
 		panic(err)
 	}
-	Sort(k)
+	SortRadix(k, 1, nil)
 	return k
 }
 
@@ -77,7 +77,7 @@ func TestMergeSlicesRequiresSorted(t *testing.T) {
 	b := e.bundleOf(t, [3]uint64{3, 0, 0}, [3]uint64{1, 0, 1})
 	k, _ := Extract(b, 0, e.al)
 	k2, _ := Extract(b, 0, e.al)
-	Sort(k2)
+	SortRadix(k2, 1, nil)
 	if _, err := MergeSlices(k, k2, 4); err == nil {
 		t.Fatal("unsorted input must fail")
 	}
@@ -91,7 +91,7 @@ func TestMergeTargetResidentMismatch(t *testing.T) {
 	a := buildSorted(t, e, []uint64{1, 2})
 	b := buildSorted(t, e, []uint64{3, 4})
 	KeySwap(b, 1)
-	Sort(b)
+	SortRadix(b, 1, nil)
 	if _, err := NewMergeTarget(a, b, e.al); err == nil {
 		t.Fatal("resident mismatch must fail")
 	}
@@ -134,7 +134,7 @@ func TestPropSlicedMergeEqualsPlainMerge(t *testing.T) {
 		a := buildSorted(nil, e, ka)
 		b := buildSorted(nil, e, kb)
 		p := int(pRaw%8) + 1
-		want, err := Merge(a, b, e.al)
+		want, err := MergeK([]*KPA{a, b}, e.al)
 		if err != nil {
 			return false
 		}
@@ -166,15 +166,29 @@ func TestPropSlicedMergeEqualsPlainMerge(t *testing.T) {
 
 func Keys(k *KPA) []uint64 { return algo.Keys(k.Pairs()) }
 
-func TestKeyAlignedCuts(t *testing.T) {
-	e := newEnv()
-	k := buildSorted(t, e, []uint64{1, 1, 1, 2, 2, 3, 4, 4})
-	cuts, err := KeyAlignedCuts(k, 4)
+// cutsOf returns the key-aligned cuts MergeCuts draws over one run, as
+// positions in it.
+func cutsOf(t *testing.T, k *KPA, p int) []int {
+	t.Helper()
+	cuts, err := MergeCuts([]*KPA{k}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cuts[0] != 0 || cuts[len(cuts)-1] != 8 {
-		t.Fatalf("cuts = %v", cuts)
+	pos := make([]int, len(cuts))
+	for i, c := range cuts {
+		pos[i] = c[0]
+	}
+	return pos
+}
+
+// TestKeyAlignedCuts: over one run, each cut lies at the end of the key
+// group holding rank i·n/p, duplicates dropped.
+func TestKeyAlignedCuts(t *testing.T) {
+	e := newEnv()
+	k := buildSorted(t, e, []uint64{1, 1, 1, 2, 2, 3, 4, 4})
+	cuts := cutsOf(t, k, 4)
+	if !reflect.DeepEqual(cuts, []int{0, 3, 5, 6, 8}) {
+		t.Fatalf("cuts = %v, want [0 3 5 6 8]", cuts)
 	}
 	// No key group spans a cut.
 	pairs := k.Pairs()
@@ -188,11 +202,7 @@ func TestKeyAlignedCuts(t *testing.T) {
 func TestKeyAlignedCutsSingleKey(t *testing.T) {
 	e := newEnv()
 	k := buildSorted(t, e, []uint64{7, 7, 7, 7})
-	cuts, err := KeyAlignedCuts(k, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cuts, []int{0, 4}) {
+	if cuts := cutsOf(t, k, 4); !reflect.DeepEqual(cuts, []int{0, 4}) {
 		t.Fatalf("cuts = %v (one group cannot be split)", cuts)
 	}
 }
@@ -201,26 +211,29 @@ func TestKeyAlignedCutsUnsorted(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{3, 0, 0}, [3]uint64{1, 0, 1})
 	k, _ := Extract(b, 0, e.al)
-	if _, err := KeyAlignedCuts(k, 2); err == nil {
+	if _, err := MergeCuts([]*KPA{k}, 2); err == nil {
 		t.Fatal("unsorted must fail")
 	}
 }
 
+// TestReduceByKeyRangeMatchesFull: the keyed reduction of one pointer
+// run, range by range over its key-aligned cuts, is the reduction of the
+// whole run, each key reduced in exactly one range.
 func TestReduceByKeyRangeMatchesFull(t *testing.T) {
 	e := newEnv()
 	keys := randKeys(500, 23, 9)
 	k := buildSorted(t, e, keys)
 	full := map[uint64]uint64{}
-	if err := ReduceByKey(k, 1, func() Agg { return &sumAgg{} }, func(key, res uint64) { full[key] = res }); err != nil {
+	if err := reduceRun(k, 1, func() Agg { return &sumAgg{} }, func(key, res uint64) { full[key] = res }); err != nil {
 		t.Fatal(err)
 	}
-	cuts, err := KeyAlignedCuts(k, 7)
-	if err != nil {
-		t.Fatal(err)
+	cuts := cutsOf(t, k, 7)
+	if !reflect.DeepEqual(cuts, []int{0, 74, 146, 242, 300, 358, 442, 500}) {
+		t.Fatalf("cuts = %v", cuts)
 	}
 	ranged := map[uint64]uint64{}
 	for i := 0; i+1 < len(cuts); i++ {
-		err := ReduceByKeyRange(k, cuts[i], cuts[i+1], 1, func() Agg { return &sumAgg{} },
+		err := MergeReduceRange([]*KPA{k}, cuts[i:i+1], cuts[i+1:i+2], 1, func() Agg { return &sumAgg{} },
 			func(key, res uint64) {
 				if _, dup := ranged[key]; dup {
 					t.Fatalf("key %d reduced twice across ranges", key)
@@ -236,21 +249,25 @@ func TestReduceByKeyRangeMatchesFull(t *testing.T) {
 	}
 }
 
+// TestReduceByKeyRangeErrors: a range outside the run, a value column
+// outside its bundles and an unsorted run each fail.
 func TestReduceByKeyRangeErrors(t *testing.T) {
 	e := newEnv()
 	k := buildSorted(t, e, []uint64{1, 2, 3})
-	if err := ReduceByKeyRange(k, -1, 2, 1, func() Agg { return &sumAgg{} }, nil); err == nil {
+	one := []*KPA{k}
+	sum := func() Agg { return &sumAgg{} }
+	if err := MergeReduceRange(one, []int{-1}, []int{2}, 1, sum, nil); err == nil {
 		t.Fatal("negative lo must fail")
 	}
-	if err := ReduceByKeyRange(k, 0, 9, 1, func() Agg { return &sumAgg{} }, nil); err == nil {
+	if err := MergeReduceRange(one, []int{0}, []int{9}, 1, sum, nil); err == nil {
 		t.Fatal("hi out of bounds must fail")
 	}
-	if err := ReduceByKeyRange(k, 0, 3, 99, func() Agg { return &sumAgg{} }, func(uint64, uint64) {}); err == nil {
+	if err := MergeReduceRange(one, []int{0}, []int{3}, 99, sum, func(uint64, uint64) {}); err == nil {
 		t.Fatal("bad column must fail")
 	}
 	b := e.bundleOf(t, [3]uint64{3, 0, 0}, [3]uint64{1, 0, 1})
 	un, _ := Extract(b, 0, e.al)
-	if err := ReduceByKeyRange(un, 0, 2, 1, func() Agg { return &sumAgg{} }, nil); err == nil {
+	if err := MergeReduceRange([]*KPA{un}, []int{0}, []int{2}, 1, sum, nil); err == nil {
 		t.Fatal("unsorted must fail")
 	}
 }

@@ -431,7 +431,7 @@ func (p *Pool) putSlab(t memsim.Tier, class int, slab []algo.Pair) {
 }
 
 // ScratchFor returns an algo.Scratch drawing transient kernel buffers
-// (sort scratch, merge ping-pong, radix scatter) from tier t's slab
+// (radix scatter targets, staged seal outputs) from tier t's slab
 // free lists. Scratch buffers bypass capacity accounting: they reuse
 // slabs the accounting has already released, and charging them would
 // turn short-lived sort scratch into spurious backpressure.

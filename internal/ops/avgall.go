@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"slices"
+
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
@@ -83,7 +85,7 @@ func (o *AvgAllOp) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
 			closed = append(closed, start)
 		}
 	}
-	sortTimes(closed)
+	slices.Sort(closed)
 	for _, start := range closed {
 		p := o.partial[start]
 		delete(o.partial, start)

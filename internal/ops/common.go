@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"slices"
+
 	"streambox/internal/bundle"
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
@@ -110,7 +112,7 @@ func toKeyedKPA(ctx *engine.Ctx, in engine.Input, keyCol int, al kpa.Allocator, 
 		}
 	}
 	if doSort && !k.Sorted() {
-		kpa.Sort(k)
+		kpa.SortRadix(k, 1, nil)
 	}
 	return k
 }
@@ -145,24 +147,19 @@ func (s *windowState) closable(w wm.Windowing, watermark wm.Time) []wm.Time {
 			out = append(out, win)
 		}
 	}
-	sortTimes(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortTimes(ts []wm.Time) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // mergeTree pairwise-merges the sorted runs of a closing window (paper
 // §4.2: "all N threads participate in pairwise merge of these chunks
 // iteratively"), then calls done with the single merged KPA. Large
 // merges near the tree root are sliced at key boundaries into one task
-// per core. Runs are consumed. Every task is Urgent: the window is on
-// the critical path to output.
+// per core. Each task runs the one merge kernel (algo.MultiMergeFold,
+// through kpa.MergeK or kpa.MergeSegment) over its two inputs; the tree
+// and its slices are the paper's, charged by their Demands. Runs are
+// consumed. Every task is Urgent: the window is on the critical path to
+// output.
 func mergeTree(ctx *engine.Ctx, name string, runs []*kpa.KPA, done func(*kpa.KPA)) {
 	switch len(runs) {
 	case 0:
@@ -194,7 +191,7 @@ func mergeTree(ctx *engine.Ctx, name string, runs []*kpa.KPA, done func(*kpa.KPA
 			var m *kpa.KPA
 			ctx.SpawnCont(name+":merge", engine.Urgent, d, func() []engine.Emission {
 				var err error
-				m, err = kpa.Merge(a, b, ctx.AllocTagged(engine.Urgent))
+				m, err = kpa.MergeK([]*kpa.KPA{a, b}, ctx.AllocTagged(engine.Urgent))
 				if err != nil {
 					ctx.Errorf("merge: %v", err)
 				}
@@ -251,31 +248,29 @@ func mergeTree(ctx *engine.Ctx, name string, runs []*kpa.KPA, done func(*kpa.KPA
 }
 
 // parallelReduce range-partitions a sorted, merged KPA at key
-// boundaries and runs one keyed-reduction task per range, emitting one
-// result bundle per range. The merged KPA is destroyed when all ranges
-// finish.
+// boundaries (kpa.MergeCuts over the one run: the end of the key group
+// holding rank i·n/p) and runs one keyed-reduction task per range
+// (kpa.MergeReduceRange), emitting one result bundle per range. The
+// merged KPA is destroyed when all ranges finish.
 func parallelReduce(ctx *engine.Ctx, name string, merged *kpa.KPA, valCol int, factory kpa.AggFactory, winStart wm.Time, costFactor float64) {
 	if costFactor <= 0 {
 		costFactor = 1
 	}
-	cuts, err := kpa.KeyAlignedCuts(merged, ctx.Cores())
+	runs := []*kpa.KPA{merged}
+	cuts, err := kpa.MergeCuts(runs, ctx.Cores())
 	if err != nil {
 		ctx.Errorf("reduce cuts: %v", err)
 		merged.Destroy()
 		return
 	}
 	remaining := len(cuts) - 1
-	if remaining <= 0 {
-		merged.Destroy()
-		return
-	}
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
-		d := ctx.GroupDemand(memsim.ReduceKeyedDemand(merged.Tier(), int(float64(hi-lo)*costFactor)), ResultSchema)
+		d := ctx.GroupDemand(memsim.ReduceKeyedDemand(merged.Tier(), int(float64(hi[0]-lo[0])*costFactor)), ResultSchema)
 		ctx.SpawnCont(name+":reduce", engine.Urgent, d, func() []engine.Emission {
 			type kv struct{ k, v uint64 }
 			var rows []kv
-			err := kpa.ReduceByKeyRange(merged, lo, hi, valCol, factory, func(key, res uint64) {
+			err := kpa.MergeReduceRange(runs, lo, hi, valCol, factory, func(key, res uint64) {
 				rows = append(rows, kv{key, res})
 			})
 			if err != nil {

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"slices"
+
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
@@ -108,25 +110,22 @@ func (o *PowerGridOp) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
 // (plug-key-aligned), folds per-house counts of plugs above the global
 // average, and emits the top houses in a final combining task.
 func (o *PowerGridOp) reduceWindow(ctx *engine.Ctx, merged *kpa.KPA, globalAvg uint64, winStart wm.Time) {
-	cuts, err := kpa.KeyAlignedCuts(merged, ctx.Cores())
+	runs := []*kpa.KPA{merged}
+	cuts, err := kpa.MergeCuts(runs, ctx.Cores())
 	if err != nil {
 		ctx.Errorf("cuts: %v", err)
 		merged.Destroy()
 		return
 	}
 	remaining := len(cuts) - 1
-	if remaining <= 0 {
-		merged.Destroy()
-		return
-	}
 	houseCounts := make(map[uint64]uint64)
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
 		// Two aggregation rounds (per-plug average, per-house fold) over
 		// the range: charge a multiple of a plain keyed reduction.
-		d := ctx.GroupDemand(memsim.ReduceKeyedDemand(merged.Tier(), 3*(hi-lo)), ResultSchema)
+		d := ctx.GroupDemand(memsim.ReduceKeyedDemand(merged.Tier(), 3*(hi[0]-lo[0])), ResultSchema)
 		ctx.SpawnCont(o.Name()+":reduce", engine.Urgent, d, func() []engine.Emission {
-			err := kpa.ReduceByKeyRange(merged, lo, hi, pgValCol, Avg(), func(plugKey, avg uint64) {
+			err := kpa.MergeReduceRange(runs, lo, hi, pgValCol, Avg(), func(plugKey, avg uint64) {
 				if avg > globalAvg {
 					houseCounts[HouseOf(plugKey)]++
 				}
@@ -162,7 +161,7 @@ func (o *PowerGridOp) emitTopHouses(ctx *engine.Ctx, houseCounts map[uint64]uint
 			top = append(top, h)
 		}
 	}
-	sortU64(top)
+	slices.Sort(top)
 	ctx.SpawnTagged(o.Name()+":emit", engine.Urgent, emitDemand(len(top), ResultSchema.RecordBytes()), func() []engine.Emission {
 		bd, err := ctx.NewBuilder(ResultSchema, len(top))
 		if err != nil {
@@ -174,12 +173,4 @@ func (o *PowerGridOp) emitTopHouses(ctx *engine.Ctx, houseCounts map[uint64]uint
 		}
 		return []engine.Emission{{Port: 0, In: engine.Input{B: bd.Seal(), WinStart: winStart, HasWin: true}}}
 	})
-}
-
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

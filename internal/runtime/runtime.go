@@ -391,8 +391,8 @@ type exec struct {
 	sched *Scheduler
 	pool  *mempool.Pool
 	reg   *bundle.Registry
-	// scratch draws transient kernel buffers (radix scatter, merge
-	// ping-pong) from the pool's slab free lists, per tier.
+	// scratch draws transient kernel buffers (radix scatter, staged seal
+	// output) from the pool's slab free lists, per tier.
 	scratch [memsim.NumTiers]*algo.Scratch
 
 	// table is the window/pane registry; it owns the target watermark.

@@ -3,8 +3,9 @@
 // declare pipelines of grouping and reduction operators (the Apache
 // Beam style of the paper's Listing 1); the runtime executes them over
 // a simulated KNL-class hybrid memory, extracting Key Pointer Arrays
-// into HBM, grouping with sequential-access merge-sort, and balancing
-// HBM capacity against DRAM bandwidth with a demand-balance knob.
+// into HBM, grouping with sequential-access sorts and merges, and
+// balancing HBM capacity against DRAM bandwidth with a demand-balance
+// knob.
 //
 // A minimal pipeline (compare the paper's Listing 1):
 //
@@ -117,8 +118,8 @@ const (
 	// (virtual time, paper-faithful cost model). The default.
 	Simulated Backend = iota
 	// Native executes on real goroutines over real data: a
-	// work-stealing worker pool runs ingest → KPA extraction → parallel
-	// merge-sort → merge → windowed reduction, with KPA placement by one
+	// work-stealing worker pool runs ingest → KPA extraction → radix run
+	// formation → k-way merge-reduce per window, with KPA placement by one
 	// occupancy rule and backpressure from pool utilization. Reported throughput is real records per wall-clock
 	// second. The native backend supports single-source
 	// filter* → Window → <agg>PerKey pipelines; richer graphs run
