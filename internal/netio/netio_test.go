@@ -364,7 +364,7 @@ func TestRowDecodeSlabsPlateau(t *testing.T) {
 
 // TestServerRejectsOversizedFrame: a frame declaring more bytes than
 // MaxFrameBytes is a decode error and severs the connection, whatever
-// the format.
+// the format, without its body being read or timed as decode work.
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	for _, format := range []parsefmt.Format{parsefmt.PB, parsefmt.Columnar} {
 		feed := NewFeed(WireSchema(), 8)
@@ -387,8 +387,8 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		c.Close()
 		srv.Close()
 		<-done
-		if n := srv.Counters().DecodeErrors; n != 1 {
-			t.Fatalf("%v: decode errors %d, want 1", format, n)
+		if ctr := srv.Counters(); ctr.DecodeErrors != 1 || ctr.DecodeNanos != 0 {
+			t.Fatalf("%v: decode errors %d, decode time %d ns; want 1 and none (the frame is refused unread)", format, ctr.DecodeErrors, ctr.DecodeNanos)
 		}
 	}
 }
@@ -720,6 +720,9 @@ func TestServerCountsDecodeErrors(t *testing.T) {
 	}
 	if got.Load() != 2 || ctr.IngestedRecords != 2 {
 		t.Fatalf("ingested %d/%d, want the 2 records of the replayed frame", got.Load(), ctr.IngestedRecords)
+	}
+	if ctr.DecodeNanos <= 0 {
+		t.Fatalf("DecodeNanos = %d after three PB frames verified", ctr.DecodeNanos)
 	}
 }
 

@@ -170,6 +170,11 @@ type Counters struct {
 	// deadlines: no frame arrived, or an ack could not be written, for
 	// IdleTimeout.
 	IdleTimeouts int64
+	// DecodeNanos is the time spent verifying and decoding received
+	// frame bodies, socket reads excluded: a columnar frame's checksum and
+	// timestamp max, a PB frame's CRC-32C check, record decode and
+	// timestamp max. One clock pair per frame.
+	DecodeNanos int64
 }
 
 // ConnCounters is one connection's view for /metrics.
@@ -254,6 +259,7 @@ type Server struct {
 	shed        *metrics.Counter
 	expired     *metrics.Counter
 	idleTOs     *metrics.Counter
+	decodeNanos *metrics.Counter
 
 	// frameLog2 tracks, per format, the log2 of the largest frame seen —
 	// a one-word histogram summary that sizes new connections' buffered
@@ -330,6 +336,7 @@ func (s *Server) declareMetrics() {
 	s.dups = m.Counter("streambox_ingest_duplicate_frames_total")
 	s.shed = m.Counter("streambox_ingest_shed_connections_total")
 	s.idleTOs = m.Counter("streambox_ingest_idle_timeouts_total")
+	s.decodeNanos = m.Counter("streambox_ingest_decode_ns_total")
 	for f, label := range formatLabel {
 		if label != "" {
 			s.framesByFmt[f] = m.Counter(`streambox_ingest_format_frames_total{format="` + label + `"}`)
@@ -490,6 +497,7 @@ func (s *Server) Counters() Counters {
 		ExpiredSessions: s.expired.Load(),
 		ParkedCursors:   int64(parked),
 		IdleTimeouts:    s.idleTOs.Load(),
+		DecodeNanos:     s.decodeNanos.Load(),
 	}
 	for i, ctr := range s.framesByFmt {
 		if ctr != nil {
@@ -906,6 +914,7 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 		}
 		parsefmt.FixWireOrder(cols[i])
 	}
+	defer s.addDecodeTime(time.Now())
 	var sum uint64
 	if d.ranges != nil {
 		sum = parsefmt.ChecksumColumnsRanges(cols, d.ranges)
@@ -946,6 +955,7 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, 0, false // truncated mid-frame: peer gone
 	}
+	defer s.addDecodeTime(time.Now())
 	body, intact := splitCRC(payload)
 	if !intact {
 		s.countChecksumError(c)
@@ -968,6 +978,13 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 		}
 	}
 	return cols, maxTs, true
+}
+
+// addDecodeTime adds the time since t0 to streambox_ingest_decode_ns_total:
+// the verify-and-decode share of a frame, from the end of its socket read
+// (decodeColumnar and decodeRecords defer it there) to its return.
+func (s *Server) addDecodeTime(t0 time.Time) {
+	s.decodeNanos.Add(time.Since(t0).Nanoseconds())
 }
 
 // deliver is the one place a received frame becomes ingested:

@@ -3,7 +3,10 @@
 // protobuf-style varint binary format (hand-written, stdlib only), and
 // as comma-separated text. Parse throughput is measured for real on the
 // host and projected onto the paper's KNL and X56 machines with the
-// per-core scale factors below.
+// per-core scale factors below. The varint format is also the network's
+// row wire: AppendPB encodes it and DecodePBColumns decodes it straight
+// into columns, each in one pass over a record's bytes; columnar.go
+// holds the columnar wire.
 package parsefmt
 
 import (
@@ -11,6 +14,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -68,27 +72,64 @@ func DecodeJSON(data []byte) ([]Record, error) {
 // Wire format per record: 7 fields, each (tag byte, uvarint value),
 // prefixed by a uvarint byte length — the shape of a proto3 message
 // with fields 1..7, implemented from scratch.
+//
+// AppendPB writes every record in one canonical form: fields 1..7 in
+// order, once each. DecodePBColumns accepts more than that (any field
+// order, repeats, absent fields, as proto3 does) but is built around it:
+// a canonical record is decoded in one pass with the field index as the
+// loop counter, and only a record that departs from the form is decoded
+// again by the general field loop, which defines what is accepted.
+
+// pbFields is the number of fields in a record; maxPBRecordBytes is the
+// longest record AppendPB can write — a one-byte length, then per field
+// a tag byte and a varint of at most binary.MaxVarintLen64 bytes. It is
+// under 128, so the length prefix of every encoded record is one byte.
+const (
+	pbFields         = 7
+	maxPBRecordBytes = 1 + pbFields*(1+binary.MaxVarintLen64)
+)
 
 // EncodePB renders records in the varint wire format.
 func EncodePB(recs []Record) []byte { return AppendPB(nil, recs) }
 
 // AppendPB appends the records' varint wire form to dst and returns the
-// extended slice — EncodePB into a buffer the caller reuses.
+// extended slice — EncodePB into a buffer the caller reuses. Each record
+// reserves its worst case once, then writes its length byte, tags and
+// varint bytes by index: no per-byte append, no staging buffer.
 func AppendPB(dst []byte, recs []Record) []byte {
-	for _, r := range recs {
-		// Reserve the length byte, encode the fields behind it, then
-		// fill it in: no staging buffer, no second copy.
+	for i := range recs {
+		r := &recs[i]
+		dst = slices.Grow(dst, maxPBRecordBytes)
 		at := len(dst)
-		dst = append(dst, 0)
-		for i, v := range r.Cols() {
-			dst = append(dst, byte((i+1)<<3)) // field tag, wire type 0
-			dst = binary.AppendUvarint(dst, v)
-		}
-		// 7 fields of a tag byte and at most a 10-byte varint: under 128,
-		// so the length is a one-byte uvarint.
-		dst[at] = byte(len(dst) - at - 1)
+		buf := dst[at : at+maxPBRecordBytes]
+		// One call per field rather than a loop over them: each inlined
+		// copy of the varint loop is a branch of its own, which learns its
+		// field's usual length.
+		n := putField(buf, 1, 1, r.AdID) // buf[0] is the length, filled in last
+		n = putField(buf, n, 2, r.AdType)
+		n = putField(buf, n, 3, r.EventType)
+		n = putField(buf, n, 4, r.UserID)
+		n = putField(buf, n, 5, r.PageID)
+		n = putField(buf, n, 6, r.IP)
+		n = putField(buf, n, 7, r.EventTime)
+		buf[0] = byte(n - 1)
+		dst = dst[:at+n]
 	}
 	return dst
+}
+
+// putField writes field's tag (wire type 0) and v's uvarint at buf[n:]
+// and returns the index past them.
+func putField(buf []byte, n int, field byte, v uint64) int {
+	buf[n] = field << 3
+	n++
+	for v >= 0x80 {
+		buf[n] = byte(v) | 0x80
+		v >>= 7
+		n++
+	}
+	buf[n] = byte(v)
+	return n + 1
 }
 
 // maxWireRecordBytes bounds one encoded record on the wire. A legitimate
@@ -102,17 +143,18 @@ const maxWireRecordBytes = 1 << 16
 // storage, the layout the engine's bundles use. It walks the payload
 // twice — first the length prefixes alone, to count the records and
 // bound every one against the payload before anything is allocated, then
-// the fields, each value stored at its record's row of its column. take
-// supplies the seven columns at exactly that row count (the pooled-slab
-// seam; they may hold stale values, every element is overwritten) and is
-// not called for an empty payload, which decodes to nil. Network bytes
-// are untrusted: malformed input is an error, never a panic or a read
-// past the payload. A field error surfaces after take has run; cols is
-// then returned beside the error so the caller can give the storage back.
+// each record once, every value stored at its record's row of its
+// column. take supplies the seven columns at exactly that row count (the
+// pooled-slab seam; they may hold stale values, every element is
+// overwritten) and is not called for an empty payload, which decodes to
+// nil. Network bytes are untrusted: malformed input is an error, never a
+// panic or a read past the payload. A field error surfaces after take has
+// run; cols is then returned beside the error, with unspecified contents,
+// so the caller can give the storage back.
 func DecodePBColumns(payload []byte, take func(rows int) [][]uint64) (cols [][]uint64, err error) {
 	rows := 0
 	for rest := payload; len(rest) > 0; rows++ {
-		msgLen, n := binary.Uvarint(rest)
+		msgLen, n := lengthPrefix(rest)
 		if n <= 0 || uint64(len(rest)-n) < msgLen {
 			return nil, fmt.Errorf("parsefmt: pb: truncated length prefix")
 		}
@@ -125,29 +167,97 @@ func DecodePBColumns(payload []byte, take func(rows int) [][]uint64) (cols [][]u
 		return nil, nil
 	}
 	cols = take(rows)
+	dst := (*[pbFields][]uint64)(cols)
 	for r := 0; r < rows; r++ {
-		msgLen, n := binary.Uvarint(payload)
+		msgLen, n := lengthPrefix(payload)
 		msg := payload[n : n+int(msgLen)]
 		payload = payload[n+int(msgLen):]
-		var rec [7]uint64 // absent fields read zero, as in proto3
-		for len(msg) > 0 {
-			tag := msg[0]
-			field := int(tag>>3) - 1
-			if tag&7 != 0 || field < 0 || field >= len(rec) {
-				return cols, fmt.Errorf("parsefmt: pb: bad field tag %#x", tag)
+		if !decodeCanonical(msg, dst, r) {
+			if err := decodeFields(msg, dst, r); err != nil {
+				return cols, err
 			}
-			v, vn := binary.Uvarint(msg[1:])
-			if vn <= 0 {
-				return cols, fmt.Errorf("parsefmt: pb: truncated varint")
-			}
-			rec[field] = v
-			msg = msg[1+vn:]
-		}
-		for i, v := range rec {
-			cols[i][r] = v
 		}
 	}
 	return cols, nil
+}
+
+// lengthPrefix is binary.Uvarint over a non-empty b, with the one-byte
+// prefix every AppendPB record has read without the call.
+func lengthPrefix(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
+}
+
+// decodeCanonical decodes msg into row r of dst if it is a canonical
+// record — tags 1..7 in order, once each, wire type 0, every varint
+// within msg and within binary.Uvarint's 64-bit overflow rule — and
+// reports whether it was. On false some of the row's columns may have
+// been written; decodeFields then writes all seven.
+func decodeCanonical(msg []byte, dst *[pbFields][]uint64, r int) bool {
+	i := 0
+	for f := range dst {
+		if i >= len(msg) || msg[i] != byte((f+1)<<3) {
+			return false
+		}
+		i++
+		if i >= len(msg) {
+			return false
+		}
+		v := uint64(msg[i])
+		i++
+		if v >= 0x80 {
+			v &= 0x7f
+			for s := 7; ; s += 7 {
+				if i >= len(msg) {
+					return false
+				}
+				b := uint64(msg[i])
+				i++
+				if b < 0x80 {
+					if s == 63 && b > 1 {
+						return false // the tenth byte overflows 64 bits
+					}
+					v |= b << s
+					break
+				}
+				if s == 63 {
+					return false // ten bytes and still continuing
+				}
+				v |= (b & 0x7f) << s
+			}
+		}
+		dst[f][r] = v
+	}
+	return i == len(msg)
+}
+
+// decodeFields is the general record decoder and the definition of what
+// DecodePBColumns accepts: fields in any order, a repeated field's last
+// value wins, absent fields read zero (as in proto3); field 0, fields
+// past 7, wire types other than 0 and varints that run past the record
+// or overflow 64 bits are errors. It writes all seven columns of row r
+// only once the record has parsed.
+func decodeFields(msg []byte, dst *[pbFields][]uint64, r int) error {
+	var rec [pbFields]uint64
+	for len(msg) > 0 {
+		tag := msg[0]
+		field := int(tag>>3) - 1
+		if tag&7 != 0 || field < 0 || field >= len(rec) {
+			return fmt.Errorf("parsefmt: pb: bad field tag %#x", tag)
+		}
+		v, vn := binary.Uvarint(msg[1:])
+		if vn <= 0 {
+			return fmt.Errorf("parsefmt: pb: truncated varint")
+		}
+		rec[field] = v
+		msg = msg[1+vn:]
+	}
+	for f, v := range rec {
+		dst[f][r] = v
+	}
+	return nil
 }
 
 // fieldDescriptor drives the library-style decoder: one entry per

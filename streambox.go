@@ -214,6 +214,10 @@ type Report struct {
 	ShedConns       int64
 	ExpiredSessions int64
 	IdleTimeouts    int64
+	// DecodeNs is a network serve's time spent verifying and decoding
+	// received frames, socket reads excluded: checksums, PB record
+	// decode and the timestamp max (0 for generator sources).
+	DecodeNs int64
 	// Durability counters of a WAL-enabled serve: frames appended to
 	// the write-ahead log, the group-commit fsync count and p99
 	// latency, and log segments still on disk vs retired by
@@ -873,6 +877,7 @@ func (s *Server) DrainShutdown(grace time.Duration) (Report, error) {
 	out.ShedConns = fin.Ingest.ShedConns
 	out.ExpiredSessions = fin.Ingest.ExpiredSessions
 	out.IdleTimeouts = fin.Ingest.IdleTimeouts
+	out.DecodeNs = fin.Ingest.DecodeNanos
 	out.WALAppendedFrames = fin.WAL.AppendedFrames
 	out.WALSyncs = fin.WAL.Syncs
 	out.WALFsyncP99Ns = fin.WAL.FsyncP99Ns

@@ -119,7 +119,7 @@ func TestMetricsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals, _ := parseMetrics(t, buf.String())
-	if rep.IngestedRecords != 20_000 || rep.WindowsClosed != 5 || rep.SealedPanes == 0 || rep.PublishNs == 0 || rep.WALAppendedFrames != 200 || rep.WALSyncs == 0 {
+	if rep.IngestedRecords != 20_000 || rep.WindowsClosed != 5 || rep.SealedPanes == 0 || rep.PublishNs == 0 || rep.DecodeNs == 0 || rep.WALAppendedFrames != 200 || rep.WALSyncs == 0 {
 		t.Fatalf("run too small to pin anything: %+v", rep)
 	}
 	// WALSegmentsActive is the one field with a series that Shutdown
@@ -154,6 +154,7 @@ func TestMetricsSurface(t *testing.T) {
 		"streambox_ingest_shed_connections_total":                 rep.ShedConns,
 		"streambox_ingest_sessions_expired_total":                 rep.ExpiredSessions,
 		"streambox_ingest_idle_timeouts_total":                    rep.IdleTimeouts,
+		"streambox_ingest_decode_ns_total":                        rep.DecodeNs,
 		"streambox_wal_appended_frames_total":                     rep.WALAppendedFrames,
 		"streambox_wal_syncs_total":                               rep.WALSyncs,
 		"streambox_wal_fsync_ns_count":                            rep.WALSyncs,
