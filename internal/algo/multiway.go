@@ -12,8 +12,9 @@ import (
 // is partitioned once across all runs (MultiWayCuts) and each partition
 // streams through a single merge (MultiMergeFold) on its own core. The
 // merge folds as it goes — equal keys combined with a word operation
-// inside the loser-tree loop, or, when the keys span a range narrower
-// than the pairs, in a table indexed by key; or every pair handed to a
+// inside the loser-tree loop; when the keys span a range narrower than
+// the pairs, in a table indexed by key; in a merge of three or more
+// runs, as each regrouped bucket is sorted; or every pair handed to a
 // visitor — so a keyed reduction never sees a merged intermediate:
 // closing a window costs one sequential read of the inputs.
 
@@ -149,19 +150,38 @@ type Fold struct {
 // is the tree's, bit for bit; the copy and the visitor, whose order is
 // what they deliver, never take the table.
 //
-// Otherwise the cursors of the live runs advance through a loser tree
-// whose nodes carry their run's current key: replaying a path compares
-// node to node — one comparison per level per emitted pair — and run
-// data is touched once per pair, to emit it and to fetch the key that
-// follows it. The sink is a switch on a loop-invariant mode inside that
-// one replay loop, so a word fold costs no call per pair. A lone live
-// run is copied or visited without the tree; two make a tree of one
-// level.
+// Any other copy or word fold regroups (regroup.go) when at least
+// regroupRuns (3) runs are live, they hold at least regroupMinPairs pairs
+// (more than one leaf), and out has a slot per pair, which a copy always
+// has and a word fold has when its rows are bounded by its pairs
+// (RowBound on hashed keys). The runs split on one key digit by binary
+// search; each digit's bucket, about an L1's worth of pairs, is
+// counting-sorted straight from its run segments in run order into out
+// and folded there. That replaces log2(k) node comparisons per pair with
+// a few sequential passes whose cost does not grow with k — a 32-run
+// seal is five levels of tree, and the tree costs as much per pair on
+// runs that sit in L2 as on runs that do not: it is bound by
+// instructions. Every step is stable, so the order is the tree's, bit
+// for bit.
+//
+// Otherwise — a visitor, two runs, a short merge or a short out — the
+// cursors of the live runs advance through a loser tree whose nodes
+// carry their run's current key: replaying a path compares node to node
+// — one comparison per level per emitted pair — and run data is touched
+// once per pair, to emit it and to fetch the key that follows it. The
+// sink is a switch on a loop-invariant mode inside that one replay loop,
+// so a word fold costs no call per pair. A lone live run is copied or
+// visited without the tree; two make a tree of one level.
 func MultiMergeFold(runs [][]Pair, f Fold, out []Pair) int {
 	live, total := liveRuns(runs, f.Units)
-	if f.Visit == nil && f.Op != FoldCopy {
-		if lo, span, ok := denseRange(live, total); ok {
-			return foldTable(live, f.Op, lo, span, out)
+	if f.Visit == nil {
+		if f.Op != FoldCopy {
+			if lo, span, ok := denseRange(live, total); ok {
+				return foldTable(live, f.Op, lo, span, out)
+			}
+		}
+		if regroups(live, total, out) {
+			return foldRegroup(live, total, f.Op, out)
 		}
 	}
 	return foldTree(live, total, f, out)

@@ -25,6 +25,64 @@ func randomRuns(r *rand.Rand, n, maxLen int, keyDomain uint64) [][]Pair {
 	return runs
 }
 
+// wideMerge is about the pairs the tests' regrouped merges hold: well
+// past regroupMinPairs, and enough that heavy-bucket's heavy digit
+// outweighs regroupLeafCap.
+const wideMerge = 4 * regroupLeafCap
+
+// wideKeys are the key shapes a regrouped merge must order exactly, each
+// a generator of the i-th of a run's n keys: spread ones; ones under a
+// shared prefix, which regroup level after level; all equal, which never
+// split; MaxUint64 and its neighbour beside hashed keys; and heavy-bucket,
+// where four tenths of the keys fall under one top digit — heavier than
+// regroupLeafCap in a merge of wideMerge pairs — and inside it a cluster
+// eight keys wide and a single key each fill a counting-pass segment far
+// longer than insertionMax, with duplicates across runs for the tie
+// order.
+var wideKeys = []keyShape{
+	{"hashed", func(r *rand.Rand, _, _ int) uint64 { return r.Uint64() }},
+	{"keys-1Mi", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1 << 20)) }},
+	keyShapes[slices.IndexFunc(keyShapes, func(s keyShape) bool { return s.name == "clustered-prefix" })],
+	keyShapes[slices.IndexFunc(keyShapes, func(s keyShape) bool { return s.name == "layered-prefix" })],
+	keyShapes[slices.IndexFunc(keyShapes, func(s keyShape) bool { return s.name == "all-equal" })],
+	{"max-uint64", func(r *rand.Rand, _, _ int) uint64 {
+		if r.Intn(3) == 0 {
+			return ^uint64(0) - uint64(r.Intn(2))
+		}
+		return r.Uint64()
+	}},
+	{"heavy-bucket", func(r *rand.Rand, _, _ int) uint64 {
+		switch r.Intn(10) {
+		case 0, 1:
+			return 5<<60 | uint64(r.Intn(1<<20))
+		case 2:
+			return 5<<60 | 0x4_0000 + uint64(r.Intn(8))
+		case 3:
+			return 5<<60 | 0x8_0000
+		}
+		return r.Uint64()
+	}},
+}
+
+// wideRuns builds k sorted runs of up to 2n pairs (every seventh one
+// empty) whose keys key draws; each Ptr names its run and its index, so
+// a pair out of its run's order, or a tie out of run order, shows up.
+func wideRuns(r *rand.Rand, k, n int, key func(*rand.Rand, int, int) uint64) [][]Pair {
+	runs := make([][]Pair, k)
+	for j := range runs {
+		if j%7 == 3 {
+			continue
+		}
+		run := make([]Pair, r.Intn(2*n+1))
+		for i := range run {
+			run[i] = Pair{Key: key(r, i, len(run)), Ptr: uint64(j)<<32 | uint64(i)}
+		}
+		RadixSortPairs(run, 1, nil)
+		runs[j] = run
+	}
+	return runs
+}
+
 // mergeRef is the order a k-way merge of sorted runs must produce: the
 // runs concatenated in run order and sorted stably by key, so that equal
 // keys come by run index, then in run order — the order the levelwise
@@ -61,29 +119,30 @@ func copyAll(t *testing.T, runs [][]Pair) []Pair {
 
 // TestMultiMergeFoldOrder checks the visitor sequence is the full
 // sorted multiset of the inputs, with ties ordered by run index, and
-// that the verbatim copy writes the same sequence.
+// that the verbatim copy writes the same sequence — for wide merges, the
+// regrouped copy, on every wideKeys shape.
 func TestMultiMergeFoldOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for _, k := range []int{0, 1, 2, 3, 5, 16, 33} {
-		runs := randomRuns(r, k, 2000, 64)
+	check := func(name string, runs [][]Pair) {
+		t.Helper()
 		total := 0
 		for _, run := range runs {
 			total += len(run)
 		}
 		got, gotRun := visitAll(runs)
 		if cp := copyAll(t, runs); !slices.Equal(cp, got) {
-			t.Fatalf("k=%d: the copy differs from the visitor sequence", k)
+			t.Fatalf("%s: the copy differs from the visitor sequence", name)
 		}
 		if len(got) != total {
-			t.Fatalf("k=%d: visited %d pairs, want %d", k, len(got), total)
+			t.Fatalf("%s: visited %d pairs, want %d", name, len(got), total)
 		}
 		if !PairsSorted(got) {
-			t.Fatalf("k=%d: visit order not sorted by key", k)
+			t.Fatalf("%s: visit order not sorted by key", name)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i].Key == got[i-1].Key && gotRun[i] < gotRun[i-1] {
-				t.Fatalf("k=%d: tie at key %d visited run %d after run %d",
-					k, got[i].Key, gotRun[i-1], gotRun[i])
+				t.Fatalf("%s: tie at key %d visited run %d after run %d",
+					name, got[i].Key, gotRun[i-1], gotRun[i])
 			}
 		}
 		// The multiset must match: every input pair appears exactly once
@@ -91,32 +150,49 @@ func TestMultiMergeFoldOrder(t *testing.T) {
 		seen := make(map[uint64]bool, total)
 		for _, p := range got {
 			if seen[p.Ptr] {
-				t.Fatalf("k=%d: pair %d visited twice", k, p.Ptr)
+				t.Fatalf("%s: pair %d visited twice", name, p.Ptr)
 			}
 			seen[p.Ptr] = true
+		}
+	}
+	for _, k := range []int{0, 1, 2, 3, 5, 16, 33} {
+		check(fmt.Sprintf("k=%d", k), randomRuns(r, k, 2000, 64))
+	}
+	for _, sh := range wideKeys {
+		for _, k := range []int{regroupRuns + 2, 33} {
+			check(fmt.Sprintf("%s k=%d", sh.name, k), wideRuns(r, k, wideMerge/k, sh.key))
 		}
 	}
 }
 
 // TestMultiMergeFoldMatchesPairwise pins the visitor sequence and the
 // verbatim copy bit-for-bit against the order the levelwise pairwise
-// merge tree materialized (mergeRef).
+// merge tree materialized (mergeRef): on small merges, and on wide ones
+// of every wideKeys shape, one run short of regrouping and past it.
 func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		runs := randomRuns(r, k, 500, 16)
+	check := func(name string, runs [][]Pair) {
+		t.Helper()
 		want := mergeRef(runs)
 		got, _ := visitAll(runs)
 		if cp := copyAll(t, runs); !slices.Equal(cp, want) {
-			t.Fatalf("k=%d: the copy differs from the pairwise merge", k)
+			t.Fatalf("%s: the copy differs from the pairwise merge", name)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(want))
+			t.Fatalf("%s: %d pairs, want %d", name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("k=%d: pair %d = %+v, pairwise merge has %+v", k, i, got[i], want[i])
+				t.Fatalf("%s: pair %d = %+v, pairwise merge has %+v", name, i, got[i], want[i])
 			}
+		}
+	}
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		check(fmt.Sprintf("k=%d", k), randomRuns(r, k, 500, 16))
+	}
+	for _, sh := range wideKeys {
+		for _, k := range []int{regroupRuns - 1, regroupRuns + 2, 40} {
+			check(fmt.Sprintf("%s k=%d", sh.name, k), wideRuns(r, k, wideMerge/k, sh.key))
 		}
 	}
 }
@@ -128,50 +204,55 @@ func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 // runs that are empty from the start or run dry long before the others
 // leave their leaf exhausted for most of the merge; a tiny key domain
 // makes nearly every comparison a tie; and the fan-ins straddle the
-// powers of two, where the tree pads with absent leaves.
+// powers of two, where the tree pads with absent leaves. Fan-ins of 31
+// and up hold more than regroupMinPairs, at the longer length always, so
+// their copy regroups the same runs.
 func TestMultiMergeFoldLoserTree(t *testing.T) {
 	const maxKey = ^uint64(0)
 	r := rand.New(rand.NewSource(29))
-	for _, k := range []int{3, 5, 31, 32, 33, 100} {
-		for _, domain := range []uint64{1, 2, 7, 1 << 40} {
-			runs := make([][]Pair, k)
-			for j := range runs {
-				n := r.Intn(400)
-				switch {
-				case j%7 == 3:
-					n = 0 // empty from the start
-				case j%5 == 1:
-					n = 1 + r.Intn(3) // exhausted early
-				}
-				run := make([]Pair, n)
-				for i := range run {
-					key := r.Uint64() % domain
-					if r.Intn(6) == 0 {
-						key = maxKey - uint64(r.Intn(2))
+	for _, maxLen := range []int{400, 1500} {
+		for _, k := range []int{3, 5, 31, 32, 33, 100} {
+			for _, domain := range []uint64{1, 2, 7, 1 << 40} {
+				name := fmt.Sprintf("maxLen=%d k=%d domain=%d", maxLen, k, domain)
+				runs := make([][]Pair, k)
+				for j := range runs {
+					n := r.Intn(maxLen)
+					switch {
+					case j%7 == 3:
+						n = 0 // empty from the start
+					case j%5 == 1:
+						n = 1 + r.Intn(3) // exhausted early
 					}
-					// Ptr names the run, so a pair visited under the wrong
-					// run index shows up.
-					run[i] = Pair{Key: key, Ptr: uint64(j)<<32 | uint64(i)}
+					run := make([]Pair, n)
+					for i := range run {
+						key := r.Uint64() % domain
+						if r.Intn(6) == 0 {
+							key = maxKey - uint64(r.Intn(2))
+						}
+						// Ptr names the run, so a pair visited under the wrong
+						// run index shows up.
+						run[i] = Pair{Key: key, Ptr: uint64(j)<<32 | uint64(i)}
+					}
+					RadixSortPairs(run, 1, nil)
+					runs[j] = run
 				}
-				RadixSortPairs(run, 1, nil)
-				runs[j] = run
-			}
-			want := mergeRef(runs)
-			got, gotRun := visitAll(runs)
-			for i, p := range got {
-				if uint64(gotRun[i]) != p.Ptr>>32 {
-					t.Fatalf("k=%d domain=%d: pair of run %d visited as run %d", k, domain, p.Ptr>>32, gotRun[i])
+				want := mergeRef(runs)
+				got, gotRun := visitAll(runs)
+				for i, p := range got {
+					if uint64(gotRun[i]) != p.Ptr>>32 {
+						t.Fatalf("%s: pair of run %d visited as run %d", name, p.Ptr>>32, gotRun[i])
+					}
 				}
-			}
-			if cp := copyAll(t, runs); !slices.Equal(cp, want) {
-				t.Fatalf("k=%d domain=%d: the copy differs from the pairwise merge", k, domain)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("k=%d domain=%d: visited %d pairs, want %d", k, domain, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d domain=%d: pair %d = %+v, pairwise merge has %+v", k, domain, i, got[i], want[i])
+				if cp := copyAll(t, runs); !slices.Equal(cp, want) {
+					t.Fatalf("%s: the copy differs from the pairwise merge", name)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: visited %d pairs, want %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: pair %d = %+v, pairwise merge has %+v", name, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -188,8 +269,8 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 // one pair per distinct key, in key order, its value the key's values
 // combined by the operation. It checks MultiMergeFold, the loser tree
 // alone and, when denseRange admits the runs, the table alone, each into
-// an out of exactly one pair per distinct key, and returns whether the
-// table was admitted.
+// an out of exactly one pair per distinct key, and regrouping alone into
+// an out of one slot per pair; it returns whether the table was admitted.
 func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (dense bool) {
 	t.Helper()
 	ops := []struct {
@@ -222,6 +303,10 @@ func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (den
 					live, total := liveRuns(runs, u)
 					return foldTree(live, total, f, out)
 				},
+				"regroup": func(out []Pair) int {
+					live, total := liveRuns(runs, u)
+					return foldRegroup(live, total, o.op, out)
+				},
 			}
 			live, total := liveRuns(runs, u)
 			lo, span, ok := denseRange(live, total)
@@ -230,6 +315,9 @@ func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (den
 			}
 			for way, fold := range ways {
 				out := make([]Pair, len(want))
+				if way == "regroup" {
+					out = make([]Pair, total)
+				}
 				if n := fold(out); !slices.Equal(out[:n], want) {
 					t.Fatalf("%s op=%d units=%v: the %s fold writes %d pairs unlike the %d of the visitor sequence folded by hand",
 						name, o.op, u != nil, way, n, len(want))
@@ -240,15 +328,17 @@ func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (den
 	return dense
 }
 
-// TestMultiMergeFoldWords holds each word fold, on the loser tree and on
-// the table, to the visitor sequence folded by hand (checkWordFolds),
-// across fan-ins that straddle the tree's shapes (one live run, two,
-// powers of two), empty runs, keys of MaxUint64, values of 0 first in a
-// key, and sums that wrap; then on runs of narrow keys, at offset 0 and
-// just below MaxUint64 (where lo + span must not wrap), with values of
-// MaxUint64 that a minimum keeps; and at the edges of the table's rule —
-// a span of one less than the pairs and of the pairs, of denseSpan − 1
-// and of denseSpan — where the path taken is pinned too.
+// TestMultiMergeFoldWords holds each word fold, on the loser tree, on
+// the table and by regrouping, to the visitor sequence folded by hand
+// (checkWordFolds), across fan-ins that straddle the tree's shapes (one
+// live run, two, powers of two), empty runs, keys of MaxUint64, values of
+// 0 first in a key, and sums that wrap; then on runs of narrow keys, at
+// offset 0 and just below MaxUint64 (where lo + span must not wrap), with
+// values of MaxUint64 that a minimum keeps; and at the edges of the
+// table's rule — a span of one less than the pairs and of the pairs, of
+// denseSpan − 1 and of denseSpan — where the path taken is pinned too;
+// last, wide merges of every wideKeys shape, where the regroup way writes
+// a Units run's values as 1 as it copies them.
 func TestMultiMergeFoldWords(t *testing.T) {
 	const maxKey = ^uint64(0)
 	r := rand.New(rand.NewSource(31))
@@ -338,35 +428,190 @@ func TestMultiMergeFoldWords(t *testing.T) {
 			}
 		}
 	}
+
+	// Wide merges of every wideKeys shape, past regroupMinPairs, each with
+	// a Units mix.
+	for _, sh := range wideKeys {
+		i := 0
+		runs, units := build(33, wideMerge/16, func() uint64 { i++; return sh.key(r, i, 1000) })
+		checkWordFolds(t, "wide "+sh.name, runs, units)
+	}
 }
 
-// FuzzMultiMergeFold folds arbitrary runs both ways. Each three bytes of
-// data are a pair: the run it joins (of up to eight), its key's offset
-// from base (shifted into the top byte when wide), and its value; the
-// runs are sorted, then checkWordFolds holds the table and the tree to
-// the visitor sequence folded by hand. The seeds cover narrow spans at 0
-// and just below MaxUint64, and wide ones.
-func FuzzMultiMergeFold(f *testing.F) {
-	narrow := make([]byte, 3*600)
-	rand.New(rand.NewSource(1)).Read(narrow)
-	f.Add(narrow, uint64(0), false)
-	f.Add(narrow, ^uint64(0)-255, false)
-	f.Add(narrow, uint64(1)<<40, true)
-	f.Add([]byte{0, 0, 7, 1, 0, 9, 1, 255, 0}, uint64(0), false)
-	f.Fuzz(func(t *testing.T, data []byte, base uint64, wide bool) {
-		runs := make([][]Pair, 8)
-		for ; len(data) >= 3; data = data[3:] {
-			off := uint64(data[1])
-			if wide {
-				off <<= 56
-			}
-			val := uint64(data[2]) * 0x0101010101010101
-			runs[data[0]%8] = append(runs[data[0]%8], Pair{Key: base + off, Ptr: val})
+// TestMultiMergeFoldRegroupRule pins the path MultiMergeFold takes at
+// each seam of the regroup rule — regroupRuns − 1 live runs and
+// regroupRuns (an empty run is not live), regroupMinPairs − 1 pairs and
+// regroupMinPairs, an out of one slot per pair and one short — and holds
+// the copy and the word folds to their references on both sides. The
+// runs share a key, so a word fold's rows fit the short out, which the
+// tree must take.
+func TestMultiMergeFoldRegroupRule(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	// runsOf spreads pairs hashed keys round-robin over k runs, the last
+	// of them empty, the first two sharing a key.
+	runsOf := func(k, pairs int) [][]Pair {
+		runs := make([][]Pair, k)
+		for i := range pairs {
+			runs[i%(k-1)] = append(runs[i%(k-1)], Pair{Key: r.Uint64(), Ptr: uint64(i)})
 		}
+		runs[1][0].Key = runs[0][0].Key
 		for _, run := range runs {
 			RadixSortPairs(run, 1, nil)
 		}
-		checkWordFolds(t, "fuzz", runs, []bool{true, false, false, true, true, false, true, false})
+		return runs
+	}
+	units := make([]bool, regroupRuns+1)
+	for j := range units {
+		units[j] = j%3 == 0
+	}
+	for _, c := range []struct {
+		name            string
+		k, pairs, short int
+		regroups        bool
+	}{
+		{"live-runs=regroupRuns-1", regroupRuns, regroupMinPairs, 0, false},
+		{"live-runs=regroupRuns", regroupRuns + 1, regroupMinPairs, 0, true},
+		{"pairs=regroupMinPairs-1", regroupRuns + 1, regroupMinPairs - 1, 0, false},
+		{"out=pairs-1", regroupRuns + 1, regroupMinPairs, 1, false},
+	} {
+		runs := runsOf(c.k, c.pairs)
+		live, total := liveRuns(runs, nil)
+		out := make([]Pair, total-c.short)
+		if got := regroups(live, total, out); got != c.regroups {
+			t.Fatalf("%s: %d live runs, %d pairs, out of %d: regroups %v, want %v", c.name, len(live), total, len(out), got, c.regroups)
+		}
+		if c.short == 0 {
+			if n := MultiMergeFold(runs, Fold{Op: FoldCopy}, out); !slices.Equal(out[:n], mergeRef(runs)) {
+				t.Fatalf("%s: the copy differs from the pairwise merge", c.name)
+			}
+		}
+		want := make([]Pair, total-c.short)
+		wn := foldTree(live, total, Fold{Op: FoldAdd}, want)
+		if n := MultiMergeFold(runs, Fold{Op: FoldAdd}, out); !slices.Equal(out[:n], want[:wn]) {
+			t.Fatalf("%s: the sum writes %d pairs unlike the tree's %d", c.name, n, wn)
+		}
+		checkWordFolds(t, c.name, runs, units[:c.k])
+	}
+}
+
+// fuzzRuns lays out one FuzzMultiMergeFold input as sorted runs and
+// their Units marks. fanIn picks the run count (1 to 40) and tile how
+// many times data is laid down (1 to 100), so a merge reaches
+// regroupMinPairs. Each three bytes of data are a pair (of the first
+// 100): the run it joins, its key's offset and its value's top byte;
+// copy c of data moves each pair c runs on and adds c<<8 to its offset.
+// place puts the offset above base: shifted left by place (0 to 56), or,
+// above that, multiplied into a hashed key. Each Ptr's low bits number
+// its pair, so a pair out of order shows up.
+func fuzzRuns(data []byte, base uint64, place, fanIn, tile uint8) ([][]Pair, []bool) {
+	// A hundred pairs a copy keep the minimizing of a new input short: it
+	// runs the target about once per byte of data.
+	data = data[:min(len(data), 3*100)]
+	k, copies := 1+int(fanIn)%40, 1+int(tile)%100
+	runs := make([][]Pair, k)
+	units := make([]bool, k)
+	for j := range units {
+		units[j] = j%3 != 1
+	}
+	n := uint64(0)
+	for c := range copies {
+		for d := data; len(d) >= 3; d = d[3:] {
+			off := uint64(d[1]) | uint64(c)<<8
+			key := base + off<<(place%57)
+			if place%64 > 56 {
+				key = base + off*0x9E3779B97F4A7C15
+			}
+			j := (int(d[0]) + c) % k
+			runs[j] = append(runs[j], Pair{Key: key, Ptr: uint64(d[2])<<56 | n})
+			n++
+		}
+	}
+	for _, run := range runs {
+		RadixSortPairs(run, 1, nil)
+	}
+	return runs, units
+}
+
+// mergeFoldSeed is one input of FuzzMultiMergeFold's seed corpus and the
+// way MultiMergeFold's sum takes through it: "table", "regroup" or
+// "tree".
+type mergeFoldSeed struct {
+	data               []byte
+	base               uint64
+	place, fanIn, tile uint8
+	way                string
+}
+
+// mergeFoldSeeds is FuzzMultiMergeFold's seed corpus. It reaches every
+// way at least twice: narrow key spans folded through the table, at 0 and
+// ending on MaxUint64 (where lo + span must not wrap); spans wider than
+// the pairs, wrapping past MaxUint64 and in the top byte, through the
+// tree; fan-ins of 3 to 40 past regroupMinPairs, on shifted and hashed
+// keys, regrouped; and two runs of as many pairs, which keep the tree.
+func mergeFoldSeeds() []mergeFoldSeed {
+	const maxKey = ^uint64(0)
+	narrow := make([]byte, 3*100)
+	rand.New(rand.NewSource(1)).Read(narrow)
+	// dense is narrow with every offset masked to 6 bits, the first 63:
+	// laid down once, its 100 pairs span 64 keys.
+	dense := slices.Clone(narrow)
+	for i := 1; i < len(dense); i += 3 {
+		dense[i] &= 63
+	}
+	dense[1] = 63
+	return []mergeFoldSeed{
+		{dense, 0, 0, 7, 0, "table"},
+		{dense, maxKey - 63, 0, 7, 0, "table"},
+		{narrow, 0, 0, 8, 5, "tree"},
+		{narrow, maxKey - 255, 0, 8, 5, "tree"},
+		{narrow, 1 << 40, 56, 8, 5, "tree"},
+		{[]byte{0, 0, 7, 1, 0, 9, 1, 255, 0}, 0, 0, 8, 0, "tree"},
+		{narrow, 0, 20, 33, 99, "regroup"},
+		{narrow, 0, 60, 39, 90, "regroup"},
+		{narrow, maxKey - 1<<22, 8, 16, 85, "regroup"},
+		{narrow, 0, 60, 2, 45, "regroup"},
+		{narrow, 0, 60, 1, 45, "tree"},
+	}
+}
+
+// TestMultiMergeFoldFuzzSeeds pins the way each of FuzzMultiMergeFold's
+// seeds takes, so the seed corpus that plain go test replays keeps
+// reaching the table, the regroup and the tree.
+func TestMultiMergeFoldFuzzSeeds(t *testing.T) {
+	for i, s := range mergeFoldSeeds() {
+		live, total := liveRuns(fuzzRuns(s.data, s.base, s.place, s.fanIn, s.tile))
+		way := "tree"
+		if _, _, ok := denseRange(live, total); ok {
+			way = "table"
+		} else if regroups(live, total, make([]Pair, total)) {
+			way = "regroup"
+		}
+		if way != s.way {
+			t.Fatalf("seed %d: %d live runs, %d pairs: the sum takes the %s, want the %s", i, len(live), total, way, s.way)
+		}
+	}
+}
+
+// FuzzMultiMergeFold merges arbitrary runs (fuzzRuns) every way: the
+// copy — MultiMergeFold's and the regroup's alone — is held to mergeRef
+// exactly, ties and all; then checkWordFolds holds every word fold to the
+// visitor sequence folded by hand.
+func FuzzMultiMergeFold(f *testing.F) {
+	for _, s := range mergeFoldSeeds() {
+		f.Add(s.data, s.base, s.place, s.fanIn, s.tile)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, base uint64, place, fanIn, tile uint8) {
+		runs, units := fuzzRuns(data, base, place, fanIn, tile)
+		want := mergeRef(runs)
+		if got := copyAll(t, runs); !slices.Equal(got, want) {
+			t.Fatalf("%d runs, %d pairs: the copy differs from the pairwise merge", len(runs), len(want))
+		}
+		live, total := liveRuns(runs, units)
+		out := make([]Pair, total)
+		if m := foldRegroup(live, total, FoldCopy, out); !slices.Equal(out[:m], want) {
+			t.Fatalf("%d runs, %d pairs: the regrouped copy differs from the pairwise merge", len(runs), total)
+		}
+		checkWordFolds(t, "fuzz", runs, units)
 	})
 }
 
@@ -464,6 +709,61 @@ func TestMultiWayCutsDegenerate(t *testing.T) {
 	cuts = MultiWayCuts([][]Pair{run}, 8)
 	if len(cuts) != 2 {
 		t.Fatalf("single-key input split into %d partitions, want 1", len(cuts)-1)
+	}
+}
+
+// BenchmarkMergeShapes is the sweep that fixes regroupRuns and
+// regroupMinPairs: a sum and a verbatim copy of sorted runs, through the
+// loser tree and by regrouping, in ns per pair, across 2–64 runs of
+// 250–10 000 pairs (500 to 640 000 in all), over hashed keys,
+// clustered-prefix keys (all but a tenth share their top 16 bits, so one
+// bucket is heavy and regroups again) and keys below 2^20 (too wide for
+// the table). MultiMergeFold regroups where the regroup leg wins, and the
+// constants put the tree everywhere else.
+func BenchmarkMergeShapes(b *testing.B) {
+	shapes := []struct {
+		name string
+		key  func(r *rand.Rand, i, n int) uint64
+	}{
+		{"hashed", func(r *rand.Rand, _, _ int) uint64 { return r.Uint64() }},
+		{"clustered-prefix", keyShapes[slices.IndexFunc(keyShapes, func(s keyShape) bool { return s.name == "clustered-prefix" })].key},
+		{"1Mi", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1 << 20)) }},
+	}
+	for _, k := range []int{2, 3, 4, 7, 8, 16, 32, 64} {
+		for _, runLen := range []int{250, 1000, 4096, 10_000} {
+			for _, sh := range shapes {
+				rng := rand.New(rand.NewSource(int64(k*runLen + 1)))
+				runs := make([][]Pair, k)
+				for j := range runs {
+					runs[j] = make([]Pair, runLen)
+					for i := range runs[j] {
+						runs[j][i] = Pair{Key: sh.key(rng, i, runLen), Ptr: rng.Uint64() % 1000}
+					}
+					RadixSortPairs(runs[j], 1, nil)
+				}
+				out := make([]Pair, k*runLen)
+				for _, op := range []struct {
+					name string
+					op   FoldOp
+				}{{"sum", FoldAdd}, {"copy", FoldCopy}} {
+					for _, way := range []struct {
+						name string
+						fold func(live []cursor, total int) int
+					}{
+						{"tree", func(live []cursor, total int) int { return foldTree(live, total, Fold{Op: op.op}, out) }},
+						{"regroup", func(live []cursor, total int) int { return foldRegroup(live, total, op.op, out) }},
+					} {
+						b.Run(fmt.Sprintf("runs-%d/len-%d/%s/%s/%s", k, runLen, sh.name, op.name, way.name), func(b *testing.B) {
+							for i := 0; i < b.N; i++ {
+								// The tree advances its cursors, so each fold starts from fresh ones.
+								way.fold(liveRuns(runs, nil))
+							}
+							b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(out)), "ns/pair")
+						})
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -6,11 +6,16 @@ import mathbits "math/bits"
 // RadixSortColumns) forms the first-level sorted runs — bundle-sized KPAs
 // whose keys it spreads with sequential-access scatter passes — and
 // MultiMergeFold (multiway.go) combines sorted runs, copying, folding or
-// visiting their pairs in one loser-tree pass over key ranges that
-// MultiWayCuts draws. Radix is the bandwidth-friendly choice for run
-// formation (it streams the data a bounded number of times regardless of
-// n), while merging stays comparison-based so runs of any key
-// distribution combine in one pass.
+// visiting their pairs in one pass over key ranges that MultiWayCuts
+// draws. Radix is the bandwidth-friendly choice for run formation (it
+// streams the data a bounded number of times regardless of n). Merging
+// is comparison-based where that is cheap — a loser tree over two runs or
+// a short merge, or for a visitor — so runs of any key distribution
+// combine in one pass; a longer merge of three or more runs instead
+// regroups its runs on a key digit
+// (regroup.go), found by binary search in each sorted run, and sorts
+// each bucket with this file's counting pass and insertion finish, so
+// its cost per pair does not grow with the run count.
 //
 // A scatter pass is worth exactly the bits it separates, so the kernel
 // pays only for the bits a run's keys need: when they all fit in one
@@ -71,13 +76,19 @@ func RadixSortPairs(pairs []Pair, _ int, s *Scratch) {
 		return // every key is equal: already in stable order
 	}
 	buf := s.GetPairs(len(pairs))
+	sortVarying(pairs, buf, vary)
+	s.PutPairs(buf)
+}
+
+// sortVarying is RadixSortPairs past its scan: it sorts pairs, whose keys
+// differ in the bits of vary (non-zero), through buf (same length).
+func sortVarying(pairs, buf []Pair, vary uint64) {
 	if lo, bits, ok := narrowSpan(vary, len(pairs)); ok {
 		countingSort(buf, pairs, nil, nil, lo, bits)
 		copy(pairs, buf)
 	} else {
 		radixSort(pairs, buf, vary)
 	}
-	s.PutPairs(buf)
 }
 
 // RadixSortColumns writes the pairs (keys[i], vals[i]) into dst, which

@@ -15,10 +15,14 @@ import (
 // MergeReduceRows). When the aggregator has a word operation
 // (WordFolder: sum, count, min, max) it folds without a call per pair:
 // in a table indexed by key when the partition's keys span fewer slots
-// than it has pairs (a 1 024-key window), else inside the loser-tree
-// loop as pairs arrive in key order. Any other aggregator gets every
-// pair, in key order, through a visitor that feeds the value a
-// value-resident pair carries, or the one a pointer pair's bundle row
+// than it has pairs (a 1 024-key window); by regrouping on a key digit
+// when three or more runs hold over 4 096 pairs and the
+// rows are bounded by the pairs (a seal of 32 runs of hashed keys, or a
+// close of 7 — MergeK's copy of such a group regroups too); else inside
+// the loser-tree loop as pairs arrive in key order.
+// algo.MultiMergeFold picks from the input alone. Any other aggregator
+// gets every pair, in key order, through a visitor that feeds the value
+// a value-resident pair carries, or the one a pointer pair's bundle row
 // holds. Closing a window of R runs costs one sequential read of the
 // inputs — no per-level KPA materialization, no separate reduce
 // sweep. The other two kernels seal a group of a pane's runs into one

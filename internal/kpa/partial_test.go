@@ -1,6 +1,7 @@
 package kpa_test
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -232,9 +233,11 @@ func perPair(factory kpa.AggFactory) kpa.AggFactory {
 // runs and empty runs, at 1, 2, 3 and 33 runs, on two key shapes: keys
 // of MaxUint64 and hashed keys among a few dozen (the loser tree), and
 // 1 024 keys (the table, wherever a merge has more pairs than its span);
-// then the two cases a word fold could get wrong by itself: a count over
-// raw and partial runs in one close (a raw pair adds 1, a partial its
-// value), and a minimum whose first value is 0.
+// on the runtime's shapes: 1 024 keys, and inproc_wide's hashed keys,
+// whose 32-run seal regroups (the verbatim MergeK too), and so does its
+// 7-run close; then the two cases a word fold could get wrong
+// by itself: a count over raw and partial runs in one close (a raw pair
+// adds 1, a partial its value), and a minimum whose first value is 0.
 func TestMergeFoldMatchesVisit(t *testing.T) {
 	al := kpa.NoopAllocator{T: memsim.DRAM}
 	rng := rand.New(rand.NewSource(23))
@@ -395,6 +398,54 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		for _, r := range runs {
 			r.Destroy()
 		}
+	}
+
+	// inproc_wide's shapes, over hashed keys: a seal of 32 raw runs of
+	// 10 000 pairs, which regroups — and whose verbatim copy (MergeK)
+	// regroups too —, and a close over 7 runs, 3 partial and 4 raw, in two
+	// partitions, which regroups as well.
+	key = func() uint64 { return rng.Uint64() }
+	wide := make([]*kpa.KPA, 32)
+	for j := range wide {
+		wide[j] = randomRun(10_000)
+	}
+	merged, err := kpa.MergeK(wide, al)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []algo.Pair
+	for _, r := range wide {
+		all = append(all, r.Pairs()...)
+	}
+	slices.SortStableFunc(all, func(x, y algo.Pair) int { return cmp.Compare(x.Key, y.Key) })
+	if !slices.Equal(merged.Pairs(), all) {
+		t.Fatal("MergeK of 32x10000 hashed keys differs from the runs sorted stably in run order")
+	}
+	merged.Destroy()
+	for _, a := range aggs {
+		visit := perPair(a.factory)
+		got, want := seal(a.factory, wide...), seal(visit, wide...)
+		if !slices.Equal(got.Pairs(), want.Pairs()) {
+			t.Fatalf("%s seal/32x10000/hashed-keys: the word fold seals %d pairs unlike the per-pair path's %d", a.name, got.Len(), want.Len())
+		}
+		got.Destroy()
+		want.Destroy()
+		var runs []*kpa.KPA
+		for range 3 {
+			runs = append(runs, partialOf(a.factory, randomRun(10_000), randomRun(10_000)))
+		}
+		for range 4 {
+			runs = append(runs, randomRun(10_000))
+		}
+		if got, want := closeRows(runs, a.factory, 2), closeRows(runs, visit, 2); !slices.Equal(got, want) {
+			t.Fatalf("%s close/3+4/hashed-keys: the word fold closes to %d rows unlike the per-pair path's %d", a.name, len(got), len(want))
+		}
+		for _, r := range runs {
+			r.Destroy()
+		}
+	}
+	for _, r := range wide {
+		r.Destroy()
 	}
 
 	// Key 5: three raw pairs beside a partial of four; key 9: 0 first.
@@ -571,15 +622,17 @@ func BenchmarkSealVsCompact(b *testing.B) {
 }
 
 // BenchmarkMergeFold prices one merge-reduce of value-born runs with
-// Sum both ways, single-threaded, in ns per pair: "word" folds inside the
-// loser-tree loop, "per-pair" is the path every aggregator took before
-// (perPair: one reused aggregator, Add or Combine through interfaces per
-// pair). The shapes are the runtime's: a seal of 32 runs of 4 096 pairs
-// over 1 024 keys (net_narrow, inproc_spill) or of 10 000 hashed keys
-// (inproc_wide), staged through recycled scratch (MergeReducePartial),
-// and a close of 7 runs of 140 000 pairs into a row slab
-// (MergeReduceRows), over hashed keys or 1 024. Over 1 024 keys the word
-// fold takes the table, and the per-pair leg is the tree's visitor.
+// Sum both ways, single-threaded, in ns per pair: "word" is the word
+// fold, "per-pair" the path every aggregator took before (perPair: one
+// reused aggregator, Add or Combine through interfaces per pair, through
+// the loser tree's visitor). The shapes are the runtime's: a seal of 32
+// runs of 4 096 pairs over 1 024 keys (net_narrow, inproc_spill) or of
+// 10 000 hashed keys (inproc_wide), staged through recycled scratch
+// (MergeReducePartial), and a close of 7 runs of 140 000 pairs into a
+// row slab (MergeReduceRows), over hashed keys or 1 024. Over 1 024 keys
+// the word fold takes the table; the hashed seal regroups, and so do
+// its "copy" leg, the verbatim seal (MergeK) of the same runs, and the
+// hashed close.
 func BenchmarkMergeFold(b *testing.B) {
 	var staged []algo.Pair
 	scratch := &algo.Scratch{
@@ -626,13 +679,24 @@ func BenchmarkMergeFold(b *testing.B) {
 		}
 		rows := make([]kpa.Row, sh.runs*sh.runLen)
 		pairs := float64(len(rows))
-		for _, way := range []struct {
+		ways := []struct {
 			name    string
 			factory kpa.AggFactory
-		}{{"word", ops.Sum()}, {"per-pair", perPair(ops.Sum())}} {
+		}{{"word", ops.Sum()}, {"per-pair", perPair(ops.Sum())}}
+		if sh.name == "seal/32x10000/hashed-keys" {
+			ways = append(ways, ways[0])
+			ways[2].name = "copy"
+		}
+		for _, way := range ways {
 			b.Run(sh.name+"/"+way.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if sh.seal {
+					if way.name == "copy" {
+						out, err := kpa.MergeK(runs, al)
+						if err != nil {
+							b.Fatal(err)
+						}
+						out.Destroy()
+					} else if sh.seal {
 						out, err := kpa.MergeReducePartial(runs, 1, way.factory, al, scratch)
 						if err != nil {
 							b.Fatal(err)

@@ -197,7 +197,7 @@ const (
 // the simulator's figures are the paper's; the native kernel
 // (algo.RadixSortPairs) adapts to its keys and scatters a run of hashed
 // keys twice, so this demand is an upper bound on what the native
-// runtime executes, not a model of it (ROADMAP item 6(a)).
+// runtime executes, not a model of it (ROADMAP item 11).
 func RadixSortDemand(t Tier, n int) Demand {
 	if n <= 0 {
 		return Demand{}

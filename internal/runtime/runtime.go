@@ -54,8 +54,13 @@
 // count, min and max fold with no call per pair: into a table indexed by
 // key when a partition's keys span fewer slots than it has pairs, else
 // inside a loser tree's loop; every other aggregator sees each pair in
-// key order. The window's rows fill one slab sized by what it can emit,
-// one row per distinct key, and are published in key order.
+// key order. A merge of three or more runs and over 4 096 pairs, copied
+// verbatim or word-folded over keys that span more than its pairs — a
+// full group's seal or a window's close over hashed keys — regroups its
+// runs on a key digit instead of replaying the tree; the merge kernel
+// chooses from its input, so two runs or a short merge keep the tree.
+// The window's rows fill one slab sized by what it can emit, one row per
+// distinct key, and are published in key order.
 //
 // Late data. A record is late for a window iff the target watermark had
 // reached the window's end when the record's bundle registered — both
@@ -351,12 +356,16 @@ type Report struct {
 	// seal tasks and in close merges, and PublishNanos the time spent
 	// handing closed windows' rows to the sink (packing the row slab,
 	// retiring the window, the WindowSink call), so the four say which
-	// stage a run spent its CPU in.
+	// stage a run spent its CPU in. BundleNanos is the ingest goroutine's
+	// time turning batches into bundles (ingestBundle: the pool charge, the
+	// adoption of the batch's columns — or the generator's fill — and any
+	// backpressure wait, which PausedNanos also counts).
 	ExtractedPairs int64
 	ExtractNanos   int64
 	SealNanos      int64
 	MergeNanos     int64
 	PublishNanos   int64
+	BundleNanos    int64
 	// PeakWindowStateBytes is the high-water mark of live grouped
 	// window state (sorted runs plus merge intermediates) per tier,
 	// indexed by memsim.Tier. Pane sharing keeps the sliding-window
@@ -572,6 +581,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			SealNanos:       m.sealNanos.Load(),
 			MergeNanos:      m.mergeNanos.Load(),
 			PublishNanos:    m.publishNanos.Load(),
+			BundleNanos:     m.bundleNanos.Load(),
 			PeakWindowStateBytes: [memsim.NumTiers]int64{
 				m.peakState[0].Load(), m.peakState[1].Load(), m.peakState[2].Load(),
 			},
@@ -761,9 +771,13 @@ func (x *exec) putCols(cols [][]uint64) {
 // watermarks only advance on the ingest goroutine: so it forces one at
 // forcedWM() to drain every window behind the stream, pauses and
 // retries. A pool that stays exhausted for Config.ExhaustTimeout
-// (pipeline state exceeds DRAM) fails the run instead of hanging.
+// (pipeline state exceeds DRAM) fails the run instead of hanging. Its
+// time, one clock pair per bundle, counts in
+// streambox_ingest_bundle_ns_total.
 func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, n int, release func([][]uint64), forcedWM func() wm.Time, fill func(*bundle.Builder)) (b *bundle.Bundle, err error) {
+	t0 := time.Now()
 	defer func() {
+		x.m.bundleNanos.Add(time.Since(t0).Nanoseconds())
 		if err != nil && release != nil {
 			release(cols)
 		}

@@ -25,6 +25,9 @@ type stats struct {
 	placements  [memsim.NumTiers]*metrics.Counter
 	placedBytes [memsim.NumTiers]*metrics.Counter
 
+	// Ingest time turning batches into bundles, one clock pair each.
+	bundleNanos *metrics.Counter
+
 	// Grouping: logical (record, window) assignments, worker time spent
 	// extracting/sorting them, in seal tasks, in close merges and
 	// publishing closed windows; pane runs shared across windows.
@@ -58,6 +61,7 @@ func newStats(x *exec) *stats {
 	s.emitted = m.Counter("streambox_emitted_records_total")
 	s.late = m.Counter("streambox_late_records_total")
 	s.paused = m.Counter("streambox_ingest_paused_ns_total")
+	s.bundleNanos = m.Counter("streambox_ingest_bundle_ns_total")
 	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
 	s.extractNanos = m.Counter("streambox_extract_ns_total")
 	s.sealNanos = m.Counter("streambox_seal_ns_total")
@@ -78,7 +82,7 @@ func newStats(x *exec) *stats {
 	s.peakTotal = m.Counter("streambox_window_state_peak_total_bytes")
 	// A spilled run is read where it lies: the load series have no writer
 	// and read 0, like the Report fields, until benchmark/ stops reading
-	// those (ROADMAP item 9(b)).
+	// those (ROADMAP item 1(c)).
 	m.Counter("streambox_spill_loads_total")
 	m.Counter("streambox_spill_load_ns_total")
 	m.Counter("streambox_spill_load_fallbacks_total")

@@ -266,6 +266,11 @@ type Report struct {
 	// merges, and handing closed windows to their sinks (0 on the
 	// simulated backend).
 	ExtractNs, SealNs, MergeNs, PublishNs int64
+	// BundleNs is the native backend's ingest time turning batches into
+	// bundles: the pool charge, adopting a batch's columns (or the
+	// generator filling them) and any backpressure wait (0 on the
+	// simulated backend).
+	BundleNs int64
 	// LateRecords counts records the native backend dropped because
 	// every window covering them had already been sealed by the
 	// watermark when they arrived (0 on the simulated backend). A
@@ -730,6 +735,7 @@ func nativeReport(rep runtime.Report) Report {
 		SealNs:                    rep.SealNanos,
 		MergeNs:                   rep.MergeNanos,
 		PublishNs:                 rep.PublishNanos,
+		BundleNs:                  rep.BundleNanos,
 		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,
