@@ -26,8 +26,8 @@ import (
 // holds. Closing a window of R runs costs one sequential read of the
 // inputs — no per-level KPA materialization, no separate reduce
 // sweep. The other two kernels seal a group of a pane's runs into one
-// while the pane still fills, so that close never meets more runs than
-// one loser tree should hold and panes shared by sliding windows are
+// while the pane still fills, so that its runs hold less memory when
+// the aggregation compacts them and panes shared by sliding windows are
 // merged once for all of them: MergeReducePartial is the same fused
 // pass writing its (key, result) stream back out as a partial run, for
 // aggregators that combine; MergeK copies the pairs verbatim, for those

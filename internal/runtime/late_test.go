@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"streambox/internal/algo"
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
 	"streambox/internal/memsim"
@@ -402,5 +403,136 @@ func TestWindowTableGroups(t *testing.T) {
 		if r := tab.entries[0].runs[1]; r.group != g.parent || g.parent.landed != 1 {
 			t.Fatalf("sealed run %+v, want it in the level-1 group with one member landed", r)
 		}
+	}
+}
+
+// sizedRun is a run of n pairs, for tests where only its length matters.
+func sizedRun(t *testing.T, n int) *kpa.KPA {
+	t.Helper()
+	k, err := kpa.FromValues(make([]algo.Pair, n), 0, kpa.NoopAllocator{T: memsim.DRAM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestWindowTableSealVerdict drives the level-0 seal rule of a pane one
+// window reads: its first group, the probe, seals, and the pane's later
+// groups seal only if the probe's merged run kept at most half its
+// pairs, else stay raw, outside any group. A later group that completes
+// before the probe lands parks — its window may claim but not gather —
+// and the probe's landing turns it into a seal or leaves it raw. A probe
+// that could not allocate keeps the pane sealing, and a pane two windows
+// read seals every group whatever its probe kept.
+func TestWindowTableSealVerdict(t *testing.T) {
+	const in = mergeFanIn * 4 // pairs in a group: every bundle files four
+	for _, c := range []struct {
+		name  string
+		win   wm.Windowing
+		ts    wm.Time // where the bundles lie
+		kept  int     // pairs the probe's merged run holds; -1: it fails
+		seals bool    // whether the later groups seal
+		early bool    // whether the later groups complete before the probe
+	}{
+		{"compacting", wm.Fixed(100), 10, in / 2, true, false},
+		{"compacting parked", wm.Fixed(100), 10, in / 2, true, true},
+		{"copy", wm.Fixed(100), 10, in/2 + 1, false, false},
+		{"copy parked", wm.Fixed(100), 10, in, false, true},
+		{"failed", wm.Fixed(100), 10, -1, true, false},
+		{"failed parked", wm.Fixed(100), 10, -1, true, true},
+		{"two readers", wm.Sliding(100, 50), 60, in, true, false},
+		{"two readers early", wm.Sliding(100, 50), 60, in, true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab := newWindowTable(c.win)
+			regs := make([]registration, 3*mergeFanIn)
+			for i := range regs {
+				regs[i] = tab.register(c.ts, c.ts)
+			}
+			pane := regs[0].groups[0].pane
+			oneReader := len(regs[0].wins) == 1
+			file := func(group int) (seals []paneSeal) {
+				for _, reg := range regs[group*mergeFanIn : (group+1)*mergeFanIn] {
+					g := reg.groups[0]
+					got, _ := tab.fileRuns(reg, []filedRun{{paneRun{k: sizedRun(t, 4), from: g.from, group: g}, pane}})
+					seals = append(seals, got...)
+				}
+				return seals
+			}
+			var later []paneSeal
+			if c.early {
+				later = append(file(1), file(2)...)
+				if parked := len(tab.entries[pane].parked); oneReader && (len(later) != 0 || parked != 2) {
+					t.Fatalf("two groups complete before the probe: %d seals, %d parked; want 0 and 2", len(later), parked)
+				}
+			}
+			probe := file(0)
+			if len(probe) != 1 || len(probe[0].raw) != mergeFanIn || probe[0].probe != oneReader {
+				t.Fatalf("the probe's group completed: %+v, want one seal of its %d runs", probe, mergeFanIn)
+			}
+			w := probe[0].owers[0]
+			if c.early && oneReader {
+				// The window has every extraction: it claims, and owes the probe.
+				if got := tab.advance(1000); len(got) != 1 || got[0] != w {
+					t.Fatalf("advance offered %v, want window %d", got, w)
+				}
+				if cl, ok := tab.claim(w); !ok || cl.merge {
+					t.Fatalf("window %d: claim %+v ok %v, want a claim that waits for the probe", w, cl, ok)
+				}
+			}
+			var merged *kpa.KPA
+			if c.kept >= 0 {
+				merged = sizedRun(t, c.kept)
+			}
+			more, toMerge := tab.paneSealed(probe[0], merged)
+			if parked := len(tab.entries[pane].parked); parked != 0 {
+				t.Fatalf("%d groups still parked after the probe landed", parked)
+			}
+			if c.early && oneReader {
+				// Settled seals are owed before the probe's owers are let go.
+				if (len(toMerge) == 0) != c.seals {
+					t.Fatalf("probe landed: merge %v; want window %d released only if nothing more is owed", toMerge, w)
+				}
+			}
+			if c.early {
+				later = append(later, more...)
+			} else {
+				if len(more) != 0 {
+					t.Fatalf("probe landed: %d seals started, want none", len(more))
+				}
+				later = append(file(1), file(2)...)
+			}
+			skipped := 0
+			if c.seals {
+				if len(later) != 2 || !slices.Equal(later[0].owers, probe[0].owers) || later[0].probe || later[1].probe {
+					t.Fatalf("later groups: %+v, want two seals owed by %v", later, probe[0].owers)
+				}
+			} else {
+				skipped = 2
+				if len(later) != 0 {
+					t.Fatalf("later groups: %d seals, want none after a probe that kept %d of %d pairs", len(later), c.kept, in)
+				}
+			}
+			if got := tab.sealsSkipped(); got != skipped {
+				t.Fatalf("%d groups left raw, want %d", got, skipped)
+			}
+			raw, want := 0, skipped*mergeFanIn
+			if merged == nil {
+				want += mergeFanIn // the failed probe's runs are back
+			}
+			for _, r := range tab.entries[pane].runs {
+				if r.group == nil {
+					raw++
+				}
+			}
+			if raw != want {
+				t.Fatalf("%d runs outside any group, want %d", raw, want)
+			}
+			if c.early && !c.seals {
+				if got := tab.gather(w); len(got) != 1+2*mergeFanIn {
+					t.Fatalf("window %d gathered %d runs, want the probe's and the %d left raw", w, len(got), 2*mergeFanIn)
+				}
+			}
+		})
 	}
 }

@@ -32,9 +32,10 @@ func orderSensitive() kpa.AggFactory { return func() kpa.Agg { return &orderAgg{
 // minimum of two uniform draws) and timestamps that are non-decreasing
 // within a bundle — the arrival order real ingestion produces, and the
 // property under which a close's (bundle, pane, row) visit order is
-// arrival order.
+// arrival order. With hash set, each key is then hashed to 64 bits.
 type skewedGen struct {
 	keys   uint64
+	hash   bool
 	rng    *rand.Rand
 	schema bundle.Schema
 }
@@ -57,6 +58,10 @@ func (g *skewedGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
 		key := a
 		if b < a {
 			key = b // skew: low keys are hot
+		}
+		if g.hash {
+			key = (key + 1) * 0x9E3779B97F4A7C15
+			key ^= key >> 29
 		}
 		bd.Append(key, g.rng.Uint64()%1000, ts)
 	}
@@ -321,9 +326,13 @@ func TestPaneStateSharing(t *testing.T) {
 // where it used to compact 40); at overlap 2 with 40 bundles a pane, so
 // a group fills and seals while the pane does and the claim seals the
 // 8 runs left over; and fixed windows of 80 runs on 2 and on 8 workers,
-// whose groups of 32 must seal without reordering a key's values
-// whichever task finishes first. The seal and pair counts are functions
-// of the stream: they repeat exactly.
+// whose first group of 32 must seal without reordering a key's values
+// whichever task finishes first — a verbatim copy keeps every pair, so
+// the second group stays raw, whether it completes before the first
+// one's seal lands or after. A sum over keys hashed to 64 bits keeps
+// almost every pair too: of a fixed window's 3 groups only the first
+// seals. The seal, skip and pair counts are functions of the stream:
+// they repeat exactly.
 //
 // With an aggregator that combines, at overlap 40 and one bundle per
 // pane, every window merges more partial runs than a group holds in one
@@ -359,11 +368,33 @@ func TestPaneFanInClose(t *testing.T) {
 	}
 
 	plan.Win = wm.Fixed(1_000_000) // 80 runs a window: two groups and 16 left over
-	two, eight := runAgainstReferenceOn(t, plan, 2), runAgainstReferenceOn(t, plan, 8)
-	if two.SealedPanes != 2*3 || eight.SealedPanes != two.SealedPanes || eight.ClosePairs != two.ClosePairs {
-		t.Fatalf("fixed: %d seals %d pairs on 2 workers, %d and %d on 8; want 6 seals both times",
-			two.SealedPanes, two.ClosePairs, eight.SealedPanes, eight.ClosePairs)
+	// Each run draws the same stream from a generator of its own.
+	fixed := func(what string, plan Plan, hash bool, seals, skips int64) {
+		t.Helper()
+		run := func(workers int) Report {
+			gen := newSkewedGen(5, 3)
+			if hash {
+				gen = newSkewedGen(1<<20, 3)
+				gen.hash = true
+			}
+			plan.Gen = gen
+			return runAgainstReferenceOn(t, plan, workers)
+		}
+		two, eight := run(2), run(8)
+		if two.SealedPanes != seals || two.SealsSkipped != skips ||
+			eight.SealedPanes != two.SealedPanes || eight.SealsSkipped != two.SealsSkipped || eight.ClosePairs != two.ClosePairs {
+			t.Fatalf("%s: %d seals %d skipped %d pairs on 2 workers, %d, %d and %d on 8; want %d seals and %d skipped both times",
+				what, two.SealedPanes, two.SealsSkipped, two.ClosePairs,
+				eight.SealedPanes, eight.SealsSkipped, eight.ClosePairs, seals, skips)
+		}
 	}
+	fixed("fixed", plan, false, 3, 3)
+
+	hashed := plan
+	hashed.NewAgg, hashed.Label = ops.Sum(), "sum"
+	// 120 runs a window: three groups and 24 left over.
+	hashed.TotalRecords, hashed.Source.WindowRecords, hashed.Source.WatermarkEvery = 36_000, 12_000, 120
+	fixed("fixed hashed sum", hashed, true, 3, 2*3)
 
 	plan.TotalRecords, plan.Source.WindowRecords = 12_000, 4_000
 	plan.Source.WatermarkEvery = 40

@@ -36,16 +36,23 @@
 // merge-reduce into a partial run, one pair per distinct key, and the
 // raw runs free after mergeFanIn bundles instead of one window; for any
 // other aggregator it is a verbatim k-way merge, ties by run index, so
-// order-sensitive folds see the same sequence. The aggregator decides,
-// not an option; and since groups are assigned on the ingest goroutine,
-// every result is a function of the stream alone, whatever the workers.
+// order-sensitive folds see the same sequence. A seal is for capacity:
+// in a pane only one window reads it spares the close no pass, so such
+// a pane seals its first level-0 group as a probe and seals the later
+// ones only if the probe kept at most half its pairs — above that,
+// leaving the runs raw holds less than twice what sealing would keep
+// (windows.go). A group complete before the probe lands parks until it
+// does. The aggregator and the keys decide, not an option; and since
+// groups are assigned on the ingest goroutine, every result — and which
+// groups seal — is a function of the stream alone, whatever the
+// workers.
 //
 // Close. When the watermark seals a window and its last pending
 // extraction has landed, the window claims its close: in each pane a
 // later window will read again it seals the runs no group took, so
 // those windows merge one run instead of the raw ones again. Once every
-// seal it owes has landed it merges what its panes hold — fewer than
-// mergeFanIn runs per level, sealed and raw alike — with the paper's
+// seal it owes has landed it merges what its panes hold — sealed runs,
+// the runs of unfilled groups and of groups left raw — with the paper's
 // §4.3 parallel full-KPA merge: the key space is range-partitioned once
 // across all runs and each partition streams through a k-way merge
 // fused with keyed reduction, folding the value each pair carries as it
@@ -338,12 +345,15 @@ type Report struct {
 	// merged into one while the pane fills, or the runs no group took
 	// merged at a window's claim for the later windows covering the
 	// pane — into a partial run when the aggregator is a kpa.Combiner,
-	// verbatim when it is not. ClosePairs counts the pairs streamed
-	// through a merge visitor — seals and the closing windows' final
-	// merge-reduce together: about once per record when seals write
-	// partials, about the overlap plus one when they copy verbatim. Both
-	// are functions of the stream alone and repeat exactly.
-	SealedPanes, ClosePairs int64
+	// verbatim when it is not. In a pane one window reads, a level-0
+	// group seals only while the pane's first seal kept at most half its
+	// pairs; SealsSkipped counts the level-0 groups left raw instead.
+	// ClosePairs counts the pairs streamed through a merge visitor —
+	// seals and the closing windows' final merge-reduce together: about
+	// once per record when seals write partials, about the overlap plus
+	// one when they copy verbatim. All three are functions of the stream
+	// alone and repeat exactly.
+	SealedPanes, SealsSkipped, ClosePairs int64
 	// LateRecords counts records dropped because every window covering
 	// them was already sealed when their bundle arrived.
 	LateRecords int64
@@ -574,6 +584,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			PaneRuns:        m.paneRuns.Load(),
 			SharedRunRefs:   m.sharedRunRefs.Load(),
 			SealedPanes:     m.sealedPanes.Load(),
+			SealsSkipped:    int64(x.table.sealsSkipped()),
 			ClosePairs:      m.closePairs.Load(),
 			LateRecords:     m.late.Load(),
 			ExtractedPairs:  m.extractPairs.Load(),
@@ -923,8 +934,8 @@ func putIntSlab(s *intSlab) { intSlabs.Put(s) }
 
 // sortPanes puts each surviving row of the bundle into exactly one pane
 // and returns one sorted KPA run per non-empty pane — first-level run
-// formation, the paper's Table 2 split: the runs are sorted with the
-// radix kernel, the merge at close stays comparison-based. Every
+// formation: the runs are sorted with the radix kernel, and seals and
+// closes merge them (algo.MultiMergeFold). Every
 // (key, value) pair is written once, straight into the recycled slab
 // (placed by the allocator's one rule) of the run it belongs to.
 //
@@ -1064,9 +1075,9 @@ func (x *exec) watermark(w wm.Time) {
 }
 
 // mergeFanIn is how many runs seal into one: a pane's group size, at
-// every level. A window therefore never meets close with mergeFanIn or
-// more runs of one level in a pane, and closes in a single fused
-// merge-reduce pass.
+// every level. It bounds how many runs a sealed level holds, not what a
+// close takes: a pane one window reads may leave its groups raw, and the
+// close merges any number of runs in one fused merge-reduce pass.
 const mergeFanIn = 32
 
 // minClosePartitionPairs is the smallest merge-reduce partition worth
@@ -1194,9 +1205,10 @@ func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 // one row per distinct key, so each partition gets a sub-range of
 // kpa.RowBound rows — its key span on narrow keys, its pairs on hashed
 // ones — disjoint from the others' and in key order. The last partition
-// to finish destroys the runs and publishes the window. A pane holds
-// fewer than mergeFanIn runs per level by now, so one merge takes them
-// all. Each partition's merge time counts in streambox_merge_ns_total.
+// to finish destroys the runs and publishes the window. One merge takes
+// every run, however many a pane left raw: the regroup the merge kernel
+// takes for many runs costs the same per pair whatever their count. Each
+// partition's merge time counts in streambox_merge_ns_total.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	if len(runs) == 0 {
 		x.finishWindow(start, nil, nil, nil)

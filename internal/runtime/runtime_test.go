@@ -408,8 +408,8 @@ func TestFixedWindowSealsWhileFilling(t *testing.T) {
 		return rep.Report
 	}
 	rep := run()
-	if want := int64(windows * (runsPerWindow / mergeFanIn)); rep.SealedPanes != want {
-		t.Fatalf("%d groups sealed, want %d", rep.SealedPanes, want)
+	if want := int64(windows * (runsPerWindow / mergeFanIn)); rep.SealedPanes != want || rep.SealsSkipped != 0 {
+		t.Fatalf("%d groups sealed, %d left raw; want %d and none: 1 024 keys compact", rep.SealedPanes, rep.SealsSkipped, want)
 	}
 	if ratio := float64(rep.ClosePairs) / float64(rep.IngestedRecords); ratio > 1.05 {
 		t.Fatalf("close streamed %d pairs for %d records (%.3f per record), want at most 1.05",

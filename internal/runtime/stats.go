@@ -94,6 +94,7 @@ func newStats(x *exec) *stats {
 	}
 	m.Collect(func(e *metrics.Emitter) {
 		e.Int("streambox_windows_closed_total", int64(x.table.closedWindows()))
+		e.Int("streambox_seals_skipped_total", int64(x.table.sealsSkipped()))
 		for p, n := range x.sched.QueuedByPriority() {
 			e.Int(depth[p], int64(n))
 		}

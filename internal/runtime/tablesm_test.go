@@ -18,8 +18,9 @@ import (
 // operations are the table's whole surface: register (in order, behind
 // the stream, behind the watermark), fileRuns in any order and with
 // panes left empty, advance, claim of offered and of arbitrary windows,
-// paneSealed landing a seal or failing it, gather, retire and
-// published. What a window gathers is checked against the map
+// paneSealed landing a seal or failing it — its merged run compacting
+// or keeping every pair, which decides a probe's pane —, gather, retire
+// and published. What a window gathers is checked against the map
 // oracle of panes_test.go: one record per filed run, folded into every
 // window containing it that was open when its bundle registered.
 //
@@ -29,12 +30,17 @@ import (
 func TestWindowTableStateMachine(t *testing.T) {
 	round := smRound
 	smRound++
-	var eager [2]int
+	var eager, verdicts [2]int
+	var parks int
 	defer func() {
 		// The first round's seeds are fixed: they must reach a group of
-		// groups sealing, not only groups of bundles.
+		// groups sealing, not only groups of bundles, probes of both
+		// verdicts, and a group parked on its probe.
 		if round == 0 && !t.Failed() && (eager[0] == 0 || eager[1] == 0) {
 			t.Fatalf("seeds 1-%d sealed %d groups of bundles and %d groups of groups; want both", smSeedsPerRound, eager[0], eager[1])
+		}
+		if round == 0 && !t.Failed() && (verdicts[0] == 0 || verdicts[1] == 0 || parks == 0) {
+			t.Fatalf("seeds 1-%d landed %d copying and %d compacting probes and parked %d groups; want some of each", smSeedsPerRound, verdicts[0], verdicts[1], parks)
 		}
 	}()
 	for i := 1; i <= smSeedsPerRound; i++ {
@@ -48,8 +54,11 @@ func TestWindowTableStateMachine(t *testing.T) {
 			m := newTableSM(t, seed)
 			m.run()
 			eager[0], eager[1] = eager[0]+m.eager[0], eager[1]+m.eager[1]
-			t.Logf("%+v, stream moves once in %d bundles, 1 seal in %d fails, 1 filing in %d empty: %d windows, %d runs filed, %d+%d groups sealed",
-				m.win, m.drift, m.failOdds, m.emptyOdd, len(m.want), len(m.recs), m.eager[0], m.eager[1])
+			verdicts[0], verdicts[1] = verdicts[0]+m.verdicts[0], verdicts[1]+m.verdicts[1]
+			parks += m.parks
+			t.Logf("%+v, stream moves once in %d bundles, 1 seal in %d fails, 1 filing in %d empty: %d windows, %d runs filed, %d+%d groups sealed, %d+%d probes compacted or not, %d groups parked, %d left raw",
+				m.win, m.drift, m.failOdds, m.emptyOdd, len(m.want), len(m.recs), m.eager[0], m.eager[1],
+				m.verdicts[1], m.verdicts[0], m.parks, m.tab.sealsSkipped())
 		})
 	}
 }
@@ -69,6 +78,7 @@ type smBundle struct {
 type tableSM struct {
 	t        *testing.T
 	rng      *rand.Rand
+	sizes    *rand.Rand // what a seal keeps: apart, so rng's operations stay the seed's
 	win      wm.Windowing
 	tab      *windowTable
 	pos      wm.Time // where the stream is
@@ -95,6 +105,8 @@ type tableSM struct {
 	failed    map[wm.Time]bool // per pane: a seal failed
 	sealedWM  wm.Time
 	eager     [2]int // seals of complete groups seen, by level (0, higher)
+	verdicts  [2]int // probes landed, by verdict (copy, compacting)
+	parks     int    // groups that completed before their probe landed
 }
 
 func newTableSM(t *testing.T, seed int64) *tableSM {
@@ -104,7 +116,7 @@ func newTableSM(t *testing.T, seed int64) *tableSM {
 	}
 	win := shapes[rng.Intn(len(shapes))]
 	return &tableSM{
-		t: t, rng: rng, win: win, tab: newWindowTable(win),
+		t: t, rng: rng, sizes: rand.New(rand.NewSource(^seed)), win: win, tab: newWindowTable(win),
 		drift:     []int{3, 12, 60, 400}[rng.Intn(4)],
 		failOdds:  []int{0, 50, 6}[rng.Intn(3)],
 		emptyOdd:  []int{3, 10, 100}[rng.Intn(3)],
@@ -233,8 +245,9 @@ func (m *tableSM) register() {
 	m.unfiled = append(m.unfiled, smBundle{reg})
 }
 
-func (m *tableSM) newRun(refs int, ids []uint64) *kpa.KPA {
-	k := emptyRun(m.t)
+// newRun is a run of n pairs standing for the filed runs ids.
+func (m *tableSM) newRun(refs, n int, ids []uint64) *kpa.KPA {
+	k := sizedRun(m.t, n)
 	k.Retain(refs - 1)
 	m.ids[k] = ids
 	m.all = append(m.all, k)
@@ -269,9 +282,14 @@ func (m *tableSM) file() {
 				m.want[w][id] = true
 			}
 		}
-		runs = append(runs, filedRun{paneRun{k: m.newRun(open, []uint64{id}), from: from, group: g}, g.pane})
+		runs = append(runs, filedRun{paneRun{k: m.newRun(open, 2, []uint64{id}), from: from, group: g}, g.pane})
 	}
 	m.enqueue(m.tab.fileRuns(b.reg, runs))
+	for _, g := range b.reg.groups {
+		if pe := m.tab.entries[g.pane]; pe != nil && slices.Contains(pe.parked, g) {
+			m.parks++
+		}
+	}
 }
 
 // enqueue takes what the table handed back: seals to run, closes to
@@ -359,10 +377,17 @@ func (m *tableSM) land() {
 	var merged *kpa.KPA
 	if m.failOdds == 0 || m.rng.Intn(m.failOdds) != 0 {
 		var ids []uint64
+		in := 0
 		for _, r := range s.raw {
 			ids = append(ids, m.ids[r.k]...)
+			in += r.k.Len()
 		}
-		merged = m.newRun(len(s.owers), ids)
+		// Half the pairs or all of them: a fold over few keys, or a copy.
+		copies := m.sizes.Intn(2)
+		merged = m.newRun(len(s.owers), in/(2-copies), ids)
+		if s.probe {
+			m.verdicts[1-copies]++
+		}
 	} else {
 		m.failed[s.pane] = true
 	}
@@ -392,6 +417,11 @@ func (m *tableSM) land() {
 func (m *tableSM) gather(w wm.Time, runs []*kpa.KPA) {
 	if m.gathered[w] != nil {
 		m.t.Fatalf("window %d gathered twice", w)
+	}
+	for p := w; p < m.win.End(w); p = m.tab.panes.End(p) {
+		if pe := m.tab.entries[p]; pe != nil && len(pe.parked) > 0 {
+			m.t.Fatalf("window %d gathered while %d groups of pane %d are parked", w, len(pe.parked), p)
+		}
 	}
 	got := make(map[uint64]bool)
 	for _, k := range runs {
@@ -461,6 +491,10 @@ func (m *tableSM) check(when string) {
 		}
 	}
 	for p, pe := range m.tab.entries {
+		// A group parks only until its pane's probe lands.
+		if len(pe.parked) > 0 && pe.rule != sealProbing {
+			m.t.Fatalf("%s: pane %d judged, yet %d groups are parked", when, p, len(pe.parked))
+		}
 		for _, r := range pe.runs {
 			if m.taken[r.k] {
 				m.t.Fatalf("%s: pane %d holds run %v, which a seal took", when, p, m.ids[r.k])
@@ -490,10 +524,15 @@ func (m *tableSM) check(when string) {
 				perSeq[seq{r.group.level, r.group.from}]++
 			}
 		}
-		// Once every bundle has filed and every seal has landed, no group
-		// holds a full group's worth of runs, and — unless a failed seal
-		// stranded the group it was to join — a pane has one group with
-		// runs per level and `from`: fewer than mergeFanIn runs of each.
+		// Once every bundle has filed and every seal has landed, nothing is
+		// parked, no group holds a full group's worth of runs, and — unless
+		// a failed seal stranded the group it was to join — a pane has one
+		// group with runs per level and `from`: fewer than mergeFanIn
+		// grouped runs of each. A group left raw holds none: its runs are
+		// outside any group.
+		if len(pe.parked) > 0 {
+			m.t.Fatalf("%s: pane %d at rest with %d groups parked", when, p, len(pe.parked))
+		}
 		for g, n := range perGroup {
 			if n >= mergeFanIn {
 				m.t.Fatalf("%s: pane %d at rest: a level-%d group holds %d runs", when, p, g.level, n)

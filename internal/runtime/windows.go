@@ -26,10 +26,28 @@ package runtime
 //     runs leave the table as a seal: a task merges them into one run
 //     (sealPane) and paneSealed puts it in their place, one level up,
 //     where mergeFanIn such runs form a group in turn. So a pane at rest
-//     holds fewer than mergeFanIn runs per level and `from`, and no pair
-//     is re-read more than log(runs)/log(mergeFanIn) times. Slots are
-//     handed out on the ingest goroutine, so what merges with what is a
-//     function of the stream alone.
+//     holds fewer than mergeFanIn grouped runs per level and `from`, and
+//     no pair is re-read more than log(runs)/log(mergeFanIn) times. Slots
+//     are handed out on the ingest goroutine, so what merges with what is
+//     a function of the stream alone.
+//   - A pane one window reads seals its level-0 groups only while they
+//     compact. For such a pane a seal saves the close nothing — it reads
+//     `in` pairs to spare the close `in − out` — and buys only capacity,
+//     so it is worth its pass while it at least halves the pairs. The
+//     pane's first level-0 group, its probe, seals; paneSealed judges the
+//     pane by it: compacting if the merged run holds at most half the
+//     probe's pairs (a verbatim copy never does; a probe that could not
+//     allocate or had no runs counts as compacting). Every later level-0
+//     group of the pane seals on a compacting verdict and otherwise stays
+//     in the table raw, outside any group, stranding the group above
+//     like a failed seal; the close merges it. Left raw, its runs hold
+//     less than twice what the seal would have kept. A group that
+//     completes before the verdict parks in the pane entry, its runs in
+//     place, and the probe's paneSealed settles every parked group under
+//     the same lock — each a seal, owed before the probe's owers are let
+//     go, or raw — so no window gathers while a group of its pane is
+//     parked, and which groups seal is a function of the stream alone. A
+//     pane more than one window reads seals every group it completes.
 //   - Windows that share a pane claim in ascending order: a window is
 //     not ready while an earlier window overlapping it has yet to claim.
 //     So when a window claims, no earlier window can still want the
@@ -108,13 +126,33 @@ type runGroup struct {
 // registration, so `from` is the first window that was open when the
 // pane first received a bundle — later bundles can only be late for
 // more windows, never fewer. filling is the group taking new members at
-// each level.
+// each level. rule says which of its complete level-0 groups seal, probe
+// is its first level-0 group, and parked the later ones that completed
+// while the rule was sealProbing.
 type paneEntry struct {
 	runs    []paneRun
 	from    wm.Time
 	refs    int
 	filling []*runGroup
+	rule    sealRule
+	probe   *runGroup
+	parked  []*runGroup
 }
+
+// sealRule is how a pane's complete level-0 groups seal.
+type sealRule uint8
+
+const (
+	// sealAlways seals every group: a pane more than one window reads,
+	// or one whose probe compacted.
+	sealAlways sealRule = iota
+	// sealProbing seals the probe and parks the rest: a pane one window
+	// reads, until its probe lands.
+	sealProbing
+	// sealNever leaves every group but the probe raw: its probe kept
+	// more than half its pairs.
+	sealNever
+)
 
 // registration is what register hands a bundle's extraction: the open
 // windows it contributes to, ascending, and its group in each pane it
@@ -135,12 +173,14 @@ type filedRun struct {
 // member landed, or the level-0 runs a claiming window found. owers are
 // the open windows covering the pane from `from` on, ascending — each
 // holds one reference on every run — and into is the group the merged
-// run joins (nil after a claim's seal).
+// run joins (nil after a claim's seal). probe marks the seal whose
+// merged run judges a sealProbing pane.
 type paneSeal struct {
 	pane, from wm.Time
 	raw        []paneRun
 	owers      []wm.Time
 	into       *runGroup
+	probe      bool
 }
 
 // claim is what a window's close is handed when it is claimed: the pane
@@ -170,6 +210,8 @@ type windowTable struct {
 	// while its rows are still in flight to the sink.
 	finishing map[wm.Time]struct{}
 	closed    int
+	// skipped counts the level-0 groups a sealNever pane left raw.
+	skipped int
 }
 
 func newWindowTable(win wm.Windowing) *windowTable {
@@ -219,6 +261,9 @@ func (t *windowTable) register(minTs, maxTs wm.Time) (reg registration) {
 		pe := t.entries[p]
 		if pe == nil {
 			pe = &paneEntry{from: from, refs: n}
+			if n == 1 {
+				pe.rule = sealProbing
+			}
 			t.entries[p] = pe
 		}
 		reg.groups = append(reg.groups, pe.slot(p, from, 0))
@@ -229,7 +274,8 @@ func (t *windowTable) register(minTs, maxTs wm.Time) (reg registration) {
 // slot takes the next slot of the pane's filling group at level: a new
 // group when there is none, it is full, or `from` has moved on since it
 // began (a bundle late for more windows starts over). The member that
-// fills a group takes the group's slot one level up.
+// fills a group takes the group's slot one level up. The pane's first
+// level-0 group is its probe.
 func (pe *paneEntry) slot(pane, from wm.Time, level int) *runGroup {
 	if level == len(pe.filling) {
 		pe.filling = append(pe.filling, nil)
@@ -238,6 +284,9 @@ func (pe *paneEntry) slot(pane, from wm.Time, level int) *runGroup {
 	if g == nil || g.from != from || g.slots == mergeFanIn {
 		g = &runGroup{pane: pane, from: from, level: level}
 		pe.filling[level] = g
+		if pe.probe == nil {
+			pe.probe = g
+		}
 	}
 	if g.slots++; g.slots == mergeFanIn {
 		g.parent = pe.slot(pane, from, level+1)
@@ -280,20 +329,62 @@ func (t *windowTable) fileRuns(reg registration, runs []filedRun) (seals []paneS
 	return seals, toClose
 }
 
-// landed counts one more member of g in. The member that completes g
-// takes g's runs out of the table as a seal (at most one is returned);
-// a complete group with no run to its name (its bundles filed nothing)
-// lands in its parent at once. Caller holds wmu.
+// landed counts one more member of g in; the member that completes g
+// completes it. Caller holds wmu.
 func (t *windowTable) landed(g *runGroup) []paneSeal {
-	for ; g != nil; g = g.parent {
-		if g.landed++; g.landed < mergeFanIn {
+	if g == nil {
+		return nil
+	}
+	if g.landed++; g.landed < mergeFanIn {
+		return nil
+	}
+	return t.complete(g)
+}
+
+// complete settles a complete group by its pane's rule: a level-0 group
+// of a sealProbing pane other than the probe parks, one of a sealNever
+// pane stays raw; any other takes its runs out of the table as a seal.
+// A group with no run to its name (its bundles filed nothing) lands in
+// its parent at once — a probe with none judges its pane compacting. It
+// returns the seals this started. Caller holds wmu.
+func (t *windowTable) complete(g *runGroup) []paneSeal {
+	pe := t.entries[g.pane]
+	probe := pe.rule == sealProbing && g == pe.probe
+	if g.level == 0 && pe.rule != sealAlways && !probe {
+		if pe.rule == sealProbing {
+			pe.parked = append(pe.parked, g)
 			return nil
 		}
-		if raw := t.take(g.pane, func(r paneRun) bool { return r.group == g }); len(raw) > 0 {
-			return []paneSeal{t.owe(paneSeal{pane: g.pane, from: g.from, raw: raw, into: g.parent})}
+		for i := range pe.runs {
+			if pe.runs[i].group == g {
+				pe.runs[i].group = nil
+			}
 		}
+		t.skipped++
+		return nil
 	}
-	return nil
+	if raw := t.take(g.pane, func(r paneRun) bool { return r.group == g }); len(raw) > 0 {
+		return []paneSeal{t.owe(paneSeal{pane: g.pane, from: g.from, raw: raw, into: g.parent, probe: probe})}
+	}
+	var seals []paneSeal
+	if probe {
+		seals = t.judge(pe, true)
+	}
+	return append(seals, t.landed(g.parent)...)
+}
+
+// judge settles a sealProbing pane by its probe's verdict and completes
+// every group parked on it. Caller holds wmu.
+func (t *windowTable) judge(pe *paneEntry, compacting bool) (seals []paneSeal) {
+	pe.rule = sealNever
+	if compacting {
+		pe.rule = sealAlways
+	}
+	for _, g := range pe.parked {
+		seals = append(seals, t.complete(g)...)
+	}
+	pe.parked = nil
+	return seals
 }
 
 // take removes the pane's runs that match and returns them. Caller
@@ -407,23 +498,32 @@ func (t *windowTable) claim(start wm.Time) (c claim, ok bool) {
 
 // paneSealed lands a seal: merged — or, when the seal could not allocate
 // it (nil), the runs themselves, outside any group — goes into the
-// pane's entry, and the owers each owe one less. It returns the seal of
-// the group merged completed, if it did, and the claimed windows that
-// now owe none, ascending, for the caller to gather and merge — and
-// then to release the sealed runs' references when merged replaced them.
+// pane's entry, and the owers each owe one less. A probe's seal judges
+// its pane first: compacting unless merged holds more than half the
+// pairs of the runs it replaced. It returns the seals this started —
+// of the group merged completed, and of the groups parked on a
+// compacting probe — and the claimed windows that now owe none,
+// ascending, for the caller to gather and merge — and then to release
+// the sealed runs' references when merged replaced them.
 func (t *windowTable) paneSealed(s paneSeal, merged *kpa.KPA) (seals []paneSeal, toMerge []wm.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	pe := t.entries[s.pane]
+	in := 0
 	if merged != nil {
 		pe.runs = append(pe.runs, paneRun{k: merged, from: s.from, group: s.into})
 		// Before the owers owe less: a window that owes cannot gather.
 		seals = t.landed(s.into)
-	} else {
-		for _, r := range s.raw {
+	}
+	for _, r := range s.raw {
+		in += r.k.Len()
+		if merged == nil {
 			r.group = nil
 			pe.runs = append(pe.runs, r)
 		}
+	}
+	if s.probe {
+		seals = append(seals, t.judge(pe, merged == nil || 2*merged.Len() <= in)...)
 	}
 	for _, w := range s.owers {
 		e := t.windows[w]
@@ -514,6 +614,13 @@ func (t *windowTable) closedWindows() int {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	return t.closed
+}
+
+// sealsSkipped returns how many level-0 groups were left raw.
+func (t *windowTable) sealsSkipped() int {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	return t.skipped
 }
 
 // windowsInRange lists every window start overlapping [lo, hi],

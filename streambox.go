@@ -255,12 +255,15 @@ type Report struct {
 	// and the runs left over merged when the first window covering the
 	// pane closes, for the later windows covering it — into a per-key
 	// partial run when the aggregation combines (sum, count, min, max),
-	// verbatim when it does not. ClosePairs counts the pairs streamed
+	// verbatim when it does not. A pane only one window reads seals its
+	// first group of 32 and the later ones only if that seal kept at most
+	// half its pairs; SealsSkipped counts the groups it left raw for the
+	// window's close instead. ClosePairs counts the pairs streamed
 	// through those merges and the closing windows' own: about once per
 	// record when seals write partials, overlap times (plus once) when
-	// they cannot. Both are functions of the stream, not of scheduling,
-	// and 0 on the simulated backend.
-	SealedPanes, ClosePairs int64
+	// they cannot. All three are functions of the stream, not of
+	// scheduling, and 0 on the simulated backend.
+	SealedPanes, SealsSkipped, ClosePairs int64
 	// ExtractNs, SealNs, MergeNs and PublishNs are the native backend's
 	// worker nanoseconds per grouping stage: run formation, seals, close
 	// merges, and handing closed windows to their sinks (0 on the
@@ -730,6 +733,7 @@ func nativeReport(rep runtime.Report) Report {
 		PaneRuns:                  rep.PaneRuns,
 		SharedRunRefs:             rep.SharedRunRefs,
 		SealedPanes:               rep.SealedPanes,
+		SealsSkipped:              rep.SealsSkipped,
 		ClosePairs:                rep.ClosePairs,
 		ExtractNs:                 rep.ExtractNanos,
 		SealNs:                    rep.SealNanos,

@@ -132,6 +132,7 @@ func TestMetricsSurface(t *testing.T) {
 		"streambox_pane_runs_total":                               rep.PaneRuns,
 		"streambox_shared_run_refs_total":                         rep.SharedRunRefs,
 		"streambox_sealed_panes_total":                            rep.SealedPanes,
+		"streambox_seals_skipped_total":                           rep.SealsSkipped,
 		"streambox_close_pairs_total":                             rep.ClosePairs,
 		"streambox_extract_ns_total":                              rep.ExtractNs,
 		"streambox_seal_ns_total":                                 rep.SealNs,
