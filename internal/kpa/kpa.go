@@ -101,15 +101,18 @@ type KPA struct {
 	// vals marks a value-resident KPA: each pair's Ptr field holds the
 	// aggregation value itself and sources is empty. The native runtime's
 	// runs are born that way (NewValues); a pointer run becomes
-	// value-resident when evicted to the spill tier (an extent holds bare
-	// pairs, and dropping the bundle links is what frees the bundles) or
-	// through MaterializeValues. See residency.go.
+	// value-resident only when evicted to the spill tier (an extent holds
+	// bare pairs, and dropping the bundle links is what frees the
+	// bundles). A merge-reduce reads a pointer run's values once, on
+	// entry, and leaves the run as it is. See residency.go.
 	vals bool
 	// partial marks a sealed pane run: value-resident, one pair per
 	// distinct key, and each Ptr is a Combiner aggregator's result over
 	// the records the run replaced — to be folded with Combine, never
 	// Add. The flag lives on the KPA, so it survives Evict and
-	// EnsureResident; only MergeReduceRange consumes partial runs.
+	// EnsureResident. Every merge-reduce entry (MergeReduceRange,
+	// MergeReduceRows, MergeReducePartial) Combines a partial run's
+	// pairs; MergeK copies them only beside other partial runs.
 	partial bool
 	// resMu serializes residency transitions (Evict/EnsureResident).
 	resMu sync.Mutex

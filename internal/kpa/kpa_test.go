@@ -510,7 +510,8 @@ func TestReduceByKey(t *testing.T) {
 	}
 	for _, mode := range []string{"pointer", "value-resident"} {
 		if mode == "value-resident" {
-			if err := k.MaterializeValues(1); err != nil {
+			var err error
+			if k, err = ValueTwin(k, 1, e.al); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"streambox/internal/algo"
-	"streambox/internal/bundle"
 )
 
 // Fused range-partitioned k-way merge-reduce (paper §4.3, "Parallel
@@ -21,17 +20,19 @@ import (
 // close of 7 — MergeK's copy of such a group regroups too); else inside
 // the loser-tree loop as pairs arrive in key order.
 // algo.MultiMergeFold picks from the input alone. Any other aggregator
-// gets every pair, in key order, through a visitor that feeds the value
-// a value-resident pair carries, or the one a pointer pair's bundle row
-// holds. Closing a window of R runs costs one sequential read of the
+// gets every pair, in key order, through a visitor that Combines a
+// partial run's value and Adds any other. The folds see values only: a
+// pointer run (the simulator's) has its range dereferenced into (key,
+// value) pairs once, on entry, and then folds like a value-resident run.
+// Closing a window of R runs costs one sequential read of the
 // inputs — no per-level KPA materialization, no separate reduce
-// sweep. The other two kernels seal a group of a pane's runs into one
-// while the pane still fills, so that its runs hold less memory when
-// the aggregation compacts them and panes shared by sliding windows are
-// merged once for all of them: MergeReducePartial is the same fused
-// pass writing its (key, result) stream back out as a partial run, for
-// aggregators that combine; MergeK copies the pairs verbatim, for those
-// that need every value in order.
+// sweep. Seal merges a group of a pane's runs into one while the pane
+// still fills, so that its runs hold less memory when the aggregation
+// compacts them and panes shared by sliding windows are merged once for
+// all of them, with one of two kernels: MergeReducePartial is the same
+// fused pass writing its (key, result) stream back out as a partial run,
+// for aggregators that combine; MergeK copies the pairs verbatim, for
+// those that need every value in order.
 
 // checkMergeInputs validates that runs are sorted and share a resident
 // column, returning that column.
@@ -75,14 +76,14 @@ func MergeCuts(runs []*KPA, p int) ([][]int, error) {
 // by run index), so any aggregator — order-sensitive or not — yields
 // bit-identical results to merge-then-reduce.
 //
-// Value resolution is per run, so one merge may mix all three run modes:
-// pointer runs dereference value column valCol, value-resident runs Add
-// their Ptr, partial runs Combine it (the factory's aggregator must then
-// be a Combiner). A WordFolder over runs that hold their values folds
-// inside the merge loop; any other aggregator, or any pointer run, takes
-// the per-pair path, where an aggregator that is a Resetter is reused
-// across the task's keys instead of asking the factory for one per
-// distinct key.
+// One merge may mix all three run modes. A pointer run's range is
+// dereferenced for value column valCol once, on entry; after that its
+// pairs, like a value-resident run's, are Added, and a partial run's are
+// Combined (the factory's aggregator must then be a Combiner). A
+// WordFolder folds inside the merge loop; any other aggregator takes the
+// per-pair path, where an aggregator that is a Resetter is reused across
+// the task's keys instead of asking the factory for one per distinct
+// key.
 func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory, emit func(key, result uint64)) error {
 	_, err := mergeReduce(runs, lo, hi, valCol, factory(), factory, nil, emit)
 	return err
@@ -144,28 +145,24 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 		return 0, fmt.Errorf("kpa: merge-reduce cut vectors cover %d/%d runs, want %d", len(lo), len(hi), len(runs))
 	}
 	segs := make([][]algo.Pair, len(runs))
-	pointers, partials := false, false
+	partials := false
 	for j, r := range runs {
 		if lo[j] < 0 || hi[j] > r.Len() || lo[j] > hi[j] {
 			return 0, fmt.Errorf("kpa: merge-reduce range [%d,%d) out of bounds for run %d (len %d)", lo[j], hi[j], j, r.Len())
 		}
-		segs[j] = r.pairs[lo[j]:hi[j]]
-		partials = partials || r.partial
-		pointers = pointers || !r.vals && lo[j] < hi[j]
-		// Hoist the value-column bounds check out of the per-pair loop:
-		// every source bundle's schema must hold valCol.
-		for _, b := range r.sources {
-			if valCol < 0 || valCol >= b.Schema().NumCols {
-				return 0, fmt.Errorf("kpa: reduce value column %d out of range", valCol)
-			}
+		seg, err := r.values(lo[j], hi[j], valCol)
+		if err != nil {
+			return 0, err
 		}
+		segs[j] = seg
+		partials = partials || r.partial
 	}
 	comb, combines := agg.(Combiner)
 	if partials && !combines {
 		return 0, fmt.Errorf("kpa: merge-reduce of a partial run needs a Combiner aggregator")
 	}
 
-	if w, ok := agg.(WordFolder); ok && !pointers {
+	if w, ok := agg.(WordFolder); ok {
 		f := algo.Fold{Op: algo.FoldAdd}
 		switch w.WordOp() {
 		case WordMin:
@@ -190,26 +187,8 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 		return n, nil
 	}
 
-	// The per-pair path. A per-run single-entry deref cache serves
-	// pointer runs: first-level runs reference one bundle, so the common
-	// case is an array hit instead of a map lookup per pair. Misses fall
-	// back to the owning run's source map. Value-resident and partial runs
-	// carry their values in Ptr and skip dereferencing entirely.
-	cachedID := make([]uint32, len(runs))
-	cached := make([]*bundle.Bundle, len(runs))
-	mode := make([]runMode, len(runs))
-	for j, r := range runs {
-		switch {
-		case r.partial:
-			mode[j] = modePartial
-		case r.vals:
-			mode[j] = modeValue
-		case lo[j] < hi[j]:
-			p := r.pairs[lo[j]].Ptr
-			cached[j] = r.sources[PtrBundle(p)]
-			cachedID[j] = PtrBundle(p)
-		}
-	}
+	// The per-pair path: a partial run's value is Combined, any other
+	// Added.
 	n := 0
 	put := func(key, res uint64) {
 		if emit != nil {
@@ -237,24 +216,11 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 			}
 			cur, started = p.Key, true
 		}
-		switch mode[run] {
-		case modePartial:
+		if runs[run].partial {
 			comb.Combine(p.Ptr)
-			return
-		case modeValue:
+		} else {
 			agg.Add(p.Ptr)
-			return
 		}
-		id := PtrBundle(p.Ptr)
-		b := cached[run]
-		if b == nil || cachedID[run] != id {
-			b = runs[run].sources[id]
-			if b == nil {
-				panic(fmt.Sprintf("kpa: dangling pointer into bundle %d", id))
-			}
-			cached[run], cachedID[run] = b, id
-		}
-		agg.Add(b.At(int(PtrRow(p.Ptr)), valCol))
 	}}, nil)
 	if started {
 		put(cur, agg.Result())
@@ -262,15 +228,16 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 	return n, nil
 }
 
-// runMode is how MergeReduceRange turns one run's pairs into aggregator
-// input.
-type runMode uint8
-
-const (
-	modePointer runMode = iota // Ptr references a bundle row: dereference, Add
-	modeValue                  // Ptr is the value: Add
-	modePartial                // Ptr is a partial aggregate: Combine
-)
+// Seal merges a group of sorted runs into one: MergeReducePartial's
+// partial run when the factory's aggregator is a Combiner, MergeK's
+// verbatim copy otherwise. The inputs remain valid (destroy them
+// separately).
+func Seal(runs []*KPA, valCol int, factory AggFactory, al Allocator, s *algo.Scratch) (*KPA, error) {
+	if _, ok := factory().(Combiner); ok {
+		return MergeReducePartial(runs, valCol, factory, al, s)
+	}
+	return MergeK(runs, al)
+}
 
 // MergeReducePartial seals the runs into one partial run: a single fused
 // merge-reduce over all of them — the only dereference a pointer run's
@@ -322,7 +289,7 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 	// Pairs are copied verbatim, so every input must agree on what Ptr
 	// means — all pointer runs, all value-resident runs or all partial
 	// runs (a partial and a raw value fold differently). The runtime's
-	// runs are value-resident from birth, and it seals with
+	// runs are value-resident from birth, and Seal picks
 	// MergeReducePartial whenever partials can exist.
 	for _, r := range runs {
 		if r.vals != runs[0].vals {

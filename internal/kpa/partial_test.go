@@ -78,10 +78,12 @@ func TestMergeReducePartialRuns(t *testing.T) {
 	}
 
 	pointer, value, sealed := runs[:3], runs[3:6], runs[6:]
-	for _, r := range value {
-		if err := r.MaterializeValues(1); err != nil {
+	for j, r := range value {
+		v, err := kpa.ValueTwin(r, 1, al)
+		if err != nil {
 			t.Fatal(err)
 		}
+		value[j] = v
 	}
 	reduce := func(name string, mixed []*kpa.KPA) {
 		t.Helper()
@@ -229,13 +231,16 @@ func perPair(factory kpa.AggFactory) kpa.AggFactory {
 // Max to the per-pair path it replaces, on both entry points a window
 // uses — the close (MergeReduceRange at several partition counts, and
 // MergeReduceRows into a row slab of RowBound rows) and the seal
-// (MergeReducePartial) — over random mixes of raw value runs, partial
-// runs and empty runs, at 1, 2, 3 and 33 runs, on two key shapes: keys
+// (MergeReducePartial) — over random mixes of raw value runs, pointer
+// runs, partial runs and empty runs, at 1, 2, 3 and 33 runs, on two key
+// shapes: keys
 // of MaxUint64 and hashed keys among a few dozen (the loser tree), and
 // 1 024 keys (the table, wherever a merge has more pairs than its span);
 // on the runtime's shapes: 1 024 keys, and inproc_wide's hashed keys,
 // whose 32-run seal regroups (the verbatim MergeK too), and so does its
-// 7-run close; then the two cases a word fold could get wrong
+// 7-run close — each shape also with pointer runs beside the value
+// runs, so every word fold meets a pointer run on the loser tree, the
+// table and the regroup; then the two cases a word fold could get wrong
 // by itself: a count over raw and partial runs in one close (a raw pair
 // adds 1, a partial its value), and a minimum whose first value is 0.
 func TestMergeFoldMatchesVisit(t *testing.T) {
@@ -261,7 +266,7 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 	}
 	narrowKey := func() uint64 { return rng.Uint64() % 1024 }
 	key := mixedKey
-	randomRun := func(n int) *kpa.KPA {
+	randomPairs := func(n int) []algo.Pair {
 		pairs := make([]algo.Pair, n)
 		for i := range pairs {
 			val := rng.Uint64() >> rng.Intn(64)
@@ -270,7 +275,32 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 			}
 			pairs[i] = algo.Pair{Key: key(), Ptr: val}
 		}
-		return run(pairs...)
+		return pairs
+	}
+	randomRun := func(n int) *kpa.KPA { return run(randomPairs(n)...) }
+	// pointerRun is the simulator's kind of run: random pairs stored as
+	// records of a bundle, (key, value, row), and extracted on the key —
+	// value column 1 is what its pointers lead to.
+	reg := bundle.NewRegistry()
+	pointerRun := func(n int) *kpa.KPA {
+		t.Helper()
+		bd, err := reg.NewBuilder(bundle.Schema{NumCols: 3, TsCol: 2}, n, memsim.DRAM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range randomPairs(n) {
+			if err := bd.Append(p.Key, p.Ptr, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := bd.Seal()
+		k, err := kpa.Extract(b, 0, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		kpa.SortRadix(k, 1, nil)
+		return k
 	}
 	seal := func(factory kpa.AggFactory, runs ...*kpa.KPA) *kpa.KPA {
 		t.Helper()
@@ -340,13 +370,19 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 				}
 				runs := make([]*kpa.KPA, nRuns)
 				for j := range runs {
-					switch rng.Intn(3) {
+					kind := rng.Intn(4)
+					if j == 0 && trial < 2 {
+						kind = 3 // a pointer run on the tree, then the table
+					}
+					switch kind {
 					case 0:
 						runs[j] = run()
 					case 1:
 						runs[j] = randomRun(1 + rng.Intn(400))
+					case 2:
+						runs[j] = partialOf(a.factory, randomRun(1+rng.Intn(300)), pointerRun(1+rng.Intn(300)))
 					default:
-						runs[j] = partialOf(a.factory, randomRun(1+rng.Intn(300)), randomRun(1+rng.Intn(300)))
+						runs[j] = pointerRun(1 + rng.Intn(400))
 					}
 				}
 				for _, p := range []int{1, 3} {
@@ -368,13 +404,17 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 	// The runtime's 1 024-key shapes, which take the table: a seal of 32
 	// raw runs of 4 096 pairs, and a close over 7 partial runs beside 22
 	// raw ones, where count adds 1 per raw pair and a partial's value in
-	// one merge.
+	// one merge; a quarter of the raw runs are pointer runs.
 	key = narrowKey
 	for _, a := range aggs {
 		visit := perPair(a.factory)
 		runs := make([]*kpa.KPA, 32)
 		for j := range runs {
-			runs[j] = randomRun(4096)
+			if j%4 == 0 {
+				runs[j] = pointerRun(4096)
+			} else {
+				runs[j] = randomRun(4096)
+			}
 		}
 		got, want := seal(a.factory, runs...), seal(visit, runs...)
 		if !slices.Equal(got.Pairs(), want.Pairs()) || got.Len() != 1024 {
@@ -387,8 +427,11 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		for range 7 {
 			runs = append(runs, partialOf(a.factory, randomRun(4096), randomRun(4096)))
 		}
-		for range 22 {
+		for range 16 {
 			runs = append(runs, randomRun(4096))
+		}
+		for range 6 {
+			runs = append(runs, pointerRun(4096))
 		}
 		for _, p := range []int{1, 3} {
 			if got, want := closeRows(runs, a.factory, p), closeRows(runs, visit, p); !slices.Equal(got, want) || len(got) != 1024 {
@@ -402,8 +445,8 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 
 	// inproc_wide's shapes, over hashed keys: a seal of 32 raw runs of
 	// 10 000 pairs, which regroups — and whose verbatim copy (MergeK)
-	// regroups too —, and a close over 7 runs, 3 partial and 4 raw, in two
-	// partitions, which regroups as well.
+	// regroups too —, and a close over 7 runs, 3 partial and 4 raw (2 of
+	// them pointer runs), in two partitions, which regroups as well.
 	key = func() uint64 { return rng.Uint64() }
 	wide := make([]*kpa.KPA, 32)
 	for j := range wide {
@@ -434,8 +477,8 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		for range 3 {
 			runs = append(runs, partialOf(a.factory, randomRun(10_000), randomRun(10_000)))
 		}
-		for range 4 {
-			runs = append(runs, randomRun(10_000))
+		for range 2 {
+			runs = append(runs, randomRun(10_000), pointerRun(10_000))
 		}
 		if got, want := closeRows(runs, a.factory, 2), closeRows(runs, visit, 2); !slices.Equal(got, want) {
 			t.Fatalf("%s close/3+4/hashed-keys: the word fold closes to %d rows unlike the per-pair path's %d", a.name, len(got), len(want))

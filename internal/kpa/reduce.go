@@ -1,10 +1,6 @@
 package kpa
 
-import (
-	"fmt"
-
-	"streambox/internal/memsim"
-)
+import "streambox/internal/memsim"
 
 // Agg folds a stream of 64-bit values into one result. Implementations
 // live in internal/ops (sum, average, median, top-k, ...); the kpa
@@ -76,16 +72,11 @@ type Resetter interface {
 // ReduceAll performs unkeyed reduction across every record of the KPA,
 // loading value column valCol through the pointers.
 func ReduceAll(k *KPA, valCol int, agg Agg) error {
+	if err := k.checkValCol(valCol); err != nil {
+		return err
+	}
 	for _, p := range k.pairs {
-		if k.vals {
-			agg.Add(p.Ptr)
-			continue
-		}
-		src, r := k.Deref(p.Ptr)
-		if valCol < 0 || valCol >= src.Schema().NumCols {
-			return fmt.Errorf("kpa: reduce value column %d out of range", valCol)
-		}
-		agg.Add(src.At(r, valCol))
+		agg.Add(k.valueOf(p, valCol))
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"streambox/internal/algo"
+	"streambox/internal/bundle"
 	"streambox/internal/mempool"
 	"streambox/internal/memsim"
 )
@@ -56,24 +57,28 @@ func (k *KPA) valueOf(p algo.Pair, valCol int) uint64 {
 	return b.At(row, valCol)
 }
 
-// MaterializeValues converts a pointer run to value-resident in place:
-// pointers become values of valCol and the source-bundle links drop.
-// The caller must guarantee no concurrent reader — a sharer mid-merge
-// still expects pointers.
-func (k *KPA) MaterializeValues(valCol int) error {
+// values returns pairs [lo, hi) of k with every Ptr a value: the run's
+// own pairs when they carry their values, else a fresh slice in which
+// each pointer is dereferenced once for value column valCol — the
+// source map is consulted only where the bundle changes, once for a
+// first-level run. A merge-reduce reads a pointer run here, on entry,
+// so its fold sees values only.
+func (k *KPA) values(lo, hi, valCol int) ([]algo.Pair, error) {
 	if k.vals {
-		return nil
+		return k.pairs[lo:hi], nil
 	}
 	if err := k.checkValCol(valCol); err != nil {
-		return err
+		return nil, err
 	}
-	for i, p := range k.pairs {
-		b, row := k.Deref(p.Ptr)
-		k.pairs[i].Ptr = b.At(row, valCol)
+	out := make([]algo.Pair, hi-lo)
+	var b *bundle.Bundle
+	for i, p := range k.pairs[lo:hi] {
+		if b == nil || uint32(b.ID()) != PtrBundle(p.Ptr) {
+			b, _ = k.Deref(p.Ptr)
+		}
+		out[i] = algo.Pair{Key: p.Key, Ptr: b.At(int(PtrRow(p.Ptr)), valCol)}
 	}
-	k.dropSources()
-	k.vals = true
-	return nil
+	return out, nil
 }
 
 // checkValCol validates valCol against every source bundle's schema

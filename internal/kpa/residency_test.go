@@ -172,7 +172,7 @@ func TestMergeHomogeneity(t *testing.T) {
 	if _, err := MergeK([]*KPA{a, b}, al); err == nil {
 		t.Fatal("MergeK accepted mixed residency")
 	}
-	if err := b.MaterializeValues(1); err != nil {
+	if b, err = ValueTwin(b, 1, al); err != nil {
 		t.Fatal(err)
 	}
 	m, err := MergeK([]*KPA{a, b}, al)

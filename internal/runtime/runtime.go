@@ -416,8 +416,6 @@ type exec struct {
 
 	// table is the window/pane registry; it owns the target watermark.
 	table *windowTable
-	// compact is the kernel that seals a group of runs into one.
-	compact func([]*kpa.KPA, kpa.Allocator) (*kpa.KPA, error)
 
 	// m is the run's instrumentation: every counter, gauge and histogram
 	// the report and /metrics read (stats.go).
@@ -523,12 +521,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	}
 	x.table = newWindowTable(plan.Win)
 	x.m = newStats(x)
-	// Seals reduce to a partial run when the plan's aggregator can
-	// combine partial results, and copy verbatim when it cannot.
-	x.compact = x.mergeRuns
-	if _, combines := plan.NewAgg().(kpa.Combiner); combines {
-		x.compact = x.reduceRuns
-	}
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
 	x.scratch[memsim.DRAM] = x.pool.ScratchFor(memsim.DRAM)
 	// Spill-resident runs (the ladder's last rung) sort and merge with
@@ -1131,7 +1123,7 @@ func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 		runs[i] = r.k
 	}
 	sortByProvenance(runs)
-	merged, err := x.compact(runs, x.allocator(tag))
+	merged, err := x.sealRuns(runs, x.allocator(tag))
 	if err != nil {
 		merged = nil
 	} else {
@@ -1169,31 +1161,18 @@ func sortByProvenance(runs []*kpa.KPA) {
 	})
 }
 
-// reduceRuns is the sealing kernel of an aggregator that combines: one
-// fused merge-reduce over the runs (raw and partial alike) into a new
-// partial run, noted as window state. The inputs stay valid.
-func (x *exec) reduceRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
-	partial, err := kpa.MergeReducePartial(runs, x.plan.ValCol, x.plan.NewAgg, al, x.scratch[memsim.DRAM])
-	if err != nil {
-		return nil, err
-	}
-	x.noteKPA(partial)
-	for _, r := range runs {
-		x.m.closePairs.Add(int64(r.Len()))
-	}
-	return partial, nil
-}
-
-// mergeRuns is the sealing kernel of every other aggregator: one k-way
-// merge that copies the pairs verbatim, ties by run index, noted as
-// window state. The inputs stay valid.
-func (x *exec) mergeRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
-	merged, err := kpa.MergeK(runs, al)
+// sealRuns seals a group of runs into one, noted as window state: a
+// partial run when the plan's aggregator combines, a verbatim copy when
+// it does not (kpa.Seal). The inputs stay valid.
+func (x *exec) sealRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
+	merged, err := kpa.Seal(runs, x.plan.ValCol, x.plan.NewAgg, al, x.scratch[memsim.DRAM])
 	if err != nil {
 		return nil, err
 	}
 	x.noteKPA(merged)
-	x.m.closePairs.Add(int64(merged.Len()))
+	for _, r := range runs {
+		x.m.closePairs.Add(int64(r.Len()))
+	}
 	return merged, nil
 }
 

@@ -36,11 +36,6 @@ type Config struct {
 	// KeepWindows is the number of recent closed windows retained per
 	// sink for GET /windows (0 picks 16).
 	KeepWindows int
-	// FrameCredits is the per-connection flow-control window in frames
-	// (0 picks 16).
-	FrameCredits int
-	// MaxFrameBytes caps one ingest frame's payload (0 picks 4 MiB).
-	MaxFrameBytes int
 	// IdleTimeout severs connections silent past it in steady state;
 	// the session is then parked and expired by the grace deadlines
 	// below, like that of any client lost without an end-of-stream
@@ -208,8 +203,6 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 	shed := rcfg.ShedThreshold()
 	s.ingest, err = netio.Listen(cfg.IngestAddr, netio.ServerConfig{
 		Feed:            feed,
-		FrameCredits:    cfg.FrameCredits,
-		MaxFrameBytes:   cfg.MaxFrameBytes,
 		IdleTimeout:     cfg.IdleTimeout,
 		CursorGrace:     cfg.CursorGrace,
 		SessionTimeout:  cfg.SessionTimeout,
