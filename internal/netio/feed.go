@@ -2,7 +2,6 @@ package netio
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streambox/internal/bundle"
@@ -46,17 +45,17 @@ type feedCursor struct {
 // runs produce exactly the results of the equivalent single-generator
 // run.
 //
-// Column memory comes from the engine's mempool (attached via UsePool)
-// and every slab has one holder at a time: the handler that borrowed it
-// (borrowCols) until deliver pushes the batch; the feed while the batch
-// is queued — uncharged, the queue is bounded; then the bundle the
-// runtime seals over the batch, never copying it — charged to the DRAM
-// tier at that adoption — until the bundle's last Release calls
-// Recycle. Whoever drops a batch instead (a damaged frame, a superseded
-// connection, a push refused by shutdown, a batch the runtime rejects)
-// calls Recycle itself, so the pool's ColsOut returns to zero whenever
-// nothing is in flight. Only the [][]uint64 headers cycle through a
-// sync.Pool.
+// Column memory comes from a mempool — the feed's own from NewFeed on,
+// the engine's once UsePool attaches it — and every slab has one holder
+// at a time: the handler that borrowed it (borrowCols) until deliver
+// pushes the batch; the feed while the batch is queued — uncharged, the
+// queue is bounded; then the bundle the runtime seals over the batch,
+// never copying it — charged to the DRAM tier at that adoption — until
+// the bundle's last Release calls Recycle. Whoever drops a batch
+// instead (a damaged frame, a superseded connection, a push refused by
+// shutdown, a batch the runtime rejects) calls Recycle itself, so the
+// pool's ColsOut returns to zero whenever nothing is in flight. Only the
+// [][]uint64 headers cycle through a sync.Pool.
 type Feed struct {
 	schema bundle.Schema
 	ch     chan batch
@@ -66,17 +65,17 @@ type Feed struct {
 	cursors map[int64]*feedCursor
 	highTs  uint64 // max delivered timestamp ever (watermark once all conns retire)
 
-	// pool owns the column slabs behind every batch. Until UsePool
-	// attaches one (standalone feeds in tests), columns fall back to
-	// plain make and Recycle keeps them on the header for reuse.
-	pool atomic.Pointer[mempool.Pool]
+	// pool owns the column slabs behind every batch: a pool of the
+	// feed's own until UsePool replaces it.
+	pool *mempool.Pool
 
 	// headers recycles the [][]uint64 batch headers only — never column
 	// memory, which the mempool owns.
 	headers sync.Pool
 }
 
-// NewFeed creates a feed buffering up to buffer batches (0 picks 64).
+// NewFeed creates a feed buffering up to buffer batches (0 picks 64),
+// drawing its columns from a pool of its own.
 func NewFeed(schema bundle.Schema, buffer int) *Feed {
 	if buffer <= 0 {
 		buffer = 64
@@ -86,14 +85,15 @@ func NewFeed(schema bundle.Schema, buffer int) *Feed {
 		ch:      make(chan batch, buffer),
 		stop:    make(chan struct{}),
 		cursors: make(map[int64]*feedCursor),
+		pool:    mempool.New(memsim.KNLConfig(), 0),
 	}
 }
 
-// UsePool hands the feed the engine's slab allocator as the owner of
-// all column memory. Call before ingest traffic starts (Serve attaches
-// the runtime's pool between starting the execution and opening the
-// listener).
-func (f *Feed) UsePool(p *mempool.Pool) { f.pool.Store(p) }
+// UsePool replaces the feed's own pool with the engine's slab allocator
+// as the owner of all column memory. Call before ingest traffic starts
+// (Serve attaches the runtime's pool between starting the execution and
+// opening the listener).
+func (f *Feed) UsePool(p *mempool.Pool) { f.pool = p }
 
 // Schema implements runtime.ExternalFeed.
 func (f *Feed) Schema() bundle.Schema { return f.schema }
@@ -306,22 +306,19 @@ func (f *Feed) Recv(maxWait time.Duration) ([][]uint64, bool, bool) {
 	}
 }
 
-// Recycle implements runtime.BatchRecycler: it ends a batch's life —
+// Recycle implements runtime.ExternalFeed: it ends a batch's life —
 // the release hook of the bundle sealed over it, called from whichever
 // goroutine drops that bundle's last reference, and the one call every
 // path that drops a batch short of a bundle makes. Nothing may read cols
-// afterwards. Column slabs return to the mempool's column free lists;
-// the bare header joins the header pool. Without an attached pool,
-// columns stay on the header for borrowCols to reslice.
+// afterwards. Column slabs return to the pool's column free lists; the
+// bare header joins the header pool.
 func (f *Feed) Recycle(cols [][]uint64) {
 	if len(cols) != f.schema.NumCols {
 		return
 	}
-	if p := f.pool.Load(); p != nil {
-		for i := range cols {
-			p.PutCol(colTier, cols[i])
-			cols[i] = nil
-		}
+	for i := range cols {
+		f.pool.PutCol(colTier, cols[i])
+		cols[i] = nil
 	}
 	f.headers.Put(&cols)
 }
@@ -333,24 +330,13 @@ func (f *Feed) Recycle(cols [][]uint64) {
 // element.
 func (f *Feed) borrowCols(rows int) [][]uint64 {
 	cols := f.getHeader()
-	p := f.pool.Load()
 	for i := range cols {
-		switch {
-		case p != nil:
-			// A column left on the header predates the pool: never
-			// taken from it, so it is the garbage collector's.
-			cols[i] = p.TakeCol(colTier, rows)
-		case cap(cols[i]) >= rows:
-			cols[i] = cols[i][:rows]
-		default:
-			cols[i] = make([]uint64, rows)
-		}
+		cols[i] = f.pool.TakeCol(colTier, rows)
 	}
 	return cols
 }
 
-// getHeader returns a schema-width batch header; entries may be nil or
-// carry leftover fallback columns.
+// getHeader returns a schema-width batch header.
 func (f *Feed) getHeader() [][]uint64 {
 	if v := f.headers.Get(); v != nil {
 		return *v.(*[][]uint64)

@@ -176,6 +176,34 @@ func TestFeedWatermarkIsMinAcrossConnections(t *testing.T) {
 	}
 }
 
+// TestFeedOwnPoolTakesBatchesBack runs one batch through a feed no
+// engine pool was attached to — borrow, push, Recv, Recycle — and
+// checks its columns came from the feed's own pool and went back to it.
+func TestFeedOwnPoolTakesBatchesBack(t *testing.T) {
+	f := NewFeed(WireSchema(), 8)
+	f.register(1)
+	cols := f.borrowCols(100)
+	if out := f.pool.Stats().ColsOut; out != int64(len(cols)) {
+		t.Fatalf("%d column slabs out after borrowing %d", out, len(cols))
+	}
+	for _, c := range cols {
+		for i := range c {
+			c[i] = uint64(i)
+		}
+	}
+	if !f.push(batch{conn: 1, cols: cols, maxTs: 99}) {
+		t.Fatal("push refused before shutdown")
+	}
+	got, ok, _ := f.Recv(0)
+	if !ok || len(got) != len(cols) || len(got[0]) != 100 {
+		t.Fatalf("Recv: ok %v, %d columns", ok, len(got))
+	}
+	f.Recycle(got)
+	if out := f.pool.Stats().ColsOut; out != 0 {
+		t.Fatalf("%d column slabs still out of the feed's pool after Recycle", out)
+	}
+}
+
 // --- Server/client loopback. ------------------------------------------------
 
 // collect drains the feed in the background, tallying records.

@@ -18,15 +18,10 @@ import (
 	"streambox/internal/parsefmt"
 )
 
-const (
-	// acceptShards is the number of acceptor goroutines sharing the
-	// listener.
-	acceptShards = 2
-	// handshakeTimeout bounds the handshake — reading the client's hello
-	// and writing the grant — and, when no IdleTimeout is configured,
-	// each ack write.
-	handshakeTimeout = 10 * time.Second
-)
+// handshakeTimeout bounds the handshake — reading the client's hello and
+// writing the grant — and, when no IdleTimeout is configured, each ack
+// write.
+const handshakeTimeout = 10 * time.Second
 
 // ServerConfig configures an ingest listener.
 type ServerConfig struct {
@@ -122,7 +117,7 @@ type SessionState struct {
 	LastSeq uint64 `json:"last_seq"`
 	// CursorTs and Parked are the session's watermark cursor. A session
 	// whose cursor was parked before a crash is restored parked, and a
-	// later resume unparks session and cursor together.
+	// later resume unparks it.
 	CursorTs uint64 `json:"cursor_ts"`
 	Parked   bool   `json:"parked"`
 }
@@ -238,7 +233,7 @@ type Server struct {
 	sessions *sessionTable
 	stopC    chan struct{} // closed when shutdown begins; stops the reaper
 
-	wg      sync.WaitGroup // acceptors + connection handlers + reaper
+	wg      sync.WaitGroup // acceptor + connection handlers + reaper
 	closing atomic.Bool
 	closed  sync.Once
 
@@ -313,11 +308,8 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			s.nextID = rs.Conn
 		}
 	}
-	for i := 0; i < acceptShards; i++ {
-		s.wg.Add(1)
-		go s.acceptLoop()
-	}
-	s.wg.Add(1)
+	s.wg.Add(2)
+	go s.acceptLoop()
 	go s.reaper()
 	return s, nil
 }
@@ -462,7 +454,7 @@ func (s *Server) Close() {
 // whatever remains and flushes the feed so the runtime drains its
 // windows. Safe to call concurrently with Close.
 func (s *Server) Drain(grace time.Duration) {
-	s.ln.Close() // acceptors exit on net.ErrClosed
+	s.ln.Close() // the acceptor exits on net.ErrClosed
 	deadline := time.Now().Add(grace)
 	for time.Now().Before(deadline) && !s.closing.Load() {
 		s.mu.Lock()
@@ -552,7 +544,9 @@ func (s *Server) ConnCounters() []ConnCounters {
 	return out
 }
 
-// acceptLoop is one acceptor shard.
+// acceptLoop accepts connections and hands each to a handler goroutine
+// of its own. One acceptor is enough: Accept on one listener is
+// serialized by the socket anyway.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {

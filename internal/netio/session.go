@@ -36,16 +36,16 @@ type session struct {
 	mu         sync.Mutex
 	conn       *serverConn // attached connection, nil while detached
 	detachedAt time.Time
-	parked     bool
 	gone       bool // retired or expired; resume must fail
 }
 
 // attach binds c to the session, severing a previous connection that
 // still thinks it owns it (a takeover: the client gave up on the old
 // socket, the server may not have noticed it die yet). Returns false
-// when the session is already retired. The feed unpark happens under
-// ss.mu so it cannot interleave with the reaper's park (lock order is
-// always session → feed).
+// when the session is already retired. It unparks the session's feed
+// cursor — a no-op unless the reaper parked it — under ss.mu, so it
+// cannot interleave with the reaper's park (lock order is always
+// session → feed).
 func (ss *session) attach(c *serverConn, f *Feed) (old *serverConn, ok bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -55,28 +55,20 @@ func (ss *session) attach(c *serverConn, f *Feed) (old *serverConn, ok bool) {
 	old = ss.conn
 	ss.conn = c
 	ss.detachedAt = time.Time{}
-	if ss.parked {
-		ss.parked = false
-		f.unpark(ss.id)
-	}
+	f.unpark(ss.id)
 	return old, true
 }
 
-// parkIfStale parks the session's cursor when the session has been
-// detached longer than grace. Returns true when it parked the cursor
-// this call.
-func (ss *session) parkIfStale(now time.Time, grace time.Duration, f *Feed) bool {
+// parkIfStale parks the session's feed cursor — the one record of
+// whether it is parked — once the session has been detached longer than
+// grace; parking a parked cursor again is a no-op.
+func (ss *session) parkIfStale(now time.Time, grace time.Duration, f *Feed) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.conn != nil || ss.gone || ss.parked || ss.detachedAt.IsZero() {
-		return false
+	if ss.conn != nil || ss.gone || ss.detachedAt.IsZero() || now.Sub(ss.detachedAt) < grace {
+		return
 	}
-	if now.Sub(ss.detachedAt) < grace {
-		return false
-	}
-	ss.parked = true
 	f.park(ss.id)
-	return true
 }
 
 // staleFor returns how long the session has been detached (zero while
@@ -158,11 +150,12 @@ func (t *sessionTable) create(id int64) *session {
 }
 
 // restore re-registers a recovered session under its original token and
-// cursor id, with lastSeq at the checkpointed durable ack. The session
-// starts detached as of now: the reaper's grace and expiry clocks give
-// the client the usual window to reconnect after the restart.
+// cursor id, with lastSeq at the checkpointed durable ack; Feed.Restore
+// restores its cursor, parked or not. The session starts detached as of
+// now: the reaper's grace and expiry clocks give the client the usual
+// window to reconnect after the restart.
 func (t *sessionTable) restore(st SessionState) *session {
-	ss := &session{token: st.Token, id: st.Conn, detachedAt: time.Now(), parked: st.Parked}
+	ss := &session{token: st.Token, id: st.Conn, detachedAt: time.Now()}
 	ss.lastSeq.Store(st.LastSeq)
 	t.mu.Lock()
 	t.m[st.Token] = ss

@@ -6,14 +6,22 @@
 // extract a Key Pointer Array, sort it into a run, seal runs into fewer
 // as they accumulate, merge what is left at window close.
 //
-// Extract. Ingest builds DRAM record bundles; one task per bundle
-// scatters the surviving records into non-overlapping panes (paired
-// panes, wm.Panes: at most two per slide, every window an exact union
-// of them) and radix-sorts one KPA run per bundle×pane. A pair is (key,
-// value): a plan aggregates one value column, so the extraction scan —
-// the one pass that has the bundle's columns hot — stages the value
-// where the paper's pair has a pointer, the same 16 bytes in the fast
-// tier. That is the only time a record is read: the runs link no bundle,
+// Ingest. One loop feeds every run: it pulls column batches from an
+// ExternalFeed — the network's (internal/netio), or for a generator
+// plan a genFeed that fills pooled DRAM column slabs through the
+// generator — and seals each, as it is, into a DRAM record bundle that
+// lends the feed's slabs back through Recycle when it frees. The loop
+// stalls on backpressure before it takes a batch, registers each bundle
+// with the windows it may reach and advances the watermark the feed
+// reports.
+//
+// Extract. One task per bundle scatters the surviving records into
+// non-overlapping panes (paired panes, wm.Panes: at most two per slide,
+// every window an exact union of them) and radix-sorts one KPA run per
+// bundle×pane. A pair is (key, value): a plan aggregates one value
+// column, so the extraction scan — the one pass that has the bundle's
+// columns hot — stages the value where the paper's pair has a pointer,
+// the same 16 bytes in the fast tier. That is the only time a record is read: the runs link no bundle,
 // nothing downstream goes back to DRAM for a value, and the bundle (and
 // the feed slab it adopted) is released when its extract task ends. A
 // fixed window is the sliding window whose single pane is the whole
@@ -140,10 +148,12 @@ type Filter struct {
 	Keep func(uint64) bool
 }
 
-// ExternalFeed supplies record batches pushed from outside the process
-// (network ingestion, internal/netio). The native backend pulls sealed
-// batches from it instead of calling a Generator; the run drains and
-// terminates when the feed closes.
+// ExternalFeed is the one way records enter a native run: batches
+// pushed from outside the process (network ingestion, internal/netio),
+// or a generator plan's own genFeed. The runtime pulls batches from it
+// and the run drains and terminates when the feed closes. Every batch
+// is lent: the runtime never copies it, the bundle it seals over the
+// columns owns them from Recv on, and Recycle gives them back.
 type ExternalFeed interface {
 	// Schema is the record layout of every batch.
 	Schema() bundle.Schema
@@ -157,16 +167,11 @@ type ExternalFeed interface {
 	// connected sources of the highest timestamp each has delivered.
 	// Windows ending at or before it are safe to close.
 	Watermark() wm.Time
-}
-
-// BatchRecycler is optionally implemented by an ExternalFeed whose
-// batches are borrowed storage. The runtime never copies a batch: the
-// bundle it seals over the columns owns them from Recv on, and Recycle
-// is that bundle's release hook — called once per received batch, from
-// whichever goroutine drops the bundle's last reference, or at once for
-// a batch the runtime cannot ingest. A feed without it hands out
-// garbage-collected batches.
-type BatchRecycler interface {
+	// Recycle takes back a batch Recv handed out. It is the release
+	// hook of the bundle sealed over the batch — called once per batch,
+	// from whichever goroutine drops the bundle's last reference — or is
+	// called at once for a batch the runtime cannot ingest. Nothing reads
+	// cols afterwards.
 	Recycle(cols [][]uint64)
 }
 
@@ -175,9 +180,10 @@ type BatchRecycler interface {
 // package translates declarative pipelines into a Plan; pipelines
 // outside this shape run on the simulated backend.
 type Plan struct {
-	// Gen produces the stream; Source carries its bundle size, window
-	// density and watermark cadence (Rate only sets TotalRecords — the
-	// native backend runs as fast as the hardware allows).
+	// Gen produces the stream, through a genFeed; Source carries its
+	// bundle size, window density and watermark cadence (Rate only sets
+	// TotalRecords — the native backend runs as fast as the hardware
+	// allows).
 	Gen    engine.Generator
 	Source engine.SourceConfig
 	// Feed, when non-nil, replaces Gen: batches arrive pushed from the
@@ -230,6 +236,9 @@ func (p Plan) Validate() error {
 		return fmt.Errorf("runtime: plan has no aggregator")
 	}
 	schema := p.schema()
+	if err := schema.Validate(); err != nil {
+		return err
+	}
 	if p.TsCol < 0 || p.TsCol >= schema.NumCols {
 		return fmt.Errorf("runtime: window timestamp column %d out of range", p.TsCol)
 	}
@@ -288,20 +297,6 @@ type Config struct {
 	// = 0 disables the tier.
 	SpillDir      string
 	SpillCapacity int64
-	// ShedUtilization overrides the pool pressure above which the ingest
-	// server sheds new connections (0 picks the ShedUtilization
-	// constant, 0.98).
-	ShedUtilization float64
-}
-
-// ShedThreshold returns the admission-shed pressure threshold for this
-// config: Config.ShedUtilization when set, the package default
-// otherwise.
-func (c Config) ShedThreshold() float64 {
-	if c.ShedUtilization > 0 {
-		return c.ShedUtilization
-	}
-	return ShedUtilization
 }
 
 // Row is one keyed result of a closed window, (key, aggregate); the
@@ -367,9 +362,11 @@ type Report struct {
 	// handing closed windows' rows to the sink (packing the row slab,
 	// retiring the window, the WindowSink call), so the four say which
 	// stage a run spent its CPU in. BundleNanos is the ingest goroutine's
-	// time turning batches into bundles (ingestBundle: the pool charge, the
-	// adoption of the batch's columns — or the generator's fill — and any
-	// backpressure wait, which PausedNanos also counts).
+	// time turning the feed's batches into bundles (ingestBundle: the pool
+	// charge, the adoption of the batch's columns and, while the pool is
+	// exhausted, the retries' waits, which PausedNanos also counts). Making
+	// a batch is the source's time, not the bundle's: a socket read and
+	// decode on the network path, a generator plan's Fill.
 	ExtractedPairs int64
 	ExtractNanos   int64
 	SealNanos      int64
@@ -410,6 +407,9 @@ type exec struct {
 	sched *Scheduler
 	pool  *mempool.Pool
 	reg   *bundle.Registry
+	// feed is the run's source: the plan's Feed, or a genFeed over its
+	// generator.
+	feed ExternalFeed
 	// scratch draws transient kernel buffers (radix scatter, staged seal
 	// output) from the pool's slab free lists, per tier.
 	scratch [memsim.NumTiers]*algo.Scratch
@@ -519,6 +519,10 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		pool:  mempool.New(machine, reserved),
 		reg:   bundle.NewRegistry(),
 	}
+	x.feed = plan.Feed
+	if x.feed == nil {
+		x.feed = newGenFeed(plan, x.pool)
+	}
 	x.table = newWindowTable(plan.Win)
 	x.m = newStats(x)
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
@@ -543,11 +547,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		var ms0 goruntime.MemStats
 		goruntime.ReadMemStats(&ms0)
 		start := time.Now()
-		if plan.Feed != nil {
-			x.ingestFeed()
-		} else {
-			x.ingest()
-		}
+		x.ingest()
 		// Final watermark: past every generated timestamp, closing all
 		// remaining windows once their extractions drain.
 		x.watermark(^wm.Time(0) - plan.Win.Size)
@@ -610,6 +610,74 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	return e, nil
 }
 
+// genFeed is a generator plan's source seen as a feed. Each Recv fills
+// one Source.BundleRecords batch of pooled DRAM column slabs, until
+// TotalRecords are out, and Recycle gives the slabs back. Event time
+// advances Win.Size / WindowRecords per record: a batch of n records
+// spans [tsLo, tsLo + n × that), from which the generator draws its
+// timestamps.
+type genFeed struct {
+	gen  engine.Generator
+	pool *mempool.Pool
+	// reg hands out the builders Fill appends through. They are never
+	// sealed: the batch goes to the run as columns, and the run's own
+	// registry numbers the bundle sealed over them.
+	reg         *bundle.Registry
+	batch       int
+	left        int64 // records not yet handed out
+	tsPerRecord float64
+	next        wm.Time // end of the event time handed out so far
+}
+
+func newGenFeed(p Plan, pool *mempool.Pool) *genFeed {
+	return &genFeed{
+		gen:         p.Gen,
+		pool:        pool,
+		reg:         bundle.NewRegistry(),
+		batch:       p.Source.BundleRecords,
+		left:        p.TotalRecords,
+		tsPerRecord: float64(p.Win.Size) / float64(p.Source.WindowRecords),
+	}
+}
+
+// Schema implements ExternalFeed.
+func (g *genFeed) Schema() bundle.Schema { return g.gen.Schema() }
+
+// Recv implements ExternalFeed. A generator never waits, so a batch is
+// never idle.
+func (g *genFeed) Recv(time.Duration) ([][]uint64, bool, bool) {
+	if g.left <= 0 {
+		return nil, false, false
+	}
+	n := int(min(int64(g.batch), g.left))
+	tsLo := g.next
+	tsHi := max(tsLo+wm.Time(float64(n)*g.tsPerRecord), tsLo+1)
+	schema := g.gen.Schema()
+	cols := make([][]uint64, schema.NumCols)
+	for i := range cols {
+		cols[i] = g.pool.TakeCol(memsim.DRAM, n)[:0]
+	}
+	// The builder appends into the slabs and keeps each grown column in
+	// cols, which it owns header and all. It cannot fail: Plan.Validate
+	// checked the schema and every column is empty.
+	bd, _ := g.reg.NewBuilderOver(schema, cols, memsim.DRAM, nil)
+	g.gen.Fill(bd, n, tsLo, tsHi)
+	g.left -= int64(n)
+	g.next = tsHi
+	return cols, true, false
+}
+
+// Watermark implements ExternalFeed: every record handed out so far is
+// before it.
+func (g *genFeed) Watermark() wm.Time { return g.next }
+
+// Recycle implements ExternalFeed.
+func (g *genFeed) Recycle(cols [][]uint64) {
+	for _, c := range cols {
+		g.pool.PutCol(memsim.DRAM, c)
+	}
+}
+
 // stallIngest blocks while the scheduler backlog or DRAM utilization is
 // above the backpressure thresholds (the native analogue of the monitor
 // pausing sources in the simulator). The utilization wait is bounded —
@@ -626,71 +694,28 @@ func (x *exec) stallIngest() {
 	x.m.paused.Add(time.Since(t0).Nanoseconds())
 }
 
-// ingest is the generator driver loop: it builds bundles as fast as
-// backpressure allows, submits one extraction task per bundle, and
-// advances the watermark on the configured cadence.
-func (x *exec) ingest() {
-	var (
-		bundleCnt int
-		nextTs    wm.Time
-	)
-	schema := x.plan.Gen.Schema()
-	putCols := x.putCols // one method value, not one per bundle
-	n := x.plan.Source.BundleRecords
-	tsPerRecord := float64(x.plan.Win.Size) / float64(x.plan.Source.WindowRecords)
-	for x.m.ingested.Load() < x.plan.TotalRecords {
-		if rest := x.plan.TotalRecords - x.m.ingested.Load(); int64(n) > rest {
-			n = int(rest)
-		}
-		tsHi := nextTs + wm.Time(float64(n)*tsPerRecord)
-		if tsHi == nextTs {
-			tsHi = nextTs + 1
-		}
-		// Memory can only come back from windows behind the stream, so
-		// the forced watermark is this bundle's first timestamp.
-		b, err := x.ingestBundle(schema, x.takeCols(schema, n), n, putCols, func() wm.Time { return nextTs }, func(bd *bundle.Builder) {
-			x.plan.Gen.Fill(bd, n, nextTs, tsHi)
-		})
-		if err != nil {
-			x.recordError(err)
-			break
-		}
-		nextTs = tsHi
-		x.m.ingested.Add(int64(b.Rows()))
-		bundleCnt++
-		x.submitExtract(b, tsHi)
-		if bundleCnt%x.plan.Source.WatermarkEvery == 0 {
-			x.watermark(tsHi)
-		}
-	}
-}
-
-// feedIdleTick is how long ingestFeed waits on a quiet feed before it
+// feedIdleTick is how long ingest waits on a quiet feed before it
 // advances the watermark anyway.
 const feedIdleTick = 100 * time.Millisecond
 
-// ingestFeed is the external-source driver loop: batches arrive pushed
-// from the network feed instead of being generated in-process, and each
-// becomes a bundle as it is — sealed over the columns the feed
-// delivered, which go back through the feed's Recycle when the bundle's
-// last reference drops (or here, for a batch that never becomes one).
-// The same backpressure gates apply — and because the serving layer
-// wires DRAMUtilization into the ingest server's credit policy, a stall
-// here propagates to clients as withheld credits rather than unbounded
-// buffering. The loop exits when the feed closes (listener shutdown)
+// ingest is the driver loop: each batch the feed hands out becomes a
+// bundle as it is — sealed over the columns the feed delivered, which go
+// back through the feed's Recycle when the bundle's last reference
+// drops (or here, for a batch that never becomes one) — and one
+// extraction task, and the watermark follows the feed's on the
+// configured cadence. Backpressure stalls the loop before it takes a
+// batch — and because the serving layer wires DRAM utilization into the
+// ingest server's credit policy, a stall here reaches network clients
+// as withheld credits rather than unbounded buffering. The loop exits
+// when the feed closes (a generator's last batch, a listener shutdown)
 // and the caller's final watermark drains every open window.
-func (x *exec) ingestFeed() {
-	feed := x.plan.Feed
+func (x *exec) ingest() {
+	feed := x.feed
 	schema := feed.Schema()
-	var recycle func(cols [][]uint64)
-	if r, ok := feed.(BatchRecycler); ok {
-		recycle = r.Recycle
-	}
+	recycle := feed.Recycle // one method value, not one per bundle
 	reject := func(cols [][]uint64, err error) {
 		x.recordError(err)
-		if recycle != nil && len(cols) > 0 {
-			recycle(cols)
-		}
+		recycle(cols)
 	}
 	var bundleCnt int
 	for {
@@ -712,7 +737,7 @@ func (x *exec) ingestFeed() {
 		if !ok {
 			return
 		}
-		if len(cols) != schema.NumCols || len(cols) == 0 || len(cols[0]) == 0 {
+		if len(cols) != schema.NumCols || len(cols[0]) == 0 {
 			reject(cols, fmt.Errorf("runtime: feed batch has %d columns, schema wants %d", len(cols), schema.NumCols))
 			continue
 		}
@@ -720,22 +745,16 @@ func (x *exec) ingestFeed() {
 			reject(cols, fmt.Errorf("runtime: feed batch window column %d is empty (%d-row batch)", x.plan.TsCol, len(cols[0])))
 			continue
 		}
-		// One min/max pass over the batch's window column serves both
-		// the exhaustion-path watermark clamp below and extraction
-		// registration (submitExtractRange), instead of rescanning the
-		// same column inside submitExtract.
+		// One min/max pass over the batch's window column serves both the
+		// exhaustion path's watermark clamp and extraction registration.
 		minTs, maxTs := minMax(cols[x.plan.TsCol])
-		// A forced watermark is clamped below this still-unregistered
-		// batch's earliest timestamp so no window it contributes to
-		// closes early (the feed's cursor already covers the batch).
-		forced := func() wm.Time { return min(feed.Watermark(), minTs) }
-		b, err := x.ingestBundle(schema, cols, len(cols[0]), recycle, forced, nil)
+		b, err := x.ingestBundle(schema, cols, recycle, minTs)
 		if err != nil {
 			x.recordError(err)
 			return
 		}
 		x.m.ingested.Add(int64(b.Rows()))
-		x.submitExtractRange(b, maxTs, minTs, maxTs)
+		x.submitExtract(b, minTs, maxTs)
 		bundleCnt++
 		if bundleCnt%x.plan.Source.WatermarkEvery == 0 {
 			if w := feed.Watermark(); w > 0 {
@@ -745,55 +764,39 @@ func (x *exec) ingestFeed() {
 	}
 }
 
-// takeCols borrows an empty n-record batch of pooled column slabs for
-// the generator to fill; putCols is the release hook that returns it.
-func (x *exec) takeCols(schema bundle.Schema, n int) [][]uint64 {
-	cols := make([][]uint64, schema.NumCols)
-	for i := range cols {
-		cols[i] = x.pool.TakeCol(memsim.DRAM, n)[:0]
-	}
-	return cols
-}
-
-func (x *exec) putCols(cols [][]uint64) {
-	for _, c := range cols {
-		x.pool.PutCol(memsim.DRAM, c)
-	}
-}
-
-// ingestBundle seals one n-record ingress bundle over cols for either
-// driver loop — the feed's batch as it arrived, or empty pooled slabs
-// that fill (the generator) appends into — charged to the DRAM pool
-// first, stalling on backpressure and riding out an exhausted pool.
-// cols are the bundle's from here on: release takes them back when the
+// ingestBundle seals one ingress bundle over the feed's batch cols,
+// charged to the DRAM pool first and riding out an exhausted pool. cols
+// are the bundle's from here on: release takes them back when the
 // bundle is reclaimed, or now if no bundle comes of them.
 //
 // An exhausted pool can only get memory back from window closure — runs
 // never move once placed, and with a spill arena attached they are
 // already born there once both memory tiers pass the setpoint — and
-// watermarks only advance on the ingest goroutine: so it forces one at
-// forcedWM() to drain every window behind the stream, pauses and
-// retries. A pool that stays exhausted for Config.ExhaustTimeout
+// watermarks only advance on the ingest goroutine: so it forces one to
+// drain every window behind the stream, pauses, stalls and retries. The
+// forced watermark is the feed's, clamped below minTs, this
+// still-unregistered batch's earliest timestamp, so no window it
+// contributes to closes early (the feed's watermark already covers the
+// batch). A pool that stays exhausted for Config.ExhaustTimeout
 // (pipeline state exceeds DRAM) fails the run instead of hanging. Its
 // time, one clock pair per bundle, counts in
 // streambox_ingest_bundle_ns_total.
-func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, n int, release func([][]uint64), forcedWM func() wm.Time, fill func(*bundle.Builder)) (b *bundle.Bundle, err error) {
+func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, release func([][]uint64), minTs wm.Time) (b *bundle.Bundle, err error) {
 	t0 := time.Now()
 	defer func() {
 		x.m.bundleNanos.Add(time.Since(t0).Nanoseconds())
-		if err != nil && release != nil {
+		if err != nil {
 			release(cols)
 		}
 	}()
 	var exhaustedSince time.Time
 	for {
-		x.stallIngest()
-		b, err = x.buildBundle(schema, cols, n, release, fill)
+		b, err = x.buildBundle(schema, cols, release)
 		var ee *mempool.ErrExhausted
 		if !errors.As(err, &ee) {
 			return b, err
 		}
-		x.watermark(forcedWM())
+		x.watermark(min(x.feed.Watermark(), minTs))
 		if exhaustedSince.IsZero() {
 			exhaustedSince = time.Now()
 		} else if time.Since(exhaustedSince) > x.cfg.ExhaustTimeout {
@@ -803,14 +806,15 @@ func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, n int, releas
 		t0 := time.Now()
 		time.Sleep(200 * time.Microsecond)
 		x.m.paused.Add(time.Since(t0).Nanoseconds())
+		x.stallIngest()
 	}
 }
 
-// buildBundle charges an n-record bundle to the DRAM pool, then builds
-// it over cols, fills it and seals it. An exhausted pool surfaces as
-// *mempool.ErrExhausted before cols are touched.
-func (x *exec) buildBundle(schema bundle.Schema, cols [][]uint64, n int, release func([][]uint64), fill func(*bundle.Builder)) (*bundle.Bundle, error) {
-	alloc, err := x.pool.Alloc(memsim.DRAM, int64(n)*schema.RecordBytes())
+// buildBundle charges a bundle over cols to the DRAM pool, then seals
+// it. An exhausted pool surfaces as *mempool.ErrExhausted before cols
+// are touched.
+func (x *exec) buildBundle(schema bundle.Schema, cols [][]uint64, release func([][]uint64)) (*bundle.Bundle, error) {
+	alloc, err := x.pool.Alloc(memsim.DRAM, int64(len(cols[0]))*schema.RecordBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -821,9 +825,6 @@ func (x *exec) buildBundle(schema bundle.Schema, cols [][]uint64, n int, release
 	if err != nil {
 		alloc.Free()
 		return nil, err
-	}
-	if fill != nil {
-		fill(bd)
 	}
 	return bd.Seal(), nil
 }
@@ -842,32 +843,17 @@ func minMax(ts []uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
-// submitExtract scans the bundle's window column for its timestamp
-// range, then registers and schedules extraction. The range comes from
-// the plan's window column — which the Window stage chooses and need
-// not be the schema's timestamp column — so registration and
-// partitioning agree. Callers that already scanned the column (the
-// network feed needs the minimum for its watermark clamp) use
-// submitExtractRange directly and skip the second full-column pass.
-func (x *exec) submitExtract(b *bundle.Bundle, tsHi wm.Time) {
-	ts := b.Col(x.plan.TsCol)
-	if len(ts) == 0 {
-		b.Release()
-		return
-	}
-	minTs, maxTs := minMax(ts)
-	x.submitExtractRange(b, tsHi, minTs, maxTs)
-}
-
-// submitExtractRange registers the bundle with every open window it may
+// submitExtract registers the bundle with every open window it may
 // contribute to before the extract+sort task runs, so a racing
-// watermark defers their closure until extraction lands. minTs/maxTs
-// must bound the bundle's window-column values.
-func (x *exec) submitExtractRange(b *bundle.Bundle, tsHi, minTs, maxTs wm.Time) {
+// watermark defers their closure until extraction lands, and tags the
+// task from maxTs. minTs/maxTs bound the values of the plan's window
+// column — which the Window stage chooses and need not be the schema's
+// timestamp column — so registration and partitioning agree.
+func (x *exec) submitExtract(b *bundle.Bundle, minTs, maxTs wm.Time) {
 	reg := x.table.register(minTs, maxTs)
 	x.sched.Submit(&Task{
 		Name: "extract:" + x.plan.Label,
-		Tag:  x.tagFor(tsHi),
+		Tag:  x.tagFor(maxTs),
 		Run:  func() { x.extract(b, reg, minTs, maxTs) },
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"streambox/internal/bundle"
 	"streambox/internal/engine"
 	"streambox/internal/ingress"
 	"streambox/internal/kpa"
@@ -278,6 +279,41 @@ func TestNativeExhaustionFailsInsteadOfHanging(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run hung on an exhausted DRAM pool")
+	}
+}
+
+// sleepyGen is a generator whose every Fill pauses for a millisecond;
+// fillNs is the time its fills took, pause included.
+type sleepyGen struct {
+	engine.Generator
+	fillNs int64
+}
+
+func (g *sleepyGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
+	t0 := time.Now()
+	time.Sleep(time.Millisecond)
+	g.Generator.Fill(bd, n, tsLo, tsHi)
+	g.fillNs += time.Since(t0).Nanoseconds()
+}
+
+// TestBundleTimeExcludesGeneratorFill pins what BundleNanos counts: the
+// ingest goroutine's time turning a batch into a bundle, not the time
+// the source took to make the batch — a generator's Fill is the
+// source's, like a socket read on the network path. Each of 40 fills
+// sleeps a millisecond, far longer than charging and sealing a bundle
+// takes, so fill time counted as bundle time shows.
+func TestBundleTimeExcludesGeneratorFill(t *testing.T) {
+	gen := &sleepyGen{Generator: ingress.NewRoundRobinKV(8, 1)}
+	got, err := runCaptured(testPlan(gen, 40_000), Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.IngestedRecords != 40_000 {
+		t.Fatalf("ingested %d records, want 40000", got.IngestedRecords)
+	}
+	if got.BundleNanos >= gen.fillNs {
+		t.Fatalf("bundle time %v is not below the generator's fill time %v: it counts the fills",
+			time.Duration(got.BundleNanos), time.Duration(gen.fillNs))
 	}
 }
 

@@ -161,7 +161,6 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		}
 	}
 
-	rcfg.ShedUtilization = cfg.ShedUtilization
 	// Windows the checkpoint already sealed are rebuilt by replay but
 	// not delivered again — the checkpointed snapshot is the single
 	// durable copy.
@@ -200,7 +199,10 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 	if s.wal != nil {
 		frameLog = s.wal
 	}
-	shed := rcfg.ShedThreshold()
+	shed := cfg.ShedUtilization
+	if shed <= 0 {
+		shed = runtime.ShedUtilization
+	}
 	s.ingest, err = netio.Listen(cfg.IngestAddr, netio.ServerConfig{
 		Feed:            feed,
 		IdleTimeout:     cfg.IdleTimeout,

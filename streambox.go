@@ -270,9 +270,10 @@ type Report struct {
 	// simulated backend).
 	ExtractNs, SealNs, MergeNs, PublishNs int64
 	// BundleNs is the native backend's ingest time turning batches into
-	// bundles: the pool charge, adopting a batch's columns (or the
-	// generator filling them) and any backpressure wait (0 on the
-	// simulated backend).
+	// bundles: the pool charge, adopting a batch's columns and an
+	// exhausted pool's retries. Making the batch — a generator's fill, a
+	// socket read — is the source's time, not in it (0 on the simulated
+	// backend).
 	BundleNs int64
 	// LateRecords counts records the native backend dropped because
 	// every window covering them had already been sealed by the
