@@ -7,12 +7,11 @@ import "fmt"
 // that the paper measures against merge-sort (Figure 2), and (b) the
 // external key-value side table of the YSB pipeline (ad_id -> campaign).
 type HashTable struct {
-	keys   []uint64
-	vals   []uint64
-	state  []uint8 // 0 empty, 1 full
-	n      int
-	mask   uint64
-	probes int64 // cumulative probe count (for stats/tests)
+	keys  []uint64
+	vals  []uint64
+	state []uint8 // 0 empty, 1 full
+	n     int
+	mask  uint64
 }
 
 // NewHashTable pre-allocates a table for at least capacity entries at
@@ -51,7 +50,6 @@ func (h *HashTable) Put(key, val uint64) {
 	}
 	slot := mix(key) & h.mask
 	for {
-		h.probes++
 		if h.state[slot] == 0 {
 			h.state[slot] = 1
 			h.keys[slot] = key
@@ -71,7 +69,6 @@ func (h *HashTable) Put(key, val uint64) {
 func (h *HashTable) Get(key uint64) (uint64, bool) {
 	slot := mix(key) & h.mask
 	for {
-		h.probes++
 		if h.state[slot] == 0 {
 			return 0, false
 		}
@@ -90,7 +87,6 @@ func (h *HashTable) Add(key, delta uint64) {
 	}
 	slot := mix(key) & h.mask
 	for {
-		h.probes++
 		if h.state[slot] == 0 {
 			h.state[slot] = 1
 			h.keys[slot] = key
@@ -108,9 +104,6 @@ func (h *HashTable) Add(key, delta uint64) {
 
 // Len returns the number of live entries.
 func (h *HashTable) Len() int { return h.n }
-
-// Probes returns the cumulative probe count.
-func (h *HashTable) Probes() int64 { return h.probes }
 
 // Range calls fn for every entry until fn returns false.
 func (h *HashTable) Range(fn func(key, val uint64) bool) {

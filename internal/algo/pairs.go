@@ -30,16 +30,6 @@ type Pair struct {
 	Ptr uint64
 }
 
-// PairsSorted reports whether pairs is non-decreasing by key.
-func PairsSorted(pairs []Pair) bool {
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i-1].Key > pairs[i].Key {
-			return false
-		}
-	}
-	return true
-}
-
 // Keys copies the key column out of pairs (testing helper).
 func Keys(pairs []Pair) []uint64 {
 	out := make([]uint64, len(pairs))

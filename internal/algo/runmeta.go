@@ -16,11 +16,3 @@ type RunMeta struct {
 	// uses the pane or window start the run was scattered into).
 	Lo uint64
 }
-
-// Less orders runs by (Origin, Lo).
-func (m RunMeta) Less(o RunMeta) bool {
-	if m.Origin != o.Origin {
-		return m.Origin < o.Origin
-	}
-	return m.Lo < o.Lo
-}

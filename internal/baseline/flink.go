@@ -156,90 +156,3 @@ func (o *HashWindowCountOp) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
 		})
 	}
 }
-
-// HashKeyedAggOp is the generic Flink-like keyed aggregation (used by
-// the Fig 9 qualitative "random access engines" comparison): per-window
-// hash grouping of (key, value) records with a fold function.
-type HashKeyedAggOp struct {
-	// KeyCol and ValCol locate the grouped columns; TsCol the time.
-	KeyCol, ValCol, TsCol int
-	// Fold merges a value into the accumulator (e.g. add).
-	Fold func(acc, v uint64) uint64
-
-	tables map[wm.Time]*algo.HashTable
-}
-
-var _ engine.Operator = (*HashKeyedAggOp)(nil)
-
-// NewHashKeyedAgg creates the operator (Fold defaults to sum).
-func NewHashKeyedAgg(keyCol, valCol, tsCol int, fold func(acc, v uint64) uint64) *HashKeyedAggOp {
-	if fold == nil {
-		fold = func(acc, v uint64) uint64 { return acc + v }
-	}
-	return &HashKeyedAggOp{KeyCol: keyCol, ValCol: valCol, TsCol: tsCol, Fold: fold,
-		tables: make(map[wm.Time]*algo.HashTable)}
-}
-
-// Name implements engine.Operator.
-func (o *HashKeyedAggOp) Name() string { return "baseline:hash-keyed-agg" }
-
-// InPorts implements engine.Operator.
-func (o *HashKeyedAggOp) InPorts() int { return 1 }
-
-// OnInput hashes each record into its window table.
-func (o *HashKeyedAggOp) OnInput(ctx *engine.Ctx, port int, in engine.Input) {
-	b := in.B
-	if b == nil {
-		ctx.Errorf("hash baseline consumes record bundles")
-		in.Release()
-		return
-	}
-	n := int64(b.Rows())
-	d := memsim.HashGroupDemand(memsim.HBM, int(n))
-	win := ctx.Windowing()
-	ctx.Spawn(o.Name(), in.MaxTs(), d, func() []engine.Emission {
-		for i := 0; i < b.Rows(); i++ {
-			w := win.WindowOf(b.Ts(i))
-			tab := o.tables[w]
-			if tab == nil {
-				tab = algo.NewHashTable(1024)
-				o.tables[w] = tab
-			}
-			key := b.At(i, o.KeyCol)
-			cur, _ := tab.Get(key)
-			tab.Put(key, o.Fold(cur, b.At(i, o.ValCol)))
-		}
-		in.Release()
-		return nil
-	})
-}
-
-// OnWatermark emits per-window aggregates.
-func (o *HashKeyedAggOp) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
-	win := ctx.Windowing()
-	var closed []wm.Time
-	for start := range o.tables {
-		if win.End(start) <= w {
-			closed = append(closed, start)
-		}
-	}
-	for _, start := range closed {
-		tab := o.tables[start]
-		delete(o.tables, start)
-		winStart := start
-		n := int64(tab.Len())
-		d := memsim.Demand{}.CPU(n*20).Seq(memsim.DRAM, n*24)
-		ctx.SpawnTagged(o.Name()+":emit", engine.Urgent, d, func() []engine.Emission {
-			bd, err := ctx.NewBuilder(resultSchema, tab.Len()+1)
-			if err != nil {
-				ctx.Errorf("result: %v", err)
-				return nil
-			}
-			tab.Range(func(k, v uint64) bool {
-				bd.Append(k, v, winStart)
-				return true
-			})
-			return []engine.Emission{{Port: 0, In: engine.Input{B: bd.Seal(), WinStart: winStart, HasWin: true}}}
-		})
-	}
-}

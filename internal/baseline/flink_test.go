@@ -49,42 +49,6 @@ func TestFlinkYSBBaselineProducesCounts(t *testing.T) {
 	}
 }
 
-func TestFlinkMatchesStreamBoxResults(t *testing.T) {
-	// The baseline must compute the same answer as StreamBox-HBM on a
-	// deterministic stream; only its cost model differs.
-	mk := func() (*ops.CaptureSink, error) {
-		gen := ingress.NewRoundRobinKV(8, 1)
-		cfg := FlinkConfig(memsim.KNLConfig(), wm.Fixed(1_000_000))
-		e, err := engine.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sink := ops.NewCapture()
-		nodes := e.Chain(NewHashKeyedAgg(0, 1, 2, nil), sink)
-		e.AddSource(gen, src("kv"), nodes[0], 0)
-		_, err = e.Run(0.02)
-		return sink, err
-	}
-	sink, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byWin := sink.ByWindow()
-	if len(byWin) == 0 {
-		t.Fatal("no windows")
-	}
-	for win, rows := range byWin {
-		if len(rows) != 8 {
-			t.Fatalf("window %d: %d keys", win, len(rows))
-		}
-		for _, r := range rows {
-			if r.Val != 4000/8 {
-				t.Fatalf("sum = %d, want %d", r.Val, 4000/8)
-			}
-		}
-	}
-}
-
 func TestBaselineConfigs(t *testing.T) {
 	m := memsim.KNLConfig()
 	w := wm.Fixed(1000)

@@ -46,14 +46,6 @@ func (s Schema) Validate() error {
 // RecordBytes returns the in-memory size of one record.
 func (s Schema) RecordBytes() int64 { return int64(s.NumCols) * 8 }
 
-// ColName returns a printable name for column c.
-func (s Schema) ColName(c int) string {
-	if s.Names != nil && c < len(s.Names) {
-		return s.Names[c]
-	}
-	return fmt.Sprintf("col%d", c)
-}
-
 // Bundle is a sealed batch of records. All access is read-only after
 // Seal; the reference count tracks how many KPAs point into the bundle.
 type Bundle struct {
@@ -149,9 +141,6 @@ func (bd *Builder) AppendColumnar(cols ...[]uint64) error {
 	return nil
 }
 
-// Len returns the number of records appended so far.
-func (bd *Builder) Len() int { return bd.b.n }
-
 // AttachAlloc attaches the backing slab allocation before sealing; it
 // is freed when the bundle's reference count drops to zero.
 func (bd *Builder) AttachAlloc(a interface{ Free() }) error {
@@ -174,9 +163,6 @@ func (bd *Builder) Seal() *Bundle {
 	}
 	return bd.b
 }
-
-// SetAlloc attaches the backing slab allocation (freed on reclaim).
-func (b *Bundle) SetAlloc(a interface{ Free() }) { b.alloc = a }
 
 // AddOnFree registers a reclamation hook.
 func (b *Bundle) AddOnFree(fn func(*Bundle)) { b.onFree = append(b.onFree, fn) }

@@ -45,13 +45,6 @@ func TestSchemaHelpers(t *testing.T) {
 	if kvSchema.RecordBytes() != 24 {
 		t.Errorf("record bytes = %d", kvSchema.RecordBytes())
 	}
-	if kvSchema.ColName(0) != "key" {
-		t.Errorf("name = %q", kvSchema.ColName(0))
-	}
-	anon := Schema{NumCols: 2, TsCol: 0}
-	if anon.ColName(1) != "col1" {
-		t.Errorf("anon name = %q", anon.ColName(1))
-	}
 }
 
 func TestBuilderAppendAndSeal(t *testing.T) {
@@ -103,8 +96,8 @@ func TestAppendColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.Len() != 2 {
-		t.Fatalf("len = %d", bd.Len())
+	if bd.b.n != 2 {
+		t.Fatalf("len = %d", bd.b.n)
 	}
 	if err := bd.AppendColumnar([]uint64{1}, []uint64{10, 20}, []uint64{5}); err == nil {
 		t.Error("ragged columns must fail")
@@ -138,7 +131,7 @@ func (f *fakeAlloc) Free() { f.freed++ }
 func TestRefcountReclaim(t *testing.T) {
 	b := build(t, [3]uint64{1, 2, 3})
 	fa := &fakeAlloc{}
-	b.SetAlloc(fa)
+	b.alloc = fa
 	var reclaimed *Bundle
 	b.AddOnFree(func(bb *Bundle) { reclaimed = bb })
 

@@ -7,11 +7,10 @@ import (
 	"streambox/internal/memsim"
 )
 
-// Registry assigns 32-bit bundle IDs and resolves them back to live
-// bundles. KPA pointers pack (bundle ID, row) into 64 bits, so a
-// process-wide ID space makes pointers meaningful across KPA merges
-// without remapping — the role virtual addresses play in the paper's
-// C++ implementation.
+// Registry assigns 32-bit bundle IDs and tracks the live bundles. KPA
+// pointers pack (bundle ID, row) into 64 bits, so a process-wide ID
+// space makes pointers meaningful across KPA merges without remapping —
+// the role virtual addresses play in the paper's C++ implementation.
 type Registry struct {
 	mu   sync.Mutex
 	next uint32
@@ -55,13 +54,6 @@ func (r *Registry) own(bd *Builder, err error) (*Builder, error) {
 	}
 	bd.reg = r
 	return bd, nil
-}
-
-// Lookup resolves a bundle ID; nil if unknown or reclaimed.
-func (r *Registry) Lookup(id uint32) *Bundle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m[id]
 }
 
 // Live returns the number of registered bundles.

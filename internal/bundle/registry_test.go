@@ -18,7 +18,7 @@ func TestRegistryAssignsIDs(t *testing.T) {
 	if b1.ID() == b2.ID() {
 		t.Fatal("duplicate IDs")
 	}
-	if r.Lookup(uint32(b1.ID())) != b1 {
+	if r.m[uint32(b1.ID())] != b1 {
 		t.Fatal("lookup failed")
 	}
 	if r.Live() != 2 {
@@ -33,7 +33,7 @@ func TestRegistryUnregistersOnReclaim(t *testing.T) {
 	b := bd.Seal()
 	id := uint32(b.ID())
 	b.Release()
-	if r.Lookup(id) != nil {
+	if r.m[id] != nil {
 		t.Fatal("reclaimed bundle still registered")
 	}
 	if r.Live() != 0 {

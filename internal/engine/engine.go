@@ -172,9 +172,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Knob exposes the demand-balance knob (read by experiments).
 func (e *Engine) Knob() *Knob { return e.knob }
 
@@ -221,9 +218,6 @@ func (e *Engine) Run(duration float64) (Stats, error) {
 	}
 	return e.stats, err
 }
-
-// Stats returns the statistics accumulated so far.
-func (e *Engine) Stats() Stats { return e.stats }
 
 // spawn schedules one operator task. body runs the real computation at
 // dispatch; emissions and onComplete fire at the task's virtual
@@ -344,17 +338,7 @@ func (e *Engine) NewBundleBuilder(schema bundle.Schema, capacity int) (*bundle.B
 		alloc.Free()
 		return nil, err
 	}
-	// Attach after seal: the builder exposes the bundle only via Seal,
-	// so wrap the allocation through a sealed-bundle hook.
-	return bd, attachAlloc(bd, alloc)
-}
-
-// attachAlloc defers SetAlloc until Seal by wrapping the builder's
-// bundle. bundle.Builder seals in place, so we set the allocation on
-// the eventual bundle via a seal hook; since Builder has no hook, we
-// instead set it immediately on the embedded bundle.
-func attachAlloc(bd *bundle.Builder, alloc *mempool.Allocation) error {
-	return bd.AttachAlloc(alloc)
+	return bd, bd.AttachAlloc(alloc)
 }
 
 // planPlacement draws the placement decision for a new KPA given the

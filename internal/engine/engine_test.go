@@ -137,7 +137,7 @@ func TestEngineConnectBadPort(t *testing.T) {
 	a := e.AddOperator(&passthroughOp{name: "a"})
 	b := e.AddOperator(&passthroughOp{name: "b"})
 	e.Connect(a, 0, b, 5) // passthrough has 1 input port
-	if len(e.Stats().Errors) == 0 {
+	if len(e.stats.Errors) == 0 {
 		t.Fatal("bad port must record an error")
 	}
 }
@@ -398,7 +398,7 @@ func TestEngineTaskPanicIsRecorded(t *testing.T) {
 		panic("kaboom")
 	}, nil)
 	e.Sim.Run()
-	if len(e.Stats().Errors) == 0 {
+	if len(e.stats.Errors) == 0 {
 		t.Fatal("panic must be recorded as an error")
 	}
 }
@@ -413,7 +413,7 @@ func (k *kpaForwardOp) OnInput(ctx *Ctx, port int, in Input) {
 	b := in.B
 	ts := in.MaxTs()
 	ctx.Spawn("extract", ts, memsim.Demand{}.Seq(memsim.DRAM, b.Bytes()), func() []Emission {
-		kp, err := kpa.Extract(b, 0, ctx.Alloc(ts))
+		kp, err := kpa.Extract(b, 0, ctx.AllocTagged(ctx.Tag(ts)))
 		if err != nil {
 			ctx.Errorf("extract: %v", err)
 			in.Release()

@@ -129,12 +129,6 @@ func (c *Ctx) Emit(port int, in Input) {
 	c.e.deliver(c.node, port, in)
 }
 
-// Alloc returns a KPA allocator that applies the engine's placement
-// policy (knob + tag) for work on event time ts.
-func (c *Ctx) Alloc(ts wm.Time) kpa.Allocator {
-	return &placementAllocator{e: c.e, tag: c.Tag(ts)}
-}
-
 // AllocTagged returns an allocator with an explicit tag.
 func (c *Ctx) AllocTagged(tag Tag) kpa.Allocator {
 	return &placementAllocator{e: c.e, tag: tag}
@@ -153,10 +147,6 @@ func (c *Ctx) PlanPlacement(ts wm.Time) (memsim.Tier, kpa.Allocator) {
 func (c *Ctx) NewBuilder(schema bundle.Schema, capacity int) (*bundle.Builder, error) {
 	return c.e.NewBundleBuilder(schema, capacity)
 }
-
-// UseKPA reports whether the engine runs with KPA extraction (false for
-// the Fig 9 "NoKPA" ablation, which groups full records).
-func (c *Ctx) UseKPA() bool { return c.e.cfg.UseKPA }
 
 // Cores returns the machine's core count — the parallelism target for
 // sliced merges and range-parallel reductions.

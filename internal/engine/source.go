@@ -34,9 +34,6 @@ type SourceConfig struct {
 	WindowRecords int
 	// WatermarkEvery emits a watermark after this many bundles.
 	WatermarkEvery int
-	// WatermarkLagBundles delays each watermark by this many bundles of
-	// event time (Fig 10b: "delaying watermark arrival").
-	WatermarkLagBundles int
 }
 
 // Validate reports configuration errors.
@@ -73,7 +70,6 @@ type sourceDriver struct {
 	gen  Generator
 	node *Node
 
-	emitted      int64 // records generated so far
 	bundleCount  int
 	nextEventTs  wm.Time
 	tsPerRecord  float64
@@ -113,12 +109,6 @@ func (d *sourceDriver) kick(now float64) {
 	}
 }
 
-// Stop halts the source permanently.
-func (d *sourceDriver) Stop() { d.stopped = true }
-
-// SetRate changes the offered load (Fig 10a sweeps ingestion rate).
-func (d *sourceDriver) SetRate(rate float64) { d.cfg.Rate = rate }
-
 // emitBundle generates one bundle, spawns its ingestion task and
 // schedules the next emission.
 func (d *sourceDriver) emitBundle(now float64) {
@@ -146,7 +136,6 @@ func (d *sourceDriver) emitBundle(now float64) {
 	d.gen.Fill(bd, n, tsLo, tsHi)
 	b := bd.Seal()
 	d.nextEventTs = tsHi
-	d.emitted += int64(n)
 	d.bundleCount++
 	bundleBytes := b.Bytes()
 
@@ -163,15 +152,8 @@ func (d *sourceDriver) emitBundle(now float64) {
 		}, nil)
 
 	// Watermark cadence.
-	if d.bundleCount%d.cfg.WatermarkEvery == 0 {
-		lag := wm.Time(float64(d.cfg.WatermarkLagBundles*d.cfg.BundleRecords) * d.tsPerRecord)
-		var w wm.Time
-		if tsHi > lag {
-			w = tsHi - lag
-		}
-		if w > 0 {
-			d.emitWatermark(now, w)
-		}
+	if d.bundleCount%d.cfg.WatermarkEvery == 0 && tsHi > 0 {
+		d.emitWatermark(now, tsHi)
 	}
 
 	// Next bundle: limited by offered rate and NIC bandwidth (both in
@@ -199,6 +181,3 @@ func (d *sourceDriver) emitWatermark(now float64, w wm.Time) {
 	}
 	d.node.onUpstreamWM(d.e, 0, w)
 }
-
-// Emitted returns the records generated so far.
-func (d *sourceDriver) Emitted() int64 { return d.emitted }

@@ -2,7 +2,7 @@
 // deterministic, probabilistic fault injector threaded through the
 // netio layer so chaos tests (and the CI chaos leg) can subject the
 // wire protocol to the failures a real network delivers — connection
-// resets, partial writes, delayed acks, and in-flight bit corruption —
+// resets, partial writes and in-flight bit corruption —
 // while asserting the ingest path still produces bit-identical window
 // results. Every decision comes from a seeded splitmix64 sequence, so a
 // failing chaos run replays with the same seed; a nil *Injector (or a
@@ -14,7 +14,6 @@ import (
 	"net"
 	"os"
 	"sync/atomic"
-	"time"
 )
 
 // ErrInjectedReset marks an injected connection reset, so tests can
@@ -34,11 +33,6 @@ type Config struct {
 	// CorruptProb flips one bit of the buffer before writing it, and
 	// reports success: silent corruption for checksums to catch.
 	CorruptProb float64
-	// DelayProb stalls the operation by Delay before performing it —
-	// on a server-side injector this delays acks and credit grants.
-	DelayProb float64
-	// Delay is the stall applied on a DelayProb hit (0 picks 2ms).
-	Delay time.Duration
 	// CrashAfterBytes hard-kills the whole process (SIGKILL, no
 	// deferred cleanup, no flush) once the injector has read this many
 	// bytes across all wrapped connections — the process-crash mode the
@@ -52,7 +46,7 @@ type Config struct {
 
 // Counters tallies the faults an injector has fired.
 type Counters struct {
-	Resets, PartialWrites, Corruptions, Delays int64
+	Resets, PartialWrites, Corruptions int64
 }
 
 // Injector makes fault decisions from a seeded sequence and wraps
@@ -61,11 +55,9 @@ type Injector struct {
 	cfg  Config
 	ctr  atomic.Uint64
 	on   bool
-	dis  atomic.Bool // runtime kill switch (Disable)
 	rst  atomic.Int64
 	part atomic.Int64
 	corr atomic.Int64
-	dly  atomic.Int64
 
 	// crashAt is the jittered read-byte threshold for CrashAfterBytes
 	// (0 = crash mode off); readBytes counts across all wrapped conns.
@@ -76,11 +68,7 @@ type Injector struct {
 // New builds an injector for cfg. A zero cfg yields a disabled
 // injector; nil *Injector works everywhere an injector is accepted.
 func New(cfg Config) *Injector {
-	if cfg.Delay <= 0 {
-		cfg.Delay = 2 * time.Millisecond
-	}
-	on := cfg.ResetProb > 0 || cfg.PartialWriteProb > 0 || cfg.CorruptProb > 0 || cfg.DelayProb > 0 ||
-		cfg.CrashAfterBytes > 0
+	on := cfg.ResetProb > 0 || cfg.PartialWriteProb > 0 || cfg.CorruptProb > 0 || cfg.CrashAfterBytes > 0
 	inj := &Injector{cfg: cfg, on: on}
 	if cfg.CrashAfterBytes > 0 {
 		inj.crashAt = cfg.CrashAfterBytes + int64(splitmix64(cfg.Seed^0xC4A5)%4096)
@@ -90,15 +78,7 @@ func New(cfg Config) *Injector {
 
 // Enabled reports whether the injector can fire at all.
 func (i *Injector) Enabled() bool {
-	return i != nil && i.on && !i.dis.Load()
-}
-
-// Disable turns the injector off at runtime — chaos tests use it to
-// stop injecting during the drain phase so the run can converge.
-func (i *Injector) Disable() {
-	if i != nil {
-		i.dis.Store(true)
-	}
+	return i != nil && i.on
 }
 
 // Counters returns the faults fired so far.
@@ -110,7 +90,6 @@ func (i *Injector) Counters() Counters {
 		Resets:        i.rst.Load(),
 		PartialWrites: i.part.Load(),
 		Corruptions:   i.corr.Load(),
-		Delays:        i.dly.Load(),
 	}
 }
 
@@ -151,17 +130,11 @@ func (f *faultConn) Read(p []byte) (int, error) {
 	if !i.Enabled() {
 		return f.Conn.Read(p)
 	}
-	r, bits := i.roll()
-	switch {
-	case r < i.cfg.ResetProb:
+	if r, _ := i.roll(); r < i.cfg.ResetProb {
 		i.rst.Add(1)
 		f.Conn.Close()
 		return 0, ErrInjectedReset
-	case r < i.cfg.ResetProb+i.cfg.DelayProb:
-		i.dly.Add(1)
-		time.Sleep(i.cfg.Delay)
 	}
-	_ = bits
 	n, err := f.Conn.Read(p)
 	if n > 0 && i.crashAt > 0 && i.readBytes.Add(int64(n)) >= i.crashAt {
 		i.crash()
@@ -215,9 +188,6 @@ func (f *faultConn) Write(p []byte) (int, error) {
 		pos := bits % uint64(len(p))
 		dirty[pos] ^= 1 << (bits >> 32 % 8)
 		return f.Conn.Write(dirty)
-	case r < c.ResetProb+c.PartialWriteProb+c.CorruptProb+c.DelayProb:
-		i.dly.Add(1)
-		time.Sleep(c.Delay)
 	}
 	return f.Conn.Write(p)
 }

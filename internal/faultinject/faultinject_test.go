@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 )
 
 // pipeConns returns a connected in-memory pair.
@@ -127,22 +126,4 @@ func TestCorruptionFlipsOneBitInCopy(t *testing.T) {
 	}
 	a.Close()
 	b.Close()
-}
-
-func TestDisableStopsInjection(t *testing.T) {
-	inj := New(Config{ResetProb: 1, Seed: 9, Delay: time.Millisecond})
-	if !inj.Enabled() {
-		t.Fatal("injector should start enabled")
-	}
-	inj.Disable()
-	if inj.Enabled() {
-		t.Fatal("Disable did not stick")
-	}
-	a, b := pipeConns()
-	defer a.Close()
-	defer b.Close()
-	w := inj.WrapConn(a) // wrapped while... still returns a: disabled
-	if w != a {
-		t.Fatal("disabled injector wrapped the connection")
-	}
 }

@@ -142,7 +142,7 @@ func TestYSBCampaignTable(t *testing.T) {
 			t.Fatalf("campaign %d out of range", c)
 		}
 	}
-	if g.Config().Ads != 100 {
+	if g.cfg.Ads != 100 {
 		t.Fatal("config accessor wrong")
 	}
 }
@@ -150,13 +150,13 @@ func TestYSBCampaignTable(t *testing.T) {
 func TestPowerGridGen(t *testing.T) {
 	g := NewPowerGrid(PowerGridConfig{Seed: 7})
 	want := 40 * 3 * 4
-	if g.NumPlugs() != want {
-		t.Fatalf("plugs = %d, want %d", g.NumPlugs(), want)
+	if len(g.plugs) != want {
+		t.Fatalf("plugs = %d, want %d", len(g.plugs), want)
 	}
-	if g.HotPlugs() == 0 {
+	if len(g.hot) == 0 {
 		t.Fatal("no hot plugs generated")
 	}
-	b := fillOne(t, g, g.NumPlugs()*2, 0, 1000)
+	b := fillOne(t, g, len(g.plugs)*2, 0, 1000)
 	seen := make(map[uint64]int)
 	for i := 0; i < b.Rows(); i++ {
 		key := b.At(i, 0)
@@ -169,7 +169,7 @@ func TestPowerGridGen(t *testing.T) {
 		}
 	}
 	// Cycling through plugs: every plug sampled exactly twice.
-	if len(seen) != g.NumPlugs() {
+	if len(seen) != len(g.plugs) {
 		t.Fatalf("distinct plugs = %d", len(seen))
 	}
 	for _, c := range seen {
@@ -181,7 +181,7 @@ func TestPowerGridGen(t *testing.T) {
 
 func TestPowerGridHotPlugsRunHotter(t *testing.T) {
 	g := NewPowerGrid(PowerGridConfig{Seed: 7, HotFrac: 0.2})
-	b := fillOne(t, g, g.NumPlugs(), 0, 1000)
+	b := fillOne(t, g, len(g.plugs), 0, 1000)
 	var hotMin, coldMax uint64 = ^uint64(0), 0
 	for i := 0; i < b.Rows(); i++ {
 		load := b.At(i, 1)

@@ -102,9 +102,3 @@ func (g *PowerGridGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
 		bd.Append(key, load, ts)
 	}
 }
-
-// NumPlugs returns the plug count (tests).
-func (g *PowerGridGen) NumPlugs() int { return len(g.plugs) }
-
-// HotPlugs returns the number of hot plugs (tests).
-func (g *PowerGridGen) HotPlugs() int { return len(g.hot) }

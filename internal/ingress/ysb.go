@@ -66,7 +66,8 @@ func NewYSB(cfg YSBConfig) *YSBGen {
 		schema: bundle.Schema{
 			NumCols: 7,
 			TsCol:   YSBEventTime,
-			Names:   []string{"ad_id", "ad_type", "event_type", "user_id", "page_id", "ip", "event_time"},
+			Names: []string{YSBAdID: "ad_id", YSBAdType: "ad_type", YSBEventType: "event_type",
+				YSBUserID: "user_id", YSBPageID: "page_id", YSBIP: "ip", YSBEventTime: "event_time"},
 		},
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -102,6 +103,3 @@ func (g *YSBGen) CampaignTable() *algo.HashTable {
 	}
 	return t
 }
-
-// Config returns the generator's configuration.
-func (g *YSBGen) Config() YSBConfig { return g.cfg }

@@ -47,7 +47,7 @@ func PtrRow(p Ptr) uint32 { return uint32(p) }
 // Allocator decides where a new KPA lives. The simulator's engine
 // applies the demand-balance knob and performance-impact tags (paper
 // §5); the native runtime's is runtime.placement, one occupancy rule
-// over the pool's tiers; tests use FixedAllocator or NoopAllocator.
+// over the pool's tiers; tests use FixedAllocator.
 type Allocator interface {
 	// AllocKPA reserves nBytes for a new KPA and returns its placement.
 	AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, error)
@@ -68,15 +68,6 @@ func (f FixedAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation
 	return f.T, a, nil
 }
 
-// NoopAllocator places KPAs on a tier without capacity accounting
-// (used by unit tests that do not care about memory pressure).
-type NoopAllocator struct{ T memsim.Tier }
-
-// AllocKPA implements Allocator.
-func (n NoopAllocator) AllocKPA(int64) (memsim.Tier, *mempool.Allocation, error) {
-	return n.T, nil, nil
-}
-
 // KPA is a key pointer array: intermediate grouping state. A KPA is
 // itself reference counted: it is born with one reference, Retain adds
 // more, and Destroy releases one — the storage frees when the last
@@ -87,7 +78,7 @@ func (n NoopAllocator) AllocKPA(int64) (memsim.Tier, *mempool.Allocation, error)
 // covering window closes.
 type KPA struct {
 	pairs    []algo.Pair
-	resident int // column index the keys replicate; -1 for synthetic keys
+	resident int // column index the keys replicate
 	tier     memsim.Tier
 	sorted   bool
 	meta     algo.RunMeta
@@ -117,10 +108,6 @@ type KPA struct {
 	// resMu serializes residency transitions (Evict/EnsureResident).
 	resMu sync.Mutex
 }
-
-// SyntheticKey marks a KPA whose resident keys were computed (e.g. an
-// external-join mapping) rather than copied from a record column.
-const SyntheticKey = -1
 
 // newKPA allocates backing storage for n pairs via al. When the
 // allocator hands back a mempool allocation, the pair array is the
@@ -174,18 +161,12 @@ func (k *KPA) Keys() []uint64 { return algo.Keys(k.pairs) }
 // Bytes returns the modeled in-memory size of the KPA.
 func (k *KPA) Bytes() int64 { return int64(len(k.pairs)) * memsim.PairBytes }
 
-// NumSources returns the number of distinct bundles referenced.
-func (k *KPA) NumSources() int { return len(k.sources) }
-
 // Schema returns the schema shared by the KPA's source bundles; ok is
 // false when the KPA has no sources or they disagree.
 func (k *KPA) Schema() (bundle.Schema, bool) {
 	s, err := k.uniformSchema()
 	return s, err == nil
 }
-
-// Source resolves a bundle ID to the referenced bundle, or nil.
-func (k *KPA) Source(id uint32) *bundle.Bundle { return k.sources[id] }
 
 // Deref resolves a pointer into (bundle, row). It panics on a dangling
 // pointer, which would indicate broken reference counting.
@@ -280,9 +261,6 @@ func (k *KPA) Destroy() bool {
 	k.pairs = nil
 	return true
 }
-
-// Destroyed reports whether the last reference has been released.
-func (k *KPA) Destroyed() bool { return k.refs.Load() <= 0 }
 
 // String renders a short description.
 func (k *KPA) String() string {

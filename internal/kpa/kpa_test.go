@@ -132,7 +132,7 @@ func TestDestroyReleasesSources(t *testing.T) {
 		t.Fatalf("allocs = %d", st.Allocs)
 	}
 	k.Destroy()
-	if !k.Destroyed() {
+	if k.Refs() > 0 {
 		t.Error("not marked destroyed")
 	}
 	if b.RC() != 1 {
@@ -246,19 +246,6 @@ func TestKeySwap(t *testing.T) {
 	}
 }
 
-func TestUpdateKeys(t *testing.T) {
-	e := newEnv()
-	b := e.bundleOf(t, [3]uint64{7, 70, 1}, [3]uint64{3, 30, 2})
-	k, _ := Extract(b, 0, e.al)
-	UpdateKeys(k, func(key uint64) uint64 { return key * 10 })
-	if !reflect.DeepEqual(k.Keys(), []uint64{70, 30}) {
-		t.Fatalf("keys = %v", k.Keys())
-	}
-	if k.Resident() != SyntheticKey {
-		t.Error("resident must become synthetic")
-	}
-}
-
 func TestMaterialize(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{7, 70, 1}, [3]uint64{3, 30, 2}, [3]uint64{9, 90, 3})
@@ -283,17 +270,7 @@ func TestMaterialize(t *testing.T) {
 func TestMaterializeWritesBackDirtyKeys(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{7, 70, 1})
-	k, _ := Extract(b, 0, e.al)
-	UpdateKeys(k, func(uint64) uint64 { return 42 })
-	// Synthetic keys are not written back (no resident column).
-	out, err := Materialize(k, e.newBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.At(0, 0) != 7 {
-		t.Error("synthetic keys must not overwrite columns")
-	}
-	// But a resident-column in-place update is written back.
+	// A resident-column in-place update is written back.
 	k2, _ := Extract(b, 0, e.al)
 	k2.pairs[0].Key = 99
 	out2, _ := Materialize(k2, e.newBuilder)
@@ -579,11 +556,10 @@ func TestTable2PrimitiveAccessPatterns(t *testing.T) {
 	}
 	seq := map[string]memsim.Demand{
 		"Extract":   ExtractDemand(b, memsim.HBM),
-		"Sort":      SortDemand(k),
+		"Sort":      memsim.SortDemand(k.Tier(), k.Len()),
 		"Merge":     MergeDemand(k, k),
-		"Join":      JoinDemand(k, k, 2, 24),
-		"Select":    SelectDemand(k),
-		"Partition": PartitionDemand(k),
+		"Join":      memsim.JoinDemand(k.Tier(), 2*k.Len(), 2, 24),
+		"Partition": PartitionDemandN(k.Tier(), k.Len()),
 	}
 	for name, d := range seq {
 		if hasRandom(d) {
@@ -593,7 +569,7 @@ func TestTable2PrimitiveAccessPatterns(t *testing.T) {
 	rnd := map[string]memsim.Demand{
 		"Materialize": MaterializeDemand(k, 24),
 		"KeySwap":     KeySwapDemand(k),
-		"ReduceKeyed": ReduceKeyedDemand(k),
+		"ReduceKeyed": memsim.ReduceKeyedDemand(k.Tier(), k.Len()),
 	}
 	for name, d := range rnd {
 		if !hasRandom(d) {

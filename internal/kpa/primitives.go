@@ -60,17 +60,6 @@ func NewValues(n, resident int, al Allocator) (*KPA, []algo.Pair, error) {
 	return k, k.pairs, nil
 }
 
-// FromValues is NewValues filled with a copy of externally prepared
-// (key, value) pairs.
-func FromValues(pairs []algo.Pair, resident int, al Allocator) (*KPA, error) {
-	k, fill, err := NewValues(len(pairs), resident, al)
-	if err != nil {
-		return nil, err
-	}
-	copy(fill, pairs)
-	return k, nil
-}
-
 // Materialize emits a bundle of full records in KPA order by
 // dereferencing every pointer (random access into DRAM). newBuilder is
 // supplied by the engine so the output bundle gets a registry ID and a
@@ -92,9 +81,7 @@ func Materialize(k *KPA, newBuilder func(schema bundle.Schema, capacity int) (*b
 		}
 		// The resident key may have been updated in place (paper §4.3
 		// optimization: dirty keys are written back on materialize).
-		if k.resident >= 0 {
-			row[k.resident] = p.Key
-		}
+		row[k.resident] = p.Key
 		if err := bd.Append(row...); err != nil {
 			return nil, err
 		}
@@ -149,27 +136,13 @@ func KeySwapDemand(k *KPA) memsim.Demand {
 	return memsim.KeySwapDemand(k.Tier(), k.Len())
 }
 
-// UpdateKeys rewrites every resident key through fn in place (sequential
-// access). It implements the in-place update used by the YSB external
-// join, which replaces ad_id with campaign_id (paper §4.3 step 3). The
-// resident column becomes synthetic.
-func UpdateKeys(k *KPA, fn func(key uint64) uint64) {
-	for i := range k.pairs {
-		k.pairs[i].Key = fn(k.pairs[i].Key)
-	}
-	k.resident = SyntheticKey
-	k.sorted = k.Len() <= 1
-}
-
 // UpdateKeysWriteBack rewrites the resident keys through fn and writes
 // the dirty keys back to the resident column of the full records
 // (paper §4.3: "The operator writes back camp_id to full records"), so
-// later KeySwap and Materialize see the new values. The KPA must have a
-// real resident column.
-func UpdateKeysWriteBack(k *KPA, fn func(key uint64) uint64) error {
-	if k.resident < 0 {
-		return fmt.Errorf("kpa: write-back needs a resident column, have synthetic keys")
-	}
+// later KeySwap and Materialize see the new values. It is the in-place
+// update of the YSB external join, which replaces ad_id with
+// campaign_id (paper §4.3 step 3).
+func UpdateKeysWriteBack(k *KPA, fn func(key uint64) uint64) {
 	col := k.resident
 	for i := range k.pairs {
 		nk := fn(k.pairs[i].Key)
@@ -178,7 +151,6 @@ func UpdateKeysWriteBack(k *KPA, fn func(key uint64) uint64) error {
 		src.OverwriteAt(row, col, nk)
 	}
 	k.sorted = k.Len() <= 1
-	return nil
 }
 
 // --- Grouping primitives (sequential access). ------------------------------
@@ -212,12 +184,6 @@ func SortColumns(k *KPA, keys, vals []uint64, s *algo.Scratch) {
 	k.sorted = true
 }
 
-// SortDemand returns the virtual cost of sorting the KPA: the paper's
-// merge sort, which the simulator charges whatever kernel computes it.
-func SortDemand(k *KPA) memsim.Demand {
-	return memsim.SortDemand(k.Tier(), k.Len())
-}
-
 // MergeDemand returns the virtual cost of merging a and b.
 func MergeDemand(a, b *KPA) memsim.Demand {
 	return memsim.MergeDemand(a.Tier(), a.Len()+b.Len())
@@ -243,12 +209,6 @@ func Join(a, b *KPA, emit func(JoinRow)) error {
 		emit(JoinRow{Key: key, Left: pa, Rght: pb})
 	})
 	return nil
-}
-
-// JoinDemand returns the virtual cost of joining a and b with m output
-// records of recBytes each.
-func JoinDemand(a, b *KPA, m int, recBytes int64) memsim.Demand {
-	return memsim.JoinDemand(a.Tier(), a.Len()+b.Len(), m, recBytes)
 }
 
 // SelectFromBundle creates a KPA holding only the rows of b whose
@@ -296,11 +256,6 @@ func Select(k *KPA, pred func(uint64) bool, al Allocator) (*KPA, error) {
 	return out, nil
 }
 
-// SelectDemand returns the virtual cost of a selection scan.
-func SelectDemand(k *KPA) memsim.Demand {
-	return memsim.ScanDemand(k.Tier(), k.Bytes(), int64(k.Len())*memsim.SelectCycles)
-}
-
 // Partition splits the KPA into len(boundaries)+1 KPAs by ranges of the
 // resident keys (paper: the Windowing operator partitions on the
 // timestamp column). Output KPAs inherit the input's bundle links.
@@ -325,13 +280,8 @@ func Partition(k *KPA, boundaries []uint64, al Allocator) ([]*KPA, error) {
 	return out, nil
 }
 
-// PartitionDemand returns the virtual cost of partitioning.
-func PartitionDemand(k *KPA) memsim.Demand {
-	return PartitionDemandN(k.Tier(), k.Len())
-}
-
-// PartitionDemandN is PartitionDemand for a KPA of n pairs on tier t,
-// usable before the KPA exists.
+// PartitionDemandN returns the virtual cost of partitioning a KPA of n
+// pairs on tier t, usable before the KPA exists.
 func PartitionDemandN(t memsim.Tier, n int) memsim.Demand {
 	return memsim.ScanDemand(t, 2*int64(n)*memsim.PairBytes, int64(n)*memsim.PartitionCycles)
 }

@@ -1,7 +1,9 @@
 package kpa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +12,8 @@ import (
 	"streambox/internal/mempool"
 	"streambox/internal/memsim"
 )
+
+func byKey(a, b algo.Pair) int { return cmp.Compare(a.Key, b.Key) }
 
 // poolAllocator returns a FixedAllocator over a fresh accounting pool.
 func poolAllocator(t *testing.T, tier memsim.Tier) (FixedAllocator, *mempool.Pool) {
@@ -138,7 +142,7 @@ func TestMergeTreeConcurrentDestroy(t *testing.T) {
 	if root.Len() != total {
 		t.Fatalf("root len = %d, want %d", root.Len(), total)
 	}
-	if !algo.PairsSorted(root.Pairs()) {
+	if !slices.IsSortedFunc(root.Pairs(), byKey) {
 		t.Fatal("merge-tree output not sorted")
 	}
 	root.Destroy()
@@ -207,7 +211,7 @@ func TestSortRadixPrimitive(t *testing.T) {
 		t.Fatal("unsorted KPA reported sorted")
 	}
 	SortRadix(k, 1, pool.ScratchFor(memsim.HBM))
-	if !k.Sorted() || !algo.PairsSorted(k.Pairs()) {
+	if !k.Sorted() || !slices.IsSortedFunc(k.Pairs(), byKey) {
 		t.Fatal("SortRadix failed to sort")
 	}
 	k.Destroy()

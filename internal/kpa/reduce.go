@@ -1,7 +1,5 @@
 package kpa
 
-import "streambox/internal/memsim"
-
 // Agg folds a stream of 64-bit values into one result. Implementations
 // live in internal/ops (sum, average, median, top-k, ...); the kpa
 // package only drives them.
@@ -79,9 +77,4 @@ func ReduceAll(k *KPA, valCol int, agg Agg) error {
 		agg.Add(k.valueOf(p, valCol))
 	}
 	return nil
-}
-
-// ReduceKeyedDemand returns the virtual cost of a keyed reduction.
-func ReduceKeyedDemand(k *KPA) memsim.Demand {
-	return memsim.ReduceKeyedDemand(k.Tier(), k.Len())
 }

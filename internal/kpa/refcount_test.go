@@ -28,7 +28,7 @@ func TestRetainDestroyCounts(t *testing.T) {
 		if k.Destroy() {
 			t.Fatalf("destroy %d freed the KPA with %d references outstanding", i, refs-1-i)
 		}
-		if k.Destroyed() {
+		if k.Refs() <= 0 {
 			t.Fatal("KPA reports destroyed while references remain")
 		}
 		if pool.Used(memsim.HBM) == 0 {
@@ -38,7 +38,7 @@ func TestRetainDestroyCounts(t *testing.T) {
 	if !k.Destroy() {
 		t.Fatal("final destroy must free the KPA")
 	}
-	if !k.Destroyed() {
+	if k.Refs() > 0 {
 		t.Fatal("KPA must report destroyed after the final release")
 	}
 	if got := pool.Used(memsim.HBM); got != 0 {

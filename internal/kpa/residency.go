@@ -30,15 +30,6 @@ import (
 // The two serialize per KPA (resMu), so concurrent callers of
 // EnsureResident see one load.
 
-// ValuesResident reports whether the pairs carry materialized values in
-// Ptr instead of bundle pointers.
-func (k *KPA) ValuesResident() bool { return k.vals }
-
-// Partial reports whether the pairs carry partial aggregates (see
-// MergeReducePartial): a value-resident run whose values fold with
-// Combiner.Combine instead of Agg.Add.
-func (k *KPA) Partial() bool { return k.partial }
-
 // dropSources releases every source-bundle link.
 func (k *KPA) dropSources() {
 	for _, b := range k.sources {

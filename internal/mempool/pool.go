@@ -78,9 +78,6 @@ type Allocation struct {
 // Tier returns the tier the allocation lives on.
 func (a *Allocation) Tier() memsim.Tier { return a.tier }
 
-// Size returns the charged (class-rounded) size in bytes.
-func (a *Allocation) Size() int64 { return a.size }
-
 // Pairs returns a view of n pairs over the allocation's backing slab,
 // materializing the slab on first call — the smallest class that holds n
 // pairs, recycled from the pool's free list when one is available,
@@ -287,14 +284,6 @@ func (p *Pool) AttachSpill(f *spill.File) {
 	}
 	p.spill = f
 	p.cap[memsim.Spill] = f.Capacity()
-}
-
-// Spill returns the attached cold-tier arena, or nil when the spill
-// tier is disabled.
-func (p *Pool) Spill() *spill.File {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.spill
 }
 
 // classIndex returns the index of the smallest class >= n, or -1 for
@@ -545,9 +534,6 @@ func (p *Pool) Capacity(t memsim.Tier) int64 {
 	}
 	return c
 }
-
-// Free returns the unallocated bytes on tier t.
-func (p *Pool) Free(t memsim.Tier) int64 { return p.Capacity(t) - p.Used(t) }
 
 // Utilization returns Used/Capacity on tier t in [0,1]. A zero-capacity
 // memory tier reads as fully utilized (X56 has no HBM: allocations must

@@ -50,8 +50,8 @@ func TestAllocFree(t *testing.T) {
 	if a.Tier() != memsim.HBM {
 		t.Error("wrong tier")
 	}
-	if a.Size() != 16<<10 {
-		t.Errorf("size = %d, want rounded 16 KiB", a.Size())
+	if a.size != 16<<10 {
+		t.Errorf("size = %d, want rounded 16 KiB", a.size)
 	}
 	if a.Request != 10<<10 {
 		t.Errorf("request = %d", a.Request)
@@ -266,13 +266,13 @@ func TestAccountingConservation(t *testing.T) {
 				a, err := p.Alloc(tier, size)
 				if err == nil {
 					live = append(live, a)
-					liveSum[a.Tier()] += a.Size()
+					liveSum[a.Tier()] += a.size
 				}
 			case 2: // free
 				if len(live) > 0 {
 					a := live[len(live)-1]
 					live = live[:len(live)-1]
-					liveSum[a.Tier()] -= a.Size()
+					liveSum[a.Tier()] -= a.size
 					a.Free()
 				}
 			}

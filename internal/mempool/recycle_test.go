@@ -85,8 +85,8 @@ func TestSlabSizedByPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Size() < charge {
-			t.Fatalf("charge %d accounted as %d", charge, a.Size())
+		if a.size < charge {
+			t.Fatalf("charge %d accounted as %d", charge, a.size)
 		}
 		first := a.Pairs(n)
 		if cap(first) != 1024 {
@@ -131,8 +131,8 @@ func TestPairsSizing(t *testing.T) {
 	// Rounding: a 5 KiB request is charged the 8 KiB class and serves
 	// 512 pairs.
 	b, _ := p.Alloc(memsim.DRAM, 5<<10)
-	if b.Size() != 8<<10 {
-		t.Errorf("size = %d", b.Size())
+	if b.size != 8<<10 {
+		t.Errorf("size = %d", b.size)
 	}
 	if got := b.Pairs(512); len(got) != 512 {
 		t.Errorf("rounded class must serve 512 pairs, got %d", len(got))

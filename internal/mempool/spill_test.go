@@ -36,20 +36,20 @@ func TestSpillTierAlloc(t *testing.T) {
 	if a.Tier() != memsim.Spill {
 		t.Fatalf("tier %v", a.Tier())
 	}
-	if a.Size() != spill.RoundUp(100) {
-		t.Fatalf("size %d, want extent-rounded %d", a.Size(), spill.RoundUp(100))
+	if a.size != spill.RoundUp(100) {
+		t.Fatalf("size %d, want extent-rounded %d", a.size, spill.RoundUp(100))
 	}
 	pairs := a.Pairs(4)
 	pairs[3].Key = 42
 	if again := a.Pairs(4); again[3].Key != 42 {
 		t.Fatal("spill Pairs view is not stable")
 	}
-	if used := p.Used(memsim.Spill); used != a.Size() {
-		t.Fatalf("used %d, want %d", used, a.Size())
+	if used := p.Used(memsim.Spill); used != a.size {
+		t.Fatalf("used %d, want %d", used, a.size)
 	}
 	snap := p.Snapshot()
-	if snap.Tiers[memsim.Spill].Used != a.Size() {
-		t.Fatalf("snapshot spill used %d, want %d", snap.Tiers[memsim.Spill].Used, a.Size())
+	if snap.Tiers[memsim.Spill].Used != a.size {
+		t.Fatalf("snapshot spill used %d, want %d", snap.Tiers[memsim.Spill].Used, a.size)
 	}
 
 	// Spill pressure must not trigger admission control.

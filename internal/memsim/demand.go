@@ -101,9 +101,6 @@ func (d Demand) TotalCPUOps() int64 {
 	return ops
 }
 
-// Empty reports whether the demand has no phases.
-func (d Demand) Empty() bool { return len(d.Phases) == 0 }
-
 // --- Demand models for the engine's kernels. -------------------------------
 //
 // These encode, per primitive, how many bytes move and how much compute
@@ -140,15 +137,11 @@ const (
 	materializeCycles = 300
 	reduceCycles      = 450
 	partitionCycles   = 250
-	selectCycles      = 200
 )
 
-// PartitionCycles and SelectCycles expose the per-element scan costs
-// for demand builders outside this package.
-const (
-	PartitionCycles = partitionCycles
-	SelectCycles    = selectCycles
-)
+// PartitionCycles exposes the per-element partition scan cost for
+// demand builders outside this package.
+const PartitionCycles = partitionCycles
 
 // sortEffectivePasses is the effective number of full-data passes a
 // chunked merge sort makes. The true count is log2(n/block); over the

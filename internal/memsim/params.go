@@ -103,9 +103,6 @@ const (
 	gib = int64(1) << 30
 )
 
-// GB is one gibibyte in bytes, exported for configuration literals.
-const GB = int64(1) << 30
-
 // KNLConfig returns the paper's Table 3 Knights Landing machine:
 // 64 cores @ 1.3 GHz, 16 GB HBM (375 GB/s, 172 ns), 96 GB DDR4
 // (80 GB/s, 143 ns), 40 Gb/s Infiniband and 10 GbE NICs.

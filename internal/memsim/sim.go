@@ -112,9 +112,6 @@ func NewSim(cfg Config) *Sim {
 	return &Sim{cfg: cfg, free: cfg.Cores}
 }
 
-// Config returns the machine configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
@@ -123,9 +120,6 @@ func (s *Sim) Stats() Stats { return s.stats }
 
 // PeakBW returns the highest instantaneous bandwidth seen on tier t.
 func (s *Sim) PeakBW(t Tier) float64 { return s.peakBW[t] }
-
-// BytesConsumed returns cumulative traffic on tier t.
-func (s *Sim) BytesConsumed(t Tier) int64 { return s.stats.BytesByTier[t] }
 
 // Submit enqueues a task for execution. Safe to call from Body, OnDone
 // and timer callbacks.
@@ -152,14 +146,6 @@ func (s *Sim) At(at float64, fn func(now float64)) {
 
 // After schedules fn to run d virtual seconds from now.
 func (s *Sim) After(d float64, fn func(now float64)) { s.At(s.now+d, fn) }
-
-// Stop makes Run return after the current event is processed.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Idle reports whether no tasks are ready, running, or timed.
-func (s *Sim) Idle() bool {
-	return len(s.ready) == 0 && len(s.running) == 0 && len(s.timers) == 0
-}
 
 // Run processes events until the simulator is idle or stopped.
 func (s *Sim) Run() {

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// Empty reports whether the demand has no phases.
+func (d Demand) Empty() bool { return len(d.Phases) == 0 }
+
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
@@ -44,10 +47,10 @@ func TestTable3Configs(t *testing.T) {
 	if knl.Cores != 64 {
 		t.Errorf("KNL cores = %d, want 64", knl.Cores)
 	}
-	if knl.Tier(HBM).Capacity != 16*GB {
+	if knl.Tier(HBM).Capacity != 16*gib {
 		t.Errorf("KNL HBM capacity = %d, want 16 GiB", knl.Tier(HBM).Capacity)
 	}
-	if knl.Tier(DRAM).Capacity != 96*GB {
+	if knl.Tier(DRAM).Capacity != 96*gib {
 		t.Errorf("KNL DRAM capacity = %d, want 96 GiB", knl.Tier(DRAM).Capacity)
 	}
 	if knl.Tier(HBM).Bandwidth != 375e9 {
@@ -290,10 +293,10 @@ func TestSimMemoryPhaseDuration(t *testing.T) {
 	if !almostEqual(doneAt, 1.0, 1e-6) {
 		t.Fatalf("doneAt = %g, want 1.0", doneAt)
 	}
-	if s.BytesConsumed(HBM) != bytes {
-		t.Fatalf("bytes consumed = %d, want %d", s.BytesConsumed(HBM), bytes)
+	if s.stats.BytesByTier[HBM] != bytes {
+		t.Fatalf("bytes consumed = %d, want %d", s.stats.BytesByTier[HBM], bytes)
 	}
-	if s.BytesConsumed(DRAM) != 0 {
+	if s.stats.BytesByTier[DRAM] != 0 {
 		t.Fatal("no DRAM traffic expected")
 	}
 }
@@ -451,6 +454,9 @@ func TestSimRunUntil(t *testing.T) {
 	}
 }
 
+// Stop makes Run return after the current event is processed.
+func (s *Sim) Stop() { s.stopped = true }
+
 func TestSimStop(t *testing.T) {
 	s := NewSim(KNLConfig())
 	count := 0
@@ -548,6 +554,11 @@ func TestSimStatsAccounting(t *testing.T) {
 	if st.BytesByTier[HBM] != 1000 || st.BytesByTier[DRAM] != 500 {
 		t.Errorf("bytes by tier = %v", st.BytesByTier)
 	}
+}
+
+// Idle reports whether no tasks are ready, running, or timed.
+func (s *Sim) Idle() bool {
+	return len(s.ready) == 0 && len(s.running) == 0 && len(s.timers) == 0
 }
 
 func TestSimIdle(t *testing.T) {

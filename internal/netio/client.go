@@ -297,9 +297,6 @@ func (c *Client) install(conn net.Conn, credits int) {
 	go c.creditLoop(conn, done)
 }
 
-// Format returns the stream's payload format.
-func (c *Client) Format() parsefmt.Format { return c.cfg.Format }
-
 // Reconnects returns how many times the client successfully reconnected
 // and resumed mid-stream.
 func (c *Client) Reconnects() int64 { return c.reconnects.Load() }

@@ -816,8 +816,8 @@ func TestResultStoreRetainsAndMerges(t *testing.T) {
 	if len(wins) != 2 || wins[1].Records != 2 {
 		t.Fatalf("merge: %+v", wins)
 	}
-	if st.Published() != 4 {
-		t.Fatalf("published %d, want 4", st.Published())
+	if got := st.published.Load(); got != 4 {
+		t.Fatalf("published %d, want 4", got)
 	}
 }
 

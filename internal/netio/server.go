@@ -61,8 +61,8 @@ type ServerConfig struct {
 	// established connections by withholding credit instead.
 	ShedPressure func() bool
 	// Faults, when non-nil and enabled, wraps every accepted connection
-	// with the fault injector (chaos testing: delayed acks, injected
-	// resets on the server side of the pipe).
+	// with the fault injector (chaos testing: injected resets, partial
+	// writes and corruption on the server side of the pipe).
 	Faults *faultinject.Injector
 	// WAL, when non-nil, receives every accepted data frame before it is
 	// delivered to the feed. Frames are appended durably — the call

@@ -96,6 +96,3 @@ func (st *ResultStore) Snapshot() []WindowResult {
 	}
 	return out
 }
-
-// Published returns the total windows published since start.
-func (st *ResultStore) Published() int64 { return st.published.Load() }

@@ -64,12 +64,3 @@ func (s *CaptureSink) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
 	s.lastWM = w
 	ctx.Engine().SinkWatermark(w, ctx.Now())
 }
-
-// ByWindow groups captured rows per window start.
-func (s *CaptureSink) ByWindow() map[wm.Time][]CapturedRow {
-	out := make(map[wm.Time][]CapturedRow)
-	for _, r := range s.Rows {
-		out[r.Win] = append(out[r.Win], r)
-	}
-	return out
-}

@@ -53,17 +53,12 @@ func (o *ExternalJoinOp) OnInput(ctx *engine.Ctx, port int, in engine.Input) {
 		if k == nil {
 			return nil
 		}
-		err := kpa.UpdateKeysWriteBack(k, func(key uint64) uint64 {
+		kpa.UpdateKeysWriteBack(k, func(key uint64) uint64 {
 			if v, ok := o.Table.Get(key); ok {
 				return v
 			}
 			return o.Default
 		})
-		if err != nil {
-			ctx.Errorf("write-back: %v", err)
-			k.Destroy()
-			return nil
-		}
 		return []engine.Emission{{Port: 0, In: engine.Input{K: k, WinStart: win, HasWin: hasWin}}}
 	})
 }

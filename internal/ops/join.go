@@ -123,8 +123,3 @@ func (o *TemporalJoinOp) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
 		}
 	}
 }
-
-// PendingWindows reports held window state (tests).
-func (o *TemporalJoinOp) PendingWindows() int {
-	return len(o.sides[0].runs) + len(o.sides[1].runs)
-}

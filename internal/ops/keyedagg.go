@@ -84,6 +84,3 @@ func (o *KeyedAggOp) OnWatermark(ctx *engine.Ctx, port int, w wm.Time) {
 		})
 	}
 }
-
-// PendingWindows reports how many windows hold state (tests/stats).
-func (o *KeyedAggOp) PendingWindows() int { return len(o.state.runs) }

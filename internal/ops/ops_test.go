@@ -16,6 +16,15 @@ const (
 	testBundle     = 1000      // records per bundle
 )
 
+// byWindow groups captured rows per window start.
+func byWindow(s *ops.CaptureSink) map[wm.Time][]ops.CapturedRow {
+	out := make(map[wm.Time][]ops.CapturedRow)
+	for _, r := range s.Rows {
+		out[r.Win] = append(out[r.Win], r)
+	}
+	return out
+}
+
 func testConfig() engine.Config {
 	return engine.Config{
 		Machine: memsim.KNLConfig(),
@@ -62,7 +71,7 @@ func TestWindowedSumPerKey(t *testing.T) {
 	if stats.WindowsClosed == 0 {
 		t.Fatal("no windows closed")
 	}
-	byWin := sink.ByWindow()
+	byWin := byWindow(sink)
 	if len(byWin) == 0 {
 		t.Fatal("no results captured")
 	}
@@ -83,7 +92,7 @@ func TestWindowedCountPerKey(t *testing.T) {
 	const keys = 5
 	gen := ingress.NewRoundRobinKV(keys, 42)
 	sink, _ := runKeyedPipeline(t, gen, ops.NewKeyedAgg("count", 0, 1, ops.Count()), 0.02)
-	for win, rows := range sink.ByWindow() {
+	for win, rows := range byWindow(sink) {
 		if len(rows) != keys {
 			t.Fatalf("window %d: %d keys", win, len(rows))
 		}
@@ -156,7 +165,7 @@ func TestWindowedAvgAll(t *testing.T) {
 		t.Fatal("no output")
 	}
 	// One record per window; avg of constant-50 stream is 50.
-	byWin := sink.ByWindow()
+	byWin := byWindow(sink)
 	for win, rows := range byWin {
 		if len(rows) != 1 {
 			t.Fatalf("window %d: %d rows, want 1", win, len(rows))
@@ -178,7 +187,7 @@ func TestFilterThenCount(t *testing.T) {
 	if _, err := e.Run(0.02); err != nil {
 		t.Fatal(err)
 	}
-	byWin := sink.ByWindow()
+	byWin := byWindow(sink)
 	if len(byWin) == 0 {
 		t.Fatal("no results")
 	}
@@ -224,7 +233,7 @@ func TestTemporalJoin(t *testing.T) {
 	// key per side; matches per window = keys * (W/keys)^2.
 	perKey := int64(testWinRecords / keys)
 	wantPerWindow := int64(keys) * perKey * perKey
-	byWin := sink.ByWindow()
+	byWin := byWindow(sink)
 	full := 0
 	for _, rows := range byWin {
 		if int64(len(rows)) == wantPerWindow {
@@ -271,7 +280,7 @@ func TestWindowedFilter(t *testing.T) {
 	if sink.Records == 0 {
 		t.Fatal("no survivors")
 	}
-	byWin := sink.ByWindow()
+	byWin := byWindow(sink)
 	sawFull := false
 	for _, rows := range byWin {
 		if len(rows) == testWinRecords/2 {

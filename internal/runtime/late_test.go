@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"streambox/internal/algo"
 	"streambox/internal/engine"
 	"streambox/internal/kpa"
+	"streambox/internal/mempool"
 	"streambox/internal/memsim"
 	"streambox/internal/ops"
 	"streambox/internal/wm"
@@ -175,11 +175,18 @@ func TestLateBatchDoesNotReopenSealedWindow(t *testing.T) {
 	}
 }
 
+// heapAlloc places a run in DRAM, on the Go heap, without accounting.
+type heapAlloc struct{}
+
+func (heapAlloc) AllocKPA(int64) (memsim.Tier, *mempool.Allocation, error) {
+	return memsim.DRAM, nil, nil
+}
+
 // emptyRun is a run with no pairs: all the window table looks at is
 // its identity and all a test needs is its reference count.
 func emptyRun(t *testing.T) *kpa.KPA {
 	t.Helper()
-	k, err := kpa.FromValues(nil, 0, kpa.NoopAllocator{T: memsim.DRAM})
+	k, _, err := kpa.NewValues(0, 0, heapAlloc{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +416,7 @@ func TestWindowTableGroups(t *testing.T) {
 // sizedRun is a run of n pairs, for tests where only its length matters.
 func sizedRun(t *testing.T, n int) *kpa.KPA {
 	t.Helper()
-	k, err := kpa.FromValues(make([]algo.Pair, n), 0, kpa.NoopAllocator{T: memsim.DRAM})
+	k, _, err := kpa.NewValues(n, 0, heapAlloc{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -526,7 +526,7 @@ func auditAtRest(e *Execution) error {
 			return fmt.Errorf("%d B still charged to %v after the run", used, t)
 		}
 	}
-	if f := pool.Spill(); f != nil && f.Used() != 0 {
+	if f := e.x.spillFile; f != nil && f.Used() != 0 {
 		return fmt.Errorf("%d B of the spill arena still allocated after the run", f.Used())
 	}
 	if live := e.x.m.liveState(); live != [memsim.NumTiers]int64{} {

@@ -165,7 +165,7 @@ func (m *tableSM) run() {
 		m.t.Fatalf("drained with %d windows and %d panes left in the table", len(m.tab.windows), len(m.tab.entries))
 	}
 	for _, k := range m.all {
-		if !k.Destroyed() {
+		if k.Refs() > 0 {
 			m.t.Fatalf("run %v (records %v) still holds %d references", k, m.ids[k], k.Refs())
 		}
 	}
@@ -400,7 +400,7 @@ func (m *tableSM) land() {
 		for range s.owers {
 			r.k.Destroy()
 		}
-		if !r.k.Destroyed() {
+		if r.k.Refs() > 0 {
 			m.t.Fatalf("pane %d: sealed run %v still referenced after its %d owers let go", s.pane, m.ids[r.k], len(s.owers))
 		}
 	}
@@ -425,8 +425,8 @@ func (m *tableSM) gather(w wm.Time, runs []*kpa.KPA) {
 	}
 	got := make(map[uint64]bool)
 	for _, k := range runs {
-		if m.taken[k] || k.Destroyed() {
-			m.t.Fatalf("window %d handed run %v: in a seal %v, destroyed %v", w, m.ids[k], m.taken[k], k.Destroyed())
+		if m.taken[k] || k.Refs() <= 0 {
+			m.t.Fatalf("window %d handed run %v: in a seal %v, destroyed %v", w, m.ids[k], m.taken[k], k.Refs() <= 0)
 		}
 		for _, id := range m.ids[k] {
 			if got[id] {
@@ -501,7 +501,7 @@ func (m *tableSM) check(when string) {
 			}
 			// A run outlives its readers in the table only while an earlier
 			// window, which never saw it, keeps the pane's entry.
-			if _, last := m.tab.panes.Covering(p); r.k.Destroyed() {
+			if _, last := m.tab.panes.Covering(p); r.k.Refs() <= 0 {
 				for w := r.from; w <= last; w += m.tab.slide {
 					if m.tab.windows[w] != nil {
 						m.t.Fatalf("%s: pane %d holds destroyed run %v, which window %d is still to read", when, p, m.ids[r.k], w)

@@ -44,23 +44,15 @@ func (e *ErrFull) Error() string {
 	return fmt.Sprintf("spill: file full: want %d bytes, %d free", e.Want, e.Free)
 }
 
-// Stats counts arena activity since creation.
-type Stats struct {
-	Allocs   int64
-	Frees    int64
-	PeakUsed int64
-}
-
 // File is an mmap'd spill arena. All methods are safe for concurrent
 // use; Pairs returns views into the mapping that stay valid until Close.
 type File struct {
-	mu    sync.Mutex
-	f     *os.File
-	data  []byte
-	used  int64
-	tail  int64
-	free  map[int64][]int64 // rounded extent size -> free offsets (LIFO)
-	stats Stats
+	mu   sync.Mutex
+	f    *os.File
+	data []byte
+	used int64
+	tail int64
+	free map[int64][]int64 // rounded extent size -> free offsets (LIFO)
 }
 
 // Create makes a spill arena of capBytes in dir (or the default temp
@@ -126,7 +118,7 @@ func (f *File) Alloc(n int64) (int64, error) {
 	if list := f.free[n]; len(list) > 0 {
 		off := list[len(list)-1]
 		f.free[n] = list[:len(list)-1]
-		f.account(n)
+		f.used += n
 		return off, nil
 	}
 	if f.tail+n > int64(len(f.data)) {
@@ -134,16 +126,8 @@ func (f *File) Alloc(n int64) (int64, error) {
 	}
 	off := f.tail
 	f.tail += n
-	f.account(n)
-	return off, nil
-}
-
-func (f *File) account(n int64) {
 	f.used += n
-	f.stats.Allocs++
-	if f.used > f.stats.PeakUsed {
-		f.stats.PeakUsed = f.used
-	}
+	return off, nil
 }
 
 // Free returns the extent at off (allocated with size n) to the arena.
@@ -156,7 +140,6 @@ func (f *File) Free(off, n int64) {
 	}
 	f.free[n] = append(f.free[n], off)
 	f.used -= n
-	f.stats.Frees++
 }
 
 // Pairs returns the extent at off as a zero-copy []algo.Pair view of n
@@ -177,13 +160,6 @@ func (f *File) Used() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.used
-}
-
-// Stats returns a snapshot of arena counters.
-func (f *File) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
 }
 
 // Close unmaps and closes the arena. All outstanding views become

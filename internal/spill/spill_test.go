@@ -44,10 +44,6 @@ func TestArenaAllocFreeReuse(t *testing.T) {
 	if c != a {
 		t.Fatalf("free-list reuse: got offset %d, want %d", c, a)
 	}
-	st := f.Stats()
-	if st.Allocs != 3 || st.Frees != 1 || st.PeakUsed != 256 {
-		t.Fatalf("stats %+v", st)
-	}
 }
 
 func TestArenaFull(t *testing.T) {

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// EncodeRecord serializes one record for the fuzzer — the
+// exact bytes Append writes into a segment.
+func EncodeRecord(rec *Record) []byte {
+	cols := make([][]uint64, rec.NCols)
+	for c := range cols {
+		cols[c] = rec.Data[c*rec.NRows : (c+1)*rec.NRows]
+	}
+	return appendRecord(nil, rec.Kind, rec.Token, rec.Conn, rec.Seq, rec.MaxTs, cols, nil, rec.NRows)
+}
+
 func sampleRecords() [][]byte {
 	frame := &Record{
 		Kind: KindFrame, Token: 0xfeedface, Conn: 9, Seq: 41, MaxTs: 123456,

@@ -381,16 +381,6 @@ func DecodeRecord(b []byte, rec *Record) (int, error) {
 	return 4 + body, nil
 }
 
-// EncodeRecord serializes one record for tests and the fuzzer — the
-// exact bytes Append writes into a segment.
-func EncodeRecord(rec *Record) []byte {
-	cols := make([][]uint64, rec.NCols)
-	for c := range cols {
-		cols[c] = rec.Data[c*rec.NRows : (c+1)*rec.NRows]
-	}
-	return appendRecord(nil, rec.Kind, rec.Token, rec.Conn, rec.Seq, rec.MaxTs, cols, nil, rec.NRows)
-}
-
 func putSegHeader(b []byte, idx uint64) {
 	copy(b, segMagic)
 	b[4] = segVersion

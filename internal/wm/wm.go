@@ -153,14 +153,6 @@ func (p Panes) Covering(pane Time) (first, last Time) {
 	return first, last
 }
 
-// CoveringWindows returns how many windows contain the pane starting at
-// pane: the reference count a shared pane run carries when none of them
-// has closed yet.
-func (w Windowing) CoveringWindows(pane Time) int {
-	first, last := w.Panes().Covering(pane)
-	return int((last-first)/w.slide()) + 1
-}
-
 // Boundaries returns the window-start boundaries covering [lo, hi],
 // suitable as Partition key ranges for the Windowing operator.
 func (w Windowing) Boundaries(lo, hi Time) []Time {
@@ -172,17 +164,6 @@ func (w Windowing) Boundaries(lo, hi Time) []Time {
 	}
 	return out
 }
-
-// Window identifies one window instance.
-type Window struct {
-	Start Time
-	End   Time
-}
-
-func (w Window) String() string { return fmt.Sprintf("[%d,%d)", w.Start, w.End) }
-
-// Contains reports whether ts falls inside the window.
-func (w Window) Contains(ts Time) bool { return ts >= w.Start && ts < w.End }
 
 // Tracker maintains the watermark of a stream (possibly merged from
 // several inputs: the effective watermark is the minimum).
@@ -225,16 +206,6 @@ func (t *Tracker) Advance(i int, ts Time) Time {
 	return t.minLocked()
 }
 
-// Current returns the effective watermark.
-func (t *Tracker) Current() Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.inputs == nil {
-		return t.single
-	}
-	return t.minLocked()
-}
-
 func (t *Tracker) minLocked() Time {
 	first := true
 	var min Time
@@ -245,19 +216,4 @@ func (t *Tracker) minLocked() Time {
 		}
 	}
 	return min
-}
-
-// ClosedWindows returns the starts of all windows that end at or before
-// the watermark and start at or after from, ascending — the windows now
-// safe to externalize.
-func (w Windowing) ClosedWindows(from, watermark Time) []Time {
-	if err := w.Validate(); err != nil {
-		return nil
-	}
-	s := w.slide()
-	var out []Time
-	for start := from; start+w.Size <= watermark; start += s {
-		out = append(out, start)
-	}
-	return out
 }

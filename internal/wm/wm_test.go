@@ -1,10 +1,40 @@
 package wm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// Window identifies one window instance.
+type Window struct {
+	Start Time
+	End   Time
+}
+
+func (w Window) String() string { return fmt.Sprintf("[%d,%d)", w.Start, w.End) }
+
+// Contains reports whether ts falls inside the window.
+func (w Window) Contains(ts Time) bool { return ts >= w.Start && ts < w.End }
+
+// CoveringWindows returns how many windows contain the pane starting at
+// pane: the reference count a shared pane run carries when none of them
+// has closed yet.
+func (w Windowing) CoveringWindows(pane Time) int {
+	first, last := w.Panes().Covering(pane)
+	return int((last-first)/w.slide()) + 1
+}
+
+// Current returns the effective watermark.
+func (t *Tracker) Current() Time {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.inputs == nil {
+		return t.single
+	}
+	return t.minLocked()
+}
 
 func TestWindowingValidate(t *testing.T) {
 	if err := Fixed(10).Validate(); err != nil {
@@ -125,34 +155,6 @@ func TestTrackerMultiInputMin(t *testing.T) {
 	}
 }
 
-func TestClosedWindows(t *testing.T) {
-	w := Fixed(10)
-	got := w.ClosedWindows(0, 35)
-	want := []Time{0, 10, 20}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("closed = %v, want %v", got, want)
-	}
-	if w.ClosedWindows(0, 9) != nil {
-		t.Error("no window closes before size")
-	}
-	got = w.ClosedWindows(20, 45)
-	if !reflect.DeepEqual(got, []Time{20, 30}) {
-		t.Fatalf("closed from 20 = %v", got)
-	}
-	if (Windowing{}).ClosedWindows(0, 100) != nil {
-		t.Error("invalid windowing yields nothing")
-	}
-}
-
-func TestSlidingClosedWindows(t *testing.T) {
-	w := Sliding(10, 5)
-	got := w.ClosedWindows(0, 21)
-	want := []Time{0, 5, 10}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("closed = %v, want %v", got, want)
-	}
-}
-
 // Property: every window returned by WindowsOf contains ts, and the
 // fixed-window special case matches WindowOf.
 func TestPropWindowsOfContain(t *testing.T) {
@@ -172,27 +174,6 @@ func TestPropWindowsOfContain(t *testing.T) {
 		}
 		// Count check: approximately size/slide windows contain ts.
 		return len(wins) <= int(size/slide)+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ClosedWindows returns exactly the windows whose end is at or
-// before the watermark.
-func TestPropClosedWindows(t *testing.T) {
-	f := func(rawWM uint16, rawSize uint8) bool {
-		size := Time(rawSize%30) + 1
-		w := Fixed(size)
-		watermark := Time(rawWM % 2000)
-		closed := w.ClosedWindows(0, watermark)
-		for _, s := range closed {
-			if s+size > watermark {
-				return false
-			}
-		}
-		expect := int(watermark / size)
-		return len(closed) == expect
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

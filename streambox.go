@@ -155,8 +155,6 @@ type RunConfig struct {
 	Placement Placement
 	// NoKPA disables key/pointer extraction (grouping on full records).
 	NoKPA bool
-	// TargetDelay is the output-delay objective in seconds (default 1).
-	TargetDelay float64
 	// Seed drives the simulated backend's placement randomness; native
 	// placement draws nothing.
 	Seed int64
@@ -637,13 +635,12 @@ func Run(p *Pipeline, cfg RunConfig) (Report, error) {
 		machine = machine.WithCores(cfg.Cores)
 	}
 	ecfg := engine.Config{
-		Machine:        machine,
-		Win:            p.win.w,
-		Placement:      cfg.Placement,
-		UseKPA:         !cfg.NoKPA,
-		TargetDelaySec: cfg.TargetDelay,
-		Seed:           cfg.Seed,
-		RecordSeries:   cfg.RecordSeries,
+		Machine:      machine,
+		Win:          p.win.w,
+		Placement:    cfg.Placement,
+		UseKPA:       !cfg.NoKPA,
+		Seed:         cfg.Seed,
+		RecordSeries: cfg.RecordSeries,
 	}
 	e, err := engine.New(ecfg)
 	if err != nil {

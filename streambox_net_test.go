@@ -214,9 +214,6 @@ func TestServeLoopbackEquivalenceColumnar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("conn %d: dial: %v", j, err)
 		}
-		if c.Format() != parsefmt.Columnar {
-			t.Fatalf("conn %d negotiated %v, want Columnar", j, c.Format())
-		}
 		clients[j] = c
 	}
 	var wg sync.WaitGroup
