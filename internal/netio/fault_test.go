@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -916,5 +917,114 @@ func testClientReconnectResumeExactlyOnce(t *testing.T, format parsefmt.Format) 
 	}
 	if total, _ := feed.liveCursors(); total != 0 {
 		t.Fatalf("%d cursors leaked", total)
+	}
+}
+
+// TestDamagedAckResumes: an ack that fails its checksum is never
+// applied. The server reads frames 1-3, ingests only the first, and
+// acks it with one bit of the cumulative sequence flipped, so the ack
+// claims frame 3 — still within what the client sent, so the range
+// check alone would trim two frames the server never ingested. The
+// client must instead end the connection's credit stream, resume at the
+// grant's sequence 1 and replay, so every frame lands exactly once.
+func TestDamagedAckResumes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var ingested []uint64
+	go func() {
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(first bool) {
+				defer conn.Close()
+				if _, _, _, err := readHello(conn); err != nil {
+					return
+				}
+				mu.Lock()
+				last := uint64(len(ingested))
+				mu.Unlock()
+				if writeGrant(conn, grant{status: statusOK, credits: 64, token: 42, lastSeq: last}) != nil {
+					return
+				}
+				for {
+					size, seq, eos, err := readFrameHeader(conn)
+					if err != nil || eos {
+						return
+					}
+					if _, err := io.CopyN(io.Discard, conn, size); err != nil {
+						return
+					}
+					if first {
+						if seq < 3 {
+							if seq == 1 {
+								mu.Lock()
+								ingested = append(ingested, seq)
+								mu.Unlock()
+							}
+							continue
+						}
+						var ack bytes.Buffer
+						writeCreditAck(&ack, 1, 1)
+						ack.Bytes()[11] ^= 0x02 // lastSeq 1 → 3
+						conn.Write(ack.Bytes())
+						return
+					}
+					mu.Lock()
+					switch {
+					case seq == last+1:
+						ingested = append(ingested, seq)
+						last = seq
+					case seq > last+1:
+						mu.Unlock()
+						return // gap: sever
+					}
+					mu.Unlock()
+					if writeCreditAck(conn, 1, last) != nil {
+						return
+					}
+				}
+			}(first)
+		}
+	}()
+
+	c, err := Dial(ln.Addr().String(), ClientConfig{
+		Format: parsefmt.Columnar, FrameRecords: 16, ReplayFrames: 4,
+		WriteTimeout: 5 * time.Second,
+		Reconnect:    &ReconnectConfig{MaxRetries: 3, BaseDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		err := c.Send(RecordGen{Keys: 8, WindowRecords: 1024}.Records(0, 128))
+		if err == nil {
+			err = c.Close()
+		}
+		sent <- err
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatalf("send and close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		// A trimmed replay ring resumes at a gap the server severs, over
+		// and over.
+		t.Fatal("stream not delivered after 10s")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(ingested, want) {
+		t.Fatalf("server ingested frames %v, want %v", ingested, want)
+	}
+	if c.Reconnects() != 1 {
+		t.Fatalf("%d reconnects, want 1", c.Reconnects())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := writeHello(&buf, parsefmt.Columnar, 0xA1B2C3D4E5F60718); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.Bytes(), []byte("SBX1\x04\x03\x00\x00\xA1\xB2\xC3\xD4\xE5\xF6\x07\x18"); !bytes.Equal(got, want) {
+	if got, want := buf.Bytes(), []byte("SBX1\x05\x03\x00\x00\xA1\xB2\xC3\xD4\xE5\xF6\x07\x18"); !bytes.Equal(got, want) {
 		t.Fatalf("hello bytes % x, want % x", got, want)
 	}
 	f, token, status, err := readHello(&buf)
@@ -59,8 +60,22 @@ func TestWireRoundTrip(t *testing.T) {
 
 	buf.Reset()
 	writeCreditAck(&buf, 5, 9)
+	if buf.Len() != ackBytes {
+		t.Fatalf("ack is %d bytes, want %d", buf.Len(), ackBytes)
+	}
+	ack := bytes.Clone(buf.Bytes())
 	if n, last, err := readCreditAck(&buf); err != nil || n != 5 || last != 9 {
 		t.Fatalf("credit ack round trip: %d %d %v", n, last, err)
+	}
+	// Any one-bit flip of the ack — credit count, cumulative ack or
+	// trailer — is refused, so a damaged ack can neither trim frames the
+	// server never ingested nor widen the send window.
+	for bit := 0; bit < ackBytes*8; bit++ {
+		damaged := bytes.Clone(ack)
+		damaged[bit/8] ^= 1 << (bit % 8)
+		if n, last, err := readCreditAck(bytes.NewReader(damaged)); !errors.Is(err, errAckChecksum) {
+			t.Fatalf("bit %d flipped: ack read as %d credits, last %d, err %v", bit, n, last, err)
+		}
 	}
 
 	// The PB trailer: any one-bit flip, in the records or in the trailer
@@ -81,19 +96,22 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// retiredHellos are the 8-byte hellos of the protocols this build
-// refuses: version 1 (row formats), version 2 (plus columnar), version 3
-// (sessions, opened by a four-message exchange).
+// retiredHellos are the hellos of the protocols this build refuses:
+// version 1 (row formats), version 2 (plus columnar), version 3
+// (sessions, opened by a four-message exchange), all 8 bytes, and
+// version 4 (this hello, 16 bytes, with the columnar digest over values
+// and unchecked acks behind it).
 var retiredHellos = []struct{ name, hello string }{
 	{"v1 row", "SBX1\x01\x01\x00\x00"},
 	{"v2 columnar", "SBX1\x02\x03\x00\x00"},
 	{"v3 session", "SBX1\x03\x03\x01\x00"},
+	{"v4 session", "SBX1\x04\x03\x00\x00" + strings.Repeat("\x00", 8)},
 }
 
-// v4Hello is a version-4 hello for a fresh session with the given
+// v5Hello is a version-5 hello for a fresh session with the given
 // format code.
-func v4Hello(format byte) string {
-	return "SBX1\x04" + string(format) + "\x00\x00" + strings.Repeat("\x00", 8)
+func v5Hello(format byte) string {
+	return "SBX1\x05" + string(format) + "\x00\x00" + strings.Repeat("\x00", 8)
 }
 
 func TestWireRejectsBadHandshake(t *testing.T) {
@@ -102,16 +120,16 @@ func TestWireRejectsBadHandshake(t *testing.T) {
 		status      byte
 	}
 	cases := []tc{
-		{"bad magic", "XXXX\x04\x03\x00\x00", statusBadMagic},
+		{"bad magic", "XXXX\x05\x03\x00\x00", statusBadMagic},
 		{"future version", "SBX1\x09\x03\x00\x00", statusBadMagic},
-		{"JSON code", v4Hello(byte(parsefmt.JSON)), statusBadFormat},
-		{"text code", v4Hello(byte(parsefmt.Text)), statusBadFormat},
-		{"unknown format", v4Hello(9), statusBadFormat},
-		{"cut inside the token", v4Hello(byte(parsefmt.PB))[:helloBytes-1], statusBadMagic},
+		{"JSON code", v5Hello(byte(parsefmt.JSON)), statusBadFormat},
+		{"text code", v5Hello(byte(parsefmt.Text)), statusBadFormat},
+		{"unknown format", v5Hello(9), statusBadFormat},
+		{"cut inside the token", v5Hello(byte(parsefmt.PB))[:helloBytes-1], statusBadMagic},
 	}
 	for _, r := range retiredHellos {
-		// Refused on the eight bytes those protocols send: nothing after
-		// them is waited for.
+		// Refused on their first eight bytes: nothing after them is
+		// waited for.
 		cases = append(cases, tc{r.name, r.hello, statusBadMagic})
 	}
 	for _, tc := range cases {
@@ -527,7 +545,9 @@ func TestConnCountersExposeCreditWindow(t *testing.T) {
 }
 
 // rawHelloGrant writes hello bytes to a fresh socket and returns the
-// server's grant plus whether the server then closed the socket.
+// server's grant plus whether the server then closed the socket. A close
+// that leaves hello bytes unread — a version-4 hello is refused on its
+// first eight of sixteen — reaches the client as a reset.
 func rawHelloGrant(t *testing.T, addr string, hello string) (g [grantBytes]byte, closed bool) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -543,7 +563,7 @@ func rawHelloGrant(t *testing.T, addr string, hello string) (g [grantBytes]byte,
 		t.Fatal(err)
 	}
 	_, err = conn.Read(make([]byte, 1))
-	return g, err == io.EOF
+	return g, err == io.EOF || errors.Is(err, syscall.ECONNRESET)
 }
 
 // TestHelloAckOverWire exercises the refusals end to end: bad magic, a
@@ -564,11 +584,11 @@ func TestHelloAckOverWire(t *testing.T) {
 		name, hello string
 		status      byte
 	}{
-		{"bad magic", "XXXX\x04\x03\x00\x00", statusBadMagic},
-		{"JSON code", v4Hello(byte(parsefmt.JSON)), statusBadFormat},
-		{"text code", v4Hello(byte(parsefmt.Text)), statusBadFormat},
-		{"unknown format", v4Hello(9), statusBadFormat},
-		{"unknown token", v4Hello(byte(parsefmt.PB))[:8] + "\x00\x00\x00\x00\x00\x00\x12\x34", statusExpired},
+		{"bad magic", "XXXX\x05\x03\x00\x00", statusBadMagic},
+		{"JSON code", v5Hello(byte(parsefmt.JSON)), statusBadFormat},
+		{"text code", v5Hello(byte(parsefmt.Text)), statusBadFormat},
+		{"unknown format", v5Hello(9), statusBadFormat},
+		{"unknown token", v5Hello(byte(parsefmt.PB))[:8] + "\x00\x00\x00\x00\x00\x00\x12\x34", statusExpired},
 	} {
 		g, closed := rawHelloGrant(t, addr, tc.hello)
 		if [4]byte(g[:4]) != magicGrant || g[4] != Version || g[5] != tc.status || !closed {
@@ -662,9 +682,9 @@ func TestHandshakeIsOneExchange(t *testing.T) {
 }
 
 // TestHelloRejectsLegacyModes: the retired protocols' hellos — version
-// 1, version 2 columnar, version 3 sessions — are each refused with
-// statusBadMagic and a close, on the eight bytes they send, and leave
-// nothing behind on the server.
+// 1, version 2 columnar, version 3 sessions, version 4 — are each
+// refused with statusBadMagic and a close, on their first eight bytes,
+// and leave nothing behind on the server.
 func TestHelloRejectsLegacyModes(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})

@@ -795,7 +795,7 @@ func (s *Server) countChecksumError(c *serverConn) {
 // its frame loop.
 type frameDecoder struct {
 	// Columnar: header staging, and — with a WAL attached — the
-	// per-column min/max the checksum pass fills for the log's packer.
+	// per-column min/max decodeColumnar fills for the log's packer.
 	hdr    [parsefmt.ColumnarHeaderBytes]byte
 	ranges []parsefmt.ColRange
 	// PB: the frame payload buffer.
@@ -876,16 +876,18 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 	}
 }
 
-// decodeColumnar reads one columnar frame straight from the socket into
-// pooled column slabs — no intermediate payload buffer, no per-record
-// work, just geometry validation, an endian fix (a no-op on
-// little-endian hosts) and a checksum scan. With a WAL attached the
-// checksum pass doubles as the packer's column scan: it fills d.ranges
-// with each column's min/max, and the timestamp column's max is the
-// frame's maxTs — no extra pass over the frame anywhere on the logging
-// path. Every failure returns ok false, which severs the connection
-// without advancing the ack: the client retransmits the frame, which
-// is how a frame corrupted in flight gets delivered after all.
+// decodeColumnar reads one columnar frame into pooled column slabs: no
+// per-record work, just geometry validation, a checksum over the bytes
+// as read and an endian fix (a no-op on little-endian hosts). The bytes
+// reach the slabs through the connection's bufio buffer, a copy the
+// slabs could skip by reading from the socket directly; a trial of that
+// moved the copy's time into read syscalls, with CPU per record flat, so
+// the buffer stays. With a WAL attached a separate scan fills d.ranges
+// with each column's min/max for the log's packer, and the timestamp
+// column's max is the frame's maxTs. Every failure returns ok false,
+// which severs the connection without advancing the ack: the client
+// retransmits the frame, which is how a frame corrupted in flight gets
+// delivered after all.
 func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader, size int64) (cols [][]uint64, maxTs uint64, ok bool) {
 	schema := s.cfg.Feed.Schema()
 	if size < parsefmt.ColumnarHeaderBytes {
@@ -906,14 +908,12 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 			s.cfg.Feed.Recycle(cols)
 			return nil, 0, false // truncated mid-frame: peer gone
 		}
-		parsefmt.FixWireOrder(cols[i])
 	}
 	defer s.addDecodeTime(time.Now())
-	var sum uint64
-	if d.ranges != nil {
-		sum = parsefmt.ChecksumColumnsRanges(cols, d.ranges)
-	} else {
-		sum = parsefmt.ChecksumColumns(cols)
+	var sum uint32
+	for _, col := range cols {
+		sum = parsefmt.UpdateCRC(sum, parsefmt.ColumnBytes(col)) // wire bytes, before the fix
+		parsefmt.FixWireOrder(col)
 	}
 	if sum != hdr.Checksum {
 		s.cfg.Feed.Recycle(cols)
@@ -921,6 +921,7 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 		return nil, 0, false
 	}
 	if d.ranges != nil {
+		parsefmt.ColumnRanges(cols, d.ranges)
 		maxTs = d.ranges[schema.TsCol].Max
 	} else {
 		for _, ts := range cols[schema.TsCol] {

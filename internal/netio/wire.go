@@ -20,12 +20,12 @@
 //
 // # Wire format
 //
-// There is one protocol, version 4: every stream is a resumable
+// There is one protocol, version 5: every stream is a resumable
 // session, opened by one message each way. Handshake and framing
 // integers are big-endian. The client opens with a 16-byte hello:
 //
 //	offset 0: magic "SBX1"
-//	offset 4: protocol version (4)
+//	offset 4: protocol version (5)
 //	offset 5: payload format: 1 binary (PB) or 3 columnar
 //	offset 6: reserved (2 bytes, zero)
 //	offset 8: resume token, uint64: the session to resume, or zero to
@@ -34,10 +34,10 @@
 // and the server answers with a 24-byte grant:
 //
 //	offset  0: magic "SBXA"
-//	offset  4: protocol version (4)
+//	offset  4: protocol version (5)
 //	offset  5: status: 0 OK; 1 bad magic or version (the retired
-//	           8-byte hellos of versions 1-3 are answered as soon as
-//	           their version byte is read); 2 not a wire format (the
+//	           hellos of versions 1-4 are answered as soon as their
+//	           version byte is read); 2 not a wire format (the
 //	           codes of JSON and text, 0 and 2, included); 3 overloaded
 //	           (admission control shed the handshake; back off and
 //	           redial); 4 the resume token names no live session
@@ -53,15 +53,17 @@
 // Then the client sends data frames — a uint32 payload length, a
 // uint64 frame sequence number, and that many payload bytes; a bare
 // zero length (no sequence number) marks a clean end of stream and
-// retires the session — and the server sends 12-byte acks, each a
+// retires the session — and the server sends 16-byte acks, each a
 // uint32 credit count extending the client's send window by that many
-// frames followed by the uint64 cumulative last-ingested sequence. The
-// client must keep one credit per in-flight frame. A columnar payload
-// is exactly one parsefmt columnar frame (24-byte header carrying a
-// checksum of the values + little-endian column-major data; see
-// parsefmt/columnar.go for the layout). A PB payload is the records'
-// length-delimited messages followed by a 4-byte trailer: the CRC-32C
-// (Castagnoli) of the bytes before it.
+// frames, the uint64 cumulative last-ingested sequence and the CRC-32C
+// of those 12 bytes. The client must keep one credit per in-flight
+// frame. A columnar payload is exactly one parsefmt columnar frame
+// (24-byte header carrying the CRC-32C of the data section +
+// little-endian column-major data; see parsefmt/columnar.go for the
+// layout). A PB payload is the records' length-delimited messages
+// followed by a 4-byte trailer: the CRC-32C of the bytes before it.
+// There is one checksum on the wire, CRC-32C (Castagnoli,
+// parsefmt.UpdateCRC), always over bytes exactly as sent.
 //
 // Frames at or below the acked sequence are discarded by the server
 // (duplicate replay after a resume) and a gap above the expected
@@ -69,20 +71,21 @@
 // buffer. One integrity rule covers every frame: a payload that fails
 // its checksum (or, columnar, whose geometry does not match its
 // length) severs the connection WITHOUT advancing the ack, so the
-// replay re-delivers the damaged frame. A PB payload that passes its
-// CRC and still does not parse was encoded wrong by the sender, and a
-// replay of the same bytes could not do better: it is counted as a
-// decode error, dropped whole and acked. A connection that ends without
-// the end-of-stream marker leaves its session resumable; the server
-// parks its watermark cursor after CursorGrace and expires it after
-// SessionTimeout.
+// replay re-delivers the damaged frame. An ack that fails its checksum
+// ends the client's credit stream the same way: the client severs,
+// resumes and replays whatever the damaged ack might have covered. A PB
+// payload that passes its CRC and still does not parse was encoded
+// wrong by the sender, and a replay of the same bytes could not do
+// better: it is counted as a decode error, dropped whole and acked. A
+// connection that ends without the end-of-stream marker leaves its
+// session resumable; the server parks its watermark cursor after
+// CursorGrace and expires it after SessionTimeout.
 package netio
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -91,9 +94,10 @@ import (
 
 // Version is the one wire protocol version this build speaks. The byte
 // stays in the hello and the grant so a future protocol can be told from
-// this one; versions 1-3 (8-byte hello, a four-message exchange) are
-// retired and refused at the handshake.
-const Version = 4
+// this one. Versions 1-3 (8-byte hello, a four-message exchange) and 4
+// (the columnar digest over values, unchecked acks) are retired and
+// refused at the handshake.
+const Version = 5
 
 var (
 	magicHello = [4]byte{'S', 'B', 'X', '1'}
@@ -251,28 +255,25 @@ func readGrant(r io.Reader) (grant, error) {
 	}
 }
 
-// castagnoli is the CRC-32C table (hardware-accelerated where the CPU
-// has the instruction).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// crcBytes is the size of a PB payload's checksum trailer.
+// crcBytes is the size of a CRC-32C trailer: a PB payload's, and an
+// ack's.
 const crcBytes = 4
 
-// appendCRC appends the CRC-32C trailer of the payload buf[from:] —
-// what precedes it is the sender's room for the frame header.
+// appendCRC appends the CRC-32C trailer of buf[from:] — what precedes
+// it is the sender's room for the frame header.
 func appendCRC(buf []byte, from int) []byte {
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[from:], castagnoli))
+	return binary.BigEndian.AppendUint32(buf, parsefmt.UpdateCRC(0, buf[from:]))
 }
 
-// splitCRC verifies a PB payload's trailer and returns the bytes it
-// covers; ok is false when the payload is too short to carry one or the
-// checksum does not match.
-func splitCRC(payload []byte) (body []byte, ok bool) {
-	if len(payload) < crcBytes {
+// splitCRC verifies a trailer and returns the bytes it covers; ok is
+// false when the message is too short to carry one or the checksum does
+// not match.
+func splitCRC(msg []byte) (body []byte, ok bool) {
+	if len(msg) < crcBytes {
 		return nil, false
 	}
-	body = payload[:len(payload)-crcBytes]
-	return body, binary.BigEndian.Uint32(payload[len(body):]) == crc32.Checksum(body, castagnoli)
+	body = msg[:len(msg)-crcBytes]
+	return body, binary.BigEndian.Uint32(msg[len(body):]) == parsefmt.UpdateCRC(0, body)
 }
 
 // frameHeaderBytes is what precedes a data frame's payload on the wire:
@@ -312,22 +313,38 @@ func readFrameHeader(r io.Reader) (size int64, seq uint64, eos bool, err error) 
 	return size, binary.BigEndian.Uint64(s[:]), false, nil
 }
 
+// ackBytes is the size of one ack: the uint32 credit count, the uint64
+// cumulative ack and the CRC-32C trailer of those 12 bytes.
+const ackBytes = 16
+
+// errAckChecksum marks an ack damaged in flight. Neither its credit
+// count nor its cumulative ack can be trusted, so the client ends the
+// connection's credit stream and resumes.
+var errAckChecksum = errors.New("netio: ack failed its checksum")
+
 // writeCreditAck sends one ack: the uint32 credit extension plus the
 // cumulative ack — the last frame sequence number the server has fully
-// ingested, which lets the client trim its replay buffer.
+// ingested, which lets the client trim its replay buffer — and their
+// CRC-32C.
 func writeCreditAck(w io.Writer, n uint32, lastSeq uint64) error {
-	var b [12]byte
+	var b [ackBytes]byte
 	binary.BigEndian.PutUint32(b[:4], n)
 	binary.BigEndian.PutUint64(b[4:], lastSeq)
+	appendCRC(b[:ackBytes-crcBytes], 0) // fills b's last 4 bytes in place
 	_, err := w.Write(b[:])
 	return err
 }
 
-// readCreditAck reads one ack.
+// readCreditAck reads one ack; one that fails its checksum is
+// errAckChecksum.
 func readCreditAck(r io.Reader) (n uint32, lastSeq uint64, err error) {
-	var b [12]byte
+	var b [ackBytes]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, 0, err
 	}
-	return binary.BigEndian.Uint32(b[:4]), binary.BigEndian.Uint64(b[4:]), nil
+	body, ok := splitCRC(b[:])
+	if !ok {
+		return 0, 0, errAckChecksum
+	}
+	return binary.BigEndian.Uint32(body[:4]), binary.BigEndian.Uint64(body[4:]), nil
 }

@@ -12,22 +12,26 @@
 //	offset  6: reserved (2 bytes, zero)
 //	offset  8: nrows, uint32 little-endian
 //	offset 12: reserved (4 bytes, zero)
-//	offset 16: checksum, uint64 little-endian (xxHash64-derived, over
-//	           the data words in column order)
+//	offset 16: checksum, uint32 little-endian: the CRC-32C (Castagnoli)
+//	           of the data section's bytes as sent
+//	offset 20: reserved (4 bytes, zero)
 //	offset 24: data — ncols columns back to back, each nrows
 //	           little-endian uint64 values
 //
 // Unlike the big-endian handshake/framing integers, columnar payloads
 // are little-endian on the wire: that is the native order of every
-// deployment host, so the receive path lands socket bytes directly in
-// column slabs and FixWireOrder is a no-op (big-endian hosts swap in
-// place). The checksum is defined over the decoded values, not the raw
-// bytes, so both ends compute it over their native representation.
+// deployment host, so the receive path copies the bytes it reads into
+// column slabs as they are and FixWireOrder is a no-op (big-endian hosts
+// swap in place). The checksum is defined over the wire bytes, so it is
+// the same on every host, and either end computes it over bytes it has
+// just copied: the sender over the frame it encoded, the receiver over
+// the bytes it read, before fixing their order.
 package parsefmt
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"unsafe"
 )
@@ -47,7 +51,7 @@ var hostLittle = func() bool {
 // ColumnarHeader is one parsed columnar frame header.
 type ColumnarHeader struct {
 	NCols, NRows int
-	Checksum     uint64
+	Checksum     uint32
 }
 
 // ColumnarDataBytes returns the data-section size of an ncols × nrows
@@ -58,14 +62,15 @@ func ColumnarDataBytes(ncols, nrows int) int64 {
 
 // PutColumnarHeader writes a frame header into dst (at least
 // ColumnarHeaderBytes long).
-func PutColumnarHeader(dst []byte, ncols, nrows int, checksum uint64) {
+func PutColumnarHeader(dst []byte, ncols, nrows int, checksum uint32) {
 	_ = dst[:ColumnarHeaderBytes]
 	copy(dst, columnarMagic[:])
 	binary.LittleEndian.PutUint16(dst[4:], uint16(ncols))
 	binary.LittleEndian.PutUint16(dst[6:], 0)
 	binary.LittleEndian.PutUint32(dst[8:], uint32(nrows))
 	binary.LittleEndian.PutUint32(dst[12:], 0)
-	binary.LittleEndian.PutUint64(dst[16:], checksum)
+	binary.LittleEndian.PutUint32(dst[16:], checksum)
+	binary.LittleEndian.PutUint32(dst[20:], 0)
 }
 
 // ParseColumnarHeader validates and parses a frame header. It checks
@@ -79,13 +84,13 @@ func ParseColumnarHeader(h []byte) (ColumnarHeader, error) {
 	if [4]byte(h[:4]) != columnarMagic {
 		return ColumnarHeader{}, fmt.Errorf("parsefmt: columnar: bad magic %q", h[:4])
 	}
-	if binary.LittleEndian.Uint16(h[6:]) != 0 || binary.LittleEndian.Uint32(h[12:]) != 0 {
+	if binary.LittleEndian.Uint16(h[6:]) != 0 || binary.LittleEndian.Uint32(h[12:]) != 0 || binary.LittleEndian.Uint32(h[20:]) != 0 {
 		return ColumnarHeader{}, fmt.Errorf("parsefmt: columnar: nonzero reserved header bytes")
 	}
 	hdr := ColumnarHeader{
 		NCols:    int(binary.LittleEndian.Uint16(h[4:])),
 		NRows:    int(binary.LittleEndian.Uint32(h[8:])),
-		Checksum: binary.LittleEndian.Uint64(h[16:]),
+		Checksum: binary.LittleEndian.Uint32(h[16:]),
 	}
 	if hdr.NCols == 0 || hdr.NRows == 0 {
 		return ColumnarHeader{}, fmt.Errorf("parsefmt: columnar: empty frame (%d cols × %d rows)", hdr.NCols, hdr.NRows)
@@ -94,7 +99,7 @@ func ParseColumnarHeader(h []byte) (ColumnarHeader, error) {
 }
 
 // ColumnBytes aliases a column's backing array as bytes, in host
-// representation, so the receive path can io.ReadFull socket bytes
+// representation, so the receive path can io.ReadFull wire bytes
 // straight into a pooled slab (and the send path can write a slab
 // without re-encoding). Pair with FixWireOrder to convert between wire
 // (little-endian) and host order; on little-endian hosts both are the
@@ -126,87 +131,60 @@ func swapWords(col []uint64) {
 
 // --- Checksum ---------------------------------------------------------------
 
-// xxHash64 primes.
-const (
-	xxhPrime1 = 0x9E3779B185EBCA87
-	xxhPrime2 = 0xC2B2AE3D27D4EB4F
-	xxhPrime3 = 0x165667B19E3779F9
-)
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the CPU's
+// CRC32 instruction where there is one (SSE4.2, ARMv8).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func xxhRound(acc, w uint64) uint64 {
-	acc += w * xxhPrime2
-	acc = bits.RotateLeft64(acc, 31)
-	return acc * xxhPrime1
+// UpdateCRC returns crc extended over p by CRC-32C (Castagnoli). It is
+// the one checksum on the wire: a columnar frame's header carries
+// UpdateCRC(0, data section), a PB payload's trailer that of its records
+// and a credit ack that of its first 12 bytes — each over the bytes
+// exactly as sent.
+func UpdateCRC(crc uint32, p []byte) uint32 {
+	return crc32.Update(crc, castagnoli, p)
 }
 
-func xxhMerge(h, acc uint64) uint64 {
-	h ^= xxhRound(0, acc)
-	return h*xxhPrime1 + 0x85EBCA77C2B2AE63
-}
-
-// ChecksumColumns computes the frame checksum: an xxHash64-derived
-// digest over the batch's words in column order, word i feeding hash
-// lane i mod 4. One multiply+rotate per word keeps it far off the ingest
-// critical path's bandwidth, and operating on values (not bytes) makes
-// it endian-independent.
-//
-// The loop is ChecksumColumnsRanges' without the ranges: four words per
-// step, each slot keeping a fixed lane in a register of its own for the
-// whole column, where indexing the lanes by a variable would keep them
-// in memory.
-func ChecksumColumns(cols [][]uint64) uint64 {
-	acc := [4]uint64{xxhPrime1, xxhPrime2, 0, 0}
-	acc[0] += xxhPrime2 // wrapping variable arithmetic: these sums overflow as constants
-	acc[3] -= xxhPrime1
-	lane := 0
-	var words uint64
+// ChecksumColumns computes the frame checksum of cols: the CRC-32C of
+// their wire bytes, little-endian words in column order — the data
+// section AppendColumnarFrame writes, so it is the same on every host.
+func ChecksumColumns(cols [][]uint64) uint32 {
+	var crc uint32
 	for _, col := range cols {
-		n := len(col)
-		i := 0
-		if n >= 4 {
-			l0, l1, l2, l3 := lane, (lane+1)&3, (lane+2)&3, (lane+3)&3
-			a0, a1, a2, a3 := acc[l0], acc[l1], acc[l2], acc[l3]
-			for ; i+4 <= n; i += 4 {
-				c := col[i : i+4 : i+4]
-				a0 = xxhRound(a0, c[0])
-				a1 = xxhRound(a1, c[1])
-				a2 = xxhRound(a2, c[2])
-				a3 = xxhRound(a3, c[3])
-			}
-			acc[l0], acc[l1], acc[l2], acc[l3] = a0, a1, a2, a3
+		if hostLittle {
+			crc = UpdateCRC(crc, ColumnBytes(col))
+		} else {
+			crc = updateCRCStaged(crc, col)
 		}
-		for ; i < n; i++ {
-			acc[(lane+i)&3] = xxhRound(acc[(lane+i)&3], col[i])
-		}
-		lane = (lane + n) & 3
-		words += uint64(n)
 	}
-	return xxhFinal(acc, words)
+	return crc
 }
 
-// ColRange is one column's exact value range. The WAL's
+// updateCRCStaged extends crc over col's wire bytes staged a block at a
+// time: the big-endian host's path, split out so it stays testable on
+// little-endian hosts.
+func updateCRCStaged(crc uint32, col []uint64) uint32 {
+	var buf [512]byte
+	for len(col) > 0 {
+		n := min(len(col), len(buf)/8)
+		for i, v := range col[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], v)
+		}
+		crc = UpdateCRC(crc, buf[:8*n])
+		col = col[n:]
+	}
+	return crc
+}
+
+// ColRange is one column's exact value range: the WAL's
 // frame-of-reference packer needs each column's min (the base) and max
-// (the delta width); computing them in the checksum pass costs two
-// compares on words already in registers, where a separate scan would
-// re-stream the whole frame.
+// (the delta width).
 type ColRange struct{ Min, Max uint64 }
 
-// ChecksumColumnsRanges computes the same digest as ChecksumColumns —
-// bit for bit, both ends of the wire must agree — and fills ranges[i]
-// with column i's min/max in the same pass. ranges must have len(cols)
-// entries; an empty column yields {0, 0}.
-//
-// The loop is unrolled four wide: each slot keeps a fixed hash lane
-// (lane is the global word index mod 4, so advancing four words leaves
-// every slot's lane unchanged), and min/max alternates between two
-// accumulator pairs so the loop-carried compare chain is half as deep
-// as a naive fused scan.
-func ChecksumColumnsRanges(cols [][]uint64, ranges []ColRange) uint64 {
-	acc := [4]uint64{xxhPrime1, xxhPrime2, 0, 0}
-	acc[0] += xxhPrime2
-	acc[3] -= xxhPrime1
-	lane := 0
-	var words uint64
+// ColumnRanges fills ranges[i] with column i's min/max; ranges must
+// have len(cols) entries, and an empty column yields {0, 0}. The loop is
+// unrolled four wide, min/max alternating between two accumulator pairs
+// so the loop-carried compare chain is half as deep as a naive scan.
+func ColumnRanges(cols [][]uint64, ranges []ColRange) {
 	for ci, col := range cols {
 		var lo, hi uint64
 		n := len(col)
@@ -216,15 +194,9 @@ func ChecksumColumnsRanges(cols [][]uint64, ranges []ColRange) uint64 {
 		i := 0
 		if n >= 4 {
 			lo2, hi2 := lo, hi
-			l0, l1, l2, l3 := lane, (lane+1)&3, (lane+2)&3, (lane+3)&3
-			a0, a1, a2, a3 := acc[l0], acc[l1], acc[l2], acc[l3]
 			for ; i+4 <= n; i += 4 {
 				c := col[i : i+4 : i+4]
 				v0, v1, v2, v3 := c[0], c[1], c[2], c[3]
-				a0 = xxhRound(a0, v0)
-				a1 = xxhRound(a1, v1)
-				a2 = xxhRound(a2, v2)
-				a3 = xxhRound(a3, v3)
 				if v0 < lo {
 					lo = v0
 				}
@@ -250,44 +222,26 @@ func ChecksumColumnsRanges(cols [][]uint64, ranges []ColRange) uint64 {
 					hi2 = v3
 				}
 			}
-			acc[l0], acc[l1], acc[l2], acc[l3] = a0, a1, a2, a3
-			if lo2 < lo {
-				lo = lo2
-			}
-			if hi2 > hi {
-				hi = hi2
-			}
+			lo, hi = min(lo, lo2), max(hi, hi2)
 		}
-		for ; i < n; i++ {
-			v := col[i]
+		for _, v := range col[i:] {
 			if v < lo {
 				lo = v
 			}
 			if v > hi {
 				hi = v
 			}
-			acc[(lane+i)&3] = xxhRound(acc[(lane+i)&3], v)
 		}
-		lane = (lane + n) & 3
-		words += uint64(n)
 		ranges[ci] = ColRange{Min: lo, Max: hi}
 	}
-	return xxhFinal(acc, words)
 }
 
-func xxhFinal(acc [4]uint64, words uint64) uint64 {
-	h := bits.RotateLeft64(acc[0], 1) + bits.RotateLeft64(acc[1], 7) +
-		bits.RotateLeft64(acc[2], 12) + bits.RotateLeft64(acc[3], 18)
-	for _, a := range acc {
-		h = xxhMerge(h, a)
-	}
-	h ^= words * 8
-	h ^= h >> 33
-	h *= xxhPrime2
-	h ^= h >> 29
-	h *= xxhPrime3
-	h ^= h >> 32
-	return h
+// ChecksumColumnsRanges returns ChecksumColumns(cols) and fills ranges
+// as ColumnRanges does: the digest a frame of cols carries, and the scan
+// the WAL's packer needs.
+func ChecksumColumnsRanges(cols [][]uint64, ranges []ColRange) uint64 {
+	ColumnRanges(cols, ranges)
+	return uint64(ChecksumColumns(cols))
 }
 
 // --- Batch encode/decode ----------------------------------------------------
@@ -295,7 +249,9 @@ func xxhFinal(acc [4]uint64, words uint64) uint64 {
 // AppendColumnarFrame appends one frame (header + data) holding cols to
 // dst and returns the extended slice. Columns must be non-empty, of
 // equal length, at most 65535 of them and at most 1<<32-1 rows —
-// violations are programmer errors and panic.
+// violations are programmer errors and panic. The data is copied first
+// and checksummed after, over the bytes just written: the caller's
+// columns are read once, and the checksum reads a copy still in cache.
 func AppendColumnarFrame(dst []byte, cols [][]uint64) []byte {
 	ncols := len(cols)
 	if ncols == 0 || ncols > 0xFFFF {
@@ -310,12 +266,12 @@ func AppendColumnarFrame(dst []byte, cols [][]uint64) []byte {
 			panic("parsefmt: columnar: ragged columns")
 		}
 	}
-	var hdr [ColumnarHeaderBytes]byte
-	PutColumnarHeader(hdr[:], ncols, nrows, ChecksumColumns(cols))
-	dst = append(dst, hdr[:]...)
+	start := len(dst)
+	dst = append(dst, make([]byte, ColumnarHeaderBytes)...)
 	for _, c := range cols {
 		dst = appendWireWords(dst, c)
 	}
+	PutColumnarHeader(dst[start:], ncols, nrows, UpdateCRC(0, dst[start+ColumnarHeaderBytes:]))
 	return dst
 }
 
@@ -341,10 +297,11 @@ func appendWireWords(dst []byte, col []uint64) []byte {
 // DecodeColumnarFrame validates one frame payload and returns its
 // columns. The payload must be exactly one frame: every dimension is
 // bounds-checked against len(payload) before any data is touched, the
-// checksum must match, and malformed input returns an error — never a
-// panic or an over-read. takeCol, when non-nil, supplies column storage
-// of the requested length (the pooled-slab seam); nil falls back to
-// make.
+// checksum is verified over the payload before anything is copied out
+// of it, and malformed input returns an error — never a panic or an
+// over-read. takeCol, when non-nil, supplies
+// column storage of the requested length (the pooled-slab seam); nil
+// falls back to make.
 func DecodeColumnarFrame(payload []byte, takeCol func(rows int) []uint64) ([][]uint64, error) {
 	hdr, err := ParseColumnarHeader(payload)
 	if err != nil {
@@ -354,19 +311,19 @@ func DecodeColumnarFrame(payload []byte, takeCol func(rows int) []uint64) ([][]u
 	if int64(len(payload)) != want {
 		return nil, fmt.Errorf("parsefmt: columnar: %d-byte payload, header describes %d", len(payload), want)
 	}
+	data := payload[ColumnarHeaderBytes:]
+	if sum := UpdateCRC(0, data); sum != hdr.Checksum {
+		return nil, fmt.Errorf("parsefmt: columnar: checksum %#x, frame declares %#x", sum, hdr.Checksum)
+	}
 	if takeCol == nil {
 		takeCol = func(rows int) []uint64 { return make([]uint64, rows) }
 	}
 	cols := make([][]uint64, hdr.NCols)
-	data := payload[ColumnarHeaderBytes:]
 	for i := range cols {
 		cols[i] = takeCol(hdr.NRows)[:hdr.NRows]
 		copy(ColumnBytes(cols[i]), data[:hdr.NRows*8])
 		FixWireOrder(cols[i])
 		data = data[hdr.NRows*8:]
-	}
-	if sum := ChecksumColumns(cols); sum != hdr.Checksum {
-		return nil, fmt.Errorf("parsefmt: columnar: checksum %#x, frame declares %#x", sum, hdr.Checksum)
 	}
 	return cols, nil
 }

@@ -2,7 +2,9 @@ package parsefmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -80,6 +82,8 @@ func TestColumnarRejectsMalformedFrames(t *testing.T) {
 		"trailing bytes":   append(bytes.Clone(good), 0),
 		"rows beyond data": mutate(func(b []byte) { b[8]++ }),
 		"bad checksum":     mutate(func(b []byte) { b[16] ^= 1 }),
+		"reserved crc":     mutate(func(b []byte) { b[20] = 1 }),
+		"reserved crc top": mutate(func(b []byte) { b[23] = 0x80 }),
 		"corrupt word":     mutate(func(b []byte) { b[ColumnarHeaderBytes+3] ^= 0x80 }),
 	}
 	for name, frame := range cases {
@@ -111,19 +115,18 @@ func TestChecksumColumnsSensitivity(t *testing.T) {
 	}
 }
 
-// TestChecksumColumnsRangesMatches pins the wire contract: the fused
-// checksum+min/max scan (server ingest) must produce the exact digest
-// of ChecksumColumns (client encode) for any geometry — including the
-// ragged and sub-unroll column lengths the unrolled loop special-cases
-// — along with exact per-column ranges.
+// TestChecksumColumnsRangesMatches pins the benchmark's replay seam:
+// ChecksumColumnsRanges returns the digest of ChecksumColumns for any
+// geometry — ragged and sub-unroll column lengths included — along with
+// exact per-column ranges.
 func TestChecksumColumnsRangesMatches(t *testing.T) {
 	for _, dims := range [][2]int{{1, 1}, {1, 3}, {2, 4}, {7, 5}, {7, 64}, {3, 1001}, {5, 0}} {
 		cols := sampleCols(dims[0], dims[1])
 		if dims[0] > 1 && dims[1] > 2 {
-			cols[1] = cols[1][:dims[1]-2] // ragged: lane offset shifts mid-frame
+			cols[1] = cols[1][:dims[1]-2] // ragged: the unroll's tail differs per column
 		}
 		ranges := make([]ColRange, len(cols))
-		if got, want := ChecksumColumnsRanges(cols, ranges), ChecksumColumns(cols); got != want {
+		if got, want := ChecksumColumnsRanges(cols, ranges), uint64(ChecksumColumns(cols)); got != want {
 			t.Fatalf("%v: fused checksum %#x, ChecksumColumns %#x", dims, got, want)
 		}
 		for ci, col := range cols {
@@ -146,28 +149,24 @@ func TestChecksumColumnsRangesMatches(t *testing.T) {
 	}
 }
 
-// checksumColumnsRef is the frame checksum one word at a time, the lane
-// advancing per word: the definition both production loops unroll.
-func checksumColumnsRef(cols [][]uint64) uint64 {
-	acc := [4]uint64{xxhPrime1, xxhPrime2, 0, 0}
-	acc[0] += xxhPrime2
-	acc[3] -= xxhPrime1
-	lane := 0
-	var words uint64
+// checksumColumnsRef is the frame checksum from its definition, with
+// the standard library alone: each word's little-endian bytes
+// (encoding/binary), in column order, fed to crc32.Checksum with the
+// Castagnoli table.
+func checksumColumnsRef(cols [][]uint64) uint32 {
+	var wire []byte
 	for _, col := range cols {
 		for _, w := range col {
-			acc[lane] = xxhRound(acc[lane], w)
-			lane = (lane + 1) & 3
-			words++
+			wire = binary.LittleEndian.AppendUint64(wire, w)
 		}
 	}
-	return xxhFinal(acc, words)
+	return crc32.Checksum(wire, crc32.MakeTable(crc32.Castagnoli))
 }
 
 // goldenFrames are the geometries TestChecksumColumnsGolden pins: 1, 3
-// and 7 columns of 1, 3, 5 and 4 097 rows — below, at and across the
-// four-word unroll — and a ragged frame whose lane offset shifts at
-// every column, an empty one among them.
+// and 7 columns of 1, 3, 5 and 4 097 rows — below, at and past one
+// staging block of the big-endian path — and a ragged frame, an empty
+// column among them.
 func goldenFrames() map[string][][]uint64 {
 	frames := make(map[string][][]uint64)
 	for _, ncols := range []int{1, 3, 7} {
@@ -182,15 +181,17 @@ func goldenFrames() map[string][][]uint64 {
 }
 
 // TestChecksumColumnsGolden pins the wire bytes: the digests frames
-// carry, as literals taken before ChecksumColumns was unrolled, from the
-// reference loop and from both production loops. A frame encoded by
-// any earlier build must still verify.
+// carry, as literals computed by checksumColumnsRef, against the
+// reference itself, ChecksumColumns, ChecksumColumnsRanges, the staged
+// path big-endian hosts take and — for every frame a sender can encode —
+// the header AppendColumnarFrame writes. The literals changed with wire
+// version 5, when the digest became the CRC-32C of the data bytes.
 func TestChecksumColumnsGolden(t *testing.T) {
-	golden := map[string]uint64{
-		"1x1": 0xbe72d008b5d492ad, "1x3": 0x6592d938c59c91b5, "1x5": 0xf3f31d7caa5fc8c6, "1x4097": 0x966f1f734bf37ccd,
-		"3x1": 0x540ebc310f5db9dd, "3x3": 0x8c0d86178a3feb45, "3x5": 0x3e2805c61635137c, "3x4097": 0xb2a490b8f2889fb1,
-		"7x1": 0x12a95e8008bbc05a, "7x3": 0x791ad678c37c0259, "7x5": 0xbe8bf02641fb634a, "7x4097": 0x6d44fb360a931db7,
-		"ragged": 0xcd7dd59bda244908,
+	golden := map[string]uint32{
+		"1x1": 0x8c28b28a, "1x3": 0x0a64cbb8, "1x5": 0x55e85085, "1x4097": 0xcf99949a,
+		"3x1": 0x0aed1b5f, "3x3": 0x979f8544, "3x5": 0x6b05d068, "3x4097": 0x3fb1fed2,
+		"7x1": 0x1ca13a02, "7x3": 0x681a366e, "7x5": 0xee7586d7, "7x4097": 0x2a855006,
+		"ragged": 0x15be4d40,
 	}
 	frames := goldenFrames()
 	if len(frames) != len(golden) {
@@ -202,15 +203,56 @@ func TestChecksumColumnsGolden(t *testing.T) {
 			t.Fatalf("frame %s has no golden digest", name)
 		}
 		ranges := make([]ColRange, len(cols))
-		for loop, got := range map[string]uint64{
+		var staged uint32
+		for _, col := range cols {
+			staged = updateCRCStaged(staged, col)
+		}
+		loops := map[string]uint32{
 			"reference":             checksumColumnsRef(cols),
 			"ChecksumColumns":       ChecksumColumns(cols),
-			"ChecksumColumnsRanges": ChecksumColumnsRanges(cols, ranges),
-		} {
+			"ChecksumColumnsRanges": uint32(ChecksumColumnsRanges(cols, ranges)),
+			"staged":                staged,
+		}
+		if name != "ragged" {
+			hdr, err := ParseColumnarHeader(EncodeColumnarFrame(cols))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			loops["AppendColumnarFrame"] = hdr.Checksum
+		}
+		for loop, got := range loops {
 			if got != want {
-				t.Errorf("%s: %s digest %#x, golden %#x", name, loop, got, want)
+				t.Errorf("%s: %s digest %#08x, golden %#08x", name, loop, got, want)
 			}
 		}
+	}
+}
+
+// TestCRC32CKnownAnswer pins UpdateCRC to the published CRC-32C check
+// value, and its chaining: a digest extended piecewise equals the
+// digest of the whole.
+func TestCRC32CKnownAnswer(t *testing.T) {
+	if got := UpdateCRC(0, []byte("123456789")); got != 0xE3069283 {
+		t.Fatalf("CRC-32C(\"123456789\") = %#08x, want 0xe3069283", got)
+	}
+	if got := UpdateCRC(UpdateCRC(0, []byte("1234")), []byte("56789")); got != 0xE3069283 {
+		t.Fatalf("chained CRC-32C = %#08x, want 0xe3069283", got)
+	}
+}
+
+// TestColumnarFrameDetectsEveryBitFlip: any one-bit flip anywhere in a
+// 7 × 5 frame — header or data — is refused by the decoder.
+func TestColumnarFrameDetectsEveryBitFlip(t *testing.T) {
+	frame := EncodeColumnarFrame(sampleCols(7, 5))
+	for bit := 0; bit < len(frame)*8; bit++ {
+		frame[bit/8] ^= 1 << (bit % 8)
+		if _, err := DecodeColumnarFrame(frame, nil); err == nil {
+			t.Fatalf("bit %d (byte %d) flipped and the frame still decoded", bit, bit/8)
+		}
+		frame[bit/8] ^= 1 << (bit % 8)
+	}
+	if _, err := DecodeColumnarFrame(frame, nil); err != nil {
+		t.Fatalf("restored frame rejected: %v", err)
 	}
 }
 

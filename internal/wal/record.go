@@ -124,8 +124,8 @@ func (r *Record) CopyCols(cols [][]uint64) [][]uint64 {
 // appendRecord serializes a record body (length prefix included) into
 // buf and returns the extended slice. cols is nil for control records.
 // ranges, when non-nil, must hold each column's exact min and max —
-// the ingest path computes them during its checksum pass, sparing this
-// function a second scan over the frame; a stale or wrong range would
+// the ingest path computes them once, with the frame's maxTs, sparing
+// this function a second scan over the frame; a stale or wrong range would
 // pack deltas that the decoder's canonicality check rejects. A nil
 // ranges scans here.
 func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) []byte {

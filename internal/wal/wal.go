@@ -406,7 +406,8 @@ func (l *Log) Sync(lsn LSN) error {
 // AppendFrame logs an accepted data frame. cols hold equal-length
 // columns (the engine's native layout); ranges, when non-nil, carry
 // each column's exact min/max so the packer skips its own scan (the
-// ingest path gets them for free from its checksum pass). When durable
+// ingest path scans them once, taking the frame's maxTs from the same
+// scan). When durable
 // is set the call blocks until the record is fsynced — the
 // precondition for advancing a session ack, and what the ingest server
 // always asks for; otherwise it returns after the buffered write and
