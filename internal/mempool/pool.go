@@ -341,13 +341,16 @@ const colPoison = 0xDEAD_C015_DEAD_C015
 // too would double-count every record into spurious backpressure.
 // That charge is the rows, not the slab: the class rounding is resident
 // but uncharged (a 10 000-row column is 80 KB in a 128 KiB slab, so up
-// to 2x the charged bytes just past a class boundary), and the column
-// free lists have no cap — they keep the high-water mark of slabs for
-// the life of the pool (streambox_mempool_colslab_cached_bytes) where
-// heap columns would have been garbage-collected.
+// to 2x the charged bytes just past a class boundary; a network feed
+// takes one slab for all seven columns of a frame, so a 4 096-row frame
+// is 224 KiB in a 256 KiB slab, where its seven 32 KiB columns each
+// filled a class exactly), and the column free lists have no cap — they
+// keep the high-water mark of slabs for the life of the pool
+// (streambox_mempool_colslab_cached_bytes) where heap columns would have
+// been garbage-collected.
 // Recycled slabs hold stale contents — the taker overwrites every
 // element before reading (columnar frames by io.ReadFull, row decoders
-// and generators by append).
+// by index, generators by append).
 func (p *Pool) TakeCol(t memsim.Tier, rows int) []uint64 {
 	p.colsOut.Add(1)
 	bytes := int64(rows) * 8

@@ -560,6 +560,62 @@ func testSessionResumeDedupe(t *testing.T, format parsefmt.Format) {
 	}
 }
 
+// TestAcksCoalesceOverBufferedFrames sends 8 small PB frames in one
+// write, so the server finds the later ones already buffered: it owes
+// their credit and writes one ack for what it consumed, rather than one
+// per frame. The credits still add up to the frames sent, no ack is
+// empty, and the server's ack counter saw exactly the acks read.
+func TestAcksCoalesceOverBufferedFrames(t *testing.T) {
+	const frames = 8
+	feed := NewFeed(WireSchema(), 64)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, done := collect(feed)
+	gen := RecordGen{Keys: 16, WindowRecords: 100}
+	conn, _, _, _ := rawSessionDial(t, srv.Addr().String(), parsefmt.PB, 0)
+	defer conn.Close()
+	var burst bytes.Buffer
+	for seq := uint64(1); seq <= frames; seq++ {
+		if err := writeSeqFrame(&burst, seq, genPayload(parsefmt.PB, &gen, int(seq-1)*10, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var acks, credits int
+	for last := uint64(0); last < frames; {
+		n, seq, err := readCreditAck(conn)
+		if err != nil {
+			t.Fatalf("ack %d: %v", acks+1, err)
+		}
+		if n < 1 {
+			t.Fatalf("ack %d grants %d credits, want at least 1", acks+1, n)
+		}
+		acks++
+		credits += int(n)
+		last = seq
+	}
+	if credits != frames {
+		t.Errorf("acks granted %d credits for %d frames", credits, frames)
+	}
+	if acks >= frames {
+		t.Errorf("%d acks for %d buffered frames, want fewer", acks, frames)
+	}
+	t.Logf("%d frames, %d acks", frames, acks)
+	srv.Close() // the handler has exited: its counts are final
+	<-done
+	if n := srv.acks.Load(); n != int64(acks) {
+		t.Errorf("streambox_ingest_acks_total reads %d, %d acks were read", n, acks)
+	}
+	if n := got.Load(); n != frames*10 {
+		t.Fatalf("ingested %d records, want %d", n, frames*10)
+	}
+}
+
 // TestTakeoverWaitsForInFlightDelivery is the regression for the
 // exactly-once hole in session takeover. Connection A holds a fully
 // read, decoded frame 2 and is blocked pushing it into a stalled

@@ -46,16 +46,17 @@ type feedCursor struct {
 // run.
 //
 // Column memory comes from a mempool — the feed's own from NewFeed on,
-// the engine's once UsePool attaches it — and every slab has one holder
-// at a time: the handler that borrowed it (borrowCols) until deliver
-// pushes the batch; the feed while the batch is queued — uncharged, the
-// queue is bounded; then the bundle the runtime seals over the batch,
-// never copying it — charged to the DRAM tier at that adoption — until
-// the bundle's last Release calls Recycle. Whoever drops a batch
-// instead (a damaged frame, a superseded connection, a push refused by
-// shutdown, a batch the runtime rejects) calls Recycle itself, so the
-// pool's ColsOut returns to zero whenever nothing is in flight. Only the
-// [][]uint64 headers cycle through a sync.Pool.
+// the engine's once UsePool attaches it — one slab per batch, and every
+// slab has one holder at a time: the handler that borrowed it
+// (borrowCols) until deliver pushes the batch; the feed while the batch
+// is queued — uncharged, the queue is bounded; then the bundle the
+// runtime seals over the batch, never copying it — charged to the DRAM
+// tier at that adoption — until the bundle's last Release calls
+// Recycle. Whoever drops a batch instead (a damaged frame, a superseded
+// connection, a push refused by shutdown, a batch the runtime rejects)
+// calls Recycle itself, so the pool's ColsOut returns to zero whenever
+// nothing is in flight. Only the [][]uint64 headers cycle through a
+// sync.Pool.
 type Feed struct {
 	schema bundle.Schema
 	ch     chan batch
@@ -220,6 +221,24 @@ func (f *Feed) push(b batch) bool {
 	return false
 }
 
+// offer delivers a batch only if the buffer has room now: false, with b
+// still the caller's, when the push would block or shutdown has begun.
+// The frame loop offers first so it can settle its owed credit before
+// it waits (Server.deliver).
+func (f *Feed) offer(b batch) bool {
+	select {
+	case <-f.stop:
+		return false
+	default:
+	}
+	select {
+	case f.ch <- b:
+		return true
+	default:
+		return false
+	}
+}
+
 // retire removes a connection's cursor directly, for handlers whose
 // sentinel could not be delivered during shutdown.
 func (f *Feed) retire(conn int64) {
@@ -310,28 +329,33 @@ func (f *Feed) Recv(maxWait time.Duration) ([][]uint64, bool, bool) {
 // the release hook of the bundle sealed over it, called from whichever
 // goroutine drops that bundle's last reference, and the one call every
 // path that drops a batch short of a bundle makes. Nothing may read cols
-// afterwards. Column slabs return to the pool's column free lists; the
+// afterwards. The batch's one slab returns to the pool's column free
+// lists through its first column, which kept the slab's capacity; the
 // bare header joins the header pool.
 func (f *Feed) Recycle(cols [][]uint64) {
 	if len(cols) != f.schema.NumCols {
 		return
 	}
-	for i := range cols {
-		f.pool.PutCol(colTier, cols[i])
-		cols[i] = nil
-	}
+	f.pool.PutCol(colTier, cols[0])
+	clear(cols)
 	f.headers.Put(&cols)
 }
 
 // borrowCols returns a batch of exact-length columns, the one way a
-// decode step gets storage: columnar frames read their payload bytes
-// straight into these slabs, PB frames are transposed into them.
-// Recycled slabs hold stale contents; the caller overwrites every
+// decode step gets storage: columnar frames read their data section
+// straight into it, PB frames are transposed into it. The batch is one
+// pooled slab of NumCols × rows words, its columns consecutive views in
+// schema order — the layout of a columnar frame's data section, so one
+// read fills them all. Every column but the first is capped at rows; the
+// first keeps the slab's capacity so Recycle can hand the whole slab
+// back. Recycled slabs hold stale contents; the caller overwrites every
 // element.
 func (f *Feed) borrowCols(rows int) [][]uint64 {
 	cols := f.getHeader()
-	for i := range cols {
-		cols[i] = f.pool.TakeCol(colTier, rows)
+	slab := f.pool.TakeCol(colTier, len(cols)*rows)
+	cols[0] = slab[:rows]
+	for i := 1; i < len(cols); i++ {
+		cols[i] = slab[i*rows : (i+1)*rows : (i+1)*rows]
 	}
 	return cols
 }

@@ -194,31 +194,61 @@ func TestFeedWatermarkIsMinAcrossConnections(t *testing.T) {
 	}
 }
 
+// colPoisonWord is what mempool writes over a slab PutCol takes back in
+// poison mode.
+const colPoisonWord = 0xDEAD_C015_DEAD_C015
+
 // TestFeedOwnPoolTakesBatchesBack runs one batch through a feed no
 // engine pool was attached to — borrow, push, Recv, Recycle — and
-// checks its columns came from the feed's own pool and went back to it.
+// checks its columns came from the feed's own pool, as one slab, and
+// went back to it. The columns are disjoint exact-length views, and
+// each reads poison once the slab is back (TestMain sets PoisonCols).
 func TestFeedOwnPoolTakesBatchesBack(t *testing.T) {
+	const rows = 100
 	f := NewFeed(WireSchema(), 8)
 	f.register(1)
-	cols := f.borrowCols(100)
-	if out := f.pool.Stats().ColsOut; out != int64(len(cols)) {
-		t.Fatalf("%d column slabs out after borrowing %d", out, len(cols))
+	cols := f.borrowCols(rows)
+	if out := f.pool.Stats().ColsOut; out != 1 {
+		t.Fatalf("%d column slabs out after borrowing one batch, want 1", out)
 	}
-	for _, c := range cols {
+	for k, c := range cols {
+		if len(c) != rows {
+			t.Fatalf("column %d has %d rows, want %d", k, len(c), rows)
+		}
+		if k > 0 && cap(c) != rows {
+			t.Fatalf("column %d has capacity %d, want exactly %d", k, cap(c), rows)
+		}
 		for i := range c {
-			c[i] = uint64(i)
+			c[i] = uint64(k*rows + i)
+		}
+	}
+	// Every column still holds what was written to it: no two share a
+	// word.
+	for k, c := range cols {
+		for i, v := range c {
+			if v != uint64(k*rows+i) {
+				t.Fatalf("column %d row %d reads %d: columns overlap", k, i, v)
+			}
 		}
 	}
 	if !f.push(batch{conn: 1, cols: cols, maxTs: 99}) {
 		t.Fatal("push refused before shutdown")
 	}
 	got, ok, _ := f.Recv(0)
-	if !ok || len(got) != len(cols) || len(got[0]) != 100 {
+	if !ok || len(got) != len(cols) || len(got[0]) != rows {
 		t.Fatalf("Recv: ok %v, %d columns", ok, len(got))
 	}
+	views := append([][]uint64(nil), got...) // Recycle clears the header
 	f.Recycle(got)
 	if out := f.pool.Stats().ColsOut; out != 0 {
 		t.Fatalf("%d column slabs still out of the feed's pool after Recycle", out)
+	}
+	for k, c := range views {
+		for i, v := range c {
+			if v != colPoisonWord {
+				t.Fatalf("column %d row %d reads %#x after Recycle, want poison", k, i, v)
+			}
+		}
 	}
 }
 

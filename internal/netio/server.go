@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"os"
 	"sort"
@@ -22,6 +21,12 @@ import (
 // writing the grant — and, when no IdleTimeout is configured, each ack
 // write.
 const handshakeTimeout = 10 * time.Second
+
+// readBufferBytes sizes every connection's buffered reader. It stages
+// frame headers, small frames and the first part of a large one; bufio
+// reads any remainder of a frame at least this long straight from the
+// socket into the frame's slab.
+const readBufferBytes = 64 << 10
 
 // ServerConfig configures an ingest listener.
 type ServerConfig struct {
@@ -204,6 +209,10 @@ type serverConn struct {
 	// read by the handler's exit path (same goroutine) to decide between
 	// retiring the session and leaving it resumable.
 	cleanEOS bool
+	// owed counts the frames the serve loop has consumed, delivered or
+	// duplicate, since its last ack: the credit it has yet to grant.
+	// Touched only by the serve loop.
+	owed int
 
 	frames   atomic.Int64
 	ingested atomic.Int64
@@ -244,6 +253,7 @@ type Server struct {
 	set         metrics.Set
 	accepted    *metrics.Counter
 	frames      *metrics.Counter
+	acks        *metrics.Counter
 	framesByFmt [4]*metrics.Counter
 	ingested    *metrics.Counter
 	dropped     *metrics.Counter
@@ -255,11 +265,6 @@ type Server struct {
 	expired     *metrics.Counter
 	idleTOs     *metrics.Counter
 	decodeNanos *metrics.Counter
-
-	// frameLog2 tracks, per format, the log2 of the largest frame seen —
-	// a one-word histogram summary that sizes new connections' buffered
-	// readers to batch socket reads around real traffic.
-	frameLog2 [4]atomic.Int32
 }
 
 // Listen starts an ingest server on addr (e.g. ":7077" or
@@ -319,6 +324,7 @@ func (s *Server) declareMetrics() {
 	m := &s.set
 	s.accepted = m.Counter("streambox_ingest_connections_total")
 	s.frames = m.Counter("streambox_ingest_frames_total")
+	s.acks = m.Counter("streambox_ingest_acks_total")
 	s.ingested = m.Counter("streambox_ingest_records_total")
 	s.dropped = m.Counter("streambox_ingest_dropped_records_total")
 	s.decErrs = m.Counter("streambox_ingest_decode_errors_total")
@@ -564,39 +570,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// noteFrameSize folds one frame's size into the per-format histogram
-// summary.
-func (s *Server) noteFrameSize(f parsefmt.Format, n int) {
-	lg := int32(bits.Len(uint(n)))
-	for {
-		cur := s.frameLog2[f].Load()
-		if lg <= cur || s.frameLog2[f].CompareAndSwap(cur, lg) {
-			return
-		}
-	}
-}
-
-// readBufSize picks a connection's buffered-reader size from the frame
-// histogram: roughly two frames of readahead, clamped to [64 KiB,
-// 1 MiB]. Columnar connections start at 256 KiB before any history
-// exists — their frames are wide by design.
-func (s *Server) readBufSize(f parsefmt.Format) int {
-	size := 64 << 10
-	if f == parsefmt.Columnar {
-		size = 256 << 10
-	}
-	if lg := s.frameLog2[f].Load(); lg > 0 {
-		size = 1 << (uint(lg) + 1)
-	}
-	if size < 64<<10 {
-		size = 64 << 10
-	}
-	if size > 1<<20 {
-		size = 1 << 20
-	}
-	return size
-}
-
 // admit is the admission-control decision for one completed hello. It
 // sheds when the connection count is at the cap or the pressure signal
 // says the engine is past its memory headroom; otherwise it reserves
@@ -744,20 +717,23 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	s.serveFrames(c, bufio.NewReaderSize(conn, s.readBufSize(format)))
+	s.serveFrames(c, bufio.NewReaderSize(conn, readBufferBytes))
 }
 
-// grantCredit regenerates one frame credit after the engine's
-// backpressure clears. Clients block on their send window, so pipeline
-// overload propagates to the traffic sources instead of filling server
-// memory. The grant doubles as the cumulative ack: lastSeq lets the
-// client trim its replay buffer. The write is bounded: a client that
-// keeps sending but never reads its acks fills the socket buffers, and a
-// handler parked in that write would stay attached — never parked by the
-// reaper, its cursor holding every window open. Past the deadline the
-// connection is dead like any idle one. Returns false when the
-// connection should end.
-func (s *Server) grantCredit(c *serverConn) bool {
+// flushCredit grants every credit the connection owes in one ack, once
+// the engine's backpressure clears. Clients block on their send window,
+// so pipeline overload propagates to the traffic sources instead of
+// filling server memory. The ack doubles as the cumulative ack: lastSeq
+// lets the client trim its replay buffer. The write is bounded: a client
+// that keeps sending but never reads its acks fills the socket buffers,
+// and a handler parked in that write would stay attached — never parked
+// by the reaper, its cursor holding every window open. Past the deadline
+// the connection is dead like any idle one. Owing nothing, it writes
+// nothing. Returns false when the connection should end.
+func (s *Server) flushCredit(c *serverConn) bool {
+	if c.owed == 0 {
+		return true
+	}
 	for s.cfg.Overloaded != nil && s.cfg.Overloaded() {
 		if s.closing.Load() {
 			return false
@@ -769,13 +745,15 @@ func (s *Server) grantCredit(c *serverConn) bool {
 		timeout = handshakeTimeout
 	}
 	c.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := writeCreditAck(c.conn, 1, c.sess.lastSeq.Load()); err != nil {
+	if err := writeCreditAck(c.conn, uint32(c.owed), c.sess.lastSeq.Load()); err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			s.idleTOs.Add(1)
 		}
 		return false
 	}
-	c.granted.Add(1)
+	s.acks.Add(1)
+	c.granted.Add(int64(c.owed))
+	c.owed = 0
 	return true
 }
 
@@ -804,18 +782,34 @@ type frameDecoder struct {
 
 // serveFrames is the one receive loop, for both formats: arm the idle
 // deadline, read the frame header, end on the end-of-stream marker,
-// enforce the size cap, count, discard-and-credit a duplicate or sever
-// on a gap, decode, deliver, re-grant the credit. A single goroutine
-// per connection keeps frame delivery sequential, which the feed's
-// watermark cursors require. The format contributes only the decode
-// step.
+// enforce the size cap, count, discard a duplicate or sever on a gap,
+// decode, deliver. A single goroutine per connection keeps frame
+// delivery sequential, which the feed's watermark cursors require. The
+// format contributes only the decode step.
+//
+// Credit is granted per drained read buffer, not per frame: each frame
+// consumed, delivered or duplicate, adds one to c.owed, and one ack pays
+// it all. The rule is that a connection never waits while it owes
+// credit — a client may be blocked on exactly that credit, and waiting
+// for its next frame, or behind the engine, would then never end. So
+// the loop flushes before every read the buffer cannot serve in full (a
+// header with fewer than frameHeaderBytes buffered, a body longer than
+// what is buffered), on the end-of-stream marker, and once half the
+// credit window is owed; deliver flushes before the log's group-commit
+// wait and before a feed push that would block. The only wait left
+// while owing is flushCredit's own, for backpressure to clear: that is
+// the credit being withheld.
 func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 	d := &frameDecoder{}
 	if s.cfg.WAL != nil && c.format == parsefmt.Columnar {
 		d.ranges = make([]parsefmt.ColRange, s.cfg.Feed.Schema().NumCols)
 	}
+	halfWindow := max(s.cfg.FrameCredits/2, 1)
 	expect := c.sess.lastSeq.Load() + 1
 	for {
+		if br.Buffered() < frameHeaderBytes && !s.flushCredit(c) {
+			return
+		}
 		if s.cfg.IdleTimeout > 0 {
 			c.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
@@ -828,6 +822,7 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 		}
 		if eos {
 			c.cleanEOS = true
+			s.flushCredit(c) // the session ends cleanly whether or not the ack lands
 			return
 		}
 		if size > int64(s.cfg.MaxFrameBytes) {
@@ -837,57 +832,58 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 		s.frames.Add(1)
 		c.frames.Add(1)
 		s.framesByFmt[c.format].Add(1)
-		s.noteFrameSize(c.format, int(size))
+		if size > int64(br.Buffered()) && !s.flushCredit(c) {
+			return
+		}
 
 		if seq < expect {
 			// A replayed frame the server already ingested under a
-			// previous connection: discard, but still re-grant the
-			// credit it consumed.
+			// previous connection: discard it, but its credit is owed
+			// like any other's.
 			if _, err := io.CopyN(io.Discard, br, size); err != nil {
 				return
 			}
 			s.dups.Add(1)
 			c.dups.Add(1)
-			if !s.grantCredit(c) {
+		} else {
+			if seq != expect {
+				return // sequence gap: sever so the client replays
+			}
+			var cols [][]uint64
+			var maxTs uint64
+			var ok bool
+			if c.format == parsefmt.Columnar {
+				cols, maxTs, ok = s.decodeColumnar(c, d, br, size)
+			} else {
+				cols, maxTs, ok = s.decodeRecords(c, d, br, size)
+			}
+			// d.ranges is non-nil only where decodeColumnar just filled it.
+			if !ok || !s.deliver(c, seq, maxTs, cols, d.ranges) {
 				return
 			}
-			continue
+			expect = seq + 1
 		}
-		if seq != expect {
-			return // sequence gap: sever so the client replays
-		}
-
-		var cols [][]uint64
-		var maxTs uint64
-		var ok bool
-		if c.format == parsefmt.Columnar {
-			cols, maxTs, ok = s.decodeColumnar(c, d, br, size)
-		} else {
-			cols, maxTs, ok = s.decodeRecords(c, d, br, size)
-		}
-		// d.ranges is non-nil only where decodeColumnar just filled it.
-		if !ok || !s.deliver(c, seq, maxTs, cols, d.ranges) {
-			return
-		}
-		expect = seq + 1
-		if !s.grantCredit(c) {
+		c.owed++
+		if c.owed >= halfWindow && !s.flushCredit(c) {
 			return
 		}
 	}
 }
 
-// decodeColumnar reads one columnar frame into pooled column slabs: no
+// decodeColumnar reads one columnar frame into one pooled slab: no
 // per-record work, just geometry validation, a checksum over the bytes
-// as read and an endian fix (a no-op on little-endian hosts). The bytes
-// reach the slabs through the connection's bufio buffer, a copy the
-// slabs could skip by reading from the socket directly; a trial of that
-// moved the copy's time into read syscalls, with CPU per record flat, so
-// the buffer stays. With a WAL attached a separate scan fills d.ranges
-// with each column's min/max for the log's packer, and the timestamp
-// column's max is the frame's maxTs. Every failure returns ok false,
-// which severs the connection without advancing the ack: the client
-// retransmits the frame, which is how a frame corrupted in flight gets
-// delivered after all.
+// as read and an endian fix (a no-op on little-endian hosts). borrowCols
+// lays the columns out back to back in one slab, the data section's own
+// layout, so one io.ReadFull fills them all and one UpdateCRC checks
+// them. Only the part of the frame already in the connection's read
+// buffer is copied from there; bufio reads a remainder of
+// readBufferBytes or more straight from the socket into the slab. With
+// a WAL attached a separate scan fills d.ranges with each column's
+// min/max for the log's packer, and the timestamp column's max is the
+// frame's maxTs. Every failure returns ok false, which severs the
+// connection without advancing the ack: the client retransmits the
+// frame, which is how a frame corrupted in flight gets delivered after
+// all.
 func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader, size int64) (cols [][]uint64, maxTs uint64, ok bool) {
 	schema := s.cfg.Feed.Schema()
 	if size < parsefmt.ColumnarHeaderBytes {
@@ -903,23 +899,19 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 		return nil, 0, false
 	}
 	cols = s.cfg.Feed.borrowCols(hdr.NRows)
-	for i := range cols {
-		if _, err := io.ReadFull(br, parsefmt.ColumnBytes(cols[i])); err != nil {
-			s.cfg.Feed.Recycle(cols)
-			return nil, 0, false // truncated mid-frame: peer gone
-		}
+	words := cols[0][:hdr.NCols*hdr.NRows] // every column: the whole slab
+	data := parsefmt.ColumnBytes(words)
+	if _, err := io.ReadFull(br, data); err != nil {
+		s.cfg.Feed.Recycle(cols)
+		return nil, 0, false // truncated mid-frame: peer gone
 	}
 	defer s.addDecodeTime(time.Now())
-	var sum uint32
-	for _, col := range cols {
-		sum = parsefmt.UpdateCRC(sum, parsefmt.ColumnBytes(col)) // wire bytes, before the fix
-		parsefmt.FixWireOrder(col)
-	}
-	if sum != hdr.Checksum {
+	if parsefmt.UpdateCRC(0, data) != hdr.Checksum { // wire bytes, before the fix
 		s.cfg.Feed.Recycle(cols)
 		s.countChecksumError(c)
 		return nil, 0, false
 	}
+	parsefmt.FixWireOrder(words)
 	if d.ranges != nil {
 		parsefmt.ColumnRanges(cols, d.ranges)
 		maxTs = d.ranges[schema.TsCol].Max
@@ -989,7 +981,9 @@ func (s *Server) addDecodeTime(t0 time.Time) {
 // client's replay buffer and the log together cover every frame across
 // a crash, with no overlap the dedup line cannot absorb. (PB frames log
 // their decoded columnar form — replay re-enters the feed without the
-// original encoding.)
+// original encoding.) Both of its waits — the log's group commit and a
+// push into a full feed — come after the connection's owed credit is
+// flushed (serveFrames' rule).
 //
 // The whole section runs under the session's delivery lock and only
 // while c still owns the session. A connection that was taken over
@@ -998,6 +992,10 @@ func (s *Server) addDecodeTime(t0 time.Time) {
 // frame that held no record or did not parse. Returns false when the
 // connection must end: superseded, durability unknown, or draining.
 func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange) bool {
+	if cols != nil && s.cfg.WAL != nil && !s.flushCredit(c) {
+		s.cfg.Feed.Recycle(cols)
+		return false
+	}
 	c.sess.dmu.Lock()
 	defer c.sess.dmu.Unlock()
 	if !c.sess.owns(c) {
@@ -1016,11 +1014,18 @@ func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, rang
 			}
 		}
 		n := int64(len(cols[0]))
-		if !s.cfg.Feed.push(batch{conn: c.id, cols: cols, maxTs: maxTs}) {
-			// Draining: push recycled the batch.
-			s.dropped.Add(n)
-			c.dropped.Add(n)
-			return false // draining: the pipeline no longer accepts records
+		b := batch{conn: c.id, cols: cols, maxTs: maxTs}
+		if !s.cfg.Feed.offer(b) {
+			if !s.flushCredit(c) {
+				s.cfg.Feed.Recycle(cols)
+				return false
+			}
+			if !s.cfg.Feed.push(b) {
+				// Draining: push recycled the batch.
+				s.dropped.Add(n)
+				c.dropped.Add(n)
+				return false // draining: the pipeline no longer accepts records
+			}
 		}
 		s.ingested.Add(n)
 		c.ingested.Add(n)

@@ -24,7 +24,8 @@ type session struct {
 	lastSeq atomic.Uint64
 
 	// dmu is the delivery lock: Server.deliver holds it from the
-	// ownership check through the feed push to the lastSeq advance, and
+	// ownership check through the feed push — and the ack it flushes
+	// before a push that would block — to the lastSeq advance, and
 	// a takeover reads its grant through settledSeq, which takes it too.
 	// So a superseded connection either finishes delivering frame N
 	// before the successor's grant is written — which then says N — or

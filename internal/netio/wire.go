@@ -5,11 +5,12 @@
 // decodes it, and hands sealed batches to the runtime through its
 // ExternalFeed seam. One frame loop serves both formats; the format
 // contributes only the decode step, and both steps land their values in
-// exact-length mempool-backed column slabs. Columnar frames read their
-// payload bytes straight from the socket into the slabs — decode is
-// validate + bounds-check + endian-fix + pointer-cast, with zero
+// exact-length columns laid back to back in one mempool-backed slab per
+// frame. A columnar frame's data section is one read into that slab,
+// straight from the socket past the read buffer's first 64 KiB — decode
+// is validate + bounds-check + endian-fix + pointer-cast, with zero
 // per-record work; a row frame is read into one per-connection buffer
-// and transposed into the slabs by parsefmt.DecodePBColumns. A
+// and transposed into the slab by parsefmt.DecodePBColumns. A
 // credit-based flow-control loop ties client send permission to the
 // engine's mempool backpressure signal, so an overloaded pipeline slows
 // its clients instead of buffering unboundedly (paper §7.4 treats
@@ -56,11 +57,12 @@
 // retires the session — and the server sends 16-byte acks, each a
 // uint32 credit count extending the client's send window by that many
 // frames, the uint64 cumulative last-ingested sequence and the CRC-32C
-// of those 12 bytes. The client must keep one credit per in-flight
-// frame. A columnar payload is exactly one parsefmt columnar frame
-// (24-byte header carrying the CRC-32C of the data section +
-// little-endian column-major data; see parsefmt/columnar.go for the
-// layout). A PB payload is the records' length-delimited messages
+// of those 12 bytes. One ack may return the credit of several frames:
+// the server acks what it has consumed before it next waits. The client
+// must keep one credit per in-flight frame. A columnar payload is
+// exactly one parsefmt columnar frame (24-byte header carrying the
+// CRC-32C of the data section + little-endian column-major data; see
+// parsefmt/columnar.go for the layout). A PB payload is the records' length-delimited messages
 // followed by a 4-byte trailer: the CRC-32C of the bytes before it.
 // There is one checksum on the wire, CRC-32C (Castagnoli,
 // parsefmt.UpdateCRC), always over bytes exactly as sent.
