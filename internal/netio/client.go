@@ -3,7 +3,6 @@ package netio
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -121,43 +120,30 @@ type replayFrame struct {
 // ReconnectConfig — a lost connection is replaced by redial + resume +
 // replay without losing or duplicating a record. Send and Close hide
 // all of that; Reconnects and Replayed expose how often it happened.
+// The protocol's decisions are clientCore's; Client is its adapter: the
+// socket, the clock, the timers and the goroutines.
 //
 // The replay buffer is a ring of recycled frame buffers: the ack that
 // trims a frame moves its buffer to a free list, the next frame is
 // encoded into one from there — behind room for its header — and the
 // socket write takes the buffer as it is, so a steady stream allocates
 // nothing per frame and the encode is the client's one copy. A buffer is
-// never rewritten while it may still be transmitted:
-// only the sending goroutine encodes and writes frames, one after the
-// other; a buffer reaches the free list only once an ack at or below
-// maxTx covers its frame, which no connection — the current one or,
-// after a rewind to that ack, a later one — sends again; and a reconnect
-// waits out the old credit loop before it rewinds.
+// never rewritten while it may still be transmitted: only the sending
+// goroutine encodes and writes frames, and a buffer is freed only once
+// an ack covers its frame.
 type Client struct {
 	cfg   ClientConfig
-	rc    ReconnectConfig // defaults applied; valid only when cfg.Reconnect != nil
 	addr  string
 	frame int
 
-	token uint64 // the session's resume token, fixed by the first handshake
-
 	conn net.Conn // current connection; app goroutine + stale check
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	credits int
-	readErr error
-	done    chan struct{} // current creditLoop's exit
-	acked   uint64        // server's cumulative ack
-	maxTx   uint64        // highest seq ever written to any connection
-	replay  []replayFrame
-	// free holds the buffers of trimmed frames for the next frames to be
-	// encoded into; with replay, never more than ReplayFrames buffers
-	// between them.
-	free [][]byte
-
-	txSeq   uint64 // highest seq written to the *current* connection
-	nextSeq uint64 // seq assigned to the next new frame
+	// mu guards core and done: the sending goroutine and the current
+	// credit loop both feed the core events, and cond wakes the sender.
+	mu   sync.Mutex
+	cond *sync.Cond
+	core clientCore
+	done chan struct{} // current creditLoop's exit
 
 	// chunk and scatter are reusable staging for the columnar send
 	// path: chunk holds per-frame column views, scatter the columns
@@ -169,8 +155,6 @@ type Client struct {
 	frames     atomic.Int64
 	reconnects atomic.Int64
 	replayed   atomic.Int64
-
-	prng uint64 // jitter state
 }
 
 // Dial connects, handshakes and opens a fresh session with an ingest
@@ -180,43 +164,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if !isWireFormat(cfg.Format) {
 		return nil, fmt.Errorf("netio: %v is not a wire format (parsefmt.PB or parsefmt.Columnar)", cfg.Format)
 	}
-	if cfg.Reconnect == nil {
-		return dialOnce(addr, cfg)
-	}
-	rc := cfg.Reconnect.withDefaults()
-	prng := rc.Seed
-	delay := rc.BaseDelay
-	var lastErr error
-	for attempt := 0; rc.MaxRetries < 0 || attempt <= rc.MaxRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(jitteredDelay(&prng, &delay, rc))
-		}
-		c, err := dialOnce(addr, cfg)
-		if err == nil {
-			c.prng = prng
-			return c, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("netio: dial retries exhausted: %w", lastErr)
-}
-
-// jitteredDelay returns the next backoff delay and advances the state:
-// the current delay plus its jitter fraction, with the base delay
-// growing geometrically toward rc.MaxDelay.
-func jitteredDelay(prng *uint64, delay *time.Duration, rc ReconnectConfig) time.Duration {
-	*prng = splitmix64(*prng + 1)
-	frac := float64(*prng>>11) / (1 << 53)
-	d := *delay + time.Duration(float64(*delay)*backoffJitter*frac)
-	next := *delay * backoffMultiplier
-	if next > rc.MaxDelay {
-		next = rc.MaxDelay
-	}
-	*delay = next
-	return d
-}
-
-func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.FrameRecords <= 0 {
 		cfg.FrameRecords = defaultFrameRecords
 	}
@@ -226,29 +173,47 @@ func dialOnce(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.ReplayFrames <= 0 {
 		cfg.ReplayFrames = defaultReplayFrames
 	}
-	c := &Client{
-		cfg:   cfg,
-		addr:  addr,
-		frame: cfg.FrameRecords,
-	}
-	if cfg.Reconnect != nil {
-		c.rc = cfg.Reconnect.withDefaults()
-	}
+	c := &Client{cfg: cfg, addr: addr, frame: cfg.FrameRecords, core: newClientCore(cfg)}
 	c.cond = sync.NewCond(&c.mu)
-	conn, credits, lastSeq, err := c.handshake()
-	if err != nil {
+	if err := c.redial(nil); err != nil {
 		return nil, err
 	}
-	c.acked = lastSeq
-	c.maxTx = lastSeq
-	c.txSeq = lastSeq
-	c.nextSeq = lastSeq + 1
-	c.install(conn, credits)
 	return c, nil
 }
 
+// redial opens the session on a new connection, replacing one that
+// cause killed, or the first one when cause is nil. The core schedules
+// the attempts and judges each grant; the last connection's credit loop
+// is waited out first, since it feeds the core until it exits.
+func (c *Client) redial(cause error) error {
+	if c.conn != nil {
+		c.conn.Close()
+		<-c.done
+	}
+	a := c.core.lost(cause, time.Now())
+	for a.op == opDial {
+		time.Sleep(time.Until(a.until))
+		conn, credits, lastSeq, err := c.handshake()
+		a = c.core.dialed(credits, lastSeq, err, time.Now())
+		if a.op == opReturn && a.err == nil {
+			done := make(chan struct{})
+			c.mu.Lock()
+			c.conn = conn
+			c.done = done
+			c.mu.Unlock()
+			go c.creditLoop(conn, done)
+			if cause != nil {
+				c.reconnects.Add(1)
+			}
+		} else if err == nil {
+			conn.Close()
+		}
+	}
+	return a.err
+}
+
 // handshake dials and opens the session on the new socket: a fresh one
-// on the first call (c.token is zero), a resume of c.token afterwards.
+// while the core has no token, a resume of it afterwards.
 func (c *Client) handshake() (conn net.Conn, credits int, lastSeq uint64, err error) {
 	conn, err = net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
@@ -268,33 +233,16 @@ func (c *Client) handshake() (conn net.Conn, credits int, lastSeq uint64, err er
 }
 
 // openSession runs the exchange — one hello out, one grant back — and
-// checks the grant: the first one fixes c.token, later ones must echo it.
+// has the core check the grant's token.
 func (c *Client) openSession(conn net.Conn) (credits int, lastSeq uint64, err error) {
-	if err := writeHello(conn, c.cfg.Format, c.token); err != nil {
+	if err := writeHello(conn, c.cfg.Format, c.core.token); err != nil {
 		return 0, 0, fmt.Errorf("netio: hello: %w", err)
 	}
 	g, err := readGrant(conn)
-	if err != nil {
-		return 0, 0, err
+	if err == nil {
+		err = c.core.named(g)
 	}
-	if g.token == 0 || c.token != 0 && g.token != c.token {
-		return 0, 0, fmt.Errorf("netio: grant names session %#x, want %#x", g.token, c.token)
-	}
-	c.token = g.token
-	return int(g.credits), g.lastSeq, nil
-}
-
-// install makes conn the client's live connection and starts its credit
-// loop.
-func (c *Client) install(conn net.Conn, credits int) {
-	done := make(chan struct{})
-	c.mu.Lock()
-	c.conn = conn
-	c.credits = credits
-	c.readErr = nil
-	c.done = done
-	c.mu.Unlock()
-	go c.creditLoop(conn, done)
+	return int(g.credits), g.lastSeq, err
 }
 
 // Reconnects returns how many times the client successfully reconnected
@@ -304,69 +252,24 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // Replayed returns how many frames were retransmitted after resumes.
 func (c *Client) Replayed() int64 { return c.replayed.Load() }
 
-// creditLoop consumes the server's acks for one connection: each
-// extends the send window and carries the cumulative ack that trims the
-// replay buffer. It exits — marking the connection dead for
-// takeCredit — when the read fails or the connection is superseded.
+// creditLoop reads the server's acks off one connection and feeds them
+// to the core, the read failure that ends it too. It exits then, or
+// once the connection is superseded.
 func (c *Client) creditLoop(conn net.Conn, done chan struct{}) {
 	defer close(done)
 	for {
 		n, last, err := readCreditAck(conn)
 		c.mu.Lock()
-		if c.conn != conn {
-			c.mu.Unlock()
-			return // superseded by a reconnect
-		}
-		if err != nil {
-			if c.readErr == nil {
-				c.readErr = err
-			}
+		live := c.conn == conn
+		if live {
+			c.core.ack(n, last, err)
 			c.cond.Broadcast()
-			c.mu.Unlock()
+		}
+		c.mu.Unlock()
+		if !live || err != nil {
 			return
 		}
-		c.credits += int(n)
-		if last > c.acked && last <= c.maxTx {
-			// last <= maxTx guards against a corrupted ack claiming
-			// frames the client never sent; a real cumulative ack can
-			// only cover transmitted frames.
-			c.acked = last
-			c.trimReplayLocked()
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
 	}
-}
-
-// trimReplayLocked drops the acked prefix of the replay buffer, its
-// frame buffers going to the free list. Caller holds c.mu.
-func (c *Client) trimReplayLocked() {
-	k := 0
-	for k < len(c.replay) && c.replay[k].seq <= c.acked {
-		c.free = append(c.free, c.replay[k].frame)
-		c.replay[k].frame = nil
-		k++
-	}
-	if k > 0 {
-		c.replay = append(c.replay[:0], c.replay[k:]...)
-	}
-}
-
-// takeCredit blocks until one frame credit is available.
-func (c *Client) takeCredit() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.credits == 0 && c.readErr == nil {
-		c.cond.Wait()
-	}
-	if c.credits == 0 {
-		if c.readErr == io.EOF {
-			return fmt.Errorf("netio: server closed the connection")
-		}
-		return fmt.Errorf("netio: credit stream: %w", c.readErr)
-	}
-	c.credits--
-	return nil
 }
 
 // armWrite sets the per-frame write deadline; mapWriteErr converts a
@@ -388,196 +291,79 @@ func (c *Client) mapWriteErr(op string, err error) error {
 	return err
 }
 
-// reconnect replaces a dead connection: backoff, redial, resume the
-// session, trim the replay buffer to the server's ack, and rewind txSeq
-// so pump retransmits everything unacked. cause is what killed the
-// connection; a client without a ReconnectConfig does not redial and
-// gets it straight back. Other fatal errors (session expired, retries
-// exhausted) surface to the caller.
-func (c *Client) reconnect(cause error) error {
-	if c.cfg.Reconnect == nil {
-		return cause
-	}
-	c.conn.Close()
-	<-c.done // the old credit loop owns readErr until it exits
-	delay := c.rc.BaseDelay
-	var lastErr error
-	for attempt := 0; c.rc.MaxRetries < 0 || attempt < c.rc.MaxRetries; attempt++ {
-		time.Sleep(jitteredDelay(&c.prng, &delay, c.rc))
-		conn, credits, lastSeq, err := c.handshake()
-		if err != nil {
-			if errors.Is(err, ErrSessionExpired) {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		c.mu.Lock()
-		if lastSeq > c.acked && lastSeq <= c.maxTx {
-			c.acked = lastSeq
-			c.trimReplayLocked()
-		}
-		acked := c.acked
-		c.mu.Unlock()
-		c.txSeq = acked
-		c.install(conn, credits)
-		c.reconnects.Add(1)
-		return nil
-	}
-	return fmt.Errorf("netio: reconnect retries exhausted: %w", lastErr)
-}
-
-// ackWait is the no-progress timer of the two waits on the server's
-// cumulative ack (a full replay buffer, Close's drain): a server that
-// holds the connection open but stops acking — died behind a proxy,
-// wedged disk — must not park either forever. The bound is WriteTimeout,
-// or DialTimeout when no write deadline is configured, and re-arms
-// whenever the ack advances.
-type ackWait struct {
-	to       time.Duration
-	deadline time.Time
-	last     uint64
-	armed    bool
-}
-
-func (c *Client) newAckWait() ackWait {
-	if c.cfg.WriteTimeout > 0 {
-		return ackWait{to: c.cfg.WriteTimeout}
-	}
-	return ackWait{to: c.cfg.DialTimeout}
-}
-
-// wait blocks on c.cond, c.mu held, until something wakes it; it returns
-// false instead once no ack has arrived for w.to.
-func (w *ackWait) wait(c *Client) bool {
-	if !w.armed || c.acked != w.last {
-		w.last, w.armed = c.acked, true
-		w.deadline = time.Now().Add(w.to)
-	} else if !time.Now().Before(w.deadline) {
-		return false
-	}
-	// cond.Wait cannot time out on its own; a timer broadcast re-checks
-	// the deadline if no ack ever wakes us.
-	wake := time.AfterFunc(time.Until(w.deadline), c.cond.Broadcast)
-	c.cond.Wait()
-	wake.Stop()
-	return true
-}
-
-// frameBuf waits for room in the replay buffer — blocking while it is
-// full of unacked frames — and returns the buffer to encode the next
-// frame's payload into, appending: frameHeaderBytes long, the room its
-// header takes. It is the most recently freed buffer, still warm, or a
-// fresh one with capacity for a size-byte payload while the ring is
-// still growing. A dead connection cannot
-// produce acks — and one that has produced none for a full ack wait is
-// as good as dead — so a full buffer triggers the reconnect that will.
-// Only the sending goroutine parks frames, so the room is still there
-// when sendFrame parks the frame encoded into the buffer.
-func (c *Client) frameBuf(size int) ([]byte, error) {
-	w := c.newAckWait()
+// drive runs the core's send path until goal holds or the core gives
+// up: it writes the frames the core hands out, waits on cond where the
+// core says — a timer broadcast wakes a wait with a deadline, since
+// cond.Wait cannot time out on its own — and redials where it says.
+func (c *Client) drive(goal clientGoal) error {
+	c.mu.Lock()
 	for {
-		c.mu.Lock()
-		if len(c.replay) < c.cfg.ReplayFrames {
-			k := len(c.free) - 1
-			if k < 0 {
-				c.mu.Unlock()
-				return make([]byte, frameHeaderBytes, frameHeaderBytes+size), nil
+		a := c.core.next(goal, time.Now())
+		switch a.op {
+		case opWait:
+			var wake *time.Timer
+			if !a.until.IsZero() {
+				wake = time.AfterFunc(time.Until(a.until), c.cond.Broadcast)
 			}
-			buf := c.free[k]
-			c.free[k] = nil
-			c.free = c.free[:k]
+			c.cond.Wait()
+			if wake != nil {
+				wake.Stop()
+			}
+			continue
+		case opReturn:
 			c.mu.Unlock()
-			return buf[:frameHeaderBytes], nil
-		}
-		err := c.readErr
-		if err == nil && !w.wait(c) {
-			err = &TimeoutError{Op: "replay-buffer ack wait", After: w.to}
+			return a.err
 		}
 		c.mu.Unlock()
-		if err == nil {
-			continue
-		}
-		if err := c.reconnect(err); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrReplayOverflow, err)
-		}
-		if err := c.pump(); err != nil {
-			return nil, err
-		}
-		w.armed = false // the resume handshake was progress; re-arm
-	}
-}
-
-// nextReplay returns the first replay frame not yet written to the
-// current connection.
-func (c *Client) nextReplay() (replayFrame, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.replay) == 0 {
-		return replayFrame{}, false
-	}
-	idx := int(c.txSeq + 1 - c.replay[0].seq)
-	if idx < 0 || idx >= len(c.replay) {
-		return replayFrame{}, false
-	}
-	return c.replay[idx], true
-}
-
-// pump transmits every replay-buffered frame the current connection has
-// not carried yet, reconnecting (and thereby rewinding to the server's
-// ack) whenever the connection dies under it.
-func (c *Client) pump() error {
-	for {
-		fr, ok := c.nextReplay()
-		if !ok {
-			return nil
-		}
-		if err := c.takeCredit(); err != nil {
-			if rerr := c.reconnect(err); rerr != nil {
-				return rerr
+		if a.op == opWrite {
+			c.armWrite()
+			_, err := c.conn.Write(a.frame.frame)
+			if err == nil && a.replay {
+				c.replayed.Add(1)
 			}
+			c.mu.Lock()
+			c.core.wrote(a.frame.seq, c.mapWriteErr("frame write", err))
 			continue
 		}
-		// Raise maxTx before the frame can reach the wire: creditLoop
-		// drops any ack beyond maxTx, and the ack for this frame can
-		// arrive the moment Flush returns. Raised after, an ack landing
-		// in the gap was lost — for the last frame, waitAcked then
-		// blocked forever.
+		if err := c.redial(a.err); err != nil {
+			if goal == goalRoom {
+				err = fmt.Errorf("%w: %w", ErrReplayOverflow, err) // the full ring cannot drain
+			}
+			return err
+		}
 		c.mu.Lock()
-		first := fr.seq > c.maxTx
-		if first {
-			c.maxTx = fr.seq
-		}
-		c.mu.Unlock()
-		c.armWrite()
-		if _, err := c.conn.Write(fr.frame); err != nil {
-			err = c.mapWriteErr("frame write", err)
-			if c.reconnect(err) != nil {
-				return err
-			}
-			continue
-		}
-		if !first {
-			c.replayed.Add(1)
-		}
-		c.txSeq = fr.seq
 	}
 }
 
-// sendFrame assigns the next sequence number to frame — the buffer
-// frameBuf just returned with the payload encoded behind the header
-// room, which the replay buffer takes back — parks it, and pumps the
-// connection.
-func (c *Client) sendFrame(frame []byte, records int) error {
-	seq := c.nextSeq
-	c.nextSeq++
-	putFrameHeader(frame, seq)
+// frameBuf waits for room in the replay buffer and returns the buffer to
+// encode the next frame's payload into, appending: frameHeaderBytes
+// long, the room its header takes. It is the most recently freed
+// buffer, or a fresh one with capacity for a size-byte payload while the
+// ring is still growing. Only the sending goroutine parks frames, so the
+// room is still there when sendFrame parks the frame.
+func (c *Client) frameBuf(size int) ([]byte, error) {
+	if err := c.drive(goalRoom); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
-	c.replay = append(c.replay, replayFrame{seq: seq, frame: frame})
+	buf := c.core.buffer()
+	c.mu.Unlock()
+	if buf == nil {
+		return make([]byte, frameHeaderBytes, frameHeaderBytes+size), nil
+	}
+	return buf[:frameHeaderBytes], nil
+}
+
+// sendFrame parks frame — the buffer frameBuf just returned with the
+// payload encoded behind the header room, which the replay buffer takes
+// back — under the next sequence number, and writes it.
+func (c *Client) sendFrame(frame []byte, records int) error {
+	c.mu.Lock()
+	c.core.park(frame)
 	c.mu.Unlock()
 	c.sent.Add(int64(records))
 	c.frames.Add(1)
-	return c.pump()
+	return c.drive(goalSent)
 }
 
 // Send frames and transmits records, splitting them into frames of the
@@ -677,45 +463,14 @@ func (c *Client) Sent() int64 { return c.sent.Load() }
 // Frames returns the frames transmitted so far.
 func (c *Client) Frames() int64 { return c.frames.Load() }
 
-// waitAcked blocks until every replay-buffered frame is covered by the
-// server's cumulative ack, reconnecting and replaying when the
-// connection dies while unacked frames remain. The wait is
-// progress-bounded (ackWait): once it expires the drain fails with a
-// *TimeoutError.
-func (c *Client) waitAcked() error {
-	w := c.newAckWait()
-	for {
-		c.mu.Lock()
-		if len(c.replay) == 0 {
-			c.mu.Unlock()
-			return nil
-		}
-		if err := c.readErr; err != nil {
-			c.mu.Unlock()
-			if err := c.reconnect(err); err != nil {
-				return err
-			}
-			if err := c.pump(); err != nil {
-				return err
-			}
-			w.armed = false // the resume handshake was progress; re-arm
-			continue
-		}
-		ok := w.wait(c)
-		c.mu.Unlock()
-		if !ok {
-			return &TimeoutError{Op: "ack drain", After: w.to}
-		}
-	}
-}
-
 // Close waits for the cumulative ack to cover every sent frame
-// (reconnecting if needed), sends the end-of-stream marker, waits
-// briefly for the server to finish the stream, and closes the
+// (reconnecting if needed, and failing with a *TimeoutError once no ack
+// arrives for the core's ack wait), sends the end-of-stream marker,
+// waits briefly for the server to finish the stream, and closes the
 // connection. Close returning nil means every record was ingested
 // exactly once and the session is retired.
 func (c *Client) Close() error {
-	if err := c.waitAcked(); err != nil {
+	if err := c.drive(goalAcked); err != nil {
 		// Failed drain (timeout, connection lost for good): there is no
 		// ack left to wait for — tear the socket down immediately
 		// instead of riding the grace wait below.
@@ -723,7 +478,7 @@ func (c *Client) Close() error {
 		return err
 	}
 	err := c.writeEOS()
-	if err != nil && c.reconnect(err) == nil {
+	if err != nil && c.redial(err) == nil {
 		// One reconnect attempt so the clean end of stream (and the
 		// session retirement it triggers) still lands; every frame is
 		// already acked, so nothing needs replaying.

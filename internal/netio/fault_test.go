@@ -102,6 +102,13 @@ func (ss *session) delivering() bool {
 	return true
 }
 
+// lookup finds a live session by token.
+func (s *Server) lookup(token uint64) *session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions[token]
+}
+
 // awaitAck reads credit acks off a raw session connection until the
 // cumulative ack reaches want.
 func awaitAck(t *testing.T, conn net.Conn, want uint64) {
@@ -130,7 +137,6 @@ func TestIdleTimeoutClosesSilentConn(t *testing.T) {
 		IdleTimeout:    50 * time.Millisecond,
 		CursorGrace:    20 * time.Millisecond,
 		SessionTimeout: 60 * time.Millisecond,
-		ReapInterval:   5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +205,6 @@ func TestAckWriteDeadlineSeversNonReadingClient(t *testing.T) {
 		IdleTimeout:    100 * time.Millisecond,
 		CursorGrace:    20 * time.Millisecond,
 		SessionTimeout: time.Minute,
-		ReapInterval:   5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +437,6 @@ func TestAbruptDisconnectMatrix(t *testing.T) {
 		Feed:           feed2,
 		CursorGrace:    30 * time.Millisecond,
 		SessionTimeout: 600 * time.Millisecond,
-		ReapInterval:   5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -649,7 +653,7 @@ func testTakeoverWaitsForInFlightDelivery(t *testing.T, format parsefmt.Format) 
 	if err := writeSeqFrame(connA, 2, genPayload(format, &gen, 10, 10)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, srv.sessions.lookup(token).delivering, "connection A to stall delivering frame 2")
+	waitFor(t, 5*time.Second, srv.lookup(token).delivering, "connection A to stall delivering frame 2")
 
 	connB := rawSessionRequest(t, addr, format, token)
 	defer connB.Close()
@@ -1082,5 +1086,81 @@ func TestDamagedAckResumes(t *testing.T) {
 	}
 	if c.Reconnects() != 1 {
 		t.Fatalf("%d reconnects, want 1", c.Reconnects())
+	}
+}
+
+// TestGrantOutsideAckRangeRedials: the client accepts a grant only at a
+// resume point it can account for, acked <= lastSeq <= maxTx: zero on a
+// fresh session. A fresh grant claiming frame 7 used to number the first
+// frame 8; the server, expecting 1, severed on the gap, and every resume
+// rewound to the same wrong ack. Such a grant is now treated like a
+// damaged ack. A raw listener answers the first hello with lastSeq 7 and
+// every later one with 0: without Reconnect Dial fails, and with it the
+// client redials once and streams from frame 1.
+func TestGrantOutsideAckRangeRedials(t *testing.T) {
+	listen := func() (addr string, hellos *atomic.Int32, first chan uint64) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		hellos, first = new(atomic.Int32), make(chan uint64, 1)
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					_, token, _, err := readHello(conn)
+					if err != nil {
+						return
+					}
+					g := grant{status: statusOK, credits: 16, token: 42}
+					if hellos.Add(1) == 1 {
+						g.lastSeq = 7
+					}
+					if token != 0 && token != g.token || writeGrant(conn, g) != nil {
+						return
+					}
+					if _, seq, _, err := readFrameHeader(conn); err == nil {
+						first <- seq
+					}
+					io.Copy(io.Discard, conn)
+				}()
+			}
+		}()
+		return ln.Addr().String(), hellos, first
+	}
+
+	addr, _, _ := listen()
+	if c, err := Dial(addr, ClientConfig{Format: parsefmt.Columnar}); err == nil {
+		c.conn.Close()
+		t.Fatal("Dial accepted a fresh grant that resumes after frame 7")
+	}
+
+	addr, hellos, first := listen()
+	c, err := Dial(addr, ClientConfig{
+		Format:    parsefmt.Columnar,
+		Reconnect: &ReconnectConfig{MaxRetries: 1, BaseDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatalf("Dial with Reconnect: %v", err)
+	}
+	defer c.conn.Close()
+	if n := hellos.Load(); n != 2 {
+		t.Fatalf("%d hellos, want 2: the refused grant and one redial", n)
+	}
+	if err := c.Send(RecordGen{Keys: 8, WindowRecords: 1024}.Records(0, 16)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case seq := <-first:
+		if seq != 1 {
+			t.Fatalf("first frame carries seq %d, want 1", seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame reached the server")
 	}
 }

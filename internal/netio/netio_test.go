@@ -454,8 +454,8 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.takeCredit(); err != nil {
-			t.Fatal(err)
+		if !c.core.takeCredit() {
+			t.Fatal("no credit after the handshake")
 		}
 		if err := writeSeqFrame(c.conn, 1, make([]byte, 4096)); err != nil {
 			t.Fatal(err)
@@ -626,7 +626,7 @@ func TestHelloAckOverWire(t *testing.T) {
 		}
 	}
 	// The same unknown token through the client's half of the exchange.
-	c := &Client{cfg: ClientConfig{Format: parsefmt.PB}, token: 0x1234}
+	c := &Client{cfg: ClientConfig{Format: parsefmt.PB}, core: clientCore{token: 0x1234}}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -690,8 +690,8 @@ func TestHandshakeIsOneExchange(t *testing.T) {
 		}
 		conn := &countingConn{Conn: raw}
 		credits, last, err := c.openSession(conn)
-		if err != nil || credits != 5 || last != wantLast || c.token == 0 {
-			t.Fatalf("round %d: credits %d lastSeq %d token %#x err %v", round, credits, last, c.token, err)
+		if err != nil || credits != 5 || last != wantLast || c.core.token == 0 {
+			t.Fatalf("round %d: credits %d lastSeq %d token %#x err %v", round, credits, last, c.core.token, err)
 		}
 		if conn.writes != 1 || conn.writtenBytes != helloBytes || conn.reads != 1 || conn.readBytes != grantBytes {
 			t.Fatalf("round %d: %d writes (%d B), %d reads (%d B); want one %d-byte hello and one %d-byte grant",

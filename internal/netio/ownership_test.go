@@ -231,7 +231,7 @@ func TestSlabOwnershipSumsToZero(t *testing.T) {
 			}
 		}
 		awaitAck(t, connA, 1)
-		stalled := r.srv.sessions.lookup(token).delivering
+		stalled := r.srv.lookup(token).delivering
 		waitFor(t, 5*time.Second, stalled, "frame 2 to stall in the push")
 		connB := rawSessionRequest(t, addr, parsefmt.Columnar, token)
 		defer connB.Close()
@@ -363,7 +363,7 @@ func TestReplayRingRetransmitsIntact(t *testing.T) {
 				if r.srv.Counters().ChecksumErrors == 0 {
 					t.Error("no frame failed its checksum: the server's drop path was not exercised")
 				}
-				if n := len(c.free) + len(c.replay); n > frames {
+				if n := len(c.core.free) + len(c.core.replay); n > frames {
 					t.Errorf("%d payload buffers in the ring, ReplayFrames is %d", n, frames)
 				}
 				if err := r.settle(); err != nil {

@@ -75,11 +75,6 @@ type ServerConfig struct {
 	// strictly afterwards, so a crash can never lose a frame the client
 	// was told to forget.
 	WAL FrameLog
-	// ReapInterval overrides the session reaper's scan tick. Zero keeps
-	// the automatic derivation (a quarter of the shortest enabled
-	// deadline); tests with tight CursorGrace/SessionTimeout set it
-	// explicitly instead of riding real-time waits.
-	ReapInterval time.Duration
 	// RestoreSessions seeds the session table from a recovery checkpoint
 	// before the listener accepts: each entry re-arms a resume token at
 	// its durable ack, detached as of startup (the reaper's grace and
@@ -209,10 +204,8 @@ type serverConn struct {
 	// read by the handler's exit path (same goroutine) to decide between
 	// retiring the session and leaving it resumable.
 	cleanEOS bool
-	// owed counts the frames the serve loop has consumed, delivered or
-	// duplicate, since its last ack: the credit it has yet to grant.
-	// Touched only by the serve loop.
-	owed int
+	// core is the frame loop's protocol state, touched only by it.
+	core connCore
 
 	frames   atomic.Int64
 	ingested atomic.Int64
@@ -224,11 +217,16 @@ type serverConn struct {
 }
 
 // Server is the TCP ingest listener: per-connection framed decoding,
-// credit-based flow control, and counters.
+// credit-based flow control, and counters. The protocol's decisions are
+// the server core's (serverCore); Server is its adapter: it reads and
+// writes the sockets, reads the clock once per event, turns the reap
+// tick into events and runs the Feed and FrameLog calls.
 type Server struct {
-	cfg ServerConfig
-	ln  net.Listener
+	cfg  ServerConfig
+	core serverCore
+	ln   net.Listener
 
+	// mu guards the tables below and every session's core.
 	mu      sync.Mutex
 	conns   map[int64]*serverConn
 	pending map[net.Conn]struct{} // accepted, handshake not yet complete
@@ -238,9 +236,11 @@ type Server struct {
 	// a client that has its grant is already counted.
 	admitted int
 	nextID   int64
+	sessions map[uint64]*session // live sessions by token
+	tokenCt  uint64              // tokens minted
+	seedMix  uint64              // newSession's per-process token perturbation
 
-	sessions *sessionTable
-	stopC    chan struct{} // closed when shutdown begins; stops the reaper
+	stopC chan struct{} // closed when shutdown begins; stops the reaper
 
 	wg      sync.WaitGroup // acceptor + connection handlers + reaper
 	closing atomic.Bool
@@ -296,19 +296,27 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
+		cfg: cfg,
+		core: serverCore{credits: cfg.FrameCredits, maxFrame: int64(cfg.MaxFrameBytes),
+			grace: cfg.CursorGrace, timeout: cfg.SessionTimeout, maxConns: cfg.MaxConns},
 		ln:       ln,
 		conns:    make(map[int64]*serverConn),
 		pending:  make(map[net.Conn]struct{}),
-		sessions: newSessionTable(),
+		sessions: make(map[uint64]*session),
+		seedMix:  uint64(time.Now().UnixNano()),
 		stopC:    make(chan struct{}),
 	}
 	s.declareMetrics()
 	if cfg.NextConnID > s.nextID {
 		s.nextID = cfg.NextConnID
 	}
+	// A recovered session keeps its token, cursor id and durable ack
+	// (Feed.Restore restores its cursor, parked or not), detached as of
+	// now: the reaper's clocks give its client the usual window to resume.
 	for _, rs := range cfg.RestoreSessions {
-		s.sessions.restore(rs)
+		ss := &session{token: rs.Token, id: rs.Conn, core: sessionCore{detachedAt: time.Now()}}
+		ss.lastSeq.Store(rs.LastSeq)
+		s.sessions[rs.Token] = ss
 		if rs.Conn > s.nextID {
 			s.nextID = rs.Conn
 		}
@@ -360,37 +368,17 @@ func (s *Server) declareMetrics() {
 // Metrics returns the server's series for /metrics.
 func (s *Server) Metrics() *metrics.Set { return &s.set }
 
-// reapInterval picks how often the reaper scans detached sessions: the
-// configured override when set, else a quarter of the shortest enabled
-// deadline, clamped to [5ms, 500ms].
-func (s *Server) reapInterval() time.Duration {
-	if s.cfg.ReapInterval > 0 {
-		return s.cfg.ReapInterval
-	}
-	d := 500 * time.Millisecond
-	if g := s.cfg.CursorGrace; g > 0 && g/4 < d {
-		d = g / 4
-	}
-	if t := s.cfg.SessionTimeout; t > 0 && t/4 < d {
-		d = t / 4
-	}
-	if d < 5*time.Millisecond {
-		d = 5 * time.Millisecond
-	}
-	return d
-}
-
-// reaper walks detached sessions: past CursorGrace it parks the
-// session's watermark cursor so one silent client cannot stall every
-// window close; past SessionTimeout it expires the session outright,
-// retiring the cursor. Both scans are disabled by negative config.
+// reaper turns the server core's reap tick into events: every detached
+// session is judged by the time, its cursor parked or the session
+// expired. An expired session's cursor is retired here.
 func (s *Server) reaper() {
 	defer s.wg.Done()
-	if s.cfg.CursorGrace < 0 && s.cfg.SessionTimeout < 0 {
+	every := s.core.reapEvery()
+	if every == 0 {
 		<-s.stopC
 		return
 	}
-	tick := time.NewTicker(s.reapInterval())
+	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
 		select {
@@ -399,24 +387,28 @@ func (s *Server) reaper() {
 		case <-tick.C:
 		}
 		now := time.Now()
-		for _, ss := range s.sessions.snapshot() {
-			if s.cfg.SessionTimeout > 0 && ss.staleFor(now) > s.cfg.SessionTimeout {
-				if s.sessions.expire(ss) {
-					// No handler is alive to push a retire sentinel;
-					// remove the cursor directly. Queued batches from
-					// the dead connection still fold into highTs.
-					s.cfg.Feed.retire(ss.id)
-					s.expired.Add(1)
-					if s.cfg.WAL != nil {
-						// An expired session can never resume; make sure
-						// recovery does not resurrect its cursor either.
-						s.cfg.WAL.AppendSessionEnd(ss.token, ss.id)
-					}
-				}
-				continue
+		var expired []*session
+		s.mu.Lock()
+		for _, ss := range s.sessions {
+			switch s.core.reap(&ss.core, now) {
+			case reapPark:
+				s.cfg.Feed.park(ss.id)
+			case reapExpire:
+				delete(s.sessions, ss.token)
+				expired = append(expired, ss)
 			}
-			if s.cfg.CursorGrace > 0 {
-				ss.parkIfStale(now, s.cfg.CursorGrace, s.cfg.Feed)
+		}
+		s.mu.Unlock()
+		for _, ss := range expired {
+			// No handler is alive to push a retire sentinel; remove the
+			// cursor directly. Queued batches from the dead connection
+			// still fold into highTs.
+			s.cfg.Feed.retire(ss.id)
+			s.expired.Add(1)
+			if s.cfg.WAL != nil {
+				// An expired session can never resume; make sure recovery
+				// does not resurrect its cursor either.
+				s.cfg.WAL.AppendSessionEnd(ss.token, ss.id)
 			}
 		}
 	}
@@ -446,10 +438,12 @@ func (s *Server) Close() {
 		s.wg.Wait()
 		// Every handler and the reaper have exited; retire the cursors of
 		// sessions left detached so nothing leaks into the final drain.
-		for _, ss := range s.sessions.snapshot() {
-			s.sessions.remove(ss)
+		s.mu.Lock()
+		for _, ss := range s.sessions {
+			delete(s.sessions, ss.token)
 			s.cfg.Feed.retire(ss.id)
 		}
+		s.mu.Unlock()
 		s.cfg.Feed.closeSend()
 	})
 }
@@ -464,9 +458,9 @@ func (s *Server) Drain(grace time.Duration) {
 	deadline := time.Now().Add(grace)
 	for time.Now().Before(deadline) && !s.closing.Load() {
 		s.mu.Lock()
-		n := len(s.conns) + len(s.pending)
+		n := len(s.conns) + len(s.pending) + len(s.sessions)
 		s.mu.Unlock()
-		if n == 0 && s.sessions.count() == 0 {
+		if n == 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -478,6 +472,7 @@ func (s *Server) Drain(grace time.Duration) {
 func (s *Server) Counters() Counters {
 	s.mu.Lock()
 	active := int64(s.admitted)
+	sessions := int64(len(s.sessions))
 	s.mu.Unlock()
 	_, parked := s.cfg.Feed.liveCursors()
 	c := Counters{
@@ -489,7 +484,7 @@ func (s *Server) Counters() Counters {
 		DecodeErrors:    s.decErrs.Load(),
 		ChecksumErrors:  s.chkErrs.Load(),
 		SessionsResumed: s.resumed.Load(),
-		ActiveSessions:  int64(s.sessions.count()),
+		ActiveSessions:  sessions,
 		DuplicateFrames: s.dups.Load(),
 		ShedConns:       s.shed.Load(),
 		ExpiredSessions: s.expired.Load(),
@@ -509,11 +504,12 @@ func (s *Server) Counters() Counters {
 // feed cursor, for checkpointing. LastSeq is safe to persist: with a
 // WAL attached it only advances after the frame is fsynced.
 func (s *Server) SessionSnapshot() []SessionState {
-	live := s.sessions.snapshot()
-	out := make([]SessionState, len(live))
-	for i, ss := range live {
-		out[i] = SessionState{Token: ss.token, Conn: ss.id, LastSeq: ss.lastSeq.Load()}
+	s.mu.Lock()
+	out := make([]SessionState, 0, len(s.sessions))
+	for _, ss := range s.sessions {
+		out = append(out, SessionState{Token: ss.token, Conn: ss.id, LastSeq: ss.lastSeq.Load()})
 	}
+	s.mu.Unlock()
 	s.cfg.Feed.fillCursors(out)
 	return out
 }
@@ -570,21 +566,15 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// admit is the admission-control decision for one completed hello. It
-// sheds when the connection count is at the cap or the pressure signal
-// says the engine is past its memory headroom; otherwise it reserves
-// the connection's MaxConns slot — under the lock, before the grant is
-// written, so concurrent dials cannot both see the last free slot — and
-// the handler returns it when it exits. Established connections are
-// never shed — they are throttled through credit withholding
-// (Overloaded) instead.
+// admit puts one completed hello to the core's admission control and
+// reserves the connection's MaxConns slot — under the lock, before the
+// grant is written, so concurrent dials cannot both see the last free
+// slot. The handler returns it when it exits.
 func (s *Server) admit() bool {
-	if s.cfg.ShedPressure != nil && s.cfg.ShedPressure() {
-		return false
-	}
+	pressure := s.cfg.ShedPressure != nil && s.cfg.ShedPressure()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.MaxConns > 0 && s.admitted >= s.cfg.MaxConns {
+	if !s.core.admit(pressure, s.admitted) {
 		return false
 	}
 	s.admitted++
@@ -630,78 +620,58 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	fresh := token == 0
-	var sess *session
-	if fresh {
-		s.mu.Lock()
-		if s.closing.Load() {
-			s.mu.Unlock()
-			return
-		}
-		s.nextID++
-		id := s.nextID
-		s.mu.Unlock()
-		sess = s.sessions.create(id)
-		s.cfg.Feed.register(id)
-	} else {
-		sess = s.sessions.lookup(token)
-		if sess == nil {
-			// Unknown or expired: the client cannot resume
-			// exactly-once; tell it so and close.
-			writeGrant(conn, grant{status: statusExpired})
-			return
-		}
-		s.resumed.Add(1)
-	}
-
+	// Open or resume the session and attach the connection in one
+	// section under s.mu: Close, once it sets closing, severs every
+	// connection in conns and then retires every session in the table,
+	// this one included.
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
-		if fresh {
-			// Fresh session created above but the server is closing and
-			// Close may already have walked the table; clean up here.
-			s.sessions.remove(sess)
-			s.cfg.Feed.retire(sess.id)
-		}
+		return
+	}
+	sess := s.sessions[token]
+	if token == 0 {
+		s.nextID++
+		sess = s.newSession(s.nextID)
+		s.cfg.Feed.register(sess.id)
+	} else if sess != nil {
+		s.resumed.Add(1)
+	} else {
+		// Unknown or expired: the client cannot resume exactly-once;
+		// tell it so and close.
+		s.mu.Unlock()
+		writeGrant(conn, grant{status: statusExpired})
 		return
 	}
 	s.nextID++
 	c := &serverConn{key: s.nextID, id: sess.id, conn: conn, format: format, sess: sess}
 	c.granted.Store(int64(s.cfg.FrameCredits))
 	s.conns[c.key] = c
+	if prev := s.conns[sess.core.attach(c.key)]; prev != nil {
+		prev.conn.Close() // takeover: sever the half-open predecessor
+	}
+	s.cfg.Feed.unpark(sess.id) // a no-op unless the reaper parked it
 	s.mu.Unlock()
-
-	old, ok := sess.attach(c, s.cfg.Feed)
-	if !ok {
-		// Lost the race with expiry between lookup and attach.
-		s.mu.Lock()
-		delete(s.conns, c.key)
-		s.mu.Unlock()
-		writeGrant(conn, grant{status: statusExpired})
-		return
-	}
-	if old != nil {
-		old.conn.Close() // takeover: sever the half-open predecessor
-	}
 
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c.key)
-		s.mu.Unlock()
 		if !c.cleanEOS {
 			// Abnormal exit: leave the session resumable, its cursor
-			// live. The reaper parks and eventually expires it; a
-			// detach that fails means another connection already took
+			// live. The reaper parks and eventually expires it; the
+			// detach is a no-op when another connection already took
 			// the session over and owns the cursor now.
-			sess.detach(c)
+			sess.core.detach(c.key, time.Now())
+			s.mu.Unlock()
 			return
 		}
+		delete(s.sessions, sess.token) // a resume is refused from now on
+		s.mu.Unlock()
 		// Clean end of stream ends the session for good. The cursor
 		// retires in order: the sentinel travels the feed behind the
 		// connection's last batch, so the watermark cannot pass data
 		// still queued. During shutdown the direct path removes the
 		// cursor instead.
-		s.sessions.remove(sess)
 		if s.cfg.WAL != nil {
 			s.cfg.WAL.AppendSessionEnd(sess.token, c.id)
 		}
@@ -713,6 +683,7 @@ func (s *Server) handle(conn net.Conn) {
 	// settledSeq waits out a frame the superseded connection is still
 	// delivering, so the grant never trails what is ingested.
 	g := grant{status: statusOK, credits: uint16(s.cfg.FrameCredits), token: sess.token, lastSeq: sess.settledSeq()}
+	c.core.expect = g.lastSeq + 1
 	if writeGrant(conn, g) != nil {
 		return
 	}
@@ -720,40 +691,38 @@ func (s *Server) handle(conn net.Conn) {
 	s.serveFrames(c, bufio.NewReaderSize(conn, readBufferBytes))
 }
 
-// flushCredit grants every credit the connection owes in one ack, once
-// the engine's backpressure clears. Clients block on their send window,
-// so pipeline overload propagates to the traffic sources instead of
-// filling server memory. The ack doubles as the cumulative ack: lastSeq
-// lets the client trim its replay buffer. The write is bounded: a client
-// that keeps sending but never reads its acks fills the socket buffers,
-// and a handler parked in that write would stay attached — never parked
-// by the reaper, its cursor holding every window open. Past the deadline
-// the connection is dead like any idle one. Owing nothing, it writes
-// nothing. Returns false when the connection should end.
+// flushCredit is the adapter's "about to wait" (serverCore.idle): it
+// writes the credit owed in one ack, pausing while backpressure withholds
+// it, so pipeline overload reaches the traffic sources instead of server
+// memory. The ack's lastSeq lets the client trim its replay buffer. The
+// write is bounded: a handler parked writing to a client that never
+// reads its acks would stay attached, its cursor holding every window
+// open; past the deadline the connection is dead like any idle one.
+// Returns false when the connection should end.
 func (s *Server) flushCredit(c *serverConn) bool {
-	if c.owed == 0 {
-		return true
-	}
-	for s.cfg.Overloaded != nil && s.cfg.Overloaded() {
+	n, hold := s.core.idle(&c.core, s.cfg.Overloaded != nil && s.cfg.Overloaded())
+	for ; hold; n, hold = s.core.idle(&c.core, s.cfg.Overloaded()) {
 		if s.closing.Load() {
 			return false
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if n == 0 {
+		return true
 	}
 	timeout := s.cfg.IdleTimeout
 	if timeout <= 0 {
 		timeout = handshakeTimeout
 	}
 	c.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := writeCreditAck(c.conn, uint32(c.owed), c.sess.lastSeq.Load()); err != nil {
+	if err := writeCreditAck(c.conn, uint32(n), c.sess.lastSeq.Load()); err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			s.idleTOs.Add(1)
 		}
 		return false
 	}
 	s.acks.Add(1)
-	c.granted.Add(int64(c.owed))
-	c.owed = 0
+	c.granted.Add(int64(n))
 	return true
 }
 
@@ -781,31 +750,24 @@ type frameDecoder struct {
 }
 
 // serveFrames is the one receive loop, for both formats: arm the idle
-// deadline, read the frame header, end on the end-of-stream marker,
-// enforce the size cap, count, discard a duplicate or sever on a gap,
-// decode, deliver. A single goroutine per connection keeps frame
+// deadline, read the frame header, and do what the server core's
+// verdict on it says — end the stream, sever, discard a duplicate, or
+// decode and deliver. A single goroutine per connection keeps frame
 // delivery sequential, which the feed's watermark cursors require. The
 // format contributes only the decode step.
 //
-// Credit is granted per drained read buffer, not per frame: each frame
-// consumed, delivered or duplicate, adds one to c.owed, and one ack pays
-// it all. The rule is that a connection never waits while it owes
-// credit — a client may be blocked on exactly that credit, and waiting
-// for its next frame, or behind the engine, would then never end. So
-// the loop flushes before every read the buffer cannot serve in full (a
-// header with fewer than frameHeaderBytes buffered, a body longer than
-// what is buffered), on the end-of-stream marker, and once half the
-// credit window is owed; deliver flushes before the log's group-commit
-// wait and before a feed push that would block. The only wait left
-// while owing is flushCredit's own, for backpressure to clear: that is
-// the credit being withheld.
+// Credit is granted per drained read buffer, not per frame: the core
+// owes one credit for every frame consumed and says when half the
+// window is owed. Every wait the loop makes is announced to the core
+// first (flushCredit): a read the buffer cannot serve in full (a header
+// with fewer than frameHeaderBytes buffered, a body longer than what is
+// buffered), the end-of-stream marker, and in deliver the log's group
+// commit and a feed push that would block.
 func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 	d := &frameDecoder{}
 	if s.cfg.WAL != nil && c.format == parsefmt.Columnar {
 		d.ranges = make([]parsefmt.ColRange, s.cfg.Feed.Schema().NumCols)
 	}
-	halfWindow := max(s.cfg.FrameCredits/2, 1)
-	expect := c.sess.lastSeq.Load() + 1
 	for {
 		if br.Buffered() < frameHeaderBytes && !s.flushCredit(c) {
 			return
@@ -820,35 +782,29 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 			}
 			return // peer gone or idle-timed out
 		}
-		if eos {
+		verdict := s.core.header(&c.core, size, seq, eos)
+		switch verdict {
+		case frameEnd:
 			c.cleanEOS = true
 			s.flushCredit(c) // the session ends cleanly whether or not the ack lands
 			return
-		}
-		if size > int64(s.cfg.MaxFrameBytes) {
+		case frameOversize:
 			s.countDecodeError(c)
-			return // oversized frame: refuse to stream that much hostile data
+			return
 		}
 		s.frames.Add(1)
 		c.frames.Add(1)
 		s.framesByFmt[c.format].Add(1)
-		if size > int64(br.Buffered()) && !s.flushCredit(c) {
+		if size > int64(br.Buffered()) && !s.flushCredit(c) || verdict == frameGap {
 			return
 		}
-
-		if seq < expect {
-			// A replayed frame the server already ingested under a
-			// previous connection: discard it, but its credit is owed
-			// like any other's.
+		if verdict == frameDuplicate {
 			if _, err := io.CopyN(io.Discard, br, size); err != nil {
 				return
 			}
 			s.dups.Add(1)
 			c.dups.Add(1)
 		} else {
-			if seq != expect {
-				return // sequence gap: sever so the client replays
-			}
 			var cols [][]uint64
 			var maxTs uint64
 			var ok bool
@@ -861,10 +817,8 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 			if !ok || !s.deliver(c, seq, maxTs, cols, d.ranges) {
 				return
 			}
-			expect = seq + 1
 		}
-		c.owed++
-		if c.owed >= halfWindow && !s.flushCredit(c) {
+		if s.core.consumed(&c.core, verdict == frameDeliver, seq) && !s.flushCredit(c) {
 			return
 		}
 	}
@@ -982,8 +936,7 @@ func (s *Server) addDecodeTime(t0 time.Time) {
 // a crash, with no overlap the dedup line cannot absorb. (PB frames log
 // their decoded columnar form — replay re-enters the feed without the
 // original encoding.) Both of its waits — the log's group commit and a
-// push into a full feed — come after the connection's owed credit is
-// flushed (serveFrames' rule).
+// push into a full feed — are announced to the core first (flushCredit).
 //
 // The whole section runs under the session's delivery lock and only
 // while c still owns the session. A connection that was taken over
@@ -998,7 +951,10 @@ func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, rang
 	}
 	c.sess.dmu.Lock()
 	defer c.sess.dmu.Unlock()
-	if !c.sess.owns(c) {
+	s.mu.Lock()
+	owns := c.sess.core.owner == c.key
+	s.mu.Unlock()
+	if !owns {
 		if cols != nil {
 			s.cfg.Feed.Recycle(cols)
 		}

@@ -84,10 +84,6 @@ type Config struct {
 	// 1s). Log segments are deleted only once a durable checkpoint
 	// seals every window they feed.
 	CheckpointInterval time.Duration
-	// ReapInterval overrides the session reaper's scan tick (see
-	// netio.ServerConfig.ReapInterval); zero keeps the automatic
-	// derivation from CursorGrace/SessionTimeout.
-	ReapInterval time.Duration
 }
 
 // Server is a plan running as a long-lived network service: records
@@ -211,7 +207,6 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		MaxConns:        cfg.MaxConns,
 		Faults:          cfg.Faults,
 		WAL:             frameLog,
-		ReapInterval:    cfg.ReapInterval,
 		RestoreSessions: sessions,
 		NextConnID:      nextID,
 		Overloaded: func() bool {

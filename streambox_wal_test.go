@@ -31,7 +31,6 @@ func TestDrainShutdownSealsWAL(t *testing.T) {
 			IngestAddr:         "127.0.0.1:0",
 			WALDir:             walDir,
 			CheckpointInterval: 20 * time.Millisecond,
-			ReapInterval:       10 * time.Millisecond,
 			CursorGrace:        time.Minute,
 			SessionTimeout:     time.Minute,
 		},
