@@ -42,8 +42,7 @@ func main() {
 	sessionTimeout := flag.Duration("session-timeout", 2*time.Minute, "expire a dead session (no more resume) after this")
 	maxConns := flag.Int("max-conns", 0, "shed ingest handshakes past this many live connections (0 = unlimited)")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "SIGTERM: wait this long for clients to finish before severing")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: frames are fsynced before they are acked (empty disables durability)")
-	recoverDir := flag.String("recover-dir", "", "recover from this WAL directory before serving (implies -wal-dir into the same directory)")
+	walDir := flag.String("wal-dir", "", "write-ahead log directory: frames are fsynced before they are acked, and a previous run's log and checkpoint there are recovered before serving (empty disables durability)")
 	ckInterval := flag.Duration("checkpoint-interval", time.Second, "recovery checkpoint cadence with a WAL attached")
 	crashAfter := flag.Int64("crash-after-bytes", 0, "fault injection: SIGKILL this process after reading this many ingest bytes (crash-recovery testing)")
 	crashSeed := flag.Uint64("crash-seed", 1, "seed jittering the exact crash point of -crash-after-bytes")
@@ -53,6 +52,14 @@ func main() {
 	spillDir := flag.String("spill-dir", "", "directory for the mmap'd cold spill tier's temp file (empty = system temp dir; only used with -spill-cap)")
 	spillCap := flag.Int64("spill-cap", 0, "spill-tier capacity in bytes: an mmap'd arena where runs are born once HBM and DRAM are both over the placement setpoint, and merged from in place (0 disables)")
 	flag.Parse()
+
+	// A log directory that already holds files is a previous run's,
+	// which Serve recovers before it listens.
+	var recovering bool
+	if *walDir != "" {
+		ents, _ := os.ReadDir(*walDir)
+		recovering = len(ents) > 0
+	}
 
 	p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
 	s := p.NetworkSource(streambox.SourceConfig{Name: "net"}).
@@ -97,7 +104,6 @@ func main() {
 			ShedUtilization:    *shedUtil,
 			Faults:             faults,
 			WALDir:             *walDir,
-			RecoverDir:         *recoverDir,
 			CheckpointInterval: *ckInterval,
 		},
 	})
@@ -118,15 +124,12 @@ func main() {
 	if a := srv.HTTPAddr(); a != "" {
 		fmt.Printf("queries:    http://%s/windows  http://%s/metrics\n", a, a)
 	}
-	if dir := *recoverDir; dir != "" {
+	if recovering {
 		fmt.Printf("recovery:   %d sessions restored, %d frames replayed in %.3f s from %s\n",
-			srv.RecoveredSessions(), srv.ReplayedFrames(), float64(srv.RecoveryNs())/1e9, dir)
+			srv.RecoveredSessions(), srv.ReplayedFrames(), float64(srv.RecoveryNs())/1e9, *walDir)
 	}
-	if dir := *walDir; dir != "" || *recoverDir != "" {
-		if dir == "" {
-			dir = *recoverDir
-		}
-		fmt.Printf("wal:        logging to %s (checkpoint every %s)\n", dir, *ckInterval)
+	if *walDir != "" {
+		fmt.Printf("wal:        logging to %s (checkpoint every %s)\n", *walDir, *ckInterval)
 	}
 
 	sigC := make(chan os.Signal, 1)
@@ -162,12 +165,12 @@ func main() {
 		rep.DroppedRecords, rep.DecodeErrors, rep.ChecksumErrors)
 	fmt.Printf("faults:     %d resumes, %d duplicate frames, %d shed conns, %d expired sessions, %d idle timeouts\n",
 		rep.SessionsResumed, rep.DuplicateFrames, rep.ShedConns, rep.ExpiredSessions, rep.IdleTimeouts)
-	if *walDir != "" || *recoverDir != "" {
+	if *walDir != "" {
 		fmt.Printf("wal:        %d frames logged, %d syncs (fsync p99 %.3f ms), %d segments retired, %d left unsealed\n",
 			rep.WALAppendedFrames, rep.WALSyncs, float64(rep.WALFsyncP99Ns)/1e6,
 			rep.WALSegmentsRetired, rep.WALSegmentsActive)
 	}
-	if *recoverDir != "" {
+	if recovering {
 		fmt.Printf("recovery:   %d sessions restored, %d frames replayed in %.3f s\n",
 			rep.RecoveredSessions, rep.ReplayedFrames, float64(rep.RecoveryNs)/1e9)
 	}

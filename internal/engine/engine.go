@@ -42,13 +42,8 @@ type Config struct {
 	ReservedHBM int64
 	// Seed drives the knob's placement randomness.
 	Seed int64
-	// MonitorInterval is the resource sampling period in virtual
-	// seconds; 0 picks the paper's 10 ms.
-	MonitorInterval float64
 	// RecordSeries enables Fig 10 style time-series capture.
 	RecordSeries bool
-	// CacheHitFrac is the HBM hit fraction assumed in cache mode.
-	CacheHitFrac float64
 	// RecordWeight enables specimen scaling for paper-scale benchmarks:
 	// every real record stands for RecordWeight virtual records. All
 	// task demands, memory charges and throughput statistics scale by
@@ -57,6 +52,16 @@ type Config struct {
 	RecordWeight int64
 }
 
+// monitorInterval is the resource sampling period in virtual seconds:
+// the paper's 10 ms.
+const monitorInterval = 0.010
+
+// cacheHitFrac is the HBM hit fraction assumed in cache mode. Streaming
+// KPAs are ephemeral with little temporal locality, so a
+// hardware-managed HBM cache hits rarely (§7.3: software manages hybrid
+// memories better than hardware).
+const cacheHitFrac = 0.25
+
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
 	if c.TargetDelaySec == 0 {
@@ -64,15 +69,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.ReservedHBM == 0 {
 		c.ReservedHBM = 256 << 20
-	}
-	if c.MonitorInterval == 0 {
-		c.MonitorInterval = 0.010
-	}
-	if c.CacheHitFrac == 0 {
-		// Streaming KPAs are ephemeral with little temporal locality, so
-		// a hardware-managed HBM cache hits rarely (§7.3: software
-		// manages hybrid memories better than hardware).
-		c.CacheHitFrac = 0.25
 	}
 	if c.RecordWeight <= 0 {
 		c.RecordWeight = 1
@@ -301,7 +297,6 @@ func (e *Engine) transformDemand(d memsim.Demand) memsim.Demand {
 	if e.cfg.Placement != PlacementCache {
 		return d
 	}
-	hit := e.cfg.CacheHitFrac
 	hasHBM := e.cfg.Machine.Tier(memsim.HBM).Capacity > 0
 	out := memsim.Demand{}
 	for _, p := range d.Phases {
@@ -315,7 +310,7 @@ func (e *Engine) transformDemand(d memsim.Demand) memsim.Demand {
 			out.Phases = append(out.Phases, p)
 			continue
 		}
-		hitBytes := int64(float64(p.Bytes) * hit)
+		hitBytes := int64(float64(p.Bytes) * cacheHitFrac)
 		missBytes := p.Bytes - hitBytes
 		if p.Pattern == memsim.Sequential {
 			out = out.Seq(memsim.HBM, hitBytes).Seq(memsim.DRAM, missBytes).Seq(memsim.HBM, missBytes)
@@ -435,13 +430,12 @@ func (pa *placementAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allo
 // capacity and DRAM bandwidth, refreshes the knob, applies ingestion
 // back-pressure, and optionally records the Fig 10 time series.
 func (e *Engine) startMonitor() {
-	interval := e.cfg.MonitorInterval
 	dramBWCap := e.cfg.Machine.Tier(memsim.DRAM).Bandwidth
 	var tick func(now float64)
 	tick = func(now float64) {
 		bytes := e.Sim.IntervalBytes()
-		dramBW := bytes[memsim.DRAM] / interval
-		hbmBW := bytes[memsim.HBM] / interval
+		dramBW := bytes[memsim.DRAM] / monitorInterval
+		hbmBW := bytes[memsim.HBM] / monitorInterval
 		hbmUtil := e.Pool.Utilization(memsim.HBM)
 		headroom := e.lastDelay < (1-delayHeadroomFrac)*e.cfg.TargetDelaySec
 		if e.cfg.Placement == PlacementManaged {
@@ -469,9 +463,9 @@ func (e *Engine) startMonitor() {
 				HBMBytes: e.Pool.Used(memsim.HBM),
 			})
 		}
-		e.Sim.After(interval, tick)
+		e.Sim.After(monitorInterval, tick)
 	}
-	e.Sim.After(interval, tick)
+	e.Sim.After(monitorInterval, tick)
 }
 
 func (e *Engine) recordError(err error) {

@@ -324,14 +324,16 @@ func TestPlacementSpillsWhenHBMFull(t *testing.T) {
 func TestCacheModeDemandTransform(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Placement = PlacementCache
-	cfg.CacheHitFrac = 0.5
 	e, _ := New(cfg)
 	d := memsim.Demand{}.Seq(memsim.HBM, 1000).CPU(10).Rand(memsim.HBM, 100, 2)
 	out := e.transformDemand(d)
 	bytes := out.TotalBytes()
-	// Seq: 500 HBM + 500 DRAM + 500 fill; Rand: 50 + 50 + 50.
-	if bytes[memsim.DRAM] != 550 {
-		t.Errorf("DRAM bytes = %d, want 550", bytes[memsim.DRAM])
+	// Each HBM phase splits into its hits from HBM, its misses from
+	// DRAM and the misses' fill into HBM.
+	seqMiss := 1000 - int64(1000*cacheHitFrac)
+	randMiss := 100 - int64(100*cacheHitFrac)
+	if want := seqMiss + randMiss; bytes[memsim.DRAM] != want {
+		t.Errorf("DRAM bytes = %d, want %d", bytes[memsim.DRAM], want)
 	}
 	if bytes[memsim.HBM] != 1100 {
 		t.Errorf("HBM bytes = %d, want 1100", bytes[memsim.HBM])

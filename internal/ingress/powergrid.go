@@ -13,37 +13,29 @@ import (
 // The hierarchy and value model follow the challenge: houses contain
 // households contain plugs; each plug reports instantaneous load.
 type PowerGridConfig struct {
-	// Houses, HouseholdsPerHouse and PlugsPerHousehold set the
-	// hierarchy (DEBS: 40 houses).
-	Houses             uint64
-	HouseholdsPerHouse uint64
-	PlugsPerHousehold  uint64
-	// BaseLoad and LoadJitter shape per-plug load values; a subset of
-	// "hot" plugs runs at several times the base load so some houses
-	// reliably exceed the global average.
-	BaseLoad   uint64
-	LoadJitter uint64
-	HotFrac    float64
+	// Houses sets the hierarchy's top level (DEBS: 40 houses); each
+	// holds householdsPerHouse households of plugsPerHousehold plugs.
+	Houses uint64
+	// HotFrac is the share of "hot" plugs, which run at several times
+	// the base load so some houses reliably exceed the global average.
+	HotFrac float64
 	// Seed makes the stream reproducible.
 	Seed int64
 }
+
+// The fixed shape of the hierarchy and of each plug's load: baseLoad
+// plus up to loadJitter.
+const (
+	householdsPerHouse = 3
+	plugsPerHousehold  = 4
+	baseLoad           = 100
+	loadJitter         = 20
+)
 
 // Defaults fills unset fields with DEBS-like values.
 func (c PowerGridConfig) Defaults() PowerGridConfig {
 	if c.Houses == 0 {
 		c.Houses = 40
-	}
-	if c.HouseholdsPerHouse == 0 {
-		c.HouseholdsPerHouse = 3
-	}
-	if c.PlugsPerHousehold == 0 {
-		c.PlugsPerHousehold = 4
-	}
-	if c.BaseLoad == 0 {
-		c.BaseLoad = 100
-	}
-	if c.LoadJitter == 0 {
-		c.LoadJitter = 20
 	}
 	if c.HotFrac == 0 {
 		c.HotFrac = 0.1
@@ -72,8 +64,8 @@ func NewPowerGrid(cfg PowerGridConfig) *PowerGridGen {
 		hot:    make(map[uint64]bool),
 	}
 	for h := uint64(0); h < cfg.Houses; h++ {
-		for hh := uint64(0); hh < cfg.HouseholdsPerHouse; hh++ {
-			for p := uint64(0); p < cfg.PlugsPerHousehold; p++ {
+		for hh := uint64(0); hh < householdsPerHouse; hh++ {
+			for p := uint64(0); p < plugsPerHousehold; p++ {
 				key := ops.PlugKey(h, hh, p)
 				g.plugs = append(g.plugs, key)
 				if g.rng.Float64() < cfg.HotFrac {
@@ -95,7 +87,7 @@ func (g *PowerGridGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
 		ts := tsLo + wm.Time(i)*span/wm.Time(n)
 		key := g.plugs[g.next%len(g.plugs)]
 		g.next++
-		load := g.cfg.BaseLoad + g.rng.Uint64()%g.cfg.LoadJitter
+		load := baseLoad + g.rng.Uint64()%loadJitter
 		if g.hot[key] {
 			load *= 5
 		}

@@ -24,6 +24,9 @@ const (
 // YSBEventView is the event type the Filter stage keeps.
 const YSBEventView = 0
 
+// ysbEventTypes is the number of event types, views among them.
+const ysbEventTypes = 3
+
 // YSBConfig configures the Yahoo streaming benchmark generator.
 type YSBConfig struct {
 	// Ads is the number of distinct ad IDs.
@@ -31,8 +34,6 @@ type YSBConfig struct {
 	// Campaigns is the number of distinct campaigns; each ad maps to
 	// Ads/Campaigns ads.
 	Campaigns uint64
-	// EventTypes is the number of event types (views are type 0).
-	EventTypes uint64
 	// Seed makes the stream reproducible.
 	Seed int64
 }
@@ -44,9 +45,6 @@ func (c YSBConfig) Defaults() YSBConfig {
 	}
 	if c.Campaigns == 0 {
 		c.Campaigns = 100
-	}
-	if c.EventTypes == 0 {
-		c.EventTypes = 3
 	}
 	return c
 }
@@ -84,7 +82,7 @@ func (g *YSBGen) Fill(bd *bundle.Builder, n int, tsLo, tsHi wm.Time) {
 		bd.Append(
 			g.rng.Uint64()%g.cfg.Ads,
 			g.rng.Uint64()%5,
-			g.rng.Uint64()%g.cfg.EventTypes,
+			g.rng.Uint64()%ysbEventTypes,
 			g.rng.Uint64()%100000,
 			g.rng.Uint64()%1000,
 			g.rng.Uint64(),

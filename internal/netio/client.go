@@ -73,16 +73,13 @@ type ClientConfig struct {
 	NoFallback bool
 	// FrameRecords is the number of records per frame (0 picks 512).
 	FrameRecords int
-	// DialTimeout bounds connection establishment and the handshake
-	// (0 picks 10s).
-	DialTimeout time.Duration
 	// WriteTimeout bounds each frame write (and the end-of-stream
 	// marker); a stalled or half-open server triggers a redial, or
 	// without Reconnect surfaces as a *TimeoutError, instead of blocking
 	// Send forever. It is also the no-progress bound on the two waits for
 	// the server's ack: Close's final drain and Send's wait on a full
-	// replay buffer. Zero disables the write deadline and leaves
-	// DialTimeout as their bound.
+	// replay buffer. Zero disables the write deadline and leaves the 10 s
+	// handshake timeout as their bound.
 	WriteTimeout time.Duration
 	// Reconnect enables automatic redial with exactly-once session
 	// resume. Nil means a session that does not redial: any connection
@@ -167,9 +164,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.FrameRecords <= 0 {
 		cfg.FrameRecords = defaultFrameRecords
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	if cfg.ReplayFrames <= 0 {
 		cfg.ReplayFrames = defaultReplayFrames
 	}
@@ -215,14 +209,14 @@ func (c *Client) redial(cause error) error {
 // handshake dials and opens the session on the new socket: a fresh one
 // while the core has no token, a resume of it afterwards.
 func (c *Client) handshake() (conn net.Conn, credits int, lastSeq uint64, err error) {
-	conn, err = net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	conn, err = net.DialTimeout("tcp", c.addr, handshakeTimeout)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	credits, lastSeq, err = c.openSession(conn)
 	if err != nil {
 		conn.Close()

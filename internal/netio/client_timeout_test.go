@@ -44,58 +44,51 @@ func startMuteServer(t *testing.T) net.Listener {
 // TestCloseAckDrainTimeout pins the bounded ack drain: a server that
 // accepts frames but never acks them (died mid-drain behind a proxy,
 // wedged disk) must not park Close forever. The drain fails with a
-// typed *TimeoutError once no ack arrives for a full WriteTimeout — or,
-// with no write deadline configured, a full DialTimeout.
+// typed *TimeoutError once no ack arrives for a full WriteTimeout. (With
+// no write deadline the bound is the 10 s handshake timeout, which
+// TestSessionCores checks under a virtual clock.)
 func TestCloseAckDrainTimeout(t *testing.T) {
-	for _, tc := range []struct {
-		name                      string
-		writeTimeout, dialTimeout time.Duration
-		bound                     time.Duration
-	}{
-		{"WriteTimeout", 150 * time.Millisecond, 0, 150 * time.Millisecond},
-		{"DialTimeout", 0, 50 * time.Millisecond, 50 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ln := startMuteServer(t)
-			defer ln.Close()
-			c, err := Dial(ln.Addr().String(), ClientConfig{
-				Format:       parsefmt.Columnar,
-				FrameRecords: 16,
-				WriteTimeout: tc.writeTimeout,
-				DialTimeout:  tc.dialTimeout,
-				Reconnect:    &ReconnectConfig{MaxRetries: 1, BaseDelay: time.Millisecond},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := RecordGen{Keys: 8, WindowRecords: 1024}
-			if err := c.Send(gen.Records(0, 64)); err != nil {
-				t.Fatalf("send: %v", err)
-			}
-
-			closed := make(chan error, 1)
-			go func() { closed <- c.Close() }()
-			select {
-			case err = <-closed:
-			case <-time.After(3 * time.Second):
-				t.Fatal("Close still draining acks after 3s against a server that never acks")
-			}
-			var te *TimeoutError
-			if !errors.As(err, &te) {
-				t.Fatalf("Close = %v, want a *TimeoutError", err)
-			}
-			if te.Op != "ack drain" || te.After != tc.bound {
-				t.Fatalf("TimeoutError %+v, want Op %q After %s", te, "ack drain", tc.bound)
-			}
+	const bound = 150 * time.Millisecond
+	t.Run("WriteTimeout", func(t *testing.T) {
+		ln := startMuteServer(t)
+		defer ln.Close()
+		c, err := Dial(ln.Addr().String(), ClientConfig{
+			Format:       parsefmt.Columnar,
+			FrameRecords: 16,
+			WriteTimeout: bound,
+			Reconnect:    &ReconnectConfig{MaxRetries: 1, BaseDelay: time.Millisecond},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := RecordGen{Keys: 8, WindowRecords: 1024}
+		if err := c.Send(gen.Records(0, 64)); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+
+		closed := make(chan error, 1)
+		go func() { closed <- c.Close() }()
+		select {
+		case err = <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatal("Close still draining acks after 3s against a server that never acks")
+		}
+		var te *TimeoutError
+		if !errors.As(err, &te) {
+			t.Fatalf("Close = %v, want a *TimeoutError", err)
+		}
+		if te.Op != "ack drain" || te.After != bound {
+			t.Fatalf("TimeoutError %+v, want Op %q After %s", te, "ack drain", bound)
+		}
+	})
 }
 
 // TestReplayBufferFullTimeout pins the bounded replay-buffer wait: a
 // server that takes the hello, reads frames and never acks used to park
 // Send forever once ReplayFrames unacked frames were buffered. The wait
-// now expires after WriteTimeout (DialTimeout without one) and the
-// connection is treated as dead: without Reconnect Send fails with
+// now expires after WriteTimeout (the 10 s handshake timeout without
+// one, which TestSessionCores checks) and the connection is treated as
+// dead: without Reconnect Send fails with
 // ErrReplayOverflow wrapping a *TimeoutError; with it the client redials,
 // resumes and replays, and Send completes.
 func TestReplayBufferFullTimeout(t *testing.T) {
@@ -112,32 +105,24 @@ func TestReplayBufferFullTimeout(t *testing.T) {
 			return nil
 		}
 	}
-	for _, tc := range []struct {
-		name                      string
-		writeTimeout, dialTimeout time.Duration
-		bound                     time.Duration
-	}{
-		{"WriteTimeout", 150 * time.Millisecond, 0, 150 * time.Millisecond},
-		{"DialTimeout", 0, 50 * time.Millisecond, 50 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ln := startMuteServer(t)
-			defer ln.Close()
-			c, err := Dial(ln.Addr().String(), ClientConfig{
-				Format: parsefmt.Columnar, FrameRecords: 16, ReplayFrames: 2,
-				WriteTimeout: tc.writeTimeout, DialTimeout: tc.dialTimeout,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.conn.Close()
-			err = send(t, c)
-			var te *TimeoutError
-			if !errors.Is(err, ErrReplayOverflow) || !errors.As(err, &te) || te.After != tc.bound {
-				t.Fatalf("Send = %v, want ErrReplayOverflow wrapping a *TimeoutError after %s", err, tc.bound)
-			}
+	t.Run("WriteTimeout", func(t *testing.T) {
+		const bound = 150 * time.Millisecond
+		ln := startMuteServer(t)
+		defer ln.Close()
+		c, err := Dial(ln.Addr().String(), ClientConfig{
+			Format: parsefmt.Columnar, FrameRecords: 16, ReplayFrames: 2,
+			WriteTimeout: bound,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.conn.Close()
+		err = send(t, c)
+		var te *TimeoutError
+		if !errors.Is(err, ErrReplayOverflow) || !errors.As(err, &te) || te.After != bound {
+			t.Fatalf("Send = %v, want ErrReplayOverflow wrapping a *TimeoutError after %s", err, bound)
+		}
+	})
 
 	t.Run("Reconnect", func(t *testing.T) {
 		// The first connection is mute; every later one resumes the

@@ -18,7 +18,7 @@ type clientCore struct {
 	ring    int             // ReplayFrames
 	// ackWait bounds the waits on the server's cumulative ack (a full
 	// ring, Close's drain) that make no progress: WriteTimeout, or
-	// DialTimeout when no write deadline is configured.
+	// handshakeTimeout when no write deadline is configured.
 	ackWait time.Duration
 
 	token   uint64 // the session's resume token, fixed by the first grant
@@ -74,7 +74,7 @@ const (
 func newClientCore(cfg ClientConfig) clientCore {
 	k := clientCore{ring: cfg.ReplayFrames, ackWait: cfg.WriteTimeout, nextSeq: 1}
 	if k.ackWait <= 0 {
-		k.ackWait = cfg.DialTimeout
+		k.ackWait = handshakeTimeout
 	}
 	if cfg.Reconnect != nil {
 		k.rc = cfg.Reconnect.withDefaults()

@@ -2,6 +2,7 @@ package netio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -438,13 +439,13 @@ func TestRowDecodeSlabsPlateau(t *testing.T) {
 	<-done
 }
 
-// TestServerRejectsOversizedFrame: a frame declaring more bytes than
-// MaxFrameBytes is a decode error and severs the connection, whatever
+// TestServerRejectsOversizedFrame: a frame header declaring more bytes
+// than MaxFrameBytes is a decode error and severs the connection, whatever
 // the format, without its body being read or timed as decode work.
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	for _, format := range []parsefmt.Format{parsefmt.PB, parsefmt.Columnar} {
 		feed := NewFeed(WireSchema(), 8)
-		srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, MaxFrameBytes: 1024})
+		srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +458,10 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		if !c.core.takeCredit() {
 			t.Fatal("no credit after the handshake")
 		}
-		if err := writeSeqFrame(c.conn, 1, make([]byte, 4096)); err != nil {
+		hdr := make([]byte, frameHeaderBytes) // the header alone: no body follows
+		binary.BigEndian.PutUint32(hdr[:4], MaxFrameBytes+1)
+		binary.BigEndian.PutUint64(hdr[4:], 1)
+		if _, err := c.conn.Write(hdr); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()

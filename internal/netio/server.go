@@ -17,11 +17,6 @@ import (
 	"streambox/internal/parsefmt"
 )
 
-// handshakeTimeout bounds the handshake — reading the client's hello and
-// writing the grant — and, when no IdleTimeout is configured, each ack
-// write.
-const handshakeTimeout = 10 * time.Second
-
 // readBufferBytes sizes every connection's buffered reader. It stages
 // frame headers, small frames and the first part of a large one; bufio
 // reads any remainder of a frame at least this long straight from the
@@ -35,8 +30,6 @@ type ServerConfig struct {
 	// FrameCredits is the per-connection flow-control window in frames
 	// (0 picks 16).
 	FrameCredits int
-	// MaxFrameBytes caps one frame's payload (0 picks 4 MiB).
-	MaxFrameBytes int
 	// Overloaded, when non-nil, reports engine backpressure: while it
 	// returns true the server withholds credit grants, so clients stall
 	// instead of the server buffering unboundedly. The serving layer
@@ -282,9 +275,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.FrameCredits > 0xFFFF {
 		cfg.FrameCredits = 0xFFFF // the grant carries the credits as uint16
 	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = DefaultMaxFrameBytes
-	}
 	if cfg.CursorGrace == 0 {
 		cfg.CursorGrace = 10 * time.Second
 	}
@@ -296,9 +286,8 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg: cfg,
-		core: serverCore{credits: cfg.FrameCredits, maxFrame: int64(cfg.MaxFrameBytes),
-			grace: cfg.CursorGrace, timeout: cfg.SessionTimeout, maxConns: cfg.MaxConns},
+		cfg:      cfg,
+		core:     serverCore{credits: cfg.FrameCredits, grace: cfg.CursorGrace, timeout: cfg.SessionTimeout, maxConns: cfg.MaxConns},
 		ln:       ln,
 		conns:    make(map[int64]*serverConn),
 		pending:  make(map[net.Conn]struct{}),

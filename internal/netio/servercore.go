@@ -12,7 +12,6 @@ import "time"
 // simulated time.
 type serverCore struct {
 	credits  int           // FrameCredits: the window each grant opens
-	maxFrame int64         // MaxFrameBytes
 	grace    time.Duration // CursorGrace; negative never parks
 	timeout  time.Duration // SessionTimeout; negative never expires
 	maxConns int           // MaxConns; zero is unlimited
@@ -119,7 +118,7 @@ func (k *serverCore) header(c *connCore, size int64, seq uint64, eos bool) frame
 	switch {
 	case eos:
 		return frameEnd
-	case size > k.maxFrame:
+	case size > MaxFrameBytes:
 		return frameOversize
 	case seq < c.expect:
 		return frameDuplicate

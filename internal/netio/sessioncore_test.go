@@ -12,10 +12,10 @@ import (
 
 // This file runs the client core against the server core with no
 // socket, goroutine or clock: messages in flight sit in slices, and a
-// virtual clock jumps from timer to timer, so the 500 ms ack wait, the
-// 10 s CursorGrace and the 120 s SessionTimeout fire in microseconds.
-// sim plays both adapters, the way Client and Server do, and checks the
-// protocol's invariants after every step.
+// virtual clock jumps from timer to timer, so the 500 ms and 10 s ack
+// waits, the 10 s CursorGrace and the 120 s SessionTimeout fire in
+// microseconds. sim plays both adapters, the way Client and Server do,
+// and checks the protocol's invariants after every step.
 
 // errSimCut is the read or write failure a cut connection reports.
 var errSimCut = errors.New("sim: connection cut")
@@ -111,12 +111,9 @@ type sim struct {
 func newSim(t *testing.T, cfg ClientConfig) *sim {
 	start := time.Unix(1_000_000, 0)
 	cfg.ReplayFrames = max(cfg.ReplayFrames, 1)
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	m := &sim{
 		t: t, start: start, now: start, cli: newClientCore(cfg), reachable: true,
-		srv:      serverCore{credits: 16, maxFrame: DefaultMaxFrameBytes, grace: 10 * time.Second, timeout: 120 * time.Second},
+		srv:      serverCore{credits: 16, grace: 10 * time.Second, timeout: 120 * time.Second},
 		sessions: make(map[uint64]*simSession),
 	}
 	m.nextReap = start.Add(m.srv.reapEvery())
@@ -677,6 +674,36 @@ func TestSessionCores(t *testing.T) {
 			}
 			if got := m.now.Sub(from); got != 500*time.Millisecond {
 				t.Fatalf("the ack wait fired after %v, want exactly 500ms", got)
+			}
+		}},
+		{"no write deadline: the ack drain fires at 10s", ClientConfig{ReplayFrames: 64}, func(t *testing.T, m *sim) {
+			mustOK(t, m.dial())
+			m.overloaded = true
+			mustOK(t, m.send(4))
+			from := m.now
+			m.at(from.Add(10*time.Second-time.Millisecond), func() { m.wakeClient() })
+			err := m.call(goalAcked)
+			var te *TimeoutError
+			if !errors.As(err, &te) || te.Op != "ack drain" || te.After != 10*time.Second {
+				t.Fatalf("drain = %v, want the 10s ack-drain timeout", err)
+			}
+			if got := m.now.Sub(from); got != 10*time.Second {
+				t.Fatalf("the ack wait fired after %v, want exactly 10s", got)
+			}
+		}},
+		{"no write deadline: a full ring reconnects at 10s", ClientConfig{ReplayFrames: 2}, func(t *testing.T, m *sim) {
+			mustOK(t, m.dial())
+			m.overloaded = true
+			mustOK(t, m.send(2))
+			from := m.now
+			m.at(from.Add(10*time.Second-time.Millisecond), func() { m.wakeClient() })
+			err := m.send(1)
+			var te *TimeoutError
+			if !errors.As(err, &te) || te.Op != "replay-buffer ack wait" || te.After != 10*time.Second {
+				t.Fatalf("send on a full ring = %v, want the 10s replay-buffer timeout", err)
+			}
+			if got := traceTime(t, m, "client: reconnect after") - from.Sub(m.start); got != 10*time.Second {
+				t.Fatalf("the full ring reconnected after %v, want exactly 10s", got)
 			}
 		}},
 		{"detached session parks at 10s, expires at 120s", ClientConfig{

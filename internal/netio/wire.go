@@ -159,9 +159,15 @@ func (e *TimeoutError) Error() string {
 // Timeout implements the net.Error convention.
 func (e *TimeoutError) Timeout() bool { return true }
 
-// DefaultMaxFrameBytes caps one frame's payload unless ServerConfig
-// overrides it.
-const DefaultMaxFrameBytes = 4 << 20
+// MaxFrameBytes caps one frame's payload: the server severs a connection
+// whose frame header claims more.
+const MaxFrameBytes = 4 << 20
+
+// handshakeTimeout bounds the client's dial and both sides of the
+// handshake — the hello and the grant. It is also the server's bound on
+// each ack write when no IdleTimeout is configured, and the client's on a
+// wait for an ack that makes no progress when no WriteTimeout is.
+const handshakeTimeout = 10 * time.Second
 
 const (
 	helloBytes = 16

@@ -353,7 +353,7 @@ func TestYSBPipeline(t *testing.T) {
 		}
 		total += r.Val
 	}
-	// Roughly 1/3 of events are views (EventTypes defaults to 3).
+	// Roughly 1/3 of events are views (the generator draws 3 event types).
 	if total == 0 {
 		t.Fatal("no views counted")
 	}

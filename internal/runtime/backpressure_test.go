@@ -13,11 +13,11 @@ import (
 )
 
 // TestOverloadedSourceEngagesBackpressure overloads the pipeline — an
-// ingest loop that can produce far faster than a single throttled
-// worker can drain — and checks that backpressure engages (ingest
-// pauses instead of the backlog growing unboundedly), the run still
-// terminates, and every window's results are exactly correct. Run
-// under -race in CI.
+// ingest loop that can produce far faster than a single worker, held up
+// for a millisecond by each window's sink call, can drain — and checks
+// that backpressure engages (ingest pauses instead of the backlog
+// growing unboundedly), the run still terminates, and every window's
+// results are exactly correct. Run under -race in CI.
 func TestOverloadedSourceEngagesBackpressure(t *testing.T) {
 	const (
 		keys          = 50
@@ -42,8 +42,8 @@ func TestOverloadedSourceEngagesBackpressure(t *testing.T) {
 		Label:        "sum",
 	}
 	rep, err := runCaptured(plan, Config{
-		Workers:        1,
-		MaxQueuedTasks: 1, // ingest stalls whenever even one task waits
+		Workers:    1,
+		WindowSink: func(wm.Time, wm.Time, []Row) { time.Sleep(time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestFeedOverloadBackpressure(t *testing.T) {
 		Label:  "sum",
 	}
 	var got rowCollector
-	e, err := Start(plan, got.tap(Config{Workers: 1, MaxQueuedTasks: 1}))
+	e, err := Start(plan, got.tap(Config{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,6 +133,10 @@ import (
 // flow-control credits from clients.
 const BackpressureUtilization = 0.95
 
+// queuedTasksPerWorker caps the scheduler backlog, per worker, before
+// ingest stalls.
+const queuedTasksPerWorker = 8
+
 // ShedUtilization is the pool pressure (worst tier utilization) above
 // which the ingest server sheds *new* connections at the handshake with
 // an overloaded ack, rather than admitting another stream it cannot
@@ -266,9 +270,6 @@ type Config struct {
 	Machine memsim.Config
 	// ReservedHBM is the Urgent allocation pool (0 picks 256 MiB).
 	ReservedHBM int64
-	// MaxQueuedTasks caps the scheduler backlog before ingest blocks
-	// (0 picks 8 tasks per worker).
-	MaxQueuedTasks int
 	// ExhaustTimeout bounds how long ingest waits on an exhausted DRAM
 	// pool before the run fails with an error instead of hanging
 	// (0 picks 5 s).
@@ -505,9 +506,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	if workers <= 0 {
 		workers = numCPUWorkers()
 	}
-	if cfg.MaxQueuedTasks <= 0 {
-		cfg.MaxQueuedTasks = 8 * workers
-	}
 	if cfg.ExhaustTimeout <= 0 {
 		cfg.ExhaustTimeout = 5 * time.Second
 	}
@@ -683,11 +681,12 @@ func (g *genFeed) Recycle(cols [][]uint64) {
 // pausing sources in the simulator). The utilization wait is bounded —
 // a pool that stays full is handled by the exhaustion path.
 func (x *exec) stallIngest() {
-	if x.sched.Queued() < x.cfg.MaxQueuedTasks && x.pool.Utilization(memsim.DRAM) <= BackpressureUtilization {
+	maxQueued := queuedTasksPerWorker * len(x.sched.workers)
+	if x.sched.Queued() < maxQueued && x.pool.Utilization(memsim.DRAM) <= BackpressureUtilization {
 		return
 	}
 	t0 := time.Now()
-	x.sched.WaitQueuedBelow(x.cfg.MaxQueuedTasks)
+	x.sched.WaitQueuedBelow(maxQueued)
 	for x.pool.Utilization(memsim.DRAM) > BackpressureUtilization && time.Since(t0) < time.Second {
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"streambox/internal/netio"
 	"streambox/internal/wal"
-	"streambox/internal/wm"
 )
 
 // checkpoint is the recovery metadata persisted beside the log
@@ -49,9 +48,14 @@ func readCheckpoint(dir string) (checkpoint, error) {
 // normal ingest path. Sessions are the checkpoint's with the log folded
 // in — a session's durable ack is the max of its checkpointed ack and
 // the newest logged frame, and sessions that ended for good (clean EOS,
-// expiry) stay ended. It returns the resumable sessions and the highest
-// connection id seen, and records the server's recovery facts.
-func (s *Server) recoverState(ck checkpoint, win wm.Windowing) (sessions []netio.SessionState, nextID int64, err error) {
+// expiry) stay ended. A session the log names only after another's
+// frames has no cursor until then, so a placeholder cursor holds the
+// watermark until the replay is in: otherwise the sessions read first
+// could close a window the later one also feeds, and its frames would
+// arrive behind the watermark. It returns the resumable sessions and
+// the highest connection id seen, and records the server's recovery
+// facts.
+func (s *Server) recoverState(ck checkpoint) (sessions []netio.SessionState, nextID int64, err error) {
 	t0 := time.Now()
 	feed := s.feed
 	for _, w := range ck.Windows {
@@ -77,6 +81,8 @@ func (s *Server) recoverState(ck checkpoint, win wm.Windowing) (sessions []netio
 		byToken[st.Token] = st
 		nextID = max(nextID, st.Conn)
 	}
+	// The placeholder: conn 0, never a connection's id, at time 0.
+	feed.Restore(netio.SessionState{})
 	ended := make(map[uint64]bool)
 	_, err = s.wal.ReplayExisting(func(rec *wal.Record) error {
 		switch rec.Kind {
@@ -108,7 +114,7 @@ func (s *Server) recoverState(ck checkpoint, win wm.Windowing) (sessions []netio
 		// A frame only feeds windows ending by MaxTs+Size; when the
 		// checkpoint sealed all of them, the frame's effects are
 		// already durable in the result snapshot.
-		if rec.MaxTs+win.Size <= ck.SealedWM {
+		if rec.MaxTs+s.win.Size <= ck.SealedWM {
 			return nil
 		}
 		cols := feed.BorrowCols(rec.NRows)
@@ -122,6 +128,7 @@ func (s *Server) recoverState(ck checkpoint, win wm.Windowing) (sessions []netio
 	if err != nil {
 		return nil, 0, fmt.Errorf("streambox: wal replay: %w", err)
 	}
+	feed.Retire(0) // behind the last replayed batch
 	for token, st := range byToken {
 		if ended[token] {
 			// A session that ended for good can never see another byte:
@@ -160,10 +167,15 @@ func (s *Server) checkpointLoop(interval time.Duration) {
 func (s *Server) writeCheckpoint() error {
 	// Read the sealed watermark first: sessions and windows snapshotted
 	// after it can only be newer, and recovery floors and filters by it.
+	// It never claims past the last window holding data: the drain
+	// pushes the watermark to the end of time, and a restart that
+	// inherited that would seal every window its new data fills.
 	sealedWM := s.exec.SealedWatermark()
+	highTs := s.feed.HighTs()
+	sealedWM = min(sealedWM, s.win.End(s.win.WindowOf(highTs)))
 	ck := checkpoint{
 		SealedWM:   sealedWM,
-		HighTs:     s.feed.HighTs(),
+		HighTs:     highTs,
 		NextConnID: s.ingest.NextID(),
 		Sessions:   s.ingest.SessionSnapshot(),
 	}
@@ -182,8 +194,8 @@ func (s *Server) writeCheckpoint() error {
 	if err := wal.WriteCheckpoint(s.wal.Dir(), payload); err != nil {
 		return err
 	}
-	if sealedWM > s.winSize {
-		if _, err := s.wal.RetireThrough(sealedWM - s.winSize); err != nil {
+	if sealedWM > s.win.Size {
+		if _, err := s.wal.RetireThrough(sealedWM - s.win.Size); err != nil {
 			return err
 		}
 	}

@@ -67,16 +67,13 @@ type Config struct {
 	// checkpoints of the recovery metadata (session table, watermark
 	// cursors, sealed result windows) land beside the segments. A clean
 	// Shutdown seals everything, writes a final checkpoint and deletes
-	// the segments.
+	// the segments. Serve first recovers whatever the directory holds
+	// from a previous run: the checkpoint is restored, unsealed frames
+	// are replayed through the normal ingest path, resumable sessions
+	// are re-armed at their durable acks, and only then does the
+	// listener accept connections. A missing or empty directory starts
+	// fresh.
 	WALDir string
-	// RecoverDir starts the server by recovering from an existing WAL
-	// directory: the checkpoint is restored, unsealed frames are
-	// replayed through the normal ingest path, resumable sessions are
-	// re-armed at their durable acks, and only then does the listener
-	// accept connections. Implies WALDir (logging continues into the
-	// same directory). A missing or empty directory recovers to a
-	// fresh state.
-	RecoverDir string
 	// WALSegmentBytes caps one log segment before it rolls (0 picks
 	// 64 MiB).
 	WALSegmentBytes int64
@@ -100,12 +97,12 @@ type Server struct {
 
 	// Durability state (nil/zero without Config.WALDir). The checkpoint
 	// loop runs until the engine is done and then closes ckDone.
-	wal     *wal.Log
-	winSize wm.Time
-	ckDone  chan struct{}
+	wal    *wal.Log
+	win    wm.Windowing
+	ckDone chan struct{}
 
 	// Recovery facts, frozen before the listener opens (zero without
-	// RecoverDir). The two counters are /metrics series.
+	// WALDir). The two counters are /metrics series.
 	recovery          metrics.Set
 	recoveredSessions *metrics.Counter
 	replayedFrames    *metrics.Counter
@@ -123,9 +120,9 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 	feed := netio.NewFeed(netio.WireSchema(), 0)
 	plan.Feed = feed
 	s := &Server{
-		store:   netio.NewResultStore(cfg.KeepWindows),
-		feed:    feed,
-		winSize: plan.Win.Size,
+		store: netio.NewResultStore(cfg.KeepWindows),
+		feed:  feed,
+		win:   plan.Win,
 	}
 	s.recoveredSessions = s.recovery.Counter("streambox_recovered_sessions")
 	s.replayedFrames = s.recovery.Counter("streambox_replayed_frames_total")
@@ -138,21 +135,14 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		}
 	}()
 
-	// Durability setup: RecoverDir means "this directory holds a
-	// previous incarnation's log and checkpoint — restore it first",
-	// and implies logging continues into the same directory.
-	walDir := cfg.WALDir
-	if cfg.RecoverDir != "" {
-		walDir = cfg.RecoverDir
-	}
+	// Durability setup: the log directory may hold a previous run's
+	// log and checkpoint, restored first; logging continues into it.
 	var ck checkpoint
-	if walDir != "" {
-		if cfg.RecoverDir != "" {
-			if ck, err = readCheckpoint(walDir); err != nil {
-				return nil, err
-			}
+	if cfg.WALDir != "" {
+		if ck, err = readCheckpoint(cfg.WALDir); err != nil {
+			return nil, err
 		}
-		if s.wal, err = wal.Open(wal.Config{Dir: walDir, SegmentBytes: cfg.WALSegmentBytes}); err != nil {
+		if s.wal, err = wal.Open(wal.Config{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes}); err != nil {
 			return nil, err
 		}
 	}
@@ -183,8 +173,8 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 	// ever observe the fully restored state.
 	var sessions []netio.SessionState
 	var nextID int64
-	if cfg.RecoverDir != "" {
-		if sessions, nextID, err = s.recoverState(ck, plan.Win); err != nil {
+	if s.wal != nil {
+		if sessions, nextID, err = s.recoverState(ck); err != nil {
 			return nil, err
 		}
 	}
@@ -302,7 +292,7 @@ func (s *Server) HTTPAddr() string {
 func (s *Server) Results() []netio.WindowResult { return s.store.Snapshot() }
 
 // RecoveredSessions reports how many resumable sessions recovery
-// restored (0 without Config.RecoverDir).
+// restored (0 without Config.WALDir).
 func (s *Server) RecoveredSessions() int64 { return s.recoveredSessions.Load() }
 
 // ReplayedFrames reports how many logged frames recovery replayed

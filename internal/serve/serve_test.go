@@ -17,6 +17,7 @@ import (
 	"streambox/internal/memsim"
 	"streambox/internal/netio"
 	"streambox/internal/ops"
+	"streambox/internal/parsefmt"
 	"streambox/internal/runtime"
 	"streambox/internal/wal"
 	"streambox/internal/wm"
@@ -57,7 +58,7 @@ func TestCheckpointParentFormatRecovers(t *testing.T) {
 	}
 
 	srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{
-		IngestAddr: "127.0.0.1:0", RecoverDir: dir,
+		IngestAddr: "127.0.0.1:0", WALDir: dir,
 		// Neither restored session may be parked or expired under the test.
 		CursorGrace: time.Minute, SessionTimeout: time.Minute,
 	})
@@ -102,7 +103,7 @@ func TestCheckpointParentFormatRecovers(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, wal.CheckpointFile), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{IngestAddr: "127.0.0.1:0", RecoverDir: dir}); err == nil {
+	if srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{IngestAddr: "127.0.0.1:0", WALDir: dir}); err == nil {
 		srv.Shutdown(0)
 		t.Error("recovery started from a checkpoint that fails its checksum")
 	}
@@ -196,7 +197,7 @@ func TestRecoveryReturnsEverySlab(t *testing.T) {
 	}
 
 	srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{
-		IngestAddr: "127.0.0.1:0", RecoverDir: dir,
+		IngestAddr: "127.0.0.1:0", WALDir: dir,
 		CursorGrace: time.Minute, SessionTimeout: time.Minute,
 	})
 	if err != nil {
@@ -224,5 +225,95 @@ func TestRecoveryReturnsEverySlab(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed windows differ from the logged stream:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestReplayHoldsWatermarkForLaterSessions: recovery meets a session the
+// checkpoint does not name only at its first logged frame. When the log
+// reads one session windows ahead — more frames than the feed buffers —
+// before the first frame of another, the window both feed must still
+// hold the later session's records.
+func TestReplayHoldsWatermarkForLaterSessions(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendOne := func(token uint64, conn int64, seq, ts uint64) {
+		t.Helper()
+		cols := make([][]uint64, 7)
+		for k := range cols {
+			cols[k] = []uint64{0}
+		}
+		cols[3][0], cols[6][0] = 1, ts // key 0, value 1
+		if err := log.AppendFrame(token, conn, seq, ts, cols, nil, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ahead = 200
+	appendOne(7, 1, 1, 0)
+	for i := uint64(0); i < ahead; i++ {
+		appendOne(7, 1, i+2, netio.WindowTicks+i*2*netio.WindowTicks/ahead)
+	}
+	appendOne(8, 2, 1, 1)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{
+		IngestAddr: "127.0.0.1:0", WALDir: dir,
+		CursorGrace: time.Minute, SessionTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+	var got []netio.ResultRow
+	for _, w := range srv.Results() {
+		if w.Start == 0 {
+			got = w.Rows
+		}
+	}
+	if want := []netio.ResultRow{{Key: 0, Val: 2}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("window 0 holds %v, want %v: session 8's frame arrived behind the watermark", got, want)
+	}
+}
+
+// TestRestartAfterShutdownPublishesNewWindows: a clean Shutdown seals
+// its run, and a restart on the same WAL directory serves that run's
+// windows and publishes the windows new data fills after them. The
+// sealing checkpoint claims no window past the data, though the drain
+// pushed the watermark to the end of time.
+func TestRestartAfterShutdownPublishesNewWindows(t *testing.T) {
+	dir := t.TempDir()
+	gen := netio.RecordGen{Keys: 4, WindowRecords: 1000}
+	var starts []uint64
+	for _, from := range []uint64{0, 5000} { // windows 0–2, then 5–7
+		srv, err := Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{IngestAddr: "127.0.0.1:0", WALDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := netio.Dial(srv.IngestAddr(), netio.ClientConfig{Format: parsefmt.Columnar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(gen.Records(from, from+3000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Shutdown(0); err != nil {
+			t.Fatal(err)
+		}
+		starts = starts[:0]
+		for _, w := range srv.Results() {
+			starts = append(starts, w.Start/netio.WindowTicks)
+		}
+	}
+	if want := []uint64{0, 1, 2, 5, 6, 7}; !reflect.DeepEqual(starts, want) {
+		t.Errorf("the restarted server holds windows %v, want %v", starts, want)
 	}
 }

@@ -22,12 +22,12 @@ type Config struct {
 	// SegmentBytes rolls the active segment past this size
 	// (default 64 MiB).
 	SegmentBytes int64
-	// SyncInterval is the background flush cadence for appends nobody
-	// is waiting on — session-end markers and non-durable frame appends
-	// (default 5ms). Durable appends are group-committed immediately
-	// regardless.
-	SyncInterval time.Duration
 }
+
+// syncInterval is the background flush cadence for appends nobody is
+// waiting on — session-end markers and non-durable frame appends.
+// Durable appends are group-committed immediately regardless.
+const syncInterval = 5 * time.Millisecond
 
 // LSN identifies an appended record; Sync(lsn) returns once every
 // record at or below it is on stable storage.
@@ -127,9 +127,6 @@ const (
 func Open(cfg Config) (*Log, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 64 << 20
-	}
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = 5 * time.Millisecond
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -513,10 +510,10 @@ func (l *Log) writeLoop() {
 }
 
 // tickLoop periodically asks for a background sync so appends nobody
-// waits on become durable within ~SyncInterval.
+// waits on become durable within ~syncInterval.
 func (l *Log) tickLoop() {
 	defer close(l.tickerDone)
-	t := time.NewTicker(l.cfg.SyncInterval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -260,7 +260,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCloseStopsGoroutines pins the leak contract: Close terminates the
 // writer and ticker goroutines.
 func TestCloseStopsGoroutines(t *testing.T) {
-	l, err := Open(Config{Dir: t.TempDir(), SyncInterval: time.Millisecond})
+	l, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

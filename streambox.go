@@ -174,7 +174,8 @@ type RunConfig struct {
 
 // ServeConfig configures a network-serving execution (Serve): where to
 // listen for ingest traffic and for live queries, session deadlines,
-// admission control, and the write-ahead log and recovery directories.
+// admission control, and the write-ahead log directory a restart
+// recovers from.
 type ServeConfig = serve.Config
 
 // KNL returns the paper's Knights Landing machine (Table 3).
@@ -225,10 +226,11 @@ type Report struct {
 	WALFsyncP99Ns      int64
 	WALSegmentsActive  int64
 	WALSegmentsRetired int64
-	// Recovery counters of a serve started with ServeConfig.RecoverDir:
-	// resumable sessions restored from the checkpoint, frames replayed
-	// from the log, and the wall-clock nanoseconds recovery took before
-	// the listener opened.
+	// Recovery counters of a serve with ServeConfig.WALDir: resumable
+	// sessions restored from the previous run's checkpoint, frames
+	// replayed from its log, and the wall-clock nanoseconds recovery
+	// took before the listener opened. The two counts are 0 over an
+	// empty or missing directory.
 	RecoveredSessions int64
 	ReplayedFrames    int64
 	RecoveryNs        int64

@@ -31,9 +31,9 @@ type crashHelperOut struct {
 // subprocess of TestCrashRecoveryEquivalence, re-executed from the
 // test binary so a real SIGKILL can take the whole process down. In
 // "crash" mode it serves with a WAL and a process-crash fault injector
-// armed; in "recover" mode it recovers from the WAL directory, serves
-// until SIGTERM, then drains and writes its final windows and report
-// as JSON.
+// armed; in "recover" mode it restarts on the same WAL directory,
+// which it recovers first, serves until SIGTERM, then drains and writes
+// its final windows and report as JSON.
 func TestCrashHelperServer(t *testing.T) {
 	if os.Getenv("SBX_CRASH_HELPER") == "" {
 		t.Skip("subprocess helper for TestCrashRecoveryEquivalence")
@@ -58,7 +58,7 @@ func TestCrashHelperServer(t *testing.T) {
 		sc.WALDir = os.Getenv("SBX_CRASH_DIR")
 		sc.Faults = faultinject.New(faultinject.Config{CrashAfterBytes: crashBytes, Seed: 7})
 	case "recover":
-		sc.RecoverDir = os.Getenv("SBX_CRASH_DIR")
+		sc.WALDir = os.Getenv("SBX_CRASH_DIR")
 	default:
 		t.Fatalf("bad SBX_CRASH_MODE %q", mode)
 	}

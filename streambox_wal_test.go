@@ -18,7 +18,7 @@ import (
 // durability layer: a SIGTERM-style drain with resumable sessions still
 // attached mid-stream must flush the write-ahead log, persist one final
 // checkpoint that seals the complete run, and purge every log segment —
-// the next -recover-dir start recovers from the checkpoint alone. It
+// the next start on the same -wal-dir recovers from the checkpoint alone. It
 // doubles as the goroutine-leak check: after Shutdown returns, the
 // session reaper, the WAL sync and retirement tickers, and the
 // checkpoint loop must all be gone.
@@ -145,7 +145,7 @@ func TestRecoveryRejectsSessionlessLog(t *testing.T) {
 	p, _ := netPipeline()
 	srv, err := streambox.Serve(p, streambox.RunConfig{
 		Backend: streambox.Native,
-		Serve:   &streambox.ServeConfig{IngestAddr: "127.0.0.1:0", RecoverDir: walDir},
+		Serve:   &streambox.ServeConfig{IngestAddr: "127.0.0.1:0", WALDir: walDir},
 	})
 	if err == nil {
 		srv.Shutdown()
