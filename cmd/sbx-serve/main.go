@@ -10,7 +10,9 @@
 // The stream carries the seven-column wire schema (ad_id, ad_type,
 // event_type, user_id, page_id, ip, event_time); by default the
 // pipeline keys on ad_id (column 0), aggregates user_id (column 3) and
-// windows on event_time.
+// windows on event_time, and clients send only the columns it reads.
+// A -wal-dir log holds only those columns too: a restart under flags
+// that read a column the log lacks is refused.
 package main
 
 import (

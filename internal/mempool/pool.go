@@ -342,10 +342,11 @@ const colPoison = 0xDEAD_C015_DEAD_C015
 // That charge is the rows, not the slab: the class rounding is resident
 // but uncharged (a 10 000-row column is 80 KB in a 128 KiB slab, so up
 // to 2x the charged bytes just past a class boundary; a network feed
-// takes one slab for all seven columns of a frame, so a 4 096-row frame
-// is 224 KiB in a 256 KiB slab, where its seven 32 KiB columns each
-// filled a class exactly), and the column free lists have no cap — they
-// keep the high-water mark of slabs for the life of the pool
+// takes one slab for all the columns of a frame, so a 4 096-row frame of
+// the three columns a keyed sum reads is 96 KiB in a 128 KiB slab, where
+// its three 32 KiB columns each filled a class exactly), and the column
+// free lists have no cap — they keep the high-water mark of slabs for
+// the life of the pool
 // (streambox_mempool_colslab_cached_bytes) where heap columns would have
 // been garbage-collected.
 // Recycled slabs hold stale contents — the taker overwrites every

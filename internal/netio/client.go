@@ -142,9 +142,16 @@ type Client struct {
 	core clientCore
 	done chan struct{} // current creditLoop's exit
 
-	// chunk and scatter are reusable staging for the columnar send
-	// path: chunk holds per-frame column views, scatter the columns
-	// Send scatters records into.
+	// fields are the columns the session moves, fixed by its first grant,
+	// and in lists them ascending: the columns a frame carries.
+	fields parsefmt.FieldSet
+	in     []int
+
+	// proj, chunk and scatter are reusable staging for the columnar send
+	// path: proj holds the session's columns of a SendColumns batch,
+	// chunk their per-frame views, scatter the columns Send scatters
+	// records into.
+	proj    [][]uint64
 	chunk   [][]uint64
 	scatter [][]uint64
 
@@ -172,6 +179,8 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if err := c.redial(nil); err != nil {
 		return nil, err
 	}
+	c.fields = c.core.fields // no later grant may change them
+	c.in = c.fields.Cols()
 	return c, nil
 }
 
@@ -361,14 +370,15 @@ func (c *Client) sendFrame(frame []byte, records int) error {
 }
 
 // Send frames and transmits records, splitting them into frames of the
-// configured size. It blocks while the server withholds credits. A PB
-// frame's payload is the encoded records plus their CRC-32C trailer. On
-// a columnar connection the records are scattered into column staging
-// first; callers holding column data should prefer SendColumns, which
-// skips record materialization entirely.
+// configured size. It blocks while the server withholds credits. Only
+// the fields the session moves are sent. A PB frame's payload is those
+// fields of the records plus their CRC-32C trailer. On a columnar
+// connection they are scattered into column staging first; callers
+// holding column data should prefer SendColumns, which skips record
+// materialization entirely.
 func (c *Client) Send(recs []parsefmt.Record) error {
 	if c.cfg.Format == parsefmt.Columnar {
-		return c.SendColumns(c.scatterRecords(recs))
+		return c.sendColumns(c.scatterRecords(recs))
 	}
 	for len(recs) > 0 {
 		n := c.frame
@@ -379,7 +389,7 @@ func (c *Client) Send(recs []parsefmt.Record) error {
 		if err != nil {
 			return err
 		}
-		if err := c.sendFrame(appendCRC(parsefmt.AppendPB(buf, recs[:n]), frameHeaderBytes), n); err != nil {
+		if err := c.sendFrame(appendCRC(parsefmt.AppendPB(buf, recs[:n], c.fields), frameHeaderBytes), n); err != nil {
 			return err
 		}
 		recs = recs[n:]
@@ -387,11 +397,11 @@ func (c *Client) Send(recs []parsefmt.Record) error {
 	return nil
 }
 
-// scatterRecords transposes records into the client's reusable column
-// staging.
+// scatterRecords transposes the session's fields of records into the
+// client's reusable column staging.
 func (c *Client) scatterRecords(recs []parsefmt.Record) [][]uint64 {
 	if c.scatter == nil {
-		c.scatter = make([][]uint64, 7)
+		c.scatter = make([][]uint64, len(c.in))
 	}
 	for i := range c.scatter {
 		if cap(c.scatter[i]) < len(recs) {
@@ -401,32 +411,48 @@ func (c *Client) scatterRecords(recs []parsefmt.Record) [][]uint64 {
 	}
 	for r, rec := range recs {
 		rc := rec.Cols()
-		for i := range c.scatter {
-			c.scatter[i][r] = rc[i]
+		for i, f := range c.in {
+			c.scatter[i][r] = rc[f]
 		}
 	}
 	return c.scatter
 }
 
-// SendColumns frames and transmits a column-major batch over a columnar
-// connection, splitting the rows into frames of the configured size. It
-// blocks while the server withholds credits. Each frame's payload is
-// encoded once, straight from the column slices, into a recycled buffer
-// of the replay ring — the one copy the client makes, the price of being
-// able to replay the frame after a connection loss — and written to the
-// wire from there. cols are the caller's again when SendColumns returns.
+// SendColumns frames and transmits a column-major batch of the seven
+// wire columns over a columnar connection, splitting the rows into
+// frames of the configured size. It blocks while the server withholds
+// credits. Only the columns the session moves are sent. Each frame's
+// payload is encoded once, straight from those column slices, into a
+// recycled buffer of the replay ring — the one copy the client makes,
+// the price of being able to replay the frame after a connection loss —
+// and written to the wire from there. cols are the caller's again when
+// SendColumns returns.
 func (c *Client) SendColumns(cols [][]uint64) error {
 	if c.cfg.Format != parsefmt.Columnar {
 		return fmt.Errorf("netio: SendColumns on a %v connection", c.cfg.Format)
 	}
-	if len(cols) == 0 || len(cols[0]) == 0 {
-		return nil
+	if want := WireSchema().NumCols; len(cols) != want {
+		return fmt.Errorf("netio: SendColumns takes the %d wire columns, got %d", want, len(cols))
 	}
 	nrows := len(cols[0])
 	for _, col := range cols[1:] {
 		if len(col) != nrows {
 			return fmt.Errorf("netio: ragged columns (%d vs %d rows)", len(col), nrows)
 		}
+	}
+	c.proj = c.proj[:0]
+	for _, f := range c.in {
+		c.proj = append(c.proj, cols[f])
+	}
+	return c.sendColumns(c.proj)
+}
+
+// sendColumns frames and transmits the session's columns of a batch,
+// equal in length.
+func (c *Client) sendColumns(cols [][]uint64) error {
+	nrows := len(cols[0])
+	if nrows == 0 {
+		return nil
 	}
 	if cap(c.chunk) < len(cols) {
 		c.chunk = make([][]uint64, len(cols))

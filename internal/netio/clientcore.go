@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"streambox/internal/parsefmt"
 )
 
 // clientCore is the client half of the session protocol with the I/O
@@ -21,7 +23,8 @@ type clientCore struct {
 	// handshakeTimeout when no write deadline is configured.
 	ackWait time.Duration
 
-	token   uint64 // the session's resume token, fixed by the first grant
+	token   uint64            // the session's resume token, fixed by the first grant
+	fields  parsefmt.FieldSet // the columns the session moves, fixed by the first grant
 	credits int
 	dead    error  // why the current connection ended; nil while it lives
 	acked   uint64 // the server's cumulative ack
@@ -209,13 +212,17 @@ func (k *clientCore) ackTo(last uint64) {
 	k.replay = append(k.replay[:0], k.replay[n:]...)
 }
 
-// named checks a grant's token: the first grant fixes the session's,
-// later ones must echo it.
+// named checks a grant's token and columns: the first grant fixes the
+// session's, later ones must echo them. A resume grant naming other
+// columns is ErrColumnsChanged, which dialed does not redial.
 func (k *clientCore) named(g grant) error {
 	if g.token == 0 || k.token != 0 && g.token != k.token {
 		return fmt.Errorf("netio: grant names session %#x, want %#x", g.token, k.token)
 	}
-	k.token = g.token
+	if k.fields != 0 && g.fields != k.fields {
+		return fmt.Errorf("%w: granted %v, the session moves %v", ErrColumnsChanged, g.fields, k.fields)
+	}
+	k.token, k.fields = g.token, g.fields
 	return nil
 }
 
@@ -240,8 +247,9 @@ func (k *clientCore) lost(cause error, now time.Time) clientAction {
 // acked <= lastSeq <= maxTx — zero on a fresh session — and then the
 // ring is trimmed to it and the connection rewinds there, so what
 // follows is retransmitted. One outside that range was damaged in
-// flight, and is redialed like a failed dial. An expired session is
-// final; every other failure is retried on the backoff schedule.
+// flight, and is redialed like a failed dial. An expired session and a
+// change of columns are final; every other failure — a grant that fails
+// its checksum among them — is retried on the backoff schedule.
 func (k *clientCore) dialed(credits int, lastSeq uint64, err error, now time.Time) clientAction {
 	if err == nil && (lastSeq < k.acked || lastSeq > k.maxTx) {
 		err = fmt.Errorf("netio: grant resumes after frame %d, outside the acked range %d..%d", lastSeq, k.acked, k.maxTx)
@@ -253,7 +261,7 @@ func (k *clientCore) dialed(credits int, lastSeq uint64, err error, now time.Tim
 		k.txSeq = k.acked
 		return clientAction{op: opReturn}
 	}
-	if !k.redials || errors.Is(err, ErrSessionExpired) {
+	if !k.redials || errors.Is(err, ErrSessionExpired) || errors.Is(err, ErrColumnsChanged) {
 		return clientAction{op: opReturn, err: err}
 	}
 	return k.backoff(err, now)

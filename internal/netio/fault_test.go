@@ -88,7 +88,7 @@ func fakeGrant(conn net.Conn, credits uint16) error {
 	if _, _, _, err := readHello(conn); err != nil {
 		return err
 	}
-	return writeGrant(conn, grant{status: statusOK, credits: credits, token: 42})
+	return writeGrant(conn, grant{status: statusOK, credits: credits, token: 42, fields: parsefmt.AllFields})
 }
 
 // delivering reports whether a connection of the session is inside
@@ -851,14 +851,19 @@ func TestSessionExpiryRetiresCursor(t *testing.T) {
 
 // cutProxy forwards TCP connections to a target, cutting the Nth
 // accepted connection after its byte budget (client→server direction)
-// is spent. Budgets beyond the list are unlimited.
+// is spent. Budgets beyond the list are unlimited. With flipConn set,
+// it flips bit flipBit of that connection's grant (counted from 1). ups
+// counts what each connection carried client→server.
 type cutProxy struct {
-	ln      net.Listener
-	target  string
-	budgets []int64
-	mu      sync.Mutex
-	next    int
-	wg      sync.WaitGroup
+	ln       net.Listener
+	target   string
+	budgets  []int64
+	mu       sync.Mutex
+	next     int
+	flipConn int
+	flipBit  int
+	ups      []*countingConn
+	wg       sync.WaitGroup
 }
 
 func startCutProxy(t *testing.T, target string, budgets ...int64) *cutProxy {
@@ -886,21 +891,36 @@ func (p *cutProxy) acceptLoop() {
 			budget = p.budgets[p.next]
 		}
 		p.next++
+		flip := -1
+		if p.next == p.flipConn {
+			flip = p.flipBit
+		}
 		p.mu.Unlock()
 		p.wg.Add(1)
-		go p.pipe(conn, budget)
+		go p.pipe(conn, budget, flip)
 	}
 }
 
-func (p *cutProxy) pipe(client net.Conn, budget int64) {
+func (p *cutProxy) pipe(client net.Conn, budget int64, flip int) {
 	defer p.wg.Done()
-	server, err := net.Dial("tcp", p.target)
+	conn, err := net.Dial("tcp", p.target)
 	if err != nil {
 		client.Close()
 		return
 	}
+	server := &countingConn{Conn: conn}
+	p.mu.Lock()
+	p.ups = append(p.ups, server)
+	p.mu.Unlock()
 	go func() {
-		io.Copy(client, server) // server→client: acks flow freely
+		if flip >= 0 {
+			var g [grantBytes]byte
+			if _, err := io.ReadFull(server.Conn, g[:]); err == nil {
+				g[flip/8] ^= 1 << (flip % 8)
+				client.Write(g[:])
+			}
+		}
+		io.Copy(client, server.Conn) // server→client: acks flow freely
 		client.Close()
 	}()
 	if budget < 0 {
@@ -910,6 +930,15 @@ func (p *cutProxy) pipe(client net.Conn, budget int64) {
 	}
 	server.Close()
 	client.Close()
+}
+
+// upBytes is what the proxy carried client→server over every
+// connection; call it after Close.
+func (p *cutProxy) upBytes() (n int) {
+	for _, c := range p.ups {
+		n += c.writtenBytes
+	}
+	return n
 }
 
 func (p *cutProxy) Close() {
@@ -980,6 +1009,60 @@ func testClientReconnectResumeExactlyOnce(t *testing.T, format parsefmt.Format) 
 	}
 }
 
+// TestDamagedGrantRedials: a grant with one bit flipped in any of its
+// fields — credits, token, resume sequence, column mask — fails its
+// checksum, and the client redials instead of acting on it. The proxy
+// cuts the first connection mid-stream and damages the second one's
+// grant, a resume; the third resumes intact and the stream lands exactly
+// once, over a feed of three wire columns.
+func TestDamagedGrantRedials(t *testing.T) {
+	for _, field := range []struct {
+		name string
+		bit  int
+	}{
+		{"credits", 7 * 8},
+		{"token", 15*8 + 3},
+		{"resume sequence", 23*8 + 1},
+		{"column mask", 27*8 + 2},
+	} {
+		t.Run(field.name, func(t *testing.T) {
+			feed := NewFeed(ProjectSchema(narrowFields), 64)
+			srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, done := collect(feed)
+			proxy := startCutProxy(t, srv.Addr().String(), 2<<10)
+			proxy.mu.Lock()
+			proxy.flipConn, proxy.flipBit = 2, field.bit
+			proxy.mu.Unlock()
+			c, err := Dial(proxy.ln.Addr().String(), ClientConfig{
+				Format: parsefmt.Columnar, FrameRecords: 16,
+				Reconnect: &ReconnectConfig{MaxRetries: 5, BaseDelay: time.Millisecond, Seed: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const total = 1024
+			if err := c.Send(RecordGen{Keys: 8, WindowRecords: 1024}.Records(0, total)); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			proxy.Close()
+			srv.Close()
+			<-done
+			if n := got.Load(); n != total {
+				t.Fatalf("ingested %d records, want exactly %d", n, total)
+			}
+			if proxy.next != 3 || c.Reconnects() != 1 {
+				t.Fatalf("%d connections, %d reconnects; want the damaged grant's connection redialed once", proxy.next, c.Reconnects())
+			}
+		})
+	}
+}
+
 // TestDamagedAckResumes: an ack that fails its checksum is never
 // applied. The server reads frames 1-3, ingests only the first, and
 // acks it with one bit of the cumulative sequence flipped, so the ack
@@ -1009,7 +1092,7 @@ func TestDamagedAckResumes(t *testing.T) {
 				mu.Lock()
 				last := uint64(len(ingested))
 				mu.Unlock()
-				if writeGrant(conn, grant{status: statusOK, credits: 64, token: 42, lastSeq: last}) != nil {
+				if writeGrant(conn, grant{status: statusOK, credits: 64, token: 42, lastSeq: last, fields: parsefmt.AllFields}) != nil {
 					return
 				}
 				for {
@@ -1117,7 +1200,7 @@ func TestGrantOutsideAckRangeRedials(t *testing.T) {
 					if err != nil {
 						return
 					}
-					g := grant{status: statusOK, credits: 16, token: 42}
+					g := grant{status: statusOK, credits: 16, token: 42, fields: parsefmt.AllFields}
 					if hellos.Add(1) == 1 {
 						g.lastSeq = 7
 					}

@@ -3,6 +3,7 @@ package netio
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -29,7 +30,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := writeHello(&buf, parsefmt.Columnar, 0xA1B2C3D4E5F60718); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.Bytes(), []byte("SBX1\x05\x03\x00\x00\xA1\xB2\xC3\xD4\xE5\xF6\x07\x18"); !bytes.Equal(got, want) {
+	if got, want := buf.Bytes(), []byte("SBX1\x06\x03\x00\x00\xA1\xB2\xC3\xD4\xE5\xF6\x07\x18"); !bytes.Equal(got, want) {
 		t.Fatalf("hello bytes % x, want % x", got, want)
 	}
 	f, token, status, err := readHello(&buf)
@@ -38,13 +39,37 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	buf.Reset()
-	want := grant{status: statusOK, credits: 37, token: 42, lastSeq: 9}
+	want := grant{status: statusOK, credits: 37, token: 42, lastSeq: 9, fields: 1<<0 | 1<<3 | 1<<6}
 	writeGrant(&buf, want)
 	if buf.Len() != grantBytes {
 		t.Fatalf("grant is %d bytes, want %d", buf.Len(), grantBytes)
 	}
+	gb := bytes.Clone(buf.Bytes())
+	if got, wantHex := hex.EncodeToString(gb[:28]), "5342584106000025000000000000002a0000000000000009"+"00000049"; got != wantHex {
+		t.Fatalf("grant bytes %s, want %s", got, wantHex)
+	}
 	if g, err := readGrant(&buf); err != nil || g != want {
 		t.Fatalf("grant round trip: %+v %v", g, err)
+	}
+	// Any one-bit flip of the grant past its magic and version — status,
+	// credits, token, resume sequence, column mask or trailer — fails its
+	// checksum, so a damaged grant can neither move the resume point within
+	// the ack range nor change the columns.
+	for bit := 40; bit < grantBytes*8; bit++ {
+		damaged := bytes.Clone(gb)
+		damaged[bit/8] ^= 1 << (bit % 8)
+		if g, err := readGrant(bytes.NewReader(damaged)); !errors.Is(err, errGrantChecksum) {
+			t.Fatalf("bit %d flipped: grant read as %+v, err %v", bit, g, err)
+		}
+	}
+	// A grant whose mask names no column, or one past the seventh, is
+	// refused even with a good checksum.
+	for _, fields := range []parsefmt.FieldSet{0, 1 << 7} {
+		buf.Reset()
+		writeGrant(&buf, grant{status: statusOK, credits: 1, token: 42, fields: fields})
+		if _, err := readGrant(&buf); err == nil {
+			t.Fatalf("grant of column mask %#x accepted", uint8(fields))
+		}
 	}
 
 	buf.Reset()
@@ -107,12 +132,13 @@ var retiredHellos = []struct{ name, hello string }{
 	{"v2 columnar", "SBX1\x02\x03\x00\x00"},
 	{"v3 session", "SBX1\x03\x03\x01\x00"},
 	{"v4 session", "SBX1\x04\x03\x00\x00" + strings.Repeat("\x00", 8)},
+	{"v5 session", "SBX1\x05\x03\x00\x00" + strings.Repeat("\x00", 8)},
 }
 
-// v5Hello is a version-5 hello for a fresh session with the given
+// v6Hello is a version-6 hello for a fresh session with the given
 // format code.
-func v5Hello(format byte) string {
-	return "SBX1\x05" + string(format) + "\x00\x00" + strings.Repeat("\x00", 8)
+func v6Hello(format byte) string {
+	return "SBX1\x06" + string(format) + "\x00\x00" + strings.Repeat("\x00", 8)
 }
 
 func TestWireRejectsBadHandshake(t *testing.T) {
@@ -121,12 +147,12 @@ func TestWireRejectsBadHandshake(t *testing.T) {
 		status      byte
 	}
 	cases := []tc{
-		{"bad magic", "XXXX\x05\x03\x00\x00", statusBadMagic},
+		{"bad magic", "XXXX\x06\x03\x00\x00", statusBadMagic},
 		{"future version", "SBX1\x09\x03\x00\x00", statusBadMagic},
-		{"JSON code", v5Hello(byte(parsefmt.JSON)), statusBadFormat},
-		{"text code", v5Hello(byte(parsefmt.Text)), statusBadFormat},
-		{"unknown format", v5Hello(9), statusBadFormat},
-		{"cut inside the token", v5Hello(byte(parsefmt.PB))[:helloBytes-1], statusBadMagic},
+		{"JSON code", v6Hello(byte(parsefmt.JSON)), statusBadFormat},
+		{"text code", v6Hello(byte(parsefmt.Text)), statusBadFormat},
+		{"unknown format", v6Hello(9), statusBadFormat},
+		{"cut inside the token", v6Hello(byte(parsefmt.PB))[:helloBytes-1], statusBadMagic},
 	}
 	for _, r := range retiredHellos {
 		// Refused on their first eight bytes: nothing after them is
@@ -309,6 +335,121 @@ func TestServerClientLoopback(t *testing.T) {
 		if ctr.FramesByFormat[format] != ctr.Frames {
 			t.Fatalf("%v: %d of %d frames attributed to the format", format, ctr.FramesByFormat[format], ctr.Frames)
 		}
+	}
+}
+
+// narrowFields are the columns of the network benchmarks' plans: key
+// (ad_id), value (user_id) and event time.
+const narrowFields parsefmt.FieldSet = 1<<0 | 1<<3 | 1<<6
+
+// TestProjectSchemaRoundTrip: every set of wire columns holding the
+// event time maps to a feed schema and back, and Listen refuses a feed
+// whose columns are not wire columns in wire order, event_time the
+// timestamp.
+func TestProjectSchemaRoundTrip(t *testing.T) {
+	for fs := parsefmt.FieldSet(1 << 6); fs <= parsefmt.AllFields; fs++ {
+		if !fs.Has(6) {
+			continue
+		}
+		sc := ProjectSchema(fs)
+		if got, err := wireFields(sc); err != nil || got != fs || sc.Validate() != nil {
+			t.Fatalf("%v: schema %+v maps back to %v, %v", fs, sc, got, err)
+		}
+	}
+	for name, sc := range map[string]bundle.Schema{
+		"out of order":  {NumCols: 3, TsCol: 2, Names: []string{"user_id", "ad_id", "event_time"}},
+		"repeated":      {NumCols: 3, TsCol: 2, Names: []string{"ad_id", "ad_id", "event_time"}},
+		"not a column":  {NumCols: 2, TsCol: 1, Names: []string{"key", "event_time"}},
+		"other ts":      {NumCols: 2, TsCol: 0, Names: []string{"ad_id", "event_time"}},
+		"no event time": {NumCols: 2, TsCol: 1, Names: []string{"ad_id", "user_id"}},
+		"unnamed":       {NumCols: 7, TsCol: 6},
+	} {
+		if _, err := Listen("127.0.0.1:0", ServerConfig{Feed: NewFeed(sc, 1)}); err == nil {
+			t.Errorf("%s: Listen accepted feed schema %+v", name, sc)
+		}
+	}
+}
+
+// TestNarrowFeedMovesOnlyItsColumns: a server whose feed holds three
+// wire columns grants just those, and the client sends nothing else. A
+// counting proxy weighs what crossed the wire: a columnar frame carries
+// 3 × 8 × rows data bytes behind its header, a PB record the three
+// fields; and the feed receives the three columns, value for value.
+func TestNarrowFeedMovesOnlyItsColumns(t *testing.T) {
+	for _, format := range sessionFormats {
+		t.Run(format.String(), func(t *testing.T) {
+			feed := NewFeed(ProjectSchema(narrowFields), 8)
+			srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]uint64, 3)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					cols, ok, _ := feed.Recv(0)
+					if !ok {
+						return
+					}
+					if len(cols) != len(got) {
+						t.Errorf("a batch of %d columns, want %d", len(cols), len(got))
+						return
+					}
+					for i := range got {
+						got[i] = append(got[i], cols[i]...)
+					}
+				}
+			}()
+			proxy := startCutProxy(t, srv.Addr().String())
+			c, err := Dial(proxy.ln.Addr().String(), ClientConfig{Format: format, FrameRecords: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const total = 1000
+			gen := RecordGen{Keys: 1 << 20, Random: true, WindowRecords: 100}
+			recs := gen.Records(0, total)
+			if format == parsefmt.Columnar {
+				wire := make([][]uint64, 7)
+				for _, r := range recs {
+					for k, v := range r.Cols() {
+						wire[k] = append(wire[k], v)
+					}
+				}
+				err = c.SendColumns(wire)
+			} else {
+				err = c.Send(recs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			proxy.Close()
+			srv.Close()
+			<-done
+
+			want := helloBytes + 4 // the hello and the end-of-stream marker
+			for lo := 0; lo < total; lo += 64 {
+				chunk := recs[lo:min(lo+64, total)]
+				want += frameHeaderBytes
+				if format == parsefmt.Columnar {
+					want += parsefmt.ColumnarHeaderBytes + 3*8*len(chunk)
+				} else {
+					want += len(parsefmt.AppendPB(nil, chunk, narrowFields)) + crcBytes
+				}
+			}
+			if n := proxy.upBytes(); n != want {
+				t.Fatalf("the client sent %d bytes, want %d", n, want)
+			}
+			for r, rec := range recs {
+				if got[0][r] != rec.AdID || got[1][r] != rec.UserID || got[2][r] != rec.EventTime {
+					t.Fatalf("record %d arrived as (%d, %d, %d), want (%d, %d, %d)", r,
+						got[0][r], got[1][r], got[2][r], rec.AdID, rec.UserID, rec.EventTime)
+				}
+			}
+		})
 	}
 }
 
@@ -618,11 +759,11 @@ func TestHelloAckOverWire(t *testing.T) {
 		name, hello string
 		status      byte
 	}{
-		{"bad magic", "XXXX\x05\x03\x00\x00", statusBadMagic},
-		{"JSON code", v5Hello(byte(parsefmt.JSON)), statusBadFormat},
-		{"text code", v5Hello(byte(parsefmt.Text)), statusBadFormat},
-		{"unknown format", v5Hello(9), statusBadFormat},
-		{"unknown token", v5Hello(byte(parsefmt.PB))[:8] + "\x00\x00\x00\x00\x00\x00\x12\x34", statusExpired},
+		{"bad magic", "XXXX\x06\x03\x00\x00", statusBadMagic},
+		{"JSON code", v6Hello(byte(parsefmt.JSON)), statusBadFormat},
+		{"text code", v6Hello(byte(parsefmt.Text)), statusBadFormat},
+		{"unknown format", v6Hello(9), statusBadFormat},
+		{"unknown token", v6Hello(byte(parsefmt.PB))[:8] + "\x00\x00\x00\x00\x00\x00\x12\x34", statusExpired},
 	} {
 		g, closed := rawHelloGrant(t, addr, tc.hello)
 		if [4]byte(g[:4]) != magicGrant || g[4] != Version || g[5] != tc.status || !closed {

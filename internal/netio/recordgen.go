@@ -1,6 +1,9 @@
 package netio
 
 import (
+	"fmt"
+	"slices"
+
 	"streambox/internal/bundle"
 	"streambox/internal/parsefmt"
 )
@@ -18,6 +21,41 @@ func WireSchema() bundle.Schema {
 		TsCol:   6,
 		Names:   []string{"ad_id", "ad_type", "event_type", "user_id", "page_id", "ip", "event_time"},
 	}
+}
+
+// ProjectSchema is the layout of a feed holding only the wire columns
+// in fields, ascending — what a server whose plan reads just those
+// columns asks its clients to send. fields must hold the event time,
+// which stays the timestamp column.
+func ProjectSchema(fields parsefmt.FieldSet) bundle.Schema {
+	wire := WireSchema()
+	out := bundle.Schema{NumCols: fields.Len(), TsCol: fields.Pos(wire.TsCol)}
+	for _, c := range fields.Cols() {
+		out.Names = append(out.Names, wire.Names[c])
+	}
+	return out
+}
+
+// wireFields is the inverse of ProjectSchema: the wire columns a feed of
+// schema holds, by name. Every column must be a wire column, in wire
+// order, and the timestamp column the wire's event time.
+func wireFields(schema bundle.Schema) (parsefmt.FieldSet, error) {
+	wire := WireSchema()
+	if len(schema.Names) != schema.NumCols || schema.TsCol < 0 || schema.TsCol >= schema.NumCols ||
+		schema.Names[schema.TsCol] != wire.Names[wire.TsCol] {
+		return 0, fmt.Errorf("netio: feed schema %v must name each column after a wire column, %q the timestamp", schema.Names, wire.Names[wire.TsCol])
+	}
+	var fields parsefmt.FieldSet
+	last := -1
+	for i, name := range schema.Names {
+		c := slices.Index(wire.Names, name)
+		if c <= last {
+			return 0, fmt.Errorf("netio: feed column %d (%q) is not a wire column in wire order %v", i, name, wire.Names)
+		}
+		fields |= 1 << c
+		last = c
+	}
+	return fields, nil
 }
 
 // RecordGen deterministically produces the wire workload stream: record

@@ -84,7 +84,8 @@ type ServerConfig struct {
 // in (implemented by internal/wal.Log). Appends must be safe for
 // concurrent use by every connection handler.
 type FrameLog interface {
-	// AppendFrame logs one accepted data frame. ranges, when non-nil,
+	// AppendFrame logs one accepted data frame: cols are the feed's
+	// columns, the ones the log was opened to record. ranges, when non-nil,
 	// carry each column's exact min/max (computed during the checksum
 	// pass) so the log's packer skips its own scan. When durable is
 	// true the call returns only once the record is on stable storage;
@@ -218,6 +219,9 @@ type Server struct {
 	cfg  ServerConfig
 	core serverCore
 	ln   net.Listener
+	// fields are the wire columns the feed holds, which every grant
+	// names and every frame carries.
+	fields parsefmt.FieldSet
 
 	// mu guards the tables below and every session's core.
 	mu      sync.Mutex
@@ -266,8 +270,9 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Feed == nil {
 		return nil, fmt.Errorf("netio: ServerConfig.Feed is required")
 	}
-	if got, want := cfg.Feed.Schema().NumCols, WireSchema().NumCols; got != want {
-		return nil, fmt.Errorf("netio: feed schema has %d columns, the wire format carries %d", got, want)
+	fields, err := wireFields(cfg.Feed.Schema())
+	if err != nil {
+		return nil, err
 	}
 	if cfg.FrameCredits <= 0 {
 		cfg.FrameCredits = 16
@@ -287,6 +292,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
+		fields:   fields,
 		core:     serverCore{credits: cfg.FrameCredits, grace: cfg.CursorGrace, timeout: cfg.SessionTimeout, maxConns: cfg.MaxConns},
 		ln:       ln,
 		conns:    make(map[int64]*serverConn),
@@ -671,7 +677,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	// settledSeq waits out a frame the superseded connection is still
 	// delivering, so the grant never trails what is ingested.
-	g := grant{status: statusOK, credits: uint16(s.cfg.FrameCredits), token: sess.token, lastSeq: sess.settledSeq()}
+	g := grant{status: statusOK, credits: uint16(s.cfg.FrameCredits), token: sess.token, lastSeq: sess.settledSeq(), fields: s.fields}
 	c.core.expect = g.lastSeq + 1
 	if writeGrant(conn, g) != nil {
 		return
@@ -837,8 +843,8 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 		return nil, 0, false
 	}
 	hdr, err := parsefmt.ParseColumnarHeader(d.hdr[:])
-	if err != nil || hdr.NCols != schema.NumCols || parsefmt.ColumnarDataBytes(hdr.NCols, hdr.NRows) != size-parsefmt.ColumnarHeaderBytes {
-		s.countDecodeError(c) // malformed geometry
+	if err != nil || hdr.NCols != s.fields.Len() || parsefmt.ColumnarDataBytes(hdr.NCols, hdr.NRows) != size-parsefmt.ColumnarHeaderBytes {
+		s.countDecodeError(c) // malformed geometry, or not the granted columns
 		return nil, 0, false
 	}
 	cols = s.cfg.Feed.borrowCols(hdr.NRows)
@@ -891,7 +897,7 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 		s.countChecksumError(c)
 		return nil, 0, false
 	}
-	cols, err := parsefmt.DecodePBColumns(body, s.cfg.Feed.borrowCols)
+	cols, err := parsefmt.DecodePBColumns(body, s.fields, s.cfg.Feed.borrowCols)
 	if err != nil {
 		s.countDecodeError(c)
 		if cols != nil {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streambox/internal/parsefmt"
 )
 
 // This file runs the client core against the server core with no
@@ -87,6 +89,7 @@ type sim struct {
 	grants    []uint64 // lastSeq of every grant the client accepted
 
 	srv       serverCore
+	fields    parsefmt.FieldSet // the columns the server's grants name
 	conns     []*simConn
 	sessions  map[uint64]*simSession
 	nextID    int64
@@ -98,14 +101,16 @@ type sim struct {
 	acks      int
 
 	// Faults, by the ordinal of the message (counted from 1) or seq.
-	overloaded bool
-	acksSeen   int
-	dropAck    int
-	damageAck  int
-	cutAtSeq   uint64 // the write of this frame is cut mid-frame
-	stallSeq   uint64 // this frame's delivery stalls until a takeover
-	halfOpen   bool   // with stallSeq: the client alone sees the cut
-	eagerAck   bool   // each frame's ack lands before its write returns
+	overloaded  bool
+	acksSeen    int
+	dropAck     int
+	damageAck   int
+	grantsSeen  int
+	damageGrant int
+	cutAtSeq    uint64 // the write of this frame is cut mid-frame
+	stallSeq    uint64 // this frame's delivery stalls until a takeover
+	halfOpen    bool   // with stallSeq: the client alone sees the cut
+	eagerAck    bool   // each frame's ack lands before its write returns
 }
 
 func newSim(t *testing.T, cfg ClientConfig) *sim {
@@ -114,6 +119,7 @@ func newSim(t *testing.T, cfg ClientConfig) *sim {
 	m := &sim{
 		t: t, start: start, now: start, cli: newClientCore(cfg), reachable: true,
 		srv:      serverCore{credits: 16, grace: 10 * time.Second, timeout: 120 * time.Second},
+		fields:   parsefmt.AllFields,
 		sessions: make(map[uint64]*simSession),
 	}
 	m.nextReap = start.Add(m.srv.reapEvery())
@@ -296,10 +302,14 @@ func (m *sim) wakeClient() {
 // core's verdict on it.
 func (m *sim) granted(g grant) {
 	var err error
-	switch g.status {
-	case statusOK:
+	m.grantsSeen++
+	switch {
+	case m.grantsSeen == m.damageGrant:
+		m.logf("net: grant %d damaged", m.grantsSeen)
+		g, err = grant{}, errGrantChecksum
+	case g.status == statusOK:
 		err = m.cli.named(g)
-	case statusExpired:
+	case g.status == statusExpired:
 		err = ErrSessionExpired
 	default:
 		err = ErrOverloaded
@@ -549,7 +559,7 @@ func (m *sim) grantIfSettled(sc *simConn) {
 		return
 	}
 	sc.granting = false
-	g := grant{status: statusOK, credits: uint16(m.srv.credits), token: sc.sess.token, lastSeq: sc.sess.lastSeq}
+	g := grant{status: statusOK, credits: uint16(m.srv.credits), token: sc.sess.token, lastSeq: sc.sess.lastSeq, fields: m.fields}
 	sc.core.expect = g.lastSeq + 1
 	if !sc.cut {
 		sc.down = append(sc.down, simMsg{kind: 'g', g: g})
@@ -732,6 +742,32 @@ func TestSessionCores(t *testing.T) {
 			m.eagerAck = true
 			mustOK(t, m.dial(), m.send(20), m.close())
 			m.checkDelivered()
+		}},
+		{"damaged grant redials", cfg, func(t *testing.T, m *sim) {
+			m.damageGrant = 2
+			mustOK(t, m.dial(), m.send(10))
+			m.cut(m.conn, true)
+			mustOK(t, m.send(10), m.close())
+			m.checkDelivered()
+			if len(m.grants) != 2 || m.grantsSeen != 3 {
+				t.Fatalf("grants %v of %d read; want the damaged one redialed", m.grants, m.grantsSeen)
+			}
+		}},
+		{"a resume grant naming other columns ends the session", cfg, func(t *testing.T, m *sim) {
+			m.fields = 1<<0 | 1<<3 | 1<<6
+			mustOK(t, m.dial(), m.send(10), m.call(goalAcked))
+			m.fields = 1<<0 | 1<<4 | 1<<6 // the server restarted under another plan
+			m.cut(m.conn, true)
+			err := m.send(1)
+			if !errors.Is(err, ErrColumnsChanged) {
+				t.Fatalf("send after the resume = %v, want ErrColumnsChanged", err)
+			}
+			if len(m.grants) != 1 || m.grantsSeen != 2 || len(m.conns) != 2 {
+				t.Fatalf("grants %v of %d read on %d connections; want the resume refused, not redialed", m.grants, m.grantsSeen, len(m.conns))
+			}
+			if m.cli.fields != 1<<0|1<<3|1<<6 {
+				t.Fatalf("the session's columns became %v", m.cli.fields)
+			}
 		}},
 		{"takeover during an in-flight delivery", cfg, func(t *testing.T, m *sim) {
 			m.stallSeq, m.halfOpen = 3, true

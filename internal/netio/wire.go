@@ -21,23 +21,23 @@
 //
 // # Wire format
 //
-// There is one protocol, version 5: every stream is a resumable
+// There is one protocol, version 6: every stream is a resumable
 // session, opened by one message each way. Handshake and framing
 // integers are big-endian. The client opens with a 16-byte hello:
 //
 //	offset 0: magic "SBX1"
-//	offset 4: protocol version (5)
+//	offset 4: protocol version (6)
 //	offset 5: payload format: 1 binary (PB) or 3 columnar
 //	offset 6: reserved (2 bytes, zero)
 //	offset 8: resume token, uint64: the session to resume, or zero to
 //	          open a fresh one
 //
-// and the server answers with a 24-byte grant:
+// and the server answers with a 32-byte grant:
 //
 //	offset  0: magic "SBXA"
-//	offset  4: protocol version (5)
+//	offset  4: protocol version (6)
 //	offset  5: status: 0 OK; 1 bad magic or version (the retired
-//	           hellos of versions 1-4 are answered as soon as their
+//	           hellos of versions 1-5 are answered as soon as their
 //	           version byte is read); 2 not a wire format (the
 //	           codes of JSON and text, 0 and 2, included); 3 overloaded
 //	           (admission control shed the handshake; back off and
@@ -50,6 +50,19 @@
 //	           assigned)
 //	offset 16: sequence number of the last frame fully ingested under
 //	           the session, uint64 — the client replays what follows it
+//	offset 24: column mask, uint32: bit i set when the served plan reads
+//	           wire column i (parsefmt.FieldSet; zero unless OK)
+//	offset 28: CRC-32C of the 28 bytes before it
+//
+// Only the masked columns travel: the server's feed holds just the
+// columns its plan reads (the key, value, window and filter columns and
+// the event time), and the client drops the others before it encodes a
+// frame. A columnar frame carries the masked columns, ascending, and
+// nothing else; a PB record carries the masked fields, ascending. The
+// first grant fixes a session's mask: the frames in the client's replay
+// ring are already projected, so a resume grant naming another mask
+// ends the session (ErrColumnsChanged). A grant that fails its CRC is
+// redialed, like a damaged ack.
 //
 // Then the client sends data frames — a uint32 payload length, a
 // uint64 frame sequence number, and that many payload bytes; a bare
@@ -60,10 +73,12 @@
 // of those 12 bytes. One ack may return the credit of several frames:
 // the server acks what it has consumed before it next waits. The client
 // must keep one credit per in-flight frame. A columnar payload is
-// exactly one parsefmt columnar frame (24-byte header carrying the
-// CRC-32C of the data section + little-endian column-major data; see
-// parsefmt/columnar.go for the layout). A PB payload is the records' length-delimited messages
-// followed by a 4-byte trailer: the CRC-32C of the bytes before it.
+// exactly one parsefmt columnar frame of the masked columns (24-byte
+// header carrying the CRC-32C of the data section + little-endian
+// column-major data; see parsefmt/columnar.go for the layout); the
+// server refuses one whose column count is not the mask's. A PB payload
+// is the records' length-delimited messages followed by a 4-byte
+// trailer: the CRC-32C of the bytes before it.
 // There is one checksum on the wire, CRC-32C (Castagnoli,
 // parsefmt.UpdateCRC), always over bytes exactly as sent.
 //
@@ -96,10 +111,11 @@ import (
 
 // Version is the one wire protocol version this build speaks. The byte
 // stays in the hello and the grant so a future protocol can be told from
-// this one. Versions 1-3 (8-byte hello, a four-message exchange) and 4
-// (the columnar digest over values, unchecked acks) are retired and
-// refused at the handshake.
-const Version = 5
+// this one. Versions 1-3 (8-byte hello, a four-message exchange), 4 (the
+// columnar digest over values, unchecked acks) and 5 (every column sent,
+// a 24-byte grant without mask or CRC) are retired and refused at the
+// handshake.
+const Version = 6
 
 var (
 	magicHello = [4]byte{'S', 'B', 'X', '1'}
@@ -137,6 +153,13 @@ var ErrOverloaded = errors.New("netio: server overloaded, connection shed")
 // cannot know which of its unacked frames were ingested.
 var ErrSessionExpired = errors.New("netio: session expired on server, cannot resume exactly-once")
 
+// ErrColumnsChanged marks a resume grant whose column mask differs from
+// the one the session's first grant fixed: the server now serves a plan
+// that reads other columns. The frames in the client's replay ring carry
+// only the old columns and cannot be re-projected, so the session ends
+// rather than redialing.
+var ErrColumnsChanged = errors.New("netio: resume grant names other columns than the session's")
+
 // ErrReplayOverflow marks a send-side replay buffer that filled while
 // the server withheld acks; the session can no longer guarantee replay
 // of every unacked frame.
@@ -171,7 +194,7 @@ const handshakeTimeout = 10 * time.Second
 
 const (
 	helloBytes = 16
-	grantBytes = 24
+	grantBytes = 32
 )
 
 // writeHello sends the client's 16-byte hello: the payload format and
@@ -211,17 +234,19 @@ func readHello(r io.Reader) (f parsefmt.Format, token uint64, status byte, err e
 
 // grant is the server's answer to a hello. With statusOK it carries the
 // initial credits, the session token (the one requested, or freshly
-// assigned) and the last frame sequence number fully ingested under it —
-// the client replays everything after that from its replay buffer. Any
-// other status carries nothing else and is followed by a close.
+// assigned), the last frame sequence number fully ingested under it —
+// the client replays everything after that from its replay buffer — and
+// the columns the session moves. Any other status carries nothing else
+// and is followed by a close.
 type grant struct {
 	status  byte
 	credits uint16
 	token   uint64
 	lastSeq uint64
+	fields  parsefmt.FieldSet
 }
 
-// writeGrant sends the 24-byte grant.
+// writeGrant sends the 32-byte grant.
 func writeGrant(w io.Writer, g grant) error {
 	var b [grantBytes]byte
 	copy(b[:4], magicGrant[:])
@@ -230,12 +255,19 @@ func writeGrant(w io.Writer, g grant) error {
 	binary.BigEndian.PutUint16(b[6:], g.credits)
 	binary.BigEndian.PutUint64(b[8:], g.token)
 	binary.BigEndian.PutUint64(b[16:], g.lastSeq)
+	binary.BigEndian.PutUint32(b[24:], uint32(g.fields))
+	appendCRC(b[:grantBytes-crcBytes], 0) // fills b's last 4 bytes in place
 	_, err := w.Write(b[:])
 	return err
 }
 
-// readGrant parses the grant; a status other than OK comes back as the
-// error the caller acts on (ErrOverloaded: back off and redial;
+// errGrantChecksum marks a grant damaged in flight: none of its fields
+// can be trusted, so the client redials.
+var errGrantChecksum = errors.New("netio: grant failed its checksum")
+
+// readGrant parses the grant; one that fails its checksum is
+// errGrantChecksum, and a status other than OK comes back as the error
+// the caller acts on (ErrOverloaded: back off and redial;
 // ErrSessionExpired: give up).
 func readGrant(r io.Reader) (grant, error) {
 	var b [grantBytes]byte
@@ -245,14 +277,22 @@ func readGrant(r io.Reader) (grant, error) {
 	if [4]byte(b[:4]) != magicGrant || b[4] != Version {
 		return grant{}, fmt.Errorf("netio: bad grant magic/version %q v%d", b[:4], b[4])
 	}
+	if _, ok := splitCRC(b[:]); !ok {
+		return grant{}, errGrantChecksum
+	}
+	mask := binary.BigEndian.Uint32(b[24:])
 	g := grant{
 		status:  b[5],
 		credits: binary.BigEndian.Uint16(b[6:]),
 		token:   binary.BigEndian.Uint64(b[8:]),
 		lastSeq: binary.BigEndian.Uint64(b[16:]),
+		fields:  parsefmt.FieldSet(mask),
 	}
 	switch g.status {
 	case statusOK:
+		if mask == 0 || mask&^uint32(parsefmt.AllFields) != 0 {
+			return g, fmt.Errorf("netio: grant column mask %#x names no wire column or one past the seventh", mask)
+		}
 		return g, nil
 	case statusOverloaded:
 		return g, ErrOverloaded
@@ -263,8 +303,8 @@ func readGrant(r io.Reader) (grant, error) {
 	}
 }
 
-// crcBytes is the size of a CRC-32C trailer: a PB payload's, and an
-// ack's.
+// crcBytes is the size of a CRC-32C trailer: a PB payload's, a
+// grant's and an ack's.
 const crcBytes = 4
 
 // appendCRC appends the CRC-32C trailer of buf[from:] — what precedes

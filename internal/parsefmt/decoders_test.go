@@ -24,16 +24,20 @@ func wireSampleRecords(n int) []Record {
 	return recs
 }
 
-// makeCols is the plain-make column source; takes counts its calls and
-// the largest row count asked of it.
-type makeCols struct{ takes, maxRows int }
+// makeCols is the plain-make column source of ncols columns (zero: all
+// seven); takes counts its calls and the largest row count asked of it.
+type makeCols struct{ takes, maxRows, ncols int }
 
 func (m *makeCols) take(rows int) [][]uint64 {
 	m.takes++
 	if rows > m.maxRows {
 		m.maxRows = rows
 	}
-	cols := make([][]uint64, 7)
+	ncols := m.ncols
+	if ncols == 0 {
+		ncols = pbFields
+	}
+	cols := make([][]uint64, ncols)
 	for i := range cols {
 		cols[i] = make([]uint64, rows)
 		for r := range cols[i] {
@@ -63,7 +67,7 @@ func decodeAll(f Format, data []byte) (out [][]Record, errs []error) {
 	out, errs = append(out, recs), append(errs, err)
 	if f == PB {
 		var m makeCols
-		cols, err := DecodePBColumns(data, m.take)
+		cols, err := DecodePBColumns(data, AllFields, m.take)
 		if err != nil {
 			cols = nil
 		}
@@ -116,7 +120,7 @@ func TestStreamDecodersTruncated(t *testing.T) {
 	}
 	for cut := 0; cut <= len(data); cut++ {
 		var m makeCols
-		cols, err := DecodePBColumns(data[:cut], m.take)
+		cols, err := DecodePBColumns(data[:cut], AllFields, m.take)
 		if whole, onBoundary := boundary[cut]; !onBoundary {
 			if err == nil {
 				t.Fatalf("cut %d mid-record decoded cleanly", cut)
@@ -164,7 +168,7 @@ func TestPBOversizedMessageRejected(t *testing.T) {
 		"good record, then huge": append(EncodePB(wireSampleRecords(1)), huge...),
 	} {
 		var m makeCols
-		if _, err := DecodePBColumns(data, m.take); err == nil {
+		if _, err := DecodePBColumns(data, AllFields, m.take); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 		if m.takes != 0 {

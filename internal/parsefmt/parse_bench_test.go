@@ -60,7 +60,7 @@ func BenchmarkDecPBColumns(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				DecodePBColumns(data, take)
+				DecodePBColumns(data, AllFields, take)
 			}
 			reportPerRec(b, len(sh.recs))
 		})
@@ -72,11 +72,11 @@ var appendSink []byte
 func BenchmarkAppendPB(b *testing.B) {
 	for _, sh := range pbShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			buf := AppendPB(nil, sh.recs)
+			buf := AppendPB(nil, sh.recs, AllFields)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = AppendPB(buf[:0], sh.recs)
+				buf = AppendPB(buf[:0], sh.recs, AllFields)
 			}
 			appendSink = buf
 			reportPerRec(b, len(sh.recs))

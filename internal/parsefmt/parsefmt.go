@@ -4,9 +4,9 @@
 // as comma-separated text. Parse throughput is measured for real on the
 // host and projected onto the paper's KNL and X56 machines with the
 // per-core scale factors below. The varint format is also the network's
-// row wire: AppendPB encodes it and DecodePBColumns decodes it straight
-// into columns, each in one pass over a record's bytes; columnar.go
-// holds the columnar wire.
+// row wire: AppendPB encodes the fields a session moves and
+// DecodePBColumns decodes them straight into columns, each in one pass
+// over a record's bytes; columnar.go holds the columnar wire.
 package parsefmt
 
 import (
@@ -14,8 +14,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // Record is one YSB event with seven numeric columns (§6).
@@ -37,6 +39,56 @@ func (r Record) Cols() [7]uint64 {
 // fromCols rebuilds a record.
 func fromCols(c [7]uint64) Record {
 	return Record{c[0], c[1], c[2], c[3], c[4], c[5], c[6]}
+}
+
+// FieldSet is a set of a record's fields, which are also the columns of
+// the network's wire schema: bit i stands for column i of Cols, PB field
+// i+1. A session moves only the fields its plan reads; both wire formats
+// carry the set's columns in ascending order, and so does the log.
+type FieldSet uint8
+
+// AllFields is every field of a record.
+const AllFields FieldSet = 1<<pbFields - 1
+
+// fieldNames are the fields' names, in column order.
+var fieldNames = [pbFields]string{"ad_id", "ad_type", "event_type", "user_id", "page_id", "ip", "event_time"}
+
+// Has reports whether column col is in the set.
+func (fs FieldSet) Has(col int) bool { return col >= 0 && col < pbFields && fs>>col&1 != 0 }
+
+// Len is the number of columns in the set.
+func (fs FieldSet) Len() int { return bits.OnesCount8(uint8(fs)) }
+
+// Pos is column col's position among the set's columns, ascending: the
+// index of its slice in a batch of the set.
+func (fs FieldSet) Pos(col int) int { return bits.OnesCount8(uint8(fs) & (1<<col - 1)) }
+
+// Covers reports whether every column of other is in the set.
+func (fs FieldSet) Covers(other FieldSet) bool { return fs&other == other }
+
+// Cols lists the set's columns, ascending.
+func (fs FieldSet) Cols() []int {
+	cols := make([]int, 0, pbFields)
+	for c := range pbFields {
+		if fs.Has(c) {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// String names the set's columns, e.g. {ad_id,user_id,event_time}.
+func (fs FieldSet) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, c := range fs.Cols() {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(fieldNames[c])
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // --- JSON ------------------------------------------------------------------
@@ -69,16 +121,17 @@ func DecodeJSON(data []byte) ([]Record, error) {
 
 // --- Protobuf-style varint binary -------------------------------------------
 //
-// Wire format per record: 7 fields, each (tag byte, uvarint value),
+// Wire format per record: up to 7 fields, each (tag byte, uvarint value),
 // prefixed by a uvarint byte length — the shape of a proto3 message
 // with fields 1..7, implemented from scratch.
 //
-// AppendPB writes every record in one canonical form: fields 1..7 in
-// order, once each. DecodePBColumns accepts more than that (any field
-// order, repeats, absent fields, as proto3 does) but is built around it:
-// a canonical record is decoded in one pass with the field index as the
-// loop counter, and only a record that departs from the form is decoded
-// again by the general field loop, which defines what is accepted.
+// AppendPB writes every record in one canonical form: the fields of its
+// FieldSet in ascending order, once each. DecodePBColumns accepts more
+// than that (any field order, repeats, absent fields, fields outside its
+// set, as proto3 does) but is built around it: a canonical record is
+// decoded in one pass with the field's position as the loop counter, and
+// only a record that departs from the form is decoded again by the
+// general field loop, which defines what is accepted.
 
 // pbFields is the number of fields in a record; maxPBRecordBytes is the
 // longest record AppendPB can write — a one-byte length, then per field
@@ -89,14 +142,15 @@ const (
 	maxPBRecordBytes = 1 + pbFields*(1+binary.MaxVarintLen64)
 )
 
-// EncodePB renders records in the varint wire format.
-func EncodePB(recs []Record) []byte { return AppendPB(nil, recs) }
+// EncodePB renders whole records in the varint wire format.
+func EncodePB(recs []Record) []byte { return AppendPB(nil, recs, AllFields) }
 
-// AppendPB appends the records' varint wire form to dst and returns the
-// extended slice — EncodePB into a buffer the caller reuses. Each record
+// AppendPB appends the varint wire form of the records' fields in fields
+// to dst and returns the extended slice — EncodePB into a buffer the
+// caller reuses, of only the fields a session moves. Each record
 // reserves its worst case once, then writes its length byte, tags and
 // varint bytes by index: no per-byte append, no staging buffer.
-func AppendPB(dst []byte, recs []Record) []byte {
+func AppendPB(dst []byte, recs []Record, fields FieldSet) []byte {
 	for i := range recs {
 		r := &recs[i]
 		dst = slices.Grow(dst, maxPBRecordBytes)
@@ -104,14 +158,30 @@ func AppendPB(dst []byte, recs []Record) []byte {
 		buf := dst[at : at+maxPBRecordBytes]
 		// One call per field rather than a loop over them: each inlined
 		// copy of the varint loop is a branch of its own, which learns its
-		// field's usual length.
-		n := putField(buf, 1, 1, r.AdID) // buf[0] is the length, filled in last
-		n = putField(buf, n, 2, r.AdType)
-		n = putField(buf, n, 3, r.EventType)
-		n = putField(buf, n, 4, r.UserID)
-		n = putField(buf, n, 5, r.PageID)
-		n = putField(buf, n, 6, r.IP)
-		n = putField(buf, n, 7, r.EventTime)
+		// field's usual length, and the test of the set is the same every
+		// record.
+		n := 1 // buf[0] is the length, filled in last
+		if fields&(1<<0) != 0 {
+			n = putField(buf, n, 1, r.AdID)
+		}
+		if fields&(1<<1) != 0 {
+			n = putField(buf, n, 2, r.AdType)
+		}
+		if fields&(1<<2) != 0 {
+			n = putField(buf, n, 3, r.EventType)
+		}
+		if fields&(1<<3) != 0 {
+			n = putField(buf, n, 4, r.UserID)
+		}
+		if fields&(1<<4) != 0 {
+			n = putField(buf, n, 5, r.PageID)
+		}
+		if fields&(1<<5) != 0 {
+			n = putField(buf, n, 6, r.IP)
+		}
+		if fields&(1<<6) != 0 {
+			n = putField(buf, n, 7, r.EventTime)
+		}
 		buf[0] = byte(n - 1)
 		dst = dst[:at+n]
 	}
@@ -140,18 +210,20 @@ const maxWireRecordBytes = 1 << 16
 // DecodePBColumns is the strict decoder the network ingest path runs
 // (fields 1..7 only, wire type 0, records of at most maxWireRecordBytes):
 // it transposes the payload's records straight into column-major
-// storage, the layout the engine's bundles use. It walks the payload
-// twice — first the length prefixes alone, to count the records and
-// bound every one against the payload before anything is allocated, then
-// each record once, every value stored at its record's row of its
-// column. take supplies the seven columns at exactly that row count (the
-// pooled-slab seam; they may hold stale values, every element is
-// overwritten) and is not called for an empty payload, which decodes to
-// nil. Network bytes are untrusted: malformed input is an error, never a
-// panic or a read past the payload. A field error surfaces after take has
-// run; cols is then returned beside the error, with unspecified contents,
-// so the caller can give the storage back.
-func DecodePBColumns(payload []byte, take func(rows int) [][]uint64) (cols [][]uint64, err error) {
+// storage, the layout the engine's bundles use, one column per field of
+// fields, ascending. It walks the payload twice — first the length
+// prefixes alone, to count the records and bound every one against the
+// payload before anything is allocated, then each record once, every
+// value stored at its record's row of its column. take supplies the
+// fields.Len() columns at exactly that row count (the pooled-slab seam;
+// they may hold stale values, every element is overwritten) and is not
+// called for an empty payload, which decodes to nil. A field outside
+// fields is decoded and dropped; a field of fields a record lacks reads
+// zero. Network bytes are untrusted: malformed input is an error, never
+// a panic or a read past the payload. A field error surfaces after take
+// has run; cols is then returned beside the error, with unspecified
+// contents, so the caller can give the storage back.
+func DecodePBColumns(payload []byte, fields FieldSet, take func(rows int) [][]uint64) (cols [][]uint64, err error) {
 	rows := 0
 	for rest := payload; len(rest) > 0; rows++ {
 		msgLen, n := lengthPrefix(rest)
@@ -167,13 +239,18 @@ func DecodePBColumns(payload []byte, take func(rows int) [][]uint64) (cols [][]u
 		return nil, nil
 	}
 	cols = take(rows)
-	dst := (*[pbFields][]uint64)(cols)
+	in := fields.Cols()
+	var tags [pbFields]byte // the canonical record's tags, in order
+	for i, c := range in {
+		tags[i] = byte((c + 1) << 3)
+	}
+	canon := tags[:len(in)]
 	for r := 0; r < rows; r++ {
 		msgLen, n := lengthPrefix(payload)
 		msg := payload[n : n+int(msgLen)]
 		payload = payload[n+int(msgLen):]
-		if !decodeCanonical(msg, dst, r) {
-			if err := decodeFields(msg, dst, r); err != nil {
+		if !decodeCanonical(msg, canon, cols, r) {
+			if err := decodeFields(msg, in, cols, r); err != nil {
 				return cols, err
 			}
 		}
@@ -191,14 +268,15 @@ func lengthPrefix(b []byte) (uint64, int) {
 }
 
 // decodeCanonical decodes msg into row r of dst if it is a canonical
-// record — tags 1..7 in order, once each, wire type 0, every varint
-// within msg and within binary.Uvarint's 64-bit overflow rule — and
-// reports whether it was. On false some of the row's columns may have
-// been written; decodeFields then writes all seven.
-func decodeCanonical(msg []byte, dst *[pbFields][]uint64, r int) bool {
+// record — exactly the tags of tags, in order, once each, wire type 0,
+// every varint within msg and within binary.Uvarint's 64-bit overflow
+// rule — and reports whether it was. tags[i] is the tag of dst[i]'s
+// field. On false some of the row's columns may have been written;
+// decodeFields then writes them all.
+func decodeCanonical(msg []byte, tags []byte, dst [][]uint64, r int) bool {
 	i := 0
-	for f := range dst {
-		if i >= len(msg) || msg[i] != byte((f+1)<<3) {
+	for f, tag := range tags {
+		if i >= len(msg) || msg[i] != tag {
 			return false
 		}
 		i++
@@ -235,11 +313,12 @@ func decodeCanonical(msg []byte, dst *[pbFields][]uint64, r int) bool {
 
 // decodeFields is the general record decoder and the definition of what
 // DecodePBColumns accepts: fields in any order, a repeated field's last
-// value wins, absent fields read zero (as in proto3); field 0, fields
-// past 7, wire types other than 0 and varints that run past the record
-// or overflow 64 bits are errors. It writes all seven columns of row r
+// value wins, absent fields read zero (as in proto3), fields outside in
+// (the columns of dst, ascending) are dropped; field 0, fields past 7,
+// wire types other than 0 and varints that run past the record or
+// overflow 64 bits are errors. It writes row r of every column of dst
 // only once the record has parsed.
-func decodeFields(msg []byte, dst *[pbFields][]uint64, r int) error {
+func decodeFields(msg []byte, in []int, dst [][]uint64, r int) error {
 	var rec [pbFields]uint64
 	for len(msg) > 0 {
 		tag := msg[0]
@@ -254,8 +333,8 @@ func decodeFields(msg []byte, dst *[pbFields][]uint64, r int) error {
 		rec[field] = v
 		msg = msg[1+vn:]
 	}
-	for f, v := range rec {
-		dst[f][r] = v
+	for i, c := range in {
+		dst[i][r] = rec[c]
 	}
 	return nil
 }

@@ -58,12 +58,12 @@ func TestFormatNames(t *testing.T) {
 
 func TestPBErrors(t *testing.T) {
 	var m makeCols
-	if _, err := DecodePBColumns([]byte{0x05, 0x01}, m.take); err == nil {
+	if _, err := DecodePBColumns([]byte{0x05, 0x01}, AllFields, m.take); err == nil {
 		t.Error("truncated message must fail")
 	}
 	// Field 9 (tag 0x48) is invalid, and so is field 1 with wire type 1.
 	for _, bad := range [][]byte{{0x02, 0x48, 0x01}, {0x02, 0x09, 0x01}} {
-		if cols, err := DecodePBColumns(bad, m.take); err == nil || cols == nil {
+		if cols, err := DecodePBColumns(bad, AllFields, m.take); err == nil || cols == nil {
 			t.Errorf("bad tag %#x: err %v, cols %v; want an error beside the borrowed columns", bad[1], err, cols)
 		}
 	}
@@ -106,7 +106,7 @@ func TestEncodingSizes(t *testing.T) {
 func TestPropPBRoundTrip(t *testing.T) {
 	f := func(cols [7]uint64) bool {
 		rec := fromCols(cols)
-		dec, err := DecodePBColumns(EncodePB([]Record{rec}), new(makeCols).take)
+		dec, err := DecodePBColumns(EncodePB([]Record{rec}), AllFields, new(makeCols).take)
 		got := recordsOf(dec)
 		return err == nil && len(got) == 1 && got[0] == rec
 	}

@@ -13,10 +13,11 @@ import (
 )
 
 // decodePBStrict is DecodePBColumns as it was before the canonical fast
-// path, kept verbatim as the reference the fuzz target holds the
-// production decoder to: one generic varint loop over every field of
-// every record through a staging array.
-func decodePBStrict(payload []byte, take func(rows int) [][]uint64) (cols [][]uint64, err error) {
+// path, kept as the reference the fuzz target holds the production
+// decoder to: one generic varint loop over every field of every record
+// through a staging array, from which the columns of fields are copied
+// out.
+func decodePBStrict(payload []byte, fields FieldSet, take func(rows int) [][]uint64) (cols [][]uint64, err error) {
 	rows := 0
 	for rest := payload; len(rest) > 0; rows++ {
 		msgLen, n := binary.Uvarint(rest)
@@ -50,30 +51,49 @@ func decodePBStrict(payload []byte, take func(rows int) [][]uint64) (cols [][]ui
 			rec[field] = v
 			msg = msg[1+vn:]
 		}
-		for i, v := range rec {
-			cols[i][r] = v
+		for i, c := range fields.Cols() {
+			cols[i][r] = rec[c]
 		}
 	}
 	return cols, nil
 }
 
-// takeLog is a column source that records the row count of every call.
-type takeLog struct{ rows []int }
+// fuzzFields maps a fuzzer's byte onto a nonempty field set.
+func fuzzFields(mask uint8) FieldSet {
+	if fs := FieldSet(mask) & AllFields; fs != 0 {
+		return fs
+	}
+	return AllFields
+}
+
+// wireNarrow is the field set of the network benchmarks' plans: key,
+// value and event time.
+const wireNarrow FieldSet = 1<<0 | 1<<3 | 1<<6
+
+// takeLog is a column source of ncols columns that records the row
+// count of every call.
+type takeLog struct {
+	rows  []int
+	ncols int
+}
 
 func (l *takeLog) take(rows int) [][]uint64 {
 	l.rows = append(l.rows, rows)
-	return new(makeCols).take(rows)
+	return (&makeCols{ncols: l.ncols}).take(rows)
 }
 
 // appendPBReference is AppendPB's byte-level definition: a length
-// byte, then per field its tag and binary.AppendUvarint of its value.
-func appendPBReference(dst []byte, recs []Record) []byte {
+// byte, then per field of fields, ascending, its tag and
+// binary.AppendUvarint of its value.
+func appendPBReference(dst []byte, recs []Record, fields FieldSet) []byte {
 	for _, r := range recs {
 		at := len(dst)
 		dst = append(dst, 0)
 		for i, v := range r.Cols() {
-			dst = append(dst, byte((i+1)<<3))
-			dst = binary.AppendUvarint(dst, v)
+			if fields.Has(i) {
+				dst = append(dst, byte((i+1)<<3))
+				dst = binary.AppendUvarint(dst, v)
+			}
 		}
 		dst[at] = byte(len(dst) - at - 1)
 	}
@@ -91,11 +111,12 @@ func pbEdgeRecords() []Record {
 }
 
 // FuzzDecodePBMatchesStrict holds DecodePBColumns to decodePBStrict on
-// every input: the same accept or reject (with the same error), the same
-// take calls with the same row counts, and on accept the same columns.
-// A rejected decode's columns are storage to give back, not results, so
-// only their presence is compared.
+// every input and field set: the same accept or reject (with the same
+// error), the same take calls with the same row counts, and on accept
+// the same columns. A rejected decode's columns are storage to give
+// back, not results, so only their presence is compared.
 func FuzzDecodePBMatchesStrict(f *testing.F) {
+	all := uint8(AllFields)
 	canonical := EncodePB(append(sampleFuzzRecords(), wireShapedRecs(3)...))
 	edges := EncodePB(pbEdgeRecords())
 	// The second record's second field is MaxUint64: ten bytes ending in
@@ -115,27 +136,39 @@ func FuzzDecodePBMatchesStrict(f *testing.F) {
 	repeat := append(slices.Clone(canonical[:1+int(canonical[0])]), 0x38, 0x05)
 	repeat[0] += 2
 	one := EncodePB(wireShapedRecs(1))
+	// Projected canonical records, as a session of the narrow plan sends.
+	narrow := AppendPB(nil, append(sampleFuzzRecords(), wireShapedRecs(3)...), wireNarrow)
+	narrowEdges := AppendPB(nil, pbEdgeRecords(), wireNarrow)
+	// A narrow record lacking its value field: ad_id 1, event_time 9.
+	missing := []byte{0x04, 0x08, 0x01, 0x38, 0x09}
 
-	f.Add(canonical)
-	f.Add(edges)
-	f.Add(overflow)
-	f.Add(field8)
-	f.Add(wire1)
-	f.Add(repeat)
-	f.Add([]byte{0x04, 0x10, 0x01, 0x08, 0x02})       // fields out of order
-	f.Add([]byte{0x04, 0x08, 0x01, 0x08, 0x02})       // field 1 repeated: last wins
-	f.Add([]byte{0x02, 0x18, 0x05})                   // one field of seven present
-	f.Add([]byte{0x02, 0x00, 0x01})                   // field 0
-	f.Add([]byte{0x02, 0x40, 0x01})                   // field 8
-	f.Add([]byte{0x02, 0x09, 0x01})                   // wire type 1
-	f.Add([]byte{0x02, 0x08, 0x80, 0x02, 0x08, 0x01}) // a varint that runs into the next record
-	f.Add([]byte{0x00})                               // a zero-length record
-	f.Add(slices.Concat(one, []byte{0x00}, one))      // ... between two canonical ones
-	f.Add(canonical[:len(canonical)-3])               // the last record truncated
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var got, want takeLog
-		gotCols, gotErr := DecodePBColumns(data, got.take)
-		wantCols, wantErr := decodePBStrict(data, want.take)
+	f.Add(all, canonical)
+	f.Add(all, edges)
+	f.Add(all, overflow)
+	f.Add(all, field8)
+	f.Add(all, wire1)
+	f.Add(all, repeat)
+	f.Add(all, []byte{0x04, 0x10, 0x01, 0x08, 0x02})       // fields out of order
+	f.Add(all, []byte{0x04, 0x08, 0x01, 0x08, 0x02})       // field 1 repeated: last wins
+	f.Add(all, []byte{0x02, 0x18, 0x05})                   // one field of seven present
+	f.Add(all, []byte{0x02, 0x00, 0x01})                   // field 0
+	f.Add(all, []byte{0x02, 0x40, 0x01})                   // field 8
+	f.Add(all, []byte{0x02, 0x09, 0x01})                   // wire type 1
+	f.Add(all, []byte{0x02, 0x08, 0x80, 0x02, 0x08, 0x01}) // a varint that runs into the next record
+	f.Add(all, []byte{0x00})                               // a zero-length record
+	f.Add(all, slices.Concat(one, []byte{0x00}, one))      // ... between two canonical ones
+	f.Add(all, canonical[:len(canonical)-3])               // the last record truncated
+	f.Add(uint8(wireNarrow), narrow)                       // projected canonical records
+	f.Add(uint8(wireNarrow), narrowEdges)                  // ... at every varint length
+	f.Add(uint8(wireNarrow), canonical)                    // whole records: unmasked fields dropped
+	f.Add(uint8(wireNarrow), missing)                      // a masked field absent: reads zero
+	f.Add(uint8(1<<6), narrow)                             // a narrower set than was sent
+	f.Add(all, narrow)                                     // a wider one
+	f.Fuzz(func(t *testing.T, mask uint8, data []byte) {
+		fields := fuzzFields(mask)
+		got, want := takeLog{ncols: fields.Len()}, takeLog{ncols: fields.Len()}
+		gotCols, gotErr := DecodePBColumns(data, fields, got.take)
+		wantCols, wantErr := decodePBStrict(data, fields, want.take)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("error %v, strict decoder says %v", gotErr, wantErr)
 		}
@@ -149,6 +182,31 @@ func FuzzDecodePBMatchesStrict(f *testing.F) {
 			t.Fatalf("columns differ from the strict decoder's:\n%v\n%v", gotCols, wantCols)
 		}
 	})
+}
+
+// TestDecodePBProjects pins the field set's three cases by value: a
+// projected canonical record, a whole record whose unmasked fields are
+// decoded and dropped, and a record lacking a masked field, which reads
+// zero.
+func TestDecodePBProjects(t *testing.T) {
+	rec := Record{AdID: 1, AdType: 2, EventType: 3, UserID: 4, PageID: 5, IP: 6, EventTime: 7}
+	for name, tc := range map[string]struct {
+		data []byte
+		want [][]uint64
+	}{
+		"projected":      {AppendPB(nil, []Record{rec}, wireNarrow), [][]uint64{{1}, {4}, {7}}},
+		"whole record":   {EncodePB([]Record{rec}), [][]uint64{{1}, {4}, {7}}},
+		"value missing":  {[]byte{0x04, 0x08, 0x01, 0x38, 0x09}, [][]uint64{{1}, {0}, {9}}},
+		"only the value": {[]byte{0x02, 0x20, 0x05}, [][]uint64{{0}, {5}, {0}}},
+	} {
+		cols, err := DecodePBColumns(tc.data, wireNarrow, (&makeCols{ncols: 3}).take)
+		if err != nil || !reflect.DeepEqual(cols, tc.want) {
+			t.Errorf("%s: %v, %v; want %v", name, cols, err, tc.want)
+		}
+	}
+	if got, want := len(AppendPB(nil, []Record{rec}, wireNarrow)), 1+3*2; got != want {
+		t.Errorf("a narrow record of one-byte values takes %d bytes, want %d", got, want)
+	}
 }
 
 // TestEncodePBGolden pins the PB row wire's bytes: every varint length
@@ -166,8 +224,9 @@ func TestEncodePBGolden(t *testing.T) {
 }
 
 // TestPropAppendPBMatchesReference holds AppendPB to appendPBReference on
-// random records whose values take every varint length, appending after
-// a prefix that must stay as it was, with and without spare capacity.
+// random records whose values take every varint length, under random
+// field sets, appending after a prefix that must stay as it was, with
+// and without spare capacity.
 func TestPropAppendPBMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -179,13 +238,17 @@ func TestPropAppendPBMatchesReference(t *testing.T) {
 			}
 			recs[i] = fromCols(c)
 		}
+		fields := AllFields
+		if trial%2 == 1 {
+			fields = fuzzFields(uint8(rng.Intn(256)))
+		}
 		prefix := []byte("prefix")
-		want := appendPBReference(slices.Clone(prefix), recs)
+		want := appendPBReference(slices.Clone(prefix), recs, fields)
 		for _, spare := range []int{0, rng.Intn(4 * maxPBRecordBytes)} {
 			dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
-			got := AppendPB(dst, recs)
+			got := AppendPB(dst, recs, fields)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("trial %d, %d spare: AppendPB differs from the reference\n%x\n%x", trial, spare, got, want)
+				t.Fatalf("trial %d, fields %v, %d spare: AppendPB differs from the reference\n%x\n%x", trial, fields, spare, got, want)
 			}
 			if !bytes.Equal(dst, prefix) {
 				t.Fatalf("trial %d: the prefix became %q", trial, dst)

@@ -117,8 +117,9 @@ func (s *Server) recoverState(ck checkpoint) (sessions []netio.SessionState, nex
 		if rec.MaxTs+s.win.Size <= ck.SealedWM {
 			return nil
 		}
-		cols := feed.BorrowCols(rec.NRows)
-		rec.CopyCols(cols)
+		// wal.Open checked that every logged frame holds the plan's
+		// columns; a log written under another plan may hold more.
+		cols := rec.Project(s.fields, feed.BorrowCols(rec.NRows))
 		if !feed.Inject(rec.Conn, cols, rec.MaxTs) {
 			return fmt.Errorf("feed shut down during replay")
 		}

@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"fmt"
 	"net"
 	"net/http"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"streambox/internal/memsim"
 	"streambox/internal/metrics"
 	"streambox/internal/netio"
+	"streambox/internal/parsefmt"
 	"streambox/internal/runtime"
 	"streambox/internal/wal"
 	"streambox/internal/wm"
@@ -92,6 +94,7 @@ type Server struct {
 	ingest  *netio.Server
 	store   *netio.ResultStore
 	feed    *netio.Feed
+	fields  parsefmt.FieldSet // the wire columns the plan reads, all the feed holds
 	httpLn  net.Listener
 	httpSrv *http.Server
 
@@ -117,12 +120,17 @@ type Server struct {
 // failure everything started so far is stopped before the error
 // returns.
 func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv *Server, err error) {
-	feed := netio.NewFeed(netio.WireSchema(), 0)
+	fields, err := project(&plan)
+	if err != nil {
+		return nil, err
+	}
+	feed := netio.NewFeed(netio.ProjectSchema(fields), 0)
 	plan.Feed = feed
 	s := &Server{
-		store: netio.NewResultStore(cfg.KeepWindows),
-		feed:  feed,
-		win:   plan.Win,
+		store:  netio.NewResultStore(cfg.KeepWindows),
+		feed:   feed,
+		fields: fields,
+		win:    plan.Win,
 	}
 	s.recoveredSessions = s.recovery.Counter("streambox_recovered_sessions")
 	s.replayedFrames = s.recovery.Counter("streambox_replayed_frames_total")
@@ -142,7 +150,7 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		if ck, err = readCheckpoint(cfg.WALDir); err != nil {
 			return nil, err
 		}
-		if s.wal, err = wal.Open(wal.Config{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes}); err != nil {
+		if s.wal, err = wal.Open(wal.Config{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes, Fields: fields}); err != nil {
 			return nil, err
 		}
 	}
@@ -234,6 +242,30 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		go s.httpSrv.Serve(s.httpLn)
 	}
 	return s, nil
+}
+
+// project narrows plan to the wire columns it reads — its key, value,
+// window and filter columns, and the event time the feed's watermark
+// follows — and returns them. The feed then holds only those columns, in
+// wire order, so the plan's column indices are remapped to their
+// positions there; the runtime sees a stream of just those columns.
+func project(plan *runtime.Plan) (parsefmt.FieldSet, error) {
+	wire := netio.WireSchema()
+	cols := []*int{&plan.KeyCol, &plan.ValCol, &plan.TsCol}
+	for i := range plan.Filters {
+		cols = append(cols, &plan.Filters[i].Col)
+	}
+	fields := parsefmt.FieldSet(1) << wire.TsCol
+	for _, c := range cols {
+		if *c < 0 || *c >= wire.NumCols {
+			return 0, fmt.Errorf("serve: column %d is not one of the %d wire columns", *c, wire.NumCols)
+		}
+		fields |= 1 << *c
+	}
+	for _, c := range cols {
+		*c = fields.Pos(*c)
+	}
+	return fields, nil
 }
 
 // stop ends whatever Serve got as far as starting — ingestion first

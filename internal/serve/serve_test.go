@@ -9,6 +9,7 @@ import (
 	"reflect"
 	goruntime "runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -315,5 +316,191 @@ func TestRestartAfterShutdownPublishesNewWindows(t *testing.T) {
 	}
 	if want := []uint64{0, 1, 2, 5, 6, 7}; !reflect.DeepEqual(starts, want) {
 		t.Errorf("the restarted server holds windows %v, want %v", starts, want)
+	}
+}
+
+// serveRun serves plan on dir (empty: no log), streams recs through one
+// columnar client and returns the server, still running.
+func serveRun(t *testing.T, plan runtime.Plan, dir string, recs []parsefmt.Record) *Server {
+	t.Helper()
+	srv, err := Serve(plan, runtime.Config{Workers: 2}, "capture", Config{
+		IngestAddr: "127.0.0.1:0", WALDir: dir,
+		// No checkpoint seals a window: the log alone carries the run.
+		CheckpointInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) > 0 {
+		c, err := netio.Dial(srv.IngestAddr(), netio.ClientConfig{Format: parsefmt.Columnar, FrameRecords: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv
+}
+
+// windowsOf shuts srv down and returns its windows' rows by start.
+func windowsOf(t *testing.T, srv *Server) map[uint64][]netio.ResultRow {
+	t.Helper()
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[uint64][]netio.ResultRow)
+	for _, w := range srv.Results() {
+		out[w.Start] = w.Rows
+	}
+	return out
+}
+
+// snapshotDir copies every file of dir into a fresh directory: the log
+// as a crash at this moment would leave it.
+func snapshotDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	for name, b := range dirContents(t, dir) {
+		if err := os.WriteFile(filepath.Join(out, name), []byte(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// dirContents maps each file of dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// TestRecoveryAcrossColumnSets: a server logs the columns its plan reads
+// and no others, with their mask. The log of a SumPerKey(0, 3) run —
+// ad_id, user_id and event_time — recovers under a plan that reads a
+// subset of them, as a fresh run of that plan would have computed it;
+// under a plan that reads a column the log lacks, Serve fails naming
+// both column sets and leaves the directory as it was. A version-1
+// segment, seven columns a frame as the wire format before the mask
+// wrote them, still recovers.
+func TestRecoveryAcrossColumnSets(t *testing.T) {
+	gen := netio.RecordGen{Keys: 16, ValueRange: 100, WindowRecords: 1000, Random: true, Seed: 5}
+	recs := gen.Records(0, 3500) // three whole windows and half of a fourth
+	sum, count, sumPage := testPlan(), testPlan(), testPlan()
+	count.ValCol, count.NewAgg, count.Label = 0, ops.Count(), "count"
+	sumPage.ValCol = 4
+
+	live := t.TempDir()
+	srv := serveRun(t, sum, live, recs)
+	crashed := snapshotDir(t, live) // every frame acked, so fsynced
+	wantSum := windowsOf(t, srv)
+
+	t.Run("a subset of the logged columns", func(t *testing.T) {
+		want := windowsOf(t, serveRun(t, count, "", recs))
+		srv := serveRun(t, count, snapshotDir(t, crashed), nil)
+		if srv.ReplayedFrames() == 0 {
+			t.Fatal("no logged frame replayed")
+		}
+		got := windowsOf(t, srv)
+		if len(want) != 4 || !reflect.DeepEqual(got, want) {
+			t.Errorf("recovered under CountPerKey(0):\n got %v\nwant %v", got, want)
+		}
+	})
+
+	t.Run("a column the log lacks", func(t *testing.T) {
+		dir := snapshotDir(t, crashed)
+		before := dirContents(t, dir)
+		srv, err := Serve(sumPage, runtime.Config{Workers: 2}, "capture", Config{IngestAddr: "127.0.0.1:0", WALDir: dir})
+		if err == nil {
+			srv.Shutdown(0)
+			t.Fatal("recovered a log of {ad_id,user_id,event_time} under a plan that reads page_id")
+		}
+		for _, set := range []string{"{ad_id,user_id,event_time}", "{ad_id,page_id,event_time}"} {
+			if !strings.Contains(err.Error(), set) {
+				t.Errorf("error %q does not name %s", err, set)
+			}
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("the failed Serve changed the directory: %d files before, %d after", len(before), len(after))
+		}
+	})
+
+	t.Run("a version-1 segment of seven columns", func(t *testing.T) {
+		dir := t.TempDir()
+		log, err := wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(recs); lo += 256 {
+			chunk := recs[lo:min(lo+256, len(recs))]
+			cols := make([][]uint64, 7)
+			for _, r := range chunk {
+				for k, v := range r.Cols() {
+					cols[k] = append(cols[k], v)
+				}
+			}
+			if err := log.AppendFrame(7, 1, uint64(lo/256+1), chunk[len(chunk)-1].EventTime, cols, nil, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		for _, seg := range segs {
+			toVersion1(t, seg)
+		}
+		srv := serveRun(t, sum, dir, nil)
+		if srv.ReplayedFrames() == 0 {
+			t.Fatal("no logged frame replayed")
+		}
+		got := windowsOf(t, srv)
+		if !reflect.DeepEqual(got, wantSum) {
+			t.Errorf("recovered from a version-1 segment:\n got %v\nwant %v", got, wantSum)
+		}
+	})
+}
+
+// toVersion1 rewrites a segment as the log wrote it before records
+// carried their column mask: header version 1, the two mask bytes of
+// every record zero, each record's CRC-32C recomputed.
+func toVersion1(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b[:4]) != "SBXW" || b[4] != 2 {
+		t.Fatalf("%s: header % x, want a version-2 segment", path, b[:8])
+	}
+	b[4] = 1
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for off := 16; off < len(b); {
+		n := int(binary.LittleEndian.Uint32(b[off:]))
+		body := b[off+4 : off+4+n]
+		if body[0] == wal.KindFrame && binary.LittleEndian.Uint16(body[33:]) != 7 {
+			t.Fatalf("%s: a frame record of %d columns, want 7", path, binary.LittleEndian.Uint16(body[33:]))
+		}
+		body[39], body[40] = 0, 0
+		binary.LittleEndian.PutUint32(body[n-4:], crc32.Checksum(body[:n-4], castagnoli))
+		off += 4 + n
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -13,13 +13,13 @@ func EncodeRecord(rec *Record) []byte {
 	for c := range cols {
 		cols[c] = rec.Data[c*rec.NRows : (c+1)*rec.NRows]
 	}
-	return appendRecord(nil, rec.Kind, rec.Token, rec.Conn, rec.Seq, rec.MaxTs, cols, nil, rec.NRows)
+	return appendRecord(nil, rec.Kind, rec.Token, rec.Conn, rec.Seq, rec.MaxTs, rec.Fields, cols, nil, rec.NRows)
 }
 
 func sampleRecords() [][]byte {
 	frame := &Record{
 		Kind: KindFrame, Token: 0xfeedface, Conn: 9, Seq: 41, MaxTs: 123456,
-		NCols: 3, NRows: 4,
+		NCols: 3, NRows: 4, Fields: 1<<0 | 1<<3 | 1<<6,
 		Data: []uint64{1, 2, 3, 4, 10, 20, 30, 40, 100, 200, 300, 400},
 	}
 	end := &Record{Kind: KindSessionEnd, Token: 0xfeedface, Conn: 9}
@@ -35,11 +35,11 @@ func sampleRecords() [][]byte {
 	binary.LittleEndian.PutUint32(hugeLen, 0xfffffff0)
 	badGeom := bytes.Clone(valid)
 	binary.LittleEndian.PutUint16(badGeom[4+33:], 999) // ncols no longer matches body
-	reserved := bytes.Clone(valid)
-	reserved[4+39] = 1
+	badMask := bytes.Clone(valid)
+	badMask[4+39] = 1 // one column named for three
 
 	return [][]byte{
-		valid, endRec, truncated, corrupt, badKind, hugeLen, badGeom, reserved,
+		valid, endRec, truncated, corrupt, badKind, hugeLen, badGeom, badMask,
 		{}, {0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 64),
 	}
 }
@@ -54,7 +54,7 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec Record
-		n, err := DecodeRecord(data, &rec)
+		n, err := DecodeRecord(data, segVersion, &rec)
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("error %v but consumed %d bytes", err, n)

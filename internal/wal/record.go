@@ -16,14 +16,23 @@
 //	wal-%016d.seg    segment: 16-byte header, then records back to back
 //	checkpoint.ckpt  latest checkpoint (atomic tmp+rename)
 //
-// A segment header is the magic "SBXW", a version byte, three reserved
-// zero bytes, and the uint64 segment index. Each record is a uint32
-// body length followed by the body: a kind byte (1 data frame,
+// A segment header is the magic "SBXW", a version byte (2), three
+// reserved zero bytes, and the uint64 segment index. Each record is a
+// uint32 body length followed by the body: a kind byte (1 data frame,
 // 2 session end), uint64 session token (never 0 in a log this build
 // writes), uint64 feed cursor id, uint64 frame sequence number,
 // uint64 max event timestamp, uint16 column count, uint32 row count,
-// two reserved zero bytes, the packed columns, and a trailing uint32
+// uint16 column mask, the packed columns, and a trailing uint32
 // CRC-32C over the body before it.
+//
+// The column mask (a parsefmt.FieldSet) names the wire columns a frame
+// record holds, ascending: a server logs just the columns its plan
+// reads, as they arrived. A frame record's mask is nonzero and has a bit
+// per column it holds; a session end's is zero. Version 1 segments,
+// written before the mask, hold zero there and every frame record all
+// seven columns; they are still read, as holding all seven. A log whose
+// frames lack a column the log now records is refused at Open: recovery
+// could not rebuild that column from them.
 //
 // Columns are frame-of-reference packed rather than stored as raw
 // words: per column a uint64 base (the column's minimum), a width byte
@@ -58,11 +67,11 @@ const (
 
 const (
 	segMagic       = "SBXW"
-	segVersion     = 1
+	segVersion     = 2
 	segHeaderBytes = 16
 
 	// recHeaderBytes is the fixed body prefix before the packed columns:
-	// kind(1) token(8) conn(8) seq(8) maxTs(8) ncols(2) nrows(4) pad(2).
+	// kind(1) token(8) conn(8) seq(8) maxTs(8) ncols(2) nrows(4) mask(2).
 	recHeaderBytes = 41
 	recCRCBytes    = 4
 	// colHeaderBytes prefixes each packed column: base(8) width(1).
@@ -98,37 +107,42 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Record is one decoded log record. For KindFrame, Data holds the
-// column words row-major by column: NCols runs of NRows uint64s.
+// column words row-major by column: NCols runs of NRows uint64s, one per
+// wire column of Fields, ascending.
 type Record struct {
-	Kind  byte
-	Token uint64
-	Conn  int64
-	Seq   uint64
-	MaxTs uint64
-	NCols int
-	NRows int
-	Data  []uint64
+	Kind   byte
+	Token  uint64
+	Conn   int64
+	Seq    uint64
+	MaxTs  uint64
+	NCols  int
+	NRows  int
+	Fields parsefmt.FieldSet
+	Data   []uint64
 }
 
-// CopyCols scatters the record's column words into cols, which must
-// hold NCols slices of at least NRows elements each (extra capacity is
-// left untouched); it returns the slices truncated to NRows.
-func (r *Record) CopyCols(cols [][]uint64) [][]uint64 {
-	for c := 0; c < r.NCols; c++ {
-		copy(cols[c][:r.NRows], r.Data[c*r.NRows:(c+1)*r.NRows])
-		cols[c] = cols[c][:r.NRows]
+// Project copies the record's columns of fields, which the record must
+// hold, into cols — one slice per column of fields, ascending, each of
+// at least NRows elements (extra capacity is left untouched) — and
+// returns them truncated to NRows.
+func (r *Record) Project(fields parsefmt.FieldSet, cols [][]uint64) [][]uint64 {
+	for i, c := range fields.Cols() {
+		at := r.Fields.Pos(c) * r.NRows
+		cols[i] = cols[i][:r.NRows]
+		copy(cols[i], r.Data[at:at+r.NRows])
 	}
-	return cols[:r.NCols]
+	return cols[:fields.Len()]
 }
 
 // appendRecord serializes a record body (length prefix included) into
-// buf and returns the extended slice. cols is nil for control records.
+// buf and returns the extended slice. cols is nil for control records,
+// and fields the wire columns cols hold, zero for control records.
 // ranges, when non-nil, must hold each column's exact min and max —
 // the ingest path computes them once, with the frame's maxTs, sparing
 // this function a second scan over the frame; a stale or wrong range would
 // pack deltas that the decoder's canonicality check rejects. A nil
 // ranges scans here.
-func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) []byte {
+func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs uint64, fields parsefmt.FieldSet, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) []byte {
 	ncols := len(cols)
 	var bases []uint64
 	var widths []int
@@ -180,7 +194,7 @@ func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs ui
 	binary.LittleEndian.PutUint64(b[25:], maxTs)
 	binary.LittleEndian.PutUint16(b[33:], uint16(ncols))
 	binary.LittleEndian.PutUint32(b[35:], uint32(nrows))
-	b[39], b[40] = 0, 0
+	binary.LittleEndian.PutUint16(b[39:], uint16(fields))
 	off := recHeaderBytes
 	for ci, col := range cols {
 		var base uint64
@@ -248,11 +262,12 @@ func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs ui
 	return buf
 }
 
-// DecodeRecord parses one record from the front of b, returning the
-// decoded record and the number of bytes consumed. It never panics and
-// never reads past len(b); a short buffer, bad geometry, or checksum
-// mismatch returns ErrCorrupt (wrapped with detail).
-func DecodeRecord(b []byte, rec *Record) (int, error) {
+// DecodeRecord parses one record of a segment of the given version from
+// the front of b, returning the decoded record and the number of bytes
+// consumed. It never panics and never reads past len(b); a short buffer,
+// bad geometry, a column mask that does not match the column count, or
+// a checksum mismatch returns ErrCorrupt (wrapped with detail).
+func DecodeRecord(b []byte, version byte, rec *Record) (int, error) {
 	if len(b) < 4 {
 		return 0, fmt.Errorf("%w: short length prefix", ErrCorrupt)
 	}
@@ -275,18 +290,30 @@ func DecodeRecord(b []byte, rec *Record) (int, error) {
 	}
 	ncols := int(binary.LittleEndian.Uint16(p[33:]))
 	nrows := int(binary.LittleEndian.Uint32(p[35:]))
-	if p[39] != 0 || p[40] != 0 {
-		return 0, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
+	mask := binary.LittleEndian.Uint16(p[39:])
+	fields := parsefmt.FieldSet(mask)
+	if version == 1 {
+		// Written before the mask: the bytes are reserved, and a frame
+		// holds all seven columns.
+		if mask != 0 {
+			return 0, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
+		}
+		if kind == KindFrame {
+			fields = parsefmt.AllFields
+		}
 	}
-	if kind == KindSessionEnd && ncols|nrows != 0 {
+	if kind == KindSessionEnd && (ncols|nrows != 0 || mask != 0) {
 		return 0, fmt.Errorf("%w: session-end record carries data", ErrCorrupt)
+	}
+	if kind == KindFrame && (mask&^uint16(parsefmt.AllFields) != 0 || fields == 0 || fields.Len() != ncols) {
+		return 0, fmt.Errorf("%w: column mask %#x does not name its %d columns", ErrCorrupt, mask, ncols)
 	}
 	rec.Kind = kind
 	rec.Token = binary.LittleEndian.Uint64(p[1:])
 	rec.Conn = int64(binary.LittleEndian.Uint64(p[9:]))
 	rec.Seq = binary.LittleEndian.Uint64(p[17:])
 	rec.MaxTs = binary.LittleEndian.Uint64(p[25:])
-	rec.NCols, rec.NRows = ncols, nrows
+	rec.NCols, rec.NRows, rec.Fields = ncols, nrows, fields
 	words := ncols * nrows
 	if words > maxRecordData/8 {
 		return 0, fmt.Errorf("%w: geometry %dx%d too large", ErrCorrupt, ncols, nrows)
@@ -388,15 +415,17 @@ func putSegHeader(b []byte, idx uint64) {
 	binary.LittleEndian.PutUint64(b[8:], idx)
 }
 
-func parseSegHeader(b []byte) (idx uint64, err error) {
+// parseSegHeader returns the segment's index and version: this build's,
+// or 1, whose records it reads as holding all seven columns.
+func parseSegHeader(b []byte) (idx uint64, version byte, err error) {
 	if len(b) < segHeaderBytes || string(b[:4]) != segMagic {
-		return 0, fmt.Errorf("wal: bad segment magic")
+		return 0, 0, fmt.Errorf("wal: bad segment magic")
 	}
-	if b[4] != segVersion {
-		return 0, fmt.Errorf("wal: unsupported segment version %d", b[4])
+	if b[4] != segVersion && b[4] != 1 {
+		return 0, 0, fmt.Errorf("wal: unsupported segment version %d", b[4])
 	}
 	if b[5]|b[6]|b[7] != 0 {
-		return 0, fmt.Errorf("wal: nonzero reserved segment header bytes")
+		return 0, 0, fmt.Errorf("wal: nonzero reserved segment header bytes")
 	}
-	return binary.LittleEndian.Uint64(b[8:]), nil
+	return binary.LittleEndian.Uint64(b[8:]), b[4], nil
 }

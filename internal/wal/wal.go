@@ -22,6 +22,11 @@ type Config struct {
 	// SegmentBytes rolls the active segment past this size
 	// (default 64 MiB).
 	SegmentBytes int64
+	// Fields are the wire columns of every frame appended, which the
+	// serving layer fills from its plan (zero: all seven). Open refuses a
+	// directory whose log holds a frame lacking any of them: recovery
+	// could not rebuild that column.
+	Fields parsefmt.FieldSet
 }
 
 // syncInterval is the background flush cadence for appends nobody is
@@ -44,12 +49,13 @@ type Stats struct {
 }
 
 type segment struct {
-	idx    uint64
-	path   string
-	f      *os.File
-	bytes  int64
-	maxTs  uint64
-	synced bool // completed segments only: fully fsynced at roll
+	idx     uint64
+	version byte
+	path    string
+	f       *os.File
+	bytes   int64
+	maxTs   uint64
+	synced  bool // completed segments only: fully fsynced at roll
 }
 
 // Log is a segmented write-ahead log. Append is cheap — records are
@@ -128,6 +134,9 @@ func Open(cfg Config) (*Log, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 64 << 20
 	}
+	if cfg.Fields == 0 {
+		cfg.Fields = parsefmt.AllFields
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -153,6 +162,9 @@ func Open(cfg Config) (*Log, error) {
 	l.syncedCnd = sync.NewCond(&l.mu)
 	l.drainedCnd = sync.NewCond(&l.mu)
 	if err := l.indexExisting(); err != nil {
+		for _, seg := range l.completed {
+			seg.f.Close()
+		}
 		return nil, err
 	}
 	l.firstIdx = l.nextIdx
@@ -172,9 +184,10 @@ func segPath(dir string, idx uint64) string {
 }
 
 // indexExisting scans segments left by a previous process: records each
-// one's valid prefix length and max timestamp. The scan stops a
-// segment's accounting at the first torn record (crash tail), and drops
-// a newest segment the crash tore before its header was written.
+// one's valid prefix length and max timestamp, and checks that every
+// frame holds the columns this log records. The scan stops a segment's
+// accounting at the first torn record (crash tail), and drops a newest
+// segment the crash tore before its header was written.
 func (l *Log) indexExisting() error {
 	paths, err := filepath.Glob(filepath.Join(l.cfg.Dir, "wal-*.seg"))
 	if err != nil {
@@ -182,7 +195,7 @@ func (l *Log) indexExisting() error {
 	}
 	sort.Strings(paths)
 	for i, p := range paths {
-		seg, err := scanSegment(p)
+		seg, err := scanSegment(p, l.cfg.Fields)
 		if errors.Is(err, errShortSegHeader) && i == len(paths)-1 {
 			// The crash landed between roll creating the newest segment
 			// and writing its header. Nothing was ever logged there: it
@@ -206,8 +219,9 @@ func (l *Log) indexExisting() error {
 
 // scanSegment reads a segment's header and walks its records, stopping
 // at the first corruption, and returns its metadata (file left open for
-// retirement bookkeeping; records are not retained).
-func scanSegment(path string) (*segment, error) {
+// retirement bookkeeping; records are not retained). A frame that lacks
+// one of fields is an error.
+func scanSegment(path string, fields parsefmt.FieldSet) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -217,18 +231,23 @@ func scanSegment(path string) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %v", errShortSegHeader, err)
 	}
-	idx, err := parseSegHeader(hdr[:])
+	idx, version, err := parseSegHeader(hdr[:])
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	seg := &segment{idx: idx, path: path, f: f, bytes: segHeaderBytes}
+	seg := &segment{idx: idx, version: version, path: path, f: f, bytes: segHeaderBytes}
 	var rec Record
-	err = walkSegment(f, &rec, func(r *Record, recBytes int64) error {
+	err = walkSegment(f, version, &rec, func(r *Record, recBytes int64) error {
 		seg.bytes += recBytes
-		if r.Kind == KindFrame && r.MaxTs > seg.maxTs {
-			seg.maxTs = r.MaxTs
+		if r.Kind != KindFrame {
+			return nil
 		}
+		if !r.Fields.Covers(fields) {
+			return fmt.Errorf("a frame logged with columns %v lacks some of the columns %v the log now records; "+
+				"recover it under a plan that reads only logged columns, or remove the directory to start a new run", r.Fields, fields)
+		}
+		seg.maxTs = max(seg.maxTs, r.MaxTs)
 		return nil
 	})
 	if err != nil {
@@ -238,10 +257,11 @@ func scanSegment(path string) (*segment, error) {
 	return seg, nil
 }
 
-// walkSegment streams records from r (positioned after the segment
-// header) into fn until EOF or the first corrupt record — corruption is
-// the log's end, not an error. fn may keep nothing: rec is reused.
-func walkSegment(r io.Reader, rec *Record, fn func(rec *Record, recBytes int64) error) error {
+// walkSegment streams records from r (positioned after the header of a
+// segment of the given version) into fn until EOF or the first corrupt
+// record — corruption is the log's end, not an error. fn may keep
+// nothing: rec is reused.
+func walkSegment(r io.Reader, version byte, rec *Record, fn func(rec *Record, recBytes int64) error) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var buf []byte
 	for {
@@ -261,7 +281,7 @@ func walkSegment(r io.Reader, rec *Record, fn func(rec *Record, recBytes int64) 
 		if _, err := io.ReadFull(br, buf[4:]); err != nil {
 			return nil // torn body
 		}
-		if _, err := DecodeRecord(buf, rec); err != nil {
+		if _, err := DecodeRecord(buf, version, rec); err != nil {
 			return nil // checksum/geometry failure: end of durable prefix
 		}
 		if err := fn(rec, int64(4+body)); err != nil {
@@ -292,7 +312,7 @@ func (l *Log) ReplayExisting(fn func(rec *Record) error) (frames int64, err erro
 			f.Close()
 			return frames, err
 		}
-		err = walkSegment(f, &rec, func(r *Record, _ int64) error {
+		err = walkSegment(f, s.version, &rec, func(r *Record, _ int64) error {
 			if r.Kind == KindFrame {
 				frames++
 			}
@@ -329,7 +349,7 @@ func (l *Log) roll() error {
 		f.Close()
 		return err
 	}
-	l.active = &segment{idx: idx, path: path, f: f, bytes: segHeaderBytes}
+	l.active = &segment{idx: idx, version: segVersion, path: path, f: f, bytes: segHeaderBytes}
 	return nil
 }
 
@@ -337,7 +357,7 @@ func (l *Log) roll() error {
 // LSN. No I/O happens here — the writer goroutine drains the buffer —
 // so the caller pays the encode and a memory append, nothing more.
 // Durability comes from Sync (or the background tick).
-func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) (LSN, error) {
+func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, fields parsefmt.FieldSet, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.abuf) > maxBufferedBytes && l.err == nil && !l.closing {
@@ -350,7 +370,7 @@ func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, col
 		return 0, os.ErrClosed
 	}
 	start := len(l.abuf)
-	l.abuf = appendRecord(l.abuf, kind, token, conn, seq, maxTs, cols, ranges, nrows)
+	l.abuf = appendRecord(l.abuf, kind, token, conn, seq, maxTs, fields, cols, ranges, nrows)
 	n := len(l.abuf) - start
 	if k := len(l.chunks); k > 0 && l.chunks[k-1].seg == l.active {
 		l.chunks[k-1].n += n
@@ -401,7 +421,8 @@ func (l *Log) Sync(lsn LSN) error {
 }
 
 // AppendFrame logs an accepted data frame. cols hold equal-length
-// columns (the engine's native layout); ranges, when non-nil, carry
+// columns (the engine's native layout), one per column of Config.Fields,
+// ascending; ranges, when non-nil, carry
 // each column's exact min/max so the packer skips its own scan (the
 // ingest path scans them once, taking the frame's maxTs from the same
 // scan). When durable
@@ -410,11 +431,10 @@ func (l *Log) Sync(lsn LSN) error {
 // always asks for; otherwise it returns after the buffered write and
 // the record rides the background sync (the benchmark's append probe).
 func (l *Log) AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, durable bool) error {
-	nrows := 0
-	if len(cols) > 0 {
-		nrows = len(cols[0])
+	if len(cols) != l.cfg.Fields.Len() {
+		return fmt.Errorf("wal: a frame of %d columns, the log records %d: %v", len(cols), l.cfg.Fields.Len(), l.cfg.Fields)
 	}
-	lsn, err := l.append(KindFrame, token, conn, seq, maxTs, cols, ranges, nrows)
+	lsn, err := l.append(KindFrame, token, conn, seq, maxTs, l.cfg.Fields, cols, ranges, len(cols[0]))
 	if err != nil {
 		return err
 	}
@@ -427,7 +447,7 @@ func (l *Log) AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]
 // AppendSessionEnd records that a session finished cleanly (EOS) or
 // expired: recovery must not resurrect its cursor or session entry.
 func (l *Log) AppendSessionEnd(token uint64, conn int64) error {
-	_, err := l.append(KindSessionEnd, token, conn, 0, 0, nil, nil, 0)
+	_, err := l.append(KindSessionEnd, token, conn, 0, 0, 0, nil, nil, 0)
 	return err
 }
 

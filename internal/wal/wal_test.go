@@ -12,7 +12,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"streambox/internal/parsefmt"
 )
+
+// testFields are the wire columns of testCols' frames.
+const testFields parsefmt.FieldSet = 1<<3 - 1
 
 func testCols(base uint64, rows int) [][]uint64 {
 	cols := make([][]uint64, 3)
@@ -27,7 +32,7 @@ func testCols(base uint64, rows int) [][]uint64 {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir})
+	l, err := Open(Config{Fields: testFields, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +53,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: the previous segment is indexed and replayable.
-	l2, err := Open(Config{Dir: dir})
+	l2, err := Open(Config{Fields: testFields, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			for c := range cols {
 				cols[c] = make([]uint64, r.NRows)
 			}
-			got := r.CopyCols(cols)
+			got := r.Project(r.Fields, cols)
 			want := testCols(uint64((frames-1)*100), 4)
 			if !reflect.DeepEqual([][]uint64(got), want) {
 				t.Fatalf("frame %d cols = %v, want %v", frames, got, want)
@@ -90,7 +95,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir})
+	l, err := Open(Config{Fields: testFields, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func TestTornTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(Config{Dir: dir})
+	l2, err := Open(Config{Fields: testFields, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestTornTailTruncates(t *testing.T) {
 
 func TestSegmentRollAndRetire(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, SegmentBytes: 1024})
+	l, err := Open(Config{Fields: testFields, Dir: dir, SegmentBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestSegmentRollAndRetire(t *testing.T) {
 }
 
 func TestGroupCommitConcurrent(t *testing.T) {
-	l, err := Open(Config{Dir: t.TempDir()})
+	l, err := Open(Config{Fields: testFields, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +265,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCloseStopsGoroutines pins the leak contract: Close terminates the
 // writer and ticker goroutines.
 func TestCloseStopsGoroutines(t *testing.T) {
-	l, err := Open(Config{Dir: t.TempDir()})
+	l, err := Open(Config{Fields: testFields, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +295,7 @@ func TestCloseStopsGoroutines(t *testing.T) {
 
 func TestPurgeSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir})
+	l, err := Open(Config{Fields: testFields, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

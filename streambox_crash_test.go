@@ -150,10 +150,11 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		}
 	}
 
-	// Phase 1: the crashing server. ~3.5 MB of wire traffic total; the
-	// injector SIGKILLs the process after ~1.5 MB read — mid-stream,
-	// mid-window, with sealed and unsealed windows on disk.
-	crash := helper("crash", "SBX_CRASH_BYTES=1500000")
+	// Phase 1: the crashing server. ~1.5 MB of wire traffic total (the
+	// three columns the plan reads, 24 B/rec); the injector SIGKILLs the
+	// process after ~640 KB read — mid-stream, mid-window, with sealed
+	// and unsealed windows on disk.
+	crash := helper("crash", "SBX_CRASH_BYTES=640000")
 	if err := crash.Start(); err != nil {
 		t.Fatal(err)
 	}

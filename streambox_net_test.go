@@ -27,6 +27,17 @@ func netPipeline() (*streambox.Pipeline, *streambox.Captured) {
 	return p, cap
 }
 
+// dropEventType2 is a filter on event_type (column 2), outside the key,
+// value and time columns: a plan reading it makes its sessions carry it.
+// With RecordGen's round-robin keys it drops half the records of every
+// even key and none of an odd one.
+func dropEventType2(s streambox.Stream, filtered bool) streambox.Stream {
+	if !filtered {
+		return s
+	}
+	return s.Filter("event_type!=2", 2, func(v uint64) bool { return v != 2 })
+}
+
 // sendPartition streams records j, j+conns, j+2·conns, … of gen — the
 // loadgen partitioning — over one pre-dialed client connection. The
 // connection must be dialed before any sender streams, so every
@@ -68,14 +79,31 @@ func sortedRows(c *streambox.Captured) []string {
 // live data mid-run, and after a graceful drain the per-window results
 // equal the same workload run through the in-process generator on the
 // native backend.
+//
+// It runs twice: the plain sum, and the sum behind a filter on
+// event_type, a column the plain sum's sessions do not carry.
 func TestServeLoopbackEquivalence(t *testing.T) {
+	for _, filtered := range []bool{false, true} {
+		name := "sum"
+		if filtered {
+			name = "filtered on event_type"
+		}
+		t.Run(name, func(t *testing.T) { testServeLoopbackEquivalence(t, filtered) })
+	}
+}
+
+func testServeLoopbackEquivalence(t *testing.T, filtered bool) {
 	const (
 		total = 200_000
 		conns = 3
 	)
 	gen := netio.RecordGen{Keys: 50, WindowRecords: 20_000} // 10 windows, value 1
 
-	p, netCap := netPipeline()
+	p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
+	netCap := dropEventType2(p.NetworkSource(streambox.SourceConfig{Name: "net"}), filtered).
+		Window(streambox.NetworkTsCol).
+		SumPerKey(0, 3).
+		Capture()
 	srv, err := streambox.Serve(p, streambox.RunConfig{
 		Backend: streambox.Native,
 		Serve:   &streambox.ServeConfig{IngestAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0"},
@@ -158,13 +186,13 @@ func TestServeLoopbackEquivalence(t *testing.T) {
 
 	// Ground truth: the identical stream via the in-process generator.
 	refP := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
-	refCap := refP.Source(netio.NewStreamGen(gen), streambox.SourceConfig{
+	refCap := dropEventType2(refP.Source(netio.NewStreamGen(gen), streambox.SourceConfig{
 		Name:           "ref",
 		Rate:           total,
 		BundleRecords:  1000,
 		WindowRecords:  20_000,
 		WatermarkEvery: 10,
-	}).
+	}), filtered).
 		Window(streambox.NetworkTsCol).
 		SumPerKey(0, 3).
 		Capture()
