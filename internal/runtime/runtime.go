@@ -86,9 +86,10 @@
 // publishes exactly once and Execution.SealedWatermark never moves
 // backwards.
 //
-// Everything is scheduled on a work-stealing worker pool whose queues
-// honor the Urgent/High/Low performance-impact tags, with ingestion
-// backpressure driven by mempool utilization.
+// Everything is scheduled on a worker pool with one ready queue that
+// dispatches by the Urgent/High/Low performance-impact tags, then in
+// submission order, with ingestion backpressure driven by mempool
+// utilization.
 //
 // Memory. A run is placed once, when it is born, and never moves (the
 // paper's rule): its slab goes to the first memory tier, HBM then DRAM,
@@ -405,7 +406,7 @@ type Report struct {
 type exec struct {
 	plan  Plan
 	cfg   Config
-	sched *Scheduler
+	sched *scheduler
 	pool  *mempool.Pool
 	reg   *bundle.Registry
 	// feed is the run's source: the plan's Feed, or a genFeed over its
@@ -426,8 +427,8 @@ type exec struct {
 	// when the ladder has no cold rung.
 	spillFile *spill.File
 
-	emu  sync.Mutex
-	errs []error
+	emu sync.Mutex
+	err error // the run's first error
 }
 
 // Run executes the plan and blocks until every record is ingested and
@@ -513,7 +514,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	x := &exec{
 		plan:  plan,
 		cfg:   cfg,
-		sched: NewScheduler(workers),
+		sched: newScheduler(workers),
 		pool:  mempool.New(machine, reserved),
 		reg:   bundle.NewRegistry(),
 	}
@@ -599,9 +600,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			rep.Throughput = float64(ingested) / sec
 		}
 		x.emu.Lock()
-		if len(x.errs) > 0 {
-			e.err = x.errs[0]
-		}
+		e.err = x.err
 		x.emu.Unlock()
 		e.rep = rep
 	}()
@@ -681,12 +680,11 @@ func (g *genFeed) Recycle(cols [][]uint64) {
 // pausing sources in the simulator). The utilization wait is bounded —
 // a pool that stays full is handled by the exhaustion path.
 func (x *exec) stallIngest() {
-	maxQueued := queuedTasksPerWorker * len(x.sched.workers)
-	if x.sched.Queued() < maxQueued && x.pool.Utilization(memsim.DRAM) <= BackpressureUtilization {
+	t0 := time.Now()
+	waited := x.sched.WaitQueuedBelow(queuedTasksPerWorker * x.sched.Workers())
+	if !waited && x.pool.Utilization(memsim.DRAM) <= BackpressureUtilization {
 		return
 	}
-	t0 := time.Now()
-	x.sched.WaitQueuedBelow(maxQueued)
 	for x.pool.Utilization(memsim.DRAM) > BackpressureUtilization && time.Since(t0) < time.Second {
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -850,11 +848,7 @@ func minMax(ts []uint64) (lo, hi uint64) {
 // timestamp column — so registration and partitioning agree.
 func (x *exec) submitExtract(b *bundle.Bundle, minTs, maxTs wm.Time) {
 	reg := x.table.register(minTs, maxTs)
-	x.sched.Submit(&Task{
-		Name: "extract:" + x.plan.Label,
-		Tag:  x.tagFor(maxTs),
-		Run:  func() { x.extract(b, reg, minTs, maxTs) },
-	})
+	x.sched.Submit(x.tagFor(maxTs), func() { x.extract(b, reg, minTs, maxTs) })
 }
 
 // tagFor classifies work on data at event time ts against the current
@@ -1086,11 +1080,7 @@ func (x *exec) submitClose(start wm.Time) {
 // filed them.
 func (x *exec) submitSeal(s paneSeal) {
 	tag := x.tagFor(s.pane)
-	x.sched.Submit(&Task{
-		Name: "seal:" + x.plan.Label,
-		Tag:  tag,
-		Run:  func() { x.sealPane(s, tag) },
-	})
+	x.sched.Submit(tag, func() { x.sealPane(s, tag) })
 }
 
 // sealPane merges a seal's runs into one, in provenance order — the
@@ -1215,36 +1205,32 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	remaining.Store(int32(len(counts)))
 	for i := range counts {
 		lo, hi := cuts[i], cuts[i+1]
-		x.sched.Submit(&Task{
-			Name: "close:" + x.plan.Label,
-			Tag:  tag,
-			Run: func() {
-				t0 := time.Now()
-				var out []Row
-				if rows != nil {
-					out = rows[offs[i]:offs[i+1]]
-				} else {
-					out = make([]Row, offs[i+1]-offs[i])
+		x.sched.Submit(tag, func() {
+			t0 := time.Now()
+			var out []Row
+			if rows != nil {
+				out = rows[offs[i]:offs[i+1]]
+			} else {
+				out = make([]Row, offs[i+1]-offs[i])
+			}
+			n, err := kpa.MergeReduceRows(runs, lo, hi, x.plan.ValCol, x.plan.NewAgg, out)
+			if err != nil {
+				x.recordError(err)
+			}
+			counts[i] = n
+			x.m.emitted.Add(int64(n))
+			pairs := 0
+			for j := range lo {
+				pairs += hi[j] - lo[j]
+			}
+			x.m.closePairs.Add(int64(pairs))
+			x.m.mergeNanos.Add(time.Since(t0).Nanoseconds())
+			if remaining.Add(-1) == 0 {
+				for _, r := range runs {
+					x.destroyRun(r)
 				}
-				n, err := kpa.MergeReduceRows(runs, lo, hi, x.plan.ValCol, x.plan.NewAgg, out)
-				if err != nil {
-					x.recordError(err)
-				}
-				counts[i] = n
-				x.m.emitted.Add(int64(n))
-				pairs := 0
-				for j := range lo {
-					pairs += hi[j] - lo[j]
-				}
-				x.m.closePairs.Add(int64(pairs))
-				x.m.mergeNanos.Add(time.Since(t0).Nanoseconds())
-				if remaining.Add(-1) == 0 {
-					for _, r := range runs {
-						x.destroyRun(r)
-					}
-					x.finishWindow(start, rows, offs, counts)
-				}
-			},
+				x.finishWindow(start, rows, offs, counts)
+			}
 		})
 	}
 }
@@ -1369,11 +1355,15 @@ func (x *exec) destroyRun(k *kpa.KPA) {
 // numCPUWorkers is the default pool size: one worker per schedulable CPU.
 func numCPUWorkers() int { return goruntime.GOMAXPROCS(0) }
 
+// recordError keeps the run's first error, which Wait returns; later
+// ones are dropped.
 func (x *exec) recordError(err error) {
 	if err == nil {
 		return
 	}
 	x.emu.Lock()
-	x.errs = append(x.errs, err)
+	if x.err == nil {
+		x.err = err
+	}
 	x.emu.Unlock()
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"streambox/internal/engine"
 )
@@ -10,118 +9,91 @@ import (
 // numPriorities covers engine.Tag's Low/High/Urgent dispatch classes.
 const numPriorities = int(engine.Urgent) + 1
 
-// Task is one unit of work for the scheduler. Tag maps to a dispatch
-// priority exactly as in the simulator: Urgent before High before Low.
-type Task struct {
-	Name string
-	Tag  engine.Tag
-	Run  func()
-}
-
 // SchedStats summarises scheduler activity.
 type SchedStats struct {
 	// Executed counts completed tasks per priority class (indexed by
 	// engine.Tag.Priority()).
 	Executed [numPriorities]int64
-	// Stolen counts tasks a worker took from another worker's queue.
+	// Stolen reads 0: the pool has one ready queue, so no task is taken
+	// from another worker's. The field stays while benchmark/ reads it.
 	Stolen int64
 }
 
-// Scheduler is the native backend's worker pool: one goroutine per
-// worker, per-worker per-priority run queues, and work stealing. A
-// worker serves its own queues highest-priority-first (newest-first,
-// for cache locality), then steals the oldest task of the highest
-// priority found on any other worker.
-type Scheduler struct {
-	workers []*worker
+// scheduler is the native backend's worker pool: one goroutine per
+// worker over one ready queue. A worker takes the oldest task of the
+// highest priority waiting — Urgent before High before Low, then
+// submission order — exactly as the simulator dispatches. One mutex
+// guards the queue and the counters: a task costs one acquisition to
+// submit and one shared by its finish and the worker's next pop.
+type scheduler struct {
+	workers int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queued   int // tasks submitted, not yet taken by a worker
-	inflight int // tasks submitted, not yet finished
+	ready    [numPriorities][]func() // FIFO per priority class
+	inflight int                     // tasks submitted, not yet finished
 	closed   bool
+	executed [numPriorities]int64
 
-	wg       sync.WaitGroup
-	rr       atomic.Uint64 // round-robin submission cursor
-	stolen   atomic.Int64
-	executed [numPriorities]atomic.Int64
+	wg sync.WaitGroup
 }
 
-type worker struct {
-	mu sync.Mutex
-	q  [numPriorities][]*Task
-}
-
-// NewScheduler starts a pool of n workers (n >= 1).
-func NewScheduler(n int) *Scheduler {
+// newScheduler starts a pool of n workers (n >= 1).
+func newScheduler(n int) *scheduler {
 	if n < 1 {
 		n = 1
 	}
-	s := &Scheduler{workers: make([]*worker, n)}
+	s := &scheduler{workers: n}
 	s.cond = sync.NewCond(&s.mu)
-	for i := range s.workers {
-		s.workers[i] = &worker{}
-	}
-	for i := range s.workers {
-		s.wg.Add(1)
-		go s.run(i)
+	s.wg.Add(n)
+	for range n {
+		go s.run()
 	}
 	return s
 }
 
 // Workers returns the pool size.
-func (s *Scheduler) Workers() int { return len(s.workers) }
+func (s *scheduler) Workers() int { return s.workers }
 
-// Submit enqueues a task. Tasks may submit further tasks (merge-tree
-// continuations); submission never blocks.
-func (s *Scheduler) Submit(t *Task) {
-	w := s.workers[s.rr.Add(1)%uint64(len(s.workers))]
-	pri := t.Tag.Priority()
-	w.mu.Lock()
-	w.q[pri] = append(w.q[pri], t)
-	w.mu.Unlock()
-
+// Submit enqueues run at tag's priority. Tasks may submit further tasks
+// (merge-tree continuations); submission never blocks.
+func (s *scheduler) Submit(tag engine.Tag, run func()) {
+	pri := tag.Priority()
 	s.mu.Lock()
-	s.queued++
+	s.ready[pri] = append(s.ready[pri], run)
 	s.inflight++
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// Queued returns the number of tasks waiting for a worker.
-func (s *Scheduler) Queued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
-
 // QueuedByPriority returns the waiting tasks per priority class
 // (indexed by engine.Tag.Priority()) for the /metrics endpoint.
-func (s *Scheduler) QueuedByPriority() [numPriorities]int {
+func (s *scheduler) QueuedByPriority() [numPriorities]int {
 	var out [numPriorities]int
-	for _, w := range s.workers {
-		w.mu.Lock()
-		for pri := range w.q {
-			out[pri] += len(w.q[pri])
-		}
-		w.mu.Unlock()
+	s.mu.Lock()
+	for pri := range s.ready {
+		out[pri] = len(s.ready[pri])
 	}
+	s.mu.Unlock()
 	return out
 }
 
 // WaitQueuedBelow blocks until fewer than n tasks are waiting — the
-// ingest path's backpressure hook.
-func (s *Scheduler) WaitQueuedBelow(n int) {
+// ingest path's backpressure hook — and reports whether it had to wait.
+func (s *scheduler) WaitQueuedBelow(n int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.queued >= n && !s.closed {
+	waited := false
+	for s.queued() >= n && !s.closed {
+		waited = true
 		s.cond.Wait()
 	}
+	return waited
 }
 
 // Wait blocks until every submitted task (including tasks submitted by
 // tasks) has finished.
-func (s *Scheduler) Wait() {
+func (s *scheduler) Wait() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.inflight > 0 {
@@ -131,7 +103,7 @@ func (s *Scheduler) Wait() {
 
 // Close drains remaining tasks and stops the workers. No Submit may
 // race or follow Close.
-func (s *Scheduler) Close() {
+func (s *scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
@@ -140,94 +112,50 @@ func (s *Scheduler) Close() {
 }
 
 // Stats returns a snapshot of scheduler counters.
-func (s *Scheduler) Stats() SchedStats {
-	var st SchedStats
-	st.Stolen = s.stolen.Load()
-	for i := range st.Executed {
-		st.Executed[i] = s.executed[i].Load()
-	}
-	return st
+func (s *scheduler) Stats() SchedStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SchedStats{Executed: s.executed}
 }
 
-// run is one worker's loop.
-func (s *Scheduler) run(id int) {
+// queued counts the waiting tasks; s.mu must be held.
+func (s *scheduler) queued() int {
+	n := 0
+	for pri := range s.ready {
+		n += len(s.ready[pri])
+	}
+	return n
+}
+
+// run is one worker's loop. It holds s.mu except while a task runs.
+func (s *scheduler) run() {
 	defer s.wg.Done()
+	s.mu.Lock()
 	for {
-		t := s.grab(id)
-		if t == nil {
-			s.mu.Lock()
-			if s.closed && s.queued == 0 {
+		pri := numPriorities - 1
+		for pri >= 0 && len(s.ready[pri]) == 0 {
+			pri--
+		}
+		if pri < 0 {
+			if s.closed {
 				s.mu.Unlock()
 				return
 			}
-			if s.queued == 0 {
-				s.cond.Wait()
-			}
-			s.mu.Unlock()
+			s.cond.Wait()
 			continue
 		}
-		t.Run()
-		s.executed[t.Tag.Priority()].Add(1)
-		s.mu.Lock()
-		s.inflight--
-		s.cond.Broadcast()
+		task := s.ready[pri][0]
+		s.ready[pri][0] = nil
+		s.ready[pri] = s.ready[pri][1:]
+		s.cond.Broadcast() // unblock WaitQueuedBelow
 		s.mu.Unlock()
-	}
-}
 
-// grab takes the next task for worker id: own queues first (highest
-// priority, newest first), then stealing (highest priority, oldest
-// first) from the other workers.
-func (s *Scheduler) grab(id int) *Task {
-	if t := s.workers[id].popOwn(); t != nil {
-		s.noteTaken()
-		return t
-	}
-	n := len(s.workers)
-	for pri := numPriorities - 1; pri >= 0; pri-- {
-		for off := 1; off < n; off++ {
-			victim := s.workers[(id+off)%n]
-			if t := victim.stealAt(pri); t != nil {
-				s.stolen.Add(1)
-				s.noteTaken()
-				return t
-			}
+		task()
+
+		s.mu.Lock()
+		s.executed[pri]++
+		if s.inflight--; s.inflight == 0 {
+			s.cond.Broadcast() // unblock Wait
 		}
 	}
-	return nil
-}
-
-func (s *Scheduler) noteTaken() {
-	s.mu.Lock()
-	s.queued--
-	s.cond.Broadcast() // unblock WaitQueuedBelow
-	s.mu.Unlock()
-}
-
-// popOwn takes the worker's newest highest-priority task.
-func (w *worker) popOwn() *Task {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for pri := numPriorities - 1; pri >= 0; pri-- {
-		if n := len(w.q[pri]); n > 0 {
-			t := w.q[pri][n-1]
-			w.q[pri][n-1] = nil
-			w.q[pri] = w.q[pri][:n-1]
-			return t
-		}
-	}
-	return nil
-}
-
-// stealAt takes the worker's oldest task of priority pri.
-func (w *worker) stealAt(pri int) *Task {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.q[pri]) == 0 {
-		return nil
-	}
-	t := w.q[pri][0]
-	w.q[pri][0] = nil
-	w.q[pri] = w.q[pri][1:]
-	return t
 }

@@ -117,11 +117,12 @@ const (
 	// Simulated executes on the discrete-event hybrid-memory simulator
 	// (virtual time, paper-faithful cost model). The default.
 	Simulated Backend = iota
-	// Native executes on real goroutines over real data: a
-	// work-stealing worker pool runs ingest → KPA extraction → radix run
-	// formation → k-way merge-reduce per window, with KPA placement by one
-	// occupancy rule and backpressure from pool utilization. Reported throughput is real records per wall-clock
-	// second. The native backend supports single-source
+	// Native executes on real goroutines over real data: a worker
+	// pool with one priority-ordered ready queue runs ingest → KPA
+	// extraction → radix run formation → k-way merge-reduce per window,
+	// with KPA placement by one occupancy rule and backpressure from
+	// pool utilization. Reported throughput is real records per
+	// wall-clock second. The native backend supports single-source
 	// filter* → Window → <agg>PerKey pipelines; richer graphs run
 	// simulated.
 	Native
