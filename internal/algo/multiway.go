@@ -217,18 +217,27 @@ func liveRuns(runs [][]Pair, units []bool) ([]cursor, int) {
 const denseSpan = 1 << 16
 
 // denseRange returns the least key of the live runs and the span up to
-// their greatest, and whether a word fold over them takes the table: the
-// span is below both the pair count and denseSpan. The runs are sorted,
-// so their ends bound their keys.
+// their greatest, and whether a word fold over them takes the table
+// (tableSpan). The runs are sorted, so their ends bound their keys.
 func denseRange(live []cursor, total int) (lo uint64, span int, ok bool) {
 	lo, hi := ^uint64(0), uint64(0)
 	for _, c := range live {
 		lo, hi = min(lo, c.pairs[0].Key), max(hi, c.pairs[len(c.pairs)-1].Key)
 	}
-	if d := hi - lo; d < uint64(total) && d < denseSpan {
-		return lo, int(d), true
+	if span, ok = tableSpan(lo, hi, total); ok {
+		return lo, span, true
 	}
 	return 0, 0, false
+}
+
+// tableSpan is the rule that sends a word fold of n pairs whose keys lie
+// in [lo, hi] through the table: the span hi−lo is below both n and
+// denseSpan. It returns the span.
+func tableSpan(lo, hi uint64, n int) (int, bool) {
+	if d := hi - lo; d < uint64(n) && d < denseSpan {
+		return int(d), true
+	}
+	return 0, false
 }
 
 // foldTable is the word fold through a table of span+1 slots, drawn from
@@ -242,17 +251,9 @@ func foldTable(live []cursor, op FoldOp, lo uint64, span int, out []Pair) int {
 // foldSlots folds the live runs into acc, slot i for key lo+i, which
 // must cover their keys: every pair folds its value into its key's slot
 // and sets the slot's bit in seen, then the present slots are emitted in
-// index order. A slot starts at the operation's identity, so the first
-// pair of a key folds like every other.
+// index order.
 func foldSlots(acc, seen []uint64, live []cursor, op FoldOp, lo uint64, out []Pair) int {
-	clear(seen)
-	if op == FoldMin {
-		for i := range acc {
-			acc[i] = ^uint64(0)
-		}
-	} else {
-		clear(acc)
-	}
+	resetSlots(acc, seen, op)
 	for _, c := range live {
 		u := c.unit
 		switch op {
@@ -276,6 +277,25 @@ func foldSlots(acc, seen []uint64, live []cursor, op FoldOp, lo uint64, out []Pa
 			}
 		}
 	}
+	return emitSlots(acc, seen, lo, out)
+}
+
+// resetSlots starts every slot at the operation's identity, so the first
+// pair of a key folds like every other, and marks none present.
+func resetSlots(acc, seen []uint64, op FoldOp) {
+	clear(seen)
+	if op == FoldMin {
+		for i := range acc {
+			acc[i] = ^uint64(0)
+		}
+	} else {
+		clear(acc)
+	}
+}
+
+// emitSlots writes the present slots into out, in index order — key
+// order —, and returns how many it wrote.
+func emitSlots(acc, seen []uint64, lo uint64, out []Pair) int {
 	n := 0
 	for w, word := range seen {
 		for ; word != 0; word &= word - 1 {
@@ -285,6 +305,89 @@ func foldSlots(acc, seen []uint64, live []cursor, op FoldOp, lo uint64, out []Pa
 		}
 	}
 	return n
+}
+
+// KeyScan is what one pass over a run's key column finds: its length,
+// its least and greatest key, and the bits on which two of its keys
+// differ. It is all a run still in columns is formed from — folded
+// through the table when Dense, else sorted (RadixSortColumns) — so the
+// column is read once for the choice, whichever way it goes.
+type KeyScan struct {
+	N      int
+	Lo, Hi uint64
+	Vary   uint64
+}
+
+// ScanKeys scans a key column.
+func ScanKeys(keys []uint64) KeyScan {
+	lo, hi, or, and := ^uint64(0), uint64(0), uint64(0), ^uint64(0)
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+		or |= k
+		and &= k
+	}
+	return KeyScan{N: len(keys), Lo: lo, Hi: hi, Vary: or ^ and}
+}
+
+// Dense reports whether a word fold of the scanned run takes the table:
+// the rule a merge applies (tableSpan), so a run folded at formation and
+// the runs a seal folds share one bound and one table.
+func (s KeyScan) Dense() bool {
+	_, ok := tableSpan(s.Lo, s.Hi, s.N)
+	return ok
+}
+
+// FoldColumns is the word fold of one run still in columns, the pairs
+// (keys[i], vals[i]) whose scan s is Dense: each value folds by op into
+// its key's slot of foldTable's table, run in row order — with unit set,
+// each row counts 1 and vals is not read —; then out(n) supplies a slot
+// for each of the n distinct keys, and they are written in key order
+// with their folded values. The word operations are commutative, so the
+// result is what a sort and a merge fold would make, bit for bit. When
+// out returns nil nothing is written.
+func FoldColumns(keys, vals []uint64, s KeyScan, op FoldOp, unit bool, out func(n int) []Pair) {
+	span := int(s.Hi - s.Lo)
+	t := tablePool.Get().(*table)
+	defer tablePool.Put(t)
+	acc, seen := t.acc[:span+1], t.seen[:span/64+1]
+	resetSlots(acc, seen, op)
+	lo := s.Lo
+	if unit {
+		for _, k := range keys {
+			i := k - lo
+			acc[i]++
+			seen[i/64] |= 1 << (i % 64)
+		}
+	} else {
+		vals = vals[:len(keys)]
+		switch op {
+		case FoldAdd:
+			for j, k := range keys {
+				i := k - lo
+				acc[i] += vals[j]
+				seen[i/64] |= 1 << (i % 64)
+			}
+		case FoldMin:
+			for j, k := range keys {
+				i := k - lo
+				acc[i] = min(acc[i], vals[j])
+				seen[i/64] |= 1 << (i % 64)
+			}
+		default:
+			for j, k := range keys {
+				i := k - lo
+				acc[i] = max(acc[i], vals[j])
+				seen[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	n := 0
+	for _, w := range seen {
+		n += bits.OnesCount64(w)
+	}
+	if dst := out(n); dst != nil {
+		emitSlots(acc, seen, lo, dst)
+	}
 }
 
 // table is foldTable's scratch, reused across calls: a slot per key of

@@ -93,21 +93,15 @@ func sortVarying(pairs, buf []Pair, vary uint64) {
 
 // RadixSortColumns writes the pairs (keys[i], vals[i]) into dst, which
 // has len(keys) slots, sorted by key, stably — RadixSortPairs for a run
-// whose keys and values are still two columns. Narrow keys take the
-// counting pass straight from the columns, so each pair is written once,
-// into its sorted slot, with no scratch and no copy back. Any other run
-// is zipped into dst and radix-sorted there, from the one scan of the
-// key column that found its varying bits.
-func RadixSortColumns(dst []Pair, keys, vals []uint64, s *Scratch) {
+// whose keys and values are still two columns, and whose key column s
+// scanned (ScanKeys). Narrow keys take the counting pass straight from
+// the columns, so each pair is written once, into its sorted slot, with
+// no scratch and no copy back. Any other run is zipped into dst and
+// radix-sorted there, on the varying bits the scan found.
+func RadixSortColumns(dst []Pair, keys, vals []uint64, s KeyScan, scratch *Scratch) {
 	n := len(keys)
 	dst, vals = dst[:n], vals[:n]
-	or, and := uint64(0), ^uint64(0)
-	for _, k := range keys {
-		or |= k
-		and &= k
-	}
-	vary := or ^ and
-	if lo, bits, ok := narrowSpan(vary, n); ok && n > insertionMax {
+	if lo, bits, ok := narrowSpan(s.Vary, n); ok && n > insertionMax {
 		countingSort(dst, nil, keys, vals, lo, bits)
 		return
 	}
@@ -117,10 +111,10 @@ func RadixSortColumns(dst []Pair, keys, vals []uint64, s *Scratch) {
 	switch {
 	case n <= insertionMax:
 		insertionSort(dst)
-	case vary != 0:
-		buf := s.GetPairs(n)
-		radixSort(dst, buf, vary)
-		s.PutPairs(buf)
+	case s.Vary != 0:
+		buf := scratch.GetPairs(n)
+		radixSort(dst, buf, s.Vary)
+		scratch.PutPairs(buf)
 	}
 }
 

@@ -268,7 +268,7 @@ func sortColumnsOf(orig []Pair) []Pair {
 	for i := range dst {
 		dst[i] = Pair{Key: ^uint64(i), Ptr: ^uint64(0)}
 	}
-	RadixSortColumns(dst, keys, vals, nil)
+	RadixSortColumns(dst, keys, vals, ScanKeys(keys), nil)
 	return dst
 }
 
@@ -311,6 +311,127 @@ func FuzzRadixSortPairs(f *testing.F) {
 	})
 }
 
+// foldColumnsOf runs FoldColumns over the columns into a destination of
+// stale pairs, sized by the count the fold asks for.
+func foldColumnsOf(keys, vals []uint64, op FoldOp, unit bool) []Pair {
+	var out []Pair
+	FoldColumns(keys, vals, ScanKeys(keys), op, unit, func(n int) []Pair {
+		out = make([]Pair, n)
+		for i := range out {
+			out[i] = Pair{Key: ^uint64(i), Ptr: ^uint64(0)}
+		}
+		return out
+	})
+	return out
+}
+
+// foldOracle is the fold the table must reproduce, through a map: a
+// key's first value is taken as it is — 1 for a row when unit is set —
+// and each later one folded into it by op; the keys come out ascending.
+func foldOracle(keys, vals []uint64, op FoldOp, unit bool) []Pair {
+	acc := map[uint64]uint64{}
+	for i, k := range keys {
+		v := vals[i]
+		if unit {
+			v = 1
+		}
+		prev, ok := acc[k]
+		switch {
+		case !ok:
+			acc[k] = v
+		case op == FoldAdd:
+			acc[k] = prev + v
+		case op == FoldMin:
+			acc[k] = min(prev, v)
+		default:
+			acc[k] = max(prev, v)
+		}
+	}
+	out := make([]Pair, 0, len(acc))
+	for k, v := range acc {
+		out = append(out, Pair{Key: k, Ptr: v})
+	}
+	slices.SortFunc(out, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	return out
+}
+
+// TestFoldColumns holds the formation fold of sum, count (each row 1),
+// min and max to a map oracle, over 1 024 keys at offset 0 and ending at
+// MaxUint64, with values of 0 and MaxUint64 and sums that wrap; then
+// pins the rule's edges, which are the merge's (tableSpan): a span of one
+// less than the rows folds and of the rows sorts, a span of denseSpan − 1
+// folds and of denseSpan sorts, a bundle of one key folds at every
+// length, one row included, and each edge holds just below MaxUint64 as
+// at 0.
+func TestFoldColumns(t *testing.T) {
+	const maxKey = ^uint64(0)
+	r := rand.New(rand.NewSource(41))
+	ops := []struct {
+		name string
+		op   FoldOp
+		unit bool
+	}{
+		{"sum", FoldAdd, false}, {"count", FoldAdd, true}, {"min", FoldMin, false}, {"max", FoldMax, false},
+	}
+	// columns draws n rows whose keys span exactly span from lo: the
+	// first two rows hold the ends, the rest fall between.
+	columns := func(lo uint64, span, n int) (keys, vals []uint64) {
+		keys, vals = make([]uint64, n), make([]uint64, n)
+		for i := range keys {
+			keys[i] = lo + uint64(r.Intn(span+1))
+			vals[i] = r.Uint64() >> uint(r.Intn(64))
+			switch r.Intn(6) {
+			case 0:
+				vals[i] = 0
+			case 1:
+				vals[i] = maxKey
+			}
+		}
+		keys[0] = lo
+		if n > 1 {
+			keys[1] = lo + uint64(span)
+		}
+		return keys, vals
+	}
+	check := func(name string, keys, vals []uint64, dense bool) {
+		t.Helper()
+		if got := ScanKeys(keys).Dense(); got != dense {
+			t.Fatalf("%s: Dense() = %v, want %v", name, got, dense)
+		}
+		if !dense {
+			return
+		}
+		for _, o := range ops {
+			if got, want := foldColumnsOf(keys, vals, o.op, o.unit), foldOracle(keys, vals, o.op, o.unit); !slices.Equal(got, want) {
+				t.Fatalf("%s %s: folded %d pairs, the oracle %d; first %v, want %v", name, o.name, len(got), len(want), got[:min(len(got), 3)], want[:min(len(want), 3)])
+			}
+		}
+	}
+	for _, lo := range []uint64{0, maxKey - 1023} {
+		for _, n := range []int{1025, 4096, 10_000} {
+			keys, vals := columns(lo, 1023, n)
+			check(fmt.Sprintf("keys=[%d,+1024) rows=%d", lo, n), keys, vals, true)
+		}
+	}
+	for _, c := range []struct {
+		span, rows int
+		dense      bool
+	}{
+		{99, 100, true},
+		{100, 100, false},
+		{denseSpan - 1, denseSpan + 50, true},
+		{denseSpan, denseSpan + 50, false},
+		{0, 1, true},
+		{0, 2, true},
+		{0, 700, true},
+	} {
+		for _, lo := range []uint64{0, maxKey - uint64(c.span)} {
+			keys, vals := columns(lo, c.span, c.rows)
+			check(fmt.Sprintf("span=%d rows=%d lo=%d", c.span, c.rows, lo), keys, vals, c.dense)
+		}
+	}
+}
+
 // BenchmarkRadixSortPairs prices the kernel on the run shapes the six
 // benchmark workloads sort — a 10 000-record in-process bundle or a
 // 4 096-record frame of 1 024 keys, a bundle of hashed 64-bit keys — and
@@ -348,5 +469,57 @@ func BenchmarkRadixSortPairs(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/pair")
 		})
+	}
+}
+
+// BenchmarkFoldColumns prices run formation of a word aggregator on the
+// shapes the fold takes — a 4 096-record frame and a 10 000-record
+// bundle, each over 1 024 keys — three ways, in ns per row, the scan of
+// the key column included: "fold" is the table (FoldColumns), "sort"
+// the sorted run it replaces (RadixSortColumns' counting pass), and
+// "sort+neighbours" the cheaper variant that fold equal neighbours of
+// the sorted run in place, a pair per key left.
+func BenchmarkFoldColumns(b *testing.B) {
+	for _, n := range []int{4096, 10_000} {
+		src := shapedPairs("dense-1024", n, 7)
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		for i, p := range src {
+			keys[i], vals[i] = p.Key, p.Ptr
+		}
+		dst := make([]Pair, n)
+		for _, way := range []struct {
+			name string
+			form func() int
+		}{
+			{"fold", func() int {
+				m := 0
+				FoldColumns(keys, vals, ScanKeys(keys), FoldAdd, false, func(k int) []Pair { m = k; return dst[:k] })
+				return m
+			}},
+			{"sort", func() int {
+				RadixSortColumns(dst, keys, vals, ScanKeys(keys), nil)
+				return n
+			}},
+			{"sort+neighbours", func() int {
+				RadixSortColumns(dst, keys, vals, ScanKeys(keys), nil)
+				m := 0
+				for _, p := range dst[1:] {
+					if p.Key == dst[m].Key {
+						dst[m].Ptr += p.Ptr
+					} else {
+						m++
+						dst[m] = p
+					}
+				}
+				return m + 1
+			}},
+		} {
+			b.Run(fmt.Sprintf("dense-1024/%d/%s", n, way.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					way.form()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			})
+		}
 	}
 }

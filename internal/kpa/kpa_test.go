@@ -203,7 +203,7 @@ func TestSortColumnsBuildsSortedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		SortColumns(got, keys, vals, nil)
+		SortColumns(got, keys, vals, algo.ScanKeys(keys), nil)
 		if !got.Sorted() || !got.ValuesResident() || !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
 			t.Fatalf("mask %#x: SortColumns made %v, not SortRadix's run of the zipped columns", mask, got)
 		}
@@ -220,7 +220,7 @@ func TestSortColumnsBuildsSortedRun(t *testing.T) {
 			t.Fatal("SortColumns of 3 keys into a 2-pair run must panic")
 		}
 	}()
-	SortColumns(short, []uint64{1, 2, 3}, []uint64{1, 2, 3}, nil)
+	SortColumns(short, []uint64{1, 2, 3}, []uint64{1, 2, 3}, algo.ScanKeys([]uint64{1, 2, 3}), nil)
 }
 
 func TestKeySwap(t *testing.T) {

@@ -163,13 +163,8 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 	}
 
 	if w, ok := agg.(WordFolder); ok {
-		f := algo.Fold{Op: algo.FoldAdd}
-		switch w.WordOp() {
-		case WordMin:
-			f.Op = algo.FoldMin
-		case WordMax:
-			f.Op = algo.FoldMax
-		case WordCount:
+		f := algo.Fold{Op: foldOp(w.WordOp())}
+		if w.WordOp() == WordCount {
 			f.Units = make([]bool, len(runs))
 			for j, r := range runs {
 				f.Units[j] = !r.partial

@@ -214,6 +214,62 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 	}
 }
 
+// TestFoldColumnsMatchesSeal pins the formation fold's contract: for
+// sum, count, min and max, the run FoldColumns makes of a bundle's
+// columns is the partial run Seal makes of the sorted run SortColumns
+// forms from the same columns — pair for pair, sorted, value-resident,
+// partial, and allocated at one pair per distinct key — on 1 024 keys at
+// offset 0 and ending at MaxUint64, and on a bundle of one key; a scan
+// the table rule refuses is a bug.
+func TestFoldColumnsMatchesSeal(t *testing.T) {
+	al := kpa.NoopAllocator{T: memsim.DRAM}
+	rng := rand.New(rand.NewSource(13))
+	aggs := []struct {
+		name string
+		new  kpa.AggFactory
+	}{{"sum", ops.Sum()}, {"count", ops.Count()}, {"min", ops.Min()}, {"max", ops.Max()}}
+	for _, c := range []struct {
+		lo       uint64
+		span     uint64
+		n        int
+		distinct int
+	}{{0, 1024, 4096, 1024}, {^uint64(0) - 1023, 1024, 10_000, 1024}, {77, 1, 300, 1}} {
+		keys, vals := make([]uint64, c.n), make([]uint64, c.n)
+		for i := range keys {
+			keys[i], vals[i] = c.lo+uint64(i)%c.span, rng.Uint64()>>rng.Intn(64)
+		}
+		scan := algo.ScanKeys(keys)
+		for _, a := range aggs {
+			sorted, _, err := kpa.NewValues(c.n, 0, al)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kpa.SortColumns(sorted, keys, vals, scan, nil)
+			want, err := kpa.Seal([]*kpa.KPA{sorted}, 1, a.new, al, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := kpa.FoldColumns(keys, vals, scan, 0, a.new().(kpa.WordFolder).WordOp(), al)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Sorted() || !got.ValuesResident() || !got.Partial() || got.Len() != c.distinct || !slices.Equal(got.Pairs(), want.Pairs()) {
+				t.Fatalf("%s over %d keys from %d: folded %v, sealed %v", a.name, c.span, c.lo, got, want)
+			}
+			for _, k := range []*kpa.KPA{sorted, want, got} {
+				k.Destroy()
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FoldColumns of keys spanning their row count must panic")
+		}
+	}()
+	keys := []uint64{0, 2}
+	kpa.FoldColumns(keys, keys, algo.ScanKeys(keys), 0, kpa.WordAdd, al)
+}
+
 // perPair hides a combining aggregator's word operation: what it builds
 // is a Combiner and a Resetter and nothing else, so a merge takes the
 // per-pair path, reusing one instance as it did before word folds.

@@ -171,17 +171,48 @@ func SortRadix(k *KPA, workers int, s *algo.Scratch) {
 }
 
 // SortColumns fills k, a run NewValues made for len(keys) pairs, with
-// the pairs (keys[i], vals[i]) sorted by key, stably: SortRadix for a
-// run whose pairs are still a bundle's key and value columns, without
-// staging them first. Narrow keys are each written once, into their
-// sorted slot (algo.RadixSortColumns); s supplies the scatter buffer
-// any other run needs.
-func SortColumns(k *KPA, keys, vals []uint64, s *algo.Scratch) {
-	if !k.vals || k.Len() != len(keys) || len(vals) != len(keys) {
+// the pairs (keys[i], vals[i]) sorted by key, stably: SortRadix for a run
+// whose pairs are still a bundle's key and value columns, without
+// staging them first. scan is the key column's (algo.ScanKeys). Narrow
+// keys are each written once, into their sorted slot
+// (algo.RadixSortColumns); s supplies the scatter buffer any other run
+// needs.
+func SortColumns(k *KPA, keys, vals []uint64, scan algo.KeyScan, s *algo.Scratch) {
+	if !k.vals || k.Len() != len(keys) || len(vals) != len(keys) || scan.N != len(keys) {
 		panic(fmt.Sprintf("kpa: SortColumns of %d keys and %d values into %v", len(keys), len(vals), k))
 	}
-	algo.RadixSortColumns(k.pairs, keys, vals, s)
+	algo.RadixSortColumns(k.pairs, keys, vals, scan, s)
 	k.sorted = true
+}
+
+// FoldColumns is SortColumns' sibling for an aggregator with a word
+// operation, over columns whose scan is Dense: it returns the partial
+// run of the pairs (keys[i], vals[i]) — one pair per distinct key, in key
+// order, each holding the key's values folded by op (a count's holds its
+// row count) — which is what Seal makes of the run SortColumns would
+// sort, without that run or its sort (algo.FoldColumns). The run is
+// sorted, value-resident and partial, and is allocated through al after
+// the fold, at its distinct-key count.
+func FoldColumns(keys, vals []uint64, scan algo.KeyScan, resident int, op WordOp, al Allocator) (*KPA, error) {
+	if len(vals) != len(keys) || scan.N != len(keys) || !scan.Dense() {
+		panic(fmt.Sprintf("kpa: FoldColumns of %d keys and %d values scanned as %+v", len(keys), len(vals), scan))
+	}
+	var (
+		k   *KPA
+		err error
+	)
+	algo.FoldColumns(keys, vals, scan, foldOp(op), op == WordCount, func(n int) []algo.Pair {
+		if k, err = newKPA(n, resident, al); err != nil {
+			return nil
+		}
+		k.pairs = k.pairs[:n]
+		return k.pairs
+	})
+	if err != nil {
+		return nil, err
+	}
+	k.sorted, k.vals, k.partial = true, true, true
+	return k, nil
 }
 
 // MergeDemand returns the virtual cost of merging a and b.

@@ -1,5 +1,7 @@
 package kpa
 
+import "streambox/internal/algo"
+
 // Agg folds a stream of 64-bit values into one result. Implementations
 // live in internal/ops (sum, average, median, top-k, ...); the kpa
 // package only drives them.
@@ -58,6 +60,18 @@ const (
 type WordFolder interface {
 	Combiner
 	WordOp() WordOp
+}
+
+// foldOp is the merge kernel's operation for w: a count adds, its raw
+// pairs counting 1 (algo.Fold.Units).
+func foldOp(w WordOp) algo.FoldOp {
+	switch w {
+	case WordMin:
+		return algo.FoldMin
+	case WordMax:
+		return algo.FoldMax
+	}
+	return algo.FoldAdd
 }
 
 // Resetter is an optional Agg capability: Reset returns the aggregator

@@ -44,7 +44,9 @@ func (f *pooledFeed) Recycle(cols [][]uint64) {
 // every batch is recycled, the pool's column-slab ledger is back at
 // zero and no bundle is left registered, while the window sits open
 // with every run filed. A pointer run kept its bundle, and the feed slab
-// under it, until its group of 32 sealed or its window closed.
+// under it, until its group of 32 sealed or its window closed. The five
+// keys lie perBatch apart, a span no batch's rows exceed, so no batch
+// folds at formation: every run holds a pair per record.
 func TestBundleFreesAtExtract(t *testing.T) {
 	const batches, perBatch = mergeFanIn - 3, 500
 	feed := &pooledFeed{testFeed: newTestFeed(batches), expect: batches, drained: make(chan struct{})}
@@ -71,7 +73,7 @@ func TestBundleFreesAtExtract(t *testing.T) {
 		for r := 0; r < perBatch; r++ {
 			// Every timestamp inside window 0, so the feed's own watermark
 			// — applied after each batch — never seals it.
-			cols[0][r], cols[1][r], cols[2][r] = uint64(r%5), 1, uint64(i*perBatch+r)
+			cols[0][r], cols[1][r], cols[2][r] = uint64(r%5*perBatch), 1, uint64(i*perBatch+r)
 		}
 		feed.pushCols(cols)
 	}

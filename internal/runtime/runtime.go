@@ -370,11 +370,17 @@ type Report struct {
 	// a batch is the source's time, not the bundle's: a socket read and
 	// decode on the network path, a generator plan's Fill.
 	ExtractedPairs int64
-	ExtractNanos   int64
-	SealNanos      int64
-	MergeNanos     int64
-	PublishNanos   int64
-	BundleNanos    int64
+	// FormedPairs counts the pairs written into level-0 runs: one per
+	// surviving record when a run is sorted, one per distinct key of a
+	// pane's rows when they fold at formation (a word aggregator over a
+	// dense key span), so it falls below IngestedRecords exactly when runs
+	// are born partial.
+	FormedPairs  int64
+	ExtractNanos int64
+	SealNanos    int64
+	MergeNanos   int64
+	PublishNanos int64
+	BundleNanos  int64
 	// PeakWindowStateBytes is the high-water mark of live grouped
 	// window state (sorted runs plus merge intermediates) per tier,
 	// indexed by memsim.Tier. Pane sharing keeps the sliding-window
@@ -418,6 +424,11 @@ type exec struct {
 
 	// table is the window/pane registry; it owns the target watermark.
 	table *windowTable
+
+	// fold is the word operation of the plan's aggregator, 0 when it has
+	// none: with one, a pane's rows over a dense key span form a partial
+	// run (formRun).
+	fold kpa.WordOp
 
 	// m is the run's instrumentation: every counter, gauge and histogram
 	// the report and /metrics read (stats.go).
@@ -523,6 +534,9 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 		x.feed = newGenFeed(plan, x.pool)
 	}
 	x.table = newWindowTable(plan.Win)
+	if w, ok := plan.NewAgg().(kpa.WordFolder); ok {
+		x.fold = w.WordOp()
+	}
 	x.m = newStats(x)
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
 	x.scratch[memsim.DRAM] = x.pool.ScratchFor(memsim.DRAM)
@@ -579,6 +593,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			ClosePairs:      m.closePairs.Load(),
 			LateRecords:     m.late.Load(),
 			ExtractedPairs:  m.extractPairs.Load(),
+			FormedPairs:     m.formedPairs.Load(),
 			ExtractNanos:    m.extractNanos.Load(),
 			SealNanos:       m.sealNanos.Load(),
 			MergeNanos:      m.mergeNanos.Load(),
@@ -882,42 +897,48 @@ func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time)
 	}
 }
 
-// intSlab is a pooled []int scratch buffer for the per-bundle pane
-// counts, cursors and row tags of a straddling extraction. Pooling the
-// wrapper struct (not the slice) keeps the steady-state path free of the
-// heap allocations those arrays would otherwise cost per bundle.
-type intSlab struct{ buf []int }
+// extractSlab is a straddling extraction's pooled scratch: the pane
+// counts, cursors and row tags, and the kept rows' key and value columns
+// staged pane by pane. Pooling the wrapper struct (not the slices) keeps
+// the steady-state path free of the heap allocations those arrays would
+// otherwise cost per bundle.
+type extractSlab struct {
+	ints []int
+	cols []uint64
+}
 
-var intSlabs = sync.Pool{New: func() any { return new(intSlab) }}
+var extractSlabs = sync.Pool{New: func() any { return new(extractSlab) }}
 
-// getIntSlab returns a []int scratch of length n, contents stale, inside
-// its pooled wrapper; return it with putIntSlab.
-func getIntSlab(n int) *intSlab {
-	s := intSlabs.Get().(*intSlab)
-	if cap(s.buf) < n {
-		s.buf = make([]int, n)
+// getExtractSlab returns scratch of nInts ints and nCols words, contents
+// stale, inside its pooled wrapper; return it with extractSlabs.Put.
+func getExtractSlab(nInts, nCols int) *extractSlab {
+	s := extractSlabs.Get().(*extractSlab)
+	if cap(s.ints) < nInts {
+		s.ints = make([]int, nInts)
 	}
-	s.buf = s.buf[:n]
+	if cap(s.cols) < nCols {
+		s.cols = make([]uint64, nCols)
+	}
+	s.ints, s.cols = s.ints[:nInts], s.cols[:nCols]
 	return s
 }
 
-func putIntSlab(s *intSlab) { intSlabs.Put(s) }
-
 // sortPanes puts each surviving row of the bundle into exactly one pane
-// and returns one sorted KPA run per non-empty pane — first-level run
-// formation: the runs are sorted with the radix kernel, and seals and
-// closes merge them (algo.MultiMergeFold). Every
-// (key, value) pair is written once, straight into the recycled slab
-// (placed by the allocator's one rule) of the run it belongs to.
+// and returns one level-0 run per non-empty pane — run formation. Each
+// pane's rows, as a key and a value column, form their run in formRun:
+// a partial run of one pair per distinct key when the plan's aggregator
+// has a word operation and the keys span a dense range, else every pair
+// sorted by key; seals and closes merge either kind
+// (algo.MultiMergeFold).
 //
 // Most bundles lie inside one pane, with no filter to apply and nothing
-// late: the run is the bundle, sorted straight from its key and value
-// columns into the run's slab (kpa.SortColumns). Otherwise pass one
-// tags each row with its pane (or as dropped) and counts the panes, and
-// pass two scatters by tag, so filters — pure per-value predicates — and
-// the pane lookup run once per row. Rows mostly ascend in time, so a row
-// is first held against the bounds of the previous row's pane and only a
-// row outside them pays the division that finds a pane from scratch.
+// late: the pane's columns are the bundle's. Otherwise pass one tags
+// each row with its pane (or as dropped) and counts the panes, and pass
+// two stages the kept rows' keys and values pane by pane, in row order,
+// so filters — pure per-value predicates — and the pane lookup run once
+// per row. Rows mostly ascend in time, so a row is first held against
+// the bounds of the previous row's pane and only a row outside them pays
+// the division that finds a pane from scratch.
 //
 // A pair's second word is the record's value, not a pointer to it: the
 // value column is read here, once and sequentially, while this scan has
@@ -942,18 +963,16 @@ func (x *exec) sortPanes(b *bundle.Bundle, reg registration, minTs, maxTs wm.Tim
 	runs := make([]filedRun, 0, nPanes)
 
 	if nPanes == 1 && minTs >= firstOpen && len(x.plan.Filters) == 0 {
-		r, fill := x.newRun(b, reg.groups[0], panes.Start(base), firstOpen, len(keys))
-		if fill == nil {
-			return runs
+		if r, ok := x.formRun(b, reg.groups[0], panes.Start(base), firstOpen, keys, vals); ok {
+			runs = append(runs, r)
 		}
-		kpa.SortColumns(r.k, keys, vals, x.scratch[r.k.Tier()])
-		return append(runs, r)
+		return runs
 	}
 
-	ints := getIntSlab(2*nPanes + len(ts))
-	defer putIntSlab(ints)
-	counts, cursor, tag := ints.buf[:nPanes], ints.buf[nPanes:2*nPanes], ints.buf[2*nPanes:]
-	clear(ints.buf[:2*nPanes])
+	slab := getExtractSlab(2*nPanes+len(ts), 2*len(ts))
+	defer extractSlabs.Put(slab)
+	counts, cursor, tag := slab.ints[:nPanes], slab.ints[nPanes:2*nPanes], slab.ints[2*nPanes:]
+	clear(slab.ints[:nPanes])
 	late := 0
 	// [lo, hi) is pane p, the last kept row's; empty to begin with, so
 	// the first row looks its pane up.
@@ -983,50 +1002,66 @@ rows:
 		x.m.late.Add(int64(late))
 	}
 
-	fills := make([][]algo.Pair, nPanes)
+	// Pane p's rows are staged in row order from where the panes before
+	// it end, in both columns; its cursor ends where they do.
+	kept := 0
+	for pi, c := range counts {
+		cursor[pi] = kept
+		kept += c
+	}
+	skeys, svals := slab.cols[:kept], slab.cols[len(ts):len(ts)+kept]
+	for i, p := range tag {
+		if p >= 0 {
+			skeys[cursor[p]], svals[cursor[p]] = keys[i], vals[i]
+			cursor[p]++
+		}
+	}
 	for pi, c := range counts {
 		if c == 0 {
 			continue
 		}
-		r, fill := x.newRun(b, reg.groups[pi], panes.Start(base+uint64(pi)), firstOpen, c)
-		if fill == nil {
-			continue // the pane's rows are dropped with the error
+		from, to := cursor[pi]-c, cursor[pi]
+		if r, ok := x.formRun(b, reg.groups[pi], panes.Start(base+uint64(pi)), firstOpen, skeys[from:to], svals[from:to]); ok {
+			runs = append(runs, r)
 		}
-		fills[pi] = fill
-		runs = append(runs, r)
-	}
-	for i, p := range tag {
-		if p < 0 || fills[p] == nil {
-			continue
-		}
-		fills[p][cursor[p]] = algo.Pair{Key: keys[i], Ptr: vals[i]}
-		cursor[p]++
-	}
-	for _, r := range runs {
-		kpa.SortRadix(r.k, 1, x.scratch[r.k.Tier()])
 	}
 	return runs
 }
 
-// newRun starts the run of n of bundle b's rows in one pane: a
-// value-resident KPA whose slab — wherever the placement rule puts it — the
-// caller fills in row order and then radix-sorts in place, or sorts
-// straight into from the columns (either sort is stable, so equal keys
-// keep row order). The run is stamped with its
-// provenance (producing bundle, pane) so closes order runs
+// formRun forms the level-0 run of one pane's rows of bundle b, the
+// pairs (keys[i], vals[i]) in row order, from one scan of the keys.
+// When the plan's aggregator has a word operation (x.fold) and the keys
+// pass the table rule a seal's fold takes (algo.KeyScan.Dense: a span
+// below both the rows and the table), the rows fold into a partial run,
+// allocated at its distinct-key count (kpa.FoldColumns); otherwise every
+// pair is sorted, stably, into a run of one pair per row
+// (kpa.SortColumns), so equal keys keep row order for an aggregator that
+// needs it. Either run is placed by the allocator's one rule, stamped
+// with its provenance (producing bundle, pane) so closes order runs
 // deterministically, holds one reference per open window covering the
 // pane, and is bound for g, the group register gave the bundle there.
-// The slab is nil after an allocation error, which is recorded.
-func (x *exec) newRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, n int) (filedRun, []algo.Pair) {
+// ok is false after an allocation error, which is recorded.
+func (x *exec) formRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, keys, vals []uint64) (filedRun, bool) {
 	from, open := x.table.openCovering(pane, firstOpen)
 	// Logical (record, window) assignments: what scattering every
 	// record into every window would have staged physically.
-	x.m.extractPairs.Add(int64(n) * int64(open))
-	k, fill, err := kpa.NewValues(n, x.plan.KeyCol, x.allocator(x.tagFor(pane)))
+	x.m.extractPairs.Add(int64(len(keys)) * int64(open))
+	al := x.allocator(x.tagFor(pane))
+	scan := algo.ScanKeys(keys)
+	var (
+		k   *kpa.KPA
+		err error
+	)
+	if x.fold != 0 && scan.Dense() {
+		k, err = kpa.FoldColumns(keys, vals, scan, x.plan.KeyCol, x.fold, al)
+	} else if k, _, err = kpa.NewValues(len(keys), x.plan.KeyCol, al); err == nil {
+		kpa.SortColumns(k, keys, vals, scan, x.scratch[k.Tier()])
+	}
 	if err != nil {
 		x.recordError(err)
-		return filedRun{}, nil
+		return filedRun{}, false
 	}
+	x.m.formedPairs.Add(int64(k.Len()))
 	k.SetMeta(algo.RunMeta{Origin: b.ID(), Lo: pane})
 	x.noteKPA(k)
 	k.Retain(open - 1)
@@ -1034,7 +1069,7 @@ func (x *exec) newRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, n 
 		x.m.paneRuns.Add(1)
 		x.m.sharedRunRefs.Add(int64(open - 1))
 	}
-	return filedRun{paneRun{k: k, from: from, group: g}, pane}, fill
+	return filedRun{paneRun{k: k, from: from, group: g}, pane}, true
 }
 
 // watermark advances the target watermark and starts the close of every

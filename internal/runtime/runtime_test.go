@@ -259,11 +259,15 @@ func TestNativeWindowColumnNotSchemaTs(t *testing.T) {
 // TestNativeExhaustionFailsInsteadOfHanging gives the run less DRAM
 // than a single open window of state: ingest must force watermarks,
 // time out, and return an exhaustion error rather than spin forever.
+// The keys are hashed, so no bundle folds at formation and every run
+// holds a pair per record.
 func TestNativeExhaustionFailsInsteadOfHanging(t *testing.T) {
 	machine := memsim.KNLConfig()
 	machine.Tiers[memsim.HBM].Capacity = 32 << 10
 	machine.Tiers[memsim.DRAM].Capacity = 64 << 10
-	plan := testPlan(ingress.NewRoundRobinKV(8, 1), 40_000)
+	gen := newSkewedGen(8, 1)
+	gen.hash = true
+	plan := testPlan(gen, 40_000)
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(plan, Config{
@@ -360,6 +364,8 @@ func TestNativeMergeTree(t *testing.T) {
 // TestNativeFanInClose gives a fixed window more runs than one seal
 // takes (40 > mergeFanIn): the first 32 seal into a partial run while
 // the window fills, and the window closes over that run and the 8 left.
+// Each bundle is 100 rows over 4 keys, a span below its rows, so its run
+// is born partial: 4 pairs, not 100.
 func TestNativeFanInClose(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 12_000)
 	plan.Source.BundleRecords = 100 // 40 runs per window
@@ -379,10 +385,11 @@ func TestNativeFanInClose(t *testing.T) {
 			t.Fatalf("window %d key %d: sum %d, want 1000", r.Win, r.Key, r.Val)
 		}
 	}
-	// Per window: 3 200 pairs through the seal, then its 4 partials and
-	// the other 800 pairs through the merge.
-	if rep.SealedPanes != 3 || rep.ClosePairs != 3*(3_200+4+800) {
-		t.Fatalf("%d groups sealed, %d pairs streamed; want 3 and %d", rep.SealedPanes, rep.ClosePairs, 3*(3_200+4+800))
+	// Per window (40 bundles of exactly 25 000 time units each, so none
+	// straddles an edge): 32 runs of 4 pairs through the seal, then its 4
+	// partials and the other 8 runs' 32 pairs through the merge.
+	if rep.SealedPanes != 3 || rep.ClosePairs != 3*(128+4+32) {
+		t.Fatalf("%d groups sealed, %d pairs streamed; want 3 and %d", rep.SealedPanes, rep.ClosePairs, 3*(128+4+32))
 	}
 }
 
@@ -409,8 +416,16 @@ func TestNativeFanInCloseLoneTrailingRun(t *testing.T) {
 	if want := uint64(9_900); total != want {
 		t.Fatalf("summed %d across windows, want %d — the trailing run was dropped", total, want)
 	}
-	if rep.SealedPanes != 3 || rep.ClosePairs != 3*(3_200+4+100) {
-		t.Fatalf("%d groups sealed, %d pairs streamed; want 3 and %d", rep.SealedPanes, rep.ClosePairs, 3*(3_200+4+100))
+	// A bundle is 100 rows over 4 keys, born a partial run of 4 pairs, and
+	// spans 30 303 time units (100 × 10^6/3 300, truncated), so each window
+	// edge cuts one bundle a row past it. Windows 0 and 1 hold 34 runs:
+	// 32 seal (128 pairs) and the merge takes the 4 partials, the 33rd
+	// run's 4 pairs and the 1 of the straddling bundle's first row —
+	// 137. Window 2 begins on the 99 rows past that row and holds 33 runs
+	// (the stream's 99 bundles end inside it): 128 through the seal, then
+	// 4 + 4 — 136.
+	if want := int64(137 + 137 + 136); rep.SealedPanes != 3 || rep.ClosePairs != want {
+		t.Fatalf("%d groups sealed, %d pairs streamed; want 3 and %d", rep.SealedPanes, rep.ClosePairs, want)
 	}
 }
 

@@ -33,9 +33,12 @@ func tinyMachine(hbm, dram int64) memsim.Config {
 // unconstrained with no spill tier, must produce bit-identical windows:
 // same window starts, same keys, same fold hashes. Overlapping windows
 // seal their panes, so runs born in the arena include sealed ones:
-// partial runs on the sum and count legs. runCaptured audits the rest
-// state: every extent freed with its run's last reference, no window
-// state live on any tier. Run under -race in CI.
+// partial runs on the sum and count legs. The keys are hashed, so no
+// bundle of the sum and count legs folds at formation: their runs keep a
+// pair per record and outgrow the budget as the fold leg's do.
+// runCaptured audits the rest state: every extent freed with its run's
+// last reference, no window state live on any tier. Run under -race in
+// CI.
 func TestSpillMatchesNeverSpill(t *testing.T) {
 	for _, win := range []wm.Windowing{
 		wm.Fixed(1_000_000),
@@ -49,6 +52,7 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 			// against a budget sized for less than one.
 			plan.Source.WatermarkEvery = 16
 			base := paneTestPlan(win, 7)
+			plan.Gen.(*skewedGen).hash, base.Gen.(*skewedGen).hash = true, true
 			plan.NewAgg, base.NewAgg = agg, agg
 			plan.TotalRecords, base.TotalRecords = 120_000, 120_000
 			baseline, err := runCaptured(base, Config{Workers: 4})

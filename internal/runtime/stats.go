@@ -28,10 +28,12 @@ type stats struct {
 	// Ingest time turning batches into bundles, one clock pair each.
 	bundleNanos *metrics.Counter
 
-	// Grouping: logical (record, window) assignments, worker time spent
-	// extracting/sorting them, in seal tasks, in close merges and
-	// publishing closed windows; pane runs shared across windows.
+	// Grouping: logical (record, window) assignments, pairs written into
+	// level-0 runs, worker time spent extracting/forming them, in seal
+	// tasks, in close merges and publishing closed windows; pane runs
+	// shared across windows.
 	extractPairs  *metrics.Counter
+	formedPairs   *metrics.Counter
 	extractNanos  *metrics.Counter
 	sealNanos     *metrics.Counter
 	mergeNanos    *metrics.Counter
@@ -63,6 +65,7 @@ func newStats(x *exec) *stats {
 	s.paused = m.Counter("streambox_ingest_paused_ns_total")
 	s.bundleNanos = m.Counter("streambox_ingest_bundle_ns_total")
 	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
+	s.formedPairs = m.Counter("streambox_formed_pairs_total")
 	s.extractNanos = m.Counter("streambox_extract_ns_total")
 	s.sealNanos = m.Counter("streambox_seal_ns_total")
 	s.mergeNanos = m.Counter("streambox_merge_ns_total")

@@ -174,6 +174,12 @@ func TestMetricsSurface(t *testing.T) {
 			t.Errorf("%s = %v (served %v), report says %d", series, got, ok, field)
 		}
 	}
+	// A frame's 100 records span at most 50 keys, below its rows, so every
+	// level-0 run is born partial: fewer pairs are formed than records
+	// ingested.
+	if got := vals["streambox_formed_pairs_total"]; got <= 0 || got >= float64(rep.IngestedRecords) {
+		t.Errorf("streambox_formed_pairs_total = %v for %d records: runs were not folded at formation", got, rep.IngestedRecords)
+	}
 	// The close p99 is a quantile of the served histogram: the first
 	// power-of-two bound at or above it already covers 99 % of closes.
 	if rep.CloseP99Ns <= 0 {

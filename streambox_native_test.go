@@ -102,9 +102,13 @@ func TestNativeBackendPublicAPI(t *testing.T) {
 	if rep.WindowsClosed != 10 {
 		t.Fatalf("closed %d windows, want 10", rep.WindowsClosed)
 	}
-	if rep.SealedPanes != 0 || rep.ClosePairs != rep.IngestedRecords {
-		t.Fatalf("fixed windows: %d panes sealed, close streamed %d pairs for %d records",
-			rep.SealedPanes, rep.ClosePairs, rep.IngestedRecords)
+	// 40 bundles of 1 000 records, four to a window (250 time units a
+	// record, so none straddles an edge), too few to seal. A bundle's
+	// rows span 8 keys, below its rows, so each run is born partial with 8
+	// pairs and the closes stream 40 × 8.
+	if rep.SealedPanes != 0 || rep.ClosePairs != 40*8 {
+		t.Fatalf("fixed windows: %d panes sealed, close streamed %d pairs for %d records, want 0 and %d",
+			rep.SealedPanes, rep.ClosePairs, rep.IngestedRecords, 40*8)
 	}
 	if rep.Throughput <= 0 || rep.WallSeconds <= 0 {
 		t.Fatalf("native report must carry real throughput and wall time, got %f rec/s in %fs",
