@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
@@ -309,9 +310,10 @@ func emitSlots(acc, seen []uint64, lo uint64, out []Pair) int {
 
 // KeyScan is what one pass over a run's key column finds: its length,
 // its least and greatest key, and the bits on which two of its keys
-// differ. It is all a run still in columns is formed from — folded
-// through the table when Dense, else sorted (RadixSortColumns) — so the
-// column is read once for the choice, whichever way it goes.
+// differ. A run still in columns that no known key range folds is
+// formed from it — folded through the table when Dense, else sorted
+// (RadixSortColumns) — so the column is read once for the choice,
+// whichever way it goes.
 type KeyScan struct {
 	N      int
 	Lo, Hi uint64
@@ -329,32 +331,44 @@ func ScanKeys(keys []uint64) KeyScan {
 	return KeyScan{N: len(keys), Lo: lo, Hi: hi, Vary: or ^ and}
 }
 
-// Dense reports whether a word fold of the scanned run takes the table:
-// the rule a merge applies (tableSpan), so a run folded at formation and
-// the runs a seal folds share one bound and one table.
-func (s KeyScan) Dense() bool {
-	_, ok := tableSpan(s.Lo, s.Hi, s.N)
-	return ok
+// Dense reports whether a word fold of the scanned run takes the table,
+// and the span Hi−Lo it folds over: the rule a merge applies
+// (tableSpan), so a run folded at formation and the runs a seal folds
+// share one bound and one table.
+func (s KeyScan) Dense() (span int, ok bool) {
+	return tableSpan(s.Lo, s.Hi, s.N)
 }
 
 // FoldColumns is the word fold of one run still in columns, the pairs
-// (keys[i], vals[i]) whose scan s is Dense: each value folds by op into
-// its key's slot of foldTable's table, run in row order — with unit set,
-// each row counts 1 and vals is not read —; then out(n) supplies a slot
-// for each of the n distinct keys, and they are written in key order
-// with their folded values. The word operations are commutative, so the
-// result is what a sort and a merge fold would make, bit for bit. When
-// out returns nil nothing is written.
-func FoldColumns(keys, vals []uint64, s KeyScan, op FoldOp, unit bool, out func(n int) []Pair) {
-	span := int(s.Hi - s.Lo)
+// (keys[i], vals[i]), through foldTable's table over the key range
+// [lo, lo+span], which must not wrap and must pass the table rule for
+// the run's rows (tableSpan). Each value folds by op into slot key−lo,
+// in row order — with unit set, each row counts 1 and vals is not
+// read —; then out(n) supplies a slot for each of the n distinct keys,
+// and they are written in key order with their folded values. The word
+// operations are commutative, so the result is what a sort and a merge
+// fold would make, bit for bit, and it does not depend on the range:
+// only the slots of present keys are written. When out returns nil
+// nothing is written.
+//
+// The range need not be the keys' own (KeyScan.Dense): FoldColumns
+// checks each key against it as it folds, and returns false at the
+// first key outside it, without calling out. Every key inside means the
+// keys span no more than the range, so they are Dense too.
+func FoldColumns(keys, vals []uint64, lo uint64, span int, op FoldOp, unit bool, out func(n int) []Pair) bool {
+	if _, ok := tableSpan(lo, lo+uint64(span), len(keys)); !ok || lo+uint64(span) < lo {
+		panic(fmt.Sprintf("algo: FoldColumns of %d keys over [%d, %d+%d]", len(keys), lo, lo, span))
+	}
 	t := tablePool.Get().(*table)
 	defer tablePool.Put(t)
 	acc, seen := t.acc[:span+1], t.seen[:span/64+1]
 	resetSlots(acc, seen, op)
-	lo := s.Lo
 	if unit {
 		for _, k := range keys {
 			i := k - lo
+			if i >= uint64(len(acc)) {
+				return false
+			}
 			acc[i]++
 			seen[i/64] |= 1 << (i % 64)
 		}
@@ -364,18 +378,27 @@ func FoldColumns(keys, vals []uint64, s KeyScan, op FoldOp, unit bool, out func(
 		case FoldAdd:
 			for j, k := range keys {
 				i := k - lo
+				if i >= uint64(len(acc)) {
+					return false
+				}
 				acc[i] += vals[j]
 				seen[i/64] |= 1 << (i % 64)
 			}
 		case FoldMin:
 			for j, k := range keys {
 				i := k - lo
+				if i >= uint64(len(acc)) {
+					return false
+				}
 				acc[i] = min(acc[i], vals[j])
 				seen[i/64] |= 1 << (i % 64)
 			}
 		default:
 			for j, k := range keys {
 				i := k - lo
+				if i >= uint64(len(acc)) {
+					return false
+				}
 				acc[i] = max(acc[i], vals[j])
 				seen[i/64] |= 1 << (i % 64)
 			}
@@ -388,6 +411,7 @@ func FoldColumns(keys, vals []uint64, s KeyScan, op FoldOp, unit bool, out func(
 	if dst := out(n); dst != nil {
 		emitSlots(acc, seen, lo, dst)
 	}
+	return true
 }
 
 // table is foldTable's scratch, reused across calls: a slot per key of

@@ -311,18 +311,28 @@ func FuzzRadixSortPairs(f *testing.F) {
 	})
 }
 
-// foldColumnsOf runs FoldColumns over the columns into a destination of
-// stale pairs, sized by the count the fold asks for.
+// foldColumnsOf runs FoldColumns over the range of the keys' scan, which
+// must be Dense.
 func foldColumnsOf(keys, vals []uint64, op FoldOp, unit bool) []Pair {
-	var out []Pair
-	FoldColumns(keys, vals, ScanKeys(keys), op, unit, func(n int) []Pair {
+	s := ScanKeys(keys)
+	span, _ := s.Dense()
+	out, _ := foldRangeOf(keys, vals, s.Lo, span, op, unit)
+	return out
+}
+
+// foldRangeOf runs FoldColumns over the columns and the key range
+// [lo, lo+span] into a destination of stale pairs, sized by the count
+// the fold asks for; out is nil when the fold did not ask, which it
+// must not do when it reports a key outside the range.
+func foldRangeOf(keys, vals []uint64, lo uint64, span int, op FoldOp, unit bool) (out []Pair, fit bool) {
+	fit = FoldColumns(keys, vals, lo, span, op, unit, func(n int) []Pair {
 		out = make([]Pair, n)
 		for i := range out {
 			out[i] = Pair{Key: ^uint64(i), Ptr: ^uint64(0)}
 		}
 		return out
 	})
-	return out
+	return out, fit
 }
 
 // foldOracle is the fold the table must reproduce, through a map: a
@@ -395,7 +405,7 @@ func TestFoldColumns(t *testing.T) {
 	}
 	check := func(name string, keys, vals []uint64, dense bool) {
 		t.Helper()
-		if got := ScanKeys(keys).Dense(); got != dense {
+		if _, got := ScanKeys(keys).Dense(); got != dense {
 			t.Fatalf("%s: Dense() = %v, want %v", name, got, dense)
 		}
 		if !dense {
@@ -428,6 +438,60 @@ func TestFoldColumns(t *testing.T) {
 		for _, lo := range []uint64{0, maxKey - uint64(c.span)} {
 			keys, vals := columns(lo, c.span, c.rows)
 			check(fmt.Sprintf("span=%d rows=%d lo=%d", c.span, c.rows, lo), keys, vals, c.dense)
+		}
+	}
+}
+
+// TestFoldColumnsRange holds the fold over a given key range, the one
+// formation tries before it scans: over ranges up to 64 slots wider than
+// the keys' span on either side, still below the rows, sum, count, min
+// and max fold to the map oracle, at offset 0 and ending at MaxUint64.
+// A key just below the range's low end (which wraps to the top of the
+// slot index) or just past its high end, at the first, middle or last
+// row, stops the fold: it reports false and never asks for a
+// destination. A fold right after each miss, on the table the miss left
+// behind, is still exact.
+func TestFoldColumnsRange(t *testing.T) {
+	const maxKey = ^uint64(0)
+	r := rand.New(rand.NewSource(43))
+	ops := []struct {
+		name string
+		op   FoldOp
+		unit bool
+	}{
+		{"sum", FoldAdd, false}, {"count", FoldAdd, true}, {"min", FoldMin, false}, {"max", FoldMax, false},
+	}
+	const n, keySpan, pad = 2000, 1023, 64
+	for _, keyLo := range []uint64{pad, maxKey - keySpan - pad} {
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		for i := range keys {
+			keys[i] = keyLo + uint64(r.Intn(keySpan+1))
+			vals[i] = r.Uint64() >> uint(r.Intn(64))
+			if i%9 == 0 {
+				vals[i] = maxKey
+			}
+		}
+		for _, o := range ops {
+			want := foldOracle(keys, vals, o.op, o.unit)
+			for _, w := range []struct{ below, above int }{{0, 0}, {1, 0}, {0, 1}, {pad, pad}, {7, 50}} {
+				lo, span := keyLo-uint64(w.below), keySpan+w.below+w.above
+				name := fmt.Sprintf("%s keys=[%d,+%d] range=[%d,+%d]", o.name, keyLo, keySpan, lo, span)
+				if got, fit := foldRangeOf(keys, vals, lo, span, o.op, o.unit); !fit || !slices.Equal(got, want) {
+					t.Fatalf("%s: fit %v, folded %d pairs, the oracle %d", name, fit, len(got), len(want))
+				}
+			}
+			for _, bad := range []uint64{keyLo - 1, keyLo + keySpan + 1} {
+				for _, row := range []int{0, n / 2, n - 1} {
+					missing := slices.Clone(keys)
+					missing[row] = bad
+					if got, fit := foldRangeOf(missing, vals, keyLo, keySpan, o.op, o.unit); fit || got != nil {
+						t.Fatalf("%s: key %d at row %d outside [%d,+%d]: fit %v, asked for %d pairs", o.name, bad, row, keyLo, keySpan, fit, len(got))
+					}
+					if got, fit := foldRangeOf(keys, vals, keyLo, keySpan, o.op, o.unit); !fit || !slices.Equal(got, want) {
+						t.Fatalf("%s after a miss at row %d: fit %v, folded %d pairs, the oracle %d", o.name, row, fit, len(got), len(want))
+					}
+				}
+			}
 		}
 	}
 }
@@ -474,11 +538,13 @@ func BenchmarkRadixSortPairs(b *testing.B) {
 
 // BenchmarkFoldColumns prices run formation of a word aggregator on the
 // shapes the fold takes — a 4 096-record frame and a 10 000-record
-// bundle, each over 1 024 keys — three ways, in ns per row, the scan of
-// the key column included: "fold" is the table (FoldColumns), "sort"
-// the sorted run it replaces (RadixSortColumns' counting pass), and
-// "sort+neighbours" the cheaper variant that fold equal neighbours of
-// the sorted run in place, a pair per key left.
+// bundle, each over 1 024 keys — four ways, in ns per row: "scan+fold"
+// scans the key column and folds over its range (FoldColumns), what
+// formation does without a range to try; "fold-range-known" folds over
+// the range alone, what it does when the last dense range holds the
+// keys; "sort" scans and forms the sorted run the fold replaces
+// (RadixSortColumns' counting pass), and "sort+neighbours" then folds
+// equal neighbours of that run in place, a pair per key left.
 func BenchmarkFoldColumns(b *testing.B) {
 	for _, n := range []int{4096, 10_000} {
 		src := shapedPairs("dense-1024", n, 7)
@@ -491,9 +557,16 @@ func BenchmarkFoldColumns(b *testing.B) {
 			name string
 			form func() int
 		}{
-			{"fold", func() int {
+			{"scan+fold", func() int {
 				m := 0
-				FoldColumns(keys, vals, ScanKeys(keys), FoldAdd, false, func(k int) []Pair { m = k; return dst[:k] })
+				s := ScanKeys(keys)
+				span, _ := s.Dense()
+				FoldColumns(keys, vals, s.Lo, span, FoldAdd, false, func(k int) []Pair { m = k; return dst[:k] })
+				return m
+			}},
+			{"fold-range-known", func() int {
+				m := 0
+				FoldColumns(keys, vals, 0, 1023, FoldAdd, false, func(k int) []Pair { m = k; return dst[:k] })
 				return m
 			}},
 			{"sort", func() int {

@@ -9,6 +9,7 @@ import (
 	"streambox/internal/algo"
 	"streambox/internal/bundle"
 	"streambox/internal/kpa"
+	"streambox/internal/mempool"
 	"streambox/internal/memsim"
 	"streambox/internal/ops"
 )
@@ -219,10 +220,13 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 // columns is the partial run Seal makes of the sorted run SortColumns
 // forms from the same columns — pair for pair, sorted, value-resident,
 // partial, and allocated at one pair per distinct key — on 1 024 keys at
-// offset 0 and ending at MaxUint64, and on a bundle of one key; a scan
-// the table rule refuses is a bug.
+// offset 0 and ending at MaxUint64, and on a bundle of one key, over the
+// range the keys' scan finds and over one a slot wider at either end
+// where there is room; over a range one slot short at either end it
+// reports the miss and allocates nothing. A range the table rule
+// refuses is a bug.
 func TestFoldColumnsMatchesSeal(t *testing.T) {
-	al := kpa.NoopAllocator{T: memsim.DRAM}
+	al := &countingAllocator{NoopAllocator: kpa.NoopAllocator{T: memsim.DRAM}}
 	rng := rand.New(rand.NewSource(13))
 	aggs := []struct {
 		name string
@@ -239,6 +243,22 @@ func TestFoldColumnsMatchesSeal(t *testing.T) {
 			keys[i], vals[i] = c.lo+uint64(i)%c.span, rng.Uint64()>>rng.Intn(64)
 		}
 		scan := algo.ScanKeys(keys)
+		span, _ := scan.Dense()
+		type keyRange struct {
+			lo   uint64
+			span int
+		}
+		fits := []keyRange{{scan.Lo, span}}
+		if scan.Lo > 0 {
+			fits = append(fits, keyRange{scan.Lo - 1, span + 1})
+		}
+		if scan.Hi < ^uint64(0) {
+			fits = append(fits, keyRange{scan.Lo, span + 1})
+		}
+		var misses []keyRange
+		if span > 0 {
+			misses = []keyRange{{scan.Lo + 1, span - 1}, {scan.Lo, span - 1}}
+		}
 		for _, a := range aggs {
 			sorted, _, err := kpa.NewValues(c.n, 0, al)
 			if err != nil {
@@ -249,25 +269,47 @@ func TestFoldColumnsMatchesSeal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := kpa.FoldColumns(keys, vals, scan, 0, a.new().(kpa.WordFolder).WordOp(), al)
-			if err != nil {
-				t.Fatal(err)
+			op := a.new().(kpa.WordFolder).WordOp()
+			for _, r := range fits {
+				got, ok, err := kpa.FoldColumns(keys, vals, r.lo, r.span, 0, op, al)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok || !got.Sorted() || !got.ValuesResident() || !got.Partial() || got.Len() != c.distinct || !slices.Equal(got.Pairs(), want.Pairs()) {
+					t.Fatalf("%s over %d keys from %d, range [%d,+%d]: ok %v, folded %v, sealed %v", a.name, c.span, c.lo, r.lo, r.span, ok, got, want)
+				}
+				got.Destroy()
 			}
-			if !got.Sorted() || !got.ValuesResident() || !got.Partial() || got.Len() != c.distinct || !slices.Equal(got.Pairs(), want.Pairs()) {
-				t.Fatalf("%s over %d keys from %d: folded %v, sealed %v", a.name, c.span, c.lo, got, want)
+			for _, r := range misses {
+				allocs := al.n
+				if got, ok, err := kpa.FoldColumns(keys, vals, r.lo, r.span, 0, op, al); ok || got != nil || err != nil || al.n != allocs {
+					t.Fatalf("%s over %d keys from %d, range [%d,+%d]: ok %v, run %v, err %v, %d allocations; want a miss and none",
+						a.name, c.span, c.lo, r.lo, r.span, ok, got, err, al.n-allocs)
+				}
 			}
-			for _, k := range []*kpa.KPA{sorted, want, got} {
+			for _, k := range []*kpa.KPA{sorted, want} {
 				k.Destroy()
 			}
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FoldColumns of keys spanning their row count must panic")
+			t.Fatal("FoldColumns over a range spanning the row count must panic")
 		}
 	}()
 	keys := []uint64{0, 2}
-	kpa.FoldColumns(keys, keys, algo.ScanKeys(keys), 0, kpa.WordAdd, al)
+	kpa.FoldColumns(keys, keys, 0, 2, 0, kpa.WordAdd, al)
+}
+
+// countingAllocator counts the runs it allocates.
+type countingAllocator struct {
+	kpa.NoopAllocator
+	n int
+}
+
+func (c *countingAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Allocation, error) {
+	c.n++
+	return c.NoopAllocator.AllocKPA(nBytes)
 }
 
 // perPair hides a combining aggregator's word operation: what it builds

@@ -186,33 +186,32 @@ func SortColumns(k *KPA, keys, vals []uint64, scan algo.KeyScan, s *algo.Scratch
 }
 
 // FoldColumns is SortColumns' sibling for an aggregator with a word
-// operation, over columns whose scan is Dense: it returns the partial
-// run of the pairs (keys[i], vals[i]) — one pair per distinct key, in key
-// order, each holding the key's values folded by op (a count's holds its
-// row count) — which is what Seal makes of the run SortColumns would
-// sort, without that run or its sort (algo.FoldColumns). The run is
-// sorted, value-resident and partial, and is allocated through al after
-// the fold, at its distinct-key count.
-func FoldColumns(keys, vals []uint64, scan algo.KeyScan, resident int, op WordOp, al Allocator) (*KPA, error) {
-	if len(vals) != len(keys) || scan.N != len(keys) || !scan.Dense() {
-		panic(fmt.Sprintf("kpa: FoldColumns of %d keys and %d values scanned as %+v", len(keys), len(vals), scan))
+// operation, over columns whose keys lie in [lo, lo+span], a range the
+// table rule takes for their rows (algo.KeyScan.Dense): it returns the
+// partial run of the pairs (keys[i], vals[i]) — one pair per distinct
+// key, in key order, each holding the key's values folded by op (a
+// count's holds its row count) — which is what Seal makes of the run
+// SortColumns would sort, without that run or its sort
+// (algo.FoldColumns). The run is sorted, value-resident and partial, and
+// is allocated through al after the fold, at its distinct-key count. A
+// key outside the range stops the fold with ok false, before anything is
+// allocated; the range of the keys' own scan always holds them.
+func FoldColumns(keys, vals []uint64, lo uint64, span int, resident int, op WordOp, al Allocator) (k *KPA, ok bool, err error) {
+	if len(vals) != len(keys) {
+		panic(fmt.Sprintf("kpa: FoldColumns of %d keys and %d values", len(keys), len(vals)))
 	}
-	var (
-		k   *KPA
-		err error
-	)
-	algo.FoldColumns(keys, vals, scan, foldOp(op), op == WordCount, func(n int) []algo.Pair {
+	ok = algo.FoldColumns(keys, vals, lo, span, foldOp(op), op == WordCount, func(n int) []algo.Pair {
 		if k, err = newKPA(n, resident, al); err != nil {
 			return nil
 		}
 		k.pairs = k.pairs[:n]
 		return k.pairs
 	})
-	if err != nil {
-		return nil, err
+	if !ok || err != nil {
+		return nil, ok, err
 	}
 	k.sorted, k.vals, k.partial = true, true, true
-	return k, nil
+	return k, true, nil
 }
 
 // MergeDemand returns the virtual cost of merging a and b.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"streambox/internal/engine"
@@ -25,13 +26,26 @@ func hideWordOp(f kpa.AggFactory) kpa.AggFactory {
 // 300 rows cut panes of 1 250 records unevenly, so some straddle a pane
 // edge; 61 keys span less than a bundle's rows, so runs fold, and the
 // same keys spread 4 099 apart do not, so the two sides must then form
-// the same runs. Each stream runs plain, where a bundle inside one pane
-// forms from its own columns, and with a filter and a row far behind
-// the watermark in every bundle after the first, where every bundle is
-// tagged and its pane's rows staged. Rows must be bit-identical, with
-// the same ingested and late counts; the folded side must stream fewer
-// pairs through seals and closes and form fewer pairs, and with spread
-// keys the same.
+// the same runs. Three more key shapes, on sum and count, make
+// formation's try of the last dense range miss and hit in turn: the 61
+// keys shifted by 10 000 every 3 000 records (each shift misses once,
+// then hits), bundles that alternate the 61 keys with the spread ones
+// (a spread bundle misses, is sorted and leaves the range as it was, so
+// the next 61-key bundle hits), and every fourth bundle on the lower
+// half of the 61 keys (it hits a range wider than its keys). Each
+// stream runs plain, where a
+// bundle inside one pane forms from its own columns, and with a filter
+// and a row far behind the watermark in every bundle after the first,
+// where every bundle is tagged and its pane's rows staged. Rows must be
+// bit-identical, with the same ingested and late counts; the folded
+// side must stream fewer pairs through seals and closes and form fewer
+// pairs, and with spread keys the same. On the plain fixed-window
+// stream the folded side must form exactly what the table rule gives
+// each bundle×window group of rows — its distinct keys when their span
+// is below its rows, else its rows —, so a range tried and missed
+// changes no decision; and both counts must be the same on one worker
+// as on four, where extract tasks try and replace the range
+// concurrently.
 func TestFormationFoldMatchesSort(t *testing.T) {
 	const (
 		nRecords = 40_000
@@ -41,6 +55,19 @@ func TestFormationFoldMatchesSort(t *testing.T) {
 	)
 	narrowKey := func(id uint64) uint64 { return id * 2654435761 % 61 }
 	spreadKey := func(id uint64) uint64 { return narrowKey(id) * 4099 }
+	shiftedKey := func(id uint64) uint64 { return narrowKey(id) + id/3000*10_000 }
+	alternatingKey := func(id uint64) uint64 {
+		if id/bundle%2 == 1 {
+			return spreadKey(id)
+		}
+		return narrowKey(id)
+	}
+	halfKey := func(id uint64) uint64 {
+		if id/bundle%4 == 3 {
+			return narrowKey(id) % 31
+		}
+		return narrowKey(id)
+	}
 	// value spreads over the 64 bits, 0 and MaxUint64 included, so sums
 	// wrap and a minimum or maximum sits at either end.
 	value := func(id uint64) uint64 {
@@ -74,6 +101,31 @@ func TestFormationFoldMatchesSort(t *testing.T) {
 		return out
 	}
 	dropSevens := []Filter{{Col: 1, Keep: func(v uint64) bool { return v%7 != 0 }}}
+	// tableRulePairs is what the folded side forms of a plain stream on
+	// fixed windows of size: each bundle's rows of one window are one
+	// group, folded to its distinct keys when their span is below its
+	// rows (all spans here are far below the table's), else sorted.
+	tableRulePairs := func(stream [][][]uint64, size uint64) int64 {
+		var formed int64
+		for _, b := range stream {
+			groups := map[uint64][]uint64{}
+			for i, ts := range b[2] {
+				groups[ts/size] = append(groups[ts/size], b[0][i])
+			}
+			for _, keys := range groups {
+				distinct := map[uint64]bool{}
+				for _, k := range keys {
+					distinct[k] = true
+				}
+				if slices.Max(keys)-slices.Min(keys) < uint64(len(keys)) {
+					formed += int64(len(distinct))
+				} else {
+					formed += int64(len(keys))
+				}
+			}
+		}
+		return formed
+	}
 
 	for _, win := range []wm.Windowing{wm.Fixed(1_000_000), wm.Sliding(1_000_000, 125_000)} {
 		for _, agg := range []struct {
@@ -84,17 +136,31 @@ func TestFormationFoldMatchesSort(t *testing.T) {
 				name  string
 				keyOf func(uint64) uint64
 				folds bool
-			}{{"61 keys", narrowKey, true}, {"61 keys spread", spreadKey, false}} {
+				// tries marks a shape there to make the try of the last
+				// dense range hit and miss. Formation tries it alike for
+				// every word operation, so these shapes run sum and count
+				// (a value fold and a unit one); the operations' own range
+				// checks are TestFoldColumnsRange's.
+				tries bool
+			}{
+				{"61 keys", narrowKey, true, false}, {"61 keys spread", spreadKey, false, false},
+				{"61 keys shifting", shiftedKey, true, true}, {"61 keys alternating with spread", alternatingKey, true, true},
+				{"61 keys, half of them every fourth bundle", halfKey, true, true},
+			} {
+				if keys.tries && agg.name != "sum" && agg.name != "count" {
+					continue
+				}
 				for _, v := range []struct {
 					name    string
 					late    bool
 					filters []Filter
 				}{{"plain", false, nil}, {"filtered, late", true, dropSevens}} {
+					var onOne captured
 					for _, workers := range []int{1, 4} {
 						id := fmt.Sprintf("size=%d slide=%d %s %s %s workers=%d", win.Size, win.Slide, agg.name, keys.name, v.name, workers)
+						stream := batches(keys.keyOf, v.late)
 						run := func(f kpa.AggFactory) captured {
 							t.Helper()
-							stream := batches(keys.keyOf, v.late)
 							feed := newTestFeed(len(stream))
 							for _, b := range stream {
 								feed.pushCols(b)
@@ -130,6 +196,15 @@ func TestFormationFoldMatchesSort(t *testing.T) {
 							!keys.folds && (folded.ClosePairs != sorted.ClosePairs || folded.FormedPairs != sorted.FormedPairs) {
 							t.Fatalf("%s: folded runs streamed %d pairs and formed %d, sorted runs %d and %d; folding at formation %v",
 								id, folded.ClosePairs, folded.FormedPairs, sorted.ClosePairs, sorted.FormedPairs, keys.folds)
+						}
+						if want := tableRulePairs(stream, uint64(win.Size)); win.IsFixed() && !v.late && folded.FormedPairs != want {
+							t.Fatalf("%s: folded runs formed %d pairs, the table rule %d", id, folded.FormedPairs, want)
+						}
+						if workers == 1 {
+							onOne = folded
+						} else if folded.FormedPairs != onOne.FormedPairs || folded.ClosePairs != onOne.ClosePairs {
+							t.Fatalf("%s: folded runs formed %d pairs and streamed %d, on one worker %d and %d",
+								id, folded.FormedPairs, folded.ClosePairs, onOne.FormedPairs, onOne.ClosePairs)
 						}
 					}
 				}

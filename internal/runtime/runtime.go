@@ -3,8 +3,8 @@
 // the discrete-event simulator (internal/engine + internal/memsim)
 // rather than replacing it. The structure mirrors the paper's runtime
 // (§3, §5) and has exactly one grouping mechanism (§4, Table 2):
-// extract a Key Pointer Array, sort it into a run, seal runs into fewer
-// as they accumulate, merge what is left at window close.
+// extract a Key Pointer Array, form it into a sorted run, seal runs into
+// fewer as they accumulate, merge what is left at window close.
 //
 // Ingest. One loop feeds every run: it pulls column batches from an
 // ExternalFeed — the network's (internal/netio), or for a generator
@@ -17,20 +17,25 @@
 //
 // Extract. One task per bundle scatters the surviving records into
 // non-overlapping panes (paired panes, wm.Panes: at most two per slide,
-// every window an exact union of them) and radix-sorts one KPA run per
-// bundle×pane. A pair is (key, value): a plan aggregates one value
-// column, so the extraction scan — the one pass that has the bundle's
-// columns hot — stages the value where the paper's pair has a pointer,
-// the same 16 bytes in the fast tier. That is the only time a record is read: the runs link no bundle,
-// nothing downstream goes back to DRAM for a value, and the bundle (and
-// the feed slab it adopted) is released when its extract task ends. A
-// fixed window is the sliding window whose single pane is the whole
-// window, so there is no second path. Runs are filed in the window
-// table (windows.go) under their pane and reference counted, one
-// reference per covering window still open (kpa.Retain/Destroy): each
-// record is staged and sorted once however many windows overlap it, and
-// a run's slab returns to the mempool exactly once, when its last reader
-// lets go.
+// every window an exact union of them) and forms one KPA run per
+// bundle×pane (formRun): a word aggregator (sum, count, min, max) over
+// keys that span fewer slots than the pane has rows folds them into a
+// partial run of one pair per key — in one pass when they lie inside
+// the last dense range a scan found —, and any other run is
+// radix-sorted, one pair per row. A pair is (key, value): a plan
+// aggregates one value column, so the extraction scan — the one pass
+// that has the bundle's columns hot — stages the value where the
+// paper's pair has a pointer, the same 16 bytes in the fast tier. That
+// is the only time a record is read: the runs link no bundle, nothing
+// downstream goes back to DRAM for a value, and the bundle (and the
+// feed slab it adopted) is released when its extract task ends. A fixed
+// window is the sliding window whose single pane is the whole window,
+// so there is no second path. Runs are filed in the window table
+// (windows.go) under their pane and reference counted, one reference
+// per covering window still open (kpa.Retain/Destroy): each record is
+// staged and formed once however many windows overlap it, and a run's
+// slab returns to the mempool exactly once, when its last reader lets
+// go.
 //
 // Seal. Runs are compacted while their pane fills, not when the
 // watermark arrives — the paper's rule (§4, Table 2: stream sequentially
@@ -429,6 +434,11 @@ type exec struct {
 	// none: with one, a pane's rows over a dense key span form a partial
 	// run (formRun).
 	fold kpa.WordOp
+	// dense is the key range of the last run formation scanned and found
+	// Dense, nil before the first: formRun folds over it before it
+	// scans. Extract tasks read and replace it concurrently; any range it
+	// holds came from a scan, so an outdated one can only miss.
+	dense atomic.Pointer[keyRange]
 
 	// m is the run's instrumentation: every counter, gauge and histogram
 	// the report and /metrics read (stats.go).
@@ -1028,16 +1038,31 @@ rows:
 	return runs
 }
 
+// keyRange is the key range [lo, lo+span] of a scan formRun found Dense.
+type keyRange struct {
+	lo   uint64
+	span int
+}
+
 // formRun forms the level-0 run of one pane's rows of bundle b, the
-// pairs (keys[i], vals[i]) in row order, from one scan of the keys.
-// When the plan's aggregator has a word operation (x.fold) and the keys
-// pass the table rule a seal's fold takes (algo.KeyScan.Dense: a span
-// below both the rows and the table), the rows fold into a partial run,
-// allocated at its distinct-key count (kpa.FoldColumns); otherwise every
-// pair is sorted, stably, into a run of one pair per row
-// (kpa.SortColumns), so equal keys keep row order for an aggregator that
-// needs it. Either run is placed by the allocator's one rule, stamped
-// with its provenance (producing bundle, pane) so closes order runs
+// pairs (keys[i], vals[i]) in row order. When the plan's aggregator has
+// a word operation (x.fold) and the keys pass the table rule a seal's
+// fold takes (algo.KeyScan.Dense: a span below both the rows and the
+// table), the rows fold into a partial run, allocated at its
+// distinct-key count (kpa.FoldColumns); otherwise every pair is sorted,
+// stably, into a run of one pair per row (kpa.SortColumns), so equal
+// keys keep row order for an aggregator that needs it.
+//
+// A word fold first tries the last range a scan found Dense (x.dense),
+// when its span is below the rows: keys all inside it span no more, so
+// they pass the rule too, and they fold in the one pass without a scan.
+// Only a key outside it sends the rows to the scan (algo.ScanKeys),
+// which decides as above and, when it finds them Dense, makes their
+// range the one tried next. Which runs fold is the keys' alone, and so
+// are the pairs formed.
+//
+// Either run is placed by the allocator's one rule, stamped with its
+// provenance (producing bundle, pane) so closes order runs
 // deterministically, holds one reference per open window covering the
 // pane, and is bound for g, the group register gave the bundle there.
 // ok is false after an allocation error, which is recorded.
@@ -1047,15 +1072,22 @@ func (x *exec) formRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, k
 	// record into every window would have staged physically.
 	x.m.extractPairs.Add(int64(len(keys)) * int64(open))
 	al := x.allocator(x.tagFor(pane))
-	scan := algo.ScanKeys(keys)
 	var (
-		k   *kpa.KPA
-		err error
+		k      *kpa.KPA
+		folded bool
+		err    error
 	)
-	if x.fold != 0 && scan.Dense() {
-		k, err = kpa.FoldColumns(keys, vals, scan, x.plan.KeyCol, x.fold, al)
-	} else if k, _, err = kpa.NewValues(len(keys), x.plan.KeyCol, al); err == nil {
-		kpa.SortColumns(k, keys, vals, scan, x.scratch[k.Tier()])
+	if r := x.dense.Load(); x.fold != 0 && r != nil && r.span < len(keys) {
+		k, folded, err = kpa.FoldColumns(keys, vals, r.lo, r.span, x.plan.KeyCol, x.fold, al)
+	}
+	if !folded && err == nil {
+		scan := algo.ScanKeys(keys)
+		if span, dense := scan.Dense(); x.fold != 0 && dense {
+			x.dense.Store(&keyRange{scan.Lo, span})
+			k, _, err = kpa.FoldColumns(keys, vals, scan.Lo, span, x.plan.KeyCol, x.fold, al)
+		} else if k, _, err = kpa.NewValues(len(keys), x.plan.KeyCol, al); err == nil {
+			kpa.SortColumns(k, keys, vals, scan, x.scratch[k.Tier()])
+		}
 	}
 	if err != nil {
 		x.recordError(err)
