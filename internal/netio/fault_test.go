@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"streambox/internal/parsefmt"
+	"streambox/internal/wal"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -744,6 +745,33 @@ func TestOverloadShedsNewConns(t *testing.T) {
 	c4.Close()
 	srv2.Close()
 	<-done2
+}
+
+// TestUnloggableSessionIsRefused: a fresh session whose open record the
+// log refuses is never granted. The hello is answered overloaded, and
+// the session and its watermark cursor are undone.
+func TestUnloggableSessionIsRefused(t *testing.T) {
+	log, err := wal.Open(wal.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close() // every append fails from here on
+	feed := NewFeed(WireSchema(), 8)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, WAL: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, done := collect(feed)
+	if _, err := Dial(srv.Addr().String(), ClientConfig{Format: parsefmt.PB}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("dial against a log that cannot record the session: %v, want ErrOverloaded", err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		c := srv.Counters()
+		live, _ := feed.liveCursors()
+		return c.ActiveSessions == 0 && c.ActiveConns == 0 && live == 0
+	}, "the refused session to be undone")
+	srv.Close()
+	<-done
 }
 
 // TestHungConnectionParksCursor pins stale-cursor expiry: a dead

@@ -17,7 +17,7 @@ import (
 // per record on the whole path. A non-nil log additionally appends
 // every frame to the write-ahead log, pinning the durability overhead
 // against the log-free baseline.
-func benchIngest(b *testing.B, format parsefmt.Format, log FrameLog) {
+func benchIngest(b *testing.B, format parsefmt.Format, log *wal.Log) {
 	feed := NewFeed(WireSchema(), 64)
 	pool := mempool.New(memsim.KNLConfig(), 0)
 	feed.UsePool(pool)

@@ -15,6 +15,7 @@ import (
 	"streambox/internal/faultinject"
 	"streambox/internal/metrics"
 	"streambox/internal/parsefmt"
+	"streambox/internal/wal"
 )
 
 // readBufferBytes sizes every connection's buffered reader. It stages
@@ -62,12 +63,15 @@ type ServerConfig struct {
 	// with the fault injector (chaos testing: injected resets, partial
 	// writes and corruption on the server side of the pipe).
 	Faults *faultinject.Injector
-	// WAL, when non-nil, receives every accepted data frame before it is
-	// delivered to the feed. Frames are appended durably — the call
-	// returns only after an fsync — and the cumulative ack advances
-	// strictly afterwards, so a crash can never lose a frame the client
-	// was told to forget.
-	WAL FrameLog
+	// WAL, when non-nil, is the write-ahead log, safe for every handler
+	// to append to. A fresh session's open record is durable before its
+	// grant is written, so a crash after the grant cannot lose the
+	// session. Every accepted data frame is appended durably before it is
+	// delivered to the feed, and the cumulative ack advances strictly
+	// afterwards, so a crash can never lose a frame the client was told
+	// to forget. A session that ends for good (clean EOS or expiry) logs
+	// its end, so recovery does not resurrect it.
+	WAL *wal.Log
 	// RestoreSessions seeds the session table from a recovery checkpoint
 	// before the listener accepts: each entry re-arms a resume token at
 	// its durable ack, detached as of startup (the reaper's grace and
@@ -78,23 +82,6 @@ type ServerConfig struct {
 	// checkpoint and log so newly minted ids cannot collide with
 	// replayed cursors.
 	NextConnID int64
-}
-
-// FrameLog is the write-ahead durability hook the serving layer plugs
-// in (implemented by internal/wal.Log). Appends must be safe for
-// concurrent use by every connection handler.
-type FrameLog interface {
-	// AppendFrame logs one accepted data frame: cols are the feed's
-	// columns, the ones the log was opened to record. ranges, when non-nil,
-	// carry each column's exact min/max (computed during the checksum
-	// pass) so the log's packer skips its own scan. When durable is
-	// true the call returns only once the record is on stable storage;
-	// the server always passes true (the parameter survives because the
-	// benchmark's WAL layer probe times both values).
-	AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, durable bool) error
-	// AppendSessionEnd logs that a session finished for good (clean EOS
-	// or expiry), so recovery does not resurrect it.
-	AppendSessionEnd(token uint64, conn int64) error
 }
 
 // SessionState is a resumable session as it is checkpointed and
@@ -195,8 +182,9 @@ type serverConn struct {
 	sess   *session
 
 	// cleanEOS is set by the serve loop on a clean end-of-stream marker,
-	// read by the handler's exit path (same goroutine) to decide between
-	// retiring the session and leaving it resumable.
+	// and by the handshake when the log refused a fresh session's open
+	// record; the handler's exit path (same goroutine) reads it to decide
+	// between retiring the session and leaving it resumable.
 	cleanEOS bool
 	// core is the frame loop's protocol state, touched only by it.
 	core connCore
@@ -214,7 +202,7 @@ type serverConn struct {
 // credit-based flow control, and counters. The protocol's decisions are
 // the server core's (serverCore); Server is its adapter: it reads and
 // writes the sockets, reads the clock once per event, turns the reap
-// tick into events and runs the Feed and FrameLog calls.
+// tick into events and runs the Feed and log calls.
 type Server struct {
 	cfg  ServerConfig
 	core serverCore
@@ -625,7 +613,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	sess := s.sessions[token]
-	if token == 0 {
+	fresh := token == 0
+	if fresh {
 		s.nextID++
 		sess = s.newSession(s.nextID)
 		s.cfg.Feed.register(sess.id)
@@ -675,6 +664,14 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 
+	// A fresh session is durable before its grant: a crash after the
+	// grant restores it at sequence 0. A session the log cannot record
+	// ends here, and its client is told to come back.
+	if fresh && s.cfg.WAL != nil && s.cfg.WAL.AppendSessionOpen(sess.token, sess.id) != nil {
+		c.cleanEOS = true
+		writeGrant(conn, grant{status: statusOverloaded})
+		return
+	}
 	// settledSeq waits out a frame the superseded connection is still
 	// delivering, so the grant never trails what is ingested.
 	g := grant{status: statusOK, credits: uint16(s.cfg.FrameCredits), token: sess.token, lastSeq: sess.settledSeq(), fields: s.fields}

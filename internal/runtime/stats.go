@@ -83,12 +83,6 @@ func newStats(x *exec) *stats {
 	}
 	s.stateTotal = m.Counter("streambox_window_state_total_bytes")
 	s.peakTotal = m.Counter("streambox_window_state_peak_total_bytes")
-	// A spilled run is read where it lies: the load series have no writer
-	// and read 0, like the Report fields, until benchmark/ stops reading
-	// those (ROADMAP item 1(c)).
-	m.Counter("streambox_spill_loads_total")
-	m.Counter("streambox_spill_load_ns_total")
-	m.Counter("streambox_spill_load_fallbacks_total")
 	s.closeLatency = m.Histogram("streambox_window_close_ns")
 
 	var depth [numPriorities]string

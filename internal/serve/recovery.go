@@ -47,8 +47,9 @@ func readCheckpoint(dir string) (checkpoint, error) {
 // log replays every frame feeding a still-unsealed window through the
 // normal ingest path. Sessions are the checkpoint's with the log folded
 // in — a session's durable ack is the max of its checkpointed ack and
-// the newest logged frame, and sessions that ended for good (clean EOS,
-// expiry) stay ended. A session the log names only after another's
+// the newest logged frame, a session logged open with no frame resumes
+// at sequence 0, and sessions that ended for good (clean EOS, expiry)
+// stay ended. A session the log names only after another's
 // frames has no cursor until then, so a placeholder cursor holds the
 // watermark until the replay is in: otherwise the sessions read first
 // could close a window the later one also feeds, and its frames would
@@ -85,12 +86,8 @@ func (s *Server) recoverState(ck checkpoint) (sessions []netio.SessionState, nex
 	feed.Restore(netio.SessionState{})
 	ended := make(map[uint64]bool)
 	_, err = s.wal.ReplayExisting(func(rec *wal.Record) error {
-		switch rec.Kind {
-		case wal.KindSessionEnd:
+		if rec.Kind == wal.KindSessionEnd {
 			ended[rec.Token] = true
-			return nil
-		case wal.KindFrame:
-		default:
 			return nil
 		}
 		nextID = max(nextID, rec.Conn)
@@ -99,16 +96,19 @@ func (s *Server) recoverState(ck checkpoint) (sessions []netio.SessionState, nex
 			// record; restoring one would need the retired sessionless
 			// rules (a cursor no client can resume). Refuse rather than
 			// mis-restore it as session 0.
-			return fmt.Errorf("frame record for connection %d carries session token 0: written by the retired sessionless wire mode, not recoverable", rec.Conn)
+			return fmt.Errorf("record for connection %d carries session token 0: written by the retired sessionless wire mode, not recoverable", rec.Conn)
 		}
 		st := byToken[rec.Token]
 		if st == nil {
 			// Every session seen in the log gets a cursor even when its
-			// frames need no replay, so the watermark keeps waiting for
-			// a resumable session's late data.
+			// frames need no replay, or it has none, so the watermark
+			// keeps waiting for a resumable session's late data.
 			st = &netio.SessionState{Token: rec.Token, Conn: rec.Conn}
 			feed.Restore(*st)
 			byToken[rec.Token] = st
+		}
+		if rec.Kind == wal.KindSessionOpen {
+			return nil
 		}
 		st.LastSeq = max(st.LastSeq, rec.Seq)
 		// A frame only feeds windows ending by MaxTs+Size; when the
@@ -172,6 +172,9 @@ func (s *Server) writeCheckpoint() error {
 	// pushes the watermark to the end of time, and a restart that
 	// inherited that would seal every window its new data fills.
 	sealedWM := s.exec.SealedWatermark()
+	// Segments complete before the session snapshot hold only the open
+	// records of sessions it names (or that ended): only they may retire.
+	mark := s.wal.Mark()
 	highTs := s.feed.HighTs()
 	sealedWM = min(sealedWM, s.win.End(s.win.WindowOf(highTs)))
 	ck := checkpoint{
@@ -196,7 +199,7 @@ func (s *Server) writeCheckpoint() error {
 		return err
 	}
 	if sealedWM > s.win.Size {
-		if _, err := s.wal.RetireThrough(sealedWM - s.win.Size); err != nil {
+		if _, err := s.wal.RetireThrough(sealedWM-s.win.Size, mark); err != nil {
 			return err
 		}
 	}

@@ -64,8 +64,9 @@ type Config struct {
 	// fault injector (chaos testing only).
 	Faults *faultinject.Injector
 	// WALDir, when non-empty, enables the write-ahead frame log in that
-	// directory: every accepted frame is persisted through a
-	// group-commit fsync before its ack can advance, and periodic
+	// directory: a session is durable from its grant, every accepted
+	// frame is persisted through a group-commit fsync before its ack can
+	// advance, and periodic
 	// checkpoints of the recovery metadata (session table, watermark
 	// cursors, sealed result windows) land beside the segments. A clean
 	// Shutdown seals everything, writes a final checkpoint and deletes
@@ -187,12 +188,6 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		}
 	}
 
-	// A typed-nil *wal.Log must not reach the interface field, or the
-	// server's nil checks would pass and appends would panic.
-	var frameLog netio.FrameLog
-	if s.wal != nil {
-		frameLog = s.wal
-	}
 	shed := cfg.ShedUtilization
 	if shed <= 0 {
 		shed = runtime.ShedUtilization
@@ -204,7 +199,7 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		SessionTimeout:  cfg.SessionTimeout,
 		MaxConns:        cfg.MaxConns,
 		Faults:          cfg.Faults,
-		WAL:             frameLog,
+		WAL:             s.wal,
 		RestoreSessions: sessions,
 		NextConnID:      nextID,
 		Overloaded: func() bool {

@@ -229,6 +229,56 @@ func TestRecoveryReturnsEverySlab(t *testing.T) {
 	}
 }
 
+// TestSessionDurableFromGrant: a crash after a session's grant and
+// before its first frame reaches the log must not lose the session. The
+// copy of the log directory taken as the dial returns is what such a
+// crash leaves; a server restarted on it at the same address restores
+// the session at sequence 0, and the client resumes it and lands every
+// record exactly once.
+func TestSessionDurableFromGrant(t *testing.T) {
+	gen := netio.RecordGen{Keys: 8, ValueRange: 100, WindowRecords: 1000, Random: true, Seed: 3}
+	recs := gen.Records(0, 2500)
+	want := windowsOf(t, serveRun(t, testPlan(), "", recs))
+
+	live := t.TempDir()
+	srv := serveRun(t, testPlan(), live, nil)
+	addr := srv.IngestAddr()
+	c, err := netio.Dial(addr, netio.ClientConfig{
+		Format: parsefmt.Columnar, FrameRecords: 256,
+		Reconnect: &netio.ReconnectConfig{MaxRetries: 100, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := snapshotDir(t, live) // granted; no frame sent
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err = Serve(testPlan(), runtime.Config{Workers: 2}, "capture", Config{
+		IngestAddr: addr, WALDir: crashed, CheckpointInterval: time.Hour,
+		CursorGrace: time.Minute, SessionTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.RecoveredSessions(); n != 1 {
+		t.Errorf("recovered %d sessions, want the one granted", n)
+	}
+	if err := c.Send(recs); err != nil {
+		t.Fatalf("send across the restart: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Reconnects() == 0 {
+		t.Error("the client never reconnected: it did not cross the restart")
+	}
+	if got := windowsOf(t, srv); len(want) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("windows after the restart:\n got %v\nwant %v", got, want)
+	}
+}
+
 // TestReplayHoldsWatermarkForLaterSessions: recovery meets a session the
 // checkpoint does not name only at its first logged frame. When the log
 // reads one session windows ahead — more frames than the feed buffers —
@@ -485,8 +535,8 @@ func toVersion1(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b[:4]) != "SBXW" || b[4] != 2 {
-		t.Fatalf("%s: header % x, want a version-2 segment", path, b[:8])
+	if string(b[:4]) != "SBXW" || b[4] != 3 {
+		t.Fatalf("%s: header % x, want a version-3 segment", path, b[:8])
 	}
 	b[4] = 1
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)

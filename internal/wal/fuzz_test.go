@@ -22,9 +22,9 @@ func sampleRecords() [][]byte {
 		NCols: 3, NRows: 4, Fields: 1<<0 | 1<<3 | 1<<6,
 		Data: []uint64{1, 2, 3, 4, 10, 20, 30, 40, 100, 200, 300, 400},
 	}
-	end := &Record{Kind: KindSessionEnd, Token: 0xfeedface, Conn: 9}
 	valid := EncodeRecord(frame)
-	endRec := EncodeRecord(end)
+	endRec := EncodeRecord(&Record{Kind: KindSessionEnd, Token: 0xfeedface, Conn: 9})
+	openRec := EncodeRecord(&Record{Kind: KindSessionOpen, Token: 0xfeedface, Conn: 9})
 
 	truncated := valid[:len(valid)-5]
 	corrupt := bytes.Clone(valid)
@@ -39,7 +39,7 @@ func sampleRecords() [][]byte {
 	badMask[4+39] = 1 // one column named for three
 
 	return [][]byte{
-		valid, endRec, truncated, corrupt, badKind, hugeLen, badGeom, badMask,
+		valid, endRec, openRec, truncated, corrupt, badKind, hugeLen, badGeom, badMask,
 		{}, {0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 64),
 	}
 }

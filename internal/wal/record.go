@@ -1,9 +1,10 @@
 // Package wal implements the durability tier behind the ingest path: a
 // segmented, checksummed write-ahead log of accepted data frames plus
 // periodic checkpoints of recovery metadata (session table, watermark
-// cursors, sealed window results). The server appends every accepted
-// frame and only advances a session's cumulative ack after a batched
-// group-commit fsync, so the client's replay buffer (frames above the
+// cursors, sealed window results). The server logs a session's open
+// record before its grant, appends every accepted frame, and only
+// advances a session's cumulative ack after a batched group-commit
+// fsync, so the client's replay buffer (frames above the
 // ack) and the log (frames at or below it) partition the stream: every
 // frame survives a process crash exactly once. Segments retire once the
 // global watermark has sealed — and a checkpoint has persisted — every
@@ -16,23 +17,27 @@
 //	wal-%016d.seg    segment: 16-byte header, then records back to back
 //	checkpoint.ckpt  latest checkpoint (atomic tmp+rename)
 //
-// A segment header is the magic "SBXW", a version byte (2), three
+// A segment header is the magic "SBXW", a version byte (3), three
 // reserved zero bytes, and the uint64 segment index. Each record is a
 // uint32 body length followed by the body: a kind byte (1 data frame,
-// 2 session end), uint64 session token (never 0 in a log this build
-// writes), uint64 feed cursor id, uint64 frame sequence number,
-// uint64 max event timestamp, uint16 column count, uint32 row count,
-// uint16 column mask, the packed columns, and a trailing uint32
+// 2 session end, 3 session open), uint64 session token (never 0 in a
+// log this build writes), uint64 feed cursor id, uint64 frame sequence
+// number, uint64 max event timestamp, uint16 column count, uint32 row
+// count, uint16 column mask, the packed columns, and a trailing uint32
 // CRC-32C over the body before it.
 //
 // The column mask (a parsefmt.FieldSet) names the wire columns a frame
 // record holds, ascending: a server logs just the columns its plan
 // reads, as they arrived. A frame record's mask is nonzero and has a bit
-// per column it holds; a session end's is zero. Version 1 segments,
-// written before the mask, hold zero there and every frame record all
-// seven columns; they are still read, as holding all seven. A log whose
-// frames lack a column the log now records is refused at Open: recovery
-// could not rebuild that column from them.
+// per column it holds; a session open's or end's is zero, as are its
+// sequence number, timestamp and geometry. Version 1 segments, written
+// before the mask, hold zero there and every frame record all seven
+// columns; they are still read, as holding all seven. Version 2
+// segments predate the session-open record and are read as they are;
+// an older build stops at version 3 rather than mistake a session open
+// for a torn record and truncate the log there. A log whose frames lack
+// a column the log now records is refused at Open: recovery could not
+// rebuild that column from them.
 //
 // Columns are frame-of-reference packed rather than stored as raw
 // words: per column a uint64 base (the column's minimum), a width byte
@@ -55,19 +60,21 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"streambox/internal/parsefmt"
 )
 
 // Record kinds.
 const (
-	KindFrame      = 1 // an accepted data frame with its column payload
-	KindSessionEnd = 2 // session finished cleanly or expired; never resumes
+	KindFrame       = 1 // an accepted data frame with its column payload
+	KindSessionEnd  = 2 // session finished cleanly or expired; never resumes
+	KindSessionOpen = 3 // session granted; resumable from sequence 0
 )
 
 const (
 	segMagic       = "SBXW"
-	segVersion     = 2
+	segVersion     = 3
 	segHeaderBytes = 16
 
 	// recHeaderBytes is the fixed body prefix before the packed columns:
@@ -177,13 +184,7 @@ func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs ui
 	}
 	total := 4 + body + recCRCBytes
 	start := len(buf)
-	if cap(buf) < start+total {
-		grown := make([]byte, start+total)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = buf[:start+total]
-	}
+	buf = slices.Grow(buf, total)[:start+total]
 	b := buf[start:]
 	binary.LittleEndian.PutUint32(b, uint32(body+recCRCBytes))
 	b = b[4:]
@@ -285,7 +286,7 @@ func DecodeRecord(b []byte, version byte, rec *Record) (int, error) {
 		return 0, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
 	}
 	kind := p[0]
-	if kind != KindFrame && kind != KindSessionEnd {
+	if kind != KindFrame && kind != KindSessionEnd && kind != KindSessionOpen {
 		return 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
 	ncols := int(binary.LittleEndian.Uint16(p[33:]))
@@ -302,8 +303,8 @@ func DecodeRecord(b []byte, version byte, rec *Record) (int, error) {
 			fields = parsefmt.AllFields
 		}
 	}
-	if kind == KindSessionEnd && (ncols|nrows != 0 || mask != 0) {
-		return 0, fmt.Errorf("%w: session-end record carries data", ErrCorrupt)
+	if kind != KindFrame && (ncols|nrows != 0 || mask != 0) {
+		return 0, fmt.Errorf("%w: session record carries data", ErrCorrupt)
 	}
 	if kind == KindFrame && (mask&^uint16(parsefmt.AllFields) != 0 || fields == 0 || fields.Len() != ncols) {
 		return 0, fmt.Errorf("%w: column mask %#x does not name its %d columns", ErrCorrupt, mask, ncols)
@@ -416,12 +417,12 @@ func putSegHeader(b []byte, idx uint64) {
 }
 
 // parseSegHeader returns the segment's index and version: this build's,
-// or 1, whose records it reads as holding all seven columns.
+// 2, or 1, whose records it reads as holding all seven columns.
 func parseSegHeader(b []byte) (idx uint64, version byte, err error) {
 	if len(b) < segHeaderBytes || string(b[:4]) != segMagic {
 		return 0, 0, fmt.Errorf("wal: bad segment magic")
 	}
-	if b[4] != segVersion && b[4] != 1 {
+	if b[4] < 1 || b[4] > segVersion {
 		return 0, 0, fmt.Errorf("wal: unsupported segment version %d", b[4])
 	}
 	if b[5]|b[6]|b[7] != 0 {

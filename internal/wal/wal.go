@@ -29,11 +29,6 @@ type Config struct {
 	Fields parsefmt.FieldSet
 }
 
-// syncInterval is the background flush cadence for appends nobody is
-// waiting on — session-end markers and non-durable frame appends.
-// Durable appends are group-committed immediately regardless.
-const syncInterval = 5 * time.Millisecond
-
 // LSN identifies an appended record; Sync(lsn) returns once every
 // record at or below it is on stable storage.
 type LSN uint64
@@ -58,39 +53,37 @@ type segment struct {
 	synced  bool // completed segments only: fully fsynced at roll
 }
 
-// Log is a segmented write-ahead log. Append is cheap — records are
-// packed into an in-memory accumulation buffer under a mutex, and a
-// dedicated writer goroutine drains that buffer to disk outside the
-// lock, so neither write(2) latency nor fsync writeback stalls ever
-// ride the append path. Durability is batched: every waiter that calls
-// Sync while an fsync is in flight is covered by the next one — group
-// commit without a timer on the ack path.
+// Log is a segmented write-ahead log that owns no goroutine. An append
+// packs its record into an in-memory accumulation buffer under a mutex
+// and does no I/O. A commit writes the buffer and fsyncs it, on the
+// goroutine of the first Sync that finds no commit in flight, with the
+// mutex released: appends keep encoding into the spare buffer while the
+// disk works, and every Sync that arrives meanwhile waits and is covered
+// by the next commit — group commit without a writer or a timer.
 type Log struct {
 	cfg Config
 
 	mu         sync.Mutex
-	appendCnd  *sync.Cond // writer waits here for work
-	syncedCnd  *sync.Cond // Sync waiters wait here for durability
-	drainedCnd *sync.Cond // backpressured appends wait for a drain
+	committed  *sync.Cond // a commit ended, or Close did
+	committing bool       // a commit is writing outside mu
 	active     *segment
 	completed  []*segment // rolled segments, oldest first
 	nextIdx    uint64
 	firstIdx   uint64 // first segment index created by this process
 	appendLSN  LSN
-	wantLSN    LSN // highest LSN somebody asked to make durable
 	syncedLSN  LSN
 	err        error
 	closing    bool
 
 	// Accumulation buffer: appends encode records into abuf; chunks
-	// records which segment each byte range belongs to (a drain can
-	// span a roll). spare/spareChunks are the writer's double buffer.
+	// records which segment each byte range belongs to (a commit can
+	// span a roll). spare/spareChunks are the committer's double buffer.
 	abuf        []byte
 	chunks      []chunk
 	spare       []byte
 	spareChunks []chunk
 	// sealedPending are segments rolled away from but not yet fsynced;
-	// the writer syncs them after the drain that carries their bytes.
+	// the next commit syncs them after writing their last bytes.
 	sealedPending []*segment
 
 	// set is the log's /metrics series, declared in Open; Stats loads
@@ -101,9 +94,9 @@ type Log struct {
 	retired *metrics.Counter
 	fsync   *metrics.Histogram
 
-	writerDone chan struct{}
-	tickerStop chan struct{}
-	tickerDone chan struct{}
+	// syncFile is (*os.File).Sync; package wal's tests replace it to hold
+	// a commit at its fsync.
+	syncFile func(*os.File) error
 }
 
 // chunk assigns a run of accumulated bytes to the segment that owns
@@ -113,16 +106,9 @@ type chunk struct {
 	n   int
 }
 
-const (
-	// drainBytes is the writer's wake-up threshold: below it, appended
-	// bytes wait for more company (or the sync tick) so steady-state
-	// write(2) calls stay well-sized.
-	drainBytes = 128 << 10
-	// maxBufferedBytes caps the accumulation buffer; appends beyond it
-	// block until the writer drains — backpressure when the disk is
-	// genuinely behind.
-	maxBufferedBytes = 4 << 20
-)
+// maxBufferedBytes caps the accumulation buffer: an append past it
+// commits what is buffered before it packs its record.
+const maxBufferedBytes = 4 << 20
 
 // Open creates (or reopens) the log in cfg.Dir. Existing segments from
 // a previous run are indexed — their valid record prefix scanned for
@@ -141,12 +127,10 @@ func Open(cfg Config) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		cfg:        cfg,
-		abuf:       make([]byte, 0, drainBytes),
-		spare:      make([]byte, 0, drainBytes),
-		writerDone: make(chan struct{}),
-		tickerStop: make(chan struct{}),
-		tickerDone: make(chan struct{}),
+		cfg:      cfg,
+		abuf:     make([]byte, 0, 128<<10),
+		spare:    make([]byte, 0, 128<<10),
+		syncFile: (*os.File).Sync,
 	}
 	l.frames = l.set.Counter("streambox_wal_appended_frames_total")
 	l.bytes = l.set.Counter("streambox_wal_appended_bytes_total")
@@ -158,9 +142,7 @@ func Open(cfg Config) (*Log, error) {
 		e.Int("streambox_wal_segments_active", st.SegmentsActive)
 	})
 	l.fsync = l.set.Histogram("streambox_wal_fsync_ns")
-	l.appendCnd = sync.NewCond(&l.mu)
-	l.syncedCnd = sync.NewCond(&l.mu)
-	l.drainedCnd = sync.NewCond(&l.mu)
+	l.committed = sync.NewCond(&l.mu)
 	if err := l.indexExisting(); err != nil {
 		for _, seg := range l.completed {
 			seg.f.Close()
@@ -171,8 +153,6 @@ func Open(cfg Config) (*Log, error) {
 	if err := l.roll(); err != nil {
 		return nil, err
 	}
-	go l.writeLoop()
-	go l.tickLoop()
 	return l, nil
 }
 
@@ -326,8 +306,8 @@ func (l *Log) ReplayExisting(fn func(rec *Record) error) (frames int64, err erro
 	return frames, nil
 }
 
-// roll seals the active segment (the writer fsyncs it once the drain
-// carrying its last bytes lands) and opens the next one. Caller must
+// roll seals the active segment (the next commit fsyncs it once it has
+// written its last bytes) and opens the next one. Caller must
 // hold l.mu or be initializing.
 func (l *Log) roll() error {
 	if l.active != nil {
@@ -344,7 +324,7 @@ func (l *Log) roll() error {
 	var hdr [segHeaderBytes]byte
 	putSegHeader(hdr[:], idx)
 	// The header goes straight to the file: every accumulated chunk for
-	// this segment drains strictly later, so file order is preserved.
+	// this segment is written strictly later, so file order is preserved.
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err
@@ -354,14 +334,18 @@ func (l *Log) roll() error {
 }
 
 // append packs one record into the accumulation buffer and returns its
-// LSN. No I/O happens here — the writer goroutine drains the buffer —
-// so the caller pays the encode and a memory append, nothing more.
-// Durability comes from Sync (or the background tick).
+// LSN. It does no I/O unless the buffer is past maxBufferedBytes — then
+// it commits first — so the caller pays the encode and a memory append.
+// Durability comes from Sync.
 func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, fields parsefmt.FieldSet, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.abuf) > maxBufferedBytes && l.err == nil && !l.closing {
-		l.drainedCnd.Wait() // disk behind: block until the writer catches up
+		if l.committing {
+			l.committed.Wait()
+		} else {
+			l.commit() // disk behind: write the buffer out before adding to it
+		}
 	}
 	if l.err != nil {
 		return 0, l.err
@@ -393,43 +377,86 @@ func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, fie
 			return 0, err
 		}
 	}
-	if len(l.abuf) >= drainBytes || len(l.sealedPending) > 0 {
-		l.appendCnd.Signal()
-	}
 	return lsn, nil
 }
 
-// Sync blocks until every record at or below lsn is on stable storage,
-// sharing fsyncs with every other concurrent waiter (group commit).
+// Sync blocks until every record at or below lsn is on stable storage.
+// A caller that finds no commit in flight commits for everyone; the
+// others wait for it, and commit next if it did not take their records.
 func (l *Log) Sync(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if lsn > l.wantLSN {
-		l.wantLSN = lsn
-		l.appendCnd.Signal()
-	}
-	for l.syncedLSN < lsn && l.err == nil && !l.closing {
-		l.syncedCnd.Wait()
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if l.syncedLSN < lsn {
-		return os.ErrClosed
+	lsn = min(lsn, l.appendLSN)
+	for l.syncedLSN < lsn {
+		switch {
+		case l.err != nil:
+			return l.err
+		case l.committing:
+			l.committed.Wait()
+		default:
+			l.commit()
+		}
 	}
 	return nil
 }
 
+// commit writes everything appended so far and fsyncs it: the sealed
+// segments first, then the active one. The caller holds l.mu and has
+// seen no commit in flight; commit releases l.mu for the I/O and holds
+// it again when it returns, with syncedLSN advanced to the LSN it took,
+// or l.err set.
+func (l *Log) commit() {
+	l.committing = true
+	buf, chunks := l.abuf, l.chunks
+	l.abuf, l.chunks = l.spare[:0], l.spareChunks[:0]
+	sealed := l.sealedPending
+	l.sealedPending = nil
+	target := l.appendLSN
+	tail := l.active
+	l.mu.Unlock()
+
+	var err error
+	off := 0
+	for _, ch := range chunks {
+		if _, err = ch.seg.f.Write(buf[off : off+ch.n]); err != nil {
+			break
+		}
+		off += ch.n
+	}
+	// Sealed segments are fully on the fd now: make them durable so
+	// retirement can drop them.
+	for i := 0; err == nil && i < len(sealed); i++ {
+		err = l.syncFile(sealed[i].f)
+	}
+	if err == nil {
+		start := time.Now()
+		err = l.syncFile(tail.f)
+		l.fsync.Observe(time.Since(start).Nanoseconds())
+	}
+
+	l.mu.Lock()
+	l.spare, l.spareChunks = buf, chunks
+	l.committing = false
+	if err != nil {
+		l.err = err
+	} else {
+		for _, s := range sealed {
+			s.synced = true
+		}
+		l.syncedLSN = target
+	}
+	l.committed.Broadcast()
+}
+
 // AppendFrame logs an accepted data frame. cols hold equal-length
 // columns (the engine's native layout), one per column of Config.Fields,
-// ascending; ranges, when non-nil, carry
-// each column's exact min/max so the packer skips its own scan (the
-// ingest path scans them once, taking the frame's maxTs from the same
-// scan). When durable
-// is set the call blocks until the record is fsynced — the
-// precondition for advancing a session ack, and what the ingest server
-// always asks for; otherwise it returns after the buffered write and
-// the record rides the background sync (the benchmark's append probe).
+// ascending; ranges, when non-nil, carry each column's exact min/max so
+// the packer skips its own scan (the ingest path scans them once, taking
+// the frame's maxTs from the same scan). When durable is set the call
+// blocks until the record is fsynced — the precondition for advancing a
+// session ack, and what the ingest server always asks for; otherwise it
+// returns after the buffered append, and the record becomes durable
+// with the next Sync, or at Close (the benchmark's append probe).
 func (l *Log) AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, durable bool) error {
 	if len(cols) != l.cfg.Fields.Len() {
 		return fmt.Errorf("wal: a frame of %d columns, the log records %d: %v", len(cols), l.cfg.Fields.Len(), l.cfg.Fields)
@@ -444,125 +471,52 @@ func (l *Log) AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]
 	return nil
 }
 
+// AppendSessionOpen records that a session was granted, and returns once
+// the record is durable: recovery restores the session at sequence 0
+// even when none of its frames reached the log.
+func (l *Log) AppendSessionOpen(token uint64, conn int64) error {
+	return l.appendControl(KindSessionOpen, token, conn)
+}
+
 // AppendSessionEnd records that a session finished cleanly (EOS) or
-// expired: recovery must not resurrect its cursor or session entry.
+// expired, and returns once the record is durable: recovery must not
+// resurrect its cursor or session entry.
 func (l *Log) AppendSessionEnd(token uint64, conn int64) error {
-	_, err := l.append(KindSessionEnd, token, conn, 0, 0, 0, nil, nil, 0)
-	return err
+	return l.appendControl(KindSessionEnd, token, conn)
 }
 
-// writeLoop is the log's only disk writer and the group-commit daemon.
-// It steals the accumulation buffer under the mutex, then performs
-// every write(2) and fsync outside it — appends keep encoding into the
-// other buffer while the disk works, so writeback stalls never reach
-// the ingest path. An fsync happens only when some Sync waiter (or the
-// ticker, or close) wants durability; one fsync covers everyone who
-// queued up meanwhile.
-func (l *Log) writeLoop() {
-	defer close(l.writerDone)
-	for {
-		l.mu.Lock()
-		for !l.closing && l.err == nil &&
-			len(l.abuf) < drainBytes && len(l.sealedPending) == 0 &&
-			(l.wantLSN <= l.syncedLSN || l.appendLSN <= l.syncedLSN) {
-			l.appendCnd.Wait()
-		}
-		if l.err != nil || (l.closing && len(l.abuf) == 0 && len(l.sealedPending) == 0 && l.appendLSN <= l.syncedLSN) {
-			l.syncedCnd.Broadcast()
-			l.drainedCnd.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		// Steal the accumulated bytes, their segment spans, and the
-		// segments sealed since the last drain; give appends the spare.
-		buf, chunks := l.abuf, l.chunks
-		l.abuf, l.chunks = l.spare[:0], l.spareChunks[:0]
-		sealed := l.sealedPending
-		l.sealedPending = nil
-		target := l.appendLSN
-		syncActive := l.wantLSN > l.syncedLSN || l.closing
-		tail := l.active
-		l.drainedCnd.Broadcast()
-		l.mu.Unlock()
-
-		var err error
-		off := 0
-		for _, ch := range chunks {
-			if _, werr := ch.seg.f.Write(buf[off : off+ch.n]); werr != nil {
-				err = werr
-				break
-			}
-			off += ch.n
-		}
-		// Sealed segments are fully on the fd now: make them durable so
-		// retirement can drop them. Then the group commit, if anyone
-		// wants it.
-		if err == nil {
-			for _, s := range sealed {
-				if serr := s.f.Sync(); serr != nil {
-					err = serr
-					break
-				}
-			}
-		}
-		if err == nil && syncActive {
-			start := time.Now()
-			err = tail.f.Sync()
-			l.fsync.Observe(time.Since(start).Nanoseconds())
-		}
-
-		l.mu.Lock()
-		l.spare, l.spareChunks = buf, chunks
-		if err != nil {
-			l.err = err
-		} else {
-			for _, s := range sealed {
-				s.synced = true
-			}
-			if syncActive && target > l.syncedLSN {
-				l.syncedLSN = target
-			}
-		}
-		l.syncedCnd.Broadcast()
-		l.drainedCnd.Broadcast()
-		l.mu.Unlock()
+// appendControl appends a record without data and syncs it.
+func (l *Log) appendControl(kind byte, token uint64, conn int64) error {
+	lsn, err := l.append(kind, token, conn, 0, 0, 0, nil, nil, 0)
+	if err != nil {
+		return err
 	}
+	return l.Sync(lsn)
 }
 
-// tickLoop periodically asks for a background sync so appends nobody
-// waits on become durable within ~syncInterval.
-func (l *Log) tickLoop() {
-	defer close(l.tickerDone)
-	t := time.NewTicker(syncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.tickerStop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.appendLSN > l.syncedLSN && l.appendLSN > l.wantLSN {
-				l.wantLSN = l.appendLSN
-				l.appendCnd.Signal()
-			}
-			l.mu.Unlock()
-		}
-	}
+// Mark returns the index of the active segment, for RetireThrough:
+// every segment below it is complete.
+func (l *Log) Mark() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextIdx - 1
 }
 
-// RetireThrough removes completed segments whose every frame feeds only
-// windows sealed at or before tsBound — call it after the checkpoint
-// covering tsBound has persisted, passing sealedWatermark−windowSize.
-// The active segment never retires. Returns how many segments were
-// removed.
-func (l *Log) RetireThrough(tsBound uint64) (int, error) {
+// RetireThrough removes completed segments below mark whose every frame
+// feeds only windows sealed at or before tsBound — call it after the
+// checkpoint covering tsBound has persisted, passing
+// sealedWatermark−windowSize and the Mark taken before the checkpoint's
+// session snapshot: a segment completed later may hold a session's open
+// record the snapshot lacks. The active segment never retires. Returns
+// how many segments were removed.
+func (l *Log) RetireThrough(tsBound, mark uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
 	kept := l.completed[:0]
 	var firstErr error
 	for _, s := range l.completed {
-		if s.synced && s.maxTs <= tsBound {
+		if s.synced && s.maxTs <= tsBound && s.idx < mark {
 			s.f.Close()
 			if err := os.Remove(s.path); err != nil && firstErr == nil {
 				firstErr = err
@@ -601,36 +555,28 @@ func (l *Log) Metrics() *metrics.Set { return &l.set }
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.cfg.Dir }
 
-// Close drains and fsyncs everything appended, stops the writer and
-// ticker, and closes the segment files. The segments stay on disk for
-// recovery unless PurgeSegments is called.
+// Close waits for any commit in flight, commits what is left, and
+// closes the segment files; a second Close waits for the first. The
+// segments stay on disk for recovery unless PurgeSegments is called.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.committing || l.closing && l.active != nil {
+		l.committed.Wait() // a commit in flight, or another Close
+	}
 	if l.closing {
-		l.mu.Unlock()
-		<-l.writerDone
 		return l.err
 	}
 	l.closing = true
-	close(l.tickerStop)
-	// The writer sees closing, performs one final drain + fsync (the
-	// closing flag forces syncActive), and exits once everything
-	// appended is durable.
-	l.appendCnd.Broadcast()
-	l.drainedCnd.Broadcast()
-	l.mu.Unlock()
-	<-l.tickerDone
-	<-l.writerDone
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	if l.err == nil && l.syncedLSN < l.appendLSN {
+		l.commit()
+	}
 	for _, s := range l.completed {
 		s.f.Close()
 	}
-	if l.active != nil {
-		l.active.f.Close()
-		l.active = nil
-	}
+	l.active.f.Close()
+	l.active = nil
+	l.committed.Broadcast()
 	return l.err
 }
 

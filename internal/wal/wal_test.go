@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,10 +31,22 @@ func testCols(base uint64, rows int) [][]uint64 {
 	return cols
 }
 
+// openLog opens a log of testFields frames in dir and closes it when the
+// test ends; a second Close of a log the test closed itself is a no-op.
+func openLog(t *testing.T, dir string, segmentBytes int64) *Log {
+	t.Helper()
+	l, err := Open(Config{Fields: testFields, Dir: dir, SegmentBytes: segmentBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Fields: testFields, Dir: dir})
-	if err != nil {
+	l := openLog(t, dir, 0)
+	if err := l.AppendSessionOpen(7, 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -53,12 +66,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: the previous segment is indexed and replayable.
-	l2, err := Open(Config{Fields: testFields, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var frames, ends int
+	l2 := openLog(t, dir, 0)
+	var frames, opens, ends int
 	var lastSeq uint64
 	n, err := l2.ReplayExisting(func(r *Record) error {
 		switch r.Kind {
@@ -77,6 +86,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual([][]uint64(got), want) {
 				t.Fatalf("frame %d cols = %v, want %v", frames, got, want)
 			}
+		case KindSessionOpen:
+			if frames != 0 || r.Token != 7 || r.Conn != 3 {
+				t.Fatalf("session open %+v after %d frames", r, frames)
+			}
+			opens++
 		case KindSessionEnd:
 			ends++
 			if r.Token != 7 {
@@ -88,17 +102,14 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 || frames != 10 || ends != 1 || lastSeq != 10 {
-		t.Fatalf("replayed %d frames (%d seen, %d ends, lastSeq %d)", n, frames, ends, lastSeq)
+	if n != 10 || frames != 10 || opens != 1 || ends != 1 || lastSeq != 10 {
+		t.Fatalf("replayed %d frames (%d seen, %d opens, %d ends, lastSeq %d)", n, frames, opens, ends, lastSeq)
 	}
 }
 
 func TestTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Fields: testFields, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, dir, 0)
 	for i := 0; i < 5; i++ {
 		if err := l.AppendFrame(1, 1, uint64(i+1), uint64(i), testCols(0, 2), nil, true); err != nil {
 			t.Fatal(err)
@@ -130,11 +141,7 @@ func TestTornTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open(Config{Fields: testFields, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
+	l2 := openLog(t, dir, 0)
 	var seqs []uint64
 	n, err := l2.ReplayExisting(func(r *Record) error {
 		seqs = append(seqs, r.Seq)
@@ -153,11 +160,7 @@ func TestTornTailTruncates(t *testing.T) {
 
 func TestSegmentRollAndRetire(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Fields: testFields, Dir: dir, SegmentBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	l := openLog(t, dir, 1024)
 	// Each record packs to ~100 bytes (3 single-byte-width columns of 8
 	// rows): force several rolls, with ascending timestamps.
 	// The last append is durable: its group commit also fsyncs every
@@ -171,9 +174,14 @@ func TestSegmentRollAndRetire(t *testing.T) {
 	if st.SegmentsActive < 3 {
 		t.Fatalf("SegmentsActive = %d, want several after rolls", st.SegmentsActive)
 	}
+	// A segment completed after the mark stays, whatever its frames:
+	// it may hold a session open record the checkpoint lacks.
+	if n, err := l.RetireThrough(2000, 0); n != 0 || err != nil {
+		t.Fatalf("RetireThrough below mark 0 removed %d segments (%v), want none", n, err)
+	}
 	// Retire everything sealed through ts 2000: at least one completed
 	// segment has maxTs below that.
-	n, err := l.RetireThrough(2000)
+	n, err := l.RetireThrough(2000, l.Mark())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +197,7 @@ func TestSegmentRollAndRetire(t *testing.T) {
 		t.Fatalf("%d segment files on disk, stats say %d active", len(segs), st2.SegmentsActive)
 	}
 	// Nothing above the bound may retire: the active segment stays.
-	if _, err := l.RetireThrough(^uint64(0)); err != nil {
+	if _, err := l.RetireThrough(^uint64(0), l.Mark()); err != nil {
 		t.Fatal(err)
 	}
 	if st3 := l.Stats(); st3.SegmentsActive != 1 {
@@ -197,35 +205,40 @@ func TestSegmentRollAndRetire(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrent: the first appender's commit is held at its
+// fsync while the other seven append, so everything it did not take
+// shares the one commit after it — exactly two fsyncs for eight durable
+// appends, whatever the disk's speed.
 func TestGroupCommitConcurrent(t *testing.T) {
-	l, err := Open(Config{Fields: testFields, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	const appenders = 8
+	l := openLog(t, t.TempDir(), 0)
+	inFsync := make(chan struct{})
+	var held atomic.Bool
+	l.syncFile = func(f *os.File) error {
+		if held.CompareAndSwap(false, true) {
+			close(inFsync)
+			for l.frames.Load() < appenders {
+				runtime.Gosched()
+			}
+		}
+		return f.Sync()
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := l.AppendFrame(uint64(g+1), int64(g), uint64(i+1), uint64(i), testCols(0, 2), nil, true); err != nil {
-					t.Errorf("goroutine %d append %d: %v", g, i, err)
-					return
-				}
-			}
-		}(g)
+	appendOne := func(g int) {
+		defer wg.Done()
+		if err := l.AppendFrame(uint64(g+1), int64(g), 1, 0, testCols(0, 2), nil, true); err != nil {
+			t.Errorf("appender %d: %v", g, err)
+		}
+	}
+	wg.Add(appenders)
+	go appendOne(0)
+	<-inFsync
+	for g := 1; g < appenders; g++ {
+		go appendOne(g)
 	}
 	wg.Wait()
-	st := l.Stats()
-	if st.AppendedFrames != 400 {
-		t.Fatalf("AppendedFrames = %d, want 400", st.AppendedFrames)
-	}
-	// Group commit: far fewer fsyncs than durable appends.
-	if st.Syncs == 0 || st.Syncs >= 400 {
-		t.Fatalf("Syncs = %d, want batched (0 < syncs < 400)", st.Syncs)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if st := l.Stats(); st.AppendedFrames != appenders || st.Syncs != 2 {
+		t.Fatalf("%d durable appends took %d fsyncs, want %d appends in 2", st.AppendedFrames, st.Syncs, appenders)
 	}
 }
 
@@ -262,43 +275,81 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCloseStopsGoroutines pins the leak contract: Close terminates the
-// writer and ticker goroutines.
+// TestCloseStopsGoroutines pins that the log owns no goroutine: once
+// every Sync has returned, no other goroutine's stack holds a frame of
+// package wal, and after Close appends fail cleanly.
 func TestCloseStopsGoroutines(t *testing.T) {
-	l, err := Open(Config{Fields: testFields, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, t.TempDir(), 0)
 	if err := l.AppendFrame(1, 1, 1, 1, testCols(0, 2), nil, true); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.AppendSessionEnd(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	// The dump starts with this goroutine, whose test frame is in wal.
+	others := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")[1:]
+	for _, g := range others {
+		if strings.Contains(g, "streambox/internal/wal.") {
+			t.Fatalf("a goroutine runs in package wal with no call in flight:\n%s", g)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "wal.(*Log).writeLoop") && !strings.Contains(stacks, "wal.(*Log).tickLoop") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("wal goroutines survived Close:\n%s", stacks)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Appends after Close fail cleanly.
 	if err := l.AppendFrame(1, 1, 2, 2, testCols(0, 2), nil, true); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 }
 
-func TestPurgeSegments(t *testing.T) {
+// TestCloseWaitsForCommit: Close called while a commit is held at its
+// fsync waits for it, then commits what was appended meanwhile; a second
+// Close waits for the first. Both records are in the log afterwards.
+func TestCloseWaitsForCommit(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Fields: testFields, Dir: dir})
-	if err != nil {
+	l := openLog(t, dir, 0)
+	inFsync, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	l.syncFile = func(f *os.File) error {
+		if held.CompareAndSwap(false, true) {
+			close(inFsync)
+			<-release
+		}
+		return f.Sync()
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.AppendFrame(1, 1, 1, 1, testCols(0, 2), nil, true) }()
+	<-inFsync
+	if err := l.AppendFrame(1, 1, 2, 2, testCols(0, 2), nil, false); err != nil {
 		t.Fatal(err)
 	}
+	closed := make(chan error, 2)
+	for range 2 {
+		go func() { closed <- l.Close() }()
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a commit in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for _, ch := range []chan error{synced, closed, closed} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Syncs != 2 {
+		t.Fatalf("Syncs = %d, want the held commit and Close's", st.Syncs)
+	}
+	n, err := openLog(t, dir, 0).ReplayExisting(func(*Record) error { return nil })
+	if err != nil || n != 2 {
+		t.Fatalf("replayed %d frames (%v), want 2", n, err)
+	}
+}
+
+func TestPurgeSegments(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, 0)
 	if err := l.AppendFrame(1, 1, 1, 1, testCols(0, 2), nil, true); err != nil {
 		t.Fatal(err)
 	}

@@ -177,18 +177,22 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		}
 		clients[j] = c
 	}
+	// Every client holds its last frame and its Close until the crash,
+	// so each one crosses it.
+	crashed := make(chan struct{})
 	var wg sync.WaitGroup
 	for j := 0; j < conns; j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			sendPartition(t, clients[j], gen, j, conns, total)
+			sendPartition(t, clients[j], gen, j, conns, total, crashed)
 		}(j)
 	}
 
 	// The server kills itself; a clean exit means the injector never
 	// fired and the test exercised nothing.
 	err = crash.Wait()
+	close(crashed)
 	if crash.ProcessState.Success() {
 		t.Fatal("crash-mode server exited cleanly; the crash injector never fired")
 	}

@@ -146,7 +146,6 @@ func TestMetricsSurface(t *testing.T) {
 		"streambox_window_state_peak_total_bytes":                 rep.PeakWindowStateTotalBytes,
 		`streambox_kpa_placements_total{tier="spill"}`:            rep.SpilledRuns,
 		`streambox_kpa_placed_bytes_total{tier="spill"}`:          rep.SpilledBytes,
-		"streambox_spill_loads_total":                             rep.SpillLoads,
 		"streambox_ingest_records_total":                          rep.IngestedRecords,
 		"streambox_ingest_dropped_records_total":                  rep.DroppedRecords,
 		"streambox_ingest_decode_errors_total":                    rep.DecodeErrors,

@@ -39,16 +39,18 @@ func dropEventType2(s streambox.Stream, filtered bool) streambox.Stream {
 }
 
 // sendPartition streams records j, j+conns, j+2·conns, … of gen — the
-// loadgen partitioning — over one pre-dialed client connection. The
-// connection must be dialed before any sender streams, so every
-// watermark cursor is registered up front (as sbx-loadgen does).
-func sendPartition(t *testing.T, c *netio.Client, gen netio.RecordGen, j, conns, total int) {
+// loadgen partitioning — over one pre-dialed client connection, 256 to a
+// frame, then closes it. The connection must be dialed before any sender
+// streams, so every watermark cursor is registered up front (as
+// sbx-loadgen does). A non-nil hold holds the last frame and the Close
+// until it is closed.
+func sendPartition(t *testing.T, c *netio.Client, gen netio.RecordGen, j, conns, total int, hold <-chan struct{}) {
 	t.Helper()
 	defer c.Close()
 	buf := make([]parsefmt.Record, 0, 256)
 	for i := j; i < total; i += conns {
 		buf = append(buf, gen.At(uint64(i)))
-		if len(buf) == 256 {
+		if len(buf) == 256 && i+conns < total {
 			if err := c.Send(buf); err != nil {
 				t.Errorf("conn %d: send: %v", j, err)
 				return
@@ -56,10 +58,11 @@ func sendPartition(t *testing.T, c *netio.Client, gen netio.RecordGen, j, conns,
 			buf = buf[:0]
 		}
 	}
-	if len(buf) > 0 {
-		if err := c.Send(buf); err != nil {
-			t.Errorf("conn %d: send: %v", j, err)
-		}
+	if hold != nil {
+		<-hold
+	}
+	if err := c.Send(buf); err != nil {
+		t.Errorf("conn %d: send: %v", j, err)
 	}
 }
 
@@ -130,7 +133,7 @@ func testServeLoopbackEquivalence(t *testing.T, filtered bool) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			sendPartition(t, clients[j], gen, j, conns, total)
+			sendPartition(t, clients[j], gen, j, conns, total, nil)
 		}(j)
 	}
 

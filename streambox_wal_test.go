@@ -96,8 +96,6 @@ func TestDrainShutdownSealsWAL(t *testing.T) {
 	// close lands.
 	leakers := []string{
 		"netio.(*Server).reaper",
-		"wal.(*Log).writeLoop",
-		"wal.(*Log).tickLoop",
 		"serve.(*Server).checkpointLoop",
 	}
 	deadline := time.Now().Add(2 * time.Second)
