@@ -50,7 +50,6 @@ func main() {
 	crashSeed := flag.Uint64("crash-seed", 1, "seed jittering the exact crash point of -crash-after-bytes")
 	resultsJSON := flag.String("results-json", "", "after shutdown, write the final window results to this file as JSON")
 	reportJSON := flag.String("report-json", "", "after shutdown, write the final report to this file as JSON")
-	shedUtil := flag.Float64("shed-util", 0, "mempool pressure above which new connections are shed at the handshake (0 = default 0.98)")
 	spillDir := flag.String("spill-dir", "", "directory for the mmap'd cold spill tier's temp file (empty = system temp dir; only used with -spill-cap)")
 	spillCap := flag.Int64("spill-cap", 0, "spill-tier capacity in bytes: an mmap'd arena where runs are born once HBM and DRAM are both over the placement setpoint, and merged from in place (0 disables)")
 	flag.Parse()
@@ -103,7 +102,6 @@ func main() {
 			CursorGrace:        *cursorGrace,
 			SessionTimeout:     *sessionTimeout,
 			MaxConns:           *maxConns,
-			ShedUtilization:    *shedUtil,
 			Faults:             faults,
 			WALDir:             *walDir,
 			CheckpointInterval: *ckInterval,

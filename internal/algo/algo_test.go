@@ -38,7 +38,7 @@ func keyedPairs(keys ...uint64) []Pair {
 
 func TestSortPairsSmall(t *testing.T) {
 	p := keyedPairs(5, 3, 9, 1, 1, 7)
-	RadixSortPairs(p, 1, nil)
+	RadixSortPairs(p, nil)
 	if !PairsSorted(p) {
 		t.Fatalf("not sorted: %v", Keys(p))
 	}
@@ -49,10 +49,10 @@ func TestSortPairsSmall(t *testing.T) {
 }
 
 func TestSortPairsEmptyAndSingle(t *testing.T) {
-	RadixSortPairs(nil, 1, nil)
-	RadixSortPairs([]Pair{}, 1, nil)
+	RadixSortPairs(nil, nil)
+	RadixSortPairs([]Pair{}, nil)
 	one := keyedPairs(42)
-	RadixSortPairs(one, 1, nil)
+	RadixSortPairs(one, nil)
 	if one[0].Key != 42 {
 		t.Fatal("single element corrupted")
 	}
@@ -61,7 +61,7 @@ func TestSortPairsEmptyAndSingle(t *testing.T) {
 func TestSortPairsLarge(t *testing.T) {
 	const n = 3<<12 + 17
 	p := randPairs(n, 1)
-	RadixSortPairs(p, 1, nil)
+	RadixSortPairs(p, nil)
 	if !PairsSorted(p) {
 		t.Fatal("large input not sorted")
 	}
@@ -78,7 +78,7 @@ func TestSortPreservesPtrBinding(t *testing.T) {
 		k := r.Uint64() % 1000
 		p[i] = Pair{Key: k, Ptr: k * 2}
 	}
-	RadixSortPairs(p, 1, nil)
+	RadixSortPairs(p, nil)
 	for _, e := range p {
 		if e.Ptr != e.Key*2 {
 			t.Fatal("key/ptr binding broken by sort")
@@ -91,7 +91,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 		p := randPairs(n, int64(n))
 		want := Keys(p)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		RadixSortPairs(p, 1, nil)
+		RadixSortPairs(p, nil)
 		if !reflect.DeepEqual(Keys(p), want) {
 			t.Fatalf("n=%d: mismatch with stdlib sort", n)
 		}
@@ -266,7 +266,7 @@ func TestPropSortIsPermutationAndSorted(t *testing.T) {
 		for i, k := range keys {
 			p[i] = Pair{Key: k, Ptr: uint64(i)}
 		}
-		RadixSortPairs(p, 1, nil)
+		RadixSortPairs(p, nil)
 		if !PairsSorted(p) {
 			return false
 		}
@@ -298,8 +298,8 @@ func TestPropMergePreservesMultiset(t *testing.T) {
 		for i, k := range kb {
 			b[i] = Pair{Key: k}
 		}
-		RadixSortPairs(a, 1, nil)
-		RadixSortPairs(b, 1, nil)
+		RadixSortPairs(a, nil)
+		RadixSortPairs(b, nil)
 		m := copyAll(t, [][]Pair{a, b})
 		if !PairsSorted(m) {
 			return false
@@ -362,8 +362,8 @@ func TestPropJoinMatchesNestedLoop(t *testing.T) {
 		for i, k := range kb {
 			b[i] = Pair{Key: uint64(k % 16), Ptr: uint64(i)}
 		}
-		RadixSortPairs(a, 1, nil)
-		RadixSortPairs(b, 1, nil)
+		RadixSortPairs(a, nil)
+		RadixSortPairs(b, nil)
 		want := 0
 		for _, x := range a {
 			for _, y := range b {

@@ -19,7 +19,7 @@ func randomRuns(r *rand.Rand, n, maxLen int, keyDomain uint64) [][]Pair {
 			run[i] = Pair{Key: r.Uint64() % keyDomain, Ptr: ptr}
 			ptr++
 		}
-		RadixSortPairs(run, 1, nil)
+		RadixSortPairs(run, nil)
 		runs[j] = run
 	}
 	return runs
@@ -77,7 +77,7 @@ func wideRuns(r *rand.Rand, k, n int, key func(*rand.Rand, int, int) uint64) [][
 		for i := range run {
 			run[i] = Pair{Key: key(r, i, len(run)), Ptr: uint64(j)<<32 | uint64(i)}
 		}
-		RadixSortPairs(run, 1, nil)
+		RadixSortPairs(run, nil)
 		runs[j] = run
 	}
 	return runs
@@ -233,7 +233,7 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 						// run index shows up.
 						run[i] = Pair{Key: key, Ptr: uint64(j)<<32 | uint64(i)}
 					}
-					RadixSortPairs(run, 1, nil)
+					RadixSortPairs(run, nil)
 					runs[j] = run
 				}
 				want := mergeRef(runs)
@@ -363,7 +363,7 @@ func TestMultiMergeFoldWords(t *testing.T) {
 				}
 				run[i] = Pair{Key: key(), Ptr: val}
 			}
-			RadixSortPairs(run, 1, nil)
+			RadixSortPairs(run, nil)
 			runs[j] = run
 			units[j] = r.Intn(2) == 0
 		}
@@ -407,7 +407,7 @@ func TestMultiMergeFoldWords(t *testing.T) {
 			runs[j] = append(runs[j], Pair{Key: key, Ptr: r.Uint64() >> uint(r.Intn(64))})
 		}
 		for _, run := range runs {
-			RadixSortPairs(run, 1, nil)
+			RadixSortPairs(run, nil)
 		}
 		return runs, []bool{true, false, true, false}
 	}
@@ -456,7 +456,7 @@ func TestMultiMergeFoldRegroupRule(t *testing.T) {
 		}
 		runs[1][0].Key = runs[0][0].Key
 		for _, run := range runs {
-			RadixSortPairs(run, 1, nil)
+			RadixSortPairs(run, nil)
 		}
 		return runs
 	}
@@ -527,7 +527,7 @@ func fuzzRuns(data []byte, base uint64, place, fanIn, tile uint8) ([][]Pair, []b
 		}
 	}
 	for _, run := range runs {
-		RadixSortPairs(run, 1, nil)
+		RadixSortPairs(run, nil)
 	}
 	return runs, units
 }
@@ -739,7 +739,7 @@ func BenchmarkMergeShapes(b *testing.B) {
 					for i := range runs[j] {
 						runs[j][i] = Pair{Key: sh.key(rng, i, runLen), Ptr: rng.Uint64() % 1000}
 					}
-					RadixSortPairs(runs[j], 1, nil)
+					RadixSortPairs(runs[j], nil)
 				}
 				out := make([]Pair, k*runLen)
 				for _, op := range []struct {
@@ -786,7 +786,7 @@ func BenchmarkFoldSpan(b *testing.B) {
 				for i := range runs[j] {
 					runs[j][i] = Pair{Key: uint64(rng.Intn(span)), Ptr: rng.Uint64() % 1000}
 				}
-				RadixSortPairs(runs[j], 1, nil)
+				RadixSortPairs(runs[j], nil)
 			}
 			live, n := liveRuns(runs, nil)
 			lo, hi := ^uint64(0), uint64(0)

@@ -57,10 +57,8 @@ const (
 // Every step is stable — each scatter pass, as LSD needs, the counting
 // pass, the insertion sort, and so the recursion: the native runtime
 // stages a bundle's pairs in row order, and an order-sensitive
-// aggregator must see a key's values in that order. The second argument
-// is unused (it selected a goroutine fan-out no caller wanted; ROADMAP
-// item 1(c) drops it together with kpa.SortRadix's).
-func RadixSortPairs(pairs []Pair, _ int, s *Scratch) {
+// aggregator must see a key's values in that order.
+func RadixSortPairs(pairs []Pair, s *Scratch) {
 	if len(pairs) <= insertionMax {
 		insertionSort(pairs)
 		return

@@ -49,38 +49,33 @@ func TestRadixSortPairs(t *testing.T) {
 	}
 	for name, mask := range masks {
 		for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, 1 << 14} {
-			for _, workers := range []int{1, 4} {
-				orig := randomPairs(n, int64(n)+7, mask)
-				got := append([]Pair(nil), orig...)
-				RadixSortPairs(got, workers, nil)
-				if t.Failed() {
-					return
-				}
-				assertSortedPermutation(t, got, orig)
-				_ = name
+			orig := randomPairs(n, int64(n)+7, mask)
+			got := append([]Pair(nil), orig...)
+			RadixSortPairs(got, nil)
+			if t.Failed() {
+				return
 			}
+			assertSortedPermutation(t, got, orig)
+			_ = name
 		}
 	}
 }
 
 // TestRadixSortStable pins that equal keys keep their input order at
 // every size class: the insertion-sorted tiny runs (up to 64 pairs — the
-// 25 to 64 range went through an unstable sort once), the serial
-// scatter, and the parallel one.
+// 25 to 64 range went through an unstable sort once) and the scatter.
 func TestRadixSortStable(t *testing.T) {
 	for _, n := range []int{2, 24, 25, 40, 64, 65, 1000, 70_000} {
-		for _, workers := range []int{1, 4} {
-			pairs := randomPairs(n, int64(n), 0x0f0f)
-			for i := range pairs {
-				pairs[i].Ptr = uint64(i)
-			}
-			RadixSortPairs(pairs, workers, nil)
-			for i := 1; i < n; i++ {
-				a, b := pairs[i-1], pairs[i]
-				if a.Key > b.Key || (a.Key == b.Key && a.Ptr > b.Ptr) {
-					t.Fatalf("n=%d workers=%d: pair %d (key %d, input position %d) follows (key %d, position %d)",
-						n, workers, i, b.Key, b.Ptr, a.Key, a.Ptr)
-				}
+		pairs := randomPairs(n, int64(n), 0x0f0f)
+		for i := range pairs {
+			pairs[i].Ptr = uint64(i)
+		}
+		RadixSortPairs(pairs, nil)
+		for i := 1; i < n; i++ {
+			a, b := pairs[i-1], pairs[i]
+			if a.Key > b.Key || (a.Key == b.Key && a.Ptr > b.Ptr) {
+				t.Fatalf("n=%d: pair %d (key %d, input position %d) follows (key %d, position %d)",
+					n, i, b.Key, b.Ptr, a.Key, a.Ptr)
 			}
 		}
 	}
@@ -92,7 +87,7 @@ func TestRadixSortAllEqualKeys(t *testing.T) {
 		pairs[i] = Pair{Key: 42, Ptr: uint64(i)}
 	}
 	orig := append([]Pair(nil), pairs...)
-	RadixSortPairs(pairs, 2, nil)
+	RadixSortPairs(pairs, nil)
 	assertSortedPermutation(t, pairs, orig)
 }
 
@@ -104,7 +99,7 @@ func TestRadixSortMatchesMergeSort(t *testing.T) {
 		orig := randomPairs(10_000, 3, mask)
 		a := append([]Pair(nil), orig...)
 		b := append([]Pair(nil), orig...)
-		RadixSortPairs(a, 3, nil)
+		RadixSortPairs(a, nil)
 		slices.SortStableFunc(b, func(x, y Pair) int { return cmp.Compare(x.Key, y.Key) })
 		for i := range a {
 			if a[i] != b[i] {
@@ -135,7 +130,7 @@ func TestRadixSortScratchReuse(t *testing.T) {
 		},
 	}
 	pairs := randomPairs(1<<14, 9, ^uint64(0))
-	RadixSortPairs(pairs, 1, s)
+	RadixSortPairs(pairs, s)
 	if !PairsSorted(pairs) {
 		t.Fatal("not sorted")
 	}
@@ -250,7 +245,7 @@ func TestRadixSortShapes(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
 				orig := shapedPairs(shape.name, n, int64(n)*31+int64(si))
 				got := append([]Pair(nil), orig...)
-				RadixSortPairs(got, 1, nil)
+				RadixSortPairs(got, nil)
 				assertStableSortOf(t, got, orig)
 			})
 		}
@@ -305,7 +300,7 @@ func FuzzRadixSortPairs(f *testing.F) {
 			orig[i] = Pair{Key: binary.LittleEndian.Uint64(data[8*i:]), Ptr: uint64(i)}
 		}
 		got := append([]Pair(nil), orig...)
-		RadixSortPairs(got, 1, nil)
+		RadixSortPairs(got, nil)
 		assertStableSortOf(t, got, orig)
 		assertStableSortOf(t, sortColumnsOf(orig), orig)
 	})
@@ -529,7 +524,7 @@ func BenchmarkRadixSortPairs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(buf, src)
-				RadixSortPairs(buf, 1, s)
+				RadixSortPairs(buf, s)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/pair")
 		})

@@ -161,12 +161,12 @@ func UpdateKeysWriteBack(k *KPA, fn func(key uint64) uint64) {
 // run they group with it, and the native runtime forms its first-level
 // runs with it or with SortColumns; sorted runs then combine through
 // MergeK, MergeReducePartial and the merge-reduce of a close (paper
-// Table 2's partition/merge split). workers is unused: the kernel is
-// serial, the runtime's parallelism is one extract task per bundle, and
-// the parameter stays only because benchmark/replay.go compiles against
-// this signature (ROADMAP item 1(c) drops it).
-func SortRadix(k *KPA, workers int, s *algo.Scratch) {
-	algo.RadixSortPairs(k.pairs, workers, s)
+// Table 2's partition/merge split). The second argument is unused: the
+// kernel is serial, the runtime's parallelism is one extract task per
+// bundle, and the parameter stays only because benchmark/replay.go
+// compiles against this signature (ROADMAP item 1(c) drops it).
+func SortRadix(k *KPA, _ int, s *algo.Scratch) {
+	algo.RadixSortPairs(k.pairs, s)
 	k.sorted = true
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streambox/internal/faultinject"
+	"streambox/internal/metrics"
 	"streambox/internal/parsefmt"
 )
 
@@ -159,6 +160,9 @@ type Client struct {
 	frames     atomic.Int64
 	reconnects atomic.Int64
 	replayed   atomic.Int64
+
+	closeOnce sync.Once // makes Close idempotent; closeErr is its result
+	closeErr  error
 }
 
 // Dial connects, handshakes and opens a fresh session with an ingest
@@ -259,6 +263,7 @@ func (c *Client) Replayed() int64 { return c.replayed.Load() }
 // to the core, the read failure that ends it too. It exits then, or
 // once the connection is superseded.
 func (c *Client) creditLoop(conn net.Conn, done chan struct{}) {
+	metrics.StageCredit.Enter()
 	defer close(done)
 	for {
 		n, last, err := readCreditAck(conn)
@@ -488,8 +493,14 @@ func (c *Client) Frames() int64 { return c.frames.Load() }
 // arrives for the core's ack wait), sends the end-of-stream marker,
 // waits briefly for the server to finish the stream, and closes the
 // connection. Close returning nil means every record was ingested
-// exactly once and the session is retired.
+// exactly once and the session is retired. A later Close returns the
+// first one's result and touches nothing.
 func (c *Client) Close() error {
+	c.closeOnce.Do(func() { c.closeErr = c.close() })
+	return c.closeErr
+}
+
+func (c *Client) close() error {
 	if err := c.drive(goalAcked); err != nil {
 		// Failed drain (timeout, connection lost for good): there is no
 		// ack left to wait for — tear the socket down immediately

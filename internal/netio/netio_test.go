@@ -608,8 +608,8 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		c.Close()
 		srv.Close()
 		<-done
-		if ctr := srv.Counters(); ctr.DecodeErrors != 1 || ctr.DecodeNanos != 0 {
-			t.Fatalf("%v: decode errors %d, decode time %d ns; want 1 and none (the frame is refused unread)", format, ctr.DecodeErrors, ctr.DecodeNanos)
+		if ctr := srv.Counters(); ctr.DecodeErrors != 1 {
+			t.Fatalf("%v: decode errors %d, want 1 (the frame is refused unread)", format, ctr.DecodeErrors)
 		}
 	}
 }
@@ -944,8 +944,62 @@ func TestServerCountsDecodeErrors(t *testing.T) {
 	if got.Load() != 2 || ctr.IngestedRecords != 2 {
 		t.Fatalf("ingested %d/%d, want the 2 records of the replayed frame", got.Load(), ctr.IngestedRecords)
 	}
-	if ctr.DecodeNanos <= 0 {
-		t.Fatalf("DecodeNanos = %d after three PB frames verified", ctr.DecodeNanos)
+}
+
+// TestCloseTwice: a second Close returns the first one's result at
+// once — no end-of-stream write on the closed connection, no redial
+// through the Reconnect budget. The server is gone by then, and a
+// listener on its address counts any dial.
+func TestCloseTwice(t *testing.T) {
+	feed := NewFeed(WireSchema(), 64)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, done := collect(feed)
+	addr := srv.Addr().String()
+	c, err := Dial(addr, ClientConfig{Format: parsefmt.Columnar, FrameRecords: 10,
+		Reconnect: &ReconnectConfig{MaxRetries: 3, BaseDelay: 200 * time.Millisecond, MaxDelay: 200 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(RecordGen{Keys: 4, WindowRecords: 100}.Records(0, 30)); err != nil {
+		t.Fatal(err)
+	}
+	first := c.Close()
+	if first != nil {
+		t.Fatalf("first Close: %v", first)
+	}
+	srv.Close()
+	<-done
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			conn.Close()
+		}
+	}()
+	defer ln.Close()
+
+	t0 := time.Now()
+	second := c.Close()
+	if d := time.Since(t0); d > 100*time.Millisecond {
+		t.Errorf("second Close took %v, want it at once", d)
+	}
+	if second != first {
+		t.Errorf("second Close returned %v, the first %v", second, first)
+	}
+	if n := dials.Load(); n != 0 {
+		t.Errorf("second Close dialed %d times", n)
 	}
 }
 

@@ -146,11 +146,6 @@ type Counters struct {
 	// deadlines: no frame arrived, or an ack could not be written, for
 	// IdleTimeout.
 	IdleTimeouts int64
-	// DecodeNanos is the time spent verifying and decoding received
-	// frame bodies, socket reads excluded: a columnar frame's checksum and
-	// timestamp max, a PB frame's CRC-32C check, record decode and
-	// timestamp max. One clock pair per frame.
-	DecodeNanos int64
 }
 
 // ConnCounters is one connection's view for /metrics.
@@ -249,7 +244,6 @@ type Server struct {
 	shed        *metrics.Counter
 	expired     *metrics.Counter
 	idleTOs     *metrics.Counter
-	decodeNanos *metrics.Counter
 }
 
 // Listen starts an ingest server on addr (e.g. ":7077" or
@@ -325,7 +319,6 @@ func (s *Server) declareMetrics() {
 	s.dups = m.Counter("streambox_ingest_duplicate_frames_total")
 	s.shed = m.Counter("streambox_ingest_shed_connections_total")
 	s.idleTOs = m.Counter("streambox_ingest_idle_timeouts_total")
-	s.decodeNanos = m.Counter("streambox_ingest_decode_ns_total")
 	for f, label := range formatLabel {
 		if label != "" {
 			s.framesByFmt[f] = m.Counter(`streambox_ingest_format_frames_total{format="` + label + `"}`)
@@ -355,6 +348,7 @@ func (s *Server) Metrics() *metrics.Set { return &s.set }
 // session is judged by the time, its cursor parked or the session
 // expired. An expired session's cursor is retired here.
 func (s *Server) reaper() {
+	metrics.StageReap.Enter()
 	defer s.wg.Done()
 	every := s.core.reapEvery()
 	if every == 0 {
@@ -473,7 +467,6 @@ func (s *Server) Counters() Counters {
 		ExpiredSessions: s.expired.Load(),
 		ParkedCursors:   int64(parked),
 		IdleTimeouts:    s.idleTOs.Load(),
-		DecodeNanos:     s.decodeNanos.Load(),
 	}
 	for i, ctr := range s.framesByFmt {
 		if ctr != nil {
@@ -533,6 +526,7 @@ func (s *Server) ConnCounters() []ConnCounters {
 // of its own. One acceptor is enough: Accept on one listener is
 // serialized by the socket anyway.
 func (s *Server) acceptLoop() {
+	metrics.StageAccept.Enter()
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
@@ -566,8 +560,10 @@ func (s *Server) admit() bool {
 
 // handle runs one connection: the handshake — read the hello, admit or
 // shed, open or resume the session, answer with the grant, all under one
-// deadline — then the frame loop.
+// deadline — then the frame loop. A handler rests in stage read and
+// enters decode, wal, push and ack for those steps (metrics.Stage).
 func (s *Server) handle(conn net.Conn) {
+	metrics.StageRead.Enter()
 	defer s.wg.Done()
 	defer conn.Close()
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -667,10 +663,13 @@ func (s *Server) handle(conn net.Conn) {
 	// A fresh session is durable before its grant: a crash after the
 	// grant restores it at sequence 0. A session the log cannot record
 	// ends here, and its client is told to come back.
-	if fresh && s.cfg.WAL != nil && s.cfg.WAL.AppendSessionOpen(sess.token, sess.id) != nil {
-		c.cleanEOS = true
-		writeGrant(conn, grant{status: statusOverloaded})
-		return
+	if fresh && s.cfg.WAL != nil {
+		metrics.StageWAL.Enter()
+		if s.cfg.WAL.AppendSessionOpen(sess.token, sess.id) != nil {
+			c.cleanEOS = true
+			writeGrant(conn, grant{status: statusOverloaded})
+			return
+		}
 	}
 	// settledSeq waits out a frame the superseded connection is still
 	// delivering, so the grant never trails what is ingested.
@@ -690,8 +689,11 @@ func (s *Server) handle(conn net.Conn) {
 // write is bounded: a handler parked writing to a client that never
 // reads its acks would stay attached, its cursor holding every window
 // open; past the deadline the connection is dead like any idle one.
-// Returns false when the connection should end.
+// It runs in stage ack and leaves the handler back in read. Returns false
+// when the connection should end.
 func (s *Server) flushCredit(c *serverConn) bool {
+	metrics.StageAck.Enter()
+	defer metrics.StageRead.Enter()
 	n, hold := s.core.idle(&c.core, s.cfg.Overloaded != nil && s.cfg.Overloaded())
 	for ; hold; n, hold = s.core.idle(&c.core, s.cfg.Overloaded()) {
 		if s.closing.Load() {
@@ -761,6 +763,7 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 		d.ranges = make([]parsefmt.ColRange, s.cfg.Feed.Schema().NumCols)
 	}
 	for {
+		metrics.StageRead.Enter()
 		if br.Buffered() < frameHeaderBytes && !s.flushCredit(c) {
 			return
 		}
@@ -851,7 +854,7 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 		s.cfg.Feed.Recycle(cols)
 		return nil, 0, false // truncated mid-frame: peer gone
 	}
-	defer s.addDecodeTime(time.Now())
+	metrics.StageDecode.Enter()
 	if parsefmt.UpdateCRC(0, data) != hdr.Checksum { // wire bytes, before the fix
 		s.cfg.Feed.Recycle(cols)
 		s.countChecksumError(c)
@@ -888,7 +891,7 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, 0, false // truncated mid-frame: peer gone
 	}
-	defer s.addDecodeTime(time.Now())
+	metrics.StageDecode.Enter()
 	body, intact := splitCRC(payload)
 	if !intact {
 		s.countChecksumError(c)
@@ -911,13 +914,6 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 		}
 	}
 	return cols, maxTs, true
-}
-
-// addDecodeTime adds the time since t0 to streambox_ingest_decode_ns_total:
-// the verify-and-decode share of a frame, from the end of its socket read
-// (decodeColumnar and decodeRecords defer it there) to its return.
-func (s *Server) addDecodeTime(t0 time.Time) {
-	s.decodeNanos.Add(time.Since(t0).Nanoseconds())
 }
 
 // deliver is the one place a received frame becomes ingested:
@@ -954,6 +950,7 @@ func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, rang
 	}
 	if cols != nil {
 		if s.cfg.WAL != nil {
+			metrics.StageWAL.Enter()
 			if err := s.cfg.WAL.AppendFrame(c.sess.token, c.id, seq, maxTs, cols, ranges, true); err != nil {
 				// The frame's durability is unknown; sever without
 				// advancing the ack so the client replays it.
@@ -963,11 +960,13 @@ func (s *Server) deliver(c *serverConn, seq, maxTs uint64, cols [][]uint64, rang
 		}
 		n := int64(len(cols[0]))
 		b := batch{conn: c.id, cols: cols, maxTs: maxTs}
+		metrics.StagePush.Enter()
 		if !s.cfg.Feed.offer(b) {
 			if !s.flushCredit(c) {
 				s.cfg.Feed.Recycle(cols)
 				return false
 			}
+			metrics.StagePush.Enter()
 			if !s.cfg.Feed.push(b) {
 				// Draining: push recycled the batch.
 				s.dropped.Add(n)

@@ -364,16 +364,8 @@ type Report struct {
 	// + run-formation tasks producing them. Their ratio is the
 	// extract-side pair throughput, which pane sharing multiplies by the
 	// window overlap (each pair is staged and sorted once per pane, not
-	// once per window). SealNanos and MergeNanos are the worker time in
-	// seal tasks and in close merges, and PublishNanos the time spent
-	// handing closed windows' rows to the sink (packing the row slab,
-	// retiring the window, the WindowSink call), so the four say which
-	// stage a run spent its CPU in. BundleNanos is the ingest goroutine's
-	// time turning the feed's batches into bundles (ingestBundle: the pool
-	// charge, the adoption of the batch's columns and, while the pool is
-	// exhausted, the retries' waits, which PausedNanos also counts). Making
-	// a batch is the source's time, not the bundle's: a socket read and
-	// decode on the network path, a generator plan's Fill.
+	// once per window). Time per stage is a CPU profile's stage labels
+	// (metrics.Stage); ExtractNanos stays while benchmark/ reads it.
 	ExtractedPairs int64
 	// FormedPairs counts the pairs written into level-0 runs: one per
 	// surviving record when a run is sorted, one per distinct key of a
@@ -382,10 +374,6 @@ type Report struct {
 	// are born partial.
 	FormedPairs  int64
 	ExtractNanos int64
-	SealNanos    int64
-	MergeNanos   int64
-	PublishNanos int64
-	BundleNanos  int64
 	// PeakWindowStateBytes is the high-water mark of live grouped
 	// window state (sorted runs plus merge intermediates) per tier,
 	// indexed by memsim.Tier. Pane sharing keeps the sliding-window
@@ -605,10 +593,6 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			ExtractedPairs:  m.extractPairs.Load(),
 			FormedPairs:     m.formedPairs.Load(),
 			ExtractNanos:    m.extractNanos.Load(),
-			SealNanos:       m.sealNanos.Load(),
-			MergeNanos:      m.mergeNanos.Load(),
-			PublishNanos:    m.publishNanos.Load(),
-			BundleNanos:     m.bundleNanos.Load(),
 			PeakWindowStateBytes: [memsim.NumTiers]int64{
 				m.peakState[0].Load(), m.peakState[1].Load(), m.peakState[2].Load(),
 			},
@@ -666,7 +650,8 @@ func newGenFeed(p Plan, pool *mempool.Pool) *genFeed {
 func (g *genFeed) Schema() bundle.Schema { return g.gen.Schema() }
 
 // Recv implements ExternalFeed. A generator never waits, so a batch is
-// never idle.
+// never idle. Fill is the source's time, not the ingest loop's: it runs
+// in stage fill.
 func (g *genFeed) Recv(time.Duration) ([][]uint64, bool, bool) {
 	if g.left <= 0 {
 		return nil, false, false
@@ -683,7 +668,9 @@ func (g *genFeed) Recv(time.Duration) ([][]uint64, bool, bool) {
 	// cols, which it owns header and all. It cannot fail: Plan.Validate
 	// checked the schema and every column is empty.
 	bd, _ := g.reg.NewBuilderOver(schema, cols, memsim.DRAM, nil)
+	metrics.StageFill.Enter()
 	g.gen.Fill(bd, n, tsLo, tsHi)
+	metrics.StageIngest.Enter()
 	g.left -= int64(n)
 	g.next = tsHi
 	return cols, true, false
@@ -741,6 +728,7 @@ func (x *exec) ingest() {
 	}
 	var bundleCnt int
 	for {
+		metrics.StageIngest.Enter() // after an empty window's inline publish
 		// Stall before taking a batch off the feed, so a backlog holds
 		// batches in the feed's bounded queue, not here.
 		x.stallIngest()
@@ -800,13 +788,9 @@ func (x *exec) ingest() {
 // still-unregistered batch's earliest timestamp, so no window it
 // contributes to closes early (the feed's watermark already covers the
 // batch). A pool that stays exhausted for Config.ExhaustTimeout
-// (pipeline state exceeds DRAM) fails the run instead of hanging. Its
-// time, one clock pair per bundle, counts in
-// streambox_ingest_bundle_ns_total.
+// (pipeline state exceeds DRAM) fails the run instead of hanging.
 func (x *exec) ingestBundle(schema bundle.Schema, cols [][]uint64, release func([][]uint64), minTs wm.Time) (b *bundle.Bundle, err error) {
-	t0 := time.Now()
 	defer func() {
-		x.m.bundleNanos.Add(time.Since(t0).Nanoseconds())
 		if err != nil {
 			release(cols)
 		}
@@ -889,6 +873,7 @@ func (x *exec) tagFor(ts wm.Time) engine.Tag {
 // runs inline. reg is what register returned for the bundle; with no
 // window open the whole bundle is late.
 func (x *exec) extract(b *bundle.Bundle, reg registration, minTs, maxTs wm.Time) {
+	metrics.StageExtract.Enter()
 	t0 := time.Now()
 	var seals []paneSeal
 	var toClose []wm.Time
@@ -1156,10 +1141,9 @@ func (x *exec) submitSeal(s paneSeal) {
 // held on the sealed runs, so their slabs free now, and starts the seal
 // of the group the merged run completed and the merge of each window
 // that owed only this seal. When the pool cannot host the merged run the
-// runs go back as they were and nobody's references move. Its time, up
-// to the tasks it starts, counts in streambox_seal_ns_total.
+// runs go back as they were and nobody's references move.
 func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
-	t0 := time.Now()
+	metrics.StageSeal.Enter()
 	runs := make([]*kpa.KPA, len(s.raw))
 	for i, r := range s.raw {
 		runs[i] = r.k
@@ -1181,7 +1165,6 @@ func (x *exec) sealPane(s paneSeal, tag engine.Tag) {
 			}
 		}
 	}
-	x.m.sealNanos.Add(time.Since(t0).Nanoseconds())
 	for _, next := range seals {
 		x.submitSeal(next)
 	}
@@ -1228,8 +1211,7 @@ func (x *exec) sealRuns(runs []*kpa.KPA, al kpa.Allocator) (*kpa.KPA, error) {
 // ones — disjoint from the others' and in key order. The last partition
 // to finish destroys the runs and publishes the window. One merge takes
 // every run, however many a pane left raw: the regroup the merge kernel
-// takes for many runs costs the same per pair whatever their count. Each
-// partition's merge time counts in streambox_merge_ns_total.
+// takes for many runs costs the same per pair whatever their count.
 func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	if len(runs) == 0 {
 		x.finishWindow(start, nil, nil, nil)
@@ -1273,7 +1255,7 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 	for i := range counts {
 		lo, hi := cuts[i], cuts[i+1]
 		x.sched.Submit(tag, func() {
-			t0 := time.Now()
+			metrics.StageClose.Enter()
 			var out []Row
 			if rows != nil {
 				out = rows[offs[i]:offs[i+1]]
@@ -1291,7 +1273,6 @@ func (x *exec) submitMergeReduce(start wm.Time, runs []*kpa.KPA) {
 				pairs += hi[j] - lo[j]
 			}
 			x.m.closePairs.Add(int64(pairs))
-			x.m.mergeNanos.Add(time.Since(t0).Nanoseconds())
 			if remaining.Add(-1) == 0 {
 				for _, r := range runs {
 					x.destroyRun(r)
@@ -1324,9 +1305,9 @@ func packRows(rows []Row, offs, counts []int) []Row {
 // finishWindow publishes a closed window: it packs the rows its
 // partitions left in the slab (packRows), retires the window and hands
 // the rows to the WindowSink, unless a checkpoint had already sealed it.
-// Its time counts in streambox_publish_ns_total.
+// It runs in stage publish, which its caller's task then stays in.
 func (x *exec) finishWindow(start wm.Time, rows []Row, offs, counts []int) {
-	t0 := time.Now()
+	metrics.StagePublish.Enter()
 	rows = packRows(rows, offs, counts)
 	if d := x.table.retire(start); d > 0 {
 		x.m.closeLatency.Observe(d.Nanoseconds())
@@ -1335,7 +1316,6 @@ func (x *exec) finishWindow(start wm.Time, rows []Row, offs, counts []int) {
 		x.cfg.WindowSink(start, x.plan.Win.End(start), rows)
 	}
 	x.table.published(start)
-	x.m.publishNanos.Add(time.Since(t0).Nanoseconds())
 }
 
 // sealedWindow reports whether the window starting at start was already

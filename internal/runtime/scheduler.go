@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"streambox/internal/engine"
+	"streambox/internal/metrics"
 )
 
 // numPriorities covers engine.Tag's Low/High/Urgent dispatch classes.
@@ -127,11 +128,14 @@ func (s *scheduler) queued() int {
 	return n
 }
 
-// run is one worker's loop. It holds s.mu except while a task runs.
+// run is one worker's loop. It holds s.mu except while a task runs. A
+// task enters its own stage (metrics.Stage) first; the worker is back in
+// sched before it waits or takes the next.
 func (s *scheduler) run() {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
+		metrics.StageSched.Enter()
 		pri := numPriorities - 1
 		for pri >= 0 && len(s.ready[pri]) == 0 {
 			pri--

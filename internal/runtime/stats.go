@@ -25,19 +25,13 @@ type stats struct {
 	placements  [memsim.NumTiers]*metrics.Counter
 	placedBytes [memsim.NumTiers]*metrics.Counter
 
-	// Ingest time turning batches into bundles, one clock pair each.
-	bundleNanos *metrics.Counter
-
 	// Grouping: logical (record, window) assignments, pairs written into
-	// level-0 runs, worker time spent extracting/forming them, in seal
-	// tasks, in close merges and publishing closed windows; pane runs
-	// shared across windows.
+	// level-0 runs, worker time spent extracting/forming them (kept while
+	// benchmark/ reads it; every stage's time is its CPU-profile label,
+	// metrics.Stage); pane runs shared across windows.
 	extractPairs  *metrics.Counter
 	formedPairs   *metrics.Counter
 	extractNanos  *metrics.Counter
-	sealNanos     *metrics.Counter
-	mergeNanos    *metrics.Counter
-	publishNanos  *metrics.Counter
 	paneRuns      *metrics.Counter
 	sharedRunRefs *metrics.Counter
 	sealedPanes   *metrics.Counter
@@ -63,13 +57,9 @@ func newStats(x *exec) *stats {
 	s.emitted = m.Counter("streambox_emitted_records_total")
 	s.late = m.Counter("streambox_late_records_total")
 	s.paused = m.Counter("streambox_ingest_paused_ns_total")
-	s.bundleNanos = m.Counter("streambox_ingest_bundle_ns_total")
 	s.extractPairs = m.Counter("streambox_extracted_pairs_total")
 	s.formedPairs = m.Counter("streambox_formed_pairs_total")
 	s.extractNanos = m.Counter("streambox_extract_ns_total")
-	s.sealNanos = m.Counter("streambox_seal_ns_total")
-	s.mergeNanos = m.Counter("streambox_merge_ns_total")
-	s.publishNanos = m.Counter("streambox_publish_ns_total")
 	s.paneRuns = m.Counter("streambox_pane_runs_total")
 	s.sharedRunRefs = m.Counter("streambox_shared_run_refs_total")
 	s.sealedPanes = m.Counter("streambox_sealed_panes_total")

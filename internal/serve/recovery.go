@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"streambox/internal/metrics"
 	"streambox/internal/netio"
 	"streambox/internal/wal"
 )
@@ -148,6 +149,7 @@ func (s *Server) recoverState(ck checkpoint) (sessions []netio.SessionState, nex
 // retires log segments the latest checkpoint makes redundant, until the
 // engine is done: Shutdown writes the checkpoint that seals the run.
 func (s *Server) checkpointLoop(interval time.Duration) {
+	metrics.StageCheckpoint.Enter()
 	defer close(s.ckDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()

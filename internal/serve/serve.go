@@ -54,12 +54,8 @@ type Config struct {
 	// MaxConns caps concurrently served ingest connections; handshakes
 	// past the cap are shed with an overloaded ack. Zero = unlimited.
 	// Independently of the cap, new connections are shed while mempool
-	// pressure exceeds ShedUtilization.
+	// pressure exceeds runtime.ShedUtilization.
 	MaxConns int
-	// ShedUtilization is the mempool pressure (worst memory-tier
-	// utilization) above which new connections are shed at the
-	// handshake (0 picks runtime.ShedUtilization, 0.98).
-	ShedUtilization float64
 	// Faults, when non-nil, wraps accepted ingest connections with the
 	// fault injector (chaos testing only).
 	Faults *faultinject.Injector
@@ -188,10 +184,6 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		}
 	}
 
-	shed := cfg.ShedUtilization
-	if shed <= 0 {
-		shed = runtime.ShedUtilization
-	}
 	s.ingest, err = netio.Listen(cfg.IngestAddr, netio.ServerConfig{
 		Feed:            feed,
 		IdleTimeout:     cfg.IdleTimeout,
@@ -205,20 +197,13 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		Overloaded: func() bool {
 			return pool.Utilization(memsim.DRAM) > runtime.BackpressureUtilization
 		},
-		ShedPressure: func() bool { return pool.Pressure() > shed },
+		ShedPressure: func() bool { return pool.Pressure() > runtime.ShedUtilization },
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// If the pipeline dies (e.g. fatal DRAM exhaustion), close the
-	// ingest listener so clients see the connection drop instead of
-	// hanging on withheld credits against a dead pipeline. Close is
-	// idempotent, so the normal Shutdown path is unaffected.
-	go func() {
-		<-s.exec.Done()
-		s.ingest.Close()
-	}()
+	go s.closeIngestAtExit()
 
 	if s.wal != nil {
 		s.ckDone = make(chan struct{})
@@ -234,9 +219,23 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 			return nil, err
 		}
 		s.httpSrv = &http.Server{Handler: netio.NewHandler(s.store, s.MetricSets()...)}
-		go s.httpSrv.Serve(s.httpLn)
+		go func() {
+			metrics.StageHTTP.Enter() // its connections inherit the stage
+			s.httpSrv.Serve(s.httpLn)
+		}()
 	}
 	return s, nil
+}
+
+// closeIngestAtExit closes the ingest listener once the run ends. If the
+// pipeline dies (e.g. fatal DRAM exhaustion), clients then see the
+// connection drop instead of hanging on withheld credits against a dead
+// pipeline. Close is idempotent, so the normal Shutdown path is
+// unaffected.
+func (s *Server) closeIngestAtExit() {
+	metrics.StageShutdown.Enter()
+	<-s.exec.Done()
+	s.ingest.Close()
 }
 
 // project narrows plan to the wire columns it reads — its key, value,

@@ -214,10 +214,6 @@ type Report struct {
 	ShedConns       int64
 	ExpiredSessions int64
 	IdleTimeouts    int64
-	// DecodeNs is a network serve's time spent verifying and decoding
-	// received frames, socket reads excluded: checksums, PB record
-	// decode and the timestamp max (0 for generator sources).
-	DecodeNs int64
 	// Durability counters of a WAL-enabled serve: frames appended to
 	// the write-ahead log, the group-commit fsync count and p99
 	// latency, and log segments still on disk vs retired by
@@ -265,17 +261,8 @@ type Report struct {
 	// they cannot. All three are functions of the stream, not of
 	// scheduling, and 0 on the simulated backend.
 	SealedPanes, SealsSkipped, ClosePairs int64
-	// ExtractNs, SealNs, MergeNs and PublishNs are the native backend's
-	// worker nanoseconds per grouping stage: run formation, seals, close
-	// merges, and handing closed windows to their sinks (0 on the
-	// simulated backend).
-	ExtractNs, SealNs, MergeNs, PublishNs int64
-	// BundleNs is the native backend's ingest time turning batches into
-	// bundles: the pool charge, adopting a batch's columns and an
-	// exhausted pool's retries. Making the batch — a generator's fill, a
-	// socket read — is the source's time, not in it (0 on the simulated
-	// backend).
-	BundleNs int64
+	// ExtractNs is the native backend's worker nanoseconds forming runs.
+	ExtractNs int64
 	// LateRecords counts records the native backend dropped because
 	// every window covering them had already been sealed by the
 	// watermark when they arrived (0 on the simulated backend). A
@@ -737,10 +724,6 @@ func nativeReport(rep runtime.Report) Report {
 		SealsSkipped:              rep.SealsSkipped,
 		ClosePairs:                rep.ClosePairs,
 		ExtractNs:                 rep.ExtractNanos,
-		SealNs:                    rep.SealNanos,
-		MergeNs:                   rep.MergeNanos,
-		PublishNs:                 rep.PublishNanos,
-		BundleNs:                  rep.BundleNanos,
 		LateRecords:               rep.LateRecords,
 		PeakWindowStateBytes:      rep.PeakWindowStateBytes,
 		PeakWindowStateTotalBytes: rep.PeakWindowStateTotalBytes,
@@ -888,7 +871,6 @@ func (s *Server) DrainShutdown(grace time.Duration) (Report, error) {
 	out.ShedConns = fin.Ingest.ShedConns
 	out.ExpiredSessions = fin.Ingest.ExpiredSessions
 	out.IdleTimeouts = fin.Ingest.IdleTimeouts
-	out.DecodeNs = fin.Ingest.DecodeNanos
 	out.WALAppendedFrames = fin.WAL.AppendedFrames
 	out.WALSyncs = fin.WAL.Syncs
 	out.WALFsyncP99Ns = fin.WAL.FsyncP99Ns
