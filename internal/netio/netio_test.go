@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ import (
 	"streambox/internal/memsim"
 	"streambox/internal/metrics"
 	"streambox/internal/parsefmt"
+	"streambox/internal/wal"
 )
 
 // --- Wire format. -----------------------------------------------------------
@@ -334,6 +336,64 @@ func TestServerClientLoopback(t *testing.T) {
 		}
 		if ctr.FramesByFormat[format] != ctr.Frames {
 			t.Fatalf("%v: %d of %d frames attributed to the format", format, ctr.FramesByFormat[format], ctr.Frames)
+		}
+	}
+}
+
+// TestWALLogsEveryFormat: both wires log every frame they deliver,
+// packed from the ranges their decode step scanned, and the log replays
+// each record's columns as sent.
+func TestWALLogsEveryFormat(t *testing.T) {
+	for _, format := range sessionFormats {
+		dir := t.TempDir()
+		log, err := wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := NewFeed(WireSchema(), 8)
+		srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, WAL: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, done := collect(feed)
+		gen := RecordGen{Keys: 16, ValueRange: 1000, WindowRecords: 100}
+		c, err := Dial(srv.Addr().String(), ClientConfig{Format: format, FrameRecords: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const total = 1000
+		if err := c.Send(gen.Records(0, total)); err != nil {
+			t.Fatalf("%v: send: %v", format, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("%v: close: %v", format, err)
+		}
+		srv.Close()
+		<-done
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		replay, err := wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var i uint64
+		_, err = replay.ReplayExisting(func(r *wal.Record) error {
+			for row := 0; r.Kind == wal.KindFrame && row < r.NRows; row++ {
+				want := gen.ColsAt(i)
+				for col := range r.NCols {
+					if got := r.Data[col*r.NRows+row]; got != want[col] {
+						t.Fatalf("%v: record %d column %d logged as %d, sent %d", format, i, col, got, want[col])
+					}
+				}
+				i++
+			}
+			return nil
+		})
+		replay.Close()
+		if err != nil || i != total {
+			t.Fatalf("%v: replayed %d records (%v), want %d", format, i, err, total)
 		}
 	}
 }
@@ -689,9 +749,9 @@ func TestColumnarChecksumAndGeometryErrors(t *testing.T) {
 	}
 }
 
-// TestConnCountersExposeCreditWindow: the per-connection snapshot
-// reports the in-flight credit window while a connection is live.
-func TestConnCountersExposeCreditWindow(t *testing.T) {
+// TestConnCreditWindowServed: the per-connection series report
+// the in-flight credit window while a connection is live.
+func TestConnCreditWindowServed(t *testing.T) {
 	feed := NewFeed(WireSchema(), 8)
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Feed: feed, FrameCredits: 5})
 	if err != nil {
@@ -703,14 +763,16 @@ func TestConnCountersExposeCreditWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := fmt.Sprintf(`streambox_conn_credit_window{conn="1",remote=%q,format=%q} 5`, c.conn.LocalAddr(), parsefmt.PB)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		pc := srv.ConnCounters()
-		if len(pc) == 1 && pc[0].CreditWindow == 5 {
+		var text strings.Builder
+		metrics.WriteText(&text, srv.Metrics())
+		if strings.Contains(text.String(), want+"\n") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("per-conn counters never showed the idle credit window: %+v", pc)
+			t.Fatalf("/metrics never served %s:\n%s", want, text.String())
 		}
 		time.Sleep(time.Millisecond)
 	}

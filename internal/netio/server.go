@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,24 +147,6 @@ type Counters struct {
 	IdleTimeouts int64
 }
 
-// ConnCounters is one connection's view for /metrics.
-type ConnCounters struct {
-	ID              int64
-	Remote          string
-	Format          string
-	Frames          int64
-	IngestedRecords int64
-	DroppedRecords  int64
-	DecodeErrors    int64
-	ChecksumErrors  int64
-	// CreditWindow is the connection's in-flight flow-control window:
-	// credits granted minus frames consumed — how many frames the
-	// client may still send before blocking.
-	CreditWindow int64
-	// DuplicateFrames counts replayed frames discarded by dedup.
-	DuplicateFrames int64
-}
-
 // serverConn is one accepted connection's state. key identifies the
 // accepted socket; id is the feed watermark cursor, which the session
 // keeps stable across its connections (so key != id after a resume).
@@ -175,6 +156,9 @@ type serverConn struct {
 	conn   net.Conn
 	format parsefmt.Format
 	sess   *session
+	// labels is the connection's /metrics label set, built once as it
+	// attaches.
+	labels string
 
 	// cleanEOS is set by the serve loop on a clean end-of-stream marker,
 	// and by the handshake when the log refused a fresh session's open
@@ -189,8 +173,10 @@ type serverConn struct {
 	dropped  atomic.Int64
 	decErrs  atomic.Int64
 	chkErrs  atomic.Int64
-	granted  atomic.Int64
-	dups     atomic.Int64
+	// granted counts credits granted; less frames, it is the in-flight
+	// window: how many frames the client may still send before blocking.
+	granted atomic.Int64
+	dups    atomic.Int64
 }
 
 // Server is the TCP ingest listener: per-connection framed decoding,
@@ -325,18 +311,20 @@ func (s *Server) declareMetrics() {
 		}
 	}
 	m.Collect(func(e *metrics.Emitter) {
-		c := s.Counters()
-		e.Int("streambox_ingest_connections_active", c.ActiveConns)
-		e.Int("streambox_ingest_sessions_active", c.ActiveSessions)
-		e.Int("streambox_ingest_parked_cursors", c.ParkedCursors)
-		for _, pc := range s.ConnCounters() {
-			l := fmt.Sprintf(`{conn="%d",remote=%q,format=%q}`, pc.ID, pc.Remote, pc.Format)
-			e.Int("streambox_conn_frames_total"+l, pc.Frames)
-			e.Int("streambox_conn_records_total"+l, pc.IngestedRecords)
-			e.Int("streambox_conn_dropped_records_total"+l, pc.DroppedRecords)
-			e.Int("streambox_conn_decode_errors_total"+l, pc.DecodeErrors)
-			e.Int("streambox_conn_checksum_errors_total"+l, pc.ChecksumErrors)
-			e.Int("streambox_conn_credit_window"+l, pc.CreditWindow)
+		_, parked := s.cfg.Feed.liveCursors()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e.Int("streambox_ingest_connections_active", int64(s.admitted))
+		e.Int("streambox_ingest_sessions_active", int64(len(s.sessions)))
+		e.Int("streambox_ingest_parked_cursors", int64(parked))
+		for _, c := range s.conns {
+			frames := c.frames.Load()
+			e.Int("streambox_conn_frames_total"+c.labels, frames)
+			e.Int("streambox_conn_records_total"+c.labels, c.ingested.Load())
+			e.Int("streambox_conn_dropped_records_total"+c.labels, c.dropped.Load())
+			e.Int("streambox_conn_decode_errors_total"+c.labels, c.decErrs.Load())
+			e.Int("streambox_conn_checksum_errors_total"+c.labels, c.chkErrs.Load())
+			e.Int("streambox_conn_credit_window"+c.labels, c.granted.Load()-frames)
 		}
 	})
 }
@@ -498,30 +486,6 @@ func (s *Server) NextID() int64 {
 	return s.nextID
 }
 
-// ConnCounters returns a per-connection counter snapshot, ordered by
-// connection ID.
-func (s *Server) ConnCounters() []ConnCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ConnCounters, 0, len(s.conns))
-	for _, c := range s.conns {
-		out = append(out, ConnCounters{
-			ID:              c.id,
-			Remote:          c.conn.RemoteAddr().String(),
-			Format:          c.format.String(),
-			Frames:          c.frames.Load(),
-			IngestedRecords: c.ingested.Load(),
-			DroppedRecords:  c.dropped.Load(),
-			DecodeErrors:    c.decErrs.Load(),
-			ChecksumErrors:  c.chkErrs.Load(),
-			CreditWindow:    c.granted.Load() - c.frames.Load(),
-			DuplicateFrames: c.dups.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // acceptLoop accepts connections and hands each to a handler goroutine
 // of its own. One acceptor is enough: Accept on one listener is
 // serialized by the socket anyway.
@@ -624,7 +588,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	s.nextID++
-	c := &serverConn{key: s.nextID, id: sess.id, conn: conn, format: format, sess: sess}
+	c := &serverConn{key: s.nextID, id: sess.id, conn: conn, format: format, sess: sess,
+		labels: fmt.Sprintf(`{conn="%d",remote=%q,format=%q}`, sess.id, conn.RemoteAddr(), format)}
 	c.granted.Store(int64(s.cfg.FrameCredits))
 	s.conns[c.key] = c
 	if prev := s.conns[sess.core.attach(c.key)]; prev != nil {
@@ -735,12 +700,30 @@ func (s *Server) countChecksumError(c *serverConn) {
 // frameDecoder is one connection's decode-step state, touched only by
 // its frame loop.
 type frameDecoder struct {
-	// Columnar: header staging, and — with a WAL attached — the
-	// per-column min/max decodeColumnar fills for the log's packer.
-	hdr    [parsefmt.ColumnarHeaderBytes]byte
-	ranges []parsefmt.ColRange
+	// Columnar: header staging.
+	hdr [parsefmt.ColumnarHeaderBytes]byte
 	// PB: the frame payload buffer.
 	payload []byte
+	// ranges, with a WAL attached, is the per-column min/max that
+	// maxTs fills for the log's packer.
+	ranges []parsefmt.ColRange
+}
+
+// maxTs is both decode steps' tail: the frame's highest event time.
+// With a WAL attached it comes from the one scan that also fills
+// d.ranges, each column's min/max, which fix the log's packing;
+// otherwise from a scan of the timestamp column alone.
+func (d *frameDecoder) maxTs(cols [][]uint64, tsCol int) (maxTs uint64) {
+	if d.ranges != nil {
+		parsefmt.ColumnRanges(cols, d.ranges)
+		return d.ranges[tsCol].Max
+	}
+	for _, ts := range cols[tsCol] {
+		if ts > maxTs {
+			maxTs = ts
+		}
+	}
+	return maxTs
 }
 
 // serveFrames is the one receive loop, for both formats: arm the idle
@@ -759,7 +742,7 @@ type frameDecoder struct {
 // commit and a feed push that would block.
 func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 	d := &frameDecoder{}
-	if s.cfg.WAL != nil && c.format == parsefmt.Columnar {
+	if s.cfg.WAL != nil {
 		d.ranges = make([]parsefmt.ColRange, s.cfg.Feed.Schema().NumCols)
 	}
 	for {
@@ -808,7 +791,7 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 			} else {
 				cols, maxTs, ok = s.decodeRecords(c, d, br, size)
 			}
-			// d.ranges is non-nil only where decodeColumnar just filled it.
+			// d.ranges is non-nil only with a WAL, filled by the decode.
 			if !ok || !s.deliver(c, seq, maxTs, cols, d.ranges) {
 				return
 			}
@@ -826,13 +809,11 @@ func (s *Server) serveFrames(c *serverConn, br *bufio.Reader) {
 // layout, so one io.ReadFull fills them all and one UpdateCRC checks
 // them. Only the part of the frame already in the connection's read
 // buffer is copied from there; bufio reads a remainder of
-// readBufferBytes or more straight from the socket into the slab. With
-// a WAL attached a separate scan fills d.ranges with each column's
-// min/max for the log's packer, and the timestamp column's max is the
-// frame's maxTs. Every failure returns ok false, which severs the
-// connection without advancing the ack: the client retransmits the
-// frame, which is how a frame corrupted in flight gets delivered after
-// all.
+// readBufferBytes or more straight from the socket into the slab; the
+// frame's maxTs comes from frameDecoder.maxTs. Every failure returns ok
+// false, which severs the connection without advancing the ack: the
+// client retransmits the frame, which is how a frame corrupted in
+// flight gets delivered after all.
 func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader, size int64) (cols [][]uint64, maxTs uint64, ok bool) {
 	schema := s.cfg.Feed.Schema()
 	if size < parsefmt.ColumnarHeaderBytes {
@@ -861,17 +842,7 @@ func (s *Server) decodeColumnar(c *serverConn, d *frameDecoder, br *bufio.Reader
 		return nil, 0, false
 	}
 	parsefmt.FixWireOrder(words)
-	if d.ranges != nil {
-		parsefmt.ColumnRanges(cols, d.ranges)
-		maxTs = d.ranges[schema.TsCol].Max
-	} else {
-		for _, ts := range cols[schema.TsCol] {
-			if ts > maxTs {
-				maxTs = ts
-			}
-		}
-	}
-	return cols, maxTs, true
+	return cols, d.maxTs(cols, schema.TsCol), true
 }
 
 // decodeRecords reads one PB frame into the connection's payload buffer,
@@ -908,12 +879,7 @@ func (s *Server) decodeRecords(c *serverConn, d *frameDecoder, br *bufio.Reader,
 	if cols == nil {
 		return nil, 0, true
 	}
-	for _, ts := range cols[s.cfg.Feed.Schema().TsCol] {
-		if ts > maxTs {
-			maxTs = ts
-		}
-	}
-	return cols, maxTs, true
+	return cols, d.maxTs(cols, s.cfg.Feed.Schema().TsCol), true
 }
 
 // deliver is the one place a received frame becomes ingested:

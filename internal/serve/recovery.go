@@ -174,9 +174,10 @@ func (s *Server) writeCheckpoint() error {
 	// pushes the watermark to the end of time, and a restart that
 	// inherited that would seal every window its new data fills.
 	sealedWM := s.exec.SealedWatermark()
-	// Segments complete before the session snapshot hold only the open
-	// records of sessions it names (or that ended): only they may retire.
-	mark := s.wal.Mark()
+	// Roll completes the active segment: segments complete before the
+	// session snapshot hold only the open records of sessions it names
+	// (or that ended), so only they may retire.
+	mark := s.wal.Roll()
 	highTs := s.feed.HighTs()
 	sealedWM = min(sealedWM, s.win.End(s.win.WindowOf(highTs)))
 	ck := checkpoint{

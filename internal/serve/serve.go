@@ -73,12 +73,10 @@ type Config struct {
 	// listener accept connections. A missing or empty directory starts
 	// fresh.
 	WALDir string
-	// WALSegmentBytes caps one log segment before it rolls (0 picks
-	// 64 MiB).
-	WALSegmentBytes int64
 	// CheckpointInterval is the recovery-checkpoint cadence (0 picks
-	// 1s). Log segments are deleted only once a durable checkpoint
-	// seals every window they feed.
+	// 1s), which also rolls the log: a segment retires once a durable
+	// checkpoint seals every window it feeds, so the log holds the
+	// unsealed horizon plus one interval.
 	CheckpointInterval time.Duration
 }
 
@@ -147,7 +145,7 @@ func Serve(plan runtime.Plan, rcfg runtime.Config, sink string, cfg Config) (srv
 		if ck, err = readCheckpoint(cfg.WALDir); err != nil {
 			return nil, err
 		}
-		if s.wal, err = wal.Open(wal.Config{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes, Fields: fields}); err != nil {
+		if s.wal, err = wal.Open(wal.Config{Dir: cfg.WALDir, Fields: fields}); err != nil {
 			return nil, err
 		}
 	}

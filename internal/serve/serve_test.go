@@ -189,7 +189,7 @@ func TestRecoveryReturnsEverySlab(t *testing.T) {
 			}
 			want[start][c[0]] += c[3]
 		}
-		if err := log.AppendFrame(7, 1, f+1, cols[6][rows-1], cols, nil, true); err != nil {
+		if err := appendFrame(log, 7, 1, f+1, cols[6][rows-1], cols); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func TestReplayHoldsWatermarkForLaterSessions(t *testing.T) {
 			cols[k] = []uint64{0}
 		}
 		cols[3][0], cols[6][0] = 1, ts // key 0, value 1
-		if err := log.AppendFrame(token, conn, seq, ts, cols, nil, true); err != nil {
+		if err := appendFrame(log, token, conn, seq, ts, cols); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -504,7 +504,7 @@ func TestRecoveryAcrossColumnSets(t *testing.T) {
 					cols[k] = append(cols[k], v)
 				}
 			}
-			if err := log.AppendFrame(7, 1, uint64(lo/256+1), chunk[len(chunk)-1].EventTime, cols, nil, true); err != nil {
+			if err := appendFrame(log, 7, 1, uint64(lo/256+1), chunk[len(chunk)-1].EventTime, cols); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -553,4 +553,11 @@ func toVersion1(t *testing.T, path string) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// appendFrame logs cols durably with the exact ranges AppendFrame takes.
+func appendFrame(log *wal.Log, token uint64, conn int64, seq, maxTs uint64, cols [][]uint64) error {
+	ranges := make([]parsefmt.ColRange, len(cols))
+	parsefmt.ColumnRanges(cols, ranges)
+	return log.AppendFrame(token, conn, seq, maxTs, cols, ranges, true)
 }

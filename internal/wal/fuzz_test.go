@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"streambox/internal/parsefmt"
 )
 
 // EncodeRecord serializes one record for the fuzzer — the
@@ -13,7 +15,9 @@ func EncodeRecord(rec *Record) []byte {
 	for c := range cols {
 		cols[c] = rec.Data[c*rec.NRows : (c+1)*rec.NRows]
 	}
-	return appendRecord(nil, rec.Kind, rec.Token, rec.Conn, rec.Seq, rec.MaxTs, rec.Fields, cols, nil, rec.NRows)
+	ranges := make([]parsefmt.ColRange, len(cols))
+	parsefmt.ColumnRanges(cols, ranges)
+	return appendRecord(nil, rec.Kind, rec.Token, rec.Conn, rec.Seq, rec.MaxTs, rec.Fields, cols, ranges, rec.NRows)
 }
 
 func sampleRecords() [][]byte {

@@ -6,10 +6,12 @@
 // advances a session's cumulative ack after a batched group-commit
 // fsync, so the client's replay buffer (frames above the
 // ack) and the log (frames at or below it) partition the stream: every
-// frame survives a process crash exactly once. Segments retire once the
+// frame survives a process crash exactly once. A commit writes its
+// buffer to the active segment, one write and one fsync of one file;
+// segments roll only where a checkpoint marks them, and retire once the
 // global watermark has sealed — and a checkpoint has persisted — every
-// window their frames could feed, bounding disk use to the unsealed
-// horizon.
+// window their frames could feed. Disk use is bounded by the unsealed
+// horizon plus one checkpoint interval.
 //
 // On-disk layout (all integers little-endian, host order for column
 // payloads — the log never leaves the machine that wrote it):
@@ -144,42 +146,16 @@ func (r *Record) Project(fields parsefmt.FieldSet, cols [][]uint64) [][]uint64 {
 // appendRecord serializes a record body (length prefix included) into
 // buf and returns the extended slice. cols is nil for control records,
 // and fields the wire columns cols hold, zero for control records.
-// ranges, when non-nil, must hold each column's exact min and max —
-// the ingest path computes them once, with the frame's maxTs, sparing
-// this function a second scan over the frame; a stale or wrong range would
-// pack deltas that the decoder's canonicality check rejects. A nil
-// ranges scans here.
+// ranges holds each column's exact min and max, which fix its base and
+// canonical width — the ingest path computes them once, with the
+// frame's maxTs; a stale or wrong range would pack deltas that the
+// decoder's canonicality check rejects.
 func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs uint64, fields parsefmt.FieldSet, cols [][]uint64, ranges []parsefmt.ColRange, nrows int) []byte {
 	ncols := len(cols)
-	var bases []uint64
-	var widths []int
 	body := recHeaderBytes + ncols*colHeaderBytes
-	if ranges != nil {
-		if nrows > 0 {
-			for _, rng := range ranges[:ncols] {
-				body += nrows * packWidth(rng.Max-rng.Min)
-			}
-		}
-	} else {
-		// No precomputed ranges: per-column min/max fixes each column's
-		// base and canonical width, and with them the exact body size.
-		bases = make([]uint64, 0, 16)
-		widths = make([]int, 0, 16)
-		for _, col := range cols {
-			var lo, hi uint64
-			if nrows > 0 {
-				lo, hi = col[0], col[0]
-				for _, v := range col[1:nrows] {
-					if v < lo {
-						lo = v
-					} else if v > hi {
-						hi = v
-					}
-				}
-			}
-			bases = append(bases, lo)
-			widths = append(widths, packWidth(hi-lo))
-			body += nrows * packWidth(hi-lo)
+	if nrows > 0 {
+		for _, rng := range ranges[:ncols] {
+			body += nrows * packWidth(rng.Max-rng.Min)
 		}
 	}
 	total := 4 + body + recCRCBytes
@@ -198,16 +174,11 @@ func appendRecord(buf []byte, kind byte, token uint64, conn int64, seq, maxTs ui
 	binary.LittleEndian.PutUint16(b[39:], uint16(fields))
 	off := recHeaderBytes
 	for ci, col := range cols {
-		var base uint64
+		var base uint64 // an empty column's canonical base and width are zero
 		var w int
-		switch {
-		case nrows == 0:
-			// Canonical empty column: zero base, zero width.
-		case ranges != nil:
+		if nrows > 0 {
 			base = ranges[ci].Min
 			w = packWidth(ranges[ci].Max - base)
-		default:
-			base, w = bases[ci], widths[ci]
 		}
 		binary.LittleEndian.PutUint64(b[off:], base)
 		b[off+8] = byte(w)

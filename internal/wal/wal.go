@@ -19,9 +19,6 @@ import (
 type Config struct {
 	// Dir holds the segments and checkpoint; created if missing.
 	Dir string
-	// SegmentBytes rolls the active segment past this size
-	// (default 64 MiB).
-	SegmentBytes int64
 	// Fields are the wire columns of every frame appended, which the
 	// serving layer fills from its plan (zero: all seven). Open refuses a
 	// directory whose log holds a frame lacking any of them: recovery
@@ -43,48 +40,48 @@ type Stats struct {
 	SegmentsRetired int64
 }
 
+// segment is one log file. bytes and maxTs cover what completed
+// commits wrote to it (an indexed segment: its valid prefix), so they
+// never count a record that is not on stable storage.
 type segment struct {
 	idx     uint64
 	version byte
 	path    string
-	f       *os.File
+	f       *os.File // open while the segment is active or a commit writes it
 	bytes   int64
 	maxTs   uint64
-	synced  bool // completed segments only: fully fsynced at roll
 }
 
 // Log is a segmented write-ahead log that owns no goroutine. An append
 // packs its record into an in-memory accumulation buffer under a mutex
-// and does no I/O. A commit writes the buffer and fsyncs it, on the
-// goroutine of the first Sync that finds no commit in flight, with the
-// mutex released: appends keep encoding into the spare buffer while the
-// disk works, and every Sync that arrives meanwhile waits and is covered
-// by the next commit — group commit without a writer or a timer.
+// and does no I/O. A commit writes the buffer to the active segment and
+// fsyncs it, on the goroutine of the first Sync that finds no commit in
+// flight, with the mutex released: appends keep encoding into the spare
+// buffer while the disk works, and every Sync that arrives meanwhile
+// waits and is covered by the next commit — group commit without a
+// writer or a timer. Segments roll only at Roll, which the checkpoint
+// calls, so a commit always writes one buffer to one file.
 type Log struct {
 	cfg Config
 
-	mu         sync.Mutex
-	committed  *sync.Cond // a commit ended, or Close did
-	committing bool       // a commit is writing outside mu
-	active     *segment
-	completed  []*segment // rolled segments, oldest first
-	nextIdx    uint64
-	firstIdx   uint64 // first segment index created by this process
-	appendLSN  LSN
-	syncedLSN  LSN
-	err        error
-	closing    bool
+	mu        sync.Mutex
+	committed *sync.Cond // a commit ended, or Close did
+	writing   *segment   // the segment a commit is writing outside mu; nil when none is
+	active    *segment
+	completed []*segment // rolled segments, oldest first
+	nextIdx   uint64
+	firstIdx  uint64 // first segment index created by this process
+	appendLSN LSN
+	syncedLSN LSN
+	err       error
+	closing   bool
 
-	// Accumulation buffer: appends encode records into abuf; chunks
-	// records which segment each byte range belongs to (a commit can
-	// span a roll). spare/spareChunks are the committer's double buffer.
-	abuf        []byte
-	chunks      []chunk
-	spare       []byte
-	spareChunks []chunk
-	// sealedPending are segments rolled away from but not yet fsynced;
-	// the next commit syncs them after writing their last bytes.
-	sealedPending []*segment
+	// Accumulation buffer: appends encode records into abuf and raise
+	// bufMaxTs to their highest frame timestamp; spare is the
+	// committer's double buffer.
+	abuf     []byte
+	bufMaxTs uint64
+	spare    []byte
 
 	// set is the log's /metrics series, declared in Open; Stats loads
 	// the same counters. Syncs is the fsync histogram's count.
@@ -99,13 +96,6 @@ type Log struct {
 	syncFile func(*os.File) error
 }
 
-// chunk assigns a run of accumulated bytes to the segment that owns
-// them.
-type chunk struct {
-	seg *segment
-	n   int
-}
-
 // maxBufferedBytes caps the accumulation buffer: an append past it
 // commits what is buffered before it packs its record.
 const maxBufferedBytes = 4 << 20
@@ -117,9 +107,6 @@ const maxBufferedBytes = 4 << 20
 // ReplayExisting to feed their records back through the pipeline before
 // serving.
 func Open(cfg Config) (*Log, error) {
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 64 << 20
-	}
 	if cfg.Fields == 0 {
 		cfg.Fields = parsefmt.AllFields
 	}
@@ -144,9 +131,6 @@ func Open(cfg Config) (*Log, error) {
 	l.fsync = l.set.Histogram("streambox_wal_fsync_ns")
 	l.committed = sync.NewCond(&l.mu)
 	if err := l.indexExisting(); err != nil {
-		for _, seg := range l.completed {
-			seg.f.Close()
-		}
 		return nil, err
 	}
 	l.firstIdx = l.nextIdx
@@ -188,7 +172,6 @@ func (l *Log) indexExisting() error {
 		if err != nil {
 			return fmt.Errorf("wal: index %s: %w", p, err)
 		}
-		seg.synced = true // survived a restart; as durable as it gets
 		l.completed = append(l.completed, seg)
 		if seg.idx >= l.nextIdx {
 			l.nextIdx = seg.idx + 1
@@ -198,25 +181,23 @@ func (l *Log) indexExisting() error {
 }
 
 // scanSegment reads a segment's header and walks its records, stopping
-// at the first corruption, and returns its metadata (file left open for
-// retirement bookkeeping; records are not retained). A frame that lacks
-// one of fields is an error.
+// at the first corruption, and returns its metadata (records are not
+// retained). A frame that lacks one of fields is an error.
 func scanSegment(path string, fields parsefmt.FieldSet) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var hdr [segHeaderBytes]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%w: %v", errShortSegHeader, err)
 	}
 	idx, version, err := parseSegHeader(hdr[:])
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	seg := &segment{idx: idx, version: version, path: path, f: f, bytes: segHeaderBytes}
+	seg := &segment{idx: idx, version: version, path: path, bytes: segHeaderBytes}
 	var rec Record
 	err = walkSegment(f, version, &rec, func(r *Record, recBytes int64) error {
 		seg.bytes += recBytes
@@ -231,7 +212,6 @@ func scanSegment(path string, fields parsefmt.FieldSet) (*segment, error) {
 		return nil
 	})
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	return seg, nil
@@ -239,8 +219,10 @@ func scanSegment(path string, fields parsefmt.FieldSet) (*segment, error) {
 
 // walkSegment streams records from r (positioned after the header of a
 // segment of the given version) into fn until EOF or the first corrupt
-// record — corruption is the log's end, not an error. fn may keep
-// nothing: rec is reused.
+// record — corruption is the log's end, not an error: a torn record is
+// the tail of the last commit, and commits are serialized, each fsynced
+// before any ack it covers and before the next begins, so nothing after
+// the tear was ever acked. fn may keep nothing: rec is reused.
 func walkSegment(r io.Reader, version byte, rec *Record, fn func(rec *Record, recBytes int64) error) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var buf []byte
@@ -306,16 +288,10 @@ func (l *Log) ReplayExisting(fn func(rec *Record) error) (frames int64, err erro
 	return frames, nil
 }
 
-// roll seals the active segment (the next commit fsyncs it once it has
-// written its last bytes) and opens the next one. Caller must
-// hold l.mu or be initializing.
+// roll completes the active segment and opens the next one; on failure
+// the active segment stays. Caller must hold l.mu or be initializing.
 func (l *Log) roll() error {
-	if l.active != nil {
-		l.completed = append(l.completed, l.active)
-		l.sealedPending = append(l.sealedPending, l.active)
-	}
 	idx := l.nextIdx
-	l.nextIdx++
 	path := segPath(l.cfg.Dir, idx)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -323,14 +299,38 @@ func (l *Log) roll() error {
 	}
 	var hdr [segHeaderBytes]byte
 	putSegHeader(hdr[:], idx)
-	// The header goes straight to the file: every accumulated chunk for
-	// this segment is written strictly later, so file order is preserved.
+	// The header goes straight to the file: every commit to this segment
+	// writes strictly later, and the first one's fsync covers it.
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err
 	}
+	if old := l.active; old != nil {
+		l.completed = append(l.completed, old)
+		if l.writing != old {
+			old.f.Close() // else the commit writing it closes it
+		}
+	}
+	l.nextIdx++
 	l.active = &segment{idx: idx, version: segVersion, path: path, f: f, bytes: segHeaderBytes}
 	return nil
+}
+
+// Roll completes the active segment if commits have written records to
+// it, opening the next one, and returns the active segment's index: the
+// mark below which every segment is complete, for RetireThrough. The
+// checkpoint calls it before its session snapshot, so segments roll once
+// a checkpoint interval at most, and an idle log creates no file. A
+// record appended before Roll and not yet committed goes to the new
+// segment, which charges its timestamp. A failed roll leaves the active
+// segment in place, to roll at a later checkpoint.
+func (l *Log) Roll() (mark uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.active != nil && l.active.bytes > segHeaderBytes {
+		l.roll()
+	}
+	return l.nextIdx - 1
 }
 
 // append packs one record into the accumulation buffer and returns its
@@ -341,7 +341,7 @@ func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, fie
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.abuf) > maxBufferedBytes && l.err == nil && !l.closing {
-		if l.committing {
+		if l.writing != nil {
 			l.committed.Wait()
 		} else {
 			l.commit() // disk behind: write the buffer out before adding to it
@@ -355,29 +355,13 @@ func (l *Log) append(kind byte, token uint64, conn int64, seq, maxTs uint64, fie
 	}
 	start := len(l.abuf)
 	l.abuf = appendRecord(l.abuf, kind, token, conn, seq, maxTs, fields, cols, ranges, nrows)
-	n := len(l.abuf) - start
-	if k := len(l.chunks); k > 0 && l.chunks[k-1].seg == l.active {
-		l.chunks[k-1].n += n
-	} else {
-		l.chunks = append(l.chunks, chunk{seg: l.active, n: n})
-	}
-	l.active.bytes += int64(n)
 	if kind == KindFrame {
-		if maxTs > l.active.maxTs {
-			l.active.maxTs = maxTs
-		}
+		l.bufMaxTs = max(l.bufMaxTs, maxTs)
 		l.frames.Add(1)
 	}
-	l.bytes.Add(int64(n))
+	l.bytes.Add(int64(len(l.abuf) - start))
 	l.appendLSN++
-	lsn := l.appendLSN
-	if l.active.bytes >= l.cfg.SegmentBytes {
-		if err := l.roll(); err != nil {
-			l.err = err
-			return 0, err
-		}
-	}
-	return lsn, nil
+	return l.appendLSN, nil
 }
 
 // Sync blocks until every record at or below lsn is on stable storage.
@@ -391,7 +375,7 @@ func (l *Log) Sync(lsn LSN) error {
 		switch {
 		case l.err != nil:
 			return l.err
-		case l.committing:
+		case l.writing != nil:
 			l.committed.Wait()
 		default:
 			l.commit()
@@ -400,34 +384,21 @@ func (l *Log) Sync(lsn LSN) error {
 	return nil
 }
 
-// commit writes everything appended so far and fsyncs it: the sealed
-// segments first, then the active one. The caller holds l.mu and has
+// commit writes everything appended so far to the active segment with
+// one write, and fsyncs that file once. The caller holds l.mu and has
 // seen no commit in flight; commit releases l.mu for the I/O and holds
 // it again when it returns, with syncedLSN advanced to the LSN it took,
-// or l.err set.
+// or l.err set. The ack never passes the durable prefix: Sync returns
+// only once syncedLSN covers its record, every record at or below the
+// LSN taken is in this buffer or an earlier commit's, and syncedLSN
+// advances only after this buffer's fsync.
 func (l *Log) commit() {
-	l.committing = true
-	buf, chunks := l.abuf, l.chunks
-	l.abuf, l.chunks = l.spare[:0], l.spareChunks[:0]
-	sealed := l.sealedPending
-	l.sealedPending = nil
-	target := l.appendLSN
-	tail := l.active
+	buf, maxTs, target, tail := l.abuf, l.bufMaxTs, l.appendLSN, l.active
+	l.abuf, l.bufMaxTs = l.spare[:0], 0
+	l.writing = tail
 	l.mu.Unlock()
 
-	var err error
-	off := 0
-	for _, ch := range chunks {
-		if _, err = ch.seg.f.Write(buf[off : off+ch.n]); err != nil {
-			break
-		}
-		off += ch.n
-	}
-	// Sealed segments are fully on the fd now: make them durable so
-	// retirement can drop them.
-	for i := 0; err == nil && i < len(sealed); i++ {
-		err = l.syncFile(sealed[i].f)
-	}
+	_, err := tail.f.Write(buf)
 	if err == nil {
 		start := time.Now()
 		err = l.syncFile(tail.f)
@@ -435,14 +406,16 @@ func (l *Log) commit() {
 	}
 
 	l.mu.Lock()
-	l.spare, l.spareChunks = buf, chunks
-	l.committing = false
+	l.spare = buf
+	l.writing = nil
+	if tail != l.active {
+		tail.f.Close() // rolled while this commit wrote it
+	}
 	if err != nil {
 		l.err = err
 	} else {
-		for _, s := range sealed {
-			s.synced = true
-		}
+		tail.bytes += int64(len(buf))
+		tail.maxTs = max(tail.maxTs, maxTs)
 		l.syncedLSN = target
 	}
 	l.committed.Broadcast()
@@ -450,16 +423,17 @@ func (l *Log) commit() {
 
 // AppendFrame logs an accepted data frame. cols hold equal-length
 // columns (the engine's native layout), one per column of Config.Fields,
-// ascending; ranges, when non-nil, carry each column's exact min/max so
-// the packer skips its own scan (the ingest path scans them once, taking
-// the frame's maxTs from the same scan). When durable is set the call
-// blocks until the record is fsynced — the precondition for advancing a
-// session ack, and what the ingest server always asks for; otherwise it
-// returns after the buffered append, and the record becomes durable
-// with the next Sync, or at Close (the benchmark's append probe).
+// ascending; ranges carry each column's exact min/max
+// (parsefmt.ColumnRanges), which fix its packing: the ingest path scans
+// them once, taking the frame's maxTs from the same scan. When durable
+// is set the call blocks until the record is fsynced — the precondition
+// for advancing a session ack, and what the ingest server always asks
+// for; otherwise it returns after the buffered append, and the record
+// becomes durable with the next Sync, or at Close (the benchmark's
+// append probe).
 func (l *Log) AppendFrame(token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, ranges []parsefmt.ColRange, durable bool) error {
-	if len(cols) != l.cfg.Fields.Len() {
-		return fmt.Errorf("wal: a frame of %d columns, the log records %d: %v", len(cols), l.cfg.Fields.Len(), l.cfg.Fields)
+	if len(cols) != l.cfg.Fields.Len() || len(ranges) != len(cols) {
+		return fmt.Errorf("wal: a frame of %d columns and %d ranges, the log records %d: %v", len(cols), len(ranges), l.cfg.Fields.Len(), l.cfg.Fields)
 	}
 	lsn, err := l.append(KindFrame, token, conn, seq, maxTs, l.cfg.Fields, cols, ranges, len(cols[0]))
 	if err != nil {
@@ -494,21 +468,16 @@ func (l *Log) appendControl(kind byte, token uint64, conn int64) error {
 	return l.Sync(lsn)
 }
 
-// Mark returns the index of the active segment, for RetireThrough:
-// every segment below it is complete.
-func (l *Log) Mark() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextIdx - 1
-}
-
 // RetireThrough removes completed segments below mark whose every frame
 // feeds only windows sealed at or before tsBound — call it after the
 // checkpoint covering tsBound has persisted, passing
-// sealedWatermark−windowSize and the Mark taken before the checkpoint's
-// session snapshot: a segment completed later may hold a session's open
-// record the snapshot lacks. The active segment never retires. Returns
-// how many segments were removed.
+// sealedWatermark−windowSize and the Roll taken before the checkpoint's
+// session snapshot. A segment below the mark holds no session open
+// record the snapshot lacks: every record in it was appended before
+// Roll, after its session entered the table. The active segment never
+// retires, nor does a completed one a commit is still writing; any
+// other completed segment is on stable storage, fsynced by the last
+// commit that wrote it. Returns how many segments were removed.
 func (l *Log) RetireThrough(tsBound, mark uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -516,8 +485,7 @@ func (l *Log) RetireThrough(tsBound, mark uint64) (int, error) {
 	kept := l.completed[:0]
 	var firstErr error
 	for _, s := range l.completed {
-		if s.synced && s.maxTs <= tsBound && s.idx < mark {
-			s.f.Close()
+		if s != l.writing && s.maxTs <= tsBound && s.idx < mark {
 			if err := os.Remove(s.path); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -561,7 +529,7 @@ func (l *Log) Dir() string { return l.cfg.Dir }
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.committing || l.closing && l.active != nil {
+	for l.writing != nil || l.closing && l.active != nil {
 		l.committed.Wait() // a commit in flight, or another Close
 	}
 	if l.closing {
@@ -570,9 +538,6 @@ func (l *Log) Close() error {
 	l.closing = true
 	if l.err == nil && l.syncedLSN < l.appendLSN {
 		l.commit()
-	}
-	for _, s := range l.completed {
-		s.f.Close()
 	}
 	l.active.f.Close()
 	l.active = nil

@@ -31,11 +31,24 @@ func testCols(base uint64, rows int) [][]uint64 {
 	return cols
 }
 
+// appendFrame appends cols with the exact ranges AppendFrame takes.
+func appendFrame(l *Log, token uint64, conn int64, seq, maxTs uint64, cols [][]uint64, durable bool) error {
+	ranges := make([]parsefmt.ColRange, len(cols))
+	parsefmt.ColumnRanges(cols, ranges)
+	return l.AppendFrame(token, conn, seq, maxTs, cols, ranges, durable)
+}
+
+// segFiles lists dir's segment files, oldest first.
+func segFiles(dir string) []string {
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	return segs
+}
+
 // openLog opens a log of testFields frames in dir and closes it when the
 // test ends; a second Close of a log the test closed itself is a no-op.
-func openLog(t *testing.T, dir string, segmentBytes int64) *Log {
+func openLog(t *testing.T, dir string) *Log {
 	t.Helper()
-	l, err := Open(Config{Fields: testFields, Dir: dir, SegmentBytes: segmentBytes})
+	l, err := Open(Config{Fields: testFields, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +58,16 @@ func openLog(t *testing.T, dir string, segmentBytes int64) *Log {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, 0)
+	l := openLog(t, dir)
 	if err := l.AppendSessionOpen(7, 3); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.AppendFrame(7, 3, 1, 0, testCols(0, 4), nil, false); err == nil {
+		t.Fatal("a frame without its column ranges was appended")
+	}
 	for i := 0; i < 10; i++ {
 		cols := testCols(uint64(i*100), 4)
-		if err := l.AppendFrame(7, 3, uint64(i+1), uint64(i*1000), cols, nil, i%2 == 0); err != nil {
+		if err := appendFrame(l, 7, 3, uint64(i+1), uint64(i*1000), cols, i%2 == 0); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -66,7 +82,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: the previous segment is indexed and replayable.
-	l2 := openLog(t, dir, 0)
+	l2 := openLog(t, dir)
 	var frames, opens, ends int
 	var lastSeq uint64
 	n, err := l2.ReplayExisting(func(r *Record) error {
@@ -109,9 +125,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, 0)
+	l := openLog(t, dir)
 	for i := 0; i < 5; i++ {
-		if err := l.AppendFrame(1, 1, uint64(i+1), uint64(i), testCols(0, 2), nil, true); err != nil {
+		if err := appendFrame(l, 1, 1, uint64(i+1), uint64(i), testCols(0, 2), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +137,7 @@ func TestTornTailTruncates(t *testing.T) {
 
 	// Tear the last record: chop bytes off the tail and flip one byte of
 	// what remains of it.
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs := segFiles(dir)
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment, got %v", segs)
 	}
@@ -141,7 +157,7 @@ func TestTornTailTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2 := openLog(t, dir, 0)
+	l2 := openLog(t, dir)
 	var seqs []uint64
 	n, err := l2.ReplayExisting(func(r *Record) error {
 		seqs = append(seqs, r.Seq)
@@ -160,48 +176,168 @@ func TestTornTailTruncates(t *testing.T) {
 
 func TestSegmentRollAndRetire(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, 1024)
-	// Each record packs to ~100 bytes (3 single-byte-width columns of 8
-	// rows): force several rolls, with ascending timestamps.
-	// The last append is durable: its group commit also fsyncs every
-	// sealed segment, so they are retirable when it returns.
-	for i := 0; i < 40; i++ {
-		if err := l.AppendFrame(0, 1, 0, uint64(i*100), testCols(0, 8), nil, i == 39); err != nil {
-			t.Fatal(err)
+	l := openLog(t, dir)
+	// Four segments of ten frames each, timestamps ascending: segment g
+	// holds ts g*1000 … g*1000+900.
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 10; i++ {
+			if err := appendFrame(l, 0, 1, 0, uint64(g*1000+i*100), testCols(0, 8), i == 9); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mark := l.Roll(); mark != uint64(g+1) {
+			t.Fatalf("Roll after segment %d = %d, want %d", g, mark, g+1)
 		}
 	}
 	st := l.Stats()
-	if st.SegmentsActive < 3 {
-		t.Fatalf("SegmentsActive = %d, want several after rolls", st.SegmentsActive)
+	if st.SegmentsActive != 5 {
+		t.Fatalf("SegmentsActive = %d, want 4 rolled and the active one", st.SegmentsActive)
 	}
 	// A segment completed after the mark stays, whatever its frames:
 	// it may hold a session open record the checkpoint lacks.
 	if n, err := l.RetireThrough(2000, 0); n != 0 || err != nil {
 		t.Fatalf("RetireThrough below mark 0 removed %d segments (%v), want none", n, err)
 	}
-	// Retire everything sealed through ts 2000: at least one completed
-	// segment has maxTs below that.
-	n, err := l.RetireThrough(2000, l.Mark())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("RetireThrough(2000) retired nothing")
+	// Through ts 2000 the first two segments retire; the third holds
+	// ts 2000…2900.
+	n, err := l.RetireThrough(2000, l.Roll())
+	if err != nil || n != 2 {
+		t.Fatalf("RetireThrough(2000) retired %d (%v), want 2", n, err)
 	}
 	st2 := l.Stats()
-	if st2.SegmentsRetired != int64(n) || st2.SegmentsActive != st.SegmentsActive-int64(n) {
-		t.Fatalf("after retire: %+v (was %+v, retired %d)", st2, st, n)
+	if st2.SegmentsRetired != 2 || st2.SegmentsActive != 3 {
+		t.Fatalf("after retire: %+v (was %+v)", st2, st)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if int64(len(segs)) != st2.SegmentsActive {
+	if segs := segFiles(dir); int64(len(segs)) != st2.SegmentsActive {
 		t.Fatalf("%d segment files on disk, stats say %d active", len(segs), st2.SegmentsActive)
 	}
-	// Nothing above the bound may retire: the active segment stays.
-	if _, err := l.RetireThrough(^uint64(0), l.Mark()); err != nil {
+	// Retire everything: the active segment stays.
+	if _, err := l.RetireThrough(^uint64(0), l.Roll()); err != nil {
 		t.Fatal(err)
 	}
 	if st3 := l.Stats(); st3.SegmentsActive != 1 {
 		t.Fatalf("retire-all left %d active segments, want just the active one", st3.SegmentsActive)
+	}
+}
+
+// TestRollSkipsEmptySegment: a Roll on a segment no commit has written
+// to opens no file, so an idle log keeps one segment across checkpoints.
+func TestRollSkipsEmptySegment(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	for range 3 {
+		if mark := l.Roll(); mark != 0 {
+			t.Fatalf("Roll on an empty log = %d, want 0", mark)
+		}
+	}
+	// Buffered but uncommitted records do not make the segment roll
+	// either: they go wherever the next commit writes.
+	if err := appendFrame(l, 1, 1, 1, 1, testCols(0, 2), false); err != nil {
+		t.Fatal(err)
+	}
+	if mark := l.Roll(); mark != 0 {
+		t.Fatalf("Roll with nothing committed = %d, want 0", mark)
+	}
+	if segs := segFiles(dir); len(segs) != 1 {
+		t.Fatalf("segment files %v, want one", segs)
+	}
+}
+
+// TestRollCarriesBufferedRecords: records appended before a Roll and
+// not yet committed go to the new segment, and replay after the old
+// segment's records, each exactly once.
+func TestRollCarriesBufferedRecords(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	for seq := uint64(1); seq <= 6; seq++ {
+		// 1–3 are committed to segment 0; 4–6 are buffered at the Roll.
+		if err := appendFrame(l, 1, 1, seq, seq*10, testCols(seq, 2), seq == 3); err != nil {
+			t.Fatal(err)
+		}
+		if seq == 5 {
+			if mark := l.Roll(); mark != 1 {
+				t.Fatalf("Roll = %d, want 1", mark)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segFiles(dir); len(segs) != 2 {
+		t.Fatalf("segment files %v, want two", segs)
+	}
+	var seqs []uint64
+	n, err := openLog(t, dir).ReplayExisting(func(r *Record) error {
+		seqs = append(seqs, r.Seq)
+		return nil
+	})
+	if err != nil || n != 6 || !reflect.DeepEqual(seqs, []uint64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("replayed %d frames %v (%v), want 1…6 in order", n, seqs, err)
+	}
+}
+
+// TestCompletedSegmentsHoldNoFile: a segment keeps its file open only
+// while it is active or a commit writes it, so a log that rolls at
+// every checkpoint holds one descriptor however many segments wait to
+// retire.
+func TestCompletedSegmentsHoldNoFile(t *testing.T) {
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files in")
+		}
+		return len(fds)
+	}
+	l := openLog(t, t.TempDir())
+	before := openFiles()
+	for i := range 50 {
+		if err := appendFrame(l, 1, 1, uint64(i+1), uint64(i), testCols(0, 2), true); err != nil {
+			t.Fatal(err)
+		}
+		l.Roll()
+	}
+	if st, n := l.Stats(), openFiles()-before; st.SegmentsActive != 51 || n > 5 {
+		t.Fatalf("%d segments hold %d more open files, want about none", st.SegmentsActive, n)
+	}
+}
+
+// TestRetireSkipsSegmentBeingWritten: a commit to a segment is held at
+// its fsync while a Roll completes that segment. Retirement must leave
+// it until the commit returns — its last bytes are not yet durable — and
+// the next retirement removes it.
+func TestRetireSkipsSegmentBeingWritten(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	if err := appendFrame(l, 1, 1, 1, 1, testCols(0, 2), true); err != nil {
+		t.Fatal(err)
+	}
+	inFsync, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release) // before the log's Close, which waits for the commit
+	l.syncFile = func(f *os.File) error {
+		close(inFsync)
+		<-held
+		return f.Sync()
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- appendFrame(l, 1, 1, 2, 2, testCols(0, 2), true) }()
+	<-inFsync
+	mark := l.Roll()
+	if mark != 1 {
+		t.Fatalf("Roll = %d, want 1", mark)
+	}
+	if n, err := l.RetireThrough(^uint64(0), mark); n != 0 || err != nil {
+		t.Fatalf("retired %d segments (%v) while a commit was writing one", n, err)
+	}
+	if _, err := os.Stat(segPath(dir, 0)); err != nil {
+		t.Fatalf("segment under commit: %v", err)
+	}
+	release()
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if n, err := l.RetireThrough(^uint64(0), mark); n != 1 || err != nil {
+		t.Fatalf("after the commit retired %d segments (%v), want 1", n, err)
 	}
 }
 
@@ -211,7 +347,7 @@ func TestSegmentRollAndRetire(t *testing.T) {
 // appends, whatever the disk's speed.
 func TestGroupCommitConcurrent(t *testing.T) {
 	const appenders = 8
-	l := openLog(t, t.TempDir(), 0)
+	l := openLog(t, t.TempDir())
 	inFsync := make(chan struct{})
 	var held atomic.Bool
 	l.syncFile = func(f *os.File) error {
@@ -226,7 +362,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	appendOne := func(g int) {
 		defer wg.Done()
-		if err := l.AppendFrame(uint64(g+1), int64(g), 1, 0, testCols(0, 2), nil, true); err != nil {
+		if err := appendFrame(l, uint64(g+1), int64(g), 1, 0, testCols(0, 2), true); err != nil {
 			t.Errorf("appender %d: %v", g, err)
 		}
 	}
@@ -279,8 +415,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // every Sync has returned, no other goroutine's stack holds a frame of
 // package wal, and after Close appends fail cleanly.
 func TestCloseStopsGoroutines(t *testing.T) {
-	l := openLog(t, t.TempDir(), 0)
-	if err := l.AppendFrame(1, 1, 1, 1, testCols(0, 2), nil, true); err != nil {
+	l := openLog(t, t.TempDir())
+	if err := appendFrame(l, 1, 1, 1, 1, testCols(0, 2), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendSessionEnd(1, 1); err != nil {
@@ -297,7 +433,7 @@ func TestCloseStopsGoroutines(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendFrame(1, 1, 2, 2, testCols(0, 2), nil, true); err == nil {
+	if err := appendFrame(l, 1, 1, 2, 2, testCols(0, 2), true); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 }
@@ -307,7 +443,7 @@ func TestCloseStopsGoroutines(t *testing.T) {
 // Close waits for the first. Both records are in the log afterwards.
 func TestCloseWaitsForCommit(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, 0)
+	l := openLog(t, dir)
 	inFsync, release := make(chan struct{}), make(chan struct{})
 	var held atomic.Bool
 	l.syncFile = func(f *os.File) error {
@@ -318,9 +454,9 @@ func TestCloseWaitsForCommit(t *testing.T) {
 		return f.Sync()
 	}
 	synced := make(chan error, 1)
-	go func() { synced <- l.AppendFrame(1, 1, 1, 1, testCols(0, 2), nil, true) }()
+	go func() { synced <- appendFrame(l, 1, 1, 1, 1, testCols(0, 2), true) }()
 	<-inFsync
-	if err := l.AppendFrame(1, 1, 2, 2, testCols(0, 2), nil, false); err != nil {
+	if err := appendFrame(l, 1, 1, 2, 2, testCols(0, 2), false); err != nil {
 		t.Fatal(err)
 	}
 	closed := make(chan error, 2)
@@ -341,7 +477,7 @@ func TestCloseWaitsForCommit(t *testing.T) {
 	if st := l.Stats(); st.Syncs != 2 {
 		t.Fatalf("Syncs = %d, want the held commit and Close's", st.Syncs)
 	}
-	n, err := openLog(t, dir, 0).ReplayExisting(func(*Record) error { return nil })
+	n, err := openLog(t, dir).ReplayExisting(func(*Record) error { return nil })
 	if err != nil || n != 2 {
 		t.Fatalf("replayed %d frames (%v), want 2", n, err)
 	}
@@ -349,8 +485,8 @@ func TestCloseWaitsForCommit(t *testing.T) {
 
 func TestPurgeSegments(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, 0)
-	if err := l.AppendFrame(1, 1, 1, 1, testCols(0, 2), nil, true); err != nil {
+	l := openLog(t, dir)
+	if err := appendFrame(l, 1, 1, 1, 1, testCols(0, 2), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -359,7 +495,7 @@ func TestPurgeSegments(t *testing.T) {
 	if err := PurgeSegments(dir); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs := segFiles(dir)
 	if len(segs) != 0 {
 		t.Fatalf("segments survived purge: %v", segs)
 	}

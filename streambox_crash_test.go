@@ -44,12 +44,12 @@ func TestCrashHelperServer(t *testing.T) {
 		KeepWindows: 32,
 		// No cursor may park or expire across the crash window, or the
 		// equivalence check would race the reaper.
-		CursorGrace:        time.Minute,
-		SessionTimeout:     5 * time.Minute,
+		CursorGrace:    time.Minute,
+		SessionTimeout: 5 * time.Minute,
+		// Checkpoints, which roll the log and retire its segments, run
+		// within the test: the recovered run retires the crashed run's
+		// segment.
 		CheckpointInterval: 50 * time.Millisecond,
-		// Small segments so the run exercises rolling and checkpoint
-		// retirement, not just a single open segment.
-		WALSegmentBytes: 256 << 10,
 	}
 	switch mode {
 	case "crash":

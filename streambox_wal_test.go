@@ -133,7 +133,9 @@ func TestRecoveryRejectsSessionlessLog(t *testing.T) {
 	for i := range cols {
 		cols[i] = []uint64{1, 2, 3}
 	}
-	if err := log.AppendFrame(0, 1, 0, 3, cols, nil, true); err != nil {
+	ranges := make([]parsefmt.ColRange, len(cols))
+	parsefmt.ColumnRanges(cols, ranges)
+	if err := log.AppendFrame(0, 1, 0, 3, cols, ranges, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
