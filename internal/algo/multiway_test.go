@@ -438,6 +438,108 @@ func TestMultiMergeFoldWords(t *testing.T) {
 	}
 }
 
+// foldSortedBranchy is foldSorted's reference: the fold with a branch
+// on every key change, as the leaf folded before it went branch-free.
+func foldSortedBranchy(pairs []Pair, op FoldOp) int {
+	if op == FoldCopy || len(pairs) == 0 {
+		return len(pairs)
+	}
+	n, cur := 0, pairs[0]
+	for _, p := range pairs[1:] {
+		switch {
+		case p.Key != cur.Key:
+			pairs[n] = cur
+			n++
+			cur = p
+		case op == FoldAdd:
+			cur.Ptr += p.Ptr
+		case op == FoldMin:
+			cur.Ptr = min(cur.Ptr, p.Ptr)
+		default:
+			cur.Ptr = max(cur.Ptr, p.Ptr)
+		}
+	}
+	pairs[n] = cur
+	return n + 1
+}
+
+// TestFoldSorted holds the leaf's branch-free fold to foldSortedBranchy
+// for every op, on sorted runs of random repeats, all keys equal, all
+// keys distinct, keys at both ends of the range, and values near
+// MaxUint64 that make a sum wrap; lengths 0–3 and longer ones.
+func TestFoldSorted(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	shapes := []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"random-repeats", func(int) uint64 { return mix(uint64(r.Intn(64))) }},
+		{"all-equal", func(int) uint64 { return 7 }},
+		{"all-distinct", func(i int) uint64 { return uint64(i) }},
+		{"ends", func(int) uint64 { return -uint64(r.Intn(2)) }},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{0, 1, 2, 3, 100, 5000} {
+			run := make([]Pair, n)
+			for i := range run {
+				val := r.Uint64()
+				switch r.Intn(4) {
+				case 0:
+					val = 0
+				case 1:
+					val = ^uint64(0) - uint64(r.Intn(3)) // sums wrap
+				}
+				run[i] = Pair{Key: sh.key(i), Ptr: val}
+			}
+			RadixSortPairs(run, nil)
+			for _, op := range []FoldOp{FoldCopy, FoldAdd, FoldMin, FoldMax} {
+				got, want := slices.Clone(run), slices.Clone(run)
+				m, wm := foldSorted(got, op), foldSortedBranchy(want, op)
+				if m != wm || !slices.Equal(got[:m], want[:wm]) {
+					t.Fatalf("%s/%d op %d: %d pairs %v, want %d pairs %v", sh.name, n, op, m, got[:min(m, 8)], wm, want[:min(wm, 8)])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFoldSorted prices the leaf's fold, branch-free against
+// foldSortedBranchy, in ns per pair (a copy of the leaf included), on
+// 512 sorted leaves of 2 048 hashed keys taken in turn, so no branch
+// history carries over: keys of 2 150 ids, which repeat about one pair
+// in three as a close of inproc_wide's keys does, and keys that never
+// repeat, where the branch always predicts.
+func BenchmarkFoldSorted(b *testing.B) {
+	const leaf, leaves = 2048, 512
+	for _, keys := range []struct {
+		name string
+		ids  int
+	}{{"repeats", 2150}, {"distinct", 1 << 40}} {
+		r := rand.New(rand.NewSource(3))
+		all := make([]Pair, leaf*leaves)
+		for i := range all {
+			all[i] = Pair{Key: mix(uint64(r.Intn(keys.ids))), Ptr: r.Uint64() % 1000}
+		}
+		for l := 0; l < leaves; l++ {
+			RadixSortPairs(all[l*leaf:(l+1)*leaf], nil)
+		}
+		buf := make([]Pair, leaf)
+		for _, way := range []struct {
+			name string
+			fold func([]Pair, FoldOp) int
+		}{{"branchy", foldSortedBranchy}, {"branch-free", foldSorted}} {
+			b.Run(keys.name+"/sum/"+way.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					l := i % leaves
+					copy(buf, all[l*leaf:(l+1)*leaf])
+					way.fold(buf, FoldAdd)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/leaf, "ns/pair")
+			})
+		}
+	}
+}
+
 // TestMultiMergeFoldRegroupRule pins the path MultiMergeFold takes at
 // each seam of the regroup rule — regroupRuns − 1 live runs and
 // regroupRuns (an empty run is not live), regroupMinPairs − 1 pairs and
@@ -717,9 +819,12 @@ func TestMultiWayCutsDegenerate(t *testing.T) {
 // loser tree and by regrouping, in ns per pair, across 2–64 runs of
 // 250–10 000 pairs (500 to 640 000 in all), over hashed keys,
 // clustered-prefix keys (all but a tenth share their top 16 bits, so one
-// bucket is heavy and regroups again) and keys below 2^20 (too wide for
-// the table). MultiMergeFold regroups where the regroup leg wins, and the
-// constants put the tree everywhere else.
+// bucket is heavy and regroups again), keys below 2^20 (too wide for
+// the table) and hashed-1Mi, the benchmark's inproc_wide keys — 64-bit
+// hashes of 2^20 ids, so a merge of many runs repeats keys and a sum
+// folds them, where plain hashed keys never repeat. MultiMergeFold
+// regroups where the regroup leg wins, and the constants put the tree
+// everywhere else.
 func BenchmarkMergeShapes(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -728,6 +833,7 @@ func BenchmarkMergeShapes(b *testing.B) {
 		{"hashed", func(r *rand.Rand, _, _ int) uint64 { return r.Uint64() }},
 		{"clustered-prefix", keyShapes[slices.IndexFunc(keyShapes, func(s keyShape) bool { return s.name == "clustered-prefix" })].key},
 		{"1Mi", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1 << 20)) }},
+		{"hashed-1Mi", func(r *rand.Rand, _, _ int) uint64 { return mix(uint64(r.Intn(1 << 20))) }},
 	}
 	for _, k := range []int{2, 3, 4, 7, 8, 16, 32, 64} {
 		for _, runLen := range []int{250, 1000, 4096, 10_000} {

@@ -49,8 +49,10 @@ const (
 // more than t digits vary the sort is a plain LSD over exactly those.
 // When more vary, LSD runs over the top t of them only — two passes put
 // almost every one of 10 000 hashed 64-bit keys in its final place — and
-// a walk over the segments of equal prefix finishes each one: insertion
-// sort up to insertionMax pairs, this same routine above it (its scan
+// insertion finishes the rest: one pass over the whole run when the top
+// digit's pass left no bucket over insertionMax pairs, which hashed keys
+// never do, else a walk over the segments of equal prefix, insertion
+// sort up to insertionMax pairs and this same routine above it (its scan
 // then skips the digits the prefix fixed). A pair is therefore never
 // scattered more often than digits vary, eight at most.
 //
@@ -85,7 +87,7 @@ func sortVarying(pairs, buf []Pair, vary uint64) {
 		countingSort(buf, pairs, nil, nil, lo, bits)
 		copy(pairs, buf)
 	} else {
-		radixSort(pairs, buf, vary)
+		radixSort(pairs, buf, nil, nil, vary)
 	}
 }
 
@@ -94,8 +96,10 @@ func sortVarying(pairs, buf []Pair, vary uint64) {
 // whose keys and values are still two columns, and whose key column s
 // scanned (ScanKeys). Narrow keys take the counting pass straight from
 // the columns, so each pair is written once, into its sorted slot, with
-// no scratch and no copy back. Any other run is zipped into dst and
-// radix-sorted there, on the varying bits the scan found.
+// no scratch and no copy back. Any other run takes the radix path on the
+// varying bits the scan found, and its first scatter pass reads the
+// columns too: it writes to dst or to the scratch by the parity of the
+// passes, so the last one lands in dst and nothing is zipped or copied.
 func RadixSortColumns(dst []Pair, keys, vals []uint64, s KeyScan, scratch *Scratch) {
 	n := len(keys)
 	dst, vals = dst[:n], vals[:n]
@@ -103,17 +107,18 @@ func RadixSortColumns(dst []Pair, keys, vals []uint64, s KeyScan, scratch *Scrat
 		countingSort(dst, nil, keys, vals, lo, bits)
 		return
 	}
-	for i, k := range keys {
-		dst[i] = Pair{Key: k, Ptr: vals[i]}
+	if n <= insertionMax || s.Vary == 0 {
+		for i, k := range keys {
+			dst[i] = Pair{Key: k, Ptr: vals[i]}
+		}
+		if s.Vary != 0 {
+			insertionSort(dst)
+		}
+		return
 	}
-	switch {
-	case n <= insertionMax:
-		insertionSort(dst)
-	case s.Vary != 0:
-		buf := scratch.GetPairs(n)
-		radixSort(dst, buf, s.Vary)
-		scratch.PutPairs(buf)
-	}
+	buf := scratch.GetPairs(n)
+	radixSort(dst, buf, keys, vals, s.Vary)
+	scratch.PutPairs(buf)
 }
 
 // narrowSpan reports whether n pairs whose keys differ in the bits of
@@ -173,8 +178,16 @@ func countingSort(dst, src []Pair, keys, vals []uint64, lo, bits uint) {
 }
 
 // radixSort sorts pairs, scattering through buf (same length). vary has
-// a bit set wherever two of the keys differ.
-func radixSort(pairs, buf []Pair, vary uint64) {
+// a bit set wherever two of the keys differ. The pairs to sort are pairs
+// themselves, or when keys is non-nil the columns keys and vals, which
+// the first pass reads (pairs' contents are then ignored).
+//
+// After the top digits' passes no pair lies outside its top digit's
+// bucket, so when the last pass found no bucket longer than insertionMax
+// one insertion sort over the whole run finishes it, moving each pair
+// only within its segment of equal prefix; the segment walk is the
+// fallback for a run whose top digit leaves a heavy bucket.
+func radixSort(pairs, buf []Pair, keys, vals []uint64, vary uint64) {
 	n := len(pairs)
 	// shifts[:v] are the digits on which some two keys differ, low to high.
 	var shifts [radixDigits]uint
@@ -190,11 +203,14 @@ func radixSort(pairs, buf []Pair, vary uint64) {
 		t++
 	}
 	if v <= t {
-		scatterPasses(pairs, buf, shifts[:v])
+		scatterPasses(pairs, buf, keys, vals, shifts[:v])
 		return
 	}
 	top := shifts[v-t : v]
-	scatterPasses(pairs, buf, top)
+	if scatterPasses(pairs, buf, keys, vals, top) <= insertionMax {
+		insertionSort(pairs)
+		return
+	}
 	// Keys that agree above the lowest scattered digit are now adjacent,
 	// in input order: each such segment is an independent stable sort on
 	// the digits below. The walk that finds a segment's end is also the
@@ -209,7 +225,7 @@ func radixSort(pairs, buf []Pair, vary uint64) {
 			and &= pairs[j].Key
 		}
 		if j-i > insertionMax {
-			radixSort(pairs[i:j], buf[i:j], or^and)
+			radixSort(pairs[i:j], buf[i:j], nil, nil, or^and)
 		} else {
 			insertionSort(pairs[i:j])
 		}
@@ -218,50 +234,87 @@ func radixSort(pairs, buf []Pair, vary uint64) {
 }
 
 // scatterPasses runs one stable counting-sort pass per shift, in order,
-// and leaves the result in pairs.
-func scatterPasses(pairs, buf []Pair, shifts []uint) {
+// and leaves the result in pairs; it returns the largest bucket of the
+// last pass. The passes ping-pong between pairs and buf. When keys is
+// non-nil the first pass reads the columns keys and vals instead of
+// pairs, into whichever of the two makes the last pass land in pairs;
+// otherwise an odd number of passes ends in buf and is copied back.
+func scatterPasses(pairs, buf []Pair, keys, vals []uint64, shifts []uint) (most uint32) {
 	src, dst := pairs, buf
+	if keys != nil {
+		if len(shifts)%2 == 1 {
+			src, dst = dst, src
+		}
+		most = scatter(dst, nil, keys, vals, shifts[0])
+		src, dst = dst, src
+		shifts = shifts[1:]
+	}
 	for _, sh := range shifts {
-		scatter(dst, src, sh)
+		most = scatter(dst, src, nil, nil, sh)
 		src, dst = dst, src
 	}
 	if &src[0] != &pairs[0] {
 		copy(pairs, src)
 	}
+	return most
 }
 
 // scatter moves src into dst ordered by the digit at sh, equal digits in
-// src order: count the digit, turn the counts into cursors, scatter. The
-// counters are 32-bit — a run is a bundle's worth of pairs — and indexed
-// by a byte, so no lookup carries a bounds check. Not inlined: on its
-// own the loops keep everything in registers, which inside the caller's
-// frame they do not.
+// src order: count the digit, turn the counts into cursors, scatter. It
+// returns the largest count. When src is nil the pairs are the columns
+// keys and vals, zipped as they are scattered. The counters are 32-bit —
+// a run is a bundle's worth of pairs — and indexed by a byte, so no
+// lookup carries a bounds check. Not inlined: on its own the loops keep
+// everything in registers, which inside the caller's frame they do not.
 //
 //go:noinline
-func scatter(dst, src []Pair, sh uint) {
+func scatter(dst, src []Pair, keys, vals []uint64, sh uint) (most uint32) {
 	sh &= 63 // lets the compiler drop the shift's range check
 	// Two histograms, alternate pairs: neighbours that share a digit —
 	// every pair, when most of a digit's bits are fixed — do not wait on
 	// one another's counter.
 	var c, odd [radixBuckets]uint32
-	i := 0
-	for ; i+1 < len(src); i += 2 {
-		c[uint8(src[i].Key>>sh)]++
-		odd[uint8(src[i+1].Key>>sh)]++
-	}
-	if i < len(src) {
-		c[uint8(src[i].Key>>sh)]++
+	if src != nil {
+		i := 0
+		for ; i+1 < len(src); i += 2 {
+			c[uint8(src[i].Key>>sh)]++
+			odd[uint8(src[i+1].Key>>sh)]++
+		}
+		if i < len(src) {
+			c[uint8(src[i].Key>>sh)]++
+		}
+	} else {
+		i := 0
+		for ; i+1 < len(keys); i += 2 {
+			c[uint8(keys[i]>>sh)]++
+			odd[uint8(keys[i+1]>>sh)]++
+		}
+		if i < len(keys) {
+			c[uint8(keys[i]>>sh)]++
+		}
 	}
 	sum := uint32(0)
 	for b, n := range c {
 		c[b] = sum
-		sum += n + odd[b]
+		n += odd[b]
+		sum += n
+		most = max(most, n)
 	}
-	for i := range src {
-		b := uint8(src[i].Key >> sh)
-		dst[c[b]] = src[i]
+	if src != nil {
+		for i := range src {
+			b := uint8(src[i].Key >> sh)
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		return most
+	}
+	vals = vals[:len(keys)]
+	for i, k := range keys {
+		b := uint8(k >> sh)
+		dst[c[b]] = Pair{Key: k, Ptr: vals[i]}
 		c[b]++
 	}
+	return most
 }
 
 // insertionSort sorts a tiny run by key; equal keys keep their order.

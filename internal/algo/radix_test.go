@@ -186,6 +186,26 @@ var keyShapes = []keyShape{
 		}
 		return 0xabcd_abcd_abcd<<16 | k>>48
 	}},
+	// The radix path's pass plans (radixSort): with t the digits that
+	// spread n pairs thin — one up to 256 pairs, two up to 65 536, three
+	// above — v varying digits take v passes when v <= t, else the top t
+	// and a finish: one insertion pass when the top digit's buckets are
+	// light, a segment walk where heavy-top-digit piles three quarters of
+	// the keys under one value. Odd and even pass counts are what place
+	// the column path's first pass in the destination or in the scratch.
+	{"two-digits", func(r *rand.Rand, _, _ int) uint64 {
+		return uint64(r.Intn(256)) | uint64(r.Intn(256))<<16
+	}},
+	{"three-digits", func(r *rand.Rand, _, _ int) uint64 {
+		return uint64(r.Intn(256)) | uint64(r.Intn(256))<<16 | uint64(r.Intn(256))<<32
+	}},
+	{"heavy-top-digit", func(r *rand.Rand, _, _ int) uint64 {
+		top := uint64(7)
+		if r.Intn(4) == 0 {
+			top = uint64(r.Intn(256))
+		}
+		return uint64(r.Intn(256)) | uint64(r.Intn(256))<<16 | top<<32
+	}},
 }
 
 // shapedPairs draws n pairs of the named shape, Ptr = input index.
@@ -268,13 +288,18 @@ func sortColumnsOf(orig []Pair) []Pair {
 }
 
 // TestRadixSortColumnsShapes holds the column entry — the counting pass
-// straight from the columns, or a zip and the radix path — to the same
-// property on the same shapes, at the lengths where it changes strategy:
-// empty, one pair, the insertion threshold and one past it, and the run
-// sizes the workloads form.
+// straight from the columns, or the radix path whose first pass reads
+// them — to the same property on the same shapes, at the lengths where it
+// changes strategy: empty, one pair, the insertion threshold and one past
+// it, one scatter pass (200), two (512 to 10 000, the run sizes the
+// workloads form) and three (65 537).
 func TestRadixSortColumnsShapes(t *testing.T) {
+	lengths := []int{0, 1, 64, 65, 200, 512, 4096, 10_000, 65_537}
+	if testing.Short() {
+		lengths = lengths[:8]
+	}
 	for si, shape := range keyShapes {
-		for _, n := range []int{0, 1, 64, 65, 512, 4096, 10_000} {
+		for _, n := range lengths {
 			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
 				orig := shapedPairs(shape.name, n, int64(n)*37+int64(si))
 				assertStableSortOf(t, sortColumnsOf(orig), orig)
@@ -285,14 +310,17 @@ func TestRadixSortColumnsShapes(t *testing.T) {
 
 // FuzzRadixSortPairs reads its input as little-endian keys, sorted both
 // as pairs and as columns; the seeds are the shapes above, long enough
-// to leave the insertion path.
+// to leave the insertion path, at 300 keys (two scatter passes on the
+// radix path) and 200 (one).
 func FuzzRadixSortPairs(f *testing.F) {
-	for si, shape := range keyShapes {
-		var seed []byte
-		for _, p := range shapedPairs(shape.name, 300, int64(si)) {
-			seed = binary.LittleEndian.AppendUint64(seed, p.Key)
+	for _, n := range []int{300, 200} {
+		for si, shape := range keyShapes {
+			var seed []byte
+			for _, p := range shapedPairs(shape.name, n, int64(si)) {
+				seed = binary.LittleEndian.AppendUint64(seed, p.Key)
+			}
+			f.Add(seed)
 		}
-		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := make([]Pair, len(data)/8)
@@ -527,6 +555,30 @@ func BenchmarkRadixSortPairs(b *testing.B) {
 				RadixSortPairs(buf, s)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkRadixSortColumns prices run formation of a sorted run from
+// its two columns (RadixSortColumns, scan included), in ns per pair: a
+// 10 000-row bundle of hashed keys, which takes the radix path — two
+// scatter passes, the first straight from the columns, and an insertion
+// finish — and of 1 024 keys, which takes the counting pass.
+func BenchmarkRadixSortColumns(b *testing.B) {
+	for _, shape := range []string{"hashed", "dense-1024"} {
+		const n = 10_000
+		src := shapedPairs(shape, n, 7)
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		for i, p := range src {
+			keys[i], vals[i] = p.Key, p.Ptr
+		}
+		dst, scratch := make([]Pair, n), make([]Pair, n)
+		s := &Scratch{Get: func(n int) []Pair { return scratch[:n] }, Put: func([]Pair) {}}
+		b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RadixSortColumns(dst, keys, vals, ScanKeys(keys), s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pair")
 		})
 	}
 }

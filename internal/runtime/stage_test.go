@@ -97,12 +97,12 @@ func names(frames []string, fn string) bool {
 	return slices.ContainsFunc(frames, func(f string) bool { return strings.Contains(f, fn) })
 }
 
-// expectStage requires every goroutine whose stack match picks to carry
-// stage want, and at least one to exist.
-func expectStage(t *testing.T, want string, match func(frames []string) bool) {
+// expectStage requires every goroutine of the snapshot gs whose stack
+// match picks to carry stage want, and at least one to exist.
+func expectStage(t *testing.T, gs []goroutine, want string, match func(frames []string) bool) {
 	t.Helper()
 	n := 0
-	for _, g := range goroutines(t) {
+	for _, g := range gs {
 		if !match(g.frames) {
 			continue
 		}
@@ -121,7 +121,7 @@ func expectStage(t *testing.T, want string, match func(frames []string) bool) {
 func parkAt(t *testing.T, g *gate, want, site string) {
 	t.Helper()
 	rel := g.next(t)
-	expectStage(t, want, func(f []string) bool { return names(f, "(*gate).park") && names(f, site) })
+	expectStage(t, goroutines(t), want, func(f []string) bool { return names(f, "(*gate).park") && names(f, site) })
 	g.open()
 	close(rel)
 }
@@ -187,9 +187,9 @@ func TestStageLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 		rel := feedGate.next(t)
-		expectStage(t, "ingest", func(f []string) bool { return names(f, "(*parkingFeed).Recv") })
+		expectStage(t, goroutines(t), "ingest", func(f []string) bool { return names(f, "(*parkingFeed).Recv") })
 		e.x.sched.Wait() // both extractions ran: the workers wait for the next task
-		expectStage(t, "sched", idleWorker)
+		expectStage(t, goroutines(t), "sched", idleWorker)
 		feedGate.open()
 		close(rel)
 		if _, err := e.Wait(); err != nil {
@@ -233,9 +233,14 @@ func TestStageLabels(t *testing.T) {
 		seen := map[string]bool{}
 		for len(seen) < len(stages) && !t.Failed() {
 			rel := aggGate.next(t)
+			// One snapshot judges both checks: a goroutine released in an
+			// earlier round may still be leaving the gate, in one snapshot
+			// and gone from the next.
+			gs := goroutines(t)
 			for site, want := range stages {
-				if slices.ContainsFunc(goroutines(t), func(g goroutine) bool { return names(g.frames, "(*gate).park") && names(g.frames, site) }) {
-					expectStage(t, want, func(f []string) bool { return names(f, "(*gate).park") && names(f, site) })
+				parked := func(f []string) bool { return names(f, "(*gate).park") && names(f, site) }
+				if slices.ContainsFunc(gs, func(g goroutine) bool { return parked(g.frames) }) {
+					expectStage(t, gs, want, parked)
 					seen[want] = true
 				}
 			}

@@ -7,8 +7,9 @@
 // fsync, so the client's replay buffer (frames above the
 // ack) and the log (frames at or below it) partition the stream: every
 // frame survives a process crash exactly once. A commit writes its
-// buffer to the active segment, one write and one fsync of one file;
-// segments roll only where a checkpoint marks them, and retire once the
+// buffer to the active segment, one write and one fsync of one file,
+// and the first commit to a segment fsyncs the directory as well, so the
+// segment's name is as durable as its records; segments roll only where a checkpoint marks them, and retire once the
 // global watermark has sealed — and a checkpoint has persisted — every
 // window their frames could feed. Disk use is bounded by the unsealed
 // horizon plus one checkpoint interval.

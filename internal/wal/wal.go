@@ -50,6 +50,9 @@ type segment struct {
 	f       *os.File // open while the segment is active or a commit writes it
 	bytes   int64
 	maxTs   uint64
+	// named is set once a commit has fsynced the log directory after the
+	// file was created, so that its name, not only its bytes, is durable.
+	named bool
 }
 
 // Log is a segmented write-ahead log that owns no goroutine. An append
@@ -91,8 +94,9 @@ type Log struct {
 	retired *metrics.Counter
 	fsync   *metrics.Histogram
 
-	// syncFile is (*os.File).Sync; package wal's tests replace it to hold
-	// a commit at its fsync.
+	// syncFile is (*os.File).Sync, for a segment and for the log
+	// directory; package wal's tests replace it to hold a commit at its
+	// fsync or to see what it syncs.
 	syncFile func(*os.File) error
 }
 
@@ -392,8 +396,14 @@ func (l *Log) Sync(lsn LSN) error {
 // only once syncedLSN covers its record, every record at or below the
 // LSN taken is in this buffer or an earlier commit's, and syncedLSN
 // advances only after this buffer's fsync.
+//
+// The first commit to a segment also fsyncs the log directory, after the
+// file: a file's fsync makes its bytes durable but not its name, and
+// without the directory's a power cut could drop a segment holding acked
+// records. That is once a segment, so at most once a checkpoint interval.
 func (l *Log) commit() {
 	buf, maxTs, target, tail := l.abuf, l.bufMaxTs, l.appendLSN, l.active
+	named := tail.named
 	l.abuf, l.bufMaxTs = l.spare[:0], 0
 	l.writing = tail
 	l.mu.Unlock()
@@ -403,6 +413,9 @@ func (l *Log) commit() {
 		start := time.Now()
 		err = l.syncFile(tail.f)
 		l.fsync.Observe(time.Since(start).Nanoseconds())
+	}
+	if err == nil && !named {
+		err = l.syncDir()
 	}
 
 	l.mu.Lock()
@@ -414,11 +427,25 @@ func (l *Log) commit() {
 	if err != nil {
 		l.err = err
 	} else {
+		tail.named = true
 		tail.bytes += int64(len(buf))
 		tail.maxTs = max(tail.maxTs, maxTs)
 		l.syncedLSN = target
 	}
 	l.committed.Broadcast()
+}
+
+// syncDir fsyncs the log directory through the syncFile seam.
+func (l *Log) syncDir() error {
+	d, err := os.Open(l.cfg.Dir)
+	if err != nil {
+		return err
+	}
+	err = l.syncFile(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // AppendFrame logs an accepted data frame. cols hold equal-length

@@ -341,6 +341,45 @@ func TestRetireSkipsSegmentBeingWritten(t *testing.T) {
 	}
 }
 
+// TestDirectorySyncedBeforeFirstSync: the first durable append into a
+// fresh segment — the one Open creates, and the one a Roll opens — does
+// not return before the log directory has been fsynced after the
+// segment's own fsync; later appends to the same segment sync only the
+// file.
+func TestDirectorySyncedBeforeFirstSync(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	var synced []string // the files fsynced, in order: a segment, or "dir"
+	l.syncFile = func(f *os.File) error {
+		name := filepath.Base(f.Name())
+		if f.Name() == dir {
+			name = "dir"
+		}
+		synced = append(synced, name)
+		return f.Sync()
+	}
+	seg0, seg1 := filepath.Base(segPath(dir, 0)), filepath.Base(segPath(dir, 1))
+	for i, want := range [][]string{
+		{seg0, "dir"}, // the segment Open created
+		{seg0},
+		{seg1, "dir"}, // after the Roll
+		{seg1},
+	} {
+		if i == 2 {
+			if mark := l.Roll(); mark != 1 {
+				t.Fatalf("Roll = %d, want 1", mark)
+			}
+		}
+		synced = synced[:0]
+		if err := appendFrame(l, 1, 1, uint64(i+1), 1, testCols(0, 2), true); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(synced, want) {
+			t.Fatalf("durable append %d fsynced %v before it returned, want %v", i+1, synced, want)
+		}
+	}
+}
+
 // TestGroupCommitConcurrent: the first appender's commit is held at its
 // fsync while the other seven append, so everything it did not take
 // shares the one commit after it — exactly two fsyncs for eight durable
