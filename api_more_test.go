@@ -46,14 +46,14 @@ func TestApplyCustomOperator(t *testing.T) {
 	p := streambox.NewPipeline(streambox.FixedWindow(streambox.Second))
 	res := p.Source(streambox.RoundRobinKV(4, 7), smallSource(2e6)).
 		Apply(func() engine.Operator { return &ops.WindowOp{TsCol: 2} }).
-		Apply(func() engine.Operator { return ops.NewKeyedAgg("max", 0, 1, ops.Max()) }).
+		Apply(func() engine.Operator { return ops.NewKeyedAgg("median", 0, 1, ops.Median()) }).
 		Capture()
 	if _, err := streambox.Run(p, streambox.RunConfig{Duration: 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Rows {
 		if r.Val != 7 {
-			t.Fatalf("max = %d", r.Val)
+			t.Fatalf("median = %d", r.Val)
 		}
 	}
 }

@@ -12,12 +12,12 @@ import (
 // levels — each materializing a full copy of the data — the key space
 // is partitioned once across all runs (MultiWayCuts) and each partition
 // streams through a single merge (MultiMergeFold) on its own core. The
-// merge folds as it goes — equal keys combined with a word operation
-// inside the loser-tree loop; when the keys span a range narrower than
-// the pairs, in a table indexed by key; in a merge of three or more
-// runs, as each regrouped bucket is sorted; or every pair handed to a
-// visitor — so a keyed reduction never sees a merged intermediate:
-// closing a window costs one sequential read of the inputs.
+// merge folds as it goes — equal keys summed inside the loser-tree
+// loop; when the keys span a range narrower than the pairs, in a table
+// indexed by key; in a merge of three or more runs, as each regrouped
+// bucket is sorted; or every pair handed to a visitor — so a keyed
+// reduction never sees a merged intermediate: closing a window costs
+// one sequential read of the inputs.
 
 // MultiWayCuts partitions the merge of k sorted runs into up to p
 // key-aligned ranges of balanced total size. It returns a list of cut
@@ -110,23 +110,20 @@ func cutsEqual(a, b []int) bool {
 }
 
 // FoldOp is what a k-way merge writes for the pairs it emits: every pair
-// verbatim, or one pair per distinct key whose Ptr folds the key's values
-// with one word operation.
+// verbatim, or one pair per distinct key whose Ptr is the wrapping sum of
+// the key's values — the one word fold, which sums and counts take.
 type FoldOp uint8
 
 const (
 	FoldCopy FoldOp = iota // every pair, verbatim
 	FoldAdd                // one pair per key: the wrapping sum of its values
-	FoldMin                // one pair per key: its least value
-	FoldMax                // one pair per key: its greatest value
 )
 
 // Fold is the sink of one MultiMergeFold, chosen once per merge.
 type Fold struct {
-	// Visit, when set, receives every pair with the index of its run and
-	// nothing is written: the per-pair path, for consumers no word
-	// operation describes.
-	Visit func(run int, p Pair)
+	// Visit, when set, receives every pair and nothing is written: the
+	// per-pair path, for consumers the word fold does not describe.
+	Visit func(p Pair)
 	// Op is what is written when Visit is nil.
 	Op FoldOp
 	// Units marks the runs whose every pair adds 1 to a fold rather than
@@ -141,14 +138,14 @@ type Fold struct {
 // sees the exact pair sequence the materializing path would. With
 // f.Visit set it returns 0; otherwise it writes into out from the front
 // and returns how many pairs it wrote: every pair (FoldCopy), or one per
-// distinct key, in key order (the word folds) — out must hold that many.
+// distinct key, in key order (FoldAdd) — out must hold that many.
 //
 // A word fold over a dense key span takes no tree: when the live runs'
 // keys lie in [lo, lo+span] with span below both the pair count and
 // denseSpan, every pair folds into a table slot key−lo, run after run,
-// and the table is emitted in index order, which is key order. The word
-// operations are commutative, so the fold order is free and the result
-// is the tree's, bit for bit; the copy and the visitor, whose order is
+// and the table is emitted in index order, which is key order. A wrapping
+// sum is commutative, so the fold order is free and the result is the
+// tree's, bit for bit; the copy and the visitor, whose order is
 // what they deliver, never take the table.
 //
 // Any other copy or word fold regroups (regroup.go) when at least
@@ -178,7 +175,7 @@ func MultiMergeFold(runs [][]Pair, f Fold, out []Pair) int {
 	if f.Visit == nil {
 		if f.Op != FoldCopy {
 			if lo, span, ok := denseRange(live, total); ok {
-				return foldTable(live, f.Op, lo, span, out)
+				return foldTable(live, lo, span, out)
 			}
 		}
 		if regroups(live, total, out) {
@@ -196,7 +193,7 @@ func liveRuns(runs [][]Pair, units []bool) ([]cursor, int) {
 	total := 0
 	for j, r := range runs {
 		if len(r) > 0 {
-			c := cursor{pairs: r, run: j}
+			c := cursor{pairs: r}
 			if units != nil && units[j] {
 				c.unit = ^uint64(0)
 			}
@@ -243,55 +240,29 @@ func tableSpan(lo, hi uint64, n int) (int, bool) {
 
 // foldTable is the word fold through a table of span+1 slots, drawn from
 // tablePool; only the slots in use are cleared.
-func foldTable(live []cursor, op FoldOp, lo uint64, span int, out []Pair) int {
+func foldTable(live []cursor, lo uint64, span int, out []Pair) int {
 	t := tablePool.Get().(*table)
 	defer tablePool.Put(t)
-	return foldSlots(t.acc[:span+1], t.seen[:span/64+1], live, op, lo, out)
+	return foldSlots(t.acc[:span+1], t.seen[:span/64+1], live, lo, out)
 }
 
 // foldSlots folds the live runs into acc, slot i for key lo+i, which
-// must cover their keys: every pair folds its value into its key's slot
-// and sets the slot's bit in seen, then the present slots are emitted in
-// index order.
-func foldSlots(acc, seen []uint64, live []cursor, op FoldOp, lo uint64, out []Pair) int {
-	resetSlots(acc, seen, op)
+// must cover their keys: every pair adds its value to its key's slot and
+// sets the slot's bit in seen, then the present slots are emitted in
+// index order. Every slot starts at 0, the sum's identity, so the first
+// pair of a key folds like every other.
+func foldSlots(acc, seen []uint64, live []cursor, lo uint64, out []Pair) int {
+	clear(acc)
+	clear(seen)
 	for _, c := range live {
 		u := c.unit
-		switch op {
-		case FoldAdd:
-			for _, p := range c.pairs {
-				i := p.Key - lo
-				acc[i] += p.Ptr&^u | u&1
-				seen[i/64] |= 1 << (i % 64)
-			}
-		case FoldMin:
-			for _, p := range c.pairs {
-				i := p.Key - lo
-				acc[i] = min(acc[i], p.Ptr&^u|u&1)
-				seen[i/64] |= 1 << (i % 64)
-			}
-		default:
-			for _, p := range c.pairs {
-				i := p.Key - lo
-				acc[i] = max(acc[i], p.Ptr&^u|u&1)
-				seen[i/64] |= 1 << (i % 64)
-			}
+		for _, p := range c.pairs {
+			i := p.Key - lo
+			acc[i] += p.Ptr&^u | u&1
+			seen[i/64] |= 1 << (i % 64)
 		}
 	}
 	return emitSlots(acc, seen, lo, out)
-}
-
-// resetSlots starts every slot at the operation's identity, so the first
-// pair of a key folds like every other, and marks none present.
-func resetSlots(acc, seen []uint64, op FoldOp) {
-	clear(seen)
-	if op == FoldMin {
-		for i := range acc {
-			acc[i] = ^uint64(0)
-		}
-	} else {
-		clear(acc)
-	}
 }
 
 // emitSlots writes the present slots into out, in index order — key
@@ -342,27 +313,27 @@ func (s KeyScan) Dense() (span int, ok bool) {
 // FoldColumns is the word fold of one run still in columns, the pairs
 // (keys[i], vals[i]), through foldTable's table over the key range
 // [lo, lo+span], which must not wrap and must pass the table rule for
-// the run's rows (tableSpan). Each value folds by op into slot key−lo,
-// in row order — with unit set, each row counts 1 and vals is not
-// read —; then out(n) supplies a slot for each of the n distinct keys,
-// and they are written in key order with their folded values. The word
-// operations are commutative, so the result is what a sort and a merge
-// fold would make, bit for bit, and it does not depend on the range:
-// only the slots of present keys are written. When out returns nil
-// nothing is written.
+// the run's rows (tableSpan). Each value adds into slot key−lo, in row
+// order — with unit set, each row counts 1 and vals is not read —; then
+// out(n) supplies a slot for each of the n distinct keys, and they are
+// written in key order with their sums. A wrapping sum is commutative,
+// so the result is what a sort and a merge fold would make, bit for
+// bit, and it does not depend on the range: only the slots of present
+// keys are written. When out returns nil nothing is written.
 //
 // The range need not be the keys' own (KeyScan.Dense): FoldColumns
 // checks each key against it as it folds, and returns false at the
 // first key outside it, without calling out. Every key inside means the
 // keys span no more than the range, so they are Dense too.
-func FoldColumns(keys, vals []uint64, lo uint64, span int, op FoldOp, unit bool, out func(n int) []Pair) bool {
+func FoldColumns(keys, vals []uint64, lo uint64, span int, unit bool, out func(n int) []Pair) bool {
 	if _, ok := tableSpan(lo, lo+uint64(span), len(keys)); !ok || lo+uint64(span) < lo {
 		panic(fmt.Sprintf("algo: FoldColumns of %d keys over [%d, %d+%d]", len(keys), lo, lo, span))
 	}
 	t := tablePool.Get().(*table)
 	defer tablePool.Put(t)
 	acc, seen := t.acc[:span+1], t.seen[:span/64+1]
-	resetSlots(acc, seen, op)
+	clear(acc)
+	clear(seen)
 	if unit {
 		for _, k := range keys {
 			i := k - lo
@@ -374,34 +345,13 @@ func FoldColumns(keys, vals []uint64, lo uint64, span int, op FoldOp, unit bool,
 		}
 	} else {
 		vals = vals[:len(keys)]
-		switch op {
-		case FoldAdd:
-			for j, k := range keys {
-				i := k - lo
-				if i >= uint64(len(acc)) {
-					return false
-				}
-				acc[i] += vals[j]
-				seen[i/64] |= 1 << (i % 64)
+		for j, k := range keys {
+			i := k - lo
+			if i >= uint64(len(acc)) {
+				return false
 			}
-		case FoldMin:
-			for j, k := range keys {
-				i := k - lo
-				if i >= uint64(len(acc)) {
-					return false
-				}
-				acc[i] = min(acc[i], vals[j])
-				seen[i/64] |= 1 << (i % 64)
-			}
-		default:
-			for j, k := range keys {
-				i := k - lo
-				if i >= uint64(len(acc)) {
-					return false
-				}
-				acc[i] = max(acc[i], vals[j])
-				seen[i/64] |= 1 << (i % 64)
-			}
+			acc[i] += vals[j]
+			seen[i/64] |= 1 << (i % 64)
 		}
 	}
 	n := 0
@@ -434,7 +384,7 @@ func foldTree(live []cursor, total int, f Fold, out []Pair) int {
 		switch c := live[0]; {
 		case visit != nil:
 			for _, p := range c.pairs {
-				visit(c.run, p)
+				visit(p)
 			}
 			return 0
 		case op == FoldCopy:
@@ -466,20 +416,16 @@ func foldTree(live []cursor, total int, f Fold, out []Pair) int {
 		}
 	}
 	w := win[1]
-	// A word fold holds the open key and its value so far; it starts on
-	// the first key at the operation's identity, so the first pair folds
-	// like every other.
+	// A word fold holds the open key and its sum so far; it starts on the
+	// first key at 0, so the first pair folds like every other.
 	n, cur, acc := 0, w.key, uint64(0)
-	if op == FoldMin {
-		acc = ^uint64(0)
-	}
 	for ; total > 0; total-- {
 		r := w.run
 		c := &live[r]
 		p := c.pairs[c.next]
 		switch {
 		case visit != nil:
-			visit(c.run, p)
+			visit(p)
 		case op == FoldCopy:
 			out[n] = p
 			n++
@@ -489,12 +435,8 @@ func foldTree(live []cursor, total int, f Fold, out []Pair) int {
 				out[n] = Pair{Key: cur, Ptr: acc}
 				n++
 				cur, acc = p.Key, v
-			} else if op == FoldAdd {
-				acc += v
-			} else if op == FoldMin {
-				acc = min(acc, v)
 			} else {
-				acc = max(acc, v)
+				acc += v
 			}
 		}
 		if c.next++; c.next == len(c.pairs) {
@@ -530,13 +472,12 @@ func foldTree(live []cursor, total int, f Fold, out []Pair) int {
 }
 
 // cursor is one live run of MultiMergeFold: its pairs, the next one to
-// emit, its index in the caller's slice, and all ones when its pairs fold
-// as 1. The cursor is an index, not a re-sliced run, so advancing it
-// stores no pointer and costs no GC write barrier.
+// emit, and all ones when its pairs fold as 1. The cursor is an index,
+// not a re-sliced run, so advancing it stores no pointer and costs no GC
+// write barrier.
 type cursor struct {
 	pairs []Pair
 	next  int
-	run   int
 	unit  uint64
 }
 

@@ -93,14 +93,10 @@ func mergeRef(runs [][]Pair) []Pair {
 	return want
 }
 
-// visitAll returns the merge's visitor sequence: every pair and the run
-// it was visited under.
-func visitAll(runs [][]Pair) (got []Pair, gotRun []int) {
-	MultiMergeFold(runs, Fold{Visit: func(run int, p Pair) {
-		got = append(got, p)
-		gotRun = append(gotRun, run)
-	}}, nil)
-	return got, gotRun
+// visitAll returns the merge's visitor sequence.
+func visitAll(runs [][]Pair) (got []Pair) {
+	MultiMergeFold(runs, Fold{Visit: func(p Pair) { got = append(got, p) }}, nil)
+	return got
 }
 
 // copyAll returns what the merge's verbatim copy writes.
@@ -120,7 +116,10 @@ func copyAll(t *testing.T, runs [][]Pair) []Pair {
 // TestMultiMergeFoldOrder checks the visitor sequence is the full
 // sorted multiset of the inputs, with ties ordered by run index, and
 // that the verbatim copy writes the same sequence — for wide merges, the
-// regrouped copy, on every wideKeys shape.
+// regrouped copy, on every wideKeys shape. Both builders number their
+// pairs upward in run order and, within a run, in the order a stable
+// sort keeps for equal keys, so a tie out of run order shows up as a
+// Ptr that falls.
 func TestMultiMergeFoldOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	check := func(name string, runs [][]Pair) {
@@ -129,7 +128,7 @@ func TestMultiMergeFoldOrder(t *testing.T) {
 		for _, run := range runs {
 			total += len(run)
 		}
-		got, gotRun := visitAll(runs)
+		got := visitAll(runs)
 		if cp := copyAll(t, runs); !slices.Equal(cp, got) {
 			t.Fatalf("%s: the copy differs from the visitor sequence", name)
 		}
@@ -140,9 +139,9 @@ func TestMultiMergeFoldOrder(t *testing.T) {
 			t.Fatalf("%s: visit order not sorted by key", name)
 		}
 		for i := 1; i < len(got); i++ {
-			if got[i].Key == got[i-1].Key && gotRun[i] < gotRun[i-1] {
-				t.Fatalf("%s: tie at key %d visited run %d after run %d",
-					name, got[i].Key, gotRun[i-1], gotRun[i])
+			if got[i].Key == got[i-1].Key && got[i].Ptr < got[i-1].Ptr {
+				t.Fatalf("%s: tie at key %d visited pair %#x after pair %#x",
+					name, got[i].Key, got[i].Ptr, got[i-1].Ptr)
 			}
 		}
 		// The multiset must match: every input pair appears exactly once
@@ -174,7 +173,7 @@ func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 	check := func(name string, runs [][]Pair) {
 		t.Helper()
 		want := mergeRef(runs)
-		got, _ := visitAll(runs)
+		got := visitAll(runs)
 		if cp := copyAll(t, runs); !slices.Equal(cp, want) {
 			t.Fatalf("%s: the copy differs from the pairwise merge", name)
 		}
@@ -198,8 +197,8 @@ func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 }
 
 // TestMultiMergeFoldLoserTree aims at what the key-carrying tree could
-// get wrong, against the pairwise reference with the run of every pair
-// checked: an exhausted leaf is encoded as the key MaxUint64, so live
+// get wrong, against the pairwise reference with every pair naming its
+// run: an exhausted leaf is encoded as the key MaxUint64, so live
 // pairs that hold that very key must still all come out, in run order;
 // runs that are empty from the start or run dry long before the others
 // leave their leaf exhausted for most of the merge; a tiny key domain
@@ -229,20 +228,15 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 						if r.Intn(6) == 0 {
 							key = maxKey - uint64(r.Intn(2))
 						}
-						// Ptr names the run, so a pair visited under the wrong
-						// run index shows up.
+						// Ptr names the run, so a pair out of run order shows
+						// up.
 						run[i] = Pair{Key: key, Ptr: uint64(j)<<32 | uint64(i)}
 					}
 					RadixSortPairs(run, nil)
 					runs[j] = run
 				}
 				want := mergeRef(runs)
-				got, gotRun := visitAll(runs)
-				for i, p := range got {
-					if uint64(gotRun[i]) != p.Ptr>>32 {
-						t.Fatalf("%s: pair of run %d visited as run %d", name, p.Ptr>>32, gotRun[i])
-					}
-				}
+				got := visitAll(runs)
 				if cp := copyAll(t, runs); !slices.Equal(cp, want) {
 					t.Fatalf("%s: the copy differs from the pairwise merge", name)
 				}
@@ -257,84 +251,87 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 			}
 		}
 	}
-	// Every live pair holds the sentinel key.
+	// Every live pair holds the sentinel key; its Ptr names its run.
 	runs := [][]Pair{keyedPairs(maxKey, maxKey), nil, keyedPairs(maxKey), keyedPairs(maxKey, maxKey, maxKey), nil}
-	if _, order := visitAll(runs); !slices.Equal(order, []int{0, 0, 2, 3, 3, 3}) {
+	for j, run := range runs {
+		for i := range run {
+			run[i].Ptr = uint64(j)
+		}
+	}
+	var order []uint64
+	for _, p := range visitAll(runs) {
+		order = append(order, p.Ptr)
+	}
+	if !slices.Equal(order, []uint64{0, 0, 2, 3, 3, 3}) {
 		t.Fatalf("all-MaxUint64 runs visited in run order %v, want [0 0 2 3 3 3]", order)
 	}
 }
 
-// checkWordFolds holds each word fold of runs — alone, and with the runs
-// units marks adding 1 per pair — to the visitor sequence folded by hand:
-// one pair per distinct key, in key order, its value the key's values
-// combined by the operation. It checks MultiMergeFold, the loser tree
+// checkWordFolds holds the word fold of runs — alone, and with the runs
+// units marks adding 1 per pair — to the merge of the runs folded by
+// hand: one pair per distinct key, in key order, its value the wrapping
+// sum of the key's values. It checks MultiMergeFold, the loser tree
 // alone and, when denseRange admits the runs, the table alone, each into
 // an out of exactly one pair per distinct key, and regrouping alone into
 // an out of one slot per pair; it returns whether the table was admitted.
 func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (dense bool) {
 	t.Helper()
-	ops := []struct {
-		op   FoldOp
-		fold func(acc, v uint64) uint64
-	}{
-		{FoldAdd, func(acc, v uint64) uint64 { return acc + v }},
-		{FoldMin, func(acc, v uint64) uint64 { return min(acc, v) }},
-		{FoldMax, func(acc, v uint64) uint64 { return max(acc, v) }},
-	}
-	seq, from := visitAll(runs)
-	for _, o := range ops {
-		for _, u := range [][]bool{nil, units} {
-			var want []Pair
-			for i, p := range seq {
-				v := p.Ptr
-				if u != nil && u[from[i]] {
-					v = 1
-				}
-				if n := len(want); n > 0 && want[n-1].Key == p.Key {
-					want[n-1].Ptr = o.fold(want[n-1].Ptr, v)
-				} else {
-					want = append(want, Pair{Key: p.Key, Ptr: v})
+	for _, u := range [][]bool{nil, units} {
+		counted := make([][]Pair, len(runs))
+		for j, run := range runs {
+			counted[j] = slices.Clone(run)
+			if u != nil && u[j] {
+				for i := range counted[j] {
+					counted[j][i].Ptr = 1
 				}
 			}
-			f := Fold{Op: o.op, Units: u}
-			ways := map[string]func(out []Pair) int{
-				"MultiMergeFold": func(out []Pair) int { return MultiMergeFold(runs, f, out) },
-				"tree": func(out []Pair) int {
-					live, total := liveRuns(runs, u)
-					return foldTree(live, total, f, out)
-				},
-				"regroup": func(out []Pair) int {
-					live, total := liveRuns(runs, u)
-					return foldRegroup(live, total, o.op, out)
-				},
+		}
+		var want []Pair
+		for _, p := range mergeRef(counted) {
+			if n := len(want); n > 0 && want[n-1].Key == p.Key {
+				want[n-1].Ptr += p.Ptr
+			} else {
+				want = append(want, p)
 			}
-			live, total := liveRuns(runs, u)
-			lo, span, ok := denseRange(live, total)
-			if dense = ok; ok {
-				ways["table"] = func(out []Pair) int { return foldTable(live, o.op, lo, span, out) }
+		}
+		f := Fold{Op: FoldAdd, Units: u}
+		ways := map[string]func(out []Pair) int{
+			"MultiMergeFold": func(out []Pair) int { return MultiMergeFold(runs, f, out) },
+			"tree": func(out []Pair) int {
+				live, total := liveRuns(runs, u)
+				return foldTree(live, total, f, out)
+			},
+			"regroup": func(out []Pair) int {
+				live, total := liveRuns(runs, u)
+				return foldRegroup(live, total, FoldAdd, out)
+			},
+		}
+		live, total := liveRuns(runs, u)
+		lo, span, ok := denseRange(live, total)
+		if dense = ok; ok {
+			ways["table"] = func(out []Pair) int { return foldTable(live, lo, span, out) }
+		}
+		for way, fold := range ways {
+			out := make([]Pair, len(want))
+			if way == "regroup" {
+				out = make([]Pair, total)
 			}
-			for way, fold := range ways {
-				out := make([]Pair, len(want))
-				if way == "regroup" {
-					out = make([]Pair, total)
-				}
-				if n := fold(out); !slices.Equal(out[:n], want) {
-					t.Fatalf("%s op=%d units=%v: the %s fold writes %d pairs unlike the %d of the visitor sequence folded by hand",
-						name, o.op, u != nil, way, n, len(want))
-				}
+			if n := fold(out); !slices.Equal(out[:n], want) {
+				t.Fatalf("%s units=%v: the %s fold writes %d pairs unlike the %d of the merge folded by hand",
+					name, u != nil, way, n, len(want))
 			}
 		}
 	}
 	return dense
 }
 
-// TestMultiMergeFoldWords holds each word fold, on the loser tree, on
-// the table and by regrouping, to the visitor sequence folded by hand
+// TestMultiMergeFoldWords holds the word fold, on the loser tree, on
+// the table and by regrouping, to the merge folded by hand
 // (checkWordFolds), across fan-ins that straddle the tree's shapes (one
 // live run, two, powers of two), empty runs, keys of MaxUint64, values of
 // 0 first in a key, and sums that wrap; then on runs of narrow keys, at
 // offset 0 and just below MaxUint64 (where lo + span must not wrap), with
-// values of MaxUint64 that a minimum keeps; and at the edges of the
+// values of MaxUint64; and at the edges of the
 // table's rule — a span of one less than the pairs and of the pairs, of
 // denseSpan − 1 and of denseSpan — where the path taken is pinned too;
 // last, wide merges of every wideKeys shape, where the regroup way writes
@@ -446,25 +443,20 @@ func foldSortedBranchy(pairs []Pair, op FoldOp) int {
 	}
 	n, cur := 0, pairs[0]
 	for _, p := range pairs[1:] {
-		switch {
-		case p.Key != cur.Key:
+		if p.Key != cur.Key {
 			pairs[n] = cur
 			n++
 			cur = p
-		case op == FoldAdd:
+		} else {
 			cur.Ptr += p.Ptr
-		case op == FoldMin:
-			cur.Ptr = min(cur.Ptr, p.Ptr)
-		default:
-			cur.Ptr = max(cur.Ptr, p.Ptr)
 		}
 	}
 	pairs[n] = cur
 	return n + 1
 }
 
-// TestFoldSorted holds the leaf's branch-free fold to foldSortedBranchy
-// for every op, on sorted runs of random repeats, all keys equal, all
+// TestFoldSorted holds the leaf's branch-free fold to foldSortedBranchy,
+// a copy and a sum, on sorted runs of random repeats, all keys equal, all
 // keys distinct, keys at both ends of the range, and values near
 // MaxUint64 that make a sum wrap; lengths 0–3 and longer ones.
 func TestFoldSorted(t *testing.T) {
@@ -492,7 +484,7 @@ func TestFoldSorted(t *testing.T) {
 				run[i] = Pair{Key: sh.key(i), Ptr: val}
 			}
 			RadixSortPairs(run, nil)
-			for _, op := range []FoldOp{FoldCopy, FoldAdd, FoldMin, FoldMax} {
+			for _, op := range []FoldOp{FoldCopy, FoldAdd} {
 				got, want := slices.Clone(run), slices.Clone(run)
 				m, wm := foldSorted(got, op), foldSortedBranchy(want, op)
 				if m != wm || !slices.Equal(got[:m], want[:wm]) {
@@ -911,7 +903,7 @@ func BenchmarkFoldSpan(b *testing.B) {
 				}},
 				{"table", func() int {
 					live, _ := liveRuns(runs, nil)
-					return foldSlots(acc[:hi-lo+1], seen[:(hi-lo)/64+1], live, FoldAdd, lo, out)
+					return foldSlots(acc[:hi-lo+1], seen[:(hi-lo)/64+1], live, lo, out)
 				}},
 			} {
 				b.Run(fmt.Sprintf("span-2^%d/pairs-%d/%s", lg, total, way.name), func(b *testing.B) {

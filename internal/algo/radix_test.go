@@ -336,10 +336,10 @@ func FuzzRadixSortPairs(f *testing.F) {
 
 // foldColumnsOf runs FoldColumns over the range of the keys' scan, which
 // must be Dense.
-func foldColumnsOf(keys, vals []uint64, op FoldOp, unit bool) []Pair {
+func foldColumnsOf(keys, vals []uint64, unit bool) []Pair {
 	s := ScanKeys(keys)
 	span, _ := s.Dense()
-	out, _ := foldRangeOf(keys, vals, s.Lo, span, op, unit)
+	out, _ := foldRangeOf(keys, vals, s.Lo, span, unit)
 	return out
 }
 
@@ -347,8 +347,8 @@ func foldColumnsOf(keys, vals []uint64, op FoldOp, unit bool) []Pair {
 // [lo, lo+span] into a destination of stale pairs, sized by the count
 // the fold asks for; out is nil when the fold did not ask, which it
 // must not do when it reports a key outside the range.
-func foldRangeOf(keys, vals []uint64, lo uint64, span int, op FoldOp, unit bool) (out []Pair, fit bool) {
-	fit = FoldColumns(keys, vals, lo, span, op, unit, func(n int) []Pair {
+func foldRangeOf(keys, vals []uint64, lo uint64, span int, unit bool) (out []Pair, fit bool) {
+	fit = FoldColumns(keys, vals, lo, span, unit, func(n int) []Pair {
 		out = make([]Pair, n)
 		for i := range out {
 			out[i] = Pair{Key: ^uint64(i), Ptr: ^uint64(0)}
@@ -358,27 +358,17 @@ func foldRangeOf(keys, vals []uint64, lo uint64, span int, op FoldOp, unit bool)
 	return out, fit
 }
 
-// foldOracle is the fold the table must reproduce, through a map: a
-// key's first value is taken as it is — 1 for a row when unit is set —
-// and each later one folded into it by op; the keys come out ascending.
-func foldOracle(keys, vals []uint64, op FoldOp, unit bool) []Pair {
+// foldOracle is the fold the table must reproduce, through a map: each
+// key's values summed — 1 for a row when unit is set —; the keys come
+// out ascending.
+func foldOracle(keys, vals []uint64, unit bool) []Pair {
 	acc := map[uint64]uint64{}
 	for i, k := range keys {
 		v := vals[i]
 		if unit {
 			v = 1
 		}
-		prev, ok := acc[k]
-		switch {
-		case !ok:
-			acc[k] = v
-		case op == FoldAdd:
-			acc[k] = prev + v
-		case op == FoldMin:
-			acc[k] = min(prev, v)
-		default:
-			acc[k] = max(prev, v)
-		}
+		acc[k] += v
 	}
 	out := make([]Pair, 0, len(acc))
 	for k, v := range acc {
@@ -388,8 +378,8 @@ func foldOracle(keys, vals []uint64, op FoldOp, unit bool) []Pair {
 	return out
 }
 
-// TestFoldColumns holds the formation fold of sum, count (each row 1),
-// min and max to a map oracle, over 1 024 keys at offset 0 and ending at
+// TestFoldColumns holds the formation fold of sum and count (each row
+// 1) to a map oracle, over 1 024 keys at offset 0 and ending at
 // MaxUint64, with values of 0 and MaxUint64 and sums that wrap; then
 // pins the rule's edges, which are the merge's (tableSpan): a span of one
 // less than the rows folds and of the rows sorts, a span of denseSpan − 1
@@ -401,11 +391,8 @@ func TestFoldColumns(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	ops := []struct {
 		name string
-		op   FoldOp
 		unit bool
-	}{
-		{"sum", FoldAdd, false}, {"count", FoldAdd, true}, {"min", FoldMin, false}, {"max", FoldMax, false},
-	}
+	}{{"sum", false}, {"count", true}}
 	// columns draws n rows whose keys span exactly span from lo: the
 	// first two rows hold the ends, the rest fall between.
 	columns := func(lo uint64, span, n int) (keys, vals []uint64) {
@@ -435,7 +422,7 @@ func TestFoldColumns(t *testing.T) {
 			return
 		}
 		for _, o := range ops {
-			if got, want := foldColumnsOf(keys, vals, o.op, o.unit), foldOracle(keys, vals, o.op, o.unit); !slices.Equal(got, want) {
+			if got, want := foldColumnsOf(keys, vals, o.unit), foldOracle(keys, vals, o.unit); !slices.Equal(got, want) {
 				t.Fatalf("%s %s: folded %d pairs, the oracle %d; first %v, want %v", name, o.name, len(got), len(want), got[:min(len(got), 3)], want[:min(len(want), 3)])
 			}
 		}
@@ -467,8 +454,8 @@ func TestFoldColumns(t *testing.T) {
 
 // TestFoldColumnsRange holds the fold over a given key range, the one
 // formation tries before it scans: over ranges up to 64 slots wider than
-// the keys' span on either side, still below the rows, sum, count, min
-// and max fold to the map oracle, at offset 0 and ending at MaxUint64.
+// the keys' span on either side, still below the rows, sum and count
+// fold to the map oracle, at offset 0 and ending at MaxUint64.
 // A key just below the range's low end (which wraps to the top of the
 // slot index) or just past its high end, at the first, middle or last
 // row, stops the fold: it reports false and never asks for a
@@ -479,11 +466,8 @@ func TestFoldColumnsRange(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	ops := []struct {
 		name string
-		op   FoldOp
 		unit bool
-	}{
-		{"sum", FoldAdd, false}, {"count", FoldAdd, true}, {"min", FoldMin, false}, {"max", FoldMax, false},
-	}
+	}{{"sum", false}, {"count", true}}
 	const n, keySpan, pad = 2000, 1023, 64
 	for _, keyLo := range []uint64{pad, maxKey - keySpan - pad} {
 		keys, vals := make([]uint64, n), make([]uint64, n)
@@ -495,11 +479,11 @@ func TestFoldColumnsRange(t *testing.T) {
 			}
 		}
 		for _, o := range ops {
-			want := foldOracle(keys, vals, o.op, o.unit)
+			want := foldOracle(keys, vals, o.unit)
 			for _, w := range []struct{ below, above int }{{0, 0}, {1, 0}, {0, 1}, {pad, pad}, {7, 50}} {
 				lo, span := keyLo-uint64(w.below), keySpan+w.below+w.above
 				name := fmt.Sprintf("%s keys=[%d,+%d] range=[%d,+%d]", o.name, keyLo, keySpan, lo, span)
-				if got, fit := foldRangeOf(keys, vals, lo, span, o.op, o.unit); !fit || !slices.Equal(got, want) {
+				if got, fit := foldRangeOf(keys, vals, lo, span, o.unit); !fit || !slices.Equal(got, want) {
 					t.Fatalf("%s: fit %v, folded %d pairs, the oracle %d", name, fit, len(got), len(want))
 				}
 			}
@@ -507,10 +491,10 @@ func TestFoldColumnsRange(t *testing.T) {
 				for _, row := range []int{0, n / 2, n - 1} {
 					missing := slices.Clone(keys)
 					missing[row] = bad
-					if got, fit := foldRangeOf(missing, vals, keyLo, keySpan, o.op, o.unit); fit || got != nil {
+					if got, fit := foldRangeOf(missing, vals, keyLo, keySpan, o.unit); fit || got != nil {
 						t.Fatalf("%s: key %d at row %d outside [%d,+%d]: fit %v, asked for %d pairs", o.name, bad, row, keyLo, keySpan, fit, len(got))
 					}
-					if got, fit := foldRangeOf(keys, vals, keyLo, keySpan, o.op, o.unit); !fit || !slices.Equal(got, want) {
+					if got, fit := foldRangeOf(keys, vals, keyLo, keySpan, o.unit); !fit || !slices.Equal(got, want) {
 						t.Fatalf("%s after a miss at row %d: fit %v, folded %d pairs, the oracle %d", o.name, row, fit, len(got), len(want))
 					}
 				}
@@ -608,12 +592,12 @@ func BenchmarkFoldColumns(b *testing.B) {
 				m := 0
 				s := ScanKeys(keys)
 				span, _ := s.Dense()
-				FoldColumns(keys, vals, s.Lo, span, FoldAdd, false, func(k int) []Pair { m = k; return dst[:k] })
+				FoldColumns(keys, vals, s.Lo, span, false, func(k int) []Pair { m = k; return dst[:k] })
 				return m
 			}},
 			{"fold-range-known", func() int {
 				m := 0
-				FoldColumns(keys, vals, 0, 1023, FoldAdd, false, func(k int) []Pair { m = k; return dst[:k] })
+				FoldColumns(keys, vals, 0, 1023, false, func(k int) []Pair { m = k; return dst[:k] })
 				return m
 			}},
 			{"sort", func() int {

@@ -252,46 +252,29 @@ func (g *regrouper) finish(seg []Pair) {
 }
 
 // foldSorted folds the runs of equal keys of sorted pairs in place, one
-// pair per key with op over its values, and returns how many are left;
-// FoldCopy leaves them all.
+// pair per key holding the wrapping sum of its values, and returns how
+// many are left; FoldCopy leaves them all.
 //
 // The loop has no branch on the keys: hashed keys drawn from about as
 // many ids as a merge holds pairs repeat one pair in three, which a
 // key-change branch mispredicts: on the 2-vCPU reference host
 // BenchmarkFoldSorted reads ~2.5 ns a pair against ~5.2 on such keys.
 // Where keys never repeat the branch always predicts, and this loop
-// costs up to half a nanosecond a pair more. Every step stores the running pair at pairs[n] — a slot at or
-// behind the pair it reads — and then advances n by neq, 1 where the
-// key changes and 0 where it repeats, while a mask of neq − 1 selects
-// the new value: p's alone where the key changes, p's folded into the
-// running one where it repeats.
+// costs up to half a nanosecond a pair more. Every step stores the
+// running pair at pairs[n] — a slot at or behind the pair it reads —
+// and then advances n by neq, 1 where the key changes and 0 where it
+// repeats, while a mask of neq − 1 selects the new value: p's alone
+// where the key changes, p's added to the running sum where it repeats.
 func foldSorted(pairs []Pair, op FoldOp) int {
 	if op == FoldCopy || len(pairs) == 0 {
 		return len(pairs)
 	}
 	n, key, acc := 0, pairs[0].Key, pairs[0].Ptr
-	switch op {
-	case FoldAdd:
-		for _, p := range pairs[1:] {
-			pairs[n] = Pair{Key: key, Ptr: acc}
-			neq := keyChange(key, p.Key)
-			n += int(neq)
-			key, acc = p.Key, p.Ptr+acc&(neq-1)
-		}
-	case FoldMin:
-		for _, p := range pairs[1:] {
-			pairs[n] = Pair{Key: key, Ptr: acc}
-			neq := keyChange(key, p.Key)
-			n += int(neq)
-			key, acc = p.Key, min(p.Ptr, acc|^(neq-1))
-		}
-	default:
-		for _, p := range pairs[1:] {
-			pairs[n] = Pair{Key: key, Ptr: acc}
-			neq := keyChange(key, p.Key)
-			n += int(neq)
-			key, acc = p.Key, max(p.Ptr, acc&(neq-1))
-		}
+	for _, p := range pairs[1:] {
+		pairs[n] = Pair{Key: key, Ptr: acc}
+		neq := keyChange(key, p.Key)
+		n += int(neq)
+		key, acc = p.Key, p.Ptr+acc&(neq-1)
 	}
 	pairs[n] = Pair{Key: key, Ptr: acc}
 	return n + 1

@@ -97,13 +97,15 @@ type KPA struct {
 	// bundles). A merge-reduce reads a pointer run's values once, on
 	// entry, and leaves the run as it is. See residency.go.
 	vals bool
-	// partial marks a sealed pane run: value-resident, one pair per
-	// distinct key, and each Ptr is a Combiner aggregator's result over
-	// the records the run replaced — to be folded with Combine, never
-	// Add. The flag lives on the KPA, so it survives Evict and
-	// EnsureResident. Every merge-reduce entry (MergeReduceRange,
-	// MergeReduceRows, MergeReducePartial) Combines a partial run's
-	// pairs; MergeK copies them only beside other partial runs.
+	// partial marks a word-folded run: value-resident, one pair per
+	// distinct key, and each Ptr is a WordFolder's result over the
+	// records the run replaced — a sum, or a count that a merge adds as
+	// it is rather than as 1. Only a word fold makes one (FoldColumns,
+	// MergeReducePartial) and only a word fold reads one: every
+	// merge-reduce entry refuses a partial run under any other
+	// aggregator, and MergeK, the other aggregators' seal, refuses one
+	// outright. The flag lives on the KPA, so it survives Evict and
+	// EnsureResident.
 	partial bool
 	// resMu serializes residency transitions (Evict/EnsureResident).
 	resMu sync.Mutex

@@ -12,7 +12,7 @@ import (
 // across the key space (MergeCuts), and each partition streams through
 // one merge that folds the keyed aggregation inline (MergeReduceRange,
 // MergeReduceRows). When the aggregator has a word operation
-// (WordFolder: sum, count, min, max) it folds without a call per pair:
+// (WordFolder: sum, count) it folds without a call per pair:
 // in a table indexed by key when the partition's keys span fewer slots
 // than it has pairs (a 1 024-key window); by regrouping on a key digit
 // when three or more runs hold over 4 096 pairs and the
@@ -20,10 +20,11 @@ import (
 // close of 7 — MergeK's copy of such a group regroups too); else inside
 // the loser-tree loop as pairs arrive in key order.
 // algo.MultiMergeFold picks from the input alone. Any other aggregator
-// gets every pair, in key order, through a visitor that Combines a
-// partial run's value and Adds any other. The folds see values only: a
-// pointer run (the simulator's) has its range dereferenced into (key,
-// value) pairs once, on entry, and then folds like a value-resident run.
+// gets every pair, in key order, through a visitor that Adds it; it
+// never meets a partial run, which only a word fold makes and reads.
+// The folds see values only: a pointer run (the simulator's) has its
+// range dereferenced into (key, value) pairs once, on entry, and then
+// folds like a value-resident run.
 // Closing a window of R runs costs one sequential read of the
 // inputs — no per-level KPA materialization, no separate reduce
 // sweep. Seal merges a group of a pane's runs into one while the pane
@@ -31,8 +32,8 @@ import (
 // compacts them and panes shared by sliding windows are merged once for
 // all of them, with one of two kernels: MergeReducePartial is the same
 // fused pass writing its (key, result) stream back out as a partial run,
-// for aggregators that combine; MergeK copies the pairs verbatim, for
-// those that need every value in order.
+// for the word folders; MergeK copies the pairs verbatim, for the
+// aggregators that need every value in order.
 
 // checkMergeInputs validates that runs are sorted and share a resident
 // column, returning that column.
@@ -77,13 +78,13 @@ func MergeCuts(runs []*KPA, p int) ([][]int, error) {
 // bit-identical results to merge-then-reduce.
 //
 // One merge may mix all three run modes. A pointer run's range is
-// dereferenced for value column valCol once, on entry; after that its
-// pairs, like a value-resident run's, are Added, and a partial run's are
-// Combined (the factory's aggregator must then be a Combiner). A
-// WordFolder folds inside the merge loop; any other aggregator takes the
-// per-pair path, where an aggregator that is a Resetter is reused across
-// the task's keys instead of asking the factory for one per distinct
-// key.
+// dereferenced for value column valCol once, on entry; after that it
+// folds like a value-resident run. A WordFolder folds inside the merge
+// loop, a partial run's pairs adding their partial results (the
+// factory's aggregator must be a WordFolder when any run is partial);
+// any other aggregator takes the per-pair path, which Adds every pair
+// and reuses an aggregator that is a Resetter across the task's keys
+// instead of asking the factory for one per distinct key.
 func MergeReduceRange(runs []*KPA, lo, hi []int, valCol int, factory AggFactory, emit func(key, result uint64)) error {
 	_, err := mergeReduce(runs, lo, hi, valCol, factory(), factory, nil, emit)
 	return err
@@ -157,13 +158,9 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 		segs[j] = seg
 		partials = partials || r.partial
 	}
-	comb, combines := agg.(Combiner)
-	if partials && !combines {
-		return 0, fmt.Errorf("kpa: merge-reduce of a partial run needs a Combiner aggregator")
-	}
 
 	if w, ok := agg.(WordFolder); ok {
-		f := algo.Fold{Op: foldOp(w.WordOp())}
+		f := algo.Fold{Op: algo.FoldAdd}
 		if w.WordOp() == WordCount {
 			f.Units = make([]bool, len(runs))
 			for j, r := range runs {
@@ -181,9 +178,11 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 		}
 		return n, nil
 	}
+	if partials {
+		return 0, fmt.Errorf("kpa: merge-reduce of a partial run needs a WordFolder aggregator")
+	}
 
-	// The per-pair path: a partial run's value is Combined, any other
-	// Added.
+	// The per-pair path: every pair is Added.
 	n := 0
 	put := func(key, res uint64) {
 		if emit != nil {
@@ -198,7 +197,7 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 		started bool
 	)
 	reuse, _ := agg.(Resetter)
-	algo.MultiMergeFold(segs, algo.Fold{Visit: func(run int, p algo.Pair) {
+	algo.MultiMergeFold(segs, algo.Fold{Visit: func(p algo.Pair) {
 		if !started || p.Key != cur {
 			if started {
 				put(cur, agg.Result())
@@ -206,16 +205,11 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 					reuse.Reset()
 				} else {
 					agg = factory()
-					comb, _ = agg.(Combiner)
 				}
 			}
 			cur, started = p.Key, true
 		}
-		if runs[run].partial {
-			comb.Combine(p.Ptr)
-		} else {
-			agg.Add(p.Ptr)
-		}
+		agg.Add(p.Ptr)
 	}}, nil)
 	if started {
 		put(cur, agg.Result())
@@ -224,11 +218,11 @@ func mergeReduce(runs []*KPA, lo, hi []int, valCol int, agg Agg, factory AggFact
 }
 
 // Seal merges a group of sorted runs into one: MergeReducePartial's
-// partial run when the factory's aggregator is a Combiner, MergeK's
+// partial run when the factory's aggregator is a WordFolder, MergeK's
 // verbatim copy otherwise. The inputs remain valid (destroy them
 // separately).
 func Seal(runs []*KPA, valCol int, factory AggFactory, al Allocator, s *algo.Scratch) (*KPA, error) {
-	if _, ok := factory().(Combiner); ok {
+	if _, ok := factory().(WordFolder); ok {
 		return MergeReducePartial(runs, valCol, factory, al, s)
 	}
 	return MergeK(runs, al)
@@ -239,18 +233,19 @@ func Seal(runs []*KPA, valCol int, factory AggFactory, al Allocator, s *algo.Scr
 // records need — whose (key, result) stream becomes a new sorted,
 // value-resident KPA with one pair per distinct key and Partial set.
 // Merging that run in place of the inputs yields the same aggregates,
-// which is the Combiner contract; factory must build a Combiner. The
-// inputs may mix pointer, value-resident and partial runs and remain
-// valid (destroy them separately). The merge folds straight into a
-// buffer staged through s; the output is sized by the distinct keys.
+// since a word fold's partial results add; factory must build a
+// WordFolder. The inputs may mix pointer, value-resident and partial
+// runs and remain valid (destroy them separately). The merge folds
+// straight into a buffer staged through s; the output is sized by the
+// distinct keys.
 func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocator, s *algo.Scratch) (*KPA, error) {
 	resident, err := checkMergeInputs(runs)
 	if err != nil {
 		return nil, err
 	}
 	agg := factory()
-	if _, ok := agg.(Combiner); !ok {
-		return nil, fmt.Errorf("kpa: sealing a partial run needs a Combiner aggregator")
+	if _, ok := agg.(WordFolder); !ok {
+		return nil, fmt.Errorf("kpa: sealing a partial run needs a WordFolder aggregator")
 	}
 	lo, hi := make([]int, len(runs)), make([]int, len(runs))
 	for j, r := range runs {
@@ -273,25 +268,24 @@ func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocato
 
 // MergeK merges k sorted KPAs into one sorted KPA with a single
 // loser-tree pass, ties by run index — the seal of a group of runs
-// whose aggregator cannot combine partial results: every pair is kept,
-// in the order a merge over the inputs themselves would visit them.
-// Inputs remain valid (destroy them separately).
+// whose aggregator is not a word fold: every pair is kept, in the order
+// a merge over the inputs themselves would visit them. Such an
+// aggregator never reads a partial run, so MergeK refuses one. Inputs
+// remain valid (destroy them separately).
 func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 	resident, err := checkMergeInputs(runs)
 	if err != nil {
 		return nil, err
 	}
 	// Pairs are copied verbatim, so every input must agree on what Ptr
-	// means — all pointer runs, all value-resident runs or all partial
-	// runs (a partial and a raw value fold differently). The runtime's
-	// runs are value-resident from birth, and Seal picks
-	// MergeReducePartial whenever partials can exist.
+	// means — all pointer runs or all value-resident runs. The runtime's
+	// runs are value-resident from birth.
 	for _, r := range runs {
 		if r.vals != runs[0].vals {
 			return nil, fmt.Errorf("kpa: k-way merge of mixed pointer/value-resident runs")
 		}
-		if r.partial != runs[0].partial {
-			return nil, fmt.Errorf("kpa: k-way merge of mixed partial/raw runs")
+		if r.partial {
+			return nil, fmt.Errorf("kpa: k-way merge of a partial run, which only a word fold reads")
 		}
 	}
 	total := 0
@@ -310,6 +304,6 @@ func MergeK(runs []*KPA, al Allocator) (*KPA, error) {
 		out.inheritSources(r)
 	}
 	out.sorted = true
-	out.vals, out.partial = runs[0].vals, runs[0].partial
+	out.vals = runs[0].vals
 	return out, nil
 }

@@ -273,11 +273,11 @@ func TestValueBornRunsMatchPointerRuns(t *testing.T) {
 			}
 		}
 
-		wantP, err := MergeReducePartial(pointer, 1, newCombSum, al, nil)
+		wantP, err := MergeReducePartial(pointer, 1, newWordSum, al, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotP, err := MergeReducePartial(born, 1, newCombSum, al, nil)
+		gotP, err := MergeReducePartial(born, 1, newWordSum, al, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestRowBound(t *testing.T) {
 			}
 			for i := 0; i+1 < len(cuts); i++ {
 				out := make([]Row, RowBound(runs, cuts[i], cuts[i+1]))
-				if _, err := MergeReduceRows(runs, cuts[i], cuts[i+1], 1, newCombSum, out); err != nil {
+				if _, err := MergeReduceRows(runs, cuts[i], cuts[i+1], 1, newWordSum, out); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -347,11 +347,12 @@ func TestRowBound(t *testing.T) {
 	}
 }
 
-// combSum is a sum that combines, so it can seal partial runs.
-type combSum struct{ sumAgg }
+// wordSum is a sum with its word operation, so it can seal partial
+// runs.
+type wordSum struct{ sumAgg }
 
-func (a *combSum) Combine(partial uint64) { a.s += partial }
-func newCombSum() Agg                     { return &combSum{} }
+func (*wordSum) WordOp() WordOp { return WordAdd }
+func newWordSum() Agg           { return &wordSum{} }
 
 // TestMergeReduceValidation covers the error paths: unsorted input,
 // mismatched cut vectors, out-of-range value column.

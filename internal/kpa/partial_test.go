@@ -2,6 +2,7 @@ package kpa_test
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,23 +15,23 @@ import (
 	"streambox/internal/ops"
 )
 
-// foldAgg is neither a Combiner nor a Resetter.
+// foldAgg is neither a WordFolder nor a Resetter.
 type foldAgg struct{ h uint64 }
 
 func (a *foldAgg) Add(v uint64)   { a.h = a.h*31 + v }
 func (a *foldAgg) Result() uint64 { return a.h }
 
-// TestMergeReducePartialRuns pins the Combiner contract end to end in
+// TestMergeReducePartialRuns pins the partial-run contract end to end in
 // the kernel: a merge over pointer runs, value-resident runs and a
 // partial run sealed from a third group — and over a partial sealed
 // again together with a raw run — must equal the plain per-key fold of
-// every record, for all four combining aggregators. Count is the one
-// that fails if a partial is ever Added instead of Combined.
+// every record, for both word folders. Count is the one that fails if a
+// partial is ever counted as one record.
 func TestMergeReducePartialRuns(t *testing.T) {
 	reg := bundle.NewRegistry()
 	al := kpa.NoopAllocator{T: memsim.DRAM}
 	rng := rand.New(rand.NewSource(11))
-	aggs := map[string]kpa.AggFactory{"sum": ops.Sum(), "count": ops.Count(), "min": ops.Min(), "max": ops.Max()}
+	aggs := map[string]kpa.AggFactory{"sum": ops.Sum(), "count": ops.Count()}
 
 	// Nine single-bundle sorted runs; the oracle folds their records
 	// key by key with one fresh aggregator each, no merge involved.
@@ -136,28 +137,84 @@ func TestMergeReducePartialRuns(t *testing.T) {
 		}
 		reduce(name, []*kpa.KPA{pointer[1], pointer[2], value[1], value[2], resealed})
 
-		// Nothing may copy a partial and a raw run into one run verbatim.
-		if _, err := kpa.MergeK([]*kpa.KPA{partial, value[0]}, al); err == nil {
-			t.Fatalf("%s: MergeK accepted a partial/raw mix", name)
+		// Nothing may copy a partial run verbatim.
+		for _, in := range [][]*kpa.KPA{{partial, value[0]}, {partial, resealed}} {
+			if _, err := kpa.MergeK(in, al); err == nil {
+				t.Fatalf("%s: MergeK accepted a partial run", name)
+			}
 		}
-		both, err := kpa.MergeK([]*kpa.KPA{partial, resealed}, al)
-		if err != nil || !both.Partial() {
-			t.Fatalf("%s: MergeK of two partial runs: partial=%v err=%v", name, both != nil && both.Partial(), err)
-		}
-		// An aggregator that cannot combine must not be fed partials.
+		// An aggregator that is not a word fold must not be fed partials.
 		fold := func() kpa.Agg { return &foldAgg{} }
 		if err := kpa.MergeReduceRange([]*kpa.KPA{partial}, []int{0}, []int{partial.Len()}, 1, fold, func(uint64, uint64) {}); err == nil {
-			t.Fatalf("%s: merge-reduce fed a partial run to a non-Combiner", name)
+			t.Fatalf("%s: merge-reduce fed a partial run to a non-word-folding aggregator", name)
 		}
 		if _, err := kpa.MergeReducePartial(pointer, 1, fold, al, nil); err == nil {
-			t.Fatalf("%s: sealed a partial run with a non-Combiner", name)
+			t.Fatalf("%s: sealed a partial run with a non-word-folding aggregator", name)
 		}
-		both.Destroy()
 		resealed.Destroy()
 		partial.Destroy()
 	}
 	for _, r := range runs {
 		r.Destroy()
+	}
+}
+
+// TestPartialRunNeedsWordFold pins who reads a partial run: a word fold
+// alone. Under Avg, which is not one, MergeReduceRows and Seal refuse a
+// partial run, alone and beside a raw run; and Seal of Avg or Median
+// over raw runs copies them verbatim — every pair, in merge order, and
+// not partial — as MergeK does.
+func TestPartialRunNeedsWordFold(t *testing.T) {
+	al := kpa.NoopAllocator{T: memsim.DRAM}
+	rng := rand.New(rand.NewSource(47))
+	raw := func() *kpa.KPA {
+		t.Helper()
+		pairs := make([]algo.Pair, 500)
+		for i := range pairs {
+			pairs[i] = algo.Pair{Key: rng.Uint64() % 64, Ptr: rng.Uint64() % 1000}
+		}
+		k, err := kpa.FromValues(pairs, 0, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kpa.SortRadix(k, 1, nil)
+		return k
+	}
+	a, b := raw(), raw()
+	defer a.Destroy()
+	defer b.Destroy()
+	partial, err := kpa.Seal([]*kpa.KPA{raw(), raw()}, 1, ops.Sum(), al, nil)
+	if err != nil || !partial.Partial() {
+		t.Fatalf("Seal of Sum: partial=%v err=%v", partial != nil && partial.Partial(), err)
+	}
+	defer partial.Destroy()
+	for _, in := range [][]*kpa.KPA{{partial}, {a, partial}} {
+		lo, hi := make([]int, len(in)), make([]int, len(in))
+		for j, r := range in {
+			hi[j] = r.Len()
+		}
+		out := make([]kpa.Row, kpa.RowBound(in, lo, hi))
+		if _, err := kpa.MergeReduceRows(in, lo, hi, 1, ops.Avg(), out); err == nil {
+			t.Fatalf("MergeReduceRows of Avg read a partial run among %d runs", len(in))
+		}
+		if _, err := kpa.Seal(in, 1, ops.Avg(), al, nil); err == nil {
+			t.Fatalf("Seal of Avg took a partial run among %d runs", len(in))
+		}
+	}
+	want, err := kpa.MergeK([]*kpa.KPA{a, b}, al)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Destroy()
+	for name, factory := range map[string]kpa.AggFactory{"avg": ops.Avg(), "median": ops.Median()} {
+		got, err := kpa.Seal([]*kpa.KPA{a, b}, 1, factory, al, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Partial() || !got.Sorted() || !slices.Equal(got.Pairs(), want.Pairs()) {
+			t.Fatalf("Seal of %s: %v, want MergeK's verbatim copy %v", name, got, want)
+		}
+		got.Destroy()
 	}
 }
 
@@ -187,26 +244,20 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 	defer run.Destroy()
 	runs, lo, hi := []*kpa.KPA{run}, []int{0}, []int{run.Len()}
 
-	for name, factory := range map[string]kpa.AggFactory{"avg": ops.Avg(), "min": ops.Min()} {
-		made := 0
-		counting := func() kpa.Agg { made++; return factory() }
-		if err := kpa.MergeReduceRange(runs, lo, hi, 1, counting, func(k, v uint64) {
-			// Key k holds values k, k+keys, k+2*keys.
-			want := k
-			if name == "avg" {
-				want = k + keys
-			}
-			if v != want {
-				t.Fatalf("%s key %d: %d, want %d", name, k, v, want)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if made != 1 {
-			t.Fatalf("%s: %d aggregators built for one merge task, want 1", name, made)
-		}
-	}
 	made := 0
+	avg := func() kpa.Agg { made++; return ops.Avg()() }
+	if err := kpa.MergeReduceRange(runs, lo, hi, 1, avg, func(k, v uint64) {
+		// Key k holds values k, k+keys, k+2*keys.
+		if v != k+keys {
+			t.Fatalf("avg key %d: %d, want %d", k, v, k+keys)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if made != 1 {
+		t.Fatalf("avg: %d aggregators built for one merge task, want 1", made)
+	}
+	made = 0
 	if err := kpa.MergeReduceRange(runs, lo, hi, 1, func() kpa.Agg { made++; return &foldAgg{} }, func(uint64, uint64) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +267,7 @@ func TestMergeReduceReusesResetter(t *testing.T) {
 }
 
 // TestFoldColumnsMatchesSeal pins the formation fold's contract: for
-// sum, count, min and max, the run FoldColumns makes of a bundle's
+// sum and count, the run FoldColumns makes of a bundle's
 // columns is the partial run Seal makes of the sorted run SortColumns
 // forms from the same columns — pair for pair, sorted, value-resident,
 // partial, and allocated at one pair per distinct key — on 1 024 keys at
@@ -231,7 +282,7 @@ func TestFoldColumnsMatchesSeal(t *testing.T) {
 	aggs := []struct {
 		name string
 		new  kpa.AggFactory
-	}{{"sum", ops.Sum()}, {"count", ops.Count()}, {"min", ops.Min()}, {"max", ops.Max()}}
+	}{{"sum", ops.Sum()}, {"count", ops.Count()}}
 	for _, c := range []struct {
 		lo       uint64
 		span     uint64
@@ -312,35 +363,36 @@ func (c *countingAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Alloca
 	return c.NoopAllocator.AllocKPA(nBytes)
 }
 
-// perPair hides a combining aggregator's word operation: what it builds
-// is a Combiner and a Resetter and nothing else, so a merge takes the
-// per-pair path, reusing one instance as it did before word folds.
+// perPair hides a word folder's word operation: what it builds is a
+// plain Agg and a Resetter, so a merge takes the per-pair path, reusing
+// one instance as it did before word folds. It reads no partial run.
 func perPair(factory kpa.AggFactory) kpa.AggFactory {
 	return func() kpa.Agg {
 		a := factory()
 		return struct {
-			kpa.Combiner
+			kpa.Agg
 			kpa.Resetter
-		}{a.(kpa.Combiner), a.(kpa.Resetter)}
+		}{a, a.(kpa.Resetter)}
 	}
 }
 
-// TestMergeFoldMatchesVisit holds the word fold of Sum, Count, Min and
-// Max to the per-pair path it replaces, on both entry points a window
-// uses — the close (MergeReduceRange at several partition counts, and
+// TestMergeFoldMatchesVisit holds the word fold of Sum and Count to the
+// per-pair path it replaces, on both entry points a window uses — the
+// close (MergeReduceRange at several partition counts, and
 // MergeReduceRows into a row slab of RowBound rows) and the seal
 // (MergeReducePartial) — over random mixes of raw value runs, pointer
-// runs, partial runs and empty runs, at 1, 2, 3 and 33 runs, on two key
-// shapes: keys
-// of MaxUint64 and hashed keys among a few dozen (the loser tree), and
-// 1 024 keys (the table, wherever a merge has more pairs than its span);
-// on the runtime's shapes: 1 024 keys, and inproc_wide's hashed keys,
-// whose 32-run seal regroups (the verbatim MergeK too), and so does its
-// 7-run close — each shape also with pointer runs beside the value
-// runs, so every word fold meets a pointer run on the loser tree, the
-// table and the regroup; then the two cases a word fold could get wrong
-// by itself: a count over raw and partial runs in one close (a raw pair
-// adds 1, a partial its value), and a minimum whose first value is 0.
+// runs, partial runs and empty runs, at 1, 2, 3 and 33 runs. The
+// per-pair path reads no partial run, so it merges the raw runs each
+// partial was sealed from in the partial's place, and a seal must write
+// the rows that close writes. Two key shapes: keys of MaxUint64 and
+// hashed keys among a few dozen (the loser tree), and 1 024 keys (the
+// table, wherever a merge has more pairs than its span); then the
+// runtime's shapes: 1 024 keys, and inproc_wide's hashed keys, whose
+// 32-run seal regroups (the verbatim MergeK too), and so does its 7-run
+// close — each shape also with pointer runs beside the value runs, so
+// the word fold meets a pointer run on the loser tree, the table and the
+// regroup; last, the case a count could get wrong by itself: raw and
+// partial runs in one close (a raw pair adds 1, a partial its value).
 func TestMergeFoldMatchesVisit(t *testing.T) {
 	al := kpa.NoopAllocator{T: memsim.DRAM}
 	rng := rand.New(rand.NewSource(23))
@@ -408,14 +460,25 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		}
 		return p
 	}
-	// partialOf seals runs through the per-pair path and drops them.
-	partialOf := func(factory kpa.AggFactory, runs ...*kpa.KPA) *kpa.KPA {
-		t.Helper()
-		p := seal(perPair(factory), runs...)
-		for _, r := range runs {
+	// window is a window's runs two ways: folded, where the word fold
+	// reads them, and raw, where the per-pair path does — each partial
+	// run of folded replaced by the raw runs it was sealed from.
+	type window struct{ folded, raw []*kpa.KPA }
+	add := func(w *window, r *kpa.KPA) {
+		w.folded, w.raw = append(w.folded, r), append(w.raw, r)
+	}
+	addPartial := func(w *window, factory kpa.AggFactory, from ...*kpa.KPA) {
+		w.folded, w.raw = append(w.folded, seal(factory, from...)), append(w.raw, from...)
+	}
+	destroy := func(w window) {
+		for _, r := range w.raw {
 			r.Destroy()
 		}
-		return p
+		for _, r := range w.folded {
+			if r.Partial() {
+				r.Destroy()
+			}
+		}
 	}
 	// closeRows returns the window's rows through MergeReduceRange over p
 	// partitions, checking MergeReduceRows writes the same rows.
@@ -451,50 +514,72 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 		}
 		return rows
 	}
+	// checkClose holds the window's word-folded close to the per-pair
+	// close of its raw runs, at each partition count, and returns the
+	// rows.
+	checkClose := func(name string, w window, factory kpa.AggFactory, parts ...int) []kpa.Row {
+		t.Helper()
+		var want []kpa.Row
+		for _, p := range parts {
+			got := closeRows(w.folded, factory, p)
+			if want = closeRows(w.raw, perPair(factory), p); !slices.Equal(got, want) {
+				t.Fatalf("%s p=%d: the word fold closes to %d rows unlike the per-pair path's %d", name, p, len(got), len(want))
+			}
+		}
+		return want
+	}
+	// checkSeal holds the window's word-folded seal to the rows of the
+	// per-pair close of its raw runs.
+	checkSeal := func(name string, w window, factory kpa.AggFactory) int {
+		t.Helper()
+		got := seal(factory, w.folded...)
+		defer got.Destroy()
+		want := closeRows(w.raw, perPair(factory), 1)
+		if !got.Partial() || got.Len() != len(want) {
+			t.Fatalf("%s: the word fold seals %d pairs, the per-pair path closes to %d rows", name, got.Len(), len(want))
+		}
+		for i, p := range got.Pairs() {
+			if (kpa.Row{Key: p.Key, Val: p.Ptr}) != want[i] {
+				t.Fatalf("%s: sealed pair %d is %+v, the per-pair path's row %+v", name, i, p, want[i])
+			}
+		}
+		return got.Len()
+	}
 
 	aggs := []struct {
 		name    string
 		factory kpa.AggFactory
-	}{{"sum", ops.Sum()}, {"count", ops.Count()}, {"min", ops.Min()}, {"max", ops.Max()}}
+	}{{"sum", ops.Sum()}, {"count", ops.Count()}}
 	for _, a := range aggs {
 		if _, ok := a.factory().(kpa.WordFolder); !ok {
 			t.Fatalf("%s is not a WordFolder", a.name)
 		}
-		visit := perPair(a.factory)
 		for _, nRuns := range []int{1, 2, 3, 33} {
 			for trial := 0; trial < 6; trial++ {
 				if key = mixedKey; trial%2 == 1 {
 					key = narrowKey
 				}
-				runs := make([]*kpa.KPA, nRuns)
-				for j := range runs {
+				var w window
+				for j := 0; j < nRuns; j++ {
 					kind := rng.Intn(4)
 					if j == 0 && trial < 2 {
 						kind = 3 // a pointer run on the tree, then the table
 					}
 					switch kind {
 					case 0:
-						runs[j] = run()
+						add(&w, run())
 					case 1:
-						runs[j] = randomRun(1 + rng.Intn(400))
+						add(&w, randomRun(1+rng.Intn(400)))
 					case 2:
-						runs[j] = partialOf(a.factory, randomRun(1+rng.Intn(300)), pointerRun(1+rng.Intn(300)))
+						addPartial(&w, a.factory, randomRun(1+rng.Intn(300)), pointerRun(1+rng.Intn(300)))
 					default:
-						runs[j] = pointerRun(1 + rng.Intn(400))
+						add(&w, pointerRun(1+rng.Intn(400)))
 					}
 				}
-				for _, p := range []int{1, 3} {
-					if got, want := closeRows(runs, a.factory, p), closeRows(runs, visit, p); !slices.Equal(got, want) {
-						t.Fatalf("%s runs=%d trial=%d p=%d: the word fold closes to %d rows unlike the per-pair path's %d", a.name, nRuns, trial, p, len(got), len(want))
-					}
-				}
-				got, want := seal(a.factory, runs...), seal(visit, runs...)
-				if !slices.Equal(got.Pairs(), want.Pairs()) || !got.Partial() {
-					t.Fatalf("%s runs=%d trial=%d: the word fold seals %d pairs unlike the per-pair path's %d", a.name, nRuns, trial, got.Len(), want.Len())
-				}
-				for _, r := range append(runs, got, want) {
-					r.Destroy()
-				}
+				name := fmt.Sprintf("%s runs=%d trial=%d", a.name, nRuns, trial)
+				checkClose(name, w, a.factory, 1, 3)
+				checkSeal(name, w, a.factory)
+				destroy(w)
 			}
 		}
 	}
@@ -505,40 +590,32 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 	// one merge; a quarter of the raw runs are pointer runs.
 	key = narrowKey
 	for _, a := range aggs {
-		visit := perPair(a.factory)
-		runs := make([]*kpa.KPA, 32)
-		for j := range runs {
+		var w window
+		for j := range 32 {
 			if j%4 == 0 {
-				runs[j] = pointerRun(4096)
+				add(&w, pointerRun(4096))
 			} else {
-				runs[j] = randomRun(4096)
+				add(&w, randomRun(4096))
 			}
 		}
-		got, want := seal(a.factory, runs...), seal(visit, runs...)
-		if !slices.Equal(got.Pairs(), want.Pairs()) || got.Len() != 1024 {
-			t.Fatalf("%s seal/32x4096/1Ki-keys: the word fold seals %d pairs unlike the per-pair path's %d", a.name, got.Len(), want.Len())
+		if n := checkSeal(a.name+" seal/32x4096/1Ki-keys", w, a.factory); n != 1024 {
+			t.Fatalf("%s seal/32x4096/1Ki-keys: sealed %d pairs, want 1024", a.name, n)
 		}
-		for _, r := range append(runs, got, want) {
-			r.Destroy()
-		}
-		runs = runs[:0]
+		destroy(w)
+		w = window{}
 		for range 7 {
-			runs = append(runs, partialOf(a.factory, randomRun(4096), randomRun(4096)))
+			addPartial(&w, a.factory, randomRun(4096), randomRun(4096))
 		}
 		for range 16 {
-			runs = append(runs, randomRun(4096))
+			add(&w, randomRun(4096))
 		}
 		for range 6 {
-			runs = append(runs, pointerRun(4096))
+			add(&w, pointerRun(4096))
 		}
-		for _, p := range []int{1, 3} {
-			if got, want := closeRows(runs, a.factory, p), closeRows(runs, visit, p); !slices.Equal(got, want) || len(got) != 1024 {
-				t.Fatalf("%s close/7+22/1Ki-keys p=%d: the word fold closes to %d rows unlike the per-pair path's %d", a.name, p, len(got), len(want))
-			}
+		if rows := checkClose(a.name+" close/7+22/1Ki-keys", w, a.factory, 1, 3); len(rows) != 1024 {
+			t.Fatalf("%s close/7+22/1Ki-keys: %d rows, want 1024", a.name, len(rows))
 		}
-		for _, r := range runs {
-			r.Destroy()
-		}
+		destroy(w)
 	}
 
 	// inproc_wide's shapes, over hashed keys: a seal of 32 raw runs of
@@ -546,16 +623,16 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 	// regroups too —, and a close over 7 runs, 3 partial and 4 raw (2 of
 	// them pointer runs), in two partitions, which regroups as well.
 	key = func() uint64 { return rng.Uint64() }
-	wide := make([]*kpa.KPA, 32)
-	for j := range wide {
-		wide[j] = randomRun(10_000)
+	var wide window
+	for range 32 {
+		add(&wide, randomRun(10_000))
 	}
-	merged, err := kpa.MergeK(wide, al)
+	merged, err := kpa.MergeK(wide.raw, al)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var all []algo.Pair
-	for _, r := range wide {
+	for _, r := range wide.raw {
 		all = append(all, r.Pairs()...)
 	}
 	slices.SortStableFunc(all, func(x, y algo.Pair) int { return cmp.Compare(x.Key, y.Key) })
@@ -564,52 +641,30 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 	}
 	merged.Destroy()
 	for _, a := range aggs {
-		visit := perPair(a.factory)
-		got, want := seal(a.factory, wide...), seal(visit, wide...)
-		if !slices.Equal(got.Pairs(), want.Pairs()) {
-			t.Fatalf("%s seal/32x10000/hashed-keys: the word fold seals %d pairs unlike the per-pair path's %d", a.name, got.Len(), want.Len())
-		}
-		got.Destroy()
-		want.Destroy()
-		var runs []*kpa.KPA
+		checkSeal(a.name+" seal/32x10000/hashed-keys", wide, a.factory)
+		var w window
 		for range 3 {
-			runs = append(runs, partialOf(a.factory, randomRun(10_000), randomRun(10_000)))
+			addPartial(&w, a.factory, randomRun(10_000), randomRun(10_000))
 		}
 		for range 2 {
-			runs = append(runs, randomRun(10_000), pointerRun(10_000))
+			add(&w, randomRun(10_000))
+			add(&w, pointerRun(10_000))
 		}
-		if got, want := closeRows(runs, a.factory, 2), closeRows(runs, visit, 2); !slices.Equal(got, want) {
-			t.Fatalf("%s close/3+4/hashed-keys: the word fold closes to %d rows unlike the per-pair path's %d", a.name, len(got), len(want))
-		}
-		for _, r := range runs {
-			r.Destroy()
-		}
+		checkClose(a.name+" close/3+4/hashed-keys", w, a.factory, 2)
+		destroy(w)
 	}
-	for _, r := range wide {
-		r.Destroy()
-	}
+	destroy(wide)
 
-	// Key 5: three raw pairs beside a partial of four; key 9: 0 first.
+	// Key 5: three raw pairs beside a partial count of four.
 	kv := func(k, v uint64) algo.Pair { return algo.Pair{Key: k, Ptr: v} }
-	for _, c := range []struct {
-		name    string
-		factory kpa.AggFactory
-		want    []kpa.Row
-	}{
-		{"count", ops.Count(), []kpa.Row{{Key: 5, Val: 7}, {Key: 9, Val: 3}}},
-		{"min", ops.Min(), []kpa.Row{{Key: 5, Val: 1}, {Key: 9, Val: 0}}},
-	} {
-		partial := partialOf(c.factory, run(kv(5, 4), kv(5, 5), kv(5, 6), kv(5, 7)))
-		runs := []*kpa.KPA{run(kv(9, 0), kv(5, 1), kv(5, 2), kv(5, 3)), partial, run(kv(9, 8), kv(9, 2))}
-		for _, factory := range []kpa.AggFactory{c.factory, perPair(c.factory)} {
-			if got := closeRows(runs, factory, 1); !slices.Equal(got, c.want) {
-				t.Fatalf("%s: closed to %v, want %v", c.name, got, c.want)
-			}
-		}
-		for _, r := range runs {
-			r.Destroy()
-		}
+	var w window
+	add(&w, run(kv(9, 0), kv(5, 1), kv(5, 2), kv(5, 3)))
+	addPartial(&w, ops.Count(), run(kv(5, 4), kv(5, 5), kv(5, 6), kv(5, 7)))
+	add(&w, run(kv(9, 8), kv(9, 2)))
+	if got, want := checkClose("count", w, ops.Count(), 1), []kpa.Row{{Key: 5, Val: 7}, {Key: 9, Val: 3}}; !slices.Equal(got, want) {
+		t.Fatalf("count: closed to %v, want %v", got, want)
 	}
+	destroy(w)
 }
 
 // BenchmarkSealVsCompact prices the two ways a window with more sorted
@@ -765,12 +820,14 @@ func BenchmarkSealVsCompact(b *testing.B) {
 // BenchmarkMergeFold prices one merge-reduce of value-born runs with
 // Sum both ways, single-threaded, in ns per pair: "word" is the word
 // fold, "per-pair" the path every aggregator took before (perPair: one
-// reused aggregator, Add or Combine through interfaces per pair, through
-// the loser tree's visitor). The shapes are the runtime's: a seal of 32
+// reused aggregator, Add through an interface per pair, through the
+// loser tree's visitor). The shapes are the runtime's: a seal of 32
 // runs of 4 096 pairs over 1 024 keys (net_narrow, inproc_spill) or of
 // 10 000 hashed keys (inproc_wide), staged through recycled scratch
 // (MergeReducePartial), and a close of 7 runs of 140 000 pairs into a
-// row slab (MergeReduceRows), over hashed keys or 1 024. Over 1 024 keys
+// row slab (MergeReduceRows), over hashed keys or 1 024. The per-pair
+// path seals nothing — a partial run is a word fold's — so on the seal
+// shapes it merge-reduces the same runs into a row slab. Over 1 024 keys
 // the word fold takes the table; the hashed seal regroups, and so do
 // its "copy" leg, the verbatim seal (MergeK) of the same runs, and the
 // hashed close.
@@ -837,7 +894,7 @@ func BenchmarkMergeFold(b *testing.B) {
 							b.Fatal(err)
 						}
 						out.Destroy()
-					} else if sh.seal {
+					} else if sh.seal && way.name == "word" {
 						out, err := kpa.MergeReducePartial(runs, 1, way.factory, al, scratch)
 						if err != nil {
 							b.Fatal(err)

@@ -189,7 +189,7 @@ func SortColumns(k *KPA, keys, vals []uint64, scan algo.KeyScan, s *algo.Scratch
 // operation, over columns whose keys lie in [lo, lo+span], a range the
 // table rule takes for their rows (algo.KeyScan.Dense): it returns the
 // partial run of the pairs (keys[i], vals[i]) — one pair per distinct
-// key, in key order, each holding the key's values folded by op (a
+// key, in key order, each holding the sum of the key's values (a
 // count's holds its row count) — which is what Seal makes of the run
 // SortColumns would sort, without that run or its sort
 // (algo.FoldColumns). The run is sorted, value-resident and partial, and
@@ -200,7 +200,7 @@ func FoldColumns(keys, vals []uint64, lo uint64, span int, resident int, op Word
 	if len(vals) != len(keys) {
 		panic(fmt.Sprintf("kpa: FoldColumns of %d keys and %d values", len(keys), len(vals)))
 	}
-	ok = algo.FoldColumns(keys, vals, lo, span, foldOp(op), op == WordCount, func(n int) []algo.Pair {
+	ok = algo.FoldColumns(keys, vals, lo, span, op == WordCount, func(n int) []algo.Pair {
 		if k, err = newKPA(n, resident, al); err != nil {
 			return nil
 		}

@@ -1,7 +1,5 @@
 package kpa
 
-import "streambox/internal/algo"
-
 // Agg folds a stream of 64-bit values into one result. Implementations
 // live in internal/ops (sum, average, median, top-k, ...); the kpa
 // package only drives them.
@@ -24,54 +22,31 @@ type Row struct {
 	Val uint64 `json:"val"`
 }
 
-// Combiner is an optional Agg capability: the aggregate of a multiset
-// is the fold of the aggregates of any partition of it, in any order.
-// Combine folds one such partial result — the Result of another
-// instance over a disjoint, non-empty part of the input — so that
-// Combine(r1), Combine(r2), ... followed by Result equals Add over the
-// union (for Count that is n += partial, not Add). The native runtime
-// seals groups of a pane's runs into partial runs (MergeReducePartial)
-// only when the plan's aggregator is a Combiner; for every other
-// aggregator a seal copies the pairs verbatim (MergeK).
-type Combiner interface {
-	Agg
-	Combine(partial uint64)
-}
-
 // WordOp is the one word operation a WordFolder's state folds its
-// inputs with.
+// inputs with: a wrapping sum of the values, or of 1 per raw value.
 type WordOp uint8
 
 const (
 	WordAdd   WordOp = iota + 1 // state += value (sum)
 	WordCount                   // state += 1 per raw value, += a partial's value (count)
-	WordMin                     // state = min(state, value)
-	WordMax                     // state = max(state, value)
 )
 
-// WordFolder is an optional Combiner capability of an aggregator whose
-// whole state is one uint64: a key's result is its first input's
-// contribution folded with every later one by WordOp, raw values and
-// partials alike (only WordCount tells them apart). A merge over
-// value-resident and partial runs then folds equal keys inside the
-// loser-tree loop (algo.MultiMergeFold) — no call per pair, no
-// aggregator per key. The operation belongs to the aggregator's type,
-// not to an instance: WordOp always returns the same value.
+// WordFolder is an optional Agg capability of an aggregator whose whole
+// state is one uint64 that its inputs add to: a key's result is the
+// wrapping sum of its inputs' contributions, in any order and under any
+// grouping. So a group of runs seals into a partial run — one pair per
+// distinct key holding the group's result, which a later merge adds as
+// it would a raw value (only WordCount tells them apart, adding a raw
+// pair as 1) — and a merge folds equal keys inside its loop
+// (algo.MultiMergeFold) with no call per pair and no aggregator per
+// key. A partial run is born only from a word fold (FoldColumns,
+// MergeReducePartial), so only a WordFolder reads one; for every other
+// aggregator a seal copies the pairs verbatim (MergeK). The operation
+// belongs to the aggregator's type, not to an instance: WordOp always
+// returns the same value.
 type WordFolder interface {
-	Combiner
+	Agg
 	WordOp() WordOp
-}
-
-// foldOp is the merge kernel's operation for w: a count adds, its raw
-// pairs counting 1 (algo.Fold.Units).
-func foldOp(w WordOp) algo.FoldOp {
-	switch w {
-	case WordMin:
-		return algo.FoldMin
-	case WordMax:
-		return algo.FoldMax
-	}
-	return algo.FoldAdd
 }
 
 // Resetter is an optional Agg capability: Reset returns the aggregator

@@ -15,14 +15,14 @@ import (
 
 // --- Aggregators (the reduction side of Table 1's operators). -------------
 //
-// Sum, Count, Min and Max are kpa.Combiners: their result over a
-// multiset is the fold of their results over any partition of it, so
-// the native runtime may seal a pane into per-key partials once and
-// combine those per window. Their whole state is one word, so they are
-// kpa.WordFolders too: a merge folds them inside its loop, with no call
-// per value. They and Avg are kpa.Resetters, reused across the keys of
-// one merge task on the per-pair path. The order statistics and
-// UniqueCount are neither: they need every value.
+// Sum and Count are kpa.WordFolders: their whole state is one word that
+// their inputs add to, so their result over a multiset is the sum of
+// their results over any partition of it. The native runtime may then
+// seal a pane into per-key partials once and add those per window, and
+// a merge folds them inside its loop, with no call per value. They and
+// Avg are kpa.Resetters, reused across the keys of one merge task on
+// the per-pair path. The order statistics and UniqueCount are neither:
+// they need every value.
 
 // SumAgg sums values.
 type SumAgg struct{ s uint64 }
@@ -32,9 +32,6 @@ func (a *SumAgg) Add(v uint64) { a.s += v }
 
 // Result implements kpa.Agg.
 func (a *SumAgg) Result() uint64 { return a.s }
-
-// Combine implements kpa.Combiner: partial sums add.
-func (a *SumAgg) Combine(partial uint64) { a.s += partial }
 
 // Reset implements kpa.Resetter.
 func (a *SumAgg) Reset() { *a = SumAgg{} }
@@ -54,14 +51,11 @@ func (a *CountAgg) Add(uint64) { a.n++ }
 // Result implements kpa.Agg.
 func (a *CountAgg) Result() uint64 { return a.n }
 
-// Combine implements kpa.Combiner: partial counts add — a partial
-// stands for that many records, where Add would count it as one.
-func (a *CountAgg) Combine(partial uint64) { a.n += partial }
-
 // Reset implements kpa.Resetter.
 func (a *CountAgg) Reset() { *a = CountAgg{} }
 
-// WordOp implements kpa.WordFolder.
+// WordOp implements kpa.WordFolder: a partial count stands for that
+// many records, where Add would count it as one.
 func (*CountAgg) WordOp() kpa.WordOp { return kpa.WordCount }
 
 // Count returns a factory for CountByKey.
@@ -90,61 +84,6 @@ func (a *AvgAgg) Reset() { *a = AvgAgg{} }
 
 // Avg returns a factory for AveragePerKey.
 func Avg() kpa.AggFactory { return func() kpa.Agg { return &AvgAgg{} } }
-
-// MaxAgg keeps the maximum.
-type MaxAgg struct{ m uint64 }
-
-// Add implements kpa.Agg.
-func (a *MaxAgg) Add(v uint64) {
-	if v > a.m {
-		a.m = v
-	}
-}
-
-// Result implements kpa.Agg.
-func (a *MaxAgg) Result() uint64 { return a.m }
-
-// Combine implements kpa.Combiner: the maximum of partial maxima.
-func (a *MaxAgg) Combine(partial uint64) { a.Add(partial) }
-
-// Reset implements kpa.Resetter.
-func (a *MaxAgg) Reset() { *a = MaxAgg{} }
-
-// WordOp implements kpa.WordFolder.
-func (*MaxAgg) WordOp() kpa.WordOp { return kpa.WordMax }
-
-// Max returns a factory for MaxPerKey.
-func Max() kpa.AggFactory { return func() kpa.Agg { return &MaxAgg{} } }
-
-// MinAgg keeps the minimum.
-type MinAgg struct {
-	m   uint64
-	any bool
-}
-
-// Add implements kpa.Agg.
-func (a *MinAgg) Add(v uint64) {
-	if !a.any || v < a.m {
-		a.m = v
-		a.any = true
-	}
-}
-
-// Result implements kpa.Agg.
-func (a *MinAgg) Result() uint64 { return a.m }
-
-// Combine implements kpa.Combiner: the minimum of partial minima (a
-// partial always covers at least one record).
-func (a *MinAgg) Combine(partial uint64) { a.Add(partial) }
-
-// Reset implements kpa.Resetter.
-func (a *MinAgg) Reset() { *a = MinAgg{} }
-
-// WordOp implements kpa.WordFolder.
-func (*MinAgg) WordOp() kpa.WordOp { return kpa.WordMin }
-
-// Min returns a factory for MinPerKey.
-func Min() kpa.AggFactory { return func() kpa.Agg { return &MinAgg{} } }
 
 // collectAgg gathers all values for order statistics.
 type collectAgg struct {

@@ -192,10 +192,8 @@ var paneShapes = []wm.Windowing{
 	wm.Fixed(500_000),
 }
 
-// combiners are the aggregators whose panes seal into partial runs.
-var combiners = map[string]kpa.AggFactory{
-	"sum": ops.Sum(), "count": ops.Count(), "min": ops.Min(), "max": ops.Max(),
-}
+// wordFolders are the aggregators whose panes seal into partial runs.
+var wordFolders = map[string]kpa.AggFactory{"sum": ops.Sum(), "count": ops.Count()}
 
 // TestPaneMatchesReference is the extract/close equivalence property:
 // across overlap factors 1, 2, 4, 7 and 16, a non-divisible and a
@@ -224,14 +222,14 @@ func TestPaneMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPaneSealMatchesReference is the same property for the aggregators
-// that combine, whose closes seal each pane once into a partial run and
+// TestPaneSealMatchesReference is the same property for the word
+// folders, whose closes seal each pane once into a partial run and
 // merge partials: every shape must still reproduce the reference, which
 // knows no panes and no partials. Count is the aggregator that fails if
 // a partial is ever Added as if it were one record. With four bundles to
 // a window no group fills, so panes seal exactly when windows overlap.
 func TestPaneSealMatchesReference(t *testing.T) {
-	for name, agg := range combiners {
+	for name, agg := range wordFolders {
 		for _, win := range paneShapes {
 			plan := paneTestPlan(win, 42)
 			plan.NewAgg, plan.Label = agg, name

@@ -18,7 +18,7 @@
 // Extract. One task per bundle scatters the surviving records into
 // non-overlapping panes (paired panes, wm.Panes: at most two per slide,
 // every window an exact union of them) and forms one KPA run per
-// bundle×pane (formRun): a word aggregator (sum, count, min, max) over
+// bundle×pane (formRun): a word aggregator (sum, count) over
 // keys that span fewer slots than the pane has rows folds them into a
 // partial run of one pair per key — in one pass when they lie inside
 // the last dense range a scan found —, and any other run is
@@ -45,7 +45,7 @@
 // group of mergeFanIn consecutive bundles; when the last member files,
 // one task merges the group's runs into one, which takes their place one
 // level up, where mergeFanIn such runs seal again. When the aggregator
-// is a kpa.Combiner (sum, count, min, max) the merge is one fused
+// is a kpa.WordFolder (sum, count) the merge is one fused
 // merge-reduce into a partial run, one pair per distinct key, and the
 // raw runs free after mergeFanIn bundles instead of one window; for any
 // other aggregator it is a verbatim k-way merge, ties by run index, so
@@ -70,8 +70,8 @@
 // across all runs and each partition streams through a k-way merge
 // fused with keyed reduction, folding the value each pair carries as it
 // arrives — one sequential read of the inputs, no intermediate KPA, no
-// separate reduce sweep, nothing that depends on the run count. Sum,
-// count, min and max fold with no call per pair: into a table indexed by
+// separate reduce sweep, nothing that depends on the run count. Sum and
+// count fold with no call per pair: into a table indexed by
 // key when a partition's keys span fewer slots than it has pairs, else
 // inside a loser tree's loop; every other aggregator sees each pair in
 // key order. A merge of three or more runs and over 4 096 pairs, copied
@@ -346,7 +346,7 @@ type Report struct {
 	// SealedPanes counts seals: a group of mergeFanIn runs of one pane
 	// merged into one while the pane fills, or the runs no group took
 	// merged at a window's claim for the later windows covering the
-	// pane — into a partial run when the aggregator is a kpa.Combiner,
+	// pane — into a partial run when the aggregator is a kpa.WordFolder,
 	// verbatim when it is not. In a pane one window reads, a level-0
 	// group seals only while the pane's first seal kept at most half its
 	// pairs; SealsSkipped counts the level-0 groups left raw instead.

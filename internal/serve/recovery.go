@@ -198,7 +198,7 @@ func (s *Server) writeCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := wal.WriteCheckpoint(s.wal.Dir(), payload); err != nil {
+	if err := s.wal.WriteCheckpoint(payload); err != nil {
 		return err
 	}
 	if sealedWM > s.win.Size {

@@ -17,13 +17,17 @@ const (
 	ckptVersion = 1
 )
 
-// WriteCheckpoint atomically replaces dir's checkpoint with payload —
-// opaque to the log: the serving layer declares and encodes what a
-// checkpoint holds (internal/serve), this file frames it (magic,
-// version, length, CRC-32C) and makes it durable: write a temp file,
-// fsync it, rename over the old one, fsync the directory. A crash
-// mid-write leaves the previous checkpoint intact.
-func WriteCheckpoint(dir string, payload []byte) error {
+// WriteCheckpoint atomically replaces the log directory's checkpoint
+// with payload — opaque to the log: the serving layer declares and
+// encodes what a checkpoint holds (internal/serve), this file frames it
+// (magic, version, length, CRC-32C) and makes it durable: write a temp
+// file, fsync it, rename over the old one, fsync the directory, both
+// fsyncs through the syncFile seam. A crash mid-write leaves the
+// previous checkpoint intact. Any error, the directory's fsync's
+// included, is returned: until it succeeds the rename may not be
+// durable, so the caller must not retire the segments the checkpoint
+// stands in for.
+func (l *Log) WriteCheckpoint(payload []byte) error {
 	buf := make([]byte, 0, 12+len(payload)+4)
 	buf = append(buf, ckptMagic...)
 	buf = append(buf, ckptVersion, 0, 0, 0)
@@ -31,7 +35,7 @@ func WriteCheckpoint(dir string, payload []byte) error {
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 
-	tmp := filepath.Join(dir, CheckpointFile+".tmp")
+	tmp := filepath.Join(l.cfg.Dir, CheckpointFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -41,7 +45,7 @@ func WriteCheckpoint(dir string, payload []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := l.syncFile(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -50,15 +54,11 @@ func WriteCheckpoint(dir string, payload []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, CheckpointFile)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(l.cfg.Dir, CheckpointFile)); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return l.syncDir()
 }
 
 // ReadCheckpoint returns the payload of dir's checkpoint, verified

@@ -94,9 +94,9 @@ type Log struct {
 	retired *metrics.Counter
 	fsync   *metrics.Histogram
 
-	// syncFile is (*os.File).Sync, for a segment and for the log
-	// directory; package wal's tests replace it to hold a commit at its
-	// fsync or to see what it syncs.
+	// syncFile is (*os.File).Sync, for a segment, the checkpoint and
+	// the log directory; package wal's tests replace it to hold a commit
+	// at its fsync, to see what it syncs or to fail a sync.
 	syncFile func(*os.File) error
 }
 

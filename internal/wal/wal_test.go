@@ -423,7 +423,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("missing checkpoint: got %v, %v", ck, err)
 	}
 	want := []byte(`{"sealed_wm":123456,"sessions":[{"token":3735928559}]}`)
-	if err := WriteCheckpoint(dir, want); err != nil {
+	if err := openLog(t, dir).WriteCheckpoint(want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCheckpoint(dir)
@@ -448,6 +448,51 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := ReadCheckpoint(dir); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated checkpoint: got %v, want io.ErrUnexpectedEOF", err)
 	}
+}
+
+// TestCheckpointSyncErrors pins that a checkpoint write reports either
+// fsync's failure, through the syncFile seam. A failed fsync of the temp
+// file stops the write before the rename: the previous checkpoint still
+// reads back and no temp file is left. A failed fsync of the directory
+// comes after the rename, which then may not be durable: the write
+// returns the error — so the serving layer keeps the segments it would
+// have retired — and the checkpoint that reads back is a whole one.
+func TestCheckpointSyncErrors(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	prev := []byte(`{"sealed_wm":1}`)
+	if err := l.WriteCheckpoint(prev); err != nil {
+		t.Fatal(err)
+	}
+	errSync := errors.New("injected fsync failure")
+	for _, c := range []struct {
+		name        string
+		fails       func(path string) bool
+		write, want []byte
+	}{
+		{"temp file", func(path string) bool { return path != dir }, []byte(`{"sealed_wm":2}`), prev},
+		{"directory", func(path string) bool { return path == dir }, []byte(`{"sealed_wm":3}`), []byte(`{"sealed_wm":3}`)},
+	} {
+		var failed []string
+		l.syncFile = func(f *os.File) error {
+			if c.fails(f.Name()) {
+				failed = append(failed, f.Name())
+				return errSync
+			}
+			return f.Sync()
+		}
+		if err := l.WriteCheckpoint(c.write); !errors.Is(err, errSync) {
+			t.Fatalf("%s fsync failing: WriteCheckpoint returned %v after syncing %v, want the injected error", c.name, err, failed)
+		}
+		got, err := ReadCheckpoint(dir)
+		if err != nil || !bytes.Equal(got, c.want) {
+			t.Fatalf("%s fsync failing: checkpoint reads back %s, %v; want %s", c.name, got, err, c.want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, CheckpointFile+".tmp")); !os.IsNotExist(err) {
+			t.Fatalf("%s fsync failing: temp checkpoint left behind (%v)", c.name, err)
+		}
+	}
+	l.syncFile = (*os.File).Sync
 }
 
 // TestCloseStopsGoroutines pins that the log owns no goroutine: once

@@ -251,7 +251,7 @@ type Report struct {
 	// sorted runs of one pane merged into one while the pane still fills,
 	// and the runs left over merged when the first window covering the
 	// pane closes, for the later windows covering it — into a per-key
-	// partial run when the aggregation combines (sum, count, min, max),
+	// partial run when the aggregation is a word fold (sum, count),
 	// verbatim when it does not. A pane only one window reads seals its
 	// first group of 32 and the later ones only if that seal kept at most
 	// half its pairs; SealsSkipped counts the groups it left raw for the

@@ -95,7 +95,7 @@ func chaosLoopback(t *testing.T, format parsefmt.Format, faults faultinject.Conf
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			sendPartition(t, clients[j], gen, j, conns, total, nil)
+			sendPartition(t, clients[j], gen, j, conns, total, 0, nil, nil)
 		}(j)
 	}
 	wg.Wait()

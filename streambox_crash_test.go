@@ -96,7 +96,9 @@ func TestCrashHelperServer(t *testing.T) {
 // clients resume their sessions and finish — and the final per-window
 // results are bit-identical to the fault-free in-process generator
 // run. No record lost to the crash, none double-counted by the
-// client replay + log replay overlap.
+// client replay + log replay overlap. The clients pause until a
+// checkpoint has rolled the log, and the crash must leave at least two
+// segments, so recovery replays across a roll.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
@@ -177,17 +179,32 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		}
 		clients[j] = c
 	}
-	// Every client holds its last frame and its Close until the crash,
-	// so each one crosses it.
-	crashed := make(chan struct{})
+	// Every client pauses after its first ~3 000 records (~216 KB in
+	// all, well below the crash point) until a checkpoint has rolled the
+	// log to its second segment, and holds its last frame and its Close
+	// until the crash, so each one crosses it.
+	const pauseAfter = 3_000
+	rolled, crashed := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	for j := 0; j < conns; j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			sendPartition(t, clients[j], gen, j, conns, total, crashed)
+			sendPartition(t, clients[j], gen, j, conns, total, pauseAfter, rolled, crashed)
 		}(j)
 	}
+	second := filepath.Join(walDir, "wal-0000000000000001.seg")
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(second); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			crash.Process.Kill()
+			crash.Wait()
+			t.Fatalf("no checkpoint rolled the log to %s within 30 s", second)
+		}
+	}
+	close(rolled)
 
 	// The server kills itself; a clean exit means the injector never
 	// fired and the test exercised nothing.
@@ -198,6 +215,9 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 	if ws, ok := crash.ProcessState.Sys().(syscall.WaitStatus); ok && ws.Signal() != syscall.SIGKILL {
 		t.Fatalf("crash-mode server died of %v, want SIGKILL (err %v)", ws.Signal(), err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.seg")); len(segs) < 2 {
+		t.Errorf("the crash left %d segments (%v), want at least 2: recovery replays no roll", len(segs), segs)
 	}
 
 	// Phase 2: recover on the same address while the clients are mid

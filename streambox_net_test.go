@@ -42,12 +42,14 @@ func dropEventType2(s streambox.Stream, filtered bool) streambox.Stream {
 // loadgen partitioning — over one pre-dialed client connection, 256 to a
 // frame, then closes it. The connection must be dialed before any sender
 // streams, so every watermark cursor is registered up front (as
-// sbx-loadgen does). A non-nil hold holds the last frame and the Close
-// until it is closed.
-func sendPartition(t *testing.T, c *netio.Client, gen netio.RecordGen, j, conns, total int, hold <-chan struct{}) {
+// sbx-loadgen does). A non-nil pause holds the frame after the first
+// that brings the records sent to pauseAfter, and a non-nil hold the
+// last frame and the Close, each until its channel is closed.
+func sendPartition(t *testing.T, c *netio.Client, gen netio.RecordGen, j, conns, total, pauseAfter int, pause, hold <-chan struct{}) {
 	t.Helper()
 	defer c.Close()
 	buf := make([]parsefmt.Record, 0, 256)
+	sent := 0
 	for i := j; i < total; i += conns {
 		buf = append(buf, gen.At(uint64(i)))
 		if len(buf) == 256 && i+conns < total {
@@ -55,6 +57,10 @@ func sendPartition(t *testing.T, c *netio.Client, gen netio.RecordGen, j, conns,
 				t.Errorf("conn %d: send: %v", j, err)
 				return
 			}
+			if sent < pauseAfter && sent+len(buf) >= pauseAfter && pause != nil {
+				<-pause
+			}
+			sent += len(buf)
 			buf = buf[:0]
 		}
 	}
@@ -133,7 +139,7 @@ func testServeLoopbackEquivalence(t *testing.T, filtered bool) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			sendPartition(t, clients[j], gen, j, conns, total, nil)
+			sendPartition(t, clients[j], gen, j, conns, total, 0, nil, nil)
 		}(j)
 	}
 
