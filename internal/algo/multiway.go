@@ -12,12 +12,11 @@ import (
 // levels — each materializing a full copy of the data — the key space
 // is partitioned once across all runs (MultiWayCuts) and each partition
 // streams through a single merge (MultiMergeFold) on its own core. The
-// merge folds as it goes — equal keys summed inside the loser-tree
-// loop; when the keys span a range narrower than the pairs, in a table
-// indexed by key; in a merge of three or more runs, as each regrouped
-// bucket is sorted; or every pair handed to a visitor — so a keyed
-// reduction never sees a merged intermediate: closing a window costs
-// one sequential read of the inputs.
+// merge folds as it goes — when the keys span a range narrower than the
+// pairs, in a table indexed by key; otherwise as each regrouped bucket is
+// sorted, equal keys summed or every pair handed to a visitor — so a
+// keyed reduction never sees a merged intermediate: closing a window
+// costs one sequential read of the inputs.
 
 // MultiWayCuts partitions the merge of k sorted runs into up to p
 // key-aligned ranges of balanced total size. It returns a list of cut
@@ -140,49 +139,37 @@ type Fold struct {
 // and returns how many pairs it wrote: every pair (FoldCopy), or one per
 // distinct key, in key order (FoldAdd) — out must hold that many.
 //
-// A word fold over a dense key span takes no tree: when the live runs'
-// keys lie in [lo, lo+span] with span below both the pair count and
-// denseSpan, every pair folds into a table slot key−lo, run after run,
-// and the table is emitted in index order, which is key order. A wrapping
-// sum is commutative, so the fold order is free and the result is the
-// tree's, bit for bit; the copy and the visitor, whose order is
-// what they deliver, never take the table.
+// It merges one of two ways. A word fold over a dense key span takes a
+// table: when the live runs' keys lie in [lo, lo+span] with span below
+// both the pair count and denseSpan, every pair folds into a table slot
+// key−lo, run after run, and the table is emitted in index order, which
+// is key order. A wrapping sum is commutative, so the fold order is free
+// and the result is the ordered merge's, bit for bit; the copy and the
+// visitor, whose order is what they deliver, never take the table.
 //
-// Any other copy or word fold regroups (regroup.go) when at least
-// regroupRuns (3) runs are live, they hold at least regroupMinPairs pairs
-// (more than one leaf), and out has a slot per pair, which a copy always
-// has and a word fold has when its rows are bounded by its pairs
-// (RowBound on hashed keys). The runs split on one key digit by binary
-// search; each digit's bucket, about an L1's worth of pairs, is
-// counting-sorted straight from its run segments in run order into out
-// and folded there. That replaces log2(k) node comparisons per pair with
-// a few sequential passes whose cost does not grow with k — a 32-run
-// seal is five levels of tree, and the tree costs as much per pair on
-// runs that sit in L2 as on runs that do not: it is bound by
-// instructions. Every step is stable, so the order is the tree's, bit
-// for bit.
-//
-// Otherwise — a visitor, two runs, a short merge or a short out — the
-// cursors of the live runs advance through a loser tree whose nodes
-// carry their run's current key: replaying a path compares node to node
-// — one comparison per level per emitted pair — and run data is touched
-// once per pair, to emit it and to fetch the key that follows it. The
-// sink is a switch on a loop-invariant mode inside that one replay loop,
-// so a word fold costs no call per pair. A lone live run is copied or
-// visited without the tree; two make a tree of one level.
+// Every other merge regroups (regroup.go), whatever its run count, pair
+// count or out length. The runs split on one key digit by binary search;
+// each digit's bucket, about an L1's worth of pairs, is counting-sorted
+// straight from its run segments in run order — into out when out has a
+// slot for each of its pairs, else into a leaf-sized buffer — and folded
+// there, or handed to the visitor. That costs a few sequential passes per
+// pair whose number does not grow with k. Every step is stable, so the
+// order is mergeRef's, bit for bit.
 func MultiMergeFold(runs [][]Pair, f Fold, out []Pair) int {
+	if f.Visit != nil {
+		f.Op = FoldCopy
+	}
+	if f.Op == FoldCopy {
+		// A copy and a visitor hand over the pairs verbatim.
+		f.Units = nil
+	}
 	live, total := liveRuns(runs, f.Units)
-	if f.Visit == nil {
-		if f.Op != FoldCopy {
-			if lo, span, ok := denseRange(live, total); ok {
-				return foldTable(live, lo, span, out)
-			}
-		}
-		if regroups(live, total, out) {
-			return foldRegroup(live, total, f.Op, out)
+	if f.Op != FoldCopy {
+		if lo, span, ok := denseRange(live, total); ok {
+			return foldTable(live, lo, span, out)
 		}
 	}
-	return foldTree(live, total, f, out)
+	return foldRegroup(live, total, f, out)
 }
 
 // liveRuns returns the cursors of the non-empty runs, in run order, and
@@ -206,12 +193,13 @@ func liveRuns(runs [][]Pair, units []bool) ([]cursor, int) {
 
 // denseSpan bounds the key span a word fold takes through a table, and
 // so the table: 512 KiB of slots per concurrent fold. On BenchmarkFoldSpan
-// the table is ahead of the tree at every span 2^8–2^16 and every pair
-// count 4 096–320 000 (2–6 ns per pair against 4–23), because each run
-// is sorted and sweeps its slots in order; what grows with the span is
-// the clear and the scan of the slots, which the span-below-pairs test
-// holds to one slot per pair. So the bound is the table's memory, set at
-// the widest span swept.
+// the table is ahead of the regroup at every span 2^8–2^16 and every pair
+// count 4 096–320 000 (2–6 ns per pair against 3.3–9.3, 1.2–3.2× in the
+// median of ten alternated rounds, ten wins of ten in every cell), because
+// each run is sorted and sweeps its slots in order; what grows with the
+// span is the clear and the scan of the slots, which the span-below-pairs
+// test holds to one slot per pair. So the bound is the table's memory,
+// set at the widest span swept.
 const denseSpan = 1 << 16
 
 // denseRange returns the least key of the live runs and the span up to
@@ -373,121 +361,9 @@ type table struct {
 
 var tablePool = sync.Pool{New: func() any { return new(table) }}
 
-// foldTree is the loser-tree merge of the live runs into the sink f
-// names; total is their pair count.
-func foldTree(live []cursor, total int, f Fold, out []Pair) int {
-	if len(live) == 0 {
-		return 0
-	}
-	visit, op := f.Visit, f.Op
-	if len(live) == 1 {
-		switch c := live[0]; {
-		case visit != nil:
-			for _, p := range c.pairs {
-				visit(p)
-			}
-			return 0
-		case op == FoldCopy:
-			return copy(out[:len(c.pairs)], c.pairs)
-		}
-	}
-
-	k, m := uint64(len(live)), uint64(1)
-	for m < k {
-		m *= 2
-	}
-	// An exhausted (or absent) leaf i is (MaxUint64, m+i): it loses every
-	// tie to a live run — a live key of MaxUint64 still wins — so the loop
-	// needs no sentinel test and ends by count.
-	loser := make([]treeNode, m) // internal nodes 1..m-1 hold match losers
-	win := make([]treeNode, 2*m) // scratch winners for the initial build
-	for i := uint64(0); i < m; i++ {
-		if i < k {
-			win[m+i] = treeNode{live[i].pairs[0].Key, i}
-		} else {
-			win[m+i] = treeNode{^uint64(0), m + i}
-		}
-	}
-	for n := m - 1; n >= 1; n-- {
-		if l, r := win[2*n], win[2*n+1]; l.beats(r) {
-			win[n], loser[n] = l, r
-		} else {
-			win[n], loser[n] = r, l
-		}
-	}
-	w := win[1]
-	// A word fold holds the open key and its sum so far; it starts on the
-	// first key at 0, so the first pair folds like every other.
-	n, cur, acc := 0, w.key, uint64(0)
-	for ; total > 0; total-- {
-		r := w.run
-		c := &live[r]
-		p := c.pairs[c.next]
-		switch {
-		case visit != nil:
-			visit(p)
-		case op == FoldCopy:
-			out[n] = p
-			n++
-		default:
-			v := p.Ptr&^c.unit | c.unit&1
-			if p.Key != cur {
-				out[n] = Pair{Key: cur, Ptr: acc}
-				n++
-				cur, acc = p.Key, v
-			} else {
-				acc += v
-			}
-		}
-		if c.next++; c.next == len(c.pairs) {
-			w = treeNode{^uint64(0), m + r}
-		} else if key := c.pairs[c.next].Key; key != w.key {
-			w.key = key
-		} else {
-			// The winner follows itself: what beat every other run
-			// still does.
-			continue
-		}
-		// Replay the leaf-to-root path: the new cursor competes against
-		// the stored losers; the surviving node is the next winner.
-		for node := (m + r) / 2; node >= 1; node /= 2 {
-			l := loser[node]
-			// swap is all ones when l beats w: the 128-bit subtraction
-			// (l.key:l.run) - (w.key:w.run) borrows. Which of the two
-			// wins is a coin toss on real data, so the exchange is
-			// arithmetic rather than a branch.
-			_, borrow := bits.Sub64(l.run, w.run, 0)
-			_, borrow = bits.Sub64(l.key, w.key, borrow)
-			swap := -borrow
-			dk, dr := (l.key^w.key)&swap, (l.run^w.run)&swap
-			loser[node] = treeNode{l.key ^ dk, l.run ^ dr}
-			w = treeNode{w.key ^ dk, w.run ^ dr}
-		}
-	}
-	if visit == nil && op != FoldCopy {
-		out[n] = Pair{Key: cur, Ptr: acc}
-		n++
-	}
-	return n
-}
-
-// cursor is one live run of MultiMergeFold: its pairs, the next one to
-// emit, and all ones when its pairs fold as 1. The cursor is an index,
-// not a re-sliced run, so advancing it stores no pointer and costs no GC
-// write barrier.
+// cursor is one live run of MultiMergeFold, or a segment of one: its
+// pairs, and all ones when they fold as 1.
 type cursor struct {
 	pairs []Pair
-	next  int
 	unit  uint64
-}
-
-// treeNode is one contender of MultiMergeFold's loser tree: a leaf and
-// the key at its cursor.
-type treeNode struct {
-	key, run uint64
-}
-
-// beats orders contenders by key, ties by leaf index.
-func (a treeNode) beats(b treeNode) bool {
-	return a.key < b.key || (a.key == b.key && a.run < b.run)
 }

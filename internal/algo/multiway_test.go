@@ -25,12 +25,12 @@ func randomRuns(r *rand.Rand, n, maxLen int, keyDomain uint64) [][]Pair {
 	return runs
 }
 
-// wideMerge is about the pairs the tests' regrouped merges hold: well
-// past regroupMinPairs, and enough that heavy-bucket's heavy digit
-// outweighs regroupLeafCap.
+// wideMerge is about the pairs the tests' wide merges hold: enough that
+// they regroup on a digit before their leaves sort, and that
+// heavy-bucket's heavy digit outweighs regroupLeafCap.
 const wideMerge = 4 * regroupLeafCap
 
-// wideKeys are the key shapes a regrouped merge must order exactly, each
+// wideKeys are the key shapes a wide merge must order exactly, each
 // a generator of the i-th of a run's n keys: spread ones; ones under a
 // shared prefix, which regroup level after level; all equal, which never
 // split; MaxUint64 and its neighbour beside hashed keys; and heavy-bucket,
@@ -115,8 +115,8 @@ func copyAll(t *testing.T, runs [][]Pair) []Pair {
 
 // TestMultiMergeFoldOrder checks the visitor sequence is the full
 // sorted multiset of the inputs, with ties ordered by run index, and
-// that the verbatim copy writes the same sequence — for wide merges, the
-// regrouped copy, on every wideKeys shape. Both builders number their
+// that the verbatim copy writes the same sequence — on small merges and
+// on wide ones of every wideKeys shape. Both builders number their
 // pairs upward in run order and, within a run, in the order a stable
 // sort keeps for equal keys, so a tie out of run order shows up as a
 // Ptr that falls.
@@ -158,7 +158,7 @@ func TestMultiMergeFoldOrder(t *testing.T) {
 		check(fmt.Sprintf("k=%d", k), randomRuns(r, k, 2000, 64))
 	}
 	for _, sh := range wideKeys {
-		for _, k := range []int{regroupRuns + 2, 33} {
+		for _, k := range []int{5, 33} {
 			check(fmt.Sprintf("%s k=%d", sh.name, k), wideRuns(r, k, wideMerge/k, sh.key))
 		}
 	}
@@ -167,7 +167,7 @@ func TestMultiMergeFoldOrder(t *testing.T) {
 // TestMultiMergeFoldMatchesPairwise pins the visitor sequence and the
 // verbatim copy bit-for-bit against the order the levelwise pairwise
 // merge tree materialized (mergeRef): on small merges, and on wide ones
-// of every wideKeys shape, one run short of regrouping and past it.
+// of every wideKeys shape over 2, 5 and 40 runs.
 func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	check := func(name string, runs [][]Pair) {
@@ -190,23 +190,22 @@ func TestMultiMergeFoldMatchesPairwise(t *testing.T) {
 		check(fmt.Sprintf("k=%d", k), randomRuns(r, k, 500, 16))
 	}
 	for _, sh := range wideKeys {
-		for _, k := range []int{regroupRuns - 1, regroupRuns + 2, 40} {
+		for _, k := range []int{2, 5, 40} {
 			check(fmt.Sprintf("%s k=%d", sh.name, k), wideRuns(r, k, wideMerge/k, sh.key))
 		}
 	}
 }
 
-// TestMultiMergeFoldLoserTree aims at what the key-carrying tree could
-// get wrong, against the pairwise reference with every pair naming its
-// run: an exhausted leaf is encoded as the key MaxUint64, so live
-// pairs that hold that very key must still all come out, in run order;
-// runs that are empty from the start or run dry long before the others
-// leave their leaf exhausted for most of the merge; a tiny key domain
-// makes nearly every comparison a tie; and the fan-ins straddle the
-// powers of two, where the tree pads with absent leaves. Fan-ins of 31
-// and up hold more than regroupMinPairs, at the longer length always, so
-// their copy regroups the same runs.
-func TestMultiMergeFoldLoserTree(t *testing.T) {
+// TestMultiMergeFoldTiesMaxKeysShortRuns holds the visitor sequence and
+// the copy to the pairwise reference, with every pair naming its run, on
+// the inputs where an order is easiest to get wrong: a tiny key domain
+// makes nearly every pair a tie, which must come out by run index; keys of
+// MaxUint64 and its neighbour sit beside the others, at the top of every
+// digit; runs are empty from the start or run dry after a pair or three,
+// so most buckets hold a segment of only some runs; and fan-ins straddle
+// the powers of two. Fan-ins of 31 and up hold more than a leaf, at the
+// longer length always, so they regroup on a digit first.
+func TestMultiMergeFoldTiesMaxKeysShortRuns(t *testing.T) {
 	const maxKey = ^uint64(0)
 	r := rand.New(rand.NewSource(29))
 	for _, maxLen := range []int{400, 1500} {
@@ -270,10 +269,12 @@ func TestMultiMergeFoldLoserTree(t *testing.T) {
 // checkWordFolds holds the word fold of runs — alone, and with the runs
 // units marks adding 1 per pair — to the merge of the runs folded by
 // hand: one pair per distinct key, in key order, its value the wrapping
-// sum of the key's values. It checks MultiMergeFold, the loser tree
-// alone and, when denseRange admits the runs, the table alone, each into
-// an out of exactly one pair per distinct key, and regrouping alone into
-// an out of one slot per pair; it returns whether the table was admitted.
+// sum of the key's values. It checks MultiMergeFold, regrouping alone
+// and, when denseRange admits the runs, the table alone, each into an out
+// of exactly one pair per distinct key — where a leaf whose pairs
+// outnumber the slots left folds in the leaf buffer —, and regrouping
+// alone into an out of one slot per pair, where every leaf folds in out;
+// it returns whether the table was admitted.
 func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (dense bool) {
 	t.Helper()
 	for _, u := range [][]bool{nil, units} {
@@ -295,16 +296,14 @@ func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (den
 			}
 		}
 		f := Fold{Op: FoldAdd, Units: u}
+		regroup := func(out []Pair) int {
+			live, total := liveRuns(runs, u)
+			return foldRegroup(live, total, f, out)
+		}
 		ways := map[string]func(out []Pair) int{
-			"MultiMergeFold": func(out []Pair) int { return MultiMergeFold(runs, f, out) },
-			"tree": func(out []Pair) int {
-				live, total := liveRuns(runs, u)
-				return foldTree(live, total, f, out)
-			},
-			"regroup": func(out []Pair) int {
-				live, total := liveRuns(runs, u)
-				return foldRegroup(live, total, FoldAdd, out)
-			},
+			"MultiMergeFold":        func(out []Pair) int { return MultiMergeFold(runs, f, out) },
+			"regroup":               regroup,
+			"regroup-slot-per-pair": regroup,
 		}
 		live, total := liveRuns(runs, u)
 		lo, span, ok := denseRange(live, total)
@@ -313,7 +312,7 @@ func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (den
 		}
 		for way, fold := range ways {
 			out := make([]Pair, len(want))
-			if way == "regroup" {
+			if way == "regroup-slot-per-pair" {
 				out = make([]Pair, total)
 			}
 			if n := fold(out); !slices.Equal(out[:n], want) {
@@ -325,17 +324,16 @@ func checkWordFolds(t *testing.T, name string, runs [][]Pair, units []bool) (den
 	return dense
 }
 
-// TestMultiMergeFoldWords holds the word fold, on the loser tree, on
-// the table and by regrouping, to the merge folded by hand
-// (checkWordFolds), across fan-ins that straddle the tree's shapes (one
-// live run, two, powers of two), empty runs, keys of MaxUint64, values of
-// 0 first in a key, and sums that wrap; then on runs of narrow keys, at
+// TestMultiMergeFoldWords holds the word fold, on the table and by
+// regrouping, to the merge folded by hand (checkWordFolds), across
+// fan-ins of one live run, two, three and more, empty runs, keys of
+// MaxUint64, values of 0 first in a key, and sums that wrap; then on runs of narrow keys, at
 // offset 0 and just below MaxUint64 (where lo + span must not wrap), with
 // values of MaxUint64; and at the edges of the
 // table's rule — a span of one less than the pairs and of the pairs, of
 // denseSpan − 1 and of denseSpan — where the path taken is pinned too;
-// last, wide merges of every wideKeys shape, where the regroup way writes
-// a Units run's values as 1 as it copies them.
+// last, wide merges of every wideKeys shape, where the regroup writes a
+// Units run's values as 1 as it sorts them.
 func TestMultiMergeFoldWords(t *testing.T) {
 	const maxKey = ^uint64(0)
 	r := rand.New(rand.NewSource(31))
@@ -382,7 +380,7 @@ func TestMultiMergeFoldWords(t *testing.T) {
 			runs, units := build(k, 4096, func() uint64 { return base + r.Uint64()%1024 })
 			name := fmt.Sprintf("k=%d keys=[%d,+1024)", k, base)
 			if dense := checkWordFolds(t, name, runs, units); !dense && k > 1 {
-				t.Fatalf("%s: a 1 024-key span over %d runs took the tree", name, k)
+				t.Fatalf("%s: a 1 024-key span over %d runs did not take the table", name, k)
 			}
 		}
 	}
@@ -426,8 +424,8 @@ func TestMultiMergeFoldWords(t *testing.T) {
 		}
 	}
 
-	// Wide merges of every wideKeys shape, past regroupMinPairs, each with
-	// a Units mix.
+	// Wide merges of every wideKeys shape, past a leaf, each with a Units
+	// mix.
 	for _, sh := range wideKeys {
 		i := 0
 		runs, units := build(33, wideMerge/16, func() uint64 { i++; return sh.key(r, i, 1000) })
@@ -532,14 +530,14 @@ func BenchmarkFoldSorted(b *testing.B) {
 	}
 }
 
-// TestMultiMergeFoldRegroupRule pins the path MultiMergeFold takes at
-// each seam of the regroup rule — regroupRuns − 1 live runs and
-// regroupRuns (an empty run is not live), regroupMinPairs − 1 pairs and
-// regroupMinPairs, an out of one slot per pair and one short — and holds
-// the copy and the word folds to their references on both sides. The
-// runs share a key, so a word fold's rows fit the short out, which the
-// tree must take.
-func TestMultiMergeFoldRegroupRule(t *testing.T) {
+// TestMultiMergeFoldLeafEdges holds the copy, the visitor sequence and
+// the word folds to their references (mergeRef, checkWordFolds) on the
+// run shapes at a leaf's edge: two live runs beside an empty one, and
+// three; regroupLeafCap pairs, which sort as one leaf, and one more,
+// which split on a digit first. The first two runs share a key, so a word
+// fold's out of one slot per distinct key is one short of the pairs and
+// its last leaf folds in the leaf buffer.
+func TestMultiMergeFoldLeafEdges(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	// runsOf spreads pairs hashed keys round-robin over k runs, the last
 	// of them empty, the first two sharing a key.
@@ -554,44 +552,30 @@ func TestMultiMergeFoldRegroupRule(t *testing.T) {
 		}
 		return runs
 	}
-	units := make([]bool, regroupRuns+1)
-	for j := range units {
-		units[j] = j%3 == 0
-	}
-	for _, c := range []struct {
-		name            string
-		k, pairs, short int
-		regroups        bool
-	}{
-		{"live-runs=regroupRuns-1", regroupRuns, regroupMinPairs, 0, false},
-		{"live-runs=regroupRuns", regroupRuns + 1, regroupMinPairs, 0, true},
-		{"pairs=regroupMinPairs-1", regroupRuns + 1, regroupMinPairs - 1, 0, false},
-		{"out=pairs-1", regroupRuns + 1, regroupMinPairs, 1, false},
-	} {
-		runs := runsOf(c.k, c.pairs)
-		live, total := liveRuns(runs, nil)
-		out := make([]Pair, total-c.short)
-		if got := regroups(live, total, out); got != c.regroups {
-			t.Fatalf("%s: %d live runs, %d pairs, out of %d: regroups %v, want %v", c.name, len(live), total, len(out), got, c.regroups)
-		}
-		if c.short == 0 {
-			if n := MultiMergeFold(runs, Fold{Op: FoldCopy}, out); !slices.Equal(out[:n], mergeRef(runs)) {
-				t.Fatalf("%s: the copy differs from the pairwise merge", c.name)
+	for _, k := range []int{3, 4} {
+		for _, pairs := range []int{regroupLeafCap, regroupLeafCap + 1} {
+			name := fmt.Sprintf("live-runs=%d pairs=%d", k-1, pairs)
+			runs := runsOf(k, pairs)
+			want := mergeRef(runs)
+			if !slices.Equal(copyAll(t, runs), want) {
+				t.Fatalf("%s: the copy differs from the pairwise merge", name)
 			}
+			if !slices.Equal(visitAll(runs), want) {
+				t.Fatalf("%s: the visitor sequence differs from the pairwise merge", name)
+			}
+			units := make([]bool, k)
+			for j := range units {
+				units[j] = j%3 == 0
+			}
+			checkWordFolds(t, name, runs, units)
 		}
-		want := make([]Pair, total-c.short)
-		wn := foldTree(live, total, Fold{Op: FoldAdd}, want)
-		if n := MultiMergeFold(runs, Fold{Op: FoldAdd}, out); !slices.Equal(out[:n], want[:wn]) {
-			t.Fatalf("%s: the sum writes %d pairs unlike the tree's %d", c.name, n, wn)
-		}
-		checkWordFolds(t, c.name, runs, units[:c.k])
 	}
 }
 
 // fuzzRuns lays out one FuzzMultiMergeFold input as sorted runs and
 // their Units marks. fanIn picks the run count (1 to 40) and tile how
-// many times data is laid down (1 to 100), so a merge reaches
-// regroupMinPairs. Each three bytes of data are a pair (of the first
+// many times data is laid down (1 to 100), so a merge reaches past a
+// leaf. Each three bytes of data are a pair (of the first
 // 100): the run it joins, its key's offset and its value's top byte;
 // copy c of data moves each pair c runs on and adds c<<8 to its offset.
 // place puts the offset above base: shifted left by place (0 to 56), or,
@@ -627,8 +611,7 @@ func fuzzRuns(data []byte, base uint64, place, fanIn, tile uint8) ([][]Pair, []b
 }
 
 // mergeFoldSeed is one input of FuzzMultiMergeFold's seed corpus and the
-// way MultiMergeFold's sum takes through it: "table", "regroup" or
-// "tree".
+// way MultiMergeFold's sum takes through it: "table" or "regroup".
 type mergeFoldSeed struct {
 	data               []byte
 	base               uint64
@@ -636,12 +619,16 @@ type mergeFoldSeed struct {
 	way                string
 }
 
-// mergeFoldSeeds is FuzzMultiMergeFold's seed corpus. It reaches every
-// way at least twice: narrow key spans folded through the table, at 0 and
-// ending on MaxUint64 (where lo + span must not wrap); spans wider than
-// the pairs, wrapping past MaxUint64 and in the top byte, through the
-// tree; fan-ins of 3 to 40 past regroupMinPairs, on shifted and hashed
-// keys, regrouped; and two runs of as many pairs, which keep the tree.
+// mergeFoldSeeds is FuzzMultiMergeFold's seed corpus. It reaches each way
+// on several shapes: narrow key spans folded through the table, at 0 and
+// ending on MaxUint64 (where lo + span must not wrap); and regrouped,
+// spans wider than the pairs, wrapping past MaxUint64 and in the top
+// byte, merges of one leaf or less (three pairs in two runs among
+// eight), fan-ins of 3 to 40 past a leaf on shifted and hashed keys, two
+// runs and one; and sixteen repeated offsets tiled sixty times into
+// eleven runs, hashed: 960 keys over 6 000 pairs, so the sum's out of
+// one slot per distinct key is shorter than most leaves and they fold in
+// the leaf buffer.
 func mergeFoldSeeds() []mergeFoldSeed {
 	const maxKey = ^uint64(0)
 	narrow := make([]byte, 3*100)
@@ -653,32 +640,36 @@ func mergeFoldSeeds() []mergeFoldSeed {
 		dense[i] &= 63
 	}
 	dense[1] = 63
+	// repeats is narrow with every offset masked to 4 bits.
+	repeats := slices.Clone(narrow)
+	for i := 1; i < len(repeats); i += 3 {
+		repeats[i] &= 15
+	}
 	return []mergeFoldSeed{
 		{dense, 0, 0, 7, 0, "table"},
 		{dense, maxKey - 63, 0, 7, 0, "table"},
-		{narrow, 0, 0, 8, 5, "tree"},
-		{narrow, maxKey - 255, 0, 8, 5, "tree"},
-		{narrow, 1 << 40, 56, 8, 5, "tree"},
-		{[]byte{0, 0, 7, 1, 0, 9, 1, 255, 0}, 0, 0, 8, 0, "tree"},
+		{narrow, 0, 0, 8, 5, "regroup"},
+		{narrow, maxKey - 255, 0, 8, 5, "regroup"},
+		{narrow, 1 << 40, 56, 8, 5, "regroup"},
+		{[]byte{0, 0, 7, 1, 0, 9, 1, 255, 0}, 0, 0, 8, 0, "regroup"},
 		{narrow, 0, 20, 33, 99, "regroup"},
 		{narrow, 0, 60, 39, 90, "regroup"},
 		{narrow, maxKey - 1<<22, 8, 16, 85, "regroup"},
 		{narrow, 0, 60, 2, 45, "regroup"},
-		{narrow, 0, 60, 1, 45, "tree"},
+		{narrow, 0, 60, 1, 45, "regroup"},
+		{repeats, 0, 60, 10, 59, "regroup"},
 	}
 }
 
 // TestMultiMergeFoldFuzzSeeds pins the way each of FuzzMultiMergeFold's
 // seeds takes, so the seed corpus that plain go test replays keeps
-// reaching the table, the regroup and the tree.
+// reaching the table and the regroup.
 func TestMultiMergeFoldFuzzSeeds(t *testing.T) {
 	for i, s := range mergeFoldSeeds() {
 		live, total := liveRuns(fuzzRuns(s.data, s.base, s.place, s.fanIn, s.tile))
-		way := "tree"
+		way := "regroup"
 		if _, _, ok := denseRange(live, total); ok {
 			way = "table"
-		} else if regroups(live, total, make([]Pair, total)) {
-			way = "regroup"
 		}
 		if way != s.way {
 			t.Fatalf("seed %d: %d live runs, %d pairs: the sum takes the %s, want the %s", i, len(live), total, way, s.way)
@@ -686,10 +677,9 @@ func TestMultiMergeFoldFuzzSeeds(t *testing.T) {
 	}
 }
 
-// FuzzMultiMergeFold merges arbitrary runs (fuzzRuns) every way: the
-// copy — MultiMergeFold's and the regroup's alone — is held to mergeRef
-// exactly, ties and all; then checkWordFolds holds every word fold to the
-// visitor sequence folded by hand.
+// FuzzMultiMergeFold merges arbitrary runs (fuzzRuns) every way: the copy
+// and the visitor sequence are held to mergeRef exactly, ties and all;
+// then checkWordFolds holds every word fold to the merge folded by hand.
 func FuzzMultiMergeFold(f *testing.F) {
 	for _, s := range mergeFoldSeeds() {
 		f.Add(s.data, s.base, s.place, s.fanIn, s.tile)
@@ -700,10 +690,8 @@ func FuzzMultiMergeFold(f *testing.F) {
 		if got := copyAll(t, runs); !slices.Equal(got, want) {
 			t.Fatalf("%d runs, %d pairs: the copy differs from the pairwise merge", len(runs), len(want))
 		}
-		live, total := liveRuns(runs, units)
-		out := make([]Pair, total)
-		if m := foldRegroup(live, total, FoldCopy, out); !slices.Equal(out[:m], want) {
-			t.Fatalf("%d runs, %d pairs: the regrouped copy differs from the pairwise merge", len(runs), total)
+		if got := visitAll(runs); !slices.Equal(got, want) {
+			t.Fatalf("%d runs, %d pairs: the visitor sequence differs from the pairwise merge", len(runs), len(want))
 		}
 		checkWordFolds(t, "fuzz", runs, units)
 	})
@@ -806,17 +794,17 @@ func TestMultiWayCutsDegenerate(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeShapes is the sweep that fixes regroupRuns and
-// regroupMinPairs: a sum and a verbatim copy of sorted runs, through the
-// loser tree and by regrouping, in ns per pair, across 2–64 runs of
-// 250–10 000 pairs (500 to 640 000 in all), over hashed keys,
+// BenchmarkMergeShapes prices MultiMergeFold per merge shape, in ns per
+// pair: a sum, a verbatim copy and a visitor over sorted runs, 2–32 runs
+// of 128–10 000 pairs (256 to 320 000 in all), over hashed keys,
 // clustered-prefix keys (all but a tenth share their top 16 bits, so one
-// bucket is heavy and regroups again), keys below 2^20 (too wide for
-// the table) and hashed-1Mi, the benchmark's inproc_wide keys — 64-bit
-// hashes of 2^20 ids, so a merge of many runs repeats keys and a sum
-// folds them, where plain hashed keys never repeat. MultiMergeFold
-// regroups where the regroup leg wins, and the constants put the tree
-// everywhere else.
+// bucket is heavy and regroups again, and a merge of one leaf sorts most
+// of its pairs past the counting pass), keys below 2^20 (too wide for the
+// table) and hashed-1Mi, the benchmark's inproc_wide keys — 64-bit hashes
+// of 2^20 ids, so a merge of many runs repeats keys and a sum folds them,
+// where plain hashed keys never repeat. A word fold's out has a slot per
+// pair. The sum of a span narrower than its pairs would take the table,
+// which BenchmarkFoldSpan prices; no shape here has one.
 func BenchmarkMergeShapes(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -827,8 +815,9 @@ func BenchmarkMergeShapes(b *testing.B) {
 		{"1Mi", func(r *rand.Rand, _, _ int) uint64 { return uint64(r.Intn(1 << 20)) }},
 		{"hashed-1Mi", func(r *rand.Rand, _, _ int) uint64 { return mix(uint64(r.Intn(1 << 20))) }},
 	}
-	for _, k := range []int{2, 3, 4, 7, 8, 16, 32, 64} {
-		for _, runLen := range []int{250, 1000, 4096, 10_000} {
+	var sink uint64
+	for _, k := range []int{2, 3, 8, 32} {
+		for _, runLen := range []int{128, 1000, 10_000} {
 			for _, sh := range shapes {
 				rng := rand.New(rand.NewSource(int64(k*runLen + 1)))
 				runs := make([][]Pair, k)
@@ -842,23 +831,18 @@ func BenchmarkMergeShapes(b *testing.B) {
 				out := make([]Pair, k*runLen)
 				for _, op := range []struct {
 					name string
-					op   FoldOp
-				}{{"sum", FoldAdd}, {"copy", FoldCopy}} {
-					for _, way := range []struct {
-						name string
-						fold func(live []cursor, total int) int
-					}{
-						{"tree", func(live []cursor, total int) int { return foldTree(live, total, Fold{Op: op.op}, out) }},
-						{"regroup", func(live []cursor, total int) int { return foldRegroup(live, total, op.op, out) }},
-					} {
-						b.Run(fmt.Sprintf("runs-%d/len-%d/%s/%s/%s", k, runLen, sh.name, op.name, way.name), func(b *testing.B) {
-							for i := 0; i < b.N; i++ {
-								// The tree advances its cursors, so each fold starts from fresh ones.
-								way.fold(liveRuns(runs, nil))
-							}
-							b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(out)), "ns/pair")
-						})
-					}
+					f    Fold
+				}{
+					{"sum", Fold{Op: FoldAdd}},
+					{"copy", Fold{Op: FoldCopy}},
+					{"visit", Fold{Visit: func(p Pair) { sink += p.Ptr }}},
+				} {
+					b.Run(fmt.Sprintf("runs-%d/len-%d/%s/%s", k, runLen, sh.name, op.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							MultiMergeFold(runs, op.f, out)
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(out)), "ns/pair")
+					})
 				}
 			}
 		}
@@ -866,11 +850,12 @@ func BenchmarkMergeShapes(b *testing.B) {
 }
 
 // BenchmarkFoldSpan is the sweep that fixes denseSpan: a sum over 32
-// sorted runs of uniform keys, folded through the loser tree and through
-// a table of span slots, in ns per pair, across key spans 2^8–2^16 and
-// pair counts 4 096–320 000 (the table also at spans above the pair
-// count, where MultiMergeFold never takes it). denseSpan must lie where
-// the table wins at every pair count above the span.
+// sorted runs of uniform keys, folded through a table of span slots and
+// by regrouping — the way MultiMergeFold takes a word fold the table does
+// not — in ns per pair, across key spans 2^8–2^16 and pair counts
+// 4 096–320 000 (the table also at spans above the pair count, where
+// MultiMergeFold never takes it). denseSpan must lie where the table wins
+// at every pair count above the span.
 func BenchmarkFoldSpan(b *testing.B) {
 	const k = 32
 	acc, seen := make([]uint64, 1<<16), make([]uint64, 1<<16/64)
@@ -892,19 +877,15 @@ func BenchmarkFoldSpan(b *testing.B) {
 				lo, hi = min(lo, c.pairs[0].Key), max(hi, c.pairs[len(c.pairs)-1].Key)
 			}
 			out := make([]Pair, n)
-			// The tree advances its cursors, so each fold starts from fresh ones.
 			for _, way := range []struct {
 				name string
 				fold func() int
 			}{
-				{"tree", func() int {
+				{"regroup", func() int {
 					live, n := liveRuns(runs, nil)
-					return foldTree(live, n, Fold{Op: FoldAdd}, out)
+					return foldRegroup(live, n, Fold{Op: FoldAdd}, out)
 				}},
-				{"table", func() int {
-					live, _ := liveRuns(runs, nil)
-					return foldSlots(acc[:hi-lo+1], seen[:(hi-lo)/64+1], live, lo, out)
-				}},
+				{"table", func() int { return foldSlots(acc[:hi-lo+1], seen[:(hi-lo)/64+1], live, lo, out) }},
 			} {
 				b.Run(fmt.Sprintf("span-2^%d/pairs-%d/%s", lg, total, way.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

@@ -8,15 +8,13 @@
 // with streaming scatter passes — one per key digit that varies, at most
 // as many as spread the run thin, the rest finished by insertion — and
 // one k-way merge (MultiMergeFold) combines sorted runs, over the
-// key-aligned ranges MultiWayCuts draws. The merge picks its way from
-// its input: a table indexed by key for a word fold over a dense span,
-// a regroup on one key digit for a copy or word fold of at least
-// regroupRuns (3) runs holding more pairs than one leaf sorts
-// (regroupMinPairs), into an out with a slot per pair — every run split
-// by binary search, each bucket sorted by a counting pass, so the work
-// per pair does not grow with the run count — and a loser tree for the
-// rest: a visitor, two runs, a short merge or a short out. Scratch buffers come from an *Scratch so a recycling
-// allocator (internal/mempool) can back the hot path.
+// key-aligned ranges MultiWayCuts draws. The merge picks one of two ways
+// from its input: a table indexed by key for a word fold over a dense
+// span, and a regroup on one key digit for everything else — every run
+// split by binary search, each bucket sorted by a counting pass, so the
+// work per pair does not grow with the run count. Scratch buffers come
+// from an *Scratch so a recycling allocator (internal/mempool) can back
+// the hot path.
 //
 // All kernels are real implementations operating on real data; the
 // engine charges their virtual cost through memsim demand profiles.

@@ -9,13 +9,11 @@ import mathbits "math/bits"
 // visiting their pairs in one pass over key ranges that MultiWayCuts
 // draws. Radix is the bandwidth-friendly choice for run formation (it
 // streams the data a bounded number of times regardless of n). Merging
-// is comparison-based where that is cheap — a loser tree over two runs or
-// a short merge, or for a visitor — so runs of any key distribution
-// combine in one pass; a longer merge of three or more runs instead
-// regroups its runs on a key digit
-// (regroup.go), found by binary search in each sorted run, and sorts
-// each bucket with this file's counting pass and insertion finish, so
-// its cost per pair does not grow with the run count.
+// is the same idea over sorted runs: a merge regroups its runs on a key
+// digit (regroup.go), found by binary search in each sorted run, and
+// sorts each bucket with this file's counting pass and insertion finish,
+// so its cost per pair does not grow with the run count; only a word fold
+// over a dense key span takes a table instead.
 //
 // A scatter pass is worth exactly the bits it separates, so the kernel
 // pays only for the bits a run's keys need: when they all fit in one

@@ -2,68 +2,43 @@ package algo
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 )
 
-// Regrouping is MultiMergeFold's way through a merge of three or more
-// runs that holds more than one leaf of pairs: instead of a
-// loser tree that replays log2(k) nodes for every pair, the sorted runs
-// are split on one key digit and each digit's bucket — a segment of every
-// run, together about an L1's worth of pairs — is sorted on its own by a
-// counting pass straight from those segments into out, finished by one
-// insertion pass, then folded in place without a branch on the keys.
-// Every pass is sequential, and the work per pair does not grow with the
-// run count.
+// Regrouping is MultiMergeFold's way through every merge the table does
+// not take — a copy, a word fold or a visitor, of any run count, pair
+// count or out length: the sorted runs are split on one key digit and
+// each digit's bucket — a segment of every run, together about an L1's
+// worth of pairs — is sorted on its own by a counting pass straight from
+// those segments, finished by one insertion pass, then folded without a
+// branch on the keys. Every pass is sequential, and the work per pair
+// does not grow with the run count.
 //
-// The order is the tree's, bit for bit: segments are read in run order
+// The order is mergeRef's, bit for bit: segments are read in run order
 // and every step is stable (the counting scatter, the insertion finish,
 // sortVarying for a long segment), so equal keys come out by run index,
-// then in run order — mergeRef's definition.
+// then in run order.
 
+// regroupLeaf is the pairs a bucket aims at: 2 048 pairs are 32 KiB, an
+// L1's worth, sorted by one counting pass whose counters stay in L1 too.
+// A bucket over twice that — clustered keys — regroups again on the digit
+// below its own common prefix.
 const (
-	// regroupLeaf is the pairs a bucket aims at: 2 048 pairs are 32 KiB,
-	// an L1's worth, sorted by one counting pass whose counters stay in
-	// L1 too. A bucket over twice that — clustered keys — regroups again
-	// on the digit below its own common prefix.
 	regroupLeaf    = 2048
 	regroupLeafCap = 2 * regroupLeaf
-	// regroupRuns and regroupMinPairs are the least live runs and pairs a
-	// merge regroups, where BenchmarkMergeShapes (2–64 runs, 500–640 000
-	// pairs, a sum and a copy) puts the crossover. A merge no larger than
-	// one leaf is one counting pass over its runs concatenated, which
-	// drops their order: on clustered keys, where most pairs share a
-	// counter, it loses to the tree by up to 3×. Above that the regroup
-	// wins every cell from 3 runs on, by 1.06–2.7× (1.17–1.44× at 3 runs
-	// over ten alternated runs); over 2 runs the tree is one comparison per
-	// pair and the two tie (a sum 0.91–1.00× the tree, a copy 1.06–1.14×),
-	// so two runs keep the tree.
-	regroupRuns     = 3
-	regroupMinPairs = regroupLeafCap + 1
 )
 
-// regroups reports whether a merge of live runs holding total pairs
-// into out regroups: enough runs and pairs, and out has a slot per pair —
-// the buckets are sorted in out before they fold. A copy's out always
-// has; a word fold's has when its rows are bounded by its pairs, which is
-// what RowBound gives hashed keys.
-func regroups(live []cursor, total int, out []Pair) bool {
-	return len(live) >= regroupRuns && total >= regroupMinPairs && len(out) >= total
-}
-
-// foldRegroup merges the live runs, total pairs, into out by regrouping
-// and returns how many pairs it wrote: every pair for FoldCopy, else one
-// per distinct key. A copy writes its pairs verbatim, so it drops the
-// runs' Units marks.
-func foldRegroup(live []cursor, total int, op FoldOp, out []Pair) int {
-	if op == FoldCopy {
-		for i := range live {
-			live[i].unit = 0
-		}
+// foldRegroup merges the live runs, total pairs, into the sink f names
+// and returns how many pairs it wrote: every pair for FoldCopy, one per
+// distinct key for FoldAdd, none to a visitor. It may consume live's
+// cursors.
+func foldRegroup(live []cursor, total int, f Fold, out []Pair) int {
+	if total == 0 {
+		return 0
 	}
 	g := regroupPool.Get().(*regrouper)
 	defer regroupPool.Put(g)
-	n := g.merge(live, total, op, out)
+	n := g.merge(live, total, f, out)
 	// The segment stack points into the caller's runs; the pool must not
 	// keep them alive.
 	clear(g.segs[:cap(g.segs)])
@@ -71,78 +46,84 @@ func foldRegroup(live []cursor, total int, op FoldOp, out []Pair) int {
 }
 
 // regrouper is foldRegroup's scratch, reused across calls: the counting
-// pass's counters, the buffer a long segment sorts through, and two
-// stacks — per level of regrouping, a bucket-boundary table and a
-// bucket's segments.
+// pass's counters; the buffer a leaf sorts into when out cannot take it —
+// a visitor's leaf, or a word fold's whose out is shorter than the leaf —
+// and the buffer a long segment sorts through; and a stack of segments,
+// a bucket's per level of regrouping.
 type regrouper struct {
-	count  [narrowBuckets]uint32
-	buf    [regroupLeafCap]Pair
-	bounds []int
-	segs   []cursor
+	count [narrowBuckets]uint32
+	leaf  [regroupLeafCap]Pair
+	buf   [regroupLeafCap]Pair
+	segs  []cursor
 }
 
 var regroupPool = sync.Pool{New: func() any { return new(regrouper) }}
 
-// merge writes the merge of segs (sorted, in run order, total pairs) into
-// out, which holds at least total, and returns the pairs written. A
-// merge that fits a leaf, or whose keys are all equal, is sorted at once.
-// Otherwise the digit is the b bits just below the common prefix of the
-// least and greatest key, b sized so a bucket holds about regroupLeaf
-// pairs; every run splits on it by binary search, and each bucket — the
-// runs' segments of that digit, in run order — merges in digit order
-// into out after the buckets before it, which wrote no more pairs than
-// they hold.
-func (g *regrouper) merge(segs []cursor, total int, op FoldOp, out []Pair) int {
+// merge hands the merge of segs (sorted, in run order, total pairs) to
+// the sink f names, writing into out after whatever the buckets before
+// wrote, and returns the pairs written; it may leave segs empty. One
+// segment, or segments whose keys are all equal, are in merge order
+// already (ordered); a merge that fits a leaf is sorted at once
+// (sortLeaf). Otherwise the digit is the b bits just below the common
+// prefix of the least and greatest key, b sized so a bucket holds about
+// regroupLeaf pairs — or every varying bit, when they are no more than
+// narrowBits and a run holds 16 pairs per key value they span, so that
+// every bucket is one key and none is sorted; every run splits on it by
+// binary search, and each bucket — the runs' segments of that digit, in
+// run order — merges in digit order.
+func (g *regrouper) merge(segs []cursor, total int, f Fold, out []Pair) int {
 	lo, hi := ^uint64(0), uint64(0)
 	for _, s := range segs {
 		lo, hi = min(lo, s.pairs[0].Key), max(hi, s.pairs[len(s.pairs)-1].Key)
 	}
-	if total <= regroupLeafCap || lo == hi {
-		return g.leaf(segs, out[:total], lo, hi, op)
+	if len(segs) == 1 || lo == hi {
+		return ordered(segs, f, out)
+	}
+	if total <= regroupLeafCap {
+		return g.sortLeaf(segs, total, lo, hi, f, out)
 	}
 	top := uint(64 - bits.LeadingZeros64(lo^hi))
 	b := min(uint(bits.Len(uint((total-1)/regroupLeaf))), top, narrowBits)
-	sh := top - b
-	first := lo >> sh
-	nb, k := int(hi>>sh-first)+1, len(segs)
-	// bounds[d*k+j] is where run j's bucket d starts; row nb holds the
-	// run's end. The table sits on the stack of tables, above the caller's.
-	base := len(g.bounds)
-	g.bounds = slices.Grow(g.bounds, (nb+1)*k)[:base+(nb+1)*k]
-	bounds := g.bounds[base:]
-	for j, s := range segs {
-		at := 0
-		bounds[j] = 0
-		for d := 1; d < nb; d++ {
-			at = searchShifted(s.pairs, at, first+uint64(d), sh)
-			bounds[d*k+j] = at
-		}
-		bounds[nb*k+j] = len(s.pairs)
+	if top <= narrowBits && total >= len(segs)<<(top+4) {
+		// Few keys, each 16 pairs of every run on average: split on all of
+		// them, so that every bucket is one key, in merge order already.
+		b = top
 	}
-	n := 0
-	for d := range nb {
+	sh := top - b
+	n, last := 0, hi>>sh
+	for d := lo >> sh; ; d++ {
+		// Bucket d is every segment's front up to its first key past digit
+		// d, cut off the segment: no table of bounds is kept, and the
+		// search that ends a bucket touches the lines its merge reads next.
 		start, size := len(g.segs), 0
-		for j, s := range segs {
-			if a, e := bounds[d*k+j], bounds[(d+1)*k+j]; a < e {
-				g.segs = append(g.segs, cursor{pairs: s.pairs[a:e], unit: s.unit})
-				size += e - a
+		for j := range segs {
+			s := &segs[j]
+			e := len(s.pairs)
+			if d < last {
+				e = searchShifted(s.pairs, d+1, sh)
+			}
+			if e > 0 {
+				g.segs = append(g.segs, cursor{pairs: s.pairs[:e], unit: s.unit})
+				s.pairs = s.pairs[e:]
+				size += e
 			}
 		}
 		if size > 0 {
-			n += g.merge(g.segs[start:], size, op, out[n:])
+			n += g.merge(g.segs[start:], size, f, out[n:])
 		}
 		g.segs = g.segs[:start]
+		if d == last {
+			return n
+		}
 	}
-	g.bounds = g.bounds[:base]
-	return n
 }
 
-// searchShifted returns the first index from at of the sorted pairs whose
-// key, shifted right by sh, is at least t. The next bucket's bound is
-// usually near, so it gallops from at — steps of 1, 2, 4, … over lines
-// the previous search touched — and bisects the last step.
-func searchShifted(pairs []Pair, at int, t uint64, sh uint) int {
-	lo, hi := at, len(pairs)
+// searchShifted returns the first index of the sorted pairs whose key,
+// shifted right by sh, is at least t. The bucket's end is usually near,
+// so it gallops from the front — steps of 1, 2, 4, … — and bisects the
+// last step.
+func searchShifted(pairs []Pair, t uint64, sh uint) int {
+	lo, hi := 0, len(pairs)
 	for step := 1; lo+step < hi; step *= 2 {
 		if pairs[lo+step].Key>>sh >= t {
 			hi = lo + step
@@ -161,14 +142,74 @@ func searchShifted(pairs []Pair, at int, t uint64, sh uint) int {
 	return lo
 }
 
-// leaf sorts the segs' pairs, keys from lo to hi, into dst (one slot
-// each), writing a Units run's values as 1, and folds them there unless
-// op is FoldCopy; it returns the pairs left. Equal keys are copied in run
-// order and a short leaf is finished by insertion. Any other is one
-// counting pass over the (at most narrowBits, and no more than its pairs
-// need) top bits below the leaf's common prefix, finished by insertion
-// over the whole leaf when no counter exceeds insertionMax, otherwise
-// segment by segment — sortVarying for one longer than that.
+// ordered hands segs whose concatenation is already in merge order — one
+// segment, or keys all equal — to the sink f names, from the segments
+// themselves, and returns the pairs it wrote.
+func ordered(segs []cursor, f Fold, out []Pair) int {
+	n := 0
+	switch {
+	case f.Visit != nil:
+		for _, s := range segs {
+			for _, p := range s.pairs {
+				f.Visit(p)
+			}
+		}
+	case f.Op == FoldCopy:
+		for _, s := range segs {
+			n += copy(out[n:], s.pairs)
+		}
+	default:
+		key, acc := segs[0].pairs[0].Key, uint64(0)
+		for _, s := range segs {
+			u := s.unit
+			for _, p := range s.pairs {
+				if p.Key != key {
+					out[n] = Pair{Key: key, Ptr: acc}
+					n++
+					key, acc = p.Key, 0
+				}
+				acc += p.Ptr&^u | u&1
+			}
+		}
+		out[n] = Pair{Key: key, Ptr: acc}
+		n++
+	}
+	return n
+}
+
+// sortLeaf merges a leaf — segs of total pairs, at most regroupLeafCap,
+// keys from lo to hi, lo < hi — into the sink f names and returns the
+// pairs it wrote. The leaf is sorted (sortInto) into out when out has a
+// slot per pair, else into the regrouper's leaf buffer, and folded there
+// unless f's op is FoldCopy; a visitor then gets the buffer's pairs in
+// order, and a word fold's rows are copied out.
+func (g *regrouper) sortLeaf(segs []cursor, total int, lo, hi uint64, f Fold, out []Pair) int {
+	dst := out
+	if f.Visit != nil || len(out) < total {
+		dst = g.leaf[:]
+	}
+	dst = dst[:total]
+	g.sortInto(segs, dst, lo, hi)
+	n := foldSorted(dst, f.Op)
+	switch {
+	case f.Visit != nil:
+		for _, p := range dst {
+			f.Visit(p)
+		}
+		return 0
+	case len(out) < total:
+		copy(out[:n], dst[:n])
+	}
+	return n
+}
+
+// sortInto sorts the segs' pairs, keys from lo to hi, into dst (one slot
+// each), writing a Units run's values as 1. A short leaf is copied in
+// run order and finished by insertion. Any other is one counting pass
+// over the (at most narrowBits, and no more than its pairs need) top bits
+// below the leaf's common prefix, finished by insertion over the whole
+// leaf when no counter exceeds insertionMax, otherwise segment by segment
+// — sortVarying for one longer than that.
 //
 // The pass is the leaf's own rather than countingSort's or sortVarying's
 // because it scatters from several segments and rewrites Units values on
@@ -176,8 +217,8 @@ func searchShifted(pairs []Pair, at int, t uint64, sh uint) int {
 // sortVarying, as RadixSortPairs would, reads 1.3–2.7× slower per pair on
 // BenchmarkMergeShapes. Its 8-bit digits take two scatter passes over a
 // leaf of hashed keys where this takes one.
-func (g *regrouper) leaf(segs []cursor, dst []Pair, lo, hi uint64, op FoldOp) int {
-	if len(dst) <= insertionMax || lo == hi {
+func (g *regrouper) sortInto(segs []cursor, dst []Pair, lo, hi uint64) {
+	if len(dst) <= insertionMax {
 		at := 0
 		for _, s := range segs {
 			u := s.unit
@@ -186,10 +227,8 @@ func (g *regrouper) leaf(segs []cursor, dst []Pair, lo, hi uint64, op FoldOp) in
 				at++
 			}
 		}
-		if lo != hi {
-			insertionSort(dst)
-		}
-		return foldSorted(dst, op)
+		insertionSort(dst)
+		return
 	}
 	top := uint(64 - bits.LeadingZeros64(lo^hi))
 	c := min(top, narrowBits, uint(bits.Len(uint(len(dst)))))
@@ -231,7 +270,6 @@ func (g *regrouper) leaf(segs []cursor, dst []Pair, lo, hi uint64, op FoldOp) in
 			from = int(end)
 		}
 	}
-	return foldSorted(dst, op)
 }
 
 // finish sorts one segment of a counting pass, stably: insertion up to

@@ -14,14 +14,13 @@ import (
 // MergeReduceRows). When the aggregator has a word operation
 // (WordFolder: sum, count) it folds without a call per pair:
 // in a table indexed by key when the partition's keys span fewer slots
-// than it has pairs (a 1 024-key window); by regrouping on a key digit
-// when three or more runs hold over 4 096 pairs and the
-// rows are bounded by the pairs (a seal of 32 runs of hashed keys, or a
-// close of 7 — MergeK's copy of such a group regroups too); else inside
-// the loser-tree loop as pairs arrive in key order.
+// than it has pairs (a 1 024-key window), else as the merge regroups its
+// runs on a key digit and sorts each bucket (a seal of 32 runs of hashed
+// keys, or a close of 7 — MergeK's copy of such a group regroups too).
 // algo.MultiMergeFold picks from the input alone. Any other aggregator
-// gets every pair, in key order, through a visitor that Adds it; it
-// never meets a partial run, which only a word fold makes and reads.
+// gets every pair, in key order, from the same regroup, through a
+// visitor that Adds it; it never meets a partial run, which only a word
+// fold makes and reads.
 // The folds see values only: a pointer run (the simulator's) has its
 // range dereferenced into (key, value) pairs once, on entry, and then
 // folds like a value-resident run.
@@ -267,7 +266,7 @@ func MergeReducePartial(runs []*KPA, valCol int, factory AggFactory, al Allocato
 }
 
 // MergeK merges k sorted KPAs into one sorted KPA with a single
-// loser-tree pass, ties by run index — the seal of a group of runs
+// k-way merge (algo.MultiMergeFold's regroup), ties by run index — the seal of a group of runs
 // whose aggregator is not a word fold: every pair is kept, in the order
 // a merge over the inputs themselves would visit them. Such an
 // aggregator never reads a partial run, so MergeK refuses one. Inputs

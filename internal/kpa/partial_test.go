@@ -368,13 +368,27 @@ func (c *countingAllocator) AllocKPA(nBytes int64) (memsim.Tier, *mempool.Alloca
 // one instance as it did before word folds. It reads no partial run.
 func perPair(factory kpa.AggFactory) kpa.AggFactory {
 	return func() kpa.Agg {
-		a := factory()
+		agg := factory()
+		var reset resetFunc
+		switch a := agg.(type) {
+		case *ops.SumAgg:
+			reset = func() { *a = ops.SumAgg{} }
+		case *ops.CountAgg:
+			reset = func() { *a = ops.CountAgg{} }
+		default:
+			panic(fmt.Sprintf("perPair: no reset for %T", a))
+		}
 		return struct {
 			kpa.Agg
-			kpa.Resetter
-		}{a, a.(kpa.Resetter)}
+			resetFunc
+		}{agg, reset}
 	}
 }
+
+// resetFunc is a kpa.Resetter that calls itself.
+type resetFunc func()
+
+func (r resetFunc) Reset() { r() }
 
 // TestMergeFoldMatchesVisit holds the word fold of Sum and Count to the
 // per-pair path it replaces, on both entry points a window uses — the
@@ -385,14 +399,14 @@ func perPair(factory kpa.AggFactory) kpa.AggFactory {
 // per-pair path reads no partial run, so it merges the raw runs each
 // partial was sealed from in the partial's place, and a seal must write
 // the rows that close writes. Two key shapes: keys of MaxUint64 and
-// hashed keys among a few dozen (the loser tree), and 1 024 keys (the
-// table, wherever a merge has more pairs than its span); then the
-// runtime's shapes: 1 024 keys, and inproc_wide's hashed keys, whose
-// 32-run seal regroups (the verbatim MergeK too), and so does its 7-run
-// close — each shape also with pointer runs beside the value runs, so
-// the word fold meets a pointer run on the loser tree, the table and the
-// regroup; last, the case a count could get wrong by itself: raw and
-// partial runs in one close (a raw pair adds 1, a partial its value).
+// hashed keys among a few dozen (regrouped), and 1 024 keys (the table,
+// wherever a merge has more pairs than its span); then the runtime's
+// shapes: 1 024 keys, and inproc_wide's hashed keys, whose 32-run seal
+// regroups (the verbatim MergeK too), and so does its 7-run close — each
+// shape also with pointer runs beside the value runs, so the word fold
+// meets a pointer run on the table and the regroup; last, the case a
+// count could get wrong by itself: raw and partial runs in one close (a
+// raw pair adds 1, a partial its value).
 func TestMergeFoldMatchesVisit(t *testing.T) {
 	al := kpa.NoopAllocator{T: memsim.DRAM}
 	rng := rand.New(rand.NewSource(23))
@@ -563,7 +577,7 @@ func TestMergeFoldMatchesVisit(t *testing.T) {
 				for j := 0; j < nRuns; j++ {
 					kind := rng.Intn(4)
 					if j == 0 && trial < 2 {
-						kind = 3 // a pointer run on the tree, then the table
+						kind = 3 // a pointer run on the regroup, then the table
 					}
 					switch kind {
 					case 0:
@@ -709,7 +723,7 @@ func BenchmarkSealVsCompact(b *testing.B) {
 		return sink
 	}
 	// compactAtClose is the close of a window whose runs were left as they
-	// were filed: verbatim k-way merges in batches until one loser tree
+	// were filed: verbatim k-way merges in batches until one merge-reduce
 	// takes what is left (a lone trailing run passes through).
 	compactAtClose := func(b *testing.B, runs []*kpa.KPA) uint64 {
 		var made []*kpa.KPA
@@ -821,7 +835,7 @@ func BenchmarkSealVsCompact(b *testing.B) {
 // Sum both ways, single-threaded, in ns per pair: "word" is the word
 // fold, "per-pair" the path every aggregator took before (perPair: one
 // reused aggregator, Add through an interface per pair, through the
-// loser tree's visitor). The shapes are the runtime's: a seal of 32
+// regroup's visitor). The shapes are the runtime's: a seal of 32
 // runs of 4 096 pairs over 1 024 keys (net_narrow, inproc_spill) or of
 // 10 000 hashed keys (inproc_wide), staged through recycled scratch
 // (MergeReducePartial), and a close of 7 runs of 140 000 pairs into a

@@ -19,10 +19,10 @@ import (
 // their inputs add to, so their result over a multiset is the sum of
 // their results over any partition of it. The native runtime may then
 // seal a pane into per-key partials once and add those per window, and
-// a merge folds them inside its loop, with no call per value. They and
-// Avg are kpa.Resetters, reused across the keys of one merge task on
-// the per-pair path. The order statistics and UniqueCount are neither:
-// they need every value.
+// a merge folds them inside its loop, with no call per value, so they
+// never take the per-pair path. Avg is a kpa.Resetter, reused across the
+// keys of one merge task on that path. The order statistics and
+// UniqueCount are neither: they need every value.
 
 // SumAgg sums values.
 type SumAgg struct{ s uint64 }
@@ -32,9 +32,6 @@ func (a *SumAgg) Add(v uint64) { a.s += v }
 
 // Result implements kpa.Agg.
 func (a *SumAgg) Result() uint64 { return a.s }
-
-// Reset implements kpa.Resetter.
-func (a *SumAgg) Reset() { *a = SumAgg{} }
 
 // WordOp implements kpa.WordFolder.
 func (*SumAgg) WordOp() kpa.WordOp { return kpa.WordAdd }
@@ -50,9 +47,6 @@ func (a *CountAgg) Add(uint64) { a.n++ }
 
 // Result implements kpa.Agg.
 func (a *CountAgg) Result() uint64 { return a.n }
-
-// Reset implements kpa.Resetter.
-func (a *CountAgg) Reset() { *a = CountAgg{} }
 
 // WordOp implements kpa.WordFolder: a partial count stands for that
 // many records, where Add would count it as one.

@@ -73,12 +73,9 @@
 // separate reduce sweep, nothing that depends on the run count. Sum and
 // count fold with no call per pair: into a table indexed by
 // key when a partition's keys span fewer slots than it has pairs, else
-// inside a loser tree's loop; every other aggregator sees each pair in
-// key order. A merge of three or more runs and over 4 096 pairs, copied
-// verbatim or word-folded over keys that span more than its pairs — a
-// full group's seal or a window's close over hashed keys — regroups its
-// runs on a key digit instead of replaying the tree; the merge kernel
-// chooses from its input, so two runs or a short merge keep the tree.
+// as the merge regroups its runs on a key digit and sorts each bucket;
+// every other aggregator sees each pair in key order, from the same
+// regroup. The merge kernel chooses between the two from its input.
 // The window's rows fill one slab sized by what it can emit, one row per
 // distinct key, and are published in key order.
 //

@@ -306,7 +306,7 @@ func TestNativeKnobPlacement(t *testing.T) {
 
 // TestNativeMergeTree forces many runs per window (tiny bundles) so
 // closing a window exercises the fused range-partitioned merge-reduce
-// over a full loser tree (16 runs).
+// over 16 runs at once.
 func TestNativeMergeTree(t *testing.T) {
 	plan := testPlan(ingress.NewRoundRobinKV(4, 1), 12_000)
 	plan.Source.BundleRecords = 250 // 16 runs per window
