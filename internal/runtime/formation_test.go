@@ -41,7 +41,9 @@ func hideWordOp(f kpa.AggFactory) kpa.AggFactory {
 // bit-identical, with the same ingested and late counts; the folded
 // side must form fewer pairs, and with spread keys the same, and stream
 // fewer pairs through seals and closes, since its seals write partial
-// runs where the hidden side's copy. On the plain fixed-window
+// runs where the hidden side's copy — except with spread keys on fixed
+// windows, where the hidden side seals nothing and the folded side
+// streams exactly 61 pairs a window more. On the plain fixed-window
 // stream the folded side must form exactly what the table rule gives
 // each bundle×window group of rows — its distinct keys when their span
 // is below its rows, else its rows —, so a range tried and missed
@@ -186,7 +188,15 @@ func TestFormationFoldMatchesSort(t *testing.T) {
 						if len(want) < 4 || !maps.EqualFunc(got, want, func(a, b map[uint64]uint64) bool { return maps.Equal(a, b) }) {
 							t.Fatalf("%s: folded runs published %d windows, sorted runs %d, and they differ", id, len(got), len(want))
 						}
-						if folded.ClosePairs >= sorted.ClosePairs || keys.folds != (folded.FormedPairs < sorted.FormedPairs) ||
+						closePairsOK := folded.ClosePairs < sorted.ClosePairs
+						if win.IsFixed() && !keys.folds {
+							// The hidden side's copies never seal in a pane one window
+							// reads; the folded side seals each of the 4 windows' first
+							// group into one partial run of the 61 keys, which the close
+							// reads again.
+							closePairsOK = folded.ClosePairs == sorted.ClosePairs+4*61 && sorted.ClosePairs == sorted.FormedPairs
+						}
+						if !closePairsOK || keys.folds != (folded.FormedPairs < sorted.FormedPairs) ||
 							!keys.folds && folded.FormedPairs != sorted.FormedPairs {
 							t.Fatalf("%s: folded runs streamed %d pairs and formed %d, sorted runs %d and %d; folding at formation %v",
 								id, folded.ClosePairs, folded.FormedPairs, sorted.ClosePairs, sorted.FormedPairs, keys.folds)

@@ -198,7 +198,7 @@ func emptyRun(t *testing.T) *kpa.KPA {
 // later windows stays invisible to a sealed window that has not
 // gathered yet, and the sealed watermark only moves forward.
 func TestWindowTableSealing(t *testing.T) {
-	tab := newWindowTable(wm.Sliding(100, 50))
+	tab := newWindowTable(wm.Sliding(100, 50), true)
 	sealed := tab.sealedWatermark()
 	check := func(when string) {
 		t.Helper()
@@ -213,7 +213,7 @@ func TestWindowTableSealing(t *testing.T) {
 	if len(a.wins) != 2 || a.wins[0] != 0 || a.wins[1] != 50 || len(a.groups) != 1 {
 		t.Fatalf("registered %+v, want windows [0 50] and one pane", a)
 	}
-	if got := tab.advance(100); len(got) != 0 {
+	if got := tab.advance(100, time.Time{}); len(got) != 0 {
 		t.Fatalf("window 0 closed with an extraction pending: %v", got)
 	}
 	check("advance")
@@ -229,7 +229,7 @@ func TestWindowTableSealing(t *testing.T) {
 		t.Fatalf("open covering of pane 50: from %d count %d, want 50 and 1", from, open)
 	}
 	late := emptyRun(t)
-	if seals, got := tab.fileRuns(b, []filedRun{{paneRun{k: late, from: from, group: b.groups[0]}, 50}}); len(got) != 0 || len(seals) != 0 {
+	if seals, got := tab.fileRuns(b, []filedRun{{paneRun: paneRun{k: late, from: from, group: b.groups[0]}, pane: 50}}); len(got) != 0 || len(seals) != 0 {
 		t.Fatalf("close started early: %v, seals %v", got, seals)
 	}
 	if got := tab.register(0, 40); got.wins != nil || got.groups != nil {
@@ -237,7 +237,7 @@ func TestWindowTableSealing(t *testing.T) {
 	}
 	first := emptyRun(t)
 	first.Retain(1) // windows 0 and 50
-	if _, got := tab.fileRuns(a, []filedRun{{paneRun{k: first, from: 0, group: a.groups[0]}, 50}}); len(got) != 1 || got[0] != 0 {
+	if _, got := tab.fileRuns(a, []filedRun{{paneRun: paneRun{k: first, from: 0, group: a.groups[0]}, pane: 50}}); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("last extraction must start window 0's close once: %v", got)
 	}
 	// Window 50 reads pane 50 again, so window 0's claim seals the one
@@ -249,7 +249,7 @@ func TestWindowTableSealing(t *testing.T) {
 	if _, ok := tab.claim(0); ok {
 		t.Fatal("window 0's close was claimed twice")
 	}
-	if got := tab.advance(100); len(got) != 0 {
+	if got := tab.advance(100, time.Time{}); len(got) != 0 {
 		t.Fatalf("repeated watermark restarted a close: %v", got)
 	}
 	merged := emptyRun(t)
@@ -260,19 +260,19 @@ func TestWindowTableSealing(t *testing.T) {
 	if got := tab.gather(0); len(got) != 1 || got[0] != merged {
 		t.Fatalf("window 0 gathered %v, want the sealed run only", got)
 	}
-	tab.retire(0)
+	tab.retire(0, time.Time{})
 	check("retire")
 	tab.published(0)
 	check("published")
 
-	if got := tab.advance(150); len(got) != 1 || got[0] != 50 {
+	if got := tab.advance(150, time.Time{}); len(got) != 1 || got[0] != 50 {
 		t.Fatalf("window 50 should close at once: %v", got)
 	}
 	check("advance 150")
 	if c, ok := tab.claim(50); !ok || !c.merge || len(c.seals) != 0 || len(c.runs) != 2 {
 		t.Fatalf("window 50: %+v ok %v, want a merge over both runs, its pane's last reader", c, ok)
 	}
-	tab.retire(50)
+	tab.retire(50, time.Time{})
 	tab.published(50)
 	check("drained")
 	if sealed != 150 || tab.closedWindows() != 2 || len(tab.entries) != 0 || len(tab.windows) != 0 {
@@ -291,12 +291,12 @@ func TestWindowTableSealing(t *testing.T) {
 // runs unsealed.
 func TestWindowTableSealOrder(t *testing.T) {
 	rA, rB := emptyRun(t), emptyRun(t)
-	tab := newWindowTable(wm.Sliding(100, 50))
+	tab := newWindowTable(wm.Sliding(100, 50), true)
 	a := tab.register(60, 90)   // pane 50: windows 0 and 50
 	c := tab.register(110, 140) // pane 100: windows 50 and 100
-	tab.fileRuns(a, []filedRun{{paneRun{k: rA, from: 0, group: a.groups[0]}, 50}})
-	tab.fileRuns(c, []filedRun{{paneRun{k: rB, from: 50, group: c.groups[0]}, 100}})
-	if got := tab.advance(200); len(got) != 1 || got[0] != 0 {
+	tab.fileRuns(a, []filedRun{{paneRun: paneRun{k: rA, from: 0, group: a.groups[0]}, pane: 50}})
+	tab.fileRuns(c, []filedRun{{paneRun: paneRun{k: rB, from: 50, group: c.groups[0]}, pane: 100}})
+	if got := tab.advance(200, time.Time{}); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("one watermark sealed three overlapping windows; offered %v, want the oldest only", got)
 	}
 	if _, ok := tab.claim(50); ok {
@@ -344,7 +344,7 @@ func TestWindowTableSealOrder(t *testing.T) {
 		t.Fatalf("window 100 gathered %v, want pane 100's raw run for its last reader", got)
 	}
 	for _, w := range []wm.Time{0, 50, 100} {
-		tab.retire(w)
+		tab.retire(w, time.Time{})
 		tab.published(w)
 	}
 	if len(tab.entries) != 0 || len(tab.windows) != 0 || tab.sealedWatermark() != 200 {
@@ -357,8 +357,10 @@ func TestWindowTableSealOrder(t *testing.T) {
 // order, run or no run — takes the group's runs out of the table as a
 // seal every open covering window owes, the sealed run lands one level
 // up, and a bundle that is late for more windows starts a new group.
+// The runs are a word fold's and hold no pairs, so the seal rule of a
+// pane one window reads seals the group.
 func TestWindowTableGroups(t *testing.T) {
-	tab := newWindowTable(wm.Fixed(100))
+	tab := newWindowTable(wm.Fixed(100), true)
 	regs := make([]registration, mergeFanIn+1)
 	for i := range regs {
 		regs[i] = tab.register(10, 20)
@@ -375,7 +377,7 @@ func TestWindowTableGroups(t *testing.T) {
 		if i != 3 {
 			k := emptyRun(t)
 			runs = append(runs, k)
-			filed = []filedRun{{paneRun{k: k, from: 0, group: regs[i].groups[0]}, 0}}
+			filed = []filedRun{{paneRun: paneRun{k: k, from: 0, group: regs[i].groups[0]}, pane: 0}}
 		}
 		seals, toClose := tab.fileRuns(regs[i], filed)
 		if len(toClose) != 0 {
@@ -391,7 +393,7 @@ func TestWindowTableGroups(t *testing.T) {
 			!slices.Equal(seals[0].owers, []wm.Time{0}) {
 			t.Fatalf("last member filed: seals %+v, want the group's %d runs owed by window 0", seals, mergeFanIn-1)
 		}
-		if got := tab.advance(100); len(got) != 1 {
+		if got := tab.advance(100, time.Time{}); len(got) != 1 {
 			t.Fatalf("window 0 not offered: %v", got)
 		}
 		// A window claiming while the eager seal is in flight waits for it.
@@ -423,122 +425,117 @@ func sizedRun(t *testing.T, n int) *kpa.KPA {
 	return k
 }
 
-// TestWindowTableSealVerdict drives the level-0 seal rule of a pane one
-// window reads: its first group, the probe, seals, and the pane's later
-// groups seal only if the probe's merged run kept at most half its
-// pairs, else stay raw, outside any group. A later group that completes
-// before the probe lands parks — its window may claim but not gather —
-// and the probe's landing turns it into a seal or leaves it raw. A probe
-// that could not allocate keeps the pane sealing, and a pane two windows
-// read seals every group whatever its probe kept.
-func TestWindowTableSealVerdict(t *testing.T) {
-	const in = mergeFanIn * 4 // pairs in a group: every bundle files four
+// TestWindowTableSealRule drives the level-0 seal rule of a pane one
+// window reads. A complete group seals iff the aggregator is a word fold
+// and twice its key bound — the lesser of its runs' distinct keys summed
+// and its key span — is at most its pairs; otherwise it stays raw,
+// outside any group, counts as skipped and lands in the group above
+// with no run. The decision is the
+// group's own, taken when its last member files: a later group that
+// completes while an earlier one still waits is decided at once. A pane
+// two windows read seals every group.
+func TestWindowTableSealRule(t *testing.T) {
+	const perRun = 4 // every bundle files one run of 4 pairs
+	// wide puts bundle i's keys in a range of their own, far apart.
+	wide := func(i int) uint64 { return uint64(i) << 40 }
 	for _, c := range []struct {
 		name  string
 		win   wm.Windowing
 		ts    wm.Time // where the bundles lie
-		kept  int     // pairs the probe's merged run holds; -1: it fails
-		seals bool    // whether the later groups seal
-		early bool    // whether the later groups complete before the probe
+		folds bool
+		// keys gives bundle i of group g its distinct keys and their range.
+		keys  func(g, i int) (n int, lo, hi uint64)
+		seals [2]bool // whether groups 0 and 1 seal
 	}{
-		{"compacting", wm.Fixed(100), 10, in / 2, true, false},
-		{"compacting parked", wm.Fixed(100), 10, in / 2, true, true},
-		{"copy", wm.Fixed(100), 10, in/2 + 1, false, false},
-		{"copy parked", wm.Fixed(100), 10, in, false, true},
-		{"failed", wm.Fixed(100), 10, -1, true, false},
-		{"failed parked", wm.Fixed(100), 10, -1, true, true},
-		{"two readers", wm.Sliding(100, 50), 60, in, true, false},
-		{"two readers early", wm.Sliding(100, 50), 60, in, true, true},
+		{"dense span seals", wm.Fixed(100), 10, true,
+			func(_, i int) (int, uint64, uint64) { return perRun, uint64(i % 8), uint64(i%8 + 5) }, [2]bool{true, true}},
+		{"dense span of half the pairs seals", wm.Fixed(100), 10, true,
+			func(_, i int) (int, uint64, uint64) { return perRun, 1000, 1000 + perRun*mergeFanIn/2 - 1 }, [2]bool{true, true}},
+		{"dense span one key over half stays raw", wm.Fixed(100), 10, true,
+			func(_, i int) (int, uint64, uint64) { return perRun, 1000, 1000 + perRun*mergeFanIn/2 }, [2]bool{false, false}},
+		{"distinct wide keys stay raw", wm.Fixed(100), 10, true,
+			func(_, i int) (int, uint64, uint64) { return perRun, wide(i), wide(i) + 3<<20 }, [2]bool{false, false}},
+		{"wide keys repeating in runs seal", wm.Fixed(100), 10, true,
+			func(_, i int) (int, uint64, uint64) { return perRun / 2, wide(i), wide(i) + 1 }, [2]bool{true, true}},
+		{"wide keys one over half stay raw", wm.Fixed(100), 10, true,
+			func(_, i int) (int, uint64, uint64) {
+				if i == 0 {
+					return perRun/2 + 1, wide(i), wide(i) + 2
+				}
+				return perRun / 2, wide(i), wide(i) + 1
+			}, [2]bool{false, false}},
+		{"copy never seals", wm.Fixed(100), 10, false,
+			func(_, i int) (int, uint64, uint64) { return 1, 7, 7 }, [2]bool{false, false}},
+		{"two readers always seal", wm.Sliding(100, 50), 60, false,
+			func(_, i int) (int, uint64, uint64) { return perRun, wide(i), wide(i) + 3 }, [2]bool{true, true}},
+		{"later group decided first", wm.Fixed(100), 10, true,
+			func(g, i int) (int, uint64, uint64) {
+				if g == 1 {
+					return perRun, 0, 9
+				}
+				return perRun, wide(i), wide(i) + 3
+			}, [2]bool{false, true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tab := newWindowTable(c.win)
-			regs := make([]registration, 3*mergeFanIn)
+			tab := newWindowTable(c.win, c.folds)
+			regs := make([]registration, 2*mergeFanIn)
 			for i := range regs {
 				regs[i] = tab.register(c.ts, c.ts)
 			}
 			pane := regs[0].groups[0].pane
-			oneReader := len(regs[0].wins) == 1
-			file := func(group int) (seals []paneSeal) {
-				for _, reg := range regs[group*mergeFanIn : (group+1)*mergeFanIn] {
-					g := reg.groups[0]
-					got, _ := tab.fileRuns(reg, []filedRun{{paneRun{k: sizedRun(t, 4), from: g.from, group: g}, pane}})
-					seals = append(seals, got...)
-				}
-				return seals
+			readers := 2
+			if c.win.IsFixed() {
+				readers = 1
 			}
-			var later []paneSeal
-			if c.early {
-				later = append(file(1), file(2)...)
-				if parked := len(tab.entries[pane].parked); oneReader && (len(later) != 0 || parked != 2) {
-					t.Fatalf("two groups complete before the probe: %d seals, %d parked; want 0 and 2", len(later), parked)
-				}
-			}
-			probe := file(0)
-			if len(probe) != 1 || len(probe[0].raw) != mergeFanIn || probe[0].probe != oneReader {
-				t.Fatalf("the probe's group completed: %+v, want one seal of its %d runs", probe, mergeFanIn)
-			}
-			w := probe[0].owers[0]
-			if c.early && oneReader {
-				// The window has every extraction: it claims, and owes the probe.
-				if got := tab.advance(1000); len(got) != 1 || got[0] != w {
-					t.Fatalf("advance offered %v, want window %d", got, w)
-				}
-				if cl, ok := tab.claim(w); !ok || cl.merge {
-					t.Fatalf("window %d: claim %+v ok %v, want a claim that waits for the probe", w, cl, ok)
-				}
-			}
-			var merged *kpa.KPA
-			if c.kept >= 0 {
-				merged = sizedRun(t, c.kept)
-			}
-			more, toMerge := tab.paneSealed(probe[0], merged)
-			if parked := len(tab.entries[pane].parked); parked != 0 {
-				t.Fatalf("%d groups still parked after the probe landed", parked)
-			}
-			if c.early && oneReader {
-				// Settled seals are owed before the probe's owers are let go.
-				if (len(toMerge) == 0) != c.seals {
-					t.Fatalf("probe landed: merge %v; want window %d released only if nothing more is owed", toMerge, w)
-				}
-			}
-			if c.early {
-				later = append(later, more...)
-			} else {
-				if len(more) != 0 {
-					t.Fatalf("probe landed: %d seals started, want none", len(more))
-				}
-				later = append(file(1), file(2)...)
+			if len(regs[0].wins) != readers {
+				t.Fatalf("pane %d read by windows %v, want %d", pane, regs[0].wins, readers)
 			}
 			skipped := 0
-			if c.seals {
-				if len(later) != 2 || !slices.Equal(later[0].owers, probe[0].owers) || later[0].probe || later[1].probe {
-					t.Fatalf("later groups: %+v, want two seals owed by %v", later, probe[0].owers)
+			// file files the given members of group g and checks the
+			// decision the one that completes the group takes.
+			file := func(g int, members []int) {
+				t.Helper()
+				for j, i := range members {
+					reg := regs[g*mergeFanIn+i]
+					grp := reg.groups[0]
+					n, lo, hi := c.keys(g, i)
+					seals, _ := tab.fileRuns(reg, []filedRun{{paneRun{k: sizedRun(t, perRun), from: grp.from, group: grp}, pane, n, lo, hi}})
+					if j < len(members)-1 || grp.landed < mergeFanIn {
+						if len(seals) != 0 {
+							t.Fatalf("group %d sealed with members still to file", g)
+						}
+						continue
+					}
+					if !c.seals[g] {
+						skipped++
+						if len(seals) != 0 || tab.sealsSkipped() != skipped || grp.parent.landed != skipped {
+							t.Fatalf("group %d complete: %d seals, %d skipped, %d landed above; want none and %d of each",
+								g, len(seals), tab.sealsSkipped(), grp.parent.landed, skipped)
+						}
+						for _, r := range tab.entries[pane].runs {
+							if r.group == grp {
+								t.Fatalf("group %d left raw, yet its runs are still in it", g)
+							}
+						}
+						continue
+					}
+					if len(seals) != 1 || len(seals[0].raw) != mergeFanIn || seals[0].into != grp.parent ||
+						!slices.Equal(seals[0].owers, reg.wins) || tab.sealsSkipped() != skipped {
+						t.Fatalf("group %d complete: seals %+v, %d skipped; want one seal of its %d runs owed by %v",
+							g, seals, tab.sealsSkipped(), mergeFanIn, reg.wins)
+					}
 				}
-			} else {
-				skipped = 2
-				if len(later) != 0 {
-					t.Fatalf("later groups: %d seals, want none after a probe that kept %d of %d pairs", len(later), c.kept, in)
-				}
 			}
-			if got := tab.sealsSkipped(); got != skipped {
-				t.Fatalf("%d groups left raw, want %d", got, skipped)
+			all := make([]int, mergeFanIn)
+			for i := range all {
+				all[i] = i
 			}
-			raw, want := 0, skipped*mergeFanIn
-			if merged == nil {
-				want += mergeFanIn // the failed probe's runs are back
-			}
-			for _, r := range tab.entries[pane].runs {
-				if r.group == nil {
-					raw++
-				}
-			}
-			if raw != want {
-				t.Fatalf("%d runs outside any group, want %d", raw, want)
-			}
-			if c.early && !c.seals {
-				if got := tab.gather(w); len(got) != 1+2*mergeFanIn {
-					t.Fatalf("window %d gathered %d runs, want the probe's and the %d left raw", w, len(got), 2*mergeFanIn)
-				}
+			// Group 0 waits on its first member while group 1 completes.
+			file(0, all[1:])
+			file(1, all)
+			file(0, all[:1])
+			if tab.sealsSkipped() != skipped {
+				t.Fatalf("%d groups left raw, want %d", tab.sealsSkipped(), skipped)
 			}
 		})
 	}

@@ -50,15 +50,14 @@
 // raw runs free after mergeFanIn bundles instead of one window; for any
 // other aggregator it is a verbatim k-way merge, ties by run index, so
 // order-sensitive folds see the same sequence. A seal is for capacity:
-// in a pane only one window reads it spares the close no pass, so such
-// a pane seals its first level-0 group as a probe and seals the later
-// ones only if the probe kept at most half its pairs — above that,
-// leaving the runs raw holds less than twice what sealing would keep
-// (windows.go). A group complete before the probe lands parks until it
-// does. The aggregator and the keys decide, not an option; and since
-// groups are assigned on the ingest goroutine, every result — and which
-// groups seal — is a function of the stream alone, whatever the
-// workers.
+// in a pane only one window reads it spares the close no pass, so there
+// a level-0 group seals only if it is a word fold whose runs bound its
+// distinct keys — their distinct keys summed, or their key span if
+// fewer — to at most half its pairs; any other group stays raw
+// (windows.go). The aggregator and the runs decide, not an option and
+// not another seal; and since groups are assigned on the ingest
+// goroutine, every result — and which groups seal — is a function of
+// the stream alone, whatever the workers.
 //
 // Close. When the watermark seals a window and its last pending
 // extraction has landed, the window claims its close: in each pane a
@@ -345,8 +344,9 @@ type Report struct {
 	// merged at a window's claim for the later windows covering the
 	// pane — into a partial run when the aggregator is a kpa.WordFolder,
 	// verbatim when it is not. In a pane one window reads, a level-0
-	// group seals only while the pane's first seal kept at most half its
-	// pairs; SealsSkipped counts the level-0 groups left raw instead.
+	// group seals only if the aggregator is a word fold and its runs
+	// bound their distinct keys to at most half its pairs (windows.go);
+	// SealsSkipped counts the level-0 groups left raw instead.
 	// ClosePairs counts the pairs streamed through a merge visitor —
 	// seals and the closing windows' final merge-reduce together: about
 	// once per record when seals write partials, about the overlap plus
@@ -528,10 +528,10 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 	if x.feed == nil {
 		x.feed = newGenFeed(plan, x.pool)
 	}
-	x.table = newWindowTable(plan.Win)
 	if w, ok := plan.NewAgg().(kpa.WordFolder); ok {
 		x.fold = w.WordOp()
 	}
+	x.table = newWindowTable(plan.Win, x.fold != 0)
 	x.m = newStats(x)
 	x.scratch[memsim.HBM] = x.pool.ScratchFor(memsim.HBM)
 	x.scratch[memsim.DRAM] = x.pool.ScratchFor(memsim.DRAM)
@@ -1047,6 +1047,9 @@ type keyRange struct {
 // provenance (producing bundle, pane) so closes order runs
 // deterministically, holds one reference per open window covering the
 // pane, and is bound for g, the group register gave the bundle there.
+// It goes to the table with its least and greatest key and, for a word
+// fold, its distinct keys — a folded run's length, a sorted run's key
+// changes —, which decide whether g seals in a pane one window reads.
 // ok is false after an allocation error, which is recorded.
 func (x *exec) formRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, keys, vals []uint64) (filedRun, bool) {
 	from, open := x.table.openCovering(pane, firstOpen)
@@ -1055,9 +1058,10 @@ func (x *exec) formRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, k
 	x.m.extractPairs.Add(int64(len(keys)) * int64(open))
 	al := x.allocator(x.tagFor(pane))
 	var (
-		k      *kpa.KPA
-		folded bool
-		err    error
+		k        *kpa.KPA
+		folded   bool
+		err      error
+		distinct int
 	)
 	if r := x.dense.Load(); x.fold != 0 && r != nil && r.span < len(keys) {
 		k, folded, err = kpa.FoldColumns(keys, vals, r.lo, r.span, x.plan.KeyCol, x.fold, al)
@@ -1066,10 +1070,16 @@ func (x *exec) formRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, k
 		scan := algo.ScanKeys(keys)
 		if span, dense := scan.Dense(); x.fold != 0 && dense {
 			x.dense.Store(&keyRange{scan.Lo, span})
-			k, _, err = kpa.FoldColumns(keys, vals, scan.Lo, span, x.plan.KeyCol, x.fold, al)
+			k, folded, err = kpa.FoldColumns(keys, vals, scan.Lo, span, x.plan.KeyCol, x.fold, al)
 		} else if k, _, err = kpa.NewValues(len(keys), x.plan.KeyCol, al); err == nil {
 			kpa.SortColumns(k, keys, vals, scan, x.scratch[k.Tier()])
+			if x.fold != 0 {
+				distinct = keyChanges(k.Pairs())
+			}
 		}
+	}
+	if folded {
+		distinct = k.Len()
 	}
 	if err != nil {
 		x.recordError(err)
@@ -1083,13 +1093,25 @@ func (x *exec) formRun(b *bundle.Bundle, g *runGroup, pane, firstOpen wm.Time, k
 		x.m.paneRuns.Add(1)
 		x.m.sharedRunRefs.Add(int64(open - 1))
 	}
-	return filedRun{paneRun{k: k, from: from, group: g}, pane}, true
+	pairs := k.Pairs()
+	return filedRun{paneRun{k: k, from: from, group: g}, pane, distinct, pairs[0].Key, pairs[len(pairs)-1].Key}, true
+}
+
+// keyChanges counts the distinct keys of sorted pairs.
+func keyChanges(pairs []algo.Pair) int {
+	n := 1
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i].Key != pairs[i-1].Key {
+			n++
+		}
+	}
+	return n
 }
 
 // watermark advances the target watermark and starts the close of every
 // sealed window with no extraction pending.
 func (x *exec) watermark(w wm.Time) {
-	for _, start := range x.table.advance(w) {
+	for _, start := range x.table.advance(w, time.Now()) {
 		x.submitClose(start)
 	}
 }
@@ -1306,7 +1328,7 @@ func packRows(rows []Row, offs, counts []int) []Row {
 func (x *exec) finishWindow(start wm.Time, rows []Row, offs, counts []int) {
 	metrics.StagePublish.Enter()
 	rows = packRows(rows, offs, counts)
-	if d := x.table.retire(start); d > 0 {
+	if d := x.table.retire(start, time.Now()); d > 0 {
 		x.m.closeLatency.Observe(d.Nanoseconds())
 	}
 	if x.cfg.WindowSink != nil && !x.sealedWindow(start) {

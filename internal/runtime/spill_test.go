@@ -108,32 +108,47 @@ func TestSpillMatchesNeverSpill(t *testing.T) {
 
 // TestSpillMatchesNeverSpillMidGroup straddles one group across the
 // placement setpoint: on a machine with one 64 KiB memory tier, the
-// first members of window 0's first group are born in DRAM until it
-// passes the setpoint, and the rest in the spill arena. Batches go in
-// one at a time, each extracted before the next arrives, so where a
-// member is born is a function of the stream. The group's seal — its
-// members are the only runs there are — must merge the arena members
-// beside the memory ones, in provenance order, and still produce the
-// windows of the run that never spilled: the order-sensitive fold
-// through the verbatim merge, and a sum through the fused one.
+// first members of the first group are born in DRAM until it passes the
+// setpoint, and the rest in the spill arena. Batches go in one at a
+// time, each extracted before the next arrives, so where a member is
+// born is a function of the stream. The group's seal — its members are
+// the only runs there are — must merge the arena members beside the
+// memory ones, in provenance order, and still produce the windows of
+// the run that never spilled: a sum through the fused merge, in a fixed
+// window, and the order-sensitive fold through the verbatim one, in a
+// pane two windows of overlap 2 read — in a pane one window reads a
+// verbatim copy never seals.
 func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 	const perBatch = 200
-	batch := func(i int) [][]uint64 {
-		cols := batchAt(span(uint64(i)*10_000, uint64(i+1)*10_000, perBatch)...)
-		for r := range cols[0] {
-			cols[0][r], cols[1][r] = uint64(r%7), uint64(i*perBatch+r)
-		}
-		return cols
-	}
-	// 32 batches complete window 0's first group, 8 more stay beside it,
-	// and window 2 pushes the watermark past both.
+	// 32 batches complete the first group, 8 more stay beside it, and
+	// batch 250 pushes the watermark past both.
 	late := []int{32, 33, 34, 35, 36, 37, 38, 39, 250}
-	for name, agg := range map[string]kpa.AggFactory{"fold": orderSensitive(), "sum": ops.Sum()} {
+	for _, c := range []struct {
+		name string
+		agg  kpa.AggFactory
+		win  wm.Windowing
+		at   uint64 // where batch 0 starts: the group's pane
+		// seals is every seal of the run: the group's, and for overlap 2
+		// the claim seals of the runs left beside it and of batch 250;
+		// windows is how many windows publish.
+		seals   int64
+		windows int
+	}{
+		{"sum", ops.Sum(), wm.Fixed(1_000_000), 0, 1, 2},
+		{"fold", orderSensitive(), wm.Sliding(1_000_000, 500_000), 500_000, 3, 4},
+	} {
+		batch := func(i int) [][]uint64 {
+			cols := batchAt(span(c.at+uint64(i)*10_000, c.at+uint64(i+1)*10_000, perBatch)...)
+			for r := range cols[0] {
+				cols[0][r], cols[1][r] = uint64(r%7), uint64(i*perBatch+r)
+			}
+			return cols
+		}
 		await := func(what string, cond func() bool) {
 			t.Helper()
 			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s: %s", name, what)
+					t.Fatalf("%s: %s", c.name, what)
 				}
 			}
 		}
@@ -142,10 +157,10 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			plan := Plan{
 				Feed:   feed,
 				Source: engine.SourceConfig{Name: "midgroup", WatermarkEvery: 1},
-				Win:    wm.Fixed(1_000_000),
+				Win:    c.win,
 				TsCol:  2, KeyCol: 0, ValCol: 1,
-				NewAgg: agg,
-				Label:  name,
+				NewAgg: c.agg,
+				Label:  c.name,
 			}
 			cfg.Workers = 2
 			var rows rowCollector
@@ -168,13 +183,13 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 				await("a batch was never extracted", extracted(int64(i+1)))
 			}
 			if e.x.m.sealedPanes.Load() != 0 {
-				t.Fatalf("%s: a seal before the group was complete", name)
+				t.Fatalf("%s: a seal before the group was complete", c.name)
 			}
 			midGroup(e)
 			feed.pushCols(batch(mergeFanIn - 1))
 			await("the completed group never sealed", func() bool { return e.x.m.sealedPanes.Load() == 1 })
 			if n := e.x.table.closedWindows(); n != 0 {
-				t.Fatalf("%s: %d windows closed before the seal", name, n)
+				t.Fatalf("%s: %d windows closed before the seal", c.name, n)
 			}
 			for _, i := range late {
 				feed.pushCols(batch(i))
@@ -185,7 +200,7 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 				err = auditAtRest(e)
 			}
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: %v", c.name, err)
 			}
 			return captured{rep, rows.rows}
 		}
@@ -198,23 +213,23 @@ func TestSpillMatchesNeverSpillMidGroup(t *testing.T) {
 			inMemory, inArena := e.x.m.placements[memsim.DRAM].Load(), e.x.m.placements[memsim.Spill].Load()
 			if inMemory == 0 || inArena == 0 || inMemory+inArena != mergeFanIn-1 {
 				t.Fatalf("%s: %d members born in DRAM, %d in the arena; want %d straddling the setpoint",
-					name, inMemory, inArena, mergeFanIn-1)
+					c.name, inMemory, inArena, mergeFanIn-1)
 			}
 		})
 		if spilled.SpilledRuns == 0 || spilled.SpillLoads != 0 {
-			t.Fatalf("%s: %d runs spilled, %d loaded; want some and none", name, spilled.SpilledRuns, spilled.SpillLoads)
+			t.Fatalf("%s: %d runs spilled, %d loaded; want some and none", c.name, spilled.SpilledRuns, spilled.SpillLoads)
 		}
-		if spilled.SealedPanes != 1 || baseline.SealedPanes != 1 {
-			t.Fatalf("%s: %d groups sealed under pressure, %d without, want 1", name, spilled.SealedPanes, baseline.SealedPanes)
+		if spilled.SealedPanes != c.seals || baseline.SealedPanes != c.seals {
+			t.Fatalf("%s: %d seals under pressure, %d without, want %d", c.name, spilled.SealedPanes, baseline.SealedPanes, c.seals)
 		}
 		b, s := rowsByWindowKey(baseline.Rows), rowsByWindowKey(spilled.Rows)
-		if len(b) != 2 || len(s) != 2 {
-			t.Fatalf("%s: baseline closed %d windows, spilled %d, want 2", name, len(b), len(s))
+		if len(b) != c.windows || len(s) != c.windows {
+			t.Fatalf("%s: baseline closed %d windows, spilled %d, want %d", c.name, len(b), len(s), c.windows)
 		}
 		for w, bk := range b {
 			for k, v := range bk {
 				if len(s[w]) != len(bk) || s[w][k] != v {
-					t.Fatalf("%s window %d key %d: baseline %x, spilled %x (%d keys vs %d)", name, w, k, v, s[w][k], len(bk), len(s[w]))
+					t.Fatalf("%s window %d key %d: baseline %x, spilled %x (%d keys vs %d)", c.name, w, k, v, s[w][k], len(bk), len(s[w]))
 				}
 			}
 		}

@@ -213,7 +213,10 @@ func TestStageLabels(t *testing.T) {
 	t.Run("fill, extract, seal, close and publish", func(t *testing.T) {
 		fillGate, extractGate, aggGate, sinkGate := newGate(), newGate(), newGate(), newGate()
 		plan := testPlan(parkingGen{ingress.NewRoundRobinKV(8, 1), fillGate}, 8_000)
-		plan.Source.BundleRecords = 100 // 40 bundles a window: each seals a group of 32
+		plan.Source.BundleRecords = 100
+		// 20 bundles a pane: every pane but the first is read by two
+		// windows, so the first one's claim seals it, a verbatim copy.
+		plan.Win = wm.Sliding(1_000_000, 500_000)
 		plan.Filters = []Filter{{Col: 1, Keep: func(uint64) bool { extractGate.park(); return true }}}
 		var calls atomic.Int64
 		sum := hideWordOp(ops.Sum()) // per-pair folds ask the factory again

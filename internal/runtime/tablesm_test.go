@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"streambox/internal/kpa"
 	"streambox/internal/ops"
@@ -16,13 +17,17 @@ import (
 // could produce, chosen by a random number generator instead of a
 // scheduler — and checks its invariants after every step. The
 // operations are the table's whole surface: register (in order, behind
-// the stream, behind the watermark), fileRuns in any order and with
-// panes left empty, advance, claim of offered and of arbitrary windows,
-// paneSealed landing a seal or failing it — its merged run compacting
-// or keeping every pair, which decides a probe's pane —, gather, retire
-// and published. What a window gathers is checked against the map
-// oracle of panes_test.go: one record per filed run, folded into every
-// window containing it that was open when its bundle registered.
+// the stream, behind the watermark), fileRuns in any order, with panes
+// left empty and runs whose keys make a level-0 group's seal compact or
+// not, advance, claim of offered and of arbitrary windows, paneSealed
+// landing a seal or failing it, gather, retire and published. What a
+// window gathers is checked against the map oracle of panes_test.go:
+// one record per filed run, folded into every window containing it that
+// was open when its bundle registered. Every complete level-0 group of
+// a pane one window reads must have sealed iff the seal rule, computed
+// here from the runs filed for it, says so. The table runs on a virtual
+// clock, and retire must return exactly the time since the watermark
+// that requested the window's close.
 //
 // Each run of the test covers the next smSeedsPerRound seeds, so
 // -count=N explores N rounds (CI runs many). A failure names its seed
@@ -30,17 +35,16 @@ import (
 func TestWindowTableStateMachine(t *testing.T) {
 	round := smRound
 	smRound++
-	var eager, verdicts [2]int
-	var parks int
+	var eager, ruled [2]int
 	defer func() {
 		// The first round's seeds are fixed: they must reach a group of
-		// groups sealing, not only groups of bundles, probes of both
-		// verdicts, and a group parked on its probe.
+		// groups sealing, not only groups of bundles, and, in panes one
+		// window reads, groups the rule seals and groups it leaves raw.
 		if round == 0 && !t.Failed() && (eager[0] == 0 || eager[1] == 0) {
 			t.Fatalf("seeds 1-%d sealed %d groups of bundles and %d groups of groups; want both", smSeedsPerRound, eager[0], eager[1])
 		}
-		if round == 0 && !t.Failed() && (verdicts[0] == 0 || verdicts[1] == 0 || parks == 0) {
-			t.Fatalf("seeds 1-%d landed %d copying and %d compacting probes and parked %d groups; want some of each", smSeedsPerRound, verdicts[0], verdicts[1], parks)
+		if round == 0 && !t.Failed() && (ruled[0] == 0 || ruled[1] == 0) {
+			t.Fatalf("seeds 1-%d left %d groups of one-reader panes raw and sealed %d; want some of each", smSeedsPerRound, ruled[0], ruled[1])
 		}
 	}()
 	for i := 1; i <= smSeedsPerRound; i++ {
@@ -54,11 +58,10 @@ func TestWindowTableStateMachine(t *testing.T) {
 			m := newTableSM(t, seed)
 			m.run()
 			eager[0], eager[1] = eager[0]+m.eager[0], eager[1]+m.eager[1]
-			verdicts[0], verdicts[1] = verdicts[0]+m.verdicts[0], verdicts[1]+m.verdicts[1]
-			parks += m.parks
-			t.Logf("%+v, stream moves once in %d bundles, 1 seal in %d fails, 1 filing in %d empty: %d windows, %d runs filed, %d+%d groups sealed, %d+%d probes compacted or not, %d groups parked, %d left raw",
-				m.win, m.drift, m.failOdds, m.emptyOdd, len(m.want), len(m.recs), m.eager[0], m.eager[1],
-				m.verdicts[1], m.verdicts[0], m.parks, m.tab.sealsSkipped())
+			ruled[0], ruled[1] = ruled[0]+m.ruled[0], ruled[1]+m.ruled[1]
+			t.Logf("%+v, word fold %v, stream moves once in %d bundles, 1 seal in %d fails, 1 filing in %d empty, 1 run in %d wide: %d windows, %d runs filed, %d+%d groups sealed, in one-reader panes %d ruled raw and %d sealed",
+				m.win, m.tab.folds, m.drift, m.failOdds, m.emptyOdd, m.wideOdd, len(m.want), len(m.recs), m.eager[0], m.eager[1],
+				m.ruled[0], m.ruled[1])
 		})
 	}
 }
@@ -78,13 +81,15 @@ type smBundle struct {
 type tableSM struct {
 	t        *testing.T
 	rng      *rand.Rand
-	sizes    *rand.Rand // what a seal keeps: apart, so rng's operations stay the seed's
+	ticks    *rand.Rand // the virtual clock's steps: apart, so rng's operations stay the seed's
+	now      time.Time  // the virtual clock
 	win      wm.Windowing
 	tab      *windowTable
 	pos      wm.Time // where the stream is
 	drift    int     // the stream moves on once in drift registrations
 	failOdds int     // a seal fails once in failOdds (0: never)
 	emptyOdd int     // a bundle files nothing for a pane once in emptyOdd
+	wideOdd  int     // a run of an odd pane has keys far apart once in wideOdd (0: never)
 
 	unfiled []smBundle
 	offers  []wm.Time
@@ -105,8 +110,21 @@ type tableSM struct {
 	failed    map[wm.Time]bool // per pane: a seal failed
 	sealedWM  wm.Time
 	eager     [2]int // seals of complete groups seen, by level (0, higher)
-	verdicts  [2]int // probes landed, by verdict (copy, compacting)
-	parks     int    // groups that completed before their probe landed
+
+	target    wm.Time
+	requested map[wm.Time]time.Time // per window: when the watermark asked it to close
+	paneFrom  map[wm.Time]wm.Time   // per pane: the `from` of its first bundle
+	groups    map[*runGroup]*smGroup
+	skips     int    // level-0 groups the rule left raw
+	ruled     [2]int // complete level-0 groups of one-reader panes, by decision (raw, sealed)
+}
+
+// smGroup is the model's account of a level-0 group: its members filed
+// and what the seal rule reads of their runs.
+type smGroup struct {
+	filed       int
+	pairs, keys int
+	lo, hi      uint64
 }
 
 func newTableSM(t *testing.T, seed int64) *tableSM {
@@ -116,10 +134,12 @@ func newTableSM(t *testing.T, seed int64) *tableSM {
 	}
 	win := shapes[rng.Intn(len(shapes))]
 	return &tableSM{
-		t: t, rng: rng, sizes: rand.New(rand.NewSource(^seed)), win: win, tab: newWindowTable(win),
+		t: t, rng: rng, ticks: rand.New(rand.NewSource(^seed)), now: time.Unix(1e9, 0), win: win,
 		drift:     []int{3, 12, 60, 400}[rng.Intn(4)],
 		failOdds:  []int{0, 50, 6}[rng.Intn(3)],
 		emptyOdd:  []int{3, 10, 100}[rng.Intn(3)],
+		wideOdd:   []int{0, 4, 40}[rng.Intn(3)],
+		tab:       newWindowTable(win, rng.Intn(4) != 0),
 		merging:   make(map[wm.Time][]*kpa.KPA),
 		ids:       make(map[*kpa.KPA][]uint64),
 		taken:     make(map[*kpa.KPA]bool),
@@ -129,6 +149,9 @@ func newTableSM(t *testing.T, seed int64) *tableSM {
 		published: make(map[wm.Time]int),
 		busy:      make(map[wm.Time]int),
 		failed:    make(map[wm.Time]bool),
+		requested: make(map[wm.Time]time.Time),
+		paneFrom:  make(map[wm.Time]wm.Time),
+		groups:    make(map[*runGroup]*smGroup),
 	}
 }
 
@@ -143,7 +166,7 @@ func (m *tableSM) run() {
 	for len(m.unfiled) > 0 {
 		m.file()
 	}
-	m.enqueue(nil, m.tab.advance(^wm.Time(0)-m.win.Size))
+	m.advanceTo(^wm.Time(0) - m.win.Size)
 	for i := 0; len(m.offers)+len(m.seals)+len(m.merging)+len(m.retired) > 0; i++ {
 		if i == 1<<20 {
 			m.t.Fatalf("drain stuck: %d offers, %d seals, %d merging, %d retired, %d windows in the table",
@@ -197,6 +220,7 @@ func (m *tableSM) run() {
 }
 
 func (m *tableSM) step() {
+	m.now = m.now.Add(time.Duration(m.ticks.Intn(1000)) * time.Microsecond)
 	switch n := m.rng.Intn(96); {
 	case n < 34:
 		m.register()
@@ -241,6 +265,12 @@ func (m *tableSM) register() {
 	}
 	for _, g := range reg.groups {
 		m.busy[g.pane]++
+		if _, ok := m.paneFrom[g.pane]; !ok {
+			m.paneFrom[g.pane] = g.from
+		}
+		if m.groups[g] == nil {
+			m.groups[g] = &smGroup{}
+		}
 	}
 	m.unfiled = append(m.unfiled, smBundle{reg})
 }
@@ -255,7 +285,8 @@ func (m *tableSM) newRun(refs, n int, ids []uint64) *kpa.KPA {
 }
 
 // file lands a registered bundle, any of them: extractions finish in any
-// order.
+// order. Each run draws its pairs, distinct keys and key range, and each
+// level-0 group the filing completes is decided by the rule on them.
 func (m *tableSM) file() {
 	if len(m.unfiled) == 0 {
 		return
@@ -282,14 +313,55 @@ func (m *tableSM) file() {
 				m.want[w][id] = true
 			}
 		}
-		runs = append(runs, filedRun{paneRun{k: m.newRun(open, 2, []uint64{id}), from: from, group: g}, g.pane})
+		pairs := 1 + m.rng.Intn(4)
+		keys := 1 + m.rng.Intn(pairs)
+		lo := uint64(m.rng.Intn(16))
+		// Runs of even panes are dense, so whole panes seal.
+		if m.wideOdd > 0 && m.tab.panes.Index(g.pane)%2 == 1 && m.rng.Intn(m.wideOdd) == 0 {
+			lo = uint64(m.rng.Intn(1<<20)) << 40
+		}
+		hi := lo + uint64(keys-1+m.rng.Intn(8))
+		mg := m.groups[g]
+		if mg.pairs == 0 {
+			mg.lo, mg.hi = lo, hi
+		} else {
+			mg.lo, mg.hi = min(mg.lo, lo), max(mg.hi, hi)
+		}
+		mg.pairs += pairs
+		mg.keys += keys
+		runs = append(runs, filedRun{paneRun{k: m.newRun(open, pairs, []uint64{id}), from: from, group: g}, g.pane, keys, lo, hi})
 	}
-	m.enqueue(m.tab.fileRuns(b.reg, runs))
+	seals, toClose := m.tab.fileRuns(b.reg, runs)
 	for _, g := range b.reg.groups {
-		if pe := m.tab.entries[g.pane]; pe != nil && slices.Contains(pe.parked, g) {
-			m.parks++
+		mg := m.groups[g]
+		if mg.filed++; mg.filed < mergeFanIn {
+			continue
+		}
+		// The group is complete: in a pane one window reads, the rule
+		// decides it now, from its own runs.
+		if _, last := m.tab.panes.Covering(g.pane); m.paneFrom[g.pane] != last {
+			continue
+		}
+		bound := min(mg.keys, int(min(mg.hi-mg.lo, 1<<20))+1)
+		seal := m.tab.folds && 2*bound <= mg.pairs
+		sealed := slices.ContainsFunc(seals, func(s paneSeal) bool { return s.into != nil && s.raw[0].group == g })
+		if seal {
+			m.ruled[1]++
+		} else {
+			m.ruled[0]++
+			m.skips++
+		}
+		if sealed != (seal && mg.pairs > 0) {
+			m.t.Fatalf("pane %d: level-0 group of %d pairs, %d keys in [%d, %d] sealed %v; the rule says %v",
+				g.pane, mg.pairs, mg.keys, mg.lo, mg.hi, sealed, seal)
+		}
+		for _, r := range m.tab.entries[g.pane].runs {
+			if r.group == g {
+				m.t.Fatalf("pane %d: complete level-0 group still holds run %v", g.pane, m.ids[r.k])
+			}
 		}
 	}
+	m.enqueue(seals, toClose)
 }
 
 // enqueue takes what the table handed back: seals to run, closes to
@@ -326,7 +398,22 @@ func (m *tableSM) enqueue(seals []paneSeal, toClose []wm.Time) {
 }
 
 func (m *tableSM) advance() {
-	m.enqueue(nil, m.tab.advance(m.pos-min(m.pos, wm.Time(m.rng.Intn(120)))+wm.Time(m.rng.Intn(40))))
+	m.advanceTo(m.pos - min(m.pos, wm.Time(m.rng.Intn(120))) + wm.Time(m.rng.Intn(40)))
+}
+
+// advanceTo advances the watermark to w on the virtual clock: every
+// window in the table that w seals for the first time has its close
+// requested now.
+func (m *tableSM) advanceTo(w wm.Time) {
+	if w > m.target {
+		m.target = w
+		for start := range m.tab.windows {
+			if _, ok := m.requested[start]; !ok && m.win.End(start) <= w {
+				m.requested[start] = m.now
+			}
+		}
+	}
+	m.enqueue(nil, m.tab.advance(w, m.now))
 }
 
 // claim offers a close: one the table asked for, or — the runtime drops
@@ -382,12 +469,7 @@ func (m *tableSM) land() {
 			ids = append(ids, m.ids[r.k]...)
 			in += r.k.Len()
 		}
-		// Half the pairs or all of them: a fold over few keys, or a copy.
-		copies := m.sizes.Intn(2)
-		merged = m.newRun(len(s.owers), in/(2-copies), ids)
-		if s.probe {
-			m.verdicts[1-copies]++
-		}
+		merged = m.newRun(len(s.owers), in, ids)
 	} else {
 		m.failed[s.pane] = true
 	}
@@ -417,11 +499,6 @@ func (m *tableSM) land() {
 func (m *tableSM) gather(w wm.Time, runs []*kpa.KPA) {
 	if m.gathered[w] != nil {
 		m.t.Fatalf("window %d gathered twice", w)
-	}
-	for p := w; p < m.win.End(w); p = m.tab.panes.End(p) {
-		if pe := m.tab.entries[p]; pe != nil && len(pe.parked) > 0 {
-			m.t.Fatalf("window %d gathered while %d groups of pane %d are parked", w, len(pe.parked), p)
-		}
 	}
 	got := make(map[uint64]bool)
 	for _, k := range runs {
@@ -462,7 +539,9 @@ func (m *tableSM) retire() {
 	for _, k := range m.merging[w] {
 		k.Destroy()
 	}
-	m.tab.retire(w)
+	if d, want := m.tab.retire(w, m.now), m.now.Sub(m.requested[w]); d != want {
+		m.t.Fatalf("window %d retired %v after its close request, want %v", w, d, want)
+	}
 	delete(m.merging, w)
 	m.retired = append(m.retired, w)
 }
@@ -490,11 +569,10 @@ func (m *tableSM) check(when string) {
 			m.t.Fatalf("%s: window %d published %d times", when, w, n)
 		}
 	}
+	if got := m.tab.sealsSkipped(); got != m.skips {
+		m.t.Fatalf("%s: %d level-0 groups left raw, the rule leaves %d", when, got, m.skips)
+	}
 	for p, pe := range m.tab.entries {
-		// A group parks only until its pane's probe lands.
-		if len(pe.parked) > 0 && pe.rule != sealProbing {
-			m.t.Fatalf("%s: pane %d judged, yet %d groups are parked", when, p, len(pe.parked))
-		}
 		for _, r := range pe.runs {
 			if m.taken[r.k] {
 				m.t.Fatalf("%s: pane %d holds run %v, which a seal took", when, p, m.ids[r.k])
@@ -524,15 +602,12 @@ func (m *tableSM) check(when string) {
 				perSeq[seq{r.group.level, r.group.from}]++
 			}
 		}
-		// Once every bundle has filed and every seal has landed, nothing is
-		// parked, no group holds a full group's worth of runs, and — unless
-		// a failed seal stranded the group it was to join — a pane has one
-		// group with runs per level and `from`: fewer than mergeFanIn
-		// grouped runs of each. A group left raw holds none: its runs are
+		// Once every bundle has filed and every seal has landed, no group
+		// holds a full group's worth of runs, and — unless a failed seal
+		// stranded the group it was to join — a pane has one group with
+		// runs per level and `from`: fewer than mergeFanIn grouped runs of
+		// each. A group left raw holds none: its runs are
 		// outside any group.
-		if len(pe.parked) > 0 {
-			m.t.Fatalf("%s: pane %d at rest with %d groups parked", when, p, len(pe.parked))
-		}
 		for g, n := range perGroup {
 			if n >= mergeFanIn {
 				m.t.Fatalf("%s: pane %d at rest: a level-%d group holds %d runs", when, p, g.level, n)

@@ -30,24 +30,20 @@ package runtime
 //     no pair is re-read more than log(runs)/log(mergeFanIn) times. Slots
 //     are handed out on the ingest goroutine, so what merges with what is
 //     a function of the stream alone.
-//   - A pane one window reads seals its level-0 groups only while they
-//     compact. For such a pane a seal saves the close nothing — it reads
-//     `in` pairs to spare the close `in − out` — and buys only capacity,
-//     so it is worth its pass while it at least halves the pairs. The
-//     pane's first level-0 group, its probe, seals; paneSealed judges the
-//     pane by it: compacting if the merged run holds at most half the
-//     probe's pairs (a verbatim copy never does; a probe that could not
-//     allocate or had no runs counts as compacting). Every later level-0
-//     group of the pane seals on a compacting verdict and otherwise stays
-//     in the table raw, outside any group, stranding the group above
-//     like a failed seal; the close merges it. Left raw, its runs hold
-//     less than twice what the seal would have kept. A group that
-//     completes before the verdict parks in the pane entry, its runs in
-//     place, and the probe's paneSealed settles every parked group under
-//     the same lock — each a seal, owed before the probe's owers are let
-//     go, or raw — so no window gathers while a group of its pane is
-//     parked, and which groups seal is a function of the stream alone. A
-//     pane more than one window reads seals every group it completes.
+//   - A pane one window reads seals a level-0 group only if the seal at
+//     least halves it. For such a pane a seal saves the close nothing —
+//     it reads `in` pairs to spare the close `in − out` — and buys only
+//     capacity. complete decides when the group completes, from the
+//     group's own runs: it seals iff the aggregator is a word fold and
+//     twice its key bound — the lesser of its runs' distinct keys summed
+//     and its key span — is at most its pairs. The bound never
+//     undercounts the keys the seal keeps, so every such seal at least
+//     halves; a verbatim copy never halves, so it never seals here. A
+//     group that does not seal stays in the table raw, outside any
+//     group, for the close to merge, and lands in the group above with
+//     no run, so the members that did seal still seal there. No decision waits on another seal, and each is a
+//     function of the stream alone. A pane more than one window reads
+//     seals every group it completes.
 //   - Windows that share a pane claim in ascending order: a window is
 //     not ready while an earlier window overlapping it has yet to claim.
 //     So when a window claims, no earlier window can still want the
@@ -111,13 +107,40 @@ type paneRun struct {
 // groups of the level below above that. register hands out the slots;
 // a member lands when its bundle files (level 0) or its seal does. A
 // group that fills gets its own slot one level up (parent), and seals
-// when all mergeFanIn members have landed.
+// when all mergeFanIn members have landed. pairs, keys, lo and hi sum
+// up the level-0 runs filed for it — their pairs, their distinct keys
+// and their least and greatest key —, what its seal rule reads
+// (compacts).
 type runGroup struct {
 	pane, from wm.Time
 	level      int
 	slots      int
 	landed     int
 	parent     *runGroup
+	pairs      int
+	keys       int
+	lo, hi     uint64
+}
+
+// file counts a level-0 run filed for g into g's key bound.
+func (g *runGroup) file(r filedRun) {
+	if g.pairs == 0 {
+		g.lo, g.hi = r.lo, r.hi
+	}
+	g.lo, g.hi = min(g.lo, r.lo), max(g.hi, r.hi)
+	g.pairs += r.k.Len()
+	g.keys += r.keys
+}
+
+// compacts reports whether a word fold of g's runs at least halves
+// their pairs, by a bound that never undercounts the keys it keeps: the
+// lesser of the runs' distinct keys summed and the group's key span.
+func (g *runGroup) compacts() bool {
+	keys := g.keys
+	if span := g.hi - g.lo; span < uint64(keys) {
+		keys = int(span) + 1
+	}
+	return 2*keys <= g.pairs
 }
 
 // paneEntry holds one pane's sorted shared runs. refs counts the
@@ -126,33 +149,13 @@ type runGroup struct {
 // registration, so `from` is the first window that was open when the
 // pane first received a bundle — later bundles can only be late for
 // more windows, never fewer. filling is the group taking new members at
-// each level. rule says which of its complete level-0 groups seal, probe
-// is its first level-0 group, and parked the later ones that completed
-// while the rule was sealProbing.
+// each level.
 type paneEntry struct {
 	runs    []paneRun
 	from    wm.Time
 	refs    int
 	filling []*runGroup
-	rule    sealRule
-	probe   *runGroup
-	parked  []*runGroup
 }
-
-// sealRule is how a pane's complete level-0 groups seal.
-type sealRule uint8
-
-const (
-	// sealAlways seals every group: a pane more than one window reads,
-	// or one whose probe compacted.
-	sealAlways sealRule = iota
-	// sealProbing seals the probe and parks the rest: a pane one window
-	// reads, until its probe lands.
-	sealProbing
-	// sealNever leaves every group but the probe raw: its probe kept
-	// more than half its pairs.
-	sealNever
-)
 
 // registration is what register hands a bundle's extraction: the open
 // windows it contributes to, ascending, and its group in each pane it
@@ -162,10 +165,14 @@ type registration struct {
 	groups []*runGroup
 }
 
-// filedRun is a freshly sorted pane run on its way into the table.
+// filedRun is a freshly sorted pane run on its way into the table, with
+// its distinct keys (counted only for a word fold) and its least and
+// greatest key.
 type filedRun struct {
 	paneRun
-	pane wm.Time
+	pane   wm.Time
+	keys   int
+	lo, hi uint64
 }
 
 // paneSeal is a set of one pane's runs, out of the table until
@@ -173,14 +180,12 @@ type filedRun struct {
 // member landed, or the level-0 runs a claiming window found. owers are
 // the open windows covering the pane from `from` on, ascending — each
 // holds one reference on every run — and into is the group the merged
-// run joins (nil after a claim's seal). probe marks the seal whose
-// merged run judges a sealProbing pane.
+// run joins (nil after a claim's seal).
 type paneSeal struct {
 	pane, from wm.Time
 	raw        []paneRun
 	owers      []wm.Time
 	into       *runGroup
-	probe      bool
 }
 
 // claim is what a window's close is handed when it is claimed: the pane
@@ -197,6 +202,9 @@ type windowTable struct {
 	win   wm.Windowing
 	panes wm.Panes
 	slide wm.Time
+	// folds is whether the aggregator is a word fold, whose seals can
+	// compact a pane one window reads.
+	folds bool
 
 	// target is the target watermark. advance raises it under wmu;
 	// task tagging reads it lock-free.
@@ -210,11 +218,11 @@ type windowTable struct {
 	// while its rows are still in flight to the sink.
 	finishing map[wm.Time]struct{}
 	closed    int
-	// skipped counts the level-0 groups a sealNever pane left raw.
+	// skipped counts the level-0 groups left raw.
 	skipped int
 }
 
-func newWindowTable(win wm.Windowing) *windowTable {
+func newWindowTable(win wm.Windowing, folds bool) *windowTable {
 	slide := win.Slide
 	if slide == 0 {
 		slide = win.Size
@@ -223,6 +231,7 @@ func newWindowTable(win wm.Windowing) *windowTable {
 		win:       win,
 		panes:     win.Panes(),
 		slide:     slide,
+		folds:     folds,
 		windows:   make(map[wm.Time]*winEntry),
 		entries:   make(map[wm.Time]*paneEntry),
 		finishing: make(map[wm.Time]struct{}),
@@ -261,9 +270,6 @@ func (t *windowTable) register(minTs, maxTs wm.Time) (reg registration) {
 		pe := t.entries[p]
 		if pe == nil {
 			pe = &paneEntry{from: from, refs: n}
-			if n == 1 {
-				pe.rule = sealProbing
-			}
 			t.entries[p] = pe
 		}
 		reg.groups = append(reg.groups, pe.slot(p, from, 0))
@@ -274,8 +280,7 @@ func (t *windowTable) register(minTs, maxTs wm.Time) (reg registration) {
 // slot takes the next slot of the pane's filling group at level: a new
 // group when there is none, it is full, or `from` has moved on since it
 // began (a bundle late for more windows starts over). The member that
-// fills a group takes the group's slot one level up. The pane's first
-// level-0 group is its probe.
+// fills a group takes the group's slot one level up.
 func (pe *paneEntry) slot(pane, from wm.Time, level int) *runGroup {
 	if level == len(pe.filling) {
 		pe.filling = append(pe.filling, nil)
@@ -284,9 +289,6 @@ func (pe *paneEntry) slot(pane, from wm.Time, level int) *runGroup {
 	if g == nil || g.from != from || g.slots == mergeFanIn {
 		g = &runGroup{pane: pane, from: from, level: level}
 		pe.filling[level] = g
-		if pe.probe == nil {
-			pe.probe = g
-		}
 	}
 	if g.slots++; g.slots == mergeFanIn {
 		g.parent = pe.slot(pane, from, level+1)
@@ -313,6 +315,7 @@ func (t *windowTable) fileRuns(reg registration, runs []filedRun) (seals []paneS
 	for _, r := range runs {
 		pe := t.entries[r.pane]
 		pe.runs = append(pe.runs, r.paneRun)
+		r.group.file(r)
 	}
 	// Groups land before pending falls: every window from a group's
 	// `from` still waits on this bundle, so none of them has claimed.
@@ -341,50 +344,29 @@ func (t *windowTable) landed(g *runGroup) []paneSeal {
 	return t.complete(g)
 }
 
-// complete settles a complete group by its pane's rule: a level-0 group
-// of a sealProbing pane other than the probe parks, one of a sealNever
-// pane stays raw; any other takes its runs out of the table as a seal.
-// A group with no run to its name (its bundles filed nothing) lands in
-// its parent at once — a probe with none judges its pane compacting. It
-// returns the seals this started. Caller holds wmu.
+// complete settles a complete group. A level-0 group of a pane one
+// window reads — the pane's first covering window, pe.from, is its last
+// — seals only if the aggregator is a word fold and the seal compacts;
+// otherwise it stays in the table raw, outside any group. Any
+// other group takes its runs out of the table as a seal. A group left
+// raw, or with no run to its name (its bundles filed nothing), lands in
+// its parent at once. It returns the seals this started. Caller holds
+// wmu.
 func (t *windowTable) complete(g *runGroup) []paneSeal {
 	pe := t.entries[g.pane]
-	probe := pe.rule == sealProbing && g == pe.probe
-	if g.level == 0 && pe.rule != sealAlways && !probe {
-		if pe.rule == sealProbing {
-			pe.parked = append(pe.parked, g)
-			return nil
-		}
+	if _, last := t.panes.Covering(g.pane); g.level == 0 && pe.from == last && !(t.folds && g.compacts()) {
 		for i := range pe.runs {
 			if pe.runs[i].group == g {
 				pe.runs[i].group = nil
 			}
 		}
 		t.skipped++
-		return nil
+		return t.landed(g.parent)
 	}
 	if raw := t.take(g.pane, func(r paneRun) bool { return r.group == g }); len(raw) > 0 {
-		return []paneSeal{t.owe(paneSeal{pane: g.pane, from: g.from, raw: raw, into: g.parent, probe: probe})}
+		return []paneSeal{t.owe(paneSeal{pane: g.pane, from: g.from, raw: raw, into: g.parent})}
 	}
-	var seals []paneSeal
-	if probe {
-		seals = t.judge(pe, true)
-	}
-	return append(seals, t.landed(g.parent)...)
-}
-
-// judge settles a sealProbing pane by its probe's verdict and completes
-// every group parked on it. Caller holds wmu.
-func (t *windowTable) judge(pe *paneEntry, compacting bool) (seals []paneSeal) {
-	pe.rule = sealNever
-	if compacting {
-		pe.rule = sealAlways
-	}
-	for _, g := range pe.parked {
-		seals = append(seals, t.complete(g)...)
-	}
-	pe.parked = nil
-	return seals
+	return t.landed(g.parent)
 }
 
 // take removes the pane's runs that match and returns them. Caller
@@ -431,17 +413,17 @@ func (t *windowTable) ready(w wm.Time, e *winEntry) bool {
 }
 
 // advance raises the target watermark to w (it never falls) and seals
-// every window now entirely behind it. It returns the sealed windows
-// that are ready, whose close can start at once, ascending: the oldest
-// window claims, seals its panes and merges first.
-func (t *windowTable) advance(w wm.Time) (toClose []wm.Time) {
+// every window now entirely behind it, stamping its close request at
+// now. It returns the sealed windows that are ready, whose close can
+// start at once, ascending: the oldest window claims, seals its panes
+// and merges first.
+func (t *windowTable) advance(w wm.Time, now time.Time) (toClose []wm.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	if w <= t.target.Load() {
 		return nil
 	}
 	t.target.Store(w)
-	now := time.Now()
 	for start, e := range t.windows {
 		if e.closeRequested || t.win.End(start) > w {
 			continue
@@ -498,32 +480,25 @@ func (t *windowTable) claim(start wm.Time) (c claim, ok bool) {
 
 // paneSealed lands a seal: merged — or, when the seal could not allocate
 // it (nil), the runs themselves, outside any group — goes into the
-// pane's entry, and the owers each owe one less. A probe's seal judges
-// its pane first: compacting unless merged holds more than half the
-// pairs of the runs it replaced. It returns the seals this started —
-// of the group merged completed, and of the groups parked on a
-// compacting probe — and the claimed windows that now owe none,
-// ascending, for the caller to gather and merge — and then to release
-// the sealed runs' references when merged replaced them.
+// pane's entry, and the owers each owe one less. It returns the seals
+// this started — of the group merged completed — and the claimed
+// windows that now owe none, ascending, for the caller to gather and
+// merge — and then to release the sealed runs' references when merged
+// replaced them.
 func (t *windowTable) paneSealed(s paneSeal, merged *kpa.KPA) (seals []paneSeal, toMerge []wm.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	pe := t.entries[s.pane]
-	in := 0
 	if merged != nil {
 		pe.runs = append(pe.runs, paneRun{k: merged, from: s.from, group: s.into})
 		// Before the owers owe less: a window that owes cannot gather.
 		seals = t.landed(s.into)
 	}
-	for _, r := range s.raw {
-		in += r.k.Len()
-		if merged == nil {
+	if merged == nil {
+		for _, r := range s.raw {
 			r.group = nil
 			pe.runs = append(pe.runs, r)
 		}
-	}
-	if s.probe {
-		seals = append(seals, t.judge(pe, merged == nil || 2*merged.Len() <= in)...)
 	}
 	for _, w := range s.owers {
 		e := t.windows[w]
@@ -561,13 +536,13 @@ func (t *windowTable) visible(start wm.Time) (runs []*kpa.KPA) {
 // covered — the entry goes with its last covering window; the runs
 // themselves were already released, one reference each, by the close.
 // The window stays in finishing until published. It returns the time
-// since the close request.
-func (t *windowTable) retire(start wm.Time) time.Duration {
+// from the close request to now.
+func (t *windowTable) retire(start wm.Time, now time.Time) time.Duration {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
 	var d time.Duration
 	if e := t.windows[start]; e != nil && !e.closeT0.IsZero() {
-		d = time.Since(e.closeT0)
+		d = now.Sub(e.closeT0)
 	}
 	for p := start; p < t.win.End(start); p = t.panes.End(p) {
 		if pe := t.entries[p]; pe != nil && pe.from <= start {

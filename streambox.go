@@ -252,10 +252,11 @@ type Report struct {
 	// and the runs left over merged when the first window covering the
 	// pane closes, for the later windows covering it — into a per-key
 	// partial run when the aggregation is a word fold (sum, count),
-	// verbatim when it does not. A pane only one window reads seals its
-	// first group of 32 and the later ones only if that seal kept at most
-	// half its pairs; SealsSkipped counts the groups it left raw for the
-	// window's close instead. ClosePairs counts the pairs streamed
+	// verbatim when it does not. A pane only one window reads seals a
+	// group of 32 only if the aggregation is a word fold and its runs
+	// bound their distinct keys — summed, or their key span if fewer — to
+	// at most half its pairs; SealsSkipped counts the groups it left raw
+	// for the window's close instead. ClosePairs counts the pairs streamed
 	// through those merges and the closing windows' own: about once per
 	// record when seals write partials, overlap times (plus once) when
 	// they cannot. All three are functions of the stream, not of
