@@ -127,7 +127,7 @@ func TestDestroyReleasesSources(t *testing.T) {
 	e := newEnv()
 	b := e.bundleOf(t, [3]uint64{1, 2, 3})
 	k, _ := Extract(b, 0, e.al)
-	st := e.pool.Stats()
+	st := e.pool.Snapshot()
 	if st.Allocs != 1 {
 		t.Fatalf("allocs = %d", st.Allocs)
 	}
@@ -138,7 +138,7 @@ func TestDestroyReleasesSources(t *testing.T) {
 	if b.RC() != 1 {
 		t.Errorf("rc after destroy = %d, want 1 (producer)", b.RC())
 	}
-	if e.pool.Stats().Frees != 1 {
+	if e.pool.Snapshot().Frees != 1 {
 		t.Error("slab not freed")
 	}
 	b.Release() // producer drops: bundle reclaimed

@@ -63,7 +63,7 @@ func TestPooledKPAUsesSlab(t *testing.T) {
 	if &k2.Pairs()[0] != &first[0] {
 		t.Error("second KPA should reuse the destroyed KPA's slab")
 	}
-	if pool.Stats().Recycled == 0 {
+	if pool.Snapshot().Recycled == 0 {
 		t.Error("no recycling recorded")
 	}
 	// Recycling must not leak stale pairs: contents are exactly the

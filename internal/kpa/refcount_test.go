@@ -44,7 +44,7 @@ func TestRetainDestroyCounts(t *testing.T) {
 	if got := pool.Used(memsim.HBM); got != 0 {
 		t.Fatalf("pool used = %d after final destroy, want 0", got)
 	}
-	st := pool.Stats()
+	st := pool.Snapshot()
 	if st.Frees != st.Allocs {
 		t.Fatalf("frees %d != allocs %d: a shared run freed more or less than once", st.Frees, st.Allocs)
 	}
@@ -142,7 +142,7 @@ func TestSharedRunConcurrentDestroy(t *testing.T) {
 	if got := pool.Used(memsim.HBM); got != 0 {
 		t.Fatalf("pool used = %d after all windows closed, want 0", got)
 	}
-	st := pool.Stats()
+	st := pool.Snapshot()
 	if st.Frees != st.Allocs {
 		t.Fatalf("frees %d != allocs %d: shared runs must free exactly once", st.Frees, st.Allocs)
 	}

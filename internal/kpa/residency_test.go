@@ -55,7 +55,7 @@ func TestEvictLoadRoundTrip(t *testing.T) {
 	if got := pool.Used(memsim.HBM); got != 0 {
 		t.Fatalf("HBM used %d after evict, want 0", got)
 	}
-	if pool.Used(memsim.Spill) == 0 || f.Used() == 0 {
+	if pool.Used(memsim.Spill) == 0 {
 		t.Fatal("spill tier shows no usage after evict")
 	}
 	for i, p := range k.Pairs() {
@@ -203,7 +203,7 @@ func TestConcurrentEnsureResident(t *testing.T) {
 	if _, err := k.Evict(pool, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := pool.Stats().Allocs
+	before := pool.Snapshot().Allocs
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -224,7 +224,7 @@ func TestConcurrentEnsureResident(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if got := pool.Stats().Allocs - before; got != 1 {
+	if got := pool.Snapshot().Allocs - before; got != 1 {
 		t.Fatalf("%d allocations for one shared load, want 1", got)
 	}
 	k.Destroy()

@@ -9,9 +9,15 @@
 // interface — runs only; column slabs stay on the memory tiers — so a
 // request can name the tiers it accepts, in order, and be served by the
 // first with room (AllocFirst) — the degradation ladder is one call
-// under one lock, and a failure is a request no rung served. The spill
-// tier is excluded from Pressure: a full spill file degrades latency, it
-// must never shed traffic.
+// under one lock, and a failure is a request no rung served.
+//
+// A tier's occupancy is read one way, tierLocked, behind every view —
+// Used, Capacity, Utilization, Snapshot and Pressure: the reserve
+// counts toward HBM, a memory tier the machine lacks reads as full (so
+// nothing is placed there), and a detached spill tier reads as empty.
+// Pressure, the admission signal, is the worst utilization over the
+// memory tiers the machine has; the spill tier is left out of it: a
+// full spill file degrades latency, it must never shed traffic.
 //
 // Beyond accounting, the pool is a real recycling allocator for the
 // engine's hottest object: the KPA pair array. Allocation.Pairs hands
@@ -72,7 +78,6 @@ type Allocation struct {
 	freed    bool
 	pairs    []algo.Pair // backing slab, materialized by Pairs
 	spillOff int64       // extent offset for spill-tier allocations
-	Request  int64       // the size the caller asked for
 }
 
 // Tier returns the tier the allocation lives on.
@@ -136,23 +141,6 @@ func (a *Allocation) Free() {
 		a.pool.putSlab(a.tier, a.class, a.pairs)
 		a.pairs = nil
 	}
-}
-
-// Stats summarises pool activity.
-type Stats struct {
-	Allocs   int64
-	Frees    int64
-	Failures int64
-	// Recycled counts slab requests served from a free list instead of
-	// the Go heap.
-	Recycled int64
-	// ColRecycled counts column-slab requests served from a free list.
-	ColRecycled int64
-	// ColsOut is the column slabs taken and not yet put back: the
-	// ownership ledger, zero whenever no batch, bundle or decoder holds
-	// one.
-	ColsOut  int64
-	PeakUsed [memsim.NumTiers]int64
 }
 
 // freeList is one tier's free lists for slabs of one element type — pair
@@ -450,7 +438,7 @@ func (p *Pool) Alloc(t memsim.Tier, size int64) (*Allocation, error) {
 // room, walking the rungs under one lock. A rung that is full — or, for
 // the spill tier, detached — is passed over, not failed: the request
 // fails only when no rung serves it, with one ErrExhausted naming the
-// first rung and one count in Stats.Failures.
+// first rung and one count in Snapshot.Failures.
 func (p *Pool) AllocFirst(size int64, order ...memsim.Tier) (*Allocation, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mempool: invalid allocation size %d", size)
@@ -473,7 +461,7 @@ func (p *Pool) AllocUrgent(size int64, order ...memsim.Tier) (*Allocation, error
 	if n := roundUp(size); p.usedReserved+n <= p.reserved {
 		p.usedReserved += n
 		p.allocs++
-		return &Allocation{pool: p, tier: memsim.HBM, size: n, urgent: true, Request: size}, nil
+		return &Allocation{pool: p, tier: memsim.HBM, size: n, urgent: true}, nil
 	}
 	return p.walk(size, order)
 }
@@ -505,7 +493,7 @@ func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
 			p.peak[t] = p.used[t]
 		}
 		p.allocs++
-		return &Allocation{pool: p, tier: t, size: n, spillOff: off, Request: size}, nil
+		return &Allocation{pool: p, tier: t, size: n, spillOff: off}, nil
 	}
 	p.failures++
 	t, want := memsim.HBM, slab
@@ -518,92 +506,84 @@ func (p *Pool) walk(size int64, order []memsim.Tier) (*Allocation, error) {
 	return nil, &ErrExhausted{Tier: t, Want: want, Free: p.cap[t] - p.used[t]}
 }
 
-// Used returns the bytes in use on tier t (excluding the reserved pool).
-func (p *Pool) Used(t memsim.Tier) int64 {
+// tierLocked is the one reading of tier t that every view takes: the
+// reserve counts toward HBM; a memory tier with no capacity reads full,
+// so placement goes elsewhere (X56 has no HBM); a detached spill tier
+// reads empty, not full. Peak excludes the reserve. The caller holds mu.
+func (p *Pool) tierLocked(t memsim.Tier) TierSnapshot {
+	ts := TierSnapshot{Used: p.used[t], Capacity: p.cap[t], Peak: p.peak[t]}
+	if t == memsim.HBM {
+		ts.Used += p.usedReserved
+		ts.Capacity += p.reserved
+	}
+	switch {
+	case ts.Capacity > 0:
+		ts.Utilization = float64(ts.Used) / float64(ts.Capacity)
+	case t != memsim.Spill:
+		ts.Utilization = 1
+	}
+	return ts
+}
+
+// tier returns tierLocked(t) under one lock acquisition.
+func (p *Pool) tier(t memsim.Tier) TierSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	u := p.used[t]
-	if t == memsim.HBM {
-		u += p.usedReserved
-	}
-	return u
+	return p.tierLocked(t)
 }
 
-// Capacity returns the allocatable bytes on tier t (the reserved HBM
-// region counts towards HBM capacity).
-func (p *Pool) Capacity(t memsim.Tier) int64 {
-	c := p.cap[t]
-	if t == memsim.HBM {
-		c += p.reserved
-	}
-	return c
-}
+// Used returns the bytes in use on tier t, as tierLocked reads them.
+func (p *Pool) Used(t memsim.Tier) int64 { return p.tier(t).Used }
 
-// Utilization returns Used/Capacity on tier t in [0,1]. A zero-capacity
-// memory tier reads as fully utilized (X56 has no HBM: allocations must
-// go elsewhere), but a detached spill tier reads as empty — "no cold
-// tier" must not look like "cold tier full" on the ladder gauges.
-func (p *Pool) Utilization(t memsim.Tier) float64 {
-	c := p.Capacity(t)
-	if c == 0 {
-		if t == memsim.Spill {
-			return 0
-		}
-		return 1
-	}
-	return float64(p.Used(t)) / float64(c)
-}
+// Capacity returns tier t's allocatable bytes, as tierLocked reads them.
+func (p *Pool) Capacity(t memsim.Tier) int64 { return p.tier(t).Capacity }
 
-// Pressure is the pool's overall memory pressure: the worst utilization
-// across the real memory tiers. It is the admission-control signal — a
+// Utilization returns Used/Capacity on tier t, as tierLocked reads it.
+func (p *Pool) Utilization(t memsim.Tier) float64 { return p.tier(t).Utilization }
+
+// Pressure is the admission-control signal: the worst utilization, in
+// one Snapshot, over the memory tiers whose capacity is above zero. A
 // server sheds new connections when HBM or DRAM is nearly exhausted,
-// since a fresh stream would only deepen the deficit. The spill tier is
-// excluded: filling the cold tier degrades latency, never admission.
+// since a fresh stream would only deepen the deficit. A tier the
+// machine lacks is left out, or a DRAM-only machine would shed every
+// client; so is the spill tier: a full cold tier degrades latency only.
 func (p *Pool) Pressure() float64 {
-	max := 0.0
-	for t := memsim.Tier(0); t < memsim.Tier(memsim.MemTiers); t++ {
-		if u := p.Utilization(t); u > max {
-			max = u
+	snap := p.Snapshot()
+	worst := 0.0
+	for _, ts := range snap.Tiers[:memsim.MemTiers] {
+		if ts.Capacity > 0 {
+			worst = max(worst, ts.Utilization)
 		}
 	}
-	return max
+	return worst
 }
 
-// Stats returns a snapshot of allocator counters.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Stats{
-		Allocs:      p.allocs,
-		Frees:       p.frees,
-		Failures:    p.failures,
-		Recycled:    p.recycled.Load(),
-		ColRecycled: p.colRecycled.Load(),
-		ColsOut:     p.colsOut.Load(),
-		PeakUsed:    p.peak,
-	}
-}
-
-// TierSnapshot is one tier's live view for metrics exposition.
+// TierSnapshot is one tier's reading, as tierLocked takes it.
 type TierSnapshot struct {
 	Used, Capacity, Peak int64
 	Utilization          float64
 }
 
-// Snapshot is a consistent one-scrape view of the whole pool, taken
-// under a single lock acquisition (the per-field getters can tear
-// between tiers while allocations race).
+// Snapshot is a consistent view of the whole pool, taken under a single
+// lock acquisition: every tier read by tierLocked, so no two views of a
+// tier disagree, and no tier torn from another while allocations race.
 type Snapshot struct {
 	Tiers                  [memsim.NumTiers]TierSnapshot // indexed by memsim.Tier
 	Reserved, UsedReserved int64
 	Allocs, Frees          int64
 	Failures               int64
-	Recycled               int64
+	// Recycled counts slab requests served from a free list instead of
+	// the Go heap.
+	Recycled int64
 	// Column-slab pool occupancy: slabs (and their bytes) sitting in
 	// the []uint64 free lists, and requests served from them.
 	ColSlabsCached    int64
 	ColSlabBytesCache int64
 	ColSlabsRecycled  int64
+	// ColsOut is the column slabs taken and not yet put back: the
+	// ownership ledger, zero whenever no batch, bundle or decoder holds
+	// one.
+	ColsOut int64
 }
 
 // Snapshot returns a consistent view of capacities, usage and counters.
@@ -611,22 +591,8 @@ func (p *Pool) Snapshot() Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s Snapshot
-	for t := memsim.Tier(0); t < memsim.Tier(memsim.NumTiers); t++ {
-		used, capa := p.used[t], p.cap[t]
-		if t == memsim.HBM {
-			used += p.usedReserved
-			capa += p.reserved
-		}
-		ts := TierSnapshot{Used: used, Capacity: capa, Peak: p.peak[t]}
-		switch {
-		case capa > 0:
-			ts.Utilization = float64(used) / float64(capa)
-		case t == memsim.Spill:
-			ts.Utilization = 0 // cold tier disabled, not full
-		default:
-			ts.Utilization = 1
-		}
-		s.Tiers[t] = ts
+	for t := range s.Tiers {
+		s.Tiers[t] = p.tierLocked(memsim.Tier(t))
 	}
 	s.Reserved, s.UsedReserved = p.reserved, p.usedReserved
 	s.Allocs, s.Frees, s.Failures = p.allocs, p.frees, p.failures
@@ -634,5 +600,6 @@ func (p *Pool) Snapshot() Snapshot {
 	s.ColSlabsCached = p.colCached.Load()
 	s.ColSlabBytesCache = p.colCachedBytes.Load()
 	s.ColSlabsRecycled = p.colRecycled.Load()
+	s.ColsOut = p.colsOut.Load()
 	return s
 }

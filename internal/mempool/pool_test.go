@@ -53,9 +53,6 @@ func TestAllocFree(t *testing.T) {
 	if a.size != 16<<10 {
 		t.Errorf("size = %d, want rounded 16 KiB", a.size)
 	}
-	if a.Request != 10<<10 {
-		t.Errorf("request = %d", a.Request)
-	}
 	if p.Used(memsim.HBM) != 16<<10 {
 		t.Errorf("used = %d", p.Used(memsim.HBM))
 	}
@@ -105,8 +102,8 @@ func TestExhaustion(t *testing.T) {
 	if _, err := p.Alloc(memsim.HBM, 4096); err != nil {
 		t.Fatalf("alloc after free: %v", err)
 	}
-	if p.Stats().Failures != 1 {
-		t.Errorf("failures = %d", p.Stats().Failures)
+	if p.Snapshot().Failures != 1 {
+		t.Errorf("failures = %d", p.Snapshot().Failures)
 	}
 }
 
@@ -195,6 +192,49 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
+// TestPressureOverTiersTheMachineHas: admission reads the worst
+// utilization over the memory tiers whose capacity is above zero. On a
+// machine without HBM (X56) placement still reads that tier as full,
+// but pressure is DRAM's alone; HBM that is all reserve is a tier the
+// machine has, and the reserve's use counts. Every view reads a tier as
+// Snapshot does.
+func TestPressureOverTiersTheMachineHas(t *testing.T) {
+	views := func(p *Pool) {
+		t.Helper()
+		snap := p.Snapshot()
+		for tier, ts := range snap.Tiers {
+			tr := memsim.Tier(tier)
+			if p.Used(tr) != ts.Used || p.Capacity(tr) != ts.Capacity || p.Utilization(tr) != ts.Utilization {
+				t.Errorf("%v: views read %d/%d/%g, Snapshot %d/%d/%g", tr,
+					p.Used(tr), p.Capacity(tr), p.Utilization(tr), ts.Used, ts.Capacity, ts.Utilization)
+			}
+		}
+	}
+
+	x56 := New(memsim.X56Config(), 256<<20)
+	if _, err := x56.Alloc(memsim.DRAM, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	if u := x56.Utilization(memsim.HBM); u != 1 {
+		t.Errorf("no-HBM utilization = %g, want 1: placement must not pick the tier", u)
+	}
+	if pr, dram := x56.Pressure(), x56.Utilization(memsim.DRAM); pr != dram || dram == 0 {
+		t.Errorf("no-HBM pressure = %g, want DRAM's %g", pr, dram)
+	}
+	views(x56)
+
+	cfg := memsim.KNLConfig()
+	cfg.Tiers[memsim.HBM].Capacity = 1 << 20
+	allReserve := New(cfg, 1<<20)
+	if _, err := allReserve.AllocUrgent(512 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if pr := allReserve.Pressure(); pr != 0.5 {
+		t.Errorf("all-reserve HBM pressure = %g, want 0.5 from the reserve's use", pr)
+	}
+	views(allReserve)
+}
+
 func TestInvalidSizes(t *testing.T) {
 	p := testPool()
 	if _, err := p.Alloc(memsim.HBM, 0); err == nil {
@@ -239,12 +279,12 @@ func TestStatsAndPeak(t *testing.T) {
 	a2, _ := p.Alloc(memsim.DRAM, 1<<20)
 	a1.Free()
 	a2.Free()
-	st := p.Stats()
+	st := p.Snapshot()
 	if st.Allocs != 2 || st.Frees != 2 {
 		t.Errorf("allocs=%d frees=%d", st.Allocs, st.Frees)
 	}
-	if st.PeakUsed[memsim.DRAM] != 2<<20 {
-		t.Errorf("peak = %d, want 2 MiB", st.PeakUsed[memsim.DRAM])
+	if st.Tiers[memsim.DRAM].Peak != 2<<20 {
+		t.Errorf("peak = %d, want 2 MiB", st.Tiers[memsim.DRAM].Peak)
 	}
 }
 
@@ -311,7 +351,7 @@ func TestAllocFirstCountsRequestsNotRungs(t *testing.T) {
 	if _, err := p.AllocUrgent(4 << 10); err != nil { // the reserve
 		t.Fatal(err)
 	}
-	if got := p.Stats().Failures; got != 0 {
+	if got := p.Snapshot().Failures; got != 0 {
 		t.Fatalf("%d failures counted while every request was served", got)
 	}
 	// Everything is full and no arena is attached.
@@ -327,7 +367,7 @@ func TestAllocFirstCountsRequestsNotRungs(t *testing.T) {
 	if _, err = p.AllocUrgent(4 << 10); !errors.As(err, &ex) || ex.Tier != memsim.HBM {
 		t.Fatalf("exhausted reserve: %v", err)
 	}
-	if got := p.Stats().Failures; got != 3 {
+	if got := p.Snapshot().Failures; got != 3 {
 		t.Fatalf("%d failures for three unserved requests", got)
 	}
 }

@@ -34,8 +34,8 @@ func TestSlabReuse(t *testing.T) {
 	if &first[0] != &second[0] {
 		t.Error("recycled allocation must reuse the freed slab's backing array")
 	}
-	if p.Stats().Recycled != 1 {
-		t.Errorf("recycled = %d, want 1", p.Stats().Recycled)
+	if p.Snapshot().Recycled != 1 {
+		t.Errorf("recycled = %d, want 1", p.Snapshot().Recycled)
 	}
 	b.Free()
 }
@@ -93,9 +93,9 @@ func TestSlabSizedByPairs(t *testing.T) {
 			t.Fatalf("charge %d: slab of %d pairs, want the 1 024 of n's class", charge, cap(first))
 		}
 		a.Free()
-		recycled := p.Stats().Recycled
+		recycled := p.Snapshot().Recycled
 		b, _ := p.Alloc(memsim.DRAM, 16<<10)
-		if got := b.Pairs(n); &got[0] != &first[0] || p.Stats().Recycled != recycled+1 {
+		if got := b.Pairs(n); &got[0] != &first[0] || p.Snapshot().Recycled != recycled+1 {
 			t.Fatalf("charge %d: the slab did not recycle into a same-class allocation", charge)
 		}
 		b.Free()
@@ -165,8 +165,8 @@ func TestJumboNotRecycled(t *testing.T) {
 	if &first[0] == &second[0] {
 		t.Error("jumbo slabs must not be recycled")
 	}
-	if p.Stats().Recycled != 0 {
-		t.Errorf("recycled = %d, want 0", p.Stats().Recycled)
+	if p.Snapshot().Recycled != 0 {
+		t.Errorf("recycled = %d, want 0", p.Snapshot().Recycled)
 	}
 	b.Free()
 }
@@ -248,7 +248,7 @@ func TestConcurrentRecycle(t *testing.T) {
 	if p.Used(memsim.HBM) != 0 || p.Used(memsim.DRAM) != 0 {
 		t.Error("accounting leak after concurrent recycle")
 	}
-	if p.Stats().Recycled == 0 {
+	if p.Snapshot().Recycled == 0 {
 		t.Error("expected some recycling under churn")
 	}
 }
@@ -277,8 +277,8 @@ func TestColSlabReuse(t *testing.T) {
 	if len(again) != 100 {
 		t.Fatalf("recycled slab has len %d, want 100", len(again))
 	}
-	if p.Stats().ColRecycled != 1 {
-		t.Fatalf("ColRecycled %d, want 1", p.Stats().ColRecycled)
+	if p.Snapshot().ColSlabsRecycled != 1 {
+		t.Fatalf("ColRecycled %d, want 1", p.Snapshot().ColSlabsRecycled)
 	}
 	s = p.Snapshot()
 	if s.ColSlabsCached != 0 || s.ColSlabBytesCache != 0 {

@@ -61,8 +61,11 @@ func TestSpillTierAlloc(t *testing.T) {
 	if used := p.Used(memsim.Spill); used != 0 {
 		t.Fatalf("used after free %d", used)
 	}
-	if f.Used() != 0 {
-		t.Fatalf("arena used after free %d", f.Used())
+	// The arena took the extent back: its free list hands it out again.
+	if off, err := f.Alloc(100); err != nil || off != a.spillOff {
+		t.Fatalf("arena realloc at %d (%v), want the freed extent at %d", off, err, a.spillOff)
+	} else {
+		f.Free(off, 100)
 	}
 
 	// Exhaustion surfaces as the pool's uniform ErrExhausted.
@@ -92,11 +95,13 @@ func TestSpillTierCols(t *testing.T) {
 	if len(col) != 16 {
 		t.Fatalf("col len %d", len(col))
 	}
-	if f.Used() != 0 {
-		t.Fatalf("a column slab took %d B of the arena", f.Used())
+	if off, err := f.Alloc(1 << 16); err != nil {
+		t.Fatalf("a column slab took part of the arena: %v", err)
+	} else {
+		f.Free(off, 1<<16)
 	}
 	p.PutCol(memsim.Spill, col)
-	if out := p.Stats().ColsOut; out != 0 {
+	if out := p.Snapshot().ColsOut; out != 0 {
 		t.Fatalf("%d column slabs out after PutCol", out)
 	}
 }

@@ -237,7 +237,7 @@ func TestFeedOwnPoolTakesBatchesBack(t *testing.T) {
 	f := NewFeed(WireSchema(), 8)
 	f.register(1)
 	cols := f.borrowCols(rows)
-	if out := f.pool.Stats().ColsOut; out != 1 {
+	if out := f.pool.Snapshot().ColsOut; out != 1 {
 		t.Fatalf("%d column slabs out after borrowing one batch, want 1", out)
 	}
 	for k, c := range cols {
@@ -269,7 +269,7 @@ func TestFeedOwnPoolTakesBatchesBack(t *testing.T) {
 	}
 	views := append([][]uint64(nil), got...) // Recycle clears the header
 	f.Recycle(got)
-	if out := f.pool.Stats().ColsOut; out != 0 {
+	if out := f.pool.Snapshot().ColsOut; out != 0 {
 		t.Fatalf("%d column slabs still out of the feed's pool after Recycle", out)
 	}
 	for k, c := range views {
@@ -569,7 +569,7 @@ func TestColumnarLoopbackSendColumns(t *testing.T) {
 	if n := got.Load(); n != total {
 		t.Fatalf("feed received %d records, want %d", n, total)
 	}
-	if n := pool.Stats().ColRecycled; n == 0 {
+	if n := pool.Snapshot().ColSlabsRecycled; n == 0 {
 		t.Fatal("no column slab was recycled through the mempool")
 	}
 	if s := pool.Snapshot(); s.ColSlabsCached == 0 || s.ColSlabBytesCache == 0 {

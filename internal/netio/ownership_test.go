@@ -112,7 +112,7 @@ func (r *slabRig) settle() error {
 	if rep.LateRecords != 0 {
 		r.t.Logf("%d records arrived behind the watermark and were dropped, by policy", rep.LateRecords)
 	}
-	if out := r.pool.Stats().ColsOut; out != 0 {
+	if out := r.pool.Snapshot().ColsOut; out != 0 {
 		r.t.Errorf("%d column slabs still out of the pool at rest", out)
 	}
 	if used := r.pool.Used(memsim.DRAM); used != 0 {
@@ -462,7 +462,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	}
 	srv.Close()
 	<-done
-	if out := pool.Stats().ColsOut; out != 0 {
+	if out := pool.Snapshot().ColsOut; out != 0 {
 		t.Errorf("%d column slabs still out of the pool at rest", out)
 	}
 }

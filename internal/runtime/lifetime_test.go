@@ -84,7 +84,7 @@ func TestBundleFreesAtExtract(t *testing.T) {
 	}
 	// The last Recycle runs inside the last bundle's final Release, after
 	// its charge and its registry entry are gone.
-	if out := pool.Stats().ColsOut; out != 0 {
+	if out := pool.Snapshot().ColsOut; out != 0 {
 		t.Fatalf("%d column slabs out of the pool after every batch was recycled", out)
 	}
 	if live := e.x.reg.Live(); live != 0 {

@@ -139,7 +139,7 @@ const BackpressureUtilization = 0.95
 // ingest stalls.
 const queuedTasksPerWorker = 8
 
-// ShedUtilization is the pool pressure (worst tier utilization) above
+// ShedUtilization is the pool pressure (mempool.Pool.Pressure) above
 // which the ingest server sheds *new* connections at the handshake with
 // an overloaded ack, rather than admitting another stream it cannot
 // feed. Deliberately above BackpressureUtilization: established
@@ -580,7 +580,7 @@ func Start(plan Plan, cfg Config) (*Execution, error) {
 			DRAMKPAs:        m.placements[memsim.DRAM].Load(),
 			PausedNanos:     m.paused.Load(),
 			GCPauseNs:       int64(ms1.PauseTotalNs - ms0.PauseTotalNs),
-			SlabsRecycled:   x.pool.Stats().Recycled,
+			SlabsRecycled:   x.pool.Snapshot().Recycled,
 			PaneRuns:        m.paneRuns.Load(),
 			SharedRunRefs:   m.sharedRunRefs.Load(),
 			SealedPanes:     m.sealedPanes.Load(),

@@ -494,20 +494,18 @@ func runCaptured(plan Plan, cfg Config) (captured, error) {
 // auditAtRest is the ledger audit every test that runs a plan through
 // runCaptured gets: with the run drained, each bundle has given its
 // columns back and is no longer charged, no window state is live on any
-// tier, and the spill arena is empty — an extent lives until its run's
-// last Destroy, so a leaked reference shows here.
+// tier, and nothing is charged to the spill tier — the pool charges an
+// arena extent until its run's last Destroy frees it, so a leaked
+// reference shows here.
 func auditAtRest(e *Execution) error {
 	pool := e.MemPool()
-	if out := pool.Stats().ColsOut; out != 0 {
+	if out := pool.Snapshot().ColsOut; out != 0 {
 		return fmt.Errorf("%d column slabs still out of the pool after the run", out)
 	}
 	for _, t := range []memsim.Tier{memsim.DRAM, memsim.Spill} {
 		if used := pool.Used(t); used != 0 {
 			return fmt.Errorf("%d B still charged to %v after the run", used, t)
 		}
-	}
-	if f := e.x.spillFile; f != nil && f.Used() != 0 {
-		return fmt.Errorf("%d B of the spill arena still allocated after the run", f.Used())
 	}
 	if live := e.x.m.liveState(); live != [memsim.NumTiers]int64{} {
 		return fmt.Errorf("live window state at rest: %v", live)

@@ -138,9 +138,9 @@ func TestSortPanesSinglePaneMatchesGeneral(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				snap := e.MemSnapshot()
-				if snap.Allocs != snap.Frees || snap.Tiers[memsim.HBM].Used != 0 || snap.Tiers[memsim.DRAM].Used != 0 || e.MemPool().Stats().ColsOut != 0 {
+				if snap.Allocs != snap.Frees || snap.Tiers[memsim.HBM].Used != 0 || snap.Tiers[memsim.DRAM].Used != 0 || e.MemPool().Snapshot().ColsOut != 0 {
 					t.Fatalf("%s: pool not drained: %d allocs, %d frees, %d B HBM, %d B DRAM, %d column slabs out", name,
-						snap.Allocs, snap.Frees, snap.Tiers[memsim.HBM].Used, snap.Tiers[memsim.DRAM].Used, e.MemPool().Stats().ColsOut)
+						snap.Allocs, snap.Frees, snap.Tiers[memsim.HBM].Used, snap.Tiers[memsim.DRAM].Used, e.MemPool().Snapshot().ColsOut)
 				}
 				return outcome{rowsByWindowKey(rows.rows), rep.LateRecords, rep.ExtractedPairs, rep.WindowsClosed}
 			}

@@ -301,13 +301,13 @@ func TestPlacementRule(t *testing.T) {
 		var ee *mempool.ErrExhausted
 		switch {
 		case c.fail:
-			if !errors.As(err, &ee) || pool.Stats().Failures != 1 {
-				t.Fatalf("%s: err %v with %d failures counted, want one ErrExhausted", c.name, err, pool.Stats().Failures)
+			if !errors.As(err, &ee) || pool.Snapshot().Failures != 1 {
+				t.Fatalf("%s: err %v with %d failures counted, want one ErrExhausted", c.name, err, pool.Snapshot().Failures)
 			}
 		case err != nil || tier != c.want || al.Tier() != c.want:
 			t.Fatalf("%s: placed on %v (err %v), want %v", c.name, tier, err, c.want)
-		case pool.Stats().Failures != 0:
-			t.Fatalf("%s: %d failures counted for a request that was served", c.name, pool.Stats().Failures)
+		case pool.Snapshot().Failures != 0:
+			t.Fatalf("%s: %d failures counted for a request that was served", c.name, pool.Snapshot().Failures)
 		case (pool.Snapshot().UsedReserved > reserve) != c.fromReserve:
 			t.Fatalf("%s: the reserve served it: %v, want %v", c.name, !c.fromReserve, c.fromReserve)
 		}

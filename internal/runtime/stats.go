@@ -85,12 +85,6 @@ func newStats(x *exec) *stats {
 		for p, n := range x.sched.QueuedByPriority() {
 			e.Int(depth[p], int64(n))
 		}
-		var spillUsed int64
-		if x.spillFile != nil {
-			spillUsed = x.spillFile.Used()
-		}
-		e.Int("streambox_spill_used_bytes", spillUsed)
-		e.Int("streambox_spill_capacity_bytes", x.pool.Capacity(memsim.Spill))
 	})
 	return s
 }

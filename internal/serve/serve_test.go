@@ -211,7 +211,7 @@ func TestRecoveryReturnsEverySlab(t *testing.T) {
 	if _, err := srv.Shutdown(0); err != nil {
 		t.Fatal(err)
 	}
-	if out := pool.Stats().ColsOut; out != 0 {
+	if out := pool.Snapshot().ColsOut; out != 0 {
 		t.Errorf("%d column slabs still out of the pool after the drain", out)
 	}
 	if used := pool.Used(memsim.DRAM); used != 0 {
@@ -226,6 +226,46 @@ func TestRecoveryReturnsEverySlab(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed windows differ from the logged stream:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestServeWithoutHBMAdmits: on the paper's DRAM-only X56 machine the
+// missing HBM tier reads full to placement, but admission reads only the
+// tiers the machine has, so a client is granted, not shed as overloaded,
+// and its windows publish.
+func TestServeWithoutHBMAdmits(t *testing.T) {
+	gen := netio.RecordGen{Keys: 8, WindowRecords: 1000}
+	const n = 2500 // two whole windows and half of a third
+	srv, err := Serve(testPlan(), runtime.Config{Machine: memsim.X56Config()}, "capture", Config{IngestAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := netio.Dial(srv.IngestAddr(), netio.ClientConfig{Format: parsefmt.Columnar})
+	if err != nil {
+		srv.Shutdown(0)
+		t.Fatalf("dial: %v", err)
+	}
+	if err := c.Send(gen.Records(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+	var want, got uint64
+	for i := uint64(0); i < n; i++ {
+		want += gen.ColsAt(i)[3]
+	}
+	ws := srv.Results()
+	for _, w := range ws {
+		for _, r := range w.Rows {
+			got += r.Val
+		}
+	}
+	if len(ws) != 3 || got != want {
+		t.Errorf("%d windows summing to %d, want 3 summing to %d", len(ws), got, want)
 	}
 }
 

@@ -50,7 +50,6 @@ type File struct {
 	mu   sync.Mutex
 	f    *os.File
 	data []byte
-	used int64
 	tail int64
 	free map[int64][]int64 // rounded extent size -> free offsets (LIFO)
 }
@@ -118,7 +117,6 @@ func (f *File) Alloc(n int64) (int64, error) {
 	if list := f.free[n]; len(list) > 0 {
 		off := list[len(list)-1]
 		f.free[n] = list[:len(list)-1]
-		f.used += n
 		return off, nil
 	}
 	if f.tail+n > int64(len(f.data)) {
@@ -126,7 +124,6 @@ func (f *File) Alloc(n int64) (int64, error) {
 	}
 	off := f.tail
 	f.tail += n
-	f.used += n
 	return off, nil
 }
 
@@ -139,7 +136,6 @@ func (f *File) Free(off, n int64) {
 		return // closed: the whole mapping is already gone
 	}
 	f.free[n] = append(f.free[n], off)
-	f.used -= n
 }
 
 // Pairs returns the extent at off as a zero-copy []algo.Pair view of n
@@ -154,13 +150,6 @@ func (f *File) Pairs(off int64, n int) []algo.Pair {
 
 // Capacity returns the arena size in bytes.
 func (f *File) Capacity() int64 { return int64(len(f.data)) }
-
-// Used returns the bytes currently allocated.
-func (f *File) Used() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.used
-}
 
 // Close unmaps and closes the arena. All outstanding views become
 // invalid. Safe to call once; the backing file was unlinked at Create.
